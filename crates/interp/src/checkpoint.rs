@@ -17,7 +17,8 @@
 //! privatizable means written-before-read within the schedule, so a
 //! retry can never observe an abandoned attempt's leftovers there.
 
-use crate::events::{exec_work, Event};
+use crate::events::Schedule;
+use crate::kernel::Worker;
 use crate::mem::Mem;
 use crate::trace::{AccessKind, Target, TraceBuffer};
 use analysis::Bindings;
@@ -41,15 +42,13 @@ impl Checkpoint {
     /// processor against a scratch memory with an access tracer — legal
     /// in any order precisely because access sets are value-independent
     /// (see the module docs). `mem` itself is only read.
-    pub fn capture(prog: &Program, bind: &Bindings, events: &[Event], mem: &Mem) -> Checkpoint {
+    pub fn capture(prog: &Program, bind: &Bindings, events: &Schedule, mem: &Mem) -> Checkpoint {
         let tracer = Arc::new(TraceBuffer::new());
         let scratch = Mem::new(prog, bind).with_tracer(Arc::clone(&tracer));
-        let nprocs = bind.nprocs as usize;
-        for ev in events {
-            if matches!(ev, Event::Work { .. } | Event::SerialWork { .. }) {
-                for pid in 0..nprocs {
-                    exec_work(prog, bind, &scratch, pid, nprocs, ev);
-                }
+        for pid in 0..bind.nprocs as usize {
+            let mut worker = Worker::new(events, &scratch, pid);
+            for ev in events.iter().filter(|ev| ev.is_work()) {
+                worker.exec_work(ev);
             }
         }
         let mut written = BTreeSet::new();

@@ -46,7 +46,7 @@ use crate::checkpoint::Checkpoint;
 use crate::events::unroll;
 use crate::mem::Mem;
 use crate::par::ObserveOptions;
-use crate::recover::{run_parallel_recovering, RecoveryOutcome};
+use crate::recover::{run_parallel_recovering, run_recovering_on, RecoveryOutcome};
 use crate::run_sequential;
 use analysis::Bindings;
 use ir::Program;
@@ -196,7 +196,7 @@ pub fn run_parallel_degrading(
     // One write-set checkpoint for every rung: the union of owned
     // iterations is the whole iteration space at any team width, so
     // the original plan's schedule names the complete write set.
-    let events = unroll(prog, bind, plan);
+    let events = Arc::new(unroll(prog, bind, plan));
     let outer = Checkpoint::capture(prog, bind, &events, mem);
     let nprocs_initial = bind.nprocs as usize;
     let mut k = nprocs_initial;
@@ -209,10 +209,22 @@ pub fn run_parallel_degrading(
     let mut cur_plan: Option<SpmdProgram> = None;
     let mut cur_team: Option<Team> = None;
     loop {
-        let round_plan = cur_plan.as_ref().unwrap_or(plan);
         let round_team = cur_team.as_ref().unwrap_or(team);
-        let r =
-            run_parallel_recovering(prog, &cur_bind, round_plan, mem, round_team, opts, &policy);
+        let r = match &cur_plan {
+            None => run_recovering_on(
+                prog,
+                bind,
+                plan,
+                Arc::clone(&events),
+                mem,
+                round_team,
+                opts,
+                &policy,
+            ),
+            Some(shrunk) => {
+                run_parallel_recovering(prog, &cur_bind, shrunk, mem, round_team, opts, &policy)
+            }
+        };
         total_stats.merge(&r.total_stats);
         let ok = r.ok();
         let lost = r.lost_pid;

@@ -1,9 +1,12 @@
-//! Expression evaluation and (filtered) subtree execution.
+//! The reference evaluator: expression evaluation and tree-walking
+//! subtree execution with the original sequential semantics. Parallel
+//! executors run lowered kernels ([`crate::kernel`]) instead; this walker
+//! stays as the independent oracle they are compared against.
 
 use crate::mem::Mem;
 use crate::trace::{AccessKind, Target};
 use analysis::Bindings;
-use ir::{AffAtom, Affine, Assign, Expr, LhsRef, LoopId, Node, NodeId, Program, RedOp, ScalarId};
+use ir::{AffAtom, Affine, Assign, Expr, LhsRef, LoopId, Node, NodeId, Program, ScalarId};
 
 /// Current loop-index values (indexed by `LoopId`).
 pub struct Env {
@@ -40,22 +43,6 @@ impl Env {
             Some(self.vals[l.0 as usize])
         } else {
             None
-        }
-    }
-
-    /// Snapshot of the bound loops (for event payloads).
-    pub fn snapshot(&self) -> Vec<(LoopId, i64)> {
-        (0..self.vals.len())
-            .filter(|&k| self.bound[k])
-            .map(|k| (LoopId(k as u32), self.vals[k]))
-            .collect()
-    }
-
-    /// Restore from a snapshot (clearing everything else).
-    pub fn restore(&mut self, snap: &[(LoopId, i64)]) {
-        self.bound.iter_mut().for_each(|b| *b = false);
-        for &(l, v) in snap {
-            self.set(l, v);
         }
     }
 }
@@ -118,59 +105,7 @@ pub fn eval_expr(
     }
 }
 
-/// Per-processor reduction partials: inside parallel phases, scalar
-/// reductions accumulate here and are flushed atomically at phase end.
-#[derive(Default)]
-pub struct RedAcc {
-    active: bool,
-    parts: Vec<(ScalarId, RedOp, f64)>,
-}
-
-impl RedAcc {
-    /// Inactive accumulator (reductions apply directly to memory).
-    pub fn inactive() -> Self {
-        Self::default()
-    }
-
-    /// Active accumulator for a parallel phase.
-    pub fn active() -> Self {
-        RedAcc {
-            active: true,
-            parts: Vec::new(),
-        }
-    }
-
-    fn accumulate(&mut self, s: ScalarId, op: RedOp, v: f64) {
-        if let Some(p) = self
-            .parts
-            .iter_mut()
-            .find(|(ps, pop, _)| *ps == s && *pop == op)
-        {
-            p.2 = op.apply(p.2, v);
-        } else {
-            self.parts.push((s, op, op.apply(op.identity(), v)));
-        }
-    }
-
-    /// Flush processor `pid`'s partials into shared memory (atomic per
-    /// scalar).
-    pub fn flush(&mut self, mem: &Mem, pid: usize) {
-        for (s, op, v) in self.parts.drain(..) {
-            mem.trace(pid, Target::Scalar(s), AccessKind::Reduce);
-            mem.reduce_scalar(s, op, v);
-        }
-    }
-}
-
-fn exec_assign(
-    prog: &Program,
-    bind: &Bindings,
-    mem: &Mem,
-    env: &Env,
-    a: &Assign,
-    red: &mut RedAcc,
-    pid: usize,
-) {
+fn exec_assign(prog: &Program, bind: &Bindings, mem: &Mem, env: &Env, a: &Assign, pid: usize) {
     let v = eval_expr(prog, bind, mem, env, &a.rhs, pid);
     let trace_scalar = |s: ScalarId, kind: AccessKind| {
         if !prog.scalar(s).privatizable {
@@ -183,14 +118,10 @@ fn exec_assign(
             mem.set_scalar(*s, v);
         }
         (LhsRef::Scalar(s), Some(op)) => {
-            if red.active {
-                red.accumulate(*s, op, v);
-            } else {
-                // Non-atomic read-modify-write (serial / master context).
-                trace_scalar(*s, AccessKind::Read);
-                trace_scalar(*s, AccessKind::Write);
-                mem.set_scalar(*s, op.apply(mem.get_scalar(*s), v));
-            }
+            // Non-atomic read-modify-write.
+            trace_scalar(*s, AccessKind::Read);
+            trace_scalar(*s, AccessKind::Write);
+            mem.set_scalar(*s, op.apply(mem.get_scalar(*s), v));
         }
         (LhsRef::Elem(arr, subs), redop) => {
             let idx: Vec<i64> = subs.iter().map(|s| eval_affine(bind, env, s)).collect();
@@ -217,55 +148,6 @@ fn exec_assign(
     }
 }
 
-/// Execute a subtree with an optional per-statement ownership filter
-/// (used by the general "scan" execution mode of distributed phases) and
-/// a reduction accumulator.
-pub fn exec_node(
-    prog: &Program,
-    bind: &Bindings,
-    mem: &Mem,
-    env: &mut Env,
-    node: NodeId,
-    filter: Option<&dyn Fn(&Env) -> bool>,
-    red: &mut RedAcc,
-    pid: usize,
-) {
-    match prog.node(node) {
-        Node::Assign(a) => {
-            if let Some(f) = filter {
-                if !f(env) {
-                    return;
-                }
-            }
-            exec_assign(prog, bind, mem, env, a, red, pid);
-        }
-        Node::Guard(g) => {
-            for c in &g.conds {
-                if !c.holds(&|atom| match atom {
-                    AffAtom::Sym(s) => bind.get(s).expect("unbound symbolic in guard"),
-                    AffAtom::Loop(l) => env.get(l).expect("unbound loop in guard"),
-                }) {
-                    return;
-                }
-            }
-            for &child in &g.body {
-                exec_node(prog, bind, mem, env, child, filter, red, pid);
-            }
-        }
-        Node::Loop(l) => {
-            let lo = eval_affine(bind, env, &l.lo);
-            let hi = eval_affine(bind, env, &l.hi);
-            for i in lo..=hi {
-                env.set(l.id, i);
-                for &child in &l.body {
-                    exec_node(prog, bind, mem, env, child, filter, red, pid);
-                }
-            }
-            env.clear(l.id);
-        }
-    }
-}
-
 /// Execute a subtree with plain sequential semantics (parallel loops run
 /// like sequential ones, reductions apply directly).
 pub fn exec_subtree_seq(
@@ -276,8 +158,33 @@ pub fn exec_subtree_seq(
     node: NodeId,
     pid: usize,
 ) {
-    let mut red = RedAcc::inactive();
-    exec_node(prog, bind, mem, env, node, None, &mut red, pid);
+    match prog.node(node) {
+        Node::Assign(a) => exec_assign(prog, bind, mem, env, a, pid),
+        Node::Guard(g) => {
+            for c in &g.conds {
+                if !c.holds(&|atom| match atom {
+                    AffAtom::Sym(s) => bind.get(s).expect("unbound symbolic in guard"),
+                    AffAtom::Loop(l) => env.get(l).expect("unbound loop in guard"),
+                }) {
+                    return;
+                }
+            }
+            for &child in &g.body {
+                exec_subtree_seq(prog, bind, mem, env, child, pid);
+            }
+        }
+        Node::Loop(l) => {
+            let lo = eval_affine(bind, env, &l.lo);
+            let hi = eval_affine(bind, env, &l.hi);
+            for i in lo..=hi {
+                env.set(l.id, i);
+                for &child in &l.body {
+                    exec_subtree_seq(prog, bind, mem, env, child, pid);
+                }
+            }
+            env.clear(l.id);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -325,72 +232,6 @@ mod tests {
         for k in 0..6 {
             let expect = if k == 3 { 9.0 } else { 0.0 };
             assert_eq!(mem.array(a).get(&[k as i64]), expect);
-        }
-    }
-
-    #[test]
-    fn reduction_direct_and_accumulated_agree() {
-        let mut pb = ProgramBuilder::new("r");
-        let n = pb.sym("n");
-        let a = pb.array("A", &[sym(n)], dist_repl());
-        let s = pb.scalar("s", 0.0);
-        let i = pb.begin_par("i", con(0), sym(n) - 1);
-        pb.reduce(svar(s), ir::RedOp::Add, arr(a, [idx(i)]));
-        pb.end();
-        let prog = pb.finish();
-        let bind = Bindings::new(2).set(n, 10);
-        let mem = Mem::new(&prog, &bind);
-        mem.fill(a, |sub| sub[0] as f64);
-        crate::run_sequential(&prog, &bind, &mem);
-        assert_eq!(mem.get_scalar(s), 45.0);
-
-        // Accumulated path.
-        let mem2 = Mem::new(&prog, &bind);
-        mem2.fill(a, |sub| sub[0] as f64);
-        let mut env = Env::new(&prog);
-        let mut red = RedAcc::active();
-        exec_node(
-            &prog,
-            &bind,
-            &mem2,
-            &mut env,
-            prog.body[0],
-            None,
-            &mut red,
-            0,
-        );
-        assert_eq!(mem2.get_scalar(s), 0.0, "not flushed yet");
-        red.flush(&mem2, 0);
-        assert_eq!(mem2.get_scalar(s), 45.0);
-    }
-
-    #[test]
-    fn filter_skips_instances() {
-        let mut pb = ProgramBuilder::new("f");
-        let n = pb.sym("n");
-        let a = pb.array("A", &[sym(n)], dist_block());
-        let i = pb.begin_par("i", con(0), sym(n) - 1);
-        pb.assign(elem(a, [idx(i)]), ex(1.0));
-        pb.end();
-        let prog = pb.finish();
-        let bind = Bindings::new(2).set(n, 8);
-        let mem = Mem::new(&prog, &bind);
-        let mut env = Env::new(&prog);
-        let mut red = RedAcc::inactive();
-        let il = prog.expect_loop(prog.body[0]).id;
-        let filter = |env: &Env| env.get(il).unwrap() % 2 == 0;
-        exec_node(
-            &prog,
-            &bind,
-            &mem,
-            &mut env,
-            prog.body[0],
-            Some(&filter),
-            &mut red,
-            0,
-        );
-        for k in 0..8i64 {
-            assert_eq!(mem.array(a).get(&[k]), if k % 2 == 0 { 1.0 } else { 0.0 });
         }
     }
 }

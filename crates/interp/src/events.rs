@@ -1,399 +1,362 @@
-//! Unrolling a schedule into a linear event list, and the execution of
-//! one work event by one processor.
+//! Unrolling a schedule into a linear event list.
 //!
 //! Every processor traverses the *same* event sequence (replicated
-//! control flow — the SPMD model); work events carry the enclosing
-//! sequential-loop indices so both executors can evaluate bounds and
-//! owner functions.
+//! control flow — the SPMD model). [`unroll`] runs once per
+//! `(program, bindings, plan)`: it lowers each phase subtree into a
+//! kernel ([`crate::kernel`]), resolves every sync's producer, and
+//! emits compact `Copy` events that refer to both by index. The
+//! enclosing sequential-loop indices of an event are a chain of
+//! [`Frame`]s shared by all events of one loop iteration.
 
-use crate::eval::{exec_node, exec_subtree_seq, try_eval_affine, Env, RedAcc};
-use crate::mem::Mem;
-use analysis::{Bindings, LoopPartition};
-use ineq::rational::{div_ceil, div_floor};
-use ir::{AffAtom, LoopId, NodeId, Program};
-use spmd_opt::{slot_count_items, slot_count_top, PhaseKind, RItem, SpmdProgram, SyncOp, TopItem};
+use crate::eval::{eval_affine, try_eval_affine, Env};
+use crate::kernel::{Code, Lowerer, OwnerDist};
+use analysis::{Bindings, DistSet, ProducerSpec};
+use ir::{LoopId, NodeId, Program};
+use spmd_opt::{slot_count_items, slot_count_top, RItem, SpmdProgram, SyncOp, TopItem};
+use std::ops::Deref;
+
+/// "No enclosing loop" in [`Event`] frames and [`Frame::parent`].
+pub(crate) const NO_FRAME: u32 = u32::MAX;
+
+/// One binding `loop index = val` of an unrolled sequential loop; the
+/// chain through `parent` gives every enclosing index.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Frame {
+    pub(crate) parent: u32,
+    /// The loop (`LoopId`, which is also its slot in a worker).
+    pub(crate) slot: u32,
+    pub(crate) val: i64,
+}
+
+/// A synchronization point with its producers resolved for the loop
+/// iteration it sits in (an eliminated slot emits no event).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SyncStep {
+    /// A full team barrier.
+    Barrier,
+    /// Nearest-neighbor post/wait flags.
+    Neighbor {
+        /// Wait on `pid - 1`.
+        fwd: bool,
+        /// Wait on `pid + 1`.
+        bwd: bool,
+    },
+    /// Producer-consumer counter.
+    Counter {
+        /// Counter index in the bank.
+        id: usize,
+        /// The processor that increments.
+        producer: usize,
+    },
+    /// Pairwise per-pid cells: post, then wait on `pid - d` for every
+    /// distance and on every producer.
+    Pair {
+        /// Processor distances to wait on.
+        dists: DistSet,
+        /// The identifiable-producer targets
+        /// ([`Schedule::producers`]).
+        producers: Producers,
+    },
+}
+
+/// A run of resolved producer pids in a [`Schedule`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Producers {
+    start: u32,
+    len: u32,
+}
 
 /// One step of the SPMD event sequence.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub enum Event {
-    /// Distributed/guarded/replicated phase work.
+    /// Work: a phase (distributed, master or replicated) or a
+    /// master-only serial statement outside regions.
     Work {
-        /// Phase subtree.
-        node: NodeId,
-        /// Work division.
-        kind: PhaseKind,
-        /// Enclosing loop indices at this point of the unrolling.
-        env: Vec<(LoopId, i64)>,
-    },
-    /// Master-only serial work outside regions.
-    SerialWork {
-        /// Subtree to execute.
-        node: NodeId,
+        /// The subtree's lowered kernel.
+        kernel: u32,
         /// Enclosing loop indices.
-        env: Vec<(LoopId, i64)>,
+        frame: u32,
     },
     /// Region entry: workers wait for the master's arrival.
     Dispatch,
-    /// A synchronization point (never [`SyncOp::None`]).
+    /// A synchronization point.
     Sync {
         /// The operation.
-        op: SyncOp,
+        op: SyncStep,
         /// Canonical sync-site id (the plan's slot-walk numbering —
         /// see [`spmd_opt::sync_sites`]); loop iterations of the same
         /// slot share one id, so runtime telemetry aggregates per
         /// static site.
-        site: usize,
-        /// Enclosing loop indices (needed to evaluate counter
-        /// producers such as pivot-row owners).
-        env: Vec<(LoopId, i64)>,
+        site: u32,
+        /// Enclosing loop indices.
+        frame: u32,
     },
 }
 
-/// Unroll a schedule into events under concrete bindings. Sequential
-/// loops at region level and master loops are unrolled; loops inside
-/// phases are not.
-pub fn unroll(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Vec<Event> {
-    let mut out = Vec::new();
-    let mut env = Env::new(prog);
-    unroll_top(prog, bind, &plan.items, &mut env, 0, &mut out);
-    out
-}
-
-/// Unroll top-level items. `slot` is the canonical site id of the first
-/// slot under `items`; each master-loop iteration reuses the same static
-/// ids (the numbering is structural, mirroring
-/// [`spmd_opt::sync_sites`]). Returns the id past the last slot.
-fn unroll_top(
-    prog: &Program,
-    bind: &Bindings,
-    items: &[TopItem],
-    env: &mut Env,
-    mut slot: usize,
-    out: &mut Vec<Event>,
-) -> usize {
-    for it in items {
-        match it {
-            TopItem::SerialStmt(n) => out.push(Event::SerialWork {
-                node: *n,
-                env: env.snapshot(),
-            }),
-            TopItem::MasterLoop { node, body } => {
-                let l = prog.expect_loop(*node);
-                let lo = crate::eval::eval_affine(bind, env, &l.lo);
-                let hi = crate::eval::eval_affine(bind, env, &l.hi);
-                for i in lo..=hi {
-                    env.set(l.id, i);
-                    unroll_top(prog, bind, body, env, slot, out);
-                }
-                env.clear(l.id);
-                slot += slot_count_top(body);
-            }
-            TopItem::Region(r) => {
-                out.push(Event::Dispatch);
-                unroll_items(prog, bind, &r.items, env, slot, out);
-                let end_site = slot + slot_count_items(&r.items);
-                if r.end.is_some() {
-                    out.push(Event::Sync {
-                        op: r.end.clone(),
-                        site: end_site,
-                        env: env.snapshot(),
-                    });
-                }
-                slot = end_site + 1;
-            }
-        }
-    }
-    slot
-}
-
-/// Unroll region items starting at canonical site id `slot`; returns the
-/// id past the items' last slot.
-fn unroll_items(
-    prog: &Program,
-    bind: &Bindings,
-    items: &[RItem],
-    env: &mut Env,
-    mut slot: usize,
-    out: &mut Vec<Event>,
-) -> usize {
-    for it in items {
-        match it {
-            RItem::Phase(p) => {
-                out.push(Event::Work {
-                    node: p.node,
-                    kind: p.kind.clone(),
-                    env: env.snapshot(),
-                });
-                if p.after.is_some() {
-                    out.push(Event::Sync {
-                        op: p.after.clone(),
-                        site: slot,
-                        env: env.snapshot(),
-                    });
-                }
-                slot += 1;
-            }
-            RItem::Seq {
-                node,
-                body,
-                bottom,
-                after,
-            } => {
-                let l = prog.expect_loop(*node);
-                let lo = crate::eval::eval_affine(bind, env, &l.lo);
-                let hi = crate::eval::eval_affine(bind, env, &l.hi);
-                let bottom_site = slot + slot_count_items(body);
-                for i in lo..=hi {
-                    env.set(l.id, i);
-                    unroll_items(prog, bind, body, env, slot, out);
-                    if bottom.is_some() {
-                        out.push(Event::Sync {
-                            op: bottom.clone(),
-                            site: bottom_site,
-                            env: env.snapshot(),
-                        });
-                    }
-                }
-                env.clear(l.id);
-                if after.is_some() {
-                    out.push(Event::Sync {
-                        op: after.clone(),
-                        site: bottom_site + 1,
-                        env: env.snapshot(),
-                    });
-                }
-                slot = bottom_site + 2;
-            }
-        }
-    }
-    slot
-}
-
-/// Execute one work event as processor `pid` of `nprocs`.
-pub fn exec_work(
-    prog: &Program,
-    bind: &Bindings,
-    mem: &Mem,
-    pid: usize,
-    _nprocs: usize,
-    ev: &Event,
-) {
-    match ev {
-        Event::SerialWork { node, env } => {
-            if pid == 0 {
-                let mut e = Env::new(prog);
-                e.restore(env);
-                exec_subtree_seq(prog, bind, mem, &mut e, *node, pid);
-            }
-        }
-        Event::Work { node, kind, env } => {
-            let mut e = Env::new(prog);
-            e.restore(env);
-            match kind {
-                PhaseKind::Master => {
-                    if pid == 0 {
-                        exec_subtree_seq(prog, bind, mem, &mut e, *node, pid);
-                    }
-                }
-                PhaseKind::Replicated => {
-                    exec_subtree_seq(prog, bind, mem, &mut e, *node, pid);
-                }
-                PhaseKind::Par { partition } => {
-                    exec_par_phase(prog, bind, mem, &mut e, *node, partition, pid);
-                }
-            }
-        }
-        Event::Dispatch | Event::Sync { .. } => unreachable!("not a work event"),
+impl Event {
+    /// True for the events a [`Worker`](crate::Worker) executes.
+    pub fn is_work(&self) -> bool {
+        matches!(self, Event::Work { .. })
     }
 }
 
-/// Iterations of `[lo, hi]` owned by `pid` when the owner subscript is
-/// affine in the phase loop with everything else already bound: returns
-/// a contiguous range, a strided range, or `None` (fall back to
-/// scanning).
-enum OwnedIter {
-    Range(i64, i64),
-    Strided { start: i64, step: i64, hi: i64 },
+/// An unrolled plan: the event sequence every processor traverses
+/// (`Deref`s to `[Event]`) plus the tables its events index — lowered
+/// kernels, loop-index frames, resolved producers.
+pub struct Schedule {
+    events: Vec<Event>,
+    frames: Vec<Frame>,
+    producers: Vec<usize>,
+    code: Code,
+    nprocs: i64,
+    num_counters: usize,
+    num_sites: usize,
 }
 
-fn owned_fast_path(
-    bind: &Bindings,
-    env: &Env,
-    partition: &LoopPartition,
-    loop_id: LoopId,
-    lo: i64,
-    hi: i64,
-    pid: i64,
-) -> Option<OwnedIter> {
-    match partition {
-        LoopPartition::BlockIndex { lo: plo, block, .. } => {
-            let a = (plo + pid * block).max(lo);
-            let b = (plo + (pid + 1) * block - 1).min(hi);
-            Some(OwnedIter::Range(a, b))
-        }
-        LoopPartition::BlockOwner { block, sub, .. } => {
-            let a = sub.coeff(AffAtom::Loop(loop_id));
-            let mut rest = sub.clone();
-            rest.set_coeff(AffAtom::Loop(loop_id), 0);
-            let r = try_eval_affine(bind, env, &rest)?;
-            if a == 0 {
-                // Owner is iteration-independent: one processor runs the
-                // whole phase (the pipelining shape).
-                let owner = (r / block).clamp(0, bind.nprocs - 1);
-                return Some(if owner == pid {
-                    OwnedIter::Range(lo, hi)
-                } else {
-                    OwnedIter::Range(lo, lo - 1)
-                });
-            }
-            // pid*block <= a*i + r <= pid*block + block - 1
-            let lo_own = pid * block - r;
-            let hi_own = pid * block + block - 1 - r;
-            let (mut ilo, mut ihi) = if a > 0 {
-                (
-                    div_ceil(lo_own as i128, a as i128),
-                    div_floor(hi_own as i128, a as i128),
-                )
-            } else {
-                (
-                    div_ceil(hi_own as i128, a as i128),
-                    div_floor(lo_own as i128, a as i128),
-                )
-            };
-            ilo = ilo.max(lo as i128);
-            ihi = ihi.min(hi as i128);
-            Some(OwnedIter::Range(ilo as i64, ihi as i64))
-        }
-        LoopPartition::CyclicOwner { sub, .. } => {
-            let a = sub.coeff(AffAtom::Loop(loop_id));
-            let mut rest = sub.clone();
-            rest.set_coeff(AffAtom::Loop(loop_id), 0);
-            let r = try_eval_affine(bind, env, &rest)?;
-            let p = nprocs_of(bind);
-            if a == 0 {
-                let owner = r.rem_euclid(p);
-                return Some(if owner == pid {
-                    OwnedIter::Range(lo, hi)
-                } else {
-                    OwnedIter::Range(lo, lo - 1)
-                });
-            }
-            if a.abs() != 1 {
-                return None;
-            }
-            // (a*i + r) mod P == pid  =>  i ≡ a*(pid - r) (mod P)
-            let residue = (a * (pid - r)).rem_euclid(p);
-            let start = lo + (residue - lo).rem_euclid(p);
-            Some(OwnedIter::Strided { start, step: p, hi })
-        }
-        LoopPartition::BlockCyclicOwner { .. } => {
-            // Strided-block ranges are possible but fiddly; the scan
-            // path evaluates owners per iteration instead.
-            None
-        }
-        LoopPartition::SymbolicBlockOwner { .. } | LoopPartition::Unknown => None,
+impl Deref for Schedule {
+    type Target = [Event];
+    fn deref(&self) -> &[Event] {
+        &self.events
     }
 }
 
-fn nprocs_of(bind: &Bindings) -> i64 {
-    bind.nprocs
+impl Schedule {
+    /// The producer pids of a [`SyncStep::Pair`].
+    pub fn producers(&self, p: Producers) -> &[usize] {
+        &self.producers[p.start as usize..(p.start + p.len) as usize]
+    }
+
+    /// Size of the counter bank the plan needs.
+    pub fn num_counters(&self) -> usize {
+        self.num_counters
+    }
+
+    /// One past the largest sync-site id that emitted an event.
+    pub fn num_sites(&self) -> usize {
+        self.num_sites
+    }
+
+    /// The phase subtree a work event's kernel was lowered from.
+    pub(crate) fn kernel_node(&self, kernel: u32) -> NodeId {
+        self.code.kernels[kernel as usize].node
+    }
+
+    pub(crate) fn code(&self) -> &Code {
+        &self.code
+    }
+
+    pub(crate) fn nprocs(&self) -> i64 {
+        self.nprocs
+    }
+
+    pub(crate) fn frame(&self, f: u32) -> Frame {
+        self.frames[f as usize]
+    }
+
+    /// The loop indices an event sits under, outermost first.
+    fn env_of(&self, mut f: u32) -> Vec<(LoopId, i64)> {
+        let mut out = Vec::new();
+        while f != NO_FRAME {
+            let fr = self.frame(f);
+            out.push((LoopId(fr.slot), fr.val));
+            f = fr.parent;
+        }
+        out.reverse();
+        out
+    }
 }
 
-fn exec_par_phase(
-    prog: &Program,
-    bind: &Bindings,
-    mem: &Mem,
-    env: &mut Env,
-    loop_node: NodeId,
-    partition: &LoopPartition,
-    pid: usize,
-) {
-    let l = prog.expect_loop(loop_node);
-    let lo = crate::eval::eval_affine(bind, env, &l.lo);
-    let hi = crate::eval::eval_affine(bind, env, &l.hi);
-    let mut red = RedAcc::active();
-    let body = &l.body;
-
-    let run_iter = |i: i64, env: &mut Env, red: &mut RedAcc| {
-        env.set(l.id, i);
-        for &c in body {
-            exec_node(prog, bind, mem, env, c, None, red, pid);
-        }
+/// Unroll a schedule into events under concrete bindings, lowering each
+/// phase on first sight. Sequential loops at region level and master
+/// loops are unrolled; loops inside phases are not.
+pub fn unroll(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Schedule {
+    let mut u = Unroller {
+        prog,
+        bind,
+        lower: Lowerer::new(prog, bind),
+        kernel_of: vec![None; prog.nodes.len()],
+        env: Env::new(prog),
+        frame: NO_FRAME,
+        events: Vec::new(),
+        frames: Vec::new(),
+        producers: Vec::new(),
+        num_counters: 0,
+        num_sites: 0,
     };
-
-    if matches!(
-        partition,
-        LoopPartition::Unknown | LoopPartition::SymbolicBlockOwner { .. }
-    ) {
-        // Conservative: the master executes everything.
-        if pid == 0 {
-            for i in lo..=hi {
-                run_iter(i, env, &mut red);
-            }
-        }
-    } else if let Some(iter) = owned_fast_path(bind, env, partition, l.id, lo, hi, pid as i64) {
-        match iter {
-            OwnedIter::Range(a, b) => {
-                for i in a..=b {
-                    run_iter(i, env, &mut red);
-                }
-            }
-            OwnedIter::Strided { start, step, hi } => {
-                let mut i = start;
-                while i <= hi {
-                    run_iter(i, env, &mut red);
-                    i += step;
-                }
-            }
-        }
-    } else {
-        // Scan mode: try loop-level ownership first; if the owner
-        // subscript needs inner loop indices, fall back to a
-        // per-statement ownership filter.
-        let loop_level_ok = {
-            // All loops mentioned by the owner subscript are either the
-            // phase loop or already bound.
-            let sub = match partition {
-                LoopPartition::BlockOwner { sub, .. } => Some(sub),
-                LoopPartition::CyclicOwner { sub, .. } => Some(sub),
-                LoopPartition::BlockCyclicOwner { sub, .. } => Some(sub),
-                _ => None,
-            };
-            sub.map(|s| s.loops().all(|lid| lid == l.id || env.get(lid).is_some()))
-                .unwrap_or(true)
-        };
-        if loop_level_ok {
-            for i in lo..=hi {
-                env.set(l.id, i);
-                let owner = {
-                    let e = &*env;
-                    partition.owner_of(bind, i, &|lid| e.get(lid))
-                };
-                if owner == Some(pid as i64) {
-                    for &c in body {
-                        exec_node(prog, bind, mem, env, c, None, &mut red, pid);
-                    }
-                }
-            }
-        } else {
-            // Statement-level filter: execute the whole nest, skipping
-            // instances owned by other processors.
-            let part = partition.clone();
-            let lid = l.id;
-            let filter = move |e: &Env| {
-                let i = e.get(lid).unwrap_or(0);
-                part.owner_of(bind, i, &|x| e.get(x)) == Some(pid as i64)
-            };
-            for i in lo..=hi {
-                env.set(l.id, i);
-                for &c in body {
-                    exec_node(prog, bind, mem, env, c, Some(&filter), &mut red, pid);
-                }
-            }
-        }
+    u.top(&plan.items, 0);
+    Schedule {
+        events: u.events,
+        frames: u.frames,
+        producers: u.producers,
+        code: u.lower.finish(),
+        nprocs: bind.nprocs,
+        num_counters: u.num_counters,
+        num_sites: u.num_sites,
     }
-    env.clear(l.id);
-    red.flush(mem, pid);
+}
+
+struct Unroller<'a> {
+    prog: &'a Program,
+    bind: &'a Bindings,
+    lower: Lowerer<'a>,
+    /// The kernel of each phase / serial subtree already lowered.
+    kernel_of: Vec<Option<u32>>,
+    env: Env,
+    frame: u32,
+    events: Vec<Event>,
+    frames: Vec<Frame>,
+    producers: Vec<usize>,
+    num_counters: usize,
+    num_sites: usize,
+}
+
+impl Unroller<'_> {
+    /// Run `body` once per iteration of the sequential loop at `node`,
+    /// with the iteration's frame current.
+    fn each_iteration(&mut self, node: NodeId, mut body: impl FnMut(&mut Self)) {
+        let l = self.prog.expect_loop(node);
+        let lo = eval_affine(self.bind, &self.env, &l.lo);
+        let hi = eval_affine(self.bind, &self.env, &l.hi);
+        let outer = self.frame;
+        for i in lo..=hi {
+            self.env.set(l.id, i);
+            self.frame = self.frames.len() as u32;
+            self.frames.push(Frame {
+                parent: outer,
+                slot: l.id.0,
+                val: i,
+            });
+            body(self);
+        }
+        self.env.clear(l.id);
+        self.frame = outer;
+    }
+
+    fn kernel(&mut self, node: NodeId, kind: Option<&spmd_opt::PhaseKind>) -> u32 {
+        if let Some(k) = self.kernel_of[node.0 as usize] {
+            return k;
+        }
+        let env = &self.env;
+        let bound = |l: LoopId| env.get(l).is_some();
+        let k = self.lower.kernel(node, kind, &bound);
+        self.kernel_of[node.0 as usize] = Some(k);
+        k
+    }
+
+    /// Which processor a producer spec names under the current loop
+    /// indices.
+    fn producer(&self, spec: &ProducerSpec) -> usize {
+        let (dist, sub) = match spec {
+            ProducerSpec::Master => return 0,
+            ProducerSpec::BlockOwner { block, sub } => (OwnerDist::Block(*block), sub),
+            ProducerSpec::CyclicOwner { sub } => (OwnerDist::Cyclic, sub),
+            ProducerSpec::BlockCyclicOwner { block, sub } => (OwnerDist::BlockCyclic(*block), sub),
+        };
+        let x = try_eval_affine(self.bind, &self.env, sub).unwrap_or(0);
+        dist.owner(x, self.bind.nprocs) as usize
+    }
+
+    fn sync(&mut self, op: &SyncOp, site: usize) {
+        let op = match op {
+            SyncOp::None => return,
+            SyncOp::Barrier => SyncStep::Barrier,
+            SyncOp::Neighbor { fwd, bwd } => SyncStep::Neighbor {
+                fwd: *fwd,
+                bwd: *bwd,
+            },
+            SyncOp::Counter { id, producer } => {
+                self.num_counters = self.num_counters.max(id + 1);
+                SyncStep::Counter {
+                    id: *id,
+                    producer: self.producer(producer),
+                }
+            }
+            SyncOp::PairCounter { dists, producers } => {
+                let start = self.producers.len() as u32;
+                for spec in producers {
+                    let pid = self.producer(spec);
+                    self.producers.push(pid);
+                }
+                SyncStep::Pair {
+                    dists: *dists,
+                    producers: Producers {
+                        start,
+                        len: producers.len() as u32,
+                    },
+                }
+            }
+        };
+        self.num_sites = self.num_sites.max(site + 1);
+        self.events.push(Event::Sync {
+            op,
+            site: site as u32,
+            frame: self.frame,
+        });
+    }
+
+    /// Unroll top-level items. `slot` is the canonical site id of the
+    /// first slot under `items`; each master-loop iteration reuses the
+    /// same static ids (the numbering is structural, mirroring
+    /// [`spmd_opt::sync_sites`]). Returns the id past the last slot.
+    fn top(&mut self, items: &[TopItem], mut slot: usize) -> usize {
+        for it in items {
+            match it {
+                TopItem::SerialStmt(n) => {
+                    let kernel = self.kernel(*n, None);
+                    self.events.push(Event::Work {
+                        kernel,
+                        frame: self.frame,
+                    });
+                }
+                TopItem::MasterLoop { node, body } => {
+                    self.each_iteration(*node, |u| {
+                        u.top(body, slot);
+                    });
+                    slot += slot_count_top(body);
+                }
+                TopItem::Region(r) => {
+                    self.events.push(Event::Dispatch);
+                    let end_site = self.items(&r.items, slot);
+                    self.sync(&r.end, end_site);
+                    slot = end_site + 1;
+                }
+            }
+        }
+        slot
+    }
+
+    /// Unroll region items starting at canonical site id `slot`;
+    /// returns the id past the items' last slot.
+    fn items(&mut self, items: &[RItem], mut slot: usize) -> usize {
+        for it in items {
+            match it {
+                RItem::Phase(p) => {
+                    let kernel = self.kernel(p.node, Some(&p.kind));
+                    self.events.push(Event::Work {
+                        kernel,
+                        frame: self.frame,
+                    });
+                    self.sync(&p.after, slot);
+                    slot += 1;
+                }
+                RItem::Seq {
+                    node,
+                    body,
+                    bottom,
+                    after,
+                } => {
+                    let bottom_site = slot + slot_count_items(body);
+                    self.each_iteration(*node, |u| {
+                        u.items(body, slot);
+                        u.sync(bottom, bottom_site);
+                    });
+                    self.sync(after, bottom_site + 1);
+                    slot = bottom_site + 2;
+                }
+            }
+        }
+        slot
+    }
 }
 
 /// Dynamic synchronization counts extracted from an event walk (shared
@@ -427,58 +390,45 @@ impl DynCounts {
         for ev in events {
             match ev {
                 Event::Dispatch => c.dispatches += 1,
-                Event::Sync {
-                    op: SyncOp::Barrier,
-                    ..
-                } => c.barriers += 1,
-                Event::Sync {
-                    op: SyncOp::Counter { .. },
-                    ..
-                } => {
-                    c.counter_increments += 1;
-                    c.counter_waits += p - 1;
-                }
-                Event::Sync {
-                    op: SyncOp::Neighbor { fwd, bwd },
-                    ..
-                } => {
-                    c.neighbor_posts += p;
-                    // Each processor waits for each existing producing
-                    // neighbor.
-                    if *fwd {
-                        c.neighbor_waits += p - 1; // everyone but pid 0 waits on p-1
+                Event::Sync { op, .. } => match op {
+                    SyncStep::Barrier => c.barriers += 1,
+                    SyncStep::Counter { .. } => {
+                        c.counter_increments += 1;
+                        c.counter_waits += p - 1;
                     }
-                    if *bwd {
-                        c.neighbor_waits += p - 1; // everyone but pid P-1 waits on p+1
+                    SyncStep::Neighbor { fwd, bwd } => {
+                        c.neighbor_posts += p;
+                        // Each processor waits for each existing
+                        // producing neighbor: everyone but pid 0 waits
+                        // on p-1, everyone but pid P-1 on p+1.
+                        c.neighbor_waits += (p - 1) * (*fwd as u64 + *bwd as u64);
                     }
-                }
-                Event::Sync {
-                    op: SyncOp::PairCounter { dists, producers },
-                    ..
-                } => {
-                    c.pair_posts += p;
-                    for d in dists.iter() {
-                        // Every pid whose `pid - d` is a real processor
-                        // waits on it.
-                        c.pair_waits += (p as i64 - d.abs()).max(0) as u64;
+                    SyncStep::Pair { dists, producers } => {
+                        c.pair_posts += p;
+                        for d in dists.iter() {
+                            // Every pid whose `pid - d` is a real
+                            // processor waits on it.
+                            c.pair_waits += (p as i64 - d.abs()).max(0) as u64;
+                        }
+                        // Producer-target waits: every pid except the
+                        // producer itself waits on it.
+                        c.pair_waits += producers.len as u64 * (p - 1);
                     }
-                    // Producer-target waits: every pid except the
-                    // producer itself waits on it.
-                    c.pair_waits += producers.len() as u64 * (p - 1);
-                }
-                _ => {}
+                },
+                Event::Work { .. } => {}
             }
         }
         c
     }
 }
 
-/// Render an event list as one line per event (debugging aid; the
+/// Render a schedule as one line per event (debugging aid; the
 /// executors traverse exactly this sequence).
-pub fn render_events(prog: &Program, events: &[Event]) -> String {
+pub fn render_events(prog: &Program, sched: &Schedule) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    let env_str = |env: &[(LoopId, i64)]| -> String {
+    let env_str = |frame: u32| -> String {
+        let env = sched.env_of(frame);
         if env.is_empty() {
             String::new()
         } else {
@@ -489,66 +439,32 @@ pub fn render_events(prog: &Program, events: &[Event]) -> String {
             format!(" [{}]", parts.join(", "))
         }
     };
-    for (k, ev) in events.iter().enumerate() {
-        match ev {
+    for (k, ev) in sched.iter().enumerate() {
+        match *ev {
             Event::Dispatch => writeln!(out, "{k:4}  dispatch").unwrap(),
-            Event::SerialWork { node, env } => {
-                writeln!(out, "{k:4}  serial node {}{}", node.0, env_str(env)).unwrap()
+            Event::Work { kernel, frame } => {
+                let kern = &sched.code.kernels[kernel as usize];
+                let (what, n) = (kern.label, kern.node.0);
+                writeln!(out, "{k:4}  {what} node {n}{}", env_str(frame)).unwrap()
             }
-            Event::Work { node, kind, env } => {
-                let kd = match kind {
-                    PhaseKind::Par { .. } => "par",
-                    PhaseKind::Master => "master",
-                    PhaseKind::Replicated => "repl",
-                };
-                writeln!(out, "{k:4}  work({kd}) node {}{}", node.0, env_str(env)).unwrap()
-            }
-            Event::Sync { op, site, env } => {
+            Event::Sync { op, site, frame } => {
                 let s = match op {
-                    SyncOp::None => "none".to_string(),
-                    SyncOp::Barrier => "barrier".to_string(),
-                    SyncOp::Neighbor { fwd, bwd } => format!("neighbor(fwd={fwd},bwd={bwd})"),
-                    SyncOp::Counter { id, .. } => format!("counter#{id}"),
-                    SyncOp::PairCounter { dists, producers } => {
-                        if producers.is_empty() {
+                    SyncStep::Barrier => "barrier".to_string(),
+                    SyncStep::Neighbor { fwd, bwd } => format!("neighbor(fwd={fwd},bwd={bwd})"),
+                    SyncStep::Counter { id, producer } => format!("counter#{id}<-P{producer}"),
+                    SyncStep::Pair { dists, producers } => {
+                        if producers.len == 0 {
                             format!("pair{}", dists.render())
                         } else {
-                            format!("pair{}+{}prod", dists.render(), producers.len())
+                            format!("pair{}+{}prod", dists.render(), producers.len)
                         }
                     }
                 };
-                writeln!(out, "{k:4}  sync s{site} {s}{}", env_str(env)).unwrap()
+                writeln!(out, "{k:4}  sync s{site} {s}{}", env_str(frame)).unwrap()
             }
         }
     }
     out
-}
-
-/// Which processor increments for a counter sync, under the event's
-/// loop-index snapshot.
-pub fn producer_pid(
-    bind: &Bindings,
-    prog: &Program,
-    spec: &analysis::ProducerSpec,
-    env_snap: &[(LoopId, i64)],
-) -> i64 {
-    let mut env = Env::new(prog);
-    env.restore(env_snap);
-    match spec {
-        analysis::ProducerSpec::Master => 0,
-        analysis::ProducerSpec::BlockOwner { block, sub } => {
-            let x = try_eval_affine(bind, &env, sub).unwrap_or(0);
-            (x / block).clamp(0, bind.nprocs - 1)
-        }
-        analysis::ProducerSpec::CyclicOwner { sub } => {
-            let x = try_eval_affine(bind, &env, sub).unwrap_or(0);
-            x.rem_euclid(bind.nprocs)
-        }
-        analysis::ProducerSpec::BlockCyclicOwner { block, sub } => {
-            let x = try_eval_affine(bind, &env, sub).unwrap_or(0);
-            (x.div_euclid(*block)).rem_euclid(bind.nprocs)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -611,81 +527,5 @@ mod tests {
         assert_eq!(c.dispatches, 1);
         assert_eq!(c.barriers, 1, "only the region end barrier");
         assert!(c.neighbor_posts > 0);
-    }
-
-    #[test]
-    fn block_owner_fast_path_partitions_iterations() {
-        // DOALL i = 0..15 writing A(i), A block-distributed over 4 procs
-        // with extent 16 → block 4: pid owns [4p, 4p+3].
-        let mut pb = ProgramBuilder::new("fp");
-        let n = pb.sym("n");
-        let a = pb.array("A", &[sym(n)], dist_block());
-        let i = pb.begin_par("i", con(0), sym(n) - 1);
-        pb.assign(elem(a, [idx(i)]), ex(1.0));
-        pb.end();
-        let prog = pb.finish();
-        let bind = Bindings::new(4).set(n, 16);
-        let plan = optimize(&prog, &bind);
-        let events = unroll(&prog, &bind, &plan);
-        // Execute only pid 2's work; elements 8..11 get written.
-        let mem = Mem::new(&prog, &bind);
-        for ev in &events {
-            if matches!(ev, Event::Work { .. }) {
-                exec_work(&prog, &bind, &mem, 2, 4, ev);
-            }
-        }
-        for k in 0..16i64 {
-            let expect = if (8..12).contains(&k) { 1.0 } else { 0.0 };
-            assert_eq!(mem.array(a).get(&[k]), expect, "element {k}");
-        }
-    }
-
-    #[test]
-    fn cyclic_fast_path_strides() {
-        let mut pb = ProgramBuilder::new("cy");
-        let n = pb.sym("n");
-        let a = pb.array("A", &[sym(n)], dist_cyclic());
-        let i = pb.begin_par("i", con(0), sym(n) - 1);
-        pb.assign(elem(a, [idx(i)]), ex(1.0));
-        pb.end();
-        let prog = pb.finish();
-        let bind = Bindings::new(4).set(n, 16);
-        let plan = optimize(&prog, &bind);
-        let events = unroll(&prog, &bind, &plan);
-        let mem = Mem::new(&prog, &bind);
-        for ev in &events {
-            if matches!(ev, Event::Work { .. }) {
-                exec_work(&prog, &bind, &mem, 1, 4, ev);
-            }
-        }
-        for k in 0..16i64 {
-            let expect = if k % 4 == 1 { 1.0 } else { 0.0 };
-            assert_eq!(mem.array(a).get(&[k]), expect, "element {k}");
-        }
-    }
-
-    #[test]
-    fn all_processors_cover_every_iteration_exactly_once() {
-        let (prog, bind) = sweep();
-        let plan = optimize(&prog, &bind);
-        let events = unroll(&prog, &bind, &plan);
-        let mem = Mem::new(&prog, &bind);
-        let a = ir::ArrayId(0);
-        mem.fill(a, |s| (s[0] * s[0]) as f64);
-        // Run all 4 pids' work in pid order for every event (a legal
-        // schedule for this program since syncs are respected by phase
-        // order here).
-        for ev in &events {
-            if matches!(ev, Event::Work { .. }) {
-                for pid in 0..4 {
-                    exec_work(&prog, &bind, &mem, pid, 4, ev);
-                }
-            }
-        }
-        // Compare against sequential execution.
-        let mem2 = Mem::new(&prog, &bind);
-        mem2.fill(a, |s| (s[0] * s[0]) as f64);
-        crate::run_sequential(&prog, &bind, &mem2);
-        assert!(mem.max_abs_diff(&mem2) == 0.0);
     }
 }

@@ -16,6 +16,12 @@
 //!   (`runtime::Team`) with instrumented barriers/counters/flags, for
 //!   wall-clock speedup measurements.
 //!
+//! The two SPMD executors do not walk the IR: [`unroll`] lowers every
+//! phase once per `(program, bindings, plan)` into a flat kernel
+//! ([`kernel`]) and each processor runs its share through a [`Worker`].
+//! `run_sequential` stays a tree walker on purpose — it is the oracle
+//! the kernels are compared against.
+//!
 //! All array and scalar cells are relaxed atomics: the synchronization
 //! placed by the optimizer provides the acquire/release ordering, and a
 //! mis-placed sync produces wrong *values*, never undefined behaviour.
@@ -48,6 +54,7 @@ pub mod checkpoint;
 pub mod degrade;
 pub mod eval;
 pub mod events;
+pub mod kernel;
 pub mod mem;
 pub mod par;
 pub mod recover;
@@ -56,7 +63,8 @@ pub mod virt;
 
 pub use checkpoint::Checkpoint;
 pub use degrade::{run_parallel_degrading, DegradeOutcome, DegradeRound, DegradeRung};
-pub use events::{render_events, unroll, Event};
+pub use events::{render_events, unroll, Event, Schedule, SyncStep};
+pub use kernel::Worker;
 pub use mem::Mem;
 pub use par::{
     run_parallel, run_parallel_observed, run_parallel_observed_on, run_parallel_with, BarrierKind,

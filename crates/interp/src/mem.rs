@@ -16,12 +16,25 @@ pub struct ArrayStore {
     data: Vec<AtomicU64>,
 }
 
+/// Row-major strides of an array with the given extents.
+pub(crate) fn row_major_strides(extents: &[i64]) -> Vec<i64> {
+    let mut strides = vec![1i64; extents.len()];
+    for k in (0..extents.len().saturating_sub(1)).rev() {
+        strides[k] = strides[k + 1] * extents[k + 1].max(0);
+    }
+    strides
+}
+
+/// The panic of a subscript outside its dimension.
+#[cold]
+#[inline(never)]
+pub(crate) fn subscript_out_of_bounds(s: i64, extent: i64, dim: usize) -> ! {
+    panic!("subscript {s} out of bounds 0..{extent} in dim {dim}")
+}
+
 impl ArrayStore {
     fn new(extents: Vec<i64>) -> Self {
-        let mut strides = vec![1i64; extents.len()];
-        for k in (0..extents.len().saturating_sub(1)).rev() {
-            strides[k] = strides[k + 1] * extents[k + 1].max(0);
-        }
+        let strides = row_major_strides(&extents);
         let len: i64 = extents.iter().product::<i64>().max(0);
         let data = (0..len).map(|_| AtomicU64::new(0)).collect();
         ArrayStore {
@@ -43,11 +56,9 @@ impl ArrayStore {
         debug_assert_eq!(subs.len(), self.extents.len());
         let mut off = 0i64;
         for (k, &s) in subs.iter().enumerate() {
-            assert!(
-                s >= 0 && s < self.extents[k],
-                "subscript {s} out of bounds 0..{} in dim {k}",
-                self.extents[k]
-            );
+            if s < 0 || s >= self.extents[k] {
+                subscript_out_of_bounds(s, self.extents[k], k);
+            }
             off += s * self.strides[k];
         }
         off as usize
@@ -63,6 +74,12 @@ impl ArrayStore {
     #[inline]
     pub fn set(&self, subs: &[i64], v: f64) {
         self.data[self.offset(subs)].store(v.to_bits(), Ordering::Relaxed);
+    }
+
+    /// The cells in row-major order (lowered kernels index them by
+    /// flat offset).
+    pub(crate) fn cells(&self) -> &[AtomicU64] {
+        &self.data
     }
 
     /// Total number of elements.
@@ -149,8 +166,13 @@ impl Mem {
         self
     }
 
+    /// The attached tracer, if any.
+    pub(crate) fn tracer(&self) -> Option<&TraceBuffer> {
+        self.tracer.as_deref()
+    }
+
     /// Record one access if a tracer is attached (called by the
-    /// evaluator at every shared memory touch).
+    /// reference evaluator at every shared memory touch).
     #[inline]
     pub(crate) fn trace(&self, pid: usize, target: Target, kind: AccessKind) {
         if let Some(t) = &self.tracer {

@@ -10,7 +10,8 @@
 //! (delays, stalls, spurious wakeups, dropped posts) to prove the
 //! guards catch what they claim to catch.
 
-use crate::events::{exec_work, producer_pid, unroll, DynCounts, Event};
+use crate::events::{unroll, DynCounts, Event, Schedule, SyncStep};
+use crate::kernel::Worker;
 use crate::mem::Mem;
 use analysis::Bindings;
 use ir::Program;
@@ -19,10 +20,10 @@ use runtime::events::{self, EventKind, ProfileData, ProfileOptions, Profiler, NO
 use runtime::fault::{SyncError, Watchdog, DISPATCH_SITE};
 use runtime::telemetry::{SiteSnapshot, SiteTelemetry};
 use runtime::{
-    BarrierEpoch, CentralBarrier, Counters, NeighborFlags, PairwiseCells, SpinPolicy, SyncStats,
-    Team, TreeBarrier,
+    BarrierEpoch, CachePadded, CentralBarrier, Counters, NeighborFlags, PairwiseCells, SpinPolicy,
+    SyncStats, Team, TreeBarrier,
 };
-use spmd_opt::{SpmdProgram, SyncOp};
+use spmd_opt::SpmdProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -170,36 +171,20 @@ impl SyncFabric {
         self.profiler.as_ref()
     }
 
-    /// A fabric sized for `plan`'s unrolled events.
-    pub fn for_plan(
-        kind: BarrierKind,
-        prog: &Program,
-        bind: &Bindings,
-        plan: &SpmdProgram,
-    ) -> Self {
-        let events = unroll(prog, bind, plan);
-        SyncFabric::new(kind, bind.nprocs as usize, max_counter_id(&events))
-    }
-
-    /// A fabric sized for `plan`'s unrolled events, honoring the full
+    /// A fabric sized for an unrolled schedule, honoring the full
     /// tuning surface of `opts` (barrier kind, spin policy, tree
     /// fan-in).
-    pub fn for_plan_with(
-        opts: &ObserveOptions,
-        prog: &Program,
-        bind: &Bindings,
-        plan: &SpmdProgram,
-    ) -> Self {
-        let events = unroll(prog, bind, plan);
+    pub fn for_schedule(opts: &ObserveOptions, sched: &Schedule) -> Self {
+        let nprocs = sched.nprocs() as usize;
         let fabric = SyncFabric::tuned(
             opts.barrier,
-            bind.nprocs as usize,
-            max_counter_id(&events),
+            nprocs,
+            sched.num_counters(),
             opts.spin.unwrap_or_default(),
             opts.tree_radix,
         );
         match opts.profile {
-            Some(po) => fabric.with_profiler(bind.nprocs as usize, po),
+            Some(po) => fabric.with_profiler(nprocs, po),
             None => fabric,
         }
     }
@@ -381,20 +366,6 @@ impl std::fmt::Debug for ObserveOptions {
     }
 }
 
-fn max_counter_id(events: &[Event]) -> usize {
-    let mut n = 0;
-    for ev in events {
-        if let Event::Sync {
-            op: SyncOp::Counter { id, .. },
-            ..
-        } = ev
-        {
-            n = n.max(*id + 1);
-        }
-    }
-    n
-}
-
 /// Execute the schedule on `team` with the default (central) barrier.
 pub fn run_parallel(
     prog: &Arc<Program>,
@@ -453,21 +424,25 @@ impl SpanBuffers {
     }
 }
 
-pub(crate) fn span_name(prog: &Program, ev: &Event) -> String {
-    match ev {
-        Event::Work { node, .. } | Event::SerialWork { node, .. } => {
-            spmd_opt::node_label(prog, *node)
+/// Timeline name and category of an event.
+pub(crate) fn span_of(prog: &Program, sched: &Schedule, ev: &Event) -> (String, SpanCat) {
+    match *ev {
+        Event::Work { kernel, .. } => (
+            spmd_opt::node_label(prog, sched.kernel_node(kernel)),
+            SpanCat::Work,
+        ),
+        Event::Dispatch => ("dispatch".to_string(), SpanCat::Dispatch),
+        Event::Sync { op, site, .. } => {
+            let name = match op {
+                SyncStep::Barrier => format!("barrier wait @s{site}"),
+                SyncStep::Neighbor { .. } => format!("neighbor wait @s{site}"),
+                SyncStep::Counter { id, .. } => format!("counter#{id} wait @s{site}"),
+                SyncStep::Pair { dists, .. } => {
+                    format!("pairwise{} wait @s{site}", dists.render())
+                }
+            };
+            (name, SpanCat::Sync)
         }
-        Event::Dispatch => "dispatch".to_string(),
-        Event::Sync { op, site, .. } => match op {
-            SyncOp::None => format!("nop @s{site}"),
-            SyncOp::Barrier => format!("barrier wait @s{site}"),
-            SyncOp::Neighbor { .. } => format!("neighbor wait @s{site}"),
-            SyncOp::Counter { id, .. } => format!("counter#{id} wait @s{site}"),
-            SyncOp::PairCounter { dists, .. } => {
-                format!("pairwise{} wait @s{site}", dists.render())
-            }
-        },
     }
 }
 
@@ -506,20 +481,24 @@ pub fn run_parallel_observed(
     team: &Team,
     opts: &ObserveOptions,
 ) -> ParallelOutcome {
-    let fabric = SyncFabric::for_plan_with(opts, prog, bind, plan);
-    run_parallel_observed_on(prog, bind, plan, mem, team, opts, &fabric)
+    let sched = Arc::new(unroll(prog, bind, plan));
+    let fabric = SyncFabric::for_schedule(opts, &sched);
+    run_parallel_observed_on(prog, bind, plan, &sched, mem, team, opts, &fabric)
 }
 
-/// As [`run_parallel_observed`], but executing on a caller-owned
-/// [`SyncFabric`] instead of a fresh one. The recovery supervisor uses
-/// this to reuse one fabric across retry attempts (resetting it between
-/// them); the fabric must be sized for at least the plan's counter bank
-/// and must be pristine (fresh or [`SyncFabric::reset`]) on entry.
-/// `opts.barrier` is ignored — the fabric already chose its barrier.
+/// As [`run_parallel_observed`], but executing `plan`'s already
+/// unrolled `events` on a caller-owned [`SyncFabric`] instead of fresh
+/// ones. The recovery supervisor uses this to reuse one fabric across
+/// retry attempts (resetting it between them); the fabric must be sized
+/// for at least the plan's counter bank and must be pristine (fresh or
+/// [`SyncFabric::reset`]) on entry. `opts.barrier` is ignored — the
+/// fabric already chose its barrier.
+#[allow(clippy::too_many_arguments)]
 pub fn run_parallel_observed_on(
     prog: &Arc<Program>,
     bind: &Arc<Bindings>,
     plan: &SpmdProgram,
+    events: &Arc<Schedule>,
     mem: &Arc<Mem>,
     team: &Team,
     opts: &ObserveOptions,
@@ -530,32 +509,28 @@ pub fn run_parallel_observed_on(
         nprocs as i64, bind.nprocs,
         "team size must match the bindings' processor count"
     );
-    let events = Arc::new(unroll(prog, bind, plan));
     assert!(
-        max_counter_id(&events) <= fabric.counters.len(),
+        events.num_counters() <= fabric.counters.len(),
         "fabric counter bank too small for this plan"
     );
-    let counts = DynCounts::from_events(&events, nprocs);
+    let counts = DynCounts::from_events(events, nprocs);
     let stats = Arc::clone(&fabric.stats);
     let watchdog = opts.deadline.map(|d| Arc::new(Watchdog::new(d)));
     let telemetry = (opts.telemetry || watchdog.is_some())
         .then(|| Arc::new(SiteTelemetry::new(obs::site_metas(prog, plan), nprocs)));
     let spans = opts.trace.then(|| Arc::new(SpanBuffers::new(nprocs)));
     // Per-processor chaos visit counters are indexed by site id.
-    let n_sites = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::Sync { site, .. } => Some(*site + 1),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
+    let n_sites = events.num_sites();
     let failure_slot = Arc::new(Mutex::new(None::<SyncError>));
     // Each worker publishes how many neighbor posts it has *passed*
     // (dropped or not); compared against the flag cells after the join,
-    // this pins dropped posts on the pid that owed them.
-    let claimed_posts: Arc<Vec<AtomicU64>> =
-        Arc::new((0..nprocs).map(|_| AtomicU64::new(0)).collect());
+    // this pins dropped posts on the pid that owed them. One cache line
+    // per pid: every neighbor/pairwise event stores to its cell.
+    let claimed_posts: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(
+        (0..nprocs)
+            .map(|_| CachePadded::new(AtomicU64::new(0)))
+            .collect(),
+    );
     let proc_state = Arc::new(Mutex::new(vec!["ok".to_string(); nprocs]));
     let proc_errors = Arc::new(Mutex::new(vec![None::<SyncError>; nprocs]));
     let barrier = Arc::clone(&fabric.barrier);
@@ -565,9 +540,8 @@ pub fn run_parallel_observed_on(
     let dispatch = Arc::clone(&fabric.dispatch);
 
     let prog2 = Arc::clone(prog);
-    let bind2 = Arc::clone(bind);
     let mem2 = Arc::clone(mem);
-    let events2 = Arc::clone(&events);
+    let events2 = Arc::clone(events);
     let barrier2 = Arc::clone(&barrier);
     let counters2 = Arc::clone(&counters);
     let flags2 = Arc::clone(&flags);
@@ -592,8 +566,6 @@ pub fn run_parallel_observed_on(
     let t0 = Instant::now();
     let team_result = team.try_run(move |pid| {
         let prog = &prog2;
-        let bind = &bind2;
-        let mem = &mem2;
         let wd = watchdog2.as_deref();
         // Ambient recorder: primitives deep in the runtime (spin
         // escalation) emit onto this worker's track without knowing
@@ -606,6 +578,7 @@ pub fn run_parallel_observed_on(
             p.record(pid, EventKind::RegionBegin, NO_SITE, 0);
         }
         let traverse = || -> Result<(), SyncError> {
+            let mut worker = Worker::new(&events2, &mem2, pid);
             let mut blocal = BarrierLocal::default();
             let mut nposts = 0u64;
             let mut pposts = 0u64;
@@ -615,15 +588,8 @@ pub fn run_parallel_observed_on(
             let us_of = |t: Instant| t.duration_since(t0).as_micros() as u64;
             for ev in events2.iter() {
                 let started = Instant::now();
-                let cat = match ev {
-                    Event::Work { .. } | Event::SerialWork { .. } => SpanCat::Work,
-                    Event::Dispatch => SpanCat::Dispatch,
-                    Event::Sync { .. } => SpanCat::Sync,
-                };
-                match ev {
-                    Event::Work { .. } | Event::SerialWork { .. } => {
-                        exec_work(prog, bind, mem, pid, bind.nprocs as usize, ev);
-                    }
+                match *ev {
+                    Event::Work { .. } => worker.exec_work(ev),
                     Event::Dispatch => {
                         dispatch_visits += 1;
                         if pid == 0 {
@@ -634,69 +600,63 @@ pub fn run_parallel_observed_on(
                             dispatch2.wait_ge(0, dispatch_visits);
                         }
                     }
-                    Event::Sync { op, site, env } => {
+                    Event::Sync { op, site, .. } => {
+                        let site = site as usize;
                         let mut dropped = false;
                         // Chaos and the profiler share one per-site
                         // visit counter, so a SyncArrive's `arg` is the
                         // same episode index chaos schedules against.
-                        let live = !matches!(op, SyncOp::None);
-                        let visit = if live && (chaos2.is_some() || profiler2.is_some()) {
-                            let v = site_visits[*site];
-                            site_visits[*site] += 1;
+                        let visit = if chaos2.is_some() || profiler2.is_some() {
+                            let v = site_visits[site];
+                            site_visits[site] += 1;
                             v
                         } else {
                             0
                         };
                         if let Some(ch) = &chaos2 {
-                            if live {
-                                match ch.at_sync(*site, pid, visit) {
-                                    ChaosAction::None => {}
-                                    ChaosAction::Delay(d) | ChaosAction::Stall(d) => {
-                                        std::thread::sleep(d)
-                                    }
-                                    ChaosAction::SpuriousWake => {
-                                        if let Some(wd) = wd {
-                                            wd.spurious_wake();
-                                        }
-                                    }
-                                    ChaosAction::Drop => dropped = true,
+                            match ch.at_sync(site, pid, visit) {
+                                ChaosAction::None => {}
+                                ChaosAction::Delay(d) | ChaosAction::Stall(d) => {
+                                    std::thread::sleep(d)
                                 }
+                                ChaosAction::SpuriousWake => {
+                                    if let Some(wd) = wd {
+                                        wd.spurious_wake();
+                                    }
+                                }
+                                ChaosAction::Drop => dropped = true,
                             }
                         }
-                        let t_arrive = match (&profiler2, live) {
-                            (Some(p), true) => {
-                                let t = p.now_ns();
-                                p.record_at(pid, EventKind::SyncArrive, *site as u32, visit, t);
-                                Some(t)
-                            }
-                            _ => None,
-                        };
+                        let t_arrive = profiler2.as_ref().map(|p| {
+                            let t = p.now_ns();
+                            p.record_at(pid, EventKind::SyncArrive, site as u32, visit, t);
+                            t
+                        });
                         let r: Result<(), SyncError> = match op {
-                            SyncOp::None => Ok(()),
-                            SyncOp::Barrier => {
+                            SyncStep::Barrier => {
                                 if dropped {
                                     Ok(())
                                 } else if let Some(wd) = wd {
-                                    barrier2.wait_until(pid, &mut blocal, wd, *site)
+                                    barrier2.wait_until(pid, &mut blocal, wd, site)
                                 } else {
                                     barrier2.wait(pid, &mut blocal);
                                     Ok(())
                                 }
                             }
-                            SyncOp::Neighbor { fwd, bwd } => {
+                            SyncStep::Neighbor { fwd, bwd } => {
                                 if !dropped {
                                     flags2.post(pid);
                                 }
                                 nposts += 1;
                                 claimed2[pid].store(nposts + pposts, Ordering::Relaxed);
                                 let mut r = Ok(());
-                                if *fwd {
+                                if fwd {
                                     r = match wd {
                                         Some(wd) => flags2.wait_until(
                                             pid as isize - 1,
                                             nposts,
                                             wd,
-                                            *site,
+                                            site,
                                             pid,
                                         ),
                                         None => {
@@ -705,13 +665,13 @@ pub fn run_parallel_observed_on(
                                         }
                                     };
                                 }
-                                if r.is_ok() && *bwd {
+                                if r.is_ok() && bwd {
                                     r = match wd {
                                         Some(wd) => flags2.wait_until(
                                             pid as isize + 1,
                                             nposts,
                                             wd,
-                                            *site,
+                                            site,
                                             pid,
                                         ),
                                         None => {
@@ -722,22 +682,21 @@ pub fn run_parallel_observed_on(
                                 }
                                 r
                             }
-                            SyncOp::Counter { id, producer } => {
-                                visits[*id] += 1;
-                                let prod = producer_pid(bind, prog, producer, env);
-                                if pid as i64 == prod {
+                            SyncStep::Counter { id, producer } => {
+                                visits[id] += 1;
+                                if pid == producer {
                                     if !dropped {
-                                        counters2.increment(*id);
+                                        counters2.increment(id);
                                     }
                                     Ok(())
                                 } else if let Some(wd) = wd {
-                                    counters2.wait_ge_until(*id, visits[*id], wd, *site, pid)
+                                    counters2.wait_ge_until(id, visits[id], wd, site, pid)
                                 } else {
-                                    counters2.wait_ge(*id, visits[*id]);
+                                    counters2.wait_ge(id, visits[id]);
                                     Ok(())
                                 }
                             }
-                            SyncOp::PairCounter { dists, producers } => {
+                            SyncStep::Pair { dists, producers } => {
                                 // Every processor posts its own cell
                                 // (the traversal is replicated, so
                                 // per-pid post counts stay aligned),
@@ -756,7 +715,7 @@ pub fn run_parallel_observed_on(
                                     let target = pid as isize - d as isize;
                                     r = match wd {
                                         Some(wd) => {
-                                            pairs2.wait_until(target, pposts, wd, *site, pid)
+                                            pairs2.wait_until(target, pposts, wd, site, pid)
                                         }
                                         None => {
                                             pairs2.wait(target, pposts);
@@ -764,17 +723,16 @@ pub fn run_parallel_observed_on(
                                         }
                                     };
                                 }
-                                for spec in producers {
+                                for &prod in events2.producers(producers) {
                                     if r.is_err() {
                                         break;
                                     }
-                                    let prod = producer_pid(bind, prog, spec, env);
-                                    if prod == pid as i64 {
+                                    if prod == pid {
                                         continue;
                                     }
                                     r = match wd {
                                         Some(wd) => {
-                                            pairs2.wait_until(prod as isize, pposts, wd, *site, pid)
+                                            pairs2.wait_until(prod as isize, pposts, wd, site, pid)
                                         }
                                         None => {
                                             pairs2.wait(prod as isize, pposts);
@@ -793,7 +751,7 @@ pub fn run_parallel_observed_on(
                             p.record_at(
                                 pid,
                                 EventKind::SyncRelease,
-                                *site as u32,
+                                site as u32,
                                 now.saturating_sub(ta),
                                 now,
                             );
@@ -802,36 +760,25 @@ pub fn run_parallel_observed_on(
                             // Record even a failing wait: the report's
                             // telemetry then shows the deadline-length
                             // block at the faulty site.
-                            if !matches!(op, SyncOp::None) {
-                                let cell = t.cell(*site, pid);
-                                cell.op();
-                                cell.wait(started.elapsed().as_nanos() as u64);
-                            }
+                            let cell = t.cell(site, pid);
+                            cell.op();
+                            cell.wait(started.elapsed().as_nanos() as u64);
                         }
                         r?;
                     }
                 }
                 if let Some(s) = &spans2 {
-                    // Skip eliminated slots: they cost nothing and would
-                    // clutter the timeline.
-                    if !matches!(
-                        ev,
-                        Event::Sync {
-                            op: SyncOp::None,
-                            ..
-                        }
-                    ) {
-                        s.push(
+                    let (name, cat) = span_of(prog, &events2, ev);
+                    s.push(
+                        pid,
+                        Span {
                             pid,
-                            Span {
-                                pid,
-                                name: span_name(prog, ev),
-                                cat,
-                                start_us: us_of(started),
-                                end_us: us_of(Instant::now()),
-                            },
-                        );
-                    }
+                            name,
+                            cat,
+                            start_us: us_of(started),
+                            end_us: us_of(Instant::now()),
+                        },
+                    );
                 }
             }
             Ok(())

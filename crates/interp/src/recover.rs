@@ -35,7 +35,7 @@
 //! wall-clock).
 
 use crate::checkpoint::Checkpoint;
-use crate::events::unroll;
+use crate::events::{unroll, Schedule};
 use crate::mem::Mem;
 use crate::par::{
     run_parallel_observed_on, ChaosAction, ObserveOptions, ParallelOutcome, SyncChaos, SyncFabric,
@@ -291,6 +291,23 @@ pub fn run_parallel_recovering(
     opts: &ObserveOptions,
     policy: &RetryPolicy,
 ) -> RecoveryOutcome {
+    let events = Arc::new(unroll(prog, bind, plan));
+    run_recovering_on(prog, bind, plan, events, mem, team, opts, policy)
+}
+
+/// [`run_parallel_recovering`] for a caller that already unrolled
+/// `plan` into `events`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_recovering_on(
+    prog: &Arc<Program>,
+    bind: &Arc<Bindings>,
+    plan: &SpmdProgram,
+    mut events: Arc<Schedule>,
+    mem: &Arc<Mem>,
+    team: &Team,
+    opts: &ObserveOptions,
+    policy: &RetryPolicy,
+) -> RecoveryOutcome {
     let deadline = opts
         .deadline
         .expect("run_parallel_recovering needs an armed deadline (opts.deadline)");
@@ -298,9 +315,8 @@ pub fn run_parallel_recovering(
         .into_iter()
         .map(|s| s.label)
         .collect();
-    let events = unroll(prog, bind, plan);
     let checkpoint = Checkpoint::capture(prog, bind, &events, mem);
-    let fabric = SyncFabric::for_plan_with(opts, prog, bind, plan);
+    let fabric = SyncFabric::for_schedule(opts, &events);
     // Supervisor-side profile marks go on the extra track past the
     // workers' (index `nprocs`), so they never race a worker's ring.
     if let Some(p) = fabric.profiler() {
@@ -331,7 +347,8 @@ pub fn run_parallel_recovering(
         if let Some(m) = &masked {
             aopts.chaos = Some(Arc::clone(m) as Arc<dyn SyncChaos>);
         }
-        let out = run_parallel_observed_on(prog, bind, &working, mem, team, &aopts, &fabric);
+        let out =
+            run_parallel_observed_on(prog, bind, &working, &events, mem, team, &aopts, &fabric);
         total_stats.merge(&out.stats);
         let failed = out.failure.is_some();
         let suspect = if failed { infer_suspect(&out) } else { None };
@@ -408,6 +425,7 @@ pub fn run_parallel_recovering(
             }
         }
         let mut actions = Vec::new();
+        let mut replanned = false;
         for &site in &sites_hit {
             let label = site_labels
                 .get(site)
@@ -417,6 +435,7 @@ pub fn run_parallel_recovering(
                 FaultDisposition::Demote => {
                     if let Some(old) = demote_site(&mut working, site) {
                         displaced.insert(site, old);
+                        replanned = true;
                     }
                     demoted.push((site, label.clone()));
                     "demote"
@@ -455,6 +474,7 @@ pub fn run_parallel_recovering(
                 if ledger.record_clean(site, policy.probation_k) {
                     if let Some(op) = displaced.remove(&site) {
                         set_site_op(&mut working, site, op);
+                        replanned = true;
                     }
                     if let Some(m) = &masked {
                         m.unmask(site);
@@ -498,6 +518,9 @@ pub fn run_parallel_recovering(
             p.record(track, EventKind::Retry, NO_SITE, attempt as u64);
         }
         fabric.reset();
+        if replanned {
+            events = Arc::new(unroll(prog, bind, &working));
+        }
         std::thread::sleep(backoff);
     }
 }

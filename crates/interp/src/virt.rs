@@ -7,13 +7,14 @@
 //! oracle for the optimizer: a missing synchronization lets some legal
 //! order produce results that differ from the sequential semantics.
 
-use crate::events::{exec_work, producer_pid, unroll, DynCounts, Event};
+use crate::events::{unroll, DynCounts, Event, Schedule, SyncStep};
+use crate::kernel::Worker;
 use crate::mem::Mem;
 use analysis::Bindings;
 use ir::Program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spmd_opt::{SpmdProgram, SyncOp};
+use spmd_opt::SpmdProgram;
 
 /// How the simulator picks the next virtual processor to advance.
 #[derive(Clone, Copy, Debug)]
@@ -36,45 +37,35 @@ pub struct VirtualOutcome {
 }
 
 /// Can processor `pid` cross the event at its current position?
-fn can_advance(
-    events: &[Event],
-    ptrs: &[usize],
-    pid: usize,
-    prog: &Program,
-    bind: &Bindings,
-) -> bool {
+fn can_advance(events: &Schedule, ptrs: &[usize], pid: usize) -> bool {
     let i = ptrs[pid];
     if i >= events.len() {
         return false;
     }
     let nprocs = ptrs.len();
-    match &events[i] {
-        Event::Work { .. } | Event::SerialWork { .. } => true,
+    match events[i] {
+        Event::Work { .. } => true,
         // Workers wait until the master has performed the dispatch.
         Event::Dispatch => pid == 0 || ptrs[0] > i,
-        Event::Sync { op, env, .. } => match op {
-            SyncOp::None => true,
-            SyncOp::Barrier => (0..nprocs).all(|q| ptrs[q] >= i),
-            SyncOp::Neighbor { fwd, bwd } => {
-                let fwd_ok = !*fwd || pid == 0 || ptrs[pid - 1] >= i;
-                let bwd_ok = !*bwd || pid + 1 == nprocs || ptrs[pid + 1] >= i;
+        Event::Sync { op, .. } => match op {
+            SyncStep::Barrier => (0..nprocs).all(|q| ptrs[q] >= i),
+            SyncStep::Neighbor { fwd, bwd } => {
+                let fwd_ok = !fwd || pid == 0 || ptrs[pid - 1] >= i;
+                let bwd_ok = !bwd || pid + 1 == nprocs || ptrs[pid + 1] >= i;
                 fwd_ok && bwd_ok
             }
-            SyncOp::Counter { producer, .. } => {
-                let prod = producer_pid(bind, prog, producer, env) as usize;
-                pid == prod || ptrs[prod] > i
-            }
-            SyncOp::PairCounter { dists, producers } => {
+            SyncStep::Counter { producer, .. } => pid == producer || ptrs[producer] > i,
+            SyncStep::Pair { dists, producers } => {
                 // Crossable once every in-range distance target and
                 // every (non-self) producer target has reached this
                 // site — exactly the wavefront release condition.
                 dists.iter().all(|d| {
                     let target = pid as i64 - d;
                     target < 0 || target >= nprocs as i64 || ptrs[target as usize] >= i
-                }) && producers.iter().all(|spec| {
-                    let prod = producer_pid(bind, prog, spec, env) as usize;
-                    prod == pid || ptrs[prod] >= i
-                })
+                }) && events
+                    .producers(producers)
+                    .iter()
+                    .all(|&prod| prod == pid || ptrs[prod] >= i)
             }
         },
     }
@@ -122,6 +113,7 @@ fn run_virtual_impl(
     let nprocs = bind.nprocs as usize;
     let events = unroll(prog, bind, plan);
     let m = events.len();
+    let mut workers: Vec<Worker> = (0..nprocs).map(|p| Worker::new(&events, mem, p)).collect();
     let mut ptrs = vec![0usize; nprocs];
     let mut rng = match order {
         ScheduleOrder::Random(seed) => Some(StdRng::seed_from_u64(seed)),
@@ -139,10 +131,7 @@ fn run_virtual_impl(
         }
         if spans.is_some() {
             for pid in 0..nprocs {
-                if ptrs[pid] < m
-                    && arrived_at[pid].is_none()
-                    && !can_advance(&events, &ptrs, pid, prog, bind)
-                {
+                if ptrs[pid] < m && arrived_at[pid].is_none() && !can_advance(&events, &ptrs, pid) {
                     arrived_at[pid] = Some(step);
                 }
             }
@@ -159,34 +148,20 @@ fn run_virtual_impl(
                 ScheduleOrder::Reverse => (nprocs - 1) - ((start + k) % nprocs),
                 _ => (start + k) % nprocs,
             };
-            if can_advance(&events, &ptrs, pid, prog, bind) {
+            if can_advance(&events, &ptrs, pid) {
                 let i = ptrs[pid];
-                if matches!(events[i], Event::Work { .. } | Event::SerialWork { .. }) {
-                    exec_work(prog, bind, mem, pid, nprocs, &events[i]);
+                if events[i].is_work() {
+                    workers[pid].exec_work(&events[i]);
                 }
                 if let Some(buf) = spans.as_deref_mut() {
-                    if !matches!(
-                        events[i],
-                        Event::Sync {
-                            op: SyncOp::None,
-                            ..
-                        }
-                    ) {
-                        let start_us = arrived_at[pid].take().unwrap_or(step);
-                        buf.push(obs::Span {
-                            pid,
-                            name: crate::par::span_name(prog, &events[i]),
-                            cat: match &events[i] {
-                                Event::Work { .. } | Event::SerialWork { .. } => obs::SpanCat::Work,
-                                Event::Dispatch => obs::SpanCat::Dispatch,
-                                Event::Sync { .. } => obs::SpanCat::Sync,
-                            },
-                            start_us,
-                            end_us: step + 1,
-                        });
-                    } else {
-                        arrived_at[pid] = None;
-                    }
+                    let (name, cat) = crate::par::span_of(prog, &events, &events[i]);
+                    buf.push(obs::Span {
+                        pid,
+                        name,
+                        cat,
+                        start_us: arrived_at[pid].take().unwrap_or(step),
+                        end_us: step + 1,
+                    });
                 }
                 ptrs[pid] = i + 1;
                 advanced = true;
@@ -212,7 +187,7 @@ fn run_virtual_impl(
 mod tests {
     use super::*;
     use ir::build::*;
-    use spmd_opt::{fork_join, optimize};
+    use spmd_opt::{fork_join, optimize, SyncOp};
 
     /// Build the jacobi time-sweep program.
     fn sweep(n_val: i64, steps: i64, nprocs: i64) -> (Program, Bindings) {

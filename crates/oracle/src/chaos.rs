@@ -16,15 +16,14 @@
 //! [`FailureReport`] naming the dropped site).
 
 use analysis::Bindings;
-use interp::events::producer_pid;
 use interp::{
     run_parallel_observed, run_sequential, unroll, ChaosAction, Event, Mem, ObserveOptions,
-    SyncChaos,
+    SyncChaos, SyncStep,
 };
 use ir::Program;
 use obs::FailureReport;
 use runtime::Team;
-use spmd_opt::{SpmdProgram, SyncOp};
+use spmd_opt::SpmdProgram;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -195,51 +194,41 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
     let mut visit = std::collections::HashMap::<usize, u64>::new();
     // (site, from_visit, producer) of the last visit of each counter
     // site, and the overall-last neighbor / barrier events.
-    let mut counters = Vec::<(usize, u64, i64)>::new();
+    let mut counters = Vec::<(usize, u64, usize)>::new();
     let mut last_neighbor: Option<(usize, u64, bool, bool)> = None;
-    let mut last_pair: Option<(usize, u64, analysis::DistSet, Vec<i64>)> = None;
+    let mut last_pair: Option<(usize, u64, analysis::DistSet, Vec<usize>)> = None;
     let mut last_barrier: Option<(usize, u64)> = None;
-    for ev in &events {
-        if let Event::Sync { op, site, env } = ev {
-            if matches!(op, SyncOp::None) {
-                continue;
-            }
-            let v = visit.entry(*site).or_insert(0);
+    for ev in events.iter() {
+        if let Event::Sync { op, site, .. } = *ev {
+            let site = site as usize;
+            let v = visit.entry(site).or_insert(0);
             let this = *v;
             *v += 1;
             match op {
-                SyncOp::Counter { producer, .. } => {
-                    let prod = producer_pid(bind, prog, producer, env);
-                    match counters.iter_mut().find(|(s, ..)| s == site) {
-                        Some(slot) => *slot = (*site, this, prod),
-                        None => counters.push((*site, this, prod)),
+                SyncStep::Counter { producer, .. } => {
+                    match counters.iter_mut().find(|(s, ..)| *s == site) {
+                        Some(slot) => *slot = (site, this, producer),
+                        None => counters.push((site, this, producer)),
                     }
                 }
-                SyncOp::Neighbor { fwd, bwd } => last_neighbor = Some((*site, this, *fwd, *bwd)),
-                SyncOp::PairCounter { dists, producers } => {
-                    let prods = producers
-                        .iter()
-                        .map(|spec| producer_pid(bind, prog, spec, env))
-                        .collect();
-                    last_pair = Some((*site, this, *dists, prods));
+                SyncStep::Neighbor { fwd, bwd } => last_neighbor = Some((site, this, fwd, bwd)),
+                SyncStep::Pair { dists, producers } => {
+                    last_pair = Some((site, this, dists, events.producers(producers).to_vec()));
                 }
-                SyncOp::Barrier => last_barrier = Some((*site, this)),
-                SyncOp::None => {}
+                SyncStep::Barrier => last_barrier = Some((site, this)),
             }
         }
     }
     let mut out = Vec::new();
-    for (site, from_visit, prod) in counters {
-        if (0..nprocs).contains(&prod) {
-            out.push(DropCandidate {
-                spec: DropSpec {
-                    site,
-                    pid: prod as usize,
-                    from_visit,
-                },
-                kind: "counter",
-            });
-        }
+    for (site, from_visit, pid) in counters {
+        out.push(DropCandidate {
+            spec: DropSpec {
+                site,
+                pid,
+                from_visit,
+            },
+            kind: "counter",
+        });
     }
     if let Some((site, from_visit, fwd, bwd)) = last_neighbor {
         // `fwd` waits on pid-1, so P0's post is awaited by P1; `bwd`
@@ -274,8 +263,8 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
             pids.push(nprocs as usize - 1);
         }
         for prod in prods {
-            if (0..nprocs).contains(&prod) && !pids.contains(&(prod as usize)) {
-                pids.push(prod as usize);
+            if !pids.contains(&prod) {
+                pids.push(prod);
             }
         }
         for pid in pids {

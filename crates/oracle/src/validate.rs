@@ -29,10 +29,9 @@
 //! every cross-processor def/use pair — validates race-free.
 
 use analysis::Bindings;
-use interp::events::{exec_work, producer_pid, unroll};
-use interp::{AccessKind, Event, Mem, Target, TraceBuffer};
+use interp::{unroll, AccessKind, Event, Mem, SyncStep, Target, TraceBuffer, Worker};
 use ir::Program;
-use spmd_opt::{SpmdProgram, SyncOp};
+use spmd_opt::SpmdProgram;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
@@ -134,11 +133,14 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
     let scratch = Mem::new(prog, bind).with_tracer(Arc::clone(&tracer));
     let mut access_sets: Vec<Vec<(usize, Vec<(Target, AccessKind)>)>> =
         Vec::with_capacity(events.len());
-    for ev in &events {
+    let mut workers: Vec<Worker> = (0..nprocs)
+        .map(|pid| Worker::new(&events, &scratch, pid))
+        .collect();
+    for ev in events.iter() {
         let mut per_event = Vec::new();
-        if matches!(ev, Event::Work { .. } | Event::SerialWork { .. }) {
-            for pid in 0..nprocs {
-                exec_work(prog, bind, &scratch, pid, nprocs, ev);
+        if ev.is_work() {
+            for (pid, worker) in workers.iter_mut().enumerate() {
+                worker.exec_work(ev);
                 let drained = tracer.drain();
                 if !drained.is_empty() {
                     let set: BTreeSet<(Target, AccessKind)> =
@@ -156,7 +158,7 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
     let mut num_accesses = 0usize;
     for (i, ev) in events.iter().enumerate() {
         match ev {
-            Event::Work { .. } | Event::SerialWork { .. } => {
+            Event::Work { .. } => {
                 for (pid, set) in &access_sets[i] {
                     clocks[*pid][*pid] += 1;
                     let snap = Rc::new(clocks[*pid].clone());
@@ -177,9 +179,8 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
                     join(&mut clocks[p], &master);
                 }
             }
-            Event::Sync { op, env, .. } => match op {
-                SyncOp::None => {}
-                SyncOp::Barrier => {
+            Event::Sync { op, .. } => match *op {
+                SyncStep::Barrier => {
                     let mut all = vec![0u64; nprocs];
                     for c in &clocks {
                         join(&mut all, c);
@@ -188,20 +189,18 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
                         c.copy_from_slice(&all);
                     }
                 }
-                SyncOp::Neighbor { fwd, bwd } => {
+                SyncStep::Neighbor { fwd, bwd } => {
                     let pre = clocks.clone();
                     for (p, c) in clocks.iter_mut().enumerate() {
-                        if *fwd && p > 0 {
+                        if fwd && p > 0 {
                             join(c, &pre[p - 1]);
                         }
-                        if *bwd && p + 1 < nprocs {
+                        if bwd && p + 1 < nprocs {
                             join(c, &pre[p + 1]);
                         }
                     }
                 }
-                SyncOp::Counter { producer, .. } => {
-                    let prod = producer_pid(bind, prog, producer, env).clamp(0, nprocs as i64 - 1)
-                        as usize;
+                SyncStep::Counter { producer: prod, .. } => {
                     let pre = clocks[prod].clone();
                     for (p, c) in clocks.iter_mut().enumerate() {
                         if p != prod {
@@ -209,7 +208,7 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
                         }
                     }
                 }
-                SyncOp::PairCounter { dists, producers } => {
+                SyncStep::Pair { dists, producers } => {
                     // A consumer acquires each in-range distance
                     // target's pre-sync clock (the wait is for that
                     // processor's post at this same replicated visit)
@@ -222,10 +221,7 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
                                 join(c, &pre[t as usize]);
                             }
                         }
-                        for spec in producers {
-                            let prod = producer_pid(bind, prog, spec, env)
-                                .clamp(0, nprocs as i64 - 1)
-                                as usize;
+                        for &prod in events.producers(producers) {
                             if prod != p {
                                 join(c, &pre[prod]);
                             }
@@ -277,7 +273,7 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
 mod tests {
     use super::*;
     use ir::build::*;
-    use spmd_opt::{fork_join, optimize};
+    use spmd_opt::{fork_join, optimize, SyncOp};
 
     fn sweep() -> (Program, Bindings) {
         let mut pb = ProgramBuilder::new("sweep");

@@ -65,6 +65,7 @@ pub mod telemetry;
 
 pub use barrier::{BarrierEpoch, CentralBarrier, TreeBarrier};
 pub use counter::Counters;
+pub use crossbeam::utils::CachePadded;
 pub use events::{EventKind, ProfileData, ProfileEvent, ProfileOptions, Profiler, NO_SITE};
 pub use fault::{SyncError, WaitPoll, Watchdog, DEADLINE_SAMPLE, DISPATCH_SITE};
 pub use neighbor::NeighborFlags;
