@@ -20,7 +20,7 @@
 use crate::bindings::Bindings;
 use crate::partition::{stmt_partition, LoopPartition, StmtPartition};
 use crate::translate::{build_pair_system, SharedLoopMode};
-use ineq::{FmeCache, FmeCacheStats, LinExpr};
+use ineq::{FmeCache, FmeCacheStats, LinExpr, VarKind};
 use ir::{Affine, ArrayId, LhsRef, NodeId, Program, ScalarId, StmtPath};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -245,13 +245,24 @@ impl DistSet {
     }
 
     /// Distances in ascending order (negative first).
-    pub fn iter(&self) -> impl Iterator<Item = i64> + '_ {
-        let bwd = (1..=MAX_PAIR_DIST)
-            .rev()
-            .filter(move |d| self.bwd & (1u64 << (d - 1)) != 0)
-            .map(|d| -d);
-        let fwd = (1..=MAX_PAIR_DIST).filter(move |d| self.fwd & (1u64 << (d - 1)) != 0);
-        bwd.chain(fwd)
+    pub fn iter(&self) -> impl Iterator<Item = i64> {
+        let (mut bwd, mut fwd) = (self.bwd, self.fwd);
+        // Set bits only: backward from the highest bit (most negative
+        // distance) down, then forward from the lowest bit up.
+        let down = std::iter::from_fn(move || {
+            let k = bwd.checked_ilog2()?;
+            bwd ^= 1u64 << k;
+            Some(-(k as i64) - 1)
+        });
+        let up = std::iter::from_fn(move || {
+            if fwd == 0 {
+                return None;
+            }
+            let k = fwd.trailing_zeros();
+            fwd &= fwd - 1;
+            Some(k as i64 + 1)
+        });
+        down.chain(up)
     }
 
     /// Render as `{-2,+1,+3}` for reports.
@@ -1071,98 +1082,94 @@ impl<'p> CommQuery<'p> {
         }
 
         // 4. Distance vectors: is every feasible processor distance one
-        //    of a small fixed set? Probe `q - p == d` for each candidate
-        //    distance in the feasible direction(s). A direct wait on
-        //    `q - d` at the sync point covers a dependence at distance
-        //    `d` for *any* carried iteration gap >= 1 (the producer's
-        //    post at the bottom of its iteration happens after that
-        //    iteration's work, and the consumer passes that bottom sync
-        //    before any later iteration), so — unlike the chained
-        //    neighbor test above — no reach argument is needed: the
-        //    distance spectrum alone decides.
-        if let Some(dists) = self.distance_spectrum(&ps, fwd, bwd) {
-            return CommOutcome::of(CommPattern::PairWise { dists });
+        //    of a small fixed set? A direct wait on `q - d` at the sync
+        //    point covers a dependence at distance `d` for *any* carried
+        //    iteration gap >= 1 (the producer's post at the bottom of its
+        //    iteration happens after that iteration's work, and the
+        //    consumer passes that bottom sync before any later
+        //    iteration), so — unlike the chained neighbor test above —
+        //    no reach argument is needed: the distance spectrum alone
+        //    decides.
+        let spectrum = self.distance_spectrum(&ps, fwd, bwd);
+        #[cfg(test)]
+        assert_eq!(spectrum, tests::enumerated_spectrum(self, &ps, fwd, bwd));
+        match spectrum {
+            Some(dists) => CommOutcome::of(CommPattern::PairWise { dists }),
+            None => CommOutcome::general(),
         }
-        CommOutcome::general()
     }
 
-    /// Enumerate the exact feasible processor-distance spectrum of a
-    /// dependent access pair, or `None` when it is unbounded, wider
-    /// than [`MAX_PAIR_FANIN`], or outside [`MAX_PAIR_DIST`].
+    /// The exact feasible processor-distance spectrum of a dependent
+    /// access pair, or `None` when it cannot be pinned, is wider than
+    /// [`MAX_PAIR_FANIN`], or reaches outside [`MAX_PAIR_DIST`].
     ///
-    /// `|q - p| <= nprocs - 1` always, so when the probe window covers
-    /// the whole machine (`nprocs - 1 <= MAX_PAIR_DIST`) probing each
-    /// candidate distance in the directions step 1 found feasible is
-    /// exhaustive. When the machine is wider than the window, a single
-    /// extra probe per direction asks whether any distance *beyond*
-    /// the window may hold; if so the enumeration is not exhaustive
-    /// and the barrier is kept. Separately, a direction step 1 found
-    /// feasible (possibly via an `Unknown` overflow/budget verdict)
-    /// whose every exact-distance probe proves infeasible cannot be
-    /// pinned to a spectrum — that direction's dependence may still be
-    /// real, so the barrier is kept rather than returning the other
-    /// direction's distances alone.
+    /// Closed form, then confirmation. Substituting `q := p + d` and
+    /// projecting the pair system onto `d` once gives an integer window
+    /// `[lo, hi]` that contains every feasible distance *by
+    /// construction* (FME only over-approximates); the equalities left
+    /// after unit propagation add the congruences the rational window
+    /// cannot see (a cyclic `x = P·k + p` pins `d` modulo `P`). Only
+    /// distances in the window, the congruence classes and a direction
+    /// step 1 found feasible are then probed with `q - p == d`: the
+    /// probes discard holes gcd tightening finds inside the window, so
+    /// the result is what probing every distance would return, at a
+    /// cost independent of the machine width. Distances past
+    /// `MAX_PAIR_DIST` are not representable, so when the window
+    /// reaches there one tail probe per direction decides whether any
+    /// may hold; if so the barrier is kept. A projection that overflows,
+    /// exhausts its budget or is empty proves nothing: barrier kept.
+    /// Likewise a direction step 1 found feasible (possibly via an
+    /// `Unknown` verdict) in which no distance is confirmed cannot be
+    /// pinned to a spectrum, so the other direction's distances alone
+    /// are never returned.
     fn distance_spectrum(
         &self,
         ps: &crate::translate::PairSystem,
         fwd: bool,
         bwd: bool,
     ) -> Option<DistSet> {
-        let reach = (self.bind.nprocs - 1).min(MAX_PAIR_DIST);
-        if reach < 1 {
+        let (p, q) = (ps.p, ps.q);
+        let mut vt = ps.vt.clone();
+        let d = vt.fresh("d", VarKind::Processor);
+        let mut sys = ps.sys.clone();
+        sys.try_substitute(q, &(LinExpr::var(p) + LinExpr::var(d)))
+            .ok()?;
+        sys.reduce_for_scan(&vt, &[d]).ok()?;
+        let in_class = sys.congruence_filter(d);
+        let window = sys.project_reduced(&vt, &[d]).0?;
+        if window.is_contradictory() {
             return None;
         }
-        let (p, q) = (ps.p, ps.q);
-        if self.bind.nprocs - 1 > MAX_PAIR_DIST {
-            // Distances in (MAX_PAIR_DIST, nprocs-1] are never probed
-            // below; if any may hold, a spectrum built from the probed
-            // window would silently drop them.
-            let tail = |hi: ineq::VarId, lo: ineq::VarId| {
-                ps.feasible_with(|s| {
-                    s.add_ge(
-                        LinExpr::var(hi)
-                            - LinExpr::var(lo)
-                            - LinExpr::constant(MAX_PAIR_DIST as i128 + 1),
-                    )
-                })
-            };
-            if (fwd && tail(q, p)) || (bwd && tail(p, q)) {
-                return None;
-            }
+        let (lo, hi) = ineq::scan::bounds_of(&window, d).range(&|_| 0)?;
+
+        let max = MAX_PAIR_DIST as i128;
+        let tail = |hi: ineq::VarId, lo: ineq::VarId| {
+            ps.feasible_with(|s| {
+                s.add_ge(LinExpr::var(hi) - LinExpr::var(lo) - LinExpr::constant(max + 1))
+            })
+        };
+        if (fwd && hi > max && tail(q, p)) || (bwd && lo < -max && tail(p, q)) {
+            return None;
         }
         let mut dists = DistSet::empty();
-        let mut candidates: Vec<i64> = Vec::new();
-        if fwd {
-            candidates.extend(1..=reach);
-        }
-        if bwd {
-            candidates.extend((1..=reach).map(|d| -d));
-        }
-        let (mut fwd_hits, mut bwd_hits) = (0usize, 0usize);
-        for d in candidates {
+        for dist in lo.max(-max)..=hi.min(max) {
+            let wanted = if dist > 0 { fwd } else { bwd && dist < 0 };
+            if !wanted || !in_class(dist) {
+                continue;
+            }
             let hit = ps.feasible_with(|s| {
-                // q - p == d, as two inequalities.
-                s.add_ge(LinExpr::var(q) - LinExpr::var(p) - LinExpr::constant(d as i128));
-                s.add_ge(LinExpr::constant(d as i128) - LinExpr::var(q) + LinExpr::var(p));
+                // q - p == dist, as two inequalities.
+                s.add_ge(LinExpr::var(q) - LinExpr::var(p) - LinExpr::constant(dist));
+                s.add_ge(LinExpr::constant(dist) - LinExpr::var(q) + LinExpr::var(p));
             });
             if hit {
-                if !dists.insert(d) {
-                    return None;
-                }
+                dists.insert(dist as i64);
                 if dists.len() > MAX_PAIR_FANIN {
                     return None;
                 }
-                if d > 0 {
-                    fwd_hits += 1;
-                } else {
-                    bwd_hits += 1;
-                }
             }
         }
-        if (fwd && fwd_hits == 0) || (bwd && bwd_hits == 0) {
-            // Step 1 saw a cross-processor pair in this direction that
-            // the enumeration cannot pin to an exact distance (an
-            // Unknown verdict upstream): keep the barrier.
+        if (fwd && dists.fwd == 0) || (bwd && dists.bwd == 0) {
             return None;
         }
         Some(dists)
@@ -1205,12 +1212,6 @@ impl<'p> CommQuery<'p> {
                     | LoopPartition::BlockIndex { .. }
                     | LoopPartition::Unknown => return None,
                 };
-                // Loops whose index is fixed within one sync instance.
-                let fixed: Vec<ir::LoopId> = s1
-                    .loops
-                    .iter()
-                    .map(|&n| self.prog.expect_loop(n).id)
-                    .collect();
                 // For a carried query the carried loop is fixed (one
                 // producer iteration); for loop-independent queries only
                 // the loops *outside* the group vary... conservatively we
@@ -1234,7 +1235,6 @@ impl<'p> CommQuery<'p> {
                     }
                     v
                 };
-                let _ = fixed;
                 if sub.loops().all(|l| outer_seq.contains(&l)) {
                     Some(spec)
                 } else {
@@ -1249,6 +1249,243 @@ impl<'p> CommQuery<'p> {
 mod tests {
     use super::*;
     use ir::build::*;
+
+    thread_local! {
+        /// Calls of [`enumerated_spectrum`] on this test's thread, i.e.
+        /// array pairs of its direct statement queries that reached step 4.
+        static ENUMERATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The reference `distance_spectrum` is checked against at every
+    /// step-4 array pair of every test in this crate: one `q - p == d`
+    /// probe per distance in `±1..=±min(MAX_PAIR_DIST, nprocs - 1)` plus
+    /// a tail probe per direction on machines wider than that window.
+    pub(super) fn enumerated_spectrum(
+        cq: &CommQuery,
+        ps: &crate::translate::PairSystem,
+        fwd: bool,
+        bwd: bool,
+    ) -> Option<DistSet> {
+        ENUMERATED.set(ENUMERATED.get() + 1);
+        let reach = (cq.bind.nprocs - 1).min(MAX_PAIR_DIST);
+        if reach < 1 {
+            return None;
+        }
+        let (p, q) = (ps.p, ps.q);
+        if cq.bind.nprocs - 1 > MAX_PAIR_DIST {
+            let tail = |hi: ineq::VarId, lo: ineq::VarId| {
+                ps.feasible_with(|s| {
+                    s.add_ge(
+                        LinExpr::var(hi)
+                            - LinExpr::var(lo)
+                            - LinExpr::constant(MAX_PAIR_DIST as i128 + 1),
+                    )
+                })
+            };
+            if (fwd && tail(q, p)) || (bwd && tail(p, q)) {
+                return None;
+            }
+        }
+        let mut dists = DistSet::empty();
+        let mut candidates: Vec<i64> = Vec::new();
+        if fwd {
+            candidates.extend(1..=reach);
+        }
+        if bwd {
+            candidates.extend((1..=reach).map(|d| -d));
+        }
+        for d in candidates {
+            let hit = ps.feasible_with(|s| {
+                s.add_ge(LinExpr::var(q) - LinExpr::var(p) - LinExpr::constant(d as i128));
+                s.add_ge(LinExpr::constant(d as i128) - LinExpr::var(q) + LinExpr::var(p));
+            });
+            if hit && (!dists.insert(d) || dists.len() > MAX_PAIR_FANIN) {
+                return None;
+            }
+        }
+        if (fwd && dists.fwd == 0) || (bwd && dists.bwd == 0) {
+            return None;
+        }
+        Some(dists)
+    }
+
+    /// Machine widths the differential runs at: both sides of
+    /// `MAX_PAIR_DIST + 1`, odd widths, and the smallest.
+    const WIDTHS: [i64; 10] = [2, 3, 5, 8, 16, 33, 64, 65, 72, 128];
+
+    /// Every statement pair at every query level (loop-independent, and
+    /// carried by each shared sequential loop); `array_pair` asserts the
+    /// closed-form spectrum against the enumeration wherever step 4 is
+    /// reached.
+    fn query_all_pairs(prog: &Program, values: &[(ir::SymId, i64)]) {
+        let st = prog.all_statements();
+        for nprocs in WIDTHS {
+            let mut bind = Bindings::new(nprocs);
+            for &(s, v) in values {
+                bind.bind(s, v);
+            }
+            let q = CommQuery::new(prog, bind);
+            for (k1, s1) in st.iter().enumerate() {
+                for (k2, s2) in st.iter().enumerate() {
+                    if k1 < k2 {
+                        q.comm_stmts_detailed(s1, s2, CommMode::LoopIndependent);
+                    }
+                    let shared = s1.loops.iter().zip(&s2.loops).take_while(|(a, b)| a == b);
+                    for (&at, _) in shared {
+                        if prog.expect_loop(at).kind == ir::LoopKind::Seq {
+                            q.comm_stmts_detailed(s1, s2, CommMode::CarriedBy(at));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The loop-independent pair system of a program's first two
+    /// statements with `subs1 == subs2` as the element equality.
+    fn first_pair_system(
+        q: &CommQuery,
+        subs1: &[Affine],
+        subs2: &[Affine],
+    ) -> crate::translate::PairSystem {
+        let st = q.prog.all_statements();
+        let mode = CommMode::LoopIndependent.shared_mode();
+        let mut ps = build_pair_system(q.prog, &q.bind, &st[0], &st[1], mode);
+        ps.add_elem_equality(&q.bind, subs1, subs2);
+        ps
+    }
+
+    /// Cyclic owners `x = P·k + p` pin `d = q - p` modulo `P`, which
+    /// the rational window `[-63, 63]` cannot see: the congruence leaves
+    /// two candidates per stencil arm, so a 64-wide machine costs two
+    /// confirmation probes instead of 126.
+    #[test]
+    fn cyclic_stride_two_stencil_needs_two_probes_at_p64() {
+        for (shift, want) in [(2, [-2, 62]), (-2, [2, -62])] {
+            let mut pb = ProgramBuilder::new("cyc2");
+            let n = pb.sym("n");
+            let a = pb.array("A", &[sym(n)], dist_cyclic());
+            let b = pb.array("B", &[sym(n)], dist_cyclic());
+            let i = pb.begin_par("i", con(0), sym(n) - 1);
+            pb.assign(elem(a, [idx(i)]), ival(idx(i)));
+            pb.end();
+            let j = pb.begin_par("j", con(2), sym(n) - 3);
+            pb.assign(elem(b, [idx(j)]), arr(a, [idx(j) + shift]));
+            pb.end();
+            let prog = pb.finish();
+            let q = CommQuery::new(&prog, Bindings::new(64).set(n, 256));
+            let st = prog.all_statements();
+            let mut dists = DistSet::empty();
+            for d in want {
+                dists.insert(d);
+            }
+            assert_eq!(
+                q.comm_stmts(&st[0], &st[1], CommMode::LoopIndependent),
+                CommPattern::PairWise { dists }
+            );
+            // Count the probes of the spectrum alone (the statement
+            // query above also ran the enumeration it is checked against).
+            let mut ps = first_pair_system(&q, &[idx(i)], &[idx(j) + shift]);
+            let cache = Arc::new(FmeCache::new());
+            ps.set_cache(Some(cache.clone()));
+            assert_eq!(q.distance_spectrum(&ps, true, true), Some(dists));
+            let stats = cache.stats();
+            assert!(stats.feas_hits + stats.feas_misses <= 4, "{stats:?}");
+        }
+    }
+
+    /// Near-`i64::MAX` sizes and guard coefficients overflow the
+    /// projection's exact arithmetic: it proves nothing, so the barrier
+    /// stays (and nothing panics).
+    #[test]
+    fn overflowing_projection_keeps_barrier() {
+        // Coprime multipliers near 2^61: eliminating `m`, then `k`,
+        // multiplies three of them (and the 2^58 block size) together.
+        let big = |w: i64| (1i64 << 61) + 2 * w + 1;
+        let mut pb = ProgramBuilder::new("hugeguards");
+        let n = pb.sym("n");
+        let a = pb.array("A", &[sym(n)], dist_block());
+        let b = pb.array("B", &[sym(n)], dist_block());
+        let i = pb.begin_par("i", con(0), sym(n) - 1);
+        pb.assign(elem(a, [idx(i)]), ival(idx(i)));
+        pb.end();
+        let j = pb.begin_par("j", con(0), sym(n) - 1);
+        let k = pb.begin_seq("k", con(0), sym(n) - 1);
+        let m = pb.begin_seq("m", con(0), sym(n) - 1);
+        pb.begin_guard(vec![
+            ge0(idx(j) * big(0) - idx(k) * big(1)),
+            ge0(idx(k) * (big(1) + 2) - idx(j) * (big(0) + 2) + 1),
+            ge0(idx(k) * big(2) - idx(m) * big(3)),
+            ge0(idx(m) * (big(3) + 2) - idx(k) * (big(2) + 2) + 1),
+        ]);
+        pb.assign(elem(b, [idx(j)]), arr(a, [idx(m)]));
+        pb.end();
+        pb.end();
+        pb.end();
+        pb.end();
+        let prog = pb.finish();
+        let q = CommQuery::new(&prog, Bindings::new(8).set(n, i64::MAX / 4));
+        let st = prog.all_statements();
+        let ps = first_pair_system(&q, &[idx(i)], &[idx(m)]);
+        assert!(ps.sys.project_onto(&ps.vt, &[ps.p, ps.q]).is_none());
+        assert_eq!(q.distance_spectrum(&ps, true, true), None);
+        assert_eq!(
+            q.comm_stmts(&st[0], &st[1], CommMode::LoopIndependent),
+            CommPattern::General
+        );
+    }
+
+    #[test]
+    fn spectrum_matches_enumeration_on_suite_kernels() {
+        for def in suite::all() {
+            for scale in [suite::Scale::Test, suite::Scale::Small] {
+                let built = (def.build)(scale);
+                query_all_pairs(&built.prog, &built.values);
+            }
+        }
+        // 634 when written; a floor, so the check cannot pass vacuously.
+        assert!(
+            ENUMERATED.get() >= 500,
+            "step 4 reached {}x",
+            ENUMERATED.get()
+        );
+    }
+
+    #[test]
+    fn spectrum_matches_enumeration_on_be_sources() {
+        for src in [
+            include_str!("../../../kernels/broadcast.be"),
+            include_str!("../../../kernels/jacobi.be"),
+            include_str!("../../../kernels/pipeline.be"),
+            include_str!("../../../kernels/private_gather.be"),
+            include_str!("../../../kernels/shallow.be"),
+        ] {
+            let prog = frontend::parse(src).expect("kernels/*.be parse");
+            let values: Vec<(ir::SymId, i64)> = (0..prog.syms.len())
+                .map(|k| {
+                    (
+                        ir::SymId(k as u32),
+                        if prog.syms[k].name == "tmax" { 4 } else { 32 },
+                    )
+                })
+                .collect();
+            query_all_pairs(&prog, &values);
+        }
+    }
+
+    #[test]
+    fn spectrum_matches_enumeration_on_generated_programs() {
+        for seed in 0..64 {
+            let g = oracle::generate(seed);
+            query_all_pairs(&g.prog, &g.values);
+        }
+        // 921 when written.
+        assert!(
+            ENUMERATED.get() >= 500,
+            "step 4 reached {}x",
+            ENUMERATED.get()
+        );
+    }
 
     /// DOALL i: B(i) = A(i);  DOALL j: C(j) = B(j)  → aligned, no comm.
     #[test]

@@ -60,6 +60,6 @@ pub use comm::{
 };
 pub use dep::{check_parallel_loops, loop_carries_dependence};
 pub use partition::{
-    loop_is_replicated, loop_partition, stmt_partition, LoopPartition, StmtPartition,
+    loop_is_replicated, loop_partition, stmt_partition, LoopPartition, OwnerMap, StmtPartition,
 };
 pub use privatization::check_privatizable;

@@ -12,6 +12,32 @@
 use crate::bindings::Bindings;
 use ir::{Affine, ArrayId, DimDist, LhsRef, LoopId, LoopKind, Node, NodeId, Program, StmtPath};
 
+/// How a distributed dimension deals subscript values to processors:
+/// the one statement of the owner formulas, shared by the analysis and
+/// the interpreter's lowered kernels.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum OwnerMap {
+    /// Contiguous blocks of the given size (values past either end
+    /// belong to the edge processors).
+    Block(i64),
+    /// Value `x` lives on processor `x mod P`.
+    Cyclic,
+    /// Blocks of the given size dealt round-robin: `(x / b) mod P`.
+    BlockCyclic(i64),
+}
+
+impl OwnerMap {
+    /// The processor owning subscript value `x` among `nprocs`.
+    #[inline]
+    pub fn owner(self, x: i64, nprocs: i64) -> i64 {
+        match self {
+            OwnerMap::Block(block) => (x / block).clamp(0, nprocs - 1),
+            OwnerMap::Cyclic => x.rem_euclid(nprocs),
+            OwnerMap::BlockCyclic(block) => x.div_euclid(block).rem_euclid(nprocs),
+        }
+    }
+}
+
 /// How the iterations of one parallel loop map onto processors.
 #[derive(Clone, Debug, PartialEq)]
 pub enum LoopPartition {
@@ -234,31 +260,30 @@ impl LoopPartition {
         dist_index: i64,
         loop_val: &dyn Fn(LoopId) -> Option<i64>,
     ) -> Option<i64> {
-        match self {
+        let (map, x) = match self {
             LoopPartition::BlockOwner { block, sub, .. } => {
-                let x = bind.eval_affine(sub, loop_val)?;
-                Some((x / block).clamp(0, bind.nprocs - 1))
+                (OwnerMap::Block(*block), bind.eval_affine(sub, loop_val)?)
             }
             LoopPartition::CyclicOwner { sub, .. } => {
-                let x = bind.eval_affine(sub, loop_val)?;
-                Some(x.rem_euclid(bind.nprocs))
+                (OwnerMap::Cyclic, bind.eval_affine(sub, loop_val)?)
             }
-            LoopPartition::BlockCyclicOwner { block, sub, .. } => {
-                let x = bind.eval_affine(sub, loop_val)?;
-                Some((x.div_euclid(*block)).rem_euclid(bind.nprocs))
-            }
+            LoopPartition::BlockCyclicOwner { block, sub, .. } => (
+                OwnerMap::BlockCyclic(*block),
+                bind.eval_affine(sub, loop_val)?,
+            ),
             LoopPartition::BlockIndex { lo, block, .. } => {
-                Some(((dist_index - lo) / block).clamp(0, bind.nprocs - 1))
+                (OwnerMap::Block(*block), dist_index - lo)
             }
-            LoopPartition::SymbolicBlockOwner { .. } | LoopPartition::Unknown => None,
-        }
+            LoopPartition::SymbolicBlockOwner { .. } | LoopPartition::Unknown => return None,
+        };
+        Some(map.owner(x, bind.nprocs))
     }
 
     /// Owner of iteration `i` for index-partitioned loops.
     pub fn owner_of_index(&self, bind: &Bindings, i: i64) -> Option<i64> {
         match self {
             LoopPartition::BlockIndex { lo, block, .. } => {
-                Some(((i - lo) / block).clamp(0, bind.nprocs - 1))
+                Some(OwnerMap::Block(*block).owner(i - lo, bind.nprocs))
             }
             _ => None,
         }

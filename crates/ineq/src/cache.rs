@@ -492,7 +492,7 @@ impl FmeCache {
         let t1 = std::time::Instant::now();
         let mut reduced = sys.clone();
         let peak0 = reduced.len();
-        if reduced.reduce_for_scan(vt).is_err() {
+        if reduced.reduce_for_scan(vt, &[]).is_err() {
             self.feas_misses.fetch_add(1, Ordering::Relaxed);
             let cost = t1.elapsed().as_nanos() as u64;
             self.scan_ns.fetch_add(cost, Ordering::Relaxed);

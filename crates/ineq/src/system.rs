@@ -3,7 +3,7 @@
 
 use crate::constraint::{Constraint, ConstraintKind};
 use crate::linexpr::LinExpr;
-use crate::rational::Overflow;
+use crate::rational::{gcd, Overflow};
 use crate::var::{VarId, VarTable};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -290,12 +290,18 @@ impl System {
     /// Use equalities with a ±1 coefficient to substitute variables away.
     /// This is exact over the integers and keeps FME cheap.
     pub fn propagate_unit_equalities(&mut self, vt: &VarTable) {
-        self.try_propagate_unit_equalities(vt)
+        self.try_propagate_unit_equalities(vt, &[])
             .expect("unit-equality propagation overflow outside the guarded analysis path")
     }
 
-    /// Fallible unit-equality propagation for the guarded path.
-    pub fn try_propagate_unit_equalities(&mut self, vt: &VarTable) -> Result<(), Overflow> {
+    /// Fallible unit-equality propagation for the guarded path. Variables
+    /// in `keep` are never substituted away (a projection must still
+    /// mention them afterwards).
+    pub fn try_propagate_unit_equalities(
+        &mut self,
+        vt: &VarTable,
+        keep: &[VarId],
+    ) -> Result<(), Overflow> {
         loop {
             if self.contradictory {
                 return Ok(());
@@ -310,7 +316,7 @@ impl System {
                 // canonically-renamed systems make the same choice.
                 let mut best: Option<(u8, u32, VarId, i128)> = None;
                 for (v, coef) in c.expr.terms() {
-                    if coef == 1 || coef == -1 {
+                    if (coef == 1 || coef == -1) && !keep.contains(&v) {
                         let key = (vt.kind(v).scan_rank(), v.0);
                         if best.map_or(true, |(r, id, ..)| key > (r, id)) {
                             best = Some((key.0, key.1, v, coef));
@@ -443,27 +449,6 @@ impl System {
         lo.saturating_mul(up)
     }
 
-    /// Project the system onto `keep`, eliminating every other variable
-    /// (inner classes first, per the scan order of `vt`).
-    pub fn project_onto(&self, vt: &VarTable, keep: &[VarId]) -> System {
-        let keep: BTreeSet<VarId> = keep.iter().copied().collect();
-        let mut sys = self.clone();
-        for v in vt.elimination_order() {
-            if keep.contains(&v) {
-                continue;
-            }
-            if sys.vars().contains(&v) {
-                sys = sys
-                    .try_eliminate_owned(v)
-                    .expect("FME coefficient overflow outside the guarded analysis path");
-                if sys.contradictory {
-                    return System::contradiction();
-                }
-            }
-        }
-        sys
-    }
-
     /// Guarded feasibility test: eliminate every variable in the paper's
     /// scan order (array indices first, symbolics last) under checked
     /// arithmetic and explicit budgets.
@@ -483,7 +468,7 @@ impl System {
         }
         let mut sys = self.clone();
         let peak = sys.len();
-        if sys.reduce_for_scan(vt).is_err() {
+        if sys.reduce_for_scan(vt, &[]).is_err() {
             return (Feasibility::Unknown, peak);
         }
         let (f, loop_peak) = sys.scan_reduced(vt);
@@ -491,51 +476,99 @@ impl System {
     }
 
     /// The guarded scan's preamble: exact unit-equality propagation
-    /// followed by normalization (canonical sort, dedup, dominated-
-    /// constraint removal). The result is the deterministic reduced
-    /// form the elimination loop starts from; the overall verdict is a
-    /// pure function of it.
-    pub fn reduce_for_scan(&mut self, vt: &VarTable) -> Result<(), Overflow> {
-        self.try_propagate_unit_equalities(vt)?;
-        self.canonical_sort(vt);
-        self.dedup();
-        self.remove_dominated();
+    /// (sparing `keep`) followed by normalization (canonical sort, dedup,
+    /// dominated-constraint removal). The result is the deterministic
+    /// reduced form the elimination loop starts from; the overall
+    /// verdict is a pure function of it.
+    pub fn reduce_for_scan(&mut self, vt: &VarTable, keep: &[VarId]) -> Result<(), Overflow> {
+        self.try_propagate_unit_equalities(vt, keep)?;
+        self.normalize_for_scan(vt);
         Ok(())
     }
 
-    /// The guarded scan's elimination loop, starting from a system
-    /// already normalized by [`System::reduce_for_scan`].
-    pub fn scan_reduced(mut self, vt: &VarTable) -> (Feasibility, usize) {
+    fn normalize_for_scan(&mut self, vt: &VarTable) {
+        self.canonical_sort(vt);
+        self.dedup();
+        self.remove_dominated();
+    }
+
+    /// Guarded projection onto `keep`: eliminate every other variable in
+    /// the paper's scan order under checked arithmetic and the
+    /// [`MAX_FEAS_CONSTRAINTS`] budgets. `None` means the projection was
+    /// abandoned (overflow / budget) and proves nothing; a contradictory
+    /// result means the system has no integer solution.
+    pub fn project_onto(&self, vt: &VarTable, keep: &[VarId]) -> Option<System> {
+        let mut sys = self.clone();
+        sys.reduce_for_scan(vt, keep).ok()?;
+        sys.project_reduced(vt, keep).0
+    }
+
+    /// The one elimination loop, starting from a system already
+    /// normalized by [`System::reduce_for_scan`] with the same `keep`;
+    /// also returns the peak live constraint count.
+    pub fn project_reduced(mut self, vt: &VarTable, keep: &[VarId]) -> (Option<System>, usize) {
         let mut peak = self.len();
         for v in vt.elimination_order() {
-            if self.contradictory {
-                return (Feasibility::Infeasible, peak);
+            if self.contradictory || self.constraints.is_empty() {
+                break;
             }
-            if self.constraints.is_empty() {
-                return (Feasibility::Feasible, peak);
-            }
-            if !self.vars().contains(&v) {
+            if keep.contains(&v) || !self.vars().contains(&v) {
                 continue;
             }
             if self.elimination_pairs(v) > MAX_FEAS_CONSTRAINTS {
-                return (Feasibility::Unknown, peak);
+                return (None, peak);
             }
             self = match self.try_eliminate_owned(v) {
                 Ok(s) => s,
-                Err(Overflow) => return (Feasibility::Unknown, peak),
+                Err(Overflow) => return (None, peak),
             };
             peak = peak.max(self.len());
-            self.canonical_sort(vt);
-            self.dedup();
-            self.remove_dominated();
+            self.normalize_for_scan(vt);
             if self.len() > MAX_FEAS_CONSTRAINTS {
-                return (Feasibility::Unknown, peak);
+                return (None, peak);
             }
         }
-        if self.contradictory || !self.constraints.is_empty() {
-            (Feasibility::Infeasible, peak)
-        } else {
-            (Feasibility::Feasible, peak)
+        (Some(self), peak)
+    }
+
+    /// The guarded scan's elimination loop: project a reduced system
+    /// onto nothing and read the verdict off what is left.
+    pub fn scan_reduced(self, vt: &VarTable) -> (Feasibility, usize) {
+        let (out, peak) = self.project_reduced(vt, &[]);
+        let verdict = match out {
+            None => Feasibility::Unknown,
+            Some(s) if s.contradictory || !s.constraints.is_empty() => Feasibility::Infeasible,
+            Some(_) => Feasibility::Feasible,
+        };
+        (verdict, peak)
+    }
+
+    /// The divisibility conditions the equalities impose on `v`, as a
+    /// predicate on candidate values: `a·v + Σ aᵢ·xᵢ + c == 0` admits
+    /// `v = x` only if `a·x + c` is a multiple of `gcd(aᵢ)` (is zero when
+    /// no other variable occurs). Exact over the integers, and invisible
+    /// to the rational bounds a projection onto `v` yields. A product
+    /// that overflows is admitted.
+    pub fn congruence_filter(&self, v: VarId) -> impl Fn(i128) -> bool {
+        let eqs = self
+            .constraints
+            .iter()
+            .filter(|c| c.kind == ConstraintKind::EqZero && c.expr.coeff(v) != 0);
+        let rows: Vec<(i128, i128, i128)> = eqs
+            .map(|c| {
+                let others = c.expr.terms().filter(|&(x, _)| x != v);
+                let modulus = others.fold(0, |g, (_, k)| gcd(g, k));
+                (c.expr.coeff(v), c.expr.constant_term(), modulus)
+            })
+            .collect();
+        move |x| {
+            rows.iter().all(|&(a, c, modulus)| {
+                match a.checked_mul(x).and_then(|ax| ax.checked_add(c)) {
+                    None => true,
+                    Some(r) if modulus == 0 => r == 0,
+                    Some(r) => r % modulus == 0,
+                }
+            })
         }
     }
 
@@ -816,7 +849,7 @@ mod tests {
         let (vt, n, i, _) = table();
         let mut s = System::new();
         s.add_range(LinExpr::var(i), LinExpr::constant(1), LinExpr::var(n));
-        let p = s.project_onto(&vt, &[n]);
+        let p = s.project_onto(&vt, &[n]).expect("no overflow, no blow-up");
         // Projection of 1 <= i <= n onto n is n >= 1.
         assert!(p.constraints().iter().all(|c| c.expr.coeff(i) == 0));
         let mut feas = p.clone();
@@ -825,6 +858,50 @@ mod tests {
         let mut infeas = p.clone();
         infeas.add_eq(LinExpr::var(n)); // n == 0 contradicts n >= 1
         assert!(!infeas.is_consistent(&vt));
+    }
+
+    /// A cyclic owner equality `i == 64k + p + d` has a unit coefficient
+    /// on the kept `d`: propagation must substitute `i` (or nothing), not
+    /// `d`, or the projection silently loses the variable it is about.
+    #[test]
+    fn kept_variable_survives_unit_equality_propagation() {
+        let mut vt = VarTable::new();
+        let p = vt.fresh("p", VarKind::Processor);
+        let d = vt.fresh("d", VarKind::Processor);
+        let i = vt.fresh("i", VarKind::LoopIndex);
+        let k = vt.fresh("k", VarKind::ArrayIndex);
+        let mut s = System::new();
+        // -p + i - 64k - d == 0, i == 2 (so only d and p keep unit coefficients)
+        s.add_eq(LinExpr::var(i) - LinExpr::var(p) - LinExpr::term(k, 64) - LinExpr::var(d));
+        s.add_eq(LinExpr::var(i) - LinExpr::constant(2));
+        s.add_range(LinExpr::var(p), LinExpr::constant(0), LinExpr::constant(63));
+        let mut free = s.clone();
+        free.reduce_for_scan(&vt, &[]).unwrap();
+        assert!(!free.vars().contains(&d), "unrestricted propagation eats d");
+        let mut kept = s.clone();
+        kept.reduce_for_scan(&vt, &[d, p]).unwrap();
+        assert!(kept.vars().contains(&d) && kept.vars().contains(&p));
+        // What is left is -p - d - 64k + 2 == 0: d ≡ 2 - p (mod 64).
+        kept.substitute(p, &LinExpr::constant(0));
+        let admits = kept.congruence_filter(d);
+        assert!(admits(2) && admits(-62) && admits(66));
+        assert!(!admits(1) && !admits(-2) && !admits(0));
+        // The projection still bounds d: 0 <= p <= 63 is all that binds.
+        let proj = s.project_onto(&vt, &[d]).unwrap();
+        assert!(proj.vars().iter().all(|v| *v == d));
+        assert!(!proj.is_contradictory());
+    }
+
+    /// An equality in the kept variable alone pins it (modulus 0).
+    #[test]
+    fn congruence_filter_without_other_variables_is_an_equation() {
+        let (_, _, i, j) = table();
+        let mut s = System::new();
+        s.add_eq(LinExpr::term(i, 3) - LinExpr::constant(6));
+        let admits = s.congruence_filter(i);
+        assert!(admits(2) && !admits(3) && !admits(-2));
+        // No equality mentions j: everything is admitted.
+        assert!(s.congruence_filter(j)(17));
     }
 
     #[test]
@@ -888,6 +965,8 @@ mod tests {
         assert!(peak >= s.len());
         // The boolean view is conservative: Unknown counts as consistent.
         assert!(s.is_consistent(&vt));
+        // A projection that keeps a variable runs the same loop: `None`.
+        assert!(s.project_onto(&vt, &[vs[0]]).is_none());
     }
 
     #[test]

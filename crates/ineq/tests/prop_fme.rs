@@ -106,7 +106,10 @@ proptest! {
         let bounds: Vec<_> = vars.iter().map(|&v| (v, BOX_LO, BOX_HI)).collect();
         if let Some(sol) = sys.find_integer_solution(&bounds) {
             let keep = [vars[0]];
-            let proj = sys.project_onto(&vt, &keep);
+            let proj = sys
+                .project_onto(&vt, &keep)
+                .expect("small coefficients: no overflow, no blow-up");
+            prop_assert!(proj.vars().iter().all(|v| keep.contains(v)));
             let lookup = |v: VarId| sol.iter().find(|(a, _)| *a == v).unwrap().1;
             for c in proj.constraints() {
                 prop_assert!(c.holds_int(&lookup),

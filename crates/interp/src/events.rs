@@ -9,8 +9,8 @@
 //! [`Frame`]s shared by all events of one loop iteration.
 
 use crate::eval::{eval_affine, try_eval_affine, Env};
-use crate::kernel::{Code, Lowerer, OwnerDist};
-use analysis::{Bindings, DistSet, ProducerSpec};
+use crate::kernel::{Code, Lowerer};
+use analysis::{Bindings, DistSet, OwnerMap, ProducerSpec};
 use ir::{LoopId, NodeId, Program};
 use spmd_opt::{slot_count_items, slot_count_top, RItem, SpmdProgram, SyncOp, TopItem};
 use std::ops::Deref;
@@ -248,9 +248,9 @@ impl Unroller<'_> {
     fn producer(&self, spec: &ProducerSpec) -> usize {
         let (dist, sub) = match spec {
             ProducerSpec::Master => return 0,
-            ProducerSpec::BlockOwner { block, sub } => (OwnerDist::Block(*block), sub),
-            ProducerSpec::CyclicOwner { sub } => (OwnerDist::Cyclic, sub),
-            ProducerSpec::BlockCyclicOwner { block, sub } => (OwnerDist::BlockCyclic(*block), sub),
+            ProducerSpec::BlockOwner { block, sub } => (OwnerMap::Block(*block), sub),
+            ProducerSpec::CyclicOwner { sub } => (OwnerMap::Cyclic, sub),
+            ProducerSpec::BlockCyclicOwner { block, sub } => (OwnerMap::BlockCyclic(*block), sub),
         };
         let x = try_eval_affine(self.bind, &self.env, sub).unwrap_or(0);
         dist.owner(x, self.bind.nprocs) as usize

@@ -38,7 +38,7 @@
 use crate::events::{Event, Schedule, NO_FRAME};
 use crate::mem::{row_major_strides, subscript_out_of_bounds, Mem};
 use crate::trace::{AccessKind, Target, TraceBuffer};
-use analysis::{Bindings, LoopPartition};
+use analysis::{Bindings, LoopPartition, OwnerMap};
 use ineq::rational::{div_ceil, div_floor};
 use ir::{
     AffAtom, Affine, ArrayId, Assign, BinOp, CmpOp, Expr, LhsRef, LoopId, Node, NodeId, Program,
@@ -123,28 +123,8 @@ enum Lhs {
 /// Which processor owns the element a subscript names.
 #[derive(Clone, Copy, Debug)]
 struct Owner {
-    dist: OwnerDist,
+    dist: OwnerMap,
     sub: Lin,
-}
-
-/// How a distributed dimension maps a subscript value to a processor.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum OwnerDist {
-    Block(i64),
-    Cyclic,
-    BlockCyclic(i64),
-}
-
-impl OwnerDist {
-    /// The processor owning subscript value `x` among `nprocs`.
-    #[inline]
-    pub(crate) fn owner(self, x: i64, nprocs: i64) -> i64 {
-        match self {
-            OwnerDist::Block(block) => (x / block).clamp(0, nprocs - 1),
-            OwnerDist::Cyclic => x.rem_euclid(nprocs),
-            OwnerDist::BlockCyclic(block) => x.div_euclid(block).rem_euclid(nprocs),
-        }
-    }
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -245,7 +225,7 @@ struct Ctx<'a> {
     /// Scalar reductions go to per-processor partials.
     partial: bool,
     /// Statement-level owner test to attach.
-    owner: Option<(OwnerDist, &'a Affine)>,
+    owner: Option<(OwnerMap, &'a Affine)>,
     /// Slot of the innermost loop around the statement.
     leaf: Option<u32>,
 }
@@ -368,10 +348,10 @@ impl<'a> Lowerer<'a> {
                     block: *block,
                 };
             }
-            LoopPartition::BlockOwner { block, sub, .. } => (OwnerDist::Block(*block), sub),
-            LoopPartition::CyclicOwner { sub, .. } => (OwnerDist::Cyclic, sub),
+            LoopPartition::BlockOwner { block, sub, .. } => (OwnerMap::Block(*block), sub),
+            LoopPartition::CyclicOwner { sub, .. } => (OwnerMap::Cyclic, sub),
             LoopPartition::BlockCyclicOwner { block, sub, .. } => {
-                (OwnerDist::BlockCyclic(*block), sub)
+                (OwnerMap::BlockCyclic(*block), sub)
             }
         };
         let a = sub.coeff(phase);
@@ -382,9 +362,9 @@ impl<'a> Lowerer<'a> {
         self.par_loop(node, None);
         match dist {
             _ if a == 0 => Split::Fixed(Owner { dist, sub: rest }),
-            OwnerDist::Block(block) => Split::BlockRange { a, rest, block },
-            OwnerDist::Cyclic if a.abs() == 1 => Split::CyclicStride { a, rest },
-            OwnerDist::Cyclic | OwnerDist::BlockCyclic(_) => {
+            OwnerMap::Block(block) => Split::BlockRange { a, rest, block },
+            OwnerMap::Cyclic if a.abs() == 1 => Split::CyclicStride { a, rest },
+            OwnerMap::Cyclic | OwnerMap::BlockCyclic(_) => {
                 self.in_scope[l.id.0 as usize] = true;
                 let sub = self.lin(sub);
                 self.in_scope[l.id.0 as usize] = false;
@@ -393,7 +373,7 @@ impl<'a> Lowerer<'a> {
         }
     }
 
-    fn par_loop(&mut self, node: NodeId, owner: Option<(OwnerDist, &Affine)>) {
+    fn par_loop(&mut self, node: NodeId, owner: Option<(OwnerMap, &Affine)>) {
         self.node(
             node,
             Ctx {
