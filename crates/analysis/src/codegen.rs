@@ -13,9 +13,10 @@
 //! closed-form lower/upper expressions in `p` (and the outer loop
 //! indices), exactly what a code generator would emit as the processor's
 //! private loop header. The executor's hand-derived fast path
-//! (`interp::events`) computes the same ranges arithmetically; the
-//! property tests in this module check the two agree, which is precisely
-//! the cross-validation the SUIF implementation relied on.
+//! (the `Split` shapes of `interp::kernel`) computes the same ranges
+//! arithmetically; the property tests in this module check the two
+//! agree, which is precisely the cross-validation the SUIF
+//! implementation relied on.
 
 use crate::bindings::Bindings;
 use crate::partition::LoopPartition;

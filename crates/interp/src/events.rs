@@ -136,6 +136,15 @@ impl Schedule {
         self.num_sites
     }
 
+    /// How many consecutive iterations of each innermost loop in the
+    /// plan's kernels are independent of one another, capped at the
+    /// kernels' chunk size: what such a loop evaluates per statement
+    /// dispatch when it advances by 1 (1: iteration by iteration). In
+    /// lowering order.
+    pub fn chunk_lengths(&self) -> Vec<usize> {
+        self.code.chunk_lengths().collect()
+    }
+
     /// The phase subtree a work event's kernel was lowered from.
     pub(crate) fn kernel_node(&self, kernel: u32) -> NodeId {
         self.code.kernels[kernel as usize].node

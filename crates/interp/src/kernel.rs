@@ -21,16 +21,31 @@
 //! innermost loop (statements and guards, no loop inside) the check is
 //! hoisted to the loop header: subscripts are affine in the loop index,
 //! so both end iterations in bounds means every iteration is, and the
-//! loop then advances precomputed flat offsets. When an end iteration
-//! is out of bounds the loop runs the per-element check instead, which
-//! panics at exactly the iteration the tree walker would (or not at
-//! all, when a guard keeps the statement from running there).
+//! loop then addresses by precomputed flat offsets. When an end
+//! iteration is out of bounds the loop runs the per-element check
+//! instead, which panics at exactly the iteration the tree walker
+//! would (or not at all, when a guard keeps the statement from running
+//! there).
+//!
+//! **Chunked innermost loops.** A hoisted innermost loop does not
+//! dispatch the postfix program per element: each statement runs over
+//! up to [`CHUNK`] iterations at once, every instruction filling or
+//! combining a column of values, before the next statement starts.
+//! How many iterations may be taken together is decided at lowering
+//! from the subscripts' linear forms ([`Code::carried`]): fewer than
+//! the smallest distance at which one iteration touches what another
+//! writes, and 1 — the original order — for whatever the forms do not
+//! decide. Guards, affine in the index, clip a statement's iteration
+//! range once per loop, and reductions fold their column in iteration
+//! order, so every element sees the operations it always saw in the
+//! order it always saw them.
 //!
 //! **Tracing contract.** A kernel is compiled twice (`const TRACE`);
 //! the worker picks one instantiation when it is built, from whether
-//! the memory has a tracer. The traced one records the same
-//! `(Target, AccessKind)` sequence per statement as the reference
-//! evaluator (`crate::eval`), privatizable storage excluded.
+//! the memory has a tracer. The traced one runs every loop an element
+//! at a time and records the same `(Target, AccessKind)` sequence per
+//! statement as the reference evaluator (`crate::eval`), privatizable
+//! storage excluded.
 //!
 //! `run_sequential` is deliberately *not* lowered: it stays the
 //! independent tree-walking oracle every kernel is compared against.
@@ -136,6 +151,33 @@ struct Stmt {
     owner: Option<Owner>,
 }
 
+/// Most iterations of an innermost loop one statement is evaluated
+/// over before the next statement runs.
+pub const CHUNK: usize = 64;
+
+/// What an innermost loop (statements and guards, no loop inside) adds
+/// to a [`LoopOp`].
+#[derive(Clone, Copy, Debug)]
+struct Leaf {
+    /// The body's accesses.
+    a0: u32,
+    a1: u32,
+    /// Smallest distance, in values of the loop index, between two
+    /// iterations that touch a location one of them writes
+    /// (`i64::MAX`: no two do). Iterations closer than this can run
+    /// statement by statement instead of iteration by iteration. 1
+    /// also stands for "could not decide".
+    carried: i64,
+}
+
+impl Leaf {
+    /// How many consecutive iterations of a loop advancing by `step`
+    /// are independent.
+    fn chunk_len(&self, step: i64) -> usize {
+        (self.carried / step).clamp(1, CHUNK as i64) as usize
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct LoopOp {
     slot: u32,
@@ -143,8 +185,7 @@ struct LoopOp {
     hi: Lin,
     /// Index past the last op of the body.
     end: u32,
-    /// The body's accesses, when the body holds no further loop.
-    leaf: Option<(u32, u32)>,
+    leaf: Option<Leaf>,
 }
 
 /// Structured control flow laid out flat: a loop's or guard's body is
@@ -446,12 +487,18 @@ impl<'a> Lowerer<'a> {
                     self.node(child, Ctx { leaf, ..ctx });
                 }
                 self.in_scope[l.id.0 as usize] = false;
+                let end = self.code.ops.len() as u32;
+                let leaf = innermost.then(|| {
+                    let a1 = self.code.accs.len() as u32;
+                    let carried = self.code.carried(l.id.0, at + 1..end as usize, a0..a1);
+                    Leaf { a0, a1, carried }
+                });
                 self.code.ops[at] = Op::Loop(LoopOp {
                     slot: l.id.0,
                     lo,
                     hi,
-                    end: self.code.ops.len() as u32,
-                    leaf: innermost.then_some((a0, self.code.accs.len() as u32)),
+                    end,
+                    leaf,
                 });
             }
         }
@@ -547,6 +594,129 @@ impl<'a> Lowerer<'a> {
     }
 }
 
+impl Code {
+    /// [`Leaf::chunk_len`] at step 1 of every innermost loop lowered,
+    /// in lowering order.
+    pub(crate) fn chunk_lengths(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ops.iter().filter_map(|op| match op {
+            Op::Loop(LoopOp {
+                leaf: Some(leaf), ..
+            }) => Some(leaf.chunk_len(1)),
+            _ => None,
+        })
+    }
+
+    /// [`Leaf::carried`] of the innermost loop over `slot` whose body
+    /// is `ops` and whose accesses are `accs`.
+    ///
+    /// Evaluating a chunk of iterations statement by statement moves a
+    /// statement instance past the instances of the chunk's other
+    /// iterations, and one statement's loads ahead of its own stores.
+    /// Both are invisible when nothing written in one iteration is
+    /// touched in another iteration of the chunk, which is decided here
+    /// from the linear forms alone; whatever they do not decide counts
+    /// as distance 1, and one iteration at a time is always the
+    /// original order.
+    fn carried(&self, slot: u32, ops: Range<usize>, accs: Range<u32>) -> i64 {
+        let stmts = || {
+            self.ops[ops.clone()].iter().filter_map(|op| match op {
+                Op::Stmt(s) => Some(&self.stmts[*s as usize]),
+                _ => None,
+            })
+        };
+        // How often the body names scalar `id`: as a target, or in a
+        // right-hand side.
+        let mentions = |id: ScalarId| -> usize {
+            stmts()
+                .map(|s| {
+                    let target = match s.lhs {
+                        Lhs::Scalar { id: t, .. } | Lhs::ScalarRmw { id: t, .. } => t == id,
+                        Lhs::Partial(k) => self.partials[k as usize].0 == id,
+                        Lhs::Elem { .. } => false,
+                    };
+                    let reads = self.instrs[s.i0 as usize..s.i1 as usize]
+                        .iter()
+                        .filter(|ins| matches!(ins, Instr::Scalar { id: r, .. } if *r == id))
+                        .count();
+                    target as usize + reads
+                })
+                .sum()
+        };
+        let mut carried = i64::MAX;
+        for s in stmts() {
+            // An owner test depends on the instance.
+            if s.owner.is_some() {
+                return 1;
+            }
+            let target = match s.lhs {
+                Lhs::Elem { acc: w, .. } => {
+                    for x in accs.clone().filter(|&x| x != w) {
+                        if self.accs[x as usize].array == self.accs[w as usize].array {
+                            carried = carried.min(self.touch_distance(slot, w, x));
+                        }
+                    }
+                    continue;
+                }
+                Lhs::Scalar { id, .. } | Lhs::ScalarRmw { id, .. } => id,
+                Lhs::Partial(k) => self.partials[k as usize].0,
+            };
+            // A scalar target is folded in iteration order by its own
+            // statement; any other mention would see or reorder the
+            // intermediate values.
+            if mentions(target) > 1 {
+                return 1;
+            }
+        }
+        carried
+    }
+
+    /// Smallest non-zero distance `|i1 − i2|` at which access `w` in
+    /// iteration `i1` of the loop over `slot` and access `x` in
+    /// iteration `i2` can name the same element (`i64::MAX`: never, 1:
+    /// undecided). Every other slot holds one value for the whole loop,
+    /// so two subscripts of one dimension whose forms agree up to the
+    /// constant, `c_w + a·i1 + r` and `c_x + a·i2 + r`, are equal
+    /// exactly when `a·(i1 − i2) = c_x − c_w`.
+    fn touch_distance(&self, slot: u32, w: u32, x: u32) -> i64 {
+        let dims = |a: u32| {
+            let a = &self.accs[a as usize];
+            &self.dims[a.d0 as usize..a.d1 as usize]
+        };
+        let outer = |lin: &Lin| {
+            self.terms[lin.t0 as usize..lin.t1 as usize]
+                .iter()
+                .filter(move |t| t.slot != slot)
+                .map(|t| (t.slot, t.coeff))
+        };
+        let mut decided = true;
+        // `i1 − i2`, from the dimensions the loop index moves.
+        let mut delta: Option<i128> = None;
+        for (dw, dx) in dims(w).iter().zip(dims(x)) {
+            if dw.inner != dx.inner || !outer(&dw.sub).eq(outer(&dx.sub)) {
+                decided = false;
+                continue;
+            }
+            let diff = dx.sub.c as i128 - dw.sub.c as i128;
+            let a = dw.inner as i128;
+            if a == 0 {
+                if diff != 0 {
+                    return i64::MAX;
+                }
+            } else if diff % a != 0 || delta.is_some_and(|d| d != diff / a) {
+                return i64::MAX;
+            } else {
+                delta = Some(diff / a);
+            }
+        }
+        match delta {
+            Some(0) if decided => i64::MAX,
+            Some(d) if decided => i64::try_from(d.abs()).unwrap_or(i64::MAX),
+            // Undecided, or the same element in every iteration.
+            _ => 1,
+        }
+    }
+}
+
 /// The parts of a worker no kernel mutates.
 struct Cx<'a> {
     code: &'a Code,
@@ -560,28 +730,33 @@ struct Cx<'a> {
 struct Live<'a> {
     /// Cells of the array, as this processor sees it.
     cells: &'a [AtomicU64],
-    /// Flat offset at the current iteration of the hoisted loop the
-    /// access sits in, and what one iteration adds to it.
+    /// Flat offset at the first iteration of the running hoisted loop
+    /// the access sits in, and what one iteration adds.
     off: i64,
     step: i64,
 }
 
 /// One processor's executor for the work events of a schedule: the
 /// kernel table plus the scratch state kernels run in (loop slots,
-/// value stack, hoisted offsets, reduction partials), allocated once
-/// per run instead of once per event.
+/// value stack and its chunk-wide columns, hoisted offsets, reduction
+/// partials), allocated once per run instead of once per event.
 pub struct Worker<'a> {
     cx: Cx<'a>,
     sched: &'a Schedule,
     run: fn(&mut Worker<'a>, &Kernel),
     slots: Vec<i64>,
     stack: Vec<f64>,
+    /// One column of [`CHUNK`] values per stack slot.
+    cols: Vec<f64>,
     /// Per access of the schedule.
     live: Vec<Live<'a>>,
     /// Partial-reduction registers, and those the running kernel has
     /// touched, in first-touch order (the flush order).
     partials: Vec<f64>,
     touched: Vec<u32>,
+    /// The statements of the running hoisted loop, each with the
+    /// iterations it runs at.
+    spans: Vec<(u32, Span)>,
 }
 
 impl<'a> Worker<'a> {
@@ -622,9 +797,11 @@ impl<'a> Worker<'a> {
             },
             slots: vec![0; code.num_slots],
             stack: vec![0.0; code.max_stack],
+            cols: vec![0.0; code.max_stack * CHUNK],
             live,
             partials: vec![0.0; code.partials.len()],
             touched: Vec::new(),
+            spans: Vec::new(),
         }
     }
 
@@ -651,7 +828,7 @@ impl<'a> Worker<'a> {
     fn run<const TRACE: bool>(&mut self, k: &Kernel) {
         let (o0, o1) = (k.o0 as usize, k.o1 as usize);
         let Who::Split(split) = k.who else {
-            return self.run_ops::<TRACE, false>(o0, o1);
+            return self.run_ops::<TRACE>(o0, o1);
         };
         let Op::Loop(l) = self.cx.code.ops[o0] else {
             unreachable!("a distributed phase is a loop")
@@ -713,14 +890,13 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// The ops `pc..end`. `HOISTED`: they are the body of an innermost
-    /// loop whose accesses were proved in bounds (see [`Worker::hoist`]).
-    fn run_ops<const TRACE: bool, const HOISTED: bool>(&mut self, mut pc: usize, end: usize) {
+    /// The ops `pc..end` at the current loop indices.
+    fn run_ops<const TRACE: bool>(&mut self, mut pc: usize, end: usize) {
         let code = self.cx.code;
         while pc < end {
             match code.ops[pc] {
                 Op::Stmt(s) => {
-                    self.run_stmt::<TRACE, HOISTED>(&code.stmts[s as usize]);
+                    self.run_stmt::<TRACE, false>(&code.stmts[s as usize], 0);
                     pc += 1;
                 }
                 Op::Guard { c0, c1, end: past } => {
@@ -733,7 +909,7 @@ impl<'a> Worker<'a> {
                         }
                     });
                     if holds {
-                        self.run_ops::<TRACE, HOISTED>(pc + 1, past as usize);
+                        self.run_ops::<TRACE>(pc + 1, past as usize);
                     }
                     pc = past as usize;
                 }
@@ -748,7 +924,10 @@ impl<'a> Worker<'a> {
     }
 
     /// Iterations `start, start+step, … <= hi` of loop `l`, whose body
-    /// starts at op `body`.
+    /// starts at op `body`. An innermost loop whose accesses are all in
+    /// bounds runs a chunk at a time; one with an end iteration out of
+    /// bounds, and every traced loop, runs an element at a time, in the
+    /// reference evaluator's order.
     fn run_loop<const TRACE: bool>(
         &mut self,
         l: &LoopOp,
@@ -762,48 +941,30 @@ impl<'a> Worker<'a> {
         }
         let last = start + (hi - start) / step * step;
         match l.leaf {
-            Some((a0, a1)) if self.hoist(a0 as usize..a1 as usize, l, start, step, last) => {
-                self.iterate::<TRACE, true>(l, body, start, step, last)
+            Some(leaf) if !TRACE && self.hoist(&leaf, l.slot, start, step, last) => {
+                self.run_chunks(l, &leaf, body, step, (last - start) / step + 1)
             }
-            _ => self.iterate::<TRACE, false>(l, body, start, step, last),
-        }
-    }
-
-    fn iterate<const TRACE: bool, const HOISTED: bool>(
-        &mut self,
-        l: &LoopOp,
-        body: usize,
-        start: i64,
-        step: i64,
-        last: i64,
-    ) {
-        let mut i = start;
-        loop {
-            self.slots[l.slot as usize] = i;
-            self.run_ops::<TRACE, HOISTED>(body, l.end as usize);
-            if i == last {
-                return;
-            }
-            i += step;
-            if let (true, Some((a0, a1))) = (HOISTED, l.leaf) {
-                for live in &mut self.live[a0 as usize..a1 as usize] {
-                    live.off += live.step;
+            _ => {
+                for i in (start..=last).step_by(step as usize) {
+                    self.slots[l.slot as usize] = i;
+                    self.run_ops::<TRACE>(body, l.end as usize);
                 }
             }
         }
     }
 
     /// Check every access of an innermost loop at its first and last
-    /// iteration and set up the flat offsets the loop then advances.
+    /// iteration and set up the flat offsets the loop then addresses
+    /// from.
     /// Subscripts are affine in the index, so both ends in bounds means
     /// every iteration is, whichever of them its guards let run.
     /// `false` when some subscript leaves its dimension at an end: the
     /// loop must then check per element (and panic where, and only if,
     /// the reference would).
-    fn hoist(&mut self, accs: Range<usize>, l: &LoopOp, start: i64, step: i64, last: i64) -> bool {
-        self.slots[l.slot as usize] = start;
+    fn hoist(&mut self, leaf: &Leaf, slot: u32, start: i64, step: i64, last: i64) -> bool {
+        self.slots[slot as usize] = start;
         let code = self.cx.code;
-        for a in accs {
+        for a in leaf.a0 as usize..leaf.a1 as usize {
             let acc = &code.accs[a];
             let (mut off, mut stride) = (0i64, 0i64);
             for d in &code.dims[acc.d0 as usize..acc.d1 as usize] {
@@ -822,10 +983,167 @@ impl<'a> Worker<'a> {
         true
     }
 
-    /// One statement instance. `HOISTED`: the enclosing loop already
-    /// proved every subscript in bounds and maintains the flat offsets.
+    /// A hoisted innermost loop, [`Leaf::chunk_len`] iterations at a
+    /// time: each statement of the body runs over the whole chunk
+    /// before the next one starts. A guard is affine in the loop index,
+    /// so it holds on a range of iterations: every statement's range is
+    /// worked out once, here, instead of testing guards per element.
+    fn run_chunks(&mut self, l: &LoopOp, leaf: &Leaf, body: usize, step: i64, trips: i64) {
+        let whole = Span {
+            slot: l.slot,
+            step,
+            lo: 0,
+            hi: trips,
+        };
+        self.spans.clear();
+        self.clip_ops(body, l.end as usize, whole);
+        let lo = self.spans.iter().map(|(_, s)| s.lo).min().unwrap_or(0);
+        let hi = self.spans.iter().map(|(_, s)| s.hi).max().unwrap_or(0);
+        let len = leaf.chunk_len(step) as i64;
+        let stmts = &self.cx.code.stmts;
+        if len == 1 {
+            // The reference order, where a column of one value costs
+            // more than a stack slot. A loop of its own: as a branch of
+            // the chunk loop below it slowed `chunk_stmt` by a third.
+            let first = self.slots[l.slot as usize];
+            for k in lo..hi {
+                self.slots[l.slot as usize] = first + k * step;
+                for n in 0..self.spans.len() {
+                    let (stmt, span) = self.spans[n];
+                    if span.lo <= k && k < span.hi {
+                        self.run_stmt::<false, true>(&stmts[stmt as usize], k);
+                    }
+                }
+            }
+            return;
+        }
+        for from in (lo..hi).step_by(len as usize) {
+            for n in 0..self.spans.len() {
+                let (stmt, mut span) = self.spans[n];
+                span.lo = span.lo.max(from);
+                span.hi = span.hi.min(from + len);
+                if span.lo < span.hi {
+                    self.chunk_stmt(&stmts[stmt as usize], span);
+                }
+            }
+        }
+    }
+
+    /// Collect into `self.spans` the statements among ops `pc..end` of
+    /// an innermost loop's body, in order, each with the iterations of
+    /// `span` its guards let it run at.
+    fn clip_ops(&mut self, mut pc: usize, end: usize, span: Span) {
+        let code = self.cx.code;
+        while pc < end {
+            match code.ops[pc] {
+                Op::Stmt(s) => {
+                    self.spans.push((s, span));
+                    pc += 1;
+                }
+                Op::Guard { c0, c1, end: past } => {
+                    let mut inner = span;
+                    for c in &code.conds[c0 as usize..c1 as usize] {
+                        let (v0, dv) = self.cx.eval_span(&c.lin, &self.slots, &span);
+                        inner.clip(c.op, v0, dv);
+                    }
+                    if inner.lo < inner.hi {
+                        self.clip_ops(pc + 1, past as usize, inner);
+                    }
+                    pc = past as usize;
+                }
+                Op::Loop(_) => unreachable!("an innermost loop holds no loop"),
+            }
+        }
+    }
+
+    /// One statement over the iterations of `at` (at most [`CHUNK`]):
+    /// every postfix instruction fills or combines a whole column, then
+    /// the left-hand side takes the result column in iteration order.
+    fn chunk_stmt(&mut self, s: &Stmt, at: Span) {
+        debug_assert!(s.owner.is_none(), "an owner test runs per instance");
+        let cx = &self.cx;
+        let slots = &self.slots[..];
+        let len = (at.hi - at.lo) as usize;
+        // An access at the statement's first iteration.
+        let place = |a: u32| -> (&[AtomicU64], i64, i64) {
+            let l = &self.live[a as usize];
+            (l.cells, l.off + l.step * at.lo, l.step)
+        };
+        let cols = &mut self.cols[..];
+        let mut sp = 0usize;
+        for ins in &cx.code.instrs[s.i0 as usize..s.i1 as usize] {
+            let top = sp * CHUNK;
+            match *ins {
+                Instr::Lit(v) => cols[top..top + len].fill(v),
+                Instr::Idx(lin) => {
+                    let (v0, dv) = cx.eval_span(&lin, slots, &at);
+                    for (k, c) in (at.lo..at.hi).zip(&mut cols[top..top + len]) {
+                        *c = (v0 + dv * k) as f64;
+                    }
+                }
+                Instr::Scalar { id, .. } => cols[top..top + len].fill(cx.mem.get_scalar(id)),
+                Instr::Load(a) => {
+                    let (cells, off, step) = place(a);
+                    load_col(cells, off, step, &mut cols[top..top + len]);
+                }
+                Instr::Bin(op) => {
+                    sp -= 1;
+                    let (x, y) = cols.split_at_mut(sp * CHUNK);
+                    bin_col(op, &mut x[(sp - 1) * CHUNK..][..len], &y[..len]);
+                    continue;
+                }
+                Instr::Un(op) => {
+                    un_col(op, &mut cols[top - CHUNK..][..len]);
+                    continue;
+                }
+            }
+            sp += 1;
+        }
+        let vals = &cols[..len];
+        match s.lhs {
+            Lhs::Scalar { id, .. } => cx.mem.set_scalar(id, vals[len - 1]),
+            Lhs::ScalarRmw { id, op, .. } => {
+                cx.mem
+                    .set_scalar(id, fold_col(op, cx.mem.get_scalar(id), vals));
+            }
+            Lhs::Partial(k) => {
+                let (_, op) = cx.code.partials[k as usize];
+                let reg = &mut self.partials[k as usize];
+                if !self.touched.contains(&k) {
+                    self.touched.push(k);
+                    *reg = op.identity();
+                }
+                *reg = fold_col(op, *reg, vals);
+            }
+            Lhs::Elem { acc, red } => {
+                let (cells, off, step) = place(acc);
+                match red {
+                    None => store_col(cells, off, step, vals),
+                    // Element reductions are a non-atomic RMW; on a
+                    // cell the loop does not move, one of them.
+                    Some(op) if step == 0 => {
+                        let c = &cells[off as usize];
+                        let acc = fold_col(op, f64::from_bits(c.load(Ordering::Relaxed)), vals);
+                        c.store(acc.to_bits(), Ordering::Relaxed);
+                    }
+                    Some(op) => {
+                        for (k, &v) in vals.iter().enumerate() {
+                            let c = &cells[(off + step * k as i64) as usize];
+                            let acc = op.apply(f64::from_bits(c.load(Ordering::Relaxed)), v);
+                            c.store(acc.to_bits(), Ordering::Relaxed);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// One statement instance at the current loop indices. `HOISTED`:
+    /// it is iteration `k` of a hoisted loop, so its accesses are in
+    /// bounds, `k` steps from their offsets at the loop's first
+    /// iteration; otherwise every subscript is checked.
     #[inline]
-    fn run_stmt<const TRACE: bool, const HOISTED: bool>(&mut self, s: &Stmt) {
+    fn run_stmt<const TRACE: bool, const HOISTED: bool>(&mut self, s: &Stmt, k: i64) {
         let cx = &self.cx;
         let slots = &self.slots[..];
         if let Some(owner) = &s.owner {
@@ -838,7 +1156,7 @@ impl<'a> Worker<'a> {
         let cell = |a: u32| -> (&AtomicU64, usize) {
             let l = &live[a as usize];
             let off = if HOISTED {
-                l.off as usize
+                (l.off + l.step * k) as usize
             } else {
                 cx.addr(&cx.code.accs[a as usize], slots)
             };
@@ -925,6 +1243,114 @@ impl<'a> Worker<'a> {
     }
 }
 
+/// Iterations `lo..hi` of the running innermost loop over `slot`,
+/// counted from its first (whose index the slot holds), the index
+/// advancing by `step` per iteration.
+#[derive(Clone, Copy)]
+struct Span {
+    slot: u32,
+    step: i64,
+    lo: i64,
+    hi: i64,
+}
+
+impl Span {
+    /// Keep the iterations `k` at which `v0 + dv·k` compares to 0 as
+    /// `op` says.
+    fn clip(&mut self, op: CmpOp, v0: i64, dv: i64) {
+        // v0 + dv·k >= 0
+        let mut ge = |v0: i128, dv: i128| {
+            if dv > 0 {
+                self.lo = self.lo.max(div_ceil(-v0, dv).min(self.hi as i128) as i64);
+            } else if dv < 0 {
+                self.hi = self
+                    .hi
+                    .min((div_floor(v0, -dv) + 1).max(self.lo as i128) as i64);
+            } else if v0 < 0 {
+                self.hi = self.lo;
+            }
+        };
+        let (v0, dv) = (v0 as i128, dv as i128);
+        if matches!(op, CmpOp::Ge | CmpOp::Eq) {
+            ge(v0, dv);
+        }
+        if matches!(op, CmpOp::Le | CmpOp::Eq) {
+            ge(-v0, -dv);
+        }
+    }
+}
+
+/// Column `out[k] = cells[off + step·k]`.
+fn load_col(cells: &[AtomicU64], off: i64, step: i64, out: &mut [f64]) {
+    let get = |c: &AtomicU64| f64::from_bits(c.load(Ordering::Relaxed));
+    match step {
+        1 => {
+            let src = &cells[off as usize..off as usize + out.len()];
+            for (o, c) in out.iter_mut().zip(src) {
+                *o = get(c);
+            }
+        }
+        0 => out.fill(get(&cells[off as usize])),
+        _ => {
+            for (k, o) in out.iter_mut().enumerate() {
+                *o = get(&cells[(off + step * k as i64) as usize]);
+            }
+        }
+    }
+}
+
+/// `cells[off + step·k] = vals[k]`, in order.
+fn store_col(cells: &[AtomicU64], off: i64, step: i64, vals: &[f64]) {
+    if step == 1 {
+        let dst = &cells[off as usize..off as usize + vals.len()];
+        for (c, v) in dst.iter().zip(vals) {
+            c.store(v.to_bits(), Ordering::Relaxed);
+        }
+    } else {
+        for (k, v) in vals.iter().enumerate() {
+            cells[(off + step * k as i64) as usize].store(v.to_bits(), Ordering::Relaxed);
+        }
+    }
+}
+
+/// One loop per operator: inside each the operator is a constant, so
+/// `apply` reduces to the one operation and the loop can vectorize.
+macro_rules! per_operator {
+    ($op:expr, $ty:ident { $($variant:ident)* }, |$o:ident| $body:expr) => {
+        match $op {
+            $($ty::$variant => {
+                let $o = $ty::$variant;
+                $body
+            })*
+        }
+    };
+}
+
+/// `x[k] = op(x[k], y[k])`.
+fn bin_col(op: BinOp, x: &mut [f64], y: &[f64]) {
+    per_operator!(op, BinOp { Add Sub Mul Div Min Max }, |o| {
+        for (a, b) in x.iter_mut().zip(y) {
+            *a = o.apply(*a, *b);
+        }
+    })
+}
+
+/// `x[k] = op(x[k])`.
+fn un_col(op: UnOp, x: &mut [f64]) {
+    per_operator!(op, UnOp { Neg Sqrt Abs Exp Sin Cos }, |o| {
+        for a in x {
+            *a = o.apply(*a);
+        }
+    })
+}
+
+/// `op(… op(op(acc, vals[0]), vals[1]) …)`: the order a loop folds in.
+fn fold_col(op: RedOp, acc: f64, vals: &[f64]) -> f64 {
+    per_operator!(op, RedOp { Add Max Min }, |o| {
+        vals.iter().fold(acc, |acc, &v| o.apply(acc, v))
+    })
+}
+
 impl Cx<'_> {
     #[inline]
     fn eval(&self, lin: &Lin, slots: &[i64]) -> i64 {
@@ -933,6 +1359,20 @@ impl Cx<'_> {
             v += t.coeff * slots[t.slot as usize];
         }
         v
+    }
+
+    /// `lin` along a hoisted loop: its value at the loop's first
+    /// iteration and what one iteration adds.
+    #[inline]
+    fn eval_span(&self, lin: &Lin, slots: &[i64], at: &Span) -> (i64, i64) {
+        let (mut v, mut inner) = (lin.c, 0);
+        for t in &self.code.terms[lin.t0 as usize..lin.t1 as usize] {
+            v += t.coeff * slots[t.slot as usize];
+            if t.slot == at.slot {
+                inner += t.coeff;
+            }
+        }
+        (v, inner * at.step)
     }
 
     /// Flat offset of an access, every dimension checked.
@@ -1329,15 +1769,15 @@ mod tests {
         }
     }
 
-    /// `DOALL i: DO j = 0..m-1: A[i][j] = B[i][j+1]` on `n × m` arrays:
+    /// `DOALL i: DO j = 0..m-1: A[i][j] = B[i][j+1]` on `4 × m` arrays:
     /// `j + 1 == m` leaves dimension 1 while the flat offset is still
     /// inside `B` for every row but the last.
-    fn row_overrun(guarded: bool) -> (Program, Bindings) {
+    fn row_overrun(guarded: bool, m: i64) -> (Program, Bindings) {
         let mut pb = ProgramBuilder::new("overrun");
-        let a = pb.array("A", &[con(4), con(8)], dist_block_dim(0));
-        let b = pb.array("B", &[con(4), con(8)], dist_block_dim(0));
+        let a = pb.array("A", &[con(4), con(m)], dist_block_dim(0));
+        let b = pb.array("B", &[con(4), con(m)], dist_block_dim(0));
         let i = pb.begin_par("i", con(0), con(3));
-        let j = pb.begin_seq("j", con(0), con(7));
+        let j = pb.begin_seq("j", con(0), con(m - 1));
         if guarded {
             pb.begin_guard(vec![ge0(idx(j))]);
         }
@@ -1352,9 +1792,12 @@ mod tests {
 
     #[test]
     fn one_dimension_out_of_bounds_panics_before_the_access() {
-        for guarded in [false, true] {
-            let (prog, bind) = row_overrun(guarded);
+        // The loop is independent, so it would run 64 iterations at a
+        // time; with an end out of bounds it must not, at any length.
+        for (guarded, m) in [(false, 8), (true, 8), (false, 2 * CHUNK as i64 + 3)] {
+            let (prog, bind) = row_overrun(guarded, m);
             let plan = fork_join(&prog, &bind);
+            assert_eq!(unroll(&prog, &bind, &plan).chunk_lengths(), [CHUNK]);
             let mem = Mem::new(&prog, &bind);
             mem.fill(ArrayId(1), |_| 7.0);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1364,12 +1807,12 @@ mod tests {
                 .expect_err("the overrun must panic")
                 .downcast::<String>()
                 .expect("a formatted panic message");
-            assert_eq!(msg, "subscript 8 out of bounds 0..8 in dim 1");
+            assert_eq!(msg, format!("subscript {m} out of bounds 0..{m} in dim 1"));
             // Row 0 was copied up to the offending element and no further:
-            // the read of B[0][8] (flat offset 8 = B[1][0]) never happened.
+            // the read of B[0][m] (flat offset m = B[1][0]) never happened.
             let a = mem.array(ArrayId(0));
-            assert_eq!(a.get(&[0, 6]), 7.0);
-            assert_eq!(a.get(&[0, 7]), 0.0);
+            assert_eq!(a.get(&[0, m - 2]), 7.0);
+            assert_eq!(a.get(&[0, m - 1]), 0.0);
         }
     }
 
@@ -1391,6 +1834,333 @@ mod tests {
             (pb.finish(), Vec::new())
         };
         check(&build, 0.0);
+    }
+
+    /// The innermost loops of `build`'s program lower with chunk lengths
+    /// `lens`, and at `P ∈ {1, 2, 3}` the chunked kernels leave the same
+    /// bits as the element-at-a-time evaluator (which a traced memory
+    /// selects) and come within `tol` of `run_sequential` (0 unless a
+    /// scalar sum is reassociated across processors). Arrays hold
+    /// values whose sums round, so a reordered fold would show.
+    fn check_chunks(
+        build: &dyn Fn() -> (Program, Vec<(ir::SymId, i64)>),
+        lens: &[usize],
+        tol: f64,
+    ) {
+        let (prog, syms) = build();
+        let fill = |mem: &Mem| {
+            for a in 0..prog.arrays.len() {
+                mem.fill(ArrayId(a as u32), |s| {
+                    let h = s.iter().fold(a as i64 + 3, |h, &x| (h * 29 + x) % 23);
+                    0.1 + h as f64 / 7.0
+                });
+            }
+        };
+        for p in [1, 2, 3] {
+            let mut bind = Bindings::new(p);
+            for &(s, v) in &syms {
+                bind.bind(s, v);
+            }
+            let plan = fork_join(&prog, &bind);
+            let sched = unroll(&prog, &bind, &plan);
+            assert_eq!(sched.chunk_lengths(), lens, "{} P={p}", prog.name);
+            let oracle = Mem::new(&prog, &bind);
+            fill(&oracle);
+            run_sequential(&prog, &bind, &oracle);
+            let chunked = Mem::new(&prog, &bind);
+            let scalar = Mem::new(&prog, &bind).with_tracer(Default::default());
+            for mem in [&chunked, &scalar] {
+                fill(mem);
+                run_virtual(&prog, &bind, &plan, mem, ScheduleOrder::Reverse);
+            }
+            let d = chunked.max_abs_diff(&scalar);
+            assert_eq!(
+                d, 0.0,
+                "{} P={p}: chunked and scalar order differ",
+                prog.name
+            );
+            let d = chunked.max_abs_diff(&oracle);
+            assert!(d <= tol, "{} P={p}: off by {d:e}", prog.name);
+        }
+    }
+
+    /// `DOALL i = 0..3: DO j = lo..hi: body` over `4 × w` arrays `X`,
+    /// `Y`, `Z` (rows distributed) and a vector `Q` of 4.
+    fn nest(
+        name: &str,
+        w: i64,
+        (lo, hi): (i64, i64),
+        body: impl Fn(&mut ProgramBuilder, [ArrayId; 4], LoopId, LoopId),
+    ) -> (Program, Vec<(ir::SymId, i64)>) {
+        let mut pb = ProgramBuilder::new(name);
+        let arrays = [
+            pb.array("X", &[con(4), con(w)], dist_block_dim(0)),
+            pb.array("Y", &[con(4), con(w)], dist_block_dim(0)),
+            pb.array("Z", &[con(4), con(w)], dist_block_dim(0)),
+            pb.array("Q", &[con(4)], dist_block()),
+        ];
+        let i = pb.begin_par("i", con(0), con(3));
+        let j = pb.begin_seq("j", con(lo), con(hi));
+        body(&mut pb, arrays, i, j);
+        pb.end();
+        pb.end();
+        (pb.finish(), Vec::new())
+    }
+
+    const C: i64 = CHUNK as i64;
+
+    #[test]
+    fn trip_counts_around_the_chunk_size() {
+        for trips in [1, C - 1, C, C + 1, 2 * C + 3] {
+            let build = || {
+                nest(
+                    "trips",
+                    trips + 2,
+                    (2, trips + 1),
+                    |pb, [x, y, _, q], i, j| {
+                        let here = [idx(i), idx(j)];
+                        pb.assign(
+                            elem(x, here.clone()),
+                            arr(y, here.clone()) * ex(1.5)
+                                - ival(idx(j)) / arr(y, [idx(i), idx(j) - 2]),
+                        );
+                        pb.reduce(elem(q, [idx(i)]), RedOp::Add, arr(x, here.clone()).sqrt());
+                    },
+                )
+            };
+            check_chunks(&build, &[CHUNK], 0.0);
+        }
+    }
+
+    /// `DOALL i: A[a·i + c] = B[i]·2 − A[a·i + c]/i` under `i >= 37`,
+    /// `A` distributed by `dist`.
+    fn guarded_affine_write(
+        dist: DistSpec,
+        a: i64,
+        c: i64,
+        n: i64,
+    ) -> (Program, Vec<(ir::SymId, i64)>) {
+        let mut pb = ProgramBuilder::new("guarded_affine_write");
+        let arr_a = pb.array("A", &[con(n)], dist);
+        let b = pb.array("B", &[con(n)], dist_repl());
+        let i = pb.begin_par("i", con(1), con(n - 1));
+        pb.begin_guard(vec![ge0(idx(i) - 37)]);
+        let at = [idx(i) * a + c];
+        pb.assign(
+            elem(arr_a, at.clone()),
+            arr(b, [idx(i)]) * ex(2.0) - arr(arr_a, at) / ival(idx(i)),
+        );
+        pb.end();
+        pb.end();
+        (pb.finish(), Vec::new())
+    }
+
+    #[test]
+    fn a_cyclic_split_steps_by_p_and_subscripts_may_run_backwards() {
+        let n = 3 * (2 * C + 3);
+        let cyclic = || guarded_affine_write(dist_cyclic(), 1, 0, n);
+        assert!(matches!(
+            split_of(&cyclic, 3),
+            Split::CyclicStride { a: 1, .. }
+        ));
+        check_chunks(&cyclic, &[CHUNK], 0.0);
+        let backwards = || guarded_affine_write(dist_cyclic(), -1, n - 1, n);
+        check_chunks(&backwards, &[CHUNK], 0.0);
+        let block = || guarded_affine_write(dist_block(), -1, n - 1, n);
+        assert!(matches!(
+            split_of(&block, 3),
+            Split::BlockRange { a: -1, .. }
+        ));
+        check_chunks(&block, &[CHUNK], 0.0);
+    }
+
+    #[test]
+    fn a_carried_loop_runs_no_more_iterations_at_once_than_its_distance() {
+        for (dist, len) in [(1, 1), (3, 3), (C + 1, CHUNK)] {
+            let build = || {
+                nest(
+                    "carried",
+                    3 * C,
+                    (dist, 3 * C - 1),
+                    |pb, [x, y, _, _], i, j| {
+                        pb.assign(
+                            elem(x, [idx(i), idx(j)]),
+                            arr(x, [idx(i), idx(j) - dist]) * ex(0.75) + arr(y, [idx(i), idx(j)]),
+                        );
+                    },
+                )
+            };
+            check_chunks(&build, &[len], 0.0);
+        }
+        // Reading ahead is a dependence too: the next statement instance
+        // must see the old value.
+        let ahead = || {
+            nest("ahead", 3 * C, (0, 3 * C - 3), |pb, [x, y, _, _], i, j| {
+                pb.assign(
+                    elem(y, [idx(i), idx(j)]),
+                    arr(x, [idx(i), idx(j)]) + ex(0.3),
+                );
+                pb.assign(
+                    elem(x, [idx(i), idx(j) + 2]),
+                    arr(y, [idx(i), idx(j)]) * ex(1.1),
+                );
+            })
+        };
+        check_chunks(&ahead, &[2], 0.0);
+    }
+
+    #[test]
+    fn another_row_of_the_written_array_is_independent() {
+        let build = || {
+            let mut pb = ProgramBuilder::new("rows");
+            let x = pb.array("X", &[con(5), con(2 * C + 3)], dist_block_dim(1));
+            let i = pb.begin_seq("i", con(1), con(4));
+            let j = pb.begin_par("j", con(0), con(2 * C + 2));
+            pb.assign(
+                elem(x, [idx(i), idx(j)]),
+                arr(x, [idx(i), idx(j)]) * ex(0.3) + arr(x, [idx(i) - 1, idx(j)]),
+            );
+            pb.end();
+            pb.end();
+            (pb.finish(), Vec::new())
+        };
+        check_chunks(&build, &[CHUNK], 0.0);
+    }
+
+    /// `X[i][2j] = f(X[i][2j + off])`: odd `off` never meets an even
+    /// element, even `off` meets it `off / 2` iterations away.
+    #[test]
+    fn strided_accesses_are_compared_by_divisibility() {
+        for (off, len) in [(1, CHUNK), (-3, CHUNK), (2, 1), (6, 3), (-4, 2)] {
+            let build = || {
+                nest("strided", 4 * C, (2, C + 9), |pb, [x, _, _, _], i, j| {
+                    pb.assign(
+                        elem(x, [idx(i), idx(j) * 2]),
+                        arr(x, [idx(i), idx(j) * 2 + off]) * ex(0.9) + ex(0.1),
+                    );
+                })
+            };
+            check_chunks(&build, &[len], 0.0);
+        }
+    }
+
+    #[test]
+    fn undecided_pairs_run_an_iteration_at_a_time() {
+        // Another stride, an index in another dimension, and a cell the
+        // loop does not move that a second statement also touches.
+        type Body = dyn Fn(&mut ProgramBuilder, [ArrayId; 4], LoopId, LoopId);
+        let bodies: [&Body; 3] = [
+            &|pb, [x, _, _, _], i, j| {
+                pb.assign(
+                    elem(x, [idx(i), idx(j) * 2]),
+                    arr(x, [idx(i), idx(j)]) + ex(0.1),
+                );
+            },
+            &|pb, [x, _, _, _], i, j| {
+                pb.assign(
+                    elem(x, [idx(i), idx(j)]),
+                    arr(x, [idx(j), idx(i)]) + ex(0.1),
+                );
+            },
+            &|pb, [x, _, _, q], i, j| {
+                pb.reduce(elem(q, [idx(i)]), RedOp::Add, arr(x, [idx(i), idx(j)]));
+                pb.assign(elem(x, [idx(i), idx(j)]), arr(q, [idx(i)]) * ex(0.5));
+            },
+        ];
+        for body in bodies {
+            check_chunks(&|| nest("undecided", 4 * C, (0, 3), body), &[1], 0.0);
+        }
+    }
+
+    #[test]
+    fn reductions_fold_in_iteration_order() {
+        // An element reduction into a cell the loop does not move, a
+        // scalar sum and a scalar max, all in one body.
+        let build = || {
+            let mut pb = ProgramBuilder::new("folds");
+            let a = pb.array("A", &[con(6), con(2 * C + 3)], dist_block_dim(0));
+            let v = pb.array("V", &[con(2 * C + 3)], dist_repl());
+            let q = pb.array("Q", &[con(6)], dist_block());
+            let s = pb.scalar("s", 0.25);
+            let m = pb.scalar("m", -1.0);
+            let i = pb.begin_par("i", con(0), con(5));
+            let j = pb.begin_seq("j", con(0), con(2 * C + 2));
+            let aij = || arr(a, [idx(i), idx(j)]);
+            pb.reduce(elem(q, [idx(i)]), RedOp::Add, aij() * arr(v, [idx(j)]));
+            pb.reduce(svar(s), RedOp::Add, aij() / arr(v, [idx(j)]));
+            pb.reduce(svar(m), RedOp::Max, aij() - arr(v, [idx(j)]));
+            pb.end();
+            pb.end();
+            (pb.finish(), Vec::new())
+        };
+        check_chunks(&build, &[CHUNK], 1e-9);
+        // Two statements folding into one scalar interleave.
+        let twice = || {
+            let mut pb = ProgramBuilder::new("twice");
+            let a = pb.array("A", &[con(6), con(C + 3)], dist_block_dim(0));
+            let s = pb.scalar("s", 0.25);
+            let i = pb.begin_par("i", con(0), con(5));
+            let j = pb.begin_seq("j", con(0), con(C + 2));
+            pb.reduce(svar(s), RedOp::Add, arr(a, [idx(i), idx(j)]));
+            pb.reduce(svar(s), RedOp::Add, arr(a, [idx(i), idx(j)]).sqrt());
+            pb.end();
+            pb.end();
+            (pb.finish(), Vec::new())
+        };
+        check_chunks(&twice, &[1], 1e-9);
+    }
+
+    #[test]
+    fn serial_loops_fold_scalars_in_order_or_stay_scalar() {
+        // Master-only loops: a read-modify-write scalar and a plain
+        // scalar store nothing else mentions ...
+        let build = |forward: bool| {
+            let mut pb = ProgramBuilder::new("serial");
+            let a = pb.array("A", &[con(C + 5)], dist_block());
+            let s = pb.scalar("s", 0.25);
+            let t = pb.scalar("t", 0.0);
+            let j = pb.begin_seq("j", con(0), con(C + 4));
+            pb.reduce(svar(s), RedOp::Add, arr(a, [idx(j)]) * ex(0.3));
+            pb.assign(svar(t), arr(a, [idx(j)]) + ival(idx(j)));
+            if forward {
+                // ... and the same with `t` forwarded to an element.
+                pb.assign(elem(a, [idx(j)]), sca(t) * ex(2.0));
+            }
+            pb.end();
+            (pb.finish(), Vec::new())
+        };
+        check_chunks(&|| build(false), &[CHUNK], 0.0);
+        check_chunks(&|| build(true), &[1], 0.0);
+    }
+
+    #[test]
+    fn guards_clip_a_statement_to_the_iterations_they_hold_at() {
+        let n = 2 * C + 3;
+        let build = || {
+            nest("guards", n, (0, n - 1), |pb, [x, y, z, _], i, j| {
+                let here = || [idx(i), idx(j)];
+                // Nowhere, at one iteration, everywhere.
+                pb.begin_guard(vec![ge0(idx(j) - n)]);
+                pb.assign(elem(x, here()), ex(100.0));
+                pb.end();
+                pb.begin_guard(vec![eq0(idx(j) - C - 6)]);
+                pb.assign(elem(x, here()), arr(y, here()) * ex(2.0));
+                pb.end();
+                pb.begin_guard(vec![ge0(idx(j))]);
+                pb.assign(elem(z, here()), arr(y, here()) + ex(1.0));
+                // Nested, across a chunk boundary, a bound that is not
+                // a multiple of the coefficient.
+                pb.begin_guard(vec![ge0(con(C + 1) - idx(j)), le0(con(7) - idx(j) * 2)]);
+                pb.assign(elem(y, here()), arr(z, here()) * arr(z, here()));
+                pb.end();
+                pb.end();
+                // No integer solution.
+                pb.begin_guard(vec![eq0(idx(j) * 2 - 7)]);
+                pb.assign(elem(z, here()), ex(-1.0));
+                pb.end();
+            })
+        };
+        check_chunks(&build, &[CHUNK], 0.0);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod virt;
 pub use checkpoint::Checkpoint;
 pub use degrade::{run_parallel_degrading, DegradeOutcome, DegradeRound, DegradeRung};
 pub use events::{render_events, unroll, Event, Schedule, SyncStep};
-pub use kernel::Worker;
+pub use kernel::{Worker, CHUNK};
 pub use mem::Mem;
 pub use par::{
     run_parallel, run_parallel_observed, run_parallel_observed_on, run_parallel_with, BarrierKind,

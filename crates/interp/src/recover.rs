@@ -135,10 +135,13 @@ impl SyncChaos for SiteMaskedChaos {
 ///    waits and sails through while everyone else times out waiting
 ///    for its posts, so the lone survivor is the suspect;
 /// 4. exactly one worker's terminal wait is at the *dispatch/join
-///    gate* while at least one peer holds a primary fault at a real
-///    sync site — under a barrier-only plan a dead pid posts nothing
-///    and waits for nothing, so it outruns the region its whole team
-///    is still wedged inside and parks at the gate.
+///    gate* while at least one peer's is at a real sync site — under a
+///    barrier-only plan a dead pid posts nothing and waits for
+///    nothing, so it outruns the region its whole team is still wedged
+///    inside and parks at the gate. Its deadline there and its peers'
+///    at their site expire within microseconds of each other, so which
+///    of the two is the primary fault and which the poison observation
+///    is a coin toss the inference must not depend on.
 ///
 /// Anything else (multiple panics, several survivors, a wedge with no
 /// survivors) returns `None`: the attempt breaks any sticky streak and
@@ -191,7 +194,13 @@ fn infer_suspect(out: &ParallelOutcome) -> Option<usize> {
         .filter(|(_, e)| e.as_ref().is_some_and(|e| e.site() == DISPATCH_SITE))
         .map(|(p, _)| p)
         .collect();
-    if finished.is_empty() && at_dispatch.len() == 1 && primary_real >= 1 {
+    let at_real_site = out
+        .proc_errors
+        .iter()
+        .flatten()
+        .filter(|e| e.site() != DISPATCH_SITE)
+        .count();
+    if finished.is_empty() && at_dispatch.len() == 1 && at_real_site >= 1 {
         return Some(at_dispatch[0]);
     }
     None
@@ -531,6 +540,7 @@ mod tests {
     use crate::par::BarrierKind;
     use crate::run_sequential;
     use ir::build::*;
+    use runtime::fault::SyncError;
     use spmd_opt::{fork_join, optimize};
     use std::time::Duration;
 
@@ -593,6 +603,58 @@ mod tests {
             } else {
                 ChaosAction::None
             }
+        }
+    }
+
+    /// A dead pid under a barrier-only plan is parked at the dispatch
+    /// gate while its team is wedged at a barrier, and the two
+    /// deadlines expire together: whichever wait reports the primary
+    /// fault, the gate-parked pid is the suspect.
+    #[test]
+    fn the_gate_parked_pid_is_the_suspect_whoever_timed_out_first() {
+        struct Silent;
+        impl SyncChaos for Silent {
+            fn at_sync(&self, _site: usize, pid: usize, _visit: u64) -> ChaosAction {
+                if pid == 3 {
+                    ChaosAction::Drop
+                } else {
+                    ChaosAction::None
+                }
+            }
+        }
+        let (prog, bind) = sweep(32, 3, 4);
+        let plan = fork_join(&prog, &bind);
+        let mem = Arc::new(Mem::new(&prog, &bind));
+        let team = Team::new(4);
+        let opts = guarded(Some(Arc::new(Silent)));
+        let mut out = crate::run_parallel_observed(&prog, &bind, &plan, &mem, &team, &opts);
+        assert!(out.failure.is_some());
+        let waiting_at: Vec<usize> = out
+            .proc_errors
+            .iter()
+            .map(|e| e.as_ref().expect("every wait failed").site())
+            .collect();
+        assert_eq!(waiting_at[3], DISPATCH_SITE);
+        assert!(waiting_at[..3].iter().all(|&s| s != DISPATCH_SITE));
+        for first in [0, 3] {
+            for (pid, site) in waiting_at.iter().copied().enumerate() {
+                out.proc_errors[pid] = Some(if pid == first {
+                    SyncError::DeadlineExceeded {
+                        site,
+                        pid,
+                        kind: runtime::stats::SyncKind::Barrier,
+                        expected: 4,
+                        observed: 3,
+                    }
+                } else {
+                    SyncError::Poisoned {
+                        site,
+                        pid,
+                        cause: String::new(),
+                    }
+                });
+            }
+            assert_eq!(infer_suspect(&out), Some(3), "P{first} timed out first");
         }
     }
 

@@ -223,6 +223,7 @@ pub enum BinOp {
 
 impl BinOp {
     /// Apply to two values.
+    #[inline]
     pub fn apply(self, a: f64, b: f64) -> f64 {
         match self {
             BinOp::Add => a + b,
@@ -254,6 +255,7 @@ pub enum UnOp {
 
 impl UnOp {
     /// Apply to a value.
+    #[inline]
     pub fn apply(self, a: f64) -> f64 {
         match self {
             UnOp::Neg => -a,

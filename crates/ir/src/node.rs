@@ -30,6 +30,7 @@ pub enum RedOp {
 
 impl RedOp {
     /// Apply the reduction.
+    #[inline]
     pub fn apply(self, acc: f64, v: f64) -> f64 {
         match self {
             RedOp::Add => acc + v,

@@ -3,7 +3,9 @@
 //! `run_sequential` walks the IR; every SPMD executor runs kernels
 //! lowered once per `(program, bindings, plan)`. These tests hold the
 //! two to the same memory bit for bit (reassociated sum reductions to
-//! 1e-9), the same bounds panics and the same access trace.
+//! 1e-9), the same bounds panics and the same access trace, and hold
+//! the chunked evaluation of innermost loops to the bits of the
+//! element-at-a-time one over random loop bodies.
 
 use barrier_elim::analysis::Bindings;
 use barrier_elim::interp::{
@@ -11,11 +13,12 @@ use barrier_elim::interp::{
     ScheduleOrder, Target, TraceBuffer, Worker,
 };
 use barrier_elim::ir::build::*;
-use barrier_elim::ir::Program;
+use barrier_elim::ir::{ArrayId, Program, RedOp};
 use barrier_elim::obs::FailureCause;
 use barrier_elim::runtime::Team;
 use barrier_elim::spmd_opt::{fork_join, optimize};
 use barrier_elim::suite::{self, Scale};
+use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
@@ -256,4 +259,185 @@ fn traced_kernels_record_what_the_oracle_records() {
         }
     }
     assert!(exact >= 20, "only {exact} programs compared exactly");
+}
+
+/// One array access of a generated innermost body, relative to the
+/// statement's target `T[i][stride·j + BASE]`.
+#[derive(Debug, Clone)]
+struct ReadSpec {
+    array: u8,
+    /// Column coefficient, `-2..=2`; `None` takes the target's, and
+    /// then `back` is a dependence distance in iterations.
+    stride: Option<i8>,
+    /// Read the element the target names `back` iterations earlier
+    /// (later when negative).
+    back: i8,
+    /// Row `i − 1` instead of `i` (sequential outer loop only).
+    above: bool,
+}
+
+#[derive(Debug, Clone)]
+struct StmtSpec {
+    /// 0–2: an element of that array; 3: sum into scalar `s`; 4: max
+    /// into scalar `m`.
+    target: u8,
+    stride: i8,
+    /// For an element target: 0 assign, 1 sum, 2 max.
+    fold: u8,
+    reads: Vec<ReadSpec>,
+    /// `(kind, bound)`: 1 `j >= b`, 2 `j <= b`, 3 `j == b`, 4 `2j >= b`,
+    /// 5 `b − 3j >= 0`; anything else: no guard.
+    guard: (u8, i64),
+}
+
+#[derive(Debug, Clone)]
+struct BodySpec {
+    trips: i64,
+    outer_par: bool,
+    stmts: Vec<StmtSpec>,
+}
+
+fn body_strategy() -> impl Strategy<Value = BodySpec> {
+    let chunk = barrier_elim::interp::CHUNK as i64;
+    let read = (0u8..3, 0u8..5, -2i8..=2, -3i8..=3, 0u8..3).prop_map(
+        |(array, own_stride, stride, back, above)| ReadSpec {
+            array,
+            stride: (own_stride == 0).then_some(stride),
+            back,
+            above: above == 0,
+        },
+    );
+    let stmt = (
+        0u8..5,
+        -2i8..=2,
+        0u8..3,
+        proptest::collection::vec(read, 1..4),
+        (0u8..9, -2i64..=2 * chunk + 6),
+    )
+        .prop_map(|(target, stride, fold, reads, guard)| StmtSpec {
+            target,
+            stride,
+            fold,
+            reads,
+            guard,
+        });
+    (
+        0usize..7,
+        1i64..=3 * chunk,
+        0u8..2,
+        proptest::collection::vec(stmt, 1..4),
+    )
+        .prop_map(move |(pick, any, outer, stmts)| BodySpec {
+            trips: [1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3, any, any][pick],
+            outer_par: outer == 0,
+            stmts,
+        })
+}
+
+/// `DO or DOALL i = 1..4: DO j = 0..trips−1: stmts` over three `5 × w`
+/// arrays with distributed rows; a `DOALL` body stays in row `i`.
+fn build_body(spec: &BodySpec) -> Program {
+    let base = 2 * spec.trips + 8;
+    let mut pb = ProgramBuilder::new("random_body");
+    let arrays: Vec<_> = (0..3)
+        .map(|k| {
+            let extents = [con(5), con(2 * base)];
+            pb.array(format!("X{k}"), &extents, dist_block_dim(0))
+        })
+        .collect();
+    let s = pb.scalar("s", 0.0);
+    let m = pb.scalar("m", -1.0e9);
+    let i = if spec.outer_par {
+        pb.begin_par("i", con(1), con(4))
+    } else {
+        pb.begin_seq("i", con(1), con(4))
+    };
+    let j = pb.begin_seq("j", con(0), con(spec.trips - 1));
+    for st in &spec.stmts {
+        let column = idx(j) * st.stride as i64 + base;
+        let mut rhs = ival(idx(j)) * ex(0.01);
+        for (r, weight) in st.reads.iter().zip([0.25, -0.5, 0.375]) {
+            let row = if r.above && !spec.outer_par {
+                idx(i) - 1
+            } else {
+                idx(i)
+            };
+            let col = match r.stride {
+                Some(stride) => idx(j) * stride as i64 + base + r.back as i64,
+                None => column.clone() - (st.stride as i64 * r.back as i64),
+            };
+            rhs = rhs + arr(arrays[r.array as usize], [row, col]) * ex(weight);
+        }
+        let guard = match st.guard {
+            (1, b) => Some(ge0(idx(j) - b)),
+            (2, b) => Some(le0(idx(j) - b)),
+            (3, b) => Some(eq0(idx(j) - b)),
+            (4, b) => Some(ge0(idx(j) * 2 - b)),
+            (5, b) => Some(ge0(con(b) - idx(j) * 3)),
+            _ => None,
+        };
+        if let Some(g) = guard.clone() {
+            pb.begin_guard(vec![g]);
+        }
+        match (st.target, st.fold) {
+            (3, _) => pb.reduce(svar(s), RedOp::Add, rhs),
+            (4, _) => pb.reduce(svar(m), RedOp::Max, rhs),
+            (a, fold) => {
+                let lhs = elem(arrays[a as usize], [idx(i), column]);
+                match fold {
+                    0 => pb.assign(lhs, rhs),
+                    1 => pb.reduce(lhs, RedOp::Add, rhs),
+                    _ => pb.reduce(lhs, RedOp::Max, rhs),
+                }
+            }
+        };
+        if guard.is_some() {
+            pb.end();
+        }
+    }
+    pb.end();
+    pb.end();
+    pb.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    /// Random innermost bodies — carried distances 0–3 in either
+    /// direction, strides 0, ±1, ±2, other rows, element and scalar
+    /// folds, guards — at trip counts around the chunk size: whatever
+    /// chunk length they lower with, the kernels leave the bits of the
+    /// element-at-a-time evaluator and of `run_sequential` (a scalar sum
+    /// split over processors to 1e-9).
+    #[test]
+    fn random_innermost_bodies_match_the_scalar_order(spec in body_strategy()) {
+        let prog = build_body(&spec);
+        let fill = |mem: &Mem| {
+            for a in 0..3u32 {
+                mem.fill(ArrayId(a), |sub| {
+                    0.1 + ((sub[0] * 31 + sub[1] * 7 + a as i64 * 5) % 23) as f64 / 7.0
+                });
+            }
+        };
+        for p in [1i64, 2, 3] {
+            let bind = Bindings::new(p);
+            let oracle = Mem::new(&prog, &bind);
+            fill(&oracle);
+            run_sequential(&prog, &bind, &oracle);
+            prop_assert!(oracle.checksum().is_finite());
+            let split_sum = p > 1 && spec.outer_par && spec.stmts.iter().any(|st| st.target == 3);
+            let tol = if split_sum { 1e-9 } else { 0.0 };
+            for plan in [fork_join(&prog, &bind), optimize(&prog, &bind)] {
+                let chunked = Mem::new(&prog, &bind);
+                let scalar = Mem::new(&prog, &bind).with_tracer(Arc::new(TraceBuffer::new()));
+                for mem in [&chunked, &scalar] {
+                    fill(mem);
+                    run_virtual(&prog, &bind, &plan, mem, ScheduleOrder::Reverse);
+                }
+                prop_assert_eq!(chunked.max_abs_diff(&scalar), 0.0, "P={}: not the scalar order", p);
+                let d = chunked.max_abs_diff(&oracle);
+                prop_assert!(d <= tol, "P={}: off the oracle by {:e}", p, d);
+            }
+        }
+    }
 }

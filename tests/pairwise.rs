@@ -133,7 +133,11 @@ fn dropped_pairwise_posts_are_absorbed_by_the_recovery_ladder() {
             0.0, // bitwise: recovery must not perturb a single ulp
             &policy,
         );
-        assert!(r.benign_ok, "{name}: benign run diverged by {:e}", r.benign_diff);
+        assert!(
+            r.benign_ok,
+            "{name}: benign run diverged by {:e}",
+            r.benign_diff
+        );
         let mut pair_teeth = 0;
         for t in &r.teeth {
             assert!(
@@ -192,16 +196,13 @@ fn hop_strategy() -> impl Strategy<Value = HopSpec> {
         proptest::collection::vec((0u8..4, -2i8..=2, -1i8..=1), 1..3),
     )
         .prop_map(|(writes, reads)| HopLoop { writes, reads });
-    (
-        2u8..4,
-        proptest::collection::vec(hop_loop, 1..4),
-        1u8..4,
-    )
-        .prop_map(|(narrays, loops, timesteps)| HopSpec {
+    (2u8..4, proptest::collection::vec(hop_loop, 1..4), 1u8..4).prop_map(
+        |(narrays, loops, timesteps)| HopSpec {
             narrays,
             loops,
             timesteps,
-        })
+        },
+    )
 }
 
 /// Hops are scaled by this stride. The padded extent is 32 + 2·25 =
