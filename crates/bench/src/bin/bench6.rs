@@ -63,7 +63,7 @@ fn measure(team: &Team, p: usize, prim: &str, path: Path, episodes: u64) -> f64 
                     match path {
                         Path::Pure => b.wait(&mut local),
                         Path::Guarded => b.wait_until(&mut local, &wd, 0, pid).unwrap(),
-                    }
+                    };
                 }
                 black_box(local);
             });
@@ -77,7 +77,7 @@ fn measure(team: &Team, p: usize, prim: &str, path: Path, episodes: u64) -> f64 
                     match path {
                         Path::Pure => b.wait(pid, &mut epoch),
                         Path::Guarded => b.wait_until(pid, &mut epoch, &wd, 0).unwrap(),
-                    }
+                    };
                 }
                 black_box(epoch);
             });
@@ -95,7 +95,7 @@ fn measure(team: &Team, p: usize, prim: &str, path: Path, episodes: u64) -> f64 
                         match path {
                             Path::Pure => c.wait_ge(0, k),
                             Path::Guarded => c.wait_ge_until(0, k, &wd, 0, pid).unwrap(),
-                        }
+                        };
                     }
                 }
                 black_box(c.value(0));

@@ -67,8 +67,8 @@ pub use events::{render_events, unroll, Event, Schedule, SyncStep};
 pub use kernel::{Worker, CHUNK};
 pub use mem::Mem;
 pub use par::{
-    run_parallel, run_parallel_observed, run_parallel_observed_on, run_parallel_with, BarrierKind,
-    ChaosAction, ObserveOptions, ParallelOutcome, SyncChaos, SyncFabric,
+    run_parallel, run_parallel_observed, run_parallel_observed_on, BarrierKind, ChaosAction,
+    ObserveOptions, ParallelOutcome, SyncChaos, SyncFabric,
 };
 pub use recover::{run_parallel_recovering, RecoveryOutcome};
 pub use trace::{Access, AccessKind, Target, TraceBuffer};

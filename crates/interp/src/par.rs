@@ -18,10 +18,11 @@ use ir::Program;
 use obs::{FailureCause, FailureReport, Span, SpanCat};
 use runtime::events::{self, EventKind, ProfileData, ProfileOptions, Profiler, NO_SITE};
 use runtime::fault::{SyncError, Watchdog, DISPATCH_SITE};
-use runtime::telemetry::{SiteSnapshot, SiteTelemetry};
+use runtime::stats::{StatsSnapshot, SyncKind};
+use runtime::telemetry::{CellSnapshot, SiteSnapshot};
 use runtime::{
     BarrierEpoch, CachePadded, CentralBarrier, Counters, NeighborFlags, PairwiseCells, SpinPolicy,
-    SyncStats, Team, TreeBarrier,
+    Team, TreeBarrier, WaitEffort,
 };
 use spmd_opt::SpmdProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -52,26 +53,6 @@ struct BarrierLocal {
 }
 
 impl AnyBarrier {
-    fn wait(&self, pid: usize, local: &mut BarrierLocal) {
-        match self {
-            AnyBarrier::Central(b) => b.wait(&mut local.central),
-            AnyBarrier::Tree(b) => b.wait(pid, &mut local.tree),
-        }
-    }
-
-    fn wait_until(
-        &self,
-        pid: usize,
-        local: &mut BarrierLocal,
-        wd: &Watchdog,
-        site: usize,
-    ) -> Result<(), SyncError> {
-        match self {
-            AnyBarrier::Central(b) => b.wait_until(&mut local.central, wd, site, pid),
-            AnyBarrier::Tree(b) => b.wait_until(pid, &mut local.tree, wd, site),
-        }
-    }
-
     fn reset(&self) {
         match self {
             AnyBarrier::Central(b) => b.reset(),
@@ -80,9 +61,54 @@ impl AnyBarrier {
     }
 }
 
+/// One blocking wait of the sync step: who waits (`pid`), where
+/// (`site`), and how — an armed watchdog selects each primitive's
+/// deadline-guarded wait, `None` its pure one. Either way the wait
+/// hands back its escalation effort for the worker's recorder.
+#[derive(Clone, Copy)]
+struct Waiter<'a> {
+    wd: Option<&'a Watchdog>,
+    site: usize,
+    pid: usize,
+}
+
+impl Waiter<'_> {
+    fn barrier(self, b: &AnyBarrier, local: &mut BarrierLocal) -> Result<WaitEffort, SyncError> {
+        let Waiter { wd, site, pid } = self;
+        match (b, wd) {
+            (AnyBarrier::Central(b), Some(wd)) => b.wait_until(&mut local.central, wd, site, pid),
+            (AnyBarrier::Central(b), None) => Ok(b.wait(&mut local.central)),
+            (AnyBarrier::Tree(b), Some(wd)) => b.wait_until(pid, &mut local.tree, wd, site),
+            (AnyBarrier::Tree(b), None) => Ok(b.wait(pid, &mut local.tree)),
+        }
+    }
+
+    fn counter(self, c: &Counters, id: usize, v: u64) -> Result<WaitEffort, SyncError> {
+        match self.wd {
+            Some(wd) => c.wait_ge_until(id, v, wd, self.site, self.pid),
+            None => Ok(c.wait_ge(id, v)),
+        }
+    }
+
+    fn flag(self, f: &NeighborFlags, other: isize, epoch: u64) -> Result<WaitEffort, SyncError> {
+        match self.wd {
+            Some(wd) => f.wait_until(other, epoch, wd, self.site, self.pid),
+            None => Ok(f.wait(other, epoch)),
+        }
+    }
+
+    fn pair(self, p: &PairwiseCells, other: isize, count: u64) -> Result<WaitEffort, SyncError> {
+        match self.wd {
+            Some(wd) => p.wait_until(other, count, wd, self.site, self.pid),
+            None => Ok(p.wait(other, count)),
+        }
+    }
+}
+
 /// The shared synchronization state of one execution (or one recovery
-/// session): barrier, counter bank, neighbor flags, the dispatch
-/// counter, and the aggregate [`SyncStats`] they report into.
+/// session): barrier, counter bank, neighbor flags, pairwise cells and
+/// the dispatch counter. It measures nothing — each worker's
+/// [`SyncRecorder`] does.
 ///
 /// [`run_parallel_observed`] builds a fresh fabric per call; the
 /// recovery supervisor ([`crate::recover`]) instead builds one fabric,
@@ -97,68 +123,12 @@ pub struct SyncFabric {
     flags: Arc<NeighborFlags>,
     pairs: Arc<PairwiseCells>,
     dispatch: Arc<Counters>,
-    stats: Arc<SyncStats>,
     /// Event-ring profiler shared by every attempt run on this fabric
     /// (`None` unless [`ObserveOptions::profile`] asked for one).
     profiler: Option<Arc<Profiler>>,
 }
 
 impl SyncFabric {
-    /// A fabric for `nprocs` processors with a bank of `num_counters`
-    /// sync counters, default spin policy and tree fan-in.
-    pub fn new(kind: BarrierKind, nprocs: usize, num_counters: usize) -> Self {
-        Self::tuned(kind, nprocs, num_counters, SpinPolicy::auto(), None)
-    }
-
-    /// A fabric with an explicit spin → yield → park escalation policy
-    /// for every primitive and (for [`BarrierKind::Tree`]) an explicit
-    /// fan-in; `tree_radix: None` keeps the topology-aware default.
-    pub fn tuned(
-        kind: BarrierKind,
-        nprocs: usize,
-        num_counters: usize,
-        spin: SpinPolicy,
-        tree_radix: Option<usize>,
-    ) -> Self {
-        let stats = Arc::new(SyncStats::new());
-        let barrier = Arc::new(match kind {
-            BarrierKind::Central => AnyBarrier::Central(
-                CentralBarrier::new(nprocs)
-                    .with_policy(spin)
-                    .with_stats(Arc::clone(&stats)),
-            ),
-            BarrierKind::Tree => {
-                let radix = tree_radix.unwrap_or_else(|| TreeBarrier::default_radix(nprocs));
-                AnyBarrier::Tree(
-                    TreeBarrier::with_radix(nprocs, radix)
-                        .with_policy(spin)
-                        .with_stats(Arc::clone(&stats)),
-                )
-            }
-        });
-        SyncFabric {
-            barrier,
-            counters: Arc::new(
-                Counters::new(num_counters)
-                    .with_policy(spin)
-                    .with_stats(Arc::clone(&stats)),
-            ),
-            flags: Arc::new(
-                NeighborFlags::new(nprocs)
-                    .with_policy(spin)
-                    .with_stats(Arc::clone(&stats)),
-            ),
-            pairs: Arc::new(
-                PairwiseCells::new(nprocs)
-                    .with_policy(spin)
-                    .with_stats(Arc::clone(&stats)),
-            ),
-            dispatch: Arc::new(Counters::new(1).with_policy(spin)),
-            stats,
-            profiler: None,
-        }
-    }
-
     /// Attach an event-ring profiler: one track per worker plus a
     /// supervisor track ([`Profiler::supervisor_track`]).
     pub fn with_profiler(mut self, nprocs: usize, opts: ProfileOptions) -> Self {
@@ -172,17 +142,32 @@ impl SyncFabric {
     }
 
     /// A fabric sized for an unrolled schedule, honoring the full
-    /// tuning surface of `opts` (barrier kind, spin policy, tree
-    /// fan-in).
+    /// tuning surface of `opts`: barrier kind, the spin → yield → park
+    /// escalation policy of every primitive, the tree fan-in
+    /// (`tree_radix: None` keeps the topology-aware default) and the
+    /// profiler.
     pub fn for_schedule(opts: &ObserveOptions, sched: &Schedule) -> Self {
         let nprocs = sched.nprocs() as usize;
-        let fabric = SyncFabric::tuned(
-            opts.barrier,
-            nprocs,
-            sched.num_counters(),
-            opts.spin.unwrap_or_default(),
-            opts.tree_radix,
-        );
+        let spin = opts.spin.unwrap_or_default();
+        let barrier = match opts.barrier {
+            BarrierKind::Central => {
+                AnyBarrier::Central(CentralBarrier::new(nprocs).with_policy(spin))
+            }
+            BarrierKind::Tree => {
+                let radix = opts
+                    .tree_radix
+                    .unwrap_or_else(|| TreeBarrier::default_radix(nprocs));
+                AnyBarrier::Tree(TreeBarrier::with_radix(nprocs, radix).with_policy(spin))
+            }
+        };
+        let fabric = SyncFabric {
+            barrier: Arc::new(barrier),
+            counters: Arc::new(Counters::new(sched.num_counters()).with_policy(spin)),
+            flags: Arc::new(NeighborFlags::new(nprocs).with_policy(spin)),
+            pairs: Arc::new(PairwiseCells::new(nprocs).with_policy(spin)),
+            dispatch: Arc::new(Counters::new(1).with_policy(spin)),
+            profiler: None,
+        };
         match opts.profile {
             Some(po) => fabric.with_profiler(nprocs, po),
             None => fabric,
@@ -191,34 +176,19 @@ impl SyncFabric {
 
     /// Re-arm every primitive for a fresh attempt. Only legal once all
     /// workers of the previous attempt have been joined (the team run
-    /// returned): barriers and flags are zeroed, the counter banks are
-    /// reset (stamping a new generation), and the aggregate stats are
-    /// cleared so the next attempt's numbers are not conflated with an
-    /// abandoned attempt's.
+    /// returned): barriers, flags and cells are zeroed and the counter
+    /// banks are reset (stamping a new generation).
     pub fn reset(&self) {
         self.barrier.reset();
         self.counters.reset();
         self.flags.reset();
         self.pairs.reset();
         self.dispatch.reset();
-        self.stats.reset();
         // The profiler is *not* cleared: its rings span the whole
         // recovery session, with each attempt stamped by the next epoch.
         if let Some(p) = &self.profiler {
             p.bump_epoch();
         }
-    }
-
-    /// Snapshot the aggregate sync stats accumulated since the last
-    /// reset.
-    pub fn stats_snapshot(&self) -> runtime::stats::StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Generation stamp of the sync-counter bank (bumped by every
-    /// [`SyncFabric::reset`]).
-    pub fn counter_generation(&self) -> u64 {
-        self.counters.generation()
     }
 }
 
@@ -268,8 +238,8 @@ pub trait SyncChaos: Send + Sync {
 /// Result of a parallel run.
 #[derive(Clone, Debug)]
 pub struct ParallelOutcome {
-    /// Instrumented dynamic synchronization (from the runtime
-    /// primitives).
+    /// Measured dynamic synchronization: the workers' recorder totals,
+    /// merged (always on).
     pub stats: runtime::stats::StatsSnapshot,
     /// Schedule-derived dynamic counts (identical to what `run_virtual`
     /// reports for the same plan).
@@ -366,7 +336,9 @@ impl std::fmt::Debug for ObserveOptions {
     }
 }
 
-/// Execute the schedule on `team` with the default (central) barrier.
+/// Execute the schedule on `team` (whose size must match
+/// `bind.nprocs`) with the default (central) barrier. Arrays/scalars
+/// are read and written in `mem`.
 pub fn run_parallel(
     prog: &Arc<Program>,
     bind: &Arc<Bindings>,
@@ -374,53 +346,51 @@ pub fn run_parallel(
     mem: &Arc<Mem>,
     team: &Team,
 ) -> ParallelOutcome {
-    run_parallel_with(prog, bind, plan, mem, team, BarrierKind::Central)
+    run_parallel_observed(prog, bind, plan, mem, team, &ObserveOptions::default())
 }
 
-/// Execute the schedule on `team` (whose size must match
-/// `bind.nprocs`) with an explicit barrier implementation.
-/// Arrays/scalars are read and written in `mem`.
-pub fn run_parallel_with(
-    prog: &Arc<Program>,
-    bind: &Arc<Bindings>,
-    plan: &SpmdProgram,
-    mem: &Arc<Mem>,
-    team: &Team,
-    barrier_kind: BarrierKind,
-) -> ParallelOutcome {
-    run_parallel_observed(
-        prog,
-        bind,
-        plan,
-        mem,
-        team,
-        &ObserveOptions {
-            barrier: barrier_kind,
-            ..ObserveOptions::default()
-        },
-    )
+/// What one sync event did, for the recorder: primary operations that
+/// landed (barrier episodes, counter increments, posts) and the waits
+/// it completed, with their summed escalation effort.
+#[derive(Default)]
+struct Tally {
+    posts: u64,
+    waits: u64,
+    effort: WaitEffort,
 }
 
-/// Per-thread span buffer: spans are pushed locally and drained once
-/// after the run (one mutex lock per processor per recording, but the
-/// mutex is uncontended — each processor owns its own slot).
-struct SpanBuffers(Vec<Mutex<Vec<Span>>>);
-
-impl SpanBuffers {
-    fn new(nprocs: usize) -> Self {
-        SpanBuffers((0..nprocs).map(|_| Mutex::new(Vec::new())).collect())
+impl Tally {
+    /// Count a completed wait; a failed one passes its error on.
+    fn waited(&mut self, r: Result<WaitEffort, SyncError>) -> Result<(), SyncError> {
+        self.effort += r?;
+        self.waits += 1;
+        Ok(())
     }
+}
 
-    fn push(&self, pid: usize, span: Span) {
-        self.0[pid].lock().unwrap().push(span);
-    }
+/// One worker's measurements of its own traversal — plain data the
+/// worker owns, handed over after the join and merged there into
+/// [`ParallelOutcome::stats`], `sites` and `spans`. The sync step is
+/// its only writer and feeds it from one clock pair per sync event
+/// (arrival, release), so the by-kind totals, the per-site cells and
+/// the profiler's `SyncRelease` all carry the same duration.
+#[derive(Default)]
+struct SyncRecorder {
+    stats: StatsSnapshot,
+    /// One cell per sync site; empty unless per-site telemetry is on.
+    cells: Vec<CellSnapshot>,
+    /// `(event index, start, end)` of every event, when tracing; names
+    /// are rendered from the schedule after the join.
+    spans: Vec<(usize, Instant, Instant)>,
+}
 
-    fn drain(&self) -> Vec<Span> {
-        let mut out = Vec::new();
-        for buf in &self.0 {
-            out.append(&mut buf.lock().unwrap());
+impl SyncRecorder {
+    fn sync(&mut self, kind: SyncKind, site: usize, tally: Tally, ns: u64) {
+        self.stats
+            .record(kind, tally.posts, tally.waits, tally.effort, ns);
+        if let Some(cell) = self.cells.get_mut(site) {
+            cell.record(ns);
         }
-        out
     }
 }
 
@@ -470,7 +440,8 @@ fn record_failure(slot: &Mutex<Option<SyncError>>, e: &SyncError) {
     }
 }
 
-/// As [`run_parallel_with`], optionally recording per-site telemetry
+/// As [`run_parallel`] with an explicit barrier implementation
+/// ([`ObserveOptions::barrier`]), optionally recording per-site telemetry
 /// and per-processor timeline spans, arming a deadline watchdog, and
 /// injecting chaos (see [`ObserveOptions`]).
 pub fn run_parallel_observed(
@@ -514,13 +485,16 @@ pub fn run_parallel_observed_on(
         "fabric counter bank too small for this plan"
     );
     let counts = DynCounts::from_events(events, nprocs);
-    let stats = Arc::clone(&fabric.stats);
     let watchdog = opts.deadline.map(|d| Arc::new(Watchdog::new(d)));
-    let telemetry = (opts.telemetry || watchdog.is_some())
-        .then(|| Arc::new(SiteTelemetry::new(obs::site_metas(prog, plan), nprocs)));
-    let spans = opts.trace.then(|| Arc::new(SpanBuffers::new(nprocs)));
-    // Per-processor chaos visit counters are indexed by site id.
+    // A guarded run keeps per-site cells even when the caller did not
+    // ask, so a failure report can show who was blocked where.
     let n_sites = events.num_sites();
+    let n_cells = if opts.telemetry || watchdog.is_some() {
+        n_sites
+    } else {
+        0
+    };
+    let trace = opts.trace;
     let failure_slot = Arc::new(Mutex::new(None::<SyncError>));
     // Each worker publishes how many neighbor posts it has *passed*
     // (dropped or not); compared against the flag cells after the join,
@@ -533,27 +507,24 @@ pub fn run_parallel_observed_on(
     );
     let proc_state = Arc::new(Mutex::new(vec!["ok".to_string(); nprocs]));
     let proc_errors = Arc::new(Mutex::new(vec![None::<SyncError>; nprocs]));
-    let barrier = Arc::clone(&fabric.barrier);
-    let counters = Arc::clone(&fabric.counters);
-    let flags = Arc::clone(&fabric.flags);
-    let pairs = Arc::clone(&fabric.pairs);
-    let dispatch = Arc::clone(&fabric.dispatch);
+    // Where each worker leaves its recorder when its traversal ends —
+    // completed, faulted or panicked.
+    let recorders: Vec<_> = (0..nprocs).map(|_| SyncRecorder::default()).collect();
+    let recorders = Arc::new(Mutex::new(recorders));
 
-    let prog2 = Arc::clone(prog);
     let mem2 = Arc::clone(mem);
     let events2 = Arc::clone(events);
-    let barrier2 = Arc::clone(&barrier);
-    let counters2 = Arc::clone(&counters);
-    let flags2 = Arc::clone(&flags);
-    let pairs2 = Arc::clone(&pairs);
-    let dispatch2 = Arc::clone(&dispatch);
-    let telemetry2 = telemetry.clone();
-    let spans2 = spans.clone();
+    let barrier2 = Arc::clone(&fabric.barrier);
+    let counters2 = Arc::clone(&fabric.counters);
+    let flags2 = Arc::clone(&fabric.flags);
+    let pairs2 = Arc::clone(&fabric.pairs);
+    let dispatch2 = Arc::clone(&fabric.dispatch);
     let watchdog2 = watchdog.clone();
     let chaos2 = opts.chaos.clone();
     let failure2 = Arc::clone(&failure_slot);
     let proc_state2 = Arc::clone(&proc_state);
     let proc_errors2 = Arc::clone(&proc_errors);
+    let recorders2 = Arc::clone(&recorders);
     let claimed2 = Arc::clone(&claimed_posts);
     let profiler2 = fabric.profiler.clone();
 
@@ -565,7 +536,6 @@ pub fn run_parallel_observed_on(
     }
     let t0 = Instant::now();
     let team_result = team.try_run(move |pid| {
-        let prog = &prog2;
         let wd = watchdog2.as_deref();
         // Ambient recorder: primitives deep in the runtime (spin
         // escalation) emit onto this worker's track without knowing
@@ -577,6 +547,11 @@ pub fn run_parallel_observed_on(
         if let Some(p) = &profiler2 {
             p.record(pid, EventKind::RegionBegin, NO_SITE, 0);
         }
+        let mut rec = SyncRecorder {
+            stats: StatsSnapshot::default(),
+            cells: vec![CellSnapshot::default(); n_cells],
+            spans: Vec::with_capacity(if trace { events2.len() } else { 0 }),
+        };
         let traverse = || -> Result<(), SyncError> {
             let mut worker = Worker::new(&events2, &mem2, pid);
             let mut blocal = BarrierLocal::default();
@@ -585,19 +560,20 @@ pub fn run_parallel_observed_on(
             let mut visits = vec![0u64; counters2.len()];
             let mut dispatch_visits = 0u64;
             let mut site_visits = vec![0u64; n_sites];
-            let us_of = |t: Instant| t.duration_since(t0).as_micros() as u64;
-            for ev in events2.iter() {
-                let started = Instant::now();
+            let in_team = |q: isize| q >= 0 && (q as usize) < nprocs;
+            for (k, ev) in events2.iter().enumerate() {
+                // Work and dispatch read the clock only for the trace; a
+                // sync event's span is its arrival/release pair.
+                let t_start = (trace && !matches!(ev, Event::Sync { .. })).then(Instant::now);
                 match *ev {
                     Event::Work { .. } => worker.exec_work(ev),
                     Event::Dispatch => {
                         dispatch_visits += 1;
                         if pid == 0 {
                             dispatch2.increment(0);
-                        } else if let Some(wd) = wd {
-                            dispatch2.wait_ge_until(0, dispatch_visits, wd, DISPATCH_SITE, pid)?;
                         } else {
-                            dispatch2.wait_ge(0, dispatch_visits);
+                            let site = DISPATCH_SITE;
+                            Waiter { wd, site, pid }.counter(&dispatch2, 0, dispatch_visits)?;
                         }
                     }
                     Event::Sync { op, site, .. } => {
@@ -627,74 +603,56 @@ pub fn run_parallel_observed_on(
                                 ChaosAction::Drop => dropped = true,
                             }
                         }
-                        let t_arrive = profiler2.as_ref().map(|p| {
-                            let t = p.now_ns();
+                        // The event's one clock pair: arrival here (after
+                        // any injected delay), release below.
+                        let t_arrive = Instant::now();
+                        if let Some(p) = &profiler2 {
+                            let t = p.ns_at(t_arrive);
                             p.record_at(pid, EventKind::SyncArrive, site as u32, visit, t);
-                            t
-                        });
-                        let r: Result<(), SyncError> = match op {
+                        }
+                        let at = Waiter { wd, site, pid };
+                        let mut tally = Tally::default();
+                        let (kind, r) = match op {
                             SyncStep::Barrier => {
-                                if dropped {
+                                // A dropped arrival is skipped entirely;
+                                // P0 counts the episodes it is released
+                                // from.
+                                let r = if dropped {
                                     Ok(())
-                                } else if let Some(wd) = wd {
-                                    barrier2.wait_until(pid, &mut blocal, wd, site)
                                 } else {
-                                    barrier2.wait(pid, &mut blocal);
-                                    Ok(())
-                                }
+                                    tally.waited(at.barrier(&barrier2, &mut blocal))
+                                };
+                                tally.posts += (pid == 0 && tally.waits == 1) as u64;
+                                (SyncKind::Barrier, r)
                             }
                             SyncStep::Neighbor { fwd, bwd } => {
                                 if !dropped {
                                     flags2.post(pid);
+                                    tally.posts += 1;
                                 }
                                 nposts += 1;
                                 claimed2[pid].store(nposts + pposts, Ordering::Relaxed);
-                                let mut r = Ok(());
-                                if fwd {
-                                    r = match wd {
-                                        Some(wd) => flags2.wait_until(
-                                            pid as isize - 1,
-                                            nposts,
-                                            wd,
-                                            site,
-                                            pid,
-                                        ),
-                                        None => {
-                                            flags2.wait(pid as isize - 1, nposts);
-                                            Ok(())
-                                        }
-                                    };
-                                }
-                                if r.is_ok() && bwd {
-                                    r = match wd {
-                                        Some(wd) => flags2.wait_until(
-                                            pid as isize + 1,
-                                            nposts,
-                                            wd,
-                                            site,
-                                            pid,
-                                        ),
-                                        None => {
-                                            flags2.wait(pid as isize + 1, nposts);
-                                            Ok(())
-                                        }
-                                    };
-                                }
-                                r
+                                let me = pid as isize;
+                                let r = [(fwd, me - 1), (bwd, me + 1)]
+                                    .into_iter()
+                                    .filter(|&(on, q)| on && in_team(q))
+                                    .try_for_each(|(_, q)| {
+                                        tally.waited(at.flag(&flags2, q, nposts))
+                                    });
+                                (SyncKind::Neighbor, r)
                             }
                             SyncStep::Counter { id, producer } => {
                                 visits[id] += 1;
-                                if pid == producer {
+                                let r = if pid != producer {
+                                    tally.waited(at.counter(&counters2, id, visits[id]))
+                                } else {
                                     if !dropped {
                                         counters2.increment(id);
+                                        tally.posts += 1;
                                     }
                                     Ok(())
-                                } else if let Some(wd) = wd {
-                                    counters2.wait_ge_until(id, visits[id], wd, site, pid)
-                                } else {
-                                    counters2.wait_ge(id, visits[id]);
-                                    Ok(())
-                                }
+                                };
+                                (SyncKind::Counter, r)
                             }
                             SyncStep::Pair { dists, producers } => {
                                 // Every processor posts its own cell
@@ -704,86 +662,47 @@ pub fn run_parallel_observed_on(
                                 // distance/producer targets name.
                                 if !dropped {
                                     pairs2.post(pid);
+                                    tally.posts += 1;
                                 }
                                 pposts += 1;
                                 claimed2[pid].store(nposts + pposts, Ordering::Relaxed);
-                                let mut r = Ok(());
-                                for d in dists.iter() {
-                                    if r.is_err() {
-                                        break;
-                                    }
-                                    let target = pid as isize - d as isize;
-                                    r = match wd {
-                                        Some(wd) => {
-                                            pairs2.wait_until(target, pposts, wd, site, pid)
-                                        }
-                                        None => {
-                                            pairs2.wait(target, pposts);
-                                            Ok(())
-                                        }
-                                    };
-                                }
-                                for &prod in events2.producers(producers) {
-                                    if r.is_err() {
-                                        break;
-                                    }
-                                    if prod == pid {
-                                        continue;
-                                    }
-                                    r = match wd {
-                                        Some(wd) => {
-                                            pairs2.wait_until(prod as isize, pposts, wd, site, pid)
-                                        }
-                                        None => {
-                                            pairs2.wait(prod as isize, pposts);
-                                            Ok(())
-                                        }
-                                    };
-                                }
-                                r
+                                let by_dist = dists.iter().map(|d| pid as isize - d as isize);
+                                let by_producer = events2
+                                    .producers(producers)
+                                    .iter()
+                                    .filter(|&&prod| prod != pid)
+                                    .map(|&prod| prod as isize);
+                                let r = by_dist
+                                    .filter(|&q| in_team(q))
+                                    .chain(by_producer)
+                                    .try_for_each(|q| tally.waited(at.pair(&pairs2, q, pposts)));
+                                (SyncKind::Pairwise, r)
                             }
                         };
-                        if let (Some(p), Some(ta)) = (&profiler2, t_arrive) {
-                            // Record the release even on a failing wait
-                            // so the faulty episode's block shows up
-                            // with its full (deadline-length) duration.
-                            let now = p.now_ns();
-                            p.record_at(
-                                pid,
-                                EventKind::SyncRelease,
-                                site as u32,
-                                now.saturating_sub(ta),
-                                now,
-                            );
+                        // Recorded even on a failing wait, so the faulty
+                        // episode shows its full (deadline-length) block
+                        // at its site.
+                        let t_release = Instant::now();
+                        let ns = t_release.duration_since(t_arrive).as_nanos() as u64;
+                        if let Some(p) = &profiler2 {
+                            let t = p.ns_at(t_release);
+                            p.record_at(pid, EventKind::SyncRelease, site as u32, ns, t);
                         }
-                        if let Some(t) = &telemetry2 {
-                            // Record even a failing wait: the report's
-                            // telemetry then shows the deadline-length
-                            // block at the faulty site.
-                            let cell = t.cell(site, pid);
-                            cell.op();
-                            cell.wait(started.elapsed().as_nanos() as u64);
-                        }
+                        rec.sync(kind, site, tally, ns);
                         r?;
+                        if trace {
+                            rec.spans.push((k, t_arrive, t_release));
+                        }
                     }
                 }
-                if let Some(s) = &spans2 {
-                    let (name, cat) = span_of(prog, &events2, ev);
-                    s.push(
-                        pid,
-                        Span {
-                            pid,
-                            name,
-                            cat,
-                            start_us: us_of(started),
-                            end_us: us_of(Instant::now()),
-                        },
-                    );
+                if let Some(t) = t_start {
+                    rec.spans.push((k, t, Instant::now()));
                 }
             }
             Ok(())
         };
         let outcome = catch_unwind(AssertUnwindSafe(traverse));
+        recorders2.lock().unwrap()[pid] = rec;
         if let Some(p) = &profiler2 {
             let ok = matches!(outcome, Ok(Ok(()))) as u64;
             p.record(pid, EventKind::RegionEnd, NO_SITE, ok);
@@ -815,66 +734,87 @@ pub fn run_parallel_observed_on(
     });
     let elapsed = t0.elapsed();
 
-    let sites = telemetry.as_ref().map(|t| t.snapshot()).unwrap_or_default();
-    let failure = match (&watchdog, team_result) {
+    // Workers have joined: fold their recorders into the outcome.
+    let recorders = std::mem::take(&mut *recorders.lock().unwrap());
+    let mut stats = StatsSnapshot::default();
+    for r in &recorders {
+        stats.merge(&r.stats);
+    }
+    let cause = match (&watchdog, team_result) {
         // No watchdog: preserve `Team::run` semantics (a worker panic
         // propagates to the caller; it can no longer hang the join).
         (None, Err(e)) => e.resume(),
         (None, Ok(())) => None,
-        (Some(wd), team_result) => {
-            let first_sync_error = failure_slot.lock().unwrap().take();
-            let cause = match (team_result, first_sync_error) {
-                (Err(e), _) => Some(FailureCause::Panic {
-                    pid: e.pid,
-                    message: e.message(),
-                }),
-                (Ok(()), Some(e)) => Some(FailureCause::from_sync_error(&e)),
-                (Ok(()), None) => {
-                    // Belt and braces: a poisoned region with no
-                    // recorded error still must not report success.
-                    wd.is_poisoned().then(|| FailureCause::Panic {
-                        pid: 0,
-                        message: wd.poison_cause().unwrap_or_default(),
-                    })
-                }
-            };
-            cause.map(|cause| {
-                let site_label = match cause.site() {
-                    Some(DISPATCH_SITE) => "dispatch".to_string(),
-                    Some(site) => telemetry
-                        .as_ref()
-                        .and_then(|t| t.sites().get(site))
-                        .map(|m| m.label.clone())
-                        .unwrap_or_else(|| format!("s{site}")),
-                    None => String::new(),
-                };
-                FailureReport {
-                    program: prog.name.clone(),
-                    nprocs,
-                    deadline_ms: wd.deadline().as_secs_f64() * 1e3,
-                    cause,
-                    site_label,
-                    per_proc: proc_state.lock().unwrap().clone(),
-                    chaos_seed: None,
-                    sites: sites.clone(),
-                }
-            })
-        }
+        (Some(_), Err(e)) => Some(FailureCause::Panic {
+            pid: e.pid,
+            message: e.message(),
+        }),
+        (Some(wd), Ok(())) => match failure_slot.lock().unwrap().take() {
+            Some(e) => Some(FailureCause::from_sync_error(&e)),
+            // Belt and braces: a poisoned region with no recorded error
+            // still must not report success.
+            None => wd.is_poisoned().then(|| FailureCause::Panic {
+                pid: 0,
+                message: wd.poison_cause().unwrap_or_default(),
+            }),
+        },
     };
+    // Only surface the cells when the caller asked for them or the run
+    // failed.
+    let sites: Vec<SiteSnapshot> = if opts.telemetry || cause.is_some() {
+        obs::site_metas(prog, plan)
+            .into_iter()
+            .map(|meta| {
+                let cell = |r: &SyncRecorder| r.cells.get(meta.id).cloned().unwrap_or_default();
+                let per_proc = recorders.iter().map(cell).collect();
+                SiteSnapshot::new(meta, per_proc)
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let failure = cause.zip(watchdog.as_ref()).map(|(cause, wd)| {
+        let site_label = match cause.site() {
+            Some(DISPATCH_SITE) => "dispatch".to_string(),
+            Some(site) => sites
+                .get(site)
+                .map(|s| s.meta.label.clone())
+                .unwrap_or_else(|| format!("s{site}")),
+            None => String::new(),
+        };
+        FailureReport {
+            program: prog.name.clone(),
+            nprocs,
+            deadline_ms: wd.deadline().as_secs_f64() * 1e3,
+            cause,
+            site_label,
+            per_proc: proc_state.lock().unwrap().clone(),
+            chaos_seed: None,
+            sites: sites.clone(),
+        }
+    });
+    let us_of = |t: Instant| t.duration_since(t0).as_micros() as u64;
+    let mut spans = Vec::new();
+    for (pid, r) in recorders.iter().enumerate() {
+        for &(k, start, end) in &r.spans {
+            let (name, cat) = span_of(prog, events, &events[k]);
+            spans.push(Span {
+                pid,
+                name,
+                cat,
+                start_us: us_of(start),
+                end_us: us_of(end),
+            });
+        }
+    }
 
     let errors = proc_errors.lock().unwrap().clone();
     ParallelOutcome {
-        stats: stats.snapshot(),
+        stats,
         counts,
         elapsed,
-        // Telemetry was implicitly enabled for the watchdog; only
-        // surface it when the caller asked for it or the run failed.
-        sites: if opts.telemetry || failure.is_some() {
-            sites
-        } else {
-            Vec::new()
-        },
-        spans: spans.map(|s| s.drain()).unwrap_or_default(),
+        sites,
+        spans,
         failure,
         proc_errors: errors,
         // Workers have joined: claims and flag cells are both final.
@@ -882,7 +822,7 @@ pub fn run_parallel_observed_on(
             .map(|p| {
                 claimed_posts[p]
                     .load(Ordering::Relaxed)
-                    .saturating_sub(flags.epoch(p) + pairs.count(p))
+                    .saturating_sub(fabric.flags.epoch(p) + fabric.pairs.count(p))
             })
             .collect(),
         // Workers have joined, so the single-writer rings are quiescent
@@ -935,16 +875,86 @@ mod tests {
         }
     }
 
+    /// A master-updated scalar every processor then reads: the
+    /// optimizer places a counter.
+    fn scale(n_val: i64, steps: i64, nprocs: i64) -> (Arc<Program>, Arc<Bindings>) {
+        let mut pb = ProgramBuilder::new("scale");
+        let n = pb.sym("n");
+        let a = pb.array("A", &[sym(n)], dist_block());
+        let s = pb.scalar("s", 1.0);
+        let _t = pb.begin_seq("t", con(0), con(steps - 1));
+        pb.assign(svar(s), sca(s) * ex(0.5));
+        let j = pb.begin_par("j", con(0), sym(n) - 1);
+        pb.assign(elem(a, [idx(j)]), sca(s) + arr(a, [idx(j)]));
+        pb.end();
+        pb.end();
+        let prog = Arc::new(pb.finish());
+        let bind = Arc::new(Bindings::new(nprocs).set(n, n_val));
+        (prog, bind)
+    }
+
+    /// A shift by half the array — two ownership blocks at four
+    /// processors, out of neighbor reach: pairwise cells.
+    fn shift(n_val: i64, steps: i64, nprocs: i64) -> (Arc<Program>, Arc<Bindings>) {
+        let mut pb = ProgramBuilder::new("shift");
+        let n = pb.sym("n");
+        let a = pb.array("A", &[sym(n)], dist_block());
+        let b = pb.array("B", &[sym(n)], dist_block());
+        let _t = pb.begin_seq("t", con(0), con(steps - 1));
+        let i = pb.begin_par("i", con(0), sym(n) - 1);
+        pb.assign(elem(b, [idx(i)]), arr(a, [idx(i)]) * ex(0.5) + ex(1.0));
+        pb.end();
+        let j = pb.begin_par("j", con(n_val / 2), sym(n) - 1);
+        pb.assign(elem(a, [idx(j)]), arr(b, [idx(j) - n_val / 2]) * ex(0.75));
+        pb.end();
+        pb.end();
+        let prog = Arc::new(pb.finish());
+        let bind = Arc::new(Bindings::new(nprocs).set(n, n_val));
+        (prog, bind)
+    }
+
+    /// The recorder against the schedule: every kind, posts and waits,
+    /// on one kernel per mechanism.
     #[test]
     fn instrumentation_matches_schedule_counts() {
-        let (prog, bind) = sweep(64, 10, 4);
         let team = Team::new(4);
-        let plan = optimize(&prog, &bind);
-        let mem = Arc::new(Mem::new(&prog, &bind));
-        let out = run_parallel(&prog, &bind, &plan, &mem, &team);
-        assert_eq!(out.stats.barrier_episodes, out.counts.barriers);
-        assert_eq!(out.stats.neighbor_posts, out.counts.neighbor_posts);
-        assert_eq!(out.stats.counter_increments, out.counts.counter_increments);
+        let mut mechanisms = StatsSnapshot::default();
+        for ((prog, bind), plan) in [
+            (
+                sweep(64, 10, 4),
+                fork_join as fn(&Program, &Bindings) -> SpmdProgram,
+            ),
+            (sweep(64, 10, 4), optimize),
+            (scale(32, 6, 4), optimize),
+            (shift(32, 6, 4), optimize),
+        ] {
+            let plan = plan(&prog, &bind);
+            let mem = Arc::new(Mem::new(&prog, &bind));
+            let out = run_parallel(&prog, &bind, &plan, &mem, &team);
+            let (s, c) = (&out.stats, &out.counts);
+            assert_eq!(s.barrier_episodes, c.barriers, "{}", prog.name);
+            assert_eq!(s.barrier_arrivals, c.barriers * 4, "{}", prog.name);
+            assert_eq!(s.counter_increments, c.counter_increments);
+            assert_eq!(s.counter_waits, c.counter_waits);
+            assert_eq!(s.neighbor_posts, c.neighbor_posts);
+            assert_eq!(s.neighbor_waits, c.neighbor_waits);
+            assert_eq!(s.pairwise_posts, c.pair_posts);
+            assert_eq!(s.pairwise_waits, c.pair_waits);
+            mechanisms.merge(s);
+        }
+        // Each mechanism really ran, both sides.
+        let m = mechanisms;
+        for n in [m.barrier_episodes, m.counter_increments, m.counter_waits] {
+            assert!(n > 0, "{m:?}");
+        }
+        for n in [
+            m.neighbor_posts,
+            m.neighbor_waits,
+            m.pairwise_posts,
+            m.pairwise_waits,
+        ] {
+            assert!(n > 0, "{m:?}");
+        }
     }
 
     /// Drops every sync post made by one processor (a model of a
@@ -961,13 +971,17 @@ mod tests {
         }
     }
 
-    /// Panics on one processor's first sync event (exercises the
-    /// panic → poison → report path without touching program code).
-    struct PanicAt(usize);
+    /// Panics on one processor's `visit`-th arrival at any site
+    /// (exercises the panic → poison → report path without touching
+    /// program code).
+    struct PanicAt {
+        pid: usize,
+        visit: u64,
+    }
 
     impl SyncChaos for PanicAt {
-        fn at_sync(&self, _site: usize, pid: usize, _visit: u64) -> ChaosAction {
-            if pid == self.0 {
+        fn at_sync(&self, _site: usize, pid: usize, visit: u64) -> ChaosAction {
+            if pid == self.pid && visit == self.visit {
                 panic!("chaos-injected panic on P{pid}");
             }
             ChaosAction::None
@@ -1053,7 +1067,7 @@ mod tests {
             &team,
             &ObserveOptions {
                 deadline: Some(Duration::from_millis(200)),
-                chaos: Some(Arc::new(PanicAt(2))),
+                chaos: Some(Arc::new(PanicAt { pid: 2, visit: 0 })),
                 ..ObserveOptions::default()
             },
         );
@@ -1070,6 +1084,105 @@ mod tests {
         let mem2 = Arc::new(Mem::new(&prog, &bind));
         let out2 = run_parallel(&prog, &bind, &plan, &mem2, &team);
         assert!(out2.ok());
+    }
+
+    /// A worker that panics mid-region still hands over what it
+    /// recorded: the report's sites hold every pid's waits up to the
+    /// fault, the panicking pid's included.
+    #[test]
+    fn panicking_worker_keeps_its_recorded_waits() {
+        let (prog, bind) = sweep(32, 4, 4);
+        let team = Team::new(4);
+        let plan = fork_join(&prog, &bind);
+        let mem = Arc::new(Mem::new(&prog, &bind));
+        let out = run_parallel_observed(
+            &prog,
+            &bind,
+            &plan,
+            &mem,
+            &team,
+            &ObserveOptions {
+                deadline: Some(Duration::from_millis(200)),
+                chaos: Some(Arc::new(PanicAt { pid: 2, visit: 2 })),
+                ..ObserveOptions::default()
+            },
+        );
+        let failure = out.failure.expect("a panicked worker is a failure");
+        assert!(matches!(failure.cause, FailureCause::Panic { pid: 2, .. }));
+        // Every barrier site of the time loop was passed twice by all
+        // four processors before P2 panicked at its third arrival.
+        let visited: Vec<_> = failure.sites.iter().filter(|s| s.total.ops > 0).collect();
+        assert!(!visited.is_empty());
+        for s in &visited {
+            for (pid, cell) in s.per_proc.iter().enumerate() {
+                assert!(cell.ops >= 2, "s{} P{pid}: {cell:?}", s.meta.id);
+                assert_eq!(cell.hist.iter().sum::<u64>(), cell.waits);
+            }
+        }
+        // The poisoned peers' cut-short waits are in both views too.
+        let in_cells: u64 = out.sites.iter().map(|s| s.total.wait_ns).sum();
+        assert_eq!(out.stats.barrier_wait_ns, in_cells);
+    }
+
+    /// One wait has one duration: the by-kind totals, the per-site
+    /// cells and the profiler's `SyncRelease` events all come from the
+    /// same clock pair, so they agree to the nanosecond — injected
+    /// chaos delays included in none of them.
+    #[test]
+    fn totals_sites_and_profile_agree_on_every_wait() {
+        let team = Team::new(4);
+        for ((prog, bind), plan) in [
+            (
+                sweep(48, 4, 4),
+                fork_join as fn(&Program, &Bindings) -> SpmdProgram,
+            ),
+            (sweep(48, 4, 4), optimize),
+            (scale(32, 4, 4), optimize),
+            (shift(32, 4, 4), optimize),
+        ] {
+            let plan = plan(&prog, &bind);
+            let mem = Arc::new(Mem::new(&prog, &bind));
+            let out = run_parallel_observed(
+                &prog,
+                &bind,
+                &plan,
+                &mem,
+                &team,
+                &ObserveOptions {
+                    telemetry: true,
+                    deadline: Some(Duration::from_secs(5)),
+                    chaos: Some(Arc::new(Jitter)),
+                    profile: Some(ProfileOptions::default()),
+                    ..ObserveOptions::default()
+                },
+            );
+            assert!(out.ok(), "benign chaos failed: {:?}", out.failure);
+            let s = &out.stats;
+            let mut released = 0u64;
+            for (op, total) in [
+                ("barrier", s.barrier_wait_ns),
+                ("counter", s.counter_wait_ns),
+                ("neighbor flags", s.neighbor_wait_ns),
+                ("pairwise counters", s.pairwise_wait_ns),
+            ] {
+                let of_kind = out.sites.iter().filter(|site| site.meta.op == op);
+                let cells: u64 = of_kind
+                    .flat_map(|site| &site.per_proc)
+                    .map(|cell| cell.wait_ns)
+                    .sum();
+                assert_eq!(cells, total, "{} {op}", prog.name);
+                released += total;
+            }
+            let profile = out.profile.expect("profile requested");
+            assert_eq!(profile.dropped, 0);
+            let blocked: u64 = profile
+                .events
+                .iter()
+                .filter(|e| e.kind == EventKind::SyncRelease)
+                .map(|e| e.arg)
+                .sum();
+            assert_eq!(blocked, released, "{}", prog.name);
+        }
     }
 
     #[test]

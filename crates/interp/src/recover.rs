@@ -13,8 +13,9 @@
 //!    session;
 //! 2. each failed attempt rolls memory back to the checkpoint, re-arms
 //!    the fabric ([`SyncFabric::reset`] — barriers re-zeroed, counter
-//!    generations bumped, stats cleared so attempts never conflate),
-//!    sleeps a deterministic exponential backoff, and re-executes;
+//!    generations bumped; each attempt's workers measure into fresh
+//!    recorders, so attempts never conflate), sleeps a deterministic
+//!    exponential backoff, and re-executes;
 //! 3. every *implicated* sync site (all primary per-processor faults,
 //!    not just whichever one won the race into the headline) climbs the
 //!    escalation ladder of [`runtime::recovery::Quarantine`]: first
@@ -210,8 +211,7 @@ fn infer_suspect(out: &ParallelOutcome) -> Option<usize> {
 /// plus the full recovery timeline.
 pub struct RecoveryOutcome {
     /// The final attempt (success, or the residual failure when the
-    /// budget ran out). Its stats/telemetry cover that attempt only —
-    /// the fabric is reset between attempts.
+    /// budget ran out). Its stats/telemetry cover that attempt only.
     pub outcome: ParallelOutcome,
     /// The failed-and-retried attempts, in order.
     pub attempts: Vec<AttemptReport>,
@@ -239,9 +239,9 @@ pub struct RecoveryOutcome {
     pub final_plan: SpmdProgram,
     /// Array cells in the write-set checkpoint.
     pub checkpoint_cells: usize,
-    /// Sync stats summed over *every* attempt (the fabric clears its
-    /// counters on reset, so [`RecoveryOutcome::outcome`] covers only
-    /// the final attempt; metrics totals must use this field).
+    /// Sync stats summed over *every* attempt
+    /// ([`RecoveryOutcome::outcome`] covers only the final one; metrics
+    /// totals must use this field).
     pub total_stats: StatsSnapshot,
     program: String,
     nprocs: usize,
@@ -960,9 +960,10 @@ mod tests {
         assert_eq!(mem.max_abs_diff(&oracle), 0.0);
     }
 
-    /// Satellite: per-attempt telemetry isolation. The final outcome's
-    /// stats must equal the final attempt's schedule-derived counts —
-    /// nothing from the abandoned attempts leaks through the reset.
+    /// Per-attempt telemetry isolation. The final outcome's stats must
+    /// equal the final attempt's schedule-derived counts — nothing from
+    /// the abandoned attempts leaks into it — and the run totals are
+    /// exactly the attempts' snapshots summed.
     #[test]
     fn final_attempt_stats_are_not_conflated_with_retries() {
         let (prog, bind) = sweep(32, 3, 4);
@@ -990,6 +991,34 @@ mod tests {
         // doubled-up count would exceed one schedule's worth.
         for a in &r.attempts {
             assert!(a.barrier_episodes <= r.outcome.counts.barriers);
+        }
+        assert!(!r.attempts.is_empty(), "the drop never bit");
+        let (last, total) = (&r.outcome.stats, &r.total_stats);
+        let summed = |of: fn(&AttemptReport) -> u64| r.attempts.iter().map(of).sum::<u64>();
+        for (attempts, last, total) in [
+            (
+                summed(|a| a.barrier_episodes),
+                last.barrier_episodes,
+                total.barrier_episodes,
+            ),
+            (
+                summed(|a| a.neighbor_posts),
+                last.neighbor_posts,
+                total.neighbor_posts,
+            ),
+            (
+                summed(|a| a.spin_rounds),
+                last.spin_rounds,
+                total.spin_rounds,
+            ),
+            (
+                summed(|a| a.yield_rounds),
+                last.yield_rounds,
+                total.yield_rounds,
+            ),
+            (summed(|a| a.parks), last.parks, total.parks),
+        ] {
+            assert_eq!(attempts + last, total);
         }
     }
 }

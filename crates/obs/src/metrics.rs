@@ -129,31 +129,24 @@ pub fn render_site_table(sites: &[SiteSnapshot]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use runtime::telemetry::{SiteMeta, SiteTelemetry};
+    use runtime::telemetry::{CellSnapshot, SiteMeta};
 
     fn sample() -> Vec<SiteSnapshot> {
-        let t = SiteTelemetry::new(
-            vec![
-                SiteMeta {
-                    id: 0,
-                    kind: "phase-after".into(),
-                    label: "after DOALL i [n1]".into(),
-                    op: "neighbor flags".into(),
-                },
-                SiteMeta {
-                    id: 1,
-                    kind: "region-end".into(),
-                    label: "end of region r0".into(),
-                    op: "barrier".into(),
-                },
-            ],
-            2,
-        );
-        t.cell(0, 0).op();
-        t.cell(0, 0).wait(1500);
-        t.cell(1, 1).op();
-        t.cell(1, 1).wait(3_000_000);
-        t.snapshot()
+        let site = |id, label: &str, op: &str, pid: usize, ns| {
+            let meta = SiteMeta {
+                id,
+                kind: "phase-after".into(),
+                label: label.into(),
+                op: op.into(),
+            };
+            let mut cells = vec![CellSnapshot::default(); 2];
+            cells[pid].record(ns);
+            SiteSnapshot::new(meta, cells)
+        };
+        vec![
+            site(0, "after DOALL i [n1]", "neighbor flags", 0, 1500),
+            site(1, "end of region r0", "barrier", 1, 3_000_000),
+        ]
     }
 
     #[test]

@@ -13,14 +13,15 @@
 //! or fetch-add plus a [`SpinWait`] poll loop, with no clock reads, no
 //! locks, and no watchdog traffic. The `*_until` variants layer the
 //! sampled watchdog of [`crate::fault`] on top for fault detection.
+//! Neither counts nor times anything: a wait returns its escalation
+//! [`WaitEffort`] and the caller that knows the site does the
+//! measuring.
 
 use crate::fault::{SyncError, WaitPoll, Watchdog};
-use crate::spin::{SpinPolicy, SpinWait};
-use crate::stats::{SyncKind, SyncStats};
+use crate::spin::{SpinPolicy, SpinWait, WaitEffort};
+use crate::stats::SyncKind;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Bits of the central barrier's packed state word holding the arrival
 /// count; the remaining (upper) bits hold the episode epoch.
@@ -69,7 +70,6 @@ pub struct CentralBarrier {
     /// Packed `(epoch << COUNT_BITS) | arrivals`.
     state: CachePadded<AtomicU64>,
     policy: SpinPolicy,
-    stats: Option<Arc<SyncStats>>,
 }
 
 impl CentralBarrier {
@@ -85,14 +85,7 @@ impl CentralBarrier {
             n,
             state: CachePadded::new(AtomicU64::new(0)),
             policy: SpinPolicy::auto(),
-            stats: None,
         }
-    }
-
-    /// Attach instrumentation.
-    pub fn with_stats(mut self, stats: Arc<SyncStats>) -> Self {
-        self.stats = Some(stats);
-        self
     }
 
     /// Override the spin → yield → park escalation policy.
@@ -157,28 +150,14 @@ impl CentralBarrier {
     /// [`CentralBarrier::reset`] (region teardown), the wait returns
     /// immediately without contributing an arrival — the guarded
     /// variant reports this as [`SyncError::StaleGeneration`].
-    pub fn wait(&self, local: &mut BarrierEpoch) {
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
-        match self.arrive(local) {
-            Arrival::Released => {
-                if let Some(s) = &self.stats {
-                    s.barrier_episode();
-                }
-            }
-            Arrival::Stale => return,
-            Arrival::Wait(e) => {
-                let mut sw = SpinWait::new(self.policy);
-                while self.state.load(Ordering::Acquire) >> COUNT_BITS == e {
-                    sw.snooze();
-                }
-                if let Some(s) = &self.stats {
-                    s.escalation(sw.effort());
-                }
+    pub fn wait(&self, local: &mut BarrierEpoch) -> WaitEffort {
+        let mut sw = SpinWait::new(self.policy);
+        if let Arrival::Wait(e) = self.arrive(local) {
+            while self.state.load(Ordering::Acquire) >> COUNT_BITS == e {
+                sw.snooze();
             }
         }
-        if let (Some(s), Some(t0)) = (&self.stats, t0) {
-            s.barrier_arrival(t0.elapsed());
-        }
+        sw.effort()
     }
 
     /// Re-arm the barrier for a fresh region attempt by jumping the
@@ -212,43 +191,29 @@ impl CentralBarrier {
         wd: &Watchdog,
         site: usize,
         pid: usize,
-    ) -> Result<(), SyncError> {
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
+    ) -> Result<WaitEffort, SyncError> {
         match self.arrive(local) {
-            Arrival::Released => {
-                if let Some(s) = &self.stats {
-                    s.barrier_episode();
-                }
-            }
-            Arrival::Stale => return Err(SyncError::StaleGeneration { site, pid }),
-            Arrival::Wait(e) => {
-                // Progress is the arrival count: `expected` is full
-                // attendance, `observed` how many had arrived (the
-                // epoch advancing is the real exit condition).
-                let effort = wd.guarded_wait(
-                    site,
-                    pid,
-                    SyncKind::Barrier,
-                    self.n as u64,
-                    self.policy,
-                    || {
-                        let s = self.state.load(Ordering::Acquire);
-                        if s >> COUNT_BITS != e {
-                            WaitPoll::Ready
-                        } else {
-                            WaitPoll::Pending(s & COUNT_MASK)
-                        }
-                    },
-                )?;
-                if let Some(s) = &self.stats {
-                    s.escalation(effort);
-                }
-            }
+            Arrival::Released => Ok(WaitEffort::default()),
+            Arrival::Stale => Err(SyncError::StaleGeneration { site, pid }),
+            // Progress is the arrival count: `expected` is full
+            // attendance, `observed` how many had arrived (the epoch
+            // advancing is the real exit condition).
+            Arrival::Wait(e) => wd.guarded_wait(
+                site,
+                pid,
+                SyncKind::Barrier,
+                self.n as u64,
+                self.policy,
+                || {
+                    let s = self.state.load(Ordering::Acquire);
+                    if s >> COUNT_BITS != e {
+                        WaitPoll::Ready
+                    } else {
+                        WaitPoll::Pending(s & COUNT_MASK)
+                    }
+                },
+            ),
         }
-        if let (Some(s), Some(t0)) = (&self.stats, t0) {
-            s.barrier_arrival(t0.elapsed());
-        }
-        Ok(())
     }
 }
 
@@ -271,7 +236,6 @@ pub struct TreeBarrier {
     // target for episode `e` is `e * (radix - 1)`.
     flags: Vec<Vec<CachePadded<AtomicU64>>>,
     policy: SpinPolicy,
-    stats: Option<Arc<SyncStats>>,
 }
 
 impl TreeBarrier {
@@ -324,14 +288,7 @@ impl TreeBarrier {
             rounds,
             flags,
             policy: SpinPolicy::auto(),
-            stats: None,
         }
-    }
-
-    /// Attach instrumentation.
-    pub fn with_stats(mut self, stats: Arc<SyncStats>) -> Self {
-        self.stats = Some(stats);
-        self
     }
 
     /// Override the spin → yield → park escalation policy.
@@ -371,28 +328,19 @@ impl TreeBarrier {
     /// Block processor `pid` until all processors arrive. `epoch` is the
     /// caller's thread-local episode counter (start at 0, pass the same
     /// variable every time).
-    pub fn wait(&self, pid: usize, epoch: &mut usize) {
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
+    pub fn wait(&self, pid: usize, epoch: &mut usize) -> WaitEffort {
         *epoch += 1;
         let target = (*epoch as u64) * (self.radix as u64 - 1);
+        let mut effort = WaitEffort::default();
         for r in 0..self.rounds {
             self.signal_round(r, pid);
             let mut sw = SpinWait::new(self.policy);
             while self.flags[r][pid].load(Ordering::Acquire) < target {
                 sw.snooze();
             }
-            if let Some(s) = &self.stats {
-                s.escalation(sw.effort());
-            }
+            effort += sw.effort();
         }
-        if let Some(s) = &self.stats {
-            if pid == 0 {
-                s.barrier_episode();
-            }
-            if let Some(t0) = t0 {
-                s.barrier_arrival(t0.elapsed());
-            }
-        }
+        effort
     }
 
     /// Re-arm the barrier for a fresh region attempt: zero every
@@ -418,35 +366,23 @@ impl TreeBarrier {
         epoch: &mut usize,
         wd: &Watchdog,
         site: usize,
-    ) -> Result<(), SyncError> {
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
+    ) -> Result<WaitEffort, SyncError> {
         *epoch += 1;
         let target = (*epoch as u64) * (self.radix as u64 - 1);
+        let mut effort = WaitEffort::default();
         for r in 0..self.rounds {
             self.signal_round(r, pid);
             let flag = &self.flags[r][pid];
-            let effort =
-                wd.guarded_wait(site, pid, SyncKind::Barrier, target, self.policy, || {
-                    let cur = flag.load(Ordering::Acquire);
-                    if cur >= target {
-                        WaitPoll::Ready
-                    } else {
-                        WaitPoll::Pending(cur)
-                    }
-                })?;
-            if let Some(s) = &self.stats {
-                s.escalation(effort);
-            }
+            effort += wd.guarded_wait(site, pid, SyncKind::Barrier, target, self.policy, || {
+                let cur = flag.load(Ordering::Acquire);
+                if cur >= target {
+                    WaitPoll::Ready
+                } else {
+                    WaitPoll::Pending(cur)
+                }
+            })?;
         }
-        if let Some(s) = &self.stats {
-            if pid == 0 {
-                s.barrier_episode();
-            }
-            if let Some(t0) = t0 {
-                s.barrier_arrival(t0.elapsed());
-            }
-        }
-        Ok(())
+        Ok(effort)
     }
 }
 
@@ -454,6 +390,7 @@ impl TreeBarrier {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::Arc;
 
     fn hammer_central(n: usize, iters: usize) {
         let b = Arc::new(CentralBarrier::new(n));
@@ -495,28 +432,6 @@ mod tests {
             b.wait(&mut local);
         }
         assert_eq!(b.epoch(), 10);
-    }
-
-    #[test]
-    fn central_barrier_counts_episodes() {
-        let stats = Arc::new(SyncStats::new());
-        let b = Arc::new(CentralBarrier::new(3).with_stats(Arc::clone(&stats)));
-        let handles: Vec<_> = (0..3)
-            .map(|_| {
-                let b = Arc::clone(&b);
-                std::thread::spawn(move || {
-                    let mut local = BarrierEpoch::default();
-                    for _ in 0..50 {
-                        b.wait(&mut local);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(stats.barrier_episodes_count(), 50);
-        assert_eq!(stats.barrier_arrivals_count(), 150);
     }
 
     #[test]

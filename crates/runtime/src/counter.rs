@@ -8,18 +8,15 @@
 //! communicating processors.
 
 use crate::fault::{SyncError, WaitPoll, Watchdog};
-use crate::spin::{SpinPolicy, SpinWait};
-use crate::stats::{SyncKind, SyncStats};
+use crate::spin::{SpinPolicy, SpinWait, WaitEffort};
+use crate::stats::SyncKind;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// A bank of monotonically increasing synchronization counters.
 pub struct Counters {
     c: Vec<CachePadded<AtomicU64>>,
     policy: SpinPolicy,
-    stats: Option<Arc<SyncStats>>,
     /// Bumped by every [`Counters::reset`]; guarded waits capture it on
     /// entry and fail if it moves mid-wait (a reset raced the wait).
     generation: CachePadded<AtomicU64>,
@@ -53,16 +50,9 @@ impl Counters {
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
             policy: SpinPolicy::auto(),
-            stats: None,
             generation: CachePadded::new(AtomicU64::new(0)),
             waiting: CachePadded::new(AtomicUsize::new(0)),
         }
-    }
-
-    /// Attach instrumentation.
-    pub fn with_stats(mut self, stats: Arc<SyncStats>) -> Self {
-        self.stats = Some(stats);
-        self
     }
 
     /// Override the spin → yield → park escalation policy.
@@ -85,26 +75,17 @@ impl Counters {
     /// produced data becomes visible to waiters).
     pub fn increment(&self, id: usize) {
         self.c[id].fetch_add(1, Ordering::Release);
-        if let Some(s) = &self.stats {
-            s.counter_increment();
-        }
     }
 
     /// Consumer side: block until counter `id` reaches at least `v`
-    /// (acquire ordering).
-    pub fn wait_ge(&self, id: usize, v: u64) {
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
+    /// (acquire ordering). Returns the wait's escalation counts.
+    pub fn wait_ge(&self, id: usize, v: u64) -> WaitEffort {
         let _w = WaitingGuard::enter(&self.waiting);
         let mut sw = SpinWait::new(self.policy);
         while self.c[id].load(Ordering::Acquire) < v {
             sw.snooze();
         }
-        if let Some(s) = &self.stats {
-            s.escalation(sw.effort());
-            if let Some(t0) = t0 {
-                s.counter_wait(t0.elapsed());
-            }
-        }
+        sw.effort()
     }
 
     /// As [`Counters::wait_ge`], but guarded: returns
@@ -120,11 +101,10 @@ impl Counters {
         wd: &Watchdog,
         site: usize,
         pid: usize,
-    ) -> Result<(), SyncError> {
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
+    ) -> Result<WaitEffort, SyncError> {
         let _w = WaitingGuard::enter(&self.waiting);
         let gen0 = self.generation.load(Ordering::Acquire);
-        let r = wd.guarded_wait(site, pid, SyncKind::Counter, v, self.policy, || {
+        wd.guarded_wait(site, pid, SyncKind::Counter, v, self.policy, || {
             if self.generation.load(Ordering::Acquire) != gen0 {
                 return WaitPoll::Failed(SyncError::StaleGeneration { site, pid });
             }
@@ -134,19 +114,7 @@ impl Counters {
             } else {
                 WaitPoll::Pending(cur)
             }
-        });
-        match r {
-            Ok(effort) => {
-                if let Some(s) = &self.stats {
-                    s.escalation(effort);
-                    if let Some(t0) = t0 {
-                        s.counter_wait(t0.elapsed());
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        })
     }
 
     /// Current value of counter `id`.
@@ -192,6 +160,7 @@ impl Counters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn producer_consumer_ordering() {
@@ -231,16 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_operations() {
-        let stats = Arc::new(SyncStats::new());
-        let c = Counters::new(1).with_stats(Arc::clone(&stats));
-        c.increment(0);
-        c.wait_ge(0, 1);
-        assert_eq!(stats.counter_increments_count(), 1);
-        assert_eq!(stats.counter_waits_count(), 1);
-    }
-
-    #[test]
     fn reset_zeroes() {
         let c = Counters::new(3);
         c.increment(2);
@@ -256,7 +215,7 @@ mod tests {
         let wd = Watchdog::new(Duration::from_millis(40));
         let c = Counters::new(1);
         c.increment(0);
-        assert_eq!(c.wait_ge_until(0, 1, &wd, 5, 2), Ok(()));
+        assert_eq!(c.wait_ge_until(0, 1, &wd, 5, 2), Ok(WaitEffort::default()));
         let err = c.wait_ge_until(0, 3, &wd, 5, 2).unwrap_err();
         assert_eq!(
             err,
@@ -315,7 +274,7 @@ mod tests {
             for _ in 0..3 {
                 c.increment(0);
             }
-            assert_eq!(waiter.join().unwrap(), Ok(()), "attempt {attempt}");
+            assert!(waiter.join().unwrap().is_ok(), "attempt {attempt}");
             // Counter values from the abandoned attempt must not leak
             // into the next: reset zeroes them and stamps a new
             // generation.

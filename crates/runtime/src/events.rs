@@ -294,7 +294,15 @@ impl Profiler {
     /// Nanoseconds on the profiler clock right now.
     #[inline]
     pub fn now_ns(&self) -> u64 {
-        (self.base.elapsed().as_nanos() as u64)
+        self.ns_at(Instant::now())
+    }
+
+    /// Where the instant `t` falls on the profiler clock — lets a caller
+    /// that already read the clock (the executor's sync step) stamp its
+    /// events without reading it again.
+    #[inline]
+    pub fn ns_at(&self, t: Instant) -> u64 {
+        (t.saturating_duration_since(self.base).as_nanos() as u64)
             .saturating_sub(self.offset_ns.load(Ordering::Relaxed))
     }
 

@@ -13,9 +13,11 @@
 //!   stencil and pipeline patterns ([`neighbor`]);
 //! * a persistent **worker team** that executes SPMD regions without
 //!   re-spawning threads ([`team`]);
-//! * **instrumentation** counting every dynamic synchronization event and
-//!   the time spent waiting ([`stats`]) — the source of the "barriers
-//!   executed at run time" numbers in the reproduction of Table 3;
+//! * **instrumentation** types — plain by-kind totals ([`stats`]) and
+//!   per-site cells ([`telemetry`]) the executor's per-worker recorder
+//!   fills in; the primitives themselves count and time nothing (a wait
+//!   returns its [`WaitEffort`]) — the source of the "barriers executed
+//!   at run time" numbers in the reproduction of Table 3;
 //! * a tunable **spin → `pause` → park escalation ladder** ([`spin`])
 //!   shared by every blocking wait, keeping the common case a
 //!   pure-atomic poll loop with no locks or clock reads;
@@ -72,8 +74,6 @@ pub use neighbor::NeighborFlags;
 pub use pairwise::PairwiseCells;
 pub use recovery::{FaultDisposition, Quarantine, RetryPolicy};
 pub use spin::{SpinPhase, SpinPolicy, SpinWait, WaitEffort};
-pub use stats::{SyncKind, SyncStats};
+pub use stats::{StatsSnapshot, SyncKind};
 pub use team::{RegionError, Team};
-pub use telemetry::{
-    CellSnapshot, SiteCell, SiteMeta, SiteSnapshot, SiteTelemetry, WaitHistogram, HIST_BUCKETS,
-};
+pub use telemetry::{CellSnapshot, SiteMeta, SiteSnapshot, WaitHistogram, HIST_BUCKETS};

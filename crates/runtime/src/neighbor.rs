@@ -8,18 +8,15 @@
 //! is independent of the team size — the property the paper exploits.
 
 use crate::fault::{SyncError, WaitPoll, Watchdog};
-use crate::spin::{SpinPolicy, SpinWait};
-use crate::stats::{SyncKind, SyncStats};
+use crate::spin::{SpinPolicy, SpinWait, WaitEffort};
+use crate::stats::SyncKind;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-processor epoch flags for neighbor synchronization.
 pub struct NeighborFlags {
     flags: Vec<CachePadded<AtomicU64>>,
     policy: SpinPolicy,
-    stats: Option<Arc<SyncStats>>,
 }
 
 impl NeighborFlags {
@@ -30,14 +27,7 @@ impl NeighborFlags {
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
             policy: SpinPolicy::auto(),
-            stats: None,
         }
-    }
-
-    /// Attach instrumentation.
-    pub fn with_stats(mut self, stats: Arc<SyncStats>) -> Self {
-        self.stats = Some(stats);
-        self
     }
 
     /// Override the spin → yield → park escalation policy.
@@ -55,29 +45,19 @@ impl NeighborFlags {
     /// current sync point (release).
     pub fn post(&self, pid: usize) {
         self.flags[pid].fetch_add(1, Ordering::Release);
-        if let Some(s) = &self.stats {
-            s.neighbor_post();
-        }
     }
 
     /// Wait until processor `other`'s flag reaches `epoch` (acquire).
     /// Out-of-range neighbors (off the ends of the processor line) are
-    /// trivially satisfied.
-    pub fn wait(&self, other: isize, epoch: u64) {
-        if other < 0 || other as usize >= self.flags.len() {
-            return;
-        }
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
+    /// trivially satisfied. Returns the wait's escalation counts.
+    pub fn wait(&self, other: isize, epoch: u64) -> WaitEffort {
         let mut sw = SpinWait::new(self.policy);
-        while self.flags[other as usize].load(Ordering::Acquire) < epoch {
-            sw.snooze();
-        }
-        if let Some(s) = &self.stats {
-            s.escalation(sw.effort());
-            if let Some(t0) = t0 {
-                s.neighbor_wait(t0.elapsed());
+        if other >= 0 && (other as usize) < self.flags.len() {
+            while self.flags[other as usize].load(Ordering::Acquire) < epoch {
+                sw.snooze();
             }
         }
+        sw.effort()
     }
 
     /// As [`NeighborFlags::wait`], but guarded: returns
@@ -91,27 +71,19 @@ impl NeighborFlags {
         wd: &Watchdog,
         site: usize,
         pid: usize,
-    ) -> Result<(), SyncError> {
+    ) -> Result<WaitEffort, SyncError> {
         if other < 0 || other as usize >= self.flags.len() {
-            return Ok(());
+            return Ok(WaitEffort::default());
         }
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
         let flag = &self.flags[other as usize];
-        let effort = wd.guarded_wait(site, pid, SyncKind::Neighbor, epoch, self.policy, || {
+        wd.guarded_wait(site, pid, SyncKind::Neighbor, epoch, self.policy, || {
             let cur = flag.load(Ordering::Acquire);
             if cur >= epoch {
                 WaitPoll::Ready
             } else {
                 WaitPoll::Pending(cur)
             }
-        })?;
-        if let Some(s) = &self.stats {
-            s.escalation(effort);
-            if let Some(t0) = t0 {
-                s.neighbor_wait(t0.elapsed());
-            }
-        }
-        Ok(())
+        })
     }
 
     /// Current epoch of a processor's flag.
@@ -130,6 +102,7 @@ impl NeighborFlags {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// A 4-processor pipeline: each processor appends to a log after
     /// waiting for its left neighbor, giving a strict order.
@@ -183,9 +156,10 @@ mod tests {
         let f = NeighborFlags::new(3);
         f.post(1);
         // Posted neighbor and out-of-range neighbors succeed.
-        assert_eq!(f.wait_until(1, 1, &wd, 4, 0), Ok(()));
-        assert_eq!(f.wait_until(-1, 99, &wd, 4, 0), Ok(()));
-        assert_eq!(f.wait_until(3, 99, &wd, 4, 2), Ok(()));
+        let free = Ok(WaitEffort::default());
+        assert_eq!(f.wait_until(1, 1, &wd, 4, 0), free);
+        assert_eq!(f.wait_until(-1, 99, &wd, 4, 0), free);
+        assert_eq!(f.wait_until(3, 99, &wd, 4, 2), free);
         // A never-posting neighbor is a bounded, attributed failure.
         let err = f.wait_until(2, 1, &wd, 4, 1).unwrap_err();
         assert_eq!(
@@ -201,13 +175,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_reset() {
-        let stats = Arc::new(SyncStats::new());
-        let f = NeighborFlags::new(2).with_stats(Arc::clone(&stats));
+    fn reset_zeroes() {
+        let f = NeighborFlags::new(2);
         f.post(0);
-        f.wait(0, 1);
-        assert_eq!(stats.neighbor_posts_count(), 1);
-        assert_eq!(stats.neighbor_waits_count(), 1);
+        assert_eq!(f.wait(0, 1), WaitEffort::default());
         f.reset();
         assert_eq!(f.epoch(0), 0);
     }

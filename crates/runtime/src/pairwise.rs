@@ -14,18 +14,15 @@
 //! `q - d` may already be an iteration ahead while `q` catches up.
 
 use crate::fault::{SyncError, WaitPoll, Watchdog};
-use crate::spin::{SpinPolicy, SpinWait};
-use crate::stats::{SyncKind, SyncStats};
+use crate::spin::{SpinPolicy, SpinWait, WaitEffort};
+use crate::stats::SyncKind;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-processor monotonic post cells for pairwise synchronization.
 pub struct PairwiseCells {
     cells: Vec<CachePadded<AtomicU64>>,
     policy: SpinPolicy,
-    stats: Option<Arc<SyncStats>>,
 }
 
 impl PairwiseCells {
@@ -36,14 +33,7 @@ impl PairwiseCells {
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
             policy: SpinPolicy::auto(),
-            stats: None,
         }
-    }
-
-    /// Attach instrumentation.
-    pub fn with_stats(mut self, stats: Arc<SyncStats>) -> Self {
-        self.stats = Some(stats);
-        self
     }
 
     /// Override the spin → yield → park escalation policy.
@@ -61,29 +51,20 @@ impl PairwiseCells {
     /// (release).
     pub fn post(&self, pid: usize) {
         self.cells[pid].fetch_add(1, Ordering::Release);
-        if let Some(s) = &self.stats {
-            s.pairwise_post();
-        }
     }
 
     /// Wait until processor `other`'s cell reaches `count` (acquire).
     /// Out-of-range targets (off the ends of the processor line) and
-    /// self-waits are trivially satisfied.
-    pub fn wait(&self, other: isize, count: u64) {
-        if other < 0 || other as usize >= self.cells.len() {
-            return;
-        }
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
+    /// self-waits are trivially satisfied. Returns the wait's escalation
+    /// counts.
+    pub fn wait(&self, other: isize, count: u64) -> WaitEffort {
         let mut sw = SpinWait::new(self.policy);
-        while self.cells[other as usize].load(Ordering::Acquire) < count {
-            sw.snooze();
-        }
-        if let Some(s) = &self.stats {
-            s.escalation(sw.effort());
-            if let Some(t0) = t0 {
-                s.pairwise_wait(t0.elapsed());
+        if other >= 0 && (other as usize) < self.cells.len() {
+            while self.cells[other as usize].load(Ordering::Acquire) < count {
+                sw.snooze();
             }
         }
+        sw.effort()
     }
 
     /// As [`PairwiseCells::wait`], but guarded: returns
@@ -97,27 +78,19 @@ impl PairwiseCells {
         wd: &Watchdog,
         site: usize,
         pid: usize,
-    ) -> Result<(), SyncError> {
+    ) -> Result<WaitEffort, SyncError> {
         if other < 0 || other as usize >= self.cells.len() {
-            return Ok(());
+            return Ok(WaitEffort::default());
         }
-        let t0 = self.stats.as_ref().map(|_| Instant::now());
         let cell = &self.cells[other as usize];
-        let effort = wd.guarded_wait(site, pid, SyncKind::Pairwise, count, self.policy, || {
+        wd.guarded_wait(site, pid, SyncKind::Pairwise, count, self.policy, || {
             let cur = cell.load(Ordering::Acquire);
             if cur >= count {
                 WaitPoll::Ready
             } else {
                 WaitPoll::Pending(cur)
             }
-        })?;
-        if let Some(s) = &self.stats {
-            s.escalation(effort);
-            if let Some(t0) = t0 {
-                s.pairwise_wait(t0.elapsed());
-            }
-        }
-        Ok(())
+        })
     }
 
     /// Current post count of a processor's cell.
@@ -136,6 +109,7 @@ impl PairwiseCells {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     /// A 4-processor wavefront at distance 2: each processor waits on
     /// `pid - 2` before appending to the log, so within every step the
@@ -188,9 +162,10 @@ mod tests {
         let wd = Watchdog::new(Duration::from_millis(40));
         let c = PairwiseCells::new(3);
         c.post(1);
-        assert_eq!(c.wait_until(1, 1, &wd, 7, 0), Ok(()));
-        assert_eq!(c.wait_until(-1, 99, &wd, 7, 0), Ok(()));
-        assert_eq!(c.wait_until(3, 99, &wd, 7, 2), Ok(()));
+        let free = Ok(WaitEffort::default());
+        assert_eq!(c.wait_until(1, 1, &wd, 7, 0), free);
+        assert_eq!(c.wait_until(-1, 99, &wd, 7, 0), free);
+        assert_eq!(c.wait_until(3, 99, &wd, 7, 2), free);
         let err = c.wait_until(2, 1, &wd, 7, 1).unwrap_err();
         assert_eq!(
             err,
@@ -205,13 +180,10 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_reset() {
-        let stats = Arc::new(SyncStats::new());
-        let c = PairwiseCells::new(2).with_stats(Arc::clone(&stats));
+    fn reset_zeroes() {
+        let c = PairwiseCells::new(2);
         c.post(0);
-        c.wait(0, 1);
-        assert_eq!(stats.pairwise_posts_count(), 1);
-        assert_eq!(stats.pairwise_waits_count(), 1);
+        assert_eq!(c.wait(0, 1), WaitEffort::default());
         c.reset();
         assert_eq!(c.count(0), 0);
     }

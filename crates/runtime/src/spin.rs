@@ -18,9 +18,10 @@
 //! [`crate::fault`] instead asks [`SpinWait::advise`] which phase is
 //! next and performs the park itself (it must register with the
 //! watchdog so poison can wake it). Either way the phase transition
-//! counts are kept, so [`crate::stats::SyncStats`] can report how often
-//! waits escalated past spinning — the telemetry that tells a convoying
-//! schedule from a healthy one.
+//! counts are kept and returned as the wait's [`WaitEffort`], so the
+//! executor's totals can report how often waits escalated past
+//! spinning — the telemetry that tells a convoying schedule from a
+//! healthy one.
 
 use std::time::Duration;
 
@@ -87,8 +88,9 @@ pub enum SpinPhase {
     Park,
 }
 
-/// Escalation counts of one completed wait (also the unit
-/// [`crate::stats::SyncStats`] aggregates).
+/// Escalation counts of one completed wait — what every blocking
+/// primitive returns, and the unit [`crate::stats::StatsSnapshot`]
+/// aggregates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WaitEffort {
     /// `spin_loop`-hint rounds.
@@ -103,6 +105,14 @@ impl WaitEffort {
     /// True when the wait never escalated past the spin phase.
     pub fn stayed_on_fast_path(&self) -> bool {
         self.yields == 0 && self.parks == 0
+    }
+}
+
+impl std::ops::AddAssign for WaitEffort {
+    fn add_assign(&mut self, o: WaitEffort) {
+        self.spins += o.spins;
+        self.yields += o.yields;
+        self.parks += o.parks;
     }
 }
 

@@ -1,8 +1,13 @@
-//! Dynamic synchronization instrumentation.
+//! Dynamic synchronization totals.
+//!
+//! Plain data: each worker of an execution owns one [`StatsSnapshot`]
+//! and folds every sync event it executes into it
+//! ([`StatsSnapshot::record`]); the executor merges the workers' copies
+//! after the join ([`StatsSnapshot::merge`]). Nothing here is shared
+//! between threads, so measuring a sync episode adds no traffic next to
+//! the primitive's own cache lines.
 
 use crate::spin::WaitEffort;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// The kinds of synchronization the optimizer can emit.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -17,239 +22,14 @@ pub enum SyncKind {
     Pairwise,
 }
 
-impl SyncKind {
-    fn ix(self) -> usize {
-        match self {
-            SyncKind::Barrier => 0,
-            SyncKind::Counter => 1,
-            SyncKind::Neighbor => 2,
-            SyncKind::Pairwise => 3,
-        }
-    }
-}
-
-/// Lock-free counters for one synchronization kind: primary operations
-/// (barrier episodes / counter increments / neighbor posts), waits
-/// (barrier arrivals / counter waits / neighbor waits), total and
-/// maximum blocked time.
-#[derive(Debug, Default)]
-struct KindCell {
-    ops: AtomicU64,
-    waits: AtomicU64,
-    wait_ns: AtomicU64,
-    max_wait_ns: AtomicU64,
-}
-
-impl KindCell {
-    fn wait(&self, waited: Duration) {
-        let ns = waited.as_nanos() as u64;
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        self.wait_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_wait_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        for a in [&self.ops, &self.waits, &self.wait_ns, &self.max_wait_ns] {
-            a.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Shared, lock-free synchronization counters.
+/// Dynamic synchronization counts and blocked time, by kind.
 ///
 /// A *barrier episode* is one full barrier (all processors arriving
-/// once); *arrivals* count per-processor participations. Counter and
-/// neighbor events are counted per operation. Wait nanoseconds accumulate
-/// the time processors spent blocked per kind; the maximum single wait is
-/// kept alongside (totals alone hide convoy outliers).
-///
-/// All state lives in kind-indexed [`KindCell`]s, so [`Default`] is
-/// derived and [`SyncStats::new`] simply delegates to it.
-#[derive(Debug, Default)]
-pub struct SyncStats {
-    cells: [KindCell; 4],
-    /// Aggregate wait-escalation counters (spin → yield → park phase
-    /// rounds across every blocked wait of any kind): how often waits
-    /// left the pure-atomic fast path.
-    spin_rounds: AtomicU64,
-    yield_rounds: AtomicU64,
-    parks: AtomicU64,
-}
-
-impl SyncStats {
-    /// Fresh zeroed stats (same as [`Default`]).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn cell(&self, kind: SyncKind) -> &KindCell {
-        &self.cells[kind.ix()]
-    }
-
-    /// Record one completed barrier episode.
-    pub fn barrier_episode(&self) {
-        self.cell(SyncKind::Barrier)
-            .ops
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one processor arriving at a barrier, with its wait time.
-    pub fn barrier_arrival(&self, waited: Duration) {
-        self.cell(SyncKind::Barrier).wait(waited);
-    }
-
-    /// Record a counter increment.
-    pub fn counter_increment(&self) {
-        self.cell(SyncKind::Counter)
-            .ops
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a counter wait, with the time spent blocked.
-    pub fn counter_wait(&self, waited: Duration) {
-        self.cell(SyncKind::Counter).wait(waited);
-    }
-
-    /// Record a neighbor post.
-    pub fn neighbor_post(&self) {
-        self.cell(SyncKind::Neighbor)
-            .ops
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a neighbor wait, with the time spent blocked.
-    pub fn neighbor_wait(&self, waited: Duration) {
-        self.cell(SyncKind::Neighbor).wait(waited);
-    }
-
-    /// Record a pairwise post.
-    pub fn pairwise_post(&self) {
-        self.cell(SyncKind::Pairwise)
-            .ops
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a pairwise wait, with the time spent blocked.
-    pub fn pairwise_wait(&self, waited: Duration) {
-        self.cell(SyncKind::Pairwise).wait(waited);
-    }
-
-    /// Record one wait's escalation counts (no-op for a wait that
-    /// never blocked — the all-zero effort costs nothing to fold in).
-    pub fn escalation(&self, e: WaitEffort) {
-        if e.spins != 0 {
-            self.spin_rounds.fetch_add(e.spins, Ordering::Relaxed);
-        }
-        if e.yields != 0 {
-            self.yield_rounds.fetch_add(e.yields, Ordering::Relaxed);
-        }
-        if e.parks != 0 {
-            self.parks.fetch_add(e.parks, Ordering::Relaxed);
-        }
-    }
-
-    /// Total `spin_loop` rounds across all blocked waits.
-    pub fn spin_rounds_count(&self) -> u64 {
-        self.spin_rounds.load(Ordering::Relaxed)
-    }
-
-    /// Total `yield_now` rounds across all blocked waits.
-    pub fn yield_rounds_count(&self) -> u64 {
-        self.yield_rounds.load(Ordering::Relaxed)
-    }
-
-    /// Total bounded parks across all blocked waits.
-    pub fn parks_count(&self) -> u64 {
-        self.parks.load(Ordering::Relaxed)
-    }
-
-    /// Completed barrier episodes.
-    pub fn barrier_episodes_count(&self) -> u64 {
-        self.cell(SyncKind::Barrier).ops.load(Ordering::Relaxed)
-    }
-
-    /// Per-processor barrier arrivals.
-    pub fn barrier_arrivals_count(&self) -> u64 {
-        self.cell(SyncKind::Barrier).waits.load(Ordering::Relaxed)
-    }
-
-    /// Counter increments.
-    pub fn counter_increments_count(&self) -> u64 {
-        self.cell(SyncKind::Counter).ops.load(Ordering::Relaxed)
-    }
-
-    /// Counter waits.
-    pub fn counter_waits_count(&self) -> u64 {
-        self.cell(SyncKind::Counter).waits.load(Ordering::Relaxed)
-    }
-
-    /// Neighbor posts.
-    pub fn neighbor_posts_count(&self) -> u64 {
-        self.cell(SyncKind::Neighbor).ops.load(Ordering::Relaxed)
-    }
-
-    /// Neighbor waits.
-    pub fn neighbor_waits_count(&self) -> u64 {
-        self.cell(SyncKind::Neighbor).waits.load(Ordering::Relaxed)
-    }
-
-    /// Pairwise posts.
-    pub fn pairwise_posts_count(&self) -> u64 {
-        self.cell(SyncKind::Pairwise).ops.load(Ordering::Relaxed)
-    }
-
-    /// Pairwise waits.
-    pub fn pairwise_waits_count(&self) -> u64 {
-        self.cell(SyncKind::Pairwise).waits.load(Ordering::Relaxed)
-    }
-
-    /// Total time spent blocked, per kind.
-    pub fn wait_ns(&self, kind: SyncKind) -> u64 {
-        self.cell(kind).wait_ns.load(Ordering::Relaxed)
-    }
-
-    /// Longest single blocked interval, per kind.
-    pub fn max_wait_ns(&self, kind: SyncKind) -> u64 {
-        self.cell(kind).max_wait_ns.load(Ordering::Relaxed)
-    }
-
-    /// Reset everything to zero.
-    pub fn reset(&self) {
-        for c in &self.cells {
-            c.reset();
-        }
-        for a in [&self.spin_rounds, &self.yield_rounds, &self.parks] {
-            a.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshot as a plain struct (for reports).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            barrier_episodes: self.barrier_episodes_count(),
-            barrier_arrivals: self.barrier_arrivals_count(),
-            barrier_wait_ns: self.wait_ns(SyncKind::Barrier),
-            barrier_max_wait_ns: self.max_wait_ns(SyncKind::Barrier),
-            counter_increments: self.counter_increments_count(),
-            counter_waits: self.counter_waits_count(),
-            counter_wait_ns: self.wait_ns(SyncKind::Counter),
-            counter_max_wait_ns: self.max_wait_ns(SyncKind::Counter),
-            neighbor_posts: self.neighbor_posts_count(),
-            neighbor_waits: self.neighbor_waits_count(),
-            neighbor_wait_ns: self.wait_ns(SyncKind::Neighbor),
-            neighbor_max_wait_ns: self.max_wait_ns(SyncKind::Neighbor),
-            pairwise_posts: self.pairwise_posts_count(),
-            pairwise_waits: self.pairwise_waits_count(),
-            pairwise_wait_ns: self.wait_ns(SyncKind::Pairwise),
-            pairwise_max_wait_ns: self.max_wait_ns(SyncKind::Pairwise),
-            spin_rounds: self.spin_rounds_count(),
-            yield_rounds: self.yield_rounds_count(),
-            parks: self.parks_count(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`SyncStats`].
+/// once); *arrivals* count per-processor participations. Counter,
+/// neighbor and pairwise events are counted per operation. Wait
+/// nanoseconds accumulate the time processors spent in sync events of
+/// the kind (arrival to release); the maximum single event is kept
+/// alongside (totals alone hide convoy outliers).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Completed barrier episodes.
@@ -293,6 +73,47 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// Fold one sync event of `kind` into the totals: `posts` primary
+    /// operations (barrier episodes, counter increments, neighbor or
+    /// pairwise posts), `waits` completed waits (barrier arrivals for a
+    /// barrier) with their summed escalation `effort`, and the `ns` the
+    /// event took from arrival to release.
+    pub fn record(&mut self, kind: SyncKind, posts: u64, waits: u64, effort: WaitEffort, ns: u64) {
+        let [p, w, total, max] = match kind {
+            SyncKind::Barrier => [
+                &mut self.barrier_episodes,
+                &mut self.barrier_arrivals,
+                &mut self.barrier_wait_ns,
+                &mut self.barrier_max_wait_ns,
+            ],
+            SyncKind::Counter => [
+                &mut self.counter_increments,
+                &mut self.counter_waits,
+                &mut self.counter_wait_ns,
+                &mut self.counter_max_wait_ns,
+            ],
+            SyncKind::Neighbor => [
+                &mut self.neighbor_posts,
+                &mut self.neighbor_waits,
+                &mut self.neighbor_wait_ns,
+                &mut self.neighbor_max_wait_ns,
+            ],
+            SyncKind::Pairwise => [
+                &mut self.pairwise_posts,
+                &mut self.pairwise_waits,
+                &mut self.pairwise_wait_ns,
+                &mut self.pairwise_max_wait_ns,
+            ],
+        };
+        *p += posts;
+        *w += waits;
+        *total += ns;
+        *max = (*max).max(ns);
+        self.spin_rounds += effort.spins;
+        self.yield_rounds += effort.yields;
+        self.parks += effort.parks;
+    }
+
     /// Total synchronization *operations* of any kind (the paper's
     /// headline metric counts barriers; this is the broader total used in
     /// the wait-time figure).
@@ -307,10 +128,9 @@ impl StatsSnapshot {
     }
 
     /// Fold another snapshot into this one: counts and wait totals add,
-    /// maxima take the max. The recovery supervisor uses this to
-    /// aggregate per-attempt snapshots into run totals (the fabric's
-    /// live stats are reset between attempts, so without merging the
-    /// final report would only cover the last attempt).
+    /// maxima take the max. The executor merges its workers' totals
+    /// this way, and the recovery supervisor aggregates per-attempt
+    /// snapshots into run totals.
     pub fn merge(&mut self, o: &StatsSnapshot) {
         self.barrier_episodes += o.barrier_episodes;
         self.barrier_arrivals += o.barrier_arrivals;
@@ -339,61 +159,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_accumulate_and_reset() {
-        let s = SyncStats::new();
-        s.barrier_episode();
-        s.barrier_arrival(Duration::from_nanos(50));
-        s.barrier_arrival(Duration::from_nanos(70));
-        s.counter_increment();
-        s.counter_wait(Duration::from_nanos(10));
-        s.neighbor_post();
-        s.neighbor_wait(Duration::from_nanos(5));
-        let snap = s.snapshot();
-        assert_eq!(snap.barrier_episodes, 1);
-        assert_eq!(snap.barrier_arrivals, 2);
-        assert_eq!(snap.barrier_wait_ns, 120);
-        assert_eq!(snap.counter_increments, 1);
-        assert_eq!(snap.counter_waits, 1);
-        assert_eq!(snap.neighbor_posts, 1);
-        assert_eq!(snap.neighbor_waits, 1);
-        assert_eq!(snap.total_sync_ops(), 5);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
+    fn record_accumulates_by_kind_and_keeps_the_largest_event() {
+        let mut s = StatsSnapshot::default();
+        let none = WaitEffort::default();
+        s.record(SyncKind::Barrier, 1, 1, none, 50);
+        s.record(SyncKind::Barrier, 0, 1, none, 700);
+        s.record(SyncKind::Barrier, 0, 1, none, 70);
+        s.record(SyncKind::Counter, 1, 0, none, 10);
+        s.record(SyncKind::Neighbor, 1, 2, none, 5);
+        assert_eq!(s.barrier_episodes, 1);
+        assert_eq!(s.barrier_arrivals, 3);
+        assert_eq!(s.barrier_wait_ns, 820);
+        assert_eq!(s.barrier_max_wait_ns, 700);
+        assert_eq!(s.counter_increments, 1);
+        assert_eq!(s.counter_waits, 0);
+        assert_eq!(s.counter_max_wait_ns, 10);
+        assert_eq!(s.neighbor_posts, 1);
+        assert_eq!(s.neighbor_waits, 2);
+        assert_eq!(s.pairwise_max_wait_ns, 0);
+        assert_eq!(s.total_sync_ops(), 5);
     }
 
     #[test]
-    fn escalation_counters_accumulate_and_reset() {
-        let s = SyncStats::new();
-        s.escalation(WaitEffort {
-            spins: 10,
-            yields: 2,
-            parks: 0,
-        });
-        s.escalation(WaitEffort {
-            spins: 5,
-            yields: 0,
-            parks: 3,
-        });
-        s.escalation(WaitEffort::default()); // fast-path wait: no-op
-        let snap = s.snapshot();
-        assert_eq!(snap.spin_rounds, 15);
-        assert_eq!(snap.yield_rounds, 2);
-        assert_eq!(snap.parks, 3);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
-    }
-
-    #[test]
-    fn max_wait_tracks_the_largest_single_wait() {
-        let s = SyncStats::new();
-        s.barrier_arrival(Duration::from_nanos(50));
-        s.barrier_arrival(Duration::from_nanos(700));
-        s.barrier_arrival(Duration::from_nanos(70));
-        assert_eq!(s.max_wait_ns(SyncKind::Barrier), 700);
-        assert_eq!(s.wait_ns(SyncKind::Barrier), 820);
-        assert_eq!(s.max_wait_ns(SyncKind::Counter), 0);
-        let snap = s.snapshot();
-        assert_eq!(snap.barrier_max_wait_ns, 700);
+    fn record_sums_escalation_effort() {
+        let mut s = StatsSnapshot::default();
+        let effort = |spins, yields, parks| WaitEffort {
+            spins,
+            yields,
+            parks,
+        };
+        s.record(SyncKind::Counter, 0, 1, effort(10, 2, 0), 1);
+        s.record(SyncKind::Pairwise, 1, 1, effort(5, 0, 3), 1);
+        s.record(SyncKind::Barrier, 0, 1, WaitEffort::default(), 1);
+        assert_eq!((s.spin_rounds, s.yield_rounds, s.parks), (15, 2, 3));
     }
 
     #[test]

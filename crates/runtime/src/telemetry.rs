@@ -1,40 +1,26 @@
 //! Per-sync-site, per-processor wait telemetry.
 //!
-//! [`crate::stats::SyncStats`] aggregates over the whole run; this module
-//! attributes every synchronization operation to its *site* — a slot in
-//! the optimized schedule, identified by the canonical site id the
+//! [`crate::stats::StatsSnapshot`] aggregates over the whole run; this
+//! module attributes every synchronization event to its *site* — a slot
+//! in the optimized schedule, identified by the canonical site id the
 //! optimizer assigns — and to the processor executing it. Each
-//! (site, processor) cell holds lock-free counters plus a log2-bucket
-//! wait-time histogram, so a per-site table can show which sync points
-//! convoy and which are free (after the per-barrier breakdowns of
-//! Chen/Su/Yew that the paper's cost model cites).
+//! (site, processor) cell holds counts plus a log2-bucket wait-time
+//! histogram, so a per-site table can show which sync points convoy and
+//! which are free (after the per-barrier breakdowns of Chen/Su/Yew that
+//! the paper's cost model cites).
 //!
-//! The executor is handed an `Arc<SiteTelemetry>` sized from the plan's
-//! site walk; recording is a few relaxed atomic RMWs, safe to call
-//! concurrently from every worker.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Like the totals, the cells are plain data: each worker records into
+//! cells it owns ([`CellSnapshot::record`]) and the executor assembles
+//! the per-site view after the join ([`SiteSnapshot::new`]).
 
 /// Number of log2 buckets (covers 1ns .. ~2s and beyond; the last bucket
 /// absorbs everything larger).
 pub const HIST_BUCKETS: usize = 32;
 
-/// Lock-free log2-bucket histogram of wait times in nanoseconds.
-///
-/// Bucket `k` counts waits with `ns` in `[2^k, 2^(k+1))` (bucket 0 also
-/// takes zero-length waits); the final bucket absorbs the overflow.
-#[derive(Debug)]
-pub struct WaitHistogram {
-    buckets: [AtomicU64; HIST_BUCKETS],
-}
-
-impl Default for WaitHistogram {
-    fn default() -> Self {
-        WaitHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-}
+/// Bucket layout of the log2 wait-time histograms: bucket `k` counts
+/// waits with `ns` in `[2^k, 2^(k+1))` (bucket 0 also takes zero-length
+/// waits); the final bucket absorbs the overflow.
+pub struct WaitHistogram;
 
 impl WaitHistogram {
     /// Bucket index for a wait of `ns` nanoseconds.
@@ -49,16 +35,6 @@ impl WaitHistogram {
     /// Lower bound (inclusive) of bucket `k` in nanoseconds.
     pub fn bucket_floor(k: usize) -> u64 {
         1u64 << k
-    }
-
-    /// Record one wait.
-    pub fn record(&self, ns: u64) {
-        self.buckets[Self::bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot all bucket counts.
-    pub fn counts(&self) -> [u64; HIST_BUCKETS] {
-        std::array::from_fn(|k| self.buckets[k].load(Ordering::Relaxed))
     }
 }
 
@@ -77,46 +53,9 @@ pub struct SiteMeta {
 }
 
 /// One (site, processor) telemetry cell.
-#[derive(Debug, Default)]
-pub struct SiteCell {
-    ops: AtomicU64,
-    waits: AtomicU64,
-    wait_ns: AtomicU64,
-    max_wait_ns: AtomicU64,
-    hist: WaitHistogram,
-}
-
-impl SiteCell {
-    /// Record a primary operation (barrier arrival counts as one, as do
-    /// counter increments and neighbor posts).
-    pub fn op(&self) {
-        self.ops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one blocked interval of `ns` nanoseconds.
-    pub fn wait(&self, ns: u64) {
-        self.waits.fetch_add(1, Ordering::Relaxed);
-        self.wait_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_wait_ns.fetch_max(ns, Ordering::Relaxed);
-        self.hist.record(ns);
-    }
-
-    /// Plain-struct copy.
-    pub fn snapshot(&self) -> CellSnapshot {
-        CellSnapshot {
-            ops: self.ops.load(Ordering::Relaxed),
-            waits: self.waits.load(Ordering::Relaxed),
-            wait_ns: self.wait_ns.load(Ordering::Relaxed),
-            max_wait_ns: self.max_wait_ns.load(Ordering::Relaxed),
-            hist: self.hist.counts(),
-        }
-    }
-}
-
-/// A point-in-time copy of one telemetry cell.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CellSnapshot {
-    /// Primary operations executed at the site by the processor.
+    /// Sync events executed at the site by the processor.
     pub ops: u64,
     /// Blocked intervals.
     pub waits: u64,
@@ -141,6 +80,16 @@ impl Default for CellSnapshot {
 }
 
 impl CellSnapshot {
+    /// Record one sync event that took `ns` nanoseconds from arrival
+    /// to release.
+    pub fn record(&mut self, ns: u64) {
+        self.ops += 1;
+        self.waits += 1;
+        self.wait_ns += ns;
+        self.max_wait_ns = self.max_wait_ns.max(ns);
+        self.hist[WaitHistogram::bucket_of(ns)] += 1;
+    }
+
     /// Merge another cell into this one (bucket-wise sum, max of maxes).
     pub fn merge(&mut self, other: &CellSnapshot) {
         self.ops += other.ops;
@@ -153,15 +102,7 @@ impl CellSnapshot {
     }
 }
 
-/// Per-site, per-processor telemetry for one run.
-#[derive(Debug)]
-pub struct SiteTelemetry {
-    nprocs: usize,
-    sites: Vec<SiteMeta>,
-    cells: Vec<SiteCell>,
-}
-
-/// Snapshot of one site across the team.
+/// One site across the team.
 #[derive(Clone, Debug)]
 pub struct SiteSnapshot {
     /// The site's static description.
@@ -172,61 +113,24 @@ pub struct SiteSnapshot {
     pub total: CellSnapshot,
 }
 
-impl SiteTelemetry {
-    /// Telemetry for `sites` over a team of `nprocs` processors.
-    pub fn new(sites: Vec<SiteMeta>, nprocs: usize) -> Self {
-        let cells = (0..sites.len() * nprocs)
-            .map(|_| SiteCell::default())
-            .collect();
-        SiteTelemetry {
-            nprocs,
-            sites,
-            cells,
+impl SiteSnapshot {
+    /// The site's view from its per-processor cells (pid order).
+    pub fn new(meta: SiteMeta, per_proc: Vec<CellSnapshot>) -> Self {
+        let mut total = CellSnapshot::default();
+        for c in &per_proc {
+            total.merge(c);
         }
-    }
-
-    /// Team size.
-    pub fn nprocs(&self) -> usize {
-        self.nprocs
-    }
-
-    /// The static site descriptions.
-    pub fn sites(&self) -> &[SiteMeta] {
-        &self.sites
-    }
-
-    /// The cell for (site, processor).
-    pub fn cell(&self, site: usize, pid: usize) -> &SiteCell {
-        debug_assert!(pid < self.nprocs);
-        &self.cells[site * self.nprocs + pid]
-    }
-
-    /// Snapshot every site.
-    pub fn snapshot(&self) -> Vec<SiteSnapshot> {
-        self.sites
-            .iter()
-            .map(|meta| {
-                let per_proc: Vec<CellSnapshot> = (0..self.nprocs)
-                    .map(|pid| self.cell(meta.id, pid).snapshot())
-                    .collect();
-                let mut total = CellSnapshot::default();
-                for c in &per_proc {
-                    total.merge(c);
-                }
-                SiteSnapshot {
-                    meta: meta.clone(),
-                    per_proc,
-                    total,
-                }
-            })
-            .collect()
+        SiteSnapshot {
+            meta,
+            per_proc,
+            total,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn histogram_buckets_are_log2() {
@@ -238,72 +142,33 @@ mod tests {
         assert_eq!(WaitHistogram::bucket_of(1023), 9);
         assert_eq!(WaitHistogram::bucket_of(1024), 10);
         assert_eq!(WaitHistogram::bucket_of(u64::MAX), HIST_BUCKETS - 1);
-        let h = WaitHistogram::default();
-        h.record(3);
-        h.record(3);
-        h.record(1024);
-        let c = h.counts();
-        assert_eq!(c[1], 2);
-        assert_eq!(c[10], 1);
-        assert_eq!(c.iter().sum::<u64>(), 3);
+        let mut c = CellSnapshot::default();
+        c.record(3);
+        c.record(3);
+        c.record(1024);
+        assert_eq!(c.hist[1], 2);
+        assert_eq!(c.hist[10], 1);
+        assert_eq!(c.hist.iter().sum::<u64>(), 3);
     }
 
     #[test]
-    fn cells_attribute_by_site_and_processor() {
-        let sites = (0..3)
-            .map(|id| SiteMeta {
-                id,
-                kind: "phase-after".into(),
-                label: format!("site {id}"),
-                op: "barrier".into(),
-            })
-            .collect();
-        let t = SiteTelemetry::new(sites, 2);
-        t.cell(0, 0).op();
-        t.cell(0, 0).wait(100);
-        t.cell(0, 1).wait(900);
-        t.cell(2, 1).op();
-        let snap = t.snapshot();
-        assert_eq!(snap.len(), 3);
-        assert_eq!(snap[0].per_proc[0].ops, 1);
-        assert_eq!(snap[0].per_proc[0].waits, 1);
-        assert_eq!(snap[0].total.waits, 2);
-        assert_eq!(snap[0].total.wait_ns, 1000);
-        assert_eq!(snap[0].total.max_wait_ns, 900);
-        assert_eq!(snap[1].total, CellSnapshot::default());
-        assert_eq!(snap[2].per_proc[1].ops, 1);
-        assert_eq!(snap[2].total.hist.iter().sum::<u64>(), 0);
-    }
-
-    #[test]
-    fn concurrent_recording_is_lossless() {
-        let t = Arc::new(SiteTelemetry::new(
-            vec![SiteMeta {
-                id: 0,
-                kind: "region-end".into(),
-                label: "end".into(),
-                op: "barrier".into(),
-            }],
-            4,
-        ));
-        let handles: Vec<_> = (0..4)
-            .map(|pid| {
-                let t = Arc::clone(&t);
-                std::thread::spawn(move || {
-                    for k in 0..1000u64 {
-                        t.cell(0, pid).op();
-                        t.cell(0, pid).wait(k);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = t.snapshot();
-        assert_eq!(snap[0].total.ops, 4000);
-        assert_eq!(snap[0].total.waits, 4000);
-        assert_eq!(snap[0].total.hist.iter().sum::<u64>(), 4000);
-        assert_eq!(snap[0].total.max_wait_ns, 999);
+    fn site_total_merges_its_processors() {
+        let meta = SiteMeta {
+            id: 0,
+            kind: "phase-after".into(),
+            label: "site 0".into(),
+            op: "barrier".into(),
+        };
+        let mut cells = vec![CellSnapshot::default(); 3];
+        cells[0].record(100);
+        cells[1].record(900);
+        let site = SiteSnapshot::new(meta, cells);
+        assert_eq!(site.per_proc[0].ops, 1);
+        assert_eq!(site.per_proc[0].waits, 1);
+        assert_eq!(site.total.waits, 2);
+        assert_eq!(site.total.wait_ns, 1000);
+        assert_eq!(site.total.max_wait_ns, 900);
+        assert_eq!(site.per_proc[2], CellSnapshot::default());
+        assert_eq!(site.total.hist.iter().sum::<u64>(), 2);
     }
 }

@@ -58,8 +58,10 @@
 //!   single-process run; the report (verdicts + service fault
 //!   counters) is written to `--json` (default `service.json`).
 //!
-//! Exits nonzero on any mismatch, race, uncaught mutant, or missed
-//! fault.
+//! Exits 1 on any mismatch, race, uncaught mutant, or missed fault, and
+//! 2 — after `beoracle: <what>` on stderr — on input it cannot use: an
+//! unknown subcommand, a malformed flag value, a kernel file that does
+//! not parse or lacks a symbol the campaign binds.
 
 use barrier_elim::analysis::Bindings;
 use barrier_elim::ir::SymId;
@@ -82,37 +84,57 @@ fn parse_opt(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
-fn parse_u64(args: &[String], name: &str, default: u64) -> u64 {
-    parse_opt(args, name)
-        .map(|v| v.parse().unwrap_or_else(|_| panic!("bad {name}: {v}")))
-        .unwrap_or(default)
+/// What a subcommand returns: its exit code, or the description of the
+/// input it could not use (reported by `main`, exit 2).
+type Exit = Result<i32, String>;
+
+fn parse_u64(args: &[String], name: &str, default: u64) -> Result<u64, String> {
+    match parse_opt(args, name) {
+        Some(v) => v.parse().map_err(|_| format!("bad {name}: {v}")),
+        None => Ok(default),
+    }
 }
 
-fn parse_nprocs(args: &[String]) -> Vec<i64> {
-    parse_opt(args, "--nprocs")
-        .map(|v| {
-            v.split(',')
-                .map(|p| p.parse().unwrap_or_else(|_| panic!("bad --nprocs: {v}")))
-                .collect()
+/// `--nprocs`: a comma-separated list of positive processor counts.
+fn parse_nprocs(args: &[String], default: &[i64]) -> Result<Vec<i64>, String> {
+    let Some(v) = parse_opt(args, "--nprocs") else {
+        return Ok(default.to_vec());
+    };
+    v.split(',')
+        .map(|p| match p.parse() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("bad --nprocs: {v}")),
         })
-        .unwrap_or_else(|| vec![1, 3, 4])
+        .collect()
 }
 
-fn cmd_fuzz(args: &[String]) -> i32 {
-    let count = parse_u64(args, "--count", 200);
-    let seed = parse_u64(args, "--seed", 0);
+/// `--nprocs` for the campaigns that run at one team size.
+fn parse_team_size(args: &[String]) -> Result<i64, String> {
+    match parse_nprocs(args, &[4])?[..] {
+        [p] => Ok(p),
+        _ => Err("bad --nprocs: this campaign takes one processor count".to_string()),
+    }
+}
+
+fn cmd_fuzz(args: &[String]) -> Exit {
+    let count = parse_u64(args, "--count", 200)?;
+    let seed = parse_u64(args, "--seed", 0)?;
     let repro_dir = std::path::PathBuf::from(
         parse_opt(args, "--repro-dir").unwrap_or_else(|| "beoracle-repro".to_string()),
     );
     let chaos_seed = if parse_flag(args, "--chaos") || parse_opt(args, "--chaos-seed").is_some() {
-        Some(parse_u64(args, "--chaos-seed", seed))
+        Some(parse_u64(args, "--chaos-seed", seed)?)
     } else {
         None
     };
     let cfg = DiffConfig {
-        nprocs: parse_nprocs(args),
+        nprocs: parse_nprocs(args, &[1, 3, 4])?,
         threads: parse_flag(args, "--threads") || chaos_seed.is_some(),
-        deadline: Some(Duration::from_millis(parse_u64(args, "--deadline", 10_000))),
+        deadline: Some(Duration::from_millis(parse_u64(
+            args,
+            "--deadline",
+            10_000,
+        )?)),
         chaos_seed,
         ..DiffConfig::default()
     };
@@ -142,11 +164,7 @@ fn cmd_fuzz(args: &[String]) -> i32 {
         }
     }
     println!("{}/{} programs passed", s.cases - s.failures.len(), s.cases);
-    if s.ok() {
-        0
-    } else {
-        1
-    }
+    Ok(!s.ok() as i32)
 }
 
 fn mutate_one(
@@ -188,7 +206,7 @@ fn mutate_one(
     bad
 }
 
-fn cmd_mutate(args: &[String]) -> i32 {
+fn cmd_mutate(args: &[String]) -> Exit {
     let mut bad = 0;
     if parse_flag(args, "--kernels") {
         for def in suite::all() {
@@ -197,23 +215,21 @@ fn cmd_mutate(args: &[String]) -> i32 {
             bad += mutate_one(def.name, &built.prog, &bind, 1e-9);
         }
     } else {
-        let count = parse_u64(args, "--count", 10);
-        let seed = parse_u64(args, "--seed", 0);
+        let count = parse_u64(args, "--count", 10)?;
+        let seed = parse_u64(args, "--seed", 0)?;
         for s in seed..seed + count {
             let g = oracle::generate(s);
             let bind = g.bindings(4);
             bad += mutate_one(&format!("seed {s} ({:?})", g.shape), &g.prog, &bind, 0.0);
         }
     }
-    if bad == 0 {
-        0
-    } else {
+    if bad > 0 {
         println!("{bad} mutants escaped the validator");
-        1
     }
+    Ok((bad > 0) as i32)
 }
 
-fn cmd_kernels(args: &[String]) -> i32 {
+fn cmd_kernels(args: &[String]) -> Exit {
     let cfg = DiffConfig {
         threads: parse_flag(args, "--threads"),
         tol: 1e-9, // suite reductions reassociate
@@ -233,11 +249,7 @@ fn cmd_kernels(args: &[String]) -> i32 {
             }
         }
     }
-    if failed == 0 {
-        0
-    } else {
-        1
-    }
+    Ok((failed > 0) as i32)
 }
 
 /// The five shipped `.be` kernels with the bindings the golden tests
@@ -262,17 +274,36 @@ const PAIRWISE_CHAOS_KERNELS: &[&str] = &[
     "shift_bcast",
 ];
 
-fn bind_by_name(prog: &barrier_elim::ir::Program, nprocs: i64, sets: &[(&str, i64)]) -> Bindings {
+type Case = (Arc<barrier_elim::ir::Program>, Arc<Bindings>);
+
+/// Parse a shipped `.be` kernel and bind the symbols its campaign
+/// pins. The kernel files are input like any other: one that no longer
+/// parses, or lacks a pinned symbol, is reported, not a panic.
+fn parse_kernel(
+    kernel: &str,
+    src: &str,
+    nprocs: i64,
+    sets: &[(&str, i64)],
+) -> Result<Case, String> {
+    let prog = frontend::parse(src).map_err(|e| format!("{kernel}: {e}"))?;
     let mut b = Bindings::new(nprocs);
     for (name, v) in sets {
         let pos = prog
             .syms
             .iter()
             .position(|s| &s.name == name)
-            .unwrap_or_else(|| panic!("sym {name} missing"));
+            .ok_or_else(|| format!("{kernel}: sym {name} missing"))?;
         b.bind(SymId(pos as u32), *v);
     }
-    b
+    Ok((Arc::new(prog), Arc::new(b)))
+}
+
+/// A suite kernel at `Scale::Test`, by name.
+fn suite_kernel(name: &str, nprocs: i64) -> Result<Case, String> {
+    let def = suite::by_name(name).ok_or_else(|| format!("unknown suite kernel {name}"))?;
+    let b = (def.build)(Scale::Test);
+    let bind = Arc::new(b.bindings(nprocs));
+    Ok((Arc::new(b.prog), bind))
 }
 
 /// One profiled benign run of `plan`; returns the ring-accounting
@@ -307,7 +338,7 @@ fn cmd_chaos_degrade(
     nprocs: i64,
     degrade_json: &str,
     max_attempts: u32,
-) -> i32 {
+) -> Exit {
     println!(
         "degrade campaign over {} kernels (deadline {deadline:?}, P={nprocs}, kill-pid: every pid silent + P0 panic)",
         CHAOS_KERNELS.len()
@@ -329,8 +360,7 @@ fn cmd_chaos_degrade(
                 continue;
             }
         };
-        let prog = Arc::new(frontend::parse(&src).unwrap_or_else(|e| panic!("{kernel}: {e}")));
-        let bind = Arc::new(bind_by_name(&prog, nprocs, sets));
+        let (prog, bind) = parse_kernel(kernel, &src, nprocs, sets)?;
         type Replan =
             fn(&barrier_elim::ir::Program, &Bindings) -> barrier_elim::spmd_opt::SpmdProgram;
         let plans: [(&str, barrier_elim::spmd_opt::SpmdProgram, Replan); 2] = [
@@ -404,24 +434,22 @@ fn cmd_chaos_degrade(
             failed += 1;
         }
     }
-    if failed == 0 {
-        0
-    } else {
+    if failed > 0 {
         println!("{failed} kernel plans failed the degrade campaign");
-        1
     }
+    Ok((failed > 0) as i32)
 }
 
-fn cmd_chaos(args: &[String]) -> i32 {
-    let seed = parse_u64(args, "--chaos-seed", 0);
-    let deadline = Duration::from_millis(parse_u64(args, "--deadline", 250));
-    let nprocs = parse_u64(args, "--nprocs", 4) as i64;
+fn cmd_chaos(args: &[String]) -> Exit {
+    let seed = parse_u64(args, "--chaos-seed", 0)?;
+    let deadline = Duration::from_millis(parse_u64(args, "--deadline", 250)?);
+    let nprocs = parse_team_size(args)?;
     let no_recover = parse_flag(args, "--no-recover");
     let profile = parse_flag(args, "--profile");
     if parse_flag(args, "--degrade") {
         let degrade_json =
             parse_opt(args, "--degrade-json").unwrap_or_else(|| "degrade.json".to_string());
-        let max_attempts = parse_u64(args, "--max-attempts", 4) as u32;
+        let max_attempts = parse_u64(args, "--max-attempts", 4)? as u32;
         return cmd_chaos_degrade(seed, deadline, nprocs, &degrade_json, max_attempts);
     }
     let repro_dir = std::path::PathBuf::from(
@@ -444,7 +472,7 @@ fn cmd_chaos(args: &[String]) -> i32 {
     let mut failed = 0;
     // The .be corpus plus the pipelined suite kernels, so the drop
     // matrix covers every sync kind — including pairwise cell posts.
-    let mut programs: Vec<(String, Arc<barrier_elim::ir::Program>, Arc<Bindings>)> = Vec::new();
+    let mut programs: Vec<(String, Case)> = Vec::new();
     for (kernel, sets) in CHAOS_KERNELS {
         let src = match std::fs::read_to_string(format!("kernels/{kernel}")) {
             Ok(s) => s,
@@ -454,16 +482,15 @@ fn cmd_chaos(args: &[String]) -> i32 {
                 continue;
             }
         };
-        let prog = Arc::new(frontend::parse(&src).unwrap_or_else(|e| panic!("{kernel}: {e}")));
-        let bind = Arc::new(bind_by_name(&prog, nprocs, sets));
-        programs.push((kernel.to_string(), prog, bind));
+        programs.push((
+            kernel.to_string(),
+            parse_kernel(kernel, &src, nprocs, sets)?,
+        ));
     }
     for name in PAIRWISE_CHAOS_KERNELS {
-        let b = (suite::by_name(name).expect("suite kernel").build)(Scale::Test);
-        let bind = Arc::new(b.bindings(nprocs));
-        programs.push((name.to_string(), Arc::new(b.prog), bind));
+        programs.push((name.to_string(), suite_kernel(name, nprocs)?));
     }
-    for (kernel, prog, bind) in &programs {
+    for (kernel, (prog, bind)) in &programs {
         for (label, plan) in [
             ("fork-join", fork_join(&prog, &bind)),
             ("optimized", optimize(&prog, &bind)),
@@ -586,18 +613,16 @@ fn cmd_chaos(args: &[String]) -> i32 {
             }
         }
     }
-    if failed == 0 {
-        0
-    } else {
+    if failed > 0 {
         println!("{failed} kernel plans failed the chaos campaign");
-        1
     }
+    Ok((failed > 0) as i32)
 }
 
-fn cmd_service_chaos(args: &[String]) -> i32 {
-    let seed = parse_u64(args, "--chaos-seed", 0);
-    let rounds = parse_u64(args, "--rounds", 3) as u32;
-    let nprocs = parse_u64(args, "--nprocs", 4) as i64;
+fn cmd_service_chaos(args: &[String]) -> Exit {
+    let seed = parse_u64(args, "--chaos-seed", 0)?;
+    let rounds = parse_u64(args, "--rounds", 3)? as u32;
+    let nprocs = parse_team_size(args)?;
     let json_path = parse_opt(args, "--json").unwrap_or_else(|| "service.json".to_string());
     let snapshot_dir = std::path::PathBuf::from(
         parse_opt(args, "--snapshot-dir")
@@ -609,7 +634,7 @@ fn cmd_service_chaos(args: &[String]) -> i32 {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("FAIL {kernel}: cannot read kernel file: {e}");
-                return 1;
+                return Ok(1);
             }
         };
         cases.push(oracle::ServiceChaosCase {
@@ -642,19 +667,15 @@ fn cmd_service_chaos(args: &[String]) -> i32 {
         Ok(()) => println!("service-chaos: report written to {json_path}"),
         Err(e) => {
             eprintln!("beoracle: cannot write {json_path}: {e}");
-            return 1;
+            return Ok(1);
         }
     }
-    if r.ok() {
-        0
-    } else {
-        1
-    }
+    Ok(!r.ok() as i32)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
+    let exit = match args.first().map(String::as_str) {
         Some("fuzz") => cmd_fuzz(&args[1..]),
         Some("mutate") => cmd_mutate(&args[1..]),
         Some("kernels") => cmd_kernels(&args[1..]),
@@ -664,8 +685,23 @@ fn main() {
             eprintln!(
                 "usage: beoracle fuzz [--count N] [--seed S] [--threads] [--nprocs 1,3,4] [--repro-dir DIR] [--deadline MS] [--chaos] [--chaos-seed S]\n       beoracle mutate [--count N] [--seed S]\n       beoracle kernels [--threads]\n       beoracle chaos [--chaos-seed S] [--deadline MS] [--nprocs P] [--repro-dir DIR] [--no-recover] [--recovery-json PATH] [--profile] [--degrade] [--degrade-json PATH] [--max-attempts N]\n       beoracle service-chaos [--chaos-seed S] [--rounds N] [--nprocs P] [--json PATH] [--snapshot-dir DIR]"
             );
-            2
+            Ok(2)
         }
     };
-    std::process::exit(code);
+    std::process::exit(exit.unwrap_or_else(|e| {
+        eprintln!("beoracle: {e}");
+        2
+    }));
+}
+
+#[cfg(test)]
+mod tests {
+    /// The suite-kernel list is a constant, so no command line reaches
+    /// this error; it still has to be one, not a panic.
+    #[test]
+    fn an_unknown_suite_kernel_is_an_error() {
+        let e = super::suite_kernel("no_such_kernel", 4).unwrap_err();
+        assert_eq!(e, "unknown suite kernel no_such_kernel");
+        assert!(super::suite_kernel("multihop", 4).is_ok());
+    }
 }

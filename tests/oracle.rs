@@ -151,3 +151,69 @@ fn validator_accepts_known_good_schedules_at_many_processor_counts() {
         }
     }
 }
+
+/// `beoracle` reports input it cannot use as `beoracle: <what>` on
+/// stderr with exit status 2 — never a panic (which would exit 101).
+mod cli {
+    use std::process::Command;
+
+    /// Run `beoracle` with `args`; when `broadcast` is given, from a
+    /// scratch directory whose `kernels/broadcast.be` holds that text.
+    fn beoracle(args: &[&str], broadcast: Option<&str>) -> (Option<i32>, String) {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_beoracle"));
+        cmd.args(args);
+        let dir = broadcast.map(|text| {
+            // Tests run concurrently: the text's length keeps their
+            // directories apart.
+            let dir = std::env::temp_dir().join(format!(
+                "beoracle-cli-{}-{:x}",
+                std::process::id(),
+                text.len()
+            ));
+            std::fs::create_dir_all(dir.join("kernels")).unwrap();
+            std::fs::write(dir.join("kernels/broadcast.be"), text).unwrap();
+            cmd.current_dir(&dir);
+            dir
+        });
+        let out = cmd.output().expect("spawn beoracle");
+        if let Some(dir) = dir {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
+    }
+
+    #[test]
+    fn a_bad_numeric_flag_is_a_usage_error() {
+        for (args, what) in [
+            (&["fuzz", "--count", "abc"][..], "bad --count: abc"),
+            (&["fuzz", "--nprocs", "1,x"], "bad --nprocs: 1,x"),
+            (&["fuzz", "--nprocs", "0"], "bad --nprocs: 0"),
+            (&["chaos", "--nprocs", "0"], "bad --nprocs: 0"),
+            (&["chaos", "--deadline", "soon"], "bad --deadline: soon"),
+        ] {
+            let (code, stderr) = beoracle(args, None);
+            assert_eq!(code, Some(2), "{args:?}: {stderr}");
+            assert_eq!(stderr.trim_end(), format!("beoracle: {what}"));
+        }
+    }
+
+    #[test]
+    fn a_kernel_that_does_not_parse_is_a_usage_error() {
+        let (code, stderr) = beoracle(&["chaos"], Some("program broadcast\ndoall\n"));
+        assert_eq!(code, Some(2), "{stderr}");
+        assert!(stderr.starts_with("beoracle: broadcast.be: "), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    }
+
+    #[test]
+    fn a_kernel_without_a_pinned_symbol_is_a_usage_error() {
+        let text = "program broadcast\nsym m\narray A(m) block\n\
+                    doall i = 0, m-1\n  A(i) = 1.0\nend\n";
+        let (code, stderr) = beoracle(&["chaos", "--degrade"], Some(text));
+        assert_eq!(code, Some(2), "{stderr}");
+        assert_eq!(stderr.trim_end(), "beoracle: broadcast.be: sym n missing");
+    }
+}

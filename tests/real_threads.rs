@@ -29,21 +29,31 @@ fn every_kernel_runs_correctly_on_real_threads() {
             let out = run_parallel(&prog, &bind, &plan, &mem, &team);
             let diff = mem.max_abs_diff(&oracle);
             assert!(diff <= TOL, "{} ({label}): diverged by {diff:e}", def.name);
-            assert_eq!(
-                out.stats.barrier_episodes, out.counts.barriers,
-                "{} ({label}): instrumented barrier count mismatch",
-                def.name
-            );
-            assert_eq!(
-                out.stats.counter_increments, out.counts.counter_increments,
-                "{} ({label}): instrumented counter count mismatch",
-                def.name
-            );
-            assert_eq!(
-                out.stats.neighbor_posts, out.counts.neighbor_posts,
-                "{} ({label}): instrumented neighbor count mismatch",
-                def.name
-            );
+            let (s, c) = (&out.stats, &out.counts);
+            for (what, measured, scheduled) in [
+                ("barrier episodes", s.barrier_episodes, c.barriers),
+                (
+                    "barrier arrivals",
+                    s.barrier_arrivals,
+                    c.barriers * nprocs as u64,
+                ),
+                (
+                    "counter increments",
+                    s.counter_increments,
+                    c.counter_increments,
+                ),
+                ("counter waits", s.counter_waits, c.counter_waits),
+                ("neighbor posts", s.neighbor_posts, c.neighbor_posts),
+                ("neighbor waits", s.neighbor_waits, c.neighbor_waits),
+                ("pairwise posts", s.pairwise_posts, c.pair_posts),
+                ("pairwise waits", s.pairwise_waits, c.pair_waits),
+            ] {
+                assert_eq!(
+                    measured, scheduled,
+                    "{} ({label}): instrumented {what} mismatch",
+                    def.name
+                );
+            }
         }
     }
 }
@@ -152,7 +162,9 @@ mod hammer {
     fn central_barrier_epochs_odd_teams() {
         for n in [1usize, 3, 5, 7] {
             let b = Arc::new(CentralBarrier::new(n));
-            barrier_hammer(n, move |_pid, state| b.wait(&mut state.0));
+            barrier_hammer(n, move |_pid, state| {
+                b.wait(&mut state.0);
+            });
         }
     }
 
@@ -162,7 +174,9 @@ mod hammer {
         // partners; 1 and 8 cover the degenerate and full-tree cases.
         for n in [1usize, 3, 5, 6, 7, 8] {
             let b = Arc::new(TreeBarrier::new(n));
-            barrier_hammer(n, move |pid, state| b.wait(pid, &mut state.1));
+            barrier_hammer(n, move |pid, state| {
+                b.wait(pid, &mut state.1);
+            });
         }
     }
 
@@ -478,7 +492,7 @@ mod schedule_exploration {
 
 #[test]
 fn tree_barrier_executor_matches_central() {
-    use barrier_elim::interp::{run_parallel_with, BarrierKind};
+    use barrier_elim::interp::{run_parallel_observed, BarrierKind, ObserveOptions};
     let nprocs = 4;
     let team = Team::new(nprocs);
     for name in ["jacobi2d", "lu", "shallow"] {
@@ -491,7 +505,11 @@ fn tree_barrier_executor_matches_central() {
         run_sequential(&prog, &bind, &oracle);
         for kind in [BarrierKind::Central, BarrierKind::Tree] {
             let mem = Arc::new(Mem::new(&prog, &bind));
-            let out = run_parallel_with(&prog, &bind, &plan, &mem, &team, kind);
+            let opts = ObserveOptions {
+                barrier: kind,
+                ..ObserveOptions::default()
+            };
+            let out = run_parallel_observed(&prog, &bind, &plan, &mem, &team, &opts);
             assert!(
                 mem.max_abs_diff(&oracle) < 1e-9,
                 "{name} with {kind:?} diverged"
