@@ -15,13 +15,19 @@
 //! 3. *Is the producer a single processor?* (master statements, or owner
 //!    subscripts invariant in the distributed loops — e.g. a pivot row).
 //!    Then a counter replaces the barrier ([`CommPattern::Producer1`]).
-//! 4. Otherwise the barrier stays ([`CommPattern::General`]).
+//!    The producer is named either from the writer's side (one processor
+//!    executes the writing statement) or from the reader's: every owner
+//!    writes, but all that is *read* across processors is one row or
+//!    column whose owner the loops around the sync site fix
+//!    ([`Anchor::Sink`]).
+//! 4. Otherwise the barrier stays ([`CommPattern::General`]), and the
+//!    outcome names the access pair that pins it ([`Pin`]).
 
 use crate::bindings::Bindings;
-use crate::partition::{stmt_partition, LoopPartition, StmtPartition};
+use crate::partition::{stmt_partition, LoopPartition, OwnerMap, StmtPartition};
 use crate::translate::{build_pair_system, SharedLoopMode};
 use ineq::{FmeCache, FmeCacheStats, LinExpr, VarKind};
-use ir::{Affine, ArrayId, LhsRef, NodeId, Program, ScalarId, StmtPath};
+use ir::{Affine, ArrayId, LhsRef, LoopId, LoopKind, NodeId, Program, ScalarId, StmtPath};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -396,37 +402,133 @@ impl CommPattern {
     }
 }
 
+/// Which side of a true dependence names its producer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Anchor {
+    /// The writing statement runs on one processor per sync instance:
+    /// its own owner subscript names it.
+    Source,
+    /// Every owner writes, but everything read across processors has
+    /// the one owner the *read* subscript names (for a loop bottom, at
+    /// the next iteration).
+    Sink,
+}
+
 /// Identifies the unique producer processor for [`CommPattern::Producer1`]
 /// sync points, in a form the runtime can evaluate (all loop indices that
-/// appear are fixed for the duration of the sync instance).
+/// appear enclose the sync site, so they are fixed for the duration of
+/// the sync instance).
 #[derive(Clone, PartialEq, Debug)]
 pub enum ProducerSpec {
     /// The master processor (serial statement).
     Master,
-    /// Owner of element `sub` under a block distribution.
-    BlockOwner {
-        /// Block size.
-        block: i64,
+    /// Owner of element `sub` of a distributed dimension.
+    Owner {
+        /// How the dimension deals subscript values to processors.
+        map: OwnerMap,
         /// Distributed-dimension subscript (invariant in the sync
         /// instance).
         sub: Affine,
-    },
-    /// Owner of element `sub` under a cyclic distribution.
-    CyclicOwner {
-        /// Distributed-dimension subscript.
-        sub: Affine,
-    },
-    /// Owner of element `sub` under a block-cyclic distribution.
-    BlockCyclicOwner {
-        /// Dealt block size.
-        block: i64,
-        /// Distributed-dimension subscript.
-        sub: Affine,
+        /// Which access the subscript was taken from.
+        anchor: Anchor,
     },
 }
 
+/// The kind of a dependence from an earlier access to a later one.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DepKind {
+    /// Write, then read.
+    True,
+    /// Read, then write.
+    Anti,
+    /// Write, then write.
+    Output,
+}
+
+impl DepKind {
+    fn of(first_writes: bool, second_writes: bool) -> DepKind {
+        match (first_writes, second_writes) {
+            (true, false) => DepKind::True,
+            (false, _) => DepKind::Anti,
+            (true, true) => DepKind::Output,
+        }
+    }
+
+    /// Stable lower-case name (used in reports and JSON output).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            DepKind::True => "true",
+            DepKind::Anti => "anti",
+            DepKind::Output => "output",
+        }
+    }
+}
+
+/// The storage a dependence runs through.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Storage {
+    /// A distributed or replicated array.
+    Array(ArrayId),
+    /// A shared scalar.
+    Scalar(ScalarId),
+}
+
+impl Storage {
+    /// `"array"` or `"scalar"` (the JSON key the name goes under).
+    pub fn kind(self) -> &'static str {
+        match self {
+            Storage::Array(_) => "array",
+            Storage::Scalar(_) => "scalar",
+        }
+    }
+
+    /// The declared name.
+    pub fn name(self, prog: &Program) -> &str {
+        match self {
+            Storage::Array(a) => &prog.array(a).name,
+            Storage::Scalar(s) => &prog.scalar(s).name,
+        }
+    }
+}
+
+/// One dependent access pair of two statements.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct AccessPair {
+    /// The earlier statement.
+    pub src: NodeId,
+    /// The later statement.
+    pub dst: NodeId,
+    /// What both access.
+    pub storage: Storage,
+    /// Which of the two accesses write.
+    pub dep: DepKind,
+}
+
+/// What pins a kept barrier: the access pair at which the fold over
+/// dependent pairs turned [`CommPattern::General`], and the last rule
+/// that failed on it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Pin {
+    /// The pinning access pair.
+    pub pair: AccessPair,
+    /// The last replacement rule tried, and why it did not apply.
+    pub rule: &'static str,
+}
+
+const RULE_SCALAR: &str = "a shared scalar written or overwritten off the master has no \
+                           point-to-point form";
+const RULE_REPLICATED: &str = "an output or anti dependence on a replicated writer has no \
+                               point-to-point form";
+const RULE_SYMBOLIC: &str = "block extents are symbolic and the owner inputs differ by more \
+                             than the neighbor reach";
+const RULE_SPECTRUM: &str = "no single producer on either side, and the processor-distance \
+                             spectrum is unbounded or wider than the pairwise fan-in";
+const RULE_FANIN: &str = "joined with the pairs before it, the wait set is wider than the \
+                          pairwise fan-in";
+
 /// A communication query result: the pattern plus, for `Producer1`, the
-/// producer's identity, and for `PairWise`, the producer wait set.
+/// producer's identity, for `PairWise`, the producer wait set, and for
+/// `General`, what pins the barrier.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CommOutcome {
     /// Joined communication pattern.
@@ -438,25 +540,23 @@ pub struct CommOutcome {
     /// (the fused form of `Producer1` joined into a distance pattern,
     /// or of two `Producer1`s naming different producers).
     pub pair_producers: Vec<ProducerSpec>,
+    /// The communicating access pair joined in last (`None` only for
+    /// `NoComm`); once the pattern is `General`, the pair that made it
+    /// so.
+    pub pair: Option<AccessPair>,
+    /// For `General`: the last rule that failed on `pair`.
+    pub failed: Option<&'static str>,
 }
 
 impl CommOutcome {
     /// The no-communication outcome.
     pub fn none() -> Self {
-        CommOutcome {
-            pattern: CommPattern::NoComm,
-            producer: None,
-            pair_producers: Vec::new(),
-        }
+        CommOutcome::of(CommPattern::NoComm)
     }
 
     /// A general (barrier-requiring) outcome.
     pub fn general() -> Self {
-        CommOutcome {
-            pattern: CommPattern::General,
-            producer: None,
-            pair_producers: Vec::new(),
-        }
+        CommOutcome::of(CommPattern::General)
     }
 
     /// An outcome with just a pattern (neighbor / pairwise-by-distance).
@@ -465,7 +565,26 @@ impl CommOutcome {
             pattern,
             producer: None,
             pair_producers: Vec::new(),
+            pair: None,
+            failed: None,
         }
+    }
+
+    /// The single-producer outcome.
+    pub fn producer1(spec: ProducerSpec) -> Self {
+        CommOutcome {
+            producer: Some(spec),
+            ..CommOutcome::of(CommPattern::Producer1)
+        }
+    }
+
+    /// What pins the barrier, when the pattern is `General` and the
+    /// outcome came from a query (a hand-built `general()` names none).
+    pub fn pin(&self) -> Option<Pin> {
+        Some(Pin {
+            pair: self.pair?,
+            rule: self.failed?,
+        })
     }
 
     /// Total pairwise wait fan-in (distances plus producer targets).
@@ -486,7 +605,7 @@ impl CommOutcome {
         }
     }
 
-    /// Join two outcomes.
+    /// Join two outcomes (`other` is the later one of a fold).
     ///
     /// Two `Producer1`s naming *different* producers fuse into a
     /// two-entry pairwise producer set (one counter per pair — exactly
@@ -494,52 +613,56 @@ impl CommOutcome {
     /// same fusion absorbs `Producer1` into neighbor/pairwise distance
     /// patterns. A producer without an evaluable spec, or a fused wait
     /// set wider than [`MAX_PAIR_FANIN`], still degrades to `General`
-    /// (a barrier is cheaper than a wide point-to-point fan-in).
+    /// (a barrier is cheaper than a wide point-to-point fan-in), pinned
+    /// by the pair `other` brought.
     pub fn join(self, other: CommOutcome) -> CommOutcome {
         use CommPattern::*;
+        let too_wide = CommOutcome {
+            pair: other.pair,
+            failed: Some(RULE_FANIN),
+            ..CommOutcome::general()
+        };
         match (self.pattern, other.pattern) {
             (NoComm, _) => other,
-            (_, NoComm) => self,
-            (General, _) | (_, General) => CommOutcome::general(),
-            (Producer1, Producer1) if self.producer == other.producer => self,
+            (_, NoComm) | (General, _) => self,
+            (_, General) => other,
+            (Producer1, Producer1) if self.producer == other.producer => other,
             // Distinct producers: a two-entry pairwise producer set.
             (Producer1, Producer1) => match (self.producer, other.producer) {
                 (Some(p1), Some(p2)) => CommOutcome {
-                    pattern: PairWise {
-                        dists: DistSet::empty(),
-                    },
-                    producer: None,
                     pair_producers: vec![p1, p2],
+                    pair: other.pair,
+                    ..CommOutcome::of(PairWise {
+                        dists: DistSet::empty(),
+                    })
                 },
-                _ => CommOutcome::general(),
+                _ => too_wide,
             },
             // Every remaining combination that involves a Producer1 or a
             // PairWise side fuses into a pairwise sync; pure
             // neighbor-neighbor joins stay Neighbor via the pattern join.
             (a, b) => {
                 let pattern = a.join(b);
-                match pattern {
-                    PairWise { dists } => {
-                        let mut producers = self.producers_as_pair();
-                        for p in other.producers_as_pair() {
-                            if !producers.contains(&p) {
-                                producers.push(p);
-                            }
-                        }
-                        // A producer the runtime cannot evaluate cannot
-                        // become a wait target.
-                        let lost_producer = matches!(a, Producer1) && self.producer.is_none()
-                            || matches!(b, Producer1) && other.producer.is_none();
-                        if lost_producer || dists.len() + producers.len() > MAX_PAIR_FANIN {
-                            return CommOutcome::general();
-                        }
-                        CommOutcome {
-                            pattern,
-                            producer: None,
-                            pair_producers: producers,
+                let mut producers = Vec::new();
+                if let PairWise { dists } = pattern {
+                    producers = self.producers_as_pair();
+                    for p in other.producers_as_pair() {
+                        if !producers.contains(&p) {
+                            producers.push(p);
                         }
                     }
-                    _ => CommOutcome::of(pattern),
+                    // A producer the runtime cannot evaluate cannot
+                    // become a wait target.
+                    let lost_producer = matches!(a, Producer1) && self.producer.is_none()
+                        || matches!(b, Producer1) && other.producer.is_none();
+                    if lost_producer || dists.len() + producers.len() > MAX_PAIR_FANIN {
+                        return too_wide;
+                    }
+                }
+                CommOutcome {
+                    pair_producers: producers,
+                    pair: other.pair,
+                    ..CommOutcome::of(pattern)
                 }
             }
         }
@@ -601,31 +724,15 @@ fn same_owner_inputs(
     lp1: &LoopPartition,
     lp2: &LoopPartition,
 ) -> Option<(ineq::LinExpr, ineq::LinExpr)> {
-    use LoopPartition::*;
-    let (sub1, sub2) = match (lp1, lp2) {
-        (
-            BlockOwner {
-                block: b1, sub: s1, ..
-            },
-            BlockOwner {
-                block: b2, sub: s2, ..
-            },
-        ) if b1 == b2 => (s1.clone(), s2.clone()),
-        (CyclicOwner { sub: s1, .. }, CyclicOwner { sub: s2, .. }) => (s1.clone(), s2.clone()),
-        (
-            BlockCyclicOwner {
-                block: b1, sub: s1, ..
-            },
-            BlockCyclicOwner {
-                block: b2, sub: s2, ..
-            },
-        ) if b1 == b2 => (s1.clone(), s2.clone()),
-        _ => return None,
-    };
+    let (_, f1, sub1) = lp1.owner_computes()?;
+    let (_, f2, sub2) = lp2.owner_computes()?;
+    if f1 != f2 {
+        return None;
+    }
     let m1 = ps.map1.clone();
     let m2 = ps.map2.clone();
-    let d1 = ps.tr(bind, &sub1, &m1);
-    let d2 = ps.tr(bind, &sub2, &m2);
+    let d1 = ps.tr(bind, sub1, &m1);
+    let d2 = ps.tr(bind, sub2, &m2);
     Some((d1, d2))
 }
 
@@ -895,6 +1002,12 @@ impl<'p> CommQuery<'p> {
         if self.prog.scalar(a1.scalar).privatizable {
             return CommOutcome::none();
         }
+        let pair = Some(AccessPair {
+            src: s1.node,
+            dst: s2.node,
+            storage: Storage::Scalar(a1.scalar),
+            dep: DepKind::of(a1.is_write, a2.is_write),
+        });
         let p1 = stmt_partition(self.prog, &self.bind, s1);
         let p2 = stmt_partition(self.prog, &self.bind, s2);
         use StmtPartition::*;
@@ -907,14 +1020,17 @@ impl<'p> CommQuery<'p> {
             // Master produces, distributed/replicated statements consume:
             // one producer — a counter satisfies the dependence.
             (Master, true, _, _) => CommOutcome {
-                pattern: CommPattern::Producer1,
-                producer: Some(ProducerSpec::Master),
-                pair_producers: Vec::new(),
+                pair,
+                ..CommOutcome::producer1(ProducerSpec::Master)
             },
             // Everything else (distributed writes to a shared scalar,
             // anti-dependences onto replicated writers, …) keeps the
             // barrier.
-            _ => CommOutcome::general(),
+            _ => CommOutcome {
+                pair,
+                failed: Some(RULE_SCALAR),
+                ..CommOutcome::general()
+            },
         }
     }
 
@@ -933,6 +1049,23 @@ impl<'p> CommQuery<'p> {
         }
         let part1 = stmt_partition(self.prog, &self.bind, s1);
         let part2 = stmt_partition(self.prog, &self.bind, s2);
+        // Every communicating outcome names the pair it came from; a
+        // general one also the last rule that failed.
+        let found = |out: CommOutcome| CommOutcome {
+            pair: Some(AccessPair {
+                src: s1.node,
+                dst: s2.node,
+                storage: Storage::Array(a1.array),
+                dep: DepKind::of(a1.is_write, a2.is_write),
+            }),
+            ..out
+        };
+        let general = |rule| {
+            found(CommOutcome {
+                failed: Some(rule),
+                ..CommOutcome::general()
+            })
+        };
 
         // Replicated producers satisfy true dependences locally.
         if a1.is_write && part1 == StmtPartition::Replicated {
@@ -942,10 +1075,10 @@ impl<'p> CommQuery<'p> {
             if part2 == StmtPartition::Replicated {
                 return CommOutcome::none();
             }
-            return CommOutcome::general();
+            return general(RULE_REPLICATED);
         }
         if !a1.is_write && a2.is_write && part2 == StmtPartition::Replicated {
-            return CommOutcome::general();
+            return general(RULE_REPLICATED);
         }
 
         let mut ps = build_pair_system(self.prog, &self.bind, s1, s2, mode.shared_mode());
@@ -1012,9 +1145,9 @@ impl<'p> CommQuery<'p> {
                     })
                 };
                 if !viol(true) && !viol(false) {
-                    return CommOutcome::of(CommPattern::Neighbor { fwd, bwd });
+                    return found(CommOutcome::of(CommPattern::Neighbor { fwd, bwd }));
                 }
-                return CommOutcome::general();
+                return general(RULE_SYMBOLIC);
             }
             // Different extents: owner functions differ; fall through to
             // the (conservative) processor tests.
@@ -1069,16 +1202,17 @@ impl<'p> CommQuery<'p> {
             })
         };
         if !viol(true) && !viol(false) {
-            return CommOutcome::of(CommPattern::Neighbor { fwd, bwd });
+            return found(CommOutcome::of(CommPattern::Neighbor { fwd, bwd }));
         }
 
-        // 3. Unique producer?
-        if let Some(spec) = self.unique_producer(s1, &part1, mode) {
-            return CommOutcome {
-                pattern: CommPattern::Producer1,
-                producer: Some(spec),
-                pair_producers: Vec::new(),
-            };
+        // 3. Unique producer? Named from the writer's side first, then —
+        //    for a true dependence — from the reader's.
+        let site = self.site_loops(s1, s2, mode);
+        let producer = self
+            .unique_producer(&part1, &site)
+            .or_else(|| self.sink_anchored_producer(a1, &part1, a2, &site, mode));
+        if let Some(spec) = producer {
+            return found(CommOutcome::producer1(spec));
         }
 
         // 4. Distance vectors: is every feasible processor distance one
@@ -1094,8 +1228,8 @@ impl<'p> CommQuery<'p> {
         #[cfg(test)]
         assert_eq!(spectrum, tests::enumerated_spectrum(self, &ps, fwd, bwd));
         match spectrum {
-            Some(dists) => CommOutcome::of(CommPattern::PairWise { dists }),
-            None => CommOutcome::general(),
+            Some(dists) => found(CommOutcome::of(CommPattern::PairWise { dists })),
+            None => general(RULE_SPECTRUM),
         }
     }
 
@@ -1175,73 +1309,98 @@ impl<'p> CommQuery<'p> {
         Some(dists)
     }
 
-    /// True if the producer statement executes on a single, identifiable
-    /// processor per sync instance: master statements, or owner
-    /// subscripts that do not vary with any loop that varies within the
-    /// sync instance (only region-shared loops, and the carried loop for
-    /// carried queries, are fixed).
-    fn unique_producer(
-        &self,
-        s1: &StmtPath,
-        part1: &StmtPartition,
-        mode: CommMode,
-    ) -> Option<ProducerSpec> {
+    /// The sequential loops whose indices are fixed at the sync site a
+    /// `(s1, s2, mode)` query decides, outermost first: the loops around
+    /// both statements for a loop-independent slot, the carried loop and
+    /// everything around it for that loop's bottom. A loop nested inside
+    /// the site's own scope — around only one of the statements, or
+    /// inside the carried loop — runs through all its iterations between
+    /// two visits of the site, so no producer may be named after it.
+    fn site_loops(&self, s1: &StmtPath, s2: &StmtPath, mode: CommMode) -> Vec<LoopId> {
+        let shared = s1.loops.iter().zip(&s2.loops).take_while(|(a, b)| a == b);
+        let mut loops = Vec::new();
+        for (&node, _) in shared {
+            let l = self.prog.expect_loop(node);
+            if l.kind == LoopKind::Par {
+                break;
+            }
+            loops.push(l.id);
+            if matches!(mode, CommMode::CarriedBy(at) | CommMode::CarriedExactlyOne(at) if at == node)
+            {
+                break;
+            }
+        }
+        loops
+    }
+
+    /// The one processor that executes the producer statement per sync
+    /// instance: the master for serial statements, or the owner of a
+    /// subscript that only the loops around the sync site vary.
+    fn unique_producer(&self, part1: &StmtPartition, site: &[LoopId]) -> Option<ProducerSpec> {
         match part1 {
             StmtPartition::Master => Some(ProducerSpec::Master),
             StmtPartition::Replicated => None,
             StmtPartition::Distributed(_, lp) => {
-                let (sub, spec) = match lp {
-                    LoopPartition::BlockOwner { sub, block, .. } => (
-                        sub,
-                        ProducerSpec::BlockOwner {
-                            block: *block,
-                            sub: sub.clone(),
-                        },
-                    ),
-                    LoopPartition::CyclicOwner { sub, .. } => {
-                        (sub, ProducerSpec::CyclicOwner { sub: sub.clone() })
-                    }
-                    LoopPartition::BlockCyclicOwner { sub, block, .. } => (
-                        sub,
-                        ProducerSpec::BlockCyclicOwner {
-                            block: *block,
-                            sub: sub.clone(),
-                        },
-                    ),
-                    LoopPartition::SymbolicBlockOwner { .. }
-                    | LoopPartition::BlockIndex { .. }
-                    | LoopPartition::Unknown => return None,
-                };
-                // For a carried query the carried loop is fixed (one
-                // producer iteration); for loop-independent queries only
-                // the loops *outside* the group vary... conservatively we
-                // require the owner subscript to depend on no loop that
-                // is not an enclosing sequential loop *outside the
-                // innermost parallel loop*.
-                let outer_seq: Vec<ir::LoopId> = {
-                    let mut v = Vec::new();
-                    for &n in &s1.loops {
-                        let l = self.prog.expect_loop(n);
-                        if l.kind == ir::LoopKind::Par {
-                            break;
-                        }
-                        v.push(l.id);
-                    }
-                    if let CommMode::CarriedBy(at) | CommMode::CarriedExactlyOne(at) = mode {
-                        let l = self.prog.expect_loop(at);
-                        if !v.contains(&l.id) {
-                            v.push(l.id);
-                        }
-                    }
-                    v
-                };
-                if sub.loops().all(|l| outer_seq.contains(&l)) {
-                    Some(spec)
-                } else {
-                    None
-                }
+                let (_, map, sub) = lp.owner_computes()?;
+                sub.loops()
+                    .all(|l| site.contains(&l))
+                    .then(|| ProducerSpec::Owner {
+                        map,
+                        sub: sub.clone(),
+                        anchor: Anchor::Source,
+                    })
             }
         }
+    }
+
+    /// The dual of [`unique_producer`](Self::unique_producer) for a true
+    /// dependence whose writers are every owner: when the writing
+    /// statement is owner-computes on the written array itself, whoever
+    /// wrote an element owns it, so the writer of everything the sink
+    /// reads is the owner of the *read* subscript — one processor per
+    /// sync instance when only the loops around the site vary it. At a
+    /// loop bottom the sink belongs to a later iteration: the producer
+    /// named after iteration `k` is the owner of what iteration `k + 1`
+    /// reads. Its post follows all its earlier writes in program order
+    /// and every processor passes every bottom, so any carried distance
+    /// is covered; past the last iteration the subscript may leave the
+    /// array, where [`OwnerMap::owner`] still names a live processor and
+    /// nothing is read.
+    fn sink_anchored_producer(
+        &self,
+        a1: &ArrayAccess,
+        part1: &StmtPartition,
+        a2: &ArrayAccess,
+        site: &[LoopId],
+        mode: CommMode,
+    ) -> Option<ProducerSpec> {
+        let StmtPartition::Distributed(_, lp) = part1 else {
+            return None;
+        };
+        if !a1.is_write || a2.is_write {
+            return None;
+        }
+        let (array, map, owner_sub) = lp.owner_computes()?;
+        let (dim, _) = self.prog.array(a1.array).dist.distributed_dim()?;
+        if array != a1.array || *owner_sub != a1.subs[dim] {
+            return None;
+        }
+        let read = &a2.subs[dim];
+        if !read.loops().all(|l| site.contains(&l)) {
+            return None;
+        }
+        let sub = match mode {
+            CommMode::LoopIndependent => read.clone(),
+            CommMode::CarriedBy(at) | CommMode::CarriedExactlyOne(at) => {
+                let k = self.prog.expect_loop(at).id;
+                read.substituted(k, &(Affine::index(k) + 1))
+            }
+        };
+        Some(ProducerSpec::Owner {
+            map,
+            sub,
+            anchor: Anchor::Sink,
+        })
     }
 }
 
@@ -1688,11 +1847,7 @@ mod tests {
         );
         // Outcome-level fusion keeps the producer as a wait target.
         let o1 = CommOutcome::of(nb);
-        let o2 = CommOutcome {
-            pattern: CommPattern::Producer1,
-            producer: Some(ProducerSpec::Master),
-            pair_producers: Vec::new(),
-        };
+        let o2 = CommOutcome::producer1(ProducerSpec::Master);
         let out = o1.join(o2);
         assert_eq!(
             out.pattern,
@@ -1708,14 +1863,12 @@ mod tests {
     /// pairwise producer set instead of collapsing to `General`.
     #[test]
     fn distinct_producers_fuse_to_pairwise() {
-        let mk = |spec: ProducerSpec| CommOutcome {
-            pattern: CommPattern::Producer1,
-            producer: Some(spec),
-            pair_producers: Vec::new(),
-        };
+        let mk = CommOutcome::producer1;
         let o1 = mk(ProducerSpec::Master);
-        let o2 = mk(ProducerSpec::CyclicOwner {
+        let o2 = mk(ProducerSpec::Owner {
+            map: OwnerMap::Cyclic,
             sub: ir::Affine::constant(3),
+            anchor: Anchor::Source,
         });
         let out = o1.clone().join(o2.clone());
         assert_eq!(
@@ -1732,6 +1885,115 @@ mod tests {
         // target: degrade to General.
         let lost = o1.join(CommOutcome::of(CommPattern::Producer1));
         assert_eq!(lost.pattern, CommPattern::General);
+    }
+
+    /// The writes of `DO m { DOALL j: A(m,j) = .. }` each run on
+    /// `owner(m)`, but at the slot *after* `DO m` every owner has written
+    /// and `m` has no value: neither producer rule may name it, and the
+    /// transposed read of all of `A` keeps the barrier.
+    #[test]
+    fn no_producer_is_named_after_a_loop_inside_the_site() {
+        let (prog, n, _) = oracle::gen::nested_broadcast_program(dist_block(), 1.0, 1.0);
+        let a = ir::ArrayId(0);
+        // Past the two initialisation statements.
+        let st = &prog.all_statements()[2..];
+        for nprocs in [4, 8] {
+            let q = CommQuery::new(&prog, Bindings::new(nprocs).set(n, 16));
+            let out = q.comm_stmts_detailed(&st[0], &st[1], CommMode::LoopIndependent);
+            assert_eq!(out.pattern, CommPattern::General, "P={nprocs}");
+            let pin = out.pin().expect("a general outcome names its pin");
+            assert_eq!(
+                pin.pair,
+                AccessPair {
+                    src: st[0].node,
+                    dst: st[1].node,
+                    storage: Storage::Array(a),
+                    dep: DepKind::True,
+                }
+            );
+            // Inside `DO m` the same writer is one processor per visit.
+            let mnode = st[0].loops[1];
+            let site = q.site_loops(&st[0], &st[0], CommMode::CarriedBy(mnode));
+            let part = stmt_partition(&prog, &q.bind, &st[0]);
+            assert!(q.unique_producer(&part, &site).is_some());
+        }
+    }
+
+    /// `lu` and `workvec` loop bottoms: every owner writes the trailing
+    /// matrix, but iteration `k + 1` reads across processors only pivot
+    /// column / row `k + 1`; the other carried pairs do not communicate.
+    #[test]
+    fn loop_bottom_producer_is_the_owner_of_the_next_pivot() {
+        for (name, map_of) in [
+            ("lu", (|_| OwnerMap::Cyclic) as fn(i64) -> OwnerMap),
+            ("workvec", |p| OwnerMap::Block((12 + p - 1) / p)),
+        ] {
+            let built = (suite::by_name(name).unwrap().build)(suite::Scale::Test);
+            let st = built.prog.all_statements();
+            let body: Vec<&StmtPath> = st
+                .iter()
+                .filter(|s| s.loops[0] == st[st.len() - 1].loops[0])
+                .collect();
+            let [first, update] = body[..] else {
+                panic!("{name}: two statements in the k loop");
+            };
+            let knode = update.loops[0];
+            let k = built.prog.expect_loop(knode).id;
+            for nprocs in [3, 8, 16] {
+                let mut bind = Bindings::new(nprocs);
+                for &(sym, v) in &built.values {
+                    bind.bind(sym, v);
+                }
+                let q = CommQuery::new(&built.prog, bind);
+                let mut joined = CommOutcome::none();
+                for s1 in [first, update] {
+                    for s2 in [first, update] {
+                        joined =
+                            joined.join(q.comm_stmts_detailed(s1, s2, CommMode::CarriedBy(knode)));
+                    }
+                }
+                assert_eq!(
+                    joined.producer,
+                    Some(ProducerSpec::Owner {
+                        map: map_of(nprocs),
+                        sub: Affine::index(k) + 1,
+                        anchor: Anchor::Sink,
+                    }),
+                    "{name} P={nprocs}"
+                );
+                assert_eq!(joined.pattern, CommPattern::Producer1);
+            }
+        }
+    }
+
+    /// The rule is for true dependences only: all processors *reading*
+    /// one owner's element that the owner later overwrites is an anti
+    /// dependence with every processor as a source, and keeps the
+    /// barrier.
+    #[test]
+    fn anti_dependence_on_one_owner_keeps_the_barrier() {
+        let mut pb = ProgramBuilder::new("anti");
+        let n = pb.sym("n");
+        let a = pb.array("A", &[sym(n)], dist_block());
+        let b = pb.array("B", &[sym(n)], dist_block());
+        let k = pb.begin_seq("k", con(0), sym(n) - 1);
+        let i = pb.begin_par("i", con(0), sym(n) - 1);
+        pb.assign(elem(b, [idx(i)]), arr(a, [idx(k)]));
+        pb.end();
+        let j = pb.begin_par("j", con(0), sym(n) - 1);
+        pb.assign(elem(a, [idx(j)]), ival(idx(j) + idx(k)));
+        pb.end();
+        pb.end();
+        let prog = pb.finish();
+        let st = prog.all_statements();
+        let q = CommQuery::new(&prog, Bindings::new(8).set(n, 64));
+        let out = q.comm_stmts_detailed(&st[0], &st[1], CommMode::LoopIndependent);
+        assert_eq!(out.pattern, CommPattern::General);
+        assert_eq!(out.pin().unwrap().pair.dep, DepKind::Anti);
+        // The true dependence the other way round is the broadcast.
+        let knode = st[0].loops[0];
+        let back = q.comm_stmts_detailed(&st[1], &st[0], CommMode::CarriedBy(knode));
+        assert_eq!(back.pattern, CommPattern::Producer1);
     }
 
     /// DistSet basics: insertion bounds, ordering, rendering.

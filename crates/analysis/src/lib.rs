@@ -55,8 +55,9 @@ pub mod translate;
 pub use bindings::Bindings;
 pub use codegen::{scan_owned_range, ScannedBounds};
 pub use comm::{
-    set_pair_probe, AnalysisConfig, AnalysisStats, CommMode, CommOutcome, CommPattern, CommQuery,
-    DistSet, PairProbe, ProducerSpec, MAX_PAIR_DIST, MAX_PAIR_FANIN,
+    set_pair_probe, AccessPair, AnalysisConfig, AnalysisStats, Anchor, CommMode, CommOutcome,
+    CommPattern, CommQuery, DepKind, DistSet, PairProbe, Pin, ProducerSpec, Storage, MAX_PAIR_DIST,
+    MAX_PAIR_FANIN,
 };
 pub use dep::{check_parallel_loops, loop_carries_dependence};
 pub use partition::{

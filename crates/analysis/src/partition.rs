@@ -247,6 +247,25 @@ pub fn stmt_partition(prog: &Program, bind: &Bindings, path: &StmtPath) -> StmtP
 }
 
 impl LoopPartition {
+    /// The owner-computes rule behind the partition, when its owner
+    /// function is known: the driving array, how its distributed
+    /// dimension deals subscript values to processors, and the
+    /// subscript whose owner executes an instance.
+    pub fn owner_computes(&self) -> Option<(ArrayId, OwnerMap, &Affine)> {
+        match self {
+            LoopPartition::BlockOwner { array, block, sub } => {
+                Some((*array, OwnerMap::Block(*block), sub))
+            }
+            LoopPartition::CyclicOwner { array, sub } => Some((*array, OwnerMap::Cyclic, sub)),
+            LoopPartition::BlockCyclicOwner { array, block, sub } => {
+                Some((*array, OwnerMap::BlockCyclic(*block), sub))
+            }
+            LoopPartition::BlockIndex { .. }
+            | LoopPartition::SymbolicBlockOwner { .. }
+            | LoopPartition::Unknown => None,
+        }
+    }
+
     /// Evaluate, at runtime, which processor executes the iteration with
     /// distributed-loop index `dist_index`; `loop_val` supplies values for
     /// every loop index occurring in the owner subscript (including the
@@ -260,23 +279,10 @@ impl LoopPartition {
         dist_index: i64,
         loop_val: &dyn Fn(LoopId) -> Option<i64>,
     ) -> Option<i64> {
-        let (map, x) = match self {
-            LoopPartition::BlockOwner { block, sub, .. } => {
-                (OwnerMap::Block(*block), bind.eval_affine(sub, loop_val)?)
-            }
-            LoopPartition::CyclicOwner { sub, .. } => {
-                (OwnerMap::Cyclic, bind.eval_affine(sub, loop_val)?)
-            }
-            LoopPartition::BlockCyclicOwner { block, sub, .. } => (
-                OwnerMap::BlockCyclic(*block),
-                bind.eval_affine(sub, loop_val)?,
-            ),
-            LoopPartition::BlockIndex { lo, block, .. } => {
-                (OwnerMap::Block(*block), dist_index - lo)
-            }
-            LoopPartition::SymbolicBlockOwner { .. } | LoopPartition::Unknown => return None,
-        };
-        Some(map.owner(x, bind.nprocs))
+        match self.owner_computes() {
+            Some((_, map, sub)) => Some(map.owner(bind.eval_affine(sub, loop_val)?, bind.nprocs)),
+            None => self.owner_of_index(bind, dist_index),
+        }
     }
 
     /// Owner of iteration `i` for index-partitioned loops.

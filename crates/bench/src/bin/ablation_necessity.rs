@@ -1,78 +1,15 @@
 //! Ablation A4 — tightness of the placement: strip each placed
 //! synchronization individually and check whether some adversarial
-//! virtual interleaving then produces wrong results. A high "necessary"
+//! virtual interleaving then produces wrong results, and whether the
+//! vector-clock validator then finds a race. A high "necessary"
 //! fraction means the optimizer is not leaving easy eliminations on the
 //! table (the complement of the soundness tests, which check it never
-//! removes too much).
+//! removes too much); an interior sync the validator proves removable is
+//! listed by name — it is implied by the syncs around it.
 
-use interp::{run_sequential, run_virtual, Mem, ScheduleOrder};
+use interp::ScheduleOrder;
 use spmd_bench::{instance, Table};
-use spmd_opt::{RItem, SpmdProgram, SyncOp, TopItem};
 use suite::Scale;
-
-/// Collect the number of non-`None` sync slots.
-fn count_slots(plan: &SpmdProgram) -> usize {
-    let mut n = 0;
-    visit_slots(&mut plan.clone(), &mut |_s| n += 1);
-    n
-}
-
-/// Visit every non-`None` sync slot mutably, in a stable order.
-fn visit_slots(plan: &mut SpmdProgram, f: &mut impl FnMut(&mut SyncOp)) {
-    fn items(list: &mut [RItem], f: &mut impl FnMut(&mut SyncOp)) {
-        for it in list {
-            match it {
-                RItem::Phase(p) => {
-                    if p.after.is_some() {
-                        f(&mut p.after);
-                    }
-                }
-                RItem::Seq {
-                    body,
-                    bottom,
-                    after,
-                    ..
-                } => {
-                    items(body, f);
-                    if bottom.is_some() {
-                        f(bottom);
-                    }
-                    if after.is_some() {
-                        f(after);
-                    }
-                }
-            }
-        }
-    }
-    fn top(list: &mut [TopItem], f: &mut impl FnMut(&mut SyncOp)) {
-        for it in list {
-            match it {
-                TopItem::SerialStmt(_) => {}
-                TopItem::MasterLoop { body, .. } => top(body, f),
-                TopItem::Region(r) => {
-                    items(&mut r.items, f);
-                    if r.end.is_some() {
-                        f(&mut r.end);
-                    }
-                }
-            }
-        }
-    }
-    top(&mut plan.items, f);
-}
-
-/// Strip the k-th non-`None` slot.
-fn strip_slot(plan: &SpmdProgram, k: usize) -> SpmdProgram {
-    let mut out = plan.clone();
-    let mut idx = 0;
-    visit_slots(&mut out, &mut |s| {
-        if idx == k {
-            *s = SyncOp::None;
-        }
-        idx += 1;
-    });
-    out
-}
 
 fn main() {
     let nprocs = 4;
@@ -81,12 +18,14 @@ fn main() {
     );
     println!("A sync is counted necessary when stripping it makes some of 6 adversarial");
     println!("virtual orders diverge from the sequential semantics. Syncs not caught are");
-    println!("either schedule-lucky or genuinely conservative placements.\n");
+    println!("either schedule-lucky or genuinely conservative placements; the validator");
+    println!("column counts the strips that leave a race whatever the order.\n");
     let mut t = Table::new(&[
         "program",
         "placed syncs",
         "demonstrably necessary",
         "fraction",
+        "race when stripped",
     ]);
     let orders = [
         ScheduleOrder::Reverse,
@@ -96,28 +35,25 @@ fn main() {
         ScheduleOrder::Random(31),
         ScheduleOrder::Random(101),
     ];
+    let mut implied = Vec::new();
     for def in suite::all() {
         let (built, bind) = instance(&def, Scale::Test, nprocs);
         let plan = spmd_opt::optimize(&built.prog, &bind);
-        let oracle = Mem::new(&built.prog, &bind);
-        run_sequential(&built.prog, &bind, &oracle);
-        let n = count_slots(&plan);
-        let mut necessary = 0;
-        for k in 0..n {
-            let stripped = strip_slot(&plan, k);
-            let mut diverged = false;
-            for order in orders {
-                let mem = Mem::new(&built.prog, &bind);
-                run_virtual(&built.prog, &bind, &stripped, &mem, order);
-                if mem.max_abs_diff(&oracle) > 1e-9 {
-                    diverged = true;
-                    break;
-                }
-            }
-            if diverged {
-                necessary += 1;
+        let sites = oracle::sites(&plan);
+        let (mut necessary, mut racing) = (0, 0);
+        for site in &sites {
+            let stripped = oracle::delete(&plan, site.index);
+            let diverged =
+                oracle::plan_diverges(&built.prog, &bind, &stripped, &orders, 1e-9).is_some();
+            let races = !oracle::validate(&built.prog, &bind, &stripped).is_race_free();
+            necessary += diverged as usize;
+            racing += races as usize;
+            // Region ends are joins both executors perform anyway.
+            if !races && !diverged && !site.region_end {
+                implied.push(format!("{}: {}", def.name, site.desc));
             }
         }
+        let n = sites.len();
         t.row(vec![
             def.name.to_string(),
             n.to_string(),
@@ -127,7 +63,15 @@ fn main() {
             } else {
                 "-".into()
             },
+            racing.to_string(),
         ]);
     }
     print!("{}", t.render());
+    println!("\nInterior syncs that can be stripped without a race (implied by their neighbors):");
+    for line in &implied {
+        println!("  {line}");
+    }
+    if implied.is_empty() {
+        println!("  none");
+    }
 }

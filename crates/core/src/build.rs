@@ -6,8 +6,8 @@ use crate::sites::{
     loop_after_label, loop_bottom_label, phase_after_label, region_end_label, SlotKind,
 };
 use analysis::{
-    loop_is_replicated, loop_partition, AnalysisConfig, AnalysisStats, Bindings, CommMode,
-    CommOutcome, CommPattern, CommQuery, ProducerSpec,
+    loop_is_replicated, loop_partition, AnalysisConfig, AnalysisStats, Anchor, Bindings, CommMode,
+    CommOutcome, CommPattern, CommQuery, Pin, ProducerSpec,
 };
 use ir::{LhsRef, LoopKind, Node, NodeId, Program, StmtPath};
 
@@ -99,6 +99,8 @@ pub struct Decision {
     pub outcome: Option<CommPattern>,
     /// Producer identity when the outcome was `Producer1`.
     pub producer: Option<ProducerSpec>,
+    /// What pins the barrier when the outcome was `General`.
+    pub pin: Option<Pin>,
     /// The synchronization placed in the slot.
     pub placed: SyncOp,
     /// Statements in the producing (earlier) group fed to the analysis.
@@ -128,12 +130,31 @@ pub fn placed_str(s: &SyncOp) -> &'static str {
     }
 }
 
+/// One line naming the access pair that pins a kept barrier and the
+/// rule that failed on it.
+fn pin_str(prog: &Program, pin: &Pin) -> String {
+    format!(
+        "statement n{} -> statement n{}, {} dependence on {}: {}",
+        pin.pair.src.0,
+        pin.pair.dst.0,
+        pin.pair.dep.as_str(),
+        pin.pair.storage.name(prog),
+        pin.rule
+    )
+}
+
 /// Compose the human-readable `reason` for a decision from the
 /// classification, what was placed, and the enabled mechanisms.
-fn reason_for(outcome: Option<CommPattern>, placed: &SyncOp, opts: &OptimizeOptions) -> String {
-    let Some(pat) = outcome else {
+fn reason_for(
+    prog: &Program,
+    outcome: Option<&CommOutcome>,
+    placed: &SyncOp,
+    opts: &OptimizeOptions,
+) -> String {
+    let Some(outcome) = outcome else {
         return "no statements on one side of the boundary — nothing to synchronize".into();
     };
+    let pat = outcome.pattern;
     let ev = pat.evidence();
     match (pat, placed) {
         (CommPattern::NoComm, SyncOp::None) => format!("eliminated: {ev}"),
@@ -152,9 +173,16 @@ fn reason_for(outcome: Option<CommPattern>, placed: &SyncOp, opts: &OptimizeOpti
         (CommPattern::Neighbor { .. }, _) if !opts.use_neighbor => {
             format!("barrier kept: neighbor flags disabled by ablation options, though {ev}")
         }
-        (CommPattern::Producer1, SyncOp::Counter { id, .. }) => {
-            format!("replaced with counter #{id}: {ev}")
-        }
+        (CommPattern::Producer1, SyncOp::Counter { id, producer }) => match producer {
+            ProducerSpec::Owner {
+                anchor: Anchor::Sink,
+                ..
+            } => format!(
+                "replaced with counter #{id}: every owner writes, but all that is read across \
+                 processors belongs to the one owner the read subscript names"
+            ),
+            _ => format!("replaced with counter #{id}: {ev}"),
+        },
         (CommPattern::Producer1, _) if !opts.use_counters => {
             format!("barrier kept: counters disabled by ablation options, though {ev}")
         }
@@ -172,7 +200,10 @@ fn reason_for(outcome: Option<CommPattern>, placed: &SyncOp, opts: &OptimizeOpti
         (CommPattern::PairWise { .. }, _) if !opts.use_pairwise => {
             format!("barrier kept: pairwise counters disabled by ablation options, though {ev}")
         }
-        (CommPattern::General, _) => format!("barrier kept: {ev}"),
+        (CommPattern::General, _) => match outcome.pin() {
+            Some(pin) => format!("barrier kept, pinned by {}", pin_str(prog, &pin)),
+            None => format!("barrier kept: {ev}"),
+        },
         (p, s) => format!("{} for {p:?}: {ev}", placed_str(s)),
     }
 }
@@ -190,16 +221,16 @@ struct Optimizer<'p> {
     opts: OptimizeOptions,
 }
 
-/// The previously constructed item's `after` slot: id, label, kind.
-#[derive(Clone)]
-struct AfterSlot {
+/// A sync slot awaiting its decision (an item's `after`, or a loop's
+/// `bottom`): id, label, kind.
+struct Slot {
     id: usize,
     label: String,
     kind: SlotKind,
 }
 
 impl<'p> Optimizer<'p> {
-    fn sync_from(&mut self, outcome: CommOutcome) -> SyncOp {
+    fn sync_from(&mut self, outcome: &CommOutcome) -> SyncOp {
         match outcome.pattern {
             CommPattern::NoComm => {
                 if self.opts.eliminate {
@@ -221,7 +252,10 @@ impl<'p> Optimizer<'p> {
                     self.next_counter += 1;
                     SyncOp::Counter {
                         id,
-                        producer: outcome.producer.expect("Producer1 carries a producer"),
+                        producer: outcome
+                            .producer
+                            .clone()
+                            .expect("Producer1 carries a producer"),
                     }
                 } else {
                     SyncOp::Barrier
@@ -231,7 +265,7 @@ impl<'p> Optimizer<'p> {
                 if self.opts.use_pairwise {
                     SyncOp::PairCounter {
                         dists,
-                        producers: outcome.pair_producers,
+                        producers: outcome.pair_producers.clone(),
                     }
                 } else {
                     SyncOp::Barrier
@@ -269,7 +303,7 @@ impl<'p> Optimizer<'p> {
         let mut items: Vec<RItem> = Vec::new();
         let mut group: Vec<StmtPath> = Vec::new();
         let mut saw_barrier = false;
-        let mut last_after: Option<AfterSlot> = None;
+        let mut last_after: Option<Slot> = None;
 
         for &node in nodes {
             let stmts = self.prog.statements_under(node, prefix);
@@ -278,28 +312,12 @@ impl<'p> Optimizer<'p> {
             // this item (the paper's step 2-4: test loop-independent
             // communication; eliminate, replace, or keep the barrier).
             if !items.is_empty() {
-                let slot = last_after.clone().expect("previous item records its slot");
-                let (sync, outcome_pat, producer) = if group.is_empty() || stmts.is_empty() {
-                    (SyncOp::None, None, None)
-                } else {
-                    let outcome =
-                        self.query
-                            .comm_groups_detailed(&group, &stmts, CommMode::LoopIndependent);
-                    let pat = outcome.pattern;
-                    let producer = outcome.producer.clone();
-                    (self.sync_from(outcome), Some(pat), producer)
-                };
-                self.log.push(Decision {
-                    site: slot.id,
-                    label: slot.label,
-                    kind: slot.kind,
-                    outcome: outcome_pat,
-                    producer,
-                    placed: sync.clone(),
-                    src_stmts: group.len(),
-                    dst_stmts: stmts.len(),
-                    reason: reason_for(outcome_pat, &sync, &self.opts),
+                let slot = last_after.take().expect("previous item records its slot");
+                let outcome = (!group.is_empty() && !stmts.is_empty()).then(|| {
+                    self.query
+                        .comm_groups_detailed(&group, &stmts, CommMode::LoopIndependent)
                 });
+                let sync = self.decide(slot, outcome, group.len(), stmts.len());
                 if sync.is_barrier() {
                     group.clear();
                     saw_barrier = true;
@@ -335,7 +353,7 @@ impl<'p> Optimizer<'p> {
                         bottom,
                         after: SyncOp::None,
                     });
-                    last_after = Some(AfterSlot {
+                    last_after = Some(Slot {
                         id: bottom_id + 1,
                         label: loop_after_label(self.prog, node),
                         kind: SlotKind::LoopAfter,
@@ -349,7 +367,7 @@ impl<'p> Optimizer<'p> {
                         kind: self.phase_kind_for(node),
                         after: SyncOp::None,
                     }));
-                    last_after = Some(AfterSlot {
+                    last_after = Some(Slot {
                         id: slot_id,
                         label: phase_after_label(self.prog, node),
                         kind: SlotKind::PhaseAfter,
@@ -411,7 +429,7 @@ impl<'p> Optimizer<'p> {
             self.query.warm(&jobs);
         }
         let mut outcome = CommOutcome::none();
-        for (ia, g1) in per_item.iter().enumerate() {
+        'fold: for (ia, g1) in per_item.iter().enumerate() {
             for (ib, g2) in per_item.iter().enumerate() {
                 // A dependence from item ia at iteration t to item ib at
                 // iteration t+d crosses an intra-body barrier when some
@@ -429,40 +447,42 @@ impl<'p> Optimizer<'p> {
                     CommMode::CarriedBy(loop_node),
                 ));
                 if outcome.pattern == CommPattern::General {
-                    self.log.push(Decision {
-                        site: bottom_id,
-                        label: loop_bottom_label(self.prog, loop_node),
-                        kind: SlotKind::LoopBottom,
-                        outcome: Some(CommPattern::General),
-                        producer: None,
-                        placed: SyncOp::Barrier,
-                        src_stmts: total_stmts,
-                        dst_stmts: total_stmts,
-                        reason: reason_for(
-                            Some(CommPattern::General),
-                            &SyncOp::Barrier,
-                            &self.opts,
-                        ),
-                    });
-                    return SyncOp::Barrier;
+                    break 'fold;
                 }
             }
         }
-        let pat = outcome.pattern;
-        let producer = outcome.producer.clone();
-        let sync = self.sync_from(outcome);
-        self.log.push(Decision {
-            site: bottom_id,
+        let slot = Slot {
+            id: bottom_id,
             label: loop_bottom_label(self.prog, loop_node),
             kind: SlotKind::LoopBottom,
-            outcome: Some(pat),
-            producer,
-            placed: sync.clone(),
-            src_stmts: total_stmts,
-            dst_stmts: total_stmts,
-            reason: reason_for(Some(pat), &sync, &self.opts),
+        };
+        self.decide(slot, Some(outcome), total_stmts, total_stmts)
+    }
+
+    /// Lower a slot's communication outcome (`None`: nothing on one
+    /// side of the boundary) to the sync placed there, and log why.
+    fn decide(
+        &mut self,
+        slot: Slot,
+        outcome: Option<CommOutcome>,
+        src_stmts: usize,
+        dst_stmts: usize,
+    ) -> SyncOp {
+        let outcome = outcome.as_ref();
+        let placed = outcome.map_or(SyncOp::None, |o| self.sync_from(o));
+        self.log.push(Decision {
+            site: slot.id,
+            label: slot.label,
+            kind: slot.kind,
+            outcome: outcome.map(|o| o.pattern),
+            producer: outcome.and_then(|o| o.producer.clone()),
+            pin: outcome.and_then(CommOutcome::pin),
+            placed: placed.clone(),
+            src_stmts,
+            dst_stmts,
+            reason: reason_for(self.prog, outcome, &placed, &self.opts),
         });
-        sync
+        placed
     }
 
     fn build_region(&mut self, nodes: &[NodeId]) -> Region {
@@ -499,6 +519,7 @@ impl<'p> Optimizer<'p> {
             kind: SlotKind::RegionEnd,
             outcome: None,
             producer: None,
+            pin: None,
             placed: SyncOp::Barrier,
             src_stmts: lr.residual.len(),
             dst_stmts: 0,

@@ -10,7 +10,7 @@
 
 use crate::eval::{eval_affine, try_eval_affine, Env};
 use crate::kernel::{Code, Lowerer};
-use analysis::{Bindings, DistSet, OwnerMap, ProducerSpec};
+use analysis::{Bindings, DistSet, ProducerSpec};
 use ir::{LoopId, NodeId, Program};
 use spmd_opt::{slot_count_items, slot_count_top, RItem, SpmdProgram, SyncOp, TopItem};
 use std::ops::Deref;
@@ -253,16 +253,17 @@ impl Unroller<'_> {
     }
 
     /// Which processor a producer spec names under the current loop
-    /// indices.
+    /// indices. The optimizer only names producers after loops that
+    /// enclose the sync site, so every index is bound here.
     fn producer(&self, spec: &ProducerSpec) -> usize {
-        let (dist, sub) = match spec {
-            ProducerSpec::Master => return 0,
-            ProducerSpec::BlockOwner { block, sub } => (OwnerMap::Block(*block), sub),
-            ProducerSpec::CyclicOwner { sub } => (OwnerMap::Cyclic, sub),
-            ProducerSpec::BlockCyclicOwner { block, sub } => (OwnerMap::BlockCyclic(*block), sub),
-        };
-        let x = try_eval_affine(self.bind, &self.env, sub).unwrap_or(0);
-        dist.owner(x, self.bind.nprocs) as usize
+        match spec {
+            ProducerSpec::Master => 0,
+            ProducerSpec::Owner { map, sub, .. } => {
+                let x = try_eval_affine(self.bind, &self.env, sub)
+                    .expect("producer subscript names a loop that does not enclose its sync site");
+                map.owner(x, self.bind.nprocs) as usize
+            }
+        }
     }
 
     fn sync(&mut self, op: &SyncOp, site: usize) {

@@ -9,29 +9,24 @@
 //! so two runs over the same program produce byte-identical documents.
 
 use crate::json::Json;
-use analysis::{AnalysisStats, CommPattern, ProducerSpec};
+use analysis::{AnalysisStats, Anchor, CommPattern, OwnerMap, ProducerSpec};
 use ir::Program;
 use spmd_opt::{sync_sites, Decision, SpmdProgram, SyncOp};
 
 /// Render a producer spec with the program's symbol names.
 pub fn producer_str(prog: &Program, p: &ProducerSpec) -> String {
-    match p {
-        ProducerSpec::Master => "master (processor 0)".to_string(),
-        ProducerSpec::BlockOwner { block, sub } => {
-            format!(
-                "block owner of [{}] (block {block})",
-                ir::pretty::affine_str(prog, sub)
-            )
-        }
-        ProducerSpec::CyclicOwner { sub } => {
-            format!("cyclic owner of [{}]", ir::pretty::affine_str(prog, sub))
-        }
-        ProducerSpec::BlockCyclicOwner { block, sub } => {
-            format!(
-                "block-cyclic owner of [{}] (block {block})",
-                ir::pretty::affine_str(prog, sub)
-            )
-        }
+    let ProducerSpec::Owner { map, sub, anchor } = p else {
+        return "master (processor 0)".to_string();
+    };
+    let sub = ir::pretty::affine_str(prog, sub);
+    let owner = match map {
+        OwnerMap::Block(block) => format!("block owner of [{sub}] (block {block})"),
+        OwnerMap::Cyclic => format!("cyclic owner of [{sub}]"),
+        OwnerMap::BlockCyclic(block) => format!("block-cyclic owner of [{sub}] (block {block})"),
+    };
+    match anchor {
+        Anchor::Source => owner,
+        Anchor::Sink => format!("{owner} (sink-anchored)"),
     }
 }
 
@@ -64,6 +59,18 @@ fn analysis_json(prog: &Program, d: &Decision) -> Json {
     }
     if let Some(p) = &d.producer {
         j = j.set("producer", producer_str(prog, p));
+    }
+    if let Some(pin) = &d.pin {
+        let storage = pin.pair.storage;
+        j = j.set(
+            "pinned_by",
+            Json::obj()
+                .set("src_stmt", pin.pair.src.0)
+                .set("dst_stmt", pin.pair.dst.0)
+                .set(storage.kind(), storage.name(prog))
+                .set("dependence", pin.pair.dep.as_str())
+                .set("failed_rule", pin.rule),
+        );
     }
     j.set("evidence", pat.evidence())
 }

@@ -802,6 +802,7 @@ mod tests {
             kind: spmd_opt::SlotKind::PhaseAfter,
             outcome: None,
             producer: None,
+            pin: None,
             placed,
             src_stmts: 1,
             dst_stmts: 1,

@@ -14,7 +14,12 @@
 //! synchronization), privatizable work storage (replicated phases), and
 //! guarded serial code. Shape and parameters are drawn from a
 //! `xoshiro`-seeded RNG, so `generate(seed)` is reproducible across
-//! runs and platforms.
+//! runs and platforms. Two more shapes aim at the producer rules and
+//! are only drawn on request ([`generate_shape`]), so the programs
+//! `generate` returns for a seed never change: broadcasts whose one
+//! producer is named from the reader's side, and a broadcast out of a
+//! loop nested inside the sync site's scope, where no producer may be
+//! named at all.
 
 use ir::build::*;
 use ir::{Program, RedOp, SymId};
@@ -39,8 +44,21 @@ pub enum Shape {
     /// Master-written scalar consumed by distributed loops, with a
     /// guarded serial statement in the time loop.
     GuardedSerial,
+    /// `lu`/`workvec`-like elimination steps over block, cyclic or
+    /// block-cyclic rows or columns: every owner writes, the next step
+    /// reads one pivot row or column (sink-anchored counter). Sizes are
+    /// rarely a multiple of the processor count and trip counts include
+    /// 0, 1, 2 and one past the last pivot. Not drawn by [`generate`].
+    SinkBroadcast,
+    /// Rows rewritten one owner at a time by a sequential loop *inside*
+    /// the time loop, then read transposed by every processor: the
+    /// writer's owner subscript names a loop that has already finished
+    /// at the sync site, so the barrier has to stay. Not drawn by
+    /// [`generate`].
+    NestedBroadcast,
 }
 
+/// The shapes [`generate`] draws from.
 const SHAPES: [Shape; 6] = [
     Shape::AlignedChain,
     Shape::Stencil,
@@ -49,6 +67,34 @@ const SHAPES: [Shape; 6] = [
     Shape::PrivateGather,
     Shape::GuardedSerial,
 ];
+
+impl Shape {
+    /// Every shape, the on-request ones last.
+    pub const ALL: [Shape; 8] = [
+        Shape::AlignedChain,
+        Shape::Stencil,
+        Shape::Pipeline,
+        Shape::Broadcast,
+        Shape::PrivateGather,
+        Shape::GuardedSerial,
+        Shape::SinkBroadcast,
+        Shape::NestedBroadcast,
+    ];
+
+    /// Command-line name (`beoracle fuzz --shapes`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Shape::AlignedChain => "aligned-chain",
+            Shape::Stencil => "stencil",
+            Shape::Pipeline => "pipeline",
+            Shape::Broadcast => "broadcast",
+            Shape::PrivateGather => "private-gather",
+            Shape::GuardedSerial => "guarded-serial",
+            Shape::SinkBroadcast => "sink-broadcast",
+            Shape::NestedBroadcast => "nested-broadcast",
+        }
+    }
+}
 
 /// A generated program plus the concrete sizes it was built for.
 pub struct GenProgram {
@@ -80,17 +126,29 @@ fn coeff(rng: &mut StdRng) -> f64 {
     rng.gen_range(1..=16) as f64 * 0.125
 }
 
-/// Generate one program from a seed.
+/// Generate one program from a seed, its shape drawn from the classic
+/// six.
 pub fn generate(seed: u64) -> GenProgram {
     let mut rng = StdRng::seed_from_u64(seed);
     let shape = SHAPES[rng.gen_range(0..SHAPES.len())];
+    build(shape, seed, &mut rng)
+}
+
+/// Generate one program of the given shape from a seed.
+pub fn generate_shape(shape: Shape, seed: u64) -> GenProgram {
+    build(shape, seed, &mut StdRng::seed_from_u64(seed))
+}
+
+fn build(shape: Shape, seed: u64, rng: &mut StdRng) -> GenProgram {
     let (prog, values) = match shape {
-        Shape::AlignedChain => aligned_chain(&mut rng),
-        Shape::Stencil => stencil(&mut rng),
-        Shape::Pipeline => pipeline(&mut rng),
-        Shape::Broadcast => broadcast(&mut rng),
-        Shape::PrivateGather => private_gather(&mut rng),
-        Shape::GuardedSerial => guarded_serial(&mut rng),
+        Shape::AlignedChain => aligned_chain(rng),
+        Shape::Stencil => stencil(rng),
+        Shape::Pipeline => pipeline(rng),
+        Shape::Broadcast => broadcast(rng),
+        Shape::PrivateGather => private_gather(rng),
+        Shape::GuardedSerial => guarded_serial(rng),
+        Shape::SinkBroadcast => sink_broadcast(rng),
+        Shape::NestedBroadcast => nested_broadcast(rng),
     };
     GenProgram {
         prog,
@@ -352,6 +410,148 @@ fn guarded_serial(rng: &mut StdRng) -> (Program, Vec<(SymId, i64)>) {
     (pb.finish(), vec![(n, nv), (m, mv)])
 }
 
+/// Block, cyclic or block-cyclic distribution of dimension `dim`, at
+/// random.
+fn any_dist(rng: &mut StdRng, dim: usize) -> DistSpec {
+    match rng.gen_range(0..3) {
+        0 => dist_block_dim(dim),
+        1 => dist_cyclic_dim(dim),
+        _ => dist_block_cyclic_dim(dim, rng.gen_range(2..=3)),
+    }
+}
+
+/// Elimination steps whose loop-bottom dependence has every owner as a
+/// writer and one owner as the source of all that is read remotely: the
+/// `lu` form (columns distributed, the update reads pivot column `k`)
+/// or the `workvec` form (rows distributed, a replicated gather reads
+/// pivot row `k`). The step count is its own symbol so it can be 0, 1,
+/// 2 or `n` — one past the last pivot, where the producer named at the
+/// last bottom owns a row or column outside the array.
+fn sink_broadcast(rng: &mut StdRng) -> (Program, Vec<(SymId, i64)>) {
+    let nv = rng.gen_range(9..=15);
+    let steps = if rng.gen_bool(0.4) {
+        rng.gen_range(0..=2)
+    } else {
+        rng.gen_range(3..=nv)
+    };
+    let columns = rng.gen_bool(0.5);
+    let mut pb = ProgramBuilder::new("gen_sink_broadcast");
+    let n = pb.sym("n");
+    let m = pb.sym("steps");
+    let a = pb.array("A", &[sym(n), sym(n)], any_dist(rng, columns as usize));
+
+    let c0 = rng.gen_range(1..=4);
+    let diag = 8.0 + coeff(rng);
+    let i0 = pb.begin_par("i0", con(0), sym(n) - 1);
+    let j0 = pb.begin_seq("j0", con(0), sym(n) - 1);
+    let (row, col) = if columns { (j0, i0) } else { (i0, j0) };
+    pb.assign(
+        elem(a, [idx(row), idx(col)]),
+        ex(0.25) * ival(idx(row) + idx(col) * c0).sin(),
+    );
+    pb.begin_guard(vec![eq0(idx(row) - idx(col))]);
+    pb.assign(
+        elem(a, [idx(row), idx(col)]),
+        ex(diag) + ival(idx(row)).sin(),
+    );
+    pb.end();
+    pb.end();
+    pb.end();
+
+    let k = pb.begin_seq("k", con(0), sym(m) - 1);
+    if columns {
+        let i1 = pb.begin_par("i1", con(1), sym(n) - 1);
+        pb.begin_guard(vec![ge0(idx(i1) - idx(k) - 1)]);
+        pb.assign(
+            elem(a, [idx(i1), idx(k)]),
+            arr(a, [idx(i1), idx(k)]) / arr(a, [idx(k), idx(k)]),
+        );
+        pb.end();
+        pb.end();
+        let j2 = pb.begin_par("j2", con(1), sym(n) - 1);
+        let i2 = pb.begin_seq("i2", con(1), sym(n) - 1);
+        pb.begin_guard(vec![ge0(idx(j2) - idx(k) - 1), ge0(idx(i2) - idx(k) - 1)]);
+        pb.assign(
+            elem(a, [idx(i2), idx(j2)]),
+            arr(a, [idx(i2), idx(j2)]) - arr(a, [idx(i2), idx(k)]) * arr(a, [idx(k), idx(j2)]),
+        );
+        pb.end();
+        pb.end();
+        pb.end();
+    } else {
+        let d = pb.private_array("D", &[sym(n)]);
+        let (cg, cu, cv) = (coeff(rng), coeff(rng), 0.0625 * coeff(rng));
+        let j1 = pb.begin_par("j1", con(0), sym(n) - 1);
+        pb.assign(elem(d, [idx(j1)]), arr(a, [idx(k), idx(j1)]) * ex(cg));
+        pb.end();
+        let i2 = pb.begin_par("i2", con(0), sym(n) - 1);
+        let j2 = pb.begin_seq("j2", con(0), sym(n) - 1);
+        pb.begin_guard(vec![ge0(idx(i2) - idx(k) - 1)]);
+        pb.assign(
+            elem(a, [idx(i2), idx(j2)]),
+            arr(a, [idx(i2), idx(j2)]) * ex(cu) + arr(d, [idx(i2)]) * arr(d, [idx(j2)]) * ex(cv),
+        );
+        pb.end();
+        pb.end();
+        pb.end();
+    }
+    pb.end(); // k
+    (pb.finish(), vec![(n, nv), (m, steps)])
+}
+
+/// `DO k { DO m { DOALL j: A(m,j) = .. } ; DOALL i { DO jj: B(i,jj) =
+/// A(jj,i) + B(i,jj) } }` with rows distributed: each `DOALL j` runs on
+/// `owner(m)` alone, but after `DO m` every owner has written and `m`
+/// has no value, while the consumer reads all of `A` transposed.
+fn nested_broadcast(rng: &mut StdRng) -> (Program, Vec<(SymId, i64)>) {
+    let nv = rng.gen_range(10..=18);
+    let tv = rng.gen_range(2..=3);
+    let dist = any_dist(rng, 0);
+    let (prog, n, t) = nested_broadcast_program(dist, coeff(rng), coeff(rng));
+    (prog, vec![(n, nv), (t, tv)])
+}
+
+/// The [`Shape::NestedBroadcast`] program for a given row distribution
+/// and coefficients, with its size symbols `n` and `tmax` (the
+/// regression tests pin block rows, `n = 16`, `tmax = 3`).
+pub fn nested_broadcast_program(dist: DistSpec, ca: f64, cb: f64) -> (Program, SymId, SymId) {
+    let mut pb = ProgramBuilder::new("gen_nested_broadcast");
+    let n = pb.sym("n");
+    let t = pb.sym("tmax");
+    let a = pb.array("A", &[sym(n), sym(n)], dist);
+    let b = pb.array("B", &[sym(n), sym(n)], dist);
+
+    let i0 = pb.begin_par("i0", con(0), sym(n) - 1);
+    let j0 = pb.begin_seq("j0", con(0), sym(n) - 1);
+    pb.assign(
+        elem(a, [idx(i0), idx(j0)]),
+        ival(idx(i0) * 3 + idx(j0)).sin(),
+    );
+    pb.assign(elem(b, [idx(i0), idx(j0)]), ival(idx(i0) - idx(j0)).cos());
+    pb.end();
+    pb.end();
+
+    let _k = pb.begin_seq("k", con(0), sym(t) - 1);
+    let m = pb.begin_seq("m", con(0), sym(n) - 1);
+    let j = pb.begin_par("j", con(0), sym(n) - 1);
+    pb.assign(
+        elem(a, [idx(m), idx(j)]),
+        arr(a, [idx(m), idx(j)]) * ex(0.5) + ex(ca),
+    );
+    pb.end();
+    pb.end();
+    let i = pb.begin_par("i", con(0), sym(n) - 1);
+    let jj = pb.begin_seq("jj", con(0), sym(n) - 1);
+    pb.assign(
+        elem(b, [idx(i), idx(jj)]),
+        arr(a, [idx(jj), idx(i)]) * ex(cb) + arr(b, [idx(i), idx(jj)]),
+    );
+    pb.end();
+    pb.end();
+    pb.end(); // k
+    (pb.finish(), n, t)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,8 +576,43 @@ mod tests {
         assert_eq!(seen.len(), SHAPES.len(), "seen {seen:?}");
     }
 
+    /// The on-request shapes leave `generate` alone, and the sink
+    /// broadcast covers what it is for within a few seeds: both forms,
+    /// all three distributions, and the short and overlong trip counts.
+    #[test]
+    fn on_request_shapes_cover_their_parameters() {
+        for seed in 0..64 {
+            assert!(SHAPES.contains(&generate(seed).shape));
+        }
+        let mut dists = std::collections::HashSet::new();
+        let mut trips = std::collections::BTreeSet::new();
+        for seed in 0..128 {
+            let g = generate_shape(Shape::SinkBroadcast, seed);
+            assert_eq!(g.shape, Shape::SinkBroadcast);
+            let (dim, kind) = g.prog.arrays[0].dist.distributed_dim().unwrap();
+            dists.insert((dim, std::mem::discriminant(&kind)));
+            let (n, steps) = (g.values[0].1, g.values[1].1);
+            if steps <= 2 {
+                trips.insert(steps);
+            } else if steps == n {
+                trips.insert(3);
+            }
+        }
+        assert_eq!(dists.len(), 2 * 3, "rows and columns x three distributions");
+        assert_eq!(trips.into_iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
+    }
+
     #[test]
     fn generated_doalls_carry_no_dependence() {
+        for shape in [Shape::SinkBroadcast, Shape::NestedBroadcast] {
+            for seed in 0..8 {
+                let g = generate_shape(shape, seed);
+                for p in [3, 8] {
+                    let bad = analysis::check_parallel_loops(&g.prog, &g.bindings(p));
+                    assert!(bad.is_empty(), "{shape:?} seed {seed}: {bad:?}");
+                }
+            }
+        }
         for seed in 0..40 {
             let g = generate(seed);
             for p in [1, 3, 4] {

@@ -32,7 +32,7 @@ pub use chaos::{
     ToothOutcome,
 };
 pub use diff::{check_program, plan_diverges, CaseResult, DiffConfig};
-pub use gen::{generate, GenProgram, Shape};
+pub use gen::{generate, generate_shape, GenProgram, Shape};
 pub use mutate::{delete, mutation_teeth, sites, MutationSite, TeethReport};
 pub use repro::dump_repro;
 pub use service_chaos::{
@@ -59,12 +59,18 @@ impl CampaignSummary {
     }
 }
 
-/// Run the differential oracle over `count` generated programs
-/// starting at `seed0`.
-pub fn fuzz_campaign(seed0: u64, count: u64, cfg: &DiffConfig) -> CampaignSummary {
+/// Run the differential oracle over `count` programs drawn by `gen`
+/// ([`generate`], or a closure over [`generate_shape`] for the
+/// on-request shapes) from the seeds starting at `seed0`.
+pub fn fuzz_campaign(
+    seed0: u64,
+    count: u64,
+    cfg: &DiffConfig,
+    gen: &dyn Fn(u64) -> GenProgram,
+) -> CampaignSummary {
     let mut summary = CampaignSummary::default();
     for seed in seed0..seed0 + count {
-        let g = generate(seed);
+        let g = gen(seed);
         summary.cases += 1;
         match summary.shape_counts.iter_mut().find(|(s, _)| *s == g.shape) {
             Some((_, n)) => *n += 1,
@@ -89,7 +95,7 @@ mod tests {
             random_orders: 1,
             ..DiffConfig::default()
         };
-        let s = fuzz_campaign(0, 6, &cfg);
+        let s = fuzz_campaign(0, 6, &cfg, &generate);
         assert_eq!(s.cases, 6);
         assert!(s.ok(), "{:?}", s.failures);
     }

@@ -252,10 +252,7 @@ impl TreeBarrier {
     /// host (each round's waits already cost a reschedule; keep them
     /// cheap).
     pub fn default_radix(n: usize) -> usize {
-        let cores = std::thread::available_parallelism()
-            .map(|c| c.get())
-            .unwrap_or(1);
-        if n > 2 && n <= cores {
+        if n > 2 && n <= crate::spin::host_cores() {
             4
         } else {
             2

@@ -38,6 +38,18 @@ pub struct SpinPolicy {
     pub park_slice: Duration,
 }
 
+/// Cores available to this process, probed once: the probe reads the
+/// affinity mask and cgroup quota (about 20 µs), which a run that builds
+/// several primitives would otherwise pay once per primitive.
+pub(crate) fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
 impl SpinPolicy {
     /// A policy with explicit thresholds.
     pub const fn new(spin_limit: u32, yield_limit: u32, park_slice: Duration) -> Self {
@@ -55,10 +67,7 @@ impl SpinPolicy {
     /// yield phase and park late in small slices, so the common case
     /// never sleeps but a stalled wait stops burning the core.
     pub fn auto() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let spin_limit = if cores > 1 { 64 } else { 4 };
+        let spin_limit = if host_cores() > 1 { 64 } else { 4 };
         SpinPolicy::new(spin_limit, 256, Duration::from_micros(100))
     }
 

@@ -3,8 +3,9 @@
 //! broadcast of `B[0]` across the same sync site. Regression kernel
 //! for the lattice cliff where any join past `Neighbor` degraded
 //! straight to `General` and kept a spurious barrier every time step:
-//! the broadcast's exact owner distances ({+1,+2,+3} at four
-//! processors) fuse with the shift's +1 into one pairwise wait set.
+//! the broadcast — all of it read from the owner of `B[0]`, a producer
+//! named from the read — fuses with the shift's +1 into one pairwise
+//! wait set, at any processor count.
 
 use crate::{Built, Scale};
 use ir::build::*;
@@ -71,21 +72,25 @@ mod tests {
         assert!(st.barriers <= 2, "{st:?}");
     }
 
-    /// The fused wait set carries the shift distance and every
-    /// broadcast owner distance.
+    /// The fused wait set carries the shift distance and the owner of
+    /// the broadcast element — also at eight processors, where the
+    /// broadcast's seven owner distances alone would overflow the
+    /// pairwise fan-in and keep the barrier.
     #[test]
-    fn fused_site_carries_shift_and_broadcast_distances() {
+    fn fused_site_carries_shift_distance_and_broadcast_owner() {
         let built = build(Scale::Test);
-        let bind = built.bindings(4);
-        let plan = spmd_opt::optimize(&built.prog, &bind);
-        let found = spmd_opt::sync_sites(&built.prog, &plan)
-            .iter()
-            .any(|s| match &s.op {
-                spmd_opt::SyncOp::PairCounter { dists, .. } => {
-                    dists.contains(1) && dists.contains(2) && dists.contains(3)
-                }
-                _ => false,
-            });
-        assert!(found, "no fused pairwise site with dists {{+1,+2,+3}}");
+        for nprocs in [4, 8] {
+            let bind = built.bindings(nprocs);
+            let plan = spmd_opt::optimize(&built.prog, &bind);
+            let found = spmd_opt::sync_sites(&built.prog, &plan)
+                .iter()
+                .any(|s| match &s.op {
+                    spmd_opt::SyncOp::PairCounter { dists, producers } => {
+                        dists.contains(1) && producers.len() == 1
+                    }
+                    _ => false,
+                });
+            assert!(found, "P={nprocs}: no fused site with +1 and one producer");
+        }
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! beoracle fuzz    [--count N] [--seed S] [--threads] [--nprocs 1,3,4] [--repro-dir DIR]
-//!                  [--deadline MS] [--chaos] [--chaos-seed S]
+//!                  [--deadline MS] [--chaos] [--chaos-seed S] [--shapes A,B]
 //! beoracle mutate  [--count N] [--seed S]
-//! beoracle kernels [--threads]
+//! beoracle kernels [--threads] [--nprocs 1,3,4]
 //! beoracle chaos   [--chaos-seed S] [--deadline MS] [--nprocs P] [--repro-dir DIR]
 //!                  [--no-recover] [--recovery-json PATH] [--profile]
 //!                  [--degrade] [--degrade-json PATH] [--max-attempts N]
@@ -21,11 +21,15 @@
 //!   perturbed with benign seeded chaos (`--chaos`). Each failure is
 //!   dumped as a repro bundle (program text, explain-pass decision
 //!   log, timeline trace, structured failure reports) under
-//!   `--repro-dir` (default `beoracle-repro/`).
+//!   `--repro-dir` (default `beoracle-repro/`). `--shapes` draws the
+//!   programs round-robin from the named generator shapes — the only
+//!   way to reach `sink-broadcast` and `nested-broadcast`, which the
+//!   per-seed draw leaves out so that a seed's program never changes.
 //! * `mutate` — for `N` generated programs, delete each sync op of the
 //!   optimized schedule in turn and report what the race validator and
 //!   the differential oracle caught.
-//! * `kernels` — run the differential oracle over every suite kernel.
+//! * `kernels` — run the differential oracle over every suite kernel,
+//!   at the `--nprocs` widths (default 1,3,4).
 //! * `chaos` — run the seeded fault-injection campaign over the five
 //!   shipped `.be` kernels. By default every droppable sync post
 //!   (final counter increment, neighbor post, barrier arrival) is
@@ -108,6 +112,22 @@ fn parse_nprocs(args: &[String], default: &[i64]) -> Result<Vec<i64>, String> {
         .collect()
 }
 
+/// `--shapes`: a comma-separated list of generator shape names.
+fn parse_shapes(args: &[String]) -> Result<Option<Vec<oracle::Shape>>, String> {
+    let Some(v) = parse_opt(args, "--shapes") else {
+        return Ok(None);
+    };
+    v.split(',')
+        .map(|name| {
+            oracle::Shape::ALL
+                .into_iter()
+                .find(|s| s.name() == name)
+                .ok_or_else(|| format!("bad --shapes: {v}"))
+        })
+        .collect::<Result<_, _>>()
+        .map(Some)
+}
+
 /// `--nprocs` for the campaigns that run at one team size.
 fn parse_team_size(args: &[String]) -> Result<i64, String> {
     match parse_nprocs(args, &[4])?[..] {
@@ -138,11 +158,16 @@ fn cmd_fuzz(args: &[String]) -> Exit {
         chaos_seed,
         ..DiffConfig::default()
     };
+    let shapes = parse_shapes(args)?;
+    let gen = |seed: u64| match &shapes {
+        Some(shapes) => oracle::generate_shape(shapes[seed as usize % shapes.len()], seed),
+        None => oracle::generate(seed),
+    };
     println!(
         "fuzzing {count} programs from seed {seed} (nprocs {:?}, threads {}, deadline {:?}, chaos {:?})",
         cfg.nprocs, cfg.threads, cfg.deadline, cfg.chaos_seed
     );
-    let s = oracle::fuzz_campaign(seed, count, &cfg);
+    let s = oracle::fuzz_campaign(seed, count, &cfg, &gen);
     for (shape, n) in &s.shape_counts {
         println!("  {shape:?}: {n} programs");
     }
@@ -156,7 +181,7 @@ fn cmd_fuzz(args: &[String]) -> Exit {
         // pass's decision log, an adversarial-order timeline, and the
         // structured failure reports of any faulted thread runs
         // (re-derived here — the campaign summary keeps only strings).
-        let g = oracle::generate(*seed);
+        let g = gen(*seed);
         let r = oracle::check_program(&g.prog, &|p| g.bindings(p), &cfg);
         match oracle::dump_repro(&repro_dir, &g, repro_nprocs, failures, &r.failure_reports) {
             Ok(bundle) => println!("  repro bundle: {}", bundle.display()),
@@ -231,6 +256,7 @@ fn cmd_mutate(args: &[String]) -> Exit {
 
 fn cmd_kernels(args: &[String]) -> Exit {
     let cfg = DiffConfig {
+        nprocs: parse_nprocs(args, &[1, 3, 4])?,
         threads: parse_flag(args, "--threads"),
         tol: 1e-9, // suite reductions reassociate
         ..DiffConfig::default()
@@ -683,7 +709,7 @@ fn main() {
         Some("service-chaos") => cmd_service_chaos(&args[1..]),
         _ => {
             eprintln!(
-                "usage: beoracle fuzz [--count N] [--seed S] [--threads] [--nprocs 1,3,4] [--repro-dir DIR] [--deadline MS] [--chaos] [--chaos-seed S]\n       beoracle mutate [--count N] [--seed S]\n       beoracle kernels [--threads]\n       beoracle chaos [--chaos-seed S] [--deadline MS] [--nprocs P] [--repro-dir DIR] [--no-recover] [--recovery-json PATH] [--profile] [--degrade] [--degrade-json PATH] [--max-attempts N]\n       beoracle service-chaos [--chaos-seed S] [--rounds N] [--nprocs P] [--json PATH] [--snapshot-dir DIR]"
+                "usage: beoracle fuzz [--count N] [--seed S] [--threads] [--nprocs 1,3,4] [--repro-dir DIR] [--deadline MS] [--chaos] [--chaos-seed S] [--shapes A,B]\n       beoracle mutate [--count N] [--seed S]\n       beoracle kernels [--threads] [--nprocs 1,3,4]\n       beoracle chaos [--chaos-seed S] [--deadline MS] [--nprocs P] [--repro-dir DIR] [--no-recover] [--recovery-json PATH] [--profile] [--degrade] [--degrade-json PATH] [--max-attempts N]\n       beoracle service-chaos [--chaos-seed S] [--rounds N] [--nprocs P] [--json PATH] [--snapshot-dir DIR]"
             );
             Ok(2)
         }

@@ -76,3 +76,41 @@ kernel_tests!(
     workvec,
     transpose,
 );
+
+/// Regression, on `DO k { DO m { DOALL j: A(m,j) = .. } ; DOALL i { DO
+/// jj: B(i,jj) = A(jj,i) + B(i,jj) } }` with block rows, where each
+/// `DOALL j` runs on `owner(m)` alone: the slot after `DO m` used to get
+/// a counter whose producer was "block owner of [m]" — a loop with no
+/// value there, which the unroller read as 0 — so every consumer waited
+/// on P0 alone while all owners had written.
+#[test]
+fn no_producer_is_named_after_a_loop_nested_inside_the_sync_site() {
+    use barrier_elim::ir::build::dist_block;
+    let (prog, n, tmax) =
+        barrier_elim::oracle::gen::nested_broadcast_program(dist_block(), 1.0, 1.0);
+    for nprocs in [2, 4, 8] {
+        let bind = barrier_elim::analysis::Bindings::new(nprocs)
+            .set(n, 16)
+            .set(tmax, 3);
+        let plan = optimize(&prog, &bind);
+        let races = barrier_elim::oracle::validate(&prog, &bind, &plan);
+        assert!(
+            races.is_race_free(),
+            "P={nprocs}: {} racing pairs, first: {:?}",
+            races.num_racing_pairs,
+            races.races.first()
+        );
+        let oracle = Mem::new(&prog, &bind);
+        run_sequential(&prog, &bind, &oracle);
+        for order in [
+            ScheduleOrder::RoundRobin,
+            ScheduleOrder::Reverse,
+            ScheduleOrder::Random(3),
+        ] {
+            let mem = Mem::new(&prog, &bind);
+            run_virtual(&prog, &bind, &plan, &mem, order);
+            let diff = mem.max_abs_diff(&oracle);
+            assert!(diff == 0.0, "P={nprocs}, {order:?}: diverged by {diff:e}");
+        }
+    }
+}

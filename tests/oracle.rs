@@ -23,7 +23,7 @@ fn differential_oracle_is_clean_on_200_generated_programs() {
         thread_nprocs: 4,
         ..DiffConfig::default()
     };
-    let s = oracle::fuzz_campaign(0, 200, &cfg);
+    let s = oracle::fuzz_campaign(0, 200, &cfg, &oracle::generate);
     assert_eq!(s.cases, 200);
     assert!(s.ok(), "failures: {:#?}", s.failures);
     assert_eq!(
@@ -191,6 +191,8 @@ mod cli {
             (&["fuzz", "--count", "abc"][..], "bad --count: abc"),
             (&["fuzz", "--nprocs", "1,x"], "bad --nprocs: 1,x"),
             (&["fuzz", "--nprocs", "0"], "bad --nprocs: 0"),
+            (&["fuzz", "--shapes", "a,b"], "bad --shapes: a,b"),
+            (&["kernels", "--nprocs", "8,x"], "bad --nprocs: 8,x"),
             (&["chaos", "--nprocs", "0"], "bad --nprocs: 0"),
             (&["chaos", "--deadline", "soon"], "bad --deadline: soon"),
         ] {

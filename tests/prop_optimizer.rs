@@ -207,4 +207,28 @@ proptest! {
             );
         }
     }
+
+    /// Sink-anchored producers on random `lu`/`workvec`-like programs
+    /// (block, cyclic and block-cyclic rows or columns; sizes rarely a
+    /// multiple of P; 0, 1, 2 or more steps, up to one past the last
+    /// pivot so the last bottom's producer owns a row outside the
+    /// array): race-free, and bitwise equal to the sequential run under
+    /// adversarial orders.
+    #[test]
+    fn sink_anchored_counters_are_sound_on_random_broadcasts(seed in 0u64..u64::MAX) {
+        use barrier_elim::oracle::{generate_shape, validate, Shape};
+        let g = generate_shape(Shape::SinkBroadcast, seed);
+        let built = Built { prog: g.prog, values: g.values };
+        for nprocs in [2i64, 3, 5, 8, 16] {
+            let bind = built.bindings(nprocs);
+            let report = validate(&built.prog, &bind, &optimize(&built.prog, &bind));
+            prop_assert!(
+                report.is_race_free(),
+                "seed {seed} P={nprocs}: {} racing pairs, first: {:?}",
+                report.num_racing_pairs,
+                report.races.first()
+            );
+            exercise(&built.prog, &built, nprocs);
+        }
+    }
 }

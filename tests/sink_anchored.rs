@@ -1,0 +1,140 @@
+//! End-to-end tests for sink-anchored producers: the loop-bottom
+//! barrier of a broadcast-per-step kernel (`lu`, `workvec`) becomes a
+//! counter posted by the owner of what the *next* iteration reads.
+//!
+//! `analysis::comm` unit-tests the rule itself; here: the plans the
+//! suite ships really carry the counter (and lose it again with
+//! counters ablated), the counter is necessary (deleting it is a race),
+//! and every plan of the suite and the `.be` corpus validates race-free
+//! well past the widths the differential oracle runs at.
+
+use barrier_elim::analysis::{Anchor, Bindings, ProducerSpec};
+use barrier_elim::interp::{run_virtual, Mem, ScheduleOrder};
+use barrier_elim::ir::{Program, SymId};
+use barrier_elim::spmd_opt::{
+    optimize, optimize_with, sync_sites, OptimizeOptions, SlotKind, SpmdProgram, SyncOp, SyncSite,
+};
+use barrier_elim::suite::{self, Built, Scale};
+use barrier_elim::{frontend, oracle};
+
+/// The loop-bottom site of the plan's one region-level sequential loop.
+fn loop_bottom(prog: &Program, plan: &SpmdProgram) -> SyncSite {
+    let mut bottoms = sync_sites(prog, plan)
+        .into_iter()
+        .filter(|s| s.kind == SlotKind::LoopBottom);
+    let site = bottoms.next().expect("a loop-bottom site");
+    assert!(bottoms.next().is_none(), "one sequential loop expected");
+    site
+}
+
+fn dyn_barriers(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> u64 {
+    let mem = Mem::new(prog, bind);
+    run_virtual(prog, bind, plan, &mem, ScheduleOrder::RoundRobin)
+        .counts
+        .barriers
+}
+
+#[test]
+fn lu_and_workvec_post_a_counter_at_the_loop_bottom() {
+    for name in ["lu", "workvec"] {
+        let built = (suite::by_name(name).unwrap().build)(Scale::Test);
+        for nprocs in [3, 4, 8, 16] {
+            let bind = built.bindings(nprocs);
+            let plan = optimize(&built.prog, &bind);
+            let site = loop_bottom(&built.prog, &plan);
+            let SyncOp::Counter { producer, .. } = &site.op else {
+                panic!("{name} P={nprocs}: {} holds {:?}", site.label, site.op);
+            };
+            assert!(
+                matches!(
+                    producer,
+                    ProducerSpec::Owner {
+                        anchor: Anchor::Sink,
+                        ..
+                    }
+                ),
+                "{name} P={nprocs}: {producer:?}"
+            );
+            // What is left: at most the barrier into the loop, and the
+            // region end.
+            assert!(dyn_barriers(&built.prog, &bind, &plan) <= 2, "{name}");
+
+            // The rule rides the counter switch: ablated, a barrier is
+            // back in every one of the 11 iterations.
+            let ablated = optimize_with(
+                &built.prog,
+                &bind,
+                OptimizeOptions {
+                    use_counters: false,
+                    ..OptimizeOptions::default()
+                },
+            );
+            assert_eq!(ablated.static_stats().counter_syncs, 0);
+            assert!(dyn_barriers(&built.prog, &bind, &ablated) > 11);
+        }
+    }
+}
+
+/// In `workvec` the counter is necessary, not just sufficient: without
+/// it the replicated gather reads pivot row `k + 1` before its owner
+/// has updated it. (`lu`'s is not: the next iteration's scale → update
+/// counter is posted by the same owner of column `k + 1` before anyone
+/// reads it, so it implies the bottom one — `ablation_necessity` lists
+/// it as redundant, for a covering analysis to remove.)
+#[test]
+fn deleting_workvecs_loop_bottom_counter_is_a_race() {
+    let built = (suite::by_name("workvec").unwrap().build)(Scale::Test);
+    for nprocs in [3, 4, 8] {
+        let bind = built.bindings(nprocs);
+        let plan = optimize(&built.prog, &bind);
+        assert!(oracle::validate(&built.prog, &bind, &plan).is_race_free());
+        let bottom = loop_bottom(&built.prog, &plan).id;
+        let mutant = oracle::delete(&plan, bottom);
+        let report = oracle::validate(&built.prog, &bind, &mutant);
+        assert!(!report.is_race_free(), "P={nprocs}: not flagged");
+    }
+}
+
+/// Every plan the optimizer emits for the suite and the shipped `.be`
+/// sources is race-free from 2 to 64 processors — in particular at the
+/// widths (8 and up) where an all-to-all no longer fits the pairwise
+/// fan-in and the producer rules decide.
+#[test]
+fn suite_and_be_plans_validate_race_free_up_to_64_processors() {
+    let mut programs: Vec<(&str, Built)> = suite::all()
+        .iter()
+        .map(|def| (def.name, (def.build)(Scale::Test)))
+        .collect();
+    for (file, src) in [
+        ("broadcast.be", include_str!("../kernels/broadcast.be")),
+        ("jacobi.be", include_str!("../kernels/jacobi.be")),
+        ("pipeline.be", include_str!("../kernels/pipeline.be")),
+        (
+            "private_gather.be",
+            include_str!("../kernels/private_gather.be"),
+        ),
+        ("shallow.be", include_str!("../kernels/shallow.be")),
+    ] {
+        let prog = frontend::parse(src).expect("shipped kernels parse");
+        let values = (0..prog.syms.len())
+            .map(|k| {
+                let v = if prog.syms[k].name == "tmax" { 3 } else { 12 };
+                (SymId(k as u32), v)
+            })
+            .collect();
+        programs.push((file, Built { prog, values }));
+    }
+    for (name, built) in &programs {
+        for nprocs in [2, 3, 4, 5, 7, 8, 16, 64] {
+            let bind = built.bindings(nprocs);
+            let plan = optimize(&built.prog, &bind);
+            let r = oracle::validate(&built.prog, &bind, &plan);
+            assert!(
+                r.is_race_free(),
+                "{name} P={nprocs}: {} racing pairs, first: {:?}",
+                r.num_racing_pairs,
+                r.races.first()
+            );
+        }
+    }
+}
