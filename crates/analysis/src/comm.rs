@@ -26,11 +26,12 @@
 use crate::bindings::Bindings;
 use crate::partition::{stmt_partition, LoopPartition, OwnerMap, StmtPartition};
 use crate::translate::{build_pair_system, SharedLoopMode};
-use ineq::{FmeCache, FmeCacheStats, LinExpr, VarKind};
+use ineq::{FmeCache, FmeCacheStats, LinExpr, Rows, VarKind};
 use ir::{Affine, ArrayId, LhsRef, LoopId, LoopKind, NodeId, Program, ScalarId, StmtPath};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 /// One statement-pair query observation delivered to the installed
@@ -52,8 +53,8 @@ static PAIR_PROBE: RwLock<Option<Arc<dyn Fn(PairProbe) + Send + Sync>>> = RwLock
 /// probe. This is the profiler's window into the analysis without
 /// `analysis` depending on any runtime crate: the driver forwards each
 /// observation onto its own event ring. Queries pay a single relaxed
-/// atomic load when no probe is installed. Install a probe only while
-/// analysis runs single-threaded if the sink is single-writer.
+/// atomic load when no probe is installed. The probe fires on the thread
+/// that runs the analysis.
 pub fn set_pair_probe(hook: Option<Arc<dyn Fn(PairProbe) + Send + Sync>>) {
     // Order matters on both edges: arm only after the hook is in place,
     // and disarm before it is removed, so `probe_fire` never reads None
@@ -82,50 +83,29 @@ fn probe_fire(t0: Option<Instant>, memo_hit: bool) {
     }
 }
 
-/// Tuning knobs for the communication analysis.
+/// Tuning knob for the communication analysis.
 ///
-/// The defaults (shared memoization on, one worker per core) change only
-/// how fast the answers arrive — never the answers themselves: verdicts
-/// are pure functions of each query's canonical inequality system, and
-/// group queries fold pair outcomes in the same sequential order
-/// regardless of how many threads warmed the cache.
+/// The default (shared memoization on) changes only how fast the answers
+/// arrive — never the answers themselves: verdicts are pure functions of
+/// each query's canonical inequality system.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AnalysisConfig {
     /// Memoize FME feasibility verdicts and statement-pair outcomes in
     /// caches shared across the whole pass.
     pub cache: bool,
-    /// Worker threads for group queries: `0` picks one per available
-    /// core; `1` keeps the pass fully sequential (no threads spawned).
-    pub threads: usize,
 }
 
 impl Default for AnalysisConfig {
     fn default() -> Self {
-        AnalysisConfig {
-            cache: true,
-            threads: 0,
-        }
+        AnalysisConfig { cache: true }
     }
 }
 
 impl AnalysisConfig {
-    /// The pre-caching behavior: sequential and uncached. This is the
-    /// reference configuration differential tests compare against.
+    /// The pre-caching behavior: uncached. This is the reference
+    /// configuration differential tests compare against.
     pub fn sequential_uncached() -> Self {
-        AnalysisConfig {
-            cache: false,
-            threads: 1,
-        }
-    }
-
-    /// Resolved worker count (always at least 1).
-    pub fn worker_count(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
+        AnalysisConfig { cache: false }
     }
 }
 
@@ -790,7 +770,9 @@ pub fn stmt_accesses(prog: &Program, stmt: NodeId) -> (Vec<ArrayAccess>, Vec<Sca
 }
 
 /// The communication analyzer: a program plus concrete bindings, with
-/// optional pass-wide memoization and a worker pool for group queries.
+/// optional pass-wide memoization. It runs on the calling thread, so its
+/// counters are a pure function of program, bindings and the state of
+/// the FME cache it was given.
 pub struct CommQuery<'p> {
     /// The program under analysis.
     pub prog: &'p Program,
@@ -798,9 +780,9 @@ pub struct CommQuery<'p> {
     pub bind: Bindings,
     config: AnalysisConfig,
     fme: Option<Arc<FmeCache>>,
-    pair_memo: Mutex<HashMap<PairKey, CommOutcome>>,
-    pair_hits: AtomicU64,
-    pair_misses: AtomicU64,
+    pair_memo: RefCell<HashMap<PairKey, CommOutcome>>,
+    pair_hits: Cell<u64>,
+    pair_misses: Cell<u64>,
 }
 
 impl<'p> CommQuery<'p> {
@@ -809,7 +791,7 @@ impl<'p> CommQuery<'p> {
         CommQuery::with_config(prog, bind, AnalysisConfig::default())
     }
 
-    /// Create an analyzer with explicit cache / parallelism settings.
+    /// Create an analyzer with an explicit cache setting.
     pub fn with_config(prog: &'p Program, bind: Bindings, config: AnalysisConfig) -> Self {
         let fme = config.cache.then(|| Arc::new(FmeCache::new()));
         Self::with_fme_cache(prog, bind, config, fme)
@@ -831,9 +813,9 @@ impl<'p> CommQuery<'p> {
             bind,
             config,
             fme: if config.cache { fme } else { None },
-            pair_memo: Mutex::new(HashMap::new()),
-            pair_hits: AtomicU64::new(0),
-            pair_misses: AtomicU64::new(0),
+            pair_memo: RefCell::default(),
+            pair_hits: Cell::new(0),
+            pair_misses: Cell::new(0),
         }
     }
 
@@ -842,13 +824,12 @@ impl<'p> CommQuery<'p> {
         self.config
     }
 
-    /// Counter snapshot (pair memo + shared FME cache). Counters are
-    /// diagnostics only: they depend on thread interleaving and must not
-    /// flow into deterministic outputs like decision logs.
+    /// Counter snapshot (pair memo + shared FME cache). The counts
+    /// repeat exactly from run to run; the cache's `*_ns` timings do not.
     pub fn stats(&self) -> AnalysisStats {
         AnalysisStats {
-            pair_hits: self.pair_hits.load(Ordering::Relaxed),
-            pair_misses: self.pair_misses.load(Ordering::Relaxed),
+            pair_hits: self.pair_hits.get(),
+            pair_misses: self.pair_misses.get(),
             fme: self.fme.as_ref().map(|c| c.stats()).unwrap_or_default(),
         }
     }
@@ -868,63 +849,17 @@ impl<'p> CommQuery<'p> {
             return out;
         }
         let key = pair_key(s1, s2, mode);
-        if let Some(hit) = self.pair_memo.lock().unwrap().get(&key) {
-            self.pair_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(hit) = self.pair_memo.borrow().get(&key) {
+            self.pair_hits.set(self.pair_hits.get() + 1);
             let out = hit.clone();
             probe_fire(t0, true);
             return out;
         }
         let out = self.comm_stmts_fresh(s1, s2, mode);
-        self.pair_misses.fetch_add(1, Ordering::Relaxed);
-        self.pair_memo.lock().unwrap().insert(key, out.clone());
+        self.pair_misses.set(self.pair_misses.get() + 1);
+        self.pair_memo.borrow_mut().insert(key, out.clone());
         probe_fire(t0, false);
         out
-    }
-
-    /// True when [`CommQuery::warm`] can actually run jobs concurrently:
-    /// caching is on and more than one worker is configured. Callers use
-    /// this to skip building job lists that warm() would discard.
-    pub fn warm_enabled(&self) -> bool {
-        self.fme.is_some() && self.config.worker_count() >= 2
-    }
-
-    /// Evaluate the given statement-pair queries concurrently, filling
-    /// the shared memo; results are discarded. Callers then rerun their
-    /// exact sequential fold over the warm cache, so every output is
-    /// byte-identical to a single-threaded pass. No-op when caching is
-    /// off or only one worker is configured.
-    pub fn warm(&self, jobs: &[(StmtPath, StmtPath, CommMode)]) {
-        if !self.warm_enabled() {
-            return;
-        }
-        // Spawning a worker pool costs more than a small batch of
-        // memo hits: drop already-answered jobs first and only spin up
-        // threads when real work remains.
-        let pending: Vec<&(StmtPath, StmtPath, CommMode)> = {
-            let memo = self.pair_memo.lock().unwrap();
-            jobs.iter()
-                .filter(|(s1, s2, m)| !memo.contains_key(&pair_key(s1, s2, *m)))
-                .collect()
-        };
-        if pending.len() < 2 {
-            return;
-        }
-        let workers = self.config.worker_count().min(pending.len()).min(16);
-        if workers < 2 {
-            return;
-        }
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((s1, s2, mode)) = pending.get(k) else {
-                        break;
-                    };
-                    let _ = self.comm_stmts_detailed(s1, s2, *mode);
-                });
-            }
-        });
     }
 
     /// The full (memo-free) statement-pair analysis.
@@ -973,13 +908,6 @@ impl<'p> CommQuery<'p> {
         g2: &[StmtPath],
         mode: CommMode,
     ) -> CommOutcome {
-        if g1.len() * g2.len() > 1 {
-            let jobs: Vec<(StmtPath, StmtPath, CommMode)> = g1
-                .iter()
-                .flat_map(|s1| g2.iter().map(|s2| (s1.clone(), s2.clone(), mode)))
-                .collect();
-            self.warm(&jobs);
-        }
         let mut out = CommOutcome::none();
         for s1 in g1 {
             for s2 in g2 {
@@ -1268,13 +1196,13 @@ impl<'p> CommQuery<'p> {
         let mut sys = ps.sys.clone();
         sys.try_substitute(q, &(LinExpr::var(p) + LinExpr::var(d)))
             .ok()?;
-        sys.reduce_for_scan(&vt, &[d]).ok()?;
-        let in_class = sys.congruence_filter(d);
-        let window = sys.project_reduced(&vt, &[d]).0?;
-        if window.is_contradictory() {
+        let mut rows = Rows::new(&sys, &vt);
+        rows.reduce(&[d]).ok()?;
+        let in_class = rows.to_system().congruence_filter(d);
+        if !rows.project(&[d]).0 || rows.is_contradictory() {
             return None;
         }
-        let (lo, hi) = ineq::scan::bounds_of(&window, d).range(&|_| 0)?;
+        let (lo, hi) = ineq::scan::bounds_of(&rows.to_system(), d).range(&|_| 0)?;
 
         let max = MAX_PAIR_DIST as i128;
         let tail = |hi: ineq::VarId, lo: ineq::VarId| {
@@ -2075,11 +2003,11 @@ mod tests {
         pb.assign(elem(a, [idx(i)]), ex(2.0) * arr(a, [idx(i)]));
     }
 
-    /// Two loops with two statements each: a 2x2 group query exercises
-    /// the parallel warm pool; the cached analyzer must agree with the
-    /// sequential uncached reference and must register memo traffic.
+    /// Two loops with two statements each, as a 2x2 group query: the
+    /// cached analyzer must agree with the uncached reference and must
+    /// register memo traffic.
     #[test]
-    fn cached_parallel_matches_sequential_uncached() {
+    fn cached_matches_sequential_uncached() {
         let mut pb = ProgramBuilder::new("groups");
         let n = pb.sym("n");
         let a = pb.array("A", &[sym(n)], dist_block());
@@ -2099,14 +2027,7 @@ mod tests {
 
         let reference =
             CommQuery::with_config(&prog, bind.clone(), AnalysisConfig::sequential_uncached());
-        let cached = CommQuery::with_config(
-            &prog,
-            bind,
-            AnalysisConfig {
-                cache: true,
-                threads: 4,
-            },
-        );
+        let cached = CommQuery::new(&prog, bind);
         let st = prog.all_statements();
         let g1 = vec![st[0].clone(), st[1].clone()];
         let g2 = vec![st[2].clone(), st[3].clone()];

@@ -3,8 +3,9 @@
 
 use crate::bindings::Bindings;
 use crate::partition::{stmt_partition, LoopPartition, StmtPartition};
-use ineq::{LinExpr, System, VarId, VarKind, VarTable};
+use ineq::{LinExpr, Rows, System, VarId, VarKind, VarTable};
 use ir::{AffAtom, Affine, CmpOp, GuardCond, LoopId, NodeId, Program, StmtPath, SymId};
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 
 /// How the loops shared by the two statements relate in the query.
@@ -22,14 +23,18 @@ pub enum SharedLoopMode {
 
 /// A fully built two-instance system: variables for both statements'
 /// loop nests, their processors `p` and `q`, bounds, guards, and
-/// partition constraints. Communication queries clone `sys`, add the
-/// array-element equality plus a processor relation, and test
-/// feasibility.
+/// partition constraints. Communication queries add the array-element
+/// equality to `sys`, then test it together with one processor relation
+/// after another ([`PairSystem::feasible_with`]).
 pub struct PairSystem {
     /// Variable table for the query.
     pub vt: VarTable,
     /// Base system (bounds + guards + partitions + shared-loop mode).
-    pub sys: System,
+    /// Crate-private so that it only changes where `base` is dropped.
+    pub(crate) sys: System,
+    /// `sys` in row form: built by the first probe, copied by every one,
+    /// dropped when `sys` changes.
+    base: OnceCell<Rows>,
     /// Producer processor variable.
     pub p: VarId,
     /// Consumer processor variable.
@@ -99,6 +104,7 @@ impl PairSystem {
             let eb = self.tr(bind, b, &m2);
             self.sys.add_eq(ea - eb);
         }
+        self.base.take();
     }
 
     /// Route feasibility queries through a shared memo cache. Sound
@@ -109,16 +115,19 @@ impl PairSystem {
     }
 
     /// Feasibility of the base system with extra constraints installed by
-    /// `extra` (the system is cloned, so queries are independent).
+    /// `extra` into an empty probe system, whose rows are appended to a
+    /// copy of the base's (so queries are independent).
     ///
     /// An `Unknown` verdict (arithmetic overflow or constraint blow-up in
     /// the scan) counts as feasible: the caller keeps the barrier.
     pub fn feasible_with(&self, extra: impl FnOnce(&mut System)) -> bool {
-        let mut sys = self.sys.clone();
-        extra(&mut sys);
+        let mut probe = System::new();
+        extra(&mut probe);
+        let base = self.base.get_or_init(|| Rows::new(&self.sys, &self.vt));
+        let rows = base.with(&probe, &self.vt);
         match &self.cache {
-            Some(c) => c.feasibility(&sys, &self.vt).may_hold(),
-            None => sys.feasibility(&self.vt).may_hold(),
+            Some(c) => c.feasibility_rows(rows).may_hold(),
+            None => rows.feasibility().0.may_hold(),
         }
     }
 }
@@ -135,6 +144,7 @@ pub fn build_pair_system(
     let mut ps = PairSystem {
         vt: VarTable::new(),
         sys: System::new(),
+        base: OnceCell::new(),
         p: VarId(0),
         q: VarId(0),
         map1: BTreeMap::new(),

@@ -1,15 +1,15 @@
 //! Analysis-performance regression harness: `BENCH_5.json`.
 //!
 //! For every suite kernel, runs the optimizer twice — once in the
-//! sequential uncached reference configuration and once with the
-//! memoized, parallel analysis — and records per-kernel wall-clock,
+//! uncached reference configuration and once with the memoized
+//! analysis (a cold cache per kernel) — and records per-kernel wall-clock,
 //! cache hit rates, and the peak live constraint count of the guarded
 //! Fourier-Motzkin scans.
 //!
 //! The harness is also a correctness gate: the plan rendering and the
 //! full decision log of the two configurations must be identical for
 //! every kernel. Any divergence is printed and the process exits 1 —
-//! caching and parallelism are required to be pure speed knobs.
+//! caching is required to be a pure speed knob.
 //!
 //! Usage: `bench5 [--quick] [--out PATH] [--baseline PATH] [--nprocs P]`
 //!   --quick    Test-scale kernels and fewer repetitions (CI smoke mode)
@@ -129,8 +129,8 @@ fn main() -> ExitCode {
         if !matches {
             diverged = true;
             eprintln!(
-                "bench5: DIVERGENCE on kernel {}: cached/parallel output differs from the \
-                 sequential uncached reference",
+                "bench5: DIVERGENCE on kernel {}: cached output differs from the uncached \
+                 reference",
                 def.name
             );
             if unc_plan != cad_plan {
@@ -263,7 +263,7 @@ fn main() -> ExitCode {
     }
     println!("{}", table.render());
     println!(
-        "total: uncached {:.1} ms, cached+parallel {:.1} ms, speedup {:.2}x",
+        "total: uncached {:.1} ms, cold-cached {:.1} ms, speedup {:.2}x",
         total_unc / 1e3,
         total_cad / 1e3,
         speedup
@@ -383,7 +383,7 @@ fn main() -> ExitCode {
     }
 
     if diverged {
-        eprintln!("bench5: FAILED — cached/parallel analysis changed optimizer output");
+        eprintln!("bench5: FAILED — the cached analysis changed optimizer output");
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS

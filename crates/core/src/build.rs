@@ -63,8 +63,8 @@ pub struct OptimizeOptions {
     /// Replace fixed-distance communication with point-to-point pairwise
     /// counters (wavefront pipelining).
     pub use_pairwise: bool,
-    /// Communication-analysis tuning (memoization + worker threads).
-    /// Changes analysis speed only, never the plan or the decision log.
+    /// Communication-analysis tuning (memoization). Changes analysis
+    /// speed only, never the plan or the decision log.
     pub analysis: AnalysisConfig,
 }
 
@@ -408,26 +408,6 @@ impl<'p> Optimizer<'p> {
             .filter(|(_, it)| it.after().is_barrier())
             .map(|(k, _)| k)
             .collect();
-        // The fold below joins item pairs sequentially and can stop at
-        // the first General verdict; warming every needed statement pair
-        // upfront lets the workers fill the cache while keeping the fold
-        // (and hence the log) identical to the single-threaded pass.
-        if self.query.warm_enabled() {
-            let mut jobs: Vec<(StmtPath, StmtPath, CommMode)> = Vec::new();
-            for (ia, g1) in per_item.iter().enumerate() {
-                for (ib, g2) in per_item.iter().enumerate() {
-                    if crossings.iter().any(|&c| c >= ia || c + 1 <= ib) {
-                        continue;
-                    }
-                    for s1 in g1 {
-                        for s2 in g2 {
-                            jobs.push((s1.clone(), s2.clone(), CommMode::CarriedBy(loop_node)));
-                        }
-                    }
-                }
-            }
-            self.query.warm(&jobs);
-        }
         let mut outcome = CommOutcome::none();
         'fold: for (ia, g1) in per_item.iter().enumerate() {
             for (ib, g2) in per_item.iter().enumerate() {
@@ -487,27 +467,6 @@ impl<'p> Optimizer<'p> {
 
     fn build_region(&mut self, nodes: &[NodeId]) -> Region {
         self.next_counter = 0;
-        // Every loop-independent pair the greedy fold can possibly query
-        // within this region is a cross-item (earlier, later) statement
-        // pair; warm them all in one parallel batch so the sequential
-        // scheduling below runs against a hot cache.
-        if self.query.warm_enabled() {
-            let per_item: Vec<Vec<StmtPath>> = nodes
-                .iter()
-                .map(|&n| self.prog.statements_under(n, &[]))
-                .collect();
-            let mut jobs: Vec<(StmtPath, StmtPath, CommMode)> = Vec::new();
-            for (ia, g1) in per_item.iter().enumerate() {
-                for g2 in per_item.iter().skip(ia + 1) {
-                    for s1 in g1 {
-                        for s2 in g2 {
-                            jobs.push((s1.clone(), s2.clone(), CommMode::LoopIndependent));
-                        }
-                    }
-                }
-            }
-            self.query.warm(&jobs);
-        }
         let lr = self.schedule_level(nodes, &[]);
         let end_id = self.next_slot;
         self.next_slot += 1;
@@ -596,9 +555,10 @@ pub fn optimize_logged(prog: &Program, bind: &Bindings) -> (SpmdProgram, Vec<Dec
 /// communication-analysis cache statistics.
 ///
 /// The plan and log are deterministic functions of the program and
-/// bindings — identical under every [`AnalysisConfig`]. The stats are
-/// diagnostics only (hit counts depend on thread interleaving) and must
-/// never flow into deterministic artifacts like the explain JSON.
+/// bindings — identical under every [`AnalysisConfig`]. So are the
+/// stats' counts, given the configuration (and, for a shared cache, what
+/// it held); their `*_ns` timings are not, which keeps the stats out of
+/// byte-stable artifacts like the explain JSON.
 pub fn optimize_explained(
     prog: &Program,
     bind: &Bindings,

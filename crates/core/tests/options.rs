@@ -38,9 +38,8 @@ fn full_options_match_default_optimize() {
     assert_eq!(a, b);
 }
 
-/// The analysis configuration (caching / worker threads) tunes speed
-/// only: plan and decision log must match the sequential uncached pass
-/// exactly, entry for entry.
+/// The analysis configuration (caching) tunes speed only: plan and
+/// decision log must match the uncached pass exactly, entry for entry.
 #[test]
 fn analysis_config_never_changes_plan_or_log() {
     let (prog, bind) = stencil_and_broadcast();
@@ -50,29 +49,19 @@ fn analysis_config_never_changes_plan_or_log() {
     };
     let (ref_plan, ref_log, ref_stats) = optimize_explained(&prog, &bind, reference);
     assert_eq!(ref_stats.pair_hits + ref_stats.pair_misses, 0);
-    for threads in [0, 1, 4] {
-        let opts = OptimizeOptions {
-            analysis: AnalysisConfig {
-                cache: true,
-                threads,
-            },
-            ..Default::default()
-        };
-        let (plan, log, stats) = optimize_explained(&prog, &bind, opts);
-        assert_eq!(
-            spmd_opt::render_plan(&prog, &plan),
-            spmd_opt::render_plan(&prog, &ref_plan),
-            "threads={threads}"
-        );
-        assert_eq!(log.len(), ref_log.len());
-        for (a, b) in log.iter().zip(&ref_log) {
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "threads={threads}");
-        }
-        assert!(
-            stats.pair_misses > 0,
-            "cached run records memo traffic: {stats:?}"
-        );
+    let (plan, log, stats) = optimize_explained(&prog, &bind, OptimizeOptions::default());
+    assert_eq!(
+        spmd_opt::render_plan(&prog, &plan),
+        spmd_opt::render_plan(&prog, &ref_plan)
+    );
+    assert_eq!(log.len(), ref_log.len());
+    for (a, b) in log.iter().zip(&ref_log) {
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
+    assert!(
+        stats.pair_misses > 0,
+        "cached run records memo traffic: {stats:?}"
+    );
 }
 
 #[test]

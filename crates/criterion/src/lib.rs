@@ -2,11 +2,11 @@
 //!
 //! Implements just enough of criterion's API for this workspace's bench
 //! targets to compile and produce useful timing lines: `Criterion`,
-//! benchmark groups, `BenchmarkId`, `Bencher::iter`, `black_box`, and
-//! the `criterion_group!`/`criterion_main!` macros. Statistics are a
-//! simple mean over `sample_size` samples; when invoked by `cargo test`
-//! (`--test` in the args) each benchmark runs a single sample as a smoke
-//! check, mirroring criterion's test mode.
+//! benchmark groups, `BenchmarkId`, `Bencher::iter` / `iter_batched`,
+//! `black_box`, and the `criterion_group!`/`criterion_main!` macros.
+//! Statistics are a simple mean over `sample_size` samples; when invoked
+//! by `cargo test` (`--test` in the args) each benchmark runs a single
+//! sample as a smoke check, mirroring criterion's test mode.
 
 use std::time::{Duration, Instant};
 
@@ -57,6 +57,38 @@ impl Bencher {
             let t0 = Instant::now();
             black_box(f());
             self.elapsed.push(t0.elapsed());
+        }
+    }
+}
+
+/// How many inputs `iter_batched` prepares per timed batch (the
+/// stand-in has the one size its callers use).
+#[derive(Clone, Copy, Debug)]
+pub enum BatchSize {
+    /// Inputs are cheap to hold: many per batch.
+    SmallInput,
+}
+
+const BATCH: usize = 1000;
+
+impl Bencher {
+    /// Time `routine` on inputs made by `setup`, which is not timed:
+    /// each sample prepares a batch of inputs, times the loop over them
+    /// and records the time per call (so sub-microsecond routines are
+    /// not drowned by the clock reads).
+    pub fn iter_batched<I, R>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> R,
+        _size: BatchSize,
+    ) {
+        for _ in 0..self.samples {
+            let inputs: Vec<I> = (0..BATCH).map(|_| setup()).collect();
+            let t0 = Instant::now();
+            for input in inputs {
+                black_box(routine(input));
+            }
+            self.elapsed.push(t0.elapsed() / BATCH as u32);
         }
     }
 }

@@ -20,9 +20,10 @@
 //! elimination paths. Cached and uncached runs are bitwise
 //! indistinguishable (the differential suite in `tests/` holds this).
 
-use crate::constraint::{Constraint, ConstraintKind};
+use crate::constraint::Constraint;
 use crate::linexpr::LinExpr;
 use crate::rational::Overflow;
+use crate::rows::Rows;
 use crate::system::{Feasibility, System};
 use crate::var::{VarId, VarTable};
 use std::collections::HashMap;
@@ -142,52 +143,46 @@ impl CanonicalSystem {
     }
 }
 
-/// `(variable id, rank << 32 | ordinal)` rows sorted by id, so term
-/// encoding is one binary search with no [`VarTable`] access.
-fn ord_table(used: &[VarId], vt: &VarTable) -> Vec<(u32, i128)> {
-    let mut t: Vec<(u32, i128)> = used
-        .iter()
-        .enumerate()
-        .map(|(k, v)| (v.0, ((vt.kind(*v).scan_rank() as i128) << 32) | k as i128))
-        .collect();
-    t.sort_unstable_by_key(|e| e.0);
-    t
+/// Number the variables that still occur in `rows`, in column order:
+/// `rank << 32 | ordinal` per column (meaningless for a column of
+/// zeros, which no term names) and the variable behind each ordinal.
+fn ordinals(rows: &Rows) -> (Vec<i128>, Vec<VarId>) {
+    let mut occurs = vec![false; rows.cols().len()];
+    for row in rows.iter() {
+        for (seen, &k) in occurs.iter_mut().zip(&row[1..]) {
+            *seen |= k != 0;
+        }
+    }
+    let mut used = Vec::new();
+    let packed = rows.cols().iter().zip(occurs).map(|(&(rank, v), seen)| {
+        if !seen {
+            return 0;
+        }
+        used.push(v);
+        ((rank as i128) << 32) | (used.len() - 1) as i128
+    });
+    (packed.collect(), used)
 }
 
-/// Encode `sys` into the flat canonical buffer, numbering variables via
-/// `table` (from [`ord_table`] over a `(scan_rank, id)`-sorted var list
-/// that contains every variable of `sys`).
-fn encode_flat(sys: &System, table: &[(u32, i128)]) -> (u32, Vec<i128>) {
-    let ord = |v: VarId| -> i128 {
-        let k = table
-            .binary_search_by_key(&v.0, |e| e.0)
-            .expect("encode_flat: variable missing from the ordinal map");
-        table[k].1
-    };
-    let cons = sys.constraints();
-    let mut buf: Vec<i128> = Vec::with_capacity(cons.len() * 8);
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(cons.len());
-    let mut terms: Vec<(i128, i128)> = Vec::new();
-    for c in cons {
-        terms.clear();
-        for (v, k) in c.expr.terms() {
-            terms.push((ord(v), k));
-        }
-        terms.sort_unstable();
-        let kind = match c.kind {
-            ConstraintKind::GeZero => 0i128,
-            ConstraintKind::EqZero => 1i128,
-        };
+/// Encode `rows` into the flat canonical buffer, naming each column by
+/// its entry of `packed` (from [`ordinals`]; ascending, so a row's terms
+/// come out sorted).
+fn encode_flat(rows: &Rows, packed: &[i128]) -> (u32, Vec<i128>) {
+    let mut buf: Vec<i128> = Vec::with_capacity(rows.len() * 8);
+    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(rows.len());
+    for row in rows.iter() {
         let start = buf.len();
-        buf.push(((terms.len() as i128) << 8) | kind);
-        buf.push(c.expr.constant_term());
-        for &(p, k) in &terms {
-            buf.push(p);
-            buf.push(k);
+        buf.extend([row[0], row[row.len() - 1]]);
+        for (&p, &k) in packed.iter().zip(&row[1..]) {
+            if k != 0 {
+                buf.extend([p, k]);
+            }
         }
+        let nterms = (buf.len() - start - 2) / 2;
+        buf[start] |= (nterms as i128) << 8;
         spans.push((start, buf.len() - start));
     }
-    spans.sort_by(|&(s1, l1), &(s2, l2)| buf[s1..s1 + l1].cmp(&buf[s2..s2 + l2]));
+    spans.sort_unstable_by(|&(s1, l1), &(s2, l2)| buf[s1..s1 + l1].cmp(&buf[s2..s2 + l2]));
     let mut flat = Vec::with_capacity(buf.len());
     for &(s, l) in &spans {
         flat.extend_from_slice(&buf[s..s + l]);
@@ -198,18 +193,16 @@ fn encode_flat(sys: &System, table: &[(u32, i128)]) -> (u32, Vec<i128>) {
 /// Canonicalize `sys`: returns the canonical form plus the variable map
 /// (`map[ordinal]` is the original [`VarId`] with that canonical number).
 pub fn canonicalize(sys: &System, vt: &VarTable) -> (CanonicalSystem, Vec<VarId>) {
-    let mut used: Vec<VarId> = Vec::new();
-    for c in sys.constraints() {
-        for (v, _) in c.expr.terms() {
-            used.push(v);
-        }
-    }
-    used.sort_unstable_by_key(|v| (vt.kind(*v).scan_rank(), v.0));
-    used.dedup();
-    let (count, flat) = encode_flat(sys, &ord_table(&used, vt));
+    canonicalize_rows(&Rows::new(sys, vt))
+}
+
+/// [`canonicalize`] for a system already in row form.
+pub(crate) fn canonicalize_rows(rows: &Rows) -> (CanonicalSystem, Vec<VarId>) {
+    let (packed, used) = ordinals(rows);
+    let (count, flat) = encode_flat(rows, &packed);
     (
         CanonicalSystem {
-            contradictory: sys.is_contradictory(),
+            contradictory: rows.is_contradictory(),
             count,
             flat,
         },
@@ -379,11 +372,12 @@ impl FeasTable {
 /// A shared, thread-safe memo for FME feasibility and elimination
 /// queries, keyed on [`CanonicalSystem`]s.
 ///
-/// Counters are atomics so parallel workers can record hits without
-/// serializing; note they are *not* deterministic across runs when
-/// workers race for the same key, which is why they surface through
-/// stdout/bench telemetry and never through the byte-stable explain
-/// document.
+/// Counters are atomics so threads sharing one cache can record hits
+/// without serializing. One analysis pass runs on one thread, so for a
+/// cache no other thread touches the counts repeat exactly from run to
+/// run; they differ between configurations (and the `*_ns` fields
+/// between runs), which is why they surface through stdout/bench
+/// telemetry and never through the byte-stable explain document.
 pub struct FmeCache {
     feas: Mutex<FeasTable>,
     elim: Mutex<FxMap<(CanonicalSystem, u8, u32), Vec<i128>>>,
@@ -463,20 +457,25 @@ impl FmeCache {
     /// isomorphic system has been scanned before; otherwise runs the
     /// guarded scan and records the verdict.
     pub fn feasibility(&self, sys: &System, vt: &VarTable) -> Feasibility {
-        if sys.is_contradictory() {
+        self.feasibility_rows(Rows::new(sys, vt))
+    }
+
+    /// [`FmeCache::feasibility`] for a system already in row form.
+    pub fn feasibility_rows(&self, rows: Rows) -> Feasibility {
+        if rows.is_contradictory() {
             return Feasibility::Infeasible;
         }
         let tq = std::time::Instant::now();
-        let f = self.feasibility_timed(sys, vt);
+        let f = self.feasibility_timed(rows);
         self.query_ns
             .fetch_add(tq.elapsed().as_nanos() as u64, Ordering::Relaxed);
         f
     }
 
-    fn feasibility_timed(&self, sys: &System, vt: &VarTable) -> Feasibility {
+    fn feasibility_timed(&self, mut rows: Rows) -> Feasibility {
         // Level 1: key on the raw system — cheapest possible hit.
         let t0 = std::time::Instant::now();
-        let (key, _) = canonicalize(sys, vt);
+        let (key, _) = canonicalize_rows(&rows);
         self.canon_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let Some((f, cost)) = self.feas.lock().unwrap().get(&key) {
@@ -490,9 +489,8 @@ impl FmeCache {
         // dropped), and the verdict is a pure function of it — so this
         // catches hits level 1 cannot, at reduce (not scan) cost.
         let t1 = std::time::Instant::now();
-        let mut reduced = sys.clone();
-        let peak0 = reduced.len();
-        if reduced.reduce_for_scan(vt, &[]).is_err() {
+        let peak0 = rows.len();
+        if rows.reduce(&[]).is_err() {
             self.feas_misses.fetch_add(1, Ordering::Relaxed);
             let cost = t1.elapsed().as_nanos() as u64;
             self.scan_ns.fetch_add(cost, Ordering::Relaxed);
@@ -505,7 +503,7 @@ impl FmeCache {
             return Feasibility::Unknown;
         }
         let t2 = std::time::Instant::now();
-        let (rkey, _) = canonicalize(&reduced, vt);
+        let (rkey, _) = canonicalize_rows(&rows);
         self.canon_ns
             .fetch_add(t2.elapsed().as_nanos() as u64, Ordering::Relaxed);
         {
@@ -523,7 +521,7 @@ impl FmeCache {
         }
         self.feas_misses.fetch_add(1, Ordering::Relaxed);
         let t3 = std::time::Instant::now();
-        let (f, loop_peak) = reduced.scan_reduced(vt);
+        let (f, loop_peak) = rows.scan();
         let loop_cost = t3.elapsed().as_nanos() as u64;
         let full_cost = t1.elapsed().as_nanos() as u64;
         self.scan_ns.fetch_add(full_cost, Ordering::Relaxed);
@@ -538,32 +536,34 @@ impl FmeCache {
         f
     }
 
-    /// Memoized single-variable elimination. The system is brought into
-    /// canonical constraint order first, so the projected result is a
-    /// pure function of the canonical form and can be replayed for any
+    /// Memoized single-variable elimination. The rows are normalized
+    /// into canonical order first, so the projected result is a pure
+    /// function of the canonical form and can be replayed for any
     /// isomorphic system.
     pub fn eliminate(&self, sys: &System, vt: &VarTable, v: VarId) -> Result<System, Overflow> {
         if sys.is_contradictory() {
             return Ok(System::contradiction());
         }
-        let (key, map) = canonicalize(sys, vt);
+        let mut rows = Rows::new(sys, vt);
+        let (key, map) = canonicalize_rows(&rows);
         let Some(ord) = map.iter().position(|x| *x == v) else {
             // `v` does not occur: elimination is the identity.
             return Ok(decode(&key.flat, &map));
         };
+        let packed = ordinals(&rows).0;
         let ekey = (key, vt.kind(v).scan_rank(), ord as u32);
         if let Some(stored) = self.elim.lock().unwrap().get(&ekey) {
             self.elim_hits.fetch_add(1, Ordering::Relaxed);
             return Ok(decode(stored, &map));
         }
         self.elim_misses.fetch_add(1, Ordering::Relaxed);
-        let mut sorted = sys.clone();
-        sorted.canonical_sort(vt);
-        let out = sorted.try_eliminate_owned(v)?;
-        if out.is_contradictory() {
+        rows.normalize();
+        rows.eliminate(v)?;
+        rows.normalize();
+        if rows.is_contradictory() {
             return Ok(System::contradiction());
         }
-        let (_, encoded) = encode_flat(&out, &ord_table(&map, vt));
+        let (_, encoded) = encode_flat(&rows, &packed);
         let result = decode(&encoded, &map);
         let mut memo = self.elim.lock().unwrap();
         if memo.len() < ELIM_MEMO_CAP {
@@ -671,11 +671,8 @@ mod tests {
             canonicalize(&eb, &vt).0,
             "replayed elimination must match"
         );
-        // And it matches what the unmemoized (canonically sorted)
-        // elimination produces.
-        let mut direct = a.clone();
-        direct.canonical_sort(&vt);
-        let direct = direct.try_eliminate_owned(ja).unwrap();
+        // And it matches what the unmemoized elimination produces.
+        let direct = a.eliminate(&vt, ja);
         assert_eq!(canonicalize(&ea, &vt).0, canonicalize(&direct, &vt).0);
     }
 

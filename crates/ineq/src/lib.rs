@@ -35,6 +35,7 @@ pub mod cache;
 pub mod constraint;
 pub mod linexpr;
 pub mod rational;
+pub mod rows;
 pub mod scan;
 pub mod simplify;
 pub mod snapshot;
@@ -45,6 +46,7 @@ pub use cache::{canonicalize, CanonicalSystem, FmeCache, FmeCacheStats};
 pub use constraint::{Constraint, ConstraintKind};
 pub use linexpr::LinExpr;
 pub use rational::{Overflow, Rational};
+pub use rows::Rows;
 pub use scan::{BoundExpr, VarBounds};
 pub use snapshot::{
     decode_snapshot, encode_snapshot, load_snapshot, write_snapshot, SnapshotCorrupt, SnapshotLoad,

@@ -129,14 +129,6 @@ impl LinExpr {
         Ok(self)
     }
 
-    /// The FME cross-combination `ka·a + kb·b`, or `Err(Overflow)`.
-    ///
-    /// This is the single operation where elimination chains blow up
-    /// coefficients multiplicatively; everything in it is checked.
-    pub fn try_combine(a: &LinExpr, ka: i128, b: &LinExpr, kb: i128) -> Result<LinExpr, Overflow> {
-        a.try_scaled(ka)?.try_add(&b.try_scaled(kb)?)
-    }
-
     /// `self` with `v` replaced by `replacement`, or `Err(Overflow)`.
     pub fn try_substituted(&self, v: VarId, replacement: &LinExpr) -> Result<LinExpr, Overflow> {
         debug_assert_eq!(replacement.coeff(v), 0, "substitution must eliminate var");

@@ -122,7 +122,7 @@ pub fn loop_nest_bounds(sys: &System, vt: &VarTable, ordered: &[VarId]) -> Vec<V
     for (k, &v) in ordered.iter().enumerate() {
         let mut proj = sys.clone();
         for &inner in &ordered[k + 1..] {
-            proj = proj.eliminate(inner);
+            proj = proj.eliminate(vt, inner);
         }
         // Also drop any stray variables that are neither v, outer loop
         // vars, nor free symbolics mentioned by the original system.
@@ -133,9 +133,8 @@ pub fn loop_nest_bounds(sys: &System, vt: &VarTable, ordered: &[VarId]) -> Vec<V
             .filter(|x| !keep.contains(x) && ordered.contains(x))
             .collect();
         for s in stray {
-            proj = proj.eliminate(s);
+            proj = proj.eliminate(vt, s);
         }
-        let _ = vt;
         out.push(bounds_of(&proj, v));
     }
     out

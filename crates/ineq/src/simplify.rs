@@ -94,7 +94,7 @@ impl System {
         let mut chain = Vec::with_capacity(order.len() + 1);
         chain.push(self.clone());
         for &v in &order {
-            let next = chain.last().unwrap().eliminate(v);
+            let next = chain.last().unwrap().eliminate(vt, v);
             if next.is_contradictory() {
                 return None;
             }

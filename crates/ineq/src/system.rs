@@ -4,8 +4,9 @@
 use crate::constraint::{Constraint, ConstraintKind};
 use crate::linexpr::LinExpr;
 use crate::rational::{gcd, Overflow};
+use crate::rows::Rows;
 use crate::var::{VarId, VarTable};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Ceiling on the live constraint count during a guarded feasibility
@@ -193,260 +194,18 @@ impl System {
         Ok(())
     }
 
-    /// Remove exact duplicates (after normalization they compare equal).
-    pub fn dedup(&mut self) {
-        let mut seen: BTreeSet<(u8, Vec<(VarId, i128)>, i128)> = BTreeSet::new();
-        self.constraints.retain(|c| {
-            let key = (
-                match c.kind {
-                    ConstraintKind::GeZero => 0u8,
-                    ConstraintKind::EqZero => 1u8,
-                },
-                c.expr.terms().collect::<Vec<_>>(),
-                c.expr.constant_term(),
-            );
-            seen.insert(key)
-        });
-    }
-
-    /// Drop constraints dominated by another constraint over the same
-    /// term vector: of several `T + c >= 0` only the smallest `c` binds,
-    /// two equalities `T + c == 0` with different `c` contradict, and an
-    /// inequality sharing terms with an equality is either implied or
-    /// contradictory. Runs before each elimination step so FME never
-    /// cross-multiplies constraints that a cheaper pass can discharge.
-    pub fn remove_dominated(&mut self) {
-        if self.contradictory || self.constraints.len() < 2 {
-            return;
-        }
-        type Terms = Vec<(VarId, i128)>;
-        let mut eq_c: BTreeMap<Terms, i128> = BTreeMap::new();
-        let mut ge_c: BTreeMap<Terms, i128> = BTreeMap::new();
-        for c in &self.constraints {
-            let t: Terms = c.expr.terms().collect();
-            let k = c.expr.constant_term();
-            match c.kind {
-                ConstraintKind::EqZero => {
-                    if let Some(prev) = eq_c.insert(t, k) {
-                        if prev != k {
-                            self.mark_contradictory();
-                            return;
-                        }
-                    }
-                }
-                ConstraintKind::GeZero => {
-                    ge_c.entry(t).and_modify(|m| *m = (*m).min(k)).or_insert(k);
-                }
-            }
-        }
-        // T + ke == 0 forces T = -ke, so T + kg >= 0 iff kg >= ke.
-        for (t, ke) in &eq_c {
-            if let Some(kg) = ge_c.get(t) {
-                if kg < ke {
-                    self.mark_contradictory();
-                    return;
-                }
-                ge_c.remove(&t.clone());
-            }
-        }
-        let mut taken: BTreeSet<(u8, Terms)> = BTreeSet::new();
-        self.constraints.retain(|c| {
-            let t: Terms = c.expr.terms().collect();
-            let k = c.expr.constant_term();
-            let (tag, keep) = match c.kind {
-                ConstraintKind::EqZero => (1u8, eq_c.get(&t) == Some(&k)),
-                ConstraintKind::GeZero => (0u8, ge_c.get(&t) == Some(&k)),
-            };
-            keep && taken.insert((tag, t))
-        });
-    }
-
-    /// Sort constraints into a canonical content order: by kind, then by
-    /// the term vector keyed on `(scan_rank, var id)`, then constant.
+    /// Fourier-Motzkin elimination of a single variable
+    /// ([`Rows::eliminate`], then [`Rows::normalize`]).
     ///
-    /// FME's pivot tie-breaks and output ordering depend on constraint
-    /// order, so the guarded feasibility scan re-sorts before every
-    /// elimination step. The key uses the scan *rank* before the raw id,
-    /// which makes the order invariant under the rank-preserving variable
-    /// renaming used by the query cache — two structurally isomorphic
-    /// systems take identical elimination paths and reach identical
-    /// verdicts.
-    pub fn canonical_sort(&mut self, vt: &VarTable) {
-        self.constraints.sort_by_cached_key(|c| {
-            let kind = match c.kind {
-                ConstraintKind::GeZero => 0u8,
-                ConstraintKind::EqZero => 1u8,
-            };
-            let mut terms: Vec<(u8, u32, i128)> = c
-                .expr
-                .terms()
-                .map(|(v, k)| (vt.kind(v).scan_rank(), v.0, k))
-                .collect();
-            terms.sort_unstable();
-            (kind, terms, c.expr.constant_term())
-        });
-    }
-
-    /// Use equalities with a ±1 coefficient to substitute variables away.
-    /// This is exact over the integers and keeps FME cheap.
-    pub fn propagate_unit_equalities(&mut self, vt: &VarTable) {
-        self.try_propagate_unit_equalities(vt, &[])
-            .expect("unit-equality propagation overflow outside the guarded analysis path")
-    }
-
-    /// Fallible unit-equality propagation for the guarded path. Variables
-    /// in `keep` are never substituted away (a projection must still
-    /// mention them afterwards).
-    pub fn try_propagate_unit_equalities(
-        &mut self,
-        vt: &VarTable,
-        keep: &[VarId],
-    ) -> Result<(), Overflow> {
-        loop {
-            if self.contradictory {
-                return Ok(());
-            }
-            let mut target: Option<(usize, VarId, LinExpr)> = None;
-            for (idx, c) in self.constraints.iter().enumerate() {
-                if c.kind != ConstraintKind::EqZero {
-                    continue;
-                }
-                // Substitute away the innermost (highest scan rank) unit
-                // variable: a rule stated in rank + relative-id terms so
-                // canonically-renamed systems make the same choice.
-                let mut best: Option<(u8, u32, VarId, i128)> = None;
-                for (v, coef) in c.expr.terms() {
-                    if (coef == 1 || coef == -1) && !keep.contains(&v) {
-                        let key = (vt.kind(v).scan_rank(), v.0);
-                        if best.map_or(true, |(r, id, ..)| key > (r, id)) {
-                            best = Some((key.0, key.1, v, coef));
-                        }
-                    }
-                }
-                if let Some((_, _, v, coef)) = best {
-                    // coef*v + rest == 0  =>  v = -rest/coef = -coef*rest
-                    let mut rest = c.expr.clone();
-                    rest.set_coeff(v, 0);
-                    let replacement = rest.try_scaled(-coef)?;
-                    target = Some((idx, v, replacement));
-                    break;
-                }
-            }
-            match target {
-                None => return Ok(()),
-                Some((idx, v, replacement)) => {
-                    self.constraints.remove(idx);
-                    self.try_substitute(v, &replacement)?;
-                }
-            }
-        }
-    }
-
-    /// Fourier-Motzkin elimination of a single variable.
-    ///
-    /// If an equality mentions `v` it is used as the pivot (exact integer
-    /// combination); otherwise all lower/upper inequality pairs are
-    /// cross-combined. With gcd+floor normalization the result
-    /// over-approximates the integer projection, which is the safe
-    /// direction for communication tests (never misses communication).
-    ///
-    /// Panics on coefficient overflow — the guarded analysis path uses
-    /// [`System::try_eliminate_owned`] instead, which reports it.
-    pub fn eliminate(&self, v: VarId) -> System {
-        self.clone()
-            .try_eliminate_owned(v)
-            .expect("FME coefficient overflow outside the guarded analysis path")
-    }
-
-    /// Fourier-Motzkin elimination that consumes the system (unaffected
-    /// constraints are moved, not cloned) and reports coefficient
-    /// overflow instead of panicking.
-    pub fn try_eliminate_owned(self, v: VarId) -> Result<System, Overflow> {
-        if self.contradictory {
-            return Ok(System::contradiction());
-        }
-        // Prefer an equality pivot with the smallest |coefficient|; ties
-        // go to the earliest constraint, which is canonical after
-        // `canonical_sort`.
-        let mut pivot: Option<(usize, i128)> = None;
-        for (idx, c) in self.constraints.iter().enumerate() {
-            if c.kind == ConstraintKind::EqZero {
-                let coef = c.expr.coeff(v);
-                if coef != 0 && pivot.map_or(true, |(_, pc)| coef.abs() < pc.abs()) {
-                    pivot = Some((idx, coef));
-                }
-            }
-        }
-        let mut out = System::new();
-        if let Some((pidx, b)) = pivot {
-            let eq = self.constraints[pidx].expr.clone();
-            for (idx, c) in self.constraints.into_iter().enumerate() {
-                if idx == pidx {
-                    continue;
-                }
-                let a = c.expr.coeff(v);
-                if a == 0 {
-                    out.push(c);
-                    continue;
-                }
-                // t*|b| + eq*(-a*sign(b)) cancels v exactly and preserves
-                // the comparison direction since |b| > 0.
-                let expr = LinExpr::try_combine(&c.expr, b.abs(), &eq, -a * b.signum())?;
-                debug_assert_eq!(expr.coeff(v), 0);
-                out.push(Constraint { expr, kind: c.kind });
-            }
-            out.dedup();
-            return Ok(out);
-        }
-        // No equality pivot: classic lower/upper pairing.
-        let mut lowers: Vec<Constraint> = Vec::new();
-        let mut uppers: Vec<Constraint> = Vec::new();
-        for c in self.constraints {
-            let coef = c.expr.coeff(v);
-            if coef == 0 {
-                out.push(c);
-            } else if coef > 0 {
-                lowers.push(c);
-            } else {
-                uppers.push(c);
-            }
-        }
-        for l in &lowers {
-            let a = l.expr.coeff(v);
-            for u in &uppers {
-                let b = -u.expr.coeff(v);
-                debug_assert!(a > 0 && b > 0);
-                // a*v + e >= 0 and -b*v + f >= 0  =>  b*e + a*f >= 0
-                let expr = LinExpr::try_combine(&l.expr, b, &u.expr, a)?;
-                debug_assert_eq!(expr.coeff(v), 0);
-                out.push(Constraint::ge_zero(expr));
-            }
-        }
-        out.dedup();
-        Ok(out)
-    }
-
-    /// Number of lower/upper cross-pairs eliminating `v` would create
-    /// (0 when an exact equality pivot is available).
-    fn elimination_pairs(&self, v: VarId) -> usize {
-        if self
-            .constraints
-            .iter()
-            .any(|c| c.kind == ConstraintKind::EqZero && c.expr.coeff(v) != 0)
-        {
-            return 0;
-        }
-        let mut lo = 0usize;
-        let mut up = 0usize;
-        for c in &self.constraints {
-            let coef = c.expr.coeff(v);
-            if coef > 0 {
-                lo += 1;
-            } else if coef < 0 {
-                up += 1;
-            }
-        }
-        lo.saturating_mul(up)
+    /// Panics on coefficient overflow — the guarded analysis path
+    /// ([`System::feasibility`], [`System::project_onto`]) reports it
+    /// instead.
+    pub fn eliminate(&self, vt: &VarTable, v: VarId) -> System {
+        let mut rows = Rows::new(self, vt);
+        rows.eliminate(v)
+            .expect("FME coefficient overflow outside the guarded analysis path");
+        rows.normalize();
+        rows.to_system()
     }
 
     /// Guarded feasibility test: eliminate every variable in the paper's
@@ -463,33 +222,7 @@ impl System {
     /// [`System::feasibility`] plus the peak live constraint count the
     /// scan reached (for cache/bench telemetry).
     pub fn feasibility_with_peak(&self, vt: &VarTable) -> (Feasibility, usize) {
-        if self.contradictory {
-            return (Feasibility::Infeasible, 0);
-        }
-        let mut sys = self.clone();
-        let peak = sys.len();
-        if sys.reduce_for_scan(vt, &[]).is_err() {
-            return (Feasibility::Unknown, peak);
-        }
-        let (f, loop_peak) = sys.scan_reduced(vt);
-        (f, peak.max(loop_peak))
-    }
-
-    /// The guarded scan's preamble: exact unit-equality propagation
-    /// (sparing `keep`) followed by normalization (canonical sort, dedup,
-    /// dominated-constraint removal). The result is the deterministic
-    /// reduced form the elimination loop starts from; the overall
-    /// verdict is a pure function of it.
-    pub fn reduce_for_scan(&mut self, vt: &VarTable, keep: &[VarId]) -> Result<(), Overflow> {
-        self.try_propagate_unit_equalities(vt, keep)?;
-        self.normalize_for_scan(vt);
-        Ok(())
-    }
-
-    fn normalize_for_scan(&mut self, vt: &VarTable) {
-        self.canonical_sort(vt);
-        self.dedup();
-        self.remove_dominated();
+        Rows::new(self, vt).feasibility()
     }
 
     /// Guarded projection onto `keep`: eliminate every other variable in
@@ -498,49 +231,9 @@ impl System {
     /// abandoned (overflow / budget) and proves nothing; a contradictory
     /// result means the system has no integer solution.
     pub fn project_onto(&self, vt: &VarTable, keep: &[VarId]) -> Option<System> {
-        let mut sys = self.clone();
-        sys.reduce_for_scan(vt, keep).ok()?;
-        sys.project_reduced(vt, keep).0
-    }
-
-    /// The one elimination loop, starting from a system already
-    /// normalized by [`System::reduce_for_scan`] with the same `keep`;
-    /// also returns the peak live constraint count.
-    pub fn project_reduced(mut self, vt: &VarTable, keep: &[VarId]) -> (Option<System>, usize) {
-        let mut peak = self.len();
-        for v in vt.elimination_order() {
-            if self.contradictory || self.constraints.is_empty() {
-                break;
-            }
-            if keep.contains(&v) || !self.vars().contains(&v) {
-                continue;
-            }
-            if self.elimination_pairs(v) > MAX_FEAS_CONSTRAINTS {
-                return (None, peak);
-            }
-            self = match self.try_eliminate_owned(v) {
-                Ok(s) => s,
-                Err(Overflow) => return (None, peak),
-            };
-            peak = peak.max(self.len());
-            self.normalize_for_scan(vt);
-            if self.len() > MAX_FEAS_CONSTRAINTS {
-                return (None, peak);
-            }
-        }
-        (Some(self), peak)
-    }
-
-    /// The guarded scan's elimination loop: project a reduced system
-    /// onto nothing and read the verdict off what is left.
-    pub fn scan_reduced(self, vt: &VarTable) -> (Feasibility, usize) {
-        let (out, peak) = self.project_reduced(vt, &[]);
-        let verdict = match out {
-            None => Feasibility::Unknown,
-            Some(s) if s.contradictory || !s.constraints.is_empty() => Feasibility::Infeasible,
-            Some(_) => Feasibility::Feasible,
-        };
-        (verdict, peak)
+        let mut rows = Rows::new(self, vt);
+        rows.reduce(keep).ok()?;
+        rows.project(keep).0.then(|| rows.to_system())
     }
 
     /// The divisibility conditions the equalities impose on `v`, as a
@@ -780,19 +473,8 @@ mod tests {
         let mut s = System::new();
         s.add_ge(LinExpr::var(j) - LinExpr::var(i));
         s.add_ge(LinExpr::var(i) - LinExpr::constant(1) - LinExpr::var(j));
-        let e = s.eliminate(j);
+        let e = s.eliminate(&vt, j);
         assert!(e.is_contradictory() || !e.is_consistent(&vt));
-    }
-
-    #[test]
-    fn propagate_unit_equalities_substitutes() {
-        let (vt, _, i, j) = table();
-        let mut s = System::new();
-        s.add_eq(LinExpr::var(j) - LinExpr::var(i) - LinExpr::constant(1)); // j = i+1
-        s.add_range(LinExpr::var(i), LinExpr::constant(0), LinExpr::constant(3));
-        s.add_eq(LinExpr::var(j) - LinExpr::constant(10)); // j = 10 -> i = 9, out of range
-        s.propagate_unit_equalities(&vt);
-        assert!(!s.is_consistent(&vt));
     }
 
     #[test]
@@ -875,11 +557,14 @@ mod tests {
         s.add_eq(LinExpr::var(i) - LinExpr::var(p) - LinExpr::term(k, 64) - LinExpr::var(d));
         s.add_eq(LinExpr::var(i) - LinExpr::constant(2));
         s.add_range(LinExpr::var(p), LinExpr::constant(0), LinExpr::constant(63));
-        let mut free = s.clone();
-        free.reduce_for_scan(&vt, &[]).unwrap();
+        let reduced = |keep: &[VarId]| {
+            let mut rows = Rows::new(&s, &vt);
+            rows.reduce(keep).unwrap();
+            rows.to_system()
+        };
+        let free = reduced(&[]);
         assert!(!free.vars().contains(&d), "unrestricted propagation eats d");
-        let mut kept = s.clone();
-        kept.reduce_for_scan(&vt, &[d, p]).unwrap();
+        let mut kept = reduced(&[d, p]);
         assert!(kept.vars().contains(&d) && kept.vars().contains(&p));
         // What is left is -p - d - 64k + 2 == 0: d ≡ 2 - p (mod 64).
         kept.substitute(p, &LinExpr::constant(0));
@@ -902,39 +587,6 @@ mod tests {
         assert!(admits(2) && !admits(3) && !admits(-2));
         // No equality mentions j: everything is admitted.
         assert!(s.congruence_filter(j)(17));
-    }
-
-    #[test]
-    fn dedup_removes_duplicates() {
-        let (_, _, i, _) = table();
-        let mut s = System::new();
-        s.add_ge(LinExpr::var(i));
-        s.add_ge(LinExpr::var(i));
-        s.dedup();
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn dominated_bounds_are_dropped() {
-        let (_, _, i, _) = table();
-        let mut s = System::new();
-        s.add_ge(LinExpr::var(i) - LinExpr::constant(5)); // i >= 5 (binding)
-        s.add_ge(LinExpr::var(i) - LinExpr::constant(3)); // i >= 3 (dominated)
-        s.remove_dominated();
-        assert_eq!(s.len(), 1);
-        assert_eq!(s.constraints()[0].expr.constant_term(), -5);
-        // Two equalities over the same terms with different constants.
-        let mut c = System::new();
-        c.add_eq(LinExpr::var(i) - LinExpr::constant(1));
-        c.add_eq(LinExpr::var(i) - LinExpr::constant(2));
-        c.remove_dominated();
-        assert!(c.is_contradictory());
-        // Equality vs violated inequality over the same terms.
-        let mut e = System::new();
-        e.add_eq(LinExpr::var(i) - LinExpr::constant(1)); // i == 1
-        e.add_ge(LinExpr::var(i) - LinExpr::constant(2)); // i >= 2
-        e.remove_dominated();
-        assert!(e.is_contradictory());
     }
 
     #[test]
@@ -969,23 +621,63 @@ mod tests {
         assert!(s.project_onto(&vt, &[vs[0]]).is_none());
     }
 
+    /// Products past `i64` are not overflow: `a²` and `b²` are ≈ 2^80,
+    /// their difference is 2^41 + 1, and the scan must carry them exactly
+    /// to reach a proof either way.
     #[test]
-    fn canonical_sort_orders_by_content() {
-        let (vt, _, i, j) = table();
-        let mut a = System::new();
-        a.add_ge(LinExpr::var(j) - LinExpr::constant(2));
-        a.add_ge(LinExpr::var(i) - LinExpr::constant(1));
-        let mut b = System::new();
-        b.add_ge(LinExpr::var(i) - LinExpr::constant(1));
-        b.add_ge(LinExpr::var(j) - LinExpr::constant(2));
-        a.canonical_sort(&vt);
-        b.canonical_sort(&vt);
-        let key = |s: &System| {
-            s.constraints()
-                .iter()
-                .map(|c| format!("{c:?}"))
-                .collect::<Vec<_>>()
+    fn products_past_i64_still_decide() {
+        let mut vt = VarTable::new();
+        let x = vt.fresh("x", VarKind::LoopIndex);
+        let y = vt.fresh("y", VarKind::LoopIndex);
+        let (a, b) = ((1i128 << 40) + 1, 1i128 << 40);
+        assert!(a * a > i64::MAX as i128 && b * b > i64::MAX as i128);
+        // y <= (a/b)·x and y >= (b·x + 1)/a  =>  (a² − b²)·x >= b  =>  x >= 1.
+        let mut s = System::new();
+        s.add_ge(LinExpr::term(x, a) - LinExpr::term(y, b));
+        s.add_ge(LinExpr::term(y, a) - LinExpr::term(x, b) - LinExpr::constant(1));
+        assert_eq!(s.feasibility_with_peak(&vt), (Feasibility::Feasible, 2));
+        s.add_ge(-LinExpr::var(x));
+        assert_eq!(s.feasibility_with_peak(&vt), (Feasibility::Infeasible, 3));
+    }
+
+    /// The two budget exits of the elimination loop, with the peak each
+    /// reports: 65 × 64 cross-pairs are refused before the step; 64 × 64
+    /// are taken, and the 4096 distinct rows they leave beside the one
+    /// that never mentioned `x` are refused after it.
+    #[test]
+    fn pair_and_length_budgets_answer_unknown_with_their_peak() {
+        let mut vt = VarTable::new();
+        let y = vt.fresh("y", VarKind::LoopIndex);
+        let z = vt.fresh("z", VarKind::LoopIndex);
+        let x = vt.fresh("x", VarKind::ArrayIndex);
+        // Primes past 64 are coprime to every 1..=64, so no two combined
+        // rows `i·y + p·z >= 0` share a term vector after gcd division.
+        let primes: Vec<i128> = (65..)
+            .filter(|n| (2..*n).all(|d| n % d != 0))
+            .take(64)
+            .collect();
+        let system = |lowers: i128| {
+            let mut s = System::new();
+            for i in 1..=lowers {
+                s.add_ge(LinExpr::var(x) + LinExpr::term(y, i));
+            }
+            for &p in &primes {
+                s.add_ge(LinExpr::term(z, p) - LinExpr::var(x));
+            }
+            s.add_ge(LinExpr::var(y) + LinExpr::var(z));
+            s
         };
-        assert_eq!(key(&a), key(&b));
+        let pairs = system(65);
+        assert_eq!(pairs.len(), 130);
+        assert_eq!(
+            pairs.feasibility_with_peak(&vt),
+            (Feasibility::Unknown, 130)
+        );
+        assert!(pairs.project_onto(&vt, &[y]).is_none());
+        let length = system(64);
+        assert_eq!(
+            length.feasibility_with_peak(&vt),
+            (Feasibility::Unknown, MAX_FEAS_CONSTRAINTS + 1)
+        );
     }
 }

@@ -90,7 +90,7 @@ proptest! {
         let bounds: Vec<_> = vars.iter().map(|&v| (v, BOX_LO, BOX_HI)).collect();
         if sys.find_integer_solution(&bounds).is_some() {
             for &v in &vars {
-                let reduced = sys.eliminate(v);
+                let reduced = sys.eliminate(&vt, v);
                 prop_assert!(reduced.is_consistent(&vt),
                     "eliminating {:?} made a feasible system infeasible", v);
             }

@@ -166,9 +166,10 @@ pub fn render_decisions(prog: &Program, decisions: &[Decision]) -> String {
 
 /// Human-readable footer for the analysis cache counters.
 ///
-/// This stays out of [`explain_json`]: hit counts depend on thread
-/// interleaving, and the JSON document must remain byte-identical
-/// across runs and configurations.
+/// This stays out of [`explain_json`]: the counts repeat from run to
+/// run but differ between configurations (uncached, cold, shared
+/// cache), and the JSON document must remain byte-identical across
+/// both.
 pub fn render_analysis_stats(stats: &AnalysisStats) -> String {
     let mut out = String::new();
     out.push_str("--- analysis cache (diagnostics; never affects decisions) ---\n");
@@ -288,7 +289,7 @@ mod tests {
         let footer = render_analysis_stats(&stats);
         assert!(footer.contains("statement pairs"), "{footer}");
         assert!(footer.contains("FME feasibility"), "{footer}");
-        // The JSON document must not carry interleaving-dependent counters.
+        // The JSON document must not carry configuration-dependent counters.
         assert!(!ref_doc.contains("hit"), "{ref_doc}");
     }
 }

@@ -269,17 +269,12 @@ fn main() -> ExitCode {
         eprintln!("beopt: warning: {w}");
     }
 
-    let mut oo = OptimizeOptions::default();
-    let compile_profiler = if args.profile {
-        // The ambient recorder is single-writer per track: pin analysis
-        // to this thread so the pair probe never fires from a warming
-        // worker. Decisions are config-invariant, so the plan and log
-        // are unchanged — only compile wall-clock pays.
-        oo.analysis.threads = 1;
-        Some(Arc::new(Profiler::new(1, ProfileOptions::default())))
-    } else {
-        None
-    };
+    let oo = OptimizeOptions::default();
+    // The ambient recorder is single-writer per track; the analysis runs
+    // on this thread, so the pair probe fires here and nowhere else.
+    let compile_profiler = args
+        .profile
+        .then(|| Arc::new(Profiler::new(1, ProfileOptions::default())));
     let guard = compile_profiler
         .as_ref()
         .map(|p| events::install(Arc::clone(p), 0));
