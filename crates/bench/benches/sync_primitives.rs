@@ -1,10 +1,16 @@
 //! Criterion benches for the synchronization primitives (feeds the
 //! barrier-cost motivation figure): central barrier, tree barrier,
-//! counter handoff, neighbor post/wait, at several team sizes.
+//! counter handoff, neighbor post/wait, at several team sizes. The
+//! central barrier is also timed under a watchdog deadline (the wait the
+//! fault-tolerant executor runs) and bracketed by profiler events (what
+//! an observed run records per sync visit). A team wider than the host
+//! times the scheduler, not the primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use runtime::{BarrierEpoch, CentralBarrier, Counters, NeighborFlags, Team, TreeBarrier};
+use runtime::events::{self, EventKind, ProfileOptions, Profiler};
+use runtime::{BarrierEpoch, CentralBarrier, Counters, NeighborFlags, Team, TreeBarrier, Watchdog};
 use std::sync::Arc;
+use std::time::Duration;
 
 const ROUNDS: u64 = 1000;
 
@@ -23,6 +29,40 @@ fn bench_barriers(c: &mut Criterion) {
                     let mut sense = BarrierEpoch::default();
                     for _ in 0..ROUNDS {
                         bb.wait(&mut sense);
+                    }
+                });
+            })
+        });
+        // A deadline that never fires: only the guard's bookkeeping is timed.
+        let watchdog = Arc::new(Watchdog::new(Duration::from_secs(30)));
+        group.bench_with_input(BenchmarkId::new("central_guarded", p), &p, |b, _| {
+            b.iter(|| {
+                let bb = Arc::clone(&central);
+                let wd = Arc::clone(&watchdog);
+                team.run(move |pid| {
+                    let mut sense = BarrierEpoch::default();
+                    for _ in 0..ROUNDS {
+                        bb.wait_until(&mut sense, &wd, 0, pid).unwrap();
+                    }
+                });
+            })
+        });
+        // One ring set for every sample: a full ring overwrites its
+        // oldest slot, so a push costs the same before and after it wraps.
+        let profiler = Arc::new(Profiler::new(p, ProfileOptions::default()));
+        group.bench_with_input(BenchmarkId::new("central_profiled", p), &p, |b, _| {
+            b.iter(|| {
+                let bb = Arc::clone(&central);
+                let pr = Arc::clone(&profiler);
+                team.run(move |pid| {
+                    let _recorder = events::install(Arc::clone(&pr), pid);
+                    let mut sense = BarrierEpoch::default();
+                    for k in 0..ROUNDS {
+                        let arrive = pr.now_ns();
+                        pr.record_at(pid, EventKind::SyncArrive, 0, k, arrive);
+                        bb.wait(&mut sense);
+                        let now = pr.now_ns();
+                        pr.record_at(pid, EventKind::SyncRelease, 0, now - arrive, now);
                     }
                 });
             })

@@ -160,64 +160,6 @@ impl Table {
     }
 }
 
-/// Schema version stamped into every `BENCH_*.json` artifact as the
-/// document's first member. Bump it whenever a benchmark binary changes
-/// the shape or meaning of its JSON output; the `--baseline` compare in
-/// the bench binaries refuses to diff artifacts from other versions.
-pub const BENCH_SCHEMA_VERSION: u64 = 1;
-
-/// Return `doc` with `schema_version` as its first member (replacing
-/// any existing stamp). Non-objects pass through unchanged.
-pub fn stamp_schema(doc: obs::Json) -> obs::Json {
-    match doc {
-        obs::Json::Obj(pairs) => {
-            let mut out = vec![(
-                "schema_version".to_string(),
-                obs::Json::Num(BENCH_SCHEMA_VERSION as f64),
-            )];
-            out.extend(pairs.into_iter().filter(|(k, _)| k != "schema_version"));
-            obs::Json::Obj(out)
-        }
-        other => other,
-    }
-}
-
-/// Check that a parsed artifact carries the schema version this build
-/// understands. `Err` explains the mismatch (missing stamp counts as a
-/// mismatch: pre-versioned artifacts must be regenerated, not guessed
-/// at).
-pub fn check_schema(doc: &obs::Json) -> Result<(), String> {
-    match doc.get("schema_version").and_then(|v| v.as_u64()) {
-        Some(v) if v == BENCH_SCHEMA_VERSION => Ok(()),
-        Some(v) => Err(format!(
-            "schema_version {v} does not match this binary's {BENCH_SCHEMA_VERSION}"
-        )),
-        None => Err(
-            "no schema_version member (pre-versioned artifact; regenerate the baseline)"
-                .to_string(),
-        ),
-    }
-}
-
-/// Load a `--baseline` artifact for comparison: parse it, verify the
-/// schema version, and verify it comes from the same benchmark
-/// (`bench` member). Any failure is a refusal with the reason.
-pub fn load_baseline(path: &str, expect_bench: &str) -> Result<obs::Json, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-    let doc = obs::parse(&text).map_err(|e| format!("baseline {path} is not JSON: {e}"))?;
-    check_schema(&doc).map_err(|e| format!("refusing to compare against {path}: {e}"))?;
-    match doc.get("bench").and_then(|b| b.as_str()) {
-        Some(b) if b == expect_bench => Ok(doc),
-        Some(b) => Err(format!(
-            "refusing to compare against {path}: it is a '{b}' artifact, not '{expect_bench}'"
-        )),
-        None => Err(format!(
-            "refusing to compare against {path}: no 'bench' member"
-        )),
-    }
-}
-
 /// Percentage reduction from `base` to `opt` (0 when base is 0).
 pub fn pct_reduction(base: u64, opt: u64) -> f64 {
     if base == 0 {
@@ -271,58 +213,5 @@ mod tests {
     fn pct_reduction_handles_zero() {
         assert_eq!(pct_reduction(0, 0), 0.0);
         assert_eq!(pct_reduction(100, 71), 29.0);
-    }
-
-    #[test]
-    fn stamp_schema_puts_version_first_and_replaces_stale_stamps() {
-        let doc = obs::Json::obj()
-            .set("schema_version", 99u64)
-            .set("bench", "x");
-        let stamped = stamp_schema(doc);
-        match &stamped {
-            obs::Json::Obj(pairs) => {
-                assert_eq!(pairs[0].0, "schema_version");
-                assert_eq!(pairs.len(), 2, "stale stamp must be replaced, not kept");
-            }
-            _ => panic!("object in, object out"),
-        }
-        assert_eq!(
-            stamped.get("schema_version").and_then(|v| v.as_u64()),
-            Some(BENCH_SCHEMA_VERSION)
-        );
-        assert!(check_schema(&stamped).is_ok());
-    }
-
-    #[test]
-    fn check_schema_refuses_missing_and_mismatched_versions() {
-        assert!(check_schema(&obs::Json::obj()).is_err());
-        let old = obs::Json::obj().set("schema_version", BENCH_SCHEMA_VERSION + 1);
-        let err = check_schema(&old).unwrap_err();
-        assert!(err.contains("does not match"), "{err}");
-    }
-
-    #[test]
-    fn load_baseline_refuses_wrong_bench_and_wrong_schema() {
-        let dir = std::env::temp_dir().join("spmd-bench-schema-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let good = dir.join("good.json");
-        std::fs::write(
-            &good,
-            stamp_schema(obs::Json::obj().set("bench", "sync-profiler-overhead"))
-                .to_string_pretty(),
-        )
-        .unwrap();
-        assert!(load_baseline(good.to_str().unwrap(), "sync-profiler-overhead").is_ok());
-        assert!(load_baseline(good.to_str().unwrap(), "analysis-cache-regression").is_err());
-        let stale = dir.join("stale.json");
-        std::fs::write(
-            &stale,
-            obs::Json::obj()
-                .set("bench", "sync-profiler-overhead")
-                .to_string_pretty(),
-        )
-        .unwrap();
-        assert!(load_baseline(stale.to_str().unwrap(), "sync-profiler-overhead").is_err());
-        assert!(load_baseline(dir.join("absent.json").to_str().unwrap(), "x").is_err());
     }
 }

@@ -1,8 +1,10 @@
-//! Differential property tests: the memoized, parallel analysis is a
-//! pure speed knob. For every suite kernel and a population of
-//! oracle-generated programs, the cached/parallel configuration (and
-//! the cross-program shared-cache entry point) must produce a plan and
-//! decision log bitwise identical to the sequential uncached reference.
+//! Differential tests: a memo may make the analysis faster, never
+//! different. For every suite kernel and a population of
+//! oracle-generated programs, the default configuration (pair memo, cold
+//! Fourier–Motzkin memo) — and, over the suite, one memo shared by every
+//! kernel — must produce a plan and decision log bitwise identical to
+//! `AnalysisConfig::sequential_uncached()`; likewise deadline-guarded and
+//! pure waits must run the same schedule to the same memory.
 
 use spmd_opt::{
     optimize_explained, optimize_explained_shared, render_plan, AnalysisConfig, AnalysisStats,
@@ -34,7 +36,7 @@ fn fingerprint(
 }
 
 #[test]
-fn suite_kernels_cached_parallel_match_sequential_uncached() {
+fn suite_kernels_cached_and_shared_memo_match_uncached() {
     let shared = Arc::new(ineq::FmeCache::new());
     for def in suite::all() {
         let (built, bind) = spmd_bench::instance(&def, Scale::Test, 4);
@@ -74,7 +76,7 @@ fn suite_kernels_cached_parallel_match_sequential_uncached() {
 }
 
 #[test]
-fn oracle_programs_cached_parallel_match_sequential_uncached() {
+fn oracle_programs_cached_match_uncached() {
     for seed in 0..48 {
         let g = oracle::generate(seed);
         let bind = g.bindings(4);

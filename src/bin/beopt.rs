@@ -207,13 +207,47 @@ fn parse_args() -> Args {
     args
 }
 
+/// The bindings the flags describe, or why nothing can be compiled (or,
+/// with `--run`, allocated) under them.
 fn bindings_for(prog: &Program, args: &Args) -> Result<Bindings, String> {
+    if args.nprocs < 1 {
+        let p = args.nprocs;
+        return Err(format!("--nprocs {p}: need at least one processor"));
+    }
     let mut bind = Bindings::new(args.nprocs);
     for (name, value) in &args.sets {
         let Some(pos) = prog.syms.iter().position(|s| &s.name == name) else {
             return Err(format!("--set {name}: no such sym in the program"));
         };
         bind.bind(barrier_elim::ir::SymId(pos as u32), *value);
+    }
+    if args.run {
+        for (k, s) in prog.syms.iter().enumerate() {
+            if bind.get(barrier_elim::ir::SymId(k as u32)).is_none() {
+                return Err(format!("--run needs --set {}=<value>", s.name));
+            }
+        }
+    }
+    // Cells one `Mem` holds; `None` once an extent does not evaluate (an
+    // unbound sym, or `i64` overflow) or the count leaves `usize`.
+    let mut cells = Some(0usize);
+    for a in &prog.arrays {
+        let copies = if a.privatizable { args.nprocs } else { 1 };
+        let mut len = Some(copies as usize);
+        for e in &a.extents {
+            match bind.eval_const(e) {
+                Some(v) if v < 0 => {
+                    return Err(format!("array {}: extent {v} is negative", a.name))
+                }
+                Some(v) => len = len.and_then(|l| l.checked_mul(v as usize)),
+                None => len = None,
+            }
+        }
+        cells = cells.zip(len).and_then(|(c, l)| c.checked_add(l));
+    }
+    let fits = |n| Vec::<u64>::new().try_reserve_exact(n).is_ok();
+    if args.run && !cells.is_some_and(fits) {
+        return Err("--run: arrays too large to allocate".into());
     }
     Ok(bind)
 }
@@ -359,13 +393,6 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Need every sym bound.
-    for (k, s) in prog.syms.iter().enumerate() {
-        if bind.get(barrier_elim::ir::SymId(k as u32)).is_none() {
-            eprintln!("beopt: --run needs --set {}=<value>", s.name);
-            return ExitCode::FAILURE;
-        }
-    }
     let oracle = Mem::new(&prog, &bind);
     run_sequential(&prog, &bind, &oracle);
     let mem_b = Mem::new(&prog, &bind);

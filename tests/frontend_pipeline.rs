@@ -116,3 +116,30 @@ fn parsed_and_dsl_jacobi_agree() {
     run_sequential(&dsl, &bind_d, &m2);
     assert_eq!(m1.checksum(), m2.checksum());
 }
+
+mod cli {
+    /// Bindings `beopt` cannot compile or allocate under are refused in
+    /// one line before anything runs — never by a panic (exit 101).
+    #[test]
+    fn unusable_bindings_are_refused_not_panicked_on() {
+        for (nprocs, n, run, what) in [
+            ("0", "n=4", false, "--nprocs 0: need at least one processor"),
+            ("4", "n=-1", false, "array A: extent -1 is negative"),
+            (
+                "4",
+                "n=9223372036854775807",
+                true,
+                "--run: arrays too large to allocate",
+            ),
+        ] {
+            let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_beopt"));
+            cmd.args(["kernels/jacobi.be", "--set", "tmax=2", "--set", n]);
+            cmd.args(["--nprocs", nprocs]).args(run.then_some("--run"));
+            let out = cmd.output().expect("spawn beopt");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "P={nprocs} {n}: {stderr}");
+            assert_eq!(stderr.trim_end(), format!("beopt: {what}"));
+            assert!(out.stdout.is_empty(), "refused before anything is printed");
+        }
+    }
+}

@@ -5,7 +5,8 @@
 //!
 //! * the pipelined kernel set really loses its per-step barriers to
 //!   pairwise counters (and reverts to barriers when the feature is
-//!   ablated — the pre-distance-vector behavior);
+//!   ablated — the pre-distance-vector behavior), in the plan and in
+//!   the dynamic counts of a run;
 //! * pairwise plans are bitwise equal to the barrier-only plans and
 //!   the sequential oracle on *random* loop-carried multi-hop
 //!   programs, and the vector-clock validator certifies them;
@@ -69,6 +70,44 @@ fn ablating_pairwise_restores_the_spurious_barriers() {
             without.barriers,
             with.barriers
         );
+    }
+}
+
+/// The same promise in the counts of a run, at the scale the tables
+/// report: fork-join executes at least 10× the optimized plan's barriers
+/// at eight processors (`shift_bcast`, whose loop-bottom barrier stays
+/// at any width: 1.5× at four), through pairwise posts that really
+/// happen, and both plans are race-free and bitwise equal to the
+/// sequential run under opposite interleavings at four and eight.
+#[test]
+fn pairwise_plans_cut_dynamic_barriers_and_stay_bitwise_exact() {
+    for &name in PAIR_KERNELS {
+        let (least, at) = match name {
+            "shift_bcast" => (1.5, 4),
+            _ => (10.0, 8),
+        };
+        let b = (suite::by_name(name).unwrap().build)(Scale::Small);
+        for p in [4, 8] {
+            let bind = b.bindings(p);
+            let expect = Mem::new(&b.prog, &bind);
+            run_sequential(&b.prog, &bind, &expect);
+            let [fj, opt] = [fork_join(&b.prog, &bind), optimize(&b.prog, &bind)].map(|plan| {
+                let valid = oracle::validate(&b.prog, &bind, &plan);
+                assert!(valid.is_race_free(), "{name} P={p}: a plan races");
+                let run = |order| {
+                    let mem = Mem::new(&b.prog, &bind);
+                    let counts = run_virtual(&b.prog, &bind, &plan, &mem, order).counts;
+                    let diff = mem.max_abs_diff(&expect);
+                    assert!(diff == 0.0, "{name} P={p} {order:?}: off by {diff:e}");
+                    counts
+                };
+                run(ScheduleOrder::Reverse);
+                run(ScheduleOrder::RoundRobin)
+            });
+            assert!(opt.pair_posts > 0, "{name} P={p}: no pairwise post");
+            let ratio = fj.barriers as f64 / opt.barriers.max(1) as f64;
+            assert!(p != at || ratio >= least, "{name} P={p}: only {ratio:.1}x");
+        }
     }
 }
 
