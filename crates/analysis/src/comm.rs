@@ -20,14 +20,25 @@
 //!    writes, but all that is *read* across processors is one row or
 //!    column whose owner the loops around the sync site fix
 //!    ([`Anchor::Sink`]).
-//! 4. Otherwise the barrier stays ([`CommPattern::General`]), and the
+//! 4. *Is the consumer a single processor?* The mirror image of 3: a
+//!    master-guarded statement, or the one owner about to overwrite
+//!    what everybody just read, is the only processor that has to
+//!    wait. It becomes a *collector* of a pairwise sync — everyone
+//!    posts and runs on, the collector waits for every post
+//!    ([`CommOutcome::collectors`]).
+//! 5. Otherwise the barrier stays ([`CommPattern::General`]), and the
 //!    outcome names the access pair that pins it ([`Pin`]).
+//!
+//! Two distributed reductions into one shared scalar with the same
+//! operator are not a dependent pair at all: their per-processor
+//! partials are flushed atomically and commute
+//! ([`CommOutcome::commuting`]).
 
 use crate::bindings::Bindings;
 use crate::partition::{stmt_partition, LoopPartition, OwnerMap, StmtPartition};
 use crate::translate::{build_pair_system, SharedLoopMode};
 use ineq::{FmeCache, FmeCacheStats, LinExpr, Rows, VarKind};
-use ir::{Affine, ArrayId, LhsRef, LoopId, LoopKind, NodeId, Program, ScalarId, StmtPath};
+use ir::{Affine, ArrayId, LhsRef, LoopId, LoopKind, NodeId, Program, RedOp, ScalarId, StmtPath};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -282,11 +293,11 @@ pub enum CommPattern {
         bwd: bool,
     },
     /// All movement follows a small set of fixed processor distances
-    /// (and/or identifiable producers recorded in the enclosing
-    /// [`CommOutcome`]): replace the barrier with point-to-point
-    /// pairwise counters — each consumer waits only on the processors
-    /// its distance vectors name, which pipelines loop-carried sweeps
-    /// into a wavefront.
+    /// (and/or identifiable producers and collectors recorded in the
+    /// enclosing [`CommOutcome`]): replace the barrier with
+    /// point-to-point pairwise counters — each consumer waits only on
+    /// the processors its distance vectors name, which pipelines
+    /// loop-carried sweeps into a wavefront.
     PairWise {
         /// The feasible processor distances.
         dists: DistSet,
@@ -382,22 +393,31 @@ impl CommPattern {
     }
 }
 
-/// Which side of a true dependence names its producer.
+/// Which side of a dependence the subscript naming its one producer or
+/// collector was taken from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Anchor {
-    /// The writing statement runs on one processor per sync instance:
-    /// its own owner subscript names it.
+    /// From the earlier statement. A producer: the writing statement
+    /// runs on one processor per sync instance, named by its own owner
+    /// subscript. A collector: every processor reads, but whoever
+    /// overwrites what was read across processors is the one owner the
+    /// *read* subscript names (at a loop bottom, of the iteration that
+    /// just ended).
     Source,
-    /// Every owner writes, but everything read across processors has
-    /// the one owner the *read* subscript names (for a loop bottom, at
-    /// the next iteration).
+    /// From the later statement. A producer: every owner writes, but
+    /// everything read across processors has the one owner the *read*
+    /// subscript names (for a loop bottom, at the next iteration). A
+    /// collector: the later statement runs on one processor per sync
+    /// instance, named by its own owner subscript (at a loop bottom,
+    /// at the next iteration).
     Sink,
 }
 
-/// Identifies the unique producer processor for [`CommPattern::Producer1`]
-/// sync points, in a form the runtime can evaluate (all loop indices that
-/// appear enclose the sync site, so they are fixed for the duration of
-/// the sync instance).
+/// Identifies the one processor on the narrow side of a dependence —
+/// the unique producer of a [`CommPattern::Producer1`] sync point or a
+/// pairwise producer target, or a collector — in a form the runtime can
+/// evaluate (all loop indices that appear enclose the sync site, so
+/// they are fixed for the duration of the sync instance).
 #[derive(Clone, PartialEq, Debug)]
 pub enum ProducerSpec {
     /// The master processor (serial statement).
@@ -507,8 +527,8 @@ const RULE_FANIN: &str = "joined with the pairs before it, the wait set is wider
                           pairwise fan-in";
 
 /// A communication query result: the pattern plus, for `Producer1`, the
-/// producer's identity, for `PairWise`, the producer wait set, and for
-/// `General`, what pins the barrier.
+/// producer's identity, for `PairWise`, the producer and collector wait
+/// sets, and for `General`, what pins the barrier.
 #[derive(Clone, PartialEq, Debug)]
 pub struct CommOutcome {
     /// Joined communication pattern.
@@ -520,12 +540,31 @@ pub struct CommOutcome {
     /// (the fused form of `Producer1` joined into a distance pattern,
     /// or of two `Producer1`s naming different producers).
     pub pair_producers: Vec<ProducerSpec>,
+    /// Collectors when `pattern == PairWise`: each of these processors
+    /// additionally waits on *every* other processor's post, which
+    /// orders all dependences whose later side runs on it alone. A lone
+    /// collector is `PairWise` with no distance and no producer.
+    pub collectors: Vec<ProducerSpec>,
+    /// Output pairs left out of the join because both statements
+    /// reduce into the scalar atomically with one operator (named in
+    /// the explain pass; they place no synchronization).
+    pub commuting: Vec<AccessPair>,
     /// The communicating access pair joined in last (`None` only for
     /// `NoComm`); once the pattern is `General`, the pair that made it
     /// so.
     pub pair: Option<AccessPair>,
     /// For `General`: the last rule that failed on `pair`.
     pub failed: Option<&'static str>,
+}
+
+/// `a` followed by what `b` adds to it, in order.
+fn union<T: PartialEq>(mut a: Vec<T>, b: Vec<T>) -> Vec<T> {
+    for x in b {
+        if !a.contains(&x) {
+            a.push(x);
+        }
+    }
+    a
 }
 
 impl CommOutcome {
@@ -545,6 +584,8 @@ impl CommOutcome {
             pattern,
             producer: None,
             pair_producers: Vec::new(),
+            collectors: Vec::new(),
+            commuting: Vec::new(),
             pair: None,
             failed: None,
         }
@@ -558,6 +599,17 @@ impl CommOutcome {
         }
     }
 
+    /// The single-consumer outcome: everyone posts, `spec` alone waits
+    /// for all of them.
+    pub fn collector(spec: ProducerSpec) -> Self {
+        CommOutcome {
+            collectors: vec![spec],
+            ..CommOutcome::of(CommPattern::PairWise {
+                dists: DistSet::empty(),
+            })
+        }
+    }
+
     /// What pins the barrier, when the pattern is `General` and the
     /// outcome came from a query (a hand-built `general()` names none).
     pub fn pin(&self) -> Option<Pin> {
@@ -567,10 +619,16 @@ impl CommOutcome {
         })
     }
 
-    /// Total pairwise wait fan-in (distances plus producer targets).
+    /// Total pairwise wait fan-in held to [`MAX_PAIR_FANIN`]: the
+    /// distinct distances, producer targets and collector specs. The
+    /// P - 1 cells a collector reads are not part of it: one processor
+    /// per sync instance pays them, which is never more than the
+    /// arrival half of the barrier the sync replaces.
     pub fn pair_fanin(&self) -> usize {
         match self.pattern {
-            CommPattern::PairWise { dists } => dists.len() + self.pair_producers.len(),
+            CommPattern::PairWise { dists } => {
+                dists.len() + self.pair_producers.len() + self.collectors.len()
+            }
             _ => 0,
         }
     }
@@ -591,11 +649,25 @@ impl CommOutcome {
     /// two-entry pairwise producer set (one counter per pair — exactly
     /// the pairwise primitive) instead of collapsing to `General`; the
     /// same fusion absorbs `Producer1` into neighbor/pairwise distance
-    /// patterns. A producer without an evaluable spec, or a fused wait
-    /// set wider than [`MAX_PAIR_FANIN`], still degrades to `General`
-    /// (a barrier is cheaper than a wide point-to-point fan-in), pinned
-    /// by the pair `other` brought.
-    pub fn join(self, other: CommOutcome) -> CommOutcome {
+    /// patterns, and collectors ride along in their own set. A producer
+    /// without an evaluable spec, or a fused wait set wider than
+    /// [`MAX_PAIR_FANIN`] ([`pair_fanin`](Self::pair_fanin)), still
+    /// degrades to `General` (a barrier is cheaper than a wide
+    /// point-to-point fan-in), pinned by the pair `other` brought.
+    pub fn join(mut self, mut other: CommOutcome) -> CommOutcome {
+        // Commuting reductions place nothing; they only ride along to
+        // be named, whichever side survives.
+        let commuting = union(
+            std::mem::take(&mut self.commuting),
+            std::mem::take(&mut other.commuting),
+        );
+        CommOutcome {
+            commuting,
+            ..self.join_comm(other)
+        }
+    }
+
+    fn join_comm(self, other: CommOutcome) -> CommOutcome {
         use CommPattern::*;
         let too_wide = CommOutcome {
             pair: other.pair,
@@ -622,28 +694,22 @@ impl CommOutcome {
             // PairWise side fuses into a pairwise sync; pure
             // neighbor-neighbor joins stay Neighbor via the pattern join.
             (a, b) => {
-                let pattern = a.join(b);
-                let mut producers = Vec::new();
-                if let PairWise { dists } = pattern {
-                    producers = self.producers_as_pair();
-                    for p in other.producers_as_pair() {
-                        if !producers.contains(&p) {
-                            producers.push(p);
-                        }
-                    }
-                    // A producer the runtime cannot evaluate cannot
-                    // become a wait target.
-                    let lost_producer = matches!(a, Producer1) && self.producer.is_none()
-                        || matches!(b, Producer1) && other.producer.is_none();
-                    if lost_producer || dists.len() + producers.len() > MAX_PAIR_FANIN {
-                        return too_wide;
-                    }
-                }
-                CommOutcome {
-                    pair_producers: producers,
+                let joined = CommOutcome {
+                    pair_producers: union(self.producers_as_pair(), other.producers_as_pair()),
+                    // Only `PairWise` sides hold collectors, and then
+                    // the join is `PairWise` too.
+                    collectors: union(self.collectors, other.collectors),
                     pair: other.pair,
-                    ..CommOutcome::of(pattern)
+                    ..CommOutcome::of(a.join(b))
+                };
+                // A producer the runtime cannot evaluate cannot become
+                // a wait target.
+                let lost_producer = matches!(a, Producer1) && self.producer.is_none()
+                    || matches!(b, Producer1) && other.producer.is_none();
+                if lost_producer || joined.pair_fanin() > MAX_PAIR_FANIN {
+                    return too_wide;
                 }
+                joined
             }
         }
     }
@@ -874,7 +940,20 @@ impl<'p> CommQuery<'p> {
                 if a1.scalar != a2.scalar || (!a1.is_write && !a2.is_write) {
                     continue;
                 }
-                out = out.join(self.scalar_pair(s1, *a1, s2, *a2));
+                // The same operator on both sides: the flushes commute,
+                // in whatever order the processors get to them.
+                let op = self.atomic_reduction(s1, a1.scalar);
+                if op.is_some() && op == self.atomic_reduction(s2, a1.scalar) {
+                    let skipped = AccessPair {
+                        src: s1.node,
+                        dst: s2.node,
+                        storage: Storage::Scalar(a1.scalar),
+                        dep: DepKind::Output,
+                    };
+                    out.commuting = union(std::mem::take(&mut out.commuting), vec![skipped]);
+                    continue;
+                }
+                out = out.join(self.scalar_pair(s1, *a1, s2, *a2, mode));
                 if out.pattern == CommPattern::General {
                     return out;
                 }
@@ -920,12 +999,31 @@ impl<'p> CommQuery<'p> {
         out
     }
 
+    /// The operator with which statement `s` accumulates into the
+    /// shared scalar `x` through per-processor partials that are
+    /// flushed atomically: a reduction in a distributed loop whose
+    /// right-hand side does not read `x`. A master or replicated
+    /// reduction is a plain read-modify-write and has none.
+    fn atomic_reduction(&self, s: &StmtPath, x: ScalarId) -> Option<RedOp> {
+        let a = self.prog.node(s.node).as_assign()?;
+        let op = a.reduction?;
+        let atomic = a.lhs == LhsRef::Scalar(x)
+            && !self.prog.scalar(x).privatizable
+            && !a.rhs.scalar_reads().contains(&x)
+            && matches!(
+                stmt_partition(self.prog, &self.bind, s),
+                StmtPartition::Distributed(..)
+            );
+        atomic.then_some(op)
+    }
+
     fn scalar_pair(
         &self,
         s1: &StmtPath,
         a1: ScalarAccess,
         s2: &StmtPath,
         a2: ScalarAccess,
+        mode: CommMode,
     ) -> CommOutcome {
         if self.prog.scalar(a1.scalar).privatizable {
             return CommOutcome::none();
@@ -953,12 +1051,19 @@ impl<'p> CommQuery<'p> {
             },
             // Everything else (distributed writes to a shared scalar,
             // anti-dependences onto replicated writers, …) keeps the
-            // barrier.
-            _ => CommOutcome {
-                pair,
-                failed: Some(RULE_SCALAR),
-                ..CommOutcome::general()
-            },
+            // barrier, unless one processor alone runs the later
+            // statement and can collect everyone's post.
+            _ => {
+                let site = self.site_loops(s1, s2, mode);
+                let out = match self.sink_collector(&p2, &site, mode) {
+                    Some(spec) => CommOutcome::collector(spec),
+                    None => CommOutcome {
+                        failed: Some(RULE_SCALAR),
+                        ..CommOutcome::general()
+                    },
+                };
+                CommOutcome { pair, ..out }
+            }
         }
     }
 
@@ -1137,7 +1242,7 @@ impl<'p> CommQuery<'p> {
         //    for a true dependence — from the reader's.
         let site = self.site_loops(s1, s2, mode);
         let producer = self
-            .unique_producer(&part1, &site)
+            .one_executor(&part1, &site, Anchor::Source)
             .or_else(|| self.sink_anchored_producer(a1, &part1, a2, &site, mode));
         if let Some(spec) = producer {
             return found(CommOutcome::producer1(spec));
@@ -1155,8 +1260,19 @@ impl<'p> CommQuery<'p> {
         let spectrum = self.distance_spectrum(&ps, fwd, bwd);
         #[cfg(test)]
         assert_eq!(spectrum, tests::enumerated_spectrum(self, &ps, fwd, bwd));
-        match spectrum {
-            Some(dists) => found(CommOutcome::of(CommPattern::PairWise { dists })),
+        if let Some(dists) = spectrum {
+            return found(CommOutcome::of(CommPattern::PairWise { dists }));
+        }
+
+        // 5. Unique consumer? The mirror image of step 3, tried last so
+        //    that it only ever replaces a barrier: named from the later
+        //    statement's side first, then — for an anti dependence —
+        //    from the reader's.
+        let collector = self
+            .sink_collector(&part2, &site, mode)
+            .or_else(|| self.source_anchored_collector(a1, a2, &part2, &site));
+        match collector {
+            Some(spec) => found(CommOutcome::collector(spec)),
             None => general(RULE_SPECTRUM),
         }
     }
@@ -1261,11 +1377,17 @@ impl<'p> CommQuery<'p> {
         loops
     }
 
-    /// The one processor that executes the producer statement per sync
-    /// instance: the master for serial statements, or the owner of a
-    /// subscript that only the loops around the sync site vary.
-    fn unique_producer(&self, part1: &StmtPartition, site: &[LoopId]) -> Option<ProducerSpec> {
-        match part1 {
+    /// The one processor that executes a statement per sync instance:
+    /// the master for serial statements, or the owner of a subscript
+    /// that only the loops around the sync site vary. `anchor` says
+    /// which side of the dependence the statement is on.
+    fn one_executor(
+        &self,
+        part: &StmtPartition,
+        site: &[LoopId],
+        anchor: Anchor,
+    ) -> Option<ProducerSpec> {
+        match part {
             StmtPartition::Master => Some(ProducerSpec::Master),
             StmtPartition::Replicated => None,
             StmtPartition::Distributed(_, lp) => {
@@ -1275,14 +1397,94 @@ impl<'p> CommQuery<'p> {
                     .then(|| ProducerSpec::Owner {
                         map,
                         sub: sub.clone(),
-                        anchor: Anchor::Source,
+                        anchor,
                     })
             }
         }
     }
 
-    /// The dual of [`unique_producer`](Self::unique_producer) for a true
-    /// dependence whose writers are every owner: when the writing
+    /// `sub` as the iteration after the one a loop-bottom sync ends
+    /// sees it (unchanged for a loop-independent slot).
+    fn at_next_iteration(&self, sub: &Affine, mode: CommMode) -> Affine {
+        match mode {
+            CommMode::LoopIndependent => sub.clone(),
+            CommMode::CarriedBy(at) | CommMode::CarriedExactlyOne(at) => {
+                let k = self.prog.expect_loop(at).id;
+                sub.substituted(k, &(Affine::index(k) + 1))
+            }
+        }
+    }
+
+    /// The mirror image of the statement-anchored producer: the *later*
+    /// statement runs on one processor per sync instance, so every
+    /// cross-processor dependence into it — true, anti or output, on
+    /// arrays or shared scalars — is ordered once that processor has
+    /// seen everyone's post. At a loop bottom the later statement
+    /// belongs to the next iteration, so the collector named after
+    /// iteration `k` is whoever runs it in `k + 1`: it passes the
+    /// bottom of `k` only after all posts there, each of which follows
+    /// its processor's work of every iteration up to `k`, so any carried
+    /// distance is covered. Past the last iteration the subscript may
+    /// leave the array; [`OwnerMap::owner`] still names a live
+    /// processor, which waits for nothing it needs.
+    fn sink_collector(
+        &self,
+        part2: &StmtPartition,
+        site: &[LoopId],
+        mode: CommMode,
+    ) -> Option<ProducerSpec> {
+        let mut spec = self.one_executor(part2, site, Anchor::Sink)?;
+        if let ProducerSpec::Owner { sub, .. } = &mut spec {
+            *sub = self.at_next_iteration(sub, mode);
+        }
+        Some(spec)
+    }
+
+    /// The mirror image of [`sink_anchored_producer`] for an anti
+    /// dependence whose readers are every processor: when the writing
+    /// statement is owner-computes on the written array itself, whoever
+    /// overwrites an element owns it, so the writer of everything that
+    /// was read across processors is the owner of the *read* subscript
+    /// — one processor per sync instance when only the loops around the
+    /// site vary it. At a loop bottom the reads belong to the iteration
+    /// that just ended, so the subscript is taken as is: that owner
+    /// waits at the bottom of iteration `k` for all posts, every post
+    /// follows its processor's reads of iterations up to `k` in program
+    /// order, and all the owner's writes of later iterations follow the
+    /// wait — any carried distance is covered.
+    ///
+    /// [`sink_anchored_producer`]: Self::sink_anchored_producer
+    fn source_anchored_collector(
+        &self,
+        a1: &ArrayAccess,
+        a2: &ArrayAccess,
+        part2: &StmtPartition,
+        site: &[LoopId],
+    ) -> Option<ProducerSpec> {
+        let StmtPartition::Distributed(_, lp) = part2 else {
+            return None;
+        };
+        if a1.is_write || !a2.is_write {
+            return None;
+        }
+        let (array, map, owner_sub) = lp.owner_computes()?;
+        let (dim, _) = self.prog.array(a2.array).dist.distributed_dim()?;
+        if array != a2.array || *owner_sub != a2.subs[dim] {
+            return None;
+        }
+        let read = &a1.subs[dim];
+        read.loops()
+            .all(|l| site.contains(&l))
+            .then(|| ProducerSpec::Owner {
+                map,
+                sub: read.clone(),
+                anchor: Anchor::Source,
+            })
+    }
+
+    /// The dual of the statement-anchored producer
+    /// ([`one_executor`](Self::one_executor)) for a true dependence
+    /// whose writers are every owner: when the writing
     /// statement is owner-computes on the written array itself, whoever
     /// wrote an element owns it, so the writer of everything the sink
     /// reads is the owner of the *read* subscript — one processor per
@@ -1314,21 +1516,13 @@ impl<'p> CommQuery<'p> {
             return None;
         }
         let read = &a2.subs[dim];
-        if !read.loops().all(|l| site.contains(&l)) {
-            return None;
-        }
-        let sub = match mode {
-            CommMode::LoopIndependent => read.clone(),
-            CommMode::CarriedBy(at) | CommMode::CarriedExactlyOne(at) => {
-                let k = self.prog.expect_loop(at).id;
-                read.substituted(k, &(Affine::index(k) + 1))
-            }
-        };
-        Some(ProducerSpec::Owner {
-            map,
-            sub,
-            anchor: Anchor::Sink,
-        })
+        read.loops()
+            .all(|l| site.contains(&l))
+            .then(|| ProducerSpec::Owner {
+                map,
+                sub: self.at_next_iteration(read, mode),
+                anchor: Anchor::Sink,
+            })
     }
 }
 
@@ -1843,7 +2037,7 @@ mod tests {
             let mnode = st[0].loops[1];
             let site = q.site_loops(&st[0], &st[0], CommMode::CarriedBy(mnode));
             let part = stmt_partition(&prog, &q.bind, &st[0]);
-            assert!(q.unique_producer(&part, &site).is_some());
+            assert!(q.one_executor(&part, &site, Anchor::Source).is_some());
         }
     }
 
@@ -1894,12 +2088,11 @@ mod tests {
         }
     }
 
-    /// The rule is for true dependences only: all processors *reading*
-    /// one owner's element that the owner later overwrites is an anti
-    /// dependence with every processor as a source, and keeps the
-    /// barrier.
-    #[test]
-    fn anti_dependence_on_one_owner_keeps_the_barrier() {
+    /// `DO k { DOALL i: B(i) = A(k); DOALL j: A(j) = .. }`: all
+    /// processors *reading* one owner's element that the owner then
+    /// overwrites is an anti dependence with every processor as a
+    /// source — and, across processors, `owner(k)` as the only sink.
+    fn gather_then_overwrite() -> (Program, ir::SymId) {
         let mut pb = ProgramBuilder::new("anti");
         let n = pb.sym("n");
         let a = pb.array("A", &[sym(n)], dist_block());
@@ -1912,16 +2105,211 @@ mod tests {
         pb.assign(elem(a, [idx(j)]), ival(idx(j) + idx(k)));
         pb.end();
         pb.end();
+        (pb.finish(), n)
+    }
+
+    /// The producer rule is for true dependences only; the anti
+    /// dependence is the source-anchored collector's, named after the
+    /// *read* subscript and — the reads belonging to the iteration that
+    /// just ended — not shifted at the loop bottom.
+    #[test]
+    fn anti_dependence_on_one_owner_is_collected_by_that_owner() {
+        let (prog, n) = gather_then_overwrite();
+        let st = prog.all_statements();
+        let k = prog.expect_loop(st[0].loops[0]).id;
+        let q = CommQuery::new(&prog, Bindings::new(8).set(n, 64));
+        let owner_of_k = |anchor| ProducerSpec::Owner {
+            map: OwnerMap::Block(8),
+            sub: Affine::index(k),
+            anchor,
+        };
+        let knode = st[0].loops[0];
+        for mode in [CommMode::LoopIndependent, CommMode::CarriedBy(knode)] {
+            let out = q.comm_stmts_detailed(&st[0], &st[1], mode);
+            assert_eq!(out, {
+                let mut want = CommOutcome::collector(owner_of_k(Anchor::Source));
+                want.pair = out.pair;
+                want
+            });
+            assert_eq!(out.pair.unwrap().dep, DepKind::Anti);
+            assert_eq!(out.pair_fanin(), 1);
+        }
+        // The true dependence the other way round is the broadcast,
+        // from the owner of what the *next* iteration reads.
+        let back = q.comm_stmts_detailed(&st[1], &st[0], CommMode::CarriedBy(knode));
+        assert_eq!(back.pattern, CommPattern::Producer1);
+        assert_eq!(
+            back.producer,
+            Some(ProducerSpec::Owner {
+                map: OwnerMap::Block(8),
+                sub: Affine::index(k) + 1,
+                anchor: Anchor::Sink,
+            })
+        );
+    }
+
+    /// No collector is named after a loop inside the site: read through
+    /// an inner sequential loop, every owner's element is read and
+    /// every owner is a sink.
+    #[test]
+    fn no_collector_is_named_after_a_loop_inside_the_site() {
+        let mut pb = ProgramBuilder::new("antinest");
+        let n = pb.sym("n");
+        let a = pb.array("A", &[sym(n)], dist_block());
+        let b = pb.array("B", &[sym(n), sym(n)], dist_block());
+        let _k = pb.begin_seq("k", con(0), con(3));
+        let m = pb.begin_seq("m", con(0), sym(n) - 1);
+        let i = pb.begin_par("i", con(0), sym(n) - 1);
+        pb.assign(elem(b, [idx(i), idx(m)]), arr(a, [idx(m)]));
+        pb.end();
+        pb.end();
+        let j = pb.begin_par("j", con(0), sym(n) - 1);
+        pb.assign(elem(a, [idx(j)]), ival(idx(j)));
+        pb.end();
+        pb.end();
         let prog = pb.finish();
         let st = prog.all_statements();
         let q = CommQuery::new(&prog, Bindings::new(8).set(n, 64));
         let out = q.comm_stmts_detailed(&st[0], &st[1], CommMode::LoopIndependent);
         assert_eq!(out.pattern, CommPattern::General);
         assert_eq!(out.pin().unwrap().pair.dep, DepKind::Anti);
-        // The true dependence the other way round is the broadcast.
+    }
+
+    /// A master-guarded statement is the only sink of every dependence
+    /// into it — the scalar everybody read, the element everybody's
+    /// loop wrote — at the loop bottom with no shift; the other way
+    /// round the master is the producer.
+    #[test]
+    fn dependences_into_a_master_statement_are_collected_by_the_master() {
+        let mut pb = ProgramBuilder::new("guarded");
+        let n = pb.sym("n");
+        let a = pb.array("A", &[sym(n)], dist_cyclic());
+        let s = pb.scalar("s", 0.0);
+        let _k = pb.begin_seq("k", con(0), con(3));
+        pb.assign(svar(s), arr(a, [sym(n) - 1]));
+        let i = pb.begin_par("i", con(0), sym(n) - 1);
+        pb.assign(elem(a, [idx(i)]), arr(a, [idx(i)]) + sca(s));
+        pb.end();
+        pb.end();
+        let prog = pb.finish();
+        let st = prog.all_statements();
         let knode = st[0].loops[0];
-        let back = q.comm_stmts_detailed(&st[1], &st[0], CommMode::CarriedBy(knode));
-        assert_eq!(back.pattern, CommPattern::Producer1);
+        let q = CommQuery::new(&prog, Bindings::new(8).set(n, 64));
+        let up = q.comm_stmts_detailed(&st[0], &st[1], CommMode::LoopIndependent);
+        assert_eq!(up.producer, Some(ProducerSpec::Master));
+        // Back up: `s` is overwritten by the master alone, and what it
+        // reads of `A` was written by the element's owner alone.
+        let down = q.comm_stmts_detailed(&st[1], &st[0], CommMode::CarriedBy(knode));
+        let last = ProducerSpec::Owner {
+            map: OwnerMap::Cyclic,
+            sub: sym(n) - 1,
+            anchor: Anchor::Sink,
+        };
+        assert_eq!(down.collectors, vec![ProducerSpec::Master]);
+        assert_eq!(down.pair_producers, vec![last.clone()]);
+        assert_eq!(
+            down.pattern,
+            CommPattern::PairWise {
+                dists: DistSet::empty()
+            }
+        );
+        // Both at one site: everyone waits for the master's post, the
+        // master for everyone's.
+        let both = up.join(down);
+        assert_eq!(both.pair_producers, vec![ProducerSpec::Master, last]);
+        assert_eq!(both.collectors, vec![ProducerSpec::Master]);
+        assert_eq!(both.pair_fanin(), 3);
+    }
+
+    /// `NoComm ⊔ Collector = Collector`; a collector fuses with
+    /// neighbor, producer and distance patterns into `PairWise`; its
+    /// spec — not the P - 1 cells it reads — counts against the fan-in.
+    #[test]
+    fn collector_joins_ride_the_pairwise_lattice() {
+        let owner = |x: i64, anchor| ProducerSpec::Owner {
+            map: OwnerMap::Cyclic,
+            sub: ir::Affine::constant(x),
+            anchor,
+        };
+        let c = CommOutcome::collector(ProducerSpec::Master);
+        assert_eq!(CommOutcome::none().join(c.clone()), c);
+        assert_eq!(c.clone().join(CommOutcome::none()), c);
+        assert_eq!(c.clone().join(c.clone()), c);
+
+        let nb = CommOutcome::of(CommPattern::Neighbor {
+            fwd: true,
+            bwd: true,
+        });
+        let fused = nb
+            .join(CommOutcome::producer1(owner(0, Anchor::Sink)))
+            .join(CommOutcome::collector(owner(0, Anchor::Source)));
+        assert_eq!(
+            fused.pattern,
+            CommPattern::PairWise {
+                dists: DistSet::neighbor(true, true)
+            }
+        );
+        assert_eq!(fused.pair_producers, vec![owner(0, Anchor::Sink)]);
+        assert_eq!(fused.collectors, vec![owner(0, Anchor::Source)]);
+        assert_eq!(fused.pair_fanin(), MAX_PAIR_FANIN);
+
+        // One more distinct spec of any kind is one too many.
+        let wider = fused
+            .clone()
+            .join(CommOutcome::collector(ProducerSpec::Master));
+        assert_eq!(wider.pattern, CommPattern::General);
+        assert_eq!(wider.failed, Some(RULE_FANIN));
+        // The same collector again is not.
+        let same = fused
+            .clone()
+            .join(CommOutcome::collector(owner(0, Anchor::Source)));
+        assert_eq!(same.collectors, fused.collectors);
+    }
+
+    /// Two distributed reductions into one scalar under one operator
+    /// are left out of the join and named; another operator, a
+    /// right-hand side that reads the scalar, or a master reduction
+    /// keeps the pair.
+    #[test]
+    fn same_operator_distributed_reductions_commute() {
+        use ir::RedOp::{Add, Max};
+        let build = |op1, op2, self_read: bool, master_first: bool| {
+            let mut pb = ProgramBuilder::new("reds");
+            let n = pb.sym("n");
+            let a = pb.array("A", &[sym(n)], dist_block());
+            let s = pb.scalar("s", 0.0);
+            if master_first {
+                pb.reduce(svar(s), op1, arr(a, [con(0)]));
+            } else {
+                let i = pb.begin_par("i", con(0), sym(n) - 1);
+                pb.reduce(svar(s), op1, arr(a, [idx(i)]));
+                pb.end();
+            }
+            let j = pb.begin_par("j", con(0), sym(n) - 1);
+            let rhs = arr(a, [idx(j)]);
+            pb.reduce(svar(s), op2, if self_read { rhs * sca(s) } else { rhs });
+            pb.end();
+            (pb.finish(), n)
+        };
+        let query = |(prog, n): (Program, ir::SymId)| {
+            let st = prog.all_statements();
+            let q = CommQuery::new(&prog, Bindings::new(4).set(n, 32));
+            q.comm_stmts_detailed(&st[0], &st[1], CommMode::LoopIndependent)
+        };
+        let out = query(build(Max, Max, false, false));
+        assert_eq!(out.pattern, CommPattern::NoComm);
+        assert_eq!(out.commuting.len(), 1);
+        assert_eq!(out.commuting[0].dep, DepKind::Output);
+        for (op1, op2, self_read, master_first) in [
+            (Add, Max, false, false),
+            (Max, Max, true, false),
+            (Max, Max, false, true),
+        ] {
+            let out = query(build(op1, op2, self_read, master_first));
+            assert_eq!(out.pattern, CommPattern::General, "{op1:?} {op2:?}");
+            assert!(out.commuting.is_empty());
+            assert_eq!(out.pin().unwrap().rule, RULE_SCALAR);
+        }
     }
 
     /// DistSet basics: insertion bounds, ordering, rendering.

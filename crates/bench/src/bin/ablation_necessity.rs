@@ -5,7 +5,9 @@
 //! fraction means the optimizer is not leaving easy eliminations on the
 //! table (the complement of the soundness tests, which check it never
 //! removes too much); an interior sync the validator proves removable is
-//! listed by name — it is implied by the syncs around it.
+//! listed by name — it is implied by the syncs around it. Collectors
+//! are stripped on their own as well, at the width where the suite has
+//! one.
 
 use interp::ScheduleOrder;
 use spmd_bench::{instance, Table};
@@ -73,5 +75,32 @@ fn main() {
     }
     if implied.is_empty() {
         println!("  none");
+    }
+
+    // No plan of the suite has a collector at four processors; at eight
+    // strip the gather alone — every post and every other wait stays.
+    println!("\nCollectors (P = 8, Test scale), the gather alone stripped:");
+    for def in suite::all() {
+        let (built, bind) = instance(&def, Scale::Test, 8);
+        let plan = spmd_opt::optimize(&built.prog, &bind);
+        for site in oracle::sites(&plan) {
+            let Some(stripped) = oracle::drop_collectors(&plan, site.index) else {
+                continue;
+            };
+            let diverged =
+                oracle::plan_diverges(&built.prog, &bind, &stripped, &orders, 1e-9).is_some();
+            let races = !oracle::validate(&built.prog, &bind, &stripped).is_race_free();
+            println!(
+                "  {}: {}: {}, {}",
+                def.name,
+                site.desc,
+                if diverged {
+                    "diverges"
+                } else {
+                    "no divergence"
+                },
+                if races { "races" } else { "race-free" }
+            );
+        }
     }
 }

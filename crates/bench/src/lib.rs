@@ -160,12 +160,13 @@ impl Table {
     }
 }
 
-/// Percentage reduction from `base` to `opt` (0 when base is 0).
+/// Percentage reduction from `base` to `opt` (0 when base is 0),
+/// negative when `opt` is the larger: an increase must print as one.
 pub fn pct_reduction(base: u64, opt: u64) -> f64 {
     if base == 0 {
         0.0
     } else {
-        100.0 * (base.saturating_sub(opt)) as f64 / base as f64
+        100.0 * (base as f64 - opt as f64) / base as f64
     }
 }
 
@@ -213,5 +214,6 @@ mod tests {
     fn pct_reduction_handles_zero() {
         assert_eq!(pct_reduction(0, 0), 0.0);
         assert_eq!(pct_reduction(100, 71), 29.0);
+        assert_eq!(pct_reduction(20, 21), -5.0);
     }
 }

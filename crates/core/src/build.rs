@@ -6,8 +6,8 @@ use crate::sites::{
     loop_after_label, loop_bottom_label, phase_after_label, region_end_label, SlotKind,
 };
 use analysis::{
-    loop_is_replicated, loop_partition, AnalysisConfig, AnalysisStats, Anchor, Bindings, CommMode,
-    CommOutcome, CommPattern, CommQuery, Pin, ProducerSpec,
+    loop_is_replicated, loop_partition, AccessPair, AnalysisConfig, AnalysisStats, Anchor,
+    Bindings, CommMode, CommOutcome, CommPattern, CommQuery, Pin, ProducerSpec,
 };
 use ir::{LhsRef, LoopKind, Node, NodeId, Program, StmtPath};
 
@@ -101,8 +101,14 @@ pub struct Decision {
     pub producer: Option<ProducerSpec>,
     /// What pins the barrier when the outcome was `General`.
     pub pin: Option<Pin>,
+    /// Same-operator reduction pairs the analysis left out of the
+    /// classification because their atomic flushes commute.
+    pub commuting: Vec<AccessPair>,
     /// The synchronization placed in the slot.
     pub placed: SyncOp,
+    /// For a loop-bottom barrier: left out of the loop's final trip,
+    /// where the barrier that follows the loop does the same job.
+    pub merged_last_trip: bool,
     /// Statements in the producing (earlier) group fed to the analysis.
     pub src_stmts: usize,
     /// Statements in the consuming (later) group fed to the analysis.
@@ -186,19 +192,37 @@ fn reason_for(
         (CommPattern::Producer1, _) if !opts.use_counters => {
             format!("barrier kept: counters disabled by ablation options, though {ev}")
         }
-        (CommPattern::PairWise { dists }, SyncOp::PairCounter { producers, .. }) => {
-            let prods = if producers.is_empty() {
-                String::new()
+        (
+            CommPattern::PairWise { dists },
+            SyncOp::PairCounter {
+                producers,
+                collectors,
+                ..
+            },
+        ) => {
+            let extra = |n: usize, what| match n {
+                0 => String::new(),
+                n => format!(" + {n} {what}(s)"),
+            };
+            let gather = if collectors.is_empty() {
+                ""
             } else {
-                format!(" + {} producer target(s)", producers.len())
+                "; the dependences left run into one processor per visit, the collector, which \
+                 alone reads every post — P-1 loads that stay outside the fan-in budget, being \
+                 the arrival half of the barrier replaced and no more"
             };
             format!(
-                "replaced with pairwise counters (distances {}{prods}): {ev}",
-                dists.render()
+                "replaced with pairwise counters (distances {}{}{}): {ev}{gather}",
+                dists.render(),
+                extra(producers.len(), "producer target"),
+                extra(collectors.len(), "collector")
             )
         }
         (CommPattern::PairWise { .. }, _) if !opts.use_pairwise => {
             format!("barrier kept: pairwise counters disabled by ablation options, though {ev}")
+        }
+        (CommPattern::PairWise { .. }, _) if !opts.use_counters => {
+            format!("barrier kept: collectors disabled with the counters they mirror, though {ev}")
         }
         (CommPattern::General, _) => match outcome.pin() {
             Some(pin) => format!("barrier kept, pinned by {}", pin_str(prog, &pin)),
@@ -262,10 +286,15 @@ impl<'p> Optimizer<'p> {
                 }
             }
             CommPattern::PairWise { dists } => {
-                if self.opts.use_pairwise {
+                // A collector is the counter rule's mirror image on the
+                // pairwise bank: it rides both switches.
+                if self.opts.use_pairwise
+                    && (self.opts.use_counters || outcome.collectors.is_empty())
+                {
                     SyncOp::PairCounter {
                         dists,
                         producers: outcome.pair_producers.clone(),
+                        collectors: outcome.collectors.clone(),
                     }
                 } else {
                     SyncOp::Barrier
@@ -351,6 +380,7 @@ impl<'p> Optimizer<'p> {
                         node,
                         body: sub.items,
                         bottom,
+                        merge_last: false,
                         after: SyncOp::None,
                     });
                     last_after = Some(Slot {
@@ -457,7 +487,9 @@ impl<'p> Optimizer<'p> {
             outcome: outcome.map(|o| o.pattern),
             producer: outcome.and_then(|o| o.producer.clone()),
             pin: outcome.and_then(CommOutcome::pin),
+            commuting: outcome.map_or(Vec::new(), |o| o.commuting.clone()),
             placed: placed.clone(),
+            merged_last_trip: false,
             src_stmts,
             dst_stmts,
             reason: reason_for(self.prog, outcome, &placed, &self.opts),
@@ -465,9 +497,50 @@ impl<'p> Optimizer<'p> {
         placed
     }
 
+    /// Mark the loops whose bottom barrier the next barrier makes
+    /// redundant on their final trip: the one in the loop's own `after`
+    /// slot, or — when the loop ends its level — the barrier that
+    /// `follows` the level (the enclosing loop's bottom, merged or not,
+    /// or the region end). Nothing runs between the two, so the plan
+    /// never executes more barriers than fork-join, which pays one per
+    /// parallel loop. `slot` is the site id of the level's first slot.
+    fn merge_last_trips(&mut self, items: &mut [RItem], follows: bool, mut slot: usize) {
+        let n = items.len();
+        for (k, it) in items.iter_mut().enumerate() {
+            let RItem::Seq {
+                body,
+                bottom,
+                merge_last,
+                after,
+                ..
+            } = it
+            else {
+                slot += 1;
+                continue;
+            };
+            let bottom_site = slot + crate::sites::slot_count_items(body);
+            self.merge_last_trips(body, bottom.is_barrier(), slot);
+            slot = bottom_site + 2;
+            let next_is_barrier = after.is_barrier() || (k + 1 == n && follows);
+            if bottom.is_barrier() && next_is_barrier {
+                *merge_last = true;
+                let d = self
+                    .log
+                    .iter_mut()
+                    .rfind(|d| d.site == bottom_site)
+                    .expect("every loop bottom is decided");
+                d.merged_last_trip = true;
+                d.reason
+                    .push_str("; on the last trip merged into the barrier that follows the loop");
+            }
+        }
+    }
+
     fn build_region(&mut self, nodes: &[NodeId]) -> Region {
         self.next_counter = 0;
-        let lr = self.schedule_level(nodes, &[]);
+        let first_slot = self.next_slot;
+        let mut lr = self.schedule_level(nodes, &[]);
+        self.merge_last_trips(&mut lr.items, true, first_slot);
         let end_id = self.next_slot;
         self.next_slot += 1;
         let region_ix = self.next_region;
@@ -479,7 +552,9 @@ impl<'p> Optimizer<'p> {
             outcome: None,
             producer: None,
             pin: None,
+            commuting: Vec::new(),
             placed: SyncOp::Barrier,
+            merged_last_trip: false,
             src_stmts: lr.residual.len(),
             dst_stmts: 0,
             reason: "barrier kept: region end is the fork-join join point — code after the \
@@ -745,6 +820,61 @@ mod tests {
         assert_eq!(st.eliminated, 1, "the inter-loop barrier is eliminated");
         let fj = fork_join(&prog, &bind).static_stats();
         assert_eq!(fj.barriers, 2);
+    }
+
+    /// `DO t { DOALL: B(i) = A(n-1-i); DOALL: A(j) = B(j) }`, then —
+    /// or not — one more phase: the reversal pins a barrier at the loop
+    /// bottom, whose last episode is the next barrier's job exactly
+    /// when one follows with no phase in between.
+    #[test]
+    fn last_trip_bottom_barrier_merges_into_the_barrier_that_follows() {
+        let build = |tail: bool| {
+            let mut pb = ProgramBuilder::new("reverse");
+            let n = pb.sym("n");
+            let a = pb.array("A", &[sym(n)], dist_block());
+            let b = pb.array("B", &[sym(n)], dist_block());
+            let _t = pb.begin_seq("t", con(0), con(2));
+            let i = pb.begin_par("i", con(0), sym(n) - 1);
+            pb.assign(elem(b, [idx(i)]), arr(a, [sym(n) - 1 - idx(i)]));
+            pb.end();
+            let j = pb.begin_par("j", con(0), sym(n) - 1);
+            pb.assign(elem(a, [idx(j)]), arr(b, [idx(j)]));
+            pb.end();
+            pb.end();
+            if tail {
+                // Aligned with the loop's last phase: no sync after the
+                // loop, so its last bottom barrier has work behind it.
+                let k = pb.begin_par("k", con(0), sym(n) - 1);
+                pb.assign(elem(b, [idx(k)]), arr(a, [idx(k)]) * ex(2.0));
+                pb.end();
+            }
+            (pb.finish(), n)
+        };
+        for tail in [false, true] {
+            let (prog, n) = build(tail);
+            let bind = Bindings::new(8).set(n, 64);
+            let (plan, log) = optimize_logged(&prog, &bind);
+            let TopItem::Region(region) = &plan.items[0] else {
+                panic!("expected region");
+            };
+            let RItem::Seq {
+                bottom, merge_last, ..
+            } = &region.items[0]
+            else {
+                panic!("expected seq loop inside region");
+            };
+            assert!(bottom.is_barrier());
+            assert_eq!(*merge_last, !tail);
+            let decided = log.iter().find(|d| d.kind == SlotKind::LoopBottom).unwrap();
+            assert_eq!(decided.merged_last_trip, !tail);
+            assert_eq!(decided.reason.contains("on the last trip merged"), !tail);
+            let text = crate::report::render_plan(&prog, &plan);
+            assert_eq!(
+                text.contains("-- BARRIER -- (merged into the next on the last trip)"),
+                !tail,
+                "{text}"
+            );
+        }
     }
 
     /// A serial statement between parallel loops is absorbed as a guarded

@@ -31,13 +31,17 @@ pub enum SyncOp {
     /// vectors: every processor posts its own per-pid cell, then waits
     /// only on the processors its wait targets name — `p - d` for each
     /// distance `d` in `dists`, plus each evaluable producer in
-    /// `producers`. Loop-carried placements pipeline into a wavefront
+    /// `producers`; a processor named by `collectors` waits on every
+    /// other cell. Loop-carried placements pipeline into a wavefront
     /// (processor `p` runs iteration `i` while `p - d` runs `i + 1`).
     PairCounter {
         /// Processor distances to wait on (consumer `q` waits on `q - d`).
         dists: DistSet,
         /// Additional identifiable-producer wait targets.
         producers: Vec<ProducerSpec>,
+        /// The processors that alone have to wait for everyone: a
+        /// gather — the arrival half of a barrier with no release half.
+        collectors: Vec<ProducerSpec>,
     },
 }
 
@@ -95,6 +99,12 @@ pub enum RItem {
         /// Per-iteration synchronization at the bottom of the loop
         /// (covers loop-carried communication).
         bottom: SyncOp,
+        /// The bottom barrier is left out of the final trip: a barrier
+        /// follows the loop with no phase in between (its `after`, else
+        /// the enclosing loop's bottom or the region end) and does the
+        /// same job. Decided when the plan is built; demoting or
+        /// deleting syncs later never sets it.
+        merge_last: bool,
         /// Synchronization after the loop completes.
         after: SyncOp,
     },
@@ -362,6 +372,7 @@ mod tests {
                             after: SyncOp::None,
                         })],
                         bottom: SyncOp::Barrier,
+                        merge_last: false,
                         after: SyncOp::None,
                     },
                 ],
@@ -406,6 +417,7 @@ mod tests {
                             id: 0,
                             producer: analysis::ProducerSpec::Master,
                         },
+                        merge_last: false,
                         after: SyncOp::None,
                     },
                 ],

@@ -20,15 +20,20 @@ fn sync_str(s: &SyncOp) -> Option<String> {
             Some(format!("-- neighbor post/wait ({dir}) --"))
         }
         SyncOp::Counter { id, .. } => Some(format!("-- counter #{id} incr/wait --")),
-        SyncOp::PairCounter { dists, producers } => {
-            let prods = if producers.is_empty() {
-                String::new()
-            } else {
-                format!(" + {} producer(s)", producers.len())
+        SyncOp::PairCounter {
+            dists,
+            producers,
+            collectors,
+        } => {
+            let extra = |n: usize, what| match n {
+                0 => String::new(),
+                n => format!(" + {n} {what}(s)"),
             };
             Some(format!(
-                "-- pairwise post/wait (dists {}{prods}) --",
-                dists.render()
+                "-- pairwise post/wait (dists {}{}{}) --",
+                dists.render(),
+                extra(producers.len(), "producer"),
+                extra(collectors.len(), "collector")
             ))
         }
     }
@@ -59,6 +64,7 @@ fn render_items(prog: &Program, items: &[RItem], indent: usize, out: &mut String
                 node,
                 body,
                 bottom,
+                merge_last,
                 after,
             } => {
                 let l = prog.expect_loop(*node);
@@ -72,7 +78,12 @@ fn render_items(prog: &Program, items: &[RItem], indent: usize, out: &mut String
                 .unwrap();
                 render_items(prog, body, indent + 1, out);
                 if let Some(s) = sync_str(bottom) {
-                    writeln!(out, "{pad}  {s}").unwrap();
+                    let merged = if *merge_last {
+                        " (merged into the next on the last trip)"
+                    } else {
+                        ""
+                    };
+                    writeln!(out, "{pad}  {s}{merged}").unwrap();
                 }
                 writeln!(out, "{pad}ENDDO").unwrap();
                 if let Some(s) = sync_str(after) {

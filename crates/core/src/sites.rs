@@ -134,6 +134,7 @@ fn walk_items(prog: &Program, items: &[RItem], next: &mut usize, out: &mut Vec<S
                 body,
                 bottom,
                 after,
+                ..
             } => {
                 walk_items(prog, body, next, out);
                 out.push(SyncSite {

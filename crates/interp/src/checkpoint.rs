@@ -53,7 +53,7 @@ impl Checkpoint {
         }
         let mut written = BTreeSet::new();
         for a in tracer.drain() {
-            if matches!(a.kind, AccessKind::Write | AccessKind::Reduce) {
+            if matches!(a.kind, AccessKind::Write | AccessKind::Reduce(_)) {
                 if let Target::Elem(arr, off) = a.target {
                     written.insert((arr, off));
                 }

@@ -49,17 +49,21 @@ pub enum SyncStep {
         producer: usize,
     },
     /// Pairwise per-pid cells: post, then wait on `pid - d` for every
-    /// distance and on every producer.
+    /// distance and on every producer — and, as a collector, on every
+    /// other processor.
     Pair {
         /// Processor distances to wait on.
         dists: DistSet,
         /// The identifiable-producer targets
         /// ([`Schedule::producers`]).
         producers: Producers,
+        /// The processors that wait for everyone
+        /// ([`Schedule::producers`]).
+        collectors: Producers,
     },
 }
 
-/// A run of resolved producer pids in a [`Schedule`].
+/// A run of resolved producer or collector pids in a [`Schedule`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Producers {
     start: u32,
@@ -121,9 +125,38 @@ impl Deref for Schedule {
 }
 
 impl Schedule {
-    /// The producer pids of a [`SyncStep::Pair`].
+    /// The producer or collector pids of a [`SyncStep::Pair`].
     pub fn producers(&self, p: Producers) -> &[usize] {
         &self.producers[p.start as usize..(p.start + p.len) as usize]
+    }
+
+    /// The processors `pid` waits on at a [`SyncStep::Pair`]:
+    /// `pid - d` for every distance in range, every other producer and,
+    /// when `pid` is a collector, everybody else. A processor named
+    /// twice is waited on twice, harmlessly.
+    pub fn pair_targets(
+        &self,
+        pid: usize,
+        dists: DistSet,
+        producers: Producers,
+        collectors: Producers,
+    ) -> impl Iterator<Item = usize> + '_ {
+        let nprocs = self.nprocs as usize;
+        let by_dist = dists
+            .iter()
+            .map(move |d| pid as i64 - d)
+            .filter(move |q| (0..nprocs as i64).contains(q))
+            .map(|q| q as usize);
+        let by_producer = self.producers(producers).iter().copied();
+        let as_collector = self
+            .producers(collectors)
+            .iter()
+            .filter(move |&&c| c == pid)
+            .flat_map(move |_| 0..nprocs);
+        by_dist
+            .chain(by_producer)
+            .chain(as_collector)
+            .filter(move |&q| q != pid)
     }
 
     /// Size of the counter bank the plan needs.
@@ -221,8 +254,9 @@ struct Unroller<'a> {
 
 impl Unroller<'_> {
     /// Run `body` once per iteration of the sequential loop at `node`,
-    /// with the iteration's frame current.
-    fn each_iteration(&mut self, node: NodeId, mut body: impl FnMut(&mut Self)) {
+    /// with the iteration's frame current, telling it whether the trip
+    /// is the loop's last.
+    fn each_iteration(&mut self, node: NodeId, mut body: impl FnMut(&mut Self, bool)) {
         let l = self.prog.expect_loop(node);
         let lo = eval_affine(self.bind, &self.env, &l.lo);
         let hi = eval_affine(self.bind, &self.env, &l.hi);
@@ -235,7 +269,7 @@ impl Unroller<'_> {
                 slot: l.id.0,
                 val: i,
             });
-            body(self);
+            body(self, i == hi);
         }
         self.env.clear(l.id);
         self.frame = outer;
@@ -266,6 +300,20 @@ impl Unroller<'_> {
         }
     }
 
+    /// The processors `specs` name under the current loop indices,
+    /// appended to the schedule's table.
+    fn resolve(&mut self, specs: &[ProducerSpec]) -> Producers {
+        let start = self.producers.len() as u32;
+        for spec in specs {
+            let pid = self.producer(spec);
+            self.producers.push(pid);
+        }
+        Producers {
+            start,
+            len: specs.len() as u32,
+        }
+    }
+
     fn sync(&mut self, op: &SyncOp, site: usize) {
         let op = match op {
             SyncOp::None => return,
@@ -281,20 +329,15 @@ impl Unroller<'_> {
                     producer: self.producer(producer),
                 }
             }
-            SyncOp::PairCounter { dists, producers } => {
-                let start = self.producers.len() as u32;
-                for spec in producers {
-                    let pid = self.producer(spec);
-                    self.producers.push(pid);
-                }
-                SyncStep::Pair {
-                    dists: *dists,
-                    producers: Producers {
-                        start,
-                        len: producers.len() as u32,
-                    },
-                }
-            }
+            SyncOp::PairCounter {
+                dists,
+                producers,
+                collectors,
+            } => SyncStep::Pair {
+                dists: *dists,
+                producers: self.resolve(producers),
+                collectors: self.resolve(collectors),
+            },
         };
         self.num_sites = self.num_sites.max(site + 1);
         self.events.push(Event::Sync {
@@ -319,7 +362,7 @@ impl Unroller<'_> {
                     });
                 }
                 TopItem::MasterLoop { node, body } => {
-                    self.each_iteration(*node, |u| {
+                    self.each_iteration(*node, |u, _| {
                         u.top(body, slot);
                     });
                     slot += slot_count_top(body);
@@ -353,12 +396,15 @@ impl Unroller<'_> {
                     node,
                     body,
                     bottom,
+                    merge_last,
                     after,
                 } => {
                     let bottom_site = slot + slot_count_items(body);
-                    self.each_iteration(*node, |u| {
+                    self.each_iteration(*node, |u, last| {
                         u.items(body, slot);
-                        u.sync(bottom, bottom_site);
+                        if !(*merge_last && last) {
+                            u.sync(bottom, bottom_site);
+                        }
                     });
                     self.sync(after, bottom_site + 1);
                     slot = bottom_site + 2;
@@ -413,7 +459,11 @@ impl DynCounts {
                         // on p-1, everyone but pid P-1 on p+1.
                         c.neighbor_waits += (p - 1) * (*fwd as u64 + *bwd as u64);
                     }
-                    SyncStep::Pair { dists, producers } => {
+                    SyncStep::Pair {
+                        dists,
+                        producers,
+                        collectors,
+                    } => {
                         c.pair_posts += p;
                         for d in dists.iter() {
                             // Every pid whose `pid - d` is a real
@@ -421,8 +471,9 @@ impl DynCounts {
                             c.pair_waits += (p as i64 - d.abs()).max(0) as u64;
                         }
                         // Producer-target waits: every pid except the
-                        // producer itself waits on it.
-                        c.pair_waits += producers.len as u64 * (p - 1);
+                        // producer itself waits on it; a collector
+                        // waits on every pid except itself.
+                        c.pair_waits += (producers.len + collectors.len) as u64 * (p - 1);
                     }
                 },
                 Event::Work { .. } => {}
@@ -462,12 +513,19 @@ pub fn render_events(prog: &Program, sched: &Schedule) -> String {
                     SyncStep::Barrier => "barrier".to_string(),
                     SyncStep::Neighbor { fwd, bwd } => format!("neighbor(fwd={fwd},bwd={bwd})"),
                     SyncStep::Counter { id, producer } => format!("counter#{id}<-P{producer}"),
-                    SyncStep::Pair { dists, producers } => {
-                        if producers.len == 0 {
-                            format!("pair{}", dists.render())
-                        } else {
-                            format!("pair{}+{}prod", dists.render(), producers.len)
+                    SyncStep::Pair {
+                        dists,
+                        producers,
+                        collectors,
+                    } => {
+                        let mut s = format!("pair{}", dists.render());
+                        if producers.len > 0 {
+                            s += &format!("+{}prod", producers.len);
                         }
+                        for c in sched.producers(collectors) {
+                            s += &format!("->P{c}");
+                        }
+                        s
                     }
                 };
                 writeln!(out, "{k:4}  sync s{site} {s}{}", env_str(frame)).unwrap()
@@ -526,6 +584,67 @@ mod tests {
         // 5 iterations × 2 parallel loops.
         assert_eq!(c.barriers, 10);
         assert_eq!(c.dispatches, 10);
+    }
+
+    /// `DO t { s = A(n-1) on the master; DOALL: A(i) += s }` over cyclic
+    /// `A`: at the loop bottom everyone waits for the master (it writes
+    /// `s`) and for both neighbors (the owner of `A(n-1)` is the
+    /// master's), and the master waits for everyone (it overwrites the
+    /// `s` they read). The last trip's bottom sync is not a barrier and
+    /// stays.
+    #[test]
+    fn collector_waits_on_every_other_cell() {
+        let mut pb = ProgramBuilder::new("guarded");
+        let n = pb.sym("n");
+        let a = pb.array("A", &[sym(n)], dist_cyclic());
+        let s = pb.scalar("s", 0.0);
+        let _t = pb.begin_seq("t", con(0), con(2));
+        pb.assign(svar(s), arr(a, [sym(n) - 1]));
+        let i = pb.begin_par("i", con(0), sym(n) - 1);
+        pb.assign(elem(a, [idx(i)]), arr(a, [idx(i)]) + sca(s));
+        pb.end();
+        pb.end();
+        let prog = pb.finish();
+        let bind = Bindings::new(4).set(n, 14);
+        let sched = unroll(&prog, &bind, &optimize(&prog, &bind));
+        let gathers: Vec<_> = sched
+            .iter()
+            .filter_map(|ev| match *ev {
+                Event::Sync {
+                    op:
+                        SyncStep::Pair {
+                            dists,
+                            producers,
+                            collectors,
+                        },
+                    ..
+                } if collectors.len > 0 => Some((dists, producers, collectors)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(gathers.len(), 3, "one per trip");
+        let (dists, producers, collectors) = gathers[0];
+        assert_eq!(dists.iter().collect::<Vec<_>>(), [-1, 1]);
+        assert_eq!(sched.producers(producers), [0]);
+        assert_eq!(sched.producers(collectors), [0]);
+        let targets = |pid| -> Vec<usize> {
+            sched
+                .pair_targets(pid, dists, producers, collectors)
+                .collect()
+        };
+        assert_eq!(targets(0), [1, 1, 2, 3]);
+        assert_eq!(targets(1), [2, 0, 0]);
+        assert_eq!(targets(3), [2, 0]);
+        // What the counts say is what the targets add up to.
+        let waits: usize = (0..4).map(|pid| targets(pid).len()).sum();
+        let site = |ev: &Event| matches!(ev, Event::Sync { op: SyncStep::Pair { collectors, .. }, .. } if collectors.len > 0);
+        let bottoms: Vec<Event> = sched.iter().copied().filter(site).collect();
+        assert_eq!(
+            DynCounts::from_events(&bottoms, 4).pair_waits,
+            3 * waits as u64
+        );
+        assert_eq!(DynCounts::from_events(&sched, 4).barriers, 1);
+        assert!(render_events(&prog, &sched).contains("pair{-1,+1}+1prod->P0"));
     }
 
     #[test]

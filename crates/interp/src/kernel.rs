@@ -884,7 +884,7 @@ impl<'a> Worker<'a> {
         for &t in &self.touched {
             let (s, op) = self.cx.code.partials[t as usize];
             if TRACE {
-                self.cx.trace(Target::Scalar(s), AccessKind::Reduce);
+                self.cx.trace(Target::Scalar(s), AccessKind::Reduce(op));
             }
             self.cx.mem.reduce_scalar(s, op, self.partials[t as usize]);
         }

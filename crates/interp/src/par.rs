@@ -654,28 +654,28 @@ pub fn run_parallel_observed_on(
                                 };
                                 (SyncKind::Counter, r)
                             }
-                            SyncStep::Pair { dists, producers } => {
+                            SyncStep::Pair {
+                                dists,
+                                producers,
+                                collectors,
+                            } => {
                                 // Every processor posts its own cell
                                 // (the traversal is replicated, so
                                 // per-pid post counts stay aligned),
                                 // then waits only on the cells its
-                                // distance/producer targets name.
+                                // distance/producer targets name — on
+                                // all of them as a collector.
                                 if !dropped {
                                     pairs2.post(pid);
                                     tally.posts += 1;
                                 }
                                 pposts += 1;
                                 claimed2[pid].store(nposts + pposts, Ordering::Relaxed);
-                                let by_dist = dists.iter().map(|d| pid as isize - d as isize);
-                                let by_producer = events2
-                                    .producers(producers)
-                                    .iter()
-                                    .filter(|&&prod| prod != pid)
-                                    .map(|&prod| prod as isize);
-                                let r = by_dist
-                                    .filter(|&q| in_team(q))
-                                    .chain(by_producer)
-                                    .try_for_each(|q| tally.waited(at.pair(&pairs2, q, pposts)));
+                                let r = events2
+                                    .pair_targets(pid, dists, producers, collectors)
+                                    .try_for_each(|q| {
+                                        tally.waited(at.pair(&pairs2, q as isize, pposts))
+                                    });
                                 (SyncKind::Pairwise, r)
                             }
                         };
@@ -876,7 +876,8 @@ mod tests {
     }
 
     /// A master-updated scalar every processor then reads: the
-    /// optimizer places a counter.
+    /// optimizer places a counter — and at the loop bottom, where the
+    /// master alone overwrites what everybody read, a collector.
     fn scale(n_val: i64, steps: i64, nprocs: i64) -> (Arc<Program>, Arc<Bindings>) {
         let mut pb = ProgramBuilder::new("scale");
         let n = pb.sym("n");
@@ -942,6 +943,10 @@ mod tests {
             assert_eq!(s.pairwise_waits, c.pair_waits);
             mechanisms.merge(s);
         }
+        // `scale`'s loop bottom is a gather at the master: a collector's
+        // waits are counted like any other pairwise wait.
+        let (prog, bind) = scale(32, 6, 4);
+        assert_eq!(optimize(&prog, &bind).static_stats().pair_syncs, 1);
         // Each mechanism really ran, both sides.
         let m = mechanisms;
         for n in [m.barrier_episodes, m.counter_increments, m.counter_waits] {

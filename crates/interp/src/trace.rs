@@ -16,7 +16,7 @@
 //! against a scratch memory in any convenient order and the recorded
 //! access sets are exactly those of a real execution.
 
-use ir::{ArrayId, ScalarId};
+use ir::{ArrayId, RedOp, ScalarId};
 use std::sync::Mutex;
 
 /// How a cell was touched.
@@ -26,9 +26,10 @@ pub enum AccessKind {
     Read,
     /// Plain store (or the store half of a non-atomic read-modify-write).
     Write,
-    /// Atomic commutative reduction update (compatible with other
-    /// reductions on the same cell, conflicting with everything else).
-    Reduce,
+    /// Atomic reduction update under the given operator (commutes with
+    /// other such updates of the same cell under the same operator,
+    /// conflicts with everything else).
+    Reduce(RedOp),
 }
 
 /// A traced memory cell.

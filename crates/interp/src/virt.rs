@@ -55,18 +55,15 @@ fn can_advance(events: &Schedule, ptrs: &[usize], pid: usize) -> bool {
                 fwd_ok && bwd_ok
             }
             SyncStep::Counter { producer, .. } => pid == producer || ptrs[producer] > i,
-            SyncStep::Pair { dists, producers } => {
-                // Crossable once every in-range distance target and
-                // every (non-self) producer target has reached this
-                // site — exactly the wavefront release condition.
-                dists.iter().all(|d| {
-                    let target = pid as i64 - d;
-                    target < 0 || target >= nprocs as i64 || ptrs[target as usize] >= i
-                }) && events
-                    .producers(producers)
-                    .iter()
-                    .all(|&prod| prod == pid || ptrs[prod] >= i)
-            }
+            // Crossable once every processor waited on has reached this
+            // site — exactly the wavefront release condition.
+            SyncStep::Pair {
+                dists,
+                producers,
+                collectors,
+            } => events
+                .pair_targets(pid, dists, producers, collectors)
+                .all(|q| ptrs[q] >= i),
         },
     }
 }

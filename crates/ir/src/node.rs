@@ -18,7 +18,7 @@ pub enum LoopKind {
 }
 
 /// Reduction operators for accumulating assignments.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum RedOp {
     /// `lhs = lhs + rhs`
     Add,

@@ -9,12 +9,14 @@
 //! so two runs over the same program produce byte-identical documents.
 
 use crate::json::Json;
-use analysis::{AnalysisStats, Anchor, CommPattern, OwnerMap, ProducerSpec};
+use analysis::{AccessPair, AnalysisStats, Anchor, CommPattern, OwnerMap, ProducerSpec};
 use ir::Program;
 use spmd_opt::{sync_sites, Decision, SpmdProgram, SyncOp};
 
-/// Render a producer spec with the program's symbol names.
-pub fn producer_str(prog: &Program, p: &ProducerSpec) -> String {
+/// Render a producer or collector spec with the program's symbol
+/// names; `far` is the anchor that takes the subscript from the other
+/// statement of the dependence, and is spelled out.
+fn spec_str(prog: &Program, p: &ProducerSpec, far: Anchor) -> String {
     let ProducerSpec::Owner { map, sub, anchor } = p else {
         return "master (processor 0)".to_string();
     };
@@ -24,13 +26,51 @@ pub fn producer_str(prog: &Program, p: &ProducerSpec) -> String {
         OwnerMap::Cyclic => format!("cyclic owner of [{sub}]"),
         OwnerMap::BlockCyclic(block) => format!("block-cyclic owner of [{sub}] (block {block})"),
     };
-    match anchor {
-        Anchor::Source => owner,
+    match far {
+        _ if *anchor != far => owner,
+        Anchor::Source => format!("{owner} (source-anchored)"),
         Anchor::Sink => format!("{owner} (sink-anchored)"),
     }
 }
 
-fn sync_json(op: &SyncOp) -> Json {
+/// Render a producer spec with the program's symbol names.
+pub fn producer_str(prog: &Program, p: &ProducerSpec) -> String {
+    spec_str(prog, p, Anchor::Sink)
+}
+
+/// Render a collector spec with the program's symbol names.
+fn collector_str(prog: &Program, p: &ProducerSpec) -> String {
+    spec_str(prog, p, Anchor::Source)
+}
+
+/// The collectors of a placed sync (none unless it is pairwise).
+fn collectors_of(op: &SyncOp) -> &[ProducerSpec] {
+    match op {
+        SyncOp::PairCounter { collectors, .. } => collectors,
+        _ => &[],
+    }
+}
+
+/// `MAX reductions into rmax commute (statements n30, n30)`.
+fn commuting_str(prog: &Program, pair: &AccessPair) -> String {
+    let op = prog
+        .node(pair.src)
+        .as_assign()
+        .and_then(|a| a.reduction)
+        .map_or("same-operator", |op| match op {
+            ir::RedOp::Add => "SUM",
+            ir::RedOp::Max => "MAX",
+            ir::RedOp::Min => "MIN",
+        });
+    format!(
+        "{op} reductions into {} commute (statements n{}, n{})",
+        pair.storage.name(prog),
+        pair.src.0,
+        pair.dst.0
+    )
+}
+
+fn sync_json(prog: &Program, op: &SyncOp) -> Json {
     match op {
         SyncOp::None => Json::obj().set("kind", "none"),
         SyncOp::Barrier => Json::obj().set("kind", "barrier"),
@@ -39,10 +79,21 @@ fn sync_json(op: &SyncOp) -> Json {
             .set("fwd", *fwd)
             .set("bwd", *bwd),
         SyncOp::Counter { id, .. } => Json::obj().set("kind", "counter").set("id", *id),
-        SyncOp::PairCounter { dists, producers } => Json::obj()
-            .set("kind", "pair-counter")
-            .set("dists", dists.render())
-            .set("producers", producers.len()),
+        SyncOp::PairCounter {
+            dists,
+            producers,
+            collectors,
+        } => {
+            let j = Json::obj()
+                .set("kind", "pair-counter")
+                .set("dists", dists.render())
+                .set("producers", producers.len());
+            if collectors.is_empty() {
+                return j;
+            }
+            let names = collectors.iter().map(|c| collector_str(prog, c).into());
+            j.set("collectors", Json::Arr(names.collect()))
+        }
     }
 }
 
@@ -60,6 +111,10 @@ fn analysis_json(prog: &Program, d: &Decision) -> Json {
     if let Some(p) = &d.producer {
         j = j.set("producer", producer_str(prog, p));
     }
+    if !d.commuting.is_empty() {
+        let names = d.commuting.iter().map(|c| commuting_str(prog, c).into());
+        j = j.set("commuting", Json::Arr(names.collect()));
+    }
     if let Some(pin) = &d.pin {
         let storage = pin.pair.storage;
         j = j.set(
@@ -76,7 +131,7 @@ fn analysis_json(prog: &Program, d: &Decision) -> Json {
 }
 
 fn decision_json(prog: &Program, d: &Decision) -> Json {
-    Json::obj()
+    let j = Json::obj()
         .set("site", d.site)
         .set("slot", d.kind.as_str())
         .set("label", d.label.as_str())
@@ -84,8 +139,13 @@ fn decision_json(prog: &Program, d: &Decision) -> Json {
         .set("src_stmts", d.src_stmts)
         .set("dst_stmts", d.dst_stmts)
         .set("placed", d.placed_str())
-        .set("sync", sync_json(&d.placed))
-        .set("reason", d.reason.as_str())
+        .set("sync", sync_json(prog, &d.placed))
+        .set("reason", d.reason.as_str());
+    if d.merged_last_trip {
+        j.set("merged_last_trip", true)
+    } else {
+        j
+    }
 }
 
 /// The explain document: program identity, the optimizer's decisions
@@ -117,7 +177,7 @@ pub fn explain_json(
                 .set("site", s.id)
                 .set("slot", s.kind.as_str())
                 .set("label", s.label.as_str())
-                .set("sync", sync_json(&s.op))
+                .set("sync", sync_json(prog, &s.op))
         })
         .collect();
     Json::obj()
@@ -150,13 +210,20 @@ pub fn render_decisions(prog: &Program, decisions: &[Decision]) -> String {
         ));
         if let Some(pat) = d.outcome {
             out.push_str(&format!(
-                "     analysis: {} over {} x {} statement pair(s)\n",
+                "     analysis: {} over {} x {} statement pair(s)",
                 pat.as_str(),
                 d.src_stmts,
                 d.dst_stmts
             ));
+            for c in &d.commuting {
+                out.push_str(&format!("; {}", commuting_str(prog, c)));
+            }
+            out.push('\n');
             if let Some(p) = &d.producer {
                 out.push_str(&format!("     producer: {}\n", producer_str(prog, p)));
+            }
+            for c in collectors_of(&d.placed) {
+                out.push_str(&format!("     collector: {}\n", collector_str(prog, c)));
             }
         }
         out.push_str(&format!("     why: {}\n", d.reason));
@@ -263,6 +330,52 @@ mod tests {
             assert!(text.contains(&d.label), "missing {}", d.label);
             assert!(text.contains(&d.reason));
         }
+    }
+
+    /// A collector is named at its site, in text and in JSON, and a
+    /// reduction pair the analysis skipped is named in the analysis
+    /// line of every slot that saw it.
+    #[test]
+    fn collectors_and_commuting_reductions_are_named() {
+        let mut pb = ProgramBuilder::new("gather");
+        let n = pb.sym("n");
+        let a = pb.array("A", &[sym(n)], dist_block());
+        let s = pb.scalar("s", 1.0);
+        let m = pb.scalar("m", 0.0);
+        let _t = pb.begin_seq("t", con(0), con(3));
+        pb.assign(svar(s), sca(s) * ex(0.5));
+        let j = pb.begin_par("j", con(0), sym(n) - 1);
+        pb.assign(elem(a, [idx(j)]), sca(s) + arr(a, [idx(j)]));
+        pb.reduce(svar(m), ir::RedOp::Max, arr(a, [idx(j)]));
+        pb.end();
+        pb.end();
+        let prog = pb.finish();
+        let bind = Bindings::new(4).set(n, 32);
+        let (plan, log) = optimize_logged(&prog, &bind);
+        let text = render_decisions(&prog, &log);
+        assert!(
+            text.contains("     collector: master (processor 0)\n"),
+            "{text}"
+        );
+        assert!(text.contains("outside the fan-in budget"), "{text}");
+        assert!(
+            text.contains("; MAX reductions into m commute (statements n2, n2)\n"),
+            "{text}"
+        );
+        let doc = explain_json(&prog, 4, &plan, &fork_join(&prog, &bind), &log);
+        let bottom = doc
+            .get("decisions")
+            .unwrap()
+            .as_arr()
+            .unwrap()
+            .iter()
+            .find(|d| d.get("slot").unwrap().as_str() == Some("loop-bottom"))
+            .unwrap();
+        let sync = bottom.get("sync").unwrap();
+        let collectors = sync.get("collectors").unwrap().as_arr().unwrap();
+        assert_eq!(collectors[0].as_str(), Some("master (processor 0)"));
+        let commuting = bottom.get("analysis").unwrap().get("commuting").unwrap();
+        assert_eq!(commuting.as_arr().unwrap().len(), 1);
     }
 
     /// Cache counters live in their own human-readable footer — and the

@@ -803,7 +803,9 @@ mod tests {
             outcome: None,
             producer: None,
             pin: None,
+            commuting: Vec::new(),
             placed,
+            merged_last_trip: false,
             src_stmts: 1,
             dst_stmts: 1,
             reason: "test".into(),

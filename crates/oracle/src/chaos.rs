@@ -196,7 +196,7 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
     // site, and the overall-last neighbor / barrier events.
     let mut counters = Vec::<(usize, u64, usize)>::new();
     let mut last_neighbor: Option<(usize, u64, bool, bool)> = None;
-    let mut last_pair: Option<(usize, u64, analysis::DistSet, Vec<usize>)> = None;
+    let mut last_pair: Option<(usize, u64, SyncStep)> = None;
     let mut last_barrier: Option<(usize, u64)> = None;
     for ev in events.iter() {
         if let Event::Sync { op, site, .. } = *ev {
@@ -212,9 +212,7 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
                     }
                 }
                 SyncStep::Neighbor { fwd, bwd } => last_neighbor = Some((site, this, fwd, bwd)),
-                SyncStep::Pair { dists, producers } => {
-                    last_pair = Some((site, this, dists, events.producers(producers).to_vec()));
-                }
+                SyncStep::Pair { .. } => last_pair = Some((site, this, op)),
                 SyncStep::Barrier => last_barrier = Some((site, this)),
             }
         }
@@ -251,21 +249,39 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
             });
         }
     }
-    if let Some((site, from_visit, dists, prods)) = last_pair {
+    if let Some((
+        site,
+        from_visit,
+        SyncStep::Pair {
+            dists,
+            producers,
+            collectors,
+        },
+    )) = last_pair
+    {
+        let (prods, colls) = (events.producers(producers), events.producers(collectors));
         // A positive distance d means pid d waits on P0's cell, so P0's
         // final post is awaited; with only negative distances the last
         // processor's post is (pid nprocs-1+d waits on it). Producer
-        // targets are awaited by every other processor.
+        // targets are awaited by every other processor, and a collector
+        // awaits everybody: the highest pid not listed yet that is not
+        // itself one stands for the posts only a collector reads.
         let mut pids: Vec<usize> = Vec::new();
         if dists.iter().any(|d| d > 0 && d < nprocs) {
             pids.push(0);
         } else if dists.iter().any(|d| d < 0 && -d < nprocs) {
             pids.push(nprocs as usize - 1);
         }
-        for prod in prods {
+        for &prod in prods {
             if !pids.contains(&prod) {
                 pids.push(prod);
             }
+        }
+        if !colls.is_empty() {
+            let gathered = (0..nprocs as usize)
+                .rev()
+                .find(|p| !colls.contains(p) && !pids.contains(p));
+            pids.extend(gathered);
         }
         for pid in pids {
             out.push(DropCandidate {

@@ -14,15 +14,17 @@
 //! synchronization), privatizable work storage (replicated phases), and
 //! guarded serial code. Shape and parameters are drawn from a
 //! `xoshiro`-seeded RNG, so `generate(seed)` is reproducible across
-//! runs and platforms. Two more shapes aim at the producer rules and
-//! are only drawn on request ([`generate_shape`]), so the programs
-//! `generate` returns for a seed never change: broadcasts whose one
-//! producer is named from the reader's side, and a broadcast out of a
-//! loop nested inside the sync site's scope, where no producer may be
-//! named at all.
+//! runs and platforms. Four more shapes aim at the producer, collector
+//! and reduction rules and are only drawn on request
+//! ([`generate_shape`]), so the programs `generate` returns for a seed
+//! never change: broadcasts whose one producer is named from the
+//! reader's side, a broadcast out of a loop nested inside the sync
+//! site's scope, where no producer may be named at all, gathers whose
+//! one waiting processor is named from the reader's side, and chains
+//! of reductions into one scalar.
 
 use ir::build::*;
-use ir::{Program, RedOp, SymId};
+use ir::{Affine, LoopId, Program, RedOp, SymId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -56,6 +58,17 @@ pub enum Shape {
     /// at the sync site, so the barrier has to stay. Not drawn by
     /// [`generate`].
     NestedBroadcast,
+    /// Everybody reads one owner's element or row, and that owner —
+    /// like every owner — then overwrites it, between the phases or
+    /// across the loop bottom (source-anchored collector): block,
+    /// cyclic or block-cyclic, the subscript a constant or a function
+    /// of the step, sizes off the processor count, trip counts from 0.
+    /// Not drawn by [`generate`].
+    GatherAnti,
+    /// Reductions into one shared scalar back to back: one operator
+    /// (the flushes commute) or two, a use of the running value or a
+    /// master-guarded reduction in between. Not drawn by [`generate`].
+    ReduceChain,
 }
 
 /// The shapes [`generate`] draws from.
@@ -70,7 +83,7 @@ const SHAPES: [Shape; 6] = [
 
 impl Shape {
     /// Every shape, the on-request ones last.
-    pub const ALL: [Shape; 8] = [
+    pub const ALL: [Shape; 10] = [
         Shape::AlignedChain,
         Shape::Stencil,
         Shape::Pipeline,
@@ -79,6 +92,8 @@ impl Shape {
         Shape::GuardedSerial,
         Shape::SinkBroadcast,
         Shape::NestedBroadcast,
+        Shape::GatherAnti,
+        Shape::ReduceChain,
     ];
 
     /// Command-line name (`beoracle fuzz --shapes`).
@@ -92,6 +107,8 @@ impl Shape {
             Shape::GuardedSerial => "guarded-serial",
             Shape::SinkBroadcast => "sink-broadcast",
             Shape::NestedBroadcast => "nested-broadcast",
+            Shape::GatherAnti => "gather-anti",
+            Shape::ReduceChain => "reduce-chain",
         }
     }
 }
@@ -149,6 +166,8 @@ fn build(shape: Shape, seed: u64, rng: &mut StdRng) -> GenProgram {
         Shape::GuardedSerial => guarded_serial(rng),
         Shape::SinkBroadcast => sink_broadcast(rng),
         Shape::NestedBroadcast => nested_broadcast(rng),
+        Shape::GatherAnti => gather_anti(rng),
+        Shape::ReduceChain => reduce_chain(rng),
     };
     GenProgram {
         prog,
@@ -552,6 +571,145 @@ pub fn nested_broadcast_program(dist: DistSpec, ca: f64, cb: f64) -> (Program, S
     (pb.finish(), n, t)
 }
 
+/// A gather phase (every processor reads element or row `pick(k)` of
+/// `A` into its own part of `B`) and an overwrite phase (every owner
+/// rewrites its part of `A`) per step, in either order: gather first,
+/// the anti dependence with one sink sits between the phases and the
+/// broadcast of the next element at the loop bottom; overwrite first,
+/// the other way round. `pick` is a constant, `k` or `n - 1 - k`.
+fn gather_anti(rng: &mut StdRng) -> (Program, Vec<(SymId, i64)>) {
+    let nv = rng.gen_range(9..=23);
+    let steps = if rng.gen_bool(0.4) {
+        rng.gen_range(0..=2)
+    } else {
+        rng.gen_range(3..=8)
+    };
+    let rows = rng.gen_bool(0.5);
+    let overwrite_first = rng.gen_bool(0.5);
+    let mut pb = ProgramBuilder::new("gen_gather_anti");
+    let n = pb.sym("n");
+    let m = pb.sym("steps");
+    let extents = if rows {
+        vec![sym(n), sym(n)]
+    } else {
+        vec![sym(n)]
+    };
+    let dist = any_dist(rng, 0);
+    let a = pb.array("A", &extents, dist);
+    let b = pb.array("B", &extents, dist);
+    // Subscripts of row (or element) `r`, column `c`.
+    let at = |r: Affine, c: Option<LoopId>| -> Vec<Affine> {
+        std::iter::once(r).chain(c.map(idx)).collect()
+    };
+    // The column loop of the row form.
+    let begin_cols =
+        |pb: &mut ProgramBuilder, name: &str| rows.then(|| pb.begin_seq(name, con(0), sym(n) - 1));
+    let end_cols = |pb: &mut ProgramBuilder| {
+        if rows {
+            pb.end();
+        }
+    };
+
+    let c0 = rng.gen_range(1..=5);
+    let i0 = pb.begin_par("i0", con(0), sym(n) - 1);
+    let j0 = begin_cols(&mut pb, "j0");
+    let seed = idx(i0) * c0 + j0.map_or(con(1), idx);
+    pb.assign(elem(a, at(idx(i0), j0)), ival(seed.clone()).sin());
+    pb.assign(elem(b, at(idx(i0), j0)), ival(seed + 2).cos());
+    end_cols(&mut pb);
+    pb.end();
+
+    let fixed = rng.gen_range(0..nv);
+    let which = rng.gen_range(0..3);
+    let (cb, cg, ca) = (coeff(rng), coeff(rng), coeff(rng));
+    let k = pb.begin_seq("k", con(0), sym(m) - 1);
+    let pick = match which {
+        0 => con(fixed),
+        1 => idx(k),
+        _ => sym(n) - 1 - idx(k),
+    };
+    for gather in [!overwrite_first, overwrite_first] {
+        let i = pb.begin_par(if gather { "i" } else { "j" }, con(0), sym(n) - 1);
+        let c = begin_cols(&mut pb, if gather { "ic" } else { "jc" });
+        if gather {
+            pb.assign(
+                elem(b, at(idx(i), c)),
+                arr(b, at(idx(i), c)) * ex(0.25 * cb) + arr(a, at(pick.clone(), c)) * ex(cg),
+            );
+        } else {
+            pb.assign(
+                elem(a, at(idx(i), c)),
+                arr(b, at(idx(i), c)) * ex(0.5 * ca) + ival(idx(i) + idx(k)).sin(),
+            );
+        }
+        end_cols(&mut pb);
+        pb.end();
+    }
+    pb.end(); // k
+    (pb.finish(), vec![(n, nv), (m, steps)])
+}
+
+/// `DO t { DOALL: s = op1(s, A(i)); [use | master reduction];
+/// DOALL: s = op2(s, B(j)); DOALL: A, B change }` and a final use of
+/// `s`. Every value is a small integer, so sums are exact in whatever
+/// order the processors flush their partials.
+fn reduce_chain(rng: &mut StdRng) -> (Program, Vec<(SymId, i64)>) {
+    const OPS: [RedOp; 3] = [RedOp::Add, RedOp::Max, RedOp::Min];
+    let nv = rng.gen_range(9..=23);
+    let steps = rng.gen_range(0..=3);
+    let op1 = OPS[rng.gen_range(0..3)];
+    let op2 = if rng.gen_bool(0.5) {
+        op1
+    } else {
+        OPS[rng.gen_range(0..3)]
+    };
+    let between = rng.gen_range(0..3);
+    let mut pb = ProgramBuilder::new("gen_reduce_chain");
+    let n = pb.sym("n");
+    let m = pb.sym("steps");
+    let dist = any_dist(rng, 0);
+    let a = pb.array("A", &[sym(n)], dist);
+    let b = pb.array("B", &[sym(n)], dist);
+    let c = pb.array("C", &[sym(n)], dist);
+    let s = pb.scalar("s", 0.0);
+
+    let c0 = rng.gen_range(1..=6);
+    let i0 = pb.begin_par("i0", con(0), sym(n) - 1);
+    pb.assign(elem(a, [idx(i0)]), ival(idx(i0) * c0 + 3));
+    pb.assign(elem(b, [idx(i0)]), ival(sym(n) - idx(i0) * 2));
+    pb.assign(elem(c, [idx(i0)]), ival(idx(i0)));
+    pb.end();
+
+    let t = pb.begin_seq("t", con(0), sym(m) - 1);
+    let i = pb.begin_par("i", con(0), sym(n) - 1);
+    pb.reduce(svar(s), op1, arr(a, [idx(i)]));
+    pb.end();
+    match between {
+        0 => {}
+        1 => {
+            let u = pb.begin_par("u", con(0), sym(n) - 1);
+            pb.assign(elem(c, [idx(u)]), arr(c, [idx(u)]) + sca(s));
+            pb.end();
+        }
+        _ => {
+            pb.reduce(svar(s), OPS[rng.gen_range(0..3)], arr(a, [con(0)]));
+        }
+    }
+    let j = pb.begin_par("j", con(0), sym(n) - 1);
+    pb.reduce(svar(s), op2, arr(b, [idx(j)]));
+    pb.end();
+    let w = pb.begin_par("w", con(0), sym(n) - 1);
+    pb.assign(elem(a, [idx(w)]), arr(a, [idx(w)]) + ival(idx(t) + 1));
+    pb.assign(elem(b, [idx(w)]), arr(b, [idx(w)]) - ex(1.0));
+    pb.end();
+    pb.end(); // t
+
+    let z = pb.begin_par("z", con(0), sym(n) - 1);
+    pb.assign(elem(c, [idx(z)]), arr(c, [idx(z)]) + sca(s));
+    pb.end();
+    (pb.finish(), vec![(n, nv), (m, steps)])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -602,9 +760,36 @@ mod tests {
         assert_eq!(trips.into_iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
     }
 
+    /// The consumer-side shapes reach the rules they are for within a
+    /// few seeds: most gathers get a collector at eight processors (not
+    /// the zero-trip ones), and the reduction chains come both with a
+    /// commuting pair and without.
+    #[test]
+    fn gather_and_reduce_shapes_reach_their_rules() {
+        let (mut gathered, mut commuting) = (0, 0);
+        for seed in 0..32 {
+            let g = generate_shape(Shape::GatherAnti, seed);
+            let (_, log) = spmd_opt::optimize_logged(&g.prog, &g.bindings(8));
+            gathered += log.iter().any(|d| {
+                matches!(&d.placed, spmd_opt::SyncOp::PairCounter { collectors, .. }
+                    if !collectors.is_empty())
+            }) as usize;
+            let g = generate_shape(Shape::ReduceChain, seed);
+            let (_, log) = spmd_opt::optimize_logged(&g.prog, &g.bindings(8));
+            commuting += log.iter().any(|d| !d.commuting.is_empty()) as usize;
+        }
+        assert!(gathered >= 20, "{gathered} of 32 gathers have a collector");
+        assert!((6..=26).contains(&commuting), "{commuting} of 32 chains");
+    }
+
     #[test]
     fn generated_doalls_carry_no_dependence() {
-        for shape in [Shape::SinkBroadcast, Shape::NestedBroadcast] {
+        for shape in [
+            Shape::SinkBroadcast,
+            Shape::NestedBroadcast,
+            Shape::GatherAnti,
+            Shape::ReduceChain,
+        ] {
             for seed in 0..8 {
                 let g = generate_shape(shape, seed);
                 for p in [3, 8] {

@@ -5,12 +5,13 @@
 //! `after`, a sequential loop's `bottom` and `after`, and a region's
 //! `end`. The mutator enumerates every non-`None` slot in a
 //! deterministic walk order and produces, for each, a copy of the plan
-//! with exactly that slot erased. The teeth driver then checks each
-//! mutant two ways — statically with the race validator and
-//! dynamically with the differential oracle under adversarial
-//! interleavings — so tests can assert that the validator is at least
-//! as sensitive as observed divergence, and that deleting any interior
-//! sync op is flagged.
+//! with exactly that slot erased — and, for a pairwise sync with
+//! collectors, a second copy in which everyone still posts but nobody
+//! gathers. The teeth driver then checks each mutant two ways —
+//! statically with the race validator and dynamically with the
+//! differential oracle under adversarial interleavings — so tests can
+//! assert that the validator is at least as sensitive as observed
+//! divergence, and that deleting any interior sync op is flagged.
 
 use crate::diff::plan_diverges;
 use crate::validate::validate;
@@ -60,6 +61,7 @@ fn visit_items(
                 body,
                 bottom,
                 after,
+                ..
             } => {
                 let n = node.0;
                 visit_items(body, k, f);
@@ -114,17 +116,38 @@ pub fn sites(plan: &SpmdProgram) -> Vec<MutationSite> {
     out
 }
 
-/// A copy of the plan with the sync slot at walk position `index`
-/// erased to [`SyncOp::None`].
-pub fn delete(plan: &SpmdProgram, index: usize) -> SpmdProgram {
+/// A copy of the plan with `change` applied to the sync slot at walk
+/// position `index`.
+fn mutated(plan: &SpmdProgram, index: usize, mut change: impl FnMut(&mut SyncOp)) -> SpmdProgram {
     let mut mutant = plan.clone();
     let mut k = 0usize;
     visit_top(&mut mutant.items, &mut k, &mut |i, _, _, op| {
         if i == index {
-            *op = SyncOp::None;
+            change(op);
         }
     });
     mutant
+}
+
+/// A copy of the plan with the sync slot at walk position `index`
+/// erased to [`SyncOp::None`].
+pub fn delete(plan: &SpmdProgram, index: usize) -> SpmdProgram {
+    mutated(plan, index, |op| *op = SyncOp::None)
+}
+
+/// A copy of the plan whose pairwise sync at walk position `index` has
+/// lost its collectors: every post and every distance and producer
+/// wait stays, but nobody waits for everyone any more. `None` when the
+/// slot holds no collector.
+pub fn drop_collectors(plan: &SpmdProgram, index: usize) -> Option<SpmdProgram> {
+    let mut dropped = false;
+    let mutant = mutated(plan, index, |op| {
+        if let SyncOp::PairCounter { collectors, .. } = op {
+            dropped = !collectors.is_empty();
+            collectors.clear();
+        }
+    });
+    dropped.then_some(mutant)
 }
 
 /// How one mutant fared against the validator and the oracle.
@@ -175,8 +198,8 @@ impl TeethReport {
     }
 }
 
-/// Delete each sync op of `plan` in turn; validate and differentially
-/// execute every mutant.
+/// Delete each sync op of `plan` in turn, and strip each pairwise
+/// sync's collectors; validate and differentially execute every mutant.
 pub fn mutation_teeth(
     prog: &Program,
     bind: &Bindings,
@@ -194,14 +217,20 @@ pub fn mutation_teeth(
         clean_racing_pairs: clean.num_racing_pairs,
     };
     for site in sites(plan) {
-        let mutant = delete(plan, site.index);
-        let report = validate(prog, bind, &mutant);
-        let diverged = plan_diverges(prog, bind, &mutant, &orders, tol);
-        out.sites.push(TeethSite {
-            site,
-            racing_pairs: report.num_racing_pairs,
-            diverged,
-        });
+        let mut mutants = vec![(site.clone(), delete(plan, site.index))];
+        if let Some(uncollected) = drop_collectors(plan, site.index) {
+            let desc = format!("{} minus collectors", site.desc);
+            mutants.push((MutationSite { desc, ..site }, uncollected));
+        }
+        for (site, mutant) in mutants {
+            let report = validate(prog, bind, &mutant);
+            let diverged = plan_diverges(prog, bind, &mutant, &orders, tol);
+            out.sites.push(TeethSite {
+                site,
+                racing_pairs: report.num_racing_pairs,
+                diverged,
+            });
+        }
     }
     out
 }

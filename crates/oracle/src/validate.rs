@@ -24,7 +24,8 @@
 //!
 //! Two accesses race when they touch the same cell from different
 //! processors, at least one is a write (atomic reductions conflict
-//! with reads and writes but commute with each other), and neither
+//! with reads, writes and reductions under another operator, but
+//! commute with their own kind), and neither
 //! happens-before the other. A sound schedule — one whose syncs order
 //! every cross-processor def/use pair — validates race-free.
 
@@ -99,7 +100,12 @@ impl RaceReport {
 
 fn conflicts(a: AccessKind, b: AccessKind) -> bool {
     use AccessKind::*;
-    !matches!((a, b), (Read, Read) | (Reduce, Reduce))
+    match (a, b) {
+        (Read, Read) => false,
+        // Atomic flushes commute only under one operator.
+        (Reduce(x), Reduce(y)) => x != y,
+        _ => true,
+    }
 }
 
 fn join(into: &mut [u64], other: &[u64]) {
@@ -208,11 +214,16 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
                         }
                     }
                 }
-                SyncStep::Pair { dists, producers } => {
+                SyncStep::Pair {
+                    dists,
+                    producers,
+                    collectors,
+                } => {
                     // A consumer acquires each in-range distance
                     // target's pre-sync clock (the wait is for that
                     // processor's post at this same replicated visit)
-                    // plus every evaluable producer's.
+                    // plus every evaluable producer's; a collector
+                    // acquires everyone's.
                     let pre = clocks.clone();
                     for (p, c) in clocks.iter_mut().enumerate() {
                         for d in dists.iter() {
@@ -224,6 +235,11 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
                         for &prod in events.producers(producers) {
                             if prod != p {
                                 join(c, &pre[prod]);
+                            }
+                        }
+                        if events.producers(collectors).contains(&p) {
+                            for other in &pre {
+                                join(c, other);
                             }
                         }
                     }

@@ -79,9 +79,9 @@ mod tests {
         let found = spmd_opt::sync_sites(&built.prog, &plan)
             .iter()
             .any(|s| match &s.op {
-                spmd_opt::SyncOp::PairCounter { dists, producers } => {
-                    dists.contains(1) && !producers.is_empty()
-                }
+                spmd_opt::SyncOp::PairCounter {
+                    dists, producers, ..
+                } => dists.contains(1) && !producers.is_empty(),
                 _ => false,
             });
         assert!(found, "no fused pairwise site with dist +1 and a producer");

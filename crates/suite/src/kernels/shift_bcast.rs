@@ -5,7 +5,14 @@
 //! straight to `General` and kept a spurious barrier every time step:
 //! the broadcast — all of it read from the owner of `B[0]`, a producer
 //! named from the read — fuses with the shift's +1 into one pairwise
-//! wait set, at any processor count.
+//! wait set, at any processor count. The loop bottom is the mirror
+//! image: everybody has read `B[0]` and its owner is about to overwrite
+//! it, so that owner alone waits — a collector, fused with the shift's
+//! ±1 and the producer into one pairwise sync (21 → 1 dynamic barriers
+//! at P = 8, Small scale). At P = 4 the anti dependence has a
+//! three-distance spectrum of its own, which wins the rule order and
+//! then overflows the fan-in once joined: that loop-bottom barrier
+//! stays.
 
 use crate::{Built, Scale};
 use ir::build::*;
@@ -65,9 +72,10 @@ mod tests {
         let st = spmd_opt::optimize(&built.prog, &bind).static_stats();
         assert_eq!(st.regions, 1, "{st:?}");
         assert!(st.pair_syncs >= 1, "{st:?}");
-        // The carried anti/flow spectrum at the loop bottom spans all
-        // six distances at P=4 — wider than the pairwise fan-in budget,
-        // so that barrier stays (correctly); the inter-phase spurious
+        // At P=4 the carried anti dependence on `B[0]` has the three
+        // distances {-3,-2,-1}; joined with the shift's ±1 and the
+        // producer the wait set is wider than the pairwise fan-in
+        // budget, so that barrier stays; the inter-phase spurious
         // barrier is the one that must be gone.
         assert!(st.barriers <= 2, "{st:?}");
     }
@@ -85,12 +93,40 @@ mod tests {
             let found = spmd_opt::sync_sites(&built.prog, &plan)
                 .iter()
                 .any(|s| match &s.op {
-                    spmd_opt::SyncOp::PairCounter { dists, producers } => {
-                        dists.contains(1) && producers.len() == 1
-                    }
+                    spmd_opt::SyncOp::PairCounter {
+                        dists, producers, ..
+                    } => dists.contains(1) && producers.len() == 1,
                     _ => false,
                 });
             assert!(found, "P={nprocs}: no fused site with +1 and one producer");
         }
+    }
+
+    /// At eight processors the loop bottom is one pairwise sync too:
+    /// both shift directions, the producer and the collector, both the
+    /// owner of `B[0]`.
+    #[test]
+    fn loop_bottom_gathers_at_the_owner_of_the_broadcast_element() {
+        let built = build(Scale::Test);
+        let bind = built.bindings(8);
+        let plan = spmd_opt::optimize(&built.prog, &bind);
+        assert_eq!(plan.static_stats().barriers, 1, "only the region end");
+        let found = spmd_opt::sync_sites(&built.prog, &plan)
+            .iter()
+            .any(|s| match &s.op {
+                spmd_opt::SyncOp::PairCounter {
+                    dists,
+                    producers,
+                    collectors,
+                } => {
+                    s.kind == spmd_opt::SlotKind::LoopBottom
+                        && dists.contains(1)
+                        && dists.contains(-1)
+                        && producers.len() == 1
+                        && collectors.len() == 1
+                }
+                _ => false,
+            });
+        assert!(found, "no collector at the loop bottom");
     }
 }

@@ -1,10 +1,14 @@
 //! Mesh relaxation with a max-residual convergence test (stands in for
 //! SPEC92 `tomcatv`).
 //!
-//! The residual phases are neighbor-communicating stencils, but the
-//! max-reduction into a shared scalar forces a real barrier every
-//! iteration — this kernel shows the *partial*-win profile (the paper's
-//! average program, not its best case).
+//! The residual phases are neighbor-communicating stencils. The
+//! max-reduction into a shared scalar used to pin a barrier at every
+//! loop bottom — against *itself* one iteration later, although
+//! nothing in the region reads `rmax` — until same-operator reductions
+//! in distributed loops were recognised as commuting: their
+//! per-processor partials are flushed atomically. What is left at the
+//! loop bottom is the stencil's neighbor exchange (25 → 1 dynamic
+//! barriers at P = 8, Small scale).
 
 use crate::{Built, Scale};
 use ir::build::*;
@@ -63,7 +67,8 @@ pub fn build(scale: Scale) -> Built {
     pb.end();
     pb.end();
 
-    // Max residual (reduction into a shared scalar — keeps a barrier).
+    // Max residual (reduction into a shared scalar nobody reads in the
+    // region: it commutes with itself across iterations).
     let i2 = pb.begin_par("i2", con(1), sym(n) - 2);
     let j2 = pb.begin_seq("j2", con(1), sym(n) - 2);
     pb.reduce(
@@ -101,15 +106,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn reduction_keeps_some_barriers_but_not_all() {
+    fn the_reduction_pins_no_barrier() {
         let built = build(Scale::Test);
         let bind = built.bindings(4);
         let opt = spmd_opt::optimize(&built.prog, &bind).static_stats();
-        let fj = spmd_opt::fork_join(&built.prog, &bind).static_stats();
-        assert!(opt.barriers >= 1, "{opt:?}");
-        assert!(
-            opt.barriers < fj.barriers,
-            "optimized {opt:?} vs fork-join {fj:?}"
-        );
+        assert_eq!(opt.barriers, 1, "only the region end: {opt:?}");
+        assert_eq!(opt.neighbor_syncs, 4, "{opt:?}");
     }
 }

@@ -141,7 +141,7 @@ pub fn all() -> Vec<BenchDef> {
             name: "tomcatv_mesh",
             stands_in_for: "SPEC92 tomcatv",
             desc: "mesh relaxation with max-residual reduction",
-            expect: Expectation::BarrierBound,
+            expect: Expectation::Neighbor,
             build: tomcatv_mesh::build,
         },
         BenchDef {

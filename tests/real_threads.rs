@@ -63,11 +63,6 @@ fn optimized_never_executes_more_barriers_than_fork_join() {
     let nprocs = 4;
     let team = Team::new(nprocs);
     for def in suite::all() {
-        // `transpose` gains a loop-bottom barrier from region merging; it
-        // is the documented worst case.
-        if def.name == "transpose" {
-            continue;
-        }
         let built = (def.build)(Scale::Test);
         let bind = Arc::new(built.bindings(nprocs as i64));
         let prog = Arc::new(built.prog);
