@@ -41,6 +41,7 @@ use ineq::{FmeCache, FmeCacheStats, LinExpr, Rows, VarKind};
 use ir::{Affine, ArrayId, LhsRef, LoopId, LoopKind, NodeId, Program, RedOp, ScalarId, StmtPath};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
@@ -434,6 +435,40 @@ pub enum ProducerSpec {
     },
 }
 
+impl ProducerSpec {
+    /// Do both specs name the same processor at every visit of a sync
+    /// site? Decided structurally — the same owner function of the same
+    /// subscript — and never by evaluation; the anchor only records
+    /// which statement the subscript was read off.
+    pub fn same_processor(&self, other: &ProducerSpec) -> bool {
+        use ProducerSpec::*;
+        match (self, other) {
+            (Master, Master) => true,
+            (
+                Owner { map, sub, .. },
+                Owner {
+                    map: map2,
+                    sub: sub2,
+                    ..
+                },
+            ) => map == map2 && sub == sub2,
+            _ => false,
+        }
+    }
+
+    /// The spec with `e` in place of loop index `k`.
+    fn at_trip(&self, k: LoopId, e: &Affine) -> ProducerSpec {
+        match self {
+            ProducerSpec::Master => ProducerSpec::Master,
+            ProducerSpec::Owner { map, sub, anchor } => ProducerSpec::Owner {
+                map: *map,
+                sub: sub.substituted(k, e),
+                anchor: *anchor,
+            },
+        }
+    }
+}
+
 /// The kind of a dependence from an earlier access to a later one.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DepKind {
@@ -643,6 +678,58 @@ impl CommOutcome {
         }
     }
 
+    /// The processors a sync lowered from this outcome makes everybody
+    /// wait for: distances, producers, collectors. `None` for the two
+    /// ends of the lattice and for a producer without an evaluable spec.
+    fn waits(&self) -> Option<(DistSet, Vec<&ProducerSpec>, &[ProducerSpec])> {
+        match self.pattern {
+            CommPattern::NoComm | CommPattern::General => None,
+            CommPattern::Neighbor { fwd, bwd } => {
+                Some((DistSet::neighbor(fwd, bwd), Vec::new(), &[]))
+            }
+            CommPattern::Producer1 => Some((DistSet::empty(), vec![self.producer.as_ref()?], &[])),
+            CommPattern::PairWise { dists } => Some((
+                dists,
+                self.pair_producers.iter().collect(),
+                &self.collectors,
+            )),
+        }
+    }
+
+    /// Does a sync lowered from `self` order every processor pair that
+    /// `need` asks to be ordered, at one visit of one site? A barrier
+    /// (`General`) covers everything and nothing needs no cover;
+    /// otherwise every distance, producer and collector of the need
+    /// must be among the sync's own, producers and collectors compared
+    /// by [`ProducerSpec::same_processor`]. Anything else — an unnamed
+    /// producer, a barrier-requiring need — is not covered.
+    pub fn covers(&self, need: &CommOutcome) -> bool {
+        if need.pattern == CommPattern::NoComm || self.pattern == CommPattern::General {
+            return true;
+        }
+        let (Some((d1, p1, c1)), Some((d2, p2, c2))) = (self.waits(), need.waits()) else {
+            return false;
+        };
+        d1.union(d2) == d1
+            && p2.iter().all(|w| p1.iter().any(|h| h.same_processor(w)))
+            && c2.iter().all(|w| c1.iter().any(|h| h.same_processor(w)))
+    }
+
+    /// The outcome with `e` in place of loop index `k` in every producer
+    /// and collector spec: what a sync stated for trip `k` of a loop
+    /// orders at trip `e`.
+    pub fn at_trip(mut self, k: LoopId, e: &Affine) -> CommOutcome {
+        let shift = |specs: &mut Vec<ProducerSpec>| {
+            for s in specs.iter_mut() {
+                *s = s.at_trip(k, e);
+            }
+        };
+        self.producer = self.producer.map(|s| s.at_trip(k, e));
+        shift(&mut self.pair_producers);
+        shift(&mut self.collectors);
+        self
+    }
+
     /// Join two outcomes (`other` is the later one of a fold).
     ///
     /// Two `Producer1`s naming *different* producers fuse into a
@@ -739,6 +826,62 @@ impl CommMode {
         }
     }
 }
+
+/// Where, inside the sequential loops that enclose the later statement
+/// alone, a loop-independent pair is classified. The default — neither
+/// list holds a loop — is the slot in front of the outermost of them:
+/// every trip of every one at once, no index fixed.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct Entry {
+    /// Loops taken one trip at a time, outermost first: the need is
+    /// stated for the top of a trip, where their indices are fixed like
+    /// those of the loops around the sync site.
+    pub per_trip: Vec<NodeId>,
+    /// Loops held at their first trip, innermost first: the index is
+    /// bound to the loop's lower bound.
+    pub first_trip: Vec<NodeId>,
+}
+
+/// The loops whose indices are fixed at the program point a query is
+/// stated for, and the loops held at their first trip there.
+struct Site {
+    /// Outermost first.
+    fixed: Vec<LoopId>,
+    /// Innermost first, each with its loop's lower bound.
+    first: Vec<(LoopId, Affine)>,
+}
+
+impl Site {
+    /// `sub` as it reads at the site — every first-trip index replaced
+    /// by its loop's lower bound, innermost first, since a bound may
+    /// name the loops around it — provided only fixed indices are left.
+    fn fix(&self, sub: &Affine) -> Option<Affine> {
+        let mut sub = sub.clone();
+        for (k, lo) in &self.first {
+            sub = sub.substituted(*k, lo);
+        }
+        let fixed = sub.loops().all(|l| self.fixed.contains(&l));
+        fixed.then_some(sub)
+    }
+}
+
+/// What the inequality systems say about one access pair wherever the
+/// query is stated — everything in the pair analysis that costs a scan.
+struct PairFacts {
+    /// The directions in which the pair crosses processors, or the
+    /// outcome when the scans alone decide it (local, within neighbor
+    /// reach, pinned by symbolic extents).
+    crossing: Result<(bool, bool), CommOutcome>,
+    /// The distance spectrum, once a query got as far as asking.
+    spectrum: Cell<Option<Option<DistSet>>>,
+}
+
+/// What the scans said about one statement pair, kept by whoever
+/// restates the pair's need at several entries
+/// ([`CommQuery::comm_stmts_entering`]): the scans are asked once per
+/// access pair and set of loops held, whatever the configuration.
+#[derive(Default)]
+pub struct PairScans(HashMap<(usize, usize, Vec<NodeId>), Rc<PairFacts>>);
 
 /// One array access of a statement.
 #[derive(Clone, Debug)]
@@ -909,8 +1052,9 @@ impl<'p> CommQuery<'p> {
     /// As [`comm_stmts`](Self::comm_stmts) but carrying producer identity.
     pub fn comm_stmts_detailed(&self, s1: &StmtPath, s2: &StmtPath, mode: CommMode) -> CommOutcome {
         let t0 = probe_start();
+        let entry = Entry::default();
         if self.fme.is_none() {
-            let out = self.comm_stmts_fresh(s1, s2, mode);
+            let out = self.comm_stmts_fresh(s1, s2, (mode, &entry), None);
             probe_fire(t0, false);
             return out;
         }
@@ -921,15 +1065,70 @@ impl<'p> CommQuery<'p> {
             probe_fire(t0, true);
             return out;
         }
-        let out = self.comm_stmts_fresh(s1, s2, mode);
+        let out = self.comm_stmts_fresh(s1, s2, (mode, &entry), None);
         self.pair_misses.set(self.pair_misses.get() + 1);
         self.pair_memo.borrow_mut().insert(key, out.clone());
         probe_fire(t0, false);
         out
     }
 
+    /// The loop-independent need of a pair whose later statement sits
+    /// inside sequential loops the earlier one is outside of, stated at
+    /// `entry` instead of in front of the outermost such loop: with the
+    /// `per_trip` loops counted among the site loops, so that a producer
+    /// or collector may be named after their indices, and the
+    /// `first_trip` loops held at their lower bound. The default entry
+    /// is the need of all trips at once. Restating a pair only renames
+    /// what its scans found, so they are kept in `scans`; each such
+    /// query is asked once per compile and bypasses the pair memo.
+    pub fn comm_stmts_entering(
+        &self,
+        s1: &StmtPath,
+        s2: &StmtPath,
+        entry: &Entry,
+        scans: &mut PairScans,
+    ) -> CommOutcome {
+        let t0 = probe_start();
+        let at = (CommMode::LoopIndependent, entry);
+        let out = self.comm_stmts_fresh(s1, s2, at, Some(scans));
+        probe_fire(t0, false);
+        out
+    }
+
+    /// Is an instance of `s` the same whichever trip of the sequential
+    /// loop `node` around it it belongs to — no loop bound further in, no
+    /// guard, no subscript and no owner subscript names the index? Then
+    /// a pair into `s` reads the same held at the loop's first trip as
+    /// over all its trips.
+    pub fn trip_invariant(&self, s: &StmtPath, node: NodeId) -> bool {
+        let k = self.prog.expect_loop(node).id;
+        let names = |e: &Affine| e.loops().any(|l| l == k);
+        let mut loops = s.loops.iter().map(|&n| self.prog.expect_loop(n));
+        let owner = match stmt_partition(self.prog, &self.bind, s) {
+            StmtPartition::Distributed(
+                _,
+                LoopPartition::BlockOwner { sub, .. }
+                | LoopPartition::CyclicOwner { sub, .. }
+                | LoopPartition::BlockCyclicOwner { sub, .. }
+                | LoopPartition::SymbolicBlockOwner { sub, .. },
+            ) => names(&sub),
+            _ => false,
+        };
+        let (arrays, _) = stmt_accesses(self.prog, s.node);
+        !(owner
+            || loops.any(|l| names(&l.lo) || names(&l.hi))
+            || s.guards.iter().any(|g| names(&g.expr))
+            || arrays.iter().any(|a| a.subs.iter().any(names)))
+    }
+
     /// The full (memo-free) statement-pair analysis.
-    fn comm_stmts_fresh(&self, s1: &StmtPath, s2: &StmtPath, mode: CommMode) -> CommOutcome {
+    fn comm_stmts_fresh(
+        &self,
+        s1: &StmtPath,
+        s2: &StmtPath,
+        at: (CommMode, &Entry),
+        mut scans: Option<&mut PairScans>,
+    ) -> CommOutcome {
         let (arr1, sc1) = stmt_accesses(self.prog, s1.node);
         let (arr2, sc2) = stmt_accesses(self.prog, s2.node);
         let mut out = CommOutcome::none();
@@ -953,44 +1152,20 @@ impl<'p> CommQuery<'p> {
                     out.commuting = union(std::mem::take(&mut out.commuting), vec![skipped]);
                     continue;
                 }
-                out = out.join(self.scalar_pair(s1, *a1, s2, *a2, mode));
+                out = out.join(self.scalar_pair(s1, *a1, s2, *a2, at));
                 if out.pattern == CommPattern::General {
                     return out;
                 }
             }
         }
 
-        for a1 in &arr1 {
-            for a2 in &arr2 {
-                if a1.array != a2.array || (!a1.is_write && !a2.is_write) {
+        for a1 in arr1.iter().enumerate() {
+            for a2 in arr2.iter().enumerate() {
+                if a1.1.array != a2.1.array || (!a1.1.is_write && !a2.1.is_write) {
                     continue;
                 }
-                out = out.join(self.array_pair(s1, a1, s2, a2, mode));
-                if out.pattern == CommPattern::General {
-                    return out;
-                }
-            }
-        }
-        out
-    }
-
-    /// Communication pattern between two groups of statements.
-    pub fn comm_groups(&self, g1: &[StmtPath], g2: &[StmtPath], mode: CommMode) -> CommPattern {
-        self.comm_groups_detailed(g1, g2, mode).pattern
-    }
-
-    /// As [`comm_groups`](Self::comm_groups) but carrying producer
-    /// identity for counter lowering.
-    pub fn comm_groups_detailed(
-        &self,
-        g1: &[StmtPath],
-        g2: &[StmtPath],
-        mode: CommMode,
-    ) -> CommOutcome {
-        let mut out = CommOutcome::none();
-        for s1 in g1 {
-            for s2 in g2 {
-                out = out.join(self.comm_stmts_detailed(s1, s2, mode));
+                let scans = scans.as_deref_mut();
+                out = out.join(self.array_pair(s1, a1, s2, a2, at, scans));
                 if out.pattern == CommPattern::General {
                     return out;
                 }
@@ -1023,7 +1198,7 @@ impl<'p> CommQuery<'p> {
         a1: ScalarAccess,
         s2: &StmtPath,
         a2: ScalarAccess,
-        mode: CommMode,
+        at: (CommMode, &Entry),
     ) -> CommOutcome {
         if self.prog.scalar(a1.scalar).privatizable {
             return CommOutcome::none();
@@ -1054,8 +1229,8 @@ impl<'p> CommQuery<'p> {
             // barrier, unless one processor alone runs the later
             // statement and can collect everyone's post.
             _ => {
-                let site = self.site_loops(s1, s2, mode);
-                let out = match self.sink_collector(&p2, &site, mode) {
+                let site = self.site_loops(s1, s2, at);
+                let out = match self.sink_collector(&p2, &site, at.0) {
                     Some(spec) => CommOutcome::collector(spec),
                     None => CommOutcome {
                         failed: Some(RULE_SCALAR),
@@ -1070,11 +1245,13 @@ impl<'p> CommQuery<'p> {
     fn array_pair(
         &self,
         s1: &StmtPath,
-        a1: &ArrayAccess,
+        (k1, a1): (usize, &ArrayAccess),
         s2: &StmtPath,
-        a2: &ArrayAccess,
-        mode: CommMode,
+        (k2, a2): (usize, &ArrayAccess),
+        at: (CommMode, &Entry),
+        scans: Option<&mut PairScans>,
     ) -> CommOutcome {
+        let (mode, entry) = at;
         // Privatizable work arrays live in per-processor copies: no
         // access to them ever moves data between processors.
         if self.prog.array(a1.array).privatizable {
@@ -1114,9 +1291,93 @@ impl<'p> CommQuery<'p> {
             return general(RULE_REPLICATED);
         }
 
-        let mut ps = build_pair_system(self.prog, &self.bind, s1, s2, mode.shared_mode());
-        ps.set_cache(self.fme.clone());
-        ps.add_elem_equality(&self.bind, &a1.subs, &a2.subs);
+        let system = || {
+            let mut ps = build_pair_system(self.prog, &self.bind, s1, s2, mode.shared_mode());
+            ps.set_cache(self.fme.clone());
+            ps.add_elem_equality(&self.bind, &a1.subs, &a2.subs);
+            for &node in &entry.first_trip {
+                ps.hold_at_first_trip(&self.bind, self.prog.expect_loop(node));
+            }
+            ps
+        };
+        // What the scans say does not depend on where the query is
+        // stated: asked again for another entry, the pair costs none.
+        let key = (k1, k2, entry.first_trip.clone());
+        let known = scans.as_ref().and_then(|kept| kept.0.get(&key).cloned());
+        let mut ps = None;
+        let facts = known.unwrap_or_else(|| {
+            let ps = ps.insert(system());
+            let facts = Rc::new(self.scan_pair(ps, (&part1, &part2), &found, &general));
+            if let Some(kept) = scans {
+                kept.0.insert(key, facts.clone());
+            }
+            facts
+        });
+        let (fwd, bwd) = match &facts.crossing {
+            Ok(directions) => *directions,
+            Err(decided) => return decided.clone(),
+        };
+
+        // 3. Unique producer? Named from the writer's side first, then —
+        //    for a true dependence — from the reader's.
+        let site = self.site_loops(s1, s2, at);
+        let producer = self
+            .one_executor(&part1, &site, Anchor::Source)
+            .or_else(|| self.sink_anchored_producer(a1, &part1, a2, &site, mode));
+        if let Some(spec) = producer {
+            return found(CommOutcome::producer1(spec));
+        }
+
+        // 4. Distance vectors: is every feasible processor distance one
+        //    of a small fixed set? A direct wait on `q - d` at the sync
+        //    point covers a dependence at distance `d` for *any* carried
+        //    iteration gap >= 1 (the producer's post at the bottom of its
+        //    iteration happens after that iteration's work, and the
+        //    consumer passes that bottom sync before any later
+        //    iteration), so — unlike the chained neighbor test of step
+        //    2 — no reach argument is needed: the distance spectrum
+        //    alone decides.
+        let spectrum = facts.spectrum.get().unwrap_or_else(|| {
+            let ps = ps.get_or_insert_with(system);
+            let spectrum = self.distance_spectrum(ps, fwd, bwd);
+            #[cfg(test)]
+            assert_eq!(spectrum, tests::enumerated_spectrum(self, ps, fwd, bwd));
+            facts.spectrum.set(Some(spectrum));
+            spectrum
+        });
+        if let Some(dists) = spectrum {
+            return found(CommOutcome::of(CommPattern::PairWise { dists }));
+        }
+
+        // 5. Unique consumer? The mirror image of step 3, tried last so
+        //    that it only ever replaces a barrier: named from the later
+        //    statement's side first, then — for an anti dependence —
+        //    from the reader's.
+        let collector = self
+            .sink_collector(&part2, &site, mode)
+            .or_else(|| self.source_anchored_collector(a1, a2, &part2, &site));
+        match collector {
+            Some(spec) => found(CommOutcome::collector(spec)),
+            None => general(RULE_SPECTRUM),
+        }
+    }
+
+    /// Steps 0 to 2 of the access-pair analysis — every question a
+    /// Fourier-Motzkin scan answers before a producer or collector is
+    /// looked for: is the pair local, within neighbor reach, pinned by
+    /// symbolic extents (`Err`: decided), or does it cross processors,
+    /// and in which directions (`Ok`)?
+    fn scan_pair(
+        &self,
+        ps: &mut crate::translate::PairSystem,
+        (part1, part2): (&StmtPartition, &StmtPartition),
+        found: &dyn Fn(CommOutcome) -> CommOutcome,
+        general: &dyn Fn(&'static str) -> CommOutcome,
+    ) -> PairFacts {
+        let decided = |out| PairFacts {
+            crossing: Err(out),
+            spectrum: Cell::new(None),
+        };
         let (p, q) = (ps.p, ps.q);
 
         // 0a. Symbolic block distributions (extents unbound): classify by
@@ -1142,7 +1403,7 @@ impl<'p> CommQuery<'p> {
                     ..
                 },
             ),
-        ) = (&part1, &part2)
+        ) = (part1, part2)
         {
             if e1 == e2 {
                 let m1 = ps.map1.clone();
@@ -1156,7 +1417,7 @@ impl<'p> CommQuery<'p> {
                     s.add_ge(d1.clone() - d2.clone() - LinExpr::constant(1));
                 });
                 if !fwd && !bwd {
-                    return CommOutcome::none();
+                    return decided(CommOutcome::none());
                 }
                 let viol = |dir_fwd: bool| -> bool {
                     ps.feasible_with(|s| {
@@ -1178,9 +1439,9 @@ impl<'p> CommQuery<'p> {
                     })
                 };
                 if !viol(true) && !viol(false) {
-                    return found(CommOutcome::of(CommPattern::Neighbor { fwd, bwd }));
+                    return decided(found(CommOutcome::of(CommPattern::Neighbor { fwd, bwd })));
                 }
-                return general(RULE_SYMBOLIC);
+                return decided(general(RULE_SYMBOLIC));
             }
             // Different extents: owner functions differ; fall through to
             // the (conservative) processor tests.
@@ -1192,16 +1453,16 @@ impl<'p> CommQuery<'p> {
         //    structural step supplies the paper's "identity of the
         //    producer and consumer processors" for those distributions.
         if let (StmtPartition::Distributed(_, lp1), StmtPartition::Distributed(_, lp2)) =
-            (&part1, &part2)
+            (part1, part2)
         {
-            if let Some((d1, d2)) = same_owner_inputs(&mut ps, &self.bind, lp1, lp2) {
+            if let Some((d1, d2)) = same_owner_inputs(ps, &self.bind, lp1, lp2) {
                 let neq = ps.feasible_with(|s| {
                     s.add_ge(d1.clone() - d2.clone() - LinExpr::constant(1));
                 }) || ps.feasible_with(|s| {
                     s.add_ge(d2.clone() - d1.clone() - LinExpr::constant(1));
                 });
                 if !neq {
-                    return CommOutcome::none();
+                    return decided(CommOutcome::none());
                 }
             }
         }
@@ -1212,7 +1473,7 @@ impl<'p> CommQuery<'p> {
         let bwd = ps
             .feasible_with(|s| s.add_ge(LinExpr::var(p) - LinExpr::var(q) - LinExpr::constant(1)));
         if !fwd && !bwd {
-            return CommOutcome::none();
+            return decided(CommOutcome::none());
         }
 
         // 2. Within neighbor-sync reach? Loop-independent: |q-p| <= 1.
@@ -1235,45 +1496,12 @@ impl<'p> CommQuery<'p> {
             })
         };
         if !viol(true) && !viol(false) {
-            return found(CommOutcome::of(CommPattern::Neighbor { fwd, bwd }));
+            return decided(found(CommOutcome::of(CommPattern::Neighbor { fwd, bwd })));
         }
 
-        // 3. Unique producer? Named from the writer's side first, then —
-        //    for a true dependence — from the reader's.
-        let site = self.site_loops(s1, s2, mode);
-        let producer = self
-            .one_executor(&part1, &site, Anchor::Source)
-            .or_else(|| self.sink_anchored_producer(a1, &part1, a2, &site, mode));
-        if let Some(spec) = producer {
-            return found(CommOutcome::producer1(spec));
-        }
-
-        // 4. Distance vectors: is every feasible processor distance one
-        //    of a small fixed set? A direct wait on `q - d` at the sync
-        //    point covers a dependence at distance `d` for *any* carried
-        //    iteration gap >= 1 (the producer's post at the bottom of its
-        //    iteration happens after that iteration's work, and the
-        //    consumer passes that bottom sync before any later
-        //    iteration), so — unlike the chained neighbor test above —
-        //    no reach argument is needed: the distance spectrum alone
-        //    decides.
-        let spectrum = self.distance_spectrum(&ps, fwd, bwd);
-        #[cfg(test)]
-        assert_eq!(spectrum, tests::enumerated_spectrum(self, &ps, fwd, bwd));
-        if let Some(dists) = spectrum {
-            return found(CommOutcome::of(CommPattern::PairWise { dists }));
-        }
-
-        // 5. Unique consumer? The mirror image of step 3, tried last so
-        //    that it only ever replaces a barrier: named from the later
-        //    statement's side first, then — for an anti dependence —
-        //    from the reader's.
-        let collector = self
-            .sink_collector(&part2, &site, mode)
-            .or_else(|| self.source_anchored_collector(a1, a2, &part2, &site));
-        match collector {
-            Some(spec) => found(CommOutcome::collector(spec)),
-            None => general(RULE_SPECTRUM),
+        PairFacts {
+            crossing: Ok((fwd, bwd)),
+            spectrum: Cell::new(None),
         }
     }
 
@@ -1359,22 +1587,32 @@ impl<'p> CommQuery<'p> {
     /// everything around it for that loop's bottom. A loop nested inside
     /// the site's own scope — around only one of the statements, or
     /// inside the carried loop — runs through all its iterations between
-    /// two visits of the site, so no producer may be named after it.
-    fn site_loops(&self, s1: &StmtPath, s2: &StmtPath, mode: CommMode) -> Vec<LoopId> {
+    /// two visits of the site, so no producer may be named after it;
+    /// unless the query is stated further in, at `entry`: then its
+    /// `per_trip` loops are fixed as well and its `first_trip` loops
+    /// stand for their lower bounds.
+    fn site_loops(&self, s1: &StmtPath, s2: &StmtPath, at: (CommMode, &Entry)) -> Site {
+        let (mode, entry) = at;
         let shared = s1.loops.iter().zip(&s2.loops).take_while(|(a, b)| a == b);
-        let mut loops = Vec::new();
+        let mut fixed = Vec::new();
         for (&node, _) in shared {
             let l = self.prog.expect_loop(node);
             if l.kind == LoopKind::Par {
                 break;
             }
-            loops.push(l.id);
+            fixed.push(l.id);
             if matches!(mode, CommMode::CarriedBy(at) | CommMode::CarriedExactlyOne(at) if at == node)
             {
                 break;
             }
         }
-        loops
+        let entered = |node: &NodeId| self.prog.expect_loop(*node);
+        fixed.extend(entry.per_trip.iter().map(|n| entered(n).id));
+        let first = entry.first_trip.iter().map(entered);
+        Site {
+            fixed,
+            first: first.map(|l| (l.id, l.lo.clone())).collect(),
+        }
     }
 
     /// The one processor that executes a statement per sync instance:
@@ -1384,7 +1622,7 @@ impl<'p> CommQuery<'p> {
     fn one_executor(
         &self,
         part: &StmtPartition,
-        site: &[LoopId],
+        site: &Site,
         anchor: Anchor,
     ) -> Option<ProducerSpec> {
         match part {
@@ -1392,13 +1630,8 @@ impl<'p> CommQuery<'p> {
             StmtPartition::Replicated => None,
             StmtPartition::Distributed(_, lp) => {
                 let (_, map, sub) = lp.owner_computes()?;
-                sub.loops()
-                    .all(|l| site.contains(&l))
-                    .then(|| ProducerSpec::Owner {
-                        map,
-                        sub: sub.clone(),
-                        anchor,
-                    })
+                let sub = site.fix(sub)?;
+                Some(ProducerSpec::Owner { map, sub, anchor })
             }
         }
     }
@@ -1430,7 +1663,7 @@ impl<'p> CommQuery<'p> {
     fn sink_collector(
         &self,
         part2: &StmtPartition,
-        site: &[LoopId],
+        site: &Site,
         mode: CommMode,
     ) -> Option<ProducerSpec> {
         let mut spec = self.one_executor(part2, site, Anchor::Sink)?;
@@ -1459,7 +1692,7 @@ impl<'p> CommQuery<'p> {
         a1: &ArrayAccess,
         a2: &ArrayAccess,
         part2: &StmtPartition,
-        site: &[LoopId],
+        site: &Site,
     ) -> Option<ProducerSpec> {
         let StmtPartition::Distributed(_, lp) = part2 else {
             return None;
@@ -1472,14 +1705,11 @@ impl<'p> CommQuery<'p> {
         if array != a2.array || *owner_sub != a2.subs[dim] {
             return None;
         }
-        let read = &a1.subs[dim];
-        read.loops()
-            .all(|l| site.contains(&l))
-            .then(|| ProducerSpec::Owner {
-                map,
-                sub: read.clone(),
-                anchor: Anchor::Source,
-            })
+        Some(ProducerSpec::Owner {
+            map,
+            sub: site.fix(&a1.subs[dim])?,
+            anchor: Anchor::Source,
+        })
     }
 
     /// The dual of the statement-anchored producer
@@ -1501,7 +1731,7 @@ impl<'p> CommQuery<'p> {
         a1: &ArrayAccess,
         part1: &StmtPartition,
         a2: &ArrayAccess,
-        site: &[LoopId],
+        site: &Site,
         mode: CommMode,
     ) -> Option<ProducerSpec> {
         let StmtPartition::Distributed(_, lp) = part1 else {
@@ -1515,14 +1745,11 @@ impl<'p> CommQuery<'p> {
         if array != a1.array || *owner_sub != a1.subs[dim] {
             return None;
         }
-        let read = &a2.subs[dim];
-        read.loops()
-            .all(|l| site.contains(&l))
-            .then(|| ProducerSpec::Owner {
-                map,
-                sub: self.at_next_iteration(read, mode),
-                anchor: Anchor::Sink,
-            })
+        Some(ProducerSpec::Owner {
+            map,
+            sub: self.at_next_iteration(&site.fix(&a2.subs[dim])?, mode),
+            anchor: Anchor::Sink,
+        })
     }
 }
 
@@ -2035,7 +2262,8 @@ mod tests {
             );
             // Inside `DO m` the same writer is one processor per visit.
             let mnode = st[0].loops[1];
-            let site = q.site_loops(&st[0], &st[0], CommMode::CarriedBy(mnode));
+            let at = (CommMode::CarriedBy(mnode), &Entry::default());
+            let site = q.site_loops(&st[0], &st[0], at);
             let part = stmt_partition(&prog, &q.bind, &st[0]);
             assert!(q.one_executor(&part, &site, Anchor::Source).is_some());
         }
@@ -2312,6 +2540,139 @@ mod tests {
         }
     }
 
+    /// `covers` is containment of wait sets: a barrier covers all,
+    /// nothing needs no cover, producers and collectors are compared by
+    /// owner function and subscript (not by anchor) and never with each
+    /// other, and a producer nobody can evaluate is never covered.
+    #[test]
+    fn covers_is_containment_of_wait_sets() {
+        let k = LoopId(0);
+        let owner = |sub: Affine, anchor| ProducerSpec::Owner {
+            map: OwnerMap::Cyclic,
+            sub,
+            anchor,
+        };
+        let nb = |fwd, bwd| CommOutcome::of(CommPattern::Neighbor { fwd, bwd });
+        let barrier = CommOutcome::general();
+        let at_k = CommOutcome::producer1(owner(Affine::index(k), Anchor::Source));
+        let at_k_sink = CommOutcome::producer1(owner(Affine::index(k), Anchor::Sink));
+        let at_next = CommOutcome::producer1(owner(Affine::index(k) + 1, Anchor::Sink));
+        for need in [&barrier, &at_k, &nb(true, true), &CommOutcome::none()] {
+            assert!(barrier.covers(need));
+            assert!(need.covers(&CommOutcome::none()));
+        }
+        assert!(!CommOutcome::none().covers(&nb(true, false)));
+        assert!(!at_k.covers(&barrier) && !nb(true, true).covers(&barrier));
+        assert!(nb(true, true).covers(&nb(true, false)));
+        assert!(!nb(true, false).covers(&nb(true, true)));
+        assert!(at_k.covers(&at_k_sink) && at_k_sink.covers(&at_k));
+        assert!(!at_k.covers(&at_next) && !at_k.covers(&nb(true, false)));
+        // One trip on, the counter of trip k is the one trip k + 1 needs.
+        let shifted = at_k.clone().at_trip(k, &(Affine::index(k) + 1));
+        assert!(shifted.covers(&at_next));
+        assert!(!CommOutcome::of(CommPattern::Producer1).covers(&at_k));
+        assert!(!at_k.covers(&CommOutcome::of(CommPattern::Producer1)));
+
+        // A fused sync covers each of its parts and their distances as
+        // a neighbor or pairwise need, but no other producer.
+        let fused = nb(true, false)
+            .join(at_k.clone())
+            .join(CommOutcome::collector(ProducerSpec::Master));
+        assert!(fused.covers(&nb(true, false)) && fused.covers(&at_k_sink));
+        assert!(fused.covers(&CommOutcome::collector(ProducerSpec::Master)));
+        assert!(!fused.covers(&CommOutcome::producer1(ProducerSpec::Master)));
+        assert!(!fused.covers(&nb(false, true)) && !nb(true, true).covers(&fused));
+        let mut far = DistSet::neighbor(true, false);
+        far.insert(3);
+        let far = CommOutcome::of(CommPattern::PairWise { dists: far });
+        assert!(far.covers(&nb(true, false)) && !nb(true, true).covers(&far));
+    }
+
+    /// `workvec` and `lu`, initialisation → the statement of the `k`
+    /// loop that reads pivot row / column `k` across processors: with
+    /// the loop taken whole no producer has a name; per trip it is the
+    /// owner of `k`, at the first trip the owner of `0` — and the
+    /// statement is not the same at every trip.
+    #[test]
+    fn entering_a_loop_names_the_producer_of_each_trip() {
+        for (name, sink, map) in [
+            ("workvec", 1, OwnerMap::Block(2)),
+            ("lu", 4, OwnerMap::Cyclic),
+        ] {
+            let built = (suite::by_name(name).unwrap().build)(suite::Scale::Test);
+            let st = built.prog.all_statements();
+            let (init, sink) = (&st[if name == "lu" { 1 } else { 0 }], &st[sink]);
+            let knode = sink.loops[0];
+            let k = built.prog.expect_loop(knode).id;
+            let mut bind = Bindings::new(8);
+            for &(sym, v) in &built.values {
+                bind.bind(sym, v);
+            }
+            let q = CommQuery::new(&built.prog, bind);
+            let whole = q.comm_stmts_detailed(init, sink, CommMode::LoopIndependent);
+            assert_eq!(whole.pattern, CommPattern::General, "{name}");
+            let named = |sub| {
+                Some(ProducerSpec::Owner {
+                    map,
+                    sub,
+                    anchor: Anchor::Sink,
+                })
+            };
+            let per_trip = Entry {
+                per_trip: vec![knode],
+                first_trip: vec![],
+            };
+            let mut scans = PairScans::default();
+            let need = q.comm_stmts_entering(init, sink, &per_trip, &mut scans);
+            assert_eq!(need.producer, named(Affine::index(k)), "{name}");
+            let first_trip = Entry {
+                per_trip: vec![],
+                first_trip: vec![knode],
+            };
+            let need = q.comm_stmts_entering(init, sink, &first_trip, &mut scans);
+            assert_eq!(need.producer, named(Affine::constant(0)), "{name}");
+            assert_eq!(need.pair, whole.pair);
+            assert!(!q.trip_invariant(sink, knode));
+        }
+    }
+
+    /// `DO t { DO i = 1.. { DOALL j: X(i,j) = .. X(i-1,j) } }` after an
+    /// initialisation loop, rows in blocks: held at the first trip of
+    /// the sweep the read of row 0 stays inside the first block — unless
+    /// blocks are single rows. The time loop changes nothing about the
+    /// statement.
+    #[test]
+    fn the_first_trip_of_a_sweep_is_local_unless_blocks_are_single_rows() {
+        let built = (suite::by_name("erlebacher").unwrap().build)(suite::Scale::Test);
+        let st = built.prog.all_statements();
+        let (init, sweep) = (&st[0], &st[2]);
+        let (tnode, inode) = (sweep.loops[0], sweep.loops[1]);
+        for (nprocs, first) in [
+            (8, CommPattern::NoComm),
+            (
+                16,
+                CommPattern::Neighbor {
+                    fwd: true,
+                    bwd: false,
+                },
+            ),
+        ] {
+            let mut bind = Bindings::new(nprocs);
+            for &(sym, v) in &built.values {
+                bind.bind(sym, v);
+            }
+            let q = CommQuery::new(&built.prog, bind);
+            let entry = Entry {
+                per_trip: vec![tnode],
+                first_trip: vec![inode],
+            };
+            let need = q.comm_stmts_entering(init, sweep, &entry, &mut PairScans::default());
+            assert_eq!(need.pattern, first, "P={nprocs}");
+            assert!(q.trip_invariant(sweep, tnode));
+            assert!(!q.trip_invariant(sweep, inode));
+        }
+    }
+
     /// DistSet basics: insertion bounds, ordering, rendering.
     #[test]
     fn distset_round_trip() {
@@ -2417,15 +2778,19 @@ mod tests {
             CommQuery::with_config(&prog, bind.clone(), AnalysisConfig::sequential_uncached());
         let cached = CommQuery::new(&prog, bind);
         let st = prog.all_statements();
-        let g1 = vec![st[0].clone(), st[1].clone()];
-        let g2 = vec![st[2].clone(), st[3].clone()];
-        let want = reference.comm_groups_detailed(&g1, &g2, CommMode::LoopIndependent);
-        let got = cached.comm_groups_detailed(&g1, &g2, CommMode::LoopIndependent);
-        assert_eq!(want, got);
+        let g1 = [st[0].clone(), st[1].clone()];
+        let g2 = [st[2].clone(), st[3].clone()];
+        let fold = |q: &CommQuery| {
+            let pairs = g1.iter().flat_map(|s1| g2.iter().map(move |s2| (s1, s2)));
+            pairs.fold(CommOutcome::none(), |out, (s1, s2)| {
+                out.join(q.comm_stmts_detailed(s1, s2, CommMode::LoopIndependent))
+            })
+        };
+        let want = fold(&reference);
+        assert_eq!(want, fold(&cached));
 
         // The second identical query is answered entirely from the memo.
-        let again = cached.comm_groups_detailed(&g1, &g2, CommMode::LoopIndependent);
-        assert_eq!(want, again);
+        assert_eq!(want, fold(&cached));
         let stats = cached.stats();
         assert!(stats.pair_hits > 0, "{stats:?}");
         assert!(stats.pair_misses > 0, "{stats:?}");

@@ -107,6 +107,15 @@ impl PairSystem {
         self.base.take();
     }
 
+    /// Hold a loop that encloses the later statement alone at its first
+    /// trip: the later instance's index equals the loop's lower bound.
+    pub fn hold_at_first_trip(&mut self, bind: &Bindings, l: &ir::Loop) {
+        let m2 = self.map2.clone();
+        let lo = self.tr(bind, &l.lo, &m2);
+        self.sys.add_eq(LinExpr::var(m2[&l.id]) - lo);
+        self.base.take();
+    }
+
     /// Route feasibility queries through a shared memo cache. Sound
     /// because the verdict is a pure function of the canonical form of
     /// the queried system (see `ineq::cache`).

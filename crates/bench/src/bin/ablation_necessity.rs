@@ -4,10 +4,11 @@
 //! vector-clock validator then finds a race. A high "necessary"
 //! fraction means the optimizer is not leaving easy eliminations on the
 //! table (the complement of the soundness tests, which check it never
-//! removes too much); an interior sync the validator proves removable is
-//! listed by name — it is implied by the syncs around it. Collectors
-//! are stripped on their own as well, at the width where the suite has
-//! one.
+//! removes too much); the interior syncs the validator proves removable
+//! *together* — implied by the syncs around them — are listed by name,
+//! from the helper `tests/necessity.rs` holds to its allow-list.
+//! Collectors are stripped on their own as well, at the width where the
+//! suite has one.
 
 use interp::ScheduleOrder;
 use spmd_bench::{instance, Table};
@@ -37,7 +38,6 @@ fn main() {
         ScheduleOrder::Random(31),
         ScheduleOrder::Random(101),
     ];
-    let mut implied = Vec::new();
     for def in suite::all() {
         let (built, bind) = instance(&def, Scale::Test, nprocs);
         let plan = spmd_opt::optimize(&built.prog, &bind);
@@ -50,10 +50,6 @@ fn main() {
             let races = !oracle::validate(&built.prog, &bind, &stripped).is_race_free();
             necessary += diverged as usize;
             racing += races as usize;
-            // Region ends are joins both executors perform anyway.
-            if !races && !diverged && !site.region_end {
-                implied.push(format!("{}: {}", def.name, site.desc));
-            }
         }
         let n = sites.len();
         t.row(vec![
@@ -69,11 +65,20 @@ fn main() {
         ]);
     }
     print!("{}", t.render());
-    println!("\nInterior syncs that can be stripped without a race (implied by their neighbors):");
-    for line in &implied {
-        println!("  {line}");
+    println!("\nInterior syncs that can be stripped together without a race (implied by their");
+    println!("neighbors), P = 2, 3, 4, 8:");
+    let mut none = true;
+    for def in suite::all() {
+        for nprocs in [2, 3, 4, 8] {
+            let (built, bind) = instance(&def, Scale::Test, nprocs);
+            let plan = spmd_opt::optimize(&built.prog, &bind);
+            for site in oracle::implied_syncs(&built.prog, &bind, &plan) {
+                println!("  {} P={nprocs}: {}", def.name, site.desc);
+                none = false;
+            }
+        }
     }
-    if implied.is_empty() {
+    if none {
         println!("  none");
     }
 

@@ -1,15 +1,19 @@
 //! Region formation, the greedy barrier-elimination algorithm, and
 //! baseline (fork-join) lowering.
 
-use crate::plan::{Phase, PhaseKind, RItem, Region, SpmdProgram, SyncOp, TopItem};
+use crate::plan::{
+    ops_in_site_order, Phase, PhaseKind, RItem, Region, SpmdProgram, SyncOp, TopItem,
+};
 use crate::sites::{
-    loop_after_label, loop_bottom_label, phase_after_label, region_end_label, SlotKind,
+    loop_after_label, loop_bottom_label, phase_after_label, region_end_label, slot_count_items,
+    SlotKind,
 };
 use analysis::{
     loop_is_replicated, loop_partition, AccessPair, AnalysisConfig, AnalysisStats, Anchor,
-    Bindings, CommMode, CommOutcome, CommPattern, CommQuery, Pin, ProducerSpec,
+    Bindings, CommMode, CommOutcome, CommPattern, CommQuery, Entry, PairScans, Pin, ProducerSpec,
 };
-use ir::{LhsRef, LoopKind, Node, NodeId, Program, StmtPath};
+use ir::{Affine, LhsRef, LoopKind, Node, NodeId, Program, StmtPath};
+use std::cell::{OnceCell, RefCell};
 
 /// Does the subtree contain a parallel loop?
 pub fn contains_par(prog: &Program, node: NodeId) -> bool {
@@ -104,6 +108,15 @@ pub struct Decision {
     /// Same-operator reduction pairs the analysis left out of the
     /// classification because their atomic flushes commute.
     pub commuting: Vec<AccessPair>,
+    /// Communicating pairs left out of the classification because a
+    /// sync placed elsewhere already orders them on every path from
+    /// their source to their sink: the pair (the last access pair the
+    /// statement pair joined) and the site of that sync.
+    pub covered: Vec<(AccessPair, usize)>,
+    /// The slot is in front of a sequential loop and its sync answers
+    /// for the loop's first trip only: at every later trip the loop
+    /// bottom has already ordered the same pairs.
+    pub first_trip: bool,
     /// The synchronization placed in the slot.
     pub placed: SyncOp,
     /// For a loop-bottom barrier: left out of the loop's final trip,
@@ -136,33 +149,55 @@ pub fn placed_str(s: &SyncOp) -> &'static str {
     }
 }
 
-/// One line naming the access pair that pins a kept barrier and the
-/// rule that failed on it.
-fn pin_str(prog: &Program, pin: &Pin) -> String {
+/// `statement n2 -> statement n11, true dependence on A`.
+pub fn pair_str(prog: &Program, pair: &AccessPair) -> String {
     format!(
-        "statement n{} -> statement n{}, {} dependence on {}: {}",
-        pin.pair.src.0,
-        pin.pair.dst.0,
-        pin.pair.dep.as_str(),
-        pin.pair.storage.name(prog),
-        pin.rule
+        "statement n{} -> statement n{}, {} dependence on {}",
+        pair.src.0,
+        pair.dst.0,
+        pair.dep.as_str(),
+        pair.storage.name(prog)
     )
 }
 
+/// One line naming the access pair that pins a kept barrier and the
+/// rule that failed on it.
+fn pin_str(prog: &Program, pin: &Pin) -> String {
+    format!("{}: {}", pair_str(prog, &pin.pair), pin.rule)
+}
+
+/// `s5 (counter #0)`: a sync site and what the plan places there.
+fn site_str(site: usize, op: &SyncOp) -> String {
+    match op {
+        SyncOp::Counter { id, .. } => format!("s{site} (counter #{id})"),
+        op => format!("s{site} ({})", placed_str(op)),
+    }
+}
+
 /// Compose the human-readable `reason` for a decision from the
-/// classification, what was placed, and the enabled mechanisms.
+/// classification, what was placed, the enabled mechanisms and the
+/// syncs placed elsewhere (`at` renders one by site id) that took
+/// pairs, or all trips but the first, off this slot.
 fn reason_for(
     prog: &Program,
-    outcome: Option<&CommOutcome>,
-    placed: &SyncOp,
+    p: &Pending,
     opts: &OptimizeOptions,
+    at: &dyn Fn(usize) -> String,
 ) -> String {
-    let Some(outcome) = outcome else {
+    let Some(outcome) = &p.outcome else {
         return "no statements on one side of the boundary — nothing to synchronize".into();
     };
+    let (d, placed) = (&p.decision, &p.decision.placed);
+    let mut by: Vec<usize> = d.covered.iter().map(|c| c.1).collect();
+    by.sort_unstable();
+    by.dedup();
+    let by = by.iter().map(|&s| at(s)).collect::<Vec<_>>().join(", ");
     let pat = outcome.pattern;
     let ev = pat.evidence();
-    match (pat, placed) {
+    let mut reason = match (pat, placed) {
+        (CommPattern::NoComm, SyncOp::None) if !by.is_empty() => {
+            return format!("eliminated: every communicating pair is already ordered by {by}");
+        }
         (CommPattern::NoComm, SyncOp::None) => format!("eliminated: {ev}"),
         (CommPattern::NoComm, _) if !opts.eliminate => {
             format!("barrier kept: elimination disabled by ablation options, though {ev}")
@@ -229,20 +264,44 @@ fn reason_for(
             None => format!("barrier kept: {ev}"),
         },
         (p, s) => format!("{} for {p:?}: {ev}", placed_str(s)),
+    };
+    if !by.is_empty() {
+        let n = d.covered.len();
+        reason.push_str(&format!("; left out: {n} pair(s) already ordered by {by}"));
     }
+    if d.first_trip {
+        let bottoms = p.rides.iter().map(|&s| at(s)).collect::<Vec<_>>();
+        reason.push_str(&format!(
+            "; owed on the loop's first trip only — later trips ride the loop bottom {}",
+            bottoms.join(", ")
+        ));
+    }
+    reason
 }
 
 struct Optimizer<'p> {
     prog: &'p Program,
     query: CommQuery<'p>,
-    next_counter: usize,
     /// Running canonical slot id, mirroring the site walk of
     /// [`crate::sites::sync_sites`] (construction order == walk order).
     next_slot: usize,
     /// Running region index (for region-end labels).
     next_region: usize,
+    /// The current region's decisions in the order they were taken —
+    /// the slot in front of a loop after the loop's own. Sorted by site,
+    /// given their counter ids and reasons and moved to `log` when the
+    /// region is complete.
+    pending: Vec<Pending>,
     log: Vec<Decision>,
     opts: OptimizeOptions,
+}
+
+/// A decision awaiting its counter id and its reason.
+struct Pending {
+    decision: Decision,
+    outcome: Option<CommOutcome>,
+    /// For a first-trip sync: the loop bottoms later trips ride.
+    rides: Vec<usize>,
 }
 
 /// A sync slot awaiting its decision (an item's `after`, or a loop's
@@ -253,8 +312,38 @@ struct Slot {
     kind: SlotKind,
 }
 
+/// What a loop-independent statement pair asks of the slot being
+/// decided.
+enum Owed {
+    /// Nothing: the sync placed at this site orders it on every path
+    /// from its source to its sink.
+    Covered(AccessPair, usize),
+    /// This, to be joined into the slot's outcome; with a site, on the
+    /// first trip of the loop behind the slot only — at later trips the
+    /// loop bottom at that site has ordered the pair.
+    Need(CommOutcome, Option<usize>),
+}
+
+/// Site id and ordering ([`SyncOp::orders`]) of each item's `after`
+/// slot, for a level whose first slot is `first`.
+fn after_slots(items: &[RItem], mut first: usize) -> Vec<(usize, CommOutcome)> {
+    let after = |it: &RItem| {
+        first += slot_count_items(std::slice::from_ref(it));
+        (first - 1, it.after().orders())
+    };
+    items.iter().map(after).collect()
+}
+
+/// The first of `slots` whose sync covers `need`.
+fn covering(slots: &[(usize, CommOutcome)], need: &CommOutcome) -> Option<usize> {
+    let slot = slots.iter().find(|(_, have)| have.covers(need))?;
+    Some(slot.0)
+}
+
 impl<'p> Optimizer<'p> {
-    fn sync_from(&mut self, outcome: &CommOutcome) -> SyncOp {
+    /// Lower an outcome to a sync op. A counter's id is handed out when
+    /// the region is complete ([`close_log`](Self::close_log)).
+    fn sync_from(&self, outcome: &CommOutcome) -> SyncOp {
         match outcome.pattern {
             CommPattern::NoComm => {
                 if self.opts.eliminate {
@@ -272,10 +361,8 @@ impl<'p> Optimizer<'p> {
             }
             CommPattern::Producer1 => {
                 if self.opts.use_counters {
-                    let id = self.next_counter;
-                    self.next_counter += 1;
                     SyncOp::Counter {
-                        id,
+                        id: 0,
                         producer: outcome
                             .producer
                             .clone()
@@ -329,32 +416,21 @@ impl<'p> Optimizer<'p> {
 
     /// The greedy elimination algorithm over one level of region items.
     fn schedule_level(&mut self, nodes: &[NodeId], prefix: &[NodeId]) -> LevelResult {
+        let level_first = self.next_slot;
         let mut items: Vec<RItem> = Vec::new();
-        let mut group: Vec<StmtPath> = Vec::new();
+        // The running group, each statement with the index of the item
+        // it came in with.
+        let mut group: Vec<(usize, StmtPath)> = Vec::new();
         let mut saw_barrier = false;
         let mut last_after: Option<Slot> = None;
 
-        for &node in nodes {
+        for (ib, &node) in nodes.iter().enumerate() {
             let stmts = self.prog.statements_under(node, prefix);
 
-            // Decide the synchronization between the running group and
-            // this item (the paper's step 2-4: test loop-independent
-            // communication; eliminate, replace, or keep the barrier).
-            if !items.is_empty() {
-                let slot = last_after.take().expect("previous item records its slot");
-                let outcome = (!group.is_empty() && !stmts.is_empty()).then(|| {
-                    self.query
-                        .comm_groups_detailed(&group, &stmts, CommMode::LoopIndependent)
-                });
-                let sync = self.decide(slot, outcome, group.len(), stmts.len());
-                if sync.is_barrier() {
-                    group.clear();
-                    saw_barrier = true;
-                }
-                items.last_mut().unwrap().set_after(sync);
-            }
-
-            match self.prog.node(node) {
+            // Build the item first: the slot in front of a sequential
+            // loop is decided knowing the syncs inside the loop.
+            let item_first = self.next_slot;
+            let (item, after, inner) = match self.prog.node(node) {
                 Node::Loop(l) if l.kind == LoopKind::Seq && spmdable(self.prog, node) => {
                     let mut inner_prefix = prefix.to_vec();
                     inner_prefix.push(node);
@@ -364,66 +440,316 @@ impl<'p> Optimizer<'p> {
                     // slots were consumed by the recursion).
                     let bottom_id = self.next_slot;
                     self.next_slot += 2;
+                    let body = (&sub.items[..], item_first);
                     let bottom =
-                        self.carried_sync(node, &inner_prefix, &body_nodes, &sub, bottom_id);
-                    let bottom_is_barrier = bottom.is_barrier();
-                    if bottom_is_barrier || sub.saw_barrier {
-                        saw_barrier = true;
-                        group.clear();
-                        if !bottom_is_barrier {
-                            group.extend(sub.residual.iter().cloned());
-                        }
-                    } else {
-                        group.extend(stmts.iter().cloned());
-                    }
-                    items.push(RItem::Seq {
+                        self.carried_sync(node, &inner_prefix, &body_nodes, body, bottom_id);
+                    let item = RItem::Seq {
                         node,
                         body: sub.items,
                         bottom,
                         merge_last: false,
                         after: SyncOp::None,
-                    });
-                    last_after = Some(Slot {
+                    };
+                    let after = Slot {
                         id: bottom_id + 1,
                         label: loop_after_label(self.prog, node),
                         kind: SlotKind::LoopAfter,
-                    });
+                    };
+                    (item, after, Some((sub.residual, sub.saw_barrier)))
                 }
                 _ => {
-                    let slot_id = self.next_slot;
                     self.next_slot += 1;
-                    items.push(RItem::Phase(Phase {
+                    let item = RItem::Phase(Phase {
                         node,
                         kind: self.phase_kind_for(node),
                         after: SyncOp::None,
-                    }));
-                    last_after = Some(Slot {
-                        id: slot_id,
+                    });
+                    let after = Slot {
+                        id: item_first,
                         label: phase_after_label(self.prog, node),
                         kind: SlotKind::PhaseAfter,
-                    });
-                    group.extend(stmts.iter().cloned());
+                    };
+                    (item, after, None)
+                }
+            };
+
+            // Decide the synchronization between the running group and
+            // this item (the paper's step 2-4: test loop-independent
+            // communication; eliminate, replace, or keep the barrier).
+            if let Some(slot) = last_after.replace(after) {
+                let before = (&items[..], level_first);
+                let sync = self.entry_sync(slot, &group, &stmts, before, (&item, item_first));
+                if sync.is_barrier() {
+                    group.clear();
+                    saw_barrier = true;
+                }
+                items.last_mut().unwrap().set_after(sync);
+            }
+
+            let mut joins = stmts;
+            if let (RItem::Seq { bottom, .. }, Some((residual, barrier_inside))) = (&item, inner) {
+                if bottom.is_barrier() || barrier_inside {
+                    saw_barrier = true;
+                    group.clear();
+                    joins = if bottom.is_barrier() {
+                        Vec::new()
+                    } else {
+                        residual
+                    };
                 }
             }
+            group.extend(joins.into_iter().map(|s| (ib, s)));
+            items.push(item);
         }
 
         LevelResult {
             items,
-            residual: group,
+            residual: group.into_iter().map(|(_, s)| s).collect(),
             saw_barrier,
         }
     }
 
+    /// The sync between the running group and the item `next` (whose
+    /// first slot is the second half of the pair): every pair is asked
+    /// what it still [owes](Self::owed) the slot, given the syncs
+    /// already placed at this level (`before`: the items so far and the
+    /// level's first slot) and inside `next`.
+    fn entry_sync(
+        &mut self,
+        slot: Slot,
+        group: &[(usize, StmtPath)],
+        stmts: &[StmtPath],
+        before: (&[RItem], usize),
+        next: (&RItem, usize),
+    ) -> SyncOp {
+        let sizes = (group.len(), stmts.len());
+        if group.is_empty() || stmts.is_empty() {
+            return self.decide(slot, None, sizes, Vec::new(), Vec::new());
+        }
+        // The last item's `after` is the slot being decided.
+        let mut here = after_slots(before.0, before.1);
+        here.pop();
+        let mut need = CommOutcome::none();
+        let mut covered = Vec::new();
+        let (mut rides, mut every_trip) = (Vec::new(), false);
+        // Set once a pair, all trips of the loops behind the slot taken
+        // at once, asks for a barrier: whatever the slot gets from then
+        // on is no more than it would have had.
+        let mut pinned = false;
+        'fold: for (ia, s1) in group {
+            for s2 in stmts {
+                match self.owed(s1, s2, &here[*ia..], next, &mut pinned) {
+                    Owed::Covered(pair, site) => covered.push((pair, site)),
+                    Owed::Need(o, ride) => {
+                        match ride {
+                            Some(site) if !rides.contains(&site) => rides.push(site),
+                            None if o.pattern != CommPattern::NoComm => every_trip = true,
+                            _ => {}
+                        }
+                        need = need.join(o);
+                        if need.pattern == CommPattern::General {
+                            break 'fold;
+                        }
+                    }
+                }
+            }
+        }
+        if every_trip || need.pattern == CommPattern::General {
+            rides.clear();
+        }
+        self.decide(slot, Some(need), sizes, covered, rides)
+    }
+
+    /// Does `item` hold statement `s`?
+    fn holds(&self, item: &RItem, s: &StmtPath) -> bool {
+        let node = match item {
+            RItem::Phase(p) => p.node,
+            RItem::Seq { node, .. } => *node,
+        };
+        let mut found = node == s.node || s.loops.contains(&node);
+        if !found && matches!(self.prog.node(node), Node::Guard(_)) {
+            self.prog.walk(node, &mut |id, _| found |= id == s.node);
+        }
+        found
+    }
+
+    /// What the pair `s1 -> s2` asks of the slot in front of the item
+    /// `next` that holds `s2`, `s1` being in the running group.
+    ///
+    /// Nothing, when an `after` slot between the two at this level
+    /// (`here`) already orders it. Into a sequential loop, the need is
+    /// walked outwards from the sink's own level: stated per trip — the
+    /// loop counted among the site loops, so a producer may be named
+    /// after its index — it may be covered on every trip by a body slot
+    /// in front of the sink's item; otherwise, the top of trip `k > lo`
+    /// being the same program point as the bottom of trip `k - 1`, a
+    /// bottom sync that covers the need of the trip after it leaves
+    /// only the loop's first trip open, and the loop is held there for
+    /// the levels further out. What is left when the walk arrives at
+    /// the slot is what it owes; with no loop held that is the need of
+    /// all trips at once, as if the loop were opaque — which is also
+    /// the most the slot is ever given (`pinned`: a barrier, found by
+    /// an earlier pair; until then every pair is classified that way
+    /// first).
+    fn owed(
+        &self,
+        s1: &StmtPath,
+        s2: &StmtPath,
+        here: &[(usize, CommOutcome)],
+        next: (&RItem, usize),
+        pinned: &mut bool,
+    ) -> Owed {
+        // Restated at one entry after another, the pair is scanned once.
+        let into_loop = matches!(next.0, RItem::Seq { .. });
+        let scans = RefCell::new(PairScans::default());
+        let entering = |entry: &Entry| {
+            self.query
+                .comm_stmts_entering(s1, s2, entry, &mut scans.borrow_mut())
+        };
+        let opaque = OnceCell::new();
+        let all_trips = || {
+            let whole = || {
+                if into_loop {
+                    return entering(&Entry::default());
+                }
+                self.query
+                    .comm_stmts_detailed(s1, s2, CommMode::LoopIndependent)
+            };
+            opaque.get_or_init(whole)
+        };
+        // Taken whole: covered at this level, or what the slot owes.
+        let all_at_once = || {
+            let all = all_trips();
+            match (all.pair, covering(here, all)) {
+                (Some(pair), Some(site)) if all.pattern != CommPattern::NoComm => {
+                    Owed::Covered(pair, site)
+                }
+                _ => Owed::Need(all.clone(), None),
+            }
+        };
+
+        // The need at the innermost entry, no loop held.
+        let mut known = if !into_loop || !*pinned {
+            let all = all_trips();
+            *pinned |= all.pattern == CommPattern::General;
+            if !into_loop || all.pattern == CommPattern::NoComm {
+                return all_at_once();
+            }
+            if let Owed::Covered(pair, site) = all_at_once() {
+                return Owed::Covered(pair, site);
+            }
+            // Fixing more indices only ever names a producer or
+            // collector that had no name: a need that is all neighbor
+            // reach, or one producer, reads the same at every entry.
+            let named = matches!(
+                all.pattern,
+                CommPattern::Neighbor { .. } | CommPattern::Producer1
+            );
+            named.then(|| all.clone())
+        } else {
+            None
+        };
+
+        // The loops from the slot down to the sink's item: the `after`
+        // slots in front of the sink's item, the bottom's site and sync.
+        let mut levels = Vec::new();
+        let (mut item, mut first) = next;
+        while let RItem::Seq {
+            node, body, bottom, ..
+        } = item
+        {
+            let at = body
+                .iter()
+                .position(|it| self.holds(it, s2))
+                .expect("a statement under a loop is in one of its items");
+            let mut slots = after_slots(body, first);
+            let bottom_site = slots.last().map_or(first, |s| s.0 + 1);
+            slots.truncate(at);
+            first = slots.last().map_or(first, |s| s.0 + 1);
+            levels.push((*node, slots, bottom_site, bottom.orders()));
+            item = &body[at];
+        }
+        let mut entry = Entry {
+            per_trip: levels.iter().map(|l| l.0).collect(),
+            first_trip: Vec::new(),
+        };
+
+        // The pair as the first need that communicates names it, and
+        // the innermost loop bottom that takes trips off the slot.
+        let (mut pair, mut ride) = (None, None);
+        // With loops held, no need left means the bottoms ridden order
+        // the pair at every trip.
+        let served = |need: CommOutcome, pair, ride| match (pair, ride) {
+            (Some(pair), Some(site)) => Owed::Covered(pair, site),
+            _ => Owed::Need(need, None),
+        };
+        for (node, slots, bottom_site, bottom) in levels.iter().rev() {
+            let need = known.take().unwrap_or_else(|| entering(&entry));
+            if need.pattern == CommPattern::NoComm {
+                return served(need, pair, ride);
+            }
+            pair = pair.or(need.pair);
+            if let (Some(pair), Some(site)) = (pair, covering(slots, &need)) {
+                return Owed::Covered(pair, site);
+            }
+            entry.per_trip.pop();
+            let (k, lo) = {
+                let l = self.prog.expect_loop(*node);
+                (l.id, &l.lo)
+            };
+            let next_trip = need.clone().at_trip(k, &(Affine::index(k) + 1));
+            let unnamed = next_trip == need;
+            if bottom.covers(&next_trip) {
+                ride.get_or_insert(*bottom_site);
+                if self.query.trip_invariant(s2, *node) {
+                    // Trip `lo` reads like every other.
+                    known = Some(need);
+                    continue;
+                }
+                entry.first_trip.push(*node);
+                if !unnamed && lo.loops().next().is_none() {
+                    // Stated for every trip `k` by name, it is stated
+                    // for trip `lo`; asking again could only find that
+                    // trip quieter than the others.
+                    known = Some(need.at_trip(k, lo));
+                }
+            } else if unnamed {
+                // Nothing in it names this loop's index, so one level
+                // out, the loop not held, it reads the same.
+                known = Some(need);
+            }
+        }
+        let Some(site) = ride else {
+            return all_at_once();
+        };
+        let first_trip = known.unwrap_or_else(|| {
+            entry.per_trip.clear();
+            entering(&entry)
+        });
+        if first_trip.pattern == CommPattern::NoComm {
+            return served(first_trip, pair, ride);
+        }
+        // Never a sync the slot would not have had for all trips.
+        if !*pinned && !all_trips().covers(&first_trip) {
+            return all_at_once();
+        }
+        match (pair, covering(here, &first_trip)) {
+            (Some(pair), Some(site)) => Owed::Covered(pair, site),
+            _ => Owed::Need(first_trip, Some(site)),
+        }
+    }
+
     /// Loop-carried communication analysis for the bottom of a
-    /// sequential loop inside a region: pairs already covered by an
-    /// unconditional intra-body barrier are skipped; the rest are joined
-    /// and lowered to the cheapest sufficient synchronization.
+    /// sequential loop inside a region (`body`: its items and their
+    /// first slot): pairs that an intra-body sync already orders are
+    /// left out; the rest are joined and lowered to the cheapest
+    /// sufficient synchronization.
     fn carried_sync(
         &mut self,
         loop_node: NodeId,
         inner_prefix: &[NodeId],
         body_nodes: &[NodeId],
-        sub: &LevelResult,
+        body: (&[RItem], usize),
         bottom_id: usize,
     ) -> SyncOp {
         let per_item: Vec<Vec<StmtPath>> = body_nodes
@@ -431,31 +757,52 @@ impl<'p> Optimizer<'p> {
             .map(|&n| self.prog.statements_under(n, inner_prefix))
             .collect();
         let total_stmts: usize = per_item.iter().map(Vec::len).sum();
-        let crossings: Vec<usize> = sub
-            .items
-            .iter()
-            .enumerate()
-            .filter(|(_, it)| it.after().is_barrier())
-            .map(|(k, _)| k)
-            .collect();
+        // A dependence from item ia at trip t to item ib at a later trip
+        // passes body slot c after its source in t when c >= ia, and —
+        // one trip after the bottom visit that would order it — before
+        // its sink when c < ib: there the slot's sync counts as what it
+        // orders at the next trip.
+        let k = self.prog.expect_loop(loop_node).id;
+        let next_trip = Affine::index(k) + 1;
+        let later = |(site, now): (usize, CommOutcome)| {
+            let then = now.clone().at_trip(k, &next_trip);
+            (site, now, then)
+        };
+        let slots: Vec<_> = after_slots(body.0, body.1).into_iter().map(later).collect();
+        let crossing = |ia: usize, ib: usize, need: &CommOutcome| {
+            let crosses = |(c, (site, now, then)): (usize, &(usize, CommOutcome, CommOutcome))| {
+                let covers = c >= ia && now.covers(need) || c < ib && then.covers(need);
+                covers.then_some(*site)
+            };
+            slots.iter().enumerate().find_map(crosses)
+        };
+        // What only an intra-body barrier covers: any pair at all.
+        let any_pair = CommOutcome::general();
         let mut outcome = CommOutcome::none();
+        let mut covered = Vec::new();
         'fold: for (ia, g1) in per_item.iter().enumerate() {
             for (ib, g2) in per_item.iter().enumerate() {
-                // A dependence from item ia at iteration t to item ib at
-                // iteration t+d crosses an intra-body barrier when some
-                // crossing c satisfies c >= ia (after the source in t) or
-                // c + 1 <= ib (before the sink in t+d).
-                if crossings.iter().any(|&c| c >= ia || c + 1 <= ib) {
+                if crossing(ia, ib, &any_pair).is_some() {
                     continue;
                 }
-                if g1.is_empty() || g2.is_empty() {
-                    continue;
+                let mut pairs = CommOutcome::none();
+                'group: for s1 in g1 {
+                    for s2 in g2 {
+                        let o =
+                            self.query
+                                .comm_stmts_detailed(s1, s2, CommMode::CarriedBy(loop_node));
+                        let pair = o.pair.filter(|_| o.pattern != CommPattern::NoComm);
+                        if let Some(site) = pair.and(crossing(ia, ib, &o)) {
+                            covered.extend(pair.map(|p| (p, site)));
+                            continue;
+                        }
+                        pairs = pairs.join(o);
+                        if pairs.pattern == CommPattern::General {
+                            break 'group;
+                        }
+                    }
                 }
-                outcome = outcome.join(self.query.comm_groups_detailed(
-                    g1,
-                    g2,
-                    CommMode::CarriedBy(loop_node),
-                ));
+                outcome = outcome.join(pairs);
                 if outcome.pattern == CommPattern::General {
                     break 'fold;
                 }
@@ -466,35 +813,70 @@ impl<'p> Optimizer<'p> {
             label: loop_bottom_label(self.prog, loop_node),
             kind: SlotKind::LoopBottom,
         };
-        self.decide(slot, Some(outcome), total_stmts, total_stmts)
+        let sizes = (total_stmts, total_stmts);
+        self.decide(slot, Some(outcome), sizes, covered, Vec::new())
     }
 
     /// Lower a slot's communication outcome (`None`: nothing on one
-    /// side of the boundary) to the sync placed there, and log why.
+    /// side of the boundary) to the sync placed there, and note the
+    /// decision; `sizes` are the statement counts on the two sides.
     fn decide(
         &mut self,
         slot: Slot,
         outcome: Option<CommOutcome>,
-        src_stmts: usize,
-        dst_stmts: usize,
+        sizes: (usize, usize),
+        covered: Vec<(AccessPair, usize)>,
+        rides: Vec<usize>,
     ) -> SyncOp {
-        let outcome = outcome.as_ref();
-        let placed = outcome.map_or(SyncOp::None, |o| self.sync_from(o));
-        self.log.push(Decision {
+        let placed = outcome.as_ref().map_or(SyncOp::None, |o| self.sync_from(o));
+        let decision = Decision {
             site: slot.id,
             label: slot.label,
             kind: slot.kind,
-            outcome: outcome.map(|o| o.pattern),
-            producer: outcome.and_then(|o| o.producer.clone()),
-            pin: outcome.and_then(CommOutcome::pin),
-            commuting: outcome.map_or(Vec::new(), |o| o.commuting.clone()),
+            outcome: outcome.as_ref().map(|o| o.pattern),
+            producer: outcome.as_ref().and_then(|o| o.producer.clone()),
+            pin: outcome.as_ref().and_then(CommOutcome::pin),
+            commuting: outcome.as_ref().map_or(Vec::new(), |o| o.commuting.clone()),
+            covered,
+            first_trip: !rides.is_empty(),
             placed: placed.clone(),
             merged_last_trip: false,
-            src_stmts,
-            dst_stmts,
-            reason: reason_for(self.prog, outcome, &placed, &self.opts),
+            src_stmts: sizes.0,
+            dst_stmts: sizes.1,
+            reason: String::new(),
+        };
+        self.pending.push(Pending {
+            decision,
+            outcome,
+            rides,
         });
         placed
+    }
+
+    /// Close a region's decisions: hand out counter ids in site order —
+    /// so that a plan keeps its ids whatever order its slots were
+    /// decided in — then move the pending decisions to the log, sorted
+    /// by site, each with its reason. Returns the number of counters;
+    /// `first_slot` is the region's first site id.
+    fn close_log(&mut self, items: &mut [RItem], first_slot: usize) -> usize {
+        let mut ops = Vec::new();
+        ops_in_site_order(items, &mut ops);
+        let mut counters = 0;
+        for op in ops.iter_mut() {
+            if let SyncOp::Counter { id, .. } = op {
+                *id = counters;
+                counters += 1;
+            }
+        }
+        let at = |site: usize| site_str(site, &*ops[site - first_slot]);
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.sort_by_key(|p| p.decision.site);
+        for mut p in pending {
+            p.decision.placed = ops[p.decision.site - first_slot].clone();
+            p.decision.reason = reason_for(self.prog, &p, &self.opts, &at);
+            self.log.push(p.decision);
+        }
+        counters
     }
 
     /// Mark the loops whose bottom barrier the next barrier makes
@@ -537,9 +919,9 @@ impl<'p> Optimizer<'p> {
     }
 
     fn build_region(&mut self, nodes: &[NodeId]) -> Region {
-        self.next_counter = 0;
         let first_slot = self.next_slot;
         let mut lr = self.schedule_level(nodes, &[]);
+        let num_counters = self.close_log(&mut lr.items, first_slot);
         self.merge_last_trips(&mut lr.items, true, first_slot);
         let end_id = self.next_slot;
         self.next_slot += 1;
@@ -553,6 +935,8 @@ impl<'p> Optimizer<'p> {
             producer: None,
             pin: None,
             commuting: Vec::new(),
+            covered: Vec::new(),
+            first_trip: false,
             placed: SyncOp::Barrier,
             merged_last_trip: false,
             src_stmts: lr.residual.len(),
@@ -564,7 +948,7 @@ impl<'p> Optimizer<'p> {
         Region {
             items: lr.items,
             end: SyncOp::Barrier,
-            num_counters: self.next_counter,
+            num_counters,
         }
     }
 
@@ -671,9 +1055,9 @@ fn optimize_impl(
     let mut opt = Optimizer {
         prog,
         query: CommQuery::with_fme_cache(prog, bind.clone(), opts.analysis, fme),
-        next_counter: 0,
         next_slot: 0,
         next_region: 0,
+        pending: Vec::new(),
         log: Vec::new(),
         opts,
     };
@@ -875,6 +1259,161 @@ mod tests {
                 "{text}"
             );
         }
+    }
+
+    /// `init; DO k { gather row k (replicated); update rows > k }`: the
+    /// loop bottom broadcasts row `k + 1` from its owner, so the slot in
+    /// front of the loop owes trip 0 alone — a counter posted by the
+    /// owner of row 0. The slot is decided after the loop, yet the log
+    /// is in site order and counter ids run in site order too.
+    fn gather_update() -> (Program, ir::SymId) {
+        let mut pb = ProgramBuilder::new("gather_update");
+        let n = pb.sym("n");
+        let a = pb.array("A", &[sym(n), sym(n)], dist_block());
+        let d = pb.private_array("D", &[sym(n)]);
+        let i0 = pb.begin_par("i0", con(0), sym(n) - 1);
+        let j0 = pb.begin_seq("j0", con(0), sym(n) - 1);
+        pb.assign(elem(a, [idx(i0), idx(j0)]), ival(idx(i0) + idx(j0)).sin());
+        pb.end();
+        pb.end();
+        let k = pb.begin_seq("k", con(0), sym(n) - 2);
+        let j1 = pb.begin_par("j1", con(0), sym(n) - 1);
+        pb.assign(elem(d, [idx(j1)]), arr(a, [idx(k), idx(j1)]));
+        pb.end();
+        let i2 = pb.begin_par("i2", con(0), sym(n) - 1);
+        let j2 = pb.begin_seq("j2", con(0), sym(n) - 1);
+        pb.begin_guard(vec![ge0(idx(i2) - idx(k) - 1)]);
+        pb.assign(
+            elem(a, [idx(i2), idx(j2)]),
+            arr(a, [idx(i2), idx(j2)]) * ex(0.5) + arr(d, [idx(j2)]),
+        );
+        pb.end();
+        pb.end();
+        pb.end();
+        pb.end();
+        (pb.finish(), n)
+    }
+
+    #[test]
+    fn slot_in_front_of_a_loop_owes_its_first_trip_only() {
+        let (prog, n) = gather_update();
+        let bind = Bindings::new(8).set(n, 16);
+        let (plan, log) = optimize_logged(&prog, &bind);
+        let sites: Vec<usize> = log.iter().map(|d| d.site).collect();
+        assert!(sites.windows(2).all(|w| w[0] < w[1]), "{sites:?}");
+        let (front, bottom) = (&log[0], &log[2]);
+        assert!(front.first_trip && !bottom.first_trip);
+        assert_eq!(bottom.kind, SlotKind::LoopBottom);
+        let SyncOp::Counter { id: 0, producer } = &front.placed else {
+            panic!("{:?}", front.placed);
+        };
+        let ProducerSpec::Owner { sub, .. } = producer else {
+            panic!("{producer:?}");
+        };
+        assert_eq!(*sub, Affine::constant(0));
+        assert!(matches!(bottom.placed, SyncOp::Counter { id: 1, .. }));
+        let rides = format!(
+            "later trips ride the loop bottom s{} (counter #1)",
+            bottom.site
+        );
+        assert!(front.reason.contains(&rides), "{}", front.reason);
+        assert_eq!(plan.static_stats().barriers, 1, "only the region end");
+
+        // The rule rides the switches: without counters the bottom is a
+        // barrier, which covers more, and trip 0 gets one too.
+        let opts = OptimizeOptions {
+            use_counters: false,
+            ..OptimizeOptions::default()
+        };
+        let (_, log, _) = optimize_explained(&prog, &bind, opts);
+        assert!(log[0].placed.is_barrier() && log[0].first_trip);
+        assert!(log[2].placed.is_barrier());
+    }
+
+    /// `init; DO t { DO i = 1.. { DOALL j: X(i,j) = .. X(i-1,j) } }`,
+    /// rows in blocks: the sweep's bottom hands row `i - 1` on at every
+    /// trip but the first, and the first reads row 0 next to row 1 — so
+    /// the slot after the initialisation holds nothing, unless blocks
+    /// are single rows, where it keeps the forward flag for trip 1.
+    #[test]
+    fn sweep_bottom_covers_the_slot_in_front_unless_blocks_are_single_rows() {
+        let mut pb = ProgramBuilder::new("sweep");
+        let n = pb.sym("n");
+        let x = pb.array("X", &[sym(n), sym(n)], dist_block());
+        let i0 = pb.begin_par("i0", con(0), sym(n) - 1);
+        let j0 = pb.begin_seq("j0", con(0), sym(n) - 1);
+        pb.assign(
+            elem(x, [idx(i0), idx(j0)]),
+            ival(idx(i0) * 3 + idx(j0)).sin(),
+        );
+        pb.end();
+        pb.end();
+        let _t = pb.begin_seq("t", con(0), con(2));
+        let i = pb.begin_seq("i", con(1), sym(n) - 1);
+        let j = pb.begin_par("j", con(0), sym(n) - 1);
+        pb.assign(
+            elem(x, [idx(i), idx(j)]),
+            arr(x, [idx(i), idx(j)]) * ex(0.5) + arr(x, [idx(i) - 1, idx(j)]),
+        );
+        pb.end();
+        pb.end();
+        pb.end();
+        let prog = pb.finish();
+        for (nprocs, single_rows) in [(4, false), (8, true)] {
+            let (_, log) = optimize_logged(&prog, &Bindings::new(nprocs).set(n, 8));
+            let (front, sweep) = (&log[0], &log[1]);
+            assert_eq!(sweep.kind, SlotKind::LoopBottom);
+            let fwd = SyncOp::Neighbor {
+                fwd: true,
+                bwd: false,
+            };
+            assert_eq!(sweep.placed, fwd);
+            if single_rows {
+                assert_eq!(front.placed, fwd);
+                assert!(front.first_trip && front.covered.is_empty());
+            } else {
+                assert_eq!(front.placed, SyncOp::None);
+                assert_eq!(front.covered.len(), 1);
+                assert_eq!(front.covered[0].1, sweep.site);
+                assert!(front
+                    .reason
+                    .starts_with("eliminated: every communicating pair"));
+            }
+        }
+    }
+
+    /// Three phases, the third overwriting what the first read one row
+    /// up: the flags between the first two already order that pair, so
+    /// the aligned second boundary holds nothing.
+    #[test]
+    fn a_sync_between_source_and_sink_at_the_same_level_covers_the_pair() {
+        let mut pb = ProgramBuilder::new("three");
+        let n = pb.sym("n");
+        let p = pb.array("P", &[sym(n)], dist_block());
+        let h = pb.array("H", &[sym(n)], dist_block());
+        let q = pb.array("Q", &[sym(n)], dist_block());
+        let i1 = pb.begin_par("i1", con(0), sym(n) - 2);
+        pb.assign(
+            elem(h, [idx(i1)]),
+            arr(p, [idx(i1) + 1]) + arr(p, [idx(i1)]),
+        );
+        pb.end();
+        let i2 = pb.begin_par("i2", con(1), sym(n) - 2);
+        pb.assign(
+            elem(q, [idx(i2)]),
+            arr(h, [idx(i2) - 1]) - arr(h, [idx(i2)]),
+        );
+        pb.end();
+        let i3 = pb.begin_par("i3", con(1), sym(n) - 2);
+        pb.assign(elem(p, [idx(i3)]), arr(q, [idx(i3)]));
+        pb.end();
+        let prog = pb.finish();
+        let (_, log) = optimize_logged(&prog, &Bindings::new(4).set(n, 32));
+        assert!(matches!(log[0].placed, SyncOp::Neighbor { fwd: true, .. }));
+        assert_eq!(log[1].placed, SyncOp::None);
+        assert_eq!(log[1].covered.len(), 1);
+        let (pair, site) = log[1].covered[0];
+        assert_eq!((pair.dep.as_str(), site), ("anti", log[0].site));
     }
 
     /// A serial statement between parallel loops is absorbed as a guarded

@@ -1,6 +1,6 @@
 //! The optimized SPMD schedule produced by the optimizer.
 
-use analysis::{DistSet, LoopPartition, ProducerSpec};
+use analysis::{CommOutcome, CommPattern, DistSet, LoopPartition, ProducerSpec};
 use ir::NodeId;
 
 /// Synchronization placed at one point of the schedule.
@@ -54,6 +54,31 @@ impl SyncOp {
     /// True for anything other than [`SyncOp::None`].
     pub fn is_some(&self) -> bool {
         !matches!(self, SyncOp::None)
+    }
+
+    /// What the sync orders at one visit, in the analysis' own terms:
+    /// the outcome whose lowering it is, with a barrier as the top of
+    /// the lattice. [`CommOutcome::covers`] compares it with the need of
+    /// a pair that passes the slot.
+    pub fn orders(&self) -> CommOutcome {
+        match self {
+            SyncOp::None => CommOutcome::none(),
+            SyncOp::Barrier => CommOutcome::general(),
+            SyncOp::Neighbor { fwd, bwd } => CommOutcome::of(CommPattern::Neighbor {
+                fwd: *fwd,
+                bwd: *bwd,
+            }),
+            SyncOp::Counter { producer, .. } => CommOutcome::producer1(producer.clone()),
+            SyncOp::PairCounter {
+                dists,
+                producers,
+                collectors,
+            } => CommOutcome {
+                pair_producers: producers.clone(),
+                collectors: collectors.clone(),
+                ..CommOutcome::of(CommPattern::PairWise { dists: *dists })
+            },
+        }
     }
 }
 
@@ -186,6 +211,25 @@ pub struct StaticStats {
     pub eliminated: usize,
 }
 
+/// Every sync op under `items`, in site order.
+pub(crate) fn ops_in_site_order<'a>(items: &'a mut [RItem], out: &mut Vec<&'a mut SyncOp>) {
+    for it in items {
+        match it {
+            RItem::Phase(p) => out.push(&mut p.after),
+            RItem::Seq {
+                body,
+                bottom,
+                after,
+                ..
+            } => {
+                ops_in_site_order(body, out);
+                out.push(bottom);
+                out.push(after);
+            }
+        }
+    }
+}
+
 /// Demote the sync op at canonical site `site` to a full
 /// [`SyncOp::Barrier`], returning the op it displaced (`None` when the
 /// plan has no such site). The walk mirrors
@@ -216,35 +260,15 @@ pub fn set_site_op(plan: &mut SpmdProgram, site: usize, op: SyncOp) -> Option<Sy
         site: usize,
         op: &SyncOp,
     ) -> Option<SyncOp> {
-        for it in items {
-            match it {
-                RItem::Phase(p) => {
-                    if *next == site {
-                        return Some(std::mem::replace(&mut p.after, op.clone()));
-                    }
-                    *next += 1;
-                }
-                RItem::Seq {
-                    body,
-                    bottom,
-                    after,
-                    ..
-                } => {
-                    if let Some(old) = set_items(body, next, site, op) {
-                        return Some(old);
-                    }
-                    if *next == site {
-                        return Some(std::mem::replace(bottom, op.clone()));
-                    }
-                    *next += 1;
-                    if *next == site {
-                        return Some(std::mem::replace(after, op.clone()));
-                    }
-                    *next += 1;
-                }
+        let mut ops = Vec::new();
+        ops_in_site_order(items, &mut ops);
+        match ops.get_mut(site - *next) {
+            Some(slot) => Some(std::mem::replace(&mut **slot, op.clone())),
+            None => {
+                *next += ops.len();
+                None
             }
         }
-        None
     }
     fn set_top(
         items: &mut [TopItem],

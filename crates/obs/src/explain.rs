@@ -116,22 +116,23 @@ fn analysis_json(prog: &Program, d: &Decision) -> Json {
         j = j.set("commuting", Json::Arr(names.collect()));
     }
     if let Some(pin) = &d.pin {
-        let storage = pin.pair.storage;
-        j = j.set(
-            "pinned_by",
-            Json::obj()
-                .set("src_stmt", pin.pair.src.0)
-                .set("dst_stmt", pin.pair.dst.0)
-                .set(storage.kind(), storage.name(prog))
-                .set("dependence", pin.pair.dep.as_str())
-                .set("failed_rule", pin.rule),
-        );
+        let pair = pair_json(prog, &pin.pair);
+        j = j.set("pinned_by", pair.set("failed_rule", pin.rule));
     }
     j.set("evidence", pat.evidence())
 }
 
+/// The fields that name an access pair.
+fn pair_json(prog: &Program, pair: &AccessPair) -> Json {
+    Json::obj()
+        .set("src_stmt", pair.src.0)
+        .set("dst_stmt", pair.dst.0)
+        .set(pair.storage.kind(), pair.storage.name(prog))
+        .set("dependence", pair.dep.as_str())
+}
+
 fn decision_json(prog: &Program, d: &Decision) -> Json {
-    let j = Json::obj()
+    let mut j = Json::obj()
         .set("site", d.site)
         .set("slot", d.kind.as_str())
         .set("label", d.label.as_str())
@@ -142,10 +143,21 @@ fn decision_json(prog: &Program, d: &Decision) -> Json {
         .set("sync", sync_json(prog, &d.placed))
         .set("reason", d.reason.as_str());
     if d.merged_last_trip {
-        j.set("merged_last_trip", true)
-    } else {
-        j
+        j = j.set("merged_last_trip", true);
     }
+    // Additive: a decision no other sync takes anything off keeps the
+    // document it always had.
+    if !d.covered.is_empty() {
+        let covered = d
+            .covered
+            .iter()
+            .map(|(pair, site)| pair_json(prog, pair).set("ordered_by_site", *site));
+        j = j.set("covered", Json::Arr(covered.collect()));
+    }
+    if d.first_trip {
+        j = j.set("first_trip", true);
+    }
+    j
 }
 
 /// The explain document: program identity, the optimizer's decisions
@@ -224,6 +236,10 @@ pub fn render_decisions(prog: &Program, decisions: &[Decision]) -> String {
             }
             for c in collectors_of(&d.placed) {
                 out.push_str(&format!("     collector: {}\n", collector_str(prog, c)));
+            }
+            for (pair, site) in &d.covered {
+                let pair = spmd_opt::pair_str(prog, pair);
+                out.push_str(&format!("     covered: {pair} — ordered by s{site}\n"));
             }
         }
         out.push_str(&format!("     why: {}\n", d.reason));

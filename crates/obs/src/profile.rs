@@ -804,6 +804,8 @@ mod tests {
             producer: None,
             pin: None,
             commuting: Vec::new(),
+            covered: Vec::new(),
+            first_trip: false,
             placed,
             merged_last_trip: false,
             src_stmts: 1,

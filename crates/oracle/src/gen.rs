@@ -14,14 +14,15 @@
 //! synchronization), privatizable work storage (replicated phases), and
 //! guarded serial code. Shape and parameters are drawn from a
 //! `xoshiro`-seeded RNG, so `generate(seed)` is reproducible across
-//! runs and platforms. Four more shapes aim at the producer, collector
-//! and reduction rules and are only drawn on request
+//! runs and platforms. Five more shapes aim at the producer, collector,
+//! reduction and covering rules and are only drawn on request
 //! ([`generate_shape`]), so the programs `generate` returns for a seed
 //! never change: broadcasts whose one producer is named from the
 //! reader's side, a broadcast out of a loop nested inside the sync
 //! site's scope, where no producer may be named at all, gathers whose
-//! one waiting processor is named from the reader's side, and chains
-//! of reductions into one scalar.
+//! one waiting processor is named from the reader's side, chains of
+//! reductions into one scalar, and an initialisation broadcast into a
+//! loop whose own syncs serve every trip but the first.
 
 use ir::build::*;
 use ir::{Affine, LoopId, Program, RedOp, SymId};
@@ -69,6 +70,15 @@ pub enum Shape {
     /// (the flushes commute) or two, a use of the running value or a
     /// master-guarded reduction in between. Not drawn by [`generate`].
     ReduceChain,
+    /// An initialisation loop, then a sequential loop whose gather
+    /// phase has every processor read row or element `k` of what every
+    /// owner rewrites before the loop bottom: the slot in front of the
+    /// loop owes its first trip at most. Block, cyclic or block-cyclic;
+    /// lower bound 0, 1 or a symbol; trip counts from 0; the gather
+    /// first in the body or behind a sync that does, or does not, order
+    /// the same pairs; alone, under a time loop, or inside a repeat
+    /// loop of its own. Not drawn by [`generate`].
+    InitBroadcast,
 }
 
 /// The shapes [`generate`] draws from.
@@ -83,7 +93,7 @@ const SHAPES: [Shape; 6] = [
 
 impl Shape {
     /// Every shape, the on-request ones last.
-    pub const ALL: [Shape; 10] = [
+    pub const ALL: [Shape; 11] = [
         Shape::AlignedChain,
         Shape::Stencil,
         Shape::Pipeline,
@@ -94,6 +104,7 @@ impl Shape {
         Shape::NestedBroadcast,
         Shape::GatherAnti,
         Shape::ReduceChain,
+        Shape::InitBroadcast,
     ];
 
     /// Command-line name (`beoracle fuzz --shapes`).
@@ -109,6 +120,7 @@ impl Shape {
             Shape::NestedBroadcast => "nested-broadcast",
             Shape::GatherAnti => "gather-anti",
             Shape::ReduceChain => "reduce-chain",
+            Shape::InitBroadcast => "init-broadcast",
         }
     }
 }
@@ -168,6 +180,7 @@ fn build(shape: Shape, seed: u64, rng: &mut StdRng) -> GenProgram {
         Shape::NestedBroadcast => nested_broadcast(rng),
         Shape::GatherAnti => gather_anti(rng),
         Shape::ReduceChain => reduce_chain(rng),
+        Shape::InitBroadcast => init_broadcast(rng),
     };
     GenProgram {
         prog,
@@ -710,6 +723,122 @@ fn reduce_chain(rng: &mut StdRng) -> (Program, Vec<(SymId, i64)>) {
     (pb.finish(), vec![(n, nv), (m, steps)])
 }
 
+/// `DO k = lb, lb + steps - 1 { [front;] gather; update }` after an
+/// initialisation loop: the gather has every processor read row (or
+/// element) `k` of `A`, the update has every owner rewrite its part, so
+/// the loop bottom broadcasts from `owner(k + 1)` and the slot in front
+/// of the loop owes trip `lb` alone — or nothing, when a `front` phase
+/// in which `owner(k)` rescales its row puts the very counter the
+/// gather needs in front of it on every trip. The other `front` is a
+/// neighbor exchange, which orders none of it. `nest` wraps the steps
+/// in a time loop, or the gather in a repeat loop of its own.
+fn init_broadcast(rng: &mut StdRng) -> (Program, Vec<(SymId, i64)>) {
+    let nv = rng.gen_range(9..=17);
+    let steps = if rng.gen_bool(0.5) {
+        rng.gen_range(0..=2)
+    } else {
+        rng.gen_range(3..=5)
+    };
+    let lov = rng.gen_range(0..=3);
+    let rows = rng.gen_bool(0.5);
+    let (bound, front, nest) = (
+        rng.gen_range(0..3),
+        rng.gen_range(0..3),
+        rng.gen_range(0..3),
+    );
+    let mut pb = ProgramBuilder::new("gen_init_broadcast");
+    let n = pb.sym("n");
+    let m = pb.sym("steps");
+    let lo = pb.sym("lo");
+    let reps = pb.sym("reps");
+    let extents = if rows {
+        vec![sym(n), sym(n)]
+    } else {
+        vec![sym(n)]
+    };
+    let dist = any_dist(rng, 0);
+    let [a, b, c] = ["A", "B", "C"].map(|name| pb.array(name, &extents, dist));
+    // Subscripts of row (or element) `r`, column `col`.
+    let at = |r: Affine, col: Option<LoopId>| -> Vec<Affine> {
+        std::iter::once(r).chain(col.map(idx)).collect()
+    };
+    // The column loop of the row form.
+    let begin_cols =
+        |pb: &mut ProgramBuilder, name: &str| rows.then(|| pb.begin_seq(name, con(0), sym(n) - 1));
+    let end_cols = |pb: &mut ProgramBuilder| {
+        if rows {
+            pb.end();
+        }
+    };
+
+    let c0 = rng.gen_range(1..=5);
+    let i0 = pb.begin_par("i0", con(0), sym(n) - 1);
+    let j0 = begin_cols(&mut pb, "j0");
+    let seed = idx(i0) * c0 + j0.map_or(con(1), idx);
+    pb.assign(elem(a, at(idx(i0), j0)), ival(seed.clone()).sin());
+    pb.assign(elem(b, at(idx(i0), j0)), ival(seed.clone() + 2).cos());
+    pb.assign(elem(c, at(idx(i0), j0)), ival(seed - 1).cos());
+    end_cols(&mut pb);
+    pb.end();
+
+    let (cf, cb, cg, ca) = (coeff(rng), coeff(rng), coeff(rng), coeff(rng));
+    let lb = match bound {
+        0 => con(0),
+        1 => con(1),
+        _ => sym(lo),
+    };
+    if nest == 1 {
+        pb.begin_seq("t", con(0), sym(reps) - 1);
+    }
+    let k = pb.begin_seq("k", lb.clone(), lb + sym(m) - 1);
+    match front {
+        0 => {}
+        1 if rows => {
+            let j1 = pb.begin_par("j1", con(0), sym(n) - 1);
+            let own = at(idx(k), Some(j1));
+            pb.assign(elem(a, own.clone()), arr(a, own) * ex(0.5) + ex(cf));
+            pb.end();
+        }
+        _ => {
+            let f = pb.begin_par("f", con(1), sym(n) - 1);
+            let fc = begin_cols(&mut pb, "fc");
+            pb.assign(
+                elem(c, at(idx(f), fc)),
+                arr(c, at(idx(f), fc)) * ex(0.5) + arr(b, at(idx(f) - 1, fc)) * ex(cf),
+            );
+            end_cols(&mut pb);
+            pb.end();
+        }
+    }
+    if nest == 2 {
+        pb.begin_seq("r", con(0), sym(reps) - 1);
+    }
+    let i = pb.begin_par("i", con(0), sym(n) - 1);
+    let ic = begin_cols(&mut pb, "ic");
+    pb.assign(
+        elem(b, at(idx(i), ic)),
+        arr(b, at(idx(i), ic)) * ex(0.25 * cb) + arr(a, at(idx(k), ic)) * ex(cg),
+    );
+    end_cols(&mut pb);
+    pb.end();
+    if nest == 2 {
+        pb.end();
+    }
+    let j = pb.begin_par("j", con(0), sym(n) - 1);
+    let jc = begin_cols(&mut pb, "jc");
+    pb.assign(
+        elem(a, at(idx(j), jc)),
+        arr(a, at(idx(j), jc)) * ex(0.5 * ca) + arr(b, at(idx(j), jc)) * ex(0.125),
+    );
+    end_cols(&mut pb);
+    pb.end();
+    pb.end(); // k
+    if nest == 1 {
+        pb.end();
+    }
+    (pb.finish(), vec![(n, nv), (m, steps), (lo, lov), (reps, 2)])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -782,6 +911,55 @@ mod tests {
         assert!((6..=26).contains(&commuting), "{commuting} of 32 chains");
     }
 
+    /// The initialisation broadcast draws every lower bound, nesting
+    /// and short trip count within a few seeds, and at eight processors
+    /// reaches both covering paths into a loop: a first-trip sync in
+    /// front of it (a plain counter among them), and pairs a body slot
+    /// orders on every trip.
+    #[test]
+    fn init_broadcast_shape_reaches_the_covering_rules() {
+        let (mut first, mut counters, mut covered) = (0, 0, 0);
+        let mut bounds = std::collections::BTreeSet::new();
+        let mut nests = std::collections::BTreeSet::new();
+        let mut trips = std::collections::BTreeSet::new();
+        for seed in 0..64 {
+            let g = generate_shape(Shape::InitBroadcast, seed);
+            let mut nest = "";
+            g.prog.walk_all(&mut |id, _| {
+                let Some(l) = g.prog.node(id).as_loop() else {
+                    return;
+                };
+                match l.name.as_str() {
+                    "k" if l.lo.is_constant() => bounds.insert(l.lo.constant_term()),
+                    "k" => bounds.insert(-1),
+                    "t" | "r" => std::mem::replace(&mut nest, &l.name).is_empty(),
+                    _ => false,
+                };
+            });
+            nests.insert(nest.to_string());
+            trips.insert(g.values[1].1.min(3));
+            let (_, log) = spmd_opt::optimize_logged(&g.prog, &g.bindings(8));
+            first += log.iter().any(|d| d.first_trip) as usize;
+            counters += log
+                .iter()
+                .any(|d| d.first_trip && matches!(d.placed, spmd_opt::SyncOp::Counter { .. }))
+                as usize;
+            covered += log
+                .iter()
+                .any(|d| d.kind != spmd_opt::SlotKind::LoopBottom && !d.covered.is_empty())
+                as usize;
+        }
+        assert_eq!(bounds.into_iter().collect::<Vec<_>>(), [-1, 0, 1]);
+        assert_eq!(nests.into_iter().collect::<Vec<_>>(), ["", "r", "t"]);
+        assert_eq!(trips.into_iter().collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert!(first >= 24, "{first} of 64 with a first-trip sync");
+        assert!(counters >= 8, "{counters} of 64 with a first-trip counter");
+        assert!(
+            covered >= 8,
+            "{covered} of 64 with a pair covered in the loop"
+        );
+    }
+
     #[test]
     fn generated_doalls_carry_no_dependence() {
         for shape in [
@@ -789,6 +967,7 @@ mod tests {
             Shape::NestedBroadcast,
             Shape::GatherAnti,
             Shape::ReduceChain,
+            Shape::InitBroadcast,
         ] {
             for seed in 0..8 {
                 let g = generate_shape(shape, seed);

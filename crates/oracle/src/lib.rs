@@ -33,7 +33,9 @@ pub use chaos::{
 };
 pub use diff::{check_program, plan_diverges, CaseResult, DiffConfig};
 pub use gen::{generate, generate_shape, GenProgram, Shape};
-pub use mutate::{delete, drop_collectors, mutation_teeth, sites, MutationSite, TeethReport};
+pub use mutate::{
+    delete, drop_collectors, implied_syncs, mutation_teeth, sites, MutationSite, TeethReport,
+};
 pub use repro::dump_repro;
 pub use service_chaos::{
     service_chaos_check, service_chaos_json, SeededServiceChaos, ServiceChaosCase,

@@ -150,6 +150,25 @@ pub fn drop_collectors(plan: &SpmdProgram, index: usize) -> Option<SpmdProgram> 
     dropped.then_some(mutant)
 }
 
+/// The interior syncs of `plan` the placed syncs around them imply:
+/// each interior site in walk order is stripped on top of the strips
+/// kept so far, and the strip is kept when the validator still finds
+/// the plan race-free — so the sites returned can all go *together*.
+/// A region end is a join both executors perform anyway and is left
+/// alone.
+pub fn implied_syncs(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Vec<MutationSite> {
+    let mut kept = plan.clone();
+    let mut implied = Vec::new();
+    for site in sites(plan).into_iter().filter(|s| !s.region_end) {
+        let stripped = delete(&kept, site.index);
+        if validate(prog, bind, &stripped).is_race_free() {
+            kept = stripped;
+            implied.push(site);
+        }
+    }
+    implied
+}
+
 /// How one mutant fared against the validator and the oracle.
 #[derive(Debug)]
 pub struct TeethSite {

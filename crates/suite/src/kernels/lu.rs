@@ -5,8 +5,12 @@
 //! processor — and every other processor's update phase consumes it: the
 //! paper's producer-consumer *counter* pattern (cf. its pivot-broadcast
 //! example). The optimizer replaces the scale→update barrier with a
-//! counter incremented by `owner(k)`; the carried dependences of the
-//! outer `k` loop are alignment-local or covered by the same counters.
+//! counter incremented by `owner(k)` — and that counter is the only
+//! interior sync of the plan: what the update reads of the
+//! initialisation is column `k`, whose owner posts it at every trip,
+//! and what trip `k + 1` reads of trip `k`'s update is column `k + 1`,
+//! whose owner posts it one trip later, so the slot in front of the
+//! loop and the loop bottom are both covered and hold nothing.
 
 use crate::{Built, Scale};
 use ir::build::*;

@@ -103,8 +103,9 @@ mod tests {
     }
 
     /// At eight processors the loop bottom is one pairwise sync too:
-    /// both shift directions, the producer and the collector, both the
-    /// owner of `B[0]`.
+    /// the shift back and the collector, the owner of `B[0]`. The shift
+    /// forward and the broadcast from that owner are the business of
+    /// the sync between the two phases, one trip later.
     #[test]
     fn loop_bottom_gathers_at_the_owner_of_the_broadcast_element() {
         let built = build(Scale::Test);
@@ -120,9 +121,9 @@ mod tests {
                     collectors,
                 } => {
                     s.kind == spmd_opt::SlotKind::LoopBottom
-                        && dists.contains(1)
+                        && !dists.contains(1)
                         && dists.contains(-1)
-                        && producers.len() == 1
+                        && producers.is_empty()
                         && collectors.len() == 1
                 }
                 _ => false,

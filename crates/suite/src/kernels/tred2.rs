@@ -3,9 +3,12 @@
 //!
 //! Per step `k`: gather row `k` into a replicated work vector, reduce a
 //! dot product into a shared scalar, then rank-1-update the trailing
-//! rows. The scalar reduction and the row gather keep barriers, while
-//! the update phase chain still merges — the partial-win profile the
-//! paper reports for dense reductions.
+//! rows. The scalar reduction and the update keep a barrier per step,
+//! while the update phase chain still merges — the partial-win profile
+//! the paper reports for dense reductions. The slot between the
+//! initialisation and the `k` loop owes the loop's first trip only (the
+//! bottom barrier serves the others): a counter posted by the owner of
+//! row 0.
 
 use crate::{Built, Scale};
 use ir::build::*;

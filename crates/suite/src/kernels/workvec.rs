@@ -7,7 +7,11 @@
 //! gather → update barrier disappears — accesses to private storage
 //! never communicate. With a plain shared work vector the same program
 //! needs a barrier per step: `build_shared` exists so tests and the
-//! ablation can measure exactly what privatization buys.
+//! ablation can measure exactly what privatization buys. What is left
+//! in the privatized plan is the broadcast of pivot row `k`: a counter
+//! at the loop bottom posted by the owner of row `k + 1`, and — the
+//! bottom serving every trip but the first — one in front of the loop
+//! posted by the owner of row 0.
 
 use crate::{Built, Scale};
 use ir::build::*;

@@ -23,8 +23,9 @@
 //!   log, timeline trace, structured failure reports) under
 //!   `--repro-dir` (default `beoracle-repro/`). `--shapes` draws the
 //!   programs round-robin from the named generator shapes — the only
-//!   way to reach `sink-broadcast` and `nested-broadcast`, which the
-//!   per-seed draw leaves out so that a seed's program never changes.
+//!   way to reach `sink-broadcast`, `nested-broadcast`, `gather-anti`,
+//!   `reduce-chain` and `init-broadcast`, which the per-seed draw
+//!   leaves out so that a seed's program never changes.
 //! * `mutate` — for `N` generated programs, delete each sync op of the
 //!   optimized schedule in turn and report what the race validator and
 //!   the differential oracle caught.

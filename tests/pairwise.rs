@@ -206,10 +206,13 @@ fn dropped_pairwise_posts_are_absorbed_by_the_recovery_ladder() {
 }
 
 /// At a collector site the post of a processor that is not a collector
-/// is read by the collector alone. `droppable_posts` lists one, and
-/// dropping it — like the producer's and the shift's — is absorbed by
-/// the ladder with bitwise-exact recovered memory: on `shift_bcast`
-/// (the owner of `B(0)` gathers) and on a `GuardedSerial` program (the
+/// is read by the collector (and, on `shift_bcast`, by its neighbor
+/// one distance down). `droppable_posts` lists one for the collector —
+/// the highest pid no distance or producer already stands for — and
+/// dropping it, like the shift's, is absorbed by the ladder with
+/// bitwise-exact recovered memory: on `shift_bcast` (the owner of
+/// `B(0)` gathers; the last processor's post stands for the distance
+/// the loop bottom is left with) and on a `GuardedSerial` program (the
 /// master does).
 #[test]
 fn a_dropped_post_at_a_collector_site_is_absorbed() {
@@ -244,8 +247,11 @@ fn a_dropped_post_at_a_collector_site_is_absorbed() {
             .iter()
             .filter(|c| c.kind == "pairwise" && c.spec.pid != collector)
             .collect();
-        assert_eq!(gathered.len(), 1, "{name}: {cands:?}");
+        let by_distance = (name == "shift_bcast") as usize;
+        assert_eq!(gathered.len(), 1 + by_distance, "{name}: {cands:?}");
         assert_eq!(gathered[0].spec.pid, nprocs - 1, "{name}");
+        let gathered = &gathered[by_distance..];
+        assert_eq!(gathered[0].spec.pid, nprocs - 1 - by_distance, "{name}");
         let r = recovery_check(
             &prog,
             &bind,

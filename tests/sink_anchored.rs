@@ -12,7 +12,8 @@ use barrier_elim::analysis::{Anchor, Bindings, ProducerSpec};
 use barrier_elim::interp::{run_virtual, Mem, ScheduleOrder};
 use barrier_elim::ir::{Program, SymId};
 use barrier_elim::spmd_opt::{
-    optimize, optimize_with, sync_sites, OptimizeOptions, SlotKind, SpmdProgram, SyncOp, SyncSite,
+    optimize, optimize_logged, optimize_with, sync_sites, OptimizeOptions, SlotKind, SpmdProgram,
+    SyncOp, SyncSite,
 };
 use barrier_elim::suite::{self, Built, Scale};
 use barrier_elim::{frontend, oracle};
@@ -34,30 +35,42 @@ fn dyn_barriers(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> u64 {
         .barriers
 }
 
+/// `workvec`'s loop bottom holds the sink-anchored counter. `lu`'s
+/// would — the same rule names the owner of column `k + 1` there — but
+/// that owner posts the scale → update counter of trip `k + 1` before
+/// anyone reads the column, so the bottom is covered and holds nothing:
+/// the one counter in the loop body is the sink-anchored producer's.
 #[test]
-fn lu_and_workvec_post_a_counter_at_the_loop_bottom() {
+fn workvec_posts_a_counter_at_the_loop_bottom_and_lu_rides_the_one_in_its_body() {
     for name in ["lu", "workvec"] {
         let built = (suite::by_name(name).unwrap().build)(Scale::Test);
         for nprocs in [3, 4, 8, 16] {
             let bind = built.bindings(nprocs);
-            let plan = optimize(&built.prog, &bind);
+            let (plan, log) = optimize_logged(&built.prog, &bind);
             let site = loop_bottom(&built.prog, &plan);
-            let SyncOp::Counter { producer, .. } = &site.op else {
-                panic!("{name} P={nprocs}: {} holds {:?}", site.label, site.op);
-            };
-            assert!(
-                matches!(
-                    producer,
-                    ProducerSpec::Owner {
-                        anchor: Anchor::Sink,
-                        ..
-                    }
-                ),
-                "{name} P={nprocs}: {producer:?}"
-            );
-            // What is left: at most the barrier into the loop, and the
-            // region end.
-            assert!(dyn_barriers(&built.prog, &bind, &plan) <= 2, "{name}");
+            if name == "lu" {
+                assert_eq!(site.op, SyncOp::None, "lu P={nprocs}");
+                let bottom = log.iter().find(|d| d.site == site.id).unwrap();
+                let by: Vec<usize> = bottom.covered.iter().map(|c| c.1).collect();
+                assert_eq!(by, [site.id - 2], "lu P={nprocs}: {}", bottom.reason);
+                assert_eq!(plan.static_stats().counter_syncs, 1);
+            } else {
+                let SyncOp::Counter { producer, .. } = &site.op else {
+                    panic!("{name} P={nprocs}: {} holds {:?}", site.label, site.op);
+                };
+                assert!(
+                    matches!(
+                        producer,
+                        ProducerSpec::Owner {
+                            anchor: Anchor::Sink,
+                            ..
+                        }
+                    ),
+                    "{name} P={nprocs}: {producer:?}"
+                );
+            }
+            // What is left: the region end.
+            assert_eq!(dyn_barriers(&built.prog, &bind, &plan), 1, "{name}");
 
             // The rule rides the counter switch: ablated, a barrier is
             // back in every one of the 11 iterations (the last one's is
@@ -78,10 +91,7 @@ fn lu_and_workvec_post_a_counter_at_the_loop_bottom() {
 
 /// In `workvec` the counter is necessary, not just sufficient: without
 /// it the replicated gather reads pivot row `k + 1` before its owner
-/// has updated it. (`lu`'s is not: the next iteration's scale → update
-/// counter is posted by the same owner of column `k + 1` before anyone
-/// reads it, so it implies the bottom one — `ablation_necessity` lists
-/// it as redundant, for a covering analysis to remove.)
+/// has updated it.
 #[test]
 fn deleting_workvecs_loop_bottom_counter_is_a_race() {
     let built = (suite::by_name("workvec").unwrap().build)(Scale::Test);
