@@ -25,7 +25,7 @@
 //!    what everybody just read, is the only processor that has to
 //!    wait. It becomes a *collector* of a pairwise sync — everyone
 //!    posts and runs on, the collector waits for every post
-//!    ([`CommOutcome::collectors`]).
+//!    ([`WaitSet::collectors`]).
 //! 5. Otherwise the barrier stays ([`CommPattern::General`]), and the
 //!    outcome names the access pair that pins it ([`Pin`]).
 //!
@@ -33,6 +33,11 @@
 //! operator are not a dependent pair at all: their per-processor
 //! partials are flushed atomically and commute
 //! ([`CommOutcome::commuting`]).
+//!
+//! Steps 2 to 4 all answer in one form, a [`WaitSet`] — whom every
+//! processor waits for at the sync point — and access pairs join by
+//! union ([`CommOutcome::join`]); neighbor, counter and pairwise are the
+//! names of its shapes ([`WaitSet::class`]).
 
 use crate::bindings::Bindings;
 use crate::partition::{stmt_partition, LoopPartition, OwnerMap, StmtPartition};
@@ -247,20 +252,15 @@ impl DistSet {
         let (mut bwd, mut fwd) = (self.bwd, self.fwd);
         // Set bits only: backward from the highest bit (most negative
         // distance) down, then forward from the lowest bit up.
-        let down = std::iter::from_fn(move || {
-            let k = bwd.checked_ilog2()?;
-            bwd ^= 1u64 << k;
-            Some(-(k as i64) - 1)
-        });
-        let up = std::iter::from_fn(move || {
-            if fwd == 0 {
-                return None;
+        std::iter::from_fn(move || {
+            if let Some(k) = bwd.checked_ilog2() {
+                bwd ^= 1u64 << k;
+                return Some(-i64::from(k) - 1);
             }
             let k = fwd.trailing_zeros();
-            fwd &= fwd - 1;
-            Some(k as i64 + 1)
-        });
-        down.chain(up)
+            fwd = fwd.checked_sub(1)? & fwd;
+            Some(i64::from(k) + 1)
+        })
     }
 
     /// Render as `{-2,+1,+3}` for reports.
@@ -279,8 +279,11 @@ impl DistSet {
     }
 }
 
-/// The shape of the communication between two groups (join over all
-/// dependent access pairs).
+/// The label of a communication outcome: the two ends of the lattice,
+/// and between them the paper's name for the shape of a [`WaitSet`]
+/// ([`WaitSet::class`]). The label is what reports, static statistics
+/// and the ablation switches read; what is placed and executed is the
+/// wait set itself.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CommPattern {
     /// No inter-processor data movement: the barrier can be eliminated.
@@ -294,11 +297,10 @@ pub enum CommPattern {
         bwd: bool,
     },
     /// All movement follows a small set of fixed processor distances
-    /// (and/or identifiable producers and collectors recorded in the
-    /// enclosing [`CommOutcome`]): replace the barrier with
-    /// point-to-point pairwise counters — each consumer waits only on
-    /// the processors its distance vectors name, which pipelines
-    /// loop-carried sweeps into a wavefront.
+    /// and/or identifiable producers and collectors: point-to-point
+    /// pairwise counters — each consumer waits only on the processors
+    /// its wait set names, which pipelines loop-carried sweeps into a
+    /// wavefront.
     PairWise {
         /// The feasible processor distances.
         dists: DistSet,
@@ -311,42 +313,6 @@ pub enum CommPattern {
 }
 
 impl CommPattern {
-    /// Lattice join (order: NoComm < Neighbor < PairWise < General,
-    /// with Producer1 between NoComm and PairWise on its own edge).
-    ///
-    /// `Neighbor ⊔ Producer1` and `Producer1 ⊔ Producer1`-with-distinct-
-    /// producers land on `PairWise`, not `General`: a pairwise counter
-    /// per wait target expresses both mechanisms at once. Producer
-    /// identities cannot ride in this `Copy` pattern — they are fused by
-    /// [`CommOutcome::join`]; a bare pattern-level join records the
-    /// distance part only.
-    pub fn join(self, other: CommPattern) -> CommPattern {
-        use CommPattern::*;
-        match (self, other) {
-            (NoComm, x) | (x, NoComm) => x,
-            (General, _) | (_, General) => General,
-            (Neighbor { fwd: f1, bwd: b1 }, Neighbor { fwd: f2, bwd: b2 }) => Neighbor {
-                fwd: f1 || f2,
-                bwd: b1 || b2,
-            },
-            (Producer1, Producer1) => Producer1,
-            (PairWise { dists: d1 }, PairWise { dists: d2 }) => PairWise {
-                dists: d1.union(d2),
-            },
-            (PairWise { dists }, Neighbor { fwd, bwd })
-            | (Neighbor { fwd, bwd }, PairWise { dists }) => PairWise {
-                dists: dists.union(DistSet::neighbor(fwd, bwd)),
-            },
-            // A counter pattern joined with a distance pattern fuses
-            // into pairwise sync: the producer becomes one more wait
-            // target (identity carried by `CommOutcome::join`).
-            (Neighbor { fwd, bwd }, Producer1) | (Producer1, Neighbor { fwd, bwd }) => PairWise {
-                dists: DistSet::neighbor(fwd, bwd),
-            },
-            (PairWise { dists }, Producer1) | (Producer1, PairWise { dists }) => PairWise { dists },
-        }
-    }
-
     /// True if a barrier is still required.
     pub fn needs_barrier(self) -> bool {
         matches!(self, CommPattern::General)
@@ -415,9 +381,8 @@ pub enum Anchor {
 }
 
 /// Identifies the one processor on the narrow side of a dependence —
-/// the unique producer of a [`CommPattern::Producer1`] sync point or a
-/// pairwise producer target, or a collector — in a form the runtime can
-/// evaluate (all loop indices that appear enclose the sync site, so
+/// a producer or a collector of a [`WaitSet`] — in a form the runtime
+/// can evaluate (all loop indices that appear enclose the sync site, so
 /// they are fixed for the duration of the sync instance).
 #[derive(Clone, PartialEq, Debug)]
 pub enum ProducerSpec {
@@ -561,35 +526,21 @@ const RULE_SPECTRUM: &str = "no single producer on either side, and the processo
 const RULE_FANIN: &str = "joined with the pairs before it, the wait set is wider than the \
                           pairwise fan-in";
 
-/// A communication query result: the pattern plus, for `Producer1`, the
-/// producer's identity, for `PairWise`, the producer and collector wait
-/// sets, and for `General`, what pins the barrier.
-#[derive(Clone, PartialEq, Debug)]
-pub struct CommOutcome {
-    /// Joined communication pattern.
-    pub pattern: CommPattern,
-    /// Producer identity when `pattern == Producer1`.
-    pub producer: Option<ProducerSpec>,
-    /// Producer wait targets when `pattern == PairWise`: every
-    /// processor additionally waits on each of these producers' posts
-    /// (the fused form of `Producer1` joined into a distance pattern,
-    /// or of two `Producer1`s naming different producers).
-    pub pair_producers: Vec<ProducerSpec>,
-    /// Collectors when `pattern == PairWise`: each of these processors
-    /// additionally waits on *every* other processor's post, which
-    /// orders all dependences whose later side runs on it alone. A lone
-    /// collector is `PairWise` with no distance and no producer.
+/// The processors a point-to-point sync makes its waiters wait for, at
+/// one visit of one site — the one form every replacement of a barrier
+/// takes, from the join of access pairs down to the cells a worker
+/// reads: processor `q` waits for `q - d` for every distance `d`, for
+/// every producer, and, when it is a collector, for everybody.
+#[derive(Clone, PartialEq, Debug, Default)]
+pub struct WaitSet {
+    /// Processor distances: data flows from `p` to `p + d`.
+    pub dists: DistSet,
+    /// Identifiable producers: everybody waits for each of them.
+    pub producers: Vec<ProducerSpec>,
+    /// Collectors: each of these processors waits for *every* other
+    /// one, which orders all dependences whose later side runs on it
+    /// alone — the arrival half of a barrier with no release half.
     pub collectors: Vec<ProducerSpec>,
-    /// Output pairs left out of the join because both statements
-    /// reduce into the scalar atomically with one operator (named in
-    /// the explain pass; they place no synchronization).
-    pub commuting: Vec<AccessPair>,
-    /// The communicating access pair joined in last (`None` only for
-    /// `NoComm`); once the pattern is `General`, the pair that made it
-    /// so.
-    pub pair: Option<AccessPair>,
-    /// For `General`: the last rule that failed on `pair`.
-    pub failed: Option<&'static str>,
 }
 
 /// `a` followed by what `b` adds to it, in order.
@@ -602,51 +553,193 @@ fn union<T: PartialEq>(mut a: Vec<T>, b: Vec<T>) -> Vec<T> {
     a
 }
 
+impl WaitSet {
+    /// Waits along fixed processor distances only.
+    pub fn at_distances(dists: DistSet) -> Self {
+        WaitSet {
+            dists,
+            ..WaitSet::default()
+        }
+    }
+
+    /// Everybody waits for one producer.
+    pub fn producer(spec: ProducerSpec) -> Self {
+        WaitSet {
+            producers: vec![spec],
+            ..WaitSet::default()
+        }
+    }
+
+    /// One processor waits for everybody.
+    pub fn collector(spec: ProducerSpec) -> Self {
+        WaitSet {
+            collectors: vec![spec],
+            ..WaitSet::default()
+        }
+    }
+
+    /// Everything either set waits for (the lattice join).
+    pub fn union(self, other: WaitSet) -> WaitSet {
+        WaitSet {
+            dists: self.dists.union(other.dists),
+            producers: union(self.producers, other.producers),
+            collectors: union(self.collectors, other.collectors),
+        }
+    }
+
+    /// Does a sync that waits for `self` order every processor pair a
+    /// sync that waits for `need` would? Every distance, producer and
+    /// collector of the need must be among its own, producers and
+    /// collectors compared by [`ProducerSpec::same_processor`] and never
+    /// with each other.
+    pub fn contains(&self, need: &WaitSet) -> bool {
+        let among = |have: &[ProducerSpec], want: &[ProducerSpec]| {
+            want.iter()
+                .all(|w| have.iter().any(|h| h.same_processor(w)))
+        };
+        self.dists.union(need.dists) == self.dists
+            && among(&self.producers, &need.producers)
+            && among(&self.collectors, &need.collectors)
+    }
+
+    /// The wait fan-in held to [`MAX_PAIR_FANIN`]: the distinct
+    /// distances, producers and collector specs. The P - 1 cells a
+    /// collector reads are not part of it: one processor per sync
+    /// instance pays them, which is never more than the arrival half of
+    /// the barrier the sync replaces.
+    pub fn fanin(&self) -> usize {
+        self.dists.len() + self.producers.len() + self.collectors.len()
+    }
+
+    /// The set with `e` in place of loop index `k` in every producer
+    /// and collector spec: what a sync stated for trip `k` of a loop
+    /// waits for at trip `e`.
+    pub fn at_trip(mut self, k: LoopId, e: &Affine) -> WaitSet {
+        for s in self.producers.iter_mut().chain(&mut self.collectors) {
+            *s = s.at_trip(k, e);
+        }
+        self
+    }
+
+    /// The paper's name for the set's shape: neighbor flags when it is
+    /// distances within ±1 and nothing else, a counter when it is one
+    /// producer and nothing else, pairwise counters otherwise.
+    pub fn class(&self) -> CommPattern {
+        let near = DistSet::neighbor(true, true);
+        let only_dists = self.producers.is_empty() && self.collectors.is_empty();
+        if only_dists && !self.dists.is_empty() && near.union(self.dists) == near {
+            CommPattern::Neighbor {
+                fwd: self.dists.contains(1),
+                bwd: self.dists.contains(-1),
+            }
+        } else if self.dists.is_empty() && self.collectors.is_empty() && self.producers.len() == 1 {
+            CommPattern::Producer1
+        } else {
+            CommPattern::PairWise { dists: self.dists }
+        }
+    }
+
+    /// The [class](Self::class) as one word: `neighbor`, `counter` or
+    /// `pairwise`.
+    pub fn label(&self) -> &'static str {
+        match self.class() {
+            CommPattern::Neighbor { .. } => "neighbor",
+            CommPattern::Producer1 => "counter",
+            _ => "pairwise",
+        }
+    }
+}
+
+/// The communication lattice: nothing to order, a wait set, or
+/// everything (a barrier). The join of two wait sets is their union,
+/// unless that is wider than [`MAX_PAIR_FANIN`].
+#[derive(Clone, PartialEq, Debug)]
+pub enum Comm {
+    /// No inter-processor data movement.
+    NoComm,
+    /// Point-to-point: every processor waits for what the set names.
+    Waits(WaitSet),
+    /// Unstructured communication: keep the barrier.
+    General,
+}
+
+impl Comm {
+    /// Does a sync that orders `self` order every processor pair `need`
+    /// asks to be ordered, at one visit of one site? A barrier covers
+    /// everything, nothing needs no cover, and a wait set covers the
+    /// wait sets it [contains](WaitSet::contains).
+    pub fn covers(&self, need: &Comm) -> bool {
+        match (self, need) {
+            (_, Comm::NoComm) | (Comm::General, _) => true,
+            (Comm::Waits(have), Comm::Waits(need)) => have.contains(need),
+            _ => false,
+        }
+    }
+}
+
+/// A communication query result: where the joined access pairs sit in
+/// the lattice, plus what names them in reports.
+#[derive(Clone, PartialEq, Debug)]
+pub struct CommOutcome {
+    /// The join over all dependent access pairs.
+    pub comm: Comm,
+    /// Output pairs left out of the join because both statements
+    /// reduce into the scalar atomically with one operator (named in
+    /// the explain pass; they place no synchronization).
+    pub commuting: Vec<AccessPair>,
+    /// The communicating access pair joined in last (`None` only for
+    /// `NoComm`); once the outcome is `General`, the pair that made it
+    /// so.
+    pub pair: Option<AccessPair>,
+    /// For `General`: the last rule that failed on `pair`.
+    pub failed: Option<&'static str>,
+}
+
 impl CommOutcome {
-    /// The no-communication outcome.
-    pub fn none() -> Self {
-        CommOutcome::of(CommPattern::NoComm)
-    }
-
-    /// A general (barrier-requiring) outcome.
-    pub fn general() -> Self {
-        CommOutcome::of(CommPattern::General)
-    }
-
-    /// An outcome with just a pattern (neighbor / pairwise-by-distance).
-    pub fn of(pattern: CommPattern) -> Self {
+    fn of(comm: Comm) -> Self {
         CommOutcome {
-            pattern,
-            producer: None,
-            pair_producers: Vec::new(),
-            collectors: Vec::new(),
+            comm,
             commuting: Vec::new(),
             pair: None,
             failed: None,
         }
     }
 
-    /// The single-producer outcome.
-    pub fn producer1(spec: ProducerSpec) -> Self {
-        CommOutcome {
-            producer: Some(spec),
-            ..CommOutcome::of(CommPattern::Producer1)
+    /// The no-communication outcome.
+    pub fn none() -> Self {
+        CommOutcome::of(Comm::NoComm)
+    }
+
+    /// A general (barrier-requiring) outcome.
+    pub fn general() -> Self {
+        CommOutcome::of(Comm::General)
+    }
+
+    /// The outcome that asks for a wait set.
+    pub fn waits(waits: WaitSet) -> Self {
+        CommOutcome::of(Comm::Waits(waits))
+    }
+
+    /// The outcome's label: an end of the lattice, or the
+    /// [class](WaitSet::class) of its wait set.
+    pub fn pattern(&self) -> CommPattern {
+        match &self.comm {
+            Comm::NoComm => CommPattern::NoComm,
+            Comm::Waits(waits) => waits.class(),
+            Comm::General => CommPattern::General,
         }
     }
 
-    /// The single-consumer outcome: everyone posts, `spec` alone waits
-    /// for all of them.
-    pub fn collector(spec: ProducerSpec) -> Self {
-        CommOutcome {
-            collectors: vec![spec],
-            ..CommOutcome::of(CommPattern::PairWise {
-                dists: DistSet::empty(),
-            })
+    /// The wait set, between the ends of the lattice.
+    pub fn wait_set(&self) -> Option<&WaitSet> {
+        match &self.comm {
+            Comm::Waits(waits) => Some(waits),
+            _ => None,
         }
     }
 
-    /// What pins the barrier, when the pattern is `General` and the
-    /// outcome came from a query (a hand-built `general()` names none).
+    /// What pins the barrier, when the outcome is `General` and came
+    /// from a query (a hand-built `general()` names none).
     pub fn pin(&self) -> Option<Pin> {
         Some(Pin {
             pair: self.pair?,
@@ -654,93 +747,25 @@ impl CommOutcome {
         })
     }
 
-    /// Total pairwise wait fan-in held to [`MAX_PAIR_FANIN`]: the
-    /// distinct distances, producer targets and collector specs. The
-    /// P - 1 cells a collector reads are not part of it: one processor
-    /// per sync instance pays them, which is never more than the
-    /// arrival half of the barrier the sync replaces.
-    pub fn pair_fanin(&self) -> usize {
-        match self.pattern {
-            CommPattern::PairWise { dists } => {
-                dists.len() + self.pair_producers.len() + self.collectors.len()
-            }
-            _ => 0,
-        }
-    }
-
-    /// The producer wait set this outcome contributes when fused into a
-    /// pairwise sync: the `Producer1` spec, or an existing pair set.
-    fn producers_as_pair(&self) -> Vec<ProducerSpec> {
-        match self.pattern {
-            CommPattern::Producer1 => self.producer.iter().cloned().collect(),
-            CommPattern::PairWise { .. } => self.pair_producers.clone(),
-            _ => Vec::new(),
-        }
-    }
-
-    /// The processors a sync lowered from this outcome makes everybody
-    /// wait for: distances, producers, collectors. `None` for the two
-    /// ends of the lattice and for a producer without an evaluable spec.
-    fn waits(&self) -> Option<(DistSet, Vec<&ProducerSpec>, &[ProducerSpec])> {
-        match self.pattern {
-            CommPattern::NoComm | CommPattern::General => None,
-            CommPattern::Neighbor { fwd, bwd } => {
-                Some((DistSet::neighbor(fwd, bwd), Vec::new(), &[]))
-            }
-            CommPattern::Producer1 => Some((DistSet::empty(), vec![self.producer.as_ref()?], &[])),
-            CommPattern::PairWise { dists } => Some((
-                dists,
-                self.pair_producers.iter().collect(),
-                &self.collectors,
-            )),
-        }
-    }
-
-    /// Does a sync lowered from `self` order every processor pair that
-    /// `need` asks to be ordered, at one visit of one site? A barrier
-    /// (`General`) covers everything and nothing needs no cover;
-    /// otherwise every distance, producer and collector of the need
-    /// must be among the sync's own, producers and collectors compared
-    /// by [`ProducerSpec::same_processor`]. Anything else — an unnamed
-    /// producer, a barrier-requiring need — is not covered.
+    /// [`Comm::covers`] on the two outcomes' lattice elements.
     pub fn covers(&self, need: &CommOutcome) -> bool {
-        if need.pattern == CommPattern::NoComm || self.pattern == CommPattern::General {
-            return true;
-        }
-        let (Some((d1, p1, c1)), Some((d2, p2, c2))) = (self.waits(), need.waits()) else {
-            return false;
-        };
-        d1.union(d2) == d1
-            && p2.iter().all(|w| p1.iter().any(|h| h.same_processor(w)))
-            && c2.iter().all(|w| c1.iter().any(|h| h.same_processor(w)))
+        self.comm.covers(&need.comm)
     }
 
-    /// The outcome with `e` in place of loop index `k` in every producer
-    /// and collector spec: what a sync stated for trip `k` of a loop
-    /// orders at trip `e`.
+    /// The outcome at trip `e` of loop `k` ([`WaitSet::at_trip`]).
     pub fn at_trip(mut self, k: LoopId, e: &Affine) -> CommOutcome {
-        let shift = |specs: &mut Vec<ProducerSpec>| {
-            for s in specs.iter_mut() {
-                *s = s.at_trip(k, e);
-            }
-        };
-        self.producer = self.producer.map(|s| s.at_trip(k, e));
-        shift(&mut self.pair_producers);
-        shift(&mut self.collectors);
+        if let Comm::Waits(waits) = self.comm {
+            self.comm = Comm::Waits(waits.at_trip(k, e));
+        }
         self
     }
 
-    /// Join two outcomes (`other` is the later one of a fold).
-    ///
-    /// Two `Producer1`s naming *different* producers fuse into a
-    /// two-entry pairwise producer set (one counter per pair — exactly
-    /// the pairwise primitive) instead of collapsing to `General`; the
-    /// same fusion absorbs `Producer1` into neighbor/pairwise distance
-    /// patterns, and collectors ride along in their own set. A producer
-    /// without an evaluable spec, or a fused wait set wider than
-    /// [`MAX_PAIR_FANIN`] ([`pair_fanin`](Self::pair_fanin)), still
-    /// degrades to `General` (a barrier is cheaper than a wide
-    /// point-to-point fan-in), pinned by the pair `other` brought.
+    /// Join two outcomes (`other` is the later one of a fold): the
+    /// union of two wait sets — a counter joined with neighbor flags or
+    /// another counter is one pairwise sync that waits for both — or
+    /// `General` when that is wider than [`MAX_PAIR_FANIN`] (a barrier
+    /// is cheaper than a wide point-to-point fan-in), pinned by the
+    /// pair `other` brought.
     pub fn join(mut self, mut other: CommOutcome) -> CommOutcome {
         // Commuting reductions place nothing; they only ride along to
         // be named, whichever side survives.
@@ -748,56 +773,28 @@ impl CommOutcome {
             std::mem::take(&mut self.commuting),
             std::mem::take(&mut other.commuting),
         );
+        let joined = match (self.comm, other.comm) {
+            (Comm::Waits(a), Comm::Waits(b)) => {
+                let waits = a.union(b);
+                let too_wide = waits.fanin() > MAX_PAIR_FANIN;
+                CommOutcome {
+                    comm: if too_wide {
+                        Comm::General
+                    } else {
+                        Comm::Waits(waits)
+                    },
+                    failed: too_wide.then_some(RULE_FANIN),
+                    ..other
+                }
+            }
+            (Comm::NoComm, comm) | (Comm::Waits(_), comm @ Comm::General) => {
+                CommOutcome { comm, ..other }
+            }
+            (comm, _) => CommOutcome { comm, ..self },
+        };
         CommOutcome {
             commuting,
-            ..self.join_comm(other)
-        }
-    }
-
-    fn join_comm(self, other: CommOutcome) -> CommOutcome {
-        use CommPattern::*;
-        let too_wide = CommOutcome {
-            pair: other.pair,
-            failed: Some(RULE_FANIN),
-            ..CommOutcome::general()
-        };
-        match (self.pattern, other.pattern) {
-            (NoComm, _) => other,
-            (_, NoComm) | (General, _) => self,
-            (_, General) => other,
-            (Producer1, Producer1) if self.producer == other.producer => other,
-            // Distinct producers: a two-entry pairwise producer set.
-            (Producer1, Producer1) => match (self.producer, other.producer) {
-                (Some(p1), Some(p2)) => CommOutcome {
-                    pair_producers: vec![p1, p2],
-                    pair: other.pair,
-                    ..CommOutcome::of(PairWise {
-                        dists: DistSet::empty(),
-                    })
-                },
-                _ => too_wide,
-            },
-            // Every remaining combination that involves a Producer1 or a
-            // PairWise side fuses into a pairwise sync; pure
-            // neighbor-neighbor joins stay Neighbor via the pattern join.
-            (a, b) => {
-                let joined = CommOutcome {
-                    pair_producers: union(self.producers_as_pair(), other.producers_as_pair()),
-                    // Only `PairWise` sides hold collectors, and then
-                    // the join is `PairWise` too.
-                    collectors: union(self.collectors, other.collectors),
-                    pair: other.pair,
-                    ..CommOutcome::of(a.join(b))
-                };
-                // A producer the runtime cannot evaluate cannot become
-                // a wait target.
-                let lost_producer = matches!(a, Producer1) && self.producer.is_none()
-                    || matches!(b, Producer1) && other.producer.is_none();
-                if lost_producer || joined.pair_fanin() > MAX_PAIR_FANIN {
-                    return too_wide;
-                }
-                joined
-            }
+            ..joined
         }
     }
 }
@@ -1046,7 +1043,7 @@ impl<'p> CommQuery<'p> {
     /// Communication pattern between two statements (all dependent access
     /// pairs joined).
     pub fn comm_stmts(&self, s1: &StmtPath, s2: &StmtPath, mode: CommMode) -> CommPattern {
-        self.comm_stmts_detailed(s1, s2, mode).pattern
+        self.comm_stmts_detailed(s1, s2, mode).pattern()
     }
 
     /// As [`comm_stmts`](Self::comm_stmts) but carrying producer identity.
@@ -1153,7 +1150,7 @@ impl<'p> CommQuery<'p> {
                     continue;
                 }
                 out = out.join(self.scalar_pair(s1, *a1, s2, *a2, at));
-                if out.pattern == CommPattern::General {
+                if out.comm == Comm::General {
                     return out;
                 }
             }
@@ -1166,7 +1163,7 @@ impl<'p> CommQuery<'p> {
                 }
                 let scans = scans.as_deref_mut();
                 out = out.join(self.array_pair(s1, a1, s2, a2, at, scans));
-                if out.pattern == CommPattern::General {
+                if out.comm == Comm::General {
                     return out;
                 }
             }
@@ -1222,7 +1219,7 @@ impl<'p> CommQuery<'p> {
             // one producer — a counter satisfies the dependence.
             (Master, true, _, _) => CommOutcome {
                 pair,
-                ..CommOutcome::producer1(ProducerSpec::Master)
+                ..CommOutcome::waits(WaitSet::producer(ProducerSpec::Master))
             },
             // Everything else (distributed writes to a shared scalar,
             // anti-dependences onto replicated writers, …) keeps the
@@ -1231,7 +1228,7 @@ impl<'p> CommQuery<'p> {
             _ => {
                 let site = self.site_loops(s1, s2, at);
                 let out = match self.sink_collector(&p2, &site, at.0) {
-                    Some(spec) => CommOutcome::collector(spec),
+                    Some(spec) => CommOutcome::waits(WaitSet::collector(spec)),
                     None => CommOutcome {
                         failed: Some(RULE_SCALAR),
                         ..CommOutcome::general()
@@ -1325,7 +1322,7 @@ impl<'p> CommQuery<'p> {
             .one_executor(&part1, &site, Anchor::Source)
             .or_else(|| self.sink_anchored_producer(a1, &part1, a2, &site, mode));
         if let Some(spec) = producer {
-            return found(CommOutcome::producer1(spec));
+            return found(CommOutcome::waits(WaitSet::producer(spec)));
         }
 
         // 4. Distance vectors: is every feasible processor distance one
@@ -1346,7 +1343,7 @@ impl<'p> CommQuery<'p> {
             spectrum
         });
         if let Some(dists) = spectrum {
-            return found(CommOutcome::of(CommPattern::PairWise { dists }));
+            return found(CommOutcome::waits(WaitSet::at_distances(dists)));
         }
 
         // 5. Unique consumer? The mirror image of step 3, tried last so
@@ -1357,7 +1354,7 @@ impl<'p> CommQuery<'p> {
             .sink_collector(&part2, &site, mode)
             .or_else(|| self.source_anchored_collector(a1, a2, &part2, &site));
         match collector {
-            Some(spec) => found(CommOutcome::collector(spec)),
+            Some(spec) => found(CommOutcome::waits(WaitSet::collector(spec))),
             None => general(RULE_SPECTRUM),
         }
     }
@@ -1439,7 +1436,9 @@ impl<'p> CommQuery<'p> {
                     })
                 };
                 if !viol(true) && !viol(false) {
-                    return decided(found(CommOutcome::of(CommPattern::Neighbor { fwd, bwd })));
+                    return decided(found(CommOutcome::waits(WaitSet::at_distances(
+                        DistSet::neighbor(fwd, bwd),
+                    ))));
                 }
                 return decided(general(RULE_SYMBOLIC));
             }
@@ -1496,7 +1495,9 @@ impl<'p> CommQuery<'p> {
             })
         };
         if !viol(true) && !viol(false) {
-            return decided(found(CommOutcome::of(CommPattern::Neighbor { fwd, bwd })));
+            return decided(found(CommOutcome::waits(WaitSet::at_distances(
+                DistSet::neighbor(fwd, bwd),
+            ))));
         }
 
         PairFacts {
@@ -1757,6 +1758,13 @@ impl<'p> CommQuery<'p> {
 mod tests {
     use super::*;
     use ir::build::*;
+    use proptest::prelude::*;
+
+    /// The producer of a counter-shaped outcome.
+    fn one_producer(o: &CommOutcome) -> Option<&ProducerSpec> {
+        let waits = o.wait_set()?;
+        (waits.class() == CommPattern::Producer1).then(|| &waits.producers[0])
+    }
 
     thread_local! {
         /// Calls of [`enumerated_spectrum`] on this test's thread, i.e.
@@ -2179,61 +2187,234 @@ mod tests {
         assert_eq!(q.distance_spectrum(&ps, true, true), None);
     }
 
-    /// The pattern-lattice fusion bug: `Neighbor ⊔ Producer1` must land
-    /// on `PairWise`, never `General`.
-    #[test]
-    fn neighbor_join_producer1_fuses_to_pairwise() {
-        let nb = CommPattern::Neighbor {
-            fwd: true,
-            bwd: false,
-        };
-        let joined = nb.join(CommPattern::Producer1);
-        assert_eq!(
-            joined,
-            CommPattern::PairWise {
-                dists: DistSet::neighbor(true, false)
-            }
-        );
-        // Outcome-level fusion keeps the producer as a wait target.
-        let o1 = CommOutcome::of(nb);
-        let o2 = CommOutcome::producer1(ProducerSpec::Master);
-        let out = o1.join(o2);
-        assert_eq!(
-            out.pattern,
-            CommPattern::PairWise {
-                dists: DistSet::neighbor(true, false)
-            }
-        );
-        assert_eq!(out.pair_producers, vec![ProducerSpec::Master]);
-        assert_eq!(out.pair_fanin(), 2);
+    /// A lattice element as the nine-arm `join_comm` this lattice
+    /// replaced knew it: a variant per mechanism.
+    #[derive(Clone, Debug)]
+    enum Old {
+        NoComm,
+        General,
+        Neighbor(bool, bool),
+        Producer1(ProducerSpec),
+        /// Never neighbor- or counter-shaped, as no sampled site was.
+        PairWise(WaitSet),
     }
 
-    /// Two `Producer1`s naming different producers fuse into a two-entry
-    /// pairwise producer set instead of collapsing to `General`.
-    #[test]
-    fn distinct_producers_fuse_to_pairwise() {
-        let mk = CommOutcome::producer1;
-        let o1 = mk(ProducerSpec::Master);
-        let o2 = mk(ProducerSpec::Owner {
-            map: OwnerMap::Cyclic,
-            sub: ir::Affine::constant(3),
-            anchor: Anchor::Source,
-        });
-        let out = o1.clone().join(o2.clone());
-        assert_eq!(
-            out.pattern,
-            CommPattern::PairWise {
-                dists: DistSet::empty()
+    impl Old {
+        fn outcome(&self) -> CommOutcome {
+            match self {
+                Old::NoComm => CommOutcome::none(),
+                Old::General => CommOutcome::general(),
+                Old::Neighbor(fwd, bwd) => {
+                    CommOutcome::waits(WaitSet::at_distances(DistSet::neighbor(*fwd, *bwd)))
+                }
+                Old::Producer1(spec) => CommOutcome::waits(WaitSet::producer(spec.clone())),
+                Old::PairWise(waits) => CommOutcome::waits(waits.clone()),
             }
-        );
-        assert_eq!(out.pair_producers.len(), 2);
-        // Same producer twice stays Producer1.
-        let same = o1.clone().join(o1.clone());
-        assert_eq!(same.pattern, CommPattern::Producer1);
-        // A producer without an evaluable spec cannot become a wait
-        // target: degrade to General.
-        let lost = o1.join(CommOutcome::of(CommPattern::Producer1));
-        assert_eq!(lost.pattern, CommPattern::General);
+        }
+    }
+
+    /// The variant the old `join_comm` returned for two operands, given
+    /// their joined wait set: the table its arms spelled out.
+    fn old_join(a: &Old, b: &Old, joined: Option<&WaitSet>) -> CommPattern {
+        use Old::*;
+        let label = |x: &Old| x.outcome().pattern();
+        match (a, b) {
+            (NoComm, x) | (x, NoComm) => label(x),
+            (General, _) | (_, General) => CommPattern::General,
+            (Neighbor(f1, b1), Neighbor(f2, b2)) => CommPattern::Neighbor {
+                fwd: *f1 || *f2,
+                bwd: *b1 || *b2,
+            },
+            (Producer1(p), Producer1(q)) if p == q => CommPattern::Producer1,
+            // Distinct producers, and every combination with a
+            // `PairWise` side or of `Producer1` with `Neighbor`: a
+            // pairwise sync, unless wider than the budget.
+            _ => match joined {
+                Some(waits) => CommPattern::PairWise { dists: waits.dists },
+                None => CommPattern::General,
+            },
+        }
+    }
+
+    fn same_elements(a: &[ProducerSpec], b: &[ProducerSpec]) -> bool {
+        a.len() == b.len() && a.iter().all(|x| b.contains(x))
+    }
+
+    /// The laws of the join, on one pair of operands.
+    fn check_join_laws(a: &Old, b: &Old) {
+        let (oa, ob) = (a.outcome(), b.outcome());
+        let ab = oa.clone().join(ob.clone());
+        let ba = ob.clone().join(oa.clone());
+        // Idempotent; commutative up to the order of the elements.
+        assert_eq!(oa.clone().join(oa.clone()).comm, oa.comm);
+        match (&ab.comm, &ba.comm) {
+            (Comm::Waits(x), Comm::Waits(y)) => {
+                assert_eq!(x.dists, y.dists);
+                assert!(same_elements(&x.producers, &y.producers));
+                assert!(same_elements(&x.collectors, &y.collectors));
+            }
+            (x, y) => assert_eq!(x, y),
+        }
+        // An upper bound of both sides.
+        assert!(ab.covers(&oa) && ab.covers(&ob));
+        // `General` only from a `General` side or past the fan-in budget.
+        let both = oa.wait_set().zip(ob.wait_set());
+        let wide = both.is_some_and(|(x, y)| x.clone().union(y.clone()).fanin() > MAX_PAIR_FANIN);
+        let general_side = oa.comm == Comm::General || ob.comm == Comm::General;
+        assert_eq!(ab.comm == Comm::General, general_side || wide);
+        assert_eq!(ab.failed == Some(RULE_FANIN), wide);
+        // The derived label is the variant the old arm list returned.
+        assert_eq!(ab.pattern(), old_join(a, b, ab.wait_set()));
+        assert!(ab.wait_set().is_none_or(|w| w.fanin() <= MAX_PAIR_FANIN));
+    }
+
+    fn spec_pool(k: u8) -> ProducerSpec {
+        let owner = |map, sub, anchor| ProducerSpec::Owner { map, sub, anchor };
+        match k % 5 {
+            0 => ProducerSpec::Master,
+            1 => owner(OwnerMap::Cyclic, Affine::constant(0), Anchor::Source),
+            2 => owner(OwnerMap::Cyclic, Affine::constant(0), Anchor::Sink),
+            3 => owner(OwnerMap::Cyclic, Affine::constant(3), Anchor::Source),
+            _ => owner(
+                OwnerMap::Block(4),
+                Affine::index(LoopId(0)) + 1,
+                Anchor::Sink,
+            ),
+        }
+    }
+
+    fn wait_set_of(dist_bits: u8, producers: &[u8], collectors: &[u8]) -> WaitSet {
+        let mut dists = DistSet::empty();
+        for (bit, d) in [-3, -2, -1, 1, 2, 3].into_iter().enumerate() {
+            if dist_bits & (1 << bit) != 0 {
+                dists.insert(d);
+            }
+        }
+        let specs = |ks: &[u8]| union(Vec::new(), ks.iter().map(|&k| spec_pool(k)).collect());
+        WaitSet {
+            dists,
+            producers: specs(producers),
+            collectors: specs(collectors),
+        }
+    }
+
+    fn old_operand() -> impl Strategy<Value = Old> {
+        use proptest::collection::vec;
+        (0u8..5, 0u8..64, vec(0u8..5, 0..3), vec(0u8..5, 0..2)).prop_map(
+            |(tag, bits, producers, collectors)| match tag {
+                0 => Old::NoComm,
+                1 => Old::General,
+                2 => Old::Neighbor(bits & 1 != 0 || bits & 2 == 0, bits & 2 != 0),
+                3 => Old::Producer1(spec_pool(bits)),
+                _ => {
+                    // At most two distances, within the budget like
+                    // every element of the lattice.
+                    let dist = |k: u8| if k < 6 { 1 << k } else { 0 };
+                    let bits = dist(bits % 7) | dist(bits / 7 % 7);
+                    let mut waits = wait_set_of(bits, &producers, &collectors);
+                    if waits.fanin() > MAX_PAIR_FANIN {
+                        waits.collectors.clear();
+                    }
+                    if !matches!(waits.class(), CommPattern::PairWise { .. }) || waits.fanin() == 0
+                    {
+                        waits.dists.insert(2);
+                    }
+                    Old::PairWise(waits)
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn join_laws_hold_and_labels_match_the_old_arm_list(
+            a in old_operand(),
+            b in old_operand(),
+        ) {
+            check_join_laws(&a, &b);
+        }
+
+        /// `contains` is a preorder, and a union contains both sides.
+        #[test]
+        fn contains_is_reflexive_and_transitive(
+            a in (0u8..64, proptest::collection::vec(0u8..5, 0..3), proptest::collection::vec(0u8..5, 0..3)),
+            b in (0u8..64, proptest::collection::vec(0u8..5, 0..3), proptest::collection::vec(0u8..5, 0..3)),
+            c in (0u8..64, proptest::collection::vec(0u8..5, 0..3), proptest::collection::vec(0u8..5, 0..3)),
+        ) {
+            let set = |(bits, p, c): &(u8, Vec<u8>, Vec<u8>)| wait_set_of(*bits, p, c);
+            let (a, b, c) = (set(&a), set(&b), set(&c));
+            prop_assert!(a.contains(&a));
+            if a.contains(&b) && b.contains(&c) {
+                prop_assert!(a.contains(&c));
+            }
+            // Chains that are not left to chance.
+            let (ab, abc) = (a.clone().union(b.clone()), a.clone().union(b.clone()).union(c.clone()));
+            prop_assert!(abc.contains(&ab) && ab.contains(&a) && abc.contains(&a));
+            prop_assert!(ab.contains(&b) && abc.contains(&c));
+        }
+    }
+
+    /// The cases the join was first written against, through the same
+    /// laws: flags joined with a counter, two counters of different
+    /// producers, and a collector with each of the others — up to the
+    /// fan-in budget and one past it.
+    #[test]
+    fn counter_flags_and_collector_fuse_into_one_wait_set() {
+        let owner = |x: i64, anchor| ProducerSpec::Owner {
+            map: OwnerMap::Cyclic,
+            sub: ir::Affine::constant(x),
+            anchor,
+        };
+        let collector = |spec| Old::PairWise(WaitSet::collector(spec));
+        let operands = [
+            Old::NoComm,
+            Old::Neighbor(true, false),
+            Old::Neighbor(true, true),
+            Old::Producer1(ProducerSpec::Master),
+            Old::Producer1(owner(3, Anchor::Source)),
+            Old::Producer1(owner(0, Anchor::Sink)),
+            collector(ProducerSpec::Master),
+            collector(owner(0, Anchor::Source)),
+        ];
+        for a in &operands {
+            for b in &operands {
+                check_join_laws(a, b);
+            }
+        }
+        let join = |ops: &[&Old]| {
+            let outcomes = ops.iter().map(|o| o.outcome());
+            outcomes.fold(CommOutcome::none(), CommOutcome::join)
+        };
+        // Flags and a counter: the producer is one more wait target.
+        let fused = join(&[&operands[1], &operands[3]]);
+        let waits = fused.wait_set().unwrap();
+        assert_eq!(waits.dists, DistSet::neighbor(true, false));
+        assert_eq!(waits.producers, vec![ProducerSpec::Master]);
+        assert_eq!(waits.fanin(), 2);
+        // Two producers: a two-entry set; the same one twice stays one.
+        let two = join(&[&operands[3], &operands[4]]);
+        assert_eq!(two.wait_set().unwrap().producers.len(), 2);
+        assert_eq!(two.pattern().as_str(), "pair-wise");
+        let same = join(&[&operands[3], &operands[3]]);
+        assert_eq!(same.pattern(), CommPattern::Producer1);
+        // A lone collector survives `NoComm` on either side.
+        let c = operands[6].outcome();
+        assert_eq!(join(&[&operands[0], &operands[6], &operands[0]]), c);
+        // Its spec — not the P - 1 cells it reads — counts against the
+        // fan-in: flags both ways, a producer and a collector fill it.
+        let full = join(&[&operands[2], &operands[5], &operands[7]]);
+        let waits = full.wait_set().unwrap();
+        assert_eq!(waits.producers, vec![owner(0, Anchor::Sink)]);
+        assert_eq!(waits.collectors, vec![owner(0, Anchor::Source)]);
+        assert_eq!(waits.fanin(), MAX_PAIR_FANIN);
+        // One more distinct spec of any kind is one too many.
+        let wider = full.clone().join(operands[6].outcome());
+        assert_eq!(wider.comm, Comm::General);
+        assert_eq!(wider.failed, Some(RULE_FANIN));
+        // The same collector again is not.
+        assert_eq!(full.clone().join(operands[7].outcome()).comm, full.comm);
     }
 
     /// The writes of `DO m { DOALL j: A(m,j) = .. }` each run on
@@ -2249,7 +2430,7 @@ mod tests {
         for nprocs in [4, 8] {
             let q = CommQuery::new(&prog, Bindings::new(nprocs).set(n, 16));
             let out = q.comm_stmts_detailed(&st[0], &st[1], CommMode::LoopIndependent);
-            assert_eq!(out.pattern, CommPattern::General, "P={nprocs}");
+            assert_eq!(out.pattern(), CommPattern::General, "P={nprocs}");
             let pin = out.pin().expect("a general outcome names its pin");
             assert_eq!(
                 pin.pair,
@@ -2303,15 +2484,15 @@ mod tests {
                     }
                 }
                 assert_eq!(
-                    joined.producer,
-                    Some(ProducerSpec::Owner {
+                    one_producer(&joined),
+                    Some(&ProducerSpec::Owner {
                         map: map_of(nprocs),
                         sub: Affine::index(k) + 1,
                         anchor: Anchor::Sink,
                     }),
                     "{name} P={nprocs}"
                 );
-                assert_eq!(joined.pattern, CommPattern::Producer1);
+                assert_eq!(joined.pattern(), CommPattern::Producer1);
             }
         }
     }
@@ -2355,20 +2536,20 @@ mod tests {
         for mode in [CommMode::LoopIndependent, CommMode::CarriedBy(knode)] {
             let out = q.comm_stmts_detailed(&st[0], &st[1], mode);
             assert_eq!(out, {
-                let mut want = CommOutcome::collector(owner_of_k(Anchor::Source));
+                let mut want = CommOutcome::waits(WaitSet::collector(owner_of_k(Anchor::Source)));
                 want.pair = out.pair;
                 want
             });
             assert_eq!(out.pair.unwrap().dep, DepKind::Anti);
-            assert_eq!(out.pair_fanin(), 1);
+            assert_eq!(out.wait_set().unwrap().fanin(), 1);
         }
         // The true dependence the other way round is the broadcast,
         // from the owner of what the *next* iteration reads.
         let back = q.comm_stmts_detailed(&st[1], &st[0], CommMode::CarriedBy(knode));
-        assert_eq!(back.pattern, CommPattern::Producer1);
+        assert_eq!(back.pattern(), CommPattern::Producer1);
         assert_eq!(
-            back.producer,
-            Some(ProducerSpec::Owner {
+            one_producer(&back),
+            Some(&ProducerSpec::Owner {
                 map: OwnerMap::Block(8),
                 sub: Affine::index(k) + 1,
                 anchor: Anchor::Sink,
@@ -2399,7 +2580,7 @@ mod tests {
         let st = prog.all_statements();
         let q = CommQuery::new(&prog, Bindings::new(8).set(n, 64));
         let out = q.comm_stmts_detailed(&st[0], &st[1], CommMode::LoopIndependent);
-        assert_eq!(out.pattern, CommPattern::General);
+        assert_eq!(out.pattern(), CommPattern::General);
         assert_eq!(out.pin().unwrap().pair.dep, DepKind::Anti);
     }
 
@@ -2424,7 +2605,7 @@ mod tests {
         let knode = st[0].loops[0];
         let q = CommQuery::new(&prog, Bindings::new(8).set(n, 64));
         let up = q.comm_stmts_detailed(&st[0], &st[1], CommMode::LoopIndependent);
-        assert_eq!(up.producer, Some(ProducerSpec::Master));
+        assert_eq!(one_producer(&up), Some(&ProducerSpec::Master));
         // Back up: `s` is overwritten by the master alone, and what it
         // reads of `A` was written by the element's owner alone.
         let down = q.comm_stmts_detailed(&st[1], &st[0], CommMode::CarriedBy(knode));
@@ -2433,65 +2614,19 @@ mod tests {
             sub: sym(n) - 1,
             anchor: Anchor::Sink,
         };
-        assert_eq!(down.collectors, vec![ProducerSpec::Master]);
-        assert_eq!(down.pair_producers, vec![last.clone()]);
-        assert_eq!(
-            down.pattern,
-            CommPattern::PairWise {
-                dists: DistSet::empty()
-            }
-        );
+        let gather = WaitSet {
+            dists: DistSet::empty(),
+            producers: vec![last.clone()],
+            collectors: vec![ProducerSpec::Master],
+        };
+        assert_eq!(down.wait_set(), Some(&gather));
         // Both at one site: everyone waits for the master's post, the
         // master for everyone's.
         let both = up.join(down);
-        assert_eq!(both.pair_producers, vec![ProducerSpec::Master, last]);
-        assert_eq!(both.collectors, vec![ProducerSpec::Master]);
-        assert_eq!(both.pair_fanin(), 3);
-    }
-
-    /// `NoComm ⊔ Collector = Collector`; a collector fuses with
-    /// neighbor, producer and distance patterns into `PairWise`; its
-    /// spec — not the P - 1 cells it reads — counts against the fan-in.
-    #[test]
-    fn collector_joins_ride_the_pairwise_lattice() {
-        let owner = |x: i64, anchor| ProducerSpec::Owner {
-            map: OwnerMap::Cyclic,
-            sub: ir::Affine::constant(x),
-            anchor,
-        };
-        let c = CommOutcome::collector(ProducerSpec::Master);
-        assert_eq!(CommOutcome::none().join(c.clone()), c);
-        assert_eq!(c.clone().join(CommOutcome::none()), c);
-        assert_eq!(c.clone().join(c.clone()), c);
-
-        let nb = CommOutcome::of(CommPattern::Neighbor {
-            fwd: true,
-            bwd: true,
-        });
-        let fused = nb
-            .join(CommOutcome::producer1(owner(0, Anchor::Sink)))
-            .join(CommOutcome::collector(owner(0, Anchor::Source)));
-        assert_eq!(
-            fused.pattern,
-            CommPattern::PairWise {
-                dists: DistSet::neighbor(true, true)
-            }
-        );
-        assert_eq!(fused.pair_producers, vec![owner(0, Anchor::Sink)]);
-        assert_eq!(fused.collectors, vec![owner(0, Anchor::Source)]);
-        assert_eq!(fused.pair_fanin(), MAX_PAIR_FANIN);
-
-        // One more distinct spec of any kind is one too many.
-        let wider = fused
-            .clone()
-            .join(CommOutcome::collector(ProducerSpec::Master));
-        assert_eq!(wider.pattern, CommPattern::General);
-        assert_eq!(wider.failed, Some(RULE_FANIN));
-        // The same collector again is not.
-        let same = fused
-            .clone()
-            .join(CommOutcome::collector(owner(0, Anchor::Source)));
-        assert_eq!(same.collectors, fused.collectors);
+        let waits = both.wait_set().unwrap();
+        assert_eq!(waits.producers, vec![ProducerSpec::Master, last]);
+        assert_eq!(waits.collectors, gather.collectors);
+        assert_eq!(waits.fanin(), 3);
     }
 
     /// Two distributed reductions into one scalar under one operator
@@ -2525,7 +2660,7 @@ mod tests {
             q.comm_stmts_detailed(&st[0], &st[1], CommMode::LoopIndependent)
         };
         let out = query(build(Max, Max, false, false));
-        assert_eq!(out.pattern, CommPattern::NoComm);
+        assert_eq!(out.pattern(), CommPattern::NoComm);
         assert_eq!(out.commuting.len(), 1);
         assert_eq!(out.commuting[0].dep, DepKind::Output);
         for (op1, op2, self_read, master_first) in [
@@ -2534,7 +2669,7 @@ mod tests {
             (Max, Max, false, true),
         ] {
             let out = query(build(op1, op2, self_read, master_first));
-            assert_eq!(out.pattern, CommPattern::General, "{op1:?} {op2:?}");
+            assert_eq!(out.pattern(), CommPattern::General, "{op1:?} {op2:?}");
             assert!(out.commuting.is_empty());
             assert_eq!(out.pin().unwrap().rule, RULE_SCALAR);
         }
@@ -2543,7 +2678,7 @@ mod tests {
     /// `covers` is containment of wait sets: a barrier covers all,
     /// nothing needs no cover, producers and collectors are compared by
     /// owner function and subscript (not by anchor) and never with each
-    /// other, and a producer nobody can evaluate is never covered.
+    /// other.
     #[test]
     fn covers_is_containment_of_wait_sets() {
         let k = LoopId(0);
@@ -2552,11 +2687,13 @@ mod tests {
             sub,
             anchor,
         };
-        let nb = |fwd, bwd| CommOutcome::of(CommPattern::Neighbor { fwd, bwd });
+        let nb = |fwd, bwd| CommOutcome::waits(WaitSet::at_distances(DistSet::neighbor(fwd, bwd)));
+        let producer = |spec| CommOutcome::waits(WaitSet::producer(spec));
+        let collector = |spec| CommOutcome::waits(WaitSet::collector(spec));
         let barrier = CommOutcome::general();
-        let at_k = CommOutcome::producer1(owner(Affine::index(k), Anchor::Source));
-        let at_k_sink = CommOutcome::producer1(owner(Affine::index(k), Anchor::Sink));
-        let at_next = CommOutcome::producer1(owner(Affine::index(k) + 1, Anchor::Sink));
+        let at_k = producer(owner(Affine::index(k), Anchor::Source));
+        let at_k_sink = producer(owner(Affine::index(k), Anchor::Sink));
+        let at_next = producer(owner(Affine::index(k) + 1, Anchor::Sink));
         for need in [&barrier, &at_k, &nb(true, true), &CommOutcome::none()] {
             assert!(barrier.covers(need));
             assert!(need.covers(&CommOutcome::none()));
@@ -2570,21 +2707,22 @@ mod tests {
         // One trip on, the counter of trip k is the one trip k + 1 needs.
         let shifted = at_k.clone().at_trip(k, &(Affine::index(k) + 1));
         assert!(shifted.covers(&at_next));
-        assert!(!CommOutcome::of(CommPattern::Producer1).covers(&at_k));
-        assert!(!at_k.covers(&CommOutcome::of(CommPattern::Producer1)));
+        // A sync that waits for nobody covers no producer.
+        let nobody = CommOutcome::waits(WaitSet::default());
+        assert!(!nobody.covers(&at_k) && at_k.covers(&nobody));
 
         // A fused sync covers each of its parts and their distances as
         // a neighbor or pairwise need, but no other producer.
         let fused = nb(true, false)
             .join(at_k.clone())
-            .join(CommOutcome::collector(ProducerSpec::Master));
+            .join(collector(ProducerSpec::Master));
         assert!(fused.covers(&nb(true, false)) && fused.covers(&at_k_sink));
-        assert!(fused.covers(&CommOutcome::collector(ProducerSpec::Master)));
-        assert!(!fused.covers(&CommOutcome::producer1(ProducerSpec::Master)));
+        assert!(fused.covers(&collector(ProducerSpec::Master)));
+        assert!(!fused.covers(&producer(ProducerSpec::Master)));
         assert!(!fused.covers(&nb(false, true)) && !nb(true, true).covers(&fused));
         let mut far = DistSet::neighbor(true, false);
         far.insert(3);
-        let far = CommOutcome::of(CommPattern::PairWise { dists: far });
+        let far = CommOutcome::waits(WaitSet::at_distances(far));
         assert!(far.covers(&nb(true, false)) && !nb(true, true).covers(&far));
     }
 
@@ -2610,7 +2748,7 @@ mod tests {
             }
             let q = CommQuery::new(&built.prog, bind);
             let whole = q.comm_stmts_detailed(init, sink, CommMode::LoopIndependent);
-            assert_eq!(whole.pattern, CommPattern::General, "{name}");
+            assert_eq!(whole.pattern(), CommPattern::General, "{name}");
             let named = |sub| {
                 Some(ProducerSpec::Owner {
                     map,
@@ -2624,13 +2762,21 @@ mod tests {
             };
             let mut scans = PairScans::default();
             let need = q.comm_stmts_entering(init, sink, &per_trip, &mut scans);
-            assert_eq!(need.producer, named(Affine::index(k)), "{name}");
+            assert_eq!(
+                one_producer(&need),
+                named(Affine::index(k)).as_ref(),
+                "{name}"
+            );
             let first_trip = Entry {
                 per_trip: vec![],
                 first_trip: vec![knode],
             };
             let need = q.comm_stmts_entering(init, sink, &first_trip, &mut scans);
-            assert_eq!(need.producer, named(Affine::constant(0)), "{name}");
+            assert_eq!(
+                one_producer(&need),
+                named(Affine::constant(0)).as_ref(),
+                "{name}"
+            );
             assert_eq!(need.pair, whole.pair);
             assert!(!q.trip_invariant(sink, knode));
         }
@@ -2667,7 +2813,7 @@ mod tests {
                 first_trip: vec![inode],
             };
             let need = q.comm_stmts_entering(init, sweep, &entry, &mut PairScans::default());
-            assert_eq!(need.pattern, first, "P={nprocs}");
+            assert_eq!(need.pattern(), first, "P={nprocs}");
             assert!(q.trip_invariant(sweep, tnode));
             assert!(!q.trip_invariant(sweep, inode));
         }

@@ -10,13 +10,16 @@
 //! and scans it with Fourier-Motzkin elimination in the paper's variable
 //! order.
 //!
-//! The outputs feed the optimizer in `spmd-opt`:
+//! The outputs feed the optimizer in `spmd-opt`: a lattice ([`Comm`]) of
+//! nothing, a [`WaitSet`] — whom each processor has to wait for — or
+//! everything, labelled ([`CommPattern`]) with the paper's names:
 //! * [`CommPattern::NoComm`] — the barrier between the groups can be
 //!   **eliminated**;
-//! * [`CommPattern::Neighbor`] — it can be replaced with neighbor
-//!   post/wait flags;
-//! * [`CommPattern::Producer1`] — it can be replaced with a counter
+//! * [`CommPattern::Neighbor`] — a wait set of adjacent processors:
+//!   neighbor post/wait flags;
+//! * [`CommPattern::Producer1`] — a wait set of one producer: a counter
 //!   (unique producer increments, consumers wait);
+//! * [`CommPattern::PairWise`] — any other wait set;
 //! * [`CommPattern::General`] — the barrier must stay.
 //!
 //! ```
@@ -55,9 +58,9 @@ pub mod translate;
 pub use bindings::Bindings;
 pub use codegen::{scan_owned_range, ScannedBounds};
 pub use comm::{
-    set_pair_probe, AccessPair, AnalysisConfig, AnalysisStats, Anchor, CommMode, CommOutcome,
+    set_pair_probe, AccessPair, AnalysisConfig, AnalysisStats, Anchor, Comm, CommMode, CommOutcome,
     CommPattern, CommQuery, DepKind, DistSet, Entry, PairProbe, PairScans, Pin, ProducerSpec,
-    Storage, MAX_PAIR_DIST, MAX_PAIR_FANIN,
+    Storage, WaitSet, MAX_PAIR_DIST, MAX_PAIR_FANIN,
 };
 pub use dep::{check_parallel_loops, loop_carries_dependence};
 pub use partition::{

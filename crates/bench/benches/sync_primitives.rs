@@ -1,6 +1,7 @@
 //! Criterion benches for the synchronization primitives (feeds the
-//! barrier-cost motivation figure): central barrier, tree barrier,
-//! counter handoff, neighbor post/wait, at several team sizes. The
+//! barrier-cost motivation figure): central barrier, tree barrier, and
+//! the post cells read as a counter handoff and as a neighbor
+//! exchange, at several team sizes. The
 //! central barrier is also timed under a watchdog deadline (the wait the
 //! fault-tolerant executor runs) and bracketed by profiler events (what
 //! an observed run records per sync visit). A team wider than the host
@@ -8,7 +9,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use runtime::events::{self, EventKind, ProfileOptions, Profiler};
-use runtime::{BarrierEpoch, CentralBarrier, Counters, NeighborFlags, Team, TreeBarrier, Watchdog};
+use runtime::{BarrierEpoch, CellBank, CentralBarrier, Team, TreeBarrier, Watchdog};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -92,13 +93,14 @@ fn bench_counter_and_neighbor(c: &mut Criterion) {
     let mut group = c.benchmark_group("replacement");
     group.bench_function(format!("counter_p{p}"), |b| {
         b.iter(|| {
-            let ctr = Arc::new(Counters::new(1));
+            // A counter is the producer's cell: only it posts.
+            let cells = Arc::new(CellBank::new(p));
             team.run(move |pid| {
                 for k in 1..=ROUNDS {
                     if pid == 0 {
-                        ctr.increment(0);
+                        cells.post(0);
                     } else {
-                        ctr.wait_ge(0, k);
+                        cells.wait(0, k);
                     }
                 }
             });
@@ -106,7 +108,7 @@ fn bench_counter_and_neighbor(c: &mut Criterion) {
     });
     group.bench_function(format!("neighbor_p{p}"), |b| {
         b.iter(|| {
-            let flags = Arc::new(NeighborFlags::new(p));
+            let flags = Arc::new(CellBank::new(p));
             team.run(move |pid| {
                 for k in 1..=ROUNDS {
                     flags.post(pid);

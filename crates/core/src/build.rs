@@ -5,12 +5,13 @@ use crate::plan::{
     ops_in_site_order, Phase, PhaseKind, RItem, Region, SpmdProgram, SyncOp, TopItem,
 };
 use crate::sites::{
-    loop_after_label, loop_bottom_label, phase_after_label, region_end_label, slot_count_items,
-    SlotKind,
+    counter_number, loop_after_label, loop_bottom_label, phase_after_label, region_end_label,
+    slot_count_items, SlotKind,
 };
 use analysis::{
     loop_is_replicated, loop_partition, AccessPair, AnalysisConfig, AnalysisStats, Anchor,
-    Bindings, CommMode, CommOutcome, CommPattern, CommQuery, Entry, PairScans, Pin, ProducerSpec,
+    Bindings, Comm, CommMode, CommOutcome, CommPattern, CommQuery, Entry, PairScans, Pin,
+    ProducerSpec,
 };
 use ir::{Affine, LhsRef, LoopKind, Node, NodeId, Program, StmtPath};
 use std::cell::{OnceCell, RefCell};
@@ -143,9 +144,11 @@ pub fn placed_str(s: &SyncOp) -> &'static str {
     match s {
         SyncOp::None => "eliminated",
         SyncOp::Barrier => "barrier",
-        SyncOp::Neighbor { .. } => "neighbor flags",
-        SyncOp::Counter { .. } => "counter",
-        SyncOp::PairCounter { .. } => "pairwise counters",
+        SyncOp::Cells { waits } => match waits.class() {
+            CommPattern::Neighbor { .. } => "neighbor flags",
+            CommPattern::Producer1 => "counter",
+            _ => "pairwise counters",
+        },
     }
 }
 
@@ -166,23 +169,26 @@ fn pin_str(prog: &Program, pin: &Pin) -> String {
     format!("{}: {}", pair_str(prog, &pin.pair), pin.rule)
 }
 
-/// `s5 (counter #0)`: a sync site and what the plan places there.
-fn site_str(site: usize, op: &SyncOp) -> String {
-    match op {
-        SyncOp::Counter { id, .. } => format!("s{site} (counter #{id})"),
-        op => format!("s{site} ({})", placed_str(op)),
+/// `s5 (counter #0)`: a sync site and what the plan places there, a
+/// counter with its number.
+fn site_str(site: usize, op: &SyncOp, counter: Option<usize>) -> String {
+    match counter {
+        Some(id) => format!("s{site} (counter #{id})"),
+        None => format!("s{site} ({})", placed_str(op)),
     }
 }
 
 /// Compose the human-readable `reason` for a decision from the
-/// classification, what was placed, the enabled mechanisms and the
-/// syncs placed elsewhere (`at` renders one by site id) that took
-/// pairs, or all trips but the first, off this slot.
+/// classification, what was placed (a counter under the number `id`),
+/// the enabled mechanisms and the syncs placed elsewhere (`at` renders
+/// one by site id) that took pairs, or all trips but the first, off
+/// this slot.
 fn reason_for(
     prog: &Program,
     p: &Pending,
     opts: &OptimizeOptions,
     at: &dyn Fn(usize) -> String,
+    id: Option<usize>,
 ) -> String {
     let Some(outcome) = &p.outcome else {
         return "no statements on one side of the boundary — nothing to synchronize".into();
@@ -192,7 +198,7 @@ fn reason_for(
     by.sort_unstable();
     by.dedup();
     let by = by.iter().map(|&s| at(s)).collect::<Vec<_>>().join(", ");
-    let pat = outcome.pattern;
+    let pat = outcome.pattern();
     let ev = pat.evidence();
     let mut reason = match (pat, placed) {
         (CommPattern::NoComm, SyncOp::None) if !by.is_empty() => {
@@ -202,7 +208,7 @@ fn reason_for(
         (CommPattern::NoComm, _) if !opts.eliminate => {
             format!("barrier kept: elimination disabled by ablation options, though {ev}")
         }
-        (CommPattern::Neighbor { fwd, bwd }, SyncOp::Neighbor { .. }) => {
+        (CommPattern::Neighbor { fwd, bwd }, SyncOp::Cells { .. }) => {
             let dir = match (fwd, bwd) {
                 (true, true) => "both directions",
                 (true, false) => "forward",
@@ -214,27 +220,24 @@ fn reason_for(
         (CommPattern::Neighbor { .. }, _) if !opts.use_neighbor => {
             format!("barrier kept: neighbor flags disabled by ablation options, though {ev}")
         }
-        (CommPattern::Producer1, SyncOp::Counter { id, producer }) => match producer {
-            ProducerSpec::Owner {
-                anchor: Anchor::Sink,
-                ..
-            } => format!(
-                "replaced with counter #{id}: every owner writes, but all that is read across \
-                 processors belongs to the one owner the read subscript names"
-            ),
-            _ => format!("replaced with counter #{id}: {ev}"),
-        },
+        (CommPattern::Producer1, SyncOp::Cells { waits }) => {
+            let id = id.expect("a counter-labelled sync has its number");
+            match waits.producers[0] {
+                ProducerSpec::Owner {
+                    anchor: Anchor::Sink,
+                    ..
+                } => format!(
+                    "replaced with counter #{id}: every owner writes, but all that is read \
+                     across processors belongs to the one owner the read subscript names"
+                ),
+                _ => format!("replaced with counter #{id}: {ev}"),
+            }
+        }
         (CommPattern::Producer1, _) if !opts.use_counters => {
             format!("barrier kept: counters disabled by ablation options, though {ev}")
         }
-        (
-            CommPattern::PairWise { dists },
-            SyncOp::PairCounter {
-                producers,
-                collectors,
-                ..
-            },
-        ) => {
+        (CommPattern::PairWise { dists }, SyncOp::Cells { waits }) => {
+            let (producers, collectors) = (&waits.producers, &waits.collectors);
             let extra = |n: usize, what| match n {
                 0 => String::new(),
                 n => format!(" + {n} {what}(s)"),
@@ -324,70 +327,45 @@ enum Owed {
     Need(CommOutcome, Option<usize>),
 }
 
-/// Site id and ordering ([`SyncOp::orders`]) of each item's `after`
-/// slot, for a level whose first slot is `first`.
-fn after_slots(items: &[RItem], mut first: usize) -> Vec<(usize, CommOutcome)> {
-    let after = |it: &RItem| {
+/// Site id and sync of each item's `after` slot, for a level whose
+/// first slot is `first`.
+fn after_slots(items: &[RItem], mut first: usize) -> Vec<(usize, &SyncOp)> {
+    let after = |it| {
         first += slot_count_items(std::slice::from_ref(it));
-        (first - 1, it.after().orders())
+        (first - 1, it.after())
     };
     items.iter().map(after).collect()
 }
 
 /// The first of `slots` whose sync covers `need`.
-fn covering(slots: &[(usize, CommOutcome)], need: &CommOutcome) -> Option<usize> {
-    let slot = slots.iter().find(|(_, have)| have.covers(need))?;
+fn covering(slots: &[(usize, &SyncOp)], need: &CommOutcome) -> Option<usize> {
+    let slot = slots.iter().find(|(_, have)| have.covers(&need.comm))?;
     Some(slot.0)
 }
 
 impl<'p> Optimizer<'p> {
-    /// Lower an outcome to a sync op. A counter's id is handed out when
-    /// the region is complete ([`close_log`](Self::close_log)).
+    /// Lower an outcome to a sync op: its wait set as it stands, when
+    /// the switch its label answers to is on.
     fn sync_from(&self, outcome: &CommOutcome) -> SyncOp {
-        match outcome.pattern {
-            CommPattern::NoComm => {
-                if self.opts.eliminate {
-                    SyncOp::None
-                } else {
-                    SyncOp::Barrier
-                }
+        let opts = &self.opts;
+        let waits = match &outcome.comm {
+            Comm::NoComm if opts.eliminate => return SyncOp::None,
+            Comm::NoComm | Comm::General => return SyncOp::Barrier,
+            Comm::Waits(waits) => waits,
+        };
+        let enabled = match waits.class() {
+            CommPattern::Neighbor { .. } => opts.use_neighbor,
+            CommPattern::Producer1 => opts.use_counters,
+            // A collector is the counter rule's mirror image: it rides
+            // both switches.
+            _ => opts.use_pairwise && (opts.use_counters || waits.collectors.is_empty()),
+        };
+        if enabled {
+            SyncOp::Cells {
+                waits: waits.clone(),
             }
-            CommPattern::Neighbor { fwd, bwd } => {
-                if self.opts.use_neighbor {
-                    SyncOp::Neighbor { fwd, bwd }
-                } else {
-                    SyncOp::Barrier
-                }
-            }
-            CommPattern::Producer1 => {
-                if self.opts.use_counters {
-                    SyncOp::Counter {
-                        id: 0,
-                        producer: outcome
-                            .producer
-                            .clone()
-                            .expect("Producer1 carries a producer"),
-                    }
-                } else {
-                    SyncOp::Barrier
-                }
-            }
-            CommPattern::PairWise { dists } => {
-                // A collector is the counter rule's mirror image on the
-                // pairwise bank: it rides both switches.
-                if self.opts.use_pairwise
-                    && (self.opts.use_counters || outcome.collectors.is_empty())
-                {
-                    SyncOp::PairCounter {
-                        dists,
-                        producers: outcome.pair_producers.clone(),
-                        collectors: outcome.collectors.clone(),
-                    }
-                } else {
-                    SyncOp::Barrier
-                }
-            }
-            CommPattern::General => SyncOp::Barrier,
+        } else {
+            SyncOp::Barrier
         }
     }
 
@@ -543,18 +521,18 @@ impl<'p> Optimizer<'p> {
                     Owed::Need(o, ride) => {
                         match ride {
                             Some(site) if !rides.contains(&site) => rides.push(site),
-                            None if o.pattern != CommPattern::NoComm => every_trip = true,
+                            None if o.comm != Comm::NoComm => every_trip = true,
                             _ => {}
                         }
                         need = need.join(o);
-                        if need.pattern == CommPattern::General {
+                        if need.comm == Comm::General {
                             break 'fold;
                         }
                     }
                 }
             }
         }
-        if every_trip || need.pattern == CommPattern::General {
+        if every_trip || need.comm == Comm::General {
             rides.clear();
         }
         self.decide(slot, Some(need), sizes, covered, rides)
@@ -595,7 +573,7 @@ impl<'p> Optimizer<'p> {
         &self,
         s1: &StmtPath,
         s2: &StmtPath,
-        here: &[(usize, CommOutcome)],
+        here: &[(usize, &SyncOp)],
         next: (&RItem, usize),
         pinned: &mut bool,
     ) -> Owed {
@@ -621,9 +599,7 @@ impl<'p> Optimizer<'p> {
         let all_at_once = || {
             let all = all_trips();
             match (all.pair, covering(here, all)) {
-                (Some(pair), Some(site)) if all.pattern != CommPattern::NoComm => {
-                    Owed::Covered(pair, site)
-                }
+                (Some(pair), Some(site)) if all.comm != Comm::NoComm => Owed::Covered(pair, site),
                 _ => Owed::Need(all.clone(), None),
             }
         };
@@ -631,8 +607,8 @@ impl<'p> Optimizer<'p> {
         // The need at the innermost entry, no loop held.
         let mut known = if !into_loop || !*pinned {
             let all = all_trips();
-            *pinned |= all.pattern == CommPattern::General;
-            if !into_loop || all.pattern == CommPattern::NoComm {
+            *pinned |= all.comm == Comm::General;
+            if !into_loop || all.comm == Comm::NoComm {
                 return all_at_once();
             }
             if let Owed::Covered(pair, site) = all_at_once() {
@@ -642,7 +618,7 @@ impl<'p> Optimizer<'p> {
             // collector that had no name: a need that is all neighbor
             // reach, or one producer, reads the same at every entry.
             let named = matches!(
-                all.pattern,
+                all.pattern(),
                 CommPattern::Neighbor { .. } | CommPattern::Producer1
             );
             named.then(|| all.clone())
@@ -666,7 +642,7 @@ impl<'p> Optimizer<'p> {
             let bottom_site = slots.last().map_or(first, |s| s.0 + 1);
             slots.truncate(at);
             first = slots.last().map_or(first, |s| s.0 + 1);
-            levels.push((*node, slots, bottom_site, bottom.orders()));
+            levels.push((*node, slots, bottom_site, bottom));
             item = &body[at];
         }
         let mut entry = Entry {
@@ -685,7 +661,7 @@ impl<'p> Optimizer<'p> {
         };
         for (node, slots, bottom_site, bottom) in levels.iter().rev() {
             let need = known.take().unwrap_or_else(|| entering(&entry));
-            if need.pattern == CommPattern::NoComm {
+            if need.comm == Comm::NoComm {
                 return served(need, pair, ride);
             }
             pair = pair.or(need.pair);
@@ -699,7 +675,7 @@ impl<'p> Optimizer<'p> {
             };
             let next_trip = need.clone().at_trip(k, &(Affine::index(k) + 1));
             let unnamed = next_trip == need;
-            if bottom.covers(&next_trip) {
+            if bottom.covers(&next_trip.comm) {
                 ride.get_or_insert(*bottom_site);
                 if self.query.trip_invariant(s2, *node) {
                     // Trip `lo` reads like every other.
@@ -726,7 +702,7 @@ impl<'p> Optimizer<'p> {
             entry.per_trip.clear();
             entering(&entry)
         });
-        if first_trip.pattern == CommPattern::NoComm {
+        if first_trip.comm == Comm::NoComm {
             return served(first_trip, pair, ride);
         }
         // Never a sync the slot would not have had for all trips.
@@ -764,13 +740,13 @@ impl<'p> Optimizer<'p> {
         // orders at the next trip.
         let k = self.prog.expect_loop(loop_node).id;
         let next_trip = Affine::index(k) + 1;
-        let later = |(site, now): (usize, CommOutcome)| {
-            let then = now.clone().at_trip(k, &next_trip);
-            (site, now, then)
-        };
-        let slots: Vec<_> = after_slots(body.0, body.1).into_iter().map(later).collect();
+        let slots: Vec<(usize, &SyncOp, SyncOp)> = after_slots(body.0, body.1)
+            .into_iter()
+            .map(|(site, now)| (site, now, now.at_trip(k, &next_trip)))
+            .collect();
         let crossing = |ia: usize, ib: usize, need: &CommOutcome| {
-            let crosses = |(c, (site, now, then)): (usize, &(usize, CommOutcome, CommOutcome))| {
+            let crosses = |(c, (site, now, then)): (usize, &(usize, &SyncOp, SyncOp))| {
+                let need = &need.comm;
                 let covers = c >= ia && now.covers(need) || c < ib && then.covers(need);
                 covers.then_some(*site)
             };
@@ -791,19 +767,19 @@ impl<'p> Optimizer<'p> {
                         let o =
                             self.query
                                 .comm_stmts_detailed(s1, s2, CommMode::CarriedBy(loop_node));
-                        let pair = o.pair.filter(|_| o.pattern != CommPattern::NoComm);
+                        let pair = o.pair.filter(|_| o.comm != Comm::NoComm);
                         if let Some(site) = pair.and(crossing(ia, ib, &o)) {
                             covered.extend(pair.map(|p| (p, site)));
                             continue;
                         }
                         pairs = pairs.join(o);
-                        if pairs.pattern == CommPattern::General {
+                        if pairs.comm == Comm::General {
                             break 'group;
                         }
                     }
                 }
                 outcome = outcome.join(pairs);
-                if outcome.pattern == CommPattern::General {
+                if outcome.comm == Comm::General {
                     break 'fold;
                 }
             }
@@ -833,8 +809,11 @@ impl<'p> Optimizer<'p> {
             site: slot.id,
             label: slot.label,
             kind: slot.kind,
-            outcome: outcome.as_ref().map(|o| o.pattern),
-            producer: outcome.as_ref().and_then(|o| o.producer.clone()),
+            outcome: outcome.as_ref().map(CommOutcome::pattern),
+            producer: outcome.as_ref().and_then(|o| {
+                let waits = o.wait_set()?;
+                (waits.class() == CommPattern::Producer1).then(|| waits.producers[0].clone())
+            }),
             pin: outcome.as_ref().and_then(CommOutcome::pin),
             commuting: outcome.as_ref().map_or(Vec::new(), |o| o.commuting.clone()),
             covered,
@@ -853,30 +832,27 @@ impl<'p> Optimizer<'p> {
         placed
     }
 
-    /// Close a region's decisions: hand out counter ids in site order —
-    /// so that a plan keeps its ids whatever order its slots were
-    /// decided in — then move the pending decisions to the log, sorted
-    /// by site, each with its reason. Returns the number of counters;
-    /// `first_slot` is the region's first site id.
-    fn close_log(&mut self, items: &mut [RItem], first_slot: usize) -> usize {
+    /// Close a region's decisions: move the pending ones to the log,
+    /// sorted by site, each with its reason — which names counters by
+    /// their number in site order, whatever order the slots were
+    /// decided in. `first_slot` is the region's first site id.
+    fn close_log(&mut self, items: &mut [RItem], first_slot: usize) {
         let mut ops = Vec::new();
         ops_in_site_order(items, &mut ops);
         let mut counters = 0;
-        for op in ops.iter_mut() {
-            if let SyncOp::Counter { id, .. } = op {
-                *id = counters;
-                counters += 1;
-            }
-        }
-        let at = |site: usize| site_str(site, &*ops[site - first_slot]);
+        let number = |op: &&mut SyncOp| counter_number(op, &mut counters);
+        let ids: Vec<Option<usize>> = ops.iter().map(number).collect();
+        let at = |site: usize| {
+            let k = site - first_slot;
+            site_str(site, ops[k], ids[k])
+        };
         let mut pending = std::mem::take(&mut self.pending);
         pending.sort_by_key(|p| p.decision.site);
         for mut p in pending {
-            p.decision.placed = ops[p.decision.site - first_slot].clone();
-            p.decision.reason = reason_for(self.prog, &p, &self.opts, &at);
+            let id = ids[p.decision.site - first_slot];
+            p.decision.reason = reason_for(self.prog, &p, &self.opts, &at, id);
             self.log.push(p.decision);
         }
-        counters
     }
 
     /// Mark the loops whose bottom barrier the next barrier makes
@@ -921,7 +897,7 @@ impl<'p> Optimizer<'p> {
     fn build_region(&mut self, nodes: &[NodeId]) -> Region {
         let first_slot = self.next_slot;
         let mut lr = self.schedule_level(nodes, &[]);
-        let num_counters = self.close_log(&mut lr.items, first_slot);
+        self.close_log(&mut lr.items, first_slot);
         self.merge_last_trips(&mut lr.items, true, first_slot);
         let end_id = self.next_slot;
         self.next_slot += 1;
@@ -948,7 +924,6 @@ impl<'p> Optimizer<'p> {
         Region {
             items: lr.items,
             end: SyncOp::Barrier,
-            num_counters,
         }
     }
 
@@ -1094,7 +1069,6 @@ pub fn fork_join(prog: &Program, bind: &Bindings) -> SpmdProgram {
                             after: SyncOp::None,
                         })],
                         end: SyncOp::Barrier,
-                        num_counters: 0,
                     }));
                 }
                 Node::Loop(l) if contains_par(prog, node) => {
@@ -1119,6 +1093,7 @@ pub fn fork_join(prog: &Program, bind: &Bindings) -> SpmdProgram {
 mod tests {
     use super::*;
     use crate::plan::SyncOp;
+    use analysis::{DistSet, WaitSet};
     use ir::build::*;
 
     /// jacobi sweep: DO t { DOALL i: B=stencil(A); DOALL j: A=B }.
@@ -1176,7 +1151,7 @@ mod tests {
         // After the stencil phase: neighbor sync (B read at ±1 by copy?
         // no — copy is aligned; the carried dep A->stencil is ±1).
         assert!(
-            matches!(bottom, SyncOp::Neighbor { .. }),
+            matches!(bottom.class(), Some(CommPattern::Neighbor { .. })),
             "bottom={bottom:?}"
         );
     }
@@ -1304,14 +1279,16 @@ mod tests {
         let (front, bottom) = (&log[0], &log[2]);
         assert!(front.first_trip && !bottom.first_trip);
         assert_eq!(bottom.kind, SlotKind::LoopBottom);
-        let SyncOp::Counter { id: 0, producer } = &front.placed else {
-            panic!("{:?}", front.placed);
-        };
+        assert!(front.placed.is_counter() && bottom.placed.is_counter());
+        let producer = &front.placed.waits().unwrap().producers[0];
         let ProducerSpec::Owner { sub, .. } = producer else {
             panic!("{producer:?}");
         };
         assert_eq!(*sub, Affine::constant(0));
-        assert!(matches!(bottom.placed, SyncOp::Counter { id: 1, .. }));
+        assert!(front.reason.contains("counter #0"), "{}", front.reason);
+        let sites = crate::sites::sync_sites(&prog, &plan);
+        let numbers = (sites[front.site].counter, sites[bottom.site].counter);
+        assert_eq!(numbers, (Some(0), Some(1)));
         let rides = format!(
             "later trips ride the loop bottom s{} (counter #1)",
             bottom.site
@@ -1363,9 +1340,8 @@ mod tests {
             let (_, log) = optimize_logged(&prog, &Bindings::new(nprocs).set(n, 8));
             let (front, sweep) = (&log[0], &log[1]);
             assert_eq!(sweep.kind, SlotKind::LoopBottom);
-            let fwd = SyncOp::Neighbor {
-                fwd: true,
-                bwd: false,
+            let fwd = SyncOp::Cells {
+                waits: WaitSet::at_distances(DistSet::neighbor(true, false)),
             };
             assert_eq!(sweep.placed, fwd);
             if single_rows {
@@ -1409,7 +1385,10 @@ mod tests {
         pb.end();
         let prog = pb.finish();
         let (_, log) = optimize_logged(&prog, &Bindings::new(4).set(n, 32));
-        assert!(matches!(log[0].placed, SyncOp::Neighbor { fwd: true, .. }));
+        assert!(matches!(
+            log[0].placed.class(),
+            Some(CommPattern::Neighbor { fwd: true, .. })
+        ));
         assert_eq!(log[1].placed, SyncOp::None);
         assert_eq!(log[1].covered.len(), 1);
         let (pair, site) = log[1].covered[0];
@@ -1445,6 +1424,6 @@ mod tests {
         assert_eq!(p.kind, PhaseKind::Master);
         // Master-produced scalar consumed by the distributed loop: the
         // barrier is replaced by a counter.
-        assert!(matches!(p.after, SyncOp::Counter { .. }), "{:?}", p.after);
+        assert!(p.after.is_counter(), "{:?}", p.after);
     }
 }

@@ -63,4 +63,6 @@ pub use plan::{
     StaticStats, SyncOp, TopItem,
 };
 pub use report::render_plan;
-pub use sites::{node_label, slot_count_items, slot_count_top, sync_sites, SlotKind, SyncSite};
+pub use sites::{
+    counter_numbers, node_label, slot_count_items, slot_count_top, sync_sites, SlotKind, SyncSite,
+};

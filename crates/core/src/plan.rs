@@ -1,7 +1,7 @@
 //! The optimized SPMD schedule produced by the optimizer.
 
-use analysis::{CommOutcome, CommPattern, DistSet, LoopPartition, ProducerSpec};
-use ir::NodeId;
+use analysis::{Comm, CommPattern, LoopPartition, WaitSet};
+use ir::{Affine, LoopId, NodeId};
 
 /// Synchronization placed at one point of the schedule.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -11,37 +11,18 @@ pub enum SyncOp {
     None,
     /// A full team barrier.
     Barrier,
-    /// Nearest-neighbor post/wait flags: every processor posts its flag,
-    /// then waits for the producing neighbor(s).
-    Neighbor {
-        /// Data flows toward higher processor ids (wait on `p-1`).
-        fwd: bool,
-        /// Data flows toward lower processor ids (wait on `p+1`).
-        bwd: bool,
-    },
-    /// Producer-consumer counter: the unique producer increments, every
-    /// other processor waits for the visit count.
-    Counter {
-        /// Counter index in the region's counter bank.
-        id: usize,
-        /// Who increments.
-        producer: ProducerSpec,
-    },
-    /// Point-to-point pairwise counters derived from dependence distance
-    /// vectors: every processor posts its own per-pid cell, then waits
-    /// only on the processors its wait targets name — `p - d` for each
-    /// distance `d` in `dists`, plus each evaluable producer in
-    /// `producers`; a processor named by `collectors` waits on every
-    /// other cell. Loop-carried placements pipeline into a wavefront
-    /// (processor `p` runs iteration `i` while `p - d` runs `i + 1`).
-    PairCounter {
-        /// Processor distances to wait on (consumer `q` waits on `q - d`).
-        dists: DistSet,
-        /// Additional identifiable-producer wait targets.
-        producers: Vec<ProducerSpec>,
-        /// The processors that alone have to wait for everyone: a
-        /// gather — the arrival half of a barrier with no release half.
-        collectors: Vec<ProducerSpec>,
+    /// Point-to-point synchronization on per-processor cells: a
+    /// processor somebody may wait for posts its own cell, then each
+    /// waits only on the processors `waits` names for it — `p - d` for
+    /// each distance, every producer, and as a collector on every other
+    /// cell. When all the set names is producers, only they post.
+    /// Loop-carried placements pipeline into a wavefront (processor `p`
+    /// runs iteration `i` while `p - d` runs `i + 1`). The paper's
+    /// mechanisms — neighbor flags, a counter, pairwise counters — are
+    /// the [class](WaitSet::class) of the set.
+    Cells {
+        /// Whom every processor waits for.
+        waits: WaitSet,
     },
 }
 
@@ -56,28 +37,45 @@ impl SyncOp {
         !matches!(self, SyncOp::None)
     }
 
-    /// What the sync orders at one visit, in the analysis' own terms:
-    /// the outcome whose lowering it is, with a barrier as the top of
-    /// the lattice. [`CommOutcome::covers`] compares it with the need of
-    /// a pair that passes the slot.
-    pub fn orders(&self) -> CommOutcome {
+    /// The wait set of a point-to-point sync.
+    pub fn waits(&self) -> Option<&WaitSet> {
         match self {
-            SyncOp::None => CommOutcome::none(),
-            SyncOp::Barrier => CommOutcome::general(),
-            SyncOp::Neighbor { fwd, bwd } => CommOutcome::of(CommPattern::Neighbor {
-                fwd: *fwd,
-                bwd: *bwd,
-            }),
-            SyncOp::Counter { producer, .. } => CommOutcome::producer1(producer.clone()),
-            SyncOp::PairCounter {
-                dists,
-                producers,
-                collectors,
-            } => CommOutcome {
-                pair_producers: producers.clone(),
-                collectors: collectors.clone(),
-                ..CommOutcome::of(CommPattern::PairWise { dists: *dists })
+            SyncOp::Cells { waits } => Some(waits),
+            _ => None,
+        }
+    }
+
+    /// The label of a point-to-point sync: neighbor, counter
+    /// (`Producer1`) or pairwise.
+    pub fn class(&self) -> Option<CommPattern> {
+        Some(self.waits()?.class())
+    }
+
+    /// True for a counter-labelled sync (numbered `counter #k` in
+    /// reports).
+    pub fn is_counter(&self) -> bool {
+        self.class() == Some(CommPattern::Producer1)
+    }
+
+    /// Does the sync order every processor pair `need` asks to be
+    /// ordered, at one visit of its site ([`Comm::covers`], with a
+    /// barrier as the top of the lattice)?
+    pub fn covers(&self, need: &Comm) -> bool {
+        match (self, need) {
+            (_, Comm::NoComm) | (SyncOp::Barrier, _) => true,
+            (SyncOp::Cells { waits }, Comm::Waits(need)) => waits.contains(need),
+            _ => false,
+        }
+    }
+
+    /// The sync as it reads at trip `e` of loop `k`
+    /// ([`WaitSet::at_trip`]).
+    pub fn at_trip(&self, k: LoopId, e: &Affine) -> SyncOp {
+        match self {
+            SyncOp::Cells { waits } => SyncOp::Cells {
+                waits: waits.clone().at_trip(k, e),
             },
+            op => op.clone(),
         }
     }
 }
@@ -161,8 +159,6 @@ pub struct Region {
     pub items: Vec<RItem>,
     /// Synchronization at region exit (the master resumes after it).
     pub end: SyncOp,
-    /// Number of counters this region uses.
-    pub num_counters: usize,
 }
 
 /// A top-level schedule item.
@@ -254,51 +250,21 @@ pub fn demote_site(plan: &mut SpmdProgram, site: usize) -> Option<SyncOp> {
 /// layer's probation uses the general form to *restore* a previously
 /// demoted site's optimized op once the site has proven itself clean.
 pub fn set_site_op(plan: &mut SpmdProgram, site: usize, op: SyncOp) -> Option<SyncOp> {
-    fn set_items(
-        items: &mut [RItem],
-        next: &mut usize,
-        site: usize,
-        op: &SyncOp,
-    ) -> Option<SyncOp> {
-        let mut ops = Vec::new();
-        ops_in_site_order(items, &mut ops);
-        match ops.get_mut(site - *next) {
-            Some(slot) => Some(std::mem::replace(&mut **slot, op.clone())),
-            None => {
-                *next += ops.len();
-                None
-            }
-        }
-    }
-    fn set_top(
-        items: &mut [TopItem],
-        next: &mut usize,
-        site: usize,
-        op: &SyncOp,
-    ) -> Option<SyncOp> {
+    fn ops_of_top<'a>(items: &'a mut [TopItem], out: &mut Vec<&'a mut SyncOp>) {
         for it in items {
             match it {
                 TopItem::SerialStmt(_) => {}
-                TopItem::MasterLoop { body, .. } => {
-                    if let Some(old) = set_top(body, next, site, op) {
-                        return Some(old);
-                    }
-                }
+                TopItem::MasterLoop { body, .. } => ops_of_top(body, out),
                 TopItem::Region(r) => {
-                    if let Some(old) = set_items(&mut r.items, next, site, op) {
-                        return Some(old);
-                    }
-                    if *next == site {
-                        return Some(std::mem::replace(&mut r.end, op.clone()));
-                    }
-                    *next += 1;
+                    ops_in_site_order(&mut r.items, out);
+                    out.push(&mut r.end);
                 }
             }
         }
-        None
     }
-    let mut next = 0usize;
-    set_top(&mut plan.items, &mut next, site, &op)
+    let mut ops = Vec::new();
+    ops_of_top(&mut plan.items, &mut ops);
+    Some(std::mem::replace(&mut **ops.get_mut(site)?, op))
 }
 
 /// Demote every listed canonical site to a full barrier, returning the
@@ -319,9 +285,11 @@ impl SpmdProgram {
             match s {
                 SyncOp::None => st.eliminated += 1,
                 SyncOp::Barrier => st.barriers += 1,
-                SyncOp::Neighbor { .. } => st.neighbor_syncs += 1,
-                SyncOp::Counter { .. } => st.counter_syncs += 1,
-                SyncOp::PairCounter { .. } => st.pair_syncs += 1,
+                SyncOp::Cells { waits } => match waits.class() {
+                    CommPattern::Neighbor { .. } => st.neighbor_syncs += 1,
+                    CommPattern::Producer1 => st.counter_syncs += 1,
+                    _ => st.pair_syncs += 1,
+                },
             }
         }
         fn walk_items(items: &[RItem], st: &mut StaticStats) {
@@ -373,6 +341,19 @@ impl SpmdProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use analysis::{DistSet, ProducerSpec};
+
+    fn neighbor_fwd() -> SyncOp {
+        SyncOp::Cells {
+            waits: WaitSet::at_distances(DistSet::neighbor(true, false)),
+        }
+    }
+
+    fn master_counter() -> SyncOp {
+        SyncOp::Cells {
+            waits: WaitSet::producer(ProducerSpec::Master),
+        }
+    }
 
     #[test]
     fn static_stats_count_each_kind() {
@@ -383,10 +364,7 @@ mod tests {
                     RItem::Phase(Phase {
                         node: NodeId(0),
                         kind: PhaseKind::Master,
-                        after: SyncOp::Neighbor {
-                            fwd: true,
-                            bwd: false,
-                        },
+                        after: neighbor_fwd(),
                     }),
                     RItem::Seq {
                         node: NodeId(1),
@@ -401,7 +379,6 @@ mod tests {
                     },
                 ],
                 end: SyncOp::Barrier,
-                num_counters: 0,
             })],
         };
         let st = prog.static_stats();
@@ -425,10 +402,7 @@ mod tests {
                     RItem::Phase(Phase {
                         node: NodeId(0),
                         kind: PhaseKind::Master,
-                        after: SyncOp::Neighbor {
-                            fwd: true,
-                            bwd: false,
-                        },
+                        after: neighbor_fwd(),
                     }),
                     RItem::Seq {
                         node: NodeId(1),
@@ -437,16 +411,12 @@ mod tests {
                             kind: PhaseKind::Replicated,
                             after: SyncOp::None,
                         })],
-                        bottom: SyncOp::Counter {
-                            id: 0,
-                            producer: analysis::ProducerSpec::Master,
-                        },
+                        bottom: master_counter(),
                         merge_last: false,
                         after: SyncOp::None,
                     },
                 ],
                 end: SyncOp::Barrier,
-                num_counters: 1,
             })],
         }
     }
@@ -455,23 +425,11 @@ mod tests {
     fn demote_site_hits_every_slot_in_walk_order() {
         // Each id addresses the slot the canonical walk assigns it.
         let mut p = nested_plan();
-        assert_eq!(
-            demote_site(&mut p, 0),
-            Some(SyncOp::Neighbor {
-                fwd: true,
-                bwd: false
-            })
-        );
+        assert_eq!(demote_site(&mut p, 0), Some(neighbor_fwd()));
         let mut p = nested_plan();
         assert_eq!(demote_site(&mut p, 1), Some(SyncOp::None));
         let mut p = nested_plan();
-        assert_eq!(
-            demote_site(&mut p, 2),
-            Some(SyncOp::Counter {
-                id: 0,
-                producer: analysis::ProducerSpec::Master,
-            })
-        );
+        assert_eq!(demote_site(&mut p, 2), Some(master_counter()));
         let mut p = nested_plan();
         assert_eq!(demote_site(&mut p, 3), Some(SyncOp::None));
         let mut p = nested_plan();
@@ -499,13 +457,7 @@ mod tests {
         // `set_site_op` — the probation path in the recovery supervisor.
         let mut p = nested_plan();
         let displaced = demote_site(&mut p, 0).unwrap();
-        assert_eq!(
-            displaced,
-            SyncOp::Neighbor {
-                fwd: true,
-                bwd: false
-            }
-        );
+        assert_eq!(displaced, neighbor_fwd());
         assert_eq!(
             set_site_op(&mut p, 0, displaced),
             Some(SyncOp::Barrier),
@@ -529,20 +481,8 @@ mod tests {
         let mut p = nested_plan();
         let displaced = demote_sites(&mut p, &[0, 2, 9]);
         assert_eq!(displaced.len(), 3);
-        assert_eq!(
-            displaced[0],
-            Some(SyncOp::Neighbor {
-                fwd: true,
-                bwd: false
-            })
-        );
-        assert_eq!(
-            displaced[1],
-            Some(SyncOp::Counter {
-                id: 0,
-                producer: analysis::ProducerSpec::Master,
-            })
-        );
+        assert_eq!(displaced[0], Some(neighbor_fwd()));
+        assert_eq!(displaced[1], Some(master_counter()));
         assert_eq!(displaced[2], None, "site past the walk is reported back");
         let st = p.static_stats();
         assert_eq!(st.neighbor_syncs, 0);

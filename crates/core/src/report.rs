@@ -2,44 +2,56 @@
 //! figure and for debugging).
 
 use crate::plan::{PhaseKind, RItem, Region, SpmdProgram, SyncOp, TopItem};
+use crate::sites::{sync_sites, SyncSite};
+use analysis::CommPattern;
 use ir::pretty::pretty_node;
 use ir::Program;
 use std::fmt::Write;
 
-fn sync_str(s: &SyncOp) -> Option<String> {
-    match s {
-        SyncOp::None => None,
-        SyncOp::Barrier => Some("-- BARRIER --".into()),
-        SyncOp::Neighbor { fwd, bwd } => {
+/// The plan's sites, which the rendering consumes in walk order.
+type Sites<'a> = std::slice::Iter<'a, SyncSite>;
+
+/// The annotation of the next site's sync, if it holds one.
+fn sync_str(sites: &mut Sites) -> Option<String> {
+    let site = sites.next().expect("the rendering walks the site walk");
+    let waits = match &site.op {
+        SyncOp::None => return None,
+        SyncOp::Barrier => return Some("-- BARRIER --".into()),
+        SyncOp::Cells { waits } => waits,
+    };
+    Some(match (waits.class(), site.counter) {
+        (CommPattern::Neighbor { fwd, bwd }, _) => {
             let dir = match (fwd, bwd) {
                 (true, true) => "both",
                 (true, false) => "fwd",
                 (false, true) => "bwd",
                 (false, false) => "none",
             };
-            Some(format!("-- neighbor post/wait ({dir}) --"))
+            format!("-- neighbor post/wait ({dir}) --")
         }
-        SyncOp::Counter { id, .. } => Some(format!("-- counter #{id} incr/wait --")),
-        SyncOp::PairCounter {
-            dists,
-            producers,
-            collectors,
-        } => {
+        (_, Some(id)) => format!("-- counter #{id} incr/wait --"),
+        _ => {
             let extra = |n: usize, what| match n {
                 0 => String::new(),
                 n => format!(" + {n} {what}(s)"),
             };
-            Some(format!(
+            format!(
                 "-- pairwise post/wait (dists {}{}{}) --",
-                dists.render(),
-                extra(producers.len(), "producer"),
-                extra(collectors.len(), "collector")
-            ))
+                waits.dists.render(),
+                extra(waits.producers.len(), "producer"),
+                extra(waits.collectors.len(), "collector")
+            )
         }
-    }
+    })
 }
 
-fn render_items(prog: &Program, items: &[RItem], indent: usize, out: &mut String) {
+fn render_items(
+    prog: &Program,
+    items: &[RItem],
+    indent: usize,
+    sites: &mut Sites,
+    out: &mut String,
+) {
     let pad = "  ".repeat(indent);
     for it in items {
         match it {
@@ -56,16 +68,15 @@ fn render_items(prog: &Program, items: &[RItem], indent: usize, out: &mut String
                 if matches!(p.kind, PhaseKind::Master) {
                     writeln!(out, "{pad}ENDIF").unwrap();
                 }
-                if let Some(s) = sync_str(&p.after) {
+                if let Some(s) = sync_str(sites) {
                     writeln!(out, "{pad}{s}").unwrap();
                 }
             }
             RItem::Seq {
                 node,
                 body,
-                bottom,
                 merge_last,
-                after,
+                ..
             } => {
                 let l = prog.expect_loop(*node);
                 writeln!(
@@ -76,8 +87,8 @@ fn render_items(prog: &Program, items: &[RItem], indent: usize, out: &mut String
                     ir::pretty::affine_str(prog, &l.hi)
                 )
                 .unwrap();
-                render_items(prog, body, indent + 1, out);
-                if let Some(s) = sync_str(bottom) {
+                render_items(prog, body, indent + 1, sites, out);
+                if let Some(s) = sync_str(sites) {
                     let merged = if *merge_last {
                         " (merged into the next on the last trip)"
                     } else {
@@ -86,7 +97,7 @@ fn render_items(prog: &Program, items: &[RItem], indent: usize, out: &mut String
                     writeln!(out, "{pad}  {s}{merged}").unwrap();
                 }
                 writeln!(out, "{pad}ENDDO").unwrap();
-                if let Some(s) = sync_str(after) {
+                if let Some(s) = sync_str(sites) {
                     writeln!(out, "{pad}{s}").unwrap();
                 }
             }
@@ -94,11 +105,11 @@ fn render_items(prog: &Program, items: &[RItem], indent: usize, out: &mut String
     }
 }
 
-fn render_region(prog: &Program, r: &Region, indent: usize, out: &mut String) {
+fn render_region(prog: &Program, r: &Region, indent: usize, sites: &mut Sites, out: &mut String) {
     let pad = "  ".repeat(indent);
     writeln!(out, "{pad}PARALLEL REGION (all processors)").unwrap();
-    render_items(prog, &r.items, indent + 1, out);
-    if let Some(s) = sync_str(&r.end) {
+    render_items(prog, &r.items, indent + 1, sites, out);
+    if let Some(s) = sync_str(sites) {
         writeln!(out, "{pad}  {s} (region end)").unwrap();
     }
     writeln!(out, "{pad}END REGION").unwrap();
@@ -108,7 +119,7 @@ fn render_region(prog: &Program, r: &Region, indent: usize, out: &mut String) {
 pub fn render_plan(prog: &Program, plan: &SpmdProgram) -> String {
     let mut out = String::new();
     writeln!(out, "SCHEDULE {}", plan.name).unwrap();
-    fn rec(prog: &Program, items: &[TopItem], indent: usize, out: &mut String) {
+    fn rec(prog: &Program, items: &[TopItem], indent: usize, sites: &mut Sites, out: &mut String) {
         let pad = "  ".repeat(indent);
         for it in items {
             match it {
@@ -126,14 +137,20 @@ pub fn render_plan(prog: &Program, plan: &SpmdProgram) -> String {
                         ir::pretty::affine_str(prog, &l.hi)
                     )
                     .unwrap();
-                    rec(prog, body, indent + 1, out);
+                    rec(prog, body, indent + 1, sites, out);
                     writeln!(out, "{pad}ENDDO").unwrap();
                 }
-                TopItem::Region(r) => render_region(prog, r, indent, out),
+                TopItem::Region(r) => render_region(prog, r, indent, sites, out),
             }
         }
     }
-    rec(prog, &plan.items, 1, &mut out);
+    rec(
+        prog,
+        &plan.items,
+        1,
+        &mut sync_sites(prog, plan).iter(),
+        &mut out,
+    );
     out
 }
 

@@ -52,6 +52,9 @@ pub struct SyncSite {
     pub label: String,
     /// The synchronization the plan places there.
     pub op: SyncOp,
+    /// For a counter-labelled sync, its number among its region's, in
+    /// site order (`counter #k` in reports).
+    pub counter: Option<usize>,
 }
 
 /// Short human label for a schedule node (`DOALL i`, `DO t`,
@@ -126,6 +129,7 @@ fn walk_items(prog: &Program, items: &[RItem], next: &mut usize, out: &mut Vec<S
                     kind: SlotKind::PhaseAfter,
                     label: phase_after_label(prog, p.node),
                     op: p.after.clone(),
+                    counter: None,
                 });
                 *next += 1;
             }
@@ -142,6 +146,7 @@ fn walk_items(prog: &Program, items: &[RItem], next: &mut usize, out: &mut Vec<S
                     kind: SlotKind::LoopBottom,
                     label: loop_bottom_label(prog, *node),
                     op: bottom.clone(),
+                    counter: None,
                 });
                 *next += 1;
                 out.push(SyncSite {
@@ -149,6 +154,7 @@ fn walk_items(prog: &Program, items: &[RItem], next: &mut usize, out: &mut Vec<S
                     kind: SlotKind::LoopAfter,
                     label: loop_after_label(prog, *node),
                     op: after.clone(),
+                    counter: None,
                 });
                 *next += 1;
             }
@@ -174,12 +180,52 @@ fn walk_top(
                     kind: SlotKind::RegionEnd,
                     label: region_end_label(*region),
                     op: r.end.clone(),
+                    counter: None,
                 });
                 *next += 1;
                 *region += 1;
             }
         }
     }
+}
+
+/// The number of a counter-labelled `op` among those of its region so
+/// far (`next`), in site order: the `k` of `counter #k` in reports.
+pub(crate) fn counter_number(op: &SyncOp, next: &mut usize) -> Option<usize> {
+    op.is_counter().then(|| {
+        *next += 1;
+        *next - 1
+    })
+}
+
+/// [`SyncSite::counter`] of every site, by site id, without the rest of
+/// the walk.
+pub fn counter_numbers(plan: &SpmdProgram) -> Vec<Option<usize>> {
+    fn level(items: &[RItem], next: &mut usize, out: &mut Vec<Option<usize>>) {
+        for it in items {
+            if let RItem::Seq { body, bottom, .. } = it {
+                level(body, next, out);
+                out.push(counter_number(bottom, next));
+            }
+            out.push(counter_number(it.after(), next));
+        }
+    }
+    fn top(tops: &[TopItem], out: &mut Vec<Option<usize>>) {
+        for it in tops {
+            match it {
+                TopItem::SerialStmt(_) => {}
+                TopItem::MasterLoop { body, .. } => top(body, out),
+                TopItem::Region(r) => {
+                    let mut next = 0;
+                    level(&r.items, &mut next, out);
+                    out.push(counter_number(&r.end, &mut next));
+                }
+            }
+        }
+    }
+    let mut out = Vec::new();
+    top(&plan.items, &mut out);
+    out
 }
 
 /// Enumerate every sync slot of a schedule in canonical walk order.
@@ -191,6 +237,9 @@ pub fn sync_sites(prog: &Program, plan: &SpmdProgram) -> Vec<SyncSite> {
     let mut next = 0usize;
     let mut region = 0usize;
     walk_top(prog, &plan.items, &mut next, &mut region, &mut out);
+    for (site, counter) in out.iter_mut().zip(counter_numbers(plan)) {
+        site.counter = counter;
+    }
     out
 }
 

@@ -10,9 +10,12 @@
 
 use crate::eval::{eval_affine, try_eval_affine, Env};
 use crate::kernel::{Code, Lowerer};
-use analysis::{Bindings, DistSet, ProducerSpec};
+use analysis::{Bindings, CommPattern, DistSet, ProducerSpec};
 use ir::{LoopId, NodeId, Program};
-use spmd_opt::{slot_count_items, slot_count_top, RItem, SpmdProgram, SyncOp, TopItem};
+use runtime::SyncKind;
+use spmd_opt::{
+    counter_numbers, slot_count_items, slot_count_top, RItem, SpmdProgram, SyncOp, TopItem,
+};
 use std::ops::Deref;
 
 /// "No enclosing loop" in [`Event`] frames and [`Frame::parent`].
@@ -34,24 +37,11 @@ pub(crate) struct Frame {
 pub enum SyncStep {
     /// A full team barrier.
     Barrier,
-    /// Nearest-neighbor post/wait flags.
-    Neighbor {
-        /// Wait on `pid - 1`.
-        fwd: bool,
-        /// Wait on `pid + 1`.
-        bwd: bool,
-    },
-    /// Producer-consumer counter.
-    Counter {
-        /// Counter index in the bank.
-        id: usize,
-        /// The processor that increments.
-        producer: usize,
-    },
-    /// Pairwise per-pid cells: post, then wait on `pid - d` for every
-    /// distance and on every producer — and, as a collector, on every
-    /// other processor.
-    Pair {
+    /// Per-processor cells: whoever may be waited for posts, then each
+    /// processor waits on [`Schedule::pair_targets`] — `pid - d` for
+    /// every distance, every producer and, as a collector, every other
+    /// processor.
+    Cells {
         /// Processor distances to wait on.
         dists: DistSet,
         /// The identifiable-producer targets
@@ -60,7 +50,24 @@ pub enum SyncStep {
         /// The processors that wait for everyone
         /// ([`Schedule::producers`]).
         collectors: Producers,
+        /// The label measurements are filed under: neighbor, counter or
+        /// pairwise.
+        kind: SyncKind,
     },
+}
+
+impl SyncStep {
+    /// Does every processor post at this step? Where all a wait set
+    /// names is producers, nobody can wait on anyone else and only they
+    /// post — once per naming.
+    pub fn all_post(&self) -> bool {
+        match self {
+            SyncStep::Barrier => false,
+            SyncStep::Cells {
+                dists, collectors, ..
+            } => !dists.is_empty() || collectors.len > 0,
+        }
+    }
 }
 
 /// A run of resolved producer or collector pids in a [`Schedule`].
@@ -113,8 +120,9 @@ pub struct Schedule {
     producers: Vec<usize>,
     code: Code,
     nprocs: i64,
-    num_counters: usize,
     num_sites: usize,
+    /// `counter #k` of the counter-labelled sites, by site id.
+    counters: Vec<Option<usize>>,
 }
 
 impl Deref for Schedule {
@@ -125,12 +133,12 @@ impl Deref for Schedule {
 }
 
 impl Schedule {
-    /// The producer or collector pids of a [`SyncStep::Pair`].
+    /// The producer or collector pids of a [`SyncStep::Cells`].
     pub fn producers(&self, p: Producers) -> &[usize] {
         &self.producers[p.start as usize..(p.start + p.len) as usize]
     }
 
-    /// The processors `pid` waits on at a [`SyncStep::Pair`]:
+    /// The processors `pid` waits on at a [`SyncStep::Cells`]:
     /// `pid - d` for every distance in range, every other producer and,
     /// when `pid` is a collector, everybody else. A processor named
     /// twice is waited on twice, harmlessly.
@@ -142,26 +150,56 @@ impl Schedule {
         collectors: Producers,
     ) -> impl Iterator<Item = usize> + '_ {
         let nprocs = self.nprocs as usize;
-        let by_dist = dists
-            .iter()
-            .map(move |d| pid as i64 - d)
-            .filter(move |q| (0..nprocs as i64).contains(q))
-            .map(|q| q as usize);
+        let in_team = move |q: i64| usize::try_from(q).ok().filter(|&q| q < nprocs);
+        let by_dist = dists.iter().filter_map(move |d| in_team(pid as i64 - d));
         let by_producer = self.producers(producers).iter().copied();
-        let as_collector = self
-            .producers(collectors)
-            .iter()
-            .filter(move |&&c| c == pid)
-            .flat_map(move |_| 0..nprocs);
+        // Once round the team for every collector spec that names `pid`.
+        let gathers = self.producers(collectors).iter();
+        let gathers = gathers.filter(|&&c| c == pid).count();
+        let as_collector = (0..gathers * nprocs).map(move |k| k % nprocs);
         by_dist
             .chain(by_producer)
             .chain(as_collector)
             .filter(move |&q| q != pid)
     }
 
-    /// Size of the counter bank the plan needs.
-    pub fn num_counters(&self) -> usize {
-        self.num_counters
+    /// What a sync step is called, by its label: on a timeline
+    /// (`neighbor`, `counter#0`, `pairwise{-2}`) and, with the
+    /// processors it resolved to, in the event list
+    /// (`neighbor(fwd=true,bwd=false)`, `counter#0<-P3`,
+    /// `pair{-2}+1prod->P0`).
+    pub(crate) fn step_names(&self, op: SyncStep, site: u32) -> (String, String) {
+        let SyncStep::Cells {
+            dists,
+            producers,
+            collectors,
+            kind,
+        } = op
+        else {
+            return ("barrier".into(), "barrier".into());
+        };
+        match kind {
+            SyncKind::Neighbor => {
+                let (fwd, bwd) = (dists.contains(1), dists.contains(-1));
+                ("neighbor".into(), format!("neighbor(fwd={fwd},bwd={bwd})"))
+            }
+            SyncKind::Counter => {
+                let id = self.counters[site as usize].expect("a counter site has its number");
+                let name = format!("counter#{id}");
+                let listed = format!("{name}<-P{}", self.producers(producers)[0]);
+                (name, listed)
+            }
+            _ => {
+                let mut listed = format!("pair{}", dists.render());
+                if producers.len > 0 {
+                    listed += &format!("+{}prod", producers.len);
+                }
+                for c in self.producers(collectors) {
+                    listed += &format!("->P{c}");
+                }
+                (format!("pairwise{}", dists.render()), listed)
+            }
+        }
     }
 
     /// One past the largest sync-site id that emitted an event.
@@ -222,7 +260,6 @@ pub fn unroll(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Schedule {
         events: Vec::new(),
         frames: Vec::new(),
         producers: Vec::new(),
-        num_counters: 0,
         num_sites: 0,
     };
     u.top(&plan.items, 0);
@@ -232,8 +269,8 @@ pub fn unroll(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Schedule {
         producers: u.producers,
         code: u.lower.finish(),
         nprocs: bind.nprocs,
-        num_counters: u.num_counters,
         num_sites: u.num_sites,
+        counters: counter_numbers(plan),
     }
 }
 
@@ -248,7 +285,6 @@ struct Unroller<'a> {
     events: Vec<Event>,
     frames: Vec<Frame>,
     producers: Vec<usize>,
-    num_counters: usize,
     num_sites: usize,
 }
 
@@ -318,25 +354,15 @@ impl Unroller<'_> {
         let op = match op {
             SyncOp::None => return,
             SyncOp::Barrier => SyncStep::Barrier,
-            SyncOp::Neighbor { fwd, bwd } => SyncStep::Neighbor {
-                fwd: *fwd,
-                bwd: *bwd,
-            },
-            SyncOp::Counter { id, producer } => {
-                self.num_counters = self.num_counters.max(id + 1);
-                SyncStep::Counter {
-                    id: *id,
-                    producer: self.producer(producer),
-                }
-            }
-            SyncOp::PairCounter {
-                dists,
-                producers,
-                collectors,
-            } => SyncStep::Pair {
-                dists: *dists,
-                producers: self.resolve(producers),
-                collectors: self.resolve(collectors),
+            SyncOp::Cells { waits } => SyncStep::Cells {
+                dists: waits.dists,
+                producers: self.resolve(&waits.producers),
+                collectors: self.resolve(&waits.collectors),
+                kind: match waits.class() {
+                    CommPattern::Neighbor { .. } => SyncKind::Neighbor,
+                    CommPattern::Producer1 => SyncKind::Counter,
+                    _ => SyncKind::Pairwise,
+                },
             },
         };
         self.num_sites = self.num_sites.max(site + 1);
@@ -446,34 +472,33 @@ impl DynCounts {
         for ev in events {
             match ev {
                 Event::Dispatch => c.dispatches += 1,
-                Event::Sync { op, .. } => match op {
+                Event::Sync { op, .. } => match *op {
                     SyncStep::Barrier => c.barriers += 1,
-                    SyncStep::Counter { .. } => {
-                        c.counter_increments += 1;
-                        c.counter_waits += p - 1;
-                    }
-                    SyncStep::Neighbor { fwd, bwd } => {
-                        c.neighbor_posts += p;
-                        // Each processor waits for each existing
-                        // producing neighbor: everyone but pid 0 waits
-                        // on p-1, everyone but pid P-1 on p+1.
-                        c.neighbor_waits += (p - 1) * (*fwd as u64 + *bwd as u64);
-                    }
-                    SyncStep::Pair {
+                    SyncStep::Cells {
                         dists,
                         producers,
                         collectors,
+                        kind,
                     } => {
-                        c.pair_posts += p;
+                        let (posts, waits) = match kind {
+                            SyncKind::Neighbor => (&mut c.neighbor_posts, &mut c.neighbor_waits),
+                            SyncKind::Counter => (&mut c.counter_increments, &mut c.counter_waits),
+                            _ => (&mut c.pair_posts, &mut c.pair_waits),
+                        };
+                        *posts += if op.all_post() {
+                            p
+                        } else {
+                            producers.len as u64
+                        };
                         for d in dists.iter() {
                             // Every pid whose `pid - d` is a real
                             // processor waits on it.
-                            c.pair_waits += (p as i64 - d.abs()).max(0) as u64;
+                            *waits += (p as i64 - d.abs()).max(0) as u64;
                         }
                         // Producer-target waits: every pid except the
                         // producer itself waits on it; a collector
                         // waits on every pid except itself.
-                        c.pair_waits += (producers.len + collectors.len) as u64 * (p - 1);
+                        *waits += (producers.len + collectors.len) as u64 * (p - 1);
                     }
                 },
                 Event::Work { .. } => {}
@@ -509,25 +534,7 @@ pub fn render_events(prog: &Program, sched: &Schedule) -> String {
                 writeln!(out, "{k:4}  {what} node {n}{}", env_str(frame)).unwrap()
             }
             Event::Sync { op, site, frame } => {
-                let s = match op {
-                    SyncStep::Barrier => "barrier".to_string(),
-                    SyncStep::Neighbor { fwd, bwd } => format!("neighbor(fwd={fwd},bwd={bwd})"),
-                    SyncStep::Counter { id, producer } => format!("counter#{id}<-P{producer}"),
-                    SyncStep::Pair {
-                        dists,
-                        producers,
-                        collectors,
-                    } => {
-                        let mut s = format!("pair{}", dists.render());
-                        if producers.len > 0 {
-                            s += &format!("+{}prod", producers.len);
-                        }
-                        for c in sched.producers(collectors) {
-                            s += &format!("->P{c}");
-                        }
-                        s
-                    }
-                };
+                let (_, s) = sched.step_names(op, site);
                 writeln!(out, "{k:4}  sync s{site} {s}{}", env_str(frame)).unwrap()
             }
         }
@@ -614,10 +621,11 @@ mod tests {
             .filter_map(|ev| match *ev {
                 Event::Sync {
                     op:
-                        SyncStep::Pair {
+                        SyncStep::Cells {
                             dists,
                             producers,
                             collectors,
+                            ..
                         },
                     ..
                 } if collectors.len > 0 => Some((dists, producers, collectors)),
@@ -639,7 +647,7 @@ mod tests {
         assert!(targets(3).is_empty());
         // What the counts say is what the targets add up to.
         let waits: usize = (0..4).map(|pid| targets(pid).len()).sum();
-        let site = |ev: &Event| matches!(ev, Event::Sync { op: SyncStep::Pair { collectors, .. }, .. } if collectors.len > 0);
+        let site = |ev: &Event| matches!(ev, Event::Sync { op: SyncStep::Cells { collectors, .. }, .. } if collectors.len > 0);
         let bottoms: Vec<Event> = sched.iter().copied().filter(site).collect();
         assert_eq!(
             DynCounts::from_events(&bottoms, 4).pair_waits,

@@ -13,8 +13,9 @@
 //!   soundness oracle: an insufficient sync placement produces wrong
 //!   results under some adversarial order;
 //! * [`run_parallel`] — executes the schedule on real threads
-//!   (`runtime::Team`) with instrumented barriers/counters/flags, for
-//!   wall-clock speedup measurements.
+//!   (`runtime::Team`) over the runtime's barrier and post cells, each
+//!   worker recording its own sync events, for wall-clock speedup
+//!   measurements.
 //!
 //! The two SPMD executors do not walk the IR: [`unroll`] lowers every
 //! phase once per `(program, bindings, plan)` into a flat kernel

@@ -21,8 +21,8 @@ use runtime::fault::{SyncError, Watchdog, DISPATCH_SITE};
 use runtime::stats::{StatsSnapshot, SyncKind};
 use runtime::telemetry::{CellSnapshot, SiteSnapshot};
 use runtime::{
-    BarrierEpoch, CachePadded, CentralBarrier, Counters, NeighborFlags, PairwiseCells, SpinPolicy,
-    Team, TreeBarrier, WaitEffort,
+    BarrierEpoch, CachePadded, CellBank, CentralBarrier, Counters, GuardedCells, SpinPolicy, Team,
+    TreeBarrier, WaitEffort,
 };
 use spmd_opt::SpmdProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,20 +62,21 @@ impl AnyBarrier {
 }
 
 /// One blocking wait of the sync step: who waits (`pid`), where
-/// (`site`), and how — an armed watchdog selects each primitive's
+/// (`site`), and how — an armed watchdog (`guard`: the cell bank
+/// under it, as the attempt sees it) selects each primitive's
 /// deadline-guarded wait, `None` its pure one. Either way the wait
 /// hands back its escalation effort for the worker's recorder.
 #[derive(Clone, Copy)]
 struct Waiter<'a> {
-    wd: Option<&'a Watchdog>,
+    guard: Option<&'a GuardedCells<'a>>,
     site: usize,
     pid: usize,
 }
 
 impl Waiter<'_> {
     fn barrier(self, b: &AnyBarrier, local: &mut BarrierLocal) -> Result<WaitEffort, SyncError> {
-        let Waiter { wd, site, pid } = self;
-        match (b, wd) {
+        let Waiter { guard, site, pid } = self;
+        match (b, guard.map(GuardedCells::watchdog)) {
             (AnyBarrier::Central(b), Some(wd)) => b.wait_until(&mut local.central, wd, site, pid),
             (AnyBarrier::Central(b), None) => Ok(b.wait(&mut local.central)),
             (AnyBarrier::Tree(b), Some(wd)) => b.wait_until(pid, &mut local.tree, wd, site),
@@ -83,45 +84,44 @@ impl Waiter<'_> {
         }
     }
 
-    fn counter(self, c: &Counters, id: usize, v: u64) -> Result<WaitEffort, SyncError> {
-        match self.wd {
-            Some(wd) => c.wait_ge_until(id, v, wd, self.site, self.pid),
-            None => Ok(c.wait_ge(id, v)),
+    /// The dispatch gate: the master's `v`-th arrival.
+    fn gate(self, c: &Counters, v: u64) -> Result<WaitEffort, SyncError> {
+        match self.guard {
+            Some(g) => c.wait_ge_until(0, v, g.watchdog(), self.site, self.pid),
+            None => Ok(c.wait_ge(0, v)),
         }
     }
 
-    fn flag(self, f: &NeighborFlags, other: isize, epoch: u64) -> Result<WaitEffort, SyncError> {
-        match self.wd {
-            Some(wd) => f.wait_until(other, epoch, wd, self.site, self.pid),
-            None => Ok(f.wait(other, epoch)),
-        }
-    }
-
-    fn pair(self, p: &PairwiseCells, other: isize, count: u64) -> Result<WaitEffort, SyncError> {
-        match self.wd {
-            Some(wd) => p.wait_until(other, count, wd, self.site, self.pid),
-            None => Ok(p.wait(other, count)),
+    /// Processor `other`'s `count`-th post, at a sync labelled `kind`.
+    fn cell(
+        self,
+        c: &CellBank,
+        other: usize,
+        count: u64,
+        kind: SyncKind,
+    ) -> Result<WaitEffort, SyncError> {
+        match self.guard {
+            Some(cells) => cells.wait(other, count, kind, self.site, self.pid),
+            None => Ok(c.wait(other as isize, count)),
         }
     }
 }
 
 /// The shared synchronization state of one execution (or one recovery
-/// session): barrier, counter bank, neighbor flags, pairwise cells and
-/// the dispatch counter. It measures nothing — each worker's
-/// [`SyncRecorder`] does.
+/// session): the barrier, the per-processor cells every point-to-point
+/// sync posts to and waits on, and the dispatch gate. It measures
+/// nothing — each worker's [`SyncRecorder`] does.
 ///
 /// [`run_parallel_observed`] builds a fresh fabric per call; the
 /// recovery supervisor ([`crate::recover`]) instead builds one fabric,
 /// runs an attempt with [`run_parallel_observed_on`], and re-arms it
 /// with [`SyncFabric::reset`] between attempts — a failed attempt
-/// leaves barriers mid-episode and counters part-way through their
-/// visit sequence, so the reset restores every primitive to pristine
-/// (bumping the counter generation stamp; see `Counters::reset`).
+/// leaves barriers mid-episode and cells part-way through their post
+/// counts, so the reset restores every primitive to pristine (stamping
+/// a new generation on cells and gate; see `CellBank::reset`).
 pub struct SyncFabric {
     barrier: Arc<AnyBarrier>,
-    counters: Arc<Counters>,
-    flags: Arc<NeighborFlags>,
-    pairs: Arc<PairwiseCells>,
+    cells: Arc<CellBank>,
     dispatch: Arc<Counters>,
     /// Event-ring profiler shared by every attempt run on this fabric
     /// (`None` unless [`ObserveOptions::profile`] asked for one).
@@ -162,9 +162,7 @@ impl SyncFabric {
         };
         let fabric = SyncFabric {
             barrier: Arc::new(barrier),
-            counters: Arc::new(Counters::new(sched.num_counters()).with_policy(spin)),
-            flags: Arc::new(NeighborFlags::new(nprocs).with_policy(spin)),
-            pairs: Arc::new(PairwiseCells::new(nprocs).with_policy(spin)),
+            cells: Arc::new(CellBank::new(nprocs).with_policy(spin)),
             dispatch: Arc::new(Counters::new(1).with_policy(spin)),
             profiler: None,
         };
@@ -176,13 +174,12 @@ impl SyncFabric {
 
     /// Re-arm every primitive for a fresh attempt. Only legal once all
     /// workers of the previous attempt have been joined (the team run
-    /// returned): barriers, flags and cells are zeroed and the counter
-    /// banks are reset (stamping a new generation).
+    /// returned): the barrier is zeroed, cells and gate are reset
+    /// (stamping a new generation, under which a guarded wait of the
+    /// old attempt fails instead of hanging).
     pub fn reset(&self) {
         self.barrier.reset();
-        self.counters.reset();
-        self.flags.reset();
-        self.pairs.reset();
+        self.cells.reset();
         self.dispatch.reset();
         // The profiler is *not* cleared: its rings span the whole
         // recovery session, with each attempt stamped by the next epoch.
@@ -208,9 +205,9 @@ pub enum ChaosAction {
     /// Wake every guarded waiter parked on the watchdog without making
     /// any condition true (a correct waiter re-checks and re-parks).
     SpuriousWake,
-    /// Drop the event's *post* half: a counter producer skips its
-    /// increment, a neighbor sync skips its post, a barrier arrival is
-    /// skipped entirely. Consumers of the dropped post can only be
+    /// Drop the event's *post* half: the processor skips its barrier
+    /// arrival, or the post to its cell — this one and every later one
+    /// of the attempt. Consumers of the dropped post can only be
     /// released by the watchdog — this is the oracle's "teeth".
     Drop,
 }
@@ -264,13 +261,16 @@ pub struct ParallelOutcome {
     /// recorded first — this lists *every* faulting processor, so the
     /// recovery supervisor can demote all implicated sites at once.
     pub proc_errors: Vec<Option<SyncError>>,
-    /// Per-processor post deficit: how many neighbor + pairwise posts
-    /// the processor's traversal *claimed* (sync events it passed)
-    /// minus how many actually landed in the shared flag/pair cells. A
-    /// healthy worker's deficit is always 0 — the post precedes the
-    /// claim — so a positive entry is direct physical evidence that
-    /// this pid's posts are being dropped (a silently dead core), no
-    /// matter where the resulting wedge surfaces in the site walk.
+    /// Per-processor post deficit: how many posts the processor's
+    /// traversal *claimed* (sync events at which everybody posts,
+    /// passed) minus how many actually landed in its cell. A healthy
+    /// worker's deficit is always 0 — the post precedes the claim — so
+    /// a positive entry is direct physical evidence that this pid's
+    /// posts are being dropped (a silently dead core), no matter where
+    /// the resulting wedge surfaces in the site walk. A producer's post
+    /// where only producers post is claimed when it lands — one flaky
+    /// counter site is the site ladder's business — and so is any post
+    /// skipped only because an earlier drop silenced the cell.
     pub post_deficits: Vec<u64>,
     /// The merged profile-event stream (present iff
     /// [`ObserveOptions::profile`] was set, or the caller's fabric
@@ -403,15 +403,8 @@ pub(crate) fn span_of(prog: &Program, sched: &Schedule, ev: &Event) -> (String, 
         ),
         Event::Dispatch => ("dispatch".to_string(), SpanCat::Dispatch),
         Event::Sync { op, site, .. } => {
-            let name = match op {
-                SyncStep::Barrier => format!("barrier wait @s{site}"),
-                SyncStep::Neighbor { .. } => format!("neighbor wait @s{site}"),
-                SyncStep::Counter { id, .. } => format!("counter#{id} wait @s{site}"),
-                SyncStep::Pair { dists, .. } => {
-                    format!("pairwise{} wait @s{site}", dists.render())
-                }
-            };
-            (name, SpanCat::Sync)
+            let (name, _) = sched.step_names(op, site);
+            (format!("{name} wait @s{site}"), SpanCat::Sync)
         }
     }
 }
@@ -461,9 +454,9 @@ pub fn run_parallel_observed(
 /// unrolled `events` on a caller-owned [`SyncFabric`] instead of fresh
 /// ones. The recovery supervisor uses this to reuse one fabric across
 /// retry attempts (resetting it between them); the fabric must be sized
-/// for at least the plan's counter bank and must be pristine (fresh or
-/// [`SyncFabric::reset`]) on entry. `opts.barrier` is ignored — the
-/// fabric already chose its barrier.
+/// for the team and must be pristine (fresh or [`SyncFabric::reset`])
+/// on entry. `opts.barrier` is ignored — the fabric already chose its
+/// barrier.
 #[allow(clippy::too_many_arguments)]
 pub fn run_parallel_observed_on(
     prog: &Arc<Program>,
@@ -480,9 +473,10 @@ pub fn run_parallel_observed_on(
         nprocs as i64, bind.nprocs,
         "team size must match the bindings' processor count"
     );
-    assert!(
-        events.num_counters() <= fabric.counters.len(),
-        "fabric counter bank too small for this plan"
+    assert_eq!(
+        fabric.cells.nprocs(),
+        nprocs,
+        "fabric built for another team size"
     );
     let counts = DynCounts::from_events(events, nprocs);
     let watchdog = opts.deadline.map(|d| Arc::new(Watchdog::new(d)));
@@ -496,10 +490,10 @@ pub fn run_parallel_observed_on(
     };
     let trace = opts.trace;
     let failure_slot = Arc::new(Mutex::new(None::<SyncError>));
-    // Each worker publishes how many neighbor posts it has *passed*
-    // (dropped or not); compared against the flag cells after the join,
-    // this pins dropped posts on the pid that owed them. One cache line
-    // per pid: every neighbor/pairwise event stores to its cell.
+    // Each worker publishes how many posts it has *claimed* (see
+    // `post_deficits`); compared against its cell after the join, this
+    // pins dropped posts on the pid that owed them. One cache line per
+    // pid: every posting event stores to it.
     let claimed_posts: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(
         (0..nprocs)
             .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -515,9 +509,7 @@ pub fn run_parallel_observed_on(
     let mem2 = Arc::clone(mem);
     let events2 = Arc::clone(events);
     let barrier2 = Arc::clone(&fabric.barrier);
-    let counters2 = Arc::clone(&fabric.counters);
-    let flags2 = Arc::clone(&fabric.flags);
-    let pairs2 = Arc::clone(&fabric.pairs);
+    let cells2 = Arc::clone(&fabric.cells);
     let dispatch2 = Arc::clone(&fabric.dispatch);
     let watchdog2 = watchdog.clone();
     let chaos2 = opts.chaos.clone();
@@ -537,6 +529,8 @@ pub fn run_parallel_observed_on(
     let t0 = Instant::now();
     let team_result = team.try_run(move |pid| {
         let wd = watchdog2.as_deref();
+        let guarded = wd.map(|wd| cells2.guarded(wd));
+        let guard = guarded.as_ref();
         // Ambient recorder: primitives deep in the runtime (spin
         // escalation) emit onto this worker's track without knowing
         // their site; the analyzer attributes them by enclosing
@@ -555,12 +549,19 @@ pub fn run_parallel_observed_on(
         let traverse = || -> Result<(), SyncError> {
             let mut worker = Worker::new(&events2, &mem2, pid);
             let mut blocal = BarrierLocal::default();
-            let mut nposts = 0u64;
-            let mut pposts = 0u64;
-            let mut visits = vec![0u64; counters2.len()];
+            // What every processor knows of every other's post count,
+            // the traversal being replicated: the events passed at
+            // which everybody posts, plus those where `q` was named.
+            let mut all_posts = 0u64;
+            let mut named_posts = vec![0u64; nprocs];
+            let mut claimed = 0u64;
+            // Set by the first dropped post to the cell, for the rest of
+            // the attempt: every point-to-point sync counts on the one
+            // cell, so a later post would let the waiters of the dropped
+            // one through and strand those of the last instead.
+            let mut silenced = false;
             let mut dispatch_visits = 0u64;
             let mut site_visits = vec![0u64; n_sites];
-            let in_team = |q: isize| q >= 0 && (q as usize) < nprocs;
             for (k, ev) in events2.iter().enumerate() {
                 // Work and dispatch read the clock only for the trace; a
                 // sync event's span is its arrival/release pair.
@@ -573,7 +574,7 @@ pub fn run_parallel_observed_on(
                             dispatch2.increment(0);
                         } else {
                             let site = DISPATCH_SITE;
-                            Waiter { wd, site, pid }.counter(&dispatch2, 0, dispatch_visits)?;
+                            Waiter { guard, site, pid }.gate(&dispatch2, dispatch_visits)?;
                         }
                     }
                     Event::Sync { op, site, .. } => {
@@ -610,7 +611,7 @@ pub fn run_parallel_observed_on(
                             let t = p.ns_at(t_arrive);
                             p.record_at(pid, EventKind::SyncArrive, site as u32, visit, t);
                         }
-                        let at = Waiter { wd, site, pid };
+                        let at = Waiter { guard, site, pid };
                         let mut tally = Tally::default();
                         let (kind, r) = match op {
                             SyncStep::Barrier => {
@@ -625,58 +626,47 @@ pub fn run_parallel_observed_on(
                                 tally.posts += (pid == 0 && tally.waits == 1) as u64;
                                 (SyncKind::Barrier, r)
                             }
-                            SyncStep::Neighbor { fwd, bwd } => {
-                                if !dropped {
-                                    flags2.post(pid);
-                                    tally.posts += 1;
-                                }
-                                nposts += 1;
-                                claimed2[pid].store(nposts + pposts, Ordering::Relaxed);
-                                let me = pid as isize;
-                                let r = [(fwd, me - 1), (bwd, me + 1)]
-                                    .into_iter()
-                                    .filter(|&(on, q)| on && in_team(q))
-                                    .try_for_each(|(_, q)| {
-                                        tally.waited(at.flag(&flags2, q, nposts))
-                                    });
-                                (SyncKind::Neighbor, r)
-                            }
-                            SyncStep::Counter { id, producer } => {
-                                visits[id] += 1;
-                                let r = if pid != producer {
-                                    tally.waited(at.counter(&counters2, id, visits[id]))
-                                } else {
-                                    if !dropped {
-                                        counters2.increment(id);
-                                        tally.posts += 1;
-                                    }
-                                    Ok(())
-                                };
-                                (SyncKind::Counter, r)
-                            }
-                            SyncStep::Pair {
+                            SyncStep::Cells {
                                 dists,
                                 producers,
                                 collectors,
+                                kind,
                             } => {
-                                // Every processor posts its own cell
-                                // (the traversal is replicated, so
-                                // per-pid post counts stay aligned),
-                                // then waits only on the cells its
-                                // distance/producer targets name — on
-                                // all of them as a collector.
-                                if !dropped {
-                                    pairs2.post(pid);
-                                    tally.posts += 1;
+                                // Whoever may be waited on posts its
+                                // own cell — everybody, unless all the
+                                // wait set names is producers — then
+                                // each processor waits only on the
+                                // cells its targets name, on all of
+                                // them as a collector.
+                                // Not claimed: a post skipped only
+                                // because an earlier drop silenced the
+                                // cell, and a named one that is dropped.
+                                let mine = if op.all_post() {
+                                    all_posts += 1;
+                                    claimed += (dropped || !silenced) as u64;
+                                    1
+                                } else {
+                                    let named = events2.producers(producers);
+                                    named.iter().for_each(|&q| named_posts[q] += 1);
+                                    let mine = named.iter().filter(|&&q| q == pid).count() as u64;
+                                    claimed += if dropped || silenced { 0 } else { mine };
+                                    mine
+                                };
+                                silenced |= dropped && mine > 0;
+                                if !silenced {
+                                    (0..mine).for_each(|_| cells2.post(pid));
+                                    tally.posts += mine;
                                 }
-                                pposts += 1;
-                                claimed2[pid].store(nposts + pposts, Ordering::Relaxed);
+                                if mine > 0 {
+                                    claimed2[pid].store(claimed, Ordering::Relaxed);
+                                }
                                 let r = events2
                                     .pair_targets(pid, dists, producers, collectors)
                                     .try_for_each(|q| {
-                                        tally.waited(at.pair(&pairs2, q as isize, pposts))
+                                        let count = all_posts + named_posts[q];
+                                        tally.waited(at.cell(&cells2, q, count, kind))
                                     });
-                                (SyncKind::Pairwise, r)
+                                (kind, r)
                             }
                         };
                         // Recorded even on a failing wait, so the faulty
@@ -822,7 +812,7 @@ pub fn run_parallel_observed_on(
             .map(|p| {
                 claimed_posts[p]
                     .load(Ordering::Relaxed)
-                    .saturating_sub(fabric.flags.epoch(p) + fabric.pairs.count(p))
+                    .saturating_sub(fabric.cells.count(p))
             })
             .collect(),
         // Workers have joined, so the single-writer rings are quiescent
@@ -834,6 +824,7 @@ pub fn run_parallel_observed_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use analysis::WaitSet;
     use ir::build::*;
     use spmd_opt::{fork_join, optimize};
 
@@ -914,11 +905,20 @@ mod tests {
         (prog, bind)
     }
 
+    /// A suite kernel at `Scale::Test`.
+    fn suite_kernel(name: &str, nprocs: i64) -> (Arc<Program>, Arc<Bindings>) {
+        let built = (suite::by_name(name).unwrap().build)(suite::Scale::Test);
+        let bind = built.bindings(nprocs);
+        (Arc::new(built.prog), Arc::new(bind))
+    }
+
     /// The recorder against the schedule: every kind, posts and waits,
-    /// on one kernel per mechanism.
+    /// on one hand-built kernel per mechanism and on suite plans with a
+    /// counter whose producer moves (`lu`), a collector (`shift_bcast`,
+    /// at eight processors) and a producer fused with a distance
+    /// (`pivot_shift`) — at two processors all three are plain flags.
     #[test]
     fn instrumentation_matches_schedule_counts() {
-        let team = Team::new(4);
         let mut mechanisms = StatsSnapshot::default();
         for ((prog, bind), plan) in [
             (
@@ -928,13 +928,18 @@ mod tests {
             (sweep(64, 10, 4), optimize),
             (scale(32, 6, 4), optimize),
             (shift(32, 6, 4), optimize),
+            (suite_kernel("lu", 4), optimize),
+            (suite_kernel("shift_bcast", 8), optimize),
+            (suite_kernel("pivot_shift", 4), optimize),
         ] {
             let plan = plan(&prog, &bind);
+            let nprocs = bind.nprocs as u64;
+            let team = Team::new(nprocs as usize);
             let mem = Arc::new(Mem::new(&prog, &bind));
             let out = run_parallel(&prog, &bind, &plan, &mem, &team);
             let (s, c) = (&out.stats, &out.counts);
             assert_eq!(s.barrier_episodes, c.barriers, "{}", prog.name);
-            assert_eq!(s.barrier_arrivals, c.barriers * 4, "{}", prog.name);
+            assert_eq!(s.barrier_arrivals, c.barriers * nprocs, "{}", prog.name);
             assert_eq!(s.counter_increments, c.counter_increments);
             assert_eq!(s.counter_waits, c.counter_waits);
             assert_eq!(s.neighbor_posts, c.neighbor_posts);
@@ -947,6 +952,23 @@ mod tests {
         // waits are counted like any other pairwise wait.
         let (prog, bind) = scale(32, 6, 4);
         assert_eq!(optimize(&prog, &bind).static_stats().pair_syncs, 1);
+        // The suite plans hold the wait sets they were picked for.
+        let holds = |(prog, bind): (Arc<Program>, Arc<Bindings>), f: fn(&WaitSet) -> bool| {
+            let plan = optimize(&prog, &bind);
+            let sites = spmd_opt::sync_sites(&prog, &plan);
+            assert!(
+                sites.iter().filter_map(|s| s.op.waits()).any(f),
+                "{}",
+                prog.name
+            );
+        };
+        holds(suite_kernel("lu", 4), |w| {
+            w.fanin() == 1 && w.producers.len() == 1
+        });
+        holds(suite_kernel("shift_bcast", 8), |w| !w.collectors.is_empty());
+        holds(suite_kernel("pivot_shift", 4), |w| {
+            !w.dists.is_empty() && !w.producers.is_empty()
+        });
         // Each mechanism really ran, both sides.
         let m = mechanisms;
         for n in [m.barrier_episodes, m.counter_increments, m.counter_waits] {

@@ -811,6 +811,10 @@ mod tests {
         assert_eq!(rep.lost_pid, Some(0));
     }
 
+    fn is_neighbor(op: &SyncOp) -> bool {
+        matches!(op.class(), Some(analysis::CommPattern::Neighbor { .. }))
+    }
+
     /// The canonical sync-op sequence of a plan (mirrors the walk of
     /// `spmd_opt::set_site_op`), so tests can compare a site's op
     /// before demotion and after probation restores it.
@@ -902,7 +906,7 @@ mod tests {
         let ops = site_ops(&plan);
         let site = ops
             .iter()
-            .position(|op| matches!(op, SyncOp::Neighbor { .. }))
+            .position(is_neighbor)
             .expect("optimized sweep must place a neighbor sync");
         let mem = Arc::new(Mem::new(&prog, &bind));
         mem.fill(ir::ArrayId(0), |s| (s[0] % 5) as f64);
@@ -936,7 +940,7 @@ mod tests {
         assert!(!r.demoted.is_empty());
         for &(s, _) in &r.demoted {
             assert!(
-                matches!(ops[s], SyncOp::Neighbor { .. }),
+                is_neighbor(&ops[s]),
                 "attempt 1 must wedge at a neighbor site, demoted s{s} ({:?})",
                 ops[s]
             );

@@ -49,18 +49,13 @@ fn can_advance(events: &Schedule, ptrs: &[usize], pid: usize) -> bool {
         Event::Dispatch => pid == 0 || ptrs[0] > i,
         Event::Sync { op, .. } => match op {
             SyncStep::Barrier => (0..nprocs).all(|q| ptrs[q] >= i),
-            SyncStep::Neighbor { fwd, bwd } => {
-                let fwd_ok = !fwd || pid == 0 || ptrs[pid - 1] >= i;
-                let bwd_ok = !bwd || pid + 1 == nprocs || ptrs[pid + 1] >= i;
-                fwd_ok && bwd_ok
-            }
-            SyncStep::Counter { producer, .. } => pid == producer || ptrs[producer] > i,
             // Crossable once every processor waited on has reached this
             // site — exactly the wavefront release condition.
-            SyncStep::Pair {
+            SyncStep::Cells {
                 dists,
                 producers,
                 collectors,
+                ..
             } => events
                 .pair_targets(pid, dists, producers, collectors)
                 .all(|q| ptrs[q] >= i),

@@ -43,14 +43,6 @@ fn collector_str(prog: &Program, p: &ProducerSpec) -> String {
     spec_str(prog, p, Anchor::Source)
 }
 
-/// The collectors of a placed sync (none unless it is pairwise).
-fn collectors_of(op: &SyncOp) -> &[ProducerSpec] {
-    match op {
-        SyncOp::PairCounter { collectors, .. } => collectors,
-        _ => &[],
-    }
-}
-
 /// `MAX reductions into rmax commute (statements n30, n30)`.
 fn commuting_str(prog: &Program, pair: &AccessPair) -> String {
     let op = prog
@@ -70,28 +62,32 @@ fn commuting_str(prog: &Program, pair: &AccessPair) -> String {
     )
 }
 
-fn sync_json(prog: &Program, op: &SyncOp) -> Json {
-    match op {
-        SyncOp::None => Json::obj().set("kind", "none"),
-        SyncOp::Barrier => Json::obj().set("kind", "barrier"),
-        SyncOp::Neighbor { fwd, bwd } => Json::obj()
+/// A placed sync by its label; `counter` is the number of a
+/// counter-labelled one ([`spmd_opt::SyncSite::counter`]).
+fn sync_json(prog: &Program, op: &SyncOp, counter: Option<usize>) -> Json {
+    let waits = match op {
+        SyncOp::None => return Json::obj().set("kind", "none"),
+        SyncOp::Barrier => return Json::obj().set("kind", "barrier"),
+        SyncOp::Cells { waits } => waits,
+    };
+    match (waits.class(), counter) {
+        (CommPattern::Neighbor { fwd, bwd }, _) => Json::obj()
             .set("kind", "neighbor")
-            .set("fwd", *fwd)
-            .set("bwd", *bwd),
-        SyncOp::Counter { id, .. } => Json::obj().set("kind", "counter").set("id", *id),
-        SyncOp::PairCounter {
-            dists,
-            producers,
-            collectors,
-        } => {
+            .set("fwd", fwd)
+            .set("bwd", bwd),
+        (_, Some(id)) => Json::obj().set("kind", "counter").set("id", id),
+        _ => {
             let j = Json::obj()
                 .set("kind", "pair-counter")
-                .set("dists", dists.render())
-                .set("producers", producers.len());
-            if collectors.is_empty() {
+                .set("dists", waits.dists.render())
+                .set("producers", waits.producers.len());
+            if waits.collectors.is_empty() {
                 return j;
             }
-            let names = collectors.iter().map(|c| collector_str(prog, c).into());
+            let names = waits
+                .collectors
+                .iter()
+                .map(|c| collector_str(prog, c).into());
             j.set("collectors", Json::Arr(names.collect()))
         }
     }
@@ -131,7 +127,7 @@ fn pair_json(prog: &Program, pair: &AccessPair) -> Json {
         .set("dependence", pair.dep.as_str())
 }
 
-fn decision_json(prog: &Program, d: &Decision) -> Json {
+fn decision_json(prog: &Program, d: &Decision, counter: Option<usize>) -> Json {
     let mut j = Json::obj()
         .set("site", d.site)
         .set("slot", d.kind.as_str())
@@ -140,7 +136,7 @@ fn decision_json(prog: &Program, d: &Decision) -> Json {
         .set("src_stmts", d.src_stmts)
         .set("dst_stmts", d.dst_stmts)
         .set("placed", d.placed_str())
-        .set("sync", sync_json(prog, &d.placed))
+        .set("sync", sync_json(prog, &d.placed, counter))
         .set("reason", d.reason.as_str());
     if d.merged_last_trip {
         j = j.set("merged_last_trip", true);
@@ -182,23 +178,24 @@ pub fn explain_json(
             .set("pair_syncs", st.pair_syncs)
             .set("eliminated", st.eliminated)
     };
-    let sites: Vec<Json> = sync_sites(prog, plan)
+    let walk = sync_sites(prog, plan);
+    let sites: Vec<Json> = walk
         .iter()
         .map(|s| {
             Json::obj()
                 .set("site", s.id)
                 .set("slot", s.kind.as_str())
                 .set("label", s.label.as_str())
-                .set("sync", sync_json(prog, &s.op))
+                .set("sync", sync_json(prog, &s.op, s.counter))
         })
         .collect();
+    let decisions = decisions
+        .iter()
+        .map(|d| decision_json(prog, d, walk[d.site].counter));
     Json::obj()
         .set("program", prog.name.as_str())
         .set("nprocs", nprocs)
-        .set(
-            "decisions",
-            Json::Arr(decisions.iter().map(|d| decision_json(prog, d)).collect()),
-        )
+        .set("decisions", Json::Arr(decisions.collect()))
         .set("sites", Json::Arr(sites))
         .set(
             "static",
@@ -234,7 +231,7 @@ pub fn render_decisions(prog: &Program, decisions: &[Decision]) -> String {
             if let Some(p) = &d.producer {
                 out.push_str(&format!("     producer: {}\n", producer_str(prog, p)));
             }
-            for c in collectors_of(&d.placed) {
+            for c in d.placed.waits().iter().flat_map(|w| &w.collectors) {
                 out.push_str(&format!("     collector: {}\n", collector_str(prog, c)));
             }
             for (pair, site) in &d.covered {

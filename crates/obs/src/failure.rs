@@ -65,7 +65,7 @@ impl FailureCause {
                 kind: if *site == DISPATCH_SITE {
                     "dispatch".to_string()
                 } else {
-                    format!("{kind:?}").to_lowercase()
+                    kind.name().to_string()
                 },
                 expected: *expected,
                 observed: *observed,

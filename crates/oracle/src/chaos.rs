@@ -22,7 +22,7 @@ use interp::{
 };
 use ir::Program;
 use obs::FailureReport;
-use runtime::Team;
+use runtime::{SyncKind, Team};
 use spmd_opt::SpmdProgram;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,10 +44,12 @@ fn mix(seed: u64, site: usize, pid: usize, visit: u64) -> u64 {
 }
 
 /// A targeted dropped post: processor `pid` skips the *post* half of
-/// every visit `>= from_visit` of sync site `site` (a counter producer
-/// skips its increment, a neighbor skips its flag post, a barrier
-/// arrival is skipped). Consumers of the dropped post can only be
-/// released by the watchdog.
+/// every visit `>= from_visit` of sync site `site` (the post to its
+/// cell, or its barrier arrival), and once a post to its cell is
+/// dropped the cell stays silent for the rest of the attempt — every
+/// point-to-point sync counts on the one cell, so a later post would
+/// only move the hang to another site. Consumers of the dropped post
+/// can only be released by the watchdog.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DropSpec {
     /// Canonical sync-site id to sabotage.
@@ -174,29 +176,28 @@ pub fn injection_schedule(
 pub struct DropCandidate {
     /// The drop to inject.
     pub spec: DropSpec,
-    /// Primitive kind at the site ("counter", "neighbor", "barrier").
+    /// Label of the sync at the site ("counter", "neighbor",
+    /// "pairwise", "barrier").
     pub kind: &'static str,
 }
 
-/// Enumerate the posts whose loss is *precisely attributable*: for
-/// each counter site, the producer's final increment; for the last
-/// neighbor site of the schedule, the final post an adjacent waiter
-/// depends on; for the last barrier, one processor's final arrival.
-/// Earlier posts are poor targets — the shared counters are reused
-/// across visits, so a later legitimate post would release the stalled
-/// waiter and shift the hang to an unrelated site.
+/// Enumerate the posts whose loss is *precisely attributable*: the
+/// last visit of each counter-labelled site and the schedule's last
+/// event under each other label — there, the post of a processor
+/// somebody waits for — and one processor's arrival at the last
+/// barrier. The cell a drop silences never catches up, so the waiter
+/// stalls at that very site.
 pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Vec<DropCandidate> {
-    let nprocs = bind.nprocs;
+    let nprocs = bind.nprocs as usize;
     if nprocs < 2 {
         return Vec::new(); // a lone processor waits on nobody
     }
     let events = unroll(prog, bind, plan);
     let mut visit = std::collections::HashMap::<usize, u64>::new();
-    // (site, from_visit, producer) of the last visit of each counter
-    // site, and the overall-last neighbor / barrier events.
-    let mut counters = Vec::<(usize, u64, usize)>::new();
-    let mut last_neighbor: Option<(usize, u64, bool, bool)> = None;
-    let mut last_pair: Option<(usize, u64, SyncStep)> = None;
+    // The point-to-point teeth as (key, site, visit, step) — a counter
+    // site answers for itself, flags and pairwise syncs for their
+    // label — and the overall-last barrier.
+    let mut last = Vec::<((SyncKind, Option<usize>), usize, u64, SyncStep)>::new();
     let mut last_barrier: Option<(usize, u64)> = None;
     for ev in events.iter() {
         if let Event::Sync { op, site, .. } = *ev {
@@ -205,72 +206,40 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
             let this = *v;
             *v += 1;
             match op {
-                SyncStep::Counter { producer, .. } => {
-                    match counters.iter_mut().find(|(s, ..)| *s == site) {
-                        Some(slot) => *slot = (site, this, producer),
-                        None => counters.push((site, this, producer)),
+                SyncStep::Barrier => last_barrier = Some((site, this)),
+                SyncStep::Cells { kind, .. } => {
+                    let key = (kind, (kind == SyncKind::Counter).then_some(site));
+                    match last.iter_mut().find(|(k, ..)| *k == key) {
+                        Some(slot) => *slot = (key, site, this, op),
+                        None => last.push((key, site, this, op)),
                     }
                 }
-                SyncStep::Neighbor { fwd, bwd } => last_neighbor = Some((site, this, fwd, bwd)),
-                SyncStep::Pair { .. } => last_pair = Some((site, this, op)),
-                SyncStep::Barrier => last_barrier = Some((site, this)),
             }
         }
     }
     let mut out = Vec::new();
-    for (site, from_visit, pid) in counters {
-        out.push(DropCandidate {
-            spec: DropSpec {
-                site,
-                pid,
-                from_visit,
-            },
-            kind: "counter",
-        });
-    }
-    if let Some((site, from_visit, fwd, bwd)) = last_neighbor {
-        // `fwd` waits on pid-1, so P0's post is awaited by P1; `bwd`
-        // waits on pid+1, so the last processor's post is awaited.
-        let pid = if fwd {
-            0
-        } else if bwd {
-            nprocs as usize - 1
-        } else {
-            usize::MAX
-        };
-        if pid != usize::MAX {
-            out.push(DropCandidate {
-                spec: DropSpec {
-                    site,
-                    pid,
-                    from_visit,
-                },
-                kind: "neighbor",
-            });
-        }
-    }
-    if let Some((
-        site,
-        from_visit,
-        SyncStep::Pair {
+    for (_, site, from_visit, op) in last {
+        let SyncStep::Cells {
             dists,
             producers,
             collectors,
-        },
-    )) = last_pair
-    {
+            kind,
+        } = op
+        else {
+            continue;
+        };
         let (prods, colls) = (events.producers(producers), events.producers(collectors));
         // A positive distance d means pid d waits on P0's cell, so P0's
-        // final post is awaited; with only negative distances the last
+        // post is awaited; with only negative distances the last
         // processor's post is (pid nprocs-1+d waits on it). Producer
         // targets are awaited by every other processor, and a collector
         // awaits everybody: the highest pid not listed yet that is not
         // itself one stands for the posts only a collector reads.
         let mut pids: Vec<usize> = Vec::new();
-        if dists.iter().any(|d| d > 0 && d < nprocs) {
+        if dists.iter().any(|d| d > 0 && d < nprocs as i64) {
             pids.push(0);
-        } else if dists.iter().any(|d| d < 0 && -d < nprocs) {
-            pids.push(nprocs as usize - 1);
+        } else if dists.iter().any(|d| d < 0 && -d < nprocs as i64) {
+            pids.push(nprocs - 1);
         }
         for &prod in prods {
             if !pids.contains(&prod) {
@@ -278,7 +247,7 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
             }
         }
         if !colls.is_empty() {
-            let gathered = (0..nprocs as usize)
+            let gathered = (0..nprocs)
                 .rev()
                 .find(|p| !colls.contains(p) && !pids.contains(p));
             pids.extend(gathered);
@@ -290,7 +259,7 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
                     pid,
                     from_visit,
                 },
-                kind: "pairwise",
+                kind: kind.name(),
             });
         }
     }

@@ -899,10 +899,10 @@ mod tests {
         for seed in 0..32 {
             let g = generate_shape(Shape::GatherAnti, seed);
             let (_, log) = spmd_opt::optimize_logged(&g.prog, &g.bindings(8));
-            gathered += log.iter().any(|d| {
-                matches!(&d.placed, spmd_opt::SyncOp::PairCounter { collectors, .. }
-                    if !collectors.is_empty())
-            }) as usize;
+            gathered += log
+                .iter()
+                .filter_map(|d| d.placed.waits())
+                .any(|waits| !waits.collectors.is_empty()) as usize;
             let g = generate_shape(Shape::ReduceChain, seed);
             let (_, log) = spmd_opt::optimize_logged(&g.prog, &g.bindings(8));
             commuting += log.iter().any(|d| !d.commuting.is_empty()) as usize;
@@ -940,10 +940,7 @@ mod tests {
             trips.insert(g.values[1].1.min(3));
             let (_, log) = spmd_opt::optimize_logged(&g.prog, &g.bindings(8));
             first += log.iter().any(|d| d.first_trip) as usize;
-            counters += log
-                .iter()
-                .any(|d| d.first_trip && matches!(d.placed, spmd_opt::SyncOp::Counter { .. }))
-                as usize;
+            counters += log.iter().any(|d| d.first_trip && d.placed.is_counter()) as usize;
             covered += log
                 .iter()
                 .any(|d| d.kind != spmd_opt::SlotKind::LoopBottom && !d.covered.is_empty())

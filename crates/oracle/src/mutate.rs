@@ -5,9 +5,8 @@
 //! `after`, a sequential loop's `bottom` and `after`, and a region's
 //! `end`. The mutator enumerates every non-`None` slot in a
 //! deterministic walk order and produces, for each, a copy of the plan
-//! with exactly that slot erased — and, for a pairwise sync with
-//! collectors, a second copy in which everyone still posts but nobody
-//! gathers. The teeth driver then checks each mutant two ways —
+//! with exactly that slot erased — and, for a wait set with collectors,
+//! a second copy in which nobody gathers. The teeth driver then checks each mutant two ways —
 //! statically with the race validator and dynamically with the
 //! differential oracle under adversarial interleavings — so tests can
 //! assert that the validator is at least as sensitive as observed
@@ -38,9 +37,7 @@ fn op_name(op: &SyncOp) -> &'static str {
     match op {
         SyncOp::None => "none",
         SyncOp::Barrier => "barrier",
-        SyncOp::Neighbor { .. } => "neighbor",
-        SyncOp::Counter { .. } => "counter",
-        SyncOp::PairCounter { .. } => "pairwise",
+        SyncOp::Cells { waits } => waits.label(),
     }
 }
 
@@ -135,16 +132,16 @@ pub fn delete(plan: &SpmdProgram, index: usize) -> SpmdProgram {
     mutated(plan, index, |op| *op = SyncOp::None)
 }
 
-/// A copy of the plan whose pairwise sync at walk position `index` has
-/// lost its collectors: every post and every distance and producer
-/// wait stays, but nobody waits for everyone any more. `None` when the
-/// slot holds no collector.
+/// A copy of the plan whose point-to-point sync at walk position
+/// `index` has lost its collectors: every distance and producer wait
+/// stays, but nobody waits for everyone any more. `None` when the slot
+/// holds no collector.
 pub fn drop_collectors(plan: &SpmdProgram, index: usize) -> Option<SpmdProgram> {
     let mut dropped = false;
     let mutant = mutated(plan, index, |op| {
-        if let SyncOp::PairCounter { collectors, .. } = op {
-            dropped = !collectors.is_empty();
-            collectors.clear();
+        if let SyncOp::Cells { waits } = op {
+            dropped = !waits.collectors.is_empty();
+            waits.collectors.clear();
         }
     });
     dropped.then_some(mutant)

@@ -17,10 +17,9 @@
 //!    processor's own component; sync events join clocks exactly as
 //!    the operation's blocking rule (mirrored from the virtual
 //!    executor's `can_advance`) permits: a barrier joins everyone with
-//!    everyone, a neighbor sync joins a processor with its producing
-//!    neighbors' arrival clocks, a counter sync joins consumers with
-//!    the producer, and the region dispatch joins workers with the
-//!    master.
+//!    everyone, a point-to-point sync joins a processor with the
+//!    arrival clocks of the processors its wait set names for it, and
+//!    the region dispatch joins workers with the master.
 //!
 //! Two accesses race when they touch the same cell from different
 //! processors, at least one is a write (atomic reductions conflict
@@ -195,52 +194,21 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
                         c.copy_from_slice(&all);
                     }
                 }
-                SyncStep::Neighbor { fwd, bwd } => {
-                    let pre = clocks.clone();
-                    for (p, c) in clocks.iter_mut().enumerate() {
-                        if fwd && p > 0 {
-                            join(c, &pre[p - 1]);
-                        }
-                        if bwd && p + 1 < nprocs {
-                            join(c, &pre[p + 1]);
-                        }
-                    }
-                }
-                SyncStep::Counter { producer: prod, .. } => {
-                    let pre = clocks[prod].clone();
-                    for (p, c) in clocks.iter_mut().enumerate() {
-                        if p != prod {
-                            join(c, &pre);
-                        }
-                    }
-                }
-                SyncStep::Pair {
+                SyncStep::Cells {
                     dists,
                     producers,
                     collectors,
+                    ..
                 } => {
-                    // A consumer acquires each in-range distance
-                    // target's pre-sync clock (the wait is for that
-                    // processor's post at this same replicated visit)
-                    // plus every evaluable producer's; a collector
-                    // acquires everyone's.
+                    // A waiter acquires the pre-sync clock of every
+                    // processor it waits on (the wait is for that
+                    // processor's post at this same replicated visit):
+                    // each in-range distance target, every producer
+                    // and, as a collector, everyone.
                     let pre = clocks.clone();
                     for (p, c) in clocks.iter_mut().enumerate() {
-                        for d in dists.iter() {
-                            let t = p as i64 - d;
-                            if (0..nprocs as i64).contains(&t) {
-                                join(c, &pre[t as usize]);
-                            }
-                        }
-                        for &prod in events.producers(producers) {
-                            if prod != p {
-                                join(c, &pre[prod]);
-                            }
-                        }
-                        if events.producers(collectors).contains(&p) {
-                            for other in &pre {
-                                join(c, other);
-                            }
+                        for q in events.pair_targets(p, dists, producers, collectors) {
+                            join(c, &pre[q]);
                         }
                     }
                 }

@@ -27,10 +27,10 @@ pub struct Counters {
 
 /// RAII registration of one blocked consumer (keeps the waiter count
 /// correct on every exit path, including deadline errors).
-struct WaitingGuard<'a>(&'a AtomicUsize);
+pub(crate) struct WaitingGuard<'a>(&'a AtomicUsize);
 
 impl<'a> WaitingGuard<'a> {
-    fn enter(w: &'a AtomicUsize) -> Self {
+    pub(crate) fn enter(w: &'a AtomicUsize) -> Self {
         w.fetch_add(1, Ordering::AcqRel);
         WaitingGuard(w)
     }

@@ -7,10 +7,16 @@
 //! * **barriers** — an epoch-stamped sense-reversing central barrier and
 //!   a k-ary dissemination tree barrier with configurable fan-in
 //!   ([`barrier`]);
-//! * **counters** — the paper's flexible event synchronization: producers
-//!   increment, consumers wait for a value ([`counter`]);
-//! * **neighbor flags** — post/wait between adjacent processors for
-//!   stencil and pipeline patterns ([`neighbor`]);
+//! * **post cells** — one monotone cell per processor under every
+//!   point-to-point synchronization ([`cells`]): a processor posts its
+//!   own cell and a waiter reads the cells of whoever it depends on. The
+//!   paper's cheaper forms are which cells those are — the adjacent
+//!   processors' (neighbor post/wait for stencils and pipelines), one
+//!   producer's (its counter: "producers increment, consumers wait for a
+//!   value"), a fixed distance away (pairwise wavefronts), everybody's
+//!   (a collector);
+//! * **counters** — a bank of shared event counters any processor may
+//!   increment ([`counter`]); the executor's region dispatch gate;
 //! * a persistent **worker team** that executes SPMD regions without
 //!   re-spawning threads ([`team`]);
 //! * **instrumentation** types — plain by-kind totals ([`stats`]) and
@@ -54,11 +60,10 @@
 //! ```
 
 pub mod barrier;
+pub mod cells;
 pub mod counter;
 pub mod events;
 pub mod fault;
-pub mod neighbor;
-pub mod pairwise;
 pub mod recovery;
 pub mod spin;
 pub mod stats;
@@ -66,12 +71,20 @@ pub mod team;
 pub mod telemetry;
 
 pub use barrier::{BarrierEpoch, CentralBarrier, TreeBarrier};
+pub use cells::{CellBank, GuardedCells};
 pub use counter::Counters;
 pub use crossbeam::utils::CachePadded;
 pub use events::{EventKind, ProfileData, ProfileEvent, ProfileOptions, Profiler, NO_SITE};
 pub use fault::{SyncError, WaitPoll, Watchdog, DEADLINE_SAMPLE, DISPATCH_SITE};
-pub use neighbor::NeighborFlags;
-pub use pairwise::PairwiseCells;
+
+/// The name [`CellBank`] had when neighbor post/wait was a bank of its
+/// own; `benchmark/src/prims.rs` imports it and is the only reason it
+/// is kept.
+pub type NeighborFlags = CellBank;
+/// The name [`CellBank`] had when pairwise counters were a bank of
+/// their own; `benchmark/src/prims.rs` imports it and is the only reason
+/// it is kept.
+pub type PairwiseCells = CellBank;
 pub use recovery::{FaultDisposition, Quarantine, RetryPolicy};
 pub use spin::{SpinPhase, SpinPolicy, SpinWait, WaitEffort};
 pub use stats::{StatsSnapshot, SyncKind};

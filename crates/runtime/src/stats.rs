@@ -22,6 +22,18 @@ pub enum SyncKind {
     Pairwise,
 }
 
+impl SyncKind {
+    /// The kind in lower case, as reports name it.
+    pub fn name(self) -> &'static str {
+        match self {
+            SyncKind::Barrier => "barrier",
+            SyncKind::Counter => "counter",
+            SyncKind::Neighbor => "neighbor",
+            SyncKind::Pairwise => "pairwise",
+        }
+    }
+}
+
 /// Dynamic synchronization counts and blocked time, by kind.
 ///
 /// A *barrier episode* is one full barrier (all processors arriving

@@ -1,7 +1,7 @@
 //! Stress tests for the synchronization primitives under oversubscription
 //! (more workers than cores) and rapid reuse.
 
-use runtime::{BarrierEpoch, CentralBarrier, Counters, NeighborFlags, Team, TreeBarrier};
+use runtime::{BarrierEpoch, CellBank, CentralBarrier, Counters, Team, TreeBarrier};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -91,7 +91,7 @@ fn neighbor_flags_long_pipeline() {
     // every token in order.
     let p = 8;
     let team = Team::new(p);
-    let flags = Arc::new(NeighborFlags::new(p));
+    let flags = Arc::new(CellBank::new(p));
     let lanes: Arc<Vec<AtomicU64>> = Arc::new((0..p).map(|_| AtomicU64::new(0)).collect());
     {
         let flags = Arc::clone(&flags);

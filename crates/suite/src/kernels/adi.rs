@@ -100,7 +100,9 @@ mod tests {
             }
         }
         assert!(
-            bottoms.iter().any(|b| matches!(b, SyncOp::Neighbor { .. })),
+            bottoms
+                .iter()
+                .any(|b| matches!(b.class(), Some(analysis::CommPattern::Neighbor { .. }))),
             "expected a pipelined bottom sync, got {bottoms:?}"
         );
     }

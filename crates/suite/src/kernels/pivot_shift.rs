@@ -78,12 +78,8 @@ mod tests {
         let plan = spmd_opt::optimize(&built.prog, &bind);
         let found = spmd_opt::sync_sites(&built.prog, &plan)
             .iter()
-            .any(|s| match &s.op {
-                spmd_opt::SyncOp::PairCounter {
-                    dists, producers, ..
-                } => dists.contains(1) && !producers.is_empty(),
-                _ => false,
-            });
+            .filter_map(|s| s.op.waits())
+            .any(|w| w.dists.contains(1) && !w.producers.is_empty());
         assert!(found, "no fused pairwise site with dist +1 and a producer");
     }
 }

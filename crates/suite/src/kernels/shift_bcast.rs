@@ -92,12 +92,8 @@ mod tests {
             let plan = spmd_opt::optimize(&built.prog, &bind);
             let found = spmd_opt::sync_sites(&built.prog, &plan)
                 .iter()
-                .any(|s| match &s.op {
-                    spmd_opt::SyncOp::PairCounter {
-                        dists, producers, ..
-                    } => dists.contains(1) && producers.len() == 1,
-                    _ => false,
-                });
+                .filter_map(|s| s.op.waits())
+                .any(|w| w.dists.contains(1) && w.producers.len() == 1);
             assert!(found, "P={nprocs}: no fused site with +1 and one producer");
         }
     }
@@ -114,19 +110,13 @@ mod tests {
         assert_eq!(plan.static_stats().barriers, 1, "only the region end");
         let found = spmd_opt::sync_sites(&built.prog, &plan)
             .iter()
-            .any(|s| match &s.op {
-                spmd_opt::SyncOp::PairCounter {
-                    dists,
-                    producers,
-                    collectors,
-                } => {
-                    s.kind == spmd_opt::SlotKind::LoopBottom
-                        && !dists.contains(1)
-                        && dists.contains(-1)
-                        && producers.is_empty()
-                        && collectors.len() == 1
-                }
-                _ => false,
+            .filter(|s| s.kind == spmd_opt::SlotKind::LoopBottom)
+            .filter_map(|s| s.op.waits())
+            .any(|w| {
+                !w.dists.contains(1)
+                    && w.dists.contains(-1)
+                    && w.producers.is_empty()
+                    && w.collectors.len() == 1
             });
         assert!(found, "no collector at the loop bottom");
     }

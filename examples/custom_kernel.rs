@@ -48,7 +48,7 @@ fn main() {
             "  loop {} -> loop {}: {:?}",
             prog.loop_name(prog.expect_loop(w[0].loops[0]).id),
             prog.loop_name(prog.expect_loop(w[1].loops[0]).id),
-            outcome.pattern,
+            outcome.pattern(),
         );
     }
 

@@ -34,7 +34,7 @@ fn interior(prog: &Program, plan: &SpmdProgram) -> Vec<SyncSite> {
 }
 
 fn has_collector(site: &SyncSite) -> bool {
-    matches!(&site.op, SyncOp::PairCounter { collectors, .. } if !collectors.is_empty())
+    site.op.waits().is_some_and(|w| !w.collectors.is_empty())
 }
 
 /// The programs of the compile set whose loop bottom the collector

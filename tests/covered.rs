@@ -83,7 +83,7 @@ fn a_first_trip_counter_and_the_bottom_it_rides_are_both_needed() {
                 .find(|d| d.first_trip)
                 .expect("a first-trip slot");
             assert!(
-                matches!(first.placed, SyncOp::Counter { .. }),
+                first.placed.is_counter(),
                 "{name} P={nprocs}: {:?}",
                 first.placed
             );

@@ -125,6 +125,39 @@ fn deleting_any_required_sync_op_is_flagged_by_the_validator() {
     );
 }
 
+/// Which mutants the three fixed interleavings happen to expose, on
+/// `generate(0..6)` at four processors (what `beoracle mutate --count 6`
+/// prints). Observation, not soundness — the validator flags all 18 —
+/// but it moves with the virtual executor's release rule (a consumer
+/// crosses once its producer has *arrived*, at every point-to-point
+/// site), so a change there shows here.
+#[test]
+fn the_mutants_that_diverge_dynamically_are_pinned() {
+    let diverging: Vec<String> = (0..6u64)
+        .flat_map(|seed| {
+            let g = oracle::generate(seed);
+            let bind = g.bindings(4);
+            let plan = optimize(&g.prog, &bind);
+            let teeth = oracle::mutation_teeth(&g.prog, &bind, &plan, 0.0);
+            let seen = teeth.sites.into_iter().filter(|t| t.diverged.is_some());
+            seen.map(move |t| format!("{seed} {}", t.site.desc))
+        })
+        .collect();
+    let expected = [
+        "0 seq(node 5).bottom: neighbor",
+        "1 phase(node 1).after: neighbor",
+        "1 phase(node 3).after: neighbor",
+        "1 seq(node 6).bottom: neighbor",
+        "2 phase(node 5).after: counter",
+        "3 seq(node 5).bottom: neighbor",
+        "4 phase(node 5).after: counter",
+        "4 seq(node 10).bottom: pairwise",
+        "4 seq(node 10).bottom: pairwise minus collectors",
+        "5 phase(node 5).after: counter",
+    ];
+    assert_eq!(diverging, expected);
+}
+
 /// The validator accepts both the fork-join and the optimized schedule
 /// of every suite kernel at several processor counts — the fork-join
 /// plan is the trivially-sound baseline, so flagging it would be a

@@ -113,9 +113,7 @@ fn virtual_and_real_dynamic_counts_agree() {
 // ---------------------------------------------------------------------------
 
 mod hammer {
-    use barrier_elim::runtime::{
-        BarrierEpoch, CentralBarrier, Counters, NeighborFlags, TreeBarrier,
-    };
+    use barrier_elim::runtime::{BarrierEpoch, CellBank, CentralBarrier, Counters, TreeBarrier};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -258,7 +256,7 @@ mod hammer {
     #[test]
     fn neighbor_flags_bounded_skew() {
         for n in [1usize, 3, 5, 7] {
-            let f = Arc::new(NeighborFlags::new(n));
+            let f = Arc::new(CellBank::new(n));
             let epochs_done: Arc<Vec<AtomicU64>> =
                 Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
             let handles: Vec<_> = (0..n)
@@ -285,7 +283,7 @@ mod hammer {
                 h.join().unwrap();
             }
             for p in 0..n {
-                assert_eq!(f.epoch(p), EPOCHS);
+                assert_eq!(f.count(p), EPOCHS);
             }
         }
     }
@@ -295,7 +293,7 @@ mod hammer {
     #[test]
     fn neighbor_flags_pipeline_odd_teams() {
         for n in [1usize, 3, 5] {
-            let f = Arc::new(NeighborFlags::new(n));
+            let f = Arc::new(CellBank::new(n));
             let log = Arc::new(std::sync::Mutex::new(Vec::new()));
             let handles: Vec<_> = (0..n)
                 .map(|pid| {

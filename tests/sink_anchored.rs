@@ -55,9 +55,13 @@ fn workvec_posts_a_counter_at_the_loop_bottom_and_lu_rides_the_one_in_its_body()
                 assert_eq!(by, [site.id - 2], "lu P={nprocs}: {}", bottom.reason);
                 assert_eq!(plan.static_stats().counter_syncs, 1);
             } else {
-                let SyncOp::Counter { producer, .. } = &site.op else {
-                    panic!("{name} P={nprocs}: {} holds {:?}", site.label, site.op);
-                };
+                assert!(
+                    site.op.is_counter(),
+                    "{name} P={nprocs}: {} holds {:?}",
+                    site.label,
+                    site.op
+                );
+                let producer = &site.op.waits().unwrap().producers[0];
                 assert!(
                     matches!(
                         producer,
