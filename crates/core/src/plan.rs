@@ -246,9 +246,8 @@ pub fn demote_site(plan: &mut SpmdProgram, site: usize) -> Option<SyncOp> {
 /// Replace the sync op at canonical site `site` with `op`, returning
 /// the op it displaced (`None` when the plan has no such site). The
 /// walk is the same canonical numbering as [`demote_site`] — which is
-/// this function specialized to [`SyncOp::Barrier`]. The recovery
-/// layer's probation uses the general form to *restore* a previously
-/// demoted site's optimized op once the site has proven itself clean.
+/// this function specialized to [`SyncOp::Barrier`]; the general form
+/// also deletes a site (`SyncOp::None`) or puts a displaced op back.
 pub fn set_site_op(plan: &mut SpmdProgram, site: usize, op: SyncOp) -> Option<SyncOp> {
     fn ops_of_top<'a>(items: &'a mut [TopItem], out: &mut Vec<&'a mut SyncOp>) {
         for it in items {
@@ -454,7 +453,7 @@ mod tests {
     #[test]
     fn set_site_op_round_trips_a_demotion() {
         // Demote the neighbor slot, then restore the displaced op with
-        // `set_site_op` — the probation path in the recovery supervisor.
+        // `set_site_op`.
         let mut p = nested_plan();
         let displaced = demote_site(&mut p, 0).unwrap();
         assert_eq!(displaced, neighbor_fwd());

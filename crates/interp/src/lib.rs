@@ -52,18 +52,16 @@
 //! ```
 
 pub mod checkpoint;
-pub mod degrade;
 pub mod eval;
 pub mod events;
 pub mod kernel;
 pub mod mem;
 pub mod par;
-pub mod recover;
+pub mod supervise;
 pub mod trace;
 pub mod virt;
 
 pub use checkpoint::Checkpoint;
-pub use degrade::{run_parallel_degrading, DegradeOutcome, DegradeRound, DegradeRung};
 pub use events::{render_events, unroll, Event, Schedule, SyncStep};
 pub use kernel::{Worker, CHUNK};
 pub use mem::Mem;
@@ -71,7 +69,7 @@ pub use par::{
     run_parallel, run_parallel_observed, run_parallel_observed_on, BarrierKind, ChaosAction,
     ObserveOptions, ParallelOutcome, SyncChaos, SyncFabric,
 };
-pub use recover::{run_parallel_recovering, RecoveryOutcome};
+pub use supervise::{run_parallel_supervised, Replan, Supervised};
 pub use trace::{Access, AccessKind, Target, TraceBuffer};
 pub use virt::{run_virtual, run_virtual_traced, ScheduleOrder, VirtualOutcome};
 

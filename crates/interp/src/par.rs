@@ -113,9 +113,9 @@ impl Waiter<'_> {
 /// nothing — each worker's [`SyncRecorder`] does.
 ///
 /// [`run_parallel_observed`] builds a fresh fabric per call; the
-/// recovery supervisor ([`crate::recover`]) instead builds one fabric,
-/// runs an attempt with [`run_parallel_observed_on`], and re-arms it
-/// with [`SyncFabric::reset`] between attempts — a failed attempt
+/// supervisor ([`crate::supervise`]) instead builds one fabric per team
+/// width, runs an attempt with [`run_parallel_observed_on`], and re-arms
+/// it with [`SyncFabric::reset`] between attempts — a failed attempt
 /// leaves barriers mid-episode and cells part-way through their post
 /// counts, so the reset restores every primitive to pristine (stamping
 /// a new generation on cells and gate; see `CellBank::reset`).
@@ -129,10 +129,10 @@ pub struct SyncFabric {
 }
 
 impl SyncFabric {
-    /// Attach an event-ring profiler: one track per worker plus a
-    /// supervisor track ([`Profiler::supervisor_track`]).
-    pub fn with_profiler(mut self, nprocs: usize, opts: ProfileOptions) -> Self {
-        self.profiler = Some(Arc::new(Profiler::new(nprocs + 1, opts)));
+    /// Attach an event-ring profiler: at least one track per worker plus
+    /// a supervisor track ([`Profiler::supervisor_track`]).
+    pub fn with_profiler(mut self, profiler: Arc<Profiler>) -> Self {
+        self.profiler = Some(profiler);
         self
     }
 
@@ -167,7 +167,7 @@ impl SyncFabric {
             profiler: None,
         };
         match opts.profile {
-            Some(po) => fabric.with_profiler(nprocs, po),
+            Some(po) => fabric.with_profiler(Arc::new(Profiler::new(nprocs + 1, po))),
             None => fabric,
         }
     }
@@ -182,7 +182,7 @@ impl SyncFabric {
         self.cells.reset();
         self.dispatch.reset();
         // The profiler is *not* cleared: its rings span the whole
-        // recovery session, with each attempt stamped by the next epoch.
+        // supervised run, with each attempt stamped by the next epoch.
         if let Some(p) = &self.profiler {
             p.bump_epoch();
         }
@@ -221,7 +221,7 @@ pub trait SyncChaos: Send + Sync {
     /// per processor) of sync site `site` on processor `pid`.
     fn at_sync(&self, site: usize, pid: usize, visit: u64) -> ChaosAction;
 
-    /// Whether the recovery supervisor may *mask* this policy's drops
+    /// Whether the supervisor may *mask* this policy's drops
     /// when a site is quarantined or the run isolated. Site-flake
     /// injectors return the default `true` (quarantine absorbs the
     /// flake); permanent-loss policies (a killed core) return `false` —
@@ -259,7 +259,7 @@ pub struct ParallelOutcome {
     /// for processors that finished or panicked). Unlike the report's
     /// headline — which only names whichever fault won the race to be
     /// recorded first — this lists *every* faulting processor, so the
-    /// recovery supervisor can demote all implicated sites at once.
+    /// supervisor can demote all implicated sites at once.
     pub proc_errors: Vec<Option<SyncError>>,
     /// Per-processor post deficit: how many posts the processor's
     /// traversal *claimed* (sync events at which everybody posts,
@@ -274,8 +274,8 @@ pub struct ParallelOutcome {
     pub post_deficits: Vec<u64>,
     /// The merged profile-event stream (present iff
     /// [`ObserveOptions::profile`] was set, or the caller's fabric
-    /// carried a profiler). Under the recovery supervisor the stream
-    /// spans *every* attempt so far, epoch-stamped per attempt.
+    /// carried a profiler). Under the supervisor the stream spans
+    /// *every* attempt so far, epoch-stamped per attempt.
     pub profile: Option<ProfileData>,
 }
 
@@ -452,7 +452,7 @@ pub fn run_parallel_observed(
 
 /// As [`run_parallel_observed`], but executing `plan`'s already
 /// unrolled `events` on a caller-owned [`SyncFabric`] instead of fresh
-/// ones. The recovery supervisor uses this to reuse one fabric across
+/// ones. The supervisor uses this to reuse one fabric across
 /// retry attempts (resetting it between them); the fabric must be sized
 /// for the team and must be pristine (fresh or [`SyncFabric::reset`])
 /// on entry. `opts.barrier` is ignored — the fabric already chose its
@@ -521,7 +521,7 @@ pub fn run_parallel_observed_on(
     let profiler2 = fabric.profiler.clone();
 
     // Align the profile clock with this run's t0 — but only if no
-    // attempt has written to the rings yet (a recovery fabric keeps one
+    // attempt has written to the rings yet (a supervised run keeps one
     // monotonic clock across attempts so epochs stay ordered).
     if let Some(p) = &fabric.profiler {
         p.rebase_if_unused();
@@ -763,7 +763,7 @@ pub fn run_parallel_observed_on(
     } else {
         Vec::new()
     };
-    let failure = cause.zip(watchdog.as_ref()).map(|(cause, wd)| {
+    let failure = cause.map(|cause| {
         let site_label = match cause.site() {
             Some(DISPATCH_SITE) => "dispatch".to_string(),
             Some(site) => sites
@@ -773,13 +773,9 @@ pub fn run_parallel_observed_on(
             None => String::new(),
         };
         FailureReport {
-            program: prog.name.clone(),
-            nprocs,
-            deadline_ms: wd.deadline().as_secs_f64() * 1e3,
             cause,
             site_label,
             per_proc: proc_state.lock().unwrap().clone(),
-            chaos_seed: None,
             sites: sites.clone(),
         }
     });

@@ -14,32 +14,31 @@
 //!   writer turning per-processor spans from the virtual interleaver or
 //!   real threads into loadable timelines: barrier convoys are visible
 //!   before optimization, neighbor-only waits after.
+//! * **[`fault`]** — the one fault report: a failed, recovered, shrunk
+//!   or serially finished run as rounds of attempts under one header.
 //!
 //! The site ids used throughout are the canonical slot numbering of
 //! [`spmd_opt::sync_sites`], so decisions, runtime telemetry, and
 //! timeline spans all cross-reference the same sites.
 
-pub mod degrade;
 pub mod explain;
-pub mod failure;
+pub mod fault;
 pub mod json;
 pub mod metrics;
 pub mod profile;
-pub mod recovery;
 pub mod service;
 pub mod trace;
 
-pub use degrade::{degradation_json, render_degradation, DegradationReport, RoundReport};
 pub use explain::{explain_json, producer_str, render_analysis_stats, render_decisions};
-pub use failure::{failure_json, render_failure, FailureCause, FailureReport};
+pub use fault::{
+    fault_json, render_fault, Attempt, FailureCause, FailureReport, FaultReport, Round, Rung,
+    SiteAction, FAULT_SCHEMA_VERSION,
+};
 pub use json::{parse, Json};
 pub use metrics::{metrics_json, render_site_table};
 pub use profile::{
     analyze, observed_vs_predicted, profile_json, render_profile, render_saved_wait, OvpRow,
     ProfileMarks, ProfileReport, SiteProfile,
-};
-pub use recovery::{
-    recovery_json, render_recovery, AttemptReport, RecoveryReport, SiteActionReport,
 };
 pub use service::{render_service_stats, service_stats_json, ServiceStats, ShardStats};
 pub use trace::{Span, SpanCat, TraceBuilder};

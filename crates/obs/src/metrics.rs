@@ -26,7 +26,7 @@ fn cell_json(c: &runtime::telemetry::CellSnapshot) -> Json {
         .set("hist", hist_json(&c.hist))
 }
 
-fn totals_json(s: &StatsSnapshot) -> Json {
+pub(crate) fn totals_json(s: &StatsSnapshot) -> Json {
     Json::obj()
         .set(
             "barrier",
@@ -61,6 +61,24 @@ fn totals_json(s: &StatsSnapshot) -> Json {
         )
 }
 
+/// Per-site, per-processor wait cells (the `"sites"` member of the
+/// metrics document, and of a failed attempt in a fault report).
+pub(crate) fn sites_json(sites: &[SiteSnapshot]) -> Json {
+    let site_arr = sites.iter().map(|s| {
+        Json::obj()
+            .set("site", s.meta.id)
+            .set("slot", s.meta.kind.as_str())
+            .set("label", s.meta.label.as_str())
+            .set("sync", s.meta.op.as_str())
+            .set("total", cell_json(&s.total))
+            .set(
+                "per_proc",
+                Json::Arr(s.per_proc.iter().map(cell_json).collect()),
+            )
+    });
+    Json::Arr(site_arr.collect())
+}
+
 /// The metrics document: per-site per-processor wait telemetry plus the
 /// run's aggregate [`StatsSnapshot`].
 pub fn metrics_json(
@@ -69,25 +87,10 @@ pub fn metrics_json(
     sites: &[SiteSnapshot],
     totals: &StatsSnapshot,
 ) -> Json {
-    let site_arr: Vec<Json> = sites
-        .iter()
-        .map(|s| {
-            Json::obj()
-                .set("site", s.meta.id)
-                .set("slot", s.meta.kind.as_str())
-                .set("label", s.meta.label.as_str())
-                .set("sync", s.meta.op.as_str())
-                .set("total", cell_json(&s.total))
-                .set(
-                    "per_proc",
-                    Json::Arr(s.per_proc.iter().map(cell_json).collect()),
-                )
-        })
-        .collect();
     Json::obj()
         .set("program", program)
         .set("nprocs", nprocs)
-        .set("sites", Json::Arr(site_arr))
+        .set("sites", sites_json(sites))
         .set("totals", totals_json(totals))
 }
 

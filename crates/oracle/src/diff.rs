@@ -25,7 +25,7 @@ use interp::{
     ScheduleOrder, SyncChaos,
 };
 use ir::Program;
-use obs::FailureReport;
+use obs::FaultReport;
 use runtime::Team;
 use spmd_opt::{fork_join, optimize, SpmdProgram};
 use std::sync::Arc;
@@ -84,10 +84,10 @@ pub struct CaseResult {
     pub fj_counts: DynCounts,
     /// Optimized dynamic sync counts at the largest virtual `nprocs`.
     pub opt_counts: DynCounts,
-    /// Structured reports for real-thread runs that timed out, were
+    /// Fault reports for real-thread runs that timed out, were
     /// poisoned, or lost a worker (one per failing run; rides into the
     /// repro bundle as `failure.json`).
-    pub failure_reports: Vec<FailureReport>,
+    pub failure_reports: Vec<FaultReport>,
 }
 
 impl CaseResult {
@@ -197,11 +197,13 @@ pub fn check_program(
                         ..ObserveOptions::default()
                     },
                 );
-                if let Some(mut f) = po.failure.clone() {
-                    f.chaos_seed = cfg.chaos_seed;
+                if let Some(f) = po.failure.clone() {
                     out.failures
                         .push(format!("P={p} {label} threads {kind:?}: {}", f.headline()));
-                    out.failure_reports.push(f);
+                    let ms = cfg.deadline.unwrap_or_default().as_secs_f64() * 1e3;
+                    let mut r = FaultReport::detected(&prog.name, p as usize, ms, f, po.stats);
+                    r.chaos_seed = cfg.chaos_seed;
+                    out.failure_reports.push(r);
                     continue; // memory/counts are meaningless after a fault
                 }
                 let diff = mem.max_abs_diff(&oracle);

@@ -26,10 +26,9 @@ pub mod service_chaos;
 pub mod validate;
 
 pub use chaos::{
-    chaos_check, degrade_check, droppable_posts, injection_schedule, recovery_check,
-    recovery_check_with, ChaosConfig, ChaosInjector, ChaosReport, DegradeCheckReport, DegradedRun,
-    DropCandidate, DropSpec, KillMode, KillPidChaos, RecoveredTooth, RecoveryCheckReport,
-    ToothOutcome,
+    chaos_check, degrade_check, droppable_posts, injection_schedule, recovery_check, ChaosConfig,
+    ChaosInjector, ChaosReport, DegradeCheckReport, DegradedRun, DropCandidate, DropSpec, KillMode,
+    KillPidChaos, RecoveredTooth, RecoveryCheckReport, ToothOutcome,
 };
 pub use diff::{check_program, plan_diverges, CaseResult, DiffConfig};
 pub use gen::{generate, generate_shape, GenProgram, Shape};

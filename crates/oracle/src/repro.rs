@@ -10,7 +10,7 @@
 
 use crate::gen::GenProgram;
 use interp::{run_virtual_traced, Mem, ScheduleOrder};
-use obs::{FailureReport, Json, TraceBuilder};
+use obs::{FaultReport, Json, TraceBuilder};
 use spmd_opt::{fork_join, optimize_logged};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -24,15 +24,15 @@ use std::path::{Path, PathBuf};
 /// * `decisions.json` — the explain pass (one decision per sync slot);
 /// * `trace.json` — the optimized schedule's timeline under the reverse
 ///   (adversarial) virtual interleaving, loadable in chrome://tracing;
-/// * `failure.json` — the structured [`FailureReport`]s of every
-///   real-thread run that timed out, was poisoned, or lost a worker
-///   (only written when there are any).
+/// * `failure.json` — the [`FaultReport`]s of every real-thread run
+///   that timed out, was poisoned, or lost a worker (only written when
+///   there are any).
 pub fn dump_repro(
     dir: &Path,
     g: &GenProgram,
     nprocs: i64,
     failures: &[String],
-    reports: &[FailureReport],
+    reports: &[FaultReport],
 ) -> io::Result<PathBuf> {
     let bundle = dir.join(format!("seed-{}", g.seed));
     std::fs::create_dir_all(&bundle)?;
@@ -49,7 +49,7 @@ pub fn dump_repro(
     }
     std::fs::write(bundle.join("case.txt"), case)?;
     if !reports.is_empty() {
-        let doc = Json::Arr(reports.iter().map(obs::failure_json).collect());
+        let doc = Json::Arr(reports.iter().map(obs::fault_json).collect());
         std::fs::write(bundle.join("failure.json"), doc.to_string_pretty())?;
     }
     std::fs::write(bundle.join("program.txt"), ir::pretty::pretty(&g.prog))?;
@@ -98,22 +98,21 @@ mod tests {
 
     #[test]
     fn failure_reports_land_in_the_bundle() {
-        use obs::FailureCause;
+        use obs::{FailureCause, FailureReport};
         let g = crate::generate(9);
         let dir = std::env::temp_dir().join(format!("be-repro-fail-{}", std::process::id()));
-        let report = FailureReport {
-            program: g.prog.name.clone(),
-            nprocs: 4,
-            deadline_ms: 250.0,
+        let failure = FailureReport {
             cause: FailureCause::Panic {
                 pid: 1,
                 message: "example".to_string(),
             },
             site_label: String::new(),
             per_proc: vec!["ok".to_string(); 4],
-            chaos_seed: Some(42),
             sites: Vec::new(),
         };
+        let stats = Default::default();
+        let mut report = FaultReport::detected(&g.prog.name, 4, 250.0, failure, stats);
+        report.chaos_seed = Some(42);
         let bundle = dump_repro(&dir, &g, 4, &["boom".to_string()], &[report]).expect("dump_repro");
         let case = std::fs::read_to_string(bundle.join("case.txt")).unwrap();
         assert!(case.contains("chaos seed: 42"));
@@ -123,6 +122,7 @@ mod tests {
             Json::Arr(items) => {
                 assert_eq!(items.len(), 1);
                 assert_eq!(items[0].get("chaos_seed").unwrap().as_u64(), Some(42));
+                assert_eq!(items[0].get("rung").unwrap().as_str(), Some("failed"));
             }
             other => panic!("expected array, got {other:?}"),
         }

@@ -100,9 +100,10 @@ pub enum SyncError {
         /// First poison cause, as recorded by [`Watchdog::poison`].
         cause: String,
     },
-    /// A primitive was reset out from under this waiter: a counter
-    /// bank's generation moved mid-wait, or a barrier episode the
-    /// waiter belonged to was discarded by `CentralBarrier::reset`.
+    /// A primitive was reset out from under this waiter: the cell
+    /// bank's (or the dispatch gate's) generation moved mid-wait,
+    /// whatever the sync is labelled, or a barrier episode the waiter
+    /// belonged to was discarded by `CentralBarrier::reset`.
     StaleGeneration {
         /// Site the waiter was blocked at.
         site: usize,
@@ -155,19 +156,18 @@ impl std::fmt::Display for SyncError {
                 observed,
             } => write!(
                 f,
-                "deadline exceeded at {} on P{pid}: {kind:?} wait needed {expected}, observed {observed}",
-                site_str(*site)
+                "deadline exceeded at {} on P{pid}: {} wait needed {expected}, observed {observed}",
+                site_str(*site),
+                kind.name()
             ),
             SyncError::Poisoned { site, pid, cause } => write!(
                 f,
                 "region poisoned while P{pid} waited at {}: {cause}",
                 site_str(*site)
             ),
-            SyncError::StaleGeneration { site, pid } => write!(
-                f,
-                "counter bank reset under P{pid} waiting at {}",
-                site_str(*site)
-            ),
+            SyncError::StaleGeneration { site, pid } => {
+                write!(f, "sync reset under P{pid} waiting at {}", site_str(*site))
+            }
         }
     }
 }
@@ -498,6 +498,55 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         c.store(1, Ordering::Release);
         assert!(h.join().unwrap().is_ok());
+    }
+
+    /// A reset under a guarded wait reads the same whatever primitive
+    /// raised it: a neighbor-labelled wait on the cell bank and a
+    /// barrier arrival from a discarded episode. The kind is named as
+    /// reports name it.
+    #[test]
+    fn stale_waits_read_the_same_at_any_primitive() {
+        use crate::barrier::{BarrierEpoch, CentralBarrier};
+        use crate::cells::CellBank;
+        let wd = Arc::new(Watchdog::new(Duration::from_secs(30)));
+        let bank = Arc::new(CellBank::new(2));
+        let started = Arc::new(std::sync::Barrier::new(2));
+        let waiter = {
+            let (wd, bank, started) = (Arc::clone(&wd), Arc::clone(&bank), Arc::clone(&started));
+            std::thread::spawn(move || {
+                let g = bank.guarded(&wd);
+                started.wait();
+                g.wait(1, 1, SyncKind::Neighbor, 3, 0)
+            })
+        };
+        started.wait();
+        bank.reset();
+        let cell = waiter.join().unwrap().unwrap_err();
+
+        // A completed episode stamps the next one; the reset discards it.
+        let barrier = CentralBarrier::new(1);
+        let mut stamp = BarrierEpoch::default();
+        barrier.wait(&mut stamp);
+        barrier.reset();
+        let arrival = barrier.wait_until(&mut stamp, &wd, 3, 0).unwrap_err();
+
+        for err in [&cell, &arrival] {
+            assert_eq!(*err, SyncError::StaleGeneration { site: 3, pid: 0 });
+            let text = err.to_string();
+            assert_eq!(text, "sync reset under P0 waiting at s3");
+            assert!(!text.contains("counter"), "{text}");
+        }
+        let deadline = SyncError::DeadlineExceeded {
+            site: 3,
+            pid: 0,
+            kind: SyncKind::Barrier,
+            expected: 2,
+            observed: 1,
+        };
+        assert_eq!(
+            deadline.to_string(),
+            "deadline exceeded at s3 on P0: barrier wait needed 2, observed 1"
+        );
     }
 
     #[test]

@@ -33,11 +33,16 @@
 //! run completes by attempt eight, inside the default budget of nine.
 //!
 //! Backoff is deterministic (`base * 2^(attempt-1)`, capped), so a
-//! recovery report can print the exact timeline without wall-clock
-//! noise.
+//! fault report can print the exact timeline without wall-clock noise.
 
 use std::collections::BTreeMap;
 use std::time::Duration;
+
+/// Sticky-fault classification threshold: when the same processor is
+/// the suspect of this many *consecutive* failed attempts, a supervisor
+/// that can re-plan at a smaller width treats it as a permanent
+/// processor loss instead of a flaky sync site.
+pub const STICKY_PID_K: u32 = 2;
 
 /// Bounds on the recovery loop.
 #[derive(Clone, Debug)]
@@ -49,18 +54,6 @@ pub struct RetryPolicy {
     pub backoff_base: Duration,
     /// Upper bound on any single backoff interval.
     pub backoff_cap: Duration,
-    /// Sticky-fault classification threshold: when the same processor
-    /// is the primary faulter across this many *consecutive* failed
-    /// attempts, the supervisor classifies it as a permanent processor
-    /// loss instead of a flaky sync site (`0` disables classification —
-    /// the pid ledger is still kept for reports).
-    pub sticky_pid_k: u32,
-    /// Probation threshold: a demoted/quarantined site that stays clean
-    /// across this many consecutive failed attempts (faults landing
-    /// elsewhere) is forgiven — quarantine lifted, its optimized sync
-    /// op restored (`0` disables probation; sites stay demoted for the
-    /// life of the run).
-    pub probation_k: u32,
 }
 
 impl Default for RetryPolicy {
@@ -72,8 +65,6 @@ impl Default for RetryPolicy {
             max_attempts: 9,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(200),
-            sticky_pid_k: 0,
-            probation_k: 0,
         }
     }
 }
@@ -111,17 +102,25 @@ pub enum FaultDisposition {
     Retry,
 }
 
-/// Per-run ledger of faulting canonical sync sites *and* processors:
-/// how often each site faulted, which sites are quarantined, each
-/// site's clean streak (for probation), and the per-pid fault history
-/// the sticky-fault classifier reads.
+impl FaultDisposition {
+    /// Stable lower-case name (report vocabulary).
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultDisposition::Demote => "demote",
+            FaultDisposition::Quarantine => "quarantine",
+            FaultDisposition::Isolate => "isolate",
+            FaultDisposition::Retry => "retry",
+        }
+    }
+}
+
+/// Per-round ledger of faulting canonical sync sites *and* processors:
+/// how often each site faulted, which sites are quarantined, and the
+/// per-pid fault history the sticky-fault classifier reads.
 #[derive(Clone, Debug, Default)]
 pub struct Quarantine {
     faults: BTreeMap<usize, u32>,
     quarantined: Vec<usize>,
-    /// Consecutive failed attempts in which a known-faulty site was
-    /// *not* implicated (reset on every new fault at the site).
-    clean_streaks: BTreeMap<usize, u32>,
     /// Total faults attributed to each processor.
     pid_faults: BTreeMap<usize, u32>,
     /// The pid implicated by the most recent attempts and for how many
@@ -137,11 +136,10 @@ impl Quarantine {
     }
 
     /// Record one fault attributed to `site` and return the ladder's
-    /// disposition for it. Resets the site's probation streak.
+    /// disposition for it.
     pub fn record_fault(&mut self, site: usize) -> FaultDisposition {
         let n = self.faults.entry(site).or_insert(0);
         *n += 1;
-        self.clean_streaks.insert(site, 0);
         match *n {
             1 => FaultDisposition::Demote,
             2 => {
@@ -153,35 +151,12 @@ impl Quarantine {
         }
     }
 
-    /// Record one *clean episode* for `site` — a failed attempt in
-    /// which a previously-faulty site was not implicated. Returns true
-    /// when the site has now been clean `probation_k` consecutive
-    /// episodes (probation served): the caller should lift quarantine
-    /// and restore the site's original sync op. `probation_k == 0`
-    /// disables probation. Serving probation resets the site's fault
-    /// ladder so a relapse starts from a fresh demotion.
-    pub fn record_clean(&mut self, site: usize, probation_k: u32) -> bool {
-        if probation_k == 0 || !self.faults.contains_key(&site) {
-            return false;
-        }
-        let n = self.clean_streaks.entry(site).or_insert(0);
-        *n += 1;
-        if *n >= probation_k {
-            self.faults.remove(&site);
-            self.clean_streaks.remove(&site);
-            self.quarantined.retain(|&s| s != site);
-            true
-        } else {
-            false
-        }
-    }
-
     /// Record the suspect processor of one failed attempt (`None` when
     /// the attempt had no attributable pid) and return the length of
     /// the suspect's current consecutive-attempt streak (0 when no
     /// suspect). This feeds the sticky-fault classifier: a streak
-    /// reaching [`RetryPolicy::sticky_pid_k`] means the pid is a
-    /// permanent processor loss, not a flaky site.
+    /// reaching [`STICKY_PID_K`] means the pid is a permanent processor
+    /// loss, not a flaky site.
     pub fn record_attempt_suspect(&mut self, pid: Option<usize>) -> u32 {
         match pid {
             Some(p) => {
@@ -202,8 +177,7 @@ impl Quarantine {
         }
     }
 
-    /// Sites placed under quarantine, in the order they escalated
-    /// (sites forgiven by probation no longer appear).
+    /// Sites placed under quarantine, in the order they escalated.
     pub fn quarantined(&self) -> &[usize] {
         &self.quarantined
     }
@@ -235,7 +209,6 @@ mod tests {
             max_attempts: 10,
             backoff_base: Duration::from_millis(5),
             backoff_cap: Duration::from_millis(40),
-            ..RetryPolicy::default()
         };
         assert_eq!(p.backoff_before(0), Duration::ZERO);
         assert_eq!(p.backoff_before(1), Duration::from_millis(5));
@@ -260,42 +233,6 @@ mod tests {
         assert_eq!(q.record_fault(7), FaultDisposition::Demote);
         assert_eq!(q.quarantined(), &[3]);
         assert_eq!(q.fault_counts(), vec![(3, 4), (7, 1)]);
-    }
-
-    #[test]
-    fn probation_lifts_quarantine_after_k_clean_episodes() {
-        let mut q = Quarantine::new();
-        q.record_fault(3);
-        q.record_fault(3);
-        assert!(q.is_quarantined(3));
-        // Two clean episodes at K=3: not yet.
-        assert!(!q.record_clean(3, 3));
-        assert!(!q.record_clean(3, 3));
-        assert!(q.is_quarantined(3));
-        // Third consecutive clean episode serves the probation.
-        assert!(q.record_clean(3, 3));
-        assert!(!q.is_quarantined(3));
-        // The ladder is forgiven too: a relapse demotes afresh.
-        assert!(q.fault_counts().is_empty());
-        assert_eq!(q.record_fault(3), FaultDisposition::Demote);
-    }
-
-    #[test]
-    fn a_fault_resets_the_probation_streak() {
-        let mut q = Quarantine::new();
-        q.record_fault(5);
-        assert!(!q.record_clean(5, 2));
-        q.record_fault(5); // relapse: streak back to zero
-        assert!(!q.record_clean(5, 2));
-        assert!(q.record_clean(5, 2));
-    }
-
-    #[test]
-    fn probation_is_inert_when_disabled_or_site_unknown() {
-        let mut q = Quarantine::new();
-        q.record_fault(1);
-        assert!(!q.record_clean(1, 0), "K=0 disables probation");
-        assert!(!q.record_clean(9, 4), "never-faulty site has no ledger");
     }
 
     #[test]

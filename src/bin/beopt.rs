@@ -29,16 +29,16 @@
 use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
 use barrier_elim::interp::{
-    run_parallel_degrading, run_parallel_observed, run_parallel_recovering, run_sequential,
-    run_virtual, run_virtual_traced, Mem, ObserveOptions, ScheduleOrder, SyncChaos,
+    run_parallel_observed, run_parallel_supervised, run_sequential, run_virtual,
+    run_virtual_traced, Mem, ObserveOptions, Replan, ScheduleOrder, SyncChaos,
 };
 use barrier_elim::ir::Program;
-use barrier_elim::obs::{self, TraceBuilder};
+use barrier_elim::obs::{self, FaultReport, TraceBuilder};
 use barrier_elim::oracle::{ChaosConfig, ChaosInjector, DropSpec};
 use barrier_elim::runtime::events::{self, EventKind, ProfileData, ProfileOptions, Profiler};
-use barrier_elim::runtime::{RetryPolicy, Team, NO_SITE};
+use barrier_elim::runtime::{FaultDisposition, RetryPolicy, Team, NO_SITE};
 use barrier_elim::spmd_opt::{
-    demote_sites, fork_join, optimize_explained, render_plan, OptimizeOptions, SyncOp,
+    demote_sites, fork_join, optimize, optimize_explained, render_plan, OptimizeOptions, SyncOp,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -86,14 +86,15 @@ fn usage() -> ! {
          \x20                    supervisor — on a detected fault, roll back to\n\
          \x20                    the region checkpoint, demote the faulting site\n\
          \x20                    to a barrier, and retry with backoff; prints a\n\
-         \x20                    recovery report and exits 0 when the run\n\
+         \x20                    fault report and exits 0 when the run\n\
          \x20                    completes (even after retries)\n\
          --degrade           with --run: execute under the total-availability\n\
          \x20                    supervisor — recovery plus permanent-loss\n\
          \x20                    classification, elastic team shrink, and the\n\
-         \x20                    sequential fallback; prints a degradation\n\
-         \x20                    report and exits 0 whenever the run completes\n\
+         \x20                    sequential fallback; prints a fault report\n\
+         \x20                    and exits 0 whenever the run completes\n\
          \x20                    with verified results, even on a lower rung\n\
+         \x20                    (--recover and --degrade are exclusive)\n\
          --max-attempts N    with --recover/--degrade: per-round retry budget\n\
          \x20                    (default 9)\n\
          --chaos-seed S      with --run + --deadline: perturb every sync event\n\
@@ -203,6 +204,10 @@ fn parse_args() -> Args {
     }
     if args.path.is_empty() {
         usage();
+    }
+    if args.recover && args.degrade {
+        eprintln!("beopt: --recover and --degrade are exclusive (--degrade recovers too)");
+        std::process::exit(2);
     }
     args
 }
@@ -475,17 +480,18 @@ fn main() -> ExitCode {
             profile: args.profile.then(ProfileOptions::default),
             ..ObserveOptions::default()
         };
-        let mut ledger: Option<(Vec<usize>, Vec<usize>)> = None;
-        let mut stats_totals = None;
-        let mut degrade_summary: Option<(String, usize, usize)> = None;
-        let (out_p, attempts_used) = if args.degrade {
+        // The fault report of a supervised run; its totals cover every
+        // attempt, where the final outcome covers only the last.
+        let mut supervised: Option<(FaultReport, _)> = None;
+        let out_p = if args.recover || args.degrade {
             let policy = RetryPolicy {
                 max_attempts: args
                     .max_attempts
                     .unwrap_or(RetryPolicy::default().max_attempts),
                 ..RetryPolicy::default()
             };
-            let mut d = run_parallel_degrading(
+            let replan: Replan = &|p, b| optimize(p, b);
+            let mut s = run_parallel_supervised(
                 &prog_a,
                 &bind_a,
                 &plan,
@@ -493,66 +499,34 @@ fn main() -> ExitCode {
                 &team,
                 &opts,
                 &policy,
-                &|p, b| barrier_elim::spmd_opt::optimize(p, b),
+                args.degrade.then_some(replan),
             );
-            print!("{}", obs::render_degradation(&d.report(args.chaos_seed)));
-            if !d.completed() {
-                eprintln!("beopt: EXECUTION FAILED: degradation ladder did not complete the run");
-                return ExitCode::FAILURE;
-            }
-            degrade_summary = Some((d.rung.name().to_string(), d.procs_lost, d.rounds.len()));
-            stats_totals = Some(d.total_stats);
-            let last = d
-                .rounds
-                .pop()
-                .expect("a completed degrading run has at least one round");
-            let attempts: u32 = d
-                .rounds
-                .iter()
-                .map(|r| r.recovery.attempts_used)
-                .sum::<u32>()
-                + last.recovery.attempts_used;
-            ledger = Some((
-                last.recovery.demoted.iter().map(|(s, _)| *s).collect(),
-                last.recovery.quarantined.clone(),
-            ));
-            (last.recovery.outcome, attempts)
-        } else if args.recover {
-            let policy = RetryPolicy {
-                max_attempts: args
-                    .max_attempts
-                    .unwrap_or(RetryPolicy::default().max_attempts),
-                ..RetryPolicy::default()
-            };
-            let r = run_parallel_recovering(&prog_a, &bind_a, &plan, &mem_p, &team, &opts, &policy);
-            print!("{}", obs::render_recovery(&r.report(args.chaos_seed)));
-            if !r.ok() {
+            s.report.chaos_seed = args.chaos_seed;
+            print!("{}", obs::render_fault(&s.report));
+            if !s.report.rung.completed() {
                 eprintln!(
                     "beopt: EXECUTION FAILED: recovery budget exhausted after {} attempt(s)",
-                    r.attempts_used
+                    s.report.attempts_used()
                 );
                 return ExitCode::FAILURE;
             }
-            let n = r.attempts_used;
-            ledger = Some((
-                r.demoted.iter().map(|(s, _)| *s).collect(),
-                r.quarantined.clone(),
-            ));
-            // The fabric resets stats between attempts: the final
-            // outcome covers only the last attempt, so metrics totals
-            // (including escalation counters) come from the
-            // across-attempts accumulator.
-            stats_totals = Some(r.total_stats);
-            (r.outcome, n)
+            supervised = Some((s.report, s.total_stats));
+            s.outcome
         } else {
             let out_p = run_parallel_observed(&prog_a, &bind_a, &plan, &mem_p, &team, &opts);
             if let Some(failure) = &out_p.failure {
-                eprint!("{}", obs::render_failure(failure));
+                let ms = deadline_ms.unwrap_or_default() as f64;
+                let nprocs = args.nprocs as usize;
+                let mut r =
+                    FaultReport::detected(&prog.name, nprocs, ms, failure.clone(), out_p.stats);
+                r.chaos_seed = args.chaos_seed;
+                eprint!("{}", obs::render_fault(&r));
                 eprintln!("beopt: EXECUTION FAILED: {}", failure.headline());
                 return ExitCode::FAILURE;
             }
-            (out_p, 1)
+            out_p
         };
+        let attempts_used = supervised.as_ref().map_or(1, |(r, _)| r.attempts_used());
         let diff_p = mem_p.max_abs_diff(&oracle);
         if diff_p > 1e-9 {
             eprintln!("beopt: VERIFICATION FAILED: real-thread results diverge by {diff_p:e}");
@@ -575,31 +549,20 @@ fn main() -> ExitCode {
         println!();
         print!("{}", obs::render_site_table(&out_p.sites));
         if let Some(path) = &args.metrics_json {
-            let totals = stats_totals.as_ref().unwrap_or(&out_p.stats);
+            let totals = supervised.as_ref().map_or(&out_p.stats, |(_, t)| t);
             let mut doc = obs::metrics_json(&prog.name, args.nprocs as usize, &out_p.sites, totals)
                 .set("attempt", attempts_used);
-            if let Some((rung, procs_lost, rounds)) = &degrade_summary {
+            if let Some((r, _)) = &supervised {
+                let sites = |action| {
+                    let s = r.sites_with(action).into_iter().map(obs::Json::from);
+                    obs::Json::Arr(s.collect())
+                };
                 doc = doc
-                    .set("rung", rung.as_str())
-                    .set("procs_lost", *procs_lost)
-                    .set("rounds", *rounds);
-            }
-            if let Some((demoted, quarantined)) = &ledger {
-                doc = doc
-                    .set(
-                        "demoted",
-                        demoted
-                            .iter()
-                            .map(|&s| obs::Json::from(s))
-                            .collect::<Vec<_>>(),
-                    )
-                    .set(
-                        "quarantined",
-                        quarantined
-                            .iter()
-                            .map(|&s| obs::Json::from(s))
-                            .collect::<Vec<_>>(),
-                    );
+                    .set("rung", r.rung.name())
+                    .set("procs_lost", r.procs_lost())
+                    .set("rounds", r.rounds.len())
+                    .set("demoted", sites(FaultDisposition::Demote))
+                    .set("quarantined", sites(FaultDisposition::Quarantine));
             }
             if write_output(path, "metrics JSON", &doc.to_string_pretty()).is_err() {
                 return ExitCode::FAILURE;

@@ -69,6 +69,7 @@
 //! not parse or lacks a symbol the campaign binds.
 
 use barrier_elim::analysis::Bindings;
+use barrier_elim::interp::ObserveOptions;
 use barrier_elim::ir::SymId;
 use barrier_elim::oracle::{self, DiffConfig};
 use barrier_elim::runtime::Team;
@@ -341,7 +342,7 @@ fn profile_benign(
     plan: &barrier_elim::spmd_opt::SpmdProgram,
     team: &Team,
 ) -> (usize, u64, u64) {
-    use barrier_elim::interp::{run_parallel_observed, Mem, ObserveOptions};
+    use barrier_elim::interp::{run_parallel_observed, Mem};
     let mem = Arc::new(Mem::new(prog, bind));
     let opts = ObserveOptions {
         profile: Some(barrier_elim::runtime::events::ProfileOptions::default()),
@@ -373,7 +374,6 @@ fn cmd_chaos_degrade(
     let team = Team::new(nprocs as usize);
     let policy = barrier_elim::runtime::RetryPolicy {
         max_attempts,
-        sticky_pid_k: 2,
         ..barrier_elim::runtime::RetryPolicy::default()
     };
     let mut runs: Vec<obs::Json> = Vec::new();
@@ -401,7 +401,7 @@ fn cmd_chaos_degrade(
                 let worst = r
                     .runs
                     .iter()
-                    .find(|k| k.rung == "serial")
+                    .find(|k| k.report.rung == obs::Rung::Serial)
                     .map(|k| format!("P{} {} kill -> serial", k.pid, k.mode.as_str()))
                     .unwrap_or_else(|| "no serial tail needed".to_string());
                 println!(
@@ -414,10 +414,8 @@ fn cmd_chaos_degrade(
                 for f in r.failures() {
                     println!("  {f}");
                 }
-                for k in &r.runs {
-                    if !(k.completed && k.degraded && k.diff <= 1e-9) {
-                        print!("{}", obs::render_degradation(&k.report));
-                    }
+                for k in r.runs.iter().filter(|k| !k.ok(1e-9)) {
+                    print!("{}", obs::render_fault(&k.report));
                 }
             }
             let kills: Vec<obs::Json> = r
@@ -427,13 +425,8 @@ fn cmd_chaos_degrade(
                     obs::Json::obj()
                         .set("pid", k.pid)
                         .set("mode", k.mode.as_str())
-                        .set("completed", k.completed)
-                        .set("degraded", k.degraded)
-                        .set("rung", k.rung.as_str())
-                        .set("nprocs_final", k.nprocs_final)
-                        .set("procs_lost", k.procs_lost)
                         .set("diff", k.diff)
-                        .set("report", obs::degradation_json(&k.report))
+                        .set("report", obs::fault_json(&k.report))
                 })
                 .collect();
             runs.push(
@@ -446,12 +439,12 @@ fn cmd_chaos_degrade(
         }
     }
     let doc = obs::Json::obj()
+        .set("schema_version", obs::FAULT_SCHEMA_VERSION)
         .set("campaign", "chaos-degrade")
         .set("seed", seed)
         .set("deadline_ms", deadline.as_millis() as u64)
         .set("nprocs", nprocs)
         .set("max_attempts", policy.max_attempts)
-        .set("sticky_pid_k", policy.sticky_pid_k)
         .set("ok", failed == 0)
         .set("runs", runs);
     match std::fs::write(degrade_json, doc.to_string_pretty()) {
@@ -545,8 +538,8 @@ fn cmd_chaos(args: &[String]) -> Exit {
                         continue;
                     }
                     for (k, t) in r.teeth.iter().enumerate() {
-                        if let Some(report) = &t.failure {
-                            let doc = obs::failure_json(report);
+                        if let Some(report) = &t.report {
+                            let doc = obs::fault_json(report);
                             let path = dir.join(format!("failure-{k}.json"));
                             if std::fs::write(&path, doc.to_string_pretty()).is_ok() {
                                 println!("  report: {}", path.display());
@@ -559,9 +552,12 @@ fn cmd_chaos(args: &[String]) -> Exit {
             // Self-healing (default): every dropped post must be
             // absorbed by the recovery supervisor within its retry
             // budget, with memory matching the sequential oracle.
-            let r =
-                oracle::recovery_check(&prog, &bind, &plan, &team, seed, deadline, 1e-9, &policy);
-            let worst = r.teeth.iter().map(|t| t.attempts_used).max().unwrap_or(1);
+            let base = ObserveOptions::default();
+            let r = oracle::recovery_check(
+                prog, bind, &plan, &team, seed, deadline, 1e-9, &policy, &base,
+            );
+            let attempts = r.teeth.iter().map(|t| t.report.attempts_used());
+            let worst = attempts.max().unwrap_or(1);
             if r.ok() {
                 println!(
                     "ok   {kernel} {label}: benign passed, {} teeth absorbed (worst case {worst} attempts)",
@@ -573,10 +569,8 @@ fn cmd_chaos(args: &[String]) -> Exit {
                 for f in r.failures() {
                     println!("  {f}");
                 }
-                for t in &r.teeth {
-                    if !(t.converged && t.recovered && t.diff <= 1e-9) {
-                        print!("{}", obs::render_recovery(&t.report));
-                    }
+                for t in r.teeth.iter().filter(|t| !t.ok(1e-9)) {
+                    print!("{}", obs::render_fault(&t.report));
                 }
             }
             let teeth: Vec<obs::Json> = r
@@ -588,11 +582,8 @@ fn cmd_chaos(args: &[String]) -> Exit {
                         .set("pid", t.spec.pid)
                         .set("from_visit", t.spec.from_visit)
                         .set("kind", t.kind)
-                        .set("converged", t.converged)
-                        .set("recovered", t.recovered)
                         .set("diff", t.diff)
-                        .set("attempts", t.attempts_used)
-                        .set("report", obs::recovery_json(&t.report))
+                        .set("report", obs::fault_json(&t.report))
                 })
                 .collect();
             let mut run = obs::Json::obj()
@@ -625,6 +616,7 @@ fn cmd_chaos(args: &[String]) -> Exit {
     }
     if !no_recover {
         let doc = obs::Json::obj()
+            .set("schema_version", obs::FAULT_SCHEMA_VERSION)
             .set("campaign", "chaos-recovery")
             .set("seed", seed)
             .set("deadline_ms", deadline.as_millis() as u64)

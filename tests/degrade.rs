@@ -2,7 +2,7 @@
 //! every shipped `.be` kernel, plus the `beopt --run --degrade`
 //! exit-code contract.
 //!
-//! The unit tests in `interp::degrade` cover the ladder mechanics;
+//! The unit tests in `interp::supervise` cover the ladder mechanics;
 //! these tests cover the tool-level promise — under a *persistent*
 //! kill-pid chaos policy (any pid silently dead, or pid 0 panicking
 //! forever, which survives every team shrink and forces the serial
@@ -12,8 +12,9 @@
 
 use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
-use barrier_elim::interp::{run_parallel_degrading, DegradeRung, Mem, ObserveOptions, SyncChaos};
-use barrier_elim::ir::SymId;
+use barrier_elim::interp::{run_parallel_supervised, Mem, ObserveOptions, Replan, SyncChaos};
+use barrier_elim::ir::{Program, SymId};
+use barrier_elim::obs::{render_fault, Rung};
 use barrier_elim::oracle::{degrade_check, KillMode, KillPidChaos};
 use barrier_elim::runtime::{RetryPolicy, Team};
 use barrier_elim::spmd_opt::{fork_join, optimize, SpmdProgram};
@@ -46,8 +47,6 @@ fn fast_policy() -> RetryPolicy {
         max_attempts: 3,
         backoff_base: Duration::from_millis(1),
         backoff_cap: Duration::from_millis(2),
-        sticky_pid_k: 2,
-        ..RetryPolicy::default()
     }
 }
 
@@ -61,7 +60,7 @@ const DEADLINE: Duration = Duration::from_millis(120);
 fn kill_matrix(kernel: &str, sets: &[(&str, i64)]) {
     let (prog, bind) = load(kernel, sets, 4);
     let team = Team::new(4);
-    type Replan = fn(&barrier_elim::ir::Program, &Bindings) -> SpmdProgram;
+    type Replan = fn(&Program, &Bindings) -> SpmdProgram;
     let plans: [(&str, SpmdProgram, Replan); 2] = [
         ("fork-join", fork_join(&prog, &bind), fork_join),
         ("optimized", optimize(&prog, &bind), optimize),
@@ -85,7 +84,8 @@ fn kill_matrix(kernel: &str, sets: &[(&str, i64)]) {
         // Every pid once, silently, plus the panic kill of P0.
         assert_eq!(r.runs.len(), 5);
         for run in &r.runs {
-            assert!(run.completed, "{kernel} {label}: P{} kill", run.pid);
+            let rung = run.report.rung;
+            assert!(rung.completed(), "{kernel} {label}: P{} kill", run.pid);
             assert_eq!(
                 run.diff,
                 0.0,
@@ -95,14 +95,12 @@ fn kill_matrix(kernel: &str, sets: &[(&str, i64)]) {
             );
             // The report records the rung that finished the job, and a
             // killed pid never yields a clean run.
-            assert_eq!(run.report.rung, run.rung);
             assert!(
-                run.rung != "clean",
+                rung != Rung::Clean,
                 "{kernel} {label}: kill absorbed silently"
             );
-            assert!(run.report.completed);
-            assert_eq!(run.report.nprocs_initial, 4);
-            assert_eq!(run.report.nprocs_final, run.nprocs_final);
+            assert_eq!(run.report.widths[0], 4);
+            assert!(render_fault(&run.report).contains(&format!("rung    : {}", rung.name())));
         }
         // P0 exists at every width: its panic kill must descend all
         // the way to the sequential tail.
@@ -112,9 +110,8 @@ fn kill_matrix(kernel: &str, sets: &[(&str, i64)]) {
             .find(|k| k.mode == KillMode::Panic)
             .expect("campaign includes the panic kill");
         assert_eq!(worst.pid, 0);
-        assert_eq!(worst.rung, "serial", "{kernel} {label}");
-        assert_eq!(worst.nprocs_final, 1);
-        assert!(worst.report.serial_fallback);
+        assert_eq!(worst.report.rung, Rung::Serial, "{kernel} {label}");
+        assert_eq!(worst.report.nprocs_final(), 1);
     }
 }
 
@@ -159,7 +156,8 @@ fn shrink_timeline_is_recorded_round_by_round() {
         pid: 3,
         mode: KillMode::Silent,
     });
-    let d = run_parallel_degrading(
+    let replan: Replan = &|p, b| optimize(p, b);
+    let d = run_parallel_supervised(
         &prog,
         &bind,
         &plan,
@@ -171,22 +169,19 @@ fn shrink_timeline_is_recorded_round_by_round() {
             ..ObserveOptions::default()
         },
         &fast_policy(),
-        &|p, b| optimize(p, b),
+        Some(replan),
     );
-    assert!(d.completed() && d.degraded());
-    assert_eq!(d.rung, DegradeRung::Shrunk);
-    assert_eq!(d.nprocs_final, 3);
-    assert_eq!(d.procs_lost, 1);
+    let rep = &d.report;
+    assert_eq!(rep.rung, Rung::Shrunk);
+    assert_eq!(rep.nprocs_final(), 3);
+    assert_eq!(rep.procs_lost(), 1);
     assert_eq!(mem.max_abs_diff(&oracle), 0.0, "bitwise");
-    let rep = d.report(None);
-    assert_eq!(rep.rung, "shrunk");
-    assert_eq!(rep.rounds.len(), 2);
-    assert_eq!(rep.rounds[0].nprocs, 4);
+    assert_eq!(rep.widths, [4, 3]);
     assert_eq!(rep.rounds[0].lost_pid, Some(3));
-    assert_eq!(rep.rounds[1].nprocs, 3);
-    assert!(rep.rounds[1].recovery.ok);
+    let completing = rep.rounds[1].attempts.last().unwrap();
+    assert!(completing.failure.is_none());
     // The rendered timeline tells the same story.
-    let txt = barrier_elim::obs::render_degradation(&rep);
+    let txt = render_fault(rep);
     assert!(txt.contains("rung    : shrunk"), "{txt}");
     assert!(txt.contains("P3 classified as permanent loss"), "{txt}");
     assert!(txt.contains("round P=3: completed"), "{txt}");
@@ -240,7 +235,7 @@ mod cli {
             "beopt --degrade must exit 0 on a degraded-but-completed run:\n{stdout}\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        assert!(stdout.contains("--- degradation report ---"), "{stdout}");
+        assert!(stdout.contains("--- fault report ---"), "{stdout}");
         assert!(stdout.contains("rung    :"), "{stdout}");
         assert!(
             stdout.contains("run completed with oracle-exact memory"),
@@ -271,5 +266,27 @@ mod cli {
             String::from_utf8_lossy(&out.stderr)
         );
         assert!(stdout.contains("rung    : clean"), "{stdout}");
+    }
+
+    /// `--degrade` already recovers: asking for both is a usage error,
+    /// one `beopt:` line and exit 2, not a silent pick.
+    #[test]
+    fn recover_and_degrade_together_is_a_usage_error() {
+        let out = beopt(&[
+            "kernels/shallow.be",
+            "--set",
+            "n=12",
+            "--set",
+            "tmax=2",
+            "--run",
+            "--recover",
+            "--degrade",
+        ]);
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.starts_with("beopt: "), "{stderr}");
+        assert!(stderr.contains("--recover and --degrade"), "{stderr}");
+        assert!(out.stdout.is_empty());
     }
 }

@@ -17,9 +17,9 @@
 //!   recovery ladder with bitwise-exact recovered memory.
 
 use barrier_elim::analysis::check_parallel_loops;
-use barrier_elim::interp::{run_sequential, run_virtual, Mem, ScheduleOrder};
+use barrier_elim::interp::{run_sequential, run_virtual, Mem, ObserveOptions, ScheduleOrder};
 use barrier_elim::ir::build::*;
-use barrier_elim::obs::render_recovery;
+use barrier_elim::obs::{render_fault, Rung};
 use barrier_elim::oracle::{self, droppable_posts, recovery_check};
 use barrier_elim::runtime::{RetryPolicy, Team};
 use barrier_elim::spmd_opt::{fork_join, optimize, optimize_with, OptimizeOptions};
@@ -166,6 +166,7 @@ fn dropped_pairwise_posts_are_absorbed_by_the_recovery_ladder() {
             Duration::from_millis(150),
             0.0, // bitwise: recovery must not perturb a single ulp
             &policy,
+            &ObserveOptions::default(),
         );
         assert!(
             r.benign_ok,
@@ -174,12 +175,13 @@ fn dropped_pairwise_posts_are_absorbed_by_the_recovery_ladder() {
         );
         let mut pair_teeth = 0;
         for t in &r.teeth {
-            assert!(
-                t.converged && t.recovered,
+            assert_eq!(
+                t.report.rung,
+                Rung::Recovered,
                 "{name}: {} drop at s{} not absorbed:\n{}",
                 t.kind,
                 t.spec.site,
-                render_recovery(&t.report)
+                render_fault(&t.report)
             );
             assert_eq!(
                 t.diff, 0.0,
@@ -192,7 +194,7 @@ fn dropped_pairwise_posts_are_absorbed_by_the_recovery_ladder() {
                 // pairwise site or at the downstream barrier the
                 // stalled consumer never reaches; either way the
                 // ladder must demote on the way to convergence.
-                let text = render_recovery(&t.report);
+                let text = render_fault(&t.report);
                 assert!(
                     text.contains("demote s"),
                     "{name}: pairwise drop at s{} recovered without any \
@@ -261,16 +263,17 @@ fn a_dropped_post_at_a_collector_site_is_absorbed() {
             Duration::from_millis(150),
             0.0,
             &policy,
+            &ObserveOptions::default(),
         );
         assert!(r.benign_ok, "{name}: benign run off by {:e}", r.benign_diff);
         for t in &r.teeth {
             assert!(
-                t.converged && t.recovered && t.diff == 0.0,
+                t.ok(0.0),
                 "{name}: {} drop by P{} at s{} not absorbed exactly:\n{}",
                 t.kind,
                 t.spec.pid,
                 t.spec.site,
-                render_recovery(&t.report)
+                render_fault(&t.report)
             );
         }
         assert!(r.teeth.iter().any(|t| t.spec == gathered[0].spec));

@@ -7,7 +7,7 @@
 
 use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
-use barrier_elim::interp::{run_parallel_observed, run_parallel_recovering, Mem, ObserveOptions};
+use barrier_elim::interp::{run_parallel_observed, run_parallel_supervised, Mem, ObserveOptions};
 use barrier_elim::ir::{Program, SymId};
 use barrier_elim::obs::{self, Json, TraceBuilder};
 use barrier_elim::oracle::{ChaosConfig, ChaosInjector, DropSpec};
@@ -377,9 +377,10 @@ fn recovery_profile_spans_epochs_and_aggregates_stats_across_attempts() {
         backoff_cap: Duration::from_millis(4),
         ..RetryPolicy::default()
     };
-    let r = run_parallel_recovering(&prog, &bind, &plan, &mem, &team, &opts, &policy);
-    assert!(r.ok(), "supervised run did not converge");
-    assert!(r.attempts_used > 1, "the drop never bit");
+    let r = run_parallel_supervised(&prog, &bind, &plan, &mem, &team, &opts, &policy, None);
+    assert!(r.report.rung.completed(), "supervised run did not converge");
+    let attempts_used = r.report.attempts_used();
+    assert!(attempts_used > 1, "the drop never bit");
 
     let data = r.outcome.profile.as_ref().expect("profile requested");
     assert_eq!(
@@ -387,20 +388,21 @@ fn recovery_profile_spans_epochs_and_aggregates_stats_across_attempts() {
         data.attempted(),
         "ring accounting broken across retries"
     );
-    let report = obs::analyze(data, &obs::site_metas(&prog, &r.final_plan), 4);
+    let final_plan = r.final_plan.as_ref().unwrap();
+    let report = obs::analyze(data, &obs::site_metas(&prog, final_plan), 4);
     assert_eq!(
-        report.epochs as u32, r.attempts_used,
+        report.epochs as u32, attempts_used,
         "one profile epoch per attempt"
     );
-    assert!(report.marks.checkpoints >= 1, "checkpoint mark missing");
+    assert_eq!(report.marks.checkpoints, 1, "one checkpoint per run");
     assert_eq!(
         report.marks.rollbacks,
-        r.attempts_used as u64 - 1,
+        attempts_used as u64 - 1,
         "one rollback per failed attempt"
     );
     assert_eq!(
         report.marks.retries,
-        r.attempts_used as u64 - 1,
+        attempts_used as u64 - 1,
         "one retry mark per failed attempt"
     );
 
@@ -423,9 +425,10 @@ fn recovery_profile_spans_epochs_and_aggregates_stats_across_attempts() {
         wait(total) > wait(last),
         "aggregate wait should include the deadline-length stalls of failed attempts"
     );
-    // The per-attempt reports carry their own escalation counters and
-    // sum (with the final attempt) to the aggregate.
-    let summed: u64 = r.attempts.iter().map(|a| a.parks).sum::<u64>() + last.parks;
+    // The per-attempt reports carry their own stats, the final
+    // attempt's included, and sum to the aggregate.
+    let attempts = &r.report.rounds[0].attempts;
+    let summed: u64 = attempts.iter().map(|a| a.stats.parks).sum();
     assert_eq!(
         total.parks, summed,
         "per-attempt park counters must sum to the total"

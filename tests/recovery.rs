@@ -2,7 +2,7 @@
 //! shipped `.be` kernels and on random generated programs, plus the
 //! `beopt --run --recover` exit-code contract.
 //!
-//! The unit tests in `runtime::recovery` and `interp::recover` cover
+//! The unit tests in `runtime::recovery` and `interp::supervise` cover
 //! the ladder and the loop; these tests cover the tool-level promise —
 //! a *persistent* dropped sync post on any kernel is absorbed by
 //! checkpoint rollback + demotion + retry, the recovered memory is
@@ -13,14 +13,13 @@
 use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
 use barrier_elim::interp::{
-    run_parallel_observed_on, run_parallel_recovering, run_sequential, unroll, BarrierKind,
+    run_parallel_observed_on, run_parallel_supervised, run_sequential, unroll, BarrierKind,
     ChaosAction, Mem, ObserveOptions, SyncChaos, SyncFabric,
 };
 use barrier_elim::ir::SymId;
-use barrier_elim::obs::render_recovery;
+use barrier_elim::obs::{render_fault, Rung};
 use barrier_elim::oracle::{
-    self, droppable_posts, recovery_check, recovery_check_with, ChaosConfig, ChaosInjector,
-    DropSpec,
+    self, droppable_posts, recovery_check, ChaosConfig, ChaosInjector, DropSpec,
 };
 use barrier_elim::runtime::{RetryPolicy, SpinPolicy, SyncError, Team};
 use barrier_elim::spmd_opt::{fork_join, optimize, sync_sites, SyncSite};
@@ -88,6 +87,7 @@ fn every_kernel_absorbs_every_persistent_drop_under_both_plans() {
                 Duration::from_millis(150),
                 1e-9,
                 &fast_policy(),
+                &ObserveOptions::default(),
             );
             assert!(
                 r.benign_ok,
@@ -97,16 +97,18 @@ fn every_kernel_absorbs_every_persistent_drop_under_both_plans() {
             assert!(!r.teeth.is_empty(), "{kernel} {label}: no droppable posts");
             for t in &r.teeth {
                 assert!(
-                    t.converged,
+                    t.report.rung.completed(),
                     "{kernel} {label}: {} drop at s{} exhausted the budget:\n{}",
                     t.kind,
                     t.spec.site,
-                    render_recovery(&t.report)
+                    render_fault(&t.report)
                 );
-                assert!(
-                    t.recovered,
+                assert_eq!(
+                    t.report.rung,
+                    Rung::Recovered,
                     "{kernel} {label}: {} drop at s{} was absorbed silently — the tooth never bit",
-                    t.kind, t.spec.site
+                    t.kind,
+                    t.spec.site
                 );
                 assert!(
                     t.diff <= 1e-9,
@@ -114,14 +116,14 @@ fn every_kernel_absorbs_every_persistent_drop_under_both_plans() {
                     t.diff
                 );
                 // The timeline is renderable and names the machinery.
-                let text = render_recovery(&t.report);
-                assert!(text.contains("--- recovery report ---"), "{text}");
+                let text = render_fault(&t.report);
+                assert!(text.contains("--- fault report ---"), "{text}");
                 assert!(text.contains("rollback to checkpoint"), "{text}");
                 assert!(text.contains("demote s"), "{text}");
                 assert!(
                     text.contains(&format!(
                         "recovered after {} failed attempt(s)",
-                        t.attempts_used - 1
+                        t.report.attempts_used() - 1
                     )),
                     "{text}"
                 );
@@ -163,7 +165,7 @@ fn drop_matrix_is_absorbed_across_radices_and_spin_policies() {
         let (prog, bind) = load(kernel, sets, 4);
         let plan = optimize(&prog, &bind);
         for (label, base) in &variants {
-            let r = recovery_check_with(
+            let r = recovery_check(
                 &prog,
                 &bind,
                 &plan,
@@ -185,15 +187,14 @@ fn drop_matrix_is_absorbed_across_radices_and_spin_policies() {
             );
             for t in &r.teeth {
                 assert!(
-                    t.converged && t.recovered && t.diff <= 1e-9,
+                    t.ok(1e-9),
                     "{kernel} [{label}]: {} drop at s{} not absorbed \
-                     (converged {}, recovered {}, diff {:e}):\n{}",
+                     (rung {}, diff {:e}):\n{}",
                     t.kind,
                     t.spec.site,
-                    t.converged,
-                    t.recovered,
+                    t.report.rung.name(),
                     t.diff,
-                    render_recovery(&t.report)
+                    render_fault(&t.report)
                 );
             }
         }
@@ -217,14 +218,17 @@ fn reported_backoffs_follow_the_policy_exponential() {
         Duration::from_millis(150),
         1e-9,
         &policy,
+        &ObserveOptions::default(),
     );
     for t in &r.teeth {
-        for (k, a) in t.report.attempts.iter().enumerate() {
+        // Every attempt but the completing last one was retried.
+        let attempts = &t.report.rounds[0].attempts;
+        for (k, a) in attempts[..attempts.len() - 1].iter().enumerate() {
             assert_eq!(
                 a.backoff_ms,
                 policy.backoff_before(k as u32 + 1).as_millis() as u64,
                 "attempt {} of {} tooth",
-                a.attempt,
+                k + 1,
                 t.kind
             );
         }
@@ -378,7 +382,7 @@ mod cli {
             "beopt --recover failed:\n{stdout}\n{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        assert!(stdout.contains("--- recovery report ---"), "{stdout}");
+        assert!(stdout.contains("--- fault report ---"), "{stdout}");
         assert!(
             stdout.contains(&format!("demote s{}", spec.site)),
             "report does not demote the dropped site s{}:\n{stdout}",
@@ -440,7 +444,7 @@ mod prop {
         run_sequential(&prog, &bind, &oracle_mem);
         let mem = Arc::new(Mem::new(&prog, &bind));
         let team = Team::new(4);
-        let r = run_parallel_recovering(
+        let r = run_parallel_supervised(
             &prog,
             &bind,
             &plan,
@@ -458,8 +462,9 @@ mod prop {
                 ..ObserveOptions::default()
             },
             &fast_policy(),
+            None,
         );
-        Some((r.ok(), mem.max_abs_diff(&oracle_mem)))
+        Some((r.report.rung.completed(), mem.max_abs_diff(&oracle_mem)))
     }
 
     proptest! {

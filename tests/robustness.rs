@@ -124,9 +124,9 @@ fn dropped_counter_increment_names_the_counter_site() {
         .find(|t| t.kind == "counter")
         .expect("counter tooth ran");
     assert!(tooth.detected && tooth.named_site);
-    let report = tooth.failure.as_ref().unwrap();
+    let report = tooth.report.as_ref().unwrap();
     assert_eq!(report.chaos_seed, Some(7));
-    assert_eq!(report.nprocs, 4);
+    assert_eq!(report.widths, [4]);
     // Whoever won the race to the headline, the stalled consumers at
     // the counter site recorded it in the per-processor states.
     if let FailureCause::Deadline {
@@ -135,7 +135,7 @@ fn dropped_counter_increment_names_the_counter_site() {
         expected,
         observed,
         ..
-    } = &report.cause
+    } = &report.residual().unwrap().cause
     {
         if *site == tooth.spec.site {
             assert_ne!(
