@@ -8,7 +8,7 @@
 //! enclosing sequential-loop indices of an event are a chain of
 //! [`Frame`]s shared by all events of one loop iteration.
 
-use crate::eval::{eval_affine, try_eval_affine, Env};
+use crate::eval::Env;
 use crate::kernel::{Code, Lowerer};
 use analysis::{Bindings, CommPattern, DistSet, ProducerSpec};
 use ir::{LoopId, NodeId, Program};
@@ -255,7 +255,7 @@ pub fn unroll(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Schedule {
         bind,
         lower: Lowerer::new(prog, bind),
         kernel_of: vec![None; prog.nodes.len()],
-        env: Env::new(prog),
+        env: Env::new(prog, bind),
         frame: NO_FRAME,
         events: Vec::new(),
         frames: Vec::new(),
@@ -294,8 +294,8 @@ impl Unroller<'_> {
     /// is the loop's last.
     fn each_iteration(&mut self, node: NodeId, mut body: impl FnMut(&mut Self, bool)) {
         let l = self.prog.expect_loop(node);
-        let lo = eval_affine(self.bind, &self.env, &l.lo);
-        let hi = eval_affine(self.bind, &self.env, &l.hi);
+        let lo = self.env.eval(&l.lo);
+        let hi = self.env.eval(&l.hi);
         let outer = self.frame;
         for i in lo..=hi {
             self.env.set(l.id, i);
@@ -329,7 +329,9 @@ impl Unroller<'_> {
         match spec {
             ProducerSpec::Master => 0,
             ProducerSpec::Owner { map, sub, .. } => {
-                let x = try_eval_affine(self.bind, &self.env, sub)
+                let x = self
+                    .env
+                    .try_eval(sub)
                     .expect("producer subscript names a loop that does not enclose its sync site");
                 map.owner(x, self.bind.nprocs) as usize
             }

@@ -78,8 +78,8 @@ use ir::Program;
 
 /// Execute the program with its original sequential semantics.
 pub fn run_sequential(prog: &Program, bind: &Bindings, mem: &Mem) {
-    let mut env = eval::Env::new(prog);
+    let mut env = eval::Env::new(prog, bind);
     for &node in &prog.body {
-        eval::exec_subtree_seq(prog, bind, mem, &mut env, node, 0);
+        eval::exec_subtree_seq(prog, mem, &mut env, node, 0);
     }
 }

@@ -44,18 +44,14 @@ impl ArrayStore {
         }
     }
 
-    /// Row-major flat offset of element `subs` (panics when out of
-    /// bounds, like `get`/`set`).
+    /// Row-major flat offset of the element whose subscripts `subs`
+    /// yields, outermost first; each is checked against its dimension
+    /// as it is folded in (panics when out of bounds, like `get`/`set`).
     #[inline]
-    pub fn flat_offset(&self, subs: &[i64]) -> usize {
-        self.offset(subs)
-    }
-
-    #[inline]
-    fn offset(&self, subs: &[i64]) -> usize {
+    pub fn flat_offset(&self, subs: impl ExactSizeIterator<Item = i64>) -> usize {
         debug_assert_eq!(subs.len(), self.extents.len());
         let mut off = 0i64;
-        for (k, &s) in subs.iter().enumerate() {
+        for (k, s) in subs.enumerate() {
             if s < 0 || s >= self.extents[k] {
                 subscript_out_of_bounds(s, self.extents[k], k);
             }
@@ -67,13 +63,13 @@ impl ArrayStore {
     /// Read element `subs`.
     #[inline]
     pub fn get(&self, subs: &[i64]) -> f64 {
-        f64::from_bits(self.data[self.offset(subs)].load(Ordering::Relaxed))
+        f64::from_bits(self.data[self.flat_offset(subs.iter().copied())].load(Ordering::Relaxed))
     }
 
     /// Write element `subs`.
     #[inline]
     pub fn set(&self, subs: &[i64], v: f64) {
-        self.data[self.offset(subs)].store(v.to_bits(), Ordering::Relaxed);
+        self.data[self.flat_offset(subs.iter().copied())].store(v.to_bits(), Ordering::Relaxed);
     }
 
     /// The cells in row-major order (lowered kernels index them by
@@ -284,8 +280,20 @@ impl Mem {
     }
 
     /// Maximum absolute difference of all *shared* cells between two
-    /// memories of identical shape (private scratch is excluded).
+    /// memories of identical shape (private scratch is excluded), cell
+    /// by cell: 0 where the bits are identical or both are NaN, +∞ where
+    /// exactly one is NaN, `|a − b|` otherwise — so a NaN never compares
+    /// as equal to a number, and the result is never NaN.
     pub fn max_abs_diff(&self, other: &Mem) -> f64 {
+        fn diff(a: f64, b: f64) -> f64 {
+            if a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()) {
+                0.0
+            } else if a.is_nan() || b.is_nan() {
+                f64::INFINITY
+            } else {
+                (a - b).abs()
+            }
+        }
         let mut m: f64 = 0.0;
         for (sa, sb) in self.slots.iter().zip(&other.slots) {
             let (Slot::Shared(a), Slot::Shared(b)) = (sa, sb) else {
@@ -293,15 +301,14 @@ impl Mem {
             };
             assert_eq!(a.len(), b.len(), "memory shapes differ");
             for k in 0..a.len() {
-                m = m.max((a.get_linear(k) - b.get_linear(k)).abs());
+                m = m.max(diff(a.get_linear(k), b.get_linear(k)));
             }
         }
         for (a, b) in self.scalars.iter().zip(&other.scalars) {
-            m = m.max(
-                (f64::from_bits(a.load(Ordering::Relaxed))
-                    - f64::from_bits(b.load(Ordering::Relaxed)))
-                .abs(),
-            );
+            m = m.max(diff(
+                f64::from_bits(a.load(Ordering::Relaxed)),
+                f64::from_bits(b.load(Ordering::Relaxed)),
+            ));
         }
         m
     }
@@ -356,6 +363,49 @@ mod tests {
         mem.array(a).set(&[0], 7.0);
         mem.array(a).set(&[7], 0.0);
         assert_ne!(c1, mem.checksum());
+    }
+
+    #[test]
+    fn max_abs_diff_sees_nan() {
+        let mut pb = ProgramBuilder::new("nan");
+        let a = pb.array("A", &[con(2)], dist_block());
+        let s = pb.scalar("s", 0.0);
+        let prog = pb.finish();
+        let bind = Bindings::new(2);
+        let (x, y) = (Mem::new(&prog, &bind), Mem::new(&prog, &bind));
+        let diff_of = |u: f64, v: f64| {
+            x.array(a).set(&[1], u);
+            y.array(a).set(&[1], v);
+            let cells = x.max_abs_diff(&y);
+            x.array(a).set(&[1], 0.0);
+            y.array(a).set(&[1], 0.0);
+            x.set_scalar(s, u);
+            y.set_scalar(s, v);
+            let scalars = x.max_abs_diff(&y);
+            x.set_scalar(s, 0.0);
+            y.set_scalar(s, 0.0);
+            assert_eq!(cells.to_bits(), scalars.to_bits(), "{u} vs {v}");
+            cells
+        };
+        let inf = f64::INFINITY;
+        // A number where the reference holds NaN is a difference.
+        assert_eq!(diff_of(12345.0, f64::NAN), inf);
+        assert_eq!(diff_of(f64::NAN, 12345.0), inf);
+        assert_eq!(diff_of(f64::NAN, inf), inf);
+        // NaN against NaN, whatever the payload, is not.
+        assert_eq!(diff_of(f64::NAN, -f64::NAN), 0.0);
+        assert_eq!(
+            diff_of(f64::NAN, f64::from_bits(f64::NAN.to_bits() | 1)),
+            0.0
+        );
+        // Infinities: equal ones agree, anything else is infinitely far.
+        assert_eq!(diff_of(inf, inf), 0.0);
+        assert_eq!(diff_of(-inf, -inf), 0.0);
+        assert_eq!(diff_of(inf, -inf), inf);
+        assert_eq!(diff_of(inf, 1.0), inf);
+        // Numbers: the absolute difference, signed zeros equal.
+        assert_eq!(diff_of(0.0, -0.0), 0.0);
+        assert_eq!(diff_of(1.5, -2.0), 3.5);
     }
 
     #[test]

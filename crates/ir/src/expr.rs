@@ -2,7 +2,6 @@
 
 use crate::decl::{ArrayId, ScalarId, SymId};
 use crate::node::LoopId;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
@@ -19,9 +18,14 @@ pub enum AffAtom {
 /// An affine integer expression `constant + Σ coeff·atom` with `i64`
 /// coefficients, used for loop bounds, array subscripts, extents, and
 /// guard conditions.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+///
+/// The terms are one vector of `(atom, coeff)` pairs, atoms strictly
+/// ascending and no coefficient zero — the iteration order, equality,
+/// ordering and hash of the sorted map it stands for, without a tree
+/// node per term (an expression mentions a handful of atoms).
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Affine {
-    terms: BTreeMap<AffAtom, i64>,
+    terms: Vec<(AffAtom, i64)>,
     constant: i64,
 }
 
@@ -29,16 +33,17 @@ impl Affine {
     /// The constant expression `c`.
     pub fn constant(c: i64) -> Self {
         Affine {
-            terms: BTreeMap::new(),
+            terms: Vec::new(),
             constant: c,
         }
     }
 
     /// The expression `1·atom`.
     pub fn atom(a: AffAtom) -> Self {
-        let mut terms = BTreeMap::new();
-        terms.insert(a, 1);
-        Affine { terms, constant: 0 }
+        Affine {
+            terms: vec![(a, 1)],
+            constant: 0,
+        }
     }
 
     /// The loop-index expression `i`.
@@ -51,9 +56,14 @@ impl Affine {
         Self::atom(AffAtom::Sym(s))
     }
 
+    /// Where atom `a` sits in the terms, or where it would go.
+    fn slot(&self, a: AffAtom) -> Result<usize, usize> {
+        self.terms.binary_search_by_key(&a, |&(t, _)| t)
+    }
+
     /// Coefficient of an atom (0 if absent).
     pub fn coeff(&self, a: AffAtom) -> i64 {
-        self.terms.get(&a).copied().unwrap_or(0)
+        self.slot(a).map_or(0, |k| self.terms[k].1)
     }
 
     /// The constant term.
@@ -61,9 +71,9 @@ impl Affine {
         self.constant
     }
 
-    /// Iterate `(atom, coeff)` pairs.
+    /// Iterate `(atom, coeff)` pairs, atoms ascending.
     pub fn terms(&self) -> impl Iterator<Item = (AffAtom, i64)> + '_ {
-        self.terms.iter().map(|(a, c)| (*a, *c))
+        self.terms.iter().copied()
     }
 
     /// True if no atoms appear.
@@ -73,7 +83,7 @@ impl Affine {
 
     /// All loop indices mentioned.
     pub fn loops(&self) -> impl Iterator<Item = LoopId> + '_ {
-        self.terms.keys().filter_map(|a| match a {
+        self.terms.iter().filter_map(|(a, _)| match a {
             AffAtom::Loop(l) => Some(*l),
             AffAtom::Sym(_) => None,
         })
@@ -81,10 +91,13 @@ impl Affine {
 
     /// Set a coefficient (removing zero terms).
     pub fn set_coeff(&mut self, a: AffAtom, c: i64) {
-        if c == 0 {
-            self.terms.remove(&a);
-        } else {
-            self.terms.insert(a, c);
+        match (self.slot(a), c) {
+            (Ok(k), 0) => {
+                self.terms.remove(k);
+            }
+            (Ok(k), c) => self.terms[k].1 = c,
+            (Err(_), 0) => {}
+            (Err(k), c) => self.terms.insert(k, (a, c)),
         }
     }
 
@@ -99,11 +112,11 @@ impl Affine {
         if k == 0 {
             return Affine::default();
         }
-        let mut out = Affine::constant(self.constant.checked_mul(k).expect("affine overflow"));
-        for (a, c) in self.terms() {
-            out.set_coeff(a, c.checked_mul(k).expect("affine overflow"));
+        let scale = |c: i64| c.checked_mul(k).expect("affine overflow");
+        Affine {
+            terms: self.terms().map(|(a, c)| (a, scale(c))).collect(),
+            constant: scale(self.constant),
         }
-        out
     }
 
     /// Evaluate under an atom assignment.
