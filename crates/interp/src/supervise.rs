@@ -544,10 +544,7 @@ mod tests {
             panic!("not an object")
         };
         assert_eq!(members[0].0, "schema_version");
-        assert_eq!(
-            members[0].1.as_u64(),
-            Some(obs::FAULT_SCHEMA_VERSION as u64)
-        );
+        assert_eq!(members[0].1.as_u64(), Some(obs::SCHEMA_VERSION as u64));
         const HEADER: [&str; 8] = [
             "schema_version",
             "program",

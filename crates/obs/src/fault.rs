@@ -13,19 +13,16 @@
 //!
 //! The supervisor lives in `interp`; this module is plain data so `obs`
 //! stays below `interp` in the crate DAG. [`fault_json`] writes the
-//! document (its first member is [`FAULT_SCHEMA_VERSION`]);
+//! document (its first member is [`SCHEMA_VERSION`]);
 //! [`render_fault`] is the text the CLIs print — planned backoffs, no
 //! wall-clock figures, so a fixed seed tells the same story every run.
 
 use crate::json::Json;
-use crate::metrics;
+use crate::report::{render_site_table, sites_json, totals_json, SCHEMA_VERSION};
 use runtime::fault::{SyncError, DISPATCH_SITE};
 use runtime::recovery::FaultDisposition;
 use runtime::stats::StatsSnapshot;
 use runtime::telemetry::SiteSnapshot;
-
-/// Version of the [`fault_json`] layout.
-pub const FAULT_SCHEMA_VERSION: u32 = 1;
 
 /// Why the region died.
 #[derive(Clone, Debug, PartialEq)]
@@ -355,7 +352,7 @@ fn cause_json(c: &FailureCause) -> Json {
 }
 
 /// An attempt's failure: cause, attribution, and the telemetry
-/// snapshot, whose `"sites"` reuse the `--metrics-json` site schema.
+/// snapshot, whose `"sites"` are the run report's site rows.
 fn failure_json(f: &FailureReport) -> Json {
     Json::obj()
         .set("cause", cause_json(&f.cause))
@@ -364,7 +361,7 @@ fn failure_json(f: &FailureReport) -> Json {
             "per_proc",
             Json::Arr(f.per_proc.iter().map(|s| Json::Str(s.clone())).collect()),
         )
-        .set("sites", metrics::sites_json(&f.sites))
+        .set("sites", sites_json(&f.sites))
 }
 
 fn attempt_json(a: &Attempt) -> Json {
@@ -383,7 +380,7 @@ fn attempt_json(a: &Attempt) -> Json {
     });
     doc.set("actions", Json::Arr(actions.collect()))
         .set("backoff_ms", a.backoff_ms)
-        .set("stats", metrics::totals_json(&a.stats))
+        .set("stats", totals_json(&a.stats))
 }
 
 /// The fault document: `schema_version` first, the header once, then
@@ -391,7 +388,7 @@ fn attempt_json(a: &Attempt) -> Json {
 pub fn fault_json(r: &FaultReport) -> Json {
     let widths = r.widths.iter().map(|&w| Json::from(w)).collect();
     let mut doc = Json::obj()
-        .set("schema_version", FAULT_SCHEMA_VERSION)
+        .set("schema_version", SCHEMA_VERSION)
         .set("program", r.program.as_str())
         .set("widths", Json::Arr(widths))
         .set("deadline_ms", r.deadline_ms)
@@ -492,7 +489,7 @@ pub fn render_fault(r: &FaultReport) -> String {
             out.push_str(&format!("  P{pid}: {state}\n"));
         }
         if !f.sites.is_empty() {
-            out.push_str(&metrics::render_site_table(&f.sites));
+            out.push_str(&render_site_table(&f.sites));
         }
     }
     out

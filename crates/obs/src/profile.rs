@@ -2,7 +2,10 @@
 //! observed-vs-predicted explain loop.
 //!
 //! The executor returns a merged [`ProfileData`] stream (see
-//! [`runtime::events`]); this module turns it into per-site facts:
+//! [`runtime::events`]); this module turns it into per-site episode
+//! facts. Blocked time is not among them: that is the recorder's cells
+//! ([`crate::RunSection::sites`]), which every reading here joins by
+//! canonical site id.
 //!
 //! * **critical-path contribution** — sync episodes are aligned across
 //!   processors by their dynamic visit number (`SyncArrive.arg`), so
@@ -10,10 +13,12 @@
 //!   The last arriver gated the episode; the gap between the last and
 //!   second-last arrival is the slice of wall-clock only that site's
 //!   imbalance can explain, and it is attributed to the last arriver.
-//! * **load imbalance** — per-site last-arriver counts per processor,
-//!   per-processor wait totals, and a log₂ histogram of per-arrival
-//!   *slack* (how far before the last arriver each processor showed
-//!   up), reusing the bucket layout of [`runtime::telemetry`].
+//!   The episode with the largest gap is kept whole (its first and last
+//!   arriver), which is what the trace's flow arrow draws.
+//! * **load imbalance** — per-site last-arriver counts per processor
+//!   and a log₂ histogram of per-arrival *slack* (how far before the
+//!   last arriver each processor showed up), reusing the bucket layout
+//!   of [`runtime::telemetry`].
 //! * **observed vs predicted** — [`observed_vs_predicted`] joins two
 //!   profiled runs against the optimizer's decision log: the *baseline*
 //!   is the optimized plan with every decision site demoted back to a
@@ -26,30 +31,32 @@
 //! accounting identity `attempted == events + dropped` is checkable by
 //! consumers ("zero *unreported* drops", not "zero drops").
 
-use crate::json::Json;
+use crate::report::{fmt_ns, RunSection};
 use runtime::events::{EventKind, ProfileData, NO_SITE};
-use runtime::telemetry::{SiteMeta, WaitHistogram, HIST_BUCKETS};
+use runtime::telemetry::{SiteSnapshot, WaitHistogram, HIST_BUCKETS};
+use std::collections::BTreeMap;
 
-/// Aggregated profile facts for one canonical sync site.
+/// The episode with the largest critical-path gap at a site.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WorstEpisode {
+    /// Its last − second-last arrival gap.
+    pub crit_ns: u64,
+    /// The first arriver: (arrival ns, pid).
+    pub first: (u64, usize),
+    /// The straggler that gated it: (arrival ns, pid).
+    pub last: (u64, usize),
+}
+
+/// Episode facts for one canonical sync site.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SiteProfile {
     /// Canonical site id.
     pub site: usize,
-    /// Slot label from the canonical walk (empty when the stream holds
-    /// a site the meta list does not know).
-    pub label: String,
-    /// The placed sync op's short name ("barrier", "neighbor flags",
-    /// "counter", "eliminated").
-    pub op: String,
     /// Complete episodes (all `nprocs` arrivals observed).
     pub episodes: u64,
     /// Arrivals that could not be matched into a complete episode
     /// (faulted attempts, ring drops).
     pub partial_arrivals: u64,
-    /// Per-processor blocked time at this site, from release records.
-    pub wait_ns_by_pid: Vec<u64>,
-    /// Longest single wait seen at this site.
-    pub max_wait_ns: u64,
     /// Critical-path contribution: Σ over episodes of
     /// (last − second-last arrival).
     pub crit_ns: u64,
@@ -67,18 +74,17 @@ pub struct SiteProfile {
     pub yields: u64,
     /// Yield→park escalations inside this site's waits.
     pub parks: u64,
+    /// The worst complete episode (`None` without one, or on a team of
+    /// one, where nobody waits for anybody).
+    pub worst: Option<WorstEpisode>,
 }
 
 impl SiteProfile {
     fn new(site: usize, nprocs: usize) -> Self {
         SiteProfile {
             site,
-            label: String::new(),
-            op: String::new(),
             episodes: 0,
             partial_arrivals: 0,
-            wait_ns_by_pid: vec![0; nprocs],
-            max_wait_ns: 0,
             crit_ns: 0,
             spread_ns: 0,
             last_count_by_pid: vec![0; nprocs],
@@ -86,12 +92,8 @@ impl SiteProfile {
             slack_hist: [0; HIST_BUCKETS],
             yields: 0,
             parks: 0,
+            worst: None,
         }
-    }
-
-    /// Total blocked time across processors.
-    pub fn wait_ns(&self) -> u64 {
-        self.wait_ns_by_pid.iter().sum()
     }
 
     /// The processor most often last to arrive (`None` when the site
@@ -166,24 +168,14 @@ impl ProfileReport {
         self.sites.iter().map(|s| s.crit_ns).sum()
     }
 
-    /// Total blocked nanoseconds across sites and processors.
-    pub fn total_wait_ns(&self) -> u64 {
-        self.sites.iter().map(|s| s.wait_ns()).sum()
-    }
-
     /// The site facts for `site`, if the stream saw it.
     pub fn site(&self, site: usize) -> Option<&SiteProfile> {
         self.sites.iter().find(|s| s.site == site)
     }
 }
 
-/// Analyze a merged event stream against the plan's site walk.
-///
-/// `metas` is the canonical site list ([`crate::site_metas`]) of the
-/// plan the run executed; sites present in the stream but not in
-/// `metas` (possible after a plan mutation) keep empty labels rather
-/// than being dropped.
-pub fn analyze(data: &ProfileData, metas: &[SiteMeta], nprocs: usize) -> ProfileReport {
+/// Analyze a merged event stream recorded by `nprocs` workers.
+pub fn analyze(data: &ProfileData, nprocs: usize) -> ProfileReport {
     let nprocs = nprocs.max(1);
     let mut sites: Vec<SiteProfile> = Vec::new();
     let site_ix = |sites: &mut Vec<SiteProfile>, id: usize| -> usize {
@@ -196,7 +188,7 @@ pub fn analyze(data: &ProfileData, metas: &[SiteMeta], nprocs: usize) -> Profile
         }
     };
 
-    // Pass 1: waits, escalation attribution, region spans, marks.
+    // Pass 1: escalation attribution, region spans, marks.
     // Per-track state is enough: events within one track are in
     // recording order after the (t_ns, track) merge sort, because each
     // single-writer track's timestamps are monotone.
@@ -214,14 +206,7 @@ pub fn analyze(data: &ProfileData, metas: &[SiteMeta], nprocs: usize) -> Profile
         let track = (e.track as usize).min(open_site.len() - 1);
         match e.kind {
             EventKind::SyncArrive => open_site[track] = Some(e.site as usize),
-            EventKind::SyncRelease => {
-                let k = site_ix(&mut sites, e.site as usize);
-                if (track) < nprocs {
-                    sites[k].wait_ns_by_pid[track] += e.arg;
-                }
-                sites[k].max_wait_ns = sites[k].max_wait_ns.max(e.arg);
-                open_site[track] = None;
-            }
+            EventKind::SyncRelease => open_site[track] = None,
             EventKind::RegionBegin => region_begin[track] = Some(e.t_ns),
             EventKind::RegionEnd => {
                 if let (Some(t0), true) = (region_begin[track].take(), track < nprocs) {
@@ -260,9 +245,9 @@ pub fn analyze(data: &ProfileData, metas: &[SiteMeta], nprocs: usize) -> Profile
     // is complete when all nprocs arrivals are present. Each arrival
     // carries its writer track — SyncArrive is only ever recorded by
     // worker `pid` on track `pid` — so attribution uses real processor
-    // ids, not the arrival's position in the time-sorted merge.
-    use std::collections::HashMap;
-    let mut episodes: HashMap<(u16, u32, u64), Vec<(u64, usize)>> = HashMap::new();
+    // ids, not the arrival's position in the time-sorted merge. Key
+    // order makes the worst episode the earliest of equal gaps.
+    let mut episodes: BTreeMap<(u16, u32, u64), Vec<(u64, usize)>> = BTreeMap::new();
     for e in &data.events {
         if e.kind == EventKind::SyncArrive && e.site != NO_SITE {
             episodes
@@ -279,7 +264,7 @@ pub fn analyze(data: &ProfileData, metas: &[SiteMeta], nprocs: usize) -> Profile
         }
         // Sort by arrival time; the pid rides along with each entry.
         by_pid.sort();
-        let (t_first, _) = by_pid[0];
+        let first = by_pid[0];
         let (t_last, last_pid) = by_pid[nprocs - 1];
         let crit = if nprocs >= 2 {
             t_last - by_pid[nprocs - 2].0
@@ -288,18 +273,18 @@ pub fn analyze(data: &ProfileData, metas: &[SiteMeta], nprocs: usize) -> Profile
         };
         sites[k].episodes += 1;
         sites[k].crit_ns += crit;
-        sites[k].spread_ns += t_last - t_first;
+        sites[k].spread_ns += t_last - first.0;
         sites[k].last_count_by_pid[last_pid] += 1;
         sites[k].crit_ns_by_pid[last_pid] += crit;
         for &(t, _) in &by_pid {
             sites[k].slack_hist[WaitHistogram::bucket_of(t_last - t)] += 1;
         }
-    }
-
-    for s in &mut sites {
-        if let Some(m) = metas.iter().find(|m| m.id == s.site) {
-            s.label = m.label.clone();
-            s.op = m.op.clone();
+        if nprocs >= 2 && sites[k].worst.is_none_or(|w| crit > w.crit_ns) {
+            sites[k].worst = Some(WorstEpisode {
+                crit_ns: crit,
+                first,
+                last: (t_last, last_pid),
+            });
         }
     }
 
@@ -347,26 +332,31 @@ pub struct OvpRow {
     pub realized: bool,
 }
 
-/// Join the decision log against a baseline and an optimized profile.
+/// Join the decision log against a baseline and an optimized run:
+/// blocked time from each run's cells, critical path from each run's
+/// profile.
 ///
 /// Emits one row per decision whose placement differs from a kept
 /// barrier — exactly the sites where the optimizer claimed a win. The
-/// baseline profile must come from the optimized plan with those same
-/// sites demoted (`spmd_opt::demote_sites`), which keeps the canonical
-/// walk — and therefore every site id — identical between the runs.
+/// baseline must come from the optimized plan with those same sites
+/// demoted (`spmd_opt::demote_sites`), which keeps the canonical walk —
+/// and therefore every site id — identical between the runs.
 pub fn observed_vs_predicted(
     decisions: &[spmd_opt::Decision],
-    baseline: &ProfileReport,
-    optimized: &ProfileReport,
+    baseline: &RunSection,
+    optimized: &RunSection,
 ) -> Vec<OvpRow> {
+    let wait = |run: &RunSection, site| run.cells(site).map_or(0, |s| s.total.wait_ns);
+    let crit = |run: &RunSection, site| {
+        let s = run.profile.as_ref().and_then(|p| p.site(site));
+        s.map_or(0, |s| s.crit_ns)
+    };
     decisions
         .iter()
         .filter(|d| !matches!(d.placed, spmd_opt::SyncOp::Barrier))
         .map(|d| {
-            let base = baseline.site(d.site);
-            let opt = optimized.site(d.site);
-            let baseline_wait_ns = base.map(|s| s.wait_ns()).unwrap_or(0);
-            let observed_wait_ns = opt.map(|s| s.wait_ns()).unwrap_or(0);
+            let baseline_wait_ns = wait(baseline, d.site);
+            let observed_wait_ns = wait(optimized, d.site);
             let saved = baseline_wait_ns as i64 - observed_wait_ns as i64;
             OvpRow {
                 site: d.site,
@@ -376,22 +366,12 @@ pub fn observed_vs_predicted(
                 baseline_wait_ns,
                 observed_wait_ns,
                 saved_wait_ns: saved,
-                baseline_crit_ns: base.map(|s| s.crit_ns).unwrap_or(0),
-                observed_crit_ns: opt.map(|s| s.crit_ns).unwrap_or(0),
+                baseline_crit_ns: crit(baseline, d.site),
+                observed_crit_ns: crit(optimized, d.site),
                 realized: saved > 0,
             }
         })
         .collect()
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
 }
 
 fn fmt_ns_i(ns: i64) -> String {
@@ -403,8 +383,10 @@ fn fmt_ns_i(ns: i64) -> String {
 }
 
 /// The human-readable critical-path and imbalance table (what
-/// `beopt --run --profile` prints).
-pub fn render_profile(r: &ProfileReport) -> String {
+/// `beopt --run --profile` prints): one row per site the stream saw,
+/// its sync, label and blocked time read from that site's `cells`
+/// (blank, and no wait, for a site `cells` does not list).
+pub fn render_profile(r: &ProfileReport, cells: &[SiteSnapshot]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "--- sync profile (P={}, {} epoch(s), {} events, {} dropped) ---\n",
@@ -415,6 +397,7 @@ pub fn render_profile(r: &ProfileReport) -> String {
         "{:<5} {:<14} {:<30} {:>6} {:>10} {:>6} {:>10} {:>10} {:>9}\n",
         "site", "sync", "label", "eps", "crit", "%crit", "spread", "wait", "last-most"
     ));
+    let mut total_wait = 0;
     for s in &r.sites {
         let pct = if total_crit > 0 {
             format!("{:.1}%", s.crit_ns as f64 * 100.0 / total_crit as f64)
@@ -425,23 +408,27 @@ pub fn render_profile(r: &ProfileReport) -> String {
             Some(p) => format!("P{p}×{}", s.last_count_by_pid[p]),
             None => "-".to_string(),
         };
+        let cell = cells.iter().find(|c| c.meta.id == s.site);
+        let (op, label) = cell.map_or(("", ""), |c| (&c.meta.op[..], &c.meta.label[..]));
+        let wait = cell.map(|c| c.total.wait_ns);
+        total_wait += wait.unwrap_or(0);
         out.push_str(&format!(
             "s{:<4} {:<14} {:<30} {:>6} {:>10} {:>6} {:>10} {:>10} {:>9}\n",
             s.site,
-            s.op,
-            s.label,
+            op,
+            label,
             s.episodes,
             fmt_ns(s.crit_ns),
             pct,
             fmt_ns(s.spread_ns),
-            fmt_ns(s.wait_ns()),
+            wait.map_or("-".to_string(), fmt_ns),
             worst,
         ));
     }
     out.push_str(&format!(
         "critical path {} | wait {} | escalations {}y/{}p",
         fmt_ns(total_crit),
-        fmt_ns(r.total_wait_ns()),
+        fmt_ns(total_wait),
         r.marks.yields,
         r.marks.parks
     ));
@@ -514,110 +501,14 @@ pub fn render_saved_wait(rows: &[OvpRow]) -> String {
     out
 }
 
-fn hist_json(hist: &[u64; HIST_BUCKETS]) -> Json {
-    let mut j = Json::obj();
-    for (k, &c) in hist.iter().enumerate() {
-        if c > 0 {
-            j = j.set(&WaitHistogram::bucket_floor(k).to_string(), c);
-        }
-    }
-    j
-}
-
-fn u64s(v: &[u64]) -> Json {
-    Json::Arr(v.iter().map(|&x| Json::Num(x as f64)).collect())
-}
-
-/// The profile document (what `--profile-json` writes). Deterministic
-/// member order; round-trips through [`crate::json::parse`].
-pub fn profile_json(program: &str, r: &ProfileReport, ovp: Option<&[OvpRow]>) -> Json {
-    let sites: Vec<Json> = r
-        .sites
-        .iter()
-        .map(|s| {
-            Json::obj()
-                .set("site", s.site)
-                .set("label", s.label.as_str())
-                .set("sync", s.op.as_str())
-                .set("episodes", s.episodes)
-                .set("partial_arrivals", s.partial_arrivals)
-                .set("crit_ns", s.crit_ns)
-                .set("spread_ns", s.spread_ns)
-                .set("wait_ns", s.wait_ns())
-                .set("max_wait_ns", s.max_wait_ns)
-                .set("wait_ns_by_pid", u64s(&s.wait_ns_by_pid))
-                .set("last_count_by_pid", u64s(&s.last_count_by_pid))
-                .set("crit_ns_by_pid", u64s(&s.crit_ns_by_pid))
-                .set("slack_hist", hist_json(&s.slack_hist))
-                .set("yields", s.yields)
-                .set("parks", s.parks)
-        })
-        .collect();
-    let mut doc = Json::obj()
-        .set("program", program)
-        .set("nprocs", r.nprocs)
-        .set("tracks", r.tracks)
-        .set("capacity", r.capacity)
-        .set("events", r.events)
-        .set("dropped", r.dropped)
-        .set("attempted", r.events + r.dropped)
-        .set("epochs", r.epochs)
-        .set("epoch_clamp", r.epoch_clamp)
-        .set("total_crit_ns", r.total_crit_ns())
-        .set("total_wait_ns", r.total_wait_ns())
-        .set("region_ns_by_pid", u64s(&r.region_ns_by_pid))
-        .set(
-            "marks",
-            Json::obj()
-                .set("checkpoints", r.marks.checkpoints)
-                .set("rollbacks", r.marks.rollbacks)
-                .set("retries", r.marks.retries)
-                .set("yields", r.marks.yields)
-                .set("parks", r.marks.parks)
-                .set("fme_hits", r.marks.fme_hits)
-                .set("fme_misses", r.marks.fme_misses)
-                .set("fme_hit_ns", r.marks.fme_hit_ns)
-                .set("fme_miss_ns", r.marks.fme_miss_ns),
-        )
-        .set("sites", Json::Arr(sites));
-    if let Some(rows) = ovp {
-        doc = doc.set(
-            "observed_vs_predicted",
-            Json::Arr(
-                rows.iter()
-                    .map(|row| {
-                        Json::obj()
-                            .set("site", row.site)
-                            .set("label", row.label.as_str())
-                            .set("placed", row.placed.as_str())
-                            .set("reason", row.reason.as_str())
-                            .set("baseline_wait_ns", row.baseline_wait_ns)
-                            .set("observed_wait_ns", row.observed_wait_ns)
-                            .set("saved_wait_ns", Json::Num(row.saved_wait_ns as f64))
-                            .set("baseline_crit_ns", row.baseline_crit_ns)
-                            .set("observed_crit_ns", row.observed_crit_ns)
-                            .set("realized", row.realized)
-                    })
-                    .collect(),
-            ),
-        );
-    }
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
+    use crate::report::{report_json, CompileSection, RunReport};
     use runtime::events::{ProfileEvent, ProfileOptions, Profiler};
-
-    fn meta(id: usize, label: &str, op: &str) -> SiteMeta {
-        SiteMeta {
-            id,
-            kind: "phase-after".into(),
-            label: label.into(),
-            op: op.into(),
-        }
-    }
+    use runtime::stats::StatsSnapshot;
+    use runtime::telemetry::{CellSnapshot, SiteMeta};
 
     fn ev(kind: EventKind, site: u32, track: u16, arg: u64, t_ns: u64) -> ProfileEvent {
         ProfileEvent {
@@ -628,6 +519,23 @@ mod tests {
             epoch: 0,
             kind,
         }
+    }
+
+    /// Site `id`'s cells on a team of two: each processor blocked for
+    /// the given nanoseconds in one wait.
+    fn cells(id: usize, label: &str, op: &str, waits: [u64; 2]) -> SiteSnapshot {
+        let meta = SiteMeta {
+            id,
+            kind: "phase-after".into(),
+            label: label.into(),
+            op: op.into(),
+        };
+        let per_proc = waits.map(|ns| {
+            let mut c = CellSnapshot::default();
+            c.record(ns);
+            c
+        });
+        SiteSnapshot::new(meta, per_proc.to_vec())
     }
 
     /// Two processors, two episodes at site 0. P1 arrives last both
@@ -651,8 +559,7 @@ mod tests {
 
     #[test]
     fn last_arriver_attribution_finds_the_straggler() {
-        let data = two_episode_data();
-        let r = analyze(&data, &[meta(0, "after DOALL i", "barrier")], 2);
+        let r = analyze(&two_episode_data(), 2);
         assert_eq!(r.sites.len(), 1);
         let s = &r.sites[0];
         assert_eq!(s.episodes, 2);
@@ -663,9 +570,13 @@ mod tests {
         assert_eq!(s.last_count_by_pid, vec![0, 2]);
         assert_eq!(s.crit_ns_by_pid, vec![0, 150]);
         assert_eq!(s.worst_pid(), Some(1));
-        assert_eq!(s.wait_ns_by_pid, vec![170, 20]);
-        assert_eq!(s.max_wait_ns, 110);
-        assert_eq!(s.label, "after DOALL i");
+        // The worst episode is the first one, kept whole.
+        let worst = WorstEpisode {
+            crit_ns: 100,
+            first: (100, 0),
+            last: (200, 1),
+        };
+        assert_eq!(s.worst, Some(worst));
         assert_eq!(r.region_ns_by_pid, vec![400, 400]);
         assert_eq!(r.total_crit_ns(), 150);
         // Slack histogram: 2 last-arrivals at slack 0 (bucket 0), one
@@ -685,14 +596,14 @@ mod tests {
         p.record_at(0, EventKind::SyncArrive, 0, 0, 250);
         p.record_at(1, EventKind::SyncRelease, 0, 150, 260);
         p.record_at(0, EventKind::SyncRelease, 0, 10, 260);
-        let r = analyze(&p.snapshot(), &[], 2);
+        let r = analyze(&p.snapshot(), 2);
         let s = r.site(0).unwrap();
         assert_eq!(s.episodes, 1);
         assert_eq!(s.crit_ns, 150);
         assert_eq!(s.last_count_by_pid, vec![1, 0]);
         assert_eq!(s.crit_ns_by_pid, vec![150, 0]);
         assert_eq!(s.worst_pid(), Some(0));
-        assert_eq!(s.wait_ns_by_pid, vec![10, 150]);
+        assert_eq!(s.worst.map(|w| (w.first.1, w.last.1)), Some((1, 0)));
     }
 
     /// An arrival from a track past the worker range (malformed stream)
@@ -703,10 +614,11 @@ mod tests {
         let p = Profiler::new(3, ProfileOptions { capacity: 16 });
         p.record_at(0, EventKind::SyncArrive, 1, 0, 10);
         p.record_at(2, EventKind::SyncArrive, 1, 0, 20); // supervisor track
-        let r = analyze(&p.snapshot(), &[], 2);
+        let r = analyze(&p.snapshot(), 2);
         let s = r.site(1).unwrap();
         assert_eq!(s.episodes, 0);
         assert_eq!(s.partial_arrivals, 2);
+        assert_eq!(s.worst, None);
     }
 
     #[test]
@@ -723,15 +635,23 @@ mod tests {
             dropped: 0,
             events: vec![e1, e2, e3],
         };
-        let r = analyze(&data, &[], 1);
+        let r = analyze(&data, 1);
         // Accounting-exact: exactly the two saturated-stamp events.
         assert_eq!(r.epoch_clamp, 2);
         assert_eq!(r.epochs, 65536);
-        assert!(render_profile(&r).contains("saturated at 65535"));
-        assert!(render_profile(&r).contains("2 event(s)"));
-        let doc = profile_json("x", &r, None);
-        assert_eq!(doc.get("epoch_clamp").unwrap().as_u64(), Some(2));
-        let clean = analyze(&two_episode_data(), &[], 2);
+        assert!(render_profile(&r, &[]).contains("saturated at 65535"));
+        assert!(render_profile(&r, &[]).contains("2 event(s)"));
+        // The clamp count reaches the run report's profile member.
+        let run = RunSection {
+            totals: StatsSnapshot::default(),
+            sites: Vec::new(),
+            profile: Some(r),
+            observed_vs_predicted: None,
+        };
+        let doc = report_json(&report_of(run));
+        let profile = doc.get("run").unwrap().get("profile").unwrap();
+        assert_eq!(profile.get("epoch_clamp").unwrap().as_u64(), Some(2));
+        let clean = analyze(&two_episode_data(), 2);
         assert_eq!(clean.epoch_clamp, 0);
     }
 
@@ -741,7 +661,7 @@ mod tests {
         // Only 2 of 3 arrivals: the faulted attempt's torn episode.
         p.record_at(0, EventKind::SyncArrive, 4, 0, 10);
         p.record_at(1, EventKind::SyncArrive, 4, 0, 20);
-        let r = analyze(&p.snapshot(), &[], 3);
+        let r = analyze(&p.snapshot(), 3);
         let s = r.site(4).unwrap();
         assert_eq!(s.episodes, 0);
         assert_eq!(s.crit_ns, 0);
@@ -764,7 +684,7 @@ mod tests {
             dropped: 0,
             events: evs,
         };
-        let r = analyze(&data, &[], 1);
+        let r = analyze(&data, 1);
         let s = r.site(2).unwrap();
         assert_eq!((s.yields, s.parks), (1, 1));
         assert_eq!((r.marks.yields, r.marks.parks), (2, 1));
@@ -785,7 +705,7 @@ mod tests {
             dropped: 0,
             events: evs,
         };
-        let r = analyze(&data, &[], 1);
+        let r = analyze(&data, 1);
         assert_eq!(r.marks.fme_hits, 1);
         assert_eq!(r.marks.fme_misses, 1);
         assert_eq!(r.marks.fme_hit_ns, 10);
@@ -814,44 +734,54 @@ mod tests {
         }
     }
 
+    /// A profiled run of [`two_episode_data`] whose site 0 blocked
+    /// `waits` nanoseconds per processor.
+    fn run_section(waits: [u64; 2]) -> RunSection {
+        RunSection {
+            totals: StatsSnapshot::default(),
+            sites: vec![cells(0, "after DOALL i", "barrier", waits)],
+            profile: Some(analyze(&two_episode_data(), 2)),
+            observed_vs_predicted: None,
+        }
+    }
+
+    /// A report of `run` on a team of two, with an empty compile.
+    fn report_of(run: RunSection) -> RunReport {
+        RunReport {
+            program: "jacobi".into(),
+            nprocs: 2,
+            compile: CompileSection {
+                explain: Json::obj(),
+                analysis: Default::default(),
+            },
+            run: Some(run),
+            fault: None,
+        }
+    }
+
+    /// Blocked time comes from each run's cells, the critical path from
+    /// each run's episodes; a kept barrier has no row.
     #[test]
     fn observed_vs_predicted_joins_on_site_id() {
-        let mk = |crit: u64, wait: u64| {
-            let mut s = SiteProfile::new(1, 2);
-            s.crit_ns = crit;
-            s.wait_ns_by_pid = vec![wait / 2; 2];
-            ProfileReport {
-                nprocs: 2,
-                tracks: 2,
-                capacity: 64,
-                dropped: 0,
-                events: 4,
-                epochs: 1,
-                epoch_clamp: 0,
-                sites: vec![s],
-                region_ns_by_pid: vec![0, 0],
-                marks: ProfileMarks::default(),
-            }
-        };
-        let base = mk(500, 10_000);
-        let opt = mk(100, 2_000);
+        let base = run_section([6_000, 4_000]);
+        let opt = run_section([1_500, 500]);
         let decisions = vec![
-            decision(1, "after DOALL i", spmd_opt::SyncOp::None),
+            decision(0, "after DOALL i", spmd_opt::SyncOp::None),
             decision(3, "end of region r0", spmd_opt::SyncOp::Barrier),
         ];
         let rows = observed_vs_predicted(&decisions, &base, &opt);
-        // The kept barrier produces no row; the eliminated site joins.
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
-        assert_eq!(row.site, 1);
+        assert_eq!(row.site, 0);
         assert_eq!(row.placed, "eliminated");
         assert_eq!(row.baseline_wait_ns, 10_000);
         assert_eq!(row.observed_wait_ns, 2_000);
         assert_eq!(row.saved_wait_ns, 8_000);
+        assert_eq!((row.baseline_crit_ns, row.observed_crit_ns), (150, 150));
         assert!(row.realized);
-        // A site missing from the optimized profile (truly eliminated —
-        // no events at all) observes zero wait.
-        let empty = ProfileReport {
+        // A site the optimized run holds no cells for (truly eliminated
+        // — nothing recorded) observes zero wait.
+        let empty = RunSection {
             sites: Vec::new(),
             ..opt.clone()
         };
@@ -879,41 +809,46 @@ mod tests {
         assert!(txt.contains("0/1 realized"));
     }
 
+    /// The profile table reads sync, label and wait from the cells.
     #[test]
-    fn rendering_flags_ring_drops() {
-        let data = two_episode_data();
-        let mut r = analyze(&data, &[meta(0, "after DOALL i", "barrier")], 2);
-        let txt = render_profile(&r);
+    fn rendering_reads_cells_and_flags_ring_drops() {
+        let run = run_section([170, 20]);
+        let mut r = run.profile.unwrap();
+        let txt = render_profile(&r, &run.sites);
+        assert!(txt.contains("after DOALL i"), "{txt}");
+        assert!(txt.contains("190ns"), "{txt}");
         assert!(txt.contains("0 dropped"));
         assert!(!txt.contains("ring overflow"));
         r.dropped = 7;
-        let txt = render_profile(&r);
+        let txt = render_profile(&r, &run.sites);
         assert!(txt.contains("ring overflow dropped 7"));
     }
 
+    /// A profiled run's site rows carry the episode facts beside the
+    /// cells, and the whole report round-trips.
     #[test]
-    fn profile_json_round_trips() {
-        let data = two_episode_data();
-        let r = analyze(&data, &[meta(0, "after DOALL i", "barrier")], 2);
-        let rows = vec![OvpRow {
-            site: 0,
-            label: "after DOALL i".into(),
-            placed: "neighbor flags".into(),
-            reason: "replaced".into(),
-            baseline_wait_ns: 190,
-            observed_wait_ns: 20,
-            saved_wait_ns: 170,
-            baseline_crit_ns: 150,
-            observed_crit_ns: 10,
-            realized: true,
-        }];
-        let doc = profile_json("jacobi", &r, Some(&rows));
-        assert_eq!(doc.get("attempted").unwrap().as_u64(), Some(r.events));
-        assert_eq!(doc.get("dropped").unwrap().as_u64(), Some(0));
-        let sites = doc.get("sites").unwrap().as_arr().unwrap();
-        assert_eq!(sites[0].get("crit_ns").unwrap().as_u64(), Some(150));
-        let ovp = doc.get("observed_vs_predicted").unwrap().as_arr().unwrap();
-        assert_eq!(ovp[0].get("saved_wait_ns").unwrap().as_num(), Some(170.0));
+    fn profiled_report_round_trips() {
+        let mut run = run_section([170, 20]);
+        let rows = observed_vs_predicted(
+            &[decision(0, "after DOALL i", spmd_opt::SyncOp::None)],
+            &run_section([400, 400]),
+            &run,
+        );
+        run.observed_vs_predicted = Some(rows);
+        let doc = report_json(&report_of(run));
+        let run = doc.get("run").unwrap();
+        let site = &run.get("sites").unwrap().as_arr().unwrap()[0];
+        assert_eq!(site.get("crit_ns").unwrap().as_u64(), Some(150));
+        let total = site.get("total").unwrap();
+        assert_eq!(total.get("wait_ns").unwrap().as_u64(), Some(190));
+        let worst = site.get("worst_episode").unwrap();
+        assert_eq!(worst.get("last_pid").unwrap().as_u64(), Some(1));
+        let profile = run.get("profile").unwrap();
+        assert_eq!(profile.get("attempted").unwrap().as_u64(), Some(12));
+        assert_eq!(profile.get("dropped").unwrap().as_u64(), Some(0));
+        let ovp = run.get("observed_vs_predicted").unwrap();
+        let saved = ovp.as_arr().unwrap()[0].get("saved_wait_ns");
+        assert_eq!(saved.unwrap().as_num(), Some(610.0));
         let txt = doc.to_string_pretty();
         assert_eq!(crate::json::parse(&txt).unwrap(), doc);
     }

@@ -11,16 +11,16 @@
 //! exactly where the next phase begins) nest correctly.
 //!
 //! Beyond plain duration events the writer knows three more classes,
-//! used by the profiler ([`TraceBuilder::extend_with_profile`]):
-//! instants (`ph:"i"` — escalation transitions, recovery marks), async
-//! spans (`ph:"b"`/`"e"` — FME pair-query spans, which may interleave
-//! and so cannot nest as B/E), and flow arrows (`ph:"s"`/`"f"` — one
-//! per site pointing from the first arriver of the site's worst
-//! episode to the straggler that gated it).
+//! used for a profiled invocation ([`invocation_trace`]): instants
+//! (`ph:"i"` — escalation transitions, recovery marks), async spans
+//! (`ph:"b"`/`"e"` — FME pair-query spans, which may interleave and so
+//! cannot nest as B/E), and flow arrows (`ph:"s"`/`"f"` — one per site
+//! pointing from the first arriver of the site's worst episode to the
+//! straggler that gated it, as the run report's profile holds it).
 
 use crate::json::Json;
-use runtime::events::{EventKind, ProfileData, NO_SITE};
-use runtime::telemetry::SiteMeta;
+use crate::report::RunSection;
+use runtime::events::{EventKind, ProfileData};
 
 /// Span categories (the trace viewer colors by category).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -215,40 +215,27 @@ impl TraceBuilder {
 
     /// Lower a merged profile-event stream onto this trace: escalation
     /// transitions and recovery marks become instants, FME pair-query
-    /// spans become async spans, and each site's *worst* episode (the
-    /// one with the largest last-minus-second-last arrival gap) becomes
-    /// a flow arrow from its first arriver to the straggler. `tid_base`
-    /// offsets the stream's tracks — 0 maps run data onto the processor
-    /// tracks (the track past `nprocs` is named "supervisor"), while a
-    /// compile-time stream passes `nprocs + 1` and gets tracks named
-    /// from `label_prefix`.
+    /// spans become async spans. `tid_base` offsets the stream's tracks
+    /// — 0 maps run data onto the processor tracks (the track past
+    /// `nprocs` is named "supervisor"), while a compile-time stream
+    /// passes `nprocs + 1` and gets tracks named from `label_prefix`.
+    /// `shift_ns` moves every timestamp.
     pub fn extend_with_profile(
         &mut self,
         data: &ProfileData,
-        metas: &[SiteMeta],
-        nprocs: usize,
         tid_base: usize,
         label_prefix: &str,
+        shift_ns: u64,
     ) {
         for t in 0..data.tracks {
             let tid = tid_base + t;
-            if tid_base == 0 && t >= nprocs {
+            if tid_base == 0 && t >= self.nprocs {
                 self.named_track(tid, "supervisor");
             } else if tid_base > 0 {
                 self.named_track(tid, format!("{label_prefix}{t}"));
             }
         }
-        let us = |ns: u64| ns / 1_000;
-        let label_of = |site: u32| {
-            metas
-                .iter()
-                .find(|m| m.id == site as usize)
-                .map(|m| m.label.clone())
-                .unwrap_or_else(|| format!("s{site}"))
-        };
-        // Per-(epoch, site, visit) arrivals for the flow pass.
-        use std::collections::HashMap;
-        let mut arrivals: HashMap<(u16, u32, u64), Vec<(u64, usize)>> = HashMap::new();
+        let us = |ns: u64| (ns + shift_ns) / 1_000;
         for e in &data.events {
             let tid = tid_base + e.track as usize;
             match e.kind {
@@ -292,36 +279,8 @@ impl TraceBuilder {
                         us(e.t_ns),
                     );
                 }
-                EventKind::SyncArrive if e.site != NO_SITE => arrivals
-                    .entry((e.epoch, e.site, e.arg))
-                    .or_default()
-                    .push((e.t_ns, e.track as usize)),
                 _ => {}
             }
-        }
-        // One flow per site: its worst complete episode only, so the
-        // timeline stays readable at any episode count.
-        let mut worst: HashMap<u32, (u64, (u64, usize), (u64, usize))> = HashMap::new();
-        for ((_, site, _), mut eps) in arrivals {
-            if eps.len() != nprocs || nprocs < 2 {
-                continue;
-            }
-            eps.sort();
-            let crit = eps[nprocs - 1].0 - eps[nprocs - 2].0;
-            let entry = worst.entry(site).or_insert((crit, eps[0], eps[nprocs - 1]));
-            if crit > entry.0 {
-                *entry = (crit, eps[0], eps[nprocs - 1]);
-            }
-        }
-        let mut worst: Vec<_> = worst.into_iter().collect();
-        worst.sort_by_key(|&(site, _)| site);
-        for (site, (_, first, last)) in worst {
-            self.flow(
-                format!("last arriver @{}", label_of(site)),
-                "crit-path",
-                (tid_base + first.1, us(first.0)),
-                (tid_base + last.1, us(last.0)),
-            );
         }
     }
 
@@ -417,6 +376,55 @@ impl TraceBuilder {
                 Json::obj().set("process", self.process_name.as_str()),
             )
     }
+}
+
+/// The timeline of one compile-then-run invocation: the run's spans
+/// on the processor tracks, its profile stream (`run`, with the report
+/// section the stream was analyzed into) as instants, async spans and
+/// one flow arrow per site's worst episode, and the compile's stream on
+/// tracks past the processors.
+///
+/// The compile profiler's clock starts at its own construction, while
+/// the run's spans and stream are rebased to the run's start, so both
+/// begin near 0. Everything run-side is shifted past the compile
+/// stream's last event, so the timeline reads compile-then-run instead
+/// of overlapping.
+pub fn invocation_trace(
+    program: &str,
+    nprocs: usize,
+    compile: Option<&ProfileData>,
+    spans: Vec<Span>,
+    run: Option<(&ProfileData, &RunSection)>,
+) -> TraceBuilder {
+    let shift_ns = compile
+        .and_then(|cd| cd.events.iter().map(|e| e.t_ns).max())
+        .map(|last| last + 1_000)
+        .unwrap_or(0);
+    let mut tb = TraceBuilder::new(program, nprocs);
+    tb.extend(spans.into_iter().map(|s| Span {
+        start_us: s.start_us + shift_ns / 1_000,
+        end_us: s.end_us + shift_ns / 1_000,
+        ..s
+    }));
+    if let Some((data, section)) = run {
+        tb.extend_with_profile(data, 0, "", shift_ns);
+        // One flow per site: its worst complete episode only, so the
+        // timeline stays readable at any episode count.
+        let us = |(ns, pid): (u64, usize)| (pid, (ns + shift_ns) / 1_000);
+        for s in section.profile.iter().flat_map(|p| &p.sites) {
+            let Some(w) = s.worst else { continue };
+            let label = match section.cells(s.site) {
+                Some(c) => c.meta.label.clone(),
+                None => format!("s{}", s.site),
+            };
+            let name = format!("last arriver @{label}");
+            tb.flow(name, "crit-path", us(w.first), us(w.last));
+        }
+    }
+    if let Some(cd) = compile {
+        tb.extend_with_profile(cd, nprocs + 1, "compile ", 0);
+    }
+    tb
 }
 
 #[cfg(test)]
@@ -522,7 +530,8 @@ mod tests {
 
     #[test]
     fn profile_stream_lowers_to_all_three_classes() {
-        use runtime::events::{ProfileOptions, Profiler};
+        use runtime::events::{ProfileOptions, Profiler, NO_SITE};
+        use runtime::telemetry::{CellSnapshot, SiteMeta, SiteSnapshot};
         let p = Profiler::new(3, ProfileOptions { capacity: 64 });
         // Two procs, one episode at site 0: P0 first, P1 the straggler.
         p.record_at(0, EventKind::SyncArrive, 0, 0, 1_000);
@@ -534,14 +543,19 @@ mod tests {
         p.record_at(2, EventKind::Checkpoint, NO_SITE, 46, 0);
         p.record_at(2, EventKind::FmeMiss, NO_SITE, 3_000, 20_000);
         let data = p.snapshot();
-        let metas = vec![SiteMeta {
+        let meta = SiteMeta {
             id: 0,
             kind: "phase-after".into(),
             label: "after DOALL i".into(),
             op: "barrier".into(),
-        }];
-        let mut tb = TraceBuilder::new("test", 2);
-        tb.extend_with_profile(&data, &metas, 2, 0, "");
+        };
+        let section = RunSection {
+            totals: Default::default(),
+            sites: vec![SiteSnapshot::new(meta, vec![CellSnapshot::default(); 2])],
+            profile: Some(crate::analyze(&data, 2)),
+            observed_vs_predicted: None,
+        };
+        let tb = invocation_trace("test", 2, None, Vec::new(), Some((&data, &section)));
         let doc = tb.to_json();
         let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();
         let names: Vec<&str> = evs
@@ -579,13 +593,21 @@ mod tests {
         assert_eq!(b.get("ts").unwrap().as_u64(), Some(17));
     }
 
+    /// The compile stream lands on tracks past the processors, and the
+    /// run starts after its last event.
     #[test]
     fn compile_stream_maps_past_the_processor_tracks() {
-        use runtime::events::{ProfileOptions, Profiler};
+        use runtime::events::{ProfileOptions, Profiler, NO_SITE};
         let p = Profiler::new(1, ProfileOptions { capacity: 16 });
         p.record_at(0, EventKind::FmeHit, NO_SITE, 100, 2_000);
-        let mut tb = TraceBuilder::new("test", 2);
-        tb.extend_with_profile(&p.snapshot(), &[], 2, 3, "compile ");
+        let work = Span {
+            pid: 1,
+            name: "DOALL i".into(),
+            cat: SpanCat::Work,
+            start_us: 0,
+            end_us: 5,
+        };
+        let tb = invocation_trace("test", 2, Some(&p.snapshot()), vec![work], None);
         let doc = tb.to_json();
         let evs = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(evs.iter().any(|e| {
@@ -597,5 +619,11 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").unwrap().as_str() == Some("b"))
             .all(|e| e.get("tid").unwrap().as_u64() == Some(3)));
+        // The compile's last event is at 2us: the run begins at 3us.
+        let begin = evs
+            .iter()
+            .find(|e| e.get("ph").unwrap().as_str() == Some("B"))
+            .unwrap();
+        assert_eq!(begin.get("ts").unwrap().as_u64(), Some(3));
     }
 }

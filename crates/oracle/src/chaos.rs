@@ -283,11 +283,6 @@ pub struct ToothOutcome {
     pub spec: DropSpec,
     /// Primitive kind at the dropped site.
     pub kind: &'static str,
-    /// The executor reported a failure (instead of hanging or
-    /// silently succeeding).
-    pub detected: bool,
-    /// Site the report's headline cause is attributed to.
-    pub attributed_site: Option<usize>,
     /// The report names the dropped site — in the headline or in any
     /// processor's terminal error (a consumer stuck at the dropped
     /// site always records it, even when a downstream casualty's
@@ -295,8 +290,21 @@ pub struct ToothOutcome {
     pub named_site: bool,
     /// Wall-clock of the teeth run (bounded by a few deadlines).
     pub elapsed: Duration,
-    /// The report itself (for bundles and logs).
+    /// The report (`None` when the executor hung up or silently
+    /// succeeded instead of reporting a failure).
     pub report: Option<FaultReport>,
+}
+
+impl ToothOutcome {
+    /// The executor reported a failure.
+    pub fn detected(&self) -> bool {
+        self.report.is_some()
+    }
+
+    /// The site the report's headline cause is attributed to.
+    pub fn attributed_site(&self) -> Option<usize> {
+        self.report.as_ref()?.residual()?.cause.site()
+    }
 }
 
 /// Chaos campaign verdict for one (program, plan).
@@ -317,7 +325,7 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// True when the benign run passed and every tooth bit.
     pub fn ok(&self) -> bool {
-        self.benign_ok && self.teeth.iter().all(|t| t.detected && t.named_site)
+        self.benign_ok && self.teeth.iter().all(|t| t.detected() && t.named_site)
     }
 
     /// Human-readable failure lines (empty when [`ChaosReport::ok`]).
@@ -330,7 +338,7 @@ impl ChaosReport {
             ));
         }
         for t in &self.teeth {
-            if !t.detected {
+            if !t.detected() {
                 out.push(format!(
                     "dropped {} post at s{} (P{}) was not detected",
                     t.kind, t.spec.site, t.spec.pid
@@ -338,7 +346,10 @@ impl ChaosReport {
             } else if !t.named_site {
                 out.push(format!(
                     "dropped {} post at s{} (P{}) was misattributed to {:?}",
-                    t.kind, t.spec.site, t.spec.pid, t.attributed_site
+                    t.kind,
+                    t.spec.site,
+                    t.spec.pid,
+                    t.attributed_site()
                 ));
             }
         }
@@ -423,8 +434,6 @@ pub fn chaos_check(
         teeth.push(ToothOutcome {
             spec: cand.spec,
             kind: cand.kind,
-            detected: failure.is_some(),
-            attributed_site: failure.and_then(|f| f.cause.site()),
             named_site: failure.is_some_and(|f| report_names_site(f, cand.spec.site)),
             elapsed,
             report: failure.map(|f| {
@@ -883,11 +892,18 @@ mod tests {
         );
         assert!(r.benign_ok, "benign run failed: diff {:e}", r.benign_diff);
         for t in &r.teeth {
-            assert!(t.detected, "{} drop at s{} undetected", t.kind, t.spec.site);
+            assert!(
+                t.detected(),
+                "{} drop at s{} undetected",
+                t.kind,
+                t.spec.site
+            );
             assert!(
                 t.named_site,
                 "{} drop at s{} attributed to {:?}",
-                t.kind, t.spec.site, t.attributed_site
+                t.kind,
+                t.spec.site,
+                t.attributed_site()
             );
             assert!(t.elapsed < Duration::from_secs(30));
         }

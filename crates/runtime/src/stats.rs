@@ -23,6 +23,14 @@ pub enum SyncKind {
 }
 
 impl SyncKind {
+    /// Every kind, in the order reports list them.
+    pub const ALL: [SyncKind; 4] = [
+        SyncKind::Barrier,
+        SyncKind::Counter,
+        SyncKind::Neighbor,
+        SyncKind::Pairwise,
+    ];
+
     /// The kind in lower case, as reports name it.
     pub fn name(self) -> &'static str {
         match self {
@@ -85,13 +93,17 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
-    /// Fold one sync event of `kind` into the totals: `posts` primary
-    /// operations (barrier episodes, counter increments, neighbor or
-    /// pairwise posts), `waits` completed waits (barrier arrivals for a
-    /// barrier) with their summed escalation `effort`, and the `ns` the
-    /// event took from arrival to release.
-    pub fn record(&mut self, kind: SyncKind, posts: u64, waits: u64, effort: WaitEffort, ns: u64) {
-        let [p, w, total, max] = match kind {
+    /// The four totals of `kind`: primary operations (barrier episodes,
+    /// counter increments, neighbor or pairwise posts), completed waits
+    /// (barrier arrivals for a barrier), blocked nanoseconds, and the
+    /// longest single event.
+    pub fn of_kind(&self, kind: SyncKind) -> [u64; 4] {
+        let mut copy = *self;
+        copy.kind_mut(kind).map(|v| *v)
+    }
+
+    fn kind_mut(&mut self, kind: SyncKind) -> [&mut u64; 4] {
+        match kind {
             SyncKind::Barrier => [
                 &mut self.barrier_episodes,
                 &mut self.barrier_arrivals,
@@ -116,7 +128,15 @@ impl StatsSnapshot {
                 &mut self.pairwise_wait_ns,
                 &mut self.pairwise_max_wait_ns,
             ],
-        };
+        }
+    }
+
+    /// Fold one sync event of `kind` into the totals: `posts` primary
+    /// operations, `waits` completed waits with their summed escalation
+    /// `effort`, and the `ns` the event took from arrival to release
+    /// (see [`StatsSnapshot::of_kind`]).
+    pub fn record(&mut self, kind: SyncKind, posts: u64, waits: u64, effort: WaitEffort, ns: u64) {
+        let [p, w, total, max] = self.kind_mut(kind);
         *p += posts;
         *w += waits;
         *total += ns;
@@ -144,22 +164,14 @@ impl StatsSnapshot {
     /// this way, and the recovery supervisor aggregates per-attempt
     /// snapshots into run totals.
     pub fn merge(&mut self, o: &StatsSnapshot) {
-        self.barrier_episodes += o.barrier_episodes;
-        self.barrier_arrivals += o.barrier_arrivals;
-        self.barrier_wait_ns += o.barrier_wait_ns;
-        self.barrier_max_wait_ns = self.barrier_max_wait_ns.max(o.barrier_max_wait_ns);
-        self.counter_increments += o.counter_increments;
-        self.counter_waits += o.counter_waits;
-        self.counter_wait_ns += o.counter_wait_ns;
-        self.counter_max_wait_ns = self.counter_max_wait_ns.max(o.counter_max_wait_ns);
-        self.neighbor_posts += o.neighbor_posts;
-        self.neighbor_waits += o.neighbor_waits;
-        self.neighbor_wait_ns += o.neighbor_wait_ns;
-        self.neighbor_max_wait_ns = self.neighbor_max_wait_ns.max(o.neighbor_max_wait_ns);
-        self.pairwise_posts += o.pairwise_posts;
-        self.pairwise_waits += o.pairwise_waits;
-        self.pairwise_wait_ns += o.pairwise_wait_ns;
-        self.pairwise_max_wait_ns = self.pairwise_max_wait_ns.max(o.pairwise_max_wait_ns);
+        for kind in SyncKind::ALL {
+            let [posts, waits, ns, max_ns] = o.of_kind(kind);
+            let [p, w, total, max] = self.kind_mut(kind);
+            *p += posts;
+            *w += waits;
+            *total += ns;
+            *max = (*max).max(max_ns);
+        }
         self.spin_rounds += o.spin_rounds;
         self.yield_rounds += o.yield_rounds;
         self.parks += o.parks;

@@ -11,19 +11,24 @@
 //! * `--explain` renders the optimizer's per-sync-slot decision log —
 //!   which elimination condition fired (or failed) at every phase
 //!   boundary, loop bottom, and region end.
-//! * `--explain-json <path>` writes the same log as deterministic JSON
-//!   (`-` for stdout).
-//! * `--metrics-json <path>` (with `--run`) executes the optimized
-//!   schedule on real threads, prints a per-sync-site wait table, and
-//!   writes per-site/per-processor histograms as JSON.
+//! * `--report <path>` writes the run report (`-` for stdout): the
+//!   decision log and the analysis counts, and with `--run` what the
+//!   optimized schedule did on real threads (asking for a report is
+//!   what runs it there) — per-site, per-processor wait cells, sync
+//!   totals and the fault timeline — with a per-site wait table on
+//!   stdout.
+//! * `--profile` (with `--run`) records event rings during the
+//!   real-thread run and the compile, runs an all-barrier baseline,
+//!   prints the critical-path and observed-vs-predicted tables, and adds
+//!   the episode facts to the report.
 //! * `--trace-out <path>` writes a Chrome-trace (chrome://tracing /
 //!   Perfetto) timeline with one track per processor — from the real
-//!   threads when `--metrics-json` ran them, otherwise from the virtual
-//!   interleaver's logical clock.
+//!   threads when they ran, otherwise from the virtual interleaver's
+//!   logical clock.
 //!
 //! ```sh
 //! beopt kernels/jacobi.be --nprocs 4 --set n=64 --set tmax=10 \
-//!     --run --explain --metrics-json out.json --trace-out trace.json
+//!     --run --explain --report report.json --trace-out trace.json
 //! ```
 
 use barrier_elim::analysis::Bindings;
@@ -33,10 +38,10 @@ use barrier_elim::interp::{
     run_virtual_traced, Mem, ObserveOptions, Replan, ScheduleOrder, SyncChaos,
 };
 use barrier_elim::ir::Program;
-use barrier_elim::obs::{self, FaultReport, TraceBuilder};
+use barrier_elim::obs::{self, CompileSection, FaultReport, RunReport, RunSection, Rung};
 use barrier_elim::oracle::{ChaosConfig, ChaosInjector, DropSpec};
 use barrier_elim::runtime::events::{self, EventKind, ProfileData, ProfileOptions, Profiler};
-use barrier_elim::runtime::{FaultDisposition, RetryPolicy, Team, NO_SITE};
+use barrier_elim::runtime::{RetryPolicy, Team, NO_SITE};
 use barrier_elim::spmd_opt::{
     demote_sites, fork_join, optimize, optimize_explained, render_plan, OptimizeOptions, SyncOp,
 };
@@ -50,8 +55,7 @@ struct Args {
     run: bool,
     quiet: bool,
     explain: bool,
-    explain_json: Option<String>,
-    metrics_json: Option<String>,
+    report: Option<String>,
     trace_out: Option<String>,
     deadline_ms: Option<u64>,
     recover: bool,
@@ -60,13 +64,12 @@ struct Args {
     chaos_seed: Option<u64>,
     chaos_drop: Option<DropSpec>,
     profile: bool,
-    profile_json: Option<String>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: beopt <file.be> [--nprocs P] [--set sym=value]... [--run] [--quiet]\n\
-         \x20            [--explain] [--explain-json PATH] [--metrics-json PATH] [--trace-out PATH]\n\
+         \x20            [--explain] [--report PATH] [--profile] [--trace-out PATH]\n\
          \n\
          --nprocs P          number of processors for analysis/execution (default 4)\n\
          --set sym=v         bind a symbolic constant (required for --run)\n\
@@ -74,10 +77,19 @@ fn usage() -> ! {
          --quiet             suppress the schedule listing (stats only)\n\
          --explain           print the per-sync-point decision log (why each\n\
          \x20                    barrier was kept, downgraded, or eliminated)\n\
-         --explain-json P    write the decision log as JSON to P (- for stdout)\n\
-         --metrics-json P    with --run: execute on real threads, print the\n\
-         \x20                    per-sync-site wait table, write histograms to P\n\
-         --trace-out P       write a chrome://tracing timeline JSON to P\n\
+         --report P          write the run report as JSON to P (- for stdout):\n\
+         \x20                    the decision log and analysis counts; with\n\
+         \x20                    --run the optimized schedule also runs on real\n\
+         \x20                    threads, the per-sync-site wait table is\n\
+         \x20                    printed, and the report holds its wait cells,\n\
+         \x20                    totals and fault timeline\n\
+         --profile           with --run: record lock-free event rings during\n\
+         \x20                    the real-thread run (and the compile), run an\n\
+         \x20                    all-barrier baseline, print the per-site\n\
+         \x20                    critical-path and observed-vs-predicted tables,\n\
+         \x20                    and add the episode facts to the report\n\
+         --trace-out P       with --run: write a chrome://tracing timeline\n\
+         \x20                    JSON to P\n\
          --deadline MS       with --run: execute on real threads under a\n\
          \x20                    watchdog; every blocking wait is bounded by MS\n\
          \x20                    milliseconds and a hang/panic becomes a printed\n\
@@ -102,13 +114,7 @@ fn usage() -> ! {
          --chaos-drop S:P:V  with --run + --deadline: drop processor P's posts\n\
          \x20                    at sync site S from dynamic visit V on (a\n\
          \x20                    persistent fault; without --recover this run\n\
-         \x20                    fails, with it the supervisor absorbs it)\n\
-         --profile           with --run: record lock-free event rings during\n\
-         \x20                    the real-thread run (and the compile), run an\n\
-         \x20                    all-barrier baseline, and print the per-site\n\
-         \x20                    critical-path and observed-vs-predicted tables\n\
-         --profile-json P    write the analyzed profile as JSON to P (- for\n\
-         \x20                    stdout); implies --profile"
+         \x20                    fails, with it the supervisor absorbs it)"
     );
     std::process::exit(2);
 }
@@ -121,8 +127,7 @@ fn parse_args() -> Args {
         run: false,
         quiet: false,
         explain: false,
-        explain_json: None,
-        metrics_json: None,
+        report: None,
         trace_out: None,
         deadline_ms: None,
         recover: false,
@@ -131,7 +136,6 @@ fn parse_args() -> Args {
         chaos_seed: None,
         chaos_drop: None,
         profile: false,
-        profile_json: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -151,8 +155,7 @@ fn parse_args() -> Args {
             "--run" => args.run = true,
             "--quiet" => args.quiet = true,
             "--explain" => args.explain = true,
-            "--explain-json" => args.explain_json = Some(it.next().unwrap_or_else(|| usage())),
-            "--metrics-json" => args.metrics_json = Some(it.next().unwrap_or_else(|| usage())),
+            "--report" => args.report = Some(it.next().unwrap_or_else(|| usage())),
             "--trace-out" => args.trace_out = Some(it.next().unwrap_or_else(|| usage())),
             "--deadline" => {
                 args.deadline_ms = Some(
@@ -193,10 +196,6 @@ fn parse_args() -> Args {
                 args.chaos_drop = Some(parse3().unwrap_or_else(|| usage()));
             }
             "--profile" => args.profile = true,
-            "--profile-json" => {
-                args.profile = true;
-                args.profile_json = Some(it.next().unwrap_or_else(|| usage()));
-            }
             "--help" | "-h" => usage(),
             _ if args.path.is_empty() && !a.starts_with('-') => args.path = a,
             _ => usage(),
@@ -207,6 +206,20 @@ fn parse_args() -> Args {
     }
     if args.recover && args.degrade {
         eprintln!("beopt: --recover and --degrade are exclusive (--degrade recovers too)");
+        std::process::exit(2);
+    }
+    // Flags that only mean something for an execution.
+    let needs_run = [
+        (args.deadline_ms.is_some(), "--deadline"),
+        (args.recover, "--recover"),
+        (args.degrade, "--degrade"),
+        (args.chaos_seed.is_some(), "--chaos-seed"),
+        (args.chaos_drop.is_some(), "--chaos-drop"),
+        (args.profile, "--profile"),
+        (args.trace_out.is_some(), "--trace-out"),
+    ];
+    if let Some((_, flag)) = needs_run.iter().find(|(given, _)| *given && !args.run) {
+        eprintln!("beopt: {flag} needs --run (it only applies to an execution)");
         std::process::exit(2);
     }
     args
@@ -271,6 +284,26 @@ fn write_output(path: &str, what: &str, content: &str) -> Result<(), ExitCode> {
 
 fn main() -> ExitCode {
     let args = parse_args();
+    let mut report = None;
+    let code = compile_and_run(&args, &mut report);
+    if let (Some(path), Some(report)) = (&args.report, &report) {
+        let doc = obs::report_json(report).to_string_pretty();
+        if write_output(path, "run report", &doc).is_err() {
+            return ExitCode::FAILURE;
+        }
+        if path != "-" {
+            println!("report: run report written to {path}");
+        }
+    }
+    code
+}
+
+/// Everything but writing the report: compile and print, and with
+/// `--run` execute — both schedules on the virtual interleaver, checked
+/// against the sequential semantics, then, when a report, a profile, a
+/// watchdog or a supervisor asks for it, the optimized schedule on real
+/// threads. `report` is filled in once there is a compile to report on.
+fn compile_and_run(args: &Args, report: &mut Option<RunReport>) -> ExitCode {
     let src = match std::fs::read_to_string(&args.path) {
         Ok(s) => s,
         Err(e) => {
@@ -285,7 +318,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let bind = match bindings_for(&prog, &args) {
+    let bind = match bindings_for(&prog, args) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("beopt: {e}");
@@ -348,56 +381,33 @@ fn main() -> ExitCode {
         println!();
     }
 
-    if let Some(path) = &args.explain_json {
-        let doc = obs::explain_json(&prog, args.nprocs, &plan, &base, &log);
-        if write_output(path, "explain JSON", &doc.to_string_pretty()).is_err() {
-            return ExitCode::FAILURE;
-        }
-        if path != "-" {
-            println!("explain: decision log written to {path}");
-        }
-    }
-
     let st_b = base.static_stats();
     let st_o = plan.static_stats();
     println!(
-        "static: fork-join {} barriers | optimized {} barriers, {} neighbor, {} counter, {} eliminated",
-        st_b.barriers, st_o.barriers, st_o.neighbor_syncs, st_o.counter_syncs, st_o.eliminated
+        "static: fork-join {} barriers | optimized {} barriers, {} neighbor, {} counter, {} pairwise, {} eliminated",
+        st_b.barriers,
+        st_o.barriers,
+        st_o.neighbor_syncs,
+        st_o.counter_syncs,
+        st_o.pair_syncs,
+        st_o.eliminated
     );
 
+    let report = report.insert(RunReport {
+        program: prog.name.clone(),
+        nprocs: args.nprocs as usize,
+        compile: CompileSection {
+            explain: obs::explain_json(&prog, args.nprocs, &plan, &base, &log),
+            analysis: stats,
+        },
+        run: None,
+        fault: None,
+    });
     if !args.run {
-        if args.metrics_json.is_some() {
-            eprintln!("beopt: --metrics-json needs --run");
-            return ExitCode::FAILURE;
-        }
-        if args.deadline_ms.is_some() {
-            eprintln!("beopt: --deadline needs --run (it guards the real-thread execution)");
-            return ExitCode::FAILURE;
-        }
-        if args.recover {
-            eprintln!("beopt: --recover needs --run (it supervises the real-thread execution)");
-            return ExitCode::FAILURE;
-        }
-        if args.degrade {
-            eprintln!("beopt: --degrade needs --run (it supervises the real-thread execution)");
-            return ExitCode::FAILURE;
-        }
-        if args.chaos_seed.is_some() || args.chaos_drop.is_some() {
-            eprintln!("beopt: --chaos-seed/--chaos-drop need --run");
-            return ExitCode::FAILURE;
-        }
-        if args.profile {
-            eprintln!("beopt: --profile needs --run (it measures the real-thread execution)");
-            return ExitCode::FAILURE;
-        }
-        if let Some(path) = &args.trace_out {
-            eprintln!("beopt: --trace-out needs --run (the timeline comes from an execution)");
-            let _ = path;
-            return ExitCode::FAILURE;
-        }
         return ExitCode::SUCCESS;
     }
 
+    let nprocs = args.nprocs as usize;
     let oracle = Mem::new(&prog, &bind);
     run_sequential(&prog, &bind, &oracle);
     let mem_b = Mem::new(&prog, &bind);
@@ -406,7 +416,7 @@ fn main() -> ExitCode {
     // Optimized run: traced-virtual when a timeline is wanted (and real
     // threads are not providing one), plain-virtual otherwise.
     let mem_o = Mem::new(&prog, &bind);
-    let want_virtual_trace = args.trace_out.is_some() && args.metrics_json.is_none();
+    let want_virtual_trace = args.trace_out.is_some() && args.report.is_none();
     let (out_o, virt_spans) = if want_virtual_trace {
         let (o, s) = run_virtual_traced(&prog, &bind, &plan, &mem_o, ScheduleOrder::Reverse);
         (o, Some(s))
@@ -418,12 +428,13 @@ fn main() -> ExitCode {
     };
     let diff = mem_o.max_abs_diff(&oracle);
     println!(
-        "dynamic: fork-join {} barriers, {} dispatches | optimized {} barriers, {} counters, {} neighbor posts",
+        "dynamic: fork-join {} barriers, {} dispatches | optimized {} barriers, {} counters, {} neighbor posts, {} pairwise posts",
         out_b.counts.barriers,
         out_b.counts.dispatches,
         out_o.counts.barriers,
         out_o.counts.counter_increments,
         out_o.counts.neighbor_posts,
+        out_o.counts.pair_posts,
     );
     if diff > 1e-9 {
         eprintln!("beopt: VERIFICATION FAILED: optimized results diverge by {diff:e}");
@@ -433,9 +444,9 @@ fn main() -> ExitCode {
 
     let mut spans: Option<Vec<obs::Span>> = virt_spans;
     let mut trace_source = "virtual interleaver (1 step = 1µs logical clock)";
-    let mut run_profile: Option<(ProfileData, Vec<barrier_elim::runtime::SiteMeta>)> = None;
+    let mut run_stream: Option<ProfileData> = None;
 
-    if args.metrics_json.is_some()
+    if args.report.is_some()
         || args.deadline_ms.is_some()
         || args.recover
         || args.degrade
@@ -447,7 +458,7 @@ fn main() -> ExitCode {
         let prog_a = Arc::new(prog.clone());
         let bind_a = Arc::new(bind.clone());
         let mem_p = Arc::new(Mem::new(&prog, &bind));
-        let team = Team::new(args.nprocs as usize);
+        let team = Team::new(nprocs);
         let chaos: Option<Arc<dyn SyncChaos>> =
             if args.chaos_seed.is_some() || args.chaos_drop.is_some() {
                 Some(Arc::new(ChaosInjector::with_config(
@@ -480,10 +491,9 @@ fn main() -> ExitCode {
             profile: args.profile.then(ProfileOptions::default),
             ..ObserveOptions::default()
         };
-        // The fault report of a supervised run; its totals cover every
-        // attempt, where the final outcome covers only the last.
-        let mut supervised: Option<(FaultReport, _)> = None;
-        let out_p = if args.recover || args.degrade {
+        // A supervised run's totals cover every attempt, where the
+        // final outcome covers only the last.
+        let (out_p, totals) = if args.recover || args.degrade {
             let policy = RetryPolicy {
                 max_attempts: args
                     .max_attempts
@@ -508,25 +518,27 @@ fn main() -> ExitCode {
                     "beopt: EXECUTION FAILED: recovery budget exhausted after {} attempt(s)",
                     s.report.attempts_used()
                 );
+                report.fault = Some(s.report);
                 return ExitCode::FAILURE;
             }
-            supervised = Some((s.report, s.total_stats));
-            s.outcome
+            report.fault = Some(s.report);
+            (s.outcome, s.total_stats)
         } else {
             let out_p = run_parallel_observed(&prog_a, &bind_a, &plan, &mem_p, &team, &opts);
             if let Some(failure) = &out_p.failure {
                 let ms = deadline_ms.unwrap_or_default() as f64;
-                let nprocs = args.nprocs as usize;
                 let mut r =
                     FaultReport::detected(&prog.name, nprocs, ms, failure.clone(), out_p.stats);
                 r.chaos_seed = args.chaos_seed;
                 eprint!("{}", obs::render_fault(&r));
                 eprintln!("beopt: EXECUTION FAILED: {}", failure.headline());
+                report.fault = Some(r);
                 return ExitCode::FAILURE;
             }
-            out_p
+            let totals = out_p.stats;
+            (out_p, totals)
         };
-        let attempts_used = supervised.as_ref().map_or(1, |(r, _)| r.attempts_used());
+        let attempts_used = report.fault.as_ref().map_or(1, |r| r.attempts_used());
         let diff_p = mem_p.max_abs_diff(&oracle);
         if diff_p > 1e-9 {
             eprintln!("beopt: VERIFICATION FAILED: real-thread results diverge by {diff_p:e}");
@@ -548,70 +560,70 @@ fn main() -> ExitCode {
         );
         println!();
         print!("{}", obs::render_site_table(&out_p.sites));
-        if let Some(path) = &args.metrics_json {
-            let totals = supervised.as_ref().map_or(&out_p.stats, |(_, t)| t);
-            let mut doc = obs::metrics_json(&prog.name, args.nprocs as usize, &out_p.sites, totals)
-                .set("attempt", attempts_used);
-            if let Some((r, _)) = &supervised {
-                let sites = |action| {
-                    let s = r.sites_with(action).into_iter().map(obs::Json::from);
-                    obs::Json::Arr(s.collect())
-                };
-                doc = doc
-                    .set("rung", r.rung.name())
-                    .set("procs_lost", r.procs_lost())
-                    .set("rounds", r.rounds.len())
-                    .set("demoted", sites(FaultDisposition::Demote))
-                    .set("quarantined", sites(FaultDisposition::Quarantine));
-            }
-            if write_output(path, "metrics JSON", &doc.to_string_pretty()).is_err() {
-                return ExitCode::FAILURE;
-            }
-            if path != "-" {
-                println!("metrics: per-sync-site telemetry written to {path}");
-            }
-        }
-        if args.profile {
-            let data = out_p
-                .profile
-                .clone()
-                .expect("profiled run always returns its event stream");
-            let metas = obs::site_metas(&prog, &plan);
-            let report = obs::analyze(&data, &metas, args.nprocs as usize);
-
-            // The observed-vs-predicted baseline: the *optimized* plan
-            // with every decision-log site the optimizer changed put
-            // back to a barrier. Same canonical walk, so every site id
-            // joins 1:1 against the optimized run's profile.
-            let changed: Vec<usize> = log
-                .iter()
-                .filter(|d| !matches!(d.placed, SyncOp::Barrier))
-                .map(|d| d.site)
-                .collect();
-            let mut base_plan = plan.clone();
-            demote_sites(&mut base_plan, &changed);
-            let mem_base = Arc::new(Mem::new(&prog, &bind));
-            let bopts = ObserveOptions {
-                profile: Some(ProfileOptions::default()),
-                ..ObserveOptions::default()
-            };
-            let out_base =
-                run_parallel_observed(&prog_a, &bind_a, &base_plan, &mem_base, &team, &bopts);
-            let base_report = out_base.profile.as_ref().map(|d| {
-                obs::analyze(d, &obs::site_metas(&prog, &base_plan), args.nprocs as usize)
-            });
-
-            println!();
-            print!("{}", obs::render_profile(&report));
-            let rows = base_report
+        let mut run = RunSection {
+            totals,
+            sites: out_p.sites,
+            profile: None,
+            observed_vs_predicted: None,
+        };
+        if let Some(data) = out_p.profile {
+            let mut profile = obs::analyze(&data, nprocs);
+            // The episodes' site ids name the compiled plan's slots. So
+            // do the final attempt's cells, unless the supervisor shrank
+            // the team (the plan was re-derived for fewer processors) or
+            // finished serially: then the two do not join.
+            let same_walk = report
+                .fault
                 .as_ref()
-                .map(|br| obs::observed_vs_predicted(&log, br, &report));
-            if let Some(rows) = &rows {
+                .is_none_or(|f| matches!(f.rung, Rung::Clean | Rung::Recovered));
+            println!();
+            if same_walk {
+                print!("{}", obs::render_profile(&profile, &run.sites));
+                run.profile = Some(profile);
+                // The observed-vs-predicted baseline: the *optimized*
+                // plan with every decision-log site the optimizer
+                // changed put back to a barrier. Same canonical walk, so
+                // every site id joins 1:1 against the optimized run's
+                // cells and episodes.
+                let changed: Vec<usize> = log
+                    .iter()
+                    .filter(|d| !matches!(d.placed, SyncOp::Barrier))
+                    .map(|d| d.site)
+                    .collect();
+                let mut base_plan = plan.clone();
+                demote_sites(&mut base_plan, &changed);
+                let mem_base = Arc::new(Mem::new(&prog, &bind));
+                let bopts = ObserveOptions {
+                    telemetry: true,
+                    profile: Some(ProfileOptions::default()),
+                    ..ObserveOptions::default()
+                };
+                let out_base =
+                    run_parallel_observed(&prog_a, &bind_a, &base_plan, &mem_base, &team, &bopts);
+                let baseline = RunSection {
+                    totals: out_base.stats,
+                    sites: out_base.sites,
+                    profile: out_base.profile.as_ref().map(|d| obs::analyze(d, nprocs)),
+                    observed_vs_predicted: None,
+                };
+                let rows = obs::observed_vs_predicted(&log, &baseline, &run);
                 println!();
-                print!("{}", obs::render_saved_wait(rows));
+                print!("{}", obs::render_saved_wait(&rows));
+                run.observed_vs_predicted = Some(rows);
+            } else {
+                print!("{}", obs::render_profile(&profile, &[]));
+                println!();
+                println!("--- observed vs predicted ---");
+                println!(
+                    "(not joined: the final attempt did not run the compiled plan at P={nprocs})"
+                );
+                // The report keeps the stream accounting and marks, not
+                // episode facts under site ids the cells do not share.
+                profile.sites.clear();
+                run.profile = Some(profile);
             }
             if let Some(cd) = &compile_data {
-                let cm = obs::analyze(cd, &[], 1).marks;
+                let cm = obs::analyze(cd, 1).marks;
                 println!(
                     "compile: {} pair queries ({} warm, {} fresh), {:.2} ms in analysis probes",
                     cm.fme_hits + cm.fme_misses,
@@ -620,67 +632,19 @@ fn main() -> ExitCode {
                     (cm.fme_hit_ns + cm.fme_miss_ns) as f64 / 1e6
                 );
             }
-            if let Some(path) = &args.profile_json {
-                let mut doc = obs::profile_json(&prog.name, &report, rows.as_deref());
-                if let Some(cd) = &compile_data {
-                    let cm = obs::analyze(cd, &[], 1).marks;
-                    doc = doc.set(
-                        "compile",
-                        obs::Json::obj()
-                            .set("fme_hits", cm.fme_hits)
-                            .set("fme_misses", cm.fme_misses)
-                            .set("fme_hit_ns", cm.fme_hit_ns)
-                            .set("fme_miss_ns", cm.fme_miss_ns),
-                    );
-                }
-                if write_output(path, "profile JSON", &doc.to_string_pretty()).is_err() {
-                    return ExitCode::FAILURE;
-                }
-                if path != "-" {
-                    println!("profile: analyzed event stream written to {path}");
-                }
-            }
-            run_profile = Some((data, metas));
+            run_stream = Some(data);
         }
         if args.trace_out.is_some() {
             spans = Some(out_p.spans);
             trace_source = "real threads (wall-clock µs)";
         }
+        report.run = Some(run);
     }
 
     if let Some(path) = &args.trace_out {
-        // The compile profiler's clock starts at its own construction
-        // while the run stream (and the run spans) are rebased to the
-        // run's t0, so both begin near 0. Shift the run-side content
-        // past the compile stream's last event so the merged timeline
-        // reads compile-then-run instead of overlapping.
-        let shift_ns = compile_data
-            .as_ref()
-            .and_then(|cd| cd.events.iter().map(|e| e.t_ns).max())
-            .map(|last| last + 1_000)
-            .unwrap_or(0);
-        let mut run_spans = spans.unwrap_or_default();
-        for s in &mut run_spans {
-            s.start_us += shift_ns / 1_000;
-            s.end_us += shift_ns / 1_000;
-        }
-        let mut tb = TraceBuilder::new(&prog.name, args.nprocs as usize);
-        tb.extend(run_spans);
-        if let Some((data, metas)) = &mut run_profile {
-            for e in &mut data.events {
-                e.t_ns += shift_ns;
-            }
-            tb.extend_with_profile(data, metas, args.nprocs as usize, 0, "");
-        }
-        if let Some(cd) = &compile_data {
-            tb.extend_with_profile(
-                cd,
-                &[],
-                args.nprocs as usize,
-                args.nprocs as usize + 1,
-                "compile ",
-            );
-        }
+        let spans = spans.unwrap_or_default();
+        let run = run_stream.as_ref().zip(report.run.as_ref());
+        let tb = obs::invocation_trace(&prog.name, nprocs, compile_data.as_ref(), spans, run);
         if write_output(path, "trace JSON", &tb.to_json().to_string_compact()).is_err() {
             return ExitCode::FAILURE;
         }

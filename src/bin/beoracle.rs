@@ -439,7 +439,7 @@ fn cmd_chaos_degrade(
         }
     }
     let doc = obs::Json::obj()
-        .set("schema_version", obs::FAULT_SCHEMA_VERSION)
+        .set("schema_version", obs::SCHEMA_VERSION)
         .set("campaign", "chaos-degrade")
         .set("seed", seed)
         .set("deadline_ms", deadline.as_millis() as u64)
@@ -616,7 +616,7 @@ fn cmd_chaos(args: &[String]) -> Exit {
     }
     if !no_recover {
         let doc = obs::Json::obj()
-            .set("schema_version", obs::FAULT_SCHEMA_VERSION)
+            .set("schema_version", obs::SCHEMA_VERSION)
             .set("campaign", "chaos-recovery")
             .set("seed", seed)
             .set("deadline_ms", deadline.as_millis() as u64)

@@ -201,7 +201,9 @@ mod cli {
     }
 
     /// Satellite: a degraded-but-completed run is a *successful* run —
-    /// exit 0, with the degradation report on stdout.
+    /// exit 0, with the degradation report on stdout. Profiled, the run
+    /// report joins episodes and cells only while the final attempt ran
+    /// the compiled plan at the compiled width.
     #[test]
     fn degrade_flag_turns_a_persistent_drop_into_exit_zero() {
         // A drop the optimized jacobi plan is guaranteed to wedge on:
@@ -213,6 +215,8 @@ mod cli {
             .expect("jacobi has droppable posts")
             .spec;
         let drop = format!("{}:{}:{}", spec.site, spec.pid, spec.from_visit);
+        let report =
+            std::env::temp_dir().join(format!("beopt-degrade-{}.json", std::process::id()));
         let out = beopt(&[
             "kernels/jacobi.be",
             "--nprocs",
@@ -228,6 +232,9 @@ mod cli {
             "150",
             "--chaos-drop",
             &drop,
+            "--profile",
+            "--report",
+            report.to_str().unwrap(),
         ]);
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
@@ -241,6 +248,19 @@ mod cli {
             stdout.contains("run completed with oracle-exact memory"),
             "{stdout}"
         );
+
+        let text = std::fs::read_to_string(&report).unwrap();
+        std::fs::remove_file(&report).unwrap();
+        let doc = barrier_elim::obs::parse(&text).unwrap();
+        let rung = doc.get("fault").and_then(|f| f.get("rung"));
+        let rung = rung.and_then(|r| r.as_str()).unwrap();
+        let joined = matches!(rung, "clean" | "recovered");
+        let run = doc.get("run").unwrap();
+        assert_eq!(run.get("observed_vs_predicted").is_some(), joined, "{rung}");
+        let sites = run.get("sites").and_then(|s| s.as_arr()).unwrap();
+        let with_episodes = sites.iter().any(|s| s.get("episodes").is_some());
+        assert_eq!(with_episodes, joined, "{rung}");
+        assert_eq!(stdout.contains("(not joined:"), !joined, "{stdout}");
     }
 
     /// A clean run under `--degrade` stays on the top rung and also

@@ -1,7 +1,8 @@
 //! End-to-end tests for the observability subsystem: golden snapshots
-//! of the explain pass for every shipped kernel, Chrome-trace shape
-//! checks, per-site telemetry attribution, and byte-level determinism
-//! of the decision log.
+//! of the explain pass for every shipped kernel (alone and inside the
+//! run report), Chrome-trace shape checks, per-site telemetry
+//! attribution, the run report's round-trip and version, and byte-level
+//! determinism of the decision log and of `beopt --report`.
 //!
 //! Regenerate the goldens with
 //! `UPDATE_GOLDEN=1 cargo test --test observability`.
@@ -9,13 +10,20 @@
 use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
 use barrier_elim::interp::{
-    run_parallel_observed, run_virtual_traced, Mem, ObserveOptions, ScheduleOrder,
+    run_parallel_observed, run_parallel_supervised, run_virtual_traced, Mem, ObserveOptions,
+    ScheduleOrder,
 };
 use barrier_elim::ir::{Program, SymId};
-use barrier_elim::obs::{self, Json, TraceBuilder};
-use barrier_elim::runtime::Team;
-use barrier_elim::spmd_opt::{fork_join, optimize_logged, placed_str, sync_sites};
+use barrier_elim::obs::{self, CompileSection, Json, RunReport, RunSection, TraceBuilder};
+use barrier_elim::oracle::{droppable_posts, ChaosConfig, ChaosInjector};
+use barrier_elim::runtime::events::ProfileOptions;
+use barrier_elim::runtime::{RetryPolicy, Team};
+use barrier_elim::spmd_opt::{
+    demote_sites, fork_join, optimize_explained, optimize_logged, placed_str, sync_sites,
+    OptimizeOptions, SyncOp,
+};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn load(kernel: &str) -> Program {
     let src = std::fs::read_to_string(format!("kernels/{kernel}")).unwrap();
@@ -72,6 +80,33 @@ fn check_explain_golden(kernel: &str, sets: &[(&str, i64)]) {
         actual, expected,
         "{kernel}: explain output drifted from {path}; rerun with UPDATE_GOLDEN=1 if intended"
     );
+    // The run report carries the same document as its compile.explain,
+    // so the golden pins the report too.
+    let (_, _, report) = compile_report(kernel, sets);
+    let doc = obs::report_json(&report);
+    let explain = doc.get("compile").and_then(|c| c.get("explain")).unwrap();
+    assert_eq!(
+        explain.to_string_pretty(),
+        expected,
+        "{kernel}: the report's compile.explain differs from {path}"
+    );
+}
+
+/// A kernel compiled at P = 4 the way `beopt` compiles it, with its
+/// compile-only run report.
+fn compile_report(kernel: &str, sets: &[(&str, i64)]) -> (Arc<Program>, Arc<Bindings>, RunReport) {
+    let prog = load(kernel);
+    let bind = bind_by_name(&prog, 4, sets);
+    let (plan, log, analysis) = optimize_explained(&prog, &bind, OptimizeOptions::default());
+    let explain = obs::explain_json(&prog, 4, &plan, &fork_join(&prog, &bind), &log);
+    let report = RunReport {
+        program: prog.name.clone(),
+        nprocs: 4,
+        compile: CompileSection { explain, analysis },
+        run: None,
+        fault: None,
+    };
+    (Arc::new(prog), Arc::new(bind), report)
 }
 
 #[test]
@@ -256,17 +291,193 @@ fn real_thread_telemetry_attributes_waits_to_canonical_sites() {
             assert!(snap.total.max_wait_ns <= snap.total.wait_ns);
         }
     }
-    // The metrics document built from these snapshots parses and keeps
-    // the site ordering.
-    let doc = obs::metrics_json(&prog.name, 4, &out.sites, &out.stats);
-    let text = doc.to_string_pretty();
-    let parsed = obs::parse(&text).expect("metrics JSON must parse");
-    let ids: Vec<u64> = parsed
-        .get("sites")
+    // The run report built from these cells parses and keeps the site
+    // ordering, one row per canonical site.
+    let (_, _, mut report) = compile_report("jacobi.be", &[("n", 48), ("tmax", 4)]);
+    report.run = Some(RunSection {
+        totals: out.stats,
+        sites: out.sites.clone(),
+        profile: None,
+        observed_vs_predicted: None,
+    });
+    let text = obs::report_json(&report).to_string_pretty();
+    let parsed = obs::parse(&text).expect("the run report must parse");
+    let rows = parsed.get("run").and_then(|r| r.get("sites"));
+    let ids: Vec<u64> = rows
         .and_then(Json::as_arr)
         .unwrap()
         .iter()
         .map(|s| s.get("site").and_then(Json::as_u64).unwrap())
         .collect();
     assert_eq!(ids, (0..sites.len() as u64).collect::<Vec<_>>());
+}
+
+// --- the run report -----------------------------------------------------
+
+/// `schema_version` is the document's first member.
+fn leading_version(doc: &Json) -> Option<u64> {
+    let Json::Obj(members) = doc else {
+        return None;
+    };
+    let (key, value) = members.first()?;
+    (key == "schema_version").then(|| value.as_u64())?
+}
+
+/// Three reports — compile-only, profiled, and supervised through a
+/// persistent drop — each round-trip through the parser and lead with
+/// the version the fault report carries.
+#[test]
+fn run_reports_round_trip_and_share_the_fault_version() {
+    let jacobi = [("n", 48), ("tmax", 4)];
+    let team = Team::new(4);
+    let (prog, bind, compile_only) = compile_report("jacobi.be", &jacobi);
+
+    // Profiled: the optimized plan and its demoted baseline, with cells
+    // and event rings on, joined into observed-vs-predicted rows.
+    let (plan, log) = optimize_logged(&prog, &bind);
+    let opts = ObserveOptions {
+        telemetry: true,
+        profile: Some(ProfileOptions::default()),
+        ..ObserveOptions::default()
+    };
+    let measure = |plan| {
+        let mem = Arc::new(Mem::new(&prog, &bind));
+        let out = run_parallel_observed(&prog, &bind, plan, &mem, &team, &opts);
+        assert!(out.ok());
+        RunSection {
+            totals: out.stats,
+            profile: out.profile.as_ref().map(|d| obs::analyze(d, 4)),
+            sites: out.sites,
+            observed_vs_predicted: None,
+        }
+    };
+    let changed: Vec<usize> = log
+        .iter()
+        .filter(|d| !matches!(d.placed, SyncOp::Barrier))
+        .map(|d| d.site)
+        .collect();
+    let mut base_plan = plan.clone();
+    demote_sites(&mut base_plan, &changed);
+    let baseline = measure(&base_plan);
+    let mut run = measure(&plan);
+    let rows = obs::observed_vs_predicted(&log, &baseline, &run);
+    assert_eq!(rows.len(), changed.len());
+    run.observed_vs_predicted = Some(rows);
+    let mut profiled = compile_only.clone();
+    profiled.run = Some(run);
+
+    // Supervised: the last droppable post of the plan, persistently
+    // dropped, absorbed by the site ladder.
+    let drop = droppable_posts(&prog, &bind, &plan).pop().unwrap().spec;
+    let chaos = ChaosConfig {
+        drop: Some(drop),
+        ..ChaosConfig::default()
+    };
+    let guarded = ObserveOptions {
+        telemetry: true,
+        deadline: Some(Duration::from_millis(150)),
+        chaos: Some(Arc::new(ChaosInjector::with_config(7, chaos))),
+        ..ObserveOptions::default()
+    };
+    let policy = RetryPolicy {
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(4),
+        ..RetryPolicy::default()
+    };
+    let mem = Arc::new(Mem::new(&prog, &bind));
+    let s = run_parallel_supervised(&prog, &bind, &plan, &mem, &team, &guarded, &policy, None);
+    assert!(s.report.attempts_used() > 1, "the drop never bit");
+    let fault_version = leading_version(&obs::fault_json(&s.report));
+    let mut supervised = compile_only.clone();
+    supervised.run = Some(RunSection {
+        totals: s.total_stats,
+        sites: s.outcome.sites,
+        profile: None,
+        observed_vs_predicted: None,
+    });
+    supervised.fault = Some(s.report);
+
+    assert_eq!(fault_version, Some(obs::SCHEMA_VERSION as u64));
+    for (label, report) in [
+        ("compile-only", &compile_only),
+        ("profiled", &profiled),
+        ("supervised", &supervised),
+    ] {
+        let doc = obs::report_json(report);
+        let text = doc.to_string_pretty();
+        assert_eq!(obs::parse(&text).unwrap(), doc, "{label}: no round trip");
+        assert_eq!(leading_version(&doc), fault_version, "{label}");
+    }
+    let profiled = obs::report_json(&profiled);
+    let run = profiled.get("run").unwrap();
+    assert!(run.get("profile").is_some());
+    assert!(run.get("observed_vs_predicted").is_some());
+    let supervised = obs::report_json(&supervised);
+    let fault = supervised.get("fault").unwrap();
+    assert_eq!(leading_version(fault), fault_version);
+    assert_eq!(fault.get("rung").and_then(Json::as_str), Some("recovered"));
+}
+
+mod cli {
+    use std::process::{Command, Output};
+
+    fn beopt(args: &[&str]) -> Output {
+        Command::new(env!("CARGO_BIN_EXE_beopt"))
+            .args(args)
+            .output()
+            .expect("spawn beopt")
+    }
+
+    /// Two compile-only reports of one kernel are the same bytes.
+    #[test]
+    fn compile_only_reports_are_byte_identical() {
+        let dir = std::env::temp_dir().join(format!("beopt-report-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let files = ["a.json", "b.json"].map(|f| dir.join(f));
+        for path in &files {
+            let path = path.to_str().unwrap();
+            let out = beopt(&[
+                "kernels/jacobi.be",
+                "--nprocs",
+                "4",
+                "--quiet",
+                "--report",
+                path,
+            ]);
+            assert!(out.status.success(), "{out:?}");
+        }
+        let [a, b] = files.map(|f| std::fs::read(f).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(!a.is_empty());
+        assert!(a == b, "two compile-only reports differ");
+    }
+
+    /// Every flag that only means something for an execution is refused
+    /// without `--run`, in one `beopt:` line and a nonzero exit, before
+    /// anything is printed; a compile-only report is fine.
+    #[test]
+    fn run_only_flags_need_run() {
+        for flag in [
+            &["--deadline", "100"][..],
+            &["--recover"],
+            &["--degrade"],
+            &["--chaos-seed", "1"],
+            &["--chaos-drop", "1:1:1"],
+            &["--profile"],
+            &["--trace-out", "t.json"],
+        ] {
+            let out = beopt(&[&["kernels/jacobi.be"][..], flag].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success(), "{flag:?} accepted without --run");
+            assert_eq!(stderr.lines().count(), 1, "{flag:?}: {stderr}");
+            let want = format!("beopt: {} needs --run", flag[0]);
+            assert!(stderr.starts_with(&want), "{flag:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{flag:?}: printed before refusing");
+        }
+        let out = beopt(&["kernels/jacobi.be", "--quiet", "--report", "-"]);
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let doc = stdout.split_once('\n').map(|(_, doc)| doc).unwrap();
+        assert!(barrier_elim::obs::parse(doc).is_ok(), "{stdout}");
+    }
 }

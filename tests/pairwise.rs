@@ -14,12 +14,16 @@
 //!   sets are necessary, not just sufficient);
 //! * a persistently dropped pairwise cell post — one only a collector
 //!   reads included — is absorbed by the demote → quarantine → isolate
-//!   recovery ladder with bitwise-exact recovered memory.
+//!   recovery ladder with bitwise-exact recovered memory;
+//! * pairwise posts on real threads reach the run report's totals and a
+//!   fault report's attempt stats.
 
 use barrier_elim::analysis::check_parallel_loops;
-use barrier_elim::interp::{run_sequential, run_virtual, Mem, ObserveOptions, ScheduleOrder};
+use barrier_elim::interp::{
+    run_parallel_observed, run_sequential, run_virtual, Mem, ObserveOptions, ScheduleOrder,
+};
 use barrier_elim::ir::build::*;
-use barrier_elim::obs::{render_fault, Rung};
+use barrier_elim::obs::{self, render_fault, CompileSection, Json, RunReport, RunSection, Rung};
 use barrier_elim::oracle::{self, droppable_posts, recovery_check};
 use barrier_elim::runtime::{RetryPolicy, Team};
 use barrier_elim::spmd_opt::{fork_join, optimize, optimize_with, OptimizeOptions};
@@ -104,6 +108,69 @@ fn pairwise_plans_cut_dynamic_barriers_and_stay_bitwise_exact() {
             assert!(p != 8 || ratio >= 10.0, "{name} P={p}: only {ratio:.1}x");
         }
     }
+}
+
+/// Pairwise work is part of every sync summary: a pipelined kernel on
+/// real threads posts pairwise cells, and the run report's totals and a
+/// fault report's attempt stats both carry them.
+#[test]
+fn pairwise_posts_reach_the_report_totals() {
+    let b = (suite::by_name("wavepipe2d").unwrap().build)(Scale::Small);
+    let prog = Arc::new(b.prog.clone());
+    let bind = Arc::new(b.bindings(4));
+    let plan = optimize(&prog, &bind);
+    let mem = Arc::new(Mem::new(&prog, &bind));
+    let opts = ObserveOptions {
+        telemetry: true,
+        ..ObserveOptions::default()
+    };
+    let out = run_parallel_observed(&prog, &bind, &plan, &mem, &Team::new(4), &opts);
+    assert!(out.ok());
+    let posts = out.stats.pairwise_posts;
+    assert!(posts > 0, "wavepipe2d posted no pairwise cell");
+
+    let report = RunReport {
+        program: prog.name.clone(),
+        nprocs: 4,
+        compile: CompileSection {
+            explain: Json::obj(),
+            analysis: Default::default(),
+        },
+        run: Some(RunSection {
+            totals: out.stats,
+            sites: out.sites,
+            profile: None,
+            observed_vs_predicted: None,
+        }),
+        fault: None,
+    };
+    let doc = obs::report_json(&report);
+    let pairwise = doc
+        .get("run")
+        .and_then(|r| r.get("totals"))
+        .and_then(|t| t.get("pairwise"))
+        .expect("the run totals name pairwise work");
+    assert_eq!(pairwise.get("posts").and_then(Json::as_u64), Some(posts));
+
+    // A fault report's attempts carry the same totals.
+    let failure = obs::FailureReport {
+        cause: obs::FailureCause::Panic {
+            pid: 0,
+            message: "injected".into(),
+        },
+        site_label: String::new(),
+        per_proc: vec!["ok".into(); 4],
+        sites: Vec::new(),
+    };
+    let fault = obs::FaultReport::detected(&prog.name, 4, 100.0, failure, out.stats);
+    let doc = obs::fault_json(&fault);
+    let attempt = &doc.get("rounds").and_then(Json::as_arr).unwrap()[0];
+    let attempt = &attempt.get("attempts").and_then(Json::as_arr).unwrap()[0];
+    let stats = attempt.get("stats").unwrap();
+    let pairwise = stats
+        .get("pairwise")
+        .expect("attempt stats name pairwise work");
+    assert_eq!(pairwise.get("posts").and_then(Json::as_u64), Some(posts));
 }
 
 /// Deleting any placed pairwise wait is caught by the vector-clock

@@ -1,6 +1,6 @@
 //! End-to-end tests for the always-on sync profiler: event-ring
 //! accounting and critical-path analysis on profiled real-thread runs,
-//! observed-vs-predicted joins against the decision log, profile-JSON
+//! observed-vs-predicted joins against the decision log, run-report
 //! round-trips, Chrome-trace well-formedness with the profile event
 //! classes (instants, async spans, flows) for every shipped kernel
 //! under both plans, and stats aggregation across recovery attempts.
@@ -9,7 +9,7 @@ use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
 use barrier_elim::interp::{run_parallel_observed, run_parallel_supervised, Mem, ObserveOptions};
 use barrier_elim::ir::{Program, SymId};
-use barrier_elim::obs::{self, Json, TraceBuilder};
+use barrier_elim::obs::{self, CompileSection, Json, RunReport, RunSection};
 use barrier_elim::oracle::{ChaosConfig, ChaosInjector, DropSpec};
 use barrier_elim::runtime::events::ProfileOptions;
 use barrier_elim::runtime::{RetryPolicy, Team};
@@ -79,7 +79,7 @@ fn profiled_runs_account_for_every_event_on_every_kernel() {
             assert!(!data.events.is_empty(), "{kernel} {label}: no events");
 
             let metas = obs::site_metas(&prog, &plan);
-            let report = obs::analyze(data, &metas, 4);
+            let report = obs::analyze(data, 4);
             assert_eq!(report.nprocs, 4);
             for sp in &report.sites {
                 let meta = &metas[sp.site];
@@ -126,15 +126,26 @@ fn profiled_runs_account_for_every_event_on_every_kernel() {
 
 // --- observed vs predicted ----------------------------------------------
 
+/// The run section of one profiled run: cells, totals and episodes.
+fn run_section(out: barrier_elim::interp::ParallelOutcome) -> RunSection {
+    RunSection {
+        totals: out.stats,
+        profile: out.profile.as_ref().map(|d| obs::analyze(d, 4)),
+        sites: out.sites,
+        observed_vs_predicted: None,
+    }
+}
+
 /// The observed-vs-predicted join emits one row for every decision the
-/// optimizer changed, keyed by canonical site id, and the profile JSON
-/// document round-trips through the obs JSON parser.
+/// optimizer changed, keyed by canonical site id, with blocked time
+/// from each run's cells; and the run report carrying it round-trips
+/// through the obs JSON parser.
 #[test]
 fn observed_vs_predicted_covers_every_changed_decision_and_round_trips() {
     let team = Team::new(4);
     for (kernel, sets) in KERNELS {
         let (prog, bind) = load(kernel, sets, 4);
-        let (plan, log, _) = optimize_explained(&prog, &bind, OptimizeOptions::default());
+        let (plan, log, analysis) = optimize_explained(&prog, &bind, OptimizeOptions::default());
         let changed: Vec<usize> = log
             .iter()
             .filter(|d| !matches!(d.placed, SyncOp::Barrier))
@@ -150,17 +161,9 @@ fn observed_vs_predicted_covers_every_changed_decision_and_round_trips() {
         let out_b =
             run_parallel_observed(&prog, &bind, &base_plan, &mem_b, &team, &profiled_opts());
 
-        let opt_report = obs::analyze(
-            out_o.profile.as_ref().unwrap(),
-            &obs::site_metas(&prog, &plan),
-            4,
-        );
-        let base_report = obs::analyze(
-            out_b.profile.as_ref().unwrap(),
-            &obs::site_metas(&prog, &base_plan),
-            4,
-        );
-        let rows = obs::observed_vs_predicted(&log, &base_report, &opt_report);
+        let mut run = run_section(out_o);
+        let baseline = run_section(out_b);
+        let rows = obs::observed_vs_predicted(&log, &baseline, &run);
         assert_eq!(
             rows.iter().map(|r| r.site).collect::<Vec<_>>(),
             changed,
@@ -173,31 +176,55 @@ fn observed_vs_predicted_covers_every_changed_decision_and_round_trips() {
                 "{kernel}: s{}: saved-wait arithmetic",
                 r.site
             );
+            assert_eq!(
+                r.observed_wait_ns,
+                run.cells(r.site).unwrap().total.wait_ns,
+                "{kernel}: s{}: observed wait is not the cells' wait",
+                r.site
+            );
             assert_ne!(r.placed, "barrier", "{kernel}: kept barrier in OVP rows");
             // The demoted baseline really ran the site as a barrier, so
             // it must have synchronized there.
+            let base_profile = baseline.profile.as_ref().unwrap();
             assert!(
-                base_report.site(r.site).is_some(),
+                base_profile.site(r.site).is_some(),
                 "{kernel}: baseline never synced at changed site s{}",
                 r.site
             );
         }
 
-        let doc = obs::profile_json(&prog.name, &opt_report, Some(&rows));
-        let parsed = obs::parse(&doc.to_string_pretty()).expect("profile JSON parses");
+        let nsites = run.sites.len();
+        let live = run.profile.as_ref().unwrap().sites.len();
+        run.observed_vs_predicted = Some(rows.clone());
+        let explain = obs::explain_json(&prog, 4, &plan, &fork_join(&prog, &bind), &log);
+        let report = RunReport {
+            program: prog.name.clone(),
+            nprocs: 4,
+            compile: CompileSection { explain, analysis },
+            run: Some(run),
+            fault: None,
+        };
+        let doc = obs::report_json(&report);
+        let parsed = obs::parse(&doc.to_string_pretty()).expect("run report parses");
+        assert_eq!(parsed, doc, "{kernel}: no round trip");
         assert_eq!(
             parsed.get("program").and_then(Json::as_str),
             Some(&*prog.name)
         );
         assert_eq!(parsed.get("nprocs").and_then(Json::as_u64), Some(4));
+        let run = parsed.get("run").unwrap();
+        let profile = run.get("profile").unwrap();
         assert_eq!(
-            parsed.get("dropped").and_then(Json::as_u64),
+            profile.get("dropped").and_then(Json::as_u64),
             Some(0),
             "{kernel}: drops must be reported in the document"
         );
-        let sites = parsed.get("sites").and_then(Json::as_arr).unwrap();
-        assert_eq!(sites.len(), opt_report.sites.len());
-        let ovp = parsed
+        // One row per canonical site; the live ones carry episodes.
+        let sites = run.get("sites").and_then(Json::as_arr).unwrap();
+        assert_eq!(sites.len(), nsites);
+        let with_episodes = sites.iter().filter(|s| s.get("episodes").is_some());
+        assert_eq!(with_episodes.count(), live);
+        let ovp = run
             .get("observed_vs_predicted")
             .and_then(Json::as_arr)
             .expect("{kernel}: OVP array present");
@@ -232,12 +259,11 @@ fn profiled_trace_is_well_formed_for_every_kernel_and_plan() {
             let mem = Arc::new(Mem::new(&prog, &bind));
             let out = run_parallel_observed(&prog, &bind, &plan, &mem, &team, &profiled_opts());
             assert!(out.ok(), "{kernel} {label}: run failed");
-            let data = out.profile.as_ref().unwrap();
             let metas = obs::site_metas(&prog, &plan);
-
-            let mut tb = TraceBuilder::new(&prog.name, 4);
-            tb.extend(out.spans.clone());
-            tb.extend_with_profile(data, &metas, 4, 0, "");
+            let spans = out.spans.clone();
+            let data = out.profile.clone().unwrap();
+            let run = run_section(out);
+            let tb = obs::invocation_trace(&prog.name, 4, None, spans, Some((&data, &run)));
             let text = tb.to_json().to_string_compact();
             let doc = obs::parse(&text)
                 .unwrap_or_else(|e| panic!("{kernel} {label}: trace does not parse: {e}"));
@@ -347,8 +373,8 @@ fn profiled_trace_is_well_formed_for_every_kernel_and_plan() {
 /// A persistent drop forces retries: the profile stream spans multiple
 /// epochs, records the supervisor's checkpoint/rollback/retry marks on
 /// its own track, keeps its accounting identity, and the aggregated
-/// `total_stats` dominate the final attempt's counters (the satellite-1
-/// contract behind `--metrics-json` under `--recover`).
+/// `total_stats` dominate the final attempt's counters (the contract
+/// behind the run report's totals under `--recover`).
 #[test]
 fn recovery_profile_spans_epochs_and_aggregates_stats_across_attempts() {
     let (prog, bind) = load("jacobi.be", &[("n", 48), ("tmax", 4)], 4);
@@ -389,7 +415,9 @@ fn recovery_profile_spans_epochs_and_aggregates_stats_across_attempts() {
         "ring accounting broken across retries"
     );
     let final_plan = r.final_plan.as_ref().unwrap();
-    let report = obs::analyze(data, &obs::site_metas(&prog, final_plan), 4);
+    let report = obs::analyze(data, 4);
+    let walk = obs::site_metas(&prog, final_plan);
+    assert!(report.sites.iter().all(|s| s.site < walk.len()));
     assert_eq!(
         report.epochs as u32, attempts_used,
         "one profile epoch per attempt"
@@ -454,12 +482,29 @@ fn tiny_rings_overflow_by_counting_not_blocking() {
     let data = out.profile.as_ref().unwrap();
     assert!(data.dropped > 0, "tiny ring never overflowed");
     assert_eq!(data.events.len() as u64 + data.dropped, data.attempted());
-    // The drop count survives into the analyzed report and document.
-    let report = obs::analyze(data, &obs::site_metas(&prog, &plan), 4);
+    // The drop count survives into the analyzed profile and the run
+    // report.
+    let report = obs::analyze(data, 4);
     assert_eq!(report.dropped, data.dropped);
-    let doc = obs::profile_json(&prog.name, &report, None);
-    assert_eq!(
-        doc.get("dropped").and_then(Json::as_u64),
-        Some(data.dropped)
-    );
+    let explain = Json::obj();
+    let doc = obs::report_json(&RunReport {
+        program: prog.name.clone(),
+        nprocs: 4,
+        compile: CompileSection {
+            explain,
+            analysis: Default::default(),
+        },
+        run: Some(RunSection {
+            totals: out.stats,
+            sites: Vec::new(),
+            profile: Some(report),
+            observed_vs_predicted: None,
+        }),
+        fault: None,
+    });
+    let profile = doc.get("run").and_then(|r| r.get("profile")).unwrap();
+    let dropped = profile.get("dropped").and_then(Json::as_u64);
+    assert_eq!(dropped, Some(data.dropped));
+    let attempted = profile.get("attempted").and_then(Json::as_u64);
+    assert_eq!(attempted, Some(data.attempted()));
 }

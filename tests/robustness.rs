@@ -74,14 +74,17 @@ fn dropped_posts_on_all_kernels_are_detected_and_attributed() {
         assert!(!r.teeth.is_empty(), "{kernel}: no droppable posts found");
         for t in &r.teeth {
             assert!(
-                t.detected,
+                t.detected(),
                 "{kernel}: dropped {} post at s{} went undetected",
-                t.kind, t.spec.site
+                t.kind,
+                t.spec.site
             );
             assert!(
                 t.named_site,
                 "{kernel}: dropped {} post at s{} not named (headline site {:?})",
-                t.kind, t.spec.site, t.attributed_site
+                t.kind,
+                t.spec.site,
+                t.attributed_site()
             );
             assert!(
                 t.elapsed < Duration::from_secs(30),
@@ -123,7 +126,7 @@ fn dropped_counter_increment_names_the_counter_site() {
         .iter()
         .find(|t| t.kind == "counter")
         .expect("counter tooth ran");
-    assert!(tooth.detected && tooth.named_site);
+    assert!(tooth.detected() && tooth.named_site);
     let report = tooth.report.as_ref().unwrap();
     assert_eq!(report.chaos_seed, Some(7));
     assert_eq!(report.widths, [4]);
