@@ -123,7 +123,7 @@ pub fn scan_owned_range(
     let l = prog.expect_loop(loop_node);
     let mut vt = VarTable::new();
     let p = vt.fresh("p", VarKind::Processor);
-    let i = vt.fresh(&l.name, VarKind::LoopIndex);
+    let i = vt.fresh(l.name.clone(), VarKind::LoopIndex);
     let mut vars: BTreeMap<AffAtom, VarId> = BTreeMap::new();
     let mut atom_of: BTreeMap<VarId, AffAtom> = BTreeMap::new();
     let mut sys = System::new();

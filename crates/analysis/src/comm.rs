@@ -41,8 +41,8 @@
 
 use crate::bindings::Bindings;
 use crate::partition::{stmt_partition, LoopPartition, OwnerMap, StmtPartition};
-use crate::translate::{build_pair_system, SharedLoopMode};
-use ineq::{FmeCache, FmeCacheStats, LinExpr, Rows, VarKind};
+use crate::translate::{build_partitioned, PairSystem, SharedLoopMode, Side};
+use ineq::{FmeCache, FmeCacheStats, LinExpr, ProbeScratch, Rows, VarKind};
 use ir::{Affine, ArrayId, LhsRef, LoopId, LoopKind, NodeId, Program, RedOp, ScalarId, StmtPath};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -55,8 +55,8 @@ use std::time::Instant;
 /// probe (see [`set_pair_probe`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PairProbe {
-    /// True when the pass-wide pair memo answered the query without
-    /// running a fresh Fourier-Motzkin scan.
+    /// True when the pass's facts table answered every access pair of
+    /// the query, so that it built no pair system of its own for them.
     pub memo_hit: bool,
     /// Wall time the query took, in nanoseconds.
     pub elapsed_ns: u64,
@@ -107,8 +107,9 @@ fn probe_fire(t0: Option<Instant>, memo_hit: bool) {
 /// each query's canonical inequality system.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AnalysisConfig {
-    /// Memoize FME feasibility verdicts and statement-pair outcomes in
-    /// caches shared across the whole pass.
+    /// Memoize FME feasibility verdicts in a cache shared across the
+    /// whole pass. (What the scans found per access pair is kept in
+    /// every configuration; see [`CommQuery`].)
     pub cache: bool,
 }
 
@@ -126,20 +127,20 @@ impl AnalysisConfig {
     }
 }
 
-/// Counter snapshot for one analysis pass: statement-pair memo traffic
-/// plus the shared FME cache statistics.
+/// Counter snapshot for one analysis pass: facts-table traffic plus the
+/// shared FME cache statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
-    /// Statement-pair queries answered from the pair memo.
+    /// Access pairs whose scans the facts table already held.
     pub pair_hits: u64,
-    /// Statement-pair queries that ran the full access-pair analysis.
+    /// Access pairs that built and scanned a pair system.
     pub pair_misses: u64,
     /// Shared Fourier-Motzkin cache counters.
     pub fme: FmeCacheStats,
 }
 
 impl AnalysisStats {
-    /// Hit rate over all statement-pair queries, in `[0, 1]`.
+    /// Hit rate over all facts-table lookups, in `[0, 1]`.
     pub fn pair_hit_rate(&self) -> f64 {
         let total = self.pair_hits + self.pair_misses;
         if total == 0 {
@@ -148,20 +149,6 @@ impl AnalysisStats {
             self.pair_hits as f64 / total as f64
         }
     }
-}
-
-/// Memo key for a statement-pair query. Statement and loop nodes occur
-/// exactly once in the program tree, so the node ids identify the full
-/// [`StmtPath`]s and the mode's carried loop.
-type PairKey = (u32, u32, u8, u32);
-
-fn pair_key(s1: &StmtPath, s2: &StmtPath, mode: CommMode) -> PairKey {
-    let (tag, at) = match mode {
-        CommMode::LoopIndependent => (0u8, 0u32),
-        CommMode::CarriedBy(n) => (1, n.0),
-        CommMode::CarriedExactlyOne(n) => (2, n.0),
-    };
-    (s1.node.0, s2.node.0, tag, at)
 }
 
 /// Largest processor distance a [`DistSet`] can represent. Distances
@@ -803,7 +790,7 @@ impl CommOutcome {
 /// algorithm: barriers between groups are tested *loop-independent*; the
 /// bottom-of-loop barrier of an enclosing sequential loop is tested
 /// *loop-carried* at that loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CommMode {
     /// Both statement instances in the same iteration of all shared loops.
     LoopIndependent,
@@ -867,18 +854,28 @@ impl Site {
 struct PairFacts {
     /// The directions in which the pair crosses processors, or the
     /// outcome when the scans alone decide it (local, within neighbor
-    /// reach, pinned by symbolic extents).
+    /// reach, pinned by symbolic extents), naming no access pair.
     crossing: Result<(bool, bool), CommOutcome>,
     /// The distance spectrum, once a query got as far as asking.
-    spectrum: Cell<Option<Option<DistSet>>>,
+    spectrum: Option<Option<DistSet>>,
 }
 
-/// What the scans said about one statement pair, kept by whoever
-/// restates the pair's need at several entries
-/// ([`CommQuery::comm_stmts_entering`]): the scans are asked once per
-/// access pair and set of loops held, whatever the configuration.
-#[derive(Default)]
-pub struct PairScans(HashMap<(usize, usize, Vec<NodeId>), Rc<PairFacts>>);
+/// What a pair system is a function of: the two statements, how their
+/// shared loops relate, the loops held at their first trip, and the
+/// subscripts of the two accesses — named by their subscript class
+/// ([`StmtInfo::class`]), since the system never reads which array or
+/// which direction of access they belong to.
+type FactsKey = (NodeId, NodeId, CommMode, Vec<NodeId>, usize, usize);
+
+/// A statement's accesses and partition, derived once per pass.
+struct StmtInfo {
+    arrays: Vec<ArrayAccess>,
+    scalars: Vec<ScalarAccess>,
+    /// Per array access, the first access of the statement with the
+    /// same subscripts: accesses of one class build the same system.
+    class: Vec<usize>,
+    part: StmtPartition,
+}
 
 /// One array access of a statement.
 #[derive(Clone, Debug)]
@@ -905,7 +902,7 @@ pub struct ScalarAccess {
 /// inputs then imply equal processors regardless of the function's
 /// non-linear internals.
 fn same_owner_inputs(
-    ps: &mut crate::translate::PairSystem,
+    ps: &mut PairSystem,
     bind: &Bindings,
     lp1: &LoopPartition,
     lp2: &LoopPartition,
@@ -915,10 +912,8 @@ fn same_owner_inputs(
     if f1 != f2 {
         return None;
     }
-    let m1 = ps.map1.clone();
-    let m2 = ps.map2.clone();
-    let d1 = ps.tr(bind, sub1, &m1);
-    let d2 = ps.tr(bind, sub2, &m2);
+    let d1 = ps.tr(bind, sub1, Side::Producer);
+    let d2 = ps.tr(bind, sub2, Side::Consumer);
     Some((d1, d2))
 }
 
@@ -976,9 +971,15 @@ pub fn stmt_accesses(prog: &Program, stmt: NodeId) -> (Vec<ArrayAccess>, Vec<Sca
 }
 
 /// The communication analyzer: a program plus concrete bindings, with
-/// optional pass-wide memoization. It runs on the calling thread, so its
-/// counters are a pure function of program, bindings and the state of
-/// the FME cache it was given.
+/// optional pass-wide FME memoization. It runs on the calling thread, so
+/// its counters are a pure function of program, bindings and the state
+/// of the FME cache it was given.
+///
+/// In every configuration it derives each statement's accesses and
+/// partition once, and keeps what the scans found about each access
+/// pair in a facts table: a pair asked again — by another query level's
+/// slot, at another entry, or as another access of the same subscripts
+/// — reads its facts instead of building and scanning its system again.
 pub struct CommQuery<'p> {
     /// The program under analysis.
     pub prog: &'p Program,
@@ -986,7 +987,10 @@ pub struct CommQuery<'p> {
     pub bind: Bindings,
     config: AnalysisConfig,
     fme: Option<Arc<FmeCache>>,
-    pair_memo: RefCell<HashMap<PairKey, CommOutcome>>,
+    stmts: RefCell<HashMap<NodeId, Rc<StmtInfo>>>,
+    facts: RefCell<HashMap<FactsKey, PairFacts>>,
+    /// What every pair system of the pass probes in.
+    scratch: Rc<RefCell<ProbeScratch>>,
     pair_hits: Cell<u64>,
     pair_misses: Cell<u64>,
 }
@@ -1019,7 +1023,9 @@ impl<'p> CommQuery<'p> {
             bind,
             config,
             fme: if config.cache { fme } else { None },
-            pair_memo: RefCell::default(),
+            stmts: RefCell::default(),
+            facts: RefCell::default(),
+            scratch: Rc::default(),
             pair_hits: Cell::new(0),
             pair_misses: Cell::new(0),
         }
@@ -1030,7 +1036,7 @@ impl<'p> CommQuery<'p> {
         self.config
     }
 
-    /// Counter snapshot (pair memo + shared FME cache). The counts
+    /// Counter snapshot (facts table + shared FME cache). The counts
     /// repeat exactly from run to run; the cache's `*_ns` timings do not.
     pub fn stats(&self) -> AnalysisStats {
         AnalysisStats {
@@ -1048,25 +1054,7 @@ impl<'p> CommQuery<'p> {
 
     /// As [`comm_stmts`](Self::comm_stmts) but carrying producer identity.
     pub fn comm_stmts_detailed(&self, s1: &StmtPath, s2: &StmtPath, mode: CommMode) -> CommOutcome {
-        let t0 = probe_start();
-        let entry = Entry::default();
-        if self.fme.is_none() {
-            let out = self.comm_stmts_fresh(s1, s2, (mode, &entry), None);
-            probe_fire(t0, false);
-            return out;
-        }
-        let key = pair_key(s1, s2, mode);
-        if let Some(hit) = self.pair_memo.borrow().get(&key) {
-            self.pair_hits.set(self.pair_hits.get() + 1);
-            let out = hit.clone();
-            probe_fire(t0, true);
-            return out;
-        }
-        let out = self.comm_stmts_fresh(s1, s2, (mode, &entry), None);
-        self.pair_misses.set(self.pair_misses.get() + 1);
-        self.pair_memo.borrow_mut().insert(key, out.clone());
-        probe_fire(t0, false);
-        out
+        self.comm_stmts_at(s1, s2, (mode, &Entry::default()))
     }
 
     /// The loop-independent need of a pair whose later statement sits
@@ -1076,20 +1064,38 @@ impl<'p> CommQuery<'p> {
     /// or collector may be named after their indices, and the
     /// `first_trip` loops held at their lower bound. The default entry
     /// is the need of all trips at once. Restating a pair only renames
-    /// what its scans found, so they are kept in `scans`; each such
-    /// query is asked once per compile and bypasses the pair memo.
-    pub fn comm_stmts_entering(
-        &self,
-        s1: &StmtPath,
-        s2: &StmtPath,
-        entry: &Entry,
-        scans: &mut PairScans,
-    ) -> CommOutcome {
+    /// what its scans found, and the facts table hands those back.
+    pub fn comm_stmts_entering(&self, s1: &StmtPath, s2: &StmtPath, entry: &Entry) -> CommOutcome {
+        self.comm_stmts_at(s1, s2, (CommMode::LoopIndependent, entry))
+    }
+
+    /// One statement-pair query, reported to the installed probe.
+    fn comm_stmts_at(&self, s1: &StmtPath, s2: &StmtPath, at: (CommMode, &Entry)) -> CommOutcome {
         let t0 = probe_start();
-        let at = (CommMode::LoopIndependent, entry);
-        let out = self.comm_stmts_fresh(s1, s2, at, Some(scans));
-        probe_fire(t0, false);
+        let misses = self.pair_misses.get();
+        let out = self.comm_stmts_fresh(s1, s2, at);
+        probe_fire(t0, self.pair_misses.get() == misses);
         out
+    }
+
+    /// Statement `s`'s accesses, their subscript classes and its
+    /// partition, derived on first use.
+    fn info(&self, s: &StmtPath) -> Rc<StmtInfo> {
+        if let Some(info) = self.stmts.borrow().get(&s.node) {
+            return info.clone();
+        }
+        let (arrays, scalars) = stmt_accesses(self.prog, s.node);
+        let class = (0..arrays.len())
+            .map(|k| (0..=k).find(|&j| arrays[j].subs == arrays[k].subs).unwrap())
+            .collect();
+        let info = Rc::new(StmtInfo {
+            arrays,
+            scalars,
+            class,
+            part: stmt_partition(self.prog, &self.bind, s),
+        });
+        self.stmts.borrow_mut().insert(s.node, info.clone());
+        info
     }
 
     /// Is an instance of `s` the same whichever trip of the sequential
@@ -1101,45 +1107,43 @@ impl<'p> CommQuery<'p> {
         let k = self.prog.expect_loop(node).id;
         let names = |e: &Affine| e.loops().any(|l| l == k);
         let mut loops = s.loops.iter().map(|&n| self.prog.expect_loop(n));
-        let owner = match stmt_partition(self.prog, &self.bind, s) {
+        let info = self.info(s);
+        let owner = match &info.part {
             StmtPartition::Distributed(
                 _,
                 LoopPartition::BlockOwner { sub, .. }
                 | LoopPartition::CyclicOwner { sub, .. }
                 | LoopPartition::BlockCyclicOwner { sub, .. }
                 | LoopPartition::SymbolicBlockOwner { sub, .. },
-            ) => names(&sub),
+            ) => names(sub),
             _ => false,
         };
-        let (arrays, _) = stmt_accesses(self.prog, s.node);
         !(owner
             || loops.any(|l| names(&l.lo) || names(&l.hi))
             || s.guards.iter().any(|g| names(&g.expr))
-            || arrays.iter().any(|a| a.subs.iter().any(names)))
+            || info.arrays.iter().any(|a| a.subs.iter().any(names)))
     }
 
-    /// The full (memo-free) statement-pair analysis.
+    /// The statement-pair analysis: every dependent access pair, joined.
     fn comm_stmts_fresh(
         &self,
         s1: &StmtPath,
         s2: &StmtPath,
         at: (CommMode, &Entry),
-        mut scans: Option<&mut PairScans>,
     ) -> CommOutcome {
-        let (arr1, sc1) = stmt_accesses(self.prog, s1.node);
-        let (arr2, sc2) = stmt_accesses(self.prog, s2.node);
+        let (i1, i2) = (self.info(s1), self.info(s2));
         let mut out = CommOutcome::none();
 
         // Scalar dependences first (cheap, and often decisive).
-        for a1 in &sc1 {
-            for a2 in &sc2 {
+        for a1 in &i1.scalars {
+            for a2 in &i2.scalars {
                 if a1.scalar != a2.scalar || (!a1.is_write && !a2.is_write) {
                     continue;
                 }
                 // The same operator on both sides: the flushes commute,
                 // in whatever order the processors get to them.
-                let op = self.atomic_reduction(s1, a1.scalar);
-                if op.is_some() && op == self.atomic_reduction(s2, a1.scalar) {
+                let op = self.atomic_reduction(s1, &i1.part, a1.scalar);
+                if op.is_some() && op == self.atomic_reduction(s2, &i2.part, a1.scalar) {
                     let skipped = AccessPair {
                         src: s1.node,
                         dst: s2.node,
@@ -1149,20 +1153,20 @@ impl<'p> CommQuery<'p> {
                     out.commuting = union(std::mem::take(&mut out.commuting), vec![skipped]);
                     continue;
                 }
-                out = out.join(self.scalar_pair(s1, *a1, s2, *a2, at));
+                out = out.join(self.scalar_pair((s1, &i1.part, *a1), (s2, &i2.part, *a2), at));
                 if out.comm == Comm::General {
                     return out;
                 }
             }
         }
 
-        for a1 in arr1.iter().enumerate() {
-            for a2 in arr2.iter().enumerate() {
-                if a1.1.array != a2.1.array || (!a1.1.is_write && !a2.1.is_write) {
+        for (k1, a1) in i1.arrays.iter().enumerate() {
+            for (k2, a2) in i2.arrays.iter().enumerate() {
+                if a1.array != a2.array || (!a1.is_write && !a2.is_write) {
                     continue;
                 }
-                let scans = scans.as_deref_mut();
-                out = out.join(self.array_pair(s1, a1, s2, a2, at, scans));
+                let ends = ((s1, &*i1, k1), (s2, &*i2, k2));
+                out = out.join(self.array_pair(ends, at));
                 if out.comm == Comm::General {
                     return out;
                 }
@@ -1176,25 +1180,20 @@ impl<'p> CommQuery<'p> {
     /// flushed atomically: a reduction in a distributed loop whose
     /// right-hand side does not read `x`. A master or replicated
     /// reduction is a plain read-modify-write and has none.
-    fn atomic_reduction(&self, s: &StmtPath, x: ScalarId) -> Option<RedOp> {
+    fn atomic_reduction(&self, s: &StmtPath, part: &StmtPartition, x: ScalarId) -> Option<RedOp> {
         let a = self.prog.node(s.node).as_assign()?;
         let op = a.reduction?;
         let atomic = a.lhs == LhsRef::Scalar(x)
             && !self.prog.scalar(x).privatizable
             && !a.rhs.scalar_reads().contains(&x)
-            && matches!(
-                stmt_partition(self.prog, &self.bind, s),
-                StmtPartition::Distributed(..)
-            );
+            && matches!(part, StmtPartition::Distributed(..));
         atomic.then_some(op)
     }
 
     fn scalar_pair(
         &self,
-        s1: &StmtPath,
-        a1: ScalarAccess,
-        s2: &StmtPath,
-        a2: ScalarAccess,
+        (s1, p1, a1): (&StmtPath, &StmtPartition, ScalarAccess),
+        (s2, p2, a2): (&StmtPath, &StmtPartition, ScalarAccess),
         at: (CommMode, &Entry),
     ) -> CommOutcome {
         if self.prog.scalar(a1.scalar).privatizable {
@@ -1206,10 +1205,8 @@ impl<'p> CommQuery<'p> {
             storage: Storage::Scalar(a1.scalar),
             dep: DepKind::of(a1.is_write, a2.is_write),
         });
-        let p1 = stmt_partition(self.prog, &self.bind, s1);
-        let p2 = stmt_partition(self.prog, &self.bind, s2);
         use StmtPartition::*;
-        match (&p1, a1.is_write, &p2, a2.is_write) {
+        match (p1, a1.is_write, p2, a2.is_write) {
             // Producer and consumer both on the master: purely local.
             (Master, _, Master, _) => CommOutcome::none(),
             // A replicated producer leaves a valid copy everywhere.
@@ -1227,7 +1224,7 @@ impl<'p> CommQuery<'p> {
             // statement and can collect everyone's post.
             _ => {
                 let site = self.site_loops(s1, s2, at);
-                let out = match self.sink_collector(&p2, &site, at.0) {
+                let out = match self.sink_collector(p2, &site, at.0) {
                     Some(spec) => CommOutcome::waits(WaitSet::collector(spec)),
                     None => CommOutcome {
                         failed: Some(RULE_SCALAR),
@@ -1241,21 +1238,20 @@ impl<'p> CommQuery<'p> {
 
     fn array_pair(
         &self,
-        s1: &StmtPath,
-        (k1, a1): (usize, &ArrayAccess),
-        s2: &StmtPath,
-        (k2, a2): (usize, &ArrayAccess),
+        ((s1, i1, k1), (s2, i2, k2)): (
+            (&StmtPath, &StmtInfo, usize),
+            (&StmtPath, &StmtInfo, usize),
+        ),
         at: (CommMode, &Entry),
-        scans: Option<&mut PairScans>,
     ) -> CommOutcome {
         let (mode, entry) = at;
+        let (a1, a2) = (&i1.arrays[k1], &i2.arrays[k2]);
         // Privatizable work arrays live in per-processor copies: no
         // access to them ever moves data between processors.
         if self.prog.array(a1.array).privatizable {
             return CommOutcome::none();
         }
-        let part1 = stmt_partition(self.prog, &self.bind, s1);
-        let part2 = stmt_partition(self.prog, &self.bind, s2);
+        let (part1, part2) = (&i1.part, &i2.part);
         // Every communicating outcome names the pair it came from; a
         // general one also the last rule that failed.
         let found = |out: CommOutcome| CommOutcome {
@@ -1275,21 +1271,23 @@ impl<'p> CommQuery<'p> {
         };
 
         // Replicated producers satisfy true dependences locally.
-        if a1.is_write && part1 == StmtPartition::Replicated {
+        if a1.is_write && *part1 == StmtPartition::Replicated {
             if !a2.is_write {
                 return CommOutcome::none();
             }
-            if part2 == StmtPartition::Replicated {
+            if *part2 == StmtPartition::Replicated {
                 return CommOutcome::none();
             }
             return general(RULE_REPLICATED);
         }
-        if !a1.is_write && a2.is_write && part2 == StmtPartition::Replicated {
+        if !a1.is_write && a2.is_write && *part2 == StmtPartition::Replicated {
             return general(RULE_REPLICATED);
         }
 
         let system = || {
-            let mut ps = build_pair_system(self.prog, &self.bind, s1, s2, mode.shared_mode());
+            let (parts, scratch) = (((s1, part1), (s2, part2)), self.scratch.clone());
+            let mut ps =
+                build_partitioned(self.prog, &self.bind, parts, mode.shared_mode(), scratch);
             ps.set_cache(self.fme.clone());
             ps.add_elem_equality(&self.bind, &a1.subs, &a2.subs);
             for &node in &entry.first_trip {
@@ -1298,29 +1296,46 @@ impl<'p> CommQuery<'p> {
             ps
         };
         // What the scans say does not depend on where the query is
-        // stated: asked again for another entry, the pair costs none.
-        let key = (k1, k2, entry.first_trip.clone());
-        let known = scans.as_ref().and_then(|kept| kept.0.get(&key).cloned());
+        // stated, nor on which array or direction of access the
+        // subscripts belong to: asked again, the pair costs none.
+        let key = (
+            s1.node,
+            s2.node,
+            mode,
+            entry.first_trip.clone(),
+            i1.class[k1],
+            i2.class[k2],
+        );
+        let known = self
+            .facts
+            .borrow()
+            .get(&key)
+            .map(|f| (f.crossing.clone(), f.spectrum));
+        let counter = if known.is_some() {
+            &self.pair_hits
+        } else {
+            &self.pair_misses
+        };
+        counter.set(counter.get() + 1);
         let mut ps = None;
-        let facts = known.unwrap_or_else(|| {
-            let ps = ps.insert(system());
-            let facts = Rc::new(self.scan_pair(ps, (&part1, &part2), &found, &general));
-            if let Some(kept) = scans {
-                kept.0.insert(key, facts.clone());
-            }
-            facts
+        let (crossing, spectrum) = known.unwrap_or_else(|| {
+            let facts = self.scan_pair(ps.insert(system()), (part1, part2));
+            let crossing = facts.crossing.clone();
+            self.facts.borrow_mut().insert(key.clone(), facts);
+            (crossing, None)
         });
-        let (fwd, bwd) = match &facts.crossing {
-            Ok(directions) => *directions,
-            Err(decided) => return decided.clone(),
+        let (fwd, bwd) = match crossing {
+            Ok(directions) => directions,
+            Err(decided) if decided.comm == Comm::NoComm => return decided,
+            Err(decided) => return found(decided),
         };
 
         // 3. Unique producer? Named from the writer's side first, then —
         //    for a true dependence — from the reader's.
         let site = self.site_loops(s1, s2, at);
         let producer = self
-            .one_executor(&part1, &site, Anchor::Source)
-            .or_else(|| self.sink_anchored_producer(a1, &part1, a2, &site, mode));
+            .one_executor(part1, &site, Anchor::Source)
+            .or_else(|| self.sink_anchored_producer(a1, part1, a2, &site, mode));
         if let Some(spec) = producer {
             return found(CommOutcome::waits(WaitSet::producer(spec)));
         }
@@ -1334,12 +1349,14 @@ impl<'p> CommQuery<'p> {
         //    iteration), so — unlike the chained neighbor test of step
         //    2 — no reach argument is needed: the distance spectrum
         //    alone decides.
-        let spectrum = facts.spectrum.get().unwrap_or_else(|| {
+        let spectrum = spectrum.unwrap_or_else(|| {
             let ps = ps.get_or_insert_with(system);
             let spectrum = self.distance_spectrum(ps, fwd, bwd);
             #[cfg(test)]
             assert_eq!(spectrum, tests::enumerated_spectrum(self, ps, fwd, bwd));
-            facts.spectrum.set(Some(spectrum));
+            if let Some(facts) = self.facts.borrow_mut().get_mut(&key) {
+                facts.spectrum = Some(spectrum);
+            }
             spectrum
         });
         if let Some(dists) = spectrum {
@@ -1351,8 +1368,8 @@ impl<'p> CommQuery<'p> {
         //    statement's side first, then — for an anti dependence —
         //    from the reader's.
         let collector = self
-            .sink_collector(&part2, &site, mode)
-            .or_else(|| self.source_anchored_collector(a1, a2, &part2, &site));
+            .sink_collector(part2, &site, mode)
+            .or_else(|| self.source_anchored_collector(a1, a2, part2, &site));
         match collector {
             Some(spec) => found(CommOutcome::waits(WaitSet::collector(spec))),
             None => general(RULE_SPECTRUM),
@@ -1362,18 +1379,16 @@ impl<'p> CommQuery<'p> {
     /// Steps 0 to 2 of the access-pair analysis — every question a
     /// Fourier-Motzkin scan answers before a producer or collector is
     /// looked for: is the pair local, within neighbor reach, pinned by
-    /// symbolic extents (`Err`: decided), or does it cross processors,
-    /// and in which directions (`Ok`)?
+    /// symbolic extents (`Err`: decided, the outcome naming no pair yet),
+    /// or does it cross processors, and in which directions (`Ok`)?
     fn scan_pair(
         &self,
-        ps: &mut crate::translate::PairSystem,
+        ps: &mut PairSystem,
         (part1, part2): (&StmtPartition, &StmtPartition),
-        found: &dyn Fn(CommOutcome) -> CommOutcome,
-        general: &dyn Fn(&'static str) -> CommOutcome,
     ) -> PairFacts {
         let decided = |out| PairFacts {
             crossing: Err(out),
-            spectrum: Cell::new(None),
+            spectrum: None,
         };
         let (p, q) = (ps.p, ps.q);
 
@@ -1403,10 +1418,8 @@ impl<'p> CommQuery<'p> {
         ) = (part1, part2)
         {
             if e1 == e2 {
-                let m1 = ps.map1.clone();
-                let m2 = ps.map2.clone();
-                let d1 = ps.tr(&self.bind, sb1, &m1);
-                let d2 = ps.tr(&self.bind, sb2, &m2);
+                let d1 = ps.tr(&self.bind, sb1, Side::Producer);
+                let d2 = ps.tr(&self.bind, sb2, Side::Consumer);
                 let fwd = ps.feasible_with(|s| {
                     s.add_ge(d2.clone() - d1.clone() - LinExpr::constant(1));
                 });
@@ -1436,11 +1449,14 @@ impl<'p> CommQuery<'p> {
                     })
                 };
                 if !viol(true) && !viol(false) {
-                    return decided(found(CommOutcome::waits(WaitSet::at_distances(
+                    return decided(CommOutcome::waits(WaitSet::at_distances(
                         DistSet::neighbor(fwd, bwd),
-                    ))));
+                    )));
                 }
-                return decided(general(RULE_SYMBOLIC));
+                return decided(CommOutcome {
+                    failed: Some(RULE_SYMBOLIC),
+                    ..CommOutcome::general()
+                });
             }
             // Different extents: owner functions differ; fall through to
             // the (conservative) processor tests.
@@ -1495,14 +1511,14 @@ impl<'p> CommQuery<'p> {
             })
         };
         if !viol(true) && !viol(false) {
-            return decided(found(CommOutcome::waits(WaitSet::at_distances(
+            return decided(CommOutcome::waits(WaitSet::at_distances(
                 DistSet::neighbor(fwd, bwd),
-            ))));
+            )));
         }
 
         PairFacts {
             crossing: Ok((fwd, bwd)),
-            spectrum: Cell::new(None),
+            spectrum: None,
         }
     }
 
@@ -1529,12 +1545,7 @@ impl<'p> CommQuery<'p> {
     /// `Unknown` verdict) in which no distance is confirmed cannot be
     /// pinned to a spectrum, so the other direction's distances alone
     /// are never returned.
-    fn distance_spectrum(
-        &self,
-        ps: &crate::translate::PairSystem,
-        fwd: bool,
-        bwd: bool,
-    ) -> Option<DistSet> {
+    fn distance_spectrum(&self, ps: &PairSystem, fwd: bool, bwd: bool) -> Option<DistSet> {
         let (p, q) = (ps.p, ps.q);
         let mut vt = ps.vt.clone();
         let d = vt.fresh("d", VarKind::Processor);
@@ -1757,6 +1768,7 @@ impl<'p> CommQuery<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::translate::build_pair_system;
     use ir::build::*;
     use proptest::prelude::*;
 
@@ -1778,7 +1790,7 @@ mod tests {
     /// a tail probe per direction on machines wider than that window.
     pub(super) fn enumerated_spectrum(
         cq: &CommQuery,
-        ps: &crate::translate::PairSystem,
+        ps: &PairSystem,
         fwd: bool,
         bwd: bool,
     ) -> Option<DistSet> {
@@ -1859,11 +1871,7 @@ mod tests {
 
     /// The loop-independent pair system of a program's first two
     /// statements with `subs1 == subs2` as the element equality.
-    fn first_pair_system(
-        q: &CommQuery,
-        subs1: &[Affine],
-        subs2: &[Affine],
-    ) -> crate::translate::PairSystem {
+    fn first_pair_system(q: &CommQuery, subs1: &[Affine], subs2: &[Affine]) -> PairSystem {
         let st = q.prog.all_statements();
         let mode = CommMode::LoopIndependent.shared_mode();
         let mut ps = build_pair_system(q.prog, &q.bind, &st[0], &st[1], mode);
@@ -2760,8 +2768,7 @@ mod tests {
                 per_trip: vec![knode],
                 first_trip: vec![],
             };
-            let mut scans = PairScans::default();
-            let need = q.comm_stmts_entering(init, sink, &per_trip, &mut scans);
+            let need = q.comm_stmts_entering(init, sink, &per_trip);
             assert_eq!(
                 one_producer(&need),
                 named(Affine::index(k)).as_ref(),
@@ -2771,7 +2778,7 @@ mod tests {
                 per_trip: vec![],
                 first_trip: vec![knode],
             };
-            let need = q.comm_stmts_entering(init, sink, &first_trip, &mut scans);
+            let need = q.comm_stmts_entering(init, sink, &first_trip);
             assert_eq!(
                 one_producer(&need),
                 named(Affine::constant(0)).as_ref(),
@@ -2812,7 +2819,7 @@ mod tests {
                 per_trip: vec![tnode],
                 first_trip: vec![inode],
             };
-            let need = q.comm_stmts_entering(init, sweep, &entry, &mut PairScans::default());
+            let need = q.comm_stmts_entering(init, sweep, &entry);
             assert_eq!(need.pattern(), first, "P={nprocs}");
             assert!(q.trip_invariant(sweep, tnode));
             assert!(!q.trip_invariant(sweep, inode));
@@ -2899,8 +2906,8 @@ mod tests {
     }
 
     /// Two loops with two statements each, as a 2x2 group query: the
-    /// cached analyzer must agree with the uncached reference and must
-    /// register memo traffic.
+    /// cached analyzer must agree with the uncached reference, and both
+    /// keep the same facts table — only the cached one an FME memo.
     #[test]
     fn cached_matches_sequential_uncached() {
         let mut pb = ProgramBuilder::new("groups");
@@ -2934,14 +2941,20 @@ mod tests {
         };
         let want = fold(&reference);
         assert_eq!(want, fold(&cached));
+        let misses = cached.stats().pair_misses;
 
-        // The second identical query is answered entirely from the memo.
+        // The second identical query is answered entirely from the facts.
+        assert_eq!(want, fold(&reference));
         assert_eq!(want, fold(&cached));
         let stats = cached.stats();
-        assert!(stats.pair_hits > 0, "{stats:?}");
-        assert!(stats.pair_misses > 0, "{stats:?}");
+        assert_eq!(stats.pair_misses, misses, "{stats:?}");
+        assert!(stats.pair_hits >= misses && misses > 0, "{stats:?}");
         assert!(stats.fme.feas_misses > 0, "{stats:?}");
         let ref_stats = reference.stats();
-        assert_eq!(ref_stats.pair_hits + ref_stats.pair_misses, 0);
+        assert_eq!(
+            (ref_stats.pair_hits, ref_stats.pair_misses),
+            (stats.pair_hits, stats.pair_misses)
+        );
+        assert_eq!(ref_stats.fme, FmeCacheStats::default());
     }
 }

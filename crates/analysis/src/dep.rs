@@ -18,10 +18,10 @@ pub fn loop_carries_dependence(prog: &Program, bind: &Bindings, loop_node: NodeI
         .enclosing_loops(loop_node)
         .expect("loop node must be part of the program");
     let stmts = prog.statements_under(loop_node, &prefix);
+    let accesses: Vec<_> = stmts.iter().map(|s| stmt_accesses(prog, s.node)).collect();
     // Scalar test.
-    for s in &stmts {
-        let (_, scalars) = stmt_accesses(prog, s.node);
-        for sc in &scalars {
+    for (s, (_, scalars)) in stmts.iter().zip(&accesses) {
+        for sc in scalars {
             if sc.is_write && !prog.scalar(sc.scalar).privatizable {
                 let is_reduction = prog
                     .node(s.node)
@@ -36,12 +36,10 @@ pub fn loop_carries_dependence(prog: &Program, bind: &Bindings, loop_node: NodeI
     }
     // Array test: any pair of accesses (one a write) to the same array,
     // same element, in *different* iterations of this loop.
-    for s1 in &stmts {
-        for s2 in &stmts {
-            let (a1s, _) = stmt_accesses(prog, s1.node);
-            let (a2s, _) = stmt_accesses(prog, s2.node);
-            for a1 in &a1s {
-                for a2 in &a2s {
+    for (s1, (a1s, _)) in stmts.iter().zip(&accesses) {
+        for (s2, (a2s, _)) in stmts.iter().zip(&accesses) {
+            for a1 in a1s {
+                for a2 in a2s {
                     if a1.array != a2.array || (!a1.is_write && !a2.is_write) {
                         continue;
                     }

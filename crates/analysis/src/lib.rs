@@ -59,8 +59,8 @@ pub use bindings::Bindings;
 pub use codegen::{scan_owned_range, ScannedBounds};
 pub use comm::{
     set_pair_probe, AccessPair, AnalysisConfig, AnalysisStats, Anchor, Comm, CommMode, CommOutcome,
-    CommPattern, CommQuery, DepKind, DistSet, Entry, PairProbe, PairScans, Pin, ProducerSpec,
-    Storage, WaitSet, MAX_PAIR_DIST, MAX_PAIR_FANIN,
+    CommPattern, CommQuery, DepKind, DistSet, Entry, PairProbe, Pin, ProducerSpec, Storage,
+    WaitSet, MAX_PAIR_DIST, MAX_PAIR_FANIN,
 };
 pub use dep::{check_parallel_loops, loop_carries_dependence};
 pub use partition::{

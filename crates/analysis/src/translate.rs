@@ -3,10 +3,11 @@
 
 use crate::bindings::Bindings;
 use crate::partition::{stmt_partition, LoopPartition, StmtPartition};
-use ineq::{LinExpr, Rows, System, VarId, VarKind, VarTable};
+use ineq::{BaseRows, LinExpr, ProbeScratch, System, VarId, VarKind, VarTable};
 use ir::{AffAtom, Affine, CmpOp, GuardCond, LoopId, NodeId, Program, StmtPath, SymId};
-use std::cell::OnceCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// How the loops shared by the two statements relate in the query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -21,6 +22,15 @@ pub enum SharedLoopMode {
     CarriedExactlyOne(NodeId),
 }
 
+/// Which of the two statement instances an expression is read in.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Side {
+    /// The earlier statement's instance (loop variables `map1`).
+    Producer,
+    /// The later statement's instance (loop variables `map2`).
+    Consumer,
+}
+
 /// A fully built two-instance system: variables for both statements'
 /// loop nests, their processors `p` and `q`, bounds, guards, and
 /// partition constraints. Communication queries add the array-element
@@ -32,9 +42,12 @@ pub struct PairSystem {
     /// Base system (bounds + guards + partitions + shared-loop mode).
     /// Crate-private so that it only changes where `base` is dropped.
     pub(crate) sys: System,
-    /// `sys` in row form: built by the first probe, copied by every one,
-    /// dropped when `sys` changes.
-    base: OnceCell<Rows>,
+    /// `sys` as rows, propagated once: built by the first probe, read by
+    /// every one, dropped when `sys` changes.
+    base: OnceCell<BaseRows>,
+    /// The buffers each probe refills — the system's own, or the one
+    /// every pair system of an analysis pass shares.
+    scratch: Rc<RefCell<ProbeScratch>>,
     /// Producer processor variable.
     pub p: VarId,
     /// Consumer processor variable.
@@ -48,14 +61,18 @@ pub struct PairSystem {
     pub carried_vars: Option<(VarId, VarId)>,
     sym_vars: BTreeMap<SymId, VarId>,
     free_loops: BTreeMap<LoopId, VarId>,
-    aux: u32,
     cache: Option<std::sync::Arc<ineq::FmeCache>>,
 }
 
 impl PairSystem {
-    /// Translate an IR affine expression under a loop-variable map.
-    pub fn tr(&mut self, bind: &Bindings, e: &Affine, map: &BTreeMap<LoopId, VarId>) -> LinExpr {
-        let mut out = LinExpr::constant(e.constant_term() as i128);
+    /// Translate an IR affine expression under one instance's loop
+    /// variables.
+    pub fn tr(&mut self, bind: &Bindings, e: &Affine, side: Side) -> LinExpr {
+        let map = match side {
+            Side::Producer => &self.map1,
+            Side::Consumer => &self.map2,
+        };
+        let (mut out, mut constant) = (LinExpr::zero(), e.constant_term() as i128);
         for (a, c) in e.terms() {
             match a {
                 AffAtom::Loop(l) => {
@@ -68,29 +85,28 @@ impl PairSystem {
                             self.vt.fresh(format!("free{}", l.0), VarKind::LoopIndex)
                         })
                     });
-                    out = out + LinExpr::term(v, c as i128);
+                    out.add_term(v, c as i128);
                 }
                 AffAtom::Sym(s) => match bind.get(s) {
                     Some(v) => {
-                        out = out + LinExpr::constant((c as i128) * (v as i128));
+                        let term = (c as i128) * (v as i128);
+                        constant = constant.checked_add(term).expect("linexpr overflow");
                     }
                     None => {
                         let v = *self.sym_vars.entry(s).or_insert_with(|| {
                             self.vt.fresh(format!("sym{}", s.0), VarKind::Symbolic)
                         });
-                        out = out + LinExpr::term(v, c as i128);
+                        out.add_term(v, c as i128);
                     }
                 },
             }
         }
-        out
+        out + LinExpr::constant(constant)
     }
 
     /// A fresh auxiliary variable (eliminated first in the scan order).
-    pub fn fresh_aux(&mut self, name: &str) -> VarId {
-        self.aux += 1;
-        self.vt
-            .fresh(format!("{name}{}", self.aux), VarKind::ArrayIndex)
+    pub fn fresh_aux(&mut self, name: &'static str) -> VarId {
+        self.vt.fresh(name, VarKind::ArrayIndex)
     }
 
     /// Add the element-equality constraints `subs1 == subs2`, dimension
@@ -98,10 +114,8 @@ impl PairSystem {
     pub fn add_elem_equality(&mut self, bind: &Bindings, subs1: &[Affine], subs2: &[Affine]) {
         debug_assert_eq!(subs1.len(), subs2.len());
         for (a, b) in subs1.iter().zip(subs2) {
-            let m1 = self.map1.clone();
-            let m2 = self.map2.clone();
-            let ea = self.tr(bind, a, &m1);
-            let eb = self.tr(bind, b, &m2);
+            let ea = self.tr(bind, a, Side::Producer);
+            let eb = self.tr(bind, b, Side::Consumer);
             self.sys.add_eq(ea - eb);
         }
         self.base.take();
@@ -110,9 +124,8 @@ impl PairSystem {
     /// Hold a loop that encloses the later statement alone at its first
     /// trip: the later instance's index equals the loop's lower bound.
     pub fn hold_at_first_trip(&mut self, bind: &Bindings, l: &ir::Loop) {
-        let m2 = self.map2.clone();
-        let lo = self.tr(bind, &l.lo, &m2);
-        self.sys.add_eq(LinExpr::var(m2[&l.id]) - lo);
+        let lo = self.tr(bind, &l.lo, Side::Consumer);
+        self.sys.add_eq(LinExpr::var(self.map2[&l.id]) - lo);
         self.base.take();
     }
 
@@ -124,20 +137,18 @@ impl PairSystem {
     }
 
     /// Feasibility of the base system with extra constraints installed by
-    /// `extra` into an empty probe system, whose rows are appended to a
-    /// copy of the base's (so queries are independent).
+    /// `extra` into an empty probe system, whose rows are appended to the
+    /// base's in a scratch of their own (so queries are independent).
+    /// The base is propagated once and each probe replays that on its
+    /// own rows (`ineq::probe`); the verdict is a fresh scan's.
     ///
     /// An `Unknown` verdict (arithmetic overflow or constraint blow-up in
     /// the scan) counts as feasible: the caller keeps the barrier.
     pub fn feasible_with(&self, extra: impl FnOnce(&mut System)) -> bool {
-        let mut probe = System::new();
-        extra(&mut probe);
-        let base = self.base.get_or_init(|| Rows::new(&self.sys, &self.vt));
-        let rows = base.with(&probe, &self.vt);
-        match &self.cache {
-            Some(c) => c.feasibility_rows(rows).may_hold(),
-            None => rows.feasibility().0.may_hold(),
-        }
+        let base = self.base.get_or_init(|| BaseRows::new(&self.sys, &self.vt));
+        let scratch = &mut self.scratch.borrow_mut();
+        base.probe(&self.sys, &self.vt, scratch, self.cache.as_deref(), extra)
+            .may_hold()
     }
 }
 
@@ -150,10 +161,28 @@ pub fn build_pair_system(
     s2: &StmtPath,
     mode: SharedLoopMode,
 ) -> PairSystem {
+    let part1 = stmt_partition(prog, bind, s1);
+    let part2 = stmt_partition(prog, bind, s2);
+    let parts = ((s1, &part1), (s2, &part2));
+    build_partitioned(prog, bind, parts, mode, Rc::default())
+}
+
+/// [`build_pair_system`] for statements whose partitions the caller
+/// already derived, probing in `scratch`.
+pub(crate) fn build_partitioned(
+    prog: &Program,
+    bind: &Bindings,
+    ((s1, part1), (s2, part2)): ((&StmtPath, &StmtPartition), (&StmtPath, &StmtPartition)),
+    mode: SharedLoopMode,
+    scratch: Rc<RefCell<ProbeScratch>>,
+) -> PairSystem {
+    let loops = s1.loops.len() + s2.loops.len();
+    let rows = 12 + 2 * loops + s1.guards.len() + s2.guards.len();
     let mut ps = PairSystem {
-        vt: VarTable::new(),
-        sys: System::new(),
+        vt: VarTable::with_capacity(4 + loops),
+        sys: System::with_capacity(rows),
         base: OnceCell::new(),
+        scratch,
         p: VarId(0),
         q: VarId(0),
         map1: BTreeMap::new(),
@@ -161,7 +190,6 @@ pub fn build_pair_system(
         carried_vars: None,
         sym_vars: BTreeMap::new(),
         free_loops: BTreeMap::new(),
-        aux: 0,
         cache: None,
     };
     ps.p = ps.vt.fresh("p", VarKind::Processor);
@@ -179,13 +207,13 @@ pub fn build_pair_system(
     );
 
     // Shared prefix of the two loop paths.
-    let shared: Vec<NodeId> = s1
+    let nshared = s1
         .loops
         .iter()
         .zip(&s2.loops)
         .take_while(|(a, b)| a == b)
-        .map(|(a, _)| *a)
-        .collect();
+        .count();
+    let shared = &s1.loops[..nshared];
     let carried_at = match mode {
         SharedLoopMode::SameIteration => None,
         SharedLoopMode::CarriedBy(at) | SharedLoopMode::CarriedExactlyOne(at) => {
@@ -207,19 +235,18 @@ pub fn build_pair_system(
             None => is_shared,
             Some(pos) => is_shared && k < pos,
         };
-        let v1 = ps.vt.fresh(format!("{}1", l.name), VarKind::LoopIndex);
+        let v1 = ps.vt.fresh("i1", VarKind::LoopIndex);
         ps.map1.insert(l.id, v1);
         if same_var {
             ps.map2.insert(l.id, v1);
         }
     }
-    for (k, &node) in s2.loops.iter().enumerate() {
+    for &node in &s2.loops {
         let l = prog.expect_loop(node);
         if ps.map2.contains_key(&l.id) {
             continue;
         }
-        let _ = k;
-        let v2 = ps.vt.fresh(format!("{}2", l.name), VarKind::LoopIndex);
+        let v2 = ps.vt.fresh("i2", VarKind::LoopIndex);
         ps.map2.insert(l.id, v2);
     }
 
@@ -245,50 +272,41 @@ pub fn build_pair_system(
 
     // Loop bounds for both instances (bounds may mention outer loop vars,
     // which are already in the maps since paths are outermost-first).
-    let m1 = ps.map1.clone();
     for &node in &s1.loops {
         let l = prog.expect_loop(node);
-        let v = m1[&l.id];
-        let lo = ps.tr(bind, &l.lo, &m1);
-        let hi = ps.tr(bind, &l.hi, &m1);
+        let v = ps.map1[&l.id];
+        let lo = ps.tr(bind, &l.lo, Side::Producer);
+        let hi = ps.tr(bind, &l.hi, Side::Producer);
         ps.sys.add_range(LinExpr::var(v), lo, hi);
     }
-    let m2 = ps.map2.clone();
     for &node in &s2.loops {
         let l = prog.expect_loop(node);
-        let v = m2[&l.id];
+        let v = ps.map2[&l.id];
         // Skip re-adding identical bounds for unified variables.
-        if m1.get(&l.id) == Some(&v) {
+        if ps.map1.get(&l.id) == Some(&v) {
             continue;
         }
-        let lo = ps.tr(bind, &l.lo, &m2);
-        let hi = ps.tr(bind, &l.hi, &m2);
+        let lo = ps.tr(bind, &l.lo, Side::Consumer);
+        let hi = ps.tr(bind, &l.hi, Side::Consumer);
         ps.sys.add_range(LinExpr::var(v), lo, hi);
     }
 
     // Guards.
-    add_guards(&mut ps, bind, &s1.guards, true);
-    add_guards(&mut ps, bind, &s2.guards, false);
+    add_guards(&mut ps, bind, &s1.guards, Side::Producer);
+    add_guards(&mut ps, bind, &s2.guards, Side::Consumer);
 
     // Computation partitions.
     let p = ps.p;
     let q = ps.q;
-    let part1 = stmt_partition(prog, bind, s1);
-    let part2 = stmt_partition(prog, bind, s2);
-    add_partition(&mut ps, bind, &part1, p, true);
-    add_partition(&mut ps, bind, &part2, q, false);
+    add_partition(&mut ps, bind, part1, p, Side::Producer);
+    add_partition(&mut ps, bind, part2, q, Side::Consumer);
 
     ps
 }
 
-fn add_guards(ps: &mut PairSystem, bind: &Bindings, guards: &[GuardCond], first: bool) {
-    let map = if first {
-        ps.map1.clone()
-    } else {
-        ps.map2.clone()
-    };
+fn add_guards(ps: &mut PairSystem, bind: &Bindings, guards: &[GuardCond], side: Side) {
     for g in guards {
-        let e = ps.tr(bind, &g.expr, &map);
+        let e = ps.tr(bind, &g.expr, side);
         match g.op {
             CmpOp::Eq => ps.sys.add_eq(e),
             CmpOp::Ge => ps.sys.add_ge(e),
@@ -302,13 +320,8 @@ fn add_partition(
     bind: &Bindings,
     part: &StmtPartition,
     proc_var: VarId,
-    first: bool,
+    side: Side,
 ) {
-    let map = if first {
-        ps.map1.clone()
-    } else {
-        ps.map2.clone()
-    };
     match part {
         StmtPartition::Master => {
             ps.sys.add_eq(LinExpr::var(proc_var));
@@ -318,7 +331,7 @@ fn add_partition(
         }
         StmtPartition::Distributed(loop_id, lp) => match lp {
             LoopPartition::BlockOwner { block, sub, .. } => {
-                let x = ps.tr(bind, sub, &map);
+                let x = ps.tr(bind, sub, side);
                 let b = *block as i128;
                 // p*b <= x <= p*b + b - 1
                 ps.sys.add_ge(x.clone() - LinExpr::term(proc_var, b));
@@ -326,14 +339,14 @@ fn add_partition(
                     .add_ge(LinExpr::term(proc_var, b) + LinExpr::constant(b - 1) - x);
             }
             LoopPartition::CyclicOwner { sub, .. } => {
-                let x = ps.tr(bind, sub, &map);
+                let x = ps.tr(bind, sub, side);
                 let k = ps.fresh_aux("k");
                 // x == k*P + p
                 ps.sys
                     .add_eq(x - LinExpr::term(k, bind.nprocs as i128) - LinExpr::var(proc_var));
             }
             LoopPartition::BlockCyclicOwner { block, sub, .. } => {
-                let x = ps.tr(bind, sub, &map);
+                let x = ps.tr(bind, sub, side);
                 let k = ps.fresh_aux("k");
                 let o = ps.fresh_aux("o");
                 let b = *block as i128;
@@ -350,6 +363,10 @@ fn add_partition(
                 );
             }
             LoopPartition::BlockIndex { lo, block, .. } => {
+                let map = match side {
+                    Side::Producer => &ps.map1,
+                    Side::Consumer => &ps.map2,
+                };
                 let i = map
                     .get(loop_id)
                     .copied()

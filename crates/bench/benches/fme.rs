@@ -146,7 +146,11 @@ fn bench_scan_phases(c: &mut Criterion) {
         rows
     });
     group.bench_function("scan", |b| {
-        b.iter_batched(|| raw.clone(), Rows::feasibility, BatchSize::SmallInput)
+        b.iter_batched(
+            || raw.clone(),
+            |mut rows| rows.feasibility(),
+            BatchSize::SmallInput,
+        )
     });
     group.bench_function("feasibility", |b| b.iter(|| sys.feasibility_with_peak(&vt)));
     group.finish();

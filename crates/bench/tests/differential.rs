@@ -1,6 +1,6 @@
 //! Differential tests: a memo may make the analysis faster, never
 //! different. For every suite kernel and a population of
-//! oracle-generated programs, the default configuration (pair memo, cold
+//! oracle-generated programs, the default configuration (a cold
 //! Fourier–Motzkin memo) — and, over the suite, one memo shared by every
 //! kernel — must produce a plan and decision log bitwise identical to
 //! `AnalysisConfig::sequential_uncached()`; likewise deadline-guarded and

@@ -10,11 +10,10 @@ use crate::sites::{
 };
 use analysis::{
     loop_is_replicated, loop_partition, AccessPair, AnalysisConfig, AnalysisStats, Anchor,
-    Bindings, Comm, CommMode, CommOutcome, CommPattern, CommQuery, Entry, PairScans, Pin,
-    ProducerSpec,
+    Bindings, Comm, CommMode, CommOutcome, CommPattern, CommQuery, Entry, Pin, ProducerSpec,
 };
 use ir::{Affine, LhsRef, LoopKind, Node, NodeId, Program, StmtPath};
-use std::cell::{OnceCell, RefCell};
+use std::cell::OnceCell;
 
 /// Does the subtree contain a parallel loop?
 pub fn contains_par(prog: &Program, node: NodeId) -> bool {
@@ -577,13 +576,10 @@ impl<'p> Optimizer<'p> {
         next: (&RItem, usize),
         pinned: &mut bool,
     ) -> Owed {
-        // Restated at one entry after another, the pair is scanned once.
+        // Restated at one entry after another, the pair is scanned once
+        // (the query's facts table keeps what the scans found).
         let into_loop = matches!(next.0, RItem::Seq { .. });
-        let scans = RefCell::new(PairScans::default());
-        let entering = |entry: &Entry| {
-            self.query
-                .comm_stmts_entering(s1, s2, entry, &mut scans.borrow_mut())
-        };
+        let entering = |entry: &Entry| self.query.comm_stmts_entering(s1, s2, entry);
         let opaque = OnceCell::new();
         let all_trips = || {
             let whole = || {

@@ -106,7 +106,7 @@ type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 /// `[nterms << 8 | kind, constant, (rank << 32 | ordinal, coeff)...]`) so
 /// key construction, hashing, and equality touch one contiguous
 /// allocation — this sits on the hot path of every memoized query.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct CanonicalSystem {
     contradictory: bool,
     count: u32,
@@ -143,33 +143,56 @@ impl CanonicalSystem {
     }
 }
 
-/// Number the variables that still occur in `rows`, in column order:
-/// `rank << 32 | ordinal` per column (meaningless for a column of
-/// zeros, which no term names) and the variable behind each ordinal.
-fn ordinals(rows: &Rows) -> (Vec<i128>, Vec<VarId>) {
-    let mut occurs = vec![false; rows.cols().len()];
-    for row in rows.iter() {
-        for (seen, &k) in occurs.iter_mut().zip(&row[1..]) {
-            *seen |= k != 0;
-        }
-    }
-    let mut used = Vec::new();
-    let packed = rows.cols().iter().zip(occurs).map(|(&(rank, v), seen)| {
-        if !seen {
-            return 0;
-        }
-        used.push(v);
-        ((rank as i128) << 32) | (used.len() - 1) as i128
-    });
-    (packed.collect(), used)
+/// The buffers canonical keys are built in. A query reuses one across
+/// its two keys and the caller across queries, so a lookup allocates
+/// nothing; only a key that is inserted is copied out.
+#[derive(Default)]
+pub(crate) struct KeyScratch {
+    /// `rank << 32 | ordinal` per column of the rows being encoded.
+    packed: Vec<i128>,
+    /// The variable behind each ordinal.
+    used: Vec<VarId>,
+    /// Rows encoded in row order, before sorting.
+    unsorted: Vec<i128>,
+    /// `(start, len)` of each encoded row in `unsorted`.
+    spans: Vec<(usize, usize)>,
+    /// The raw and the reduced key of the query under way.
+    raw: CanonicalSystem,
+    reduced: CanonicalSystem,
 }
 
-/// Encode `rows` into the flat canonical buffer, naming each column by
-/// its entry of `packed` (from [`ordinals`]; ascending, so a row's terms
-/// come out sorted).
-fn encode_flat(rows: &Rows, packed: &[i128]) -> (u32, Vec<i128>) {
-    let mut buf: Vec<i128> = Vec::with_capacity(rows.len() * 8);
-    let mut spans: Vec<(usize, usize)> = Vec::with_capacity(rows.len());
+/// Number the variables that still occur in `rows`, in column order:
+/// `rank << 32 | ordinal` per column into `packed` (meaningless for a
+/// column of zeros, which no term names) and the variable behind each
+/// ordinal into `used`.
+fn ordinals(rows: &Rows, packed: &mut Vec<i128>, used: &mut Vec<VarId>) {
+    packed.clear();
+    packed.resize(rows.cols().len(), 0);
+    for row in rows.iter() {
+        for (seen, &k) in packed.iter_mut().zip(&row[1..]) {
+            *seen |= (k != 0) as i128;
+        }
+    }
+    used.clear();
+    for (p, &(rank, v)) in packed.iter_mut().zip(rows.cols()) {
+        if *p != 0 {
+            *p = ((rank as i128) << 32) | used.len() as i128;
+            used.push(v);
+        }
+    }
+}
+
+/// Encode `rows` into `out`, the flat canonical buffer, naming each
+/// column by its entry of `packed` (from [`ordinals`]; ascending, so a
+/// row's terms come out sorted); returns the row count.
+fn encode_flat(
+    rows: &Rows,
+    packed: &[i128],
+    (buf, spans): (&mut Vec<i128>, &mut Vec<(usize, usize)>),
+    out: &mut Vec<i128>,
+) -> u32 {
+    buf.clear();
+    spans.clear();
     for row in rows.iter() {
         let start = buf.len();
         buf.extend([row[0], row[row.len() - 1]]);
@@ -183,31 +206,35 @@ fn encode_flat(rows: &Rows, packed: &[i128]) -> (u32, Vec<i128>) {
         spans.push((start, buf.len() - start));
     }
     spans.sort_unstable_by(|&(s1, l1), &(s2, l2)| buf[s1..s1 + l1].cmp(&buf[s2..s2 + l2]));
-    let mut flat = Vec::with_capacity(buf.len());
-    for &(s, l) in &spans {
-        flat.extend_from_slice(&buf[s..s + l]);
+    out.clear();
+    for &(s, l) in spans.iter() {
+        out.extend_from_slice(&buf[s..s + l]);
     }
-    (spans.len() as u32, flat)
+    spans.len() as u32
+}
+
+impl KeyScratch {
+    /// Encode `rows` as the raw (`reduced == false`) or the reduced key.
+    fn encode(&mut self, rows: &Rows, reduced: bool) -> &CanonicalSystem {
+        ordinals(rows, &mut self.packed, &mut self.used);
+        let key = if reduced {
+            &mut self.reduced
+        } else {
+            &mut self.raw
+        };
+        let scratch = (&mut self.unsorted, &mut self.spans);
+        key.count = encode_flat(rows, &self.packed, scratch, &mut key.flat);
+        key.contradictory = rows.is_contradictory();
+        key
+    }
 }
 
 /// Canonicalize `sys`: returns the canonical form plus the variable map
 /// (`map[ordinal]` is the original [`VarId`] with that canonical number).
 pub fn canonicalize(sys: &System, vt: &VarTable) -> (CanonicalSystem, Vec<VarId>) {
-    canonicalize_rows(&Rows::new(sys, vt))
-}
-
-/// [`canonicalize`] for a system already in row form.
-pub(crate) fn canonicalize_rows(rows: &Rows) -> (CanonicalSystem, Vec<VarId>) {
-    let (packed, used) = ordinals(rows);
-    let (count, flat) = encode_flat(rows, &packed);
-    (
-        CanonicalSystem {
-            contradictory: rows.is_contradictory(),
-            count,
-            flat,
-        },
-        used,
-    )
+    let mut scratch = KeyScratch::default();
+    let key = scratch.encode(&Rows::new(sys, vt), false).clone();
+    (key, scratch.used)
 }
 
 /// Rebuild a concrete [`System`] from a flat canonical buffer using
@@ -339,17 +366,18 @@ impl FeasTable {
         }
     }
 
-    fn insert(&mut self, key: CanonicalSystem, f: Feasibility, cost: u64) {
+    /// Record a verdict; the key is copied only when it is new.
+    fn insert(&mut self, key: &CanonicalSystem, f: Feasibility, cost: u64) {
         if self.cap == 0 {
             return;
         }
-        if let Some(slot) = self.map.get_mut(&key) {
+        if let Some(slot) = self.map.get_mut(key) {
             slot.f = f;
             slot.cost = cost;
             slot.referenced = true;
             return;
         }
-        let key = std::sync::Arc::new(key);
+        let key = std::sync::Arc::new(key.clone());
         if self.map.len() >= self.cap {
             let victim = self.evict_one();
             self.ring[victim] = key.clone();
@@ -449,7 +477,7 @@ impl FmeCache {
     ) {
         let mut memo = self.feas.lock().unwrap();
         for (key, f, cost) in entries {
-            memo.insert(key, f, cost);
+            memo.insert(&key, f, cost);
         }
     }
 
@@ -457,28 +485,44 @@ impl FmeCache {
     /// isomorphic system has been scanned before; otherwise runs the
     /// guarded scan and records the verdict.
     pub fn feasibility(&self, sys: &System, vt: &VarTable) -> Feasibility {
-        self.feasibility_rows(Rows::new(sys, vt))
+        let reduce = |rows: &mut Rows| rows.reduce(&[]);
+        self.feasibility_in(&mut Rows::new(sys, vt), reduce, &mut KeyScratch::default())
     }
 
-    /// [`FmeCache::feasibility`] for a system already in row form.
-    pub fn feasibility_rows(&self, rows: Rows) -> Feasibility {
+    /// [`FmeCache::feasibility`] on rows the caller keeps, with the
+    /// keys built in `keys`. `reduce` takes the raw rows to the scan's
+    /// reduced form; it must do what [`Rows::reduce`] with nothing kept
+    /// does (it may, say, replay a recorded propagation,
+    /// [`Rows::replay_units`]). The rows are left scanned.
+    pub(crate) fn feasibility_in(
+        &self,
+        rows: &mut Rows,
+        reduce: impl FnOnce(&mut Rows) -> Result<(), Overflow>,
+        keys: &mut KeyScratch,
+    ) -> Feasibility {
         if rows.is_contradictory() {
             return Feasibility::Infeasible;
         }
         let tq = std::time::Instant::now();
-        let f = self.feasibility_timed(rows);
+        let f = self.feasibility_timed(rows, reduce, keys);
         self.query_ns
             .fetch_add(tq.elapsed().as_nanos() as u64, Ordering::Relaxed);
         f
     }
 
-    fn feasibility_timed(&self, mut rows: Rows) -> Feasibility {
+    fn feasibility_timed(
+        &self,
+        rows: &mut Rows,
+        reduce: impl FnOnce(&mut Rows) -> Result<(), Overflow>,
+        keys: &mut KeyScratch,
+    ) -> Feasibility {
         // Level 1: key on the raw system — cheapest possible hit.
         let t0 = std::time::Instant::now();
-        let (key, _) = canonicalize_rows(&rows);
+        keys.encode(rows, false);
+        let key = &keys.raw;
         self.canon_ns
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if let Some((f, cost)) = self.feas.lock().unwrap().get(&key) {
+        if let Some((f, cost)) = self.feas.lock().unwrap().get(key) {
             self.feas_hits.fetch_add(1, Ordering::Relaxed);
             self.saved_ns.fetch_add(cost, Ordering::Relaxed);
             return f;
@@ -490,7 +534,7 @@ impl FmeCache {
         // catches hits level 1 cannot, at reduce (not scan) cost.
         let t1 = std::time::Instant::now();
         let peak0 = rows.len();
-        if rows.reduce(&[]).is_err() {
+        if reduce(rows).is_err() {
             self.feas_misses.fetch_add(1, Ordering::Relaxed);
             let cost = t1.elapsed().as_nanos() as u64;
             self.scan_ns.fetch_add(cost, Ordering::Relaxed);
@@ -499,16 +543,17 @@ impl FmeCache {
             self.feas
                 .lock()
                 .unwrap()
-                .insert(key, Feasibility::Unknown, cost);
+                .insert(&keys.raw, Feasibility::Unknown, cost);
             return Feasibility::Unknown;
         }
         let t2 = std::time::Instant::now();
-        let (rkey, _) = canonicalize_rows(&rows);
+        keys.encode(rows, true);
+        let (key, rkey) = (&keys.raw, &keys.reduced);
         self.canon_ns
             .fetch_add(t2.elapsed().as_nanos() as u64, Ordering::Relaxed);
         {
             let mut memo = self.feas.lock().unwrap();
-            if let Some((f, cost)) = memo.get(&rkey) {
+            if let Some((f, cost)) = memo.get(rkey) {
                 // Remember the raw key too so the next identical query
                 // hits at level 1. The recorded cost stays the loop-only
                 // cost this hit actually saved.
@@ -545,12 +590,13 @@ impl FmeCache {
             return Ok(System::contradiction());
         }
         let mut rows = Rows::new(sys, vt);
-        let (key, map) = canonicalize_rows(&rows);
+        let mut keys = KeyScratch::default();
+        let key = keys.encode(&rows, false).clone();
+        let map = std::mem::take(&mut keys.used);
         let Some(ord) = map.iter().position(|x| *x == v) else {
             // `v` does not occur: elimination is the identity.
             return Ok(decode(&key.flat, &map));
         };
-        let packed = ordinals(&rows).0;
         let ekey = (key, vt.kind(v).scan_rank(), ord as u32);
         if let Some(stored) = self.elim.lock().unwrap().get(&ekey) {
             self.elim_hits.fetch_add(1, Ordering::Relaxed);
@@ -563,7 +609,9 @@ impl FmeCache {
         if rows.is_contradictory() {
             return Ok(System::contradiction());
         }
-        let (_, encoded) = encode_flat(&rows, &packed);
+        let mut encoded = Vec::new();
+        let scratch = (&mut keys.unsorted, &mut keys.spans);
+        encode_flat(&rows, &keys.packed, scratch, &mut encoded);
         let result = decode(&encoded, &map);
         let mut memo = self.elim.lock().unwrap();
         if memo.len() < ELIM_MEMO_CAP {

@@ -34,6 +34,7 @@
 pub mod cache;
 pub mod constraint;
 pub mod linexpr;
+pub mod probe;
 pub mod rational;
 pub mod rows;
 pub mod scan;
@@ -45,6 +46,7 @@ pub mod var;
 pub use cache::{canonicalize, CanonicalSystem, FmeCache, FmeCacheStats};
 pub use constraint::{Constraint, ConstraintKind};
 pub use linexpr::LinExpr;
+pub use probe::{BaseRows, ProbeScratch};
 pub use rational::{Overflow, Rational};
 pub use rows::Rows;
 pub use scan::{BoundExpr, VarBounds};

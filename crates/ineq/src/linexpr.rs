@@ -2,18 +2,108 @@
 
 use crate::rational::{gcd, Overflow, Rational};
 use crate::var::{VarId, VarTable};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::{Add, Mul, Neg, Sub};
+
+/// Terms an expression holds without a heap allocation. The analysis
+/// writes bounds, subscripts and processor relations of one to three
+/// variables; a fifth term moves the array to the heap.
+const INLINE: usize = 4;
+
+/// `(var, coeff)` pairs, vars strictly ascending: inline up to
+/// [`INLINE`] of them, on the heap beyond.
+#[derive(Clone)]
+enum Terms {
+    Inline(u8, [(VarId, i128); INLINE]),
+    Heap(Vec<(VarId, i128)>),
+}
+
+impl Default for Terms {
+    fn default() -> Self {
+        Terms::Inline(0, [(VarId(0), 0); INLINE])
+    }
+}
+
+impl Terms {
+    fn as_slice(&self) -> &[(VarId, i128)] {
+        match self {
+            Terms::Inline(n, buf) => &buf[..*n as usize],
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(VarId, i128)] {
+        match self {
+            Terms::Inline(n, buf) => &mut buf[..*n as usize],
+            Terms::Heap(v) => v,
+        }
+    }
+
+    fn insert(&mut self, at: usize, t: (VarId, i128)) {
+        match self {
+            Terms::Inline(n, buf) if (*n as usize) < INLINE => {
+                buf.copy_within(at..*n as usize, at + 1);
+                buf[at] = t;
+                *n += 1;
+            }
+            Terms::Inline(_, buf) => {
+                let mut v = Vec::with_capacity(2 * INLINE);
+                v.extend_from_slice(buf);
+                v.insert(at, t);
+                *self = Terms::Heap(v);
+            }
+            Terms::Heap(v) => v.insert(at, t),
+        }
+    }
+
+    fn remove(&mut self, at: usize) {
+        match self {
+            Terms::Inline(n, buf) => {
+                buf.copy_within(at + 1..*n as usize, at);
+                *n -= 1;
+            }
+            Terms::Heap(v) => {
+                v.remove(at);
+            }
+        }
+    }
+}
 
 /// An affine expression `constant + Σ coeff·var` with `i128` coefficients.
 ///
 /// Zero coefficients are never stored, so structural equality coincides
-/// with mathematical equality.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+/// with mathematical equality. The terms are one array of `(var, coeff)`
+/// pairs, vars strictly ascending — the iteration order, equality and
+/// hash of the sorted map it stands for — held inline up to four terms,
+/// so building and combining the expressions of a pair system allocates
+/// nothing.
+#[derive(Clone, Default)]
 pub struct LinExpr {
-    terms: BTreeMap<VarId, i128>,
+    terms: Terms,
     constant: i128,
+}
+
+impl PartialEq for LinExpr {
+    fn eq(&self, other: &Self) -> bool {
+        self.constant == other.constant && self.terms.as_slice() == other.terms.as_slice()
+    }
+}
+
+impl Eq for LinExpr {}
+
+impl Hash for LinExpr {
+    /// What `#[derive(Hash)]` over a `BTreeMap<VarId, i128>` and the
+    /// constant writes: the length, each pair, then the constant.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let terms = self.terms.as_slice();
+        state.write_usize(terms.len());
+        for (v, c) in terms {
+            v.hash(state);
+            c.hash(state);
+        }
+        self.constant.hash(state);
+    }
 }
 
 impl LinExpr {
@@ -25,7 +115,7 @@ impl LinExpr {
     /// The constant expression `c`.
     pub fn constant(c: i128) -> Self {
         LinExpr {
-            terms: BTreeMap::new(),
+            terms: Terms::default(),
             constant: c,
         }
     }
@@ -37,16 +127,19 @@ impl LinExpr {
 
     /// The expression `c·v`.
     pub fn term(v: VarId, c: i128) -> Self {
-        let mut terms = BTreeMap::new();
-        if c != 0 {
-            terms.insert(v, c);
-        }
-        LinExpr { terms, constant: 0 }
+        let mut out = LinExpr::zero();
+        out.set_coeff(v, c);
+        out
+    }
+
+    /// Where `v` sits in the terms, or where it would go.
+    fn slot(&self, v: VarId) -> Result<usize, usize> {
+        self.terms.as_slice().binary_search_by_key(&v, |&(x, _)| x)
     }
 
     /// Coefficient of `v` (0 if absent).
     pub fn coeff(&self, v: VarId) -> i128 {
-        self.terms.get(&v).copied().unwrap_or(0)
+        self.slot(v).map_or(0, |k| self.terms.as_slice()[k].1)
     }
 
     /// The constant term.
@@ -56,55 +149,54 @@ impl LinExpr {
 
     /// Iterate `(var, coeff)` pairs with nonzero coefficients.
     pub fn terms(&self) -> impl Iterator<Item = (VarId, i128)> + '_ {
-        self.terms.iter().map(|(v, c)| (*v, *c))
+        self.terms.as_slice().iter().copied()
     }
 
     /// True if the expression is a plain constant.
     pub fn is_constant(&self) -> bool {
-        self.terms.is_empty()
+        self.terms.as_slice().is_empty()
     }
 
     /// True if the expression is identically zero.
     pub fn is_zero(&self) -> bool {
-        self.terms.is_empty() && self.constant == 0
+        self.is_constant() && self.constant == 0
     }
 
     /// Number of variables with nonzero coefficients.
     pub fn num_vars(&self) -> usize {
-        self.terms.len()
+        self.terms.as_slice().len()
     }
 
     /// Set the coefficient of `v` (removing the term when zero).
     pub fn set_coeff(&mut self, v: VarId, c: i128) {
-        if c == 0 {
-            self.terms.remove(&v);
-        } else {
-            self.terms.insert(v, c);
+        match (self.slot(v), c) {
+            (Ok(k), 0) => self.terms.remove(k),
+            (Ok(k), c) => self.terms.as_mut_slice()[k].1 = c,
+            (Err(_), 0) => {}
+            (Err(k), c) => self.terms.insert(k, (v, c)),
         }
     }
 
     /// Add `c·v` to the expression.
     pub fn add_term(&mut self, v: VarId, c: i128) {
-        let nc = self.coeff(v).checked_add(c).expect("linexpr overflow");
-        self.set_coeff(v, nc);
+        self.try_add_term(v, c).expect("linexpr overflow")
     }
 
     /// Multiply the whole expression by `k`.
     pub fn scaled(&self, k: i128) -> LinExpr {
-        if k == 0 {
-            return LinExpr::zero();
-        }
-        let mut out = LinExpr::constant(self.constant.checked_mul(k).expect("linexpr overflow"));
-        for (v, c) in self.terms() {
-            out.set_coeff(v, c.checked_mul(k).expect("linexpr overflow"));
-        }
-        out
+        self.try_scaled(k).expect("linexpr overflow")
     }
 
     /// Add `c·v`, or `Err(Overflow)`.
     pub fn try_add_term(&mut self, v: VarId, c: i128) -> Result<(), Overflow> {
-        let nc = self.coeff(v).checked_add(c).ok_or(Overflow)?;
-        self.set_coeff(v, nc);
+        match self.slot(v) {
+            Ok(k) => match self.terms.as_slice()[k].1.checked_add(c).ok_or(Overflow)? {
+                0 => self.terms.remove(k),
+                nc => self.terms.as_mut_slice()[k].1 = nc,
+            },
+            Err(k) if c != 0 => self.terms.insert(k, (v, c)),
+            Err(_) => {}
+        }
         Ok(())
     }
 
@@ -113,9 +205,10 @@ impl LinExpr {
         if k == 0 {
             return Ok(LinExpr::zero());
         }
-        let mut out = LinExpr::constant(self.constant.checked_mul(k).ok_or(Overflow)?);
-        for (v, c) in self.terms() {
-            out.set_coeff(v, c.checked_mul(k).ok_or(Overflow)?);
+        let mut out = self.clone();
+        out.constant = out.constant.checked_mul(k).ok_or(Overflow)?;
+        for (_, c) in out.terms.as_mut_slice() {
+            *c = c.checked_mul(k).ok_or(Overflow)?;
         }
         Ok(out)
     }
@@ -152,14 +245,8 @@ impl LinExpr {
 
     /// Replace `v` with `replacement` (which must not mention `v`).
     pub fn substituted(&self, v: VarId, replacement: &LinExpr) -> LinExpr {
-        debug_assert_eq!(replacement.coeff(v), 0, "substitution must eliminate var");
-        let c = self.coeff(v);
-        if c == 0 {
-            return self.clone();
-        }
-        let mut out = self.clone();
-        out.set_coeff(v, 0);
-        out + replacement.scaled(c)
+        self.try_substituted(v, replacement)
+            .expect("linexpr overflow")
     }
 
     /// Evaluate with an integer assignment; variables not present in
@@ -259,22 +346,20 @@ impl fmt::Debug for LinExpr {
 
 impl Add for LinExpr {
     type Output = LinExpr;
-    fn add(mut self, rhs: LinExpr) -> LinExpr {
-        self.constant = self
-            .constant
-            .checked_add(rhs.constant)
-            .expect("linexpr overflow");
-        for (v, c) in rhs.terms() {
-            self.add_term(v, c);
-        }
-        self
+    fn add(self, rhs: LinExpr) -> LinExpr {
+        self.try_add(&rhs).expect("linexpr overflow")
     }
 }
 
 impl Sub for LinExpr {
     type Output = LinExpr;
-    fn sub(self, rhs: LinExpr) -> LinExpr {
-        self + (-rhs)
+    fn sub(mut self, rhs: LinExpr) -> LinExpr {
+        let overflow = "linexpr overflow";
+        self.constant = self.constant.checked_sub(rhs.constant).expect(overflow);
+        for (v, c) in rhs.terms() {
+            self.add_term(v, c.checked_neg().expect(overflow));
+        }
+        self
     }
 }
 
@@ -370,6 +455,57 @@ mod tests {
         let e = LinExpr::term(i, 6) + LinExpr::term(j, -9);
         assert_eq!(e.coeff_gcd(), 3);
         assert_eq!(LinExpr::constant(5).coeff_gcd(), 0);
+    }
+
+    /// Past four terms the array moves to the heap: order, lookup,
+    /// removal and equality read the same on both sides of the move.
+    #[test]
+    fn terms_spill_past_the_inline_array_and_stay_sorted() {
+        let vs: Vec<VarId> = (0..7).map(VarId).collect();
+        let mut e = LinExpr::constant(1);
+        for &v in vs.iter().rev() {
+            e.add_term(v, i128::from(v.0) + 1);
+        }
+        let order: Vec<u32> = e.terms().map(|(v, _)| v.0).collect();
+        assert_eq!(order, [0, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(e.coeff(vs[5]), 6);
+        for &v in &vs[2..] {
+            e.set_coeff(v, 0);
+        }
+        let small = LinExpr::term(vs[1], 2) + LinExpr::var(vs[0]) + LinExpr::constant(1);
+        assert_eq!(e, small, "a spilled expression equals its inline twin");
+        assert_eq!(e.num_vars(), 2);
+    }
+
+    /// The hash writes what the derived hash of a sorted map plus the
+    /// constant wrote, byte for byte.
+    #[test]
+    fn hash_stream_is_that_of_the_sorted_map() {
+        #[derive(Hash)]
+        struct MapExpr {
+            terms: std::collections::BTreeMap<VarId, i128>,
+            constant: i128,
+        }
+        #[derive(Default)]
+        struct Tape(Vec<u8>);
+        impl Hasher for Tape {
+            fn finish(&self) -> u64 {
+                0
+            }
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.extend_from_slice(bytes);
+            }
+        }
+        let (_, i, j) = vars();
+        let e = LinExpr::term(j, -3) + LinExpr::term(i, 2) + LinExpr::constant(7);
+        let m = MapExpr {
+            terms: [(i, 2), (j, -3)].into_iter().collect(),
+            constant: 7,
+        };
+        let (mut a, mut b) = (Tape::default(), Tape::default());
+        e.hash(&mut a);
+        m.hash(&mut b);
+        assert_eq!(a.0, b.0);
     }
 
     #[test]

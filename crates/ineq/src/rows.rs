@@ -15,7 +15,10 @@
 //!
 //! * unit-equality propagation takes the first equality in row order
 //!   with a `±1` coefficient outside `keep` and substitutes its
-//!   *innermost* such variable away;
+//!   *innermost* such variable away — so inequalities appended after
+//!   the equalities never choose a pivot, and may be taken through the
+//!   substitutions recorded on the rows before them instead
+//!   (`Units`, used by [`crate::probe`]);
 //! * every row a step computes is divided by the gcd of its coefficients,
 //!   an inequality's constant rounded down ([`Constraint::normalize`]);
 //! * the canonical row order is `(kind, sparse term list, constant)`
@@ -39,6 +42,10 @@ const EQ: i128 = 1;
 
 /// A conjunction of affine constraints as a dense matrix (see the
 /// module documentation for the layout).
+///
+/// Every buffer a step needs lives in the value, so one `Rows` refilled
+/// for query after query (`Rows::refill`) and scanned in place stops
+/// allocating once it has grown to the largest system it met.
 #[derive(Clone, Debug, Default)]
 pub struct Rows {
     /// `(scan_rank, variable)` per column, ascending.
@@ -47,7 +54,19 @@ pub struct Rows {
     buf: Vec<i128>,
     /// What a step writes into before it is swapped with `buf`.
     spare: Vec<i128>,
+    /// The pivot row of a substitution or an equality elimination.
+    pivot: Vec<i128>,
+    /// [`Rows::normalize`]'s sort permutation.
+    order: Vec<(usize, u32)>,
     contradictory: bool,
+}
+
+/// The substitutions one unit-equality propagation made, in order: per
+/// step the pivot row it read off, already in the form `v = pivot`, with
+/// the column of `v` in the row's kind word (see [`Rows::replay_units`]).
+pub(crate) struct Units {
+    /// One row of `width` words per step.
+    pivots: Vec<i128>,
 }
 
 /// What gcd normalization found a computed row to be.
@@ -106,6 +125,18 @@ fn mul(x: i128, k: i128) -> Result<i128, Overflow> {
     }
 }
 
+/// `row` with column `k` replaced by the substitution `pivot` (whose
+/// own entry at `k` is zero); reports whether the row mentioned it.
+fn substitute(row: &mut [i128], k: usize, pivot: &[i128]) -> Result<bool, Overflow> {
+    let a = std::mem::take(&mut row[k]);
+    if a != 0 {
+        for (x, &p) in row[1..].iter_mut().zip(&pivot[1..]) {
+            *x = x.checked_add(mul(p, a)?).ok_or(Overflow)?;
+        }
+    }
+    Ok(a != 0)
+}
+
 /// `x·kx + y·ky`, the one place coefficients grow.
 fn combine(x: i128, kx: i128, y: i128, ky: i128) -> Result<i128, Overflow> {
     mul(x, kx)?.checked_add(mul(y, ky)?).ok_or(Overflow)
@@ -141,36 +172,38 @@ fn cmp_rows(a: &[i128], b: &[i128]) -> Ordering {
 impl Rows {
     /// `sys` in row form, rows in the order its constraints were added.
     pub fn new(sys: &System, vt: &VarTable) -> Rows {
-        Rows::default().with(sys, vt)
+        let mut rows = Rows::default();
+        rows.refill(&Rows::default(), sys, vt);
+        rows
     }
 
-    /// A copy of these rows with the constraints of `more` appended, and
-    /// a zero column opened for every variable only `more` mentions.
-    pub fn with(&self, more: &System, vt: &VarTable) -> Rows {
-        let mut cols = self.cols.clone();
+    /// Become a copy of `base` with the constraints of `more` appended,
+    /// and a zero column opened for every variable only `more` mentions,
+    /// keeping this value's buffers.
+    pub(crate) fn refill(&mut self, base: &Rows, more: &System, vt: &VarTable) {
+        self.cols.clear();
+        self.cols.reserve(vt.len().max(base.cols.len()));
+        self.cols.extend_from_slice(&base.cols);
         for c in more.constraints() {
             for (v, _) in c.expr.terms() {
                 let col = (vt.kind(v).scan_rank(), v);
-                if let Err(at) = cols.binary_search(&col) {
-                    cols.insert(at, col);
+                if let Err(at) = self.cols.binary_search(&col) {
+                    self.cols.insert(at, col);
                 }
             }
         }
-        let mut rows = Rows {
-            cols,
-            contradictory: self.contradictory || more.is_contradictory(),
-            ..Rows::default()
-        };
-        if rows.contradictory {
-            return rows;
+        self.buf.clear();
+        self.contradictory = base.contradictory || more.is_contradictory();
+        if self.contradictory {
+            return;
         }
-        let (w, cols, buf) = (rows.width(), &rows.cols, &mut rows.buf);
-        buf.reserve_exact((self.len() + more.len()) * w);
-        if w == self.width() {
-            buf.extend_from_slice(&self.buf);
+        let (w, cols, buf) = (self.width(), &self.cols, &mut self.buf);
+        buf.reserve((base.len() + more.len()) * w);
+        if w == base.width() {
+            buf.extend_from_slice(&base.buf);
         } else {
-            let old = |col| self.cols.binary_search(col).ok();
-            for row in self.iter() {
+            let old = |col| base.cols.binary_search(col).ok();
+            for row in base.iter() {
                 buf.push(row[0]);
                 buf.extend(cols.iter().map(|col| old(col).map_or(0, |k| row[1 + k])));
                 buf.push(row[row.len() - 1]);
@@ -189,7 +222,6 @@ impl Rows {
             }
             buf[at + w - 1] = c.expr.constant_term();
         }
-        rows
     }
 
     fn width(&self) -> usize {
@@ -247,16 +279,18 @@ impl Rows {
         sys
     }
 
-    /// Settle every row `rewrite` reports changed, dropping the trivial
-    /// ones in place. Rows after one that can never hold are still
-    /// rewritten, so overflow anywhere in the step is reported.
+    /// Settle every row from `from` on that `rewrite` reports changed,
+    /// dropping the trivial ones in place. Rows after one that can never
+    /// hold are still rewritten, so overflow anywhere in the step is
+    /// reported.
     fn rewrite_rows(
         &mut self,
+        from: usize,
         mut rewrite: impl FnMut(&mut [i128]) -> Result<bool, Overflow>,
     ) -> Result<(), Overflow> {
         let w = self.width();
-        let (mut kept, mut never) = (0, false);
-        for r in 0..self.len() {
+        let (mut kept, mut never) = (from, false);
+        for r in from..self.len() {
             let row = &mut self.buf[r * w..(r + 1) * w];
             if rewrite(row)? {
                 match settle(row) {
@@ -280,9 +314,34 @@ impl Rows {
     /// eliminating them. Variables in `keep` are never substituted (a
     /// projection must still mention them afterwards).
     pub fn propagate_units(&mut self, keep: &[VarId]) -> Result<(), Overflow> {
+        self.propagate(keep, None)
+    }
+
+    /// [`Rows::propagate_units`] with nothing kept, recording each
+    /// substitution. `None` unless it ran to the end — no overflow, no
+    /// contradiction — which is when the record may be replayed.
+    pub(crate) fn record_units(&mut self) -> Option<Units> {
+        let eqs = self.iter().filter(|row| row[0] == EQ).count();
+        let mut units = Units {
+            pivots: Vec::with_capacity(eqs * self.width()),
+        };
+        self.propagate(&[], Some(&mut units)).ok()?;
+        (!self.contradictory).then_some(units)
+    }
+
+    fn propagate(&mut self, keep: &[VarId], units: Option<&mut Units>) -> Result<(), Overflow> {
         let w = self.width();
-        let mut pivot = Vec::new();
-        while !self.contradictory {
+        // Each step's pivot row goes to the end of `pivots`: of the
+        // record, which keeps it, or of this value's own buffer, where
+        // the next step overwrites it.
+        let mut own = std::mem::take(&mut self.pivot);
+        own.clear();
+        let recording = units.is_some();
+        let pivots = units.map_or(&mut own, |units| &mut units.pivots);
+        let done = loop {
+            if self.contradictory {
+                break Ok(());
+            }
             // The first equality with a unit coefficient, and in it the
             // innermost such variable: a rule in rank + relative-id
             // terms, so canonically renamed systems choose alike.
@@ -296,23 +355,44 @@ impl Rows {
                 .enumerate()
                 .filter(|(_, row)| row[0] == EQ)
                 .find_map(|(r, row)| Some((r, unit(row)?)));
-            let Some((r, k)) = found else { break };
+            let Some((r, k)) = found else { break Ok(()) };
+            let at = if recording { pivots.len() } else { 0 };
+            pivots.truncate(at);
+            pivots.extend(self.buf.drain(r * w..(r + 1) * w));
             // coef·v + rest == 0  =>  v = -coef·rest
-            pivot.clear();
-            pivot.extend(self.buf.drain(r * w..(r + 1) * w));
+            let pivot = &mut pivots[at..];
             let coef = std::mem::take(&mut pivot[k]);
-            for x in &mut pivot[1..] {
+            pivot[0] = k as i128;
+            let scaled = pivot[1..].iter_mut().try_for_each(|x| {
                 *x = mul(*x, -coef)?;
+                Ok(())
+            });
+            let pivot = &pivots[at..];
+            if let Err(e) =
+                scaled.and_then(|()| self.rewrite_rows(0, |row| substitute(row, k, pivot)))
+            {
+                break Err(e);
             }
-            self.rewrite_rows(|row| {
-                let a = std::mem::take(&mut row[k]);
-                if a != 0 {
-                    for (x, &p) in row[1..].iter_mut().zip(&pivot[1..]) {
-                        *x = x.checked_add(mul(p, a)?).ok_or(Overflow)?;
-                    }
-                }
-                Ok(a != 0)
-            })?;
+        };
+        self.pivot = own;
+        done
+    }
+
+    /// Take rows `from..` through the substitutions `units` recorded
+    /// ([`Rows::record_units`]) on rows that were, before them, exactly
+    /// rows `..from`. This is propagation over the whole set when rows
+    /// `from..` are inequalities that open no column of their own: the
+    /// first equality in row order is then always among the rows before
+    /// them, which evolve as they did when recorded, so every step picks
+    /// the same pivot, and the propagation ends where the record did —
+    /// or earlier, at a contradiction or an overflow in the new rows.
+    pub(crate) fn replay_units(&mut self, from: usize, units: &Units) -> Result<(), Overflow> {
+        for pivot in units.pivots.chunks_exact(self.width()) {
+            if self.contradictory {
+                break;
+            }
+            let k = pivot[0] as usize;
+            self.rewrite_rows(from, |row| substitute(row, k, pivot))?;
         }
         Ok(())
     }
@@ -335,7 +415,9 @@ impl Rows {
             let first = row(i)[1..w - 1].iter().position(|&c| c != 0);
             ((row(i)[0] as usize) << 16 | first.map_or(0, |k| k + 1), i)
         };
-        let mut order: Vec<(usize, u32)> = (0..n as u32).map(head).collect();
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend((0..n as u32).map(head));
         order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| cmp_rows(row(a.1), row(b.1))));
         let out = &mut self.spare;
         out.clear();
@@ -372,6 +454,7 @@ impl Rows {
             }
         }
         std::mem::swap(&mut self.buf, &mut self.spare);
+        self.order = order;
         if clash {
             self.mark_contradictory();
         }
@@ -431,9 +514,11 @@ impl Rows {
         if let Some((p, b)) = pivot {
             // row·|b| - eq·(a·sign b) cancels the variable exactly and
             // keeps the comparison's direction, since |b| > 0.
-            let eq: Vec<i128> = self.buf.drain(p * w..(p + 1) * w).collect();
+            let mut eq = std::mem::take(&mut self.pivot);
+            eq.clear();
+            eq.extend(self.buf.drain(p * w..(p + 1) * w));
             let (abs_b, sign_b) = (b.checked_abs().ok_or(Overflow)?, b.signum());
-            return self.rewrite_rows(|row| {
+            let done = self.rewrite_rows(0, |row| {
                 let a = row[k];
                 if a != 0 {
                     let ka = mul(a, -sign_b)?;
@@ -443,6 +528,8 @@ impl Rows {
                 }
                 Ok(a != 0)
             });
+            self.pivot = eq;
+            return done;
         }
         // No equality pivot: classic lower/upper pairing.
         let out = &mut self.spare;
@@ -499,8 +586,9 @@ impl Rows {
         (true, peak)
     }
 
-    /// The elimination loop on reduced rows, read as a verdict.
-    pub fn scan(mut self) -> (Feasibility, usize) {
+    /// The elimination loop on reduced rows, read as a verdict (the rows
+    /// are left projected away).
+    pub fn scan(&mut self) -> (Feasibility, usize) {
         let (complete, peak) = self.project(&[]);
         let verdict = match complete {
             false => Feasibility::Unknown,
@@ -511,8 +599,8 @@ impl Rows {
     }
 
     /// The guarded feasibility test ([`System::feasibility`]) and the
-    /// peak row count it reached.
-    pub fn feasibility(mut self) -> (Feasibility, usize) {
+    /// peak row count it reached, in place.
+    pub fn feasibility(&mut self) -> (Feasibility, usize) {
         if self.contradictory {
             return (Feasibility::Infeasible, 0);
         }

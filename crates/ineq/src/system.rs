@@ -73,12 +73,26 @@ impl System {
         Self::default()
     }
 
+    /// The empty system with room for `n` constraints.
+    pub fn with_capacity(n: usize) -> Self {
+        System {
+            constraints: Vec::with_capacity(n),
+            contradictory: false,
+        }
+    }
+
     /// A system that is unsatisfiable by construction.
     pub fn contradiction() -> Self {
         System {
             constraints: Vec::new(),
             contradictory: true,
         }
+    }
+
+    /// Back to the empty system, keeping the constraint buffer.
+    pub(crate) fn clear(&mut self) {
+        self.constraints.clear();
+        self.contradictory = false;
     }
 
     fn mark_contradictory(&mut self) {

@@ -6,6 +6,7 @@
 //! scanned *last* (innermost), so feasibility testing eliminates array
 //! indices first and symbolics last.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Opaque handle for a variable in a [`VarTable`].
@@ -43,11 +44,12 @@ impl VarKind {
     }
 }
 
-/// Registry mapping [`VarId`]s to names and [`VarKind`]s.
+/// Registry mapping [`VarId`]s to names and [`VarKind`]s. A name is
+/// only read when a system is printed, so a `&'static str` is taken as
+/// is and only a computed one is stored as a `String`.
 #[derive(Clone, Debug, Default)]
 pub struct VarTable {
-    names: Vec<String>,
-    kinds: Vec<VarKind>,
+    vars: Vec<(Cow<'static, str>, VarKind)>,
 }
 
 impl VarTable {
@@ -56,37 +58,43 @@ impl VarTable {
         Self::default()
     }
 
+    /// An empty table with room for `n` variables.
+    pub fn with_capacity(n: usize) -> Self {
+        VarTable {
+            vars: Vec::with_capacity(n),
+        }
+    }
+
     /// Register a new variable and return its id.
-    pub fn fresh(&mut self, name: impl Into<String>, kind: VarKind) -> VarId {
-        let id = VarId(self.names.len() as u32);
-        self.names.push(name.into());
-        self.kinds.push(kind);
+    pub fn fresh(&mut self, name: impl Into<Cow<'static, str>>, kind: VarKind) -> VarId {
+        let id = VarId(self.vars.len() as u32);
+        self.vars.push((name.into(), kind));
         id
     }
 
     /// The variable's display name.
     pub fn name(&self, v: VarId) -> &str {
-        &self.names[v.0 as usize]
+        &self.vars[v.0 as usize].0
     }
 
     /// The variable's class.
     pub fn kind(&self, v: VarId) -> VarKind {
-        self.kinds[v.0 as usize]
+        self.vars[v.0 as usize].1
     }
 
     /// Number of registered variables.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.vars.len()
     }
 
     /// True if no variables are registered.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.vars.is_empty()
     }
 
     /// All variable ids, in registration order.
     pub fn iter(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.names.len() as u32).map(VarId)
+        (0..self.vars.len() as u32).map(VarId)
     }
 
     /// Variables sorted by scan order (symbolics first, array indices

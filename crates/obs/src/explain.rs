@@ -254,7 +254,7 @@ pub fn render_analysis_stats(stats: &AnalysisStats) -> String {
     let mut out = String::new();
     out.push_str("--- analysis cache (diagnostics; never affects decisions) ---\n");
     out.push_str(&format!(
-        "statement pairs: {} memoized hits, {} analyzed ({:.0}% hit rate)\n",
+        "access pairs: {} from the facts table, {} scanned ({:.0}% reused)\n",
         stats.pair_hits,
         stats.pair_misses,
         stats.pair_hit_rate() * 100.0
@@ -413,7 +413,7 @@ mod tests {
         let (cached_doc, stats) = render(AnalysisConfig::default());
         assert_eq!(ref_doc, cached_doc);
         let footer = render_analysis_stats(&stats);
-        assert!(footer.contains("statement pairs"), "{footer}");
+        assert!(footer.contains("access pairs"), "{footer}");
         assert!(footer.contains("FME feasibility"), "{footer}");
         // The JSON document must not carry configuration-dependent counters.
         assert!(!ref_doc.contains("hit"), "{ref_doc}");
