@@ -9,7 +9,10 @@
 //!   through a cold memo per compile (the default configuration), stay
 //!   within 1.25× the allocation counts written down below, so a change
 //!   that puts allocation back on the hot path fails here before it
-//!   shows in a timing.
+//!   shows in a timing;
+//! * the reference interpreter allocates per run, never per element:
+//!   `run_sequential` of jacobi2d makes as many allocations at `n = 64`
+//!   as at `n = 32`.
 
 use barrier_elim::analysis::translate::{build_pair_system, PairSystem, SharedLoopMode};
 use barrier_elim::analysis::Bindings;
@@ -204,4 +207,33 @@ fn a_cold_memo_suite_compile_stays_within_its_allocation_budget() {
         SUITE_P8_COLD_MEMO_ALLOCATIONS,
         "cold-memo",
     );
+}
+
+/// Allocations of `run_sequential` of jacobi2d (`tmax` = 2) at size `n`,
+/// memory allocated beforehand.
+fn jacobi2d_reference_allocations(n: i64) -> u64 {
+    use barrier_elim::ir::SymId;
+    let built = (barrier_elim::suite::by_name("jacobi2d").unwrap().build)(
+        barrier_elim::suite::Scale::Small,
+    );
+    let mut bind = built.bindings(2);
+    for (k, s) in built.prog.syms.iter().enumerate() {
+        match s.name.as_str() {
+            "n" => bind.bind(SymId(k as u32), n),
+            "tmax" => bind.bind(SymId(k as u32), 2),
+            _ => {}
+        }
+    }
+    let mem = barrier_elim::interp::Mem::new(&built.prog, &bind);
+    allocations(|| barrier_elim::interp::run_sequential(&built.prog, &bind, &mem))
+}
+
+#[test]
+fn the_reference_interpreter_allocates_nothing_per_element() {
+    let (small, large) = (
+        jacobi2d_reference_allocations(32),
+        jacobi2d_reference_allocations(64),
+    );
+    eprintln!("run_sequential jacobi2d: {small} allocations at n = 32, {large} at n = 64");
+    assert_eq!(small, large, "allocations grow with the problem size");
 }
