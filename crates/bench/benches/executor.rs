@@ -1,9 +1,10 @@
 //! Criterion benches for the execution backends: virtual simulation and
 //! real-thread execution of the two schedules (the per-figure speedup
-//! binaries do the full sweeps; this tracks regressions).
+//! binaries do the full sweeps; this tracks regressions), and the
+//! sequential reference run every execution is compared against.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use interp::{run_parallel, run_virtual, Mem, ScheduleOrder};
+use interp::{run_parallel, run_sequential, run_virtual, Mem, ScheduleOrder};
 use runtime::Team;
 use std::sync::Arc;
 use suite::Scale;
@@ -53,9 +54,36 @@ fn bench_real(c: &mut Criterion) {
     });
 }
 
+/// `run_sequential` (resolve, then walk; a fresh memory per call, its
+/// allocation included) of two `Scale::Full` kernels re-bound to a few
+/// milliseconds each: jacobi2d's 5-point sweep over 128 × 128 for 4
+/// steps, stencil3d's 7-point sweep over 24³ for 3.
+fn bench_oracle(c: &mut Criterion) {
+    let mut group = c.benchmark_group("oracle");
+    for (name, sizes) in [
+        ("jacobi2d", [("n", 128), ("tmax", 4)]),
+        ("stencil3d", [("n", 24), ("tmax", 3)]),
+    ] {
+        let built = (suite::by_name(name).unwrap().build)(Scale::Full);
+        let mut bind = built.bindings(2);
+        for (sym, v) in sizes {
+            let id = built.prog.syms.iter().position(|s| s.name == sym).unwrap();
+            bind.bind(ir::SymId(id as u32), v);
+        }
+        group.bench_function(format!("run_sequential_{name}"), |b| {
+            b.iter(|| {
+                let mem = Mem::new(&built.prog, &bind);
+                run_sequential(&built.prog, &bind, &mem);
+                mem
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_virtual, bench_real
+    targets = bench_virtual, bench_real, bench_oracle
 }
 criterion_main!(benches);

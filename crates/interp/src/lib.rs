@@ -20,8 +20,9 @@
 //! The two SPMD executors do not walk the IR: [`unroll`] lowers every
 //! phase once per `(program, bindings, plan)` into a flat kernel
 //! ([`kernel`]) and each processor runs its share through a [`Worker`].
-//! `run_sequential` stays a tree walker on purpose — it is the oracle
-//! the kernels are compared against.
+//! `run_sequential` is not lowered on purpose — it resolves the program
+//! once per run and walks the IR's shape ([`eval`]), the oracle the
+//! kernels are compared against.
 //!
 //! All array and scalar cells are relaxed atomics: the synchronization
 //! placed by the optimizer provides the acquire/release ordering, and a
@@ -78,8 +79,5 @@ use ir::Program;
 
 /// Execute the program with its original sequential semantics.
 pub fn run_sequential(prog: &Program, bind: &Bindings, mem: &Mem) {
-    let mut env = eval::Env::new(prog, bind);
-    for &node in &prog.body {
-        eval::exec_subtree_seq(prog, mem, &mut env, node, 0);
-    }
+    eval::run(prog, bind, mem)
 }
