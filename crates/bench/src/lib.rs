@@ -1,9 +1,7 @@
-//! Shared infrastructure for the table/figure regeneration binaries.
-//!
-//! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` (see `DESIGN.md` for the experiment index); this module
-//! holds the pieces they share: plan transforms for the ablations,
-//! dynamic-count collection, and plain-text table rendering.
+//! Shared infrastructure for `reproduce`, which writes every file in
+//! `results/` (see `DESIGN.md` for the experiment index), and for the
+//! criterion benches: plan transforms for the ablations, dynamic-count
+//! collection, suite instances, and plain-text table rendering.
 
 use analysis::Bindings;
 use interp::{run_virtual, Mem, ScheduleOrder};
@@ -12,9 +10,9 @@ use spmd_opt::{RItem, SpmdProgram, SyncOp, TopItem};
 use suite::{Built, Scale};
 
 /// Replace every non-barrier synchronization in the plan with a full
-/// barrier (keeping the region structure). Always sound — used by the
-/// ablation that isolates the value of counters/neighbor flags from the
-/// value of region merging.
+/// barrier (keeping the region structure). Always sound — the greedy
+/// ablation's "eliminate only" column, which separates what elimination
+/// removes from what replacement by counters and flags removes.
 pub fn barrierize(plan: &SpmdProgram) -> SpmdProgram {
     fn conv(s: &SyncOp) -> SyncOp {
         match s {
