@@ -67,8 +67,8 @@ pub use events::{render_events, unroll, Event, Schedule, SyncStep};
 pub use kernel::{Worker, CHUNK};
 pub use mem::Mem;
 pub use par::{
-    run_parallel, run_parallel_observed, run_parallel_observed_on, BarrierKind, ChaosAction,
-    ObserveOptions, ParallelOutcome, SyncChaos, SyncFabric,
+    run_parallel, run_parallel_observed, run_parallel_observed_on, ChaosAction, ObserveOptions,
+    ParallelOutcome, SyncChaos, SyncFabric,
 };
 pub use supervise::{run_parallel_supervised, Replan, Supervised};
 pub use trace::{Access, AccessKind, Target, TraceBuffer};

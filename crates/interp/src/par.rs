@@ -21,45 +21,13 @@ use runtime::fault::{SyncError, Watchdog, DISPATCH_SITE};
 use runtime::stats::{StatsSnapshot, SyncKind};
 use runtime::telemetry::{CellSnapshot, SiteSnapshot};
 use runtime::{
-    BarrierEpoch, CachePadded, CellBank, CentralBarrier, Counters, GuardedCells, SpinPolicy, Team,
-    TreeBarrier, WaitEffort,
+    BarrierEpoch, CachePadded, CellBank, CentralBarrier, Counters, GuardedCells, Team, WaitEffort,
 };
 use spmd_opt::SpmdProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Which barrier implementation the executor uses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum BarrierKind {
-    /// Sense-reversing central barrier (single hot cache line).
-    #[default]
-    Central,
-    /// Dissemination tree barrier (log-depth, contention-free).
-    Tree,
-}
-
-enum AnyBarrier {
-    Central(CentralBarrier),
-    Tree(TreeBarrier),
-}
-
-/// Per-thread barrier state.
-#[derive(Default)]
-struct BarrierLocal {
-    central: BarrierEpoch,
-    tree: usize,
-}
-
-impl AnyBarrier {
-    fn reset(&self) {
-        match self {
-            AnyBarrier::Central(b) => b.reset(),
-            AnyBarrier::Tree(b) => b.reset(),
-        }
-    }
-}
 
 /// One blocking wait of the sync step: who waits (`pid`), where
 /// (`site`), and how — an armed watchdog (`guard`: the cell bank
@@ -74,13 +42,14 @@ struct Waiter<'a> {
 }
 
 impl Waiter<'_> {
-    fn barrier(self, b: &AnyBarrier, local: &mut BarrierLocal) -> Result<WaitEffort, SyncError> {
-        let Waiter { guard, site, pid } = self;
-        match (b, guard.map(GuardedCells::watchdog)) {
-            (AnyBarrier::Central(b), Some(wd)) => b.wait_until(&mut local.central, wd, site, pid),
-            (AnyBarrier::Central(b), None) => Ok(b.wait(&mut local.central)),
-            (AnyBarrier::Tree(b), Some(wd)) => b.wait_until(pid, &mut local.tree, wd, site),
-            (AnyBarrier::Tree(b), None) => Ok(b.wait(pid, &mut local.tree)),
+    fn barrier(
+        self,
+        b: &CentralBarrier,
+        epoch: &mut BarrierEpoch,
+    ) -> Result<WaitEffort, SyncError> {
+        match self.guard {
+            Some(g) => b.wait_until(epoch, g.watchdog(), self.site, self.pid),
+            None => Ok(b.wait(epoch)),
         }
     }
 
@@ -120,7 +89,7 @@ impl Waiter<'_> {
 /// counts, so the reset restores every primitive to pristine (stamping
 /// a new generation on cells and gate; see `CellBank::reset`).
 pub struct SyncFabric {
-    barrier: Arc<AnyBarrier>,
+    barrier: Arc<CentralBarrier>,
     cells: Arc<CellBank>,
     dispatch: Arc<Counters>,
     /// Event-ring profiler shared by every attempt run on this fabric
@@ -141,29 +110,15 @@ impl SyncFabric {
         self.profiler.as_ref()
     }
 
-    /// A fabric sized for an unrolled schedule, honoring the full
-    /// tuning surface of `opts`: barrier kind, the spin → yield → park
-    /// escalation policy of every primitive, the tree fan-in
-    /// (`tree_radix: None` keeps the topology-aware default) and the
-    /// profiler.
+    /// A fabric sized for an unrolled schedule: a central barrier, the
+    /// cells and the gate, each escalating by the topology-aware
+    /// [`runtime::SpinPolicy::auto`], plus the profiler `opts` asks for.
     pub fn for_schedule(opts: &ObserveOptions, sched: &Schedule) -> Self {
         let nprocs = sched.nprocs() as usize;
-        let spin = opts.spin.unwrap_or_default();
-        let barrier = match opts.barrier {
-            BarrierKind::Central => {
-                AnyBarrier::Central(CentralBarrier::new(nprocs).with_policy(spin))
-            }
-            BarrierKind::Tree => {
-                let radix = opts
-                    .tree_radix
-                    .unwrap_or_else(|| TreeBarrier::default_radix(nprocs));
-                AnyBarrier::Tree(TreeBarrier::with_radix(nprocs, radix).with_policy(spin))
-            }
-        };
         let fabric = SyncFabric {
-            barrier: Arc::new(barrier),
-            cells: Arc::new(CellBank::new(nprocs).with_policy(spin)),
-            dispatch: Arc::new(Counters::new(1).with_policy(spin)),
+            barrier: Arc::new(CentralBarrier::new(nprocs)),
+            cells: Arc::new(CellBank::new(nprocs)),
+            dispatch: Arc::new(Counters::new(1)),
             profiler: None,
         };
         match opts.profile {
@@ -289,8 +244,6 @@ impl ParallelOutcome {
 /// What the real-thread executor records beyond aggregate stats.
 #[derive(Clone, Default)]
 pub struct ObserveOptions {
-    /// Barrier implementation.
-    pub barrier: BarrierKind,
     /// Attribute every sync wait to its canonical site (per-processor
     /// histograms in [`ParallelOutcome::sites`]).
     pub telemetry: bool,
@@ -307,12 +260,6 @@ pub struct ObserveOptions {
     /// ([`ChaosAction::Drop`]) without an armed deadline hangs by
     /// design — always pair chaos with [`ObserveOptions::deadline`].
     pub chaos: Option<Arc<dyn SyncChaos>>,
-    /// Spin → yield → park escalation policy for every primitive
-    /// (`None` = topology-aware [`SpinPolicy::auto`]).
-    pub spin: Option<SpinPolicy>,
-    /// Fan-in for [`BarrierKind::Tree`] (`None` = topology-aware
-    /// default; ignored for the central barrier).
-    pub tree_radix: Option<usize>,
     /// Record per-thread event rings (sync arrivals/releases, region
     /// markers, escalation transitions, recovery marks) and return the
     /// merged stream in [`ParallelOutcome::profile`]. Recording is
@@ -324,21 +271,17 @@ pub struct ObserveOptions {
 impl std::fmt::Debug for ObserveOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObserveOptions")
-            .field("barrier", &self.barrier)
             .field("telemetry", &self.telemetry)
             .field("trace", &self.trace)
             .field("deadline", &self.deadline)
             .field("chaos", &self.chaos.as_ref().map(|_| "<injector>"))
-            .field("spin", &self.spin)
-            .field("tree_radix", &self.tree_radix)
             .field("profile", &self.profile)
             .finish()
     }
 }
 
 /// Execute the schedule on `team` (whose size must match
-/// `bind.nprocs`) with the default (central) barrier. Arrays/scalars
-/// are read and written in `mem`.
+/// `bind.nprocs`). Arrays/scalars are read and written in `mem`.
 pub fn run_parallel(
     prog: &Arc<Program>,
     bind: &Arc<Bindings>,
@@ -433,9 +376,8 @@ fn record_failure(slot: &Mutex<Option<SyncError>>, e: &SyncError) {
     }
 }
 
-/// As [`run_parallel`] with an explicit barrier implementation
-/// ([`ObserveOptions::barrier`]), optionally recording per-site telemetry
-/// and per-processor timeline spans, arming a deadline watchdog, and
+/// As [`run_parallel`], optionally recording per-site telemetry and
+/// per-processor timeline spans, arming a deadline watchdog, and
 /// injecting chaos (see [`ObserveOptions`]).
 pub fn run_parallel_observed(
     prog: &Arc<Program>,
@@ -455,8 +397,7 @@ pub fn run_parallel_observed(
 /// ones. The supervisor uses this to reuse one fabric across
 /// retry attempts (resetting it between them); the fabric must be sized
 /// for the team and must be pristine (fresh or [`SyncFabric::reset`])
-/// on entry. `opts.barrier` is ignored — the fabric already chose its
-/// barrier.
+/// on entry.
 #[allow(clippy::too_many_arguments)]
 pub fn run_parallel_observed_on(
     prog: &Arc<Program>,
@@ -548,7 +489,7 @@ pub fn run_parallel_observed_on(
         };
         let traverse = || -> Result<(), SyncError> {
             let mut worker = Worker::new(&events2, &mem2, pid);
-            let mut blocal = BarrierLocal::default();
+            let mut epoch = BarrierEpoch::default();
             // What every processor knows of every other's post count,
             // the traversal being replicated: the events passed at
             // which everybody posts, plus those where `q` was named.
@@ -621,7 +562,7 @@ pub fn run_parallel_observed_on(
                                 let r = if dropped {
                                     Ok(())
                                 } else {
-                                    tally.waited(at.barrier(&barrier2, &mut blocal))
+                                    tally.waited(at.barrier(&barrier2, &mut epoch))
                                 };
                                 tally.posts += (pid == 0 && tally.waits == 1) as u64;
                                 (SyncKind::Barrier, r)

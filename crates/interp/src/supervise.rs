@@ -447,7 +447,6 @@ pub fn run_parallel_supervised(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::par::BarrierKind;
     use ir::build::*;
     use obs::{fault_json, render_fault, Json};
     use runtime::events::ProfileOptions;
@@ -478,7 +477,6 @@ mod tests {
 
     fn guarded(chaos: Option<Arc<dyn SyncChaos>>) -> ObserveOptions {
         ObserveOptions {
-            barrier: BarrierKind::Central,
             deadline: Some(Duration::from_millis(120)),
             chaos,
             ..ObserveOptions::default()

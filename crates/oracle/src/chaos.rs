@@ -10,22 +10,22 @@
 //! reproduces the exact same fault schedule on every run and can ride
 //! inside a repro bundle.
 //!
-//! [`chaos_check`] packages the campaign for one program: a benign run
-//! (must pass and match the sequential oracle) plus one teeth run per
-//! droppable post (each must terminate within the deadline with a
-//! [`FaultReport`] naming the dropped site).
+//! [`campaign`] runs one program and plan under the supervisor: a
+//! benign run, one run per droppable post and one per killed
+//! processor. Each run is a [`Tooth`] holding its [`FaultReport`], and
+//! [`Tooth::failure`] is the one verdict over all of them.
 
 use analysis::Bindings;
 use interp::{
-    run_parallel_observed, run_parallel_supervised, run_sequential, unroll, ChaosAction, Event,
-    Mem, ObserveOptions, Replan, SyncChaos, SyncStep,
+    run_parallel_supervised, run_sequential, unroll, ChaosAction, Event, Mem, ObserveOptions,
+    Replan, SyncChaos, SyncStep,
 };
 use ir::Program;
 use obs::{FailureReport, FaultReport, Rung};
-use runtime::{RetryPolicy, SyncKind, Team};
+use runtime::{ProfileData, ProfileOptions, RetryPolicy, SyncKind, Team};
 use spmd_opt::SpmdProgram;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -172,7 +172,7 @@ pub fn injection_schedule(
 }
 
 /// A droppable post with its provenance (for logs and reports).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct DropCandidate {
     /// The drop to inject.
     pub spec: DropSpec,
@@ -276,327 +276,6 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
     out
 }
 
-/// One teeth run's verdict.
-#[derive(Debug)]
-pub struct ToothOutcome {
-    /// What was dropped.
-    pub spec: DropSpec,
-    /// Primitive kind at the dropped site.
-    pub kind: &'static str,
-    /// The report names the dropped site — in the headline or in any
-    /// processor's terminal error (a consumer stuck at the dropped
-    /// site always records it, even when a downstream casualty's
-    /// timeout won the race to be the headline).
-    pub named_site: bool,
-    /// Wall-clock of the teeth run (bounded by a few deadlines).
-    pub elapsed: Duration,
-    /// The report (`None` when the executor hung up or silently
-    /// succeeded instead of reporting a failure).
-    pub report: Option<FaultReport>,
-}
-
-impl ToothOutcome {
-    /// The executor reported a failure.
-    pub fn detected(&self) -> bool {
-        self.report.is_some()
-    }
-
-    /// The site the report's headline cause is attributed to.
-    pub fn attributed_site(&self) -> Option<usize> {
-        self.report.as_ref()?.residual()?.cause.site()
-    }
-}
-
-/// Chaos campaign verdict for one (program, plan).
-#[derive(Debug)]
-pub struct ChaosReport {
-    /// Program name.
-    pub program: String,
-    /// Chaos seed used throughout.
-    pub seed: u64,
-    /// The benign run completed without a detected failure.
-    pub benign_ok: bool,
-    /// Divergence of the benign run from the sequential oracle.
-    pub benign_diff: f64,
-    /// One verdict per droppable post.
-    pub teeth: Vec<ToothOutcome>,
-}
-
-impl ChaosReport {
-    /// True when the benign run passed and every tooth bit.
-    pub fn ok(&self) -> bool {
-        self.benign_ok && self.teeth.iter().all(|t| t.detected() && t.named_site)
-    }
-
-    /// Human-readable failure lines (empty when [`ChaosReport::ok`]).
-    pub fn failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if !self.benign_ok {
-            out.push(format!(
-                "benign chaos run failed (seed {}, diff {:e})",
-                self.seed, self.benign_diff
-            ));
-        }
-        for t in &self.teeth {
-            if !t.detected() {
-                out.push(format!(
-                    "dropped {} post at s{} (P{}) was not detected",
-                    t.kind, t.spec.site, t.spec.pid
-                ));
-            } else if !t.named_site {
-                out.push(format!(
-                    "dropped {} post at s{} (P{}) was misattributed to {:?}",
-                    t.kind,
-                    t.spec.site,
-                    t.spec.pid,
-                    t.attributed_site()
-                ));
-            }
-        }
-        out
-    }
-}
-
-fn report_names_site(r: &FailureReport, site: usize) -> bool {
-    if r.cause.site() == Some(site) {
-        return true;
-    }
-    let at = format!("at s{site}");
-    r.per_proc.iter().any(|s| {
-        // Match "at s3 on…" / "at s3:…" but not "at s30".
-        s[..].match_indices(&at).any(|(k, _)| {
-            s[k + at.len()..]
-                .chars()
-                .next()
-                .map(|c| !c.is_ascii_digit())
-                .unwrap_or(true)
-        })
-    })
-}
-
-/// Run the chaos campaign for one program and plan: a benign seeded
-/// run that must pass, then one targeted drop per droppable post, each
-/// of which must terminate within the deadline with a report naming
-/// the dropped site. `team.nprocs()` must match `bind.nprocs`.
-pub fn chaos_check(
-    prog: &Arc<Program>,
-    bind: &Arc<Bindings>,
-    plan: &SpmdProgram,
-    team: &Team,
-    seed: u64,
-    deadline: Duration,
-    tol: f64,
-) -> ChaosReport {
-    let oracle = Mem::new(prog, bind);
-    run_sequential(prog, bind, &oracle);
-
-    let mem = Arc::new(Mem::new(prog, bind));
-    let benign = run_parallel_observed(
-        prog,
-        bind,
-        plan,
-        &mem,
-        team,
-        &ObserveOptions {
-            deadline: Some(deadline),
-            chaos: Some(Arc::new(ChaosInjector::new(seed))),
-            ..ObserveOptions::default()
-        },
-    );
-    let benign_diff = mem.max_abs_diff(&oracle);
-    let benign_ok = benign.ok() && benign_diff <= tol;
-
-    let mut teeth = Vec::new();
-    for cand in droppable_posts(prog, bind, plan) {
-        let inj = ChaosInjector::with_config(
-            seed,
-            ChaosConfig {
-                drop: Some(cand.spec),
-                ..ChaosConfig::default()
-            },
-        );
-        let mem = Arc::new(Mem::new(prog, bind));
-        let t0 = Instant::now();
-        let out = run_parallel_observed(
-            prog,
-            bind,
-            plan,
-            &mem,
-            team,
-            &ObserveOptions {
-                deadline: Some(deadline),
-                chaos: Some(Arc::new(inj)),
-                ..ObserveOptions::default()
-            },
-        );
-        let elapsed = t0.elapsed();
-        let failure = out.failure.as_ref();
-        teeth.push(ToothOutcome {
-            spec: cand.spec,
-            kind: cand.kind,
-            named_site: failure.is_some_and(|f| report_names_site(f, cand.spec.site)),
-            elapsed,
-            report: failure.map(|f| {
-                let ms = deadline.as_secs_f64() * 1e3;
-                let nprocs = team.nprocs();
-                let mut r = FaultReport::detected(&prog.name, nprocs, ms, f.clone(), out.stats);
-                r.chaos_seed = Some(seed);
-                r
-            }),
-        });
-    }
-
-    ChaosReport {
-        program: prog.name.clone(),
-        seed,
-        benign_ok,
-        benign_diff,
-        teeth,
-    }
-}
-
-/// One tooth's verdict under the supervisor without a re-planner: the
-/// dropped post must be absorbed (demote → quarantine → isolate) within
-/// the retry budget — the report's rung `recovered` — with results
-/// matching the sequential oracle.
-#[derive(Debug)]
-pub struct RecoveredTooth {
-    /// What was dropped.
-    pub spec: DropSpec,
-    /// Primitive kind at the dropped site.
-    pub kind: &'static str,
-    /// Divergence of the recovered memory from the sequential oracle.
-    pub diff: f64,
-    /// The full fault timeline (for `recovery.json` bundles).
-    pub report: FaultReport,
-}
-
-impl RecoveredTooth {
-    /// Absorbed by at least one retry, within `tol` of the oracle.
-    pub fn ok(&self, tol: f64) -> bool {
-        self.report.rung == Rung::Recovered && self.diff <= tol
-    }
-}
-
-/// Recovery campaign verdict for one (program, plan).
-#[derive(Debug)]
-pub struct RecoveryCheckReport {
-    /// Program name.
-    pub program: String,
-    /// Chaos seed used throughout.
-    pub seed: u64,
-    /// Tolerance the diffs were checked against.
-    pub tol: f64,
-    /// The benign seeded run completed (retries allowed — self-healing
-    /// may absorb an unlucky stall) and matched the oracle.
-    pub benign_ok: bool,
-    /// Divergence of the benign run from the sequential oracle.
-    pub benign_diff: f64,
-    /// One verdict per droppable post.
-    pub teeth: Vec<RecoveredTooth>,
-}
-
-impl RecoveryCheckReport {
-    /// True when the benign run passed and every tooth was absorbed by
-    /// recovery with oracle-exact results.
-    pub fn ok(&self) -> bool {
-        self.benign_ok && self.teeth.iter().all(|t| t.ok(self.tol))
-    }
-
-    /// Human-readable failure lines (empty when [`RecoveryCheckReport::ok`]).
-    pub fn failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if !self.benign_ok {
-            out.push(format!(
-                "benign recovering run failed (seed {}, diff {:e})",
-                self.seed, self.benign_diff
-            ));
-        }
-        for t in &self.teeth {
-            let (kind, site, pid) = (t.kind, t.spec.site, t.spec.pid);
-            match t.report.rung {
-                Rung::Failed => out.push(format!(
-                    "dropped {kind} post at s{site} (P{pid}) exhausted the retry budget ({} attempts)",
-                    t.report.attempts_used()
-                )),
-                Rung::Clean => out.push(format!(
-                    "dropped {kind} post at s{site} (P{pid}) was absorbed without any retry (tooth never bit)"
-                )),
-                _ if t.diff > self.tol => out.push(format!(
-                    "recovered run for dropped {kind} post at s{site} diverged from the oracle by {:e}",
-                    t.diff
-                )),
-                _ => {}
-            }
-        }
-        out
-    }
-}
-
-/// Run the chaos campaign under the self-healing supervisor: a benign
-/// seeded run, then one targeted persistent drop per droppable post —
-/// each must *converge via recovery* (per-site barrier fallback,
-/// quarantine, isolation) with memory matching the sequential oracle,
-/// instead of merely being detected as [`chaos_check`] demands. The
-/// campaign layers its deadline and injector over `base`, so the same
-/// drop matrix replays against tuned fabrics (tree barriers of any
-/// fan-in, eager-park spin policies, …); everything else in `base` is
-/// honored.
-#[allow(clippy::too_many_arguments)]
-pub fn recovery_check(
-    prog: &Arc<Program>,
-    bind: &Arc<Bindings>,
-    plan: &SpmdProgram,
-    team: &Team,
-    seed: u64,
-    deadline: Duration,
-    tol: f64,
-    policy: &RetryPolicy,
-    base: &ObserveOptions,
-) -> RecoveryCheckReport {
-    let oracle = Mem::new(prog, bind);
-    run_sequential(prog, bind, &oracle);
-    let supervise = |chaos: ChaosInjector| {
-        let mem = Arc::new(Mem::new(prog, bind));
-        let opts = ObserveOptions {
-            deadline: Some(deadline),
-            chaos: Some(Arc::new(chaos)),
-            ..base.clone()
-        };
-        let mut s = run_parallel_supervised(prog, bind, plan, &mem, team, &opts, policy, None);
-        s.report.chaos_seed = Some(seed);
-        (s.report, mem.max_abs_diff(&oracle))
-    };
-
-    let (benign, benign_diff) = supervise(ChaosInjector::new(seed));
-    let benign_ok = benign.rung.completed() && benign_diff <= tol;
-    let teeth = droppable_posts(prog, bind, plan)
-        .into_iter()
-        .map(|cand| {
-            let cfg = ChaosConfig {
-                drop: Some(cand.spec),
-                ..ChaosConfig::default()
-            };
-            let (report, diff) = supervise(ChaosInjector::with_config(seed, cfg));
-            RecoveredTooth {
-                spec: cand.spec,
-                kind: cand.kind,
-                diff,
-                report,
-            }
-        })
-        .collect();
-
-    RecoveryCheckReport {
-        program: prog.name.clone(),
-        seed,
-        tol,
-        benign_ok,
-        benign_diff,
-        teeth,
-    }
-}
-
 /// How a permanently lost processor dies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KillMode {
@@ -625,6 +304,7 @@ impl KillMode {
 /// ([`SyncChaos::maskable`]): quarantining a sync site cannot revive
 /// hardware, and the recovery ladder must not be fooled into thinking
 /// it absorbed the fault.
+#[derive(Clone, Copy, Debug)]
 pub struct KillPidChaos {
     /// The dead processor.
     pub pid: usize,
@@ -648,122 +328,219 @@ impl SyncChaos for KillPidChaos {
     }
 }
 
-/// One kill-pid run's verdict under the supervisor with a re-planner.
+/// What one supervised run of the campaign injected.
+#[derive(Clone, Copy, Debug)]
+pub enum Fault {
+    /// Seeded benign chaos only (delays, stalls, spurious wakeups).
+    Benign,
+    /// Benign chaos plus one persistent dropped post.
+    Drop(DropCandidate),
+    /// One permanently dead processor.
+    Kill(KillPidChaos),
+}
+
+impl Fault {
+    fn describe(&self) -> String {
+        match self {
+            Fault::Benign => "benign run".to_string(),
+            Fault::Drop(c) => format!(
+                "dropped {} post at s{} (P{})",
+                c.kind, c.spec.site, c.spec.pid
+            ),
+            Fault::Kill(k) => format!("{} kill of P{}", k.mode.as_str(), k.pid),
+        }
+    }
+}
+
+/// One supervised run of the campaign: what was injected, the whole
+/// fault timeline, and how far the final memory is from
+/// `run_sequential`.
 #[derive(Debug)]
-pub struct DegradedRun {
-    /// The processor that was killed.
-    pub pid: usize,
-    /// How it was killed.
-    pub mode: KillMode,
+pub struct Tooth {
+    /// What was injected.
+    pub fault: Fault,
     /// Divergence of the final memory from the sequential oracle.
     pub diff: f64,
-    /// The full fault timeline (for `degrade.json` bundles); its rung
-    /// must be `recovered`, `shrunk` or `serial` — `clean` means the
-    /// kill never bit, `failed` that availability was lost.
+    /// The run's fault timeline.
     pub report: FaultReport,
 }
 
-impl DegradedRun {
-    /// Completed on a degraded rung, within `tol` of the oracle.
-    pub fn ok(&self, tol: f64) -> bool {
+impl Tooth {
+    /// The verdict: why this run fails the campaign, or `None` when it
+    /// passes. The benign run must end `clean`. A drop must fail its
+    /// first attempt with a report naming the dropped site and end
+    /// `recovered`. A kill must complete on a rung below `clean`. Every
+    /// run that completes must match the oracle within `tol`.
+    pub fn failure(&self, tol: f64) -> Option<String> {
         let rung = self.report.rung;
-        rung.completed() && rung != Rung::Clean && self.diff <= tol
+        let wrong = match self.fault {
+            Fault::Benign => {
+                (rung != Rung::Clean).then(|| format!("ended on rung '{}'", rung.name()))
+            }
+            Fault::Drop(c) => {
+                let first = self.report.rounds.first().map(|r| &r.attempts[..]);
+                match first.and_then(|a| a.first()?.failure.as_ref()) {
+                    None => Some("never bit: its first attempt completed".to_string()),
+                    Some(f) if !report_names_site(f, c.spec.site) => {
+                        Some(format!("was misattributed to {:?}", f.cause.site()))
+                    }
+                    _ if rung != Rung::Recovered => Some(format!(
+                        "exhausted the retry budget ({} attempts)",
+                        self.report.attempts_used()
+                    )),
+                    _ => None,
+                }
+            }
+            Fault::Kill(_) => match rung {
+                Rung::Failed => Some("did not complete (availability lost)".to_string()),
+                Rung::Clean => Some("was absorbed without degrading (never bit)".to_string()),
+                _ => None,
+            },
+        };
+        wrong
+            .or_else(|| {
+                (self.diff > tol).then(|| format!("diverged from the oracle by {:e}", self.diff))
+            })
+            .map(|w| format!("{} {w}", self.fault.describe()))
     }
 }
 
-/// Degradation campaign verdict for one (program, plan): every pid
-/// killed silently, plus pid 0 killed by panic (the forced worst case
-/// — it exists at every width, so the run must descend to the serial
-/// tail).
+/// The campaign's verdict for one (program, plan).
 #[derive(Debug)]
-pub struct DegradeCheckReport {
+pub struct CampaignReport {
     /// Program name.
     pub program: String,
-    /// Tolerance the diffs were checked against.
+    /// Tolerance every diff is checked against.
     pub tol: f64,
-    /// One verdict per kill.
-    pub runs: Vec<DegradedRun>,
+    /// The benign run's event rings (`None` if it recorded none).
+    pub profile: Option<ProfileData>,
+    /// The benign run, then one run per droppable post, then one per
+    /// kill.
+    pub teeth: Vec<Tooth>,
 }
 
-impl DegradeCheckReport {
-    /// True when every kill completed, degraded, and matched the
-    /// oracle.
+impl CampaignReport {
+    /// True when [`CampaignReport::failures`] is empty.
     pub fn ok(&self) -> bool {
-        !self.runs.is_empty() && self.runs.iter().all(|r| r.ok(self.tol))
+        self.failures().is_empty()
     }
 
-    /// Human-readable failure lines (empty when [`DegradeCheckReport::ok`]).
+    /// Every failing run's verdict, plus a line when the campaign
+    /// dropped no post or the rings lost count.
     pub fn failures(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        if self.runs.is_empty() {
-            out.push("degrade campaign ran no kills".to_string());
+        let mut out: Vec<String> = self
+            .teeth
+            .iter()
+            .filter_map(|t| t.failure(self.tol))
+            .collect();
+        if !self.teeth.iter().any(|t| matches!(t.fault, Fault::Drop(_))) {
+            out.push("the campaign ran no drop teeth".to_string());
         }
-        for r in self.runs.iter().filter(|r| !r.ok(self.tol)) {
-            let (mode, pid, rung) = (r.mode.as_str(), r.pid, r.report.rung);
-            out.push(match rung {
-                Rung::Failed => format!(
-                    "{mode} kill of P{pid} did not complete (availability guarantee violated)"
-                ),
-                Rung::Clean => {
-                    format!("{mode} kill of P{pid} was absorbed without degrading (policy never bit)")
-                }
-                _ => format!(
-                    "{mode} kill of P{pid} completed on rung '{}' but diverged from the oracle by {:e}",
-                    rung.name(),
-                    r.diff
-                ),
-            });
+        // Every event offered to the rings is recorded or counted.
+        match &self.profile {
+            Some(d) if d.events.len() as u64 + d.dropped == d.attempted() => {}
+            _ => out.push("the benign run's event rings lost count".to_string()),
         }
         out
     }
 }
 
-/// Run the total-availability campaign for one program and plan: for
-/// every pid a run with that processor permanently silent-killed, plus
-/// one run with pid 0 panic-killed (which survives every shrink and
-/// forces the serial tail). Each run must *complete with oracle-exact
-/// memory* via the degradation ladder — shrink rounds re-plan through
-/// `replan`, so pass the same plan family that produced `plan`.
-#[allow(clippy::too_many_arguments)]
-pub fn degrade_check(
+fn report_names_site(r: &FailureReport, site: usize) -> bool {
+    if r.cause.site() == Some(site) {
+        return true;
+    }
+    let at = format!("at s{site}");
+    r.per_proc.iter().any(|s| {
+        // Match "at s3 on…" / "at s3:…" but not "at s30".
+        s[..].match_indices(&at).any(|(k, _)| {
+            s[k + at.len()..]
+                .chars()
+                .next()
+                .map(|c| !c.is_ascii_digit())
+                .unwrap_or(true)
+        })
+    })
+}
+
+/// Run the chaos campaign for one program under the plan `family`
+/// builds for it (`spmd_opt::optimize` or `spmd_opt::fork_join`), on a
+/// team of `bind.nprocs`, every run under the supervisor with a
+/// `deadline` watchdog and `policy`'s budget:
+///
+/// 1. one seeded benign run, profiled;
+/// 2. one run per [`droppable_posts`] candidate, the drop persistent,
+///    without a re-planner — the site ladder must absorb it, and a
+///    re-planner would instead shrink the team once the dropping pid
+///    failed `runtime::recovery::STICKY_PID_K` attempts;
+/// 3. one run per processor silently killed, plus P0 killed by panic
+///    (it exists at every width, so the run must reach the serial
+///    tail), with `family` re-planning each shrink.
+///
+/// [`Tooth::failure`] judges each run against the sequential oracle.
+pub fn campaign(
     prog: &Arc<Program>,
     bind: &Arc<Bindings>,
-    plan: &SpmdProgram,
-    team: &Team,
+    family: Replan<'_>,
+    seed: u64,
     deadline: Duration,
     tol: f64,
     policy: &RetryPolicy,
-    replan: Replan<'_>,
-) -> DegradeCheckReport {
+) -> CampaignReport {
+    let plan = family(prog, bind);
+    let nprocs = bind.nprocs.max(1) as usize;
+    let team = Team::new(nprocs);
     let oracle = Mem::new(prog, bind);
     run_sequential(prog, bind, &oracle);
 
-    let nprocs = bind.nprocs.max(0) as usize;
-    let mut kills: Vec<(usize, KillMode)> =
-        (0..nprocs).map(|pid| (pid, KillMode::Silent)).collect();
-    kills.push((0, KillMode::Panic));
-
-    let mut runs = Vec::new();
-    for (pid, mode) in kills {
-        let mem = Arc::new(Mem::new(prog, bind));
-        let opts = ObserveOptions {
-            deadline: Some(deadline),
-            chaos: Some(Arc::new(KillPidChaos { pid, mode })),
-            ..ObserveOptions::default()
+    let drops = droppable_posts(prog, bind, &plan)
+        .into_iter()
+        .map(Fault::Drop);
+    let silent = (0..nprocs).map(|pid| (pid, KillMode::Silent));
+    let kills = silent.chain([(0, KillMode::Panic)]);
+    let kills = kills.map(|(pid, mode)| Fault::Kill(KillPidChaos { pid, mode }));
+    let seeded = |drop| {
+        let cfg = ChaosConfig {
+            drop,
+            ..ChaosConfig::default()
         };
-        let s = run_parallel_supervised(prog, bind, plan, &mem, team, &opts, policy, Some(replan));
-        runs.push(DegradedRun {
-            pid,
-            mode,
-            diff: mem.max_abs_diff(&oracle),
-            report: s.report,
-        });
-    }
+        Arc::new(ChaosInjector::with_config(seed, cfg)) as Arc<dyn SyncChaos>
+    };
+    let mut profile = None;
+    let teeth = std::iter::once(Fault::Benign)
+        .chain(drops)
+        .chain(kills)
+        .map(|fault| {
+            let (chaos, replan) = match fault {
+                Fault::Benign => (seeded(None), None),
+                Fault::Drop(c) => (seeded(Some(c.spec)), None),
+                Fault::Kill(k) => (Arc::new(k) as Arc<dyn SyncChaos>, Some(family)),
+            };
+            let opts = ObserveOptions {
+                deadline: Some(deadline),
+                chaos: Some(chaos),
+                profile: matches!(fault, Fault::Benign).then(ProfileOptions::default),
+                ..ObserveOptions::default()
+            };
+            let mem = Arc::new(Mem::new(prog, bind));
+            let mut s =
+                run_parallel_supervised(prog, bind, &plan, &mem, &team, &opts, policy, replan);
+            profile = profile.take().or(s.outcome.profile.take());
+            if replan.is_none() {
+                s.report.chaos_seed = Some(seed);
+            }
+            Tooth {
+                fault,
+                diff: mem.max_abs_diff(&oracle),
+                report: s.report,
+            }
+        })
+        .collect();
 
-    DegradeCheckReport {
+    CampaignReport {
         program: prog.name.clone(),
         tol,
-        runs,
+        profile,
+        teeth,
     }
 }
 
@@ -771,6 +548,7 @@ pub fn degrade_check(
 mod tests {
     use super::*;
     use crate::gen;
+    use obs::{Attempt, FailureCause, Round};
 
     #[test]
     fn same_seed_same_schedule_different_seed_differs() {
@@ -804,108 +582,196 @@ mod tests {
         assert_ne!(inj.at_sync(2, 0, 4), ChaosAction::Drop);
     }
 
+    /// A run of `fault` that ended on `rung`; `first` is what its
+    /// first attempt saw (`None`: it completed).
+    fn tooth(fault: Fault, rung: Rung, first: Option<FailureCause>) -> Tooth {
+        let attempt = |failure| Attempt {
+            failure,
+            suspect_pid: None,
+            actions: Vec::new(),
+            backoff_ms: 0,
+            stats: Default::default(),
+        };
+        let failure = first.map(|cause| FailureReport {
+            cause,
+            site_label: String::new(),
+            per_proc: vec!["ok".to_string(); 4],
+            sites: Vec::new(),
+        });
+        let mut attempts = vec![attempt(failure)];
+        if attempts[0].failure.is_some() && rung.completed() {
+            attempts.push(attempt(None));
+        }
+        Tooth {
+            fault,
+            diff: 0.0,
+            report: FaultReport {
+                program: "hand-made".to_string(),
+                widths: vec![4],
+                deadline_ms: 150.0,
+                budget: 4,
+                chaos_seed: None,
+                checkpoint_cells: Some(0),
+                rung,
+                rounds: vec![Round {
+                    lost_pid: None,
+                    attempts,
+                }],
+            },
+        }
+    }
+
+    fn deadline_at(site: usize) -> Option<FailureCause> {
+        Some(FailureCause::Deadline {
+            site,
+            pid: 1,
+            kind: "counter".to_string(),
+            expected: 1,
+            observed: 0,
+        })
+    }
+
+    const DROP: Fault = Fault::Drop(DropCandidate {
+        spec: DropSpec {
+            site: 3,
+            pid: 0,
+            from_visit: 2,
+        },
+        kind: "counter",
+    });
+    const KILL: Fault = Fault::Kill(KillPidChaos {
+        pid: 2,
+        mode: KillMode::Silent,
+    });
+
+    fn report(teeth: Vec<Tooth>) -> CampaignReport {
+        CampaignReport {
+            program: "hand-made".to_string(),
+            tol: 1e-9,
+            profile: Some(ProfileData::default()),
+            teeth,
+        }
+    }
+
     #[test]
-    fn generated_program_recovers_from_every_tooth() {
+    fn the_verdict_passes_a_campaign_that_bit_everywhere() {
+        let r = report(vec![
+            tooth(Fault::Benign, Rung::Clean, None),
+            tooth(DROP, Rung::Recovered, deadline_at(3)),
+            tooth(KILL, Rung::Shrunk, deadline_at(5)),
+        ]);
+        assert!(r.ok(), "{:?}", r.failures());
+    }
+
+    #[test]
+    fn a_drop_whose_first_attempt_names_another_site_is_misattributed() {
+        let t = tooth(DROP, Rung::Recovered, deadline_at(4));
+        let f = t.failure(0.0).expect("misattributed");
+        assert_eq!(
+            f,
+            "dropped counter post at s3 (P0) was misattributed to Some(4)"
+        );
+        // A stuck peer's terminal error naming the site is enough.
+        let mut t = t;
+        let stuck = |t: &mut Tooth, state: &str| {
+            let first = t.report.rounds[0].attempts[0].failure.as_mut().unwrap();
+            first.per_proc[2] = state.to_string();
+        };
+        stuck(&mut t, "deadline at s3: 0/1");
+        assert_eq!(t.failure(0.0), None);
+        // `at s3` does not match `at s30`.
+        stuck(&mut t, "deadline at s30: 0/1");
+        assert!(t.failure(0.0).is_some());
+    }
+
+    #[test]
+    fn a_drop_whose_first_attempt_completed_never_bit() {
+        let f = tooth(DROP, Rung::Clean, None).failure(0.0).unwrap();
+        assert!(f.ends_with("never bit: its first attempt completed"), "{f}");
+    }
+
+    #[test]
+    fn a_drop_that_exhausts_its_budget_fails() {
+        let f = tooth(DROP, Rung::Failed, deadline_at(3))
+            .failure(0.0)
+            .unwrap();
+        assert!(
+            f.ends_with("exhausted the retry budget (1 attempts)"),
+            "{f}"
+        );
+    }
+
+    #[test]
+    fn a_kill_that_ends_clean_never_bit() {
+        let f = tooth(KILL, Rung::Clean, None).failure(0.0).unwrap();
+        assert_eq!(
+            f,
+            "silent kill of P2 was absorbed without degrading (never bit)"
+        );
+        assert!(tooth(KILL, Rung::Failed, deadline_at(1))
+            .failure(0.0)
+            .is_some());
+    }
+
+    #[test]
+    fn a_benign_run_must_end_clean_and_every_run_match_the_oracle() {
+        let f = tooth(Fault::Benign, Rung::Recovered, deadline_at(1));
+        assert_eq!(
+            f.failure(0.0).unwrap(),
+            "benign run ended on rung 'recovered'"
+        );
+        let mut t = tooth(KILL, Rung::Serial, deadline_at(1));
+        t.diff = 1e-3;
+        assert!(t
+            .failure(1e-9)
+            .unwrap()
+            .ends_with("diverged from the oracle by 1e-3"));
+    }
+
+    #[test]
+    fn a_campaign_without_drop_teeth_fails() {
+        let r = report(vec![
+            tooth(Fault::Benign, Rung::Clean, None),
+            tooth(KILL, Rung::Serial, deadline_at(1)),
+        ]);
+        assert_eq!(r.failures(), ["the campaign ran no drop teeth"]);
+    }
+
+    /// The real campaign on a generated program: every verdict holds,
+    /// and the ladders really engaged.
+    #[test]
+    fn generated_program_passes_the_campaign() {
         use spmd_opt::optimize;
         let g = gen::generate(5);
         let bind = Arc::new(g.bindings(4));
         let prog = Arc::new(g.prog.clone());
-        let plan = optimize(&prog, &bind);
-        let team = Team::new(4);
         let policy = RetryPolicy {
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(4),
             ..RetryPolicy::default()
         };
-        let r = recovery_check(
-            &prog,
-            &bind,
-            &plan,
-            &team,
-            11,
-            Duration::from_millis(150),
-            0.0,
-            &policy,
-            &ObserveOptions::default(),
-        );
-        assert!(r.ok(), "recovery check failed: {:?}", r.failures());
+        let deadline = Duration::from_millis(150);
+        let r = campaign(&prog, &bind, &optimize, 11, deadline, 0.0, &policy);
+        assert!(r.ok(), "campaign failed: {:?}", r.failures());
+        // The benign run, the drops, 4 silent kills and the panic kill.
+        let drops = r.teeth.len() - 6;
+        assert!(drops >= 1);
+        assert!(!r.profile.as_ref().unwrap().events.is_empty());
         for t in &r.teeth {
-            assert!(t.report.attempts_used() <= policy.max_attempts);
-            assert_eq!(t.report.rung, Rung::Recovered);
-            // The ladder actually engaged: something was demoted.
-            let demoted = t.report.sites_with(runtime::FaultDisposition::Demote);
-            assert!(!demoted.is_empty());
-        }
-    }
-
-    #[test]
-    fn generated_program_survives_every_kill_pid_policy() {
-        use spmd_opt::optimize;
-        let g = gen::generate(5);
-        let bind = Arc::new(g.bindings(3));
-        let prog = Arc::new(g.prog.clone());
-        let plan = optimize(&prog, &bind);
-        let team = Team::new(3);
-        let policy = RetryPolicy {
-            max_attempts: 4,
-            backoff_base: Duration::from_millis(1),
-            backoff_cap: Duration::from_millis(2),
-        };
-        let r = degrade_check(
-            &prog,
-            &bind,
-            &plan,
-            &team,
-            Duration::from_millis(150),
-            0.0,
-            &policy,
-            &|p, b| optimize(p, b),
-        );
-        assert!(r.ok(), "degrade check failed: {:?}", r.failures());
-        // 3 silent kills + the forced-serial panic kill of P0.
-        assert_eq!(r.runs.len(), 4);
-        let worst = r.runs.last().unwrap();
-        assert_eq!((worst.pid, worst.mode), (0, KillMode::Panic));
-        assert_eq!(worst.report.rung, Rung::Serial, "P0 exists at every width");
-        assert_eq!(worst.report.nprocs_final(), 1);
-        for run in &r.runs {
-            assert_eq!(run.diff, 0.0, "bitwise availability guarantee");
-        }
-    }
-
-    #[test]
-    fn generated_program_survives_benign_and_fails_teeth() {
-        use spmd_opt::optimize;
-        let g = gen::generate(5);
-        let bind = Arc::new(g.bindings(4));
-        let prog = Arc::new(g.prog.clone());
-        let plan = optimize(&prog, &bind);
-        let team = Team::new(4);
-        let r = chaos_check(
-            &prog,
-            &bind,
-            &plan,
-            &team,
-            11,
-            Duration::from_millis(150),
-            0.0,
-        );
-        assert!(r.benign_ok, "benign run failed: diff {:e}", r.benign_diff);
-        for t in &r.teeth {
-            assert!(
-                t.detected(),
-                "{} drop at s{} undetected",
-                t.kind,
-                t.spec.site
-            );
-            assert!(
-                t.named_site,
-                "{} drop at s{} attributed to {:?}",
-                t.kind,
-                t.spec.site,
-                t.attributed_site()
-            );
-            assert!(t.elapsed < Duration::from_secs(30));
+            match t.fault {
+                Fault::Drop(_) => {
+                    let demoted = t.report.sites_with(runtime::FaultDisposition::Demote);
+                    assert!(!demoted.is_empty(), "the site ladder engaged");
+                }
+                Fault::Kill(KillPidChaos {
+                    pid: 0,
+                    mode: KillMode::Panic,
+                }) => {
+                    assert_eq!(t.report.rung, Rung::Serial, "P0 exists at every width");
+                    assert_eq!(t.report.nprocs_final(), 1);
+                }
+                _ => {}
+            }
         }
     }
 }

@@ -5,8 +5,7 @@
 //! * the sequential interpreter (the semantics being reproduced),
 //! * the unoptimized fork-join schedule,
 //! * the optimized schedule under adversarial virtual interleavings,
-//! * the optimized (and fork-join) schedule on real threads, with both
-//!   the central and the tree barrier.
+//! * the optimized (and fork-join) schedule on real threads.
 //!
 //! Final shared memory is diffed cell-by-cell against the sequential
 //! run, the dynamic synchronization counts of the virtual and real
@@ -21,8 +20,8 @@ use crate::validate;
 use analysis::Bindings;
 use interp::events::DynCounts;
 use interp::{
-    run_parallel_observed, run_sequential, run_virtual, BarrierKind, Mem, ObserveOptions,
-    ScheduleOrder, SyncChaos,
+    run_parallel_observed, run_sequential, run_virtual, Mem, ObserveOptions, ScheduleOrder,
+    SyncChaos,
 };
 use ir::Program;
 use obs::FaultReport;
@@ -39,8 +38,7 @@ pub struct DiffConfig {
     /// Extra seeded-random interleavings per (plan, nprocs), on top of
     /// round-robin and reverse.
     pub random_orders: u64,
-    /// Also execute on real threads (both barrier kinds) at
-    /// `thread_nprocs`.
+    /// Also execute both plans on real threads at `thread_nprocs`.
     pub threads: bool,
     /// Team size for the real-thread runs.
     pub thread_nprocs: i64,
@@ -180,48 +178,44 @@ pub fn check_program(
             ("fork-join", fork_join(&prog, &bind)),
             ("optimized", optimize(&prog, &bind)),
         ] {
-            for kind in [BarrierKind::Central, BarrierKind::Tree] {
-                let mem = Arc::new(Mem::new(&prog, &bind));
-                let po = run_parallel_observed(
-                    &prog,
-                    &bind,
-                    &plan,
-                    &mem,
-                    &team,
-                    &ObserveOptions {
-                        barrier: kind,
-                        deadline: cfg.deadline,
-                        chaos: cfg
-                            .chaos_seed
-                            .map(|s| Arc::new(ChaosInjector::new(s)) as Arc<dyn SyncChaos>),
-                        ..ObserveOptions::default()
-                    },
-                );
-                if let Some(f) = po.failure.clone() {
-                    out.failures
-                        .push(format!("P={p} {label} threads {kind:?}: {}", f.headline()));
-                    let ms = cfg.deadline.unwrap_or_default().as_secs_f64() * 1e3;
-                    let mut r = FaultReport::detected(&prog.name, p as usize, ms, f, po.stats);
-                    r.chaos_seed = cfg.chaos_seed;
-                    out.failure_reports.push(r);
-                    continue; // memory/counts are meaningless after a fault
-                }
-                let diff = mem.max_abs_diff(&oracle);
-                if diff > cfg.tol {
-                    out.failures.push(format!(
-                        "P={p} {label} threads {kind:?}: diverged by {diff:e}"
-                    ));
-                }
-                // The virtual executor's counts for the same plan and
-                // processor count must match by construction.
-                let vmem = Mem::new(&prog, &bind);
-                let vo = run_virtual(&prog, &bind, &plan, &vmem, ScheduleOrder::RoundRobin);
-                if vo.counts != po.counts {
-                    out.failures.push(format!(
-                        "P={p} {label} threads {kind:?}: dyn counts {:?} != virt {:?}",
-                        po.counts, vo.counts
-                    ));
-                }
+            let mem = Arc::new(Mem::new(&prog, &bind));
+            let po = run_parallel_observed(
+                &prog,
+                &bind,
+                &plan,
+                &mem,
+                &team,
+                &ObserveOptions {
+                    deadline: cfg.deadline,
+                    chaos: cfg
+                        .chaos_seed
+                        .map(|s| Arc::new(ChaosInjector::new(s)) as Arc<dyn SyncChaos>),
+                    ..ObserveOptions::default()
+                },
+            );
+            if let Some(f) = po.failure.clone() {
+                out.failures
+                    .push(format!("P={p} {label} threads: {}", f.headline()));
+                let ms = cfg.deadline.unwrap_or_default().as_secs_f64() * 1e3;
+                let mut r = FaultReport::detected(&prog.name, p as usize, ms, f, po.stats);
+                r.chaos_seed = cfg.chaos_seed;
+                out.failure_reports.push(r);
+                continue; // memory/counts are meaningless after a fault
+            }
+            let diff = mem.max_abs_diff(&oracle);
+            if diff > cfg.tol {
+                out.failures
+                    .push(format!("P={p} {label} threads: diverged by {diff:e}"));
+            }
+            // The virtual executor's counts for the same plan and
+            // processor count must match by construction.
+            let vmem = Mem::new(&prog, &bind);
+            let vo = run_virtual(&prog, &bind, &plan, &vmem, ScheduleOrder::RoundRobin);
+            if vo.counts != po.counts {
+                out.failures.push(format!(
+                    "P={p} {label} threads: dyn counts {:?} != virt {:?}",
+                    po.counts, vo.counts
+                ));
             }
         }
     }

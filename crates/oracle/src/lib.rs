@@ -26,9 +26,8 @@ pub mod service_chaos;
 pub mod validate;
 
 pub use chaos::{
-    chaos_check, degrade_check, droppable_posts, injection_schedule, recovery_check, ChaosConfig,
-    ChaosInjector, ChaosReport, DegradeCheckReport, DegradedRun, DropCandidate, DropSpec, KillMode,
-    KillPidChaos, RecoveredTooth, RecoveryCheckReport, ToothOutcome,
+    campaign, droppable_posts, injection_schedule, CampaignReport, ChaosConfig, ChaosInjector,
+    DropCandidate, DropSpec, Fault, KillMode, KillPidChaos, Tooth,
 };
 pub use diff::{check_program, plan_diverges, CaseResult, DiffConfig};
 pub use gen::{generate, generate_shape, GenProgram, Shape};

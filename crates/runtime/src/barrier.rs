@@ -88,12 +88,6 @@ impl CentralBarrier {
         }
     }
 
-    /// Override the spin → yield → park escalation policy.
-    pub fn with_policy(mut self, policy: SpinPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Number of participating processors.
     pub fn nprocs(&self) -> usize {
         self.n
@@ -286,12 +280,6 @@ impl TreeBarrier {
             flags,
             policy: SpinPolicy::auto(),
         }
-    }
-
-    /// Override the spin → yield → park escalation policy.
-    pub fn with_policy(mut self, policy: SpinPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Number of participating processors.

@@ -54,12 +54,6 @@ impl CellBank {
         }
     }
 
-    /// Override the spin → yield → park escalation policy.
-    pub fn with_policy(mut self, policy: SpinPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Number of processors.
     pub fn nprocs(&self) -> usize {
         self.cells.len()

@@ -55,12 +55,6 @@ impl Counters {
         }
     }
 
-    /// Override the spin → yield → park escalation policy.
-    pub fn with_policy(mut self, policy: SpinPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Number of counters in the bank.
     pub fn len(&self) -> usize {
         self.c.len()

@@ -6,16 +6,14 @@
 //!                  [--deadline MS] [--chaos] [--chaos-seed S] [--shapes A,B]
 //! beoracle mutate  [--count N] [--seed S]
 //! beoracle kernels [--threads] [--nprocs 1,3,4]
-//! beoracle chaos   [--chaos-seed S] [--deadline MS] [--nprocs P] [--repro-dir DIR]
-//!                  [--no-recover] [--recovery-json PATH] [--profile]
-//!                  [--degrade] [--degrade-json PATH] [--max-attempts N]
+//! beoracle chaos   [--chaos-seed S] [--deadline MS] [--nprocs P] [--json PATH]
 //! beoracle service-chaos [--chaos-seed S] [--rounds N] [--nprocs P] [--json PATH]
 //!                  [--snapshot-dir DIR]
 //! ```
 //!
 //! * `fuzz` — generate `N` random programs and differentially execute
 //!   each (sequential vs fork-join vs optimized; virtual interleavings
-//!   and, with `--threads`, real threads with both barrier kinds),
+//!   and, with `--threads`, real threads),
 //!   validating every schedule race-free. Real-thread runs are
 //!   deadline-guarded (`--deadline`, default 10000 ms) and can be
 //!   perturbed with benign seeded chaos (`--chaos`). Each failure is
@@ -32,28 +30,20 @@
 //! * `kernels` — run the differential oracle over every suite kernel,
 //!   at the `--nprocs` widths (default 1,3,4).
 //! * `chaos` — run the seeded fault-injection campaign over the five
-//!   shipped `.be` kernels. By default every droppable sync post
-//!   (final counter increment, neighbor post, barrier arrival) is
-//!   injected as a *persistent* fault and the self-healing supervisor
-//!   must absorb it — rolling back to the region checkpoint, demoting
-//!   the blamed site, retrying within the budget — with recovered
-//!   memory matching the sequential oracle; the aggregated recovery
-//!   timelines are written to `--recovery-json` (default
-//!   `recovery.json`). With `--no-recover`, the older detect-only
-//!   campaign runs instead: every dropped post must be detected
-//!   within the deadline with a failure report naming the dropped
-//!   site. With `--profile`, each kernel x plan additionally does one
-//!   profiled benign run and its event-ring accounting (`events +
-//!   dropped == attempted`) is checked and embedded in the JSON.
-//!   With `--degrade`, the *total-availability* campaign runs instead:
-//!   every pid of every kernel x plan is permanently killed (silent
-//!   post-drops for each pid, plus a panic kill of P0 that survives
-//!   every team shrink and forces the sequential tail) and the
-//!   degradation supervisor must complete each run — classifying the
-//!   loss, shrinking the team, re-planning, and at worst finishing
-//!   serially — with memory matching the sequential oracle; the
-//!   aggregated degradation timelines are written to `--degrade-json`
-//!   (default `degrade.json`).
+//!   shipped `.be` kernels and the five suite kernels whose plans place
+//!   pairwise counters, under the fork-join and the optimized plan, at
+//!   `--nprocs` (default 4, at least 2) processors. Every run is
+//!   supervised with a `--deadline` watchdog (default 250 ms): one
+//!   benign seeded run, which must end clean with exact event-ring
+//!   accounting; one run per droppable sync post (final counter
+//!   increment, neighbor or pairwise post, barrier arrival), each
+//!   persistent, whose first attempt must fail naming the dropped site
+//!   and which the site ladder must then absorb; and one run per
+//!   processor silently killed plus a panic kill of P0, which the
+//!   degradation ladder must complete by shrinking the team, re-planning
+//!   and at worst finishing serially. Every completed run must match the
+//!   sequential oracle. The timelines go to `--json` (default
+//!   `chaos.json`).
 //! * `service-chaos` — run the *service-plane* chaos campaign: start an
 //!   in-process `beoptd` service under a seeded fault schedule (shard
 //!   kills mid-request and mid-snapshot, snapshot corruption, dropped
@@ -69,10 +59,8 @@
 //! not parse or lacks a symbol the campaign binds.
 
 use barrier_elim::analysis::Bindings;
-use barrier_elim::interp::ObserveOptions;
 use barrier_elim::ir::SymId;
 use barrier_elim::oracle::{self, DiffConfig};
-use barrier_elim::runtime::Team;
 use barrier_elim::spmd_opt::{fork_join, optimize};
 use barrier_elim::suite::{self, Scale};
 use barrier_elim::{frontend, obs};
@@ -334,161 +322,54 @@ fn suite_kernel(name: &str, nprocs: i64) -> Result<Case, String> {
     Ok((Arc::new(b.prog), bind))
 }
 
-/// One profiled benign run of `plan`; returns the ring-accounting
-/// summary `(events, dropped, attempted)` for the campaign report.
-fn profile_benign(
-    prog: &Arc<barrier_elim::ir::Program>,
-    bind: &Arc<Bindings>,
-    plan: &barrier_elim::spmd_opt::SpmdProgram,
-    team: &Team,
-) -> (usize, u64, u64) {
-    use barrier_elim::interp::{run_parallel_observed, Mem};
-    let mem = Arc::new(Mem::new(prog, bind));
-    let opts = ObserveOptions {
-        profile: Some(barrier_elim::runtime::events::ProfileOptions::default()),
-        ..ObserveOptions::default()
-    };
-    let out = run_parallel_observed(prog, bind, plan, &mem, team, &opts);
-    match out.profile {
-        Some(d) => (d.events.len(), d.dropped, d.attempted()),
-        None => (0, 0, 0),
-    }
-}
-
-/// The `chaos --degrade` campaign: every pid of every kernel x plan is
-/// permanently kill-pid'ed (silent drops, plus a panic kill of P0 that
-/// forces the serial tail) and the degradation supervisor must finish
-/// each run with memory matching the sequential oracle. Writes the
-/// aggregated timelines to `degrade_json`.
-fn cmd_chaos_degrade(
-    seed: u64,
-    deadline: Duration,
-    nprocs: i64,
-    degrade_json: &str,
-    max_attempts: u32,
-) -> Exit {
-    println!(
-        "degrade campaign over {} kernels (deadline {deadline:?}, P={nprocs}, kill-pid: every pid silent + P0 panic)",
-        CHAOS_KERNELS.len()
-    );
-    let team = Team::new(nprocs as usize);
-    let policy = barrier_elim::runtime::RetryPolicy {
-        max_attempts,
-        ..barrier_elim::runtime::RetryPolicy::default()
-    };
-    let mut runs: Vec<obs::Json> = Vec::new();
-    let mut failed = 0;
-    for (kernel, sets) in CHAOS_KERNELS {
-        let src = match std::fs::read_to_string(format!("kernels/{kernel}")) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("FAIL {kernel}: cannot read kernel file: {e}");
-                failed += 1;
-                continue;
-            }
-        };
-        let (prog, bind) = parse_kernel(kernel, &src, nprocs, sets)?;
-        type Replan =
-            fn(&barrier_elim::ir::Program, &Bindings) -> barrier_elim::spmd_opt::SpmdProgram;
-        let plans: [(&str, barrier_elim::spmd_opt::SpmdProgram, Replan); 2] = [
-            ("fork-join", fork_join(&prog, &bind), fork_join),
-            ("optimized", optimize(&prog, &bind), optimize),
-        ];
-        for (label, plan, replan) in plans {
-            let r =
-                oracle::degrade_check(&prog, &bind, &plan, &team, deadline, 1e-9, &policy, &replan);
-            if r.ok() {
-                let worst = r
-                    .runs
-                    .iter()
-                    .find(|k| k.report.rung == obs::Rung::Serial)
-                    .map(|k| format!("P{} {} kill -> serial", k.pid, k.mode.as_str()))
-                    .unwrap_or_else(|| "no serial tail needed".to_string());
-                println!(
-                    "ok   {kernel} {label}: {} kills absorbed, worst case {worst}",
-                    r.runs.len()
-                );
-            } else {
-                failed += 1;
-                println!("FAIL {kernel} {label}:");
-                for f in r.failures() {
-                    println!("  {f}");
-                }
-                for k in r.runs.iter().filter(|k| !k.ok(1e-9)) {
-                    print!("{}", obs::render_fault(&k.report));
-                }
-            }
-            let kills: Vec<obs::Json> = r
-                .runs
-                .iter()
-                .map(|k| {
-                    obs::Json::obj()
-                        .set("pid", k.pid)
-                        .set("mode", k.mode.as_str())
-                        .set("diff", k.diff)
-                        .set("report", obs::fault_json(&k.report))
-                })
-                .collect();
-            runs.push(
-                obs::Json::obj()
-                    .set("kernel", *kernel)
-                    .set("plan", label)
-                    .set("ok", r.ok())
-                    .set("kills", kills),
-            );
-        }
-    }
-    let doc = obs::Json::obj()
-        .set("schema_version", obs::SCHEMA_VERSION)
-        .set("campaign", "chaos-degrade")
-        .set("seed", seed)
-        .set("deadline_ms", deadline.as_millis() as u64)
-        .set("nprocs", nprocs)
-        .set("max_attempts", policy.max_attempts)
-        .set("ok", failed == 0)
-        .set("runs", runs);
-    match std::fs::write(degrade_json, doc.to_string_pretty()) {
-        Ok(()) => println!("degrade: aggregated timelines written to {degrade_json}"),
-        Err(e) => {
-            eprintln!("beoracle: cannot write {degrade_json}: {e}");
-            failed += 1;
-        }
-    }
-    if failed > 0 {
-        println!("{failed} kernel plans failed the degrade campaign");
-    }
-    Ok((failed > 0) as i32)
+/// One (program, plan)'s campaign as JSON: the verdict, the benign
+/// run's ring accounting and every run with its fault timeline.
+fn campaign_json(r: &oracle::CampaignReport) -> obs::Json {
+    use oracle::Fault;
+    let teeth: Vec<obs::Json> = r
+        .teeth
+        .iter()
+        .map(|t| {
+            let j = match t.fault {
+                Fault::Benign => obs::Json::obj().set("fault", "benign"),
+                Fault::Drop(c) => obs::Json::obj()
+                    .set("fault", "drop")
+                    .set("kind", c.kind)
+                    .set("site", c.spec.site)
+                    .set("pid", c.spec.pid)
+                    .set("from_visit", c.spec.from_visit),
+                Fault::Kill(k) => obs::Json::obj()
+                    .set("fault", "kill")
+                    .set("mode", k.mode.as_str())
+                    .set("pid", k.pid),
+            };
+            j.set("ok", t.failure(r.tol).is_none())
+                .set("diff", t.diff)
+                .set("report", obs::fault_json(&t.report))
+        })
+        .collect();
+    let rings = r.profile.as_ref().map_or_else(obs::Json::obj, |d| {
+        obs::Json::obj()
+            .set("events", d.events.len() as u64)
+            .set("dropped", d.dropped)
+            .set("attempted", d.attempted())
+    });
+    obs::Json::obj()
+        .set("ok", r.ok())
+        .set("rings", rings)
+        .set("teeth", teeth)
 }
 
 fn cmd_chaos(args: &[String]) -> Exit {
     let seed = parse_u64(args, "--chaos-seed", 0)?;
     let deadline = Duration::from_millis(parse_u64(args, "--deadline", 250)?);
     let nprocs = parse_team_size(args)?;
-    let no_recover = parse_flag(args, "--no-recover");
-    let profile = parse_flag(args, "--profile");
-    if parse_flag(args, "--degrade") {
-        let degrade_json =
-            parse_opt(args, "--degrade-json").unwrap_or_else(|| "degrade.json".to_string());
-        let max_attempts = parse_u64(args, "--max-attempts", 4)? as u32;
-        return cmd_chaos_degrade(seed, deadline, nprocs, &degrade_json, max_attempts);
+    if nprocs < 2 {
+        return Err(format!(
+            "bad --nprocs: {nprocs} (a dropped post needs a reader)"
+        ));
     }
-    let repro_dir = std::path::PathBuf::from(
-        parse_opt(args, "--repro-dir").unwrap_or_else(|| "beoracle-repro".to_string()),
-    );
-    let recovery_json =
-        parse_opt(args, "--recovery-json").unwrap_or_else(|| "recovery.json".to_string());
-    println!(
-        "chaos campaign over {} kernels (seed {seed}, deadline {deadline:?}, P={nprocs}, mode {})",
-        CHAOS_KERNELS.len() + PAIRWISE_CHAOS_KERNELS.len(),
-        if no_recover {
-            "detect-only"
-        } else {
-            "self-healing"
-        }
-    );
-    let team = Team::new(nprocs as usize);
-    let policy = barrier_elim::runtime::RetryPolicy::default();
-    let mut runs: Vec<obs::Json> = Vec::new();
+    let json_path = parse_opt(args, "--json").unwrap_or_else(|| "chaos.json".to_string());
     let mut failed = 0;
     // The .be corpus plus the pipelined suite kernels, so the drop
     // matrix covers every sync kind — including pairwise cell posts.
@@ -510,126 +391,64 @@ fn cmd_chaos(args: &[String]) -> Exit {
     for name in PAIRWISE_CHAOS_KERNELS {
         programs.push((name.to_string(), suite_kernel(name, nprocs)?));
     }
+    println!(
+        "chaos campaign over {} kernels (seed {seed}, deadline {deadline:?}, P={nprocs})",
+        programs.len()
+    );
+    let policy = barrier_elim::runtime::RetryPolicy::default();
+    type Family = fn(&barrier_elim::ir::Program, &Bindings) -> barrier_elim::spmd_opt::SpmdProgram;
+    let (mut runs, mut drops, mut kills) = (Vec::new(), 0, 0);
     for (kernel, (prog, bind)) in &programs {
-        for (label, plan) in [
-            ("fork-join", fork_join(&prog, &bind)),
-            ("optimized", optimize(&prog, &bind)),
-        ] {
-            if no_recover {
-                // Detection-only: every dropped post must surface as a
-                // failure report naming the dropped site.
-                let r = oracle::chaos_check(&prog, &bind, &plan, &team, seed, deadline, 1e-9);
-                if r.ok() {
-                    println!(
-                        "ok   {kernel} {label}: benign passed, {} teeth bit",
-                        r.teeth.len()
-                    );
-                } else {
-                    failed += 1;
-                    println!("FAIL {kernel} {label}:");
-                    for f in r.failures() {
-                        println!("  {f}");
-                    }
-                    // Persist every structured report for triage.
-                    let dir =
-                        repro_dir.join(format!("chaos-{}-{label}", kernel.trim_end_matches(".be")));
-                    if let Err(e) = std::fs::create_dir_all(&dir) {
-                        eprintln!("  cannot write repro bundle: {e}");
-                        continue;
-                    }
-                    for (k, t) in r.teeth.iter().enumerate() {
-                        if let Some(report) = &t.report {
-                            let doc = obs::fault_json(report);
-                            let path = dir.join(format!("failure-{k}.json"));
-                            if std::fs::write(&path, doc.to_string_pretty()).is_ok() {
-                                println!("  report: {}", path.display());
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            // Self-healing (default): every dropped post must be
-            // absorbed by the recovery supervisor within its retry
-            // budget, with memory matching the sequential oracle.
-            let base = ObserveOptions::default();
-            let r = oracle::recovery_check(
-                prog, bind, &plan, &team, seed, deadline, 1e-9, &policy, &base,
-            );
-            let attempts = r.teeth.iter().map(|t| t.report.attempts_used());
-            let worst = attempts.max().unwrap_or(1);
-            if r.ok() {
+        let families: [(&str, Family); 2] = [("fork-join", fork_join), ("optimized", optimize)];
+        for (label, family) in families {
+            let r = oracle::campaign(prog, bind, &family, seed, deadline, 1e-9, &policy);
+            let is_drop = |t: &&oracle::Tooth| matches!(t.fault, oracle::Fault::Drop(_));
+            let n_drops = r.teeth.iter().filter(is_drop).count();
+            let n_kills = r.teeth.len() - 1 - n_drops;
+            drops += n_drops;
+            kills += n_kills;
+            let failures = r.failures();
+            if failures.is_empty() {
+                let worst = r.teeth.iter().map(|t| t.report.attempts_used()).max();
                 println!(
-                    "ok   {kernel} {label}: benign passed, {} teeth absorbed (worst case {worst} attempts)",
-                    r.teeth.len()
+                    "ok   {kernel} {label}: benign clean ({} ring events), {n_drops} drops \
+                     recovered, {n_kills} kills absorbed (worst case {} attempts)",
+                    r.profile.as_ref().map_or(0, |d| d.events.len()),
+                    worst.unwrap_or(1)
                 );
             } else {
                 failed += 1;
                 println!("FAIL {kernel} {label}:");
-                for f in r.failures() {
+                for f in failures {
                     println!("  {f}");
                 }
-                for t in r.teeth.iter().filter(|t| !t.ok(1e-9)) {
+                for t in r.teeth.iter().filter(|t| t.failure(r.tol).is_some()) {
                     print!("{}", obs::render_fault(&t.report));
                 }
             }
-            let teeth: Vec<obs::Json> = r
-                .teeth
-                .iter()
-                .map(|t| {
-                    obs::Json::obj()
-                        .set("site", t.spec.site)
-                        .set("pid", t.spec.pid)
-                        .set("from_visit", t.spec.from_visit)
-                        .set("kind", t.kind)
-                        .set("diff", t.diff)
-                        .set("report", obs::fault_json(&t.report))
-                })
-                .collect();
-            let mut run = obs::Json::obj()
-                .set("kernel", kernel.as_str())
-                .set("plan", label)
-                .set("ok", r.ok())
-                .set("benign_ok", r.benign_ok)
-                .set("benign_diff", r.benign_diff)
-                .set("teeth", teeth);
-            if profile {
-                let (events, dropped, attempted) = profile_benign(&prog, &bind, &plan, &team);
-                println!(
-                    "  profile {kernel} {label}: {events} events, {dropped} dropped \
-                     (attempted {attempted})"
-                );
-                if events as u64 + dropped != attempted {
-                    failed += 1;
-                    println!("FAIL {kernel} {label}: ring accounting broken");
-                }
-                run = run.set(
-                    "profile",
-                    obs::Json::obj()
-                        .set("events", events as u64)
-                        .set("dropped", dropped)
-                        .set("attempted", attempted),
-                );
-            }
-            runs.push(run);
+            runs.push(
+                campaign_json(&r)
+                    .set("kernel", kernel.as_str())
+                    .set("plan", label),
+            );
         }
     }
-    if !no_recover {
-        let doc = obs::Json::obj()
-            .set("schema_version", obs::SCHEMA_VERSION)
-            .set("campaign", "chaos-recovery")
-            .set("seed", seed)
-            .set("deadline_ms", deadline.as_millis() as u64)
-            .set("nprocs", nprocs)
-            .set("max_attempts", policy.max_attempts)
-            .set("ok", failed == 0)
-            .set("runs", runs);
-        match std::fs::write(&recovery_json, doc.to_string_pretty()) {
-            Ok(()) => println!("recovery: aggregated timelines written to {recovery_json}"),
-            Err(e) => {
-                eprintln!("beoracle: cannot write {recovery_json}: {e}");
-                failed += 1;
-            }
+    let doc = obs::Json::obj()
+        .set("schema_version", obs::SCHEMA_VERSION)
+        .set("campaign", "chaos")
+        .set("seed", seed)
+        .set("deadline_ms", deadline.as_millis() as u64)
+        .set("nprocs", nprocs)
+        .set("max_attempts", policy.max_attempts)
+        .set("ok", failed == 0)
+        .set("runs", runs);
+    match std::fs::write(&json_path, doc.to_string_pretty()) {
+        Ok(()) => {
+            println!("chaos: {drops} drops and {kills} kills; timelines written to {json_path}")
+        }
+        Err(e) => {
+            eprintln!("beoracle: cannot write {json_path}: {e}");
+            failed += 1;
         }
     }
     if failed > 0 {
@@ -702,7 +521,7 @@ fn main() {
         Some("service-chaos") => cmd_service_chaos(&args[1..]),
         _ => {
             eprintln!(
-                "usage: beoracle fuzz [--count N] [--seed S] [--threads] [--nprocs 1,3,4] [--repro-dir DIR] [--deadline MS] [--chaos] [--chaos-seed S] [--shapes A,B]\n       beoracle mutate [--count N] [--seed S]\n       beoracle kernels [--threads] [--nprocs 1,3,4]\n       beoracle chaos [--chaos-seed S] [--deadline MS] [--nprocs P] [--repro-dir DIR] [--no-recover] [--recovery-json PATH] [--profile] [--degrade] [--degrade-json PATH] [--max-attempts N]\n       beoracle service-chaos [--chaos-seed S] [--rounds N] [--nprocs P] [--json PATH] [--snapshot-dir DIR]"
+                "usage: beoracle fuzz [--count N] [--seed S] [--threads] [--nprocs 1,3,4] [--repro-dir DIR] [--deadline MS] [--chaos] [--chaos-seed S] [--shapes A,B]\n       beoracle mutate [--count N] [--seed S]\n       beoracle kernels [--threads] [--nprocs 1,3,4]\n       beoracle chaos [--chaos-seed S] [--deadline MS] [--nprocs P] [--json PATH]\n       beoracle service-chaos [--chaos-seed S] [--rounds N] [--nprocs P] [--json PATH] [--snapshot-dir DIR]"
             );
             Ok(2)
         }

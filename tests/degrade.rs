@@ -15,7 +15,7 @@ use barrier_elim::frontend;
 use barrier_elim::interp::{run_parallel_supervised, Mem, ObserveOptions, Replan, SyncChaos};
 use barrier_elim::ir::{Program, SymId};
 use barrier_elim::obs::{render_fault, Rung};
-use barrier_elim::oracle::{degrade_check, KillMode, KillPidChaos};
+use barrier_elim::oracle::{self, Fault, KillMode, KillPidChaos};
 use barrier_elim::runtime::{RetryPolicy, Team};
 use barrier_elim::spmd_opt::{fork_join, optimize, SpmdProgram};
 use std::sync::Arc;
@@ -40,58 +40,53 @@ fn load(
     (Arc::new(prog), Arc::new(bind))
 }
 
-/// Tight budgets keep the full kill matrix fast; the sticky classifier
-/// needs two strikes, so three attempts per round is plenty.
+/// Short backoffs keep the full kill matrix fast; the budget is the
+/// shipping default, which the campaign's drop teeth need.
 fn fast_policy() -> RetryPolicy {
     RetryPolicy {
-        max_attempts: 3,
         backoff_base: Duration::from_millis(1),
         backoff_cap: Duration::from_millis(2),
+        ..RetryPolicy::default()
     }
 }
 
 const DEADLINE: Duration = Duration::from_millis(120);
 
-/// The acceptance property of the tentpole, for one kernel: every pid
-/// silently killed (plus pid 0 panic-killed — the forced worst case)
-/// under both plan families, and every run must complete bitwise
-/// oracle-exact, on a degraded rung, with the rung recorded in the
-/// report.
+/// The acceptance property, for one kernel: every pid silently killed
+/// (plus pid 0 panic-killed — the forced worst case) under both plan
+/// families, and every run must complete bitwise oracle-exact, on a
+/// degraded rung, with the rung recorded in the report. The same
+/// campaign's benign run and drop teeth must pass too.
 fn kill_matrix(kernel: &str, sets: &[(&str, i64)]) {
     let (prog, bind) = load(kernel, sets, 4);
-    let team = Team::new(4);
-    type Replan = fn(&Program, &Bindings) -> SpmdProgram;
-    let plans: [(&str, SpmdProgram, Replan); 2] = [
-        ("fork-join", fork_join(&prog, &bind), fork_join),
-        ("optimized", optimize(&prog, &bind), optimize),
-    ];
-    for (label, plan, replan) in plans {
-        let r = degrade_check(
-            &prog,
-            &bind,
-            &plan,
-            &team,
-            DEADLINE,
-            0.0,
-            &fast_policy(),
-            &replan,
-        );
+    type Family = fn(&Program, &Bindings) -> SpmdProgram;
+    let families: [(&str, Family); 2] = [("fork-join", fork_join), ("optimized", optimize)];
+    for (label, family) in families {
+        let r = oracle::campaign(&prog, &bind, &family, 0, DEADLINE, 1e-9, &fast_policy());
         assert!(
             r.ok(),
-            "{kernel} {label} kill matrix failed: {:?}",
+            "{kernel} {label} campaign failed: {:?}",
             r.failures()
         );
+        let kills: Vec<_> = r
+            .teeth
+            .iter()
+            .filter_map(|t| match t.fault {
+                Fault::Kill(k) => Some((t, k)),
+                _ => None,
+            })
+            .collect();
         // Every pid once, silently, plus the panic kill of P0.
-        assert_eq!(r.runs.len(), 5);
-        for run in &r.runs {
+        assert_eq!(kills.len(), 5);
+        for &(run, k) in &kills {
             let rung = run.report.rung;
-            assert!(rung.completed(), "{kernel} {label}: P{} kill", run.pid);
+            assert!(rung.completed(), "{kernel} {label}: P{} kill", k.pid);
             assert_eq!(
                 run.diff,
                 0.0,
                 "{kernel} {label}: P{} {} kill not bitwise",
-                run.pid,
-                run.mode.as_str()
+                k.pid,
+                k.mode.as_str()
             );
             // The report records the rung that finished the job, and a
             // killed pid never yields a clean run.
@@ -104,12 +99,11 @@ fn kill_matrix(kernel: &str, sets: &[(&str, i64)]) {
         }
         // P0 exists at every width: its panic kill must descend all
         // the way to the sequential tail.
-        let worst = r
-            .runs
+        let &(worst, k) = kills
             .iter()
-            .find(|k| k.mode == KillMode::Panic)
+            .find(|(_, k)| k.mode == KillMode::Panic)
             .expect("campaign includes the panic kill");
-        assert_eq!(worst.pid, 0);
+        assert_eq!(k.pid, 0);
         assert_eq!(worst.report.rung, Rung::Serial, "{kernel} {label}");
         assert_eq!(worst.report.nprocs_final(), 1);
     }

@@ -227,6 +227,10 @@ mod cli {
             (&["fuzz", "--shapes", "a,b"], "bad --shapes: a,b"),
             (&["kernels", "--nprocs", "8,x"], "bad --nprocs: 8,x"),
             (&["chaos", "--nprocs", "0"], "bad --nprocs: 0"),
+            (
+                &["chaos", "--nprocs", "1"],
+                "bad --nprocs: 1 (a dropped post needs a reader)",
+            ),
             (&["chaos", "--deadline", "soon"], "bad --deadline: soon"),
         ] {
             let (code, stderr) = beoracle(args, None);
@@ -247,7 +251,7 @@ mod cli {
     fn a_kernel_without_a_pinned_symbol_is_a_usage_error() {
         let text = "program broadcast\nsym m\narray A(m) block\n\
                     doall i = 0, m-1\n  A(i) = 1.0\nend\n";
-        let (code, stderr) = beoracle(&["chaos", "--degrade"], Some(text));
+        let (code, stderr) = beoracle(&["chaos"], Some(text));
         assert_eq!(code, Some(2), "{stderr}");
         assert_eq!(stderr.trim_end(), "beoracle: broadcast.be: sym n missing");
     }

@@ -24,7 +24,7 @@ use barrier_elim::interp::{
 };
 use barrier_elim::ir::build::*;
 use barrier_elim::obs::{self, render_fault, CompileSection, Json, RunReport, RunSection, Rung};
-use barrier_elim::oracle::{self, droppable_posts, recovery_check};
+use barrier_elim::oracle::{self, droppable_posts, Fault};
 use barrier_elim::runtime::{RetryPolicy, Team};
 use barrier_elim::spmd_opt::{fork_join, optimize, optimize_with, OptimizeOptions};
 use barrier_elim::suite::{self, Built, Scale};
@@ -203,17 +203,20 @@ fn deleting_any_pairwise_site_is_flagged_as_a_race() {
     assert!(checked >= 5, "only {checked} pairwise sites across the set");
 }
 
+/// Short backoffs keep the campaign fast.
+fn fast_policy() -> RetryPolicy {
+    RetryPolicy {
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(4),
+        ..RetryPolicy::default()
+    }
+}
+
 /// A persistently dropped pairwise cell post on every pipelined kernel
 /// is absorbed by the recovery ladder (demote-to-barrier first), with
 /// recovered memory bitwise equal to the sequential oracle.
 #[test]
 fn dropped_pairwise_posts_are_absorbed_by_the_recovery_ladder() {
-    let team = Team::new(4);
-    let policy = RetryPolicy {
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(4),
-        ..RetryPolicy::default()
-    };
     for name in PAIR_KERNELS {
         let b = built(name);
         let prog = Arc::new(b.prog.clone());
@@ -224,38 +227,36 @@ fn dropped_pairwise_posts_are_absorbed_by_the_recovery_ladder() {
             cands.iter().any(|c| c.kind == "pairwise"),
             "{name}: no pairwise drop candidates in {cands:?}"
         );
-        let r = recovery_check(
+        let deadline = Duration::from_millis(150);
+        let r = oracle::campaign(
             &prog,
             &bind,
-            &plan,
-            &team,
+            &optimize,
             0xBE9,
-            Duration::from_millis(150),
-            0.0, // bitwise: recovery must not perturb a single ulp
-            &policy,
-            &ObserveOptions::default(),
+            deadline,
+            1e-9,
+            &fast_policy(),
         );
-        assert!(
-            r.benign_ok,
-            "{name}: benign run diverged by {:e}",
-            r.benign_diff
-        );
+        assert!(r.ok(), "{name}: {:?}", r.failures());
+        assert_eq!(r.teeth[0].diff, 0.0, "{name}: benign run diverged");
         let mut pair_teeth = 0;
         for t in &r.teeth {
+            let Fault::Drop(c) = t.fault else { continue };
             assert_eq!(
                 t.report.rung,
                 Rung::Recovered,
                 "{name}: {} drop at s{} not absorbed:\n{}",
-                t.kind,
-                t.spec.site,
+                c.kind,
+                c.spec.site,
                 render_fault(&t.report)
             );
+            // Bitwise: recovery must not perturb a single ulp.
             assert_eq!(
                 t.diff, 0.0,
                 "{name}: recovered memory diverges by {:e}",
                 t.diff
             );
-            if t.kind == "pairwise" {
+            if c.kind == "pairwise" {
                 pair_teeth += 1;
                 // The stall may first be detected at the dropped
                 // pairwise site or at the downstream barrier the
@@ -266,7 +267,7 @@ fn dropped_pairwise_posts_are_absorbed_by_the_recovery_ladder() {
                     text.contains("demote s"),
                     "{name}: pairwise drop at s{} recovered without any \
                      demotion:\n{text}",
-                    t.spec.site
+                    c.spec.site
                 );
             }
         }
@@ -285,11 +286,6 @@ fn dropped_pairwise_posts_are_absorbed_by_the_recovery_ladder() {
 /// master does).
 #[test]
 fn a_dropped_post_at_a_collector_site_is_absorbed() {
-    let policy = RetryPolicy {
-        backoff_base: Duration::from_millis(1),
-        backoff_cap: Duration::from_millis(4),
-        ..RetryPolicy::default()
-    };
     let guarded = (0..32)
         .map(oracle::generate)
         .find(|g| g.shape == oracle::Shape::GuardedSerial)
@@ -307,7 +303,6 @@ fn a_dropped_post_at_a_collector_site_is_absorbed() {
         ),
     ];
     for (name, b, nprocs, collector) in cases {
-        let team = Team::new(nprocs);
         let prog = Arc::new(b.prog.clone());
         let bind = Arc::new(b.bindings(nprocs as i64));
         let plan = optimize(&prog, &bind);
@@ -321,29 +316,32 @@ fn a_dropped_post_at_a_collector_site_is_absorbed() {
         assert_eq!(gathered[0].spec.pid, nprocs - 1, "{name}");
         let gathered = &gathered[by_distance..];
         assert_eq!(gathered[0].spec.pid, nprocs - 1 - by_distance, "{name}");
-        let r = recovery_check(
+        let deadline = Duration::from_millis(150);
+        let r = oracle::campaign(
             &prog,
             &bind,
-            &plan,
-            &team,
+            &optimize,
             0xC011,
-            Duration::from_millis(150),
-            0.0,
-            &policy,
-            &ObserveOptions::default(),
+            deadline,
+            1e-9,
+            &fast_policy(),
         );
-        assert!(r.benign_ok, "{name}: benign run off by {:e}", r.benign_diff);
+        assert!(r.ok(), "{name}: {:?}", r.failures());
+        assert_eq!(r.teeth[0].diff, 0.0, "{name}: benign run off");
         for t in &r.teeth {
+            let Fault::Drop(c) = t.fault else { continue };
             assert!(
-                t.ok(0.0),
+                t.failure(0.0).is_none(),
                 "{name}: {} drop by P{} at s{} not absorbed exactly:\n{}",
-                t.kind,
-                t.spec.pid,
-                t.spec.site,
+                c.kind,
+                c.spec.pid,
+                c.spec.site,
                 render_fault(&t.report)
             );
         }
-        assert!(r.teeth.iter().any(|t| t.spec == gathered[0].spec));
+        let spec = gathered[0].spec;
+        let dropped = |t: &oracle::Tooth| matches!(t.fault, Fault::Drop(c) if c.spec == spec);
+        assert!(r.teeth.iter().any(dropped));
     }
 }
 

@@ -482,32 +482,3 @@ mod schedule_exploration {
         }
     }
 }
-
-#[test]
-fn tree_barrier_executor_matches_central() {
-    use barrier_elim::interp::{run_parallel_observed, BarrierKind, ObserveOptions};
-    let nprocs = 4;
-    let team = Team::new(nprocs);
-    for name in ["jacobi2d", "lu", "shallow"] {
-        let def = suite::by_name(name).unwrap();
-        let built = (def.build)(Scale::Test);
-        let bind = Arc::new(built.bindings(nprocs as i64));
-        let prog = Arc::new(built.prog);
-        let plan = optimize(&prog, &bind);
-        let oracle = Mem::new(&prog, &bind);
-        run_sequential(&prog, &bind, &oracle);
-        for kind in [BarrierKind::Central, BarrierKind::Tree] {
-            let mem = Arc::new(Mem::new(&prog, &bind));
-            let opts = ObserveOptions {
-                barrier: kind,
-                ..ObserveOptions::default()
-            };
-            let out = run_parallel_observed(&prog, &bind, &plan, &mem, &team, &opts);
-            assert!(
-                mem.max_abs_diff(&oracle) < 1e-9,
-                "{name} with {kind:?} diverged"
-            );
-            assert_eq!(out.stats.barrier_episodes, out.counts.barriers);
-        }
-    }
-}

@@ -13,15 +13,13 @@
 use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
 use barrier_elim::interp::{
-    run_parallel_observed_on, run_parallel_supervised, run_sequential, unroll, BarrierKind,
-    ChaosAction, Mem, ObserveOptions, SyncChaos, SyncFabric,
+    run_parallel_observed_on, run_parallel_supervised, run_sequential, unroll, ChaosAction, Mem,
+    ObserveOptions, SyncChaos, SyncFabric,
 };
 use barrier_elim::ir::SymId;
 use barrier_elim::obs::{render_fault, Rung};
-use barrier_elim::oracle::{
-    self, droppable_posts, recovery_check, ChaosConfig, ChaosInjector, DropSpec,
-};
-use barrier_elim::runtime::{RetryPolicy, SpinPolicy, SyncError, Team};
+use barrier_elim::oracle::{self, droppable_posts, ChaosConfig, ChaosInjector, DropSpec, Fault};
+use barrier_elim::runtime::{RetryPolicy, SyncError, Team};
 use barrier_elim::spmd_opt::{fork_join, optimize, sync_sites, SyncSite};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,44 +69,51 @@ fn fast_policy() -> RetryPolicy {
 /// left memory matching the sequential oracle.
 #[test]
 fn every_kernel_absorbs_every_persistent_drop_under_both_plans() {
-    let team = Team::new(4);
+    type Family = fn(&barrier_elim::ir::Program, &Bindings) -> barrier_elim::spmd_opt::SpmdProgram;
+    let families: [(&str, Family); 2] = [("fork-join", fork_join), ("optimized", optimize)];
     for (kernel, sets) in KERNELS {
         let (prog, bind) = load(kernel, sets, 4);
-        for (label, plan) in [
-            ("fork-join", fork_join(&prog, &bind)),
-            ("optimized", optimize(&prog, &bind)),
-        ] {
-            let r = recovery_check(
+        for (label, family) in families {
+            let deadline = Duration::from_millis(150);
+            let r = oracle::campaign(
                 &prog,
                 &bind,
-                &plan,
-                &team,
+                &family,
                 0xC0FFEE,
-                Duration::from_millis(150),
+                deadline,
                 1e-9,
                 &fast_policy(),
-                &ObserveOptions::default(),
             );
+            let benign = &r.teeth[0];
             assert!(
-                r.benign_ok,
-                "{kernel} {label}: benign recovering run failed (diff {:e})",
-                r.benign_diff
+                benign.failure(1e-9).is_none(),
+                "{kernel} {label}: benign recovering run failed (rung {}, diff {:e})",
+                benign.report.rung.name(),
+                benign.diff
             );
-            assert!(!r.teeth.is_empty(), "{kernel} {label}: no droppable posts");
-            for t in &r.teeth {
+            let drops: Vec<_> = r
+                .teeth
+                .iter()
+                .filter_map(|t| match t.fault {
+                    Fault::Drop(c) => Some((t, c)),
+                    _ => None,
+                })
+                .collect();
+            assert!(!drops.is_empty(), "{kernel} {label}: no droppable posts");
+            for (t, c) in drops {
                 assert!(
                     t.report.rung.completed(),
                     "{kernel} {label}: {} drop at s{} exhausted the budget:\n{}",
-                    t.kind,
-                    t.spec.site,
+                    c.kind,
+                    c.spec.site,
                     render_fault(&t.report)
                 );
                 assert_eq!(
                     t.report.rung,
                     Rung::Recovered,
                     "{kernel} {label}: {} drop at s{} was absorbed silently — the tooth never bit",
-                    t.kind,
-                    t.spec.site
+                    c.kind,
+                    c.spec.site
                 );
                 assert!(
                     t.diff <= 1e-9,
@@ -128,75 +133,7 @@ fn every_kernel_absorbs_every_persistent_drop_under_both_plans() {
                     "{text}"
                 );
             }
-        }
-    }
-}
-
-/// Chaos regression sweep over the tuned fast-path primitives: the full
-/// drop matrix must still be absorbed by the demote → quarantine →
-/// isolate ladder when the fabric runs k-ary tree barriers (every
-/// supported fan-in) or the eager-park spin policy (every guarded wait
-/// escalates to parking, the configuration most exposed to lost-wakeup
-/// bugs in the watchdog's park registration).
-#[test]
-fn drop_matrix_is_absorbed_across_radices_and_spin_policies() {
-    let team = Team::new(4);
-    let variants: Vec<(String, ObserveOptions)> = [2usize, 4, 8]
-        .iter()
-        .map(|&radix| {
-            (
-                format!("tree radix {radix}"),
-                ObserveOptions {
-                    barrier: BarrierKind::Tree,
-                    tree_radix: Some(radix),
-                    ..ObserveOptions::default()
-                },
-            )
-        })
-        .chain(std::iter::once((
-            "central + eager park".to_string(),
-            ObserveOptions {
-                spin: Some(SpinPolicy::eager_park()),
-                ..ObserveOptions::default()
-            },
-        )))
-        .collect();
-    for (kernel, sets) in [("jacobi.be", KERNELS[1].1), ("pipeline.be", KERNELS[2].1)] {
-        let (prog, bind) = load(kernel, sets, 4);
-        let plan = optimize(&prog, &bind);
-        for (label, base) in &variants {
-            let r = recovery_check(
-                &prog,
-                &bind,
-                &plan,
-                &team,
-                0xC0FFEE,
-                Duration::from_millis(150),
-                1e-9,
-                &fast_policy(),
-                base,
-            );
-            assert!(
-                r.benign_ok,
-                "{kernel} [{label}]: benign recovering run failed (diff {:e})",
-                r.benign_diff
-            );
-            assert!(
-                !r.teeth.is_empty(),
-                "{kernel} [{label}]: no droppable posts"
-            );
-            for t in &r.teeth {
-                assert!(
-                    t.ok(1e-9),
-                    "{kernel} [{label}]: {} drop at s{} not absorbed \
-                     (rung {}, diff {:e}):\n{}",
-                    t.kind,
-                    t.spec.site,
-                    t.report.rung.name(),
-                    t.diff,
-                    render_fault(&t.report)
-                );
-            }
+            assert!(r.ok(), "{kernel} {label}: {:?}", r.failures());
         }
     }
 }
@@ -205,22 +142,12 @@ fn drop_matrix_is_absorbed_across_radices_and_spin_policies() {
 /// exponential — never wall-clock noise.
 #[test]
 fn reported_backoffs_follow_the_policy_exponential() {
-    let team = Team::new(4);
     let (prog, bind) = load("jacobi.be", &[("n", 48), ("tmax", 4)], 4);
-    let plan = optimize(&prog, &bind);
     let policy = fast_policy();
-    let r = recovery_check(
-        &prog,
-        &bind,
-        &plan,
-        &team,
-        7,
-        Duration::from_millis(150),
-        1e-9,
-        &policy,
-        &ObserveOptions::default(),
-    );
+    let deadline = Duration::from_millis(150);
+    let r = oracle::campaign(&prog, &bind, &optimize, 7, deadline, 1e-9, &policy);
     for t in &r.teeth {
+        let Fault::Drop(c) = t.fault else { continue };
         // Every attempt but the completing last one was retried.
         let attempts = &t.report.rounds[0].attempts;
         for (k, a) in attempts[..attempts.len() - 1].iter().enumerate() {
@@ -229,7 +156,7 @@ fn reported_backoffs_follow_the_policy_exponential() {
                 policy.backoff_before(k as u32 + 1).as_millis() as u64,
                 "attempt {} of {} tooth",
                 k + 1,
-                t.kind
+                c.kind
             );
         }
     }
