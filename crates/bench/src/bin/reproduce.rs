@@ -15,7 +15,6 @@
 
 use interp::events::DynCounts;
 use interp::{run_sequential, run_virtual, Mem, ScheduleOrder};
-use ir::build::{dist_block_cyclic_dim, dist_block_dim, dist_cyclic_dim, DistSpec};
 use spmd_bench::{all_barriers, barrierize, dyn_counts, instance, pct_reduction, Table};
 use spmd_opt::{render_plan, StaticStats};
 use std::fmt::Write as _;
@@ -246,11 +245,11 @@ fn ablation_greedy(rows: &[Row]) -> String {
 /// but serialize the tail; cyclic balances load but every step
 /// communicates; block-cyclic interpolates.
 fn ablation_dist() -> String {
-    let dists: [(&str, DistSpec); 4] = [
-        ("block", dist_block_dim(1)),
-        ("cyclic", dist_cyclic_dim(1)),
-        ("cyclic(2)", dist_block_cyclic_dim(1, 2)),
-        ("cyclic(4)", dist_block_cyclic_dim(1, 4)),
+    let dists = [
+        ("block", "block@1"),
+        ("cyclic", "cyclic@1"),
+        ("cyclic(2)", "cyclic(2)@1"),
+        ("cyclic(4)", "cyclic(4)@1"),
     ];
     let mut t = Table::new(&[
         "distribution",
@@ -261,7 +260,7 @@ fn ablation_dist() -> String {
     ]);
     let mut first_shape = None;
     for (label, dist) in dists {
-        let built = suite::kernels::lu::build_with_dist(Scale::Small, dist);
+        let built = suite::lu_with_dist(Scale::Small, dist);
         let (prog, bind) = (&built.prog, built.bindings(NPROCS));
         let base = dyn_counts(prog, &bind, &spmd_opt::fork_join(prog, &bind));
         let plan = spmd_opt::optimize(prog, &bind);

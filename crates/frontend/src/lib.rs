@@ -1,50 +1,4 @@
-//! Text front end: a small Fortran-flavoured source language for the
-//! affine IR, so kernels can be written as plain files instead of Rust
-//! DSL calls. This plays the role of the Fortran front end + the
-//! parallelizer's output annotations in the SUIF pipeline.
-//!
-//! # Language
-//!
-//! ```text
-//! program jacobi
-//! sym n, tmax
-//! array A(n+2) block          ! block | cyclic | cyclic(4) | repl | private
-//! array B(n+2) block          !   a dimension may be chosen with @k: block@1
-//! scalar s = 0.0              ! scalar s = 0.0 private
-//!
-//! doall i = 1, n
-//!   B(i) = 0.5 * (A(i-1) + A(i+1))
-//! end
-//! do t = 0, tmax-1
-//!   doall j = 1, n
-//!     if j - 1 >= 0 then
-//!       A(j) = B(j)
-//!     end
-//!     s += B(j) * B(j)        ! += / max= / min= are reductions
-//!   end
-//! end
-//! ```
-//!
-//! Subscripts, loop bounds, and `if` conditions must be affine in the
-//! loop indices and `sym` constants; right-hand sides are general
-//! arithmetic over array/scalar reads with `sqrt/abs/exp/sin/cos/min/max`.
-//!
-//! ```
-//! let src = "
-//! program demo
-//! sym n
-//! array A(n) block
-//! doall i = 0, n-1
-//!   A(i) = sin(i)
-//! end
-//! ";
-//! let prog = frontend::parse(src).unwrap();
-//! assert_eq!(prog.name, "demo");
-//! assert_eq!(prog.parallel_loops().len(), 1);
-//! ```
+//! The text front end, now [`ir::text`]: this crate re-exports its
+//! parser and lexer under their old paths.
 
-mod lexer;
-mod parser;
-
-pub use lexer::{Lexer, Token, TokenKind};
-pub use parser::{parse, ParseError};
+pub use ir::text::{parse, Lexer, ParseError, Token, TokenKind};

@@ -167,3 +167,65 @@ end
 ! after
 ");
 }
+
+/// Input the IR builder would panic on is a parse error with its line.
+#[test]
+fn malformed_input_is_an_error_not_a_panic() {
+    let stmt =
+        |s: &str| format!("\nprogram p\nsym n\narray A(n) block\ndoall i = 0, n-1\n  {s}\nend\n");
+    let e = err(&stmt("A(i + 9223372036854775807 + 1) = 1.0"));
+    assert_eq!(e.line, 6, "{e}");
+    assert!(e.msg.contains("overflow"), "{e}");
+    let e = err(&stmt("A(4611686018427387904*2*i) = 1.0"));
+    assert_eq!(e.line, 6, "{e}");
+    assert!(e.msg.contains("overflow"), "{e}");
+    let e = err("\nprogram p\nsym n\narray A(n) cyclic(0)\n");
+    assert_eq!(e.line, 4, "{e}");
+    assert!(e.msg.contains("block size"), "{e}");
+    let e = err("\nprogram p\nsym n\narray A(n) block@3\n");
+    assert_eq!(e.line, 4, "{e}");
+    assert!(e.msg.contains("rank"), "{e}");
+}
+
+#[test]
+fn a_lexer_error_names_its_line_once() {
+    let e = err("\nprogram p\nsym n\narray A(n) block\nscalar s = 99999999999999999999\n");
+    assert_eq!(e.to_string(), "line 5: bad integer `99999999999999999999`");
+}
+
+const PARAM_SRC: &str = "
+program r
+sym n
+param h = 2
+array A(n) block
+doall i = h, n-1
+  A(i - h) = sin(real(i*31 + h))
+end
+";
+
+#[test]
+fn real_reads_an_affine_value_and_params_are_literals() {
+    let p = ok(PARAM_SRC);
+    let i = ir::Affine::index(ir::LoopId(0));
+    let ir::Node::Assign(a) = p.node(p.all_statements()[0].node) else {
+        panic!("not an assignment")
+    };
+    assert_eq!(a.lhs, ir::LhsRef::Elem(ir::ArrayId(0), vec![i.clone() - 2]));
+    let value = ir::Expr::Idx(i * 31 + 2);
+    assert_eq!(a.rhs, ir::Expr::Un(ir::UnOp::Sin, Box::new(value)));
+    let ir::Node::Loop(l) = p.node(p.body[0]) else {
+        panic!("not a loop")
+    };
+    assert_eq!(l.lo, ir::Affine::constant(2));
+}
+
+#[test]
+fn a_supplied_param_replaces_the_default() {
+    let p = ir::text::parse_with(PARAM_SRC, &[("h", 5)]).unwrap();
+    let ir::Node::Loop(l) = p.node(p.body[0]) else {
+        panic!("not a loop")
+    };
+    assert_eq!(l.lo, ir::Affine::constant(5));
+    let e = ir::text::parse_with(PARAM_SRC, &[("k", 5)]).unwrap_err();
+    assert!(e.msg.contains("param k"), "{e}");
+}

@@ -20,7 +20,7 @@
 //! elimination paths. Cached and uncached runs are bitwise
 //! indistinguishable (the differential suite in `tests/` holds this).
 
-use crate::rational::Overflow;
+use crate::arith::Overflow;
 use crate::rows::Rows;
 use crate::system::{Feasibility, System};
 use crate::var::{VarId, VarTable};

@@ -1,7 +1,7 @@
 //! Individual affine constraints (`expr >= 0` / `expr == 0`).
 
+use crate::arith::div_floor;
 use crate::linexpr::LinExpr;
-use crate::rational::div_floor;
 use crate::var::VarTable;
 use std::fmt;
 
@@ -95,15 +95,6 @@ impl Constraint {
             }
     }
 
-    /// True if this constraint can never hold.
-    pub fn is_trivially_false(&self) -> bool {
-        self.expr.is_constant()
-            && match self.kind {
-                ConstraintKind::GeZero => self.expr.constant_term() < 0,
-                ConstraintKind::EqZero => self.expr.constant_term() != 0,
-            }
-    }
-
     /// Check an integer assignment.
     pub fn holds_int(&self, assign: &dyn Fn(crate::VarId) -> i128) -> bool {
         let v = self.expr.eval_int(assign);
@@ -177,7 +168,6 @@ mod tests {
         assert!(t.is_trivially_true());
         let mut f = Constraint::ge_zero(LinExpr::constant(-1));
         assert!(!f.normalize());
-        assert!(f.is_trivially_false());
         let mut e = Constraint::eq_zero(LinExpr::constant(0));
         assert!(e.normalize());
         assert!(e.is_trivially_true());

@@ -31,23 +31,22 @@
 //! assert!(!sys.is_consistent(&vt));
 //! ```
 
+pub mod arith;
 pub mod cache;
 pub mod constraint;
 pub mod linexpr;
 pub mod probe;
-pub mod rational;
 pub mod rows;
 pub mod scan;
-pub mod simplify;
 pub mod snapshot;
 pub mod system;
 pub mod var;
 
+pub use arith::Overflow;
 pub use cache::{canonicalize, CanonicalSystem, FmeCache, FmeCacheStats};
 pub use constraint::{Constraint, ConstraintKind};
 pub use linexpr::LinExpr;
 pub use probe::{BaseRows, ProbeScratch};
-pub use rational::{Overflow, Rational};
 pub use rows::Rows;
 pub use scan::{BoundExpr, VarBounds};
 pub use snapshot::{

@@ -1,6 +1,6 @@
 //! Affine (linear + constant) integer expressions over [`VarId`]s.
 
-use crate::rational::{gcd, Overflow, Rational};
+use crate::arith::{gcd, Overflow};
 use crate::var::{VarId, VarTable};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -162,11 +162,6 @@ impl LinExpr {
         self.is_constant() && self.constant == 0
     }
 
-    /// Number of variables with nonzero coefficients.
-    pub fn num_vars(&self) -> usize {
-        self.terms.as_slice().len()
-    }
-
     /// Set the coefficient of `v` (removing the term when zero).
     pub fn set_coeff(&mut self, v: VarId, c: i128) {
         match (self.slot(v), c) {
@@ -260,21 +255,6 @@ impl LinExpr {
                 .expect("eval overflow");
         }
         acc
-    }
-
-    /// Evaluate with a rational assignment, or `Err(Overflow)`.
-    pub fn try_eval_rat(&self, assign: &dyn Fn(VarId) -> Rational) -> Result<Rational, Overflow> {
-        let mut acc = Rational::int(self.constant);
-        for (v, c) in self.terms() {
-            acc = acc.checked_add(Rational::int(c).checked_mul(assign(v))?)?;
-        }
-        Ok(acc)
-    }
-
-    /// Evaluate with a rational assignment. Panics on overflow — used
-    /// only by test oracles, never on the analysis path.
-    pub fn eval_rat(&self, assign: &dyn Fn(VarId) -> Rational) -> Rational {
-        self.try_eval_rat(assign).expect("eval overflow")
     }
 
     /// Render with variable names from `vt`.
@@ -408,7 +388,7 @@ mod tests {
         assert_eq!(e.coeff(i), 2);
         assert_eq!(e.coeff(j), -3);
         assert_eq!(e.constant_term(), 7);
-        assert_eq!(e.num_vars(), 2);
+        assert_eq!(e.terms().count(), 2);
         assert!(!e.is_constant());
     }
 
@@ -474,7 +454,7 @@ mod tests {
         }
         let small = LinExpr::term(vs[1], 2) + LinExpr::var(vs[0]) + LinExpr::constant(1);
         assert_eq!(e, small, "a spilled expression equals its inline twin");
-        assert_eq!(e.num_vars(), 2);
+        assert_eq!(e.terms().count(), 2);
     }
 
     /// The hash writes what the derived hash of a sorted map plus the

@@ -30,9 +30,9 @@
 //! * more than [`MAX_FEAS_CONSTRAINTS`] cross-pairs before a step, or
 //!   rows after it, abandon the scan, as does any `i128` overflow.
 
+use crate::arith::{div_floor, gcd, Overflow};
 use crate::constraint::{Constraint, ConstraintKind};
 use crate::linexpr::LinExpr;
-use crate::rational::{div_floor, gcd, Overflow};
 use crate::system::{Feasibility, System, MAX_FEAS_CONSTRAINTS};
 use crate::var::{VarId, VarTable};
 use std::cmp::Ordering;

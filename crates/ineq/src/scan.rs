@@ -6,8 +6,8 @@
 //! exact shape a code generator needs to emit a perfectly nested loop that
 //! scans the integer points of the polyhedron.
 
+use crate::arith::{div_ceil, div_floor};
 use crate::linexpr::LinExpr;
-use crate::rational::{div_ceil, div_floor};
 use crate::system::System;
 use crate::var::{VarId, VarTable};
 
@@ -140,62 +140,62 @@ pub fn loop_nest_bounds(sys: &System, vt: &VarTable, ordered: &[VarId]) -> Vec<V
     out
 }
 
-/// Enumerate every integer point of the polyhedron described by `sys`
-/// over `ordered` variables (outermost first), with `outer` providing
-/// values for free symbolics. Exponential; intended for tests, oracles,
-/// and the reference interpreter on small spaces.
-pub fn enumerate_points(
-    sys: &System,
-    vt: &VarTable,
-    ordered: &[VarId],
-    outer: &dyn Fn(VarId) -> i128,
-) -> Vec<Vec<i128>> {
-    let nests = loop_nest_bounds(sys, vt, ordered);
-    let mut out = Vec::new();
-    let mut point: Vec<(VarId, i128)> = Vec::new();
-    fn rec(
-        nests: &[VarBounds],
-        depth: usize,
-        point: &mut Vec<(VarId, i128)>,
-        outer: &dyn Fn(VarId) -> i128,
-        sys: &System,
-        out: &mut Vec<Vec<i128>>,
-    ) {
-        let lookup = |point: &Vec<(VarId, i128)>, v: VarId| -> i128 {
-            point
-                .iter()
-                .rev()
-                .find(|(pv, _)| *pv == v)
-                .map(|(_, x)| *x)
-                .unwrap_or_else(|| outer(v))
-        };
-        if depth == nests.len() {
-            // Validate against the original system (bounds are an
-            // over-approximation when divisors were involved).
-            let assign = |v: VarId| lookup(point, v);
-            if sys.constraints().iter().all(|c| c.holds_int(&assign)) {
-                out.push(point.iter().map(|(_, x)| *x).collect());
-            }
-            return;
-        }
-        let nb = &nests[depth];
-        let assign = |v: VarId| lookup(point, v);
-        if let Some((lo, hi)) = nb.range(&assign) {
-            for x in lo..=hi {
-                point.push((nb.var, x));
-                rec(nests, depth + 1, point, outer, sys, out);
-                point.pop();
-            }
-        }
-    }
-    rec(&nests, 0, &mut point, outer, sys, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::var::VarKind;
+
+    /// Enumerate every integer point of the polyhedron described by `sys`
+    /// over `ordered` variables (outermost first), with `outer` providing
+    /// values for free symbolics. Exponential: the tests' reference for
+    /// what `loop_nest_bounds` scans.
+    fn enumerate_points(
+        sys: &System,
+        vt: &VarTable,
+        ordered: &[VarId],
+        outer: &dyn Fn(VarId) -> i128,
+    ) -> Vec<Vec<i128>> {
+        let nests = loop_nest_bounds(sys, vt, ordered);
+        let mut out = Vec::new();
+        let mut point: Vec<(VarId, i128)> = Vec::new();
+        fn rec(
+            nests: &[VarBounds],
+            depth: usize,
+            point: &mut Vec<(VarId, i128)>,
+            outer: &dyn Fn(VarId) -> i128,
+            sys: &System,
+            out: &mut Vec<Vec<i128>>,
+        ) {
+            let lookup = |point: &Vec<(VarId, i128)>, v: VarId| -> i128 {
+                point
+                    .iter()
+                    .rev()
+                    .find(|(pv, _)| *pv == v)
+                    .map(|(_, x)| *x)
+                    .unwrap_or_else(|| outer(v))
+            };
+            if depth == nests.len() {
+                // Validate against the original system (bounds are an
+                // over-approximation when divisors were involved).
+                let assign = |v: VarId| lookup(point, v);
+                if sys.constraints().iter().all(|c| c.holds_int(&assign)) {
+                    out.push(point.iter().map(|(_, x)| *x).collect());
+                }
+                return;
+            }
+            let nb = &nests[depth];
+            let assign = |v: VarId| lookup(point, v);
+            if let Some((lo, hi)) = nb.range(&assign) {
+                for x in lo..=hi {
+                    point.push((nb.var, x));
+                    rec(nests, depth + 1, point, outer, sys, out);
+                    point.pop();
+                }
+            }
+        }
+        rec(&nests, 0, &mut point, outer, sys, &mut out);
+        out
+    }
 
     #[test]
     fn rectangle_bounds() {

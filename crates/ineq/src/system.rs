@@ -1,9 +1,9 @@
 //! Conjunctive systems of affine constraints and Fourier-Motzkin
 //! elimination in the paper's scan order.
 
+use crate::arith::{gcd, Overflow};
 use crate::constraint::{Constraint, ConstraintKind};
 use crate::linexpr::LinExpr;
-use crate::rational::{gcd, Overflow};
 use crate::rows::Rows;
 use crate::var::{VarId, VarTable};
 use std::collections::BTreeSet;
@@ -110,11 +110,6 @@ impl System {
         self.push(Constraint::eq_zero(expr));
     }
 
-    /// Add `lo <= e` i.e. `e - lo >= 0`.
-    pub fn add_le(&mut self, lo: LinExpr, e: LinExpr) {
-        self.add_ge(e - lo);
-    }
-
     /// Add a lower and an upper bound: `lo <= e <= hi`.
     pub fn add_range(&mut self, e: LinExpr, lo: LinExpr, hi: LinExpr) {
         self.add_ge(e.clone() - lo);
@@ -132,28 +127,6 @@ impl System {
         }
         if !c.is_trivially_true() {
             self.constraints.push(c);
-        }
-    }
-
-    /// Conjoin all constraints of `other` into `self`.
-    pub fn conjoin(&mut self, other: &System) {
-        if other.contradictory {
-            self.mark_contradictory();
-            return;
-        }
-        for c in &other.constraints {
-            self.push(c.clone());
-        }
-    }
-
-    /// Conjoin, consuming `other` (no per-constraint clones).
-    pub fn conjoin_owned(&mut self, other: System) {
-        if other.contradictory {
-            self.mark_contradictory();
-            return;
-        }
-        for c in other.constraints {
-            self.push(c);
         }
     }
 

@@ -118,52 +118,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
-
-    /// `sample_point` returns a satisfying rational assignment whenever
-    /// the system is feasible over the integers (a fortiori rationally).
-    #[test]
-    fn sample_points_satisfy_feasible_systems(rcs in proptest::collection::vec(rand_constraint(), 0..5)) {
-        use ineq::Rational;
-        let (vt, vars, sys) = build(&rcs);
-        let bounds: Vec<_> = vars.iter().map(|&v| (v, BOX_LO, BOX_HI)).collect();
-        if sys.find_integer_solution(&bounds).is_some() {
-            let pt = sys.sample_point(&vt).expect("rationally feasible");
-            let get = |v: VarId| pt.iter().find(|(a, _)| *a == v).map(|(_, r)| *r)
-                .unwrap_or(Rational::zero());
-            for c in sys.constraints() {
-                let val = c.expr.eval_rat(&get);
-                match c.kind {
-                    ineq::ConstraintKind::GeZero =>
-                        prop_assert!(val >= Rational::zero(), "{c:?} violated at {pt:?}"),
-                    ineq::ConstraintKind::EqZero =>
-                        prop_assert!(val.is_zero(), "{c:?} violated at {pt:?}"),
-                }
-            }
-        }
-    }
-
-    /// Redundancy removal preserves the solution set (checked on the
-    /// integer box: same exhaustive verdicts).
-    #[test]
-    fn remove_redundant_preserves_solutions(rcs in proptest::collection::vec(rand_constraint(), 0..5)) {
-        let (vt, vars, sys) = build(&rcs);
-        let bounds: Vec<_> = vars.iter().map(|&v| (v, BOX_LO, BOX_HI)).collect();
-        let slim = sys.remove_redundant(&vt);
-        // Every point of the box satisfies sys iff it satisfies slim + box.
-        // (slim lost the box bounds only if they were implied; re-add them.)
-        let mut slim_boxed = slim.clone();
-        for &v in &vars {
-            slim_boxed.add_range(
-                ineq::LinExpr::var(v),
-                ineq::LinExpr::constant(BOX_LO),
-                ineq::LinExpr::constant(BOX_HI),
-            );
-        }
-        let a = sys.find_integer_solution(&bounds).is_some();
-        let b = slim_boxed.find_integer_solution(&bounds).is_some();
-        prop_assert_eq!(a, b);
-    }
-}

@@ -55,7 +55,7 @@ use crate::events::{Event, Schedule, NO_FRAME};
 use crate::mem::{row_major_layout, subscript_out_of_bounds, Mem};
 use crate::trace::{AccessKind, Target, TraceBuffer};
 use analysis::{Bindings, LoopPartition, OwnerMap};
-use ineq::rational::{div_ceil, div_floor};
+use ineq::arith::{div_ceil, div_floor};
 use ir::{
     AffAtom, Affine, ArrayId, Assign, BinOp, CmpOp, Expr, LhsRef, LoopId, Node, NodeId, Program,
     RedOp, ScalarId, UnOp,

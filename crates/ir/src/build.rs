@@ -2,8 +2,9 @@
 //!
 //! Loops are opened with `begin_par` / `begin_seq` and closed with `end`;
 //! everything emitted in between becomes the loop body. Free helper
-//! functions (`con`, `sym`, `idx`, `elem`, `arr`, `ex`, …) keep benchmark
-//! kernels readable — see the `suite` crate for full-size examples.
+//! functions (`con`, `sym`, `idx`, `elem`, `arr`, `ex`, …) keep
+//! generated and test programs readable; [`crate::text`] lowers `.be`
+//! sources through this builder.
 
 use crate::decl::{
     ArrayDecl, ArrayId, DimDist, Distribution, ScalarDecl, ScalarId, SymDecl, SymId,

@@ -109,14 +109,31 @@ impl Affine {
 
     /// Multiply by an integer.
     pub fn scaled(&self, k: i64) -> Affine {
+        self.checked_scaled(k).expect("affine overflow")
+    }
+
+    /// `k · self`, or `None` if a coefficient or the constant overflows.
+    pub fn checked_scaled(&self, k: i64) -> Option<Affine> {
         if k == 0 {
-            return Affine::default();
+            return Some(Affine::default());
         }
-        let scale = |c: i64| c.checked_mul(k).expect("affine overflow");
-        Affine {
-            terms: self.terms().map(|(a, c)| (a, scale(c))).collect(),
-            constant: scale(self.constant),
+        Some(Affine {
+            terms: self
+                .terms()
+                .map(|(a, c)| Some((a, c.checked_mul(k)?)))
+                .collect::<Option<_>>()?,
+            constant: self.constant.checked_mul(k)?,
+        })
+    }
+
+    /// `self + rhs`, or `None` if a coefficient or the constant overflows.
+    pub fn checked_add(mut self, rhs: &Affine) -> Option<Affine> {
+        self.constant = self.constant.checked_add(rhs.constant)?;
+        for (a, c) in rhs.terms() {
+            let n = self.coeff(a).checked_add(c)?;
+            self.set_coeff(a, n);
         }
+        Some(self)
     }
 
     /// Evaluate under an atom assignment.
@@ -170,15 +187,8 @@ impl From<i64> for Affine {
 
 impl Add for Affine {
     type Output = Affine;
-    fn add(mut self, rhs: Affine) -> Affine {
-        self.constant = self
-            .constant
-            .checked_add(rhs.constant)
-            .expect("affine overflow");
-        for (a, c) in rhs.terms() {
-            self.add_term(a, c);
-        }
-        self
+    fn add(self, rhs: Affine) -> Affine {
+        self.checked_add(&rhs).expect("affine overflow")
     }
 }
 

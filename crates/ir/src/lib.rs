@@ -16,6 +16,11 @@
 //! analyses attach results to nodes and lets the optimizer describe
 //! transformed schedules without copying subtrees.
 //!
+//! Programs are written in the IR's text form, the `.be` dialect that
+//! [`text`] parses (every program under `kernels/`), or built directly
+//! with the [`build`] DSL (generated and test programs, as below);
+//! [`pretty`] prints them.
+//!
 //! # Example
 //!
 //! ```
@@ -38,6 +43,7 @@ pub mod expr;
 pub mod node;
 pub mod pretty;
 pub mod program;
+pub mod text;
 
 pub use decl::{ArrayDecl, ArrayId, DimDist, Distribution, ScalarDecl, ScalarId, SymDecl, SymId};
 pub use expr::{AffAtom, Affine, BinOp, Expr, UnOp};

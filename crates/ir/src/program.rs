@@ -48,11 +48,6 @@ impl Program {
         &self.nodes[id.0 as usize]
     }
 
-    /// Mutable node access.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.0 as usize]
-    }
-
     /// The array declaration behind a handle.
     pub fn array(&self, id: ArrayId) -> &ArrayDecl {
         &self.arrays[id.0 as usize]
@@ -166,32 +161,6 @@ impl Program {
             }
         });
         n
-    }
-
-    /// Arrays written anywhere in the subtree rooted at `id`.
-    pub fn arrays_written_under(&self, id: NodeId) -> BTreeSet<ArrayId> {
-        let mut s = BTreeSet::new();
-        self.walk(id, &mut |nid, _| {
-            if let Node::Assign(a) = self.node(nid) {
-                if let LhsRef::Elem(arr, _) = &a.lhs {
-                    s.insert(*arr);
-                }
-            }
-        });
-        s
-    }
-
-    /// Arrays read anywhere in the subtree rooted at `id`.
-    pub fn arrays_read_under(&self, id: NodeId) -> BTreeSet<ArrayId> {
-        let mut s = BTreeSet::new();
-        self.walk(id, &mut |nid, _| {
-            if let Node::Assign(a) = self.node(nid) {
-                for (arr, _) in a.rhs.array_reads() {
-                    s.insert(arr);
-                }
-            }
-        });
-        s
     }
 
     /// Structural validation: subscript ranks match array ranks, loop
@@ -319,19 +288,6 @@ impl Program {
         None
     }
 
-    /// Find the loop node with the given loop id.
-    pub fn find_loop(&self, l: LoopId) -> Option<NodeId> {
-        let mut found = None;
-        self.walk_all(&mut |id, _| {
-            if let Node::Loop(lp) = self.node(id) {
-                if lp.id == l {
-                    found = Some(id);
-                }
-            }
-        });
-        found
-    }
-
     /// The [`Loop`] payload of a node known to be a loop.
     pub fn expect_loop(&self, id: NodeId) -> &Loop {
         self.node(id).as_loop().expect("node is not a loop")
@@ -382,24 +338,5 @@ mod tests {
         p.assign(elem(a, [idx(i)]), ex(0.0));
         let prog = p.finish_unchecked();
         assert!(!prog.validate().is_empty());
-    }
-
-    #[test]
-    fn written_and_read_sets() {
-        let mut p = ProgramBuilder::new("rw");
-        let n = p.sym("n");
-        let a = p.array("A", &[sym(n)], dist_block());
-        let b = p.array("B", &[sym(n)], dist_block());
-        let i = p.begin_par("i", con(1), sym(n) - 2);
-        p.assign(
-            elem(b, [idx(i)]),
-            arr(a, [idx(i) - 1]) + arr(a, [idx(i) + 1]),
-        );
-        p.end();
-        let prog = p.finish();
-        let root = prog.body[0];
-        assert!(prog.arrays_written_under(root).contains(&b));
-        assert!(prog.arrays_read_under(root).contains(&a));
-        assert!(!prog.arrays_read_under(root).contains(&b));
     }
 }

@@ -224,12 +224,6 @@ impl Watchdog {
         self.status.load(Ordering::Acquire) & POISON_BIT != 0
     }
 
-    /// The wake epoch: bumped by every [`Watchdog::poison`] and
-    /// [`Watchdog::spurious_wake`].
-    pub fn wake_epoch(&self) -> u64 {
-        self.status.load(Ordering::Acquire) >> 1
-    }
-
     /// The first recorded poison cause, if any.
     pub fn poison_cause(&self) -> Option<String> {
         self.cause.lock().clone()
@@ -471,16 +465,18 @@ mod tests {
     #[test]
     fn status_word_stamps_epochs_and_poison() {
         let wd = Watchdog::new(Duration::from_secs(1));
-        assert_eq!(wd.wake_epoch(), 0);
+        // The wake epoch: the status word above the poison bit.
+        let epoch = |wd: &Watchdog| wd.status.load(Ordering::Acquire) >> 1;
+        assert_eq!(epoch(&wd), 0);
         assert!(!wd.is_poisoned());
         wd.spurious_wake();
-        assert_eq!(wd.wake_epoch(), 1);
+        assert_eq!(epoch(&wd), 1);
         assert!(!wd.is_poisoned());
         wd.poison("x");
-        assert_eq!(wd.wake_epoch(), 2);
+        assert_eq!(epoch(&wd), 2);
         assert!(wd.is_poisoned());
         wd.spurious_wake();
-        assert_eq!(wd.wake_epoch(), 3);
+        assert_eq!(epoch(&wd), 3);
         assert!(wd.is_poisoned(), "wakes never clear poison");
     }
 

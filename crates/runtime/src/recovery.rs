@@ -181,22 +181,6 @@ impl Quarantine {
     pub fn quarantined(&self) -> &[usize] {
         &self.quarantined
     }
-
-    /// True when `site` is quarantined.
-    pub fn is_quarantined(&self, site: usize) -> bool {
-        self.quarantined.contains(&site)
-    }
-
-    /// Recorded fault count per site (site → faults), sorted by site.
-    pub fn fault_counts(&self) -> Vec<(usize, u32)> {
-        self.faults.iter().map(|(&s, &n)| (s, n)).collect()
-    }
-
-    /// Recorded fault count per processor (pid → faults), sorted by
-    /// pid.
-    pub fn pid_fault_counts(&self) -> Vec<(usize, u32)> {
-        self.pid_faults.iter().map(|(&p, &n)| (p, n)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -224,15 +208,16 @@ mod tests {
     fn ladder_escalates_demote_quarantine_isolate_then_retry() {
         let mut q = Quarantine::new();
         assert_eq!(q.record_fault(3), FaultDisposition::Demote);
-        assert!(!q.is_quarantined(3));
+        assert!(!q.quarantined().contains(&3));
         assert_eq!(q.record_fault(3), FaultDisposition::Quarantine);
-        assert!(q.is_quarantined(3));
+        assert!(q.quarantined().contains(&3));
         assert_eq!(q.record_fault(3), FaultDisposition::Isolate);
         assert_eq!(q.record_fault(3), FaultDisposition::Retry);
         // Independent ladders per site.
         assert_eq!(q.record_fault(7), FaultDisposition::Demote);
         assert_eq!(q.quarantined(), &[3]);
-        assert_eq!(q.fault_counts(), vec![(3, 4), (7, 1)]);
+        let counts: Vec<_> = q.faults.iter().map(|(&s, &n)| (s, n)).collect();
+        assert_eq!(counts, vec![(3, 4), (7, 1)]);
     }
 
     #[test]
@@ -246,6 +231,7 @@ mod tests {
         assert_eq!(q.record_attempt_suspect(None), 0);
         assert_eq!(q.record_attempt_suspect(Some(0)), 1);
         // Totals survive streak resets.
-        assert_eq!(q.pid_fault_counts(), vec![(0, 2), (2, 2)]);
+        let counts: Vec<_> = q.pid_faults.iter().map(|(&p, &n)| (p, n)).collect();
+        assert_eq!(counts, vec![(0, 2), (2, 2)]);
     }
 }

@@ -110,13 +110,6 @@ pub struct WaitEffort {
     pub parks: u64,
 }
 
-impl WaitEffort {
-    /// True when the wait never escalated past the spin phase.
-    pub fn stayed_on_fast_path(&self) -> bool {
-        self.yields == 0 && self.parks == 0
-    }
-}
-
 impl std::ops::AddAssign for WaitEffort {
     fn add_assign(&mut self, o: WaitEffort) {
         self.spins += o.spins;
@@ -175,13 +168,6 @@ impl SpinWait {
         }
     }
 
-    /// True when the *next* poll round would park (the moment a sampled
-    /// watchdog must check the deadline).
-    pub fn next_is_park(&self) -> bool {
-        self.effort.spins >= self.policy.spin_limit as u64
-            && self.effort.yields >= self.policy.yield_limit as u64
-    }
-
     /// One escalation step for pure (unguarded) waits: advise, then
     /// perform the wait. Parks here are unregistered — only the
     /// `park_slice` timeout wakes the thread, which is exactly the
@@ -233,18 +219,6 @@ mod tests {
                 parks: 2
             }
         );
-        assert!(!sw.effort().stayed_on_fast_path());
-    }
-
-    #[test]
-    fn next_is_park_fires_exactly_at_the_threshold() {
-        let mut sw = SpinWait::new(SpinPolicy::new(1, 1, Duration::from_micros(10)));
-        assert!(!sw.next_is_park());
-        sw.advise(); // spin
-        assert!(!sw.next_is_park());
-        sw.advise(); // yield
-        assert!(sw.next_is_park());
-        assert_eq!(sw.advise(), SpinPhase::Park);
     }
 
     #[test]

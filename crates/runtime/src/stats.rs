@@ -146,19 +146,6 @@ impl StatsSnapshot {
         self.parks += effort.parks;
     }
 
-    /// Total synchronization *operations* of any kind (the paper's
-    /// headline metric counts barriers; this is the broader total used in
-    /// the wait-time figure).
-    pub fn total_sync_ops(&self) -> u64 {
-        self.barrier_episodes
-            + self.counter_increments
-            + self.counter_waits
-            + self.neighbor_posts
-            + self.neighbor_waits
-            + self.pairwise_posts
-            + self.pairwise_waits
-    }
-
     /// Fold another snapshot into this one: counts and wait totals add,
     /// maxima take the max. The executor merges its workers' totals
     /// this way, and the recovery supervisor aggregates per-attempt
@@ -201,7 +188,6 @@ mod tests {
         assert_eq!(s.neighbor_posts, 1);
         assert_eq!(s.neighbor_waits, 2);
         assert_eq!(s.pairwise_max_wait_ns, 0);
-        assert_eq!(s.total_sync_ops(), 5);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `beopt` — the barrier-elimination driver.
 //!
-//! Reads a kernel in the text dialect (see `kernels/*.be` and the
-//! `frontend` crate docs), runs the synchronization optimizer, and
+//! Reads a kernel in the text dialect (see `kernels/*.be`,
+//! `kernels/suite/*.be` and the `ir::text` docs), runs the synchronization optimizer, and
 //! reports the schedule. With `--run` it also executes both schedules
 //! with virtual processors, verifies the optimized results against the
 //! sequential semantics, and prints dynamic synchronization counts.

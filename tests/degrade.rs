@@ -1,25 +1,33 @@
-//! End-to-end total-availability tests: the degradation supervisor on
-//! every shipped `.be` kernel, plus the `beopt --run --degrade`
-//! exit-code contract.
+//! End-to-end chaos tests: the one supervisor on every shipped `.be`
+//! kernel, plus the `beopt --run --degrade` exit-code contract.
 //!
 //! The unit tests in `interp::supervise` cover the ladder mechanics;
-//! these tests cover the tool-level promise — under a *persistent*
-//! kill-pid chaos policy (any pid silently dead, or pid 0 panicking
-//! forever, which survives every team shrink and forces the serial
-//! tail), every kernel under both plan families still completes with
-//! memory **bitwise** equal to the sequential oracle, and the
-//! degradation report records which rung finished the job.
+//! these tests cover the tool-level promise. Each kernel runs one chaos
+//! campaign per plan family (fork-join and optimized), and every tooth
+//! of it is checked here for what three promises need:
+//!
+//! * detection — a dropped sync post fails its first attempt within the
+//!   deadline with a report naming the dropped site, and a benign run
+//!   with the same seed passes;
+//! * recovery — that *persistent* drop is absorbed by checkpoint
+//!   rollback + demotion + retry, with memory exactly what the
+//!   sequential oracle computes;
+//! * degradation — under a persistent kill-pid policy (any pid silently
+//!   dead, or pid 0 panicking forever, which survives every team shrink
+//!   and forces the serial tail) the run still completes with memory
+//!   **bitwise** equal to the oracle, and the report records which rung
+//!   finished the job.
 
 use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
 use barrier_elim::interp::{run_parallel_supervised, Mem, ObserveOptions, Replan, SyncChaos};
 use barrier_elim::ir::{Program, SymId};
 use barrier_elim::obs::{render_fault, Rung};
-use barrier_elim::oracle::{self, Fault, KillMode, KillPidChaos};
+use barrier_elim::oracle::{self, Fault, KillMode, KillPidChaos, Tooth};
 use barrier_elim::runtime::{RetryPolicy, Team};
 use barrier_elim::spmd_opt::{fork_join, optimize, SpmdProgram};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn load(
     kernel: &str,
@@ -40,8 +48,8 @@ fn load(
     (Arc::new(prog), Arc::new(bind))
 }
 
-/// Short backoffs keep the full kill matrix fast; the budget is the
-/// shipping default, which the campaign's drop teeth need.
+/// Short backoffs keep the campaigns fast; the budget is the shipping
+/// default, which the campaign's drop teeth need.
 fn fast_policy() -> RetryPolicy {
     RetryPolicy {
         backoff_base: Duration::from_millis(1),
@@ -52,86 +60,169 @@ fn fast_policy() -> RetryPolicy {
 
 const DEADLINE: Duration = Duration::from_millis(120);
 
-/// The acceptance property, for one kernel: every pid silently killed
-/// (plus pid 0 panic-killed — the forced worst case) under both plan
-/// families, and every run must complete bitwise oracle-exact, on a
-/// degraded rung, with the rung recorded in the report. The same
-/// campaign's benign run and drop teeth must pass too.
-fn kill_matrix(kernel: &str, sets: &[(&str, i64)]) {
+/// The acceptance property, for one kernel: one campaign per plan
+/// family, and every tooth of it passes. The benign run ends clean;
+/// every dropped post fails its first attempt naming its site and is
+/// recovered oracle-exact; every pid silently killed (plus pid 0
+/// panic-killed — the forced worst case) completes bitwise
+/// oracle-exact on a degraded rung, with the rung recorded in the
+/// report.
+fn campaign_matrix(kernel: &str, sets: &[(&str, i64)]) {
     let (prog, bind) = load(kernel, sets, 4);
     type Family = fn(&Program, &Bindings) -> SpmdProgram;
     let families: [(&str, Family); 2] = [("fork-join", fork_join), ("optimized", optimize)];
     for (label, family) in families {
+        let t0 = Instant::now();
         let r = oracle::campaign(&prog, &bind, &family, 0, DEADLINE, 1e-9, &fast_policy());
+        let elapsed = t0.elapsed();
         assert!(
             r.ok(),
             "{kernel} {label} campaign failed: {:?}",
             r.failures()
         );
-        let kills: Vec<_> = r
-            .teeth
-            .iter()
-            .filter_map(|t| match t.fault {
-                Fault::Kill(k) => Some((t, k)),
-                _ => None,
-            })
-            .collect();
-        // Every pid once, silently, plus the panic kill of P0.
-        assert_eq!(kills.len(), 5);
-        for &(run, k) in &kills {
-            let rung = run.report.rung;
-            assert!(rung.completed(), "{kernel} {label}: P{} kill", k.pid);
-            assert_eq!(
-                run.diff,
-                0.0,
-                "{kernel} {label}: P{} {} kill not bitwise",
-                k.pid,
-                k.mode.as_str()
-            );
-            // The report records the rung that finished the job, and a
-            // killed pid never yields a clean run.
-            assert!(
-                rung != Rung::Clean,
-                "{kernel} {label}: kill absorbed silently"
-            );
-            assert_eq!(run.report.widths[0], 4);
-            assert!(render_fault(&run.report).contains(&format!("rung    : {}", rung.name())));
-        }
-        // P0 exists at every width: its panic kill must descend all
-        // the way to the sequential tail.
-        let &(worst, k) = kills
-            .iter()
-            .find(|(_, k)| k.mode == KillMode::Panic)
-            .expect("campaign includes the panic kill");
-        assert_eq!(k.pid, 0);
-        assert_eq!(worst.report.rung, Rung::Serial, "{kernel} {label}");
-        assert_eq!(worst.report.nprocs_final(), 1);
+        let benign = &r.teeth[0];
+        assert!(
+            benign.failure(1e-9).is_none(),
+            "{kernel} {label}: benign chaos run failed (rung {}, diff {:e})",
+            benign.report.rung.name(),
+            benign.diff
+        );
+        check_drops(kernel, label, &r.teeth);
+        check_kills(kernel, label, &r.teeth);
+        // Every run, drops and kills alike, ends in a few deadlines.
+        assert!(
+            elapsed < Duration::from_secs(30) * r.teeth.len() as u32,
+            "{kernel} {label}: {} runs took {elapsed:?}",
+            r.teeth.len()
+        );
     }
+}
+
+/// Detection and recovery: each drop tooth bit at its first attempt,
+/// named the dropped site, and was absorbed by the supervisor within
+/// its budget with memory matching the sequential oracle.
+fn check_drops(kernel: &str, label: &str, teeth: &[Tooth]) {
+    let drops: Vec<_> = teeth
+        .iter()
+        .filter_map(|t| match t.fault {
+            Fault::Drop(c) => Some((t, c)),
+            _ => None,
+        })
+        .collect();
+    assert!(!drops.is_empty(), "{kernel} {label}: no droppable posts");
+    for (t, c) in drops {
+        assert!(
+            t.report.rounds[0].attempts[0].failure.is_some(),
+            "{kernel} {label}: dropped {} post at s{} went undetected",
+            c.kind,
+            c.spec.site
+        );
+        assert_eq!(
+            t.failure(1e-9),
+            None,
+            "{kernel} {label}: dropped {} post at s{} not named or not absorbed",
+            c.kind,
+            c.spec.site
+        );
+        assert!(
+            t.report.rung.completed(),
+            "{kernel} {label}: {} drop at s{} exhausted the budget:\n{}",
+            c.kind,
+            c.spec.site,
+            render_fault(&t.report)
+        );
+        assert_eq!(
+            t.report.rung,
+            Rung::Recovered,
+            "{kernel} {label}: {} drop at s{} was absorbed silently — the tooth never bit",
+            c.kind,
+            c.spec.site
+        );
+        assert!(
+            t.diff <= 1e-9,
+            "{kernel} {label}: recovered memory diverges by {:e}",
+            t.diff
+        );
+        // The timeline is renderable and names the machinery.
+        let text = render_fault(&t.report);
+        assert!(text.contains("--- fault report ---"), "{text}");
+        assert!(text.contains("rollback to checkpoint"), "{text}");
+        assert!(text.contains("demote s"), "{text}");
+        assert!(
+            text.contains(&format!(
+                "recovered after {} failed attempt(s)",
+                t.report.attempts_used() - 1
+            )),
+            "{text}"
+        );
+    }
+}
+
+/// Degradation: every kill completes bitwise oracle-exact on a rung
+/// below clean; the panic kill of P0 ends on the sequential tail.
+fn check_kills(kernel: &str, label: &str, teeth: &[Tooth]) {
+    let kills: Vec<_> = teeth
+        .iter()
+        .filter_map(|t| match t.fault {
+            Fault::Kill(k) => Some((t, k)),
+            _ => None,
+        })
+        .collect();
+    // Every pid once, silently, plus the panic kill of P0.
+    assert_eq!(kills.len(), 5);
+    for &(run, k) in &kills {
+        let rung = run.report.rung;
+        assert!(rung.completed(), "{kernel} {label}: P{} kill", k.pid);
+        assert_eq!(
+            run.diff,
+            0.0,
+            "{kernel} {label}: P{} {} kill not bitwise",
+            k.pid,
+            k.mode.as_str()
+        );
+        // The report records the rung that finished the job, and a
+        // killed pid never yields a clean run.
+        assert!(
+            rung != Rung::Clean,
+            "{kernel} {label}: kill absorbed silently"
+        );
+        assert_eq!(run.report.widths[0], 4);
+        assert!(render_fault(&run.report).contains(&format!("rung    : {}", rung.name())));
+    }
+    // P0 exists at every width: its panic kill must descend all the way
+    // to the sequential tail.
+    let &(worst, k) = kills
+        .iter()
+        .find(|(_, k)| k.mode == KillMode::Panic)
+        .expect("campaign includes the panic kill");
+    assert_eq!(k.pid, 0);
+    assert_eq!(worst.report.rung, Rung::Serial, "{kernel} {label}");
+    assert_eq!(worst.report.nprocs_final(), 1);
 }
 
 #[test]
 fn broadcast_survives_every_kill_pid_policy() {
-    kill_matrix("broadcast.be", &[("n", 12)]);
+    campaign_matrix("broadcast.be", &[("n", 12)]);
 }
 
 #[test]
 fn jacobi_survives_every_kill_pid_policy() {
-    kill_matrix("jacobi.be", &[("n", 48), ("tmax", 4)]);
+    campaign_matrix("jacobi.be", &[("n", 48), ("tmax", 4)]);
 }
 
 #[test]
 fn pipeline_survives_every_kill_pid_policy() {
-    kill_matrix("pipeline.be", &[("n", 16), ("tmax", 3)]);
+    campaign_matrix("pipeline.be", &[("n", 16), ("tmax", 3)]);
 }
 
 #[test]
 fn private_gather_survives_every_kill_pid_policy() {
-    kill_matrix("private_gather.be", &[("n", 10)]);
+    campaign_matrix("private_gather.be", &[("n", 10)]);
 }
 
 #[test]
 fn shallow_survives_every_kill_pid_policy() {
-    kill_matrix("shallow.be", &[("n", 12), ("tmax", 2)]);
+    campaign_matrix("shallow.be", &[("n", 12), ("tmax", 2)]);
 }
 
 /// Losing the top pid is recoverable by a single shrink: the report's

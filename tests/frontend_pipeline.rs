@@ -142,4 +142,25 @@ mod cli {
             assert!(out.stdout.is_empty(), "refused before anything is printed");
         }
     }
+
+    /// A source the IR builder would panic on is a parse error naming
+    /// its line: exit 1, not 101.
+    #[test]
+    fn a_malformed_source_is_refused_not_panicked_on() {
+        let path = std::env::temp_dir().join(format!("beopt-bad-{}.be", std::process::id()));
+        let src = "program p\nsym n\narray A(n) block\ndoall i = 0, n-1\n  A(4611686018427387904*2*i) = 1.0\nend\n";
+        std::fs::write(&path, src).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_beopt"))
+            .arg(&path)
+            .args(["--set", "n=4"])
+            .output()
+            .expect("spawn beopt");
+        std::fs::remove_file(&path).unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.ends_with("line 5: affine expression overflows a 64-bit integer\n"),
+            "{stderr}"
+        );
+    }
 }
