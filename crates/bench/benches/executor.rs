@@ -1,10 +1,11 @@
 //! Criterion benches for the execution backends: virtual simulation and
 //! real-thread execution of the two schedules (the per-figure speedup
-//! binaries do the full sweeps; this tracks regressions), and the
-//! sequential reference run every execution is compared against.
+//! binaries do the full sweeps; this tracks regressions), one
+//! processor's work steps on their own, and the sequential reference
+//! run every execution is compared against.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use interp::{run_parallel, run_sequential, run_virtual, Mem, ScheduleOrder};
+use interp::{run_parallel, run_sequential, run_virtual, Mem, Schedule, ScheduleOrder, Worker};
 use runtime::Team;
 use std::sync::Arc;
 use suite::Scale;
@@ -81,9 +82,33 @@ fn bench_oracle(c: &mut Criterion) {
     group.finish();
 }
 
+/// P0's share of every work step of copy_chain's optimized plan at
+/// P = 4, `tmax` = 250 — 1 001 work steps, its 1 000 syncs passed by —
+/// walked by a fresh cursor: at n = 8 two elements per step, so what
+/// shows is the fixed cost of a step; at n = 1024, 256 elements per
+/// step. Divide a sample by 1 001 for the time per work step, and the
+/// difference of the two by 254 × 1 001 for the time per element.
+fn bench_work_steps(c: &mut Criterion) {
+    let mut group = c.benchmark_group("work_steps");
+    for n in [8, 1024] {
+        let built = (suite::by_name("copy_chain").unwrap().build)(Scale::Small);
+        let mut bind = built.bindings(4);
+        for (sym, v) in [("n", n), ("tmax", 250)] {
+            let id = built.prog.syms.iter().position(|s| s.name == sym).unwrap();
+            bind.bind(ir::SymId(id as u32), v);
+        }
+        let plan = spmd_opt::optimize(&built.prog, &bind);
+        let sched = Schedule::new(&built.prog, &bind, &plan);
+        let mem = Mem::new(&built.prog, &bind);
+        let mut worker = Worker::new(&sched, &mem, 0);
+        group.bench_function(format!("copy_chain_n{n}"), |b| b.iter(|| worker.exec_all()));
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_virtual, bench_real, bench_oracle
+    targets = bench_virtual, bench_real, bench_work_steps, bench_oracle
 }
 criterion_main!(benches);

@@ -5,8 +5,8 @@
 //! module assigns each slot a stable **site id** by a deterministic
 //! pre-order walk (items in order; a `Seq`'s body slots precede its
 //! `bottom` and `after`; a region's items precede its `end`). The same
-//! numbering is reproduced arithmetically by the event unroller in
-//! `interp`, so per-site runtime telemetry, the optimizer's decision
+//! numbering is reproduced arithmetically when `interp` lays a plan out
+//! as a walk, so per-site runtime telemetry, the optimizer's decision
 //! log, and the mutation tester all talk about the same sites.
 //!
 //! Slots holding [`SyncOp::None`] (eliminated barriers) are numbered
@@ -230,8 +230,8 @@ pub fn counter_numbers(plan: &SpmdProgram) -> Vec<Option<usize>> {
 
 /// Enumerate every sync slot of a schedule in canonical walk order.
 /// Ids are contiguous from zero; the walk order matches the slot
-/// enumeration of the mutation tester and the arithmetic numbering the
-/// event unroller computes.
+/// enumeration of the mutation tester and the arithmetic numbering
+/// `interp::Schedule::new` computes.
 pub fn sync_sites(prog: &Program, plan: &SpmdProgram) -> Vec<SyncSite> {
     let mut out = Vec::new();
     let mut next = 0usize;

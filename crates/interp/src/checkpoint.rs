@@ -8,7 +8,7 @@
 //! subscript and guard in the IR is affine in loop indices and symbolic
 //! constants — never data-dependent — the set of cells a schedule can
 //! write is computable *without* running the real execution, by
-//! replaying the work events against a scratch memory with a tracer
+//! replaying the work steps against a scratch memory with a tracer
 //! attached. The checkpoint stores pre-images of exactly that write
 //! set (plus every scalar — they are few and cheap), so
 //! [`Checkpoint::rollback`] restores the live-in state bit-for-bit.
@@ -23,10 +23,11 @@ use crate::mem::Mem;
 use crate::trace::{AccessKind, Target, TraceBuffer};
 use analysis::Bindings;
 use ir::{ArrayId, Program};
+use spmd_opt::SpmdProgram;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Pre-images of every shared cell a schedule's event list can write.
+/// Pre-images of every shared cell a plan's walk can write.
 pub struct Checkpoint {
     /// `(array, flat offset, f64 bits)` of each shared element in the
     /// write set.
@@ -36,20 +37,18 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Capture the pre-images of `events`' write set from `mem`.
+    /// Capture the pre-images of `plan`'s write set from `mem`.
     ///
-    /// The write set is derived by executing every work event for every
+    /// The write set is derived by executing every work step for every
     /// processor against a scratch memory with an access tracer — legal
     /// in any order precisely because access sets are value-independent
     /// (see the module docs). `mem` itself is only read.
-    pub fn capture(prog: &Program, bind: &Bindings, events: &Schedule, mem: &Mem) -> Checkpoint {
+    pub fn capture(prog: &Program, bind: &Bindings, plan: &SpmdProgram, mem: &Mem) -> Checkpoint {
+        let sched = Schedule::new(prog, bind, plan);
         let tracer = Arc::new(TraceBuffer::new());
         let scratch = Mem::new(prog, bind).with_tracer(Arc::clone(&tracer));
         for pid in 0..bind.nprocs as usize {
-            let mut worker = Worker::new(events, &scratch, pid);
-            for ev in events.iter().filter(|ev| ev.is_work()) {
-                worker.exec_work(ev);
-            }
+            Worker::new(&sched, &scratch, pid).exec_all();
         }
         let mut written = BTreeSet::new();
         for a in tracer.drain() {
@@ -91,7 +90,6 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::unroll;
     use ir::build::*;
     use spmd_opt::optimize;
 
@@ -109,12 +107,11 @@ mod tests {
         let prog = pb.finish();
         let bind = Bindings::new(2).set(n, 8);
         let plan = optimize(&prog, &bind);
-        let events = unroll(&prog, &bind, &plan);
 
         let mem = Mem::new(&prog, &bind);
         mem.fill(a, |s| s[0] as f64);
         mem.fill(b, |s| -(s[0] as f64));
-        let cp = Checkpoint::capture(&prog, &bind, &events, &mem);
+        let cp = Checkpoint::capture(&prog, &bind, &plan, &mem);
         // Only B's 8 elements are writable.
         assert_eq!(cp.elem_cells(), 8);
 
@@ -141,9 +138,8 @@ mod tests {
         let prog = pb.finish();
         let bind = Bindings::new(2).set(n, 4);
         let plan = optimize(&prog, &bind);
-        let events = unroll(&prog, &bind, &plan);
         let mem = Mem::new(&prog, &bind);
-        let cp = Checkpoint::capture(&prog, &bind, &events, &mem);
+        let cp = Checkpoint::capture(&prog, &bind, &plan, &mem);
         mem.set_scalar(s, f64::NAN);
         mem.array(a).set(&[2], 7.0);
         cp.rollback(&mem);

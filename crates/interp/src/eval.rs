@@ -27,72 +27,11 @@ use crate::mem::{offset, ArrayStore, Mem};
 use crate::trace::{AccessKind, Target, TraceBuffer};
 use analysis::Bindings;
 use ir::{
-    AffAtom, Affine, BinOp, CmpOp, Expr, GuardCond, LhsRef, LoopId, Node, NodeId, Program, RedOp,
-    SymId,
+    AffAtom, Affine, BinOp, CmpOp, Expr, GuardCond, LhsRef, Node, NodeId, Program, RedOp, SymId,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const UNBOUND: &str = "unbound atom in affine expression";
-
-/// The values affine expressions read during [`unroll`](crate::unroll):
-/// the program's symbolics, resolved from the [`Bindings`] once (indexed
-/// by `SymId`), and the current loop-index values (indexed by `LoopId`).
-pub struct Env {
-    syms: Vec<Option<i64>>,
-    loops: Vec<Option<i64>>,
-}
-
-impl Env {
-    /// Environment of `prog` under `bind`, with no loop bound.
-    pub fn new(prog: &Program, bind: &Bindings) -> Self {
-        Env {
-            syms: (0..prog.syms.len())
-                .map(|k| bind.get(SymId(k as u32)))
-                .collect(),
-            loops: vec![None; prog.num_loops as usize],
-        }
-    }
-
-    /// Bind a loop index.
-    #[inline]
-    pub fn set(&mut self, l: LoopId, v: i64) {
-        self.loops[l.0 as usize] = Some(v);
-    }
-
-    /// Unbind a loop index.
-    #[inline]
-    pub fn clear(&mut self, l: LoopId) {
-        self.loops[l.0 as usize] = None;
-    }
-
-    /// Value of a loop index, if bound.
-    #[inline]
-    pub fn get(&self, l: LoopId) -> Option<i64> {
-        self.loops[l.0 as usize]
-    }
-
-    /// Evaluate an affine expression; panics on unbound atoms (an
-    /// interpreter bug, not a user error) and on overflow.
-    #[inline]
-    pub fn eval(&self, e: &Affine) -> i64 {
-        self.try_eval(e).expect(UNBOUND)
-    }
-
-    /// Evaluate an affine expression, `None` when an atom is unbound;
-    /// panics on overflow.
-    #[inline]
-    pub fn try_eval(&self, e: &Affine) -> Option<i64> {
-        let mut acc = e.constant_term();
-        for (a, c) in e.terms() {
-            let v = match a {
-                AffAtom::Sym(s) => self.syms[s.0 as usize],
-                AffAtom::Loop(l) => self.loops[l.0 as usize],
-            };
-            acc = step(acc, c, v?);
-        }
-        Some(acc)
-    }
-}
 
 /// `acc + c·v`, checked.
 #[inline(always)]

@@ -1,92 +1,55 @@
-//! Unrolling a schedule into a linear event list.
+//! The walk every processor takes through a plan.
 //!
-//! Every processor traverses the *same* event sequence (replicated
-//! control flow — the SPMD model). [`unroll`] runs once per
-//! `(program, bindings, plan)`: it lowers each phase subtree into a
-//! kernel ([`crate::kernel`]), resolves every sync's producer, and
-//! emits compact `Copy` events that refer to both by index. The
-//! enclosing sequential-loop indices of an event are a chain of
-//! [`Frame`]s shared by all events of one loop iteration.
+//! Every processor passes the *same* steps in the same order
+//! (replicated control flow — the SPMD model). [`Schedule::new`] lowers
+//! a plan once per `(program, bindings, plan)`: each phase into a kernel
+//! ([`crate::kernel`]), and the region tree around the phases into a
+//! flat walk of work, dispatch, sync and sequential-loop ops. A
+//! [`Cursor`] walks it for one processor, one [`Step`] at a time, in
+//! O(loop depth) memory: the sequential-loop indices live in the
+//! cursor's own slots (which a [`Worker`](crate::Worker) runs kernels
+//! against), a sync's producers are resolved when the cursor reaches
+//! it, and every step carries its ordinal.
+//!
+//! The cursor also holds the one sync rule every executor and checker
+//! applies — who posts at a step ([`Cursor::posts`]), whom each
+//! processor then waits on and for which post count
+//! ([`Cursor::waits`]), which dispatch and barrier episode a processor
+//! is at — and counts what the walk performs ([`DynCounts`]).
 
-use crate::eval::Env;
-use crate::kernel::{Code, Lowerer};
+use crate::kernel::{Code, Lin, Lowerer, Owner};
 use analysis::{Bindings, CommPattern, DistSet, ProducerSpec};
 use ir::{LoopId, NodeId, Program};
 use runtime::SyncKind;
 use spmd_opt::{
     counter_numbers, slot_count_items, slot_count_top, RItem, SpmdProgram, SyncOp, TopItem,
 };
-use std::ops::Deref;
 
-/// "No enclosing loop" in [`Event`] frames and [`Frame::parent`].
-pub(crate) const NO_FRAME: u32 = u32::MAX;
-
-/// One binding `loop index = val` of an unrolled sequential loop; the
-/// chain through `parent` gives every enclosing index.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Frame {
-    pub(crate) parent: u32,
-    /// The loop (`LoopId`, which is also its slot in a worker).
-    pub(crate) slot: u32,
-    pub(crate) val: i64,
-}
-
-/// A synchronization point with its producers resolved for the loop
-/// iteration it sits in (an eliminated slot emits no event).
+/// A synchronization point (an eliminated slot is no step).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SyncStep {
     /// A full team barrier.
     Barrier,
-    /// Per-processor cells: whoever may be waited for posts, then each
-    /// processor waits on [`Schedule::pair_targets`] — `pid - d` for
-    /// every distance, every producer and, as a collector, every other
-    /// processor.
+    /// Per-processor cells: whoever may be waited for posts
+    /// ([`Cursor::posts`]), then each processor waits on the cells
+    /// [`Cursor::waits`] names for it.
     Cells {
         /// Processor distances to wait on.
         dists: DistSet,
-        /// The identifiable-producer targets
-        /// ([`Schedule::producers`]).
-        producers: Producers,
-        /// The processors that wait for everyone
-        /// ([`Schedule::producers`]).
-        collectors: Producers,
         /// The label measurements are filed under: neighbor, counter or
         /// pairwise.
         kind: SyncKind,
     },
 }
 
-impl SyncStep {
-    /// Does every processor post at this step? Where all a wait set
-    /// names is producers, nobody can wait on anyone else and only they
-    /// post — once per naming.
-    pub fn all_post(&self) -> bool {
-        match self {
-            SyncStep::Barrier => false,
-            SyncStep::Cells {
-                dists, collectors, ..
-            } => !dists.is_empty() || collectors.len > 0,
-        }
-    }
-}
-
-/// A run of resolved producer or collector pids in a [`Schedule`].
+/// What one step of the walk does.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Producers {
-    start: u32,
-    len: u32,
-}
-
-/// One step of the SPMD event sequence.
-#[derive(Clone, Copy, Debug)]
 pub enum Event {
     /// Work: a phase (distributed, master or replicated) or a
     /// master-only serial statement outside regions.
     Work {
         /// The subtree's lowered kernel.
         kernel: u32,
-        /// Enclosing loop indices.
-        frame: u32,
     },
     /// Region entry: workers wait for the master's arrival.
     Dispatch,
@@ -99,306 +62,442 @@ pub enum Event {
         /// slot share one id, so runtime telemetry aggregates per
         /// static site.
         site: u32,
-        /// Enclosing loop indices.
-        frame: u32,
     },
 }
 
-impl Event {
-    /// True for the events a [`Worker`](crate::Worker) executes.
-    pub fn is_work(&self) -> bool {
-        matches!(self, Event::Work { .. })
-    }
+/// One step of the walk.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Step {
+    /// How many steps precede it.
+    pub ordinal: usize,
+    /// What it does.
+    pub event: Event,
 }
 
-/// An unrolled plan: the event sequence every processor traverses
-/// (`Deref`s to `[Event]`) plus the tables its events index — lowered
-/// kernels, loop-index frames, resolved producers.
+/// A placed sync op at `site`, lowered: each producer or collector it
+/// names is the master (`None`) or whoever owns an element at the loop
+/// indices the sync sits under; everybody posts there (`all_post`) or
+/// each producer once per naming, and the team posts `posts` times and
+/// waits `waits` times. With `merge_last` it is skipped on the last
+/// trip of the innermost open loop (whose bottom it is).
+#[derive(Debug)]
+struct Site {
+    site: u32,
+    merge_last: bool,
+    op: SyncStep,
+    producers: Vec<Option<Owner>>,
+    collectors: Vec<Option<Owner>>,
+    all_post: bool,
+    posts: u64,
+    waits: u64,
+}
+
+/// The region tree laid out flat.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Work(u32),
+    Dispatch,
+    /// Sync op `k` of [`Schedule::syncs`].
+    Sync(u32),
+    /// A sequential loop over `slot`: its body runs up to the matching
+    /// [`Op::Next`], and `exit` is the op past that.
+    Loop {
+        slot: u32,
+        lo: Lin,
+        hi: Lin,
+        exit: u32,
+    },
+    /// The back edge of the innermost open loop.
+    Next,
+}
+
+/// A lowered plan: the kernel table and the walk every processor
+/// takes through the plan's region tree.
 pub struct Schedule {
-    events: Vec<Event>,
-    frames: Vec<Frame>,
-    producers: Vec<usize>,
-    code: Code,
-    nprocs: i64,
-    num_sites: usize,
+    pub(crate) code: Code,
+    walk: Vec<Op>,
+    syncs: Vec<Site>,
+    pub(crate) nprocs: i64,
     /// `counter #k` of the counter-labelled sites, by site id.
     counters: Vec<Option<usize>>,
 }
 
-impl Deref for Schedule {
-    type Target = [Event];
-    fn deref(&self) -> &[Event] {
-        &self.events
+impl Schedule {
+    /// Lower `plan` under concrete bindings: every phase into a kernel,
+    /// once, from the plan tree. Loops inside phases are the kernels';
+    /// sequential loops at region level and master loops are the
+    /// walk's.
+    pub fn new(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Schedule {
+        let mut b = Builder {
+            prog,
+            nprocs: bind.nprocs as u64,
+            lower: Lowerer::new(prog, bind),
+            walk: Vec::new(),
+            syncs: Vec::new(),
+        };
+        b.top(&plan.items, 0);
+        Schedule {
+            code: b.lower.finish(),
+            walk: b.walk,
+            syncs: b.syncs,
+            nprocs: bind.nprocs,
+            counters: counter_numbers(plan),
+        }
+    }
+
+    /// A cursor at the start of the walk.
+    pub fn cursor(&self) -> Cursor<'_> {
+        Cursor {
+            sched: self,
+            pc: 0,
+            open: Vec::new(),
+            slots: vec![0; self.code.num_slots],
+            ordinal: 0,
+            dists: DistSet::default(),
+            producers: Vec::new(),
+            collectors: Vec::new(),
+            all_post: false,
+            all_posts: 0,
+            named_posts: vec![0; self.nprocs as usize],
+            counts: DynCounts::default(),
+        }
+    }
+
+    /// The dynamic syncs a whole walk performs.
+    pub fn counts(&self) -> DynCounts {
+        let mut cur = self.cursor();
+        while cur.next().is_some() {}
+        cur.counts
+    }
+
+    /// One past the largest id of a sync site the walk holds.
+    pub fn num_sites(&self) -> usize {
+        self.syncs
+            .iter()
+            .map(|s| s.site as usize + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// What a sync step is called on a timeline: `barrier`, `neighbor`,
+    /// `counter#0`, `pairwise{-2}`.
+    pub(crate) fn sync_label(&self, op: SyncStep, site: u32) -> String {
+        let SyncStep::Cells { dists, kind } = op else {
+            return "barrier".into();
+        };
+        match kind {
+            SyncKind::Neighbor => "neighbor".into(),
+            SyncKind::Counter => {
+                let id = self.counters[site as usize].expect("a counter site has its number");
+                format!("counter#{id}")
+            }
+            _ => format!("pairwise{}", dists.render()),
+        }
     }
 }
 
-impl Schedule {
-    /// The producer or collector pids of a [`SyncStep::Cells`].
-    pub fn producers(&self, p: Producers) -> &[usize] {
-        &self.producers[p.start as usize..(p.start + p.len) as usize]
+/// One processor's position in the walk of a [`Schedule`].
+pub struct Cursor<'a> {
+    sched: &'a Schedule,
+    pc: usize,
+    /// The sequential loops the walk is inside, outermost first.
+    open: Vec<Open>,
+    /// Loop index values by slot (`LoopId`): the open loops' here, and
+    /// a running kernel's own loops' too.
+    pub(crate) slots: Vec<i64>,
+    ordinal: usize,
+    /// At the last cells step: its distances and the processors it
+    /// names, resolved at the indices it sits under.
+    dists: DistSet,
+    producers: Vec<usize>,
+    collectors: Vec<usize>,
+    all_post: bool,
+    /// Every processor's post count so far, the walk being replicated:
+    /// the steps at which everybody posts, plus those naming `q`.
+    all_posts: u64,
+    named_posts: Vec<u64>,
+    counts: DynCounts,
+}
+
+/// An open sequential loop: its slot, its last index value, and the
+/// first op of its body.
+#[derive(Clone, Copy)]
+struct Open {
+    slot: u32,
+    hi: i64,
+    body: u32,
+}
+
+impl Iterator for Cursor<'_> {
+    type Item = Step;
+
+    /// The next step, with a sync's producers resolved and its posts
+    /// and waits counted.
+    fn next(&mut self) -> Option<Step> {
+        let sched = self.sched;
+        loop {
+            let op = *sched.walk.get(self.pc)?;
+            self.pc += 1;
+            let event = match op {
+                Op::Loop { slot, lo, hi, exit } => {
+                    let lo = sched.code.eval(&lo, &self.slots);
+                    let hi = sched.code.eval(&hi, &self.slots);
+                    if lo > hi {
+                        self.pc = exit as usize;
+                    } else {
+                        self.slots[slot as usize] = lo;
+                        let body = self.pc as u32;
+                        self.open.push(Open { slot, hi, body });
+                    }
+                    continue;
+                }
+                Op::Next => {
+                    let top = *self.open.last().expect("a back edge closes an open loop");
+                    let i = &mut self.slots[top.slot as usize];
+                    if *i < top.hi {
+                        *i += 1;
+                        self.pc = top.body as usize;
+                    } else {
+                        self.open.pop();
+                    }
+                    continue;
+                }
+                Op::Work(kernel) => Event::Work { kernel },
+                Op::Dispatch => {
+                    self.counts.dispatches += 1;
+                    Event::Dispatch
+                }
+                Op::Sync(k) => {
+                    let sync = &sched.syncs[k as usize];
+                    if sync.merge_last && self.last_trip() {
+                        continue;
+                    }
+                    let op = self.resolve(sync);
+                    Event::Sync {
+                        op,
+                        site: sync.site,
+                    }
+                }
+            };
+            self.ordinal += 1;
+            return Some(Step {
+                ordinal: self.ordinal - 1,
+                event,
+            });
+        }
+    }
+}
+
+impl Cursor<'_> {
+    /// Is the innermost open loop on its last trip?
+    fn last_trip(&self) -> bool {
+        let top = self.open.last().expect("a loop bottom sits in its loop");
+        self.slots[top.slot as usize] == top.hi
     }
 
-    /// The processors `pid` waits on at a [`SyncStep::Cells`]:
-    /// `pid - d` for every distance in range, every other producer and,
-    /// when `pid` is a collector, everybody else. A processor named
-    /// twice is waited on twice, harmlessly.
-    pub fn pair_targets(
-        &self,
-        pid: usize,
-        dists: DistSet,
-        producers: Producers,
-        collectors: Producers,
-    ) -> impl Iterator<Item = usize> + '_ {
-        let nprocs = self.nprocs as usize;
+    /// Enter a sync step: count what the team performs there, resolve
+    /// the processors it names and advance the post counts.
+    fn resolve(&mut self, site: &Site) -> SyncStep {
+        let SyncStep::Cells { dists, kind } = site.op else {
+            self.counts.barriers += 1;
+            return site.op;
+        };
+        let c = &mut self.counts;
+        let (posts, waits) = match kind {
+            SyncKind::Neighbor => (&mut c.neighbor_posts, &mut c.neighbor_waits),
+            SyncKind::Counter => (&mut c.counter_increments, &mut c.counter_waits),
+            _ => (&mut c.pair_posts, &mut c.pair_waits),
+        };
+        *posts += site.posts;
+        *waits += site.waits;
+        let (code, slots, nprocs) = (&self.sched.code, &self.slots, self.sched.nprocs);
+        let who = |o: &Option<Owner>| o.map_or(0, |o| code.owner(&o, slots, nprocs) as usize);
+        self.producers.clear();
+        self.producers.extend(site.producers.iter().map(who));
+        self.collectors.clear();
+        self.collectors.extend(site.collectors.iter().map(who));
+        self.dists = dists;
+        self.all_post = site.all_post;
+        if self.all_post {
+            self.all_posts += 1;
+        } else {
+            for &q in &self.producers {
+                self.named_posts[q] += 1;
+            }
+        }
+        site.op
+    }
+
+    /// Steps produced so far.
+    pub fn steps(&self) -> usize {
+        self.ordinal
+    }
+
+    /// What the steps produced so far performed; its `dispatches` and
+    /// `barriers` number the dispatch or barrier the cursor is at.
+    pub fn counts(&self) -> DynCounts {
+        self.counts
+    }
+
+    /// The producers the last cells step named, resolved.
+    pub fn producers(&self) -> &[usize] {
+        &self.producers
+    }
+
+    /// The collectors the last cells step named, resolved.
+    pub fn collectors(&self) -> &[usize] {
+        &self.collectors
+    }
+
+    /// Does everybody post at the last cells step (as opposed to its
+    /// producers only)?
+    pub fn all_post(&self) -> bool {
+        self.all_post
+    }
+
+    /// How often `pid` posts its cell at the last cells step: once
+    /// where everybody posts, else once per naming as a producer.
+    pub fn posts(&self, pid: usize) -> u64 {
+        if self.all_post {
+            1
+        } else {
+            self.producers.iter().filter(|&&q| q == pid).count() as u64
+        }
+    }
+
+    /// Whom `pid` waits on at the last cells step, each with the post
+    /// count its cell must reach: `pid - d` for every distance in
+    /// range, every other producer and, when `pid` is a collector,
+    /// everybody else. A processor named twice is waited on twice,
+    /// harmlessly. Each target posts at this step, so its count has
+    /// reached the one named exactly when it has reached the step.
+    pub fn waits(&self, pid: usize) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let nprocs = self.sched.nprocs as usize;
         let in_team = move |q: i64| usize::try_from(q).ok().filter(|&q| q < nprocs);
-        let by_dist = dists.iter().filter_map(move |d| in_team(pid as i64 - d));
-        let by_producer = self.producers(producers).iter().copied();
+        let by_dist = self
+            .dists
+            .iter()
+            .filter_map(move |d| in_team(pid as i64 - d));
+        let by_producer = self.producers.iter().copied();
         // Once round the team for every collector spec that names `pid`.
-        let gathers = self.producers(collectors).iter();
-        let gathers = gathers.filter(|&&c| c == pid).count();
+        let gathers = self.collectors.iter().filter(|&&c| c == pid).count();
         let as_collector = (0..gathers * nprocs).map(move |k| k % nprocs);
         by_dist
             .chain(by_producer)
             .chain(as_collector)
             .filter(move |&q| q != pid)
+            .map(move |q| (q, self.posted(q)))
     }
 
-    /// What a sync step is called, by its label: on a timeline
-    /// (`neighbor`, `counter#0`, `pairwise{-2}`) and, with the
-    /// processors it resolved to, in the event list
-    /// (`neighbor(fwd=true,bwd=false)`, `counter#0<-P3`,
-    /// `pair{-2}+1prod->P0`).
-    pub(crate) fn step_names(&self, op: SyncStep, site: u32) -> (String, String) {
-        let SyncStep::Cells {
-            dists,
-            producers,
-            collectors,
-            kind,
-        } = op
-        else {
-            return ("barrier".into(), "barrier".into());
-        };
-        match kind {
-            SyncKind::Neighbor => {
-                let (fwd, bwd) = (dists.contains(1), dists.contains(-1));
-                ("neighbor".into(), format!("neighbor(fwd={fwd},bwd={bwd})"))
-            }
-            SyncKind::Counter => {
-                let id = self.counters[site as usize].expect("a counter site has its number");
-                let name = format!("counter#{id}");
-                let listed = format!("{name}<-P{}", self.producers(producers)[0]);
-                (name, listed)
-            }
-            _ => {
-                let mut listed = format!("pair{}", dists.render());
-                if producers.len > 0 {
-                    listed += &format!("+{}prod", producers.len);
-                }
-                for c in self.producers(collectors) {
-                    listed += &format!("->P{c}");
-                }
-                (format!("pairwise{}", dists.render()), listed)
-            }
-        }
-    }
-
-    /// One past the largest sync-site id that emitted an event.
-    pub fn num_sites(&self) -> usize {
-        self.num_sites
-    }
-
-    /// How many consecutive iterations of each innermost loop in the
-    /// plan's kernels are independent of one another, capped at the
-    /// kernels' chunk size: what such a loop evaluates per statement
-    /// dispatch when it advances by 1 (1: iteration by iteration). In
-    /// lowering order.
-    pub fn chunk_lengths(&self) -> Vec<usize> {
-        self.code.chunk_lengths().collect()
-    }
-
-    /// The phase subtree a work event's kernel was lowered from.
-    pub(crate) fn kernel_node(&self, kernel: u32) -> NodeId {
-        self.code.kernels[kernel as usize].node
-    }
-
-    pub(crate) fn code(&self) -> &Code {
-        &self.code
-    }
-
-    pub(crate) fn nprocs(&self) -> i64 {
-        self.nprocs
-    }
-
-    pub(crate) fn frame(&self, f: u32) -> Frame {
-        self.frames[f as usize]
-    }
-
-    /// The loop indices an event sits under, outermost first.
-    fn env_of(&self, mut f: u32) -> Vec<(LoopId, i64)> {
-        let mut out = Vec::new();
-        while f != NO_FRAME {
-            let fr = self.frame(f);
-            out.push((LoopId(fr.slot), fr.val));
-            f = fr.parent;
-        }
-        out.reverse();
-        out
+    /// How many posts `pid` has made to its cell once it has arrived at
+    /// the cursor's step: every processor knows every other's count,
+    /// the walk being replicated.
+    pub fn posted(&self, pid: usize) -> u64 {
+        self.all_posts + self.named_posts[pid]
     }
 }
 
-/// Unroll a schedule into events under concrete bindings, lowering each
-/// phase on first sight. Sequential loops at region level and master
-/// loops are unrolled; loops inside phases are not.
-pub fn unroll(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Schedule {
-    let mut u = Unroller {
-        prog,
-        bind,
-        lower: Lowerer::new(prog, bind),
-        kernel_of: vec![None; prog.nodes.len()],
-        env: Env::new(prog, bind),
-        frame: NO_FRAME,
-        events: Vec::new(),
-        frames: Vec::new(),
-        producers: Vec::new(),
-        num_sites: 0,
-    };
-    u.top(&plan.items, 0);
-    Schedule {
-        events: u.events,
-        frames: u.frames,
-        producers: u.producers,
-        code: u.lower.finish(),
-        nprocs: bind.nprocs,
-        num_sites: u.num_sites,
-        counters: counter_numbers(plan),
-    }
-}
-
-struct Unroller<'a> {
+/// Lays the region tree of a plan out flat, lowering each phase on
+/// the way.
+struct Builder<'a> {
     prog: &'a Program,
-    bind: &'a Bindings,
+    nprocs: u64,
     lower: Lowerer<'a>,
-    /// The kernel of each phase / serial subtree already lowered.
-    kernel_of: Vec<Option<u32>>,
-    env: Env,
-    frame: u32,
-    events: Vec<Event>,
-    frames: Vec<Frame>,
-    producers: Vec<usize>,
-    num_sites: usize,
+    walk: Vec<Op>,
+    syncs: Vec<Site>,
 }
 
-impl Unroller<'_> {
-    /// Run `body` once per iteration of the sequential loop at `node`,
-    /// with the iteration's frame current, telling it whether the trip
-    /// is the loop's last.
-    fn each_iteration(&mut self, node: NodeId, mut body: impl FnMut(&mut Self, bool)) {
+impl Builder<'_> {
+    /// The sequential loop at `node` around what `body` lays out.
+    fn seq_loop(&mut self, node: NodeId, body: impl FnOnce(&mut Self)) {
         let l = self.prog.expect_loop(node);
-        let lo = self.env.eval(&l.lo);
-        let hi = self.env.eval(&l.hi);
-        let outer = self.frame;
-        for i in lo..=hi {
-            self.env.set(l.id, i);
-            self.frame = self.frames.len() as u32;
-            self.frames.push(Frame {
-                parent: outer,
-                slot: l.id.0,
-                val: i,
-            });
-            body(self, i == hi);
-        }
-        self.env.clear(l.id);
-        self.frame = outer;
+        let (lo, hi) = (self.lower.lin(&l.lo), self.lower.lin(&l.hi));
+        let at = self.walk.len();
+        self.walk.push(Op::Next);
+        self.lower.scope(l.id, true);
+        body(self);
+        self.lower.scope(l.id, false);
+        self.walk.push(Op::Next);
+        let exit = self.walk.len() as u32;
+        let slot = l.id.0;
+        self.walk[at] = Op::Loop { slot, lo, hi, exit };
     }
 
-    fn kernel(&mut self, node: NodeId, kind: Option<&spmd_opt::PhaseKind>) -> u32 {
-        if let Some(k) = self.kernel_of[node.0 as usize] {
-            return k;
-        }
-        let env = &self.env;
-        let bound = |l: LoopId| env.get(l).is_some();
-        let k = self.lower.kernel(node, kind, &bound);
-        self.kernel_of[node.0 as usize] = Some(k);
-        k
+    fn named(&mut self, specs: &[ProducerSpec]) -> Vec<Option<Owner>> {
+        let named = |spec: &ProducerSpec| match spec {
+            ProducerSpec::Master => None,
+            ProducerSpec::Owner { map, sub, .. } => Some(self.lower.owner(*map, sub)),
+        };
+        specs.iter().map(named).collect()
     }
 
-    /// Which processor a producer spec names under the current loop
-    /// indices. The optimizer only names producers after loops that
-    /// enclose the sync site, so every index is bound here.
-    fn producer(&self, spec: &ProducerSpec) -> usize {
-        match spec {
-            ProducerSpec::Master => 0,
-            ProducerSpec::Owner { map, sub, .. } => {
-                let x = self
-                    .env
-                    .try_eval(sub)
-                    .expect("producer subscript names a loop that does not enclose its sync site");
-                map.owner(x, self.bind.nprocs) as usize
-            }
-        }
-    }
-
-    /// The processors `specs` name under the current loop indices,
-    /// appended to the schedule's table.
-    fn resolve(&mut self, specs: &[ProducerSpec]) -> Producers {
-        let start = self.producers.len() as u32;
-        for spec in specs {
-            let pid = self.producer(spec);
-            self.producers.push(pid);
-        }
-        Producers {
-            start,
-            len: specs.len() as u32,
-        }
-    }
-
-    fn sync(&mut self, op: &SyncOp, site: usize) {
-        let op = match op {
+    fn sync(&mut self, op: &SyncOp, site: usize, merge_last: bool) {
+        let (op, producers, collectors, all_post, posts, waited) = match op {
             SyncOp::None => return,
-            SyncOp::Barrier => SyncStep::Barrier,
-            SyncOp::Cells { waits } => SyncStep::Cells {
-                dists: waits.dists,
-                producers: self.resolve(&waits.producers),
-                collectors: self.resolve(&waits.collectors),
-                kind: match waits.class() {
+            SyncOp::Barrier => (SyncStep::Barrier, Vec::new(), Vec::new(), false, 0, 0),
+            SyncOp::Cells { waits } => {
+                let kind = match waits.class() {
                     CommPattern::Neighbor { .. } => SyncKind::Neighbor,
                     CommPattern::Producer1 => SyncKind::Counter,
                     _ => SyncKind::Pairwise,
-                },
-            },
+                };
+                // Where all a wait set names is producers, nobody can
+                // wait on anyone else and only they post — once per
+                // naming. Every pid whose `pid - d` is a real processor
+                // waits on it, every pid but a producer waits on it, and
+                // a collector on every pid but itself.
+                let (p, named) = (self.nprocs, waits.producers.len() as u64);
+                let all_post = !waits.dists.is_empty() || !waits.collectors.is_empty();
+                let by_dist = waits
+                    .dists
+                    .iter()
+                    .map(|d| (p as i64 - d.abs()).max(0) as u64);
+                let waited =
+                    by_dist.sum::<u64>() + (named + waits.collectors.len() as u64) * (p - 1);
+                let op = SyncStep::Cells {
+                    dists: waits.dists,
+                    kind,
+                };
+                let (producers, collectors) =
+                    (self.named(&waits.producers), self.named(&waits.collectors));
+                let posts = if all_post { p } else { named };
+                (op, producers, collectors, all_post, posts, waited)
+            }
         };
-        self.num_sites = self.num_sites.max(site + 1);
-        self.events.push(Event::Sync {
-            op,
+        self.walk.push(Op::Sync(self.syncs.len() as u32));
+        self.syncs.push(Site {
             site: site as u32,
-            frame: self.frame,
+            merge_last,
+            op,
+            producers,
+            collectors,
+            all_post,
+            posts,
+            waits: waited,
         });
     }
 
-    /// Unroll top-level items. `slot` is the canonical site id of the
-    /// first slot under `items`; each master-loop iteration reuses the
+    /// Lay out top-level items. `slot` is the canonical site id of the
+    /// first slot under `items`; every master-loop iteration reuses the
     /// same static ids (the numbering is structural, mirroring
     /// [`spmd_opt::sync_sites`]). Returns the id past the last slot.
     fn top(&mut self, items: &[TopItem], mut slot: usize) -> usize {
         for it in items {
             match it {
                 TopItem::SerialStmt(n) => {
-                    let kernel = self.kernel(*n, None);
-                    self.events.push(Event::Work {
-                        kernel,
-                        frame: self.frame,
-                    });
+                    let kernel = self.lower.kernel(*n, None);
+                    self.walk.push(Op::Work(kernel));
                 }
                 TopItem::MasterLoop { node, body } => {
-                    self.each_iteration(*node, |u, _| {
-                        u.top(body, slot);
+                    self.seq_loop(*node, |b| {
+                        b.top(body, slot);
                     });
                     slot += slot_count_top(body);
                 }
                 TopItem::Region(r) => {
-                    self.events.push(Event::Dispatch);
+                    self.walk.push(Op::Dispatch);
                     let end_site = self.items(&r.items, slot);
-                    self.sync(&r.end, end_site);
+                    self.sync(&r.end, end_site, false);
                     slot = end_site + 1;
                 }
             }
@@ -406,18 +505,15 @@ impl Unroller<'_> {
         slot
     }
 
-    /// Unroll region items starting at canonical site id `slot`;
+    /// Lay out region items starting at canonical site id `slot`;
     /// returns the id past the items' last slot.
     fn items(&mut self, items: &[RItem], mut slot: usize) -> usize {
         for it in items {
             match it {
                 RItem::Phase(p) => {
-                    let kernel = self.kernel(p.node, Some(&p.kind));
-                    self.events.push(Event::Work {
-                        kernel,
-                        frame: self.frame,
-                    });
-                    self.sync(&p.after, slot);
+                    let kernel = self.lower.kernel(p.node, Some(&p.kind));
+                    self.walk.push(Op::Work(kernel));
+                    self.sync(&p.after, slot, false);
                     slot += 1;
                 }
                 RItem::Seq {
@@ -428,13 +524,11 @@ impl Unroller<'_> {
                     after,
                 } => {
                     let bottom_site = slot + slot_count_items(body);
-                    self.each_iteration(*node, |u, last| {
-                        u.items(body, slot);
-                        if !(*merge_last && last) {
-                            u.sync(bottom, bottom_site);
-                        }
+                    self.seq_loop(*node, |b| {
+                        b.items(body, slot);
+                        b.sync(bottom, bottom_site, *merge_last);
                     });
-                    self.sync(after, bottom_site + 1);
+                    self.sync(after, bottom_site + 1, false);
                     slot = bottom_site + 2;
                 }
             }
@@ -443,8 +537,14 @@ impl Unroller<'_> {
     }
 }
 
-/// Dynamic synchronization counts extracted from an event walk (shared
-/// by both executors so their numbers agree by construction).
+/// Every step of one processor's walk of `plan`, collected (what the
+/// executors walk one step at a time).
+pub fn unroll(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> Vec<Step> {
+    Schedule::new(prog, bind, plan).cursor().collect()
+}
+
+/// Dynamic synchronization counts of a walk (one cursor counts them,
+/// so every executor's numbers agree by construction).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DynCounts {
     /// Region dispatches (fork-join startup broadcasts).
@@ -465,79 +565,59 @@ pub struct DynCounts {
     pub pair_waits: u64,
 }
 
-impl DynCounts {
-    /// Count the dynamic syncs a full traversal of `events` performs
-    /// with `nprocs` processors.
-    pub fn from_events(events: &[Event], nprocs: usize) -> DynCounts {
-        let p = nprocs as u64;
-        let mut c = DynCounts::default();
-        for ev in events {
-            match ev {
-                Event::Dispatch => c.dispatches += 1,
-                Event::Sync { op, .. } => match *op {
-                    SyncStep::Barrier => c.barriers += 1,
-                    SyncStep::Cells {
-                        dists,
-                        producers,
-                        collectors,
-                        kind,
-                    } => {
-                        let (posts, waits) = match kind {
-                            SyncKind::Neighbor => (&mut c.neighbor_posts, &mut c.neighbor_waits),
-                            SyncKind::Counter => (&mut c.counter_increments, &mut c.counter_waits),
-                            _ => (&mut c.pair_posts, &mut c.pair_waits),
-                        };
-                        *posts += if op.all_post() {
-                            p
-                        } else {
-                            producers.len as u64
-                        };
-                        for d in dists.iter() {
-                            // Every pid whose `pid - d` is a real
-                            // processor waits on it.
-                            *waits += (p as i64 - d.abs()).max(0) as u64;
-                        }
-                        // Producer-target waits: every pid except the
-                        // producer itself waits on it; a collector
-                        // waits on every pid except itself.
-                        *waits += (producers.len + collectors.len) as u64 * (p - 1);
-                    }
-                },
-                Event::Work { .. } => {}
-            }
-        }
-        c
-    }
-}
-
-/// Render a schedule as one line per event (debugging aid; the
-/// executors traverse exactly this sequence).
+/// Render a schedule as one line per step (debugging aid; the
+/// executors walk exactly this sequence): a sync with the processors
+/// it resolved to (`neighbor(fwd=true,bwd=false)`, `counter#0<-P3`,
+/// `pair{-2}+1prod->P0`), a step under sequential loops with their
+/// indices.
 pub fn render_events(prog: &Program, sched: &Schedule) -> String {
     use std::fmt::Write;
     let mut out = String::new();
-    let env_str = |frame: u32| -> String {
-        let env = sched.env_of(frame);
-        if env.is_empty() {
+    let mut cur = sched.cursor();
+    while let Some(Step { ordinal: k, event }) = cur.next() {
+        // The open sequential loops and their indices, outermost first.
+        let index = |o: &Open| {
+            let name = prog.loop_name(LoopId(o.slot));
+            format!("{name}={}", cur.slots[o.slot as usize])
+        };
+        let env: Vec<String> = cur.open.iter().map(index).collect();
+        let env = if env.is_empty() {
             String::new()
         } else {
-            let parts: Vec<String> = env
-                .iter()
-                .map(|(l, v)| format!("{}={v}", prog.loop_name(*l)))
-                .collect();
-            format!(" [{}]", parts.join(", "))
-        }
-    };
-    for (k, ev) in sched.iter().enumerate() {
-        match *ev {
+            format!(" [{}]", env.join(", "))
+        };
+        match event {
             Event::Dispatch => writeln!(out, "{k:4}  dispatch").unwrap(),
-            Event::Work { kernel, frame } => {
+            Event::Work { kernel } => {
                 let kern = &sched.code.kernels[kernel as usize];
                 let (what, n) = (kern.label, kern.node.0);
-                writeln!(out, "{k:4}  {what} node {n}{}", env_str(frame)).unwrap()
+                writeln!(out, "{k:4}  {what} node {n}{env}").unwrap()
             }
-            Event::Sync { op, site, frame } => {
-                let (_, s) = sched.step_names(op, site);
-                writeln!(out, "{k:4}  sync s{site} {s}{}", env_str(frame)).unwrap()
+            Event::Sync { op, site } => {
+                let listed = match op {
+                    SyncStep::Barrier => "barrier".to_string(),
+                    SyncStep::Cells { dists, kind } => match kind {
+                        SyncKind::Neighbor => {
+                            let (fwd, bwd) = (dists.contains(1), dists.contains(-1));
+                            format!("neighbor(fwd={fwd},bwd={bwd})")
+                        }
+                        SyncKind::Counter => {
+                            let name = sched.sync_label(op, site);
+                            format!("{name}<-P{}", cur.producers()[0])
+                        }
+                        _ => {
+                            let mut listed = format!("pair{}", dists.render());
+                            if !cur.producers().is_empty() {
+                                listed += &format!("+{}prod", cur.producers().len());
+                            }
+                            for c in cur.collectors() {
+                                listed += &format!("->P{c}");
+                            }
+                            listed
+                        }
+                    },
+                };
+                writeln!(out, "{k:4}  sync s{site} {listed}{env}").unwrap()
             }
         }
     }
@@ -573,23 +653,20 @@ mod tests {
     }
 
     #[test]
-    fn render_events_is_line_per_event() {
+    fn render_events_is_line_per_step() {
         let (prog, bind) = sweep();
         let plan = optimize(&prog, &bind);
-        let events = unroll(&prog, &bind, &plan);
-        let text = render_events(&prog, &events);
-        assert_eq!(text.lines().count(), events.len());
+        let text = render_events(&prog, &Schedule::new(&prog, &bind, &plan));
+        assert_eq!(text.lines().count(), unroll(&prog, &bind, &plan).len());
         assert!(text.contains("dispatch"), "{text}");
         assert!(text.contains("neighbor"), "{text}");
         assert!(text.contains("t="), "{text}");
     }
 
     #[test]
-    fn fork_join_unrolls_barrier_per_loop_execution() {
+    fn fork_join_walks_a_barrier_per_loop_execution() {
         let (prog, bind) = sweep();
-        let plan = fork_join(&prog, &bind);
-        let events = unroll(&prog, &bind, &plan);
-        let c = DynCounts::from_events(&events, 4);
+        let c = Schedule::new(&prog, &bind, &fork_join(&prog, &bind)).counts();
         // 5 iterations × 2 parallel loops.
         assert_eq!(c.barriers, 10);
         assert_eq!(c.dispatches, 10);
@@ -617,54 +694,46 @@ mod tests {
         pb.end();
         let prog = pb.finish();
         let bind = Bindings::new(4).set(n, 14);
-        let sched = unroll(&prog, &bind, &optimize(&prog, &bind));
-        let gathers: Vec<_> = sched
-            .iter()
-            .filter_map(|ev| match *ev {
-                Event::Sync {
-                    op:
-                        SyncStep::Cells {
-                            dists,
-                            producers,
-                            collectors,
-                            ..
-                        },
-                    ..
-                } if collectors.len > 0 => Some((dists, producers, collectors)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(gathers.len(), 3, "one per trip");
-        let (dists, producers, collectors) = gathers[0];
-        assert_eq!(dists.iter().collect::<Vec<_>>(), [-1]);
-        assert!(sched.producers(producers).is_empty());
-        assert_eq!(sched.producers(collectors), [0]);
-        let targets = |pid| -> Vec<usize> {
-            sched
-                .pair_targets(pid, dists, producers, collectors)
-                .collect()
-        };
-        assert_eq!(targets(0), [1, 1, 2, 3]);
-        assert_eq!(targets(1), [2]);
-        assert!(targets(3).is_empty());
-        // What the counts say is what the targets add up to.
-        let waits: usize = (0..4).map(|pid| targets(pid).len()).sum();
-        let site = |ev: &Event| matches!(ev, Event::Sync { op: SyncStep::Cells { collectors, .. }, .. } if collectors.len > 0);
-        let bottoms: Vec<Event> = sched.iter().copied().filter(site).collect();
-        assert_eq!(
-            DynCounts::from_events(&bottoms, 4).pair_waits,
-            3 * waits as u64
-        );
-        assert_eq!(DynCounts::from_events(&sched, 4).barriers, 1);
+        let sched = Schedule::new(&prog, &bind, &optimize(&prog, &bind));
+        let mut cur = sched.cursor();
+        let mut gathers = 0;
+        loop {
+            let before = cur.counts();
+            let Some(step) = cur.next() else { break };
+            let Event::Sync {
+                op: SyncStep::Cells { dists, .. },
+                ..
+            } = step.event
+            else {
+                continue;
+            };
+            if cur.collectors().is_empty() {
+                continue;
+            }
+            gathers += 1;
+            assert_eq!(dists.iter().collect::<Vec<_>>(), [-1]);
+            assert!(cur.producers().is_empty());
+            assert_eq!(cur.collectors(), [0]);
+            let targets = |pid| -> Vec<usize> { cur.waits(pid).map(|(q, _)| q).collect() };
+            assert_eq!(targets(0), [1, 1, 2, 3]);
+            assert_eq!(targets(1), [2]);
+            assert!(targets(3).is_empty());
+            // Everybody posts here, once per trip so far.
+            assert!((0..4).all(|pid| cur.posts(pid) == 1));
+            assert!(cur.waits(0).all(|(_, n)| n == cur.all_posts));
+            // What the counts say is what the targets add up to.
+            let waits: usize = (0..4).map(|pid| targets(pid).len()).sum();
+            assert_eq!(cur.counts().pair_waits - before.pair_waits, waits as u64);
+        }
+        assert_eq!(gathers, 3, "one per trip");
+        assert_eq!(sched.counts().barriers, 1);
         assert!(render_events(&prog, &sched).contains("pair{-1}->P0"));
     }
 
     #[test]
-    fn optimized_unrolls_single_dispatch_and_end_barrier() {
+    fn optimized_walks_a_single_dispatch_and_end_barrier() {
         let (prog, bind) = sweep();
-        let plan = optimize(&prog, &bind);
-        let events = unroll(&prog, &bind, &plan);
-        let c = DynCounts::from_events(&events, 4);
+        let c = Schedule::new(&prog, &bind, &optimize(&prog, &bind)).counts();
         assert_eq!(c.dispatches, 1);
         assert_eq!(c.barriers, 1, "only the region end barrier");
         assert!(c.neighbor_posts > 0);

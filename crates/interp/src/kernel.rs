@@ -1,8 +1,8 @@
-//! Lowered phase kernels: what a processor executes for one work event.
+//! Lowered phase kernels: what a processor executes for one work step.
 //!
-//! [`unroll`](crate::events::unroll) lowers every phase subtree of a
-//! plan once per `(program, bindings, plan)` into a [`Code`] table, and
-//! a per-processor [`Worker`] then runs kernels out of that table:
+//! [`Schedule::new`] lowers every phase subtree of a plan once per
+//! `(program, bindings, plan)` into a [`Code`] table, and a
+//! per-processor [`Worker`] then runs kernels out of that table:
 //!
 //! * loop bounds, guards, owner subscripts and array subscripts are
 //!   integer linear forms ([`Lin`]) over a dense loop-slot array (slot
@@ -14,7 +14,7 @@
 //!   check of [`ArrayStore`](crate::mem::ArrayStore) kept;
 //! * a right-hand side is a postfix program over a small value stack;
 //! * the owner-computes share of a distributed loop ([`Split`]) is
-//!   evaluated per event from precomputed coefficients.
+//!   evaluated per step from precomputed coefficients.
 //!
 //! **Bounds contract.** Every access is checked per dimension before
 //! memory is touched, with the panic message of `ArrayStore`. For an
@@ -51,7 +51,7 @@
 //! independent oracle every kernel is compared against, resolved once
 //! per run and walked in the IR's shape (`crate::eval`).
 
-use crate::events::{Event, Schedule, NO_FRAME};
+use crate::events::{Cursor, Event, Schedule};
 use crate::mem::{row_major_layout, subscript_out_of_bounds, Mem};
 use crate::trace::{AccessKind, Target, TraceBuffer};
 use analysis::{Bindings, LoopPartition, OwnerMap};
@@ -66,7 +66,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `c + Σ coeff·slot` with the terms in [`Code::terms`].
 #[derive(Clone, Copy, Debug)]
-struct Lin {
+pub(crate) struct Lin {
     c: i64,
     t0: u32,
     t1: u32,
@@ -138,7 +138,7 @@ enum Lhs {
 
 /// Which processor owns the element a subscript names.
 #[derive(Clone, Copy, Debug)]
-struct Owner {
+pub(crate) struct Owner {
     dist: OwnerMap,
     sub: Lin,
 }
@@ -257,7 +257,8 @@ pub(crate) struct Code {
     /// row-major strides.
     extents: Vec<Vec<i64>>,
     strides: Vec<Vec<i64>>,
-    num_slots: usize,
+    /// Loop slots a kernel of this table runs against.
+    pub(crate) num_slots: usize,
     max_stack: usize,
 }
 
@@ -319,18 +320,24 @@ impl<'a> Lowerer<'a> {
         self.code
     }
 
-    /// Lower a phase, or with no `kind` a serial section (master only,
-    /// sequential semantics); returns the kernel's index. `bound` tells
-    /// which loop indices the event's frame defines.
-    pub(crate) fn kernel(
-        &mut self,
-        node: NodeId,
-        kind: Option<&PhaseKind>,
-        bound: &dyn Fn(LoopId) -> bool,
-    ) -> u32 {
-        for (l, s) in self.in_scope.iter_mut().enumerate() {
-            *s = bound(LoopId(l as u32));
+    /// Enter (`true`) or leave the sequential loop `l`: what is lowered
+    /// in between may name its index.
+    pub(crate) fn scope(&mut self, l: LoopId, on: bool) {
+        self.in_scope[l.0 as usize] = on;
+    }
+
+    /// Who owns element `sub` of an array distributed by `dist`.
+    pub(crate) fn owner(&mut self, dist: OwnerMap, sub: &Affine) -> Owner {
+        Owner {
+            dist,
+            sub: self.lin(sub),
         }
+    }
+
+    /// Lower a phase, or with no `kind` a serial section (master only,
+    /// sequential semantics), under the sequential loops in scope;
+    /// returns the kernel's index.
+    pub(crate) fn kernel(&mut self, node: NodeId, kind: Option<&PhaseKind>) -> u32 {
         let o0 = self.code.ops.len() as u32;
         self.r0 = self.code.partials.len();
         let seq = Ctx {
@@ -428,7 +435,7 @@ impl<'a> Lowerer<'a> {
         );
     }
 
-    fn lin(&mut self, e: &Affine) -> Lin {
+    pub(crate) fn lin(&mut self, e: &Affine) -> Lin {
         let mut c = e.constant_term();
         let t0 = self.code.terms.len() as u32;
         for (atom, coeff) in e.terms() {
@@ -512,10 +519,7 @@ impl<'a> Lowerer<'a> {
             // An owner subscript naming a loop that does not enclose
             // the statement has no value there: nobody owns it.
             Some((_, sub)) if !sub.loops().all(|l| self.in_scope[l.0 as usize]) => return,
-            Some((dist, sub)) => Some(Owner {
-                dist,
-                sub: self.lin(sub),
-            }),
+            Some((dist, sub)) => Some(self.owner(dist, sub)),
             None => None,
         };
         let i0 = self.code.instrs.len() as u32;
@@ -598,15 +602,21 @@ impl<'a> Lowerer<'a> {
 }
 
 impl Code {
-    /// [`Leaf::chunk_len`] at step 1 of every innermost loop lowered,
-    /// in lowering order.
-    pub(crate) fn chunk_lengths(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ops.iter().filter_map(|op| match op {
-            Op::Loop(LoopOp {
-                leaf: Some(leaf), ..
-            }) => Some(leaf.chunk_len(1)),
-            _ => None,
-        })
+    /// `lin` at the loop indices in `slots`.
+    #[inline]
+    pub(crate) fn eval(&self, lin: &Lin, slots: &[i64]) -> i64 {
+        let mut v = lin.c;
+        for t in &self.terms[lin.t0 as usize..lin.t1 as usize] {
+            v += t.coeff * slots[t.slot as usize];
+        }
+        v
+    }
+
+    /// The processor of `nprocs` that owns `o` at the loop indices in
+    /// `slots`.
+    #[inline]
+    pub(crate) fn owner(&self, o: &Owner, slots: &[i64], nprocs: i64) -> i64 {
+        o.dist.owner(self.eval(&o.sub, slots), nprocs)
     }
 
     /// [`Leaf::carried`] of the innermost loop over `slot` whose body
@@ -739,14 +749,16 @@ struct Live<'a> {
     step: i64,
 }
 
-/// One processor's executor for the work events of a schedule: the
-/// kernel table plus the scratch state kernels run in (loop slots,
-/// value stack and its chunk-wide columns, hoisted offsets, reduction
-/// partials), allocated once per run instead of once per event.
+/// One processor's executor for the work steps of a schedule: the
+/// kernel table plus the scratch state kernels run in (value stack and
+/// its chunk-wide columns, hoisted offsets, reduction partials),
+/// allocated once per run instead of once per step.
 pub struct Worker<'a> {
     cx: Cx<'a>,
     sched: &'a Schedule,
     run: fn(&mut Worker<'a>, &Kernel),
+    /// The loop slots of the cursor whose step is running (empty
+    /// between steps).
     slots: Vec<i64>,
     stack: Vec<f64>,
     /// One column of [`CHUNK`] values per stack slot.
@@ -764,9 +776,9 @@ pub struct Worker<'a> {
 
 impl<'a> Worker<'a> {
     /// Processor `pid`'s executor over `mem`, which must have the shape
-    /// the schedule was unrolled for.
+    /// the schedule was lowered for.
     pub fn new(sched: &'a Schedule, mem: &'a Mem, pid: usize) -> Self {
-        let code = sched.code();
+        let code = &sched.code;
         for (a, extents) in code.extents.iter().enumerate() {
             assert_eq!(
                 &mem.array(ArrayId(a as u32)).extents,
@@ -790,7 +802,7 @@ impl<'a> Worker<'a> {
                 mem,
                 tracer,
                 pid,
-                nprocs: sched.nprocs(),
+                nprocs: sched.nprocs,
             },
             sched,
             run: if tracer.is_some() {
@@ -798,7 +810,7 @@ impl<'a> Worker<'a> {
             } else {
                 Worker::run::<false>
             },
-            slots: vec![0; code.num_slots],
+            slots: Vec::new(),
             stack: vec![0.0; code.max_stack],
             cols: vec![0.0; code.max_stack * CHUNK],
             live,
@@ -808,24 +820,30 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Execute one work event as this worker's processor.
-    pub fn exec_work(&mut self, ev: &Event) {
-        let Event::Work { kernel, frame } = *ev else {
-            unreachable!("not a work event")
-        };
-        let (code, sched) = (self.cx.code, self.sched);
-        let k = &code.kernels[kernel as usize];
+    /// Execute work step `kernel` of `cur`'s walk as this worker's
+    /// processor. The kernel runs against the cursor's own loop slots:
+    /// it reads the sequential-loop indices the cursor set there and
+    /// writes only the slots of the loops inside its phase.
+    pub fn exec_work(&mut self, kernel: u32, cur: &mut Cursor) {
+        let k = &self.cx.code.kernels[kernel as usize];
         let master_only = matches!(k.who, Who::Master | Who::Split(Split::MasterAll));
         if master_only && self.cx.pid != 0 {
             return;
         }
-        let mut f = frame;
-        while f != NO_FRAME {
-            let fr = sched.frame(f);
-            self.slots[fr.slot as usize] = fr.val;
-            f = fr.parent;
-        }
+        std::mem::swap(&mut self.slots, &mut cur.slots);
         (self.run)(self, k);
+        std::mem::swap(&mut self.slots, &mut cur.slots);
+    }
+
+    /// Execute this processor's share of every work step of a whole
+    /// walk, in order, passing its syncs by.
+    pub fn exec_all(&mut self) {
+        let mut cur = self.sched.cursor();
+        while let Some(step) = cur.next() {
+            if let Event::Work { kernel } = step.event {
+                self.exec_work(kernel, &mut cur);
+            }
+        }
     }
 
     fn run<const TRACE: bool>(&mut self, k: &Kernel) {
@@ -1357,11 +1375,7 @@ fn fold_col(op: RedOp, acc: f64, vals: &[f64]) -> f64 {
 impl Cx<'_> {
     #[inline]
     fn eval(&self, lin: &Lin, slots: &[i64]) -> i64 {
-        let mut v = lin.c;
-        for t in &self.code.terms[lin.t0 as usize..lin.t1 as usize] {
-            v += t.coeff * slots[t.slot as usize];
-        }
-        v
+        self.code.eval(lin, slots)
     }
 
     /// `lin` along a hoisted loop: its value at the loop's first
@@ -1395,7 +1409,7 @@ impl Cx<'_> {
 
     #[inline]
     fn owner(&self, o: &Owner, slots: &[i64]) -> i64 {
-        o.dist.owner(self.eval(&o.sub, slots), self.nprocs)
+        self.code.owner(o, slots, self.nprocs)
     }
 
     fn trace(&self, target: Target, kind: AccessKind) {
@@ -1414,7 +1428,6 @@ impl Cx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::unroll;
     use crate::{run_sequential, run_virtual, ScheduleOrder};
     use ir::build::*;
     use spmd_opt::{fork_join, optimize, RItem, SpmdProgram, TopItem};
@@ -1422,7 +1435,7 @@ mod tests {
     /// The split of the plan's first distributed phase.
     fn first_split(sched: &Schedule) -> Split {
         sched
-            .code()
+            .code
             .kernels
             .iter()
             .find_map(|k| match k.who {
@@ -1432,13 +1445,25 @@ mod tests {
             .expect("the plan has a distributed phase")
     }
 
-    /// Run only `pids`' share of every work event, in event order.
+    /// [`Leaf::chunk_len`] at step 1 of every innermost loop of the
+    /// plan's kernels, in lowering order: how many iterations such a
+    /// loop evaluates per statement dispatch (1: iteration by
+    /// iteration).
+    fn chunk_lengths(sched: &Schedule) -> Vec<usize> {
+        let ops = sched.code.ops.iter();
+        ops.filter_map(|op| match op {
+            Op::Loop(LoopOp {
+                leaf: Some(leaf), ..
+            }) => Some(leaf.chunk_len(1)),
+            _ => None,
+        })
+        .collect()
+    }
+
+    /// Run only `pids`' share of every work step, in walk order.
     fn run_pids(sched: &Schedule, mem: &Mem, pids: &[usize]) {
         for &pid in pids {
-            let mut w = Worker::new(sched, mem, pid);
-            for ev in sched.iter().filter(|ev| ev.is_work()) {
-                w.exec_work(ev);
-            }
+            Worker::new(sched, mem, pid).exec_all();
         }
     }
 
@@ -1502,7 +1527,7 @@ mod tests {
         for &(s, v) in &syms {
             bind.bind(s, v);
         }
-        first_split(&unroll(&prog, &bind, &fork_join(&prog, &bind)))
+        first_split(&Schedule::new(&prog, &bind, &fork_join(&prog, &bind)))
     }
 
     #[test]
@@ -1611,7 +1636,7 @@ mod tests {
         let (prog, syms) = inner_owned(dist_cyclic_dim(0));
         let mut bind = Bindings::new(3);
         bind.bind(syms[0].0, syms[0].1);
-        let sched = unroll(&prog, &bind, &fork_join(&prog, &bind));
+        let sched = Schedule::new(&prog, &bind, &fork_join(&prog, &bind));
         let mem = Mem::new(&prog, &bind);
         run_pids(&sched, &mem, &[1]);
         // Processor 1 of 3 owns rows 1 and 4 of the 7.
@@ -1656,7 +1681,7 @@ mod tests {
         let mut bind = Bindings::new(4);
         bind.bind(syms[0].0, syms[0].1);
         let plan = with_partition(fork_join(&prog, &bind), LoopPartition::Unknown);
-        let sched = unroll(&prog, &bind, &plan);
+        let sched = Schedule::new(&prog, &bind, &plan);
         assert!(matches!(first_split(&sched), Split::MasterAll));
         let oracle = Mem::new(&prog, &bind);
         init(&prog, &oracle);
@@ -1706,8 +1731,8 @@ mod tests {
         let (prog, syms) = build();
         let mut bind = Bindings::new(4);
         bind.bind(syms[0].0, syms[0].1);
-        let sched = unroll(&prog, &bind, &fork_join(&prog, &bind));
-        let splits: Vec<_> = sched.code().kernels.iter().map(|k| k.who).collect();
+        let sched = Schedule::new(&prog, &bind, &fork_join(&prog, &bind));
+        let splits: Vec<_> = sched.code.kernels.iter().map(|k| k.who).collect();
         assert!(matches!(splits[0], Who::All), "{splits:?}");
         assert!(
             matches!(splits[1], Who::Split(Split::BlockIndex { .. })),
@@ -1733,7 +1758,7 @@ mod tests {
         assert_eq!(direct.get_scalar(s), 45.0);
 
         // A processor's partial reaches memory only when its phase ends.
-        let sched = unroll(&prog, &bind, &fork_join(&prog, &bind));
+        let sched = Schedule::new(&prog, &bind, &fork_join(&prog, &bind));
         let mem = Mem::new(&prog, &bind);
         mem.fill(a, |sub| sub[0] as f64);
         run_pids(&sched, &mem, &[0]);
@@ -1748,7 +1773,7 @@ mod tests {
         // pid owns [4p, 4p+3].
         let (prog, _) = affine_write(dist_block(), 1, 0, 16);
         let bind = Bindings::new(4).set(ir::SymId(0), 16);
-        let sched = unroll(&prog, &bind, &optimize(&prog, &bind));
+        let sched = Schedule::new(&prog, &bind, &optimize(&prog, &bind));
         let mem = Mem::new(&prog, &bind);
         mem.fill(ArrayId(1), |_| 0.5);
         run_pids(&sched, &mem, &[2]);
@@ -1762,7 +1787,7 @@ mod tests {
     fn cyclic_fast_path_strides() {
         let (prog, _) = affine_write(dist_cyclic(), 1, 0, 16);
         let bind = Bindings::new(4).set(ir::SymId(0), 16);
-        let sched = unroll(&prog, &bind, &optimize(&prog, &bind));
+        let sched = Schedule::new(&prog, &bind, &optimize(&prog, &bind));
         let mem = Mem::new(&prog, &bind);
         mem.fill(ArrayId(1), |_| 0.5);
         run_pids(&sched, &mem, &[1]);
@@ -1800,7 +1825,7 @@ mod tests {
         for (guarded, m) in [(false, 8), (true, 8), (false, 2 * CHUNK as i64 + 3)] {
             let (prog, bind) = row_overrun(guarded, m);
             let plan = fork_join(&prog, &bind);
-            assert_eq!(unroll(&prog, &bind, &plan).chunk_lengths(), [CHUNK]);
+            assert_eq!(chunk_lengths(&Schedule::new(&prog, &bind, &plan)), [CHUNK]);
             let mem = Mem::new(&prog, &bind);
             mem.fill(ArrayId(1), |_| 7.0);
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1865,8 +1890,8 @@ mod tests {
                 bind.bind(s, v);
             }
             let plan = fork_join(&prog, &bind);
-            let sched = unroll(&prog, &bind, &plan);
-            assert_eq!(sched.chunk_lengths(), lens, "{} P={p}", prog.name);
+            let sched = Schedule::new(&prog, &bind, &plan);
+            assert_eq!(chunk_lengths(&sched), lens, "{} P={p}", prog.name);
             let oracle = Mem::new(&prog, &bind);
             fill(&oracle);
             run_sequential(&prog, &bind, &oracle);
@@ -2178,7 +2203,7 @@ mod tests {
         pb.end();
         let prog = pb.finish();
         let bind = Bindings::new(4).set(n, 32);
-        let sched = unroll(&prog, &bind, &optimize(&prog, &bind));
+        let sched = Schedule::new(&prog, &bind, &optimize(&prog, &bind));
         let mem = Mem::new(&prog, &bind);
         run_pids(&sched, &mem, &[0, 1, 2, 3]);
         for k in 0..32i64 {

@@ -12,14 +12,16 @@
 //!   (the paper's "barriers executed at run time") and doubles as a
 //!   soundness oracle: an insufficient sync placement produces wrong
 //!   results under some adversarial order;
-//! * [`run_parallel`] — executes the schedule on real threads
+//! * [`run_parallel`] — executes the walk on real threads
 //!   (`runtime::Team`) over the runtime's barrier and post cells, each
 //!   worker recording its own sync events, for wall-clock speedup
 //!   measurements.
 //!
-//! The two SPMD executors do not walk the IR: [`unroll`] lowers every
-//! phase once per `(program, bindings, plan)` into a flat kernel
-//! ([`kernel`]) and each processor runs its share through a [`Worker`].
+//! The two SPMD executors do not walk the IR: [`Schedule::new`] lowers
+//! every phase once per `(program, bindings, plan)` into a flat kernel
+//! ([`kernel`]) and the plan's region tree into a walk; each processor
+//! walks it with its own [`Cursor`] and runs its share of each work
+//! step through a [`Worker`].
 //! `run_sequential` is not lowered on purpose — it resolves the program
 //! once per run and walks the IR's shape ([`eval`]), the oracle the
 //! kernels are compared against.
@@ -63,7 +65,7 @@ pub mod trace;
 pub mod virt;
 
 pub use checkpoint::Checkpoint;
-pub use events::{render_events, unroll, Event, Schedule, SyncStep};
+pub use events::{render_events, unroll, Cursor, Event, Schedule, Step, SyncStep};
 pub use kernel::{Worker, CHUNK};
 pub use mem::Mem;
 pub use par::{

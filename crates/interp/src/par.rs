@@ -1,4 +1,4 @@
-//! Real-thread execution of a schedule on the `runtime` worker team.
+//! Real-thread execution of a plan's walk on the `runtime` worker team.
 //!
 //! With [`ObserveOptions::deadline`] set, execution is *fault-guarded*:
 //! every blocking wait goes through the runtime [`Watchdog`]
@@ -10,7 +10,7 @@
 //! (delays, stalls, spurious wakeups, dropped posts) to prove the
 //! guards catch what they claim to catch.
 
-use crate::events::{unroll, DynCounts, Event, Schedule, SyncStep};
+use crate::events::{Cursor, DynCounts, Event, Schedule, Step, SyncStep};
 use crate::kernel::Worker;
 use crate::mem::Mem;
 use analysis::Bindings;
@@ -110,11 +110,10 @@ impl SyncFabric {
         self.profiler.as_ref()
     }
 
-    /// A fabric sized for an unrolled schedule: a central barrier, the
-    /// cells and the gate, each escalating by the topology-aware
+    /// A fabric for a team of `nprocs`: a central barrier, the cells
+    /// and the gate, each escalating by the topology-aware
     /// [`runtime::SpinPolicy::auto`], plus the profiler `opts` asks for.
-    pub fn for_schedule(opts: &ObserveOptions, sched: &Schedule) -> Self {
-        let nprocs = sched.nprocs() as usize;
+    pub fn new(opts: &ObserveOptions, nprocs: usize) -> Self {
         let fabric = SyncFabric {
             barrier: Arc::new(CentralBarrier::new(nprocs)),
             cells: Arc::new(CellBank::new(nprocs)),
@@ -193,7 +192,7 @@ pub struct ParallelOutcome {
     /// Measured dynamic synchronization: the workers' recorder totals,
     /// merged (always on).
     pub stats: runtime::stats::StatsSnapshot,
-    /// Schedule-derived dynamic counts (identical to what `run_virtual`
+    /// The walk's dynamic counts (identical to what `run_virtual`
     /// reports for the same plan).
     pub counts: DynCounts,
     /// Wall-clock time of the traversal (thread startup excluded — the
@@ -322,9 +321,11 @@ struct SyncRecorder {
     stats: StatsSnapshot,
     /// One cell per sync site; empty unless per-site telemetry is on.
     cells: Vec<CellSnapshot>,
-    /// `(event index, start, end)` of every event, when tracing; names
-    /// are rendered from the schedule after the join.
-    spans: Vec<(usize, Instant, Instant)>,
+    /// `(step, start, end)` of every step, when tracing; names are
+    /// rendered from the schedule after the join.
+    spans: Vec<(Event, Instant, Instant)>,
+    /// The walk's counts, when the worker walked it to the end.
+    counts: Option<DynCounts>,
 }
 
 impl SyncRecorder {
@@ -337,16 +338,16 @@ impl SyncRecorder {
     }
 }
 
-/// Timeline name and category of an event.
-pub(crate) fn span_of(prog: &Program, sched: &Schedule, ev: &Event) -> (String, SpanCat) {
-    match *ev {
-        Event::Work { kernel, .. } => (
-            spmd_opt::node_label(prog, sched.kernel_node(kernel)),
+/// Timeline name and category of a step.
+pub(crate) fn span_of(prog: &Program, sched: &Schedule, ev: Event) -> (String, SpanCat) {
+    match ev {
+        Event::Work { kernel } => (
+            spmd_opt::node_label(prog, sched.code.kernels[kernel as usize].node),
             SpanCat::Work,
         ),
         Event::Dispatch => ("dispatch".to_string(), SpanCat::Dispatch),
-        Event::Sync { op, site, .. } => {
-            let (name, _) = sched.step_names(op, site);
+        Event::Sync { op, site } => {
+            let name = sched.sync_label(op, site);
             (format!("{name} wait @s{site}"), SpanCat::Sync)
         }
     }
@@ -387,23 +388,19 @@ pub fn run_parallel_observed(
     team: &Team,
     opts: &ObserveOptions,
 ) -> ParallelOutcome {
-    let sched = Arc::new(unroll(prog, bind, plan));
-    let fabric = SyncFabric::for_schedule(opts, &sched);
-    run_parallel_observed_on(prog, bind, plan, &sched, mem, team, opts, &fabric)
+    let fabric = SyncFabric::new(opts, team.nprocs());
+    run_parallel_observed_on(prog, bind, plan, mem, team, opts, &fabric)
 }
 
-/// As [`run_parallel_observed`], but executing `plan`'s already
-/// unrolled `events` on a caller-owned [`SyncFabric`] instead of fresh
-/// ones. The supervisor uses this to reuse one fabric across
-/// retry attempts (resetting it between them); the fabric must be sized
-/// for the team and must be pristine (fresh or [`SyncFabric::reset`])
-/// on entry.
-#[allow(clippy::too_many_arguments)]
+/// As [`run_parallel_observed`], but on a caller-owned [`SyncFabric`]
+/// instead of a fresh one. The supervisor uses this to reuse one fabric
+/// across retry attempts (resetting it between them); the fabric must be
+/// sized for the team and must be pristine (fresh or
+/// [`SyncFabric::reset`]) on entry.
 pub fn run_parallel_observed_on(
     prog: &Arc<Program>,
     bind: &Arc<Bindings>,
     plan: &SpmdProgram,
-    events: &Arc<Schedule>,
     mem: &Arc<Mem>,
     team: &Team,
     opts: &ObserveOptions,
@@ -419,11 +416,11 @@ pub fn run_parallel_observed_on(
         nprocs,
         "fabric built for another team size"
     );
-    let counts = DynCounts::from_events(events, nprocs);
+    let sched = Arc::new(Schedule::new(prog, bind, plan));
     let watchdog = opts.deadline.map(|d| Arc::new(Watchdog::new(d)));
     // A guarded run keeps per-site cells even when the caller did not
     // ask, so a failure report can show who was blocked where.
-    let n_sites = events.num_sites();
+    let n_sites = sched.num_sites();
     let n_cells = if opts.telemetry || watchdog.is_some() {
         n_sites
     } else {
@@ -448,7 +445,7 @@ pub fn run_parallel_observed_on(
     let recorders = Arc::new(Mutex::new(recorders));
 
     let mem2 = Arc::clone(mem);
-    let events2 = Arc::clone(events);
+    let sched2 = Arc::clone(&sched);
     let barrier2 = Arc::clone(&fabric.barrier);
     let cells2 = Arc::clone(&fabric.cells);
     let dispatch2 = Arc::clone(&fabric.dispatch);
@@ -483,42 +480,36 @@ pub fn run_parallel_observed_on(
             p.record(pid, EventKind::RegionBegin, NO_SITE, 0);
         }
         let mut rec = SyncRecorder {
-            stats: StatsSnapshot::default(),
             cells: vec![CellSnapshot::default(); n_cells],
-            spans: Vec::with_capacity(if trace { events2.len() } else { 0 }),
+            ..SyncRecorder::default()
         };
-        let traverse = || -> Result<(), SyncError> {
-            let mut worker = Worker::new(&events2, &mem2, pid);
+        let mut cur = sched2.cursor();
+        let mut traverse = |cur: &mut Cursor| -> Result<(), SyncError> {
+            let mut worker = Worker::new(&sched2, &mem2, pid);
             let mut epoch = BarrierEpoch::default();
-            // What every processor knows of every other's post count,
-            // the traversal being replicated: the events passed at
-            // which everybody posts, plus those where `q` was named.
-            let mut all_posts = 0u64;
-            let mut named_posts = vec![0u64; nprocs];
             let mut claimed = 0u64;
             // Set by the first dropped post to the cell, for the rest of
             // the attempt: every point-to-point sync counts on the one
             // cell, so a later post would let the waiters of the dropped
             // one through and strand those of the last instead.
             let mut silenced = false;
-            let mut dispatch_visits = 0u64;
             let mut site_visits = vec![0u64; n_sites];
-            for (k, ev) in events2.iter().enumerate() {
+            while let Some(Step { event, .. }) = cur.next() {
                 // Work and dispatch read the clock only for the trace; a
-                // sync event's span is its arrival/release pair.
-                let t_start = (trace && !matches!(ev, Event::Sync { .. })).then(Instant::now);
-                match *ev {
-                    Event::Work { .. } => worker.exec_work(ev),
+                // sync step's span is its arrival/release pair.
+                let t_start = (trace && !matches!(event, Event::Sync { .. })).then(Instant::now);
+                match event {
+                    Event::Work { kernel } => worker.exec_work(kernel, cur),
                     Event::Dispatch => {
-                        dispatch_visits += 1;
                         if pid == 0 {
                             dispatch2.increment(0);
                         } else {
                             let site = DISPATCH_SITE;
-                            Waiter { guard, site, pid }.gate(&dispatch2, dispatch_visits)?;
+                            let passed = cur.counts().dispatches;
+                            Waiter { guard, site, pid }.gate(&dispatch2, passed)?;
                         }
                     }
-                    Event::Sync { op, site, .. } => {
+                    Event::Sync { op, site } => {
                         let site = site as usize;
                         let mut dropped = false;
                         // Chaos and the profiler share one per-site
@@ -567,30 +558,19 @@ pub fn run_parallel_observed_on(
                                 tally.posts += (pid == 0 && tally.waits == 1) as u64;
                                 (SyncKind::Barrier, r)
                             }
-                            SyncStep::Cells {
-                                dists,
-                                producers,
-                                collectors,
-                                kind,
-                            } => {
+                            SyncStep::Cells { kind, .. } => {
                                 // Whoever may be waited on posts its
-                                // own cell — everybody, unless all the
-                                // wait set names is producers — then
-                                // each processor waits only on the
-                                // cells its targets name, on all of
-                                // them as a collector.
+                                // own cell, then waits on the cells the
+                                // cursor names for it.
                                 // Not claimed: a post skipped only
                                 // because an earlier drop silenced the
                                 // cell, and a named one that is dropped.
-                                let mine = if op.all_post() {
-                                    all_posts += 1;
-                                    claimed += (dropped || !silenced) as u64;
-                                    1
+                                let mine = cur.posts(pid);
+                                claimed += if cur.all_post() {
+                                    (dropped || !silenced) as u64
+                                } else if dropped || silenced {
+                                    0
                                 } else {
-                                    let named = events2.producers(producers);
-                                    named.iter().for_each(|&q| named_posts[q] += 1);
-                                    let mine = named.iter().filter(|&&q| q == pid).count() as u64;
-                                    claimed += if dropped || silenced { 0 } else { mine };
                                     mine
                                 };
                                 silenced |= dropped && mine > 0;
@@ -601,12 +581,9 @@ pub fn run_parallel_observed_on(
                                 if mine > 0 {
                                     claimed2[pid].store(claimed, Ordering::Relaxed);
                                 }
-                                let r = events2
-                                    .pair_targets(pid, dists, producers, collectors)
-                                    .try_for_each(|q| {
-                                        let count = all_posts + named_posts[q];
-                                        tally.waited(at.cell(&cells2, q, count, kind))
-                                    });
+                                let r = cur.waits(pid).try_for_each(|(q, count)| {
+                                    tally.waited(at.cell(&cells2, q, count, kind))
+                                });
                                 (kind, r)
                             }
                         };
@@ -622,17 +599,18 @@ pub fn run_parallel_observed_on(
                         rec.sync(kind, site, tally, ns);
                         r?;
                         if trace {
-                            rec.spans.push((k, t_arrive, t_release));
+                            rec.spans.push((event, t_arrive, t_release));
                         }
                     }
                 }
                 if let Some(t) = t_start {
-                    rec.spans.push((k, t, Instant::now()));
+                    rec.spans.push((event, t, Instant::now()));
                 }
             }
             Ok(())
         };
-        let outcome = catch_unwind(AssertUnwindSafe(traverse));
+        let outcome = catch_unwind(AssertUnwindSafe(|| traverse(&mut cur)));
+        rec.counts = matches!(outcome, Ok(Ok(()))).then(|| cur.counts());
         recorders2.lock().unwrap()[pid] = rec;
         if let Some(p) = &profiler2 {
             let ok = matches!(outcome, Ok(Ok(()))) as u64;
@@ -723,8 +701,8 @@ pub fn run_parallel_observed_on(
     let us_of = |t: Instant| t.duration_since(t0).as_micros() as u64;
     let mut spans = Vec::new();
     for (pid, r) in recorders.iter().enumerate() {
-        for &(k, start, end) in &r.spans {
-            let (name, cat) = span_of(prog, events, &events[k]);
+        for &(ev, start, end) in &r.spans {
+            let (name, cat) = span_of(prog, &sched, ev);
             spans.push(Span {
                 pid,
                 name,
@@ -738,7 +716,11 @@ pub fn run_parallel_observed_on(
     let errors = proc_errors.lock().unwrap().clone();
     ParallelOutcome {
         stats,
-        counts,
+        // Where no worker finished, a cursor of its own counts the walk.
+        counts: recorders
+            .iter()
+            .find_map(|r| r.counts)
+            .unwrap_or_else(|| sched.counts()),
         elapsed,
         sites,
         spans,

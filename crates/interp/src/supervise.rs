@@ -52,7 +52,6 @@
 //! timeline is one [`FaultReport`] (planned backoffs, no wall-clock).
 
 use crate::checkpoint::Checkpoint;
-use crate::events::unroll;
 use crate::mem::Mem;
 use crate::par::{
     run_parallel_observed_on, ChaosAction, ObserveOptions, ParallelOutcome, SyncChaos, SyncFabric,
@@ -261,8 +260,7 @@ pub fn run_parallel_supervised(
     let deadline = opts
         .deadline
         .expect("run_parallel_supervised needs an armed deadline (opts.deadline)");
-    let mut events = Arc::new(unroll(prog, bind, plan));
-    let checkpoint = Checkpoint::capture(prog, bind, &events, mem);
+    let checkpoint = Checkpoint::capture(prog, bind, plan, mem);
     // One profiler for the whole run, sized for the widest team, so its
     // stream spans every round; supervisor marks go on the track past
     // the workers', so they never race a worker's ring.
@@ -308,7 +306,7 @@ pub fn run_parallel_supervised(
             profile: None,
             ..opts.clone()
         };
-        let fabric = SyncFabric::for_schedule(&aopts, &events);
+        let fabric = SyncFabric::new(&aopts, width);
         let fabric = match &profiler {
             Some(p) => fabric.with_profiler(Arc::clone(p)),
             None => fabric,
@@ -320,16 +318,8 @@ pub fn run_parallel_supervised(
         let mut ledger = Quarantine::new();
         let mut round = Round::default();
         let out = loop {
-            let out = run_parallel_observed_on(
-                prog,
-                &round_bind,
-                &working,
-                &events,
-                mem,
-                team,
-                &aopts,
-                &fabric,
-            );
+            let out =
+                run_parallel_observed_on(prog, &round_bind, &working, mem, team, &aopts, &fabric);
             total_stats.merge(&out.stats);
             let mut attempt = Attempt {
                 failure: out.failure.clone(),
@@ -369,12 +359,11 @@ pub fn run_parallel_supervised(
                 .chain(primaries.map(|e| e.site()))
                 .filter(|&s| s != DISPATCH_SITE)
                 .collect();
-            let mut replanned = false;
             for site in sites_hit {
                 let action = ledger.record_fault(site);
                 match action {
                     FaultDisposition::Demote => {
-                        replanned |= demote_site(&mut working, site).is_some();
+                        demote_site(&mut working, site);
                     }
                     FaultDisposition::Quarantine => masked.iter().for_each(|m| m.mask(site)),
                     FaultDisposition::Isolate => masked.iter().for_each(|m| m.isolate()),
@@ -393,9 +382,6 @@ pub fn run_parallel_supervised(
             round.attempts.push(attempt);
             mark(EventKind::Retry, n as u64);
             fabric.reset();
-            if replanned {
-                events = Arc::new(unroll(prog, &round_bind, &working));
-            }
             std::thread::sleep(backoff);
         };
         let lost = round.lost_pid;
@@ -416,7 +402,6 @@ pub fn run_parallel_supervised(
                 nb.nprocs -= 1;
                 working = replan(prog, &nb);
                 round_bind = Arc::new(nb);
-                events = Arc::new(unroll(prog, &round_bind, &working));
                 round_team = Some(Team::new(width - 1));
                 if let Some(p) = &profiler {
                     p.bump_epoch();

@@ -1,13 +1,15 @@
 //! The virtual-processor simulator.
 //!
 //! Executes a schedule with `P` logical processors on one thread, by
-//! interleaving their event streams in any order the placed
-//! synchronization permits. Because the interleaving policy is explicit
-//! and adversarial orders are available, this doubles as a soundness
-//! oracle for the optimizer: a missing synchronization lets some legal
-//! order produce results that differ from the sequential semantics.
+//! interleaving their walks in any order the placed synchronization
+//! permits: the single-threaded driver of the sync rule the cursor
+//! states and the real-thread executor follows. Because the
+//! interleaving policy is explicit and adversarial orders are
+//! available, this doubles as a soundness oracle for the optimizer: a
+//! missing synchronization lets some legal order produce results that
+//! differ from the sequential semantics.
 
-use crate::events::{unroll, DynCounts, Event, Schedule, SyncStep};
+use crate::events::{Cursor, DynCounts, Event, Schedule, Step, SyncStep};
 use crate::kernel::Worker;
 use crate::mem::Mem;
 use analysis::Bindings;
@@ -30,35 +32,42 @@ pub enum ScheduleOrder {
 /// The result of a virtual run.
 #[derive(Clone, Copy, Debug)]
 pub struct VirtualOutcome {
-    /// Dynamic synchronization counts of the traversal.
+    /// Dynamic synchronization counts of the walk.
     pub counts: DynCounts,
-    /// Number of events in the unrolled schedule.
-    pub num_events: usize,
 }
 
-/// Can processor `pid` cross the event at its current position?
-fn can_advance(events: &Schedule, ptrs: &[usize], pid: usize) -> bool {
-    let i = ptrs[pid];
-    if i >= events.len() {
+/// One virtual processor: its cursor, its kernel executor, and the
+/// step it has arrived at (`None` once its walk is over).
+struct Proc<'a> {
+    cur: Cursor<'a>,
+    worker: Worker<'a>,
+    at: Option<Step>,
+}
+
+/// Can processor `pid` cross the step it has arrived at? The rule the
+/// real-thread executor follows, on the counts each processor's cursor
+/// holds: a processor has posted its cell ([`Cursor::posted`]) and
+/// arrived at its barriers on arrival, and the master dispatches when
+/// it crosses.
+fn can_cross(procs: &[Proc], pid: usize) -> bool {
+    let me = &procs[pid];
+    let Some(step) = &me.at else {
         return false;
-    }
-    let nprocs = ptrs.len();
-    match events[i] {
+    };
+    let here = |p: &Proc| p.cur.counts();
+    match step.event {
         Event::Work { .. } => true,
-        // Workers wait until the master has performed the dispatch.
-        Event::Dispatch => pid == 0 || ptrs[0] > i,
+        // Workers wait until the master has crossed this dispatch.
+        Event::Dispatch => {
+            let master = &procs[0];
+            let arrived = matches!(master.at.map(|s| s.event), Some(Event::Dispatch));
+            pid == 0 || here(master).dispatches - arrived as u64 >= here(me).dispatches
+        }
         Event::Sync { op, .. } => match op {
-            SyncStep::Barrier => (0..nprocs).all(|q| ptrs[q] >= i),
-            // Crossable once every processor waited on has reached this
-            // site — exactly the wavefront release condition.
-            SyncStep::Cells {
-                dists,
-                producers,
-                collectors,
-                ..
-            } => events
-                .pair_targets(pid, dists, producers, collectors)
-                .all(|q| ptrs[q] >= i),
+            SyncStep::Barrier => procs.iter().all(|p| here(p).barriers >= here(me).barriers),
+            // Crossable once every processor waited on has posted at
+            // this step — the wavefront release condition.
+            SyncStep::Cells { .. } => me.cur.waits(pid).all(|(q, n)| procs[q].cur.posted(q) >= n),
         },
     }
 }
@@ -77,8 +86,8 @@ pub fn run_virtual(
 }
 
 /// As [`run_virtual`], additionally building a timeline on a logical
-/// clock: every scheduler step is one microsecond, each executed event
-/// is a one-step span, and a sync crossed after blocking spans the whole
+/// clock: every scheduler step is one microsecond, each executed step
+/// is a one-tick span, and a sync crossed after blocking spans the whole
 /// interval from the processor's arrival at the sync to its crossing —
 /// so the trace shows exactly which processors a barrier convoyed under
 /// this interleaving.
@@ -103,27 +112,30 @@ fn run_virtual_impl(
     mut spans: Option<&mut Vec<obs::Span>>,
 ) -> VirtualOutcome {
     let nprocs = bind.nprocs as usize;
-    let events = unroll(prog, bind, plan);
-    let m = events.len();
-    let mut workers: Vec<Worker> = (0..nprocs).map(|p| Worker::new(&events, mem, p)).collect();
-    let mut ptrs = vec![0usize; nprocs];
+    let sched = Schedule::new(prog, bind, plan);
+    let mut procs: Vec<Proc> = (0..nprocs)
+        .map(|pid| {
+            let mut cur = sched.cursor();
+            let at = cur.next();
+            let worker = Worker::new(&sched, mem, pid);
+            Proc { cur, worker, at }
+        })
+        .collect();
     let mut rng = match order {
         ScheduleOrder::Random(seed) => Some(StdRng::seed_from_u64(seed)),
         _ => None,
     };
-    let mut cursor = 0usize;
+    let mut turn = 0usize;
     // Logical clock: one scheduler step = 1µs. `arrived_at[pid]` is the
     // step at which the processor was first seen blocked at its current
-    // event (None while running freely).
+    // step (None while running freely).
     let mut step = 0u64;
     let mut arrived_at: Vec<Option<u64>> = vec![None; nprocs];
-    loop {
-        if ptrs.iter().all(|&p| p == m) {
-            break;
-        }
+    let mut walking = procs.iter().filter(|p| p.at.is_some()).count();
+    while walking > 0 {
         if spans.is_some() {
-            for pid in 0..nprocs {
-                if ptrs[pid] < m && arrived_at[pid].is_none() && !can_advance(&events, &ptrs, pid) {
+            for (pid, p) in procs.iter().enumerate() {
+                if p.at.is_some() && arrived_at[pid].is_none() && !can_cross(&procs, pid) {
                     arrived_at[pid] = Some(step);
                 }
             }
@@ -131,47 +143,43 @@ fn run_virtual_impl(
         // Pick a processor that can advance: scan all processors once,
         // starting from a policy-chosen point.
         let start = match order {
-            ScheduleOrder::RoundRobin | ScheduleOrder::Reverse => cursor,
+            ScheduleOrder::RoundRobin | ScheduleOrder::Reverse => turn,
             ScheduleOrder::Random(_) => rng.as_mut().unwrap().gen_range(0..nprocs),
         };
-        let mut advanced = false;
-        for k in 0..nprocs {
-            let pid = match order {
+        let pick = (0..nprocs)
+            .map(|k| match order {
                 ScheduleOrder::Reverse => (nprocs - 1) - ((start + k) % nprocs),
                 _ => (start + k) % nprocs,
-            };
-            if can_advance(&events, &ptrs, pid) {
-                let i = ptrs[pid];
-                if events[i].is_work() {
-                    workers[pid].exec_work(&events[i]);
-                }
-                if let Some(buf) = spans.as_deref_mut() {
-                    let (name, cat) = crate::par::span_of(prog, &events, &events[i]);
-                    buf.push(obs::Span {
-                        pid,
-                        name,
-                        cat,
-                        start_us: arrived_at[pid].take().unwrap_or(step),
-                        end_us: step + 1,
-                    });
-                }
-                ptrs[pid] = i + 1;
-                advanced = true;
-                cursor = cursor.wrapping_add(1);
-                break;
-            }
-        }
-        if !advanced {
-            for (q, &p) in ptrs.iter().enumerate() {
-                eprintln!("proc {q} at {p}/{m}: {:?}", events.get(p));
+            })
+            .find(|&pid| can_cross(&procs, pid));
+        let Some(pid) = pick else {
+            for (q, p) in procs.iter().enumerate() {
+                eprintln!("proc {q} at {:?}", p.at);
             }
             panic!("virtual schedule deadlocked (simulator bug)");
+        };
+        let p = &mut procs[pid];
+        let event = p.at.expect("a processor that can cross is at a step").event;
+        if let Event::Work { kernel } = event {
+            p.worker.exec_work(kernel, &mut p.cur);
         }
+        if let Some(buf) = spans.as_deref_mut() {
+            let (name, cat) = crate::par::span_of(prog, &sched, event);
+            buf.push(obs::Span {
+                pid,
+                name,
+                cat,
+                start_us: arrived_at[pid].take().unwrap_or(step),
+                end_us: step + 1,
+            });
+        }
+        p.at = p.cur.next();
+        walking -= p.at.is_none() as usize;
+        turn = turn.wrapping_add(1);
         step += 1;
     }
     VirtualOutcome {
-        counts: DynCounts::from_events(&events, nprocs),
-        num_events: m,
+        counts: procs[0].cur.counts(),
     }
 }
 

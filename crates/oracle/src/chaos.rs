@@ -17,8 +17,8 @@
 
 use analysis::Bindings;
 use interp::{
-    run_parallel_supervised, run_sequential, unroll, ChaosAction, Event, Mem, ObserveOptions,
-    Replan, SyncChaos, SyncStep,
+    run_parallel_supervised, run_sequential, ChaosAction, Event, Mem, ObserveOptions, Replan,
+    Schedule, SyncChaos, SyncStep,
 };
 use ir::Program;
 use obs::{FailureReport, FaultReport, Rung};
@@ -192,43 +192,29 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
     if nprocs < 2 {
         return Vec::new(); // a lone processor waits on nobody
     }
-    let events = unroll(prog, bind, plan);
+    let sched = Schedule::new(prog, bind, plan);
+    let mut cur = sched.cursor();
     let mut visit = std::collections::HashMap::<usize, u64>::new();
-    // The point-to-point teeth as (key, site, visit, step) — a counter
-    // site answers for itself, flags and pairwise syncs for their
-    // label — and the overall-last barrier.
-    let mut last = Vec::<((SyncKind, Option<usize>), usize, u64, SyncStep)>::new();
+    // The point-to-point teeth as (key, site, visit, awaited pids) — a
+    // counter site answers for itself, flags and pairwise syncs for
+    // their label — and the overall-last barrier.
+    let mut last = Vec::<((SyncKind, Option<usize>), usize, u64, Vec<usize>)>::new();
     let mut last_barrier: Option<(usize, u64)> = None;
-    for ev in events.iter() {
-        if let Event::Sync { op, site, .. } = *ev {
-            let site = site as usize;
-            let v = visit.entry(site).or_insert(0);
-            let this = *v;
-            *v += 1;
-            match op {
-                SyncStep::Barrier => last_barrier = Some((site, this)),
-                SyncStep::Cells { kind, .. } => {
-                    let key = (kind, (kind == SyncKind::Counter).then_some(site));
-                    match last.iter_mut().find(|(k, ..)| *k == key) {
-                        Some(slot) => *slot = (key, site, this, op),
-                        None => last.push((key, site, this, op)),
-                    }
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (_, site, from_visit, op) in last {
-        let SyncStep::Cells {
-            dists,
-            producers,
-            collectors,
-            kind,
-        } = op
-        else {
+    while let Some(step) = cur.next() {
+        let Event::Sync { op, site } = step.event else {
             continue;
         };
-        let (prods, colls) = (events.producers(producers), events.producers(collectors));
+        let site = site as usize;
+        let v = visit.entry(site).or_insert(0);
+        let this = *v;
+        *v += 1;
+        let (dists, kind) = match op {
+            SyncStep::Barrier => {
+                last_barrier = Some((site, this));
+                continue;
+            }
+            SyncStep::Cells { dists, kind } => (dists, kind),
+        };
         // A positive distance d means pid d waits on P0's cell, so P0's
         // post is awaited; with only negative distances the last
         // processor's post is (pid nprocs-1+d waits on it). Producer
@@ -241,17 +227,27 @@ pub fn droppable_posts(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> V
         } else if dists.iter().any(|d| d < 0 && -d < nprocs as i64) {
             pids.push(nprocs - 1);
         }
-        for &prod in prods {
+        for &prod in cur.producers() {
             if !pids.contains(&prod) {
                 pids.push(prod);
             }
         }
+        let colls = cur.collectors();
         if !colls.is_empty() {
             let gathered = (0..nprocs)
                 .rev()
                 .find(|p| !colls.contains(p) && !pids.contains(p));
             pids.extend(gathered);
         }
+        let key = (kind, (kind == SyncKind::Counter).then_some(site));
+        let tooth = (key, site, this, pids);
+        match last.iter_mut().find(|(k, ..)| *k == key) {
+            Some(slot) => *slot = tooth,
+            None => last.push(tooth),
+        }
+    }
+    let mut out = Vec::new();
+    for ((kind, _), site, from_visit, pids) in last {
         for pid in pids {
             out.push(DropCandidate {
                 spec: DropSpec {

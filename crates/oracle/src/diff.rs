@@ -9,8 +9,8 @@
 //!
 //! Final shared memory is diffed cell-by-cell against the sequential
 //! run, the dynamic synchronization counts of the virtual and real
-//! executors are cross-checked (both derive from the same unrolled
-//! event list, so disagreement means an executor bug), and each plan
+//! executors are cross-checked (both count the same walk of the plan,
+//! so disagreement means an executor bug), and each plan
 //! is run through the static race validator. Any discrepancy is
 //! reported as a human-readable failure string carrying the plan,
 //! order, processor count, and divergence magnitude.

@@ -1,25 +1,25 @@
 //! Static schedule race validator: a happens-before checker over the
-//! unrolled event stream of a schedule.
+//! walk of a plan.
 //!
-//! Every processor traverses the same event list (SPMD replicated
-//! control flow), so the validator works in two passes over that list:
+//! Every processor walks the same steps (SPMD replicated control
+//! flow), so the validator walks them once, with one cursor, doing two
+//! things at every step:
 //!
-//! 1. **Access collection.** Each work event is executed per processor
+//! 1. **Access collection.** A work step is executed per processor
 //!    against a scratch memory with a recording
 //!    [`TraceBuffer`](interp::TraceBuffer) attached, yielding the set
-//!    of shared cells each `(event, pid)` touches. Subscripts and
+//!    of shared cells each `(step, pid)` touches. Subscripts and
 //!    guards are affine in loop indices and symbolic constants — never
 //!    data-dependent — so the access sets do not depend on the order
 //!    (or the garbage values) of this replay.
 //!
-//! 2. **Vector clocks.** A single in-order walk computes each
-//!    processor's vector clock at every event. Work events tick the
-//!    processor's own component; sync events join clocks exactly as
-//!    the operation's blocking rule (mirrored from the virtual
-//!    executor's `can_advance`) permits: a barrier joins everyone with
-//!    everyone, a point-to-point sync joins a processor with the
-//!    arrival clocks of the processors its wait set names for it, and
-//!    the region dispatch joins workers with the master.
+//! 2. **Vector clocks.** Each processor's vector clock is kept at
+//!    every step. Work steps tick the processor's own component; sync
+//!    steps join clocks exactly as the cursor's sync rule permits: a
+//!    barrier joins everyone with everyone, a point-to-point sync joins
+//!    a processor with the arrival clocks of the processors
+//!    [`Cursor::waits`](interp::Cursor::waits) names for it, and the
+//!    region dispatch joins workers with the master.
 //!
 //! Two accesses race when they touch the same cell from different
 //! processors, at least one is a write (atomic reductions conflict
@@ -29,7 +29,7 @@
 //! every cross-processor def/use pair — validates race-free.
 
 use analysis::Bindings;
-use interp::{unroll, AccessKind, Event, Mem, SyncStep, Target, TraceBuffer, Worker};
+use interp::{AccessKind, Event, Mem, Schedule, Step, SyncStep, Target, TraceBuffer, Worker};
 use ir::Program;
 use spmd_opt::SpmdProgram;
 use std::collections::{BTreeSet, HashMap};
@@ -39,7 +39,7 @@ use std::sync::Arc;
 /// One side of a race.
 #[derive(Clone, Copy, Debug)]
 pub struct AccessAt {
-    /// Index into the unrolled event list.
+    /// The step's ordinal in the walk.
     pub event: usize,
     /// The processor.
     pub pid: usize,
@@ -81,7 +81,7 @@ pub struct RaceReport {
     pub races: Vec<Race>,
     /// Total number of racing pairs found (uncapped).
     pub num_racing_pairs: usize,
-    /// Events in the unrolled schedule.
+    /// Steps in the walk.
     pub num_events: usize,
     /// Distinct `(event, pid, cell, kind)` accesses examined.
     pub num_accesses: usize,
@@ -131,47 +131,34 @@ fn hb(a: &Acc, b: &Acc) -> bool {
 /// conflicting access pair is ordered by the placed synchronization.
 pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceReport {
     let nprocs = bind.nprocs as usize;
-    let events = unroll(prog, bind, plan);
-
-    // Pass 1: per-(event, pid) access sets from a traced replay.
+    let sched = Schedule::new(prog, bind, plan);
     let tracer = Arc::new(TraceBuffer::new());
     let scratch = Mem::new(prog, bind).with_tracer(Arc::clone(&tracer));
-    let mut access_sets: Vec<Vec<(usize, Vec<(Target, AccessKind)>)>> =
-        Vec::with_capacity(events.len());
     let mut workers: Vec<Worker> = (0..nprocs)
-        .map(|pid| Worker::new(&events, &scratch, pid))
+        .map(|pid| Worker::new(&sched, &scratch, pid))
         .collect();
-    for ev in events.iter() {
-        let mut per_event = Vec::new();
-        if ev.is_work() {
-            for (pid, worker) in workers.iter_mut().enumerate() {
-                worker.exec_work(ev);
-                let drained = tracer.drain();
-                if !drained.is_empty() {
-                    let set: BTreeSet<(Target, AccessKind)> =
-                        drained.into_iter().map(|a| (a.target, a.kind)).collect();
-                    per_event.push((pid, set.into_iter().collect()));
-                }
-            }
-        }
-        access_sets.push(per_event);
-    }
-
-    // Pass 2: vector clocks, in event order.
     let mut clocks: Vec<Vec<u64>> = vec![vec![0; nprocs]; nprocs];
     let mut by_target: HashMap<Target, Vec<Acc>> = HashMap::new();
     let mut num_accesses = 0usize;
-    for (i, ev) in events.iter().enumerate() {
-        match ev {
-            Event::Work { .. } => {
-                for (pid, set) in &access_sets[i] {
-                    clocks[*pid][*pid] += 1;
-                    let snap = Rc::new(clocks[*pid].clone());
-                    for &(target, kind) in set {
+    let mut cur = sched.cursor();
+    while let Some(Step { ordinal, event }) = cur.next() {
+        match event {
+            Event::Work { kernel } => {
+                for (pid, worker) in workers.iter_mut().enumerate() {
+                    worker.exec_work(kernel, &mut cur);
+                    let drained = tracer.drain();
+                    if drained.is_empty() {
+                        continue;
+                    }
+                    let set: BTreeSet<(Target, AccessKind)> =
+                        drained.into_iter().map(|a| (a.target, a.kind)).collect();
+                    clocks[pid][pid] += 1;
+                    let snap = Rc::new(clocks[pid].clone());
+                    for (target, kind) in set {
                         num_accesses += 1;
                         by_target.entry(target).or_default().push(Acc {
-                            pid: *pid,
-                            event: i,
+                            pid,
+                            event: ordinal,
                             kind,
                             clock: Rc::clone(&snap),
                         });
@@ -180,11 +167,11 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
             }
             Event::Dispatch => {
                 let master = clocks[0].clone();
-                for p in 1..nprocs {
-                    join(&mut clocks[p], &master);
+                for c in clocks.iter_mut().skip(1) {
+                    join(c, &master);
                 }
             }
-            Event::Sync { op, .. } => match *op {
+            Event::Sync { op, .. } => match op {
                 SyncStep::Barrier => {
                     let mut all = vec![0u64; nprocs];
                     for c in &clocks {
@@ -194,20 +181,13 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
                         c.copy_from_slice(&all);
                     }
                 }
-                SyncStep::Cells {
-                    dists,
-                    producers,
-                    collectors,
-                    ..
-                } => {
+                SyncStep::Cells { .. } => {
                     // A waiter acquires the pre-sync clock of every
                     // processor it waits on (the wait is for that
-                    // processor's post at this same replicated visit):
-                    // each in-range distance target, every producer
-                    // and, as a collector, everyone.
+                    // processor's post at this same replicated step).
                     let pre = clocks.clone();
                     for (p, c) in clocks.iter_mut().enumerate() {
-                        for q in events.pair_targets(p, dists, producers, collectors) {
+                        for (q, _) in cur.waits(p) {
                             join(c, &pre[q]);
                         }
                     }
@@ -218,7 +198,7 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
 
     // Race scan: pairwise within each cell's access list.
     let mut report = RaceReport {
-        num_events: events.len(),
+        num_events: cur.steps(),
         num_accesses,
         ..RaceReport::default()
     };

@@ -4,7 +4,7 @@
 //! ```text
 //! beoracle fuzz    [--count N] [--seed S] [--threads] [--nprocs 1,3,4] [--repro-dir DIR]
 //!                  [--deadline MS] [--chaos] [--chaos-seed S] [--shapes A,B]
-//! beoracle mutate  [--count N] [--seed S]
+//! beoracle mutate  [--count N] [--seed S] [--kernels]
 //! beoracle kernels [--threads] [--nprocs 1,3,4]
 //! beoracle chaos   [--chaos-seed S] [--deadline MS] [--nprocs P] [--json PATH]
 //! beoracle service-chaos [--chaos-seed S] [--rounds N] [--nprocs P] [--json PATH]
@@ -24,9 +24,10 @@
 //!   way to reach `sink-broadcast`, `nested-broadcast`, `gather-anti`,
 //!   `reduce-chain` and `init-broadcast`, which the per-seed draw
 //!   leaves out so that a seed's program never changes.
-//! * `mutate` — for `N` generated programs, delete each sync op of the
-//!   optimized schedule in turn and report what the race validator and
-//!   the differential oracle caught.
+//! * `mutate` — for `N` generated programs (with `--kernels`, for every
+//!   suite kernel instead), delete each sync op of the optimized
+//!   schedule in turn and report what the race validator and the
+//!   differential oracle caught.
 //! * `kernels` — run the differential oracle over every suite kernel,
 //!   at the `--nprocs` widths (default 1,3,4).
 //! * `chaos` — run the seeded fault-injection campaign over the five
@@ -55,8 +56,9 @@
 //!
 //! Exits 1 on any mismatch, race, uncaught mutant, or missed fault, and
 //! 2 — after `beoracle: <what>` on stderr — on input it cannot use: an
-//! unknown subcommand, a malformed flag value, a kernel file that does
-//! not parse or lacks a symbol the campaign binds.
+//! unknown subcommand, a flag the subcommand does not take, a flag
+//! without its value or a stray value, a malformed flag value, a kernel
+//! file that does not parse or lacks a symbol the campaign binds.
 
 use barrier_elim::analysis::Bindings;
 use barrier_elim::ir::SymId;
@@ -66,6 +68,25 @@ use barrier_elim::suite::{self, Scale};
 use barrier_elim::{frontend, obs};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Every argument must be one of `flags` — space-separated, a trailing
+/// `=` marking a flag a value follows — followed by its value when the
+/// flag takes one.
+fn check_args(cmd: &str, args: &[String], flags: &str) -> Result<(), String> {
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        let flag = flags
+            .split_whitespace()
+            .find(|f| f.trim_end_matches('=') == a);
+        match flag.map(|f| f.ends_with('=')) {
+            Some(true) if rest.next().is_none() => return Err(format!("{a} needs a value")),
+            Some(_) => {}
+            None if a.starts_with('-') => return Err(format!("{cmd} takes no flag {a}")),
+            None => return Err(format!("{cmd}: unexpected argument {a}")),
+        }
+    }
+    Ok(())
+}
 
 fn parse_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
@@ -127,6 +148,9 @@ fn parse_team_size(args: &[String]) -> Result<i64, String> {
 }
 
 fn cmd_fuzz(args: &[String]) -> Exit {
+    let flags = "--count= --seed= --threads --nprocs= --repro-dir= --deadline= --chaos \
+                 --chaos-seed= --shapes=";
+    check_args("fuzz", args, flags)?;
     let count = parse_u64(args, "--count", 200)?;
     let seed = parse_u64(args, "--seed", 0)?;
     let repro_dir = std::path::PathBuf::from(
@@ -222,6 +246,7 @@ fn mutate_one(
 }
 
 fn cmd_mutate(args: &[String]) -> Exit {
+    check_args("mutate", args, "--count= --seed= --kernels")?;
     let mut bad = 0;
     if parse_flag(args, "--kernels") {
         for def in suite::all() {
@@ -245,6 +270,7 @@ fn cmd_mutate(args: &[String]) -> Exit {
 }
 
 fn cmd_kernels(args: &[String]) -> Exit {
+    check_args("kernels", args, "--threads --nprocs=")?;
     let cfg = DiffConfig {
         nprocs: parse_nprocs(args, &[1, 3, 4])?,
         threads: parse_flag(args, "--threads"),
@@ -361,6 +387,7 @@ fn campaign_json(r: &oracle::CampaignReport) -> obs::Json {
 }
 
 fn cmd_chaos(args: &[String]) -> Exit {
+    check_args("chaos", args, "--chaos-seed= --deadline= --nprocs= --json=")?;
     let seed = parse_u64(args, "--chaos-seed", 0)?;
     let deadline = Duration::from_millis(parse_u64(args, "--deadline", 250)?);
     let nprocs = parse_team_size(args)?;
@@ -458,6 +485,8 @@ fn cmd_chaos(args: &[String]) -> Exit {
 }
 
 fn cmd_service_chaos(args: &[String]) -> Exit {
+    let flags = "--chaos-seed= --rounds= --nprocs= --json= --snapshot-dir=";
+    check_args("service-chaos", args, flags)?;
     let seed = parse_u64(args, "--chaos-seed", 0)?;
     let rounds = parse_u64(args, "--rounds", 3)? as u32;
     let nprocs = parse_team_size(args)?;
@@ -521,7 +550,7 @@ fn main() {
         Some("service-chaos") => cmd_service_chaos(&args[1..]),
         _ => {
             eprintln!(
-                "usage: beoracle fuzz [--count N] [--seed S] [--threads] [--nprocs 1,3,4] [--repro-dir DIR] [--deadline MS] [--chaos] [--chaos-seed S] [--shapes A,B]\n       beoracle mutate [--count N] [--seed S]\n       beoracle kernels [--threads] [--nprocs 1,3,4]\n       beoracle chaos [--chaos-seed S] [--deadline MS] [--nprocs P] [--json PATH]\n       beoracle service-chaos [--chaos-seed S] [--rounds N] [--nprocs P] [--json PATH] [--snapshot-dir DIR]"
+                "usage: beoracle fuzz [--count N] [--seed S] [--threads] [--nprocs 1,3,4] [--repro-dir DIR] [--deadline MS] [--chaos] [--chaos-seed S] [--shapes A,B]\n       beoracle mutate [--count N] [--seed S] [--kernels]\n       beoracle kernels [--threads] [--nprocs 1,3,4]\n       beoracle chaos [--chaos-seed S] [--deadline MS] [--nprocs P] [--json PATH]\n       beoracle service-chaos [--chaos-seed S] [--rounds N] [--nprocs P] [--json PATH] [--snapshot-dir DIR]"
             );
             Ok(2)
         }

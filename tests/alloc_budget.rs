@@ -12,7 +12,10 @@
 //!   shows in a timing;
 //! * the reference interpreter allocates per run, never per element:
 //!   `run_sequential` of jacobi2d makes as many allocations at `n = 64`
-//!   as at `n = 32`.
+//!   as at `n = 32`;
+//! * an SPMD run holds its walk in O(loop depth), never per step:
+//!   `run_virtual` of copy_chain allocates as many bytes at
+//!   `tmax = 4000` as at `tmax = 1000`.
 
 use barrier_elim::analysis::translate::{build_pair_system, PairSystem, SharedLoopMode};
 use barrier_elim::analysis::Bindings;
@@ -25,28 +28,28 @@ use std::sync::Arc;
 struct Counting;
 
 thread_local! {
-    /// Allocations on this thread since counting began; `None` when not
-    /// counting.
-    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+    /// Allocations on this thread since counting began, and the bytes
+    /// they asked for; `None` when not counting.
+    static COUNT: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
 }
 
-fn note() {
-    let _ = COUNT.try_with(|c| c.set(c.get().map(|n| n + 1)));
+fn note(bytes: usize) {
+    let _ = COUNT.try_with(|c| c.set(c.get().map(|(n, b)| (n + 1, b + bytes as u64))));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
+        note(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, size: usize) -> *mut u8 {
-        note();
+        note(size);
         System.realloc(ptr, layout, size)
     }
 
@@ -58,11 +61,16 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// Allocations `f` makes on this thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    COUNT.with(|c| c.set(Some(0)));
+/// Allocations `f` makes on this thread, and the bytes they ask for.
+fn allocated(f: impl FnOnce()) -> (u64, u64) {
+    COUNT.with(|c| c.set(Some((0, 0))));
     f();
     COUNT.with(|c| c.take()).expect("counting was on")
+}
+
+/// Allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    allocated(f).0
 }
 
 /// Allocations of an uncached compile of the 24 suite kernels
@@ -236,4 +244,39 @@ fn the_reference_interpreter_allocates_nothing_per_element() {
     );
     eprintln!("run_sequential jacobi2d: {small} allocations at n = 32, {large} at n = 64");
     assert_eq!(small, large, "allocations grow with the problem size");
+}
+
+/// Bytes one `run_virtual` of copy_chain (n = 8, P = 4) allocates at
+/// `tmax`, plan and memory built beforehand.
+fn copy_chain_virtual_bytes(tmax: i64) -> u64 {
+    use barrier_elim::interp::{run_virtual, Mem, ScheduleOrder};
+    use barrier_elim::ir::SymId;
+    let built = (barrier_elim::suite::by_name("copy_chain").unwrap().build)(
+        barrier_elim::suite::Scale::Small,
+    );
+    let mut bind = built.bindings(4);
+    for (k, s) in built.prog.syms.iter().enumerate() {
+        match s.name.as_str() {
+            "n" => bind.bind(SymId(k as u32), 8),
+            "tmax" => bind.bind(SymId(k as u32), tmax),
+            _ => {}
+        }
+    }
+    let plan = barrier_elim::spmd_opt::optimize(&built.prog, &bind);
+    let mem = Mem::new(&built.prog, &bind);
+    let order = ScheduleOrder::RoundRobin;
+    allocated(|| {
+        std::hint::black_box(run_virtual(&built.prog, &bind, &plan, &mem, order));
+    })
+    .1
+}
+
+#[test]
+fn a_virtual_run_allocates_nothing_per_step() {
+    let (short, long) = (
+        copy_chain_virtual_bytes(1000),
+        copy_chain_virtual_bytes(4000),
+    );
+    eprintln!("run_virtual copy_chain: {short} bytes at tmax = 1000, {long} at tmax = 4000");
+    assert_eq!(short, long, "allocated bytes grow with the trip count");
 }

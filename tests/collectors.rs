@@ -10,8 +10,7 @@
 //! barriers than fork-join.
 
 use barrier_elim::analysis::Bindings;
-use barrier_elim::interp::events::DynCounts;
-use barrier_elim::interp::unroll;
+use barrier_elim::interp::Schedule;
 use barrier_elim::ir::build::*;
 use barrier_elim::ir::{Program, RedOp};
 use barrier_elim::oracle::{self, Shape};
@@ -22,7 +21,7 @@ use barrier_elim::spmd_opt::{
 use barrier_elim::suite::{self, Built, Scale};
 
 fn dyn_barriers(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> u64 {
-    DynCounts::from_events(&unroll(prog, bind, plan), bind.nprocs as usize).barriers
+    Schedule::new(prog, bind, plan).counts().barriers
 }
 
 /// The sync sites that are neither eliminated nor a region end.

@@ -9,7 +9,7 @@
 
 use barrier_elim::analysis::Bindings;
 use barrier_elim::interp::{
-    run_parallel_observed, run_sequential, run_virtual, unroll, AccessKind, Mem, ObserveOptions,
+    run_parallel_observed, run_sequential, run_virtual, AccessKind, Mem, ObserveOptions, Schedule,
     ScheduleOrder, Target, TraceBuffer, Worker,
 };
 use barrier_elim::ir::build::*;
@@ -213,13 +213,10 @@ fn traced_touches(prog: &Program, bind: &Bindings) -> (Touches, Touches) {
     let mem = Mem::new(prog, bind).with_tracer(Arc::clone(&tracer));
     run_sequential(prog, bind, &mem);
     let sequential = touches(&tracer);
-    let sched = unroll(prog, bind, &optimize(prog, bind));
+    let sched = Schedule::new(prog, bind, &optimize(prog, bind));
     let mem = Mem::new(prog, bind).with_tracer(Arc::clone(&tracer));
     for pid in 0..bind.nprocs as usize {
-        let mut worker = Worker::new(&sched, &mem, pid);
-        for ev in sched.iter().filter(|ev| ev.is_work()) {
-            worker.exec_work(ev);
-        }
+        Worker::new(&sched, &mem, pid).exec_all();
     }
     (sequential, touches(&tracer))
 }

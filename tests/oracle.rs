@@ -239,6 +239,27 @@ mod cli {
         }
     }
 
+    /// Each subcommand takes its own flags: `fuzz --cases 0` used to
+    /// run the default 200 programs and exit 0.
+    #[test]
+    fn an_unknown_flag_or_a_stray_value_is_a_usage_error() {
+        for (args, what) in [
+            (&["fuzz", "--cases", "0"][..], "fuzz takes no flag --cases"),
+            (&["kernels", "--kernels"], "kernels takes no flag --kernels"),
+            (&["chaos", "--threads"], "chaos takes no flag --threads"),
+            (&["mutate", "--count"], "--count needs a value"),
+            (&["kernels", "8"], "kernels: unexpected argument 8"),
+            (
+                &["fuzz", "--count", "1", "2"],
+                "fuzz: unexpected argument 2",
+            ),
+        ] {
+            let (code, stderr) = beoracle(args, None);
+            assert_eq!(code, Some(2), "{args:?}: {stderr}");
+            assert_eq!(stderr.trim_end(), format!("beoracle: {what}"));
+        }
+    }
+
     #[test]
     fn a_kernel_that_does_not_parse_is_a_usage_error() {
         let (code, stderr) = beoracle(&["chaos"], Some("program broadcast\ndoall\n"));

@@ -15,7 +15,7 @@
 use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
 use barrier_elim::interp::{
-    run_parallel_observed_on, run_parallel_supervised, run_sequential, unroll, ChaosAction, Mem,
+    run_parallel_observed_on, run_parallel_supervised, run_sequential, ChaosAction, Mem,
     ObserveOptions, SyncChaos, SyncFabric,
 };
 use barrier_elim::ir::SymId;
@@ -146,12 +146,11 @@ fn a_fabric_reset_under_a_guarded_wait_is_stale_at_any_label() {
             .find(is_site)
             .unwrap_or_else(|| panic!("{}: no such site", prog.name))
             .id;
-        let sched = Arc::new(unroll(&prog, &bind, &plan));
         let base = ObserveOptions {
             deadline: Some(Duration::from_secs(20)),
             ..ObserveOptions::default()
         };
-        let fabric = Arc::new(SyncFabric::for_schedule(&base, &sched));
+        let fabric = Arc::new(SyncFabric::new(&base, team.nprocs()));
         let opts = ObserveOptions {
             chaos: Some(Arc::new(ResetUnder {
                 fabric: Arc::clone(&fabric),
@@ -163,8 +162,7 @@ fn a_fabric_reset_under_a_guarded_wait_is_stale_at_any_label() {
             ..base
         };
         let mem = Arc::new(Mem::new(&prog, &bind));
-        let out =
-            run_parallel_observed_on(&prog, &bind, &plan, &sched, &mem, &team, &opts, &fabric);
+        let out = run_parallel_observed_on(&prog, &bind, &plan, &mem, &team, &opts, &fabric);
         assert_eq!(
             out.proc_errors[waiter],
             Some(SyncError::StaleGeneration { site, pid: waiter }),
