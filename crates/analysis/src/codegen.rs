@@ -27,7 +27,6 @@ use std::collections::BTreeMap;
 
 /// Closed-form per-processor bounds for one parallel loop.
 pub struct ScannedBounds {
-    vt: VarTable,
     bounds: VarBounds,
     /// Constraints not mentioning the loop index: guards on whether the
     /// processor executes the phase at all (e.g. an owner input that is
@@ -184,19 +183,11 @@ pub fn scan_owned_range(
         .cloned()
         .collect();
     Some(ScannedBounds {
-        vt,
         bounds,
         guards,
         p,
         atom_of,
     })
-}
-
-impl ScannedBounds {
-    /// The variable table (diagnostics / display).
-    pub fn var_table(&self) -> &VarTable {
-        &self.vt
-    }
 }
 
 #[cfg(test)]

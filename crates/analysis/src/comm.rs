@@ -62,9 +62,11 @@ pub struct PairProbe {
     pub elapsed_ns: u64,
 }
 
+/// The hook a pair-query probe calls.
+pub type PairHook = Arc<dyn Fn(PairProbe) + Send + Sync>;
+
 static PROBE_ARMED: AtomicBool = AtomicBool::new(false);
-#[allow(clippy::type_complexity)]
-static PAIR_PROBE: RwLock<Option<Arc<dyn Fn(PairProbe) + Send + Sync>>> = RwLock::new(None);
+static PAIR_PROBE: RwLock<Option<PairHook>> = RwLock::new(None);
 
 /// Install (`Some`) or clear (`None`) the process-wide pair-query
 /// probe. This is the profiler's window into the analysis without
@@ -72,7 +74,7 @@ static PAIR_PROBE: RwLock<Option<Arc<dyn Fn(PairProbe) + Send + Sync>>> = RwLock
 /// observation onto its own event ring. Queries pay a single relaxed
 /// atomic load when no probe is installed. The probe fires on the thread
 /// that runs the analysis.
-pub fn set_pair_probe(hook: Option<Arc<dyn Fn(PairProbe) + Send + Sync>>) {
+pub fn set_pair_probe(hook: Option<PairHook>) {
     // Order matters on both edges: arm only after the hook is in place,
     // and disarm before it is removed, so `probe_fire` never reads None
     // while armed.
@@ -300,11 +302,6 @@ pub enum CommPattern {
 }
 
 impl CommPattern {
-    /// True if a barrier is still required.
-    pub fn needs_barrier(self) -> bool {
-        matches!(self, CommPattern::General)
-    }
-
     /// Stable lower-case name (used in JSON output).
     pub fn as_str(self) -> &'static str {
         match self {

@@ -6,7 +6,7 @@
 use analysis::Bindings;
 use interp::{run_virtual, Mem, ScheduleOrder};
 use ir::Program;
-use spmd_opt::{RItem, SpmdProgram, SyncOp, TopItem};
+use spmd_opt::{for_each_slot_mut, SpmdProgram, SyncOp};
 use suite::{Built, Scale};
 
 /// Replace every non-barrier synchronization in the plan with a full
@@ -14,75 +14,27 @@ use suite::{Built, Scale};
 /// ablation's "eliminate only" column, which separates what elimination
 /// removes from what replacement by counters and flags removes.
 pub fn barrierize(plan: &SpmdProgram) -> SpmdProgram {
-    fn conv(s: &SyncOp) -> SyncOp {
-        match s {
-            SyncOp::None => SyncOp::None,
-            _ => SyncOp::Barrier,
-        }
-    }
-    fn walk_items(items: &mut Vec<RItem>) {
-        for it in items.iter_mut() {
-            match it {
-                RItem::Phase(p) => p.after = conv(&p.after),
-                RItem::Seq {
-                    body,
-                    bottom,
-                    after,
-                    ..
-                } => {
-                    walk_items(body);
-                    *bottom = conv(bottom);
-                    *after = conv(after);
-                }
-            }
-        }
-    }
     let mut out = plan.clone();
-    for item in out.items.iter_mut() {
-        if let TopItem::Region(r) = item {
-            walk_items(&mut r.items);
-            r.end = conv(&r.end);
+    for_each_slot_mut(&mut out, |s| {
+        if s.op.is_some() {
+            *s.op = SyncOp::Barrier;
         }
-    }
+    });
     out
 }
 
 /// Turn every synchronization slot of the plan into a barrier, including
 /// the eliminated ones — "region merging without any elimination", the
-/// most conservative SPMD schedule. Used by the greedy ablation.
+/// most conservative SPMD schedule. Used by the greedy ablation. The
+/// slot after a level's last item is left as it is: the bottom or end
+/// barrier that follows does its job.
 pub fn all_barriers(plan: &SpmdProgram) -> SpmdProgram {
-    fn walk_items(items: &mut Vec<RItem>) {
-        let n = items.len();
-        for (k, it) in items.iter_mut().enumerate() {
-            let last = k + 1 == n;
-            match it {
-                RItem::Phase(p) => {
-                    if !last {
-                        p.after = SyncOp::Barrier;
-                    }
-                }
-                RItem::Seq {
-                    body,
-                    bottom,
-                    after,
-                    ..
-                } => {
-                    walk_items(body);
-                    *bottom = SyncOp::Barrier;
-                    if !last {
-                        *after = SyncOp::Barrier;
-                    }
-                }
-            }
-        }
-    }
     let mut out = plan.clone();
-    for item in out.items.iter_mut() {
-        if let TopItem::Region(r) = item {
-            walk_items(&mut r.items);
-            r.end = SyncOp::Barrier;
+    for_each_slot_mut(&mut out, |s| {
+        if !s.tail {
+            *s.op = SyncOp::Barrier;
         }
-    }
+    });
     out
 }
 

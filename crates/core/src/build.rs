@@ -1,12 +1,9 @@
 //! Region formation, the greedy barrier-elimination algorithm, and
 //! baseline (fork-join) lowering.
 
-use crate::plan::{
-    ops_in_site_order, Phase, PhaseKind, RItem, Region, SpmdProgram, SyncOp, TopItem,
-};
+use crate::plan::{Phase, PhaseKind, RItem, Region, SpmdProgram, SyncOp, TopItem};
 use crate::sites::{
-    counter_number, loop_after_label, loop_bottom_label, phase_after_label, region_end_label,
-    slot_count_items, SlotKind,
+    after_label, counter_number, for_each_level_slot, loop_bottom_label, region_end_label, SlotKind,
 };
 use analysis::{
     loop_is_replicated, loop_partition, AccessPair, AnalysisConfig, AnalysisStats, Anchor,
@@ -326,14 +323,26 @@ enum Owed {
     Need(CommOutcome, Option<usize>),
 }
 
+/// The phase or sequential loop of an item.
+fn item_node(item: &RItem) -> NodeId {
+    match item {
+        RItem::Phase(p) => p.node,
+        RItem::Seq { node, .. } => *node,
+    }
+}
+
 /// Site id and sync of each item's `after` slot, for a level whose
-/// first slot is `first`.
-fn after_slots(items: &[RItem], mut first: usize) -> Vec<(usize, &SyncOp)> {
-    let after = |it| {
-        first += slot_count_items(std::slice::from_ref(it));
-        (first - 1, it.after())
-    };
-    items.iter().map(after).collect()
+/// first slot is `first`: in the walk of the level, the `after` slots
+/// of its items' own nodes, in order.
+fn after_slots(items: &[RItem], first: usize) -> Vec<(usize, &SyncOp)> {
+    let mut out = Vec::with_capacity(items.len());
+    for_each_level_slot(items, first, |s| {
+        let after = matches!(s.kind, SlotKind::PhaseAfter | SlotKind::LoopAfter);
+        if after && s.node == items.get(out.len()).map(item_node) {
+            out.push((s.id, s.op));
+        }
+    });
+    out
 }
 
 /// The first of `slots` whose sync covers `need`.
@@ -429,7 +438,7 @@ impl<'p> Optimizer<'p> {
                     };
                     let after = Slot {
                         id: bottom_id + 1,
-                        label: loop_after_label(self.prog, node),
+                        label: after_label(self.prog, node),
                         kind: SlotKind::LoopAfter,
                     };
                     (item, after, Some((sub.residual, sub.saw_barrier)))
@@ -443,7 +452,7 @@ impl<'p> Optimizer<'p> {
                     });
                     let after = Slot {
                         id: item_first,
-                        label: phase_after_label(self.prog, node),
+                        label: after_label(self.prog, node),
                         kind: SlotKind::PhaseAfter,
                     };
                     (item, after, None)
@@ -460,7 +469,10 @@ impl<'p> Optimizer<'p> {
                     group.clear();
                     saw_barrier = true;
                 }
-                items.last_mut().unwrap().set_after(sync);
+                match items.last_mut().unwrap() {
+                    RItem::Phase(p) => p.after = sync,
+                    RItem::Seq { after, .. } => *after = sync,
+                }
             }
 
             let mut joins = stmts;
@@ -539,10 +551,7 @@ impl<'p> Optimizer<'p> {
 
     /// Does `item` hold statement `s`?
     fn holds(&self, item: &RItem, s: &StmtPath) -> bool {
-        let node = match item {
-            RItem::Phase(p) => p.node,
-            RItem::Seq { node, .. } => *node,
-        };
+        let node = item_node(item);
         let mut found = node == s.node || s.loops.contains(&node);
         if !found && matches!(self.prog.node(node), Node::Guard(_)) {
             self.prog.walk(node, &mut |id, _| found |= id == s.node);
@@ -832,20 +841,19 @@ impl<'p> Optimizer<'p> {
     /// sorted by site, each with its reason — which names counters by
     /// their number in site order, whatever order the slots were
     /// decided in. `first_slot` is the region's first site id.
-    fn close_log(&mut self, items: &mut [RItem], first_slot: usize) {
-        let mut ops = Vec::new();
-        ops_in_site_order(items, &mut ops);
-        let mut counters = 0;
-        let number = |op: &&mut SyncOp| counter_number(op, &mut counters);
-        let ids: Vec<Option<usize>> = ops.iter().map(number).collect();
+    fn close_log(&mut self, items: &[RItem], first_slot: usize) {
+        let (mut slots, mut counters) = (Vec::new(), 0);
+        for_each_level_slot(items, first_slot, |s| {
+            slots.push((s.op, counter_number(s.op, &mut counters)));
+        });
         let at = |site: usize| {
-            let k = site - first_slot;
-            site_str(site, ops[k], ids[k])
+            let (op, id) = slots[site - first_slot];
+            site_str(site, op, id)
         };
         let mut pending = std::mem::take(&mut self.pending);
         pending.sort_by_key(|p| p.decision.site);
         for mut p in pending {
-            let id = ids[p.decision.site - first_slot];
+            let id = slots[p.decision.site - first_slot].1;
             p.decision.reason = reason_for(self.prog, &p, &self.opts, &at, id);
             self.log.push(p.decision);
         }
@@ -857,8 +865,9 @@ impl<'p> Optimizer<'p> {
     /// `follows` the level (the enclosing loop's bottom, merged or not,
     /// or the region end). Nothing runs between the two, so the plan
     /// never executes more barriers than fork-join, which pays one per
-    /// parallel loop. `slot` is the site id of the level's first slot.
-    fn merge_last_trips(&mut self, items: &mut [RItem], follows: bool, mut slot: usize) {
+    /// parallel loop. `slot` counts site ids along the walk: the
+    /// level's first on entry, the one past its last on return.
+    fn merge_last_trips(&mut self, items: &mut [RItem], follows: bool, slot: &mut usize) {
         let n = items.len();
         for (k, it) in items.iter_mut().enumerate() {
             let RItem::Seq {
@@ -869,12 +878,12 @@ impl<'p> Optimizer<'p> {
                 ..
             } = it
             else {
-                slot += 1;
+                *slot += 1;
                 continue;
             };
-            let bottom_site = slot + crate::sites::slot_count_items(body);
             self.merge_last_trips(body, bottom.is_barrier(), slot);
-            slot = bottom_site + 2;
+            let bottom_site = *slot;
+            *slot += 2;
             let next_is_barrier = after.is_barrier() || (k + 1 == n && follows);
             if bottom.is_barrier() && next_is_barrier {
                 *merge_last = true;
@@ -893,8 +902,9 @@ impl<'p> Optimizer<'p> {
     fn build_region(&mut self, nodes: &[NodeId]) -> Region {
         let first_slot = self.next_slot;
         let mut lr = self.schedule_level(nodes, &[]);
-        self.close_log(&mut lr.items, first_slot);
-        self.merge_last_trips(&mut lr.items, true, first_slot);
+        self.close_log(&lr.items, first_slot);
+        let mut slot = first_slot;
+        self.merge_last_trips(&mut lr.items, true, &mut slot);
         let end_id = self.next_slot;
         self.next_slot += 1;
         let region_ix = self.next_region;

@@ -59,10 +59,11 @@ pub use build::{
     optimize_with, pair_str, placed_str, Decision, OptimizeOptions,
 };
 pub use plan::{
-    demote_site, demote_sites, set_site_op, Phase, PhaseKind, RItem, Region, SpmdProgram,
-    StaticStats, SyncOp, TopItem,
+    demote_site, demote_sites, set_site_op, site_op_mut, Phase, PhaseKind, RItem, Region,
+    SpmdProgram, StaticStats, SyncOp, TopItem,
 };
 pub use report::render_plan;
 pub use sites::{
-    counter_numbers, node_label, slot_count_items, slot_count_top, sync_sites, SlotKind, SyncSite,
+    counter_numbers, for_each_slot, for_each_slot_mut, node_label, sync_sites, Slot, SlotKind,
+    SyncSite,
 };

@@ -1,5 +1,6 @@
 //! The optimized SPMD schedule produced by the optimizer.
 
+use crate::sites::{for_each_slot, for_each_slot_mut, SlotKind};
 use analysis::{Comm, CommPattern, LoopPartition, WaitSet};
 use ir::{Affine, LoopId, NodeId};
 
@@ -133,24 +134,6 @@ pub enum RItem {
     },
 }
 
-impl RItem {
-    /// The sync placed after this item (before the next).
-    pub fn after(&self) -> &SyncOp {
-        match self {
-            RItem::Phase(p) => &p.after,
-            RItem::Seq { after, .. } => after,
-        }
-    }
-
-    /// Set the sync placed after this item.
-    pub fn set_after(&mut self, s: SyncOp) {
-        match self {
-            RItem::Phase(p) => p.after = s,
-            RItem::Seq { after, .. } => *after = s,
-        }
-    }
-}
-
 /// An SPMD region: dispatched to the worker team once, then executed by
 /// all processors with the placed synchronization.
 #[derive(Clone, Debug)]
@@ -207,32 +190,12 @@ pub struct StaticStats {
     pub eliminated: usize,
 }
 
-/// Every sync op under `items`, in site order.
-pub(crate) fn ops_in_site_order<'a>(items: &'a mut [RItem], out: &mut Vec<&'a mut SyncOp>) {
-    for it in items {
-        match it {
-            RItem::Phase(p) => out.push(&mut p.after),
-            RItem::Seq {
-                body,
-                bottom,
-                after,
-                ..
-            } => {
-                ops_in_site_order(body, out);
-                out.push(bottom);
-                out.push(after);
-            }
-        }
-    }
-}
-
 /// Demote the sync op at canonical site `site` to a full
 /// [`SyncOp::Barrier`], returning the op it displaced (`None` when the
-/// plan has no such site). The walk mirrors
-/// [`sync_sites`](crate::sites::sync_sites) exactly — items in order, a
-/// `Seq`'s body slots before its `bottom` and `after`, a region's items
-/// before its `end` — so the id a runtime failure report attributes a
-/// fault to addresses the same slot here.
+/// plan has no such site). The site is found by the one canonical walk
+/// ([`for_each_slot_mut`]) that numbers
+/// [`sync_sites`](crate::sites::sync_sites), so the id a runtime failure
+/// report attributes a fault to addresses the same slot here.
 ///
 /// Demotion is the recovery layer's conservative fallback: a full
 /// barrier orders every processor at the slot, which over-synchronizes
@@ -245,25 +208,22 @@ pub fn demote_site(plan: &mut SpmdProgram, site: usize) -> Option<SyncOp> {
 
 /// Replace the sync op at canonical site `site` with `op`, returning
 /// the op it displaced (`None` when the plan has no such site). The
-/// walk is the same canonical numbering as [`demote_site`] — which is
-/// this function specialized to [`SyncOp::Barrier`]; the general form
-/// also deletes a site (`SyncOp::None`) or puts a displaced op back.
+/// general form of [`demote_site`]: it also deletes a site
+/// (`SyncOp::None`) or puts a displaced op back.
 pub fn set_site_op(plan: &mut SpmdProgram, site: usize, op: SyncOp) -> Option<SyncOp> {
-    fn ops_of_top<'a>(items: &'a mut [TopItem], out: &mut Vec<&'a mut SyncOp>) {
-        for it in items {
-            match it {
-                TopItem::SerialStmt(_) => {}
-                TopItem::MasterLoop { body, .. } => ops_of_top(body, out),
-                TopItem::Region(r) => {
-                    ops_in_site_order(&mut r.items, out);
-                    out.push(&mut r.end);
-                }
-            }
+    Some(std::mem::replace(site_op_mut(plan, site)?, op))
+}
+
+/// The sync op at canonical site `site`, to change (`None` when the
+/// plan has no such site).
+pub fn site_op_mut(plan: &mut SpmdProgram, site: usize) -> Option<&mut SyncOp> {
+    let mut found = None;
+    for_each_slot_mut(plan, |s| {
+        if s.id == site {
+            found = Some(s.op);
         }
-    }
-    let mut ops = Vec::new();
-    ops_of_top(&mut plan.items, &mut ops);
-    Some(std::mem::replace(&mut **ops.get_mut(site)?, op))
+    });
+    found
 }
 
 /// Demote every listed canonical site to a full barrier, returning the
@@ -277,11 +237,22 @@ pub fn demote_sites(plan: &mut SpmdProgram, sites: &[usize]) -> Vec<Option<SyncO
 }
 
 impl SpmdProgram {
-    /// Count the static synchronization points of the schedule.
+    /// Count the static synchronization points of the schedule. The
+    /// slot after the last item of a level is not a sync point (the
+    /// enclosing bottom or end sync follows directly), so an untouched
+    /// `None` there is not an elimination.
     pub fn static_stats(&self) -> StaticStats {
         let mut st = StaticStats::default();
-        fn count_sync(s: &SyncOp, st: &mut StaticStats) {
-            match s {
+        for_each_slot(self, |s| {
+            match s.kind {
+                SlotKind::PhaseAfter => st.phases += 1,
+                SlotKind::RegionEnd => st.regions += 1,
+                _ => {}
+            }
+            if s.tail {
+                return;
+            }
+            match s.op {
                 SyncOp::None => st.eliminated += 1,
                 SyncOp::Barrier => st.barriers += 1,
                 SyncOp::Cells { waits } => match waits.class() {
@@ -290,49 +261,7 @@ impl SpmdProgram {
                     _ => st.pair_syncs += 1,
                 },
             }
-        }
-        fn walk_items(items: &[RItem], st: &mut StaticStats) {
-            for (k, it) in items.iter().enumerate() {
-                // The slot after the last item of a level is not a sync
-                // point (the enclosing bottom/end sync follows directly),
-                // so an untouched `None` there is not an elimination.
-                let last = k + 1 == items.len();
-                match it {
-                    RItem::Phase(p) => {
-                        st.phases += 1;
-                        if !last {
-                            count_sync(&p.after, st);
-                        }
-                    }
-                    RItem::Seq {
-                        body,
-                        bottom,
-                        after,
-                        ..
-                    } => {
-                        walk_items(body, st);
-                        count_sync(bottom, st);
-                        if !last {
-                            count_sync(after, st);
-                        }
-                    }
-                }
-            }
-        }
-        fn walk_top(items: &[TopItem], st: &mut StaticStats) {
-            for it in items {
-                match it {
-                    TopItem::SerialStmt(_) => {}
-                    TopItem::MasterLoop { body, .. } => walk_top(body, st),
-                    TopItem::Region(r) => {
-                        st.regions += 1;
-                        walk_items(&r.items, st);
-                        count_sync(&r.end, st);
-                    }
-                }
-            }
-        }
-        walk_top(&self.items, &mut st);
+        });
         st
     }
 }

@@ -1,18 +1,24 @@
 //! Canonical numbering of a schedule's synchronization slots.
 //!
 //! Every schedule has four kinds of sync slot: a phase's `after`, a
-//! sequential loop's `bottom` and `after`, and a region's `end`. This
-//! module assigns each slot a stable **site id** by a deterministic
-//! pre-order walk (items in order; a `Seq`'s body slots precede its
-//! `bottom` and `after`; a region's items precede its `end`). The same
-//! numbering is reproduced arithmetically when `interp` lays a plan out
-//! as a walk, so per-site runtime telemetry, the optimizer's decision
-//! log, and the mutation tester all talk about the same sites.
+//! sequential loop's `bottom` and `after`, and a region's `end`. Each
+//! slot's **site id** is its position in one deterministic pre-order
+//! walk, written once here: a level's items in order; a `Seq`'s body
+//! slots, then its `bottom`, then its `after`; a region's items, then
+//! its `end`; a master loop's body once. [`for_each_slot`] and its
+//! `&mut` twin [`for_each_slot_mut`] are generated from that one body,
+//! and every site id is read from them — the labelled [`sync_sites`],
+//! counter numbers, `set_site_op` and `demote_site(s)`, static counts,
+//! the mutation tester's slots and the benchmark's ablation plans. The
+//! optimizer and `interp`'s lowering, which lay the tree out anyway,
+//! count slots along the same pre-order as they go; so per-site
+//! runtime telemetry, the decision log and the mutation tester all
+//! talk about the same sites.
 //!
 //! Slots holding [`SyncOp::None`] (eliminated barriers) are numbered
 //! too: the explain pass reports *why* they are empty.
 
-use crate::plan::{RItem, SpmdProgram, SyncOp, TopItem};
+use crate::plan::{Phase, RItem, Region, SpmdProgram, SyncOp, TopItem};
 use ir::{LoopKind, Node, NodeId, Program};
 
 /// Which structural slot a sync site occupies.
@@ -39,6 +45,147 @@ impl SlotKind {
             SlotKind::RegionEnd => "region-end",
         }
     }
+}
+
+/// One sync slot as the canonical walk meets it, with its op (`&` or
+/// `&mut`).
+#[derive(Debug)]
+pub struct Slot<Op> {
+    /// Site id: the slot's position in the walk.
+    pub id: usize,
+    /// Structural slot kind.
+    pub kind: SlotKind,
+    /// The phase or sequential loop the slot belongs to; `None` for a
+    /// region end.
+    pub node: Option<NodeId>,
+    /// The region the slot is in, counted in walk order.
+    pub region: usize,
+    /// The `after` slot of its level's last item: the enclosing loop's
+    /// bottom or the region's end follows it directly, so it is no sync
+    /// point of its own.
+    pub tail: bool,
+    /// The synchronization the plan places there.
+    pub op: Op,
+}
+
+impl<Op> Slot<Op> {
+    /// Human-readable location, e.g. `after DOALL i [n5]`.
+    fn label(&self, prog: &Program) -> String {
+        match (self.kind, self.node) {
+            (SlotKind::LoopBottom, Some(node)) => loop_bottom_label(prog, node),
+            (_, Some(node)) => after_label(prog, node),
+            (_, None) => region_end_label(self.region),
+        }
+    }
+}
+
+/// The walk's position: the next site id and the current region.
+struct At {
+    id: usize,
+    region: usize,
+}
+
+impl At {
+    fn visit<Op>(
+        &mut self,
+        f: &mut impl FnMut(Slot<Op>),
+        kind: SlotKind,
+        node: Option<NodeId>,
+        tail: bool,
+        op: Op,
+    ) {
+        let (id, region) = (self.id, self.region);
+        f(Slot {
+            id,
+            kind,
+            node,
+            region,
+            tail,
+            op,
+        });
+        self.id += 1;
+    }
+}
+
+/// The one slot order, as a level walk and a top-level walk over `&`
+/// or (given `mut`) `&mut` items.
+macro_rules! slot_walk {
+    ($level:ident, $top:ident, $($mut:tt)?) => {
+        fn $level<'a>(
+            items: &'a $($mut)? [RItem],
+            at: &mut At,
+            f: &mut impl FnMut(Slot<&'a $($mut)? SyncOp>),
+        ) {
+            let n = items.len();
+            for (k, it) in IntoIterator::into_iter(items).enumerate() {
+                match it {
+                    RItem::Phase(Phase { node, after, .. }) => {
+                        at.visit(f, SlotKind::PhaseAfter, Some(*node), k + 1 == n, after);
+                    }
+                    RItem::Seq {
+                        node,
+                        body,
+                        bottom,
+                        after,
+                        ..
+                    } => {
+                        $level(body, at, f);
+                        at.visit(f, SlotKind::LoopBottom, Some(*node), false, bottom);
+                        at.visit(f, SlotKind::LoopAfter, Some(*node), k + 1 == n, after);
+                    }
+                }
+            }
+        }
+
+        fn $top<'a>(
+            items: &'a $($mut)? [TopItem],
+            at: &mut At,
+            f: &mut impl FnMut(Slot<&'a $($mut)? SyncOp>),
+        ) {
+            for it in items {
+                match it {
+                    TopItem::SerialStmt(_) => {}
+                    TopItem::MasterLoop { body, .. } => $top(body, at, f),
+                    TopItem::Region(Region { items, end }) => {
+                        $level(items, at, f);
+                        at.visit(f, SlotKind::RegionEnd, None, false, end);
+                        at.region += 1;
+                    }
+                }
+            }
+        }
+    };
+}
+
+slot_walk!(level, top,);
+slot_walk!(level_mut, top_mut, mut);
+
+/// Visit every sync slot of `plan` in canonical walk order; ids are
+/// contiguous from zero.
+pub fn for_each_slot<'a>(plan: &'a SpmdProgram, mut f: impl FnMut(Slot<&'a SyncOp>)) {
+    top(&plan.items, &mut At { id: 0, region: 0 }, &mut f);
+}
+
+/// [`for_each_slot`], handing out each slot's op to change.
+pub fn for_each_slot_mut<'a>(plan: &'a mut SpmdProgram, mut f: impl FnMut(Slot<&'a mut SyncOp>)) {
+    top_mut(&mut plan.items, &mut At { id: 0, region: 0 }, &mut f);
+}
+
+/// Visit the slots of one region's items, the first numbered `first`
+/// (a level does not know its region: `region` reads 0).
+pub(crate) fn for_each_level_slot<'a>(
+    items: &'a [RItem],
+    first: usize,
+    mut f: impl FnMut(Slot<&'a SyncOp>),
+) {
+    level(
+        items,
+        &mut At {
+            id: first,
+            region: 0,
+        },
+        &mut f,
+    );
 }
 
 /// One synchronization slot of a schedule, with its canonical id.
@@ -75,8 +222,8 @@ pub fn node_label(prog: &Program, node: NodeId) -> String {
     }
 }
 
-/// Label of a phase-after slot.
-pub(crate) fn phase_after_label(prog: &Program, node: NodeId) -> String {
+/// Label of a phase-after or loop-after slot.
+pub(crate) fn after_label(prog: &Program, node: NodeId) -> String {
     format!("after {} [n{}]", node_label(prog, node), node.0)
 }
 
@@ -85,108 +232,9 @@ pub(crate) fn loop_bottom_label(prog: &Program, node: NodeId) -> String {
     format!("bottom of {} [n{}]", node_label(prog, node), node.0)
 }
 
-/// Label of a loop-after slot.
-pub(crate) fn loop_after_label(prog: &Program, node: NodeId) -> String {
-    format!("after {} [n{}]", node_label(prog, node), node.0)
-}
-
 /// Label of a region-end slot.
 pub(crate) fn region_end_label(region: usize) -> String {
     format!("end of region r{region}")
-}
-
-/// Number of sync slots under a list of region items.
-pub fn slot_count_items(items: &[RItem]) -> usize {
-    items
-        .iter()
-        .map(|it| match it {
-            RItem::Phase(_) => 1,
-            RItem::Seq { body, .. } => slot_count_items(body) + 2,
-        })
-        .sum()
-}
-
-/// Number of sync slots under a list of top-level items (a master
-/// loop's body is counted once — its slots repeat dynamically but share
-/// their static ids).
-pub fn slot_count_top(items: &[TopItem]) -> usize {
-    items
-        .iter()
-        .map(|it| match it {
-            TopItem::SerialStmt(_) => 0,
-            TopItem::MasterLoop { body, .. } => slot_count_top(body),
-            TopItem::Region(r) => slot_count_items(&r.items) + 1,
-        })
-        .sum()
-}
-
-fn walk_items(prog: &Program, items: &[RItem], next: &mut usize, out: &mut Vec<SyncSite>) {
-    for it in items {
-        match it {
-            RItem::Phase(p) => {
-                out.push(SyncSite {
-                    id: *next,
-                    kind: SlotKind::PhaseAfter,
-                    label: phase_after_label(prog, p.node),
-                    op: p.after.clone(),
-                    counter: None,
-                });
-                *next += 1;
-            }
-            RItem::Seq {
-                node,
-                body,
-                bottom,
-                after,
-                ..
-            } => {
-                walk_items(prog, body, next, out);
-                out.push(SyncSite {
-                    id: *next,
-                    kind: SlotKind::LoopBottom,
-                    label: loop_bottom_label(prog, *node),
-                    op: bottom.clone(),
-                    counter: None,
-                });
-                *next += 1;
-                out.push(SyncSite {
-                    id: *next,
-                    kind: SlotKind::LoopAfter,
-                    label: loop_after_label(prog, *node),
-                    op: after.clone(),
-                    counter: None,
-                });
-                *next += 1;
-            }
-        }
-    }
-}
-
-fn walk_top(
-    prog: &Program,
-    items: &[TopItem],
-    next: &mut usize,
-    region: &mut usize,
-    out: &mut Vec<SyncSite>,
-) {
-    for it in items {
-        match it {
-            TopItem::SerialStmt(_) => {}
-            TopItem::MasterLoop { body, .. } => walk_top(prog, body, next, region, out),
-            TopItem::Region(r) => {
-                walk_items(prog, &r.items, next, out);
-                out.push(SyncSite {
-                    id: *next,
-                    kind: SlotKind::RegionEnd,
-                    label: region_end_label(*region),
-                    op: r.end.clone(),
-                    counter: None,
-                });
-                *next += 1;
-                *region += 1;
-            }
-        }
-    }
 }
 
 /// The number of a counter-labelled `op` among those of its region so
@@ -198,48 +246,31 @@ pub(crate) fn counter_number(op: &SyncOp, next: &mut usize) -> Option<usize> {
     })
 }
 
-/// [`SyncSite::counter`] of every site, by site id, without the rest of
-/// the walk.
+/// [`SyncSite::counter`] of every site, by site id, without the labels.
 pub fn counter_numbers(plan: &SpmdProgram) -> Vec<Option<usize>> {
-    fn level(items: &[RItem], next: &mut usize, out: &mut Vec<Option<usize>>) {
-        for it in items {
-            if let RItem::Seq { body, bottom, .. } = it {
-                level(body, next, out);
-                out.push(counter_number(bottom, next));
-            }
-            out.push(counter_number(it.after(), next));
+    let (mut out, mut region, mut next) = (Vec::new(), 0, 0);
+    for_each_slot(plan, |s| {
+        if s.region != region {
+            (region, next) = (s.region, 0);
         }
-    }
-    fn top(tops: &[TopItem], out: &mut Vec<Option<usize>>) {
-        for it in tops {
-            match it {
-                TopItem::SerialStmt(_) => {}
-                TopItem::MasterLoop { body, .. } => top(body, out),
-                TopItem::Region(r) => {
-                    let mut next = 0;
-                    level(&r.items, &mut next, out);
-                    out.push(counter_number(&r.end, &mut next));
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    top(&plan.items, &mut out);
+        out.push(counter_number(s.op, &mut next));
+    });
     out
 }
 
-/// Enumerate every sync slot of a schedule in canonical walk order.
-/// Ids are contiguous from zero; the walk order matches the slot
-/// enumeration of the mutation tester and the arithmetic numbering
-/// `interp::Schedule::new` computes.
+/// Every sync slot of a schedule, labelled, in canonical walk order.
 pub fn sync_sites(prog: &Program, plan: &SpmdProgram) -> Vec<SyncSite> {
+    let counters = counter_numbers(plan);
     let mut out = Vec::new();
-    let mut next = 0usize;
-    let mut region = 0usize;
-    walk_top(prog, &plan.items, &mut next, &mut region, &mut out);
-    for (site, counter) in out.iter_mut().zip(counter_numbers(plan)) {
-        site.counter = counter;
-    }
+    for_each_slot(plan, |s| {
+        out.push(SyncSite {
+            id: s.id,
+            kind: s.kind,
+            label: s.label(prog),
+            op: s.op.clone(),
+            counter: counters[s.id],
+        })
+    });
     out
 }
 
@@ -272,16 +303,71 @@ mod tests {
     }
 
     #[test]
-    fn ids_are_contiguous_and_match_slot_counts() {
+    fn ids_are_contiguous_and_labelled() {
         let (prog, bind) = sweep();
         for plan in [optimize(&prog, &bind), fork_join(&prog, &bind)] {
             let sites = sync_sites(&prog, &plan);
-            assert_eq!(sites.len(), slot_count_top(&plan.items));
+            assert!(!sites.is_empty());
             for (k, s) in sites.iter().enumerate() {
                 assert_eq!(s.id, k);
                 assert!(!s.label.is_empty());
             }
         }
+    }
+
+    #[test]
+    fn walk_reports_kind_node_region_and_tail() {
+        use crate::plan::{PhaseKind, Region};
+        let phase = |n| {
+            RItem::Phase(Phase {
+                node: NodeId(n),
+                kind: PhaseKind::Master,
+                after: SyncOp::None,
+            })
+        };
+        let region = |items| {
+            TopItem::Region(Region {
+                items,
+                end: SyncOp::Barrier,
+            })
+        };
+        let seq = RItem::Seq {
+            node: NodeId(2),
+            body: vec![phase(3)],
+            bottom: SyncOp::Barrier,
+            merge_last: false,
+            after: SyncOp::None,
+        };
+        // A master loop's body is walked once; its region is the first.
+        let plan = SpmdProgram {
+            name: "t".into(),
+            items: vec![
+                TopItem::MasterLoop {
+                    node: NodeId(0),
+                    body: vec![region(vec![phase(1), seq])],
+                },
+                TopItem::SerialStmt(NodeId(4)),
+                region(vec![phase(5)]),
+            ],
+        };
+        let mut walked = Vec::new();
+        for_each_slot(&plan, |s| {
+            walked.push((s.id, s.kind, s.node, s.region, s.tail))
+        });
+        let n = |k| Some(NodeId(k));
+        use SlotKind::*;
+        assert_eq!(
+            walked,
+            [
+                (0, PhaseAfter, n(1), 0, false),
+                (1, PhaseAfter, n(3), 0, true),
+                (2, LoopBottom, n(2), 0, false),
+                (3, LoopAfter, n(2), 0, true),
+                (4, RegionEnd, None, 0, false),
+                (5, PhaseAfter, n(5), 1, true),
+                (6, RegionEnd, None, 1, false),
+            ]
+        );
     }
 
     #[test]

@@ -105,14 +105,6 @@ impl VarTable {
         vs.sort_by_key(|v| (self.kind(*v).scan_rank(), v.0));
         vs
     }
-
-    /// Variables in *elimination* order: the reverse of the scan order,
-    /// i.e. array indices are eliminated first and symbolics last.
-    pub fn elimination_order(&self) -> Vec<VarId> {
-        let mut vs = self.scan_order();
-        vs.reverse();
-        vs
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +120,6 @@ mod tests {
         let x = vt.fresh("x", VarKind::ArrayIndex);
         let j = vt.fresh("j", VarKind::LoopIndex);
         assert_eq!(vt.scan_order(), vec![n, p, i, j, x]);
-        assert_eq!(vt.elimination_order(), vec![x, j, i, p, n]);
     }
 
     #[test]

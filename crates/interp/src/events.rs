@@ -21,9 +21,7 @@ use crate::kernel::{Code, Lin, Lowerer, Owner};
 use analysis::{Bindings, CommPattern, DistSet, ProducerSpec};
 use ir::{LoopId, NodeId, Program};
 use runtime::SyncKind;
-use spmd_opt::{
-    counter_numbers, slot_count_items, slot_count_top, RItem, SpmdProgram, SyncOp, TopItem,
-};
+use spmd_opt::{counter_numbers, RItem, SpmdProgram, SyncOp, TopItem};
 
 /// A synchronization point (an eliminated slot is no step).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -134,8 +132,9 @@ impl Schedule {
             lower: Lowerer::new(prog, bind),
             walk: Vec::new(),
             syncs: Vec::new(),
+            next_site: 0,
         };
-        b.top(&plan.items, 0);
+        b.top(&plan.items);
         Schedule {
             code: b.lower.finish(),
             walk: b.walk,
@@ -405,6 +404,10 @@ struct Builder<'a> {
     lower: Lowerer<'a>,
     walk: Vec<Op>,
     syncs: Vec<Site>,
+    /// The canonical id of the next sync slot laid out: the tree is
+    /// laid out in the site walk's order ([`spmd_opt::for_each_slot`]),
+    /// a master loop's body once.
+    next_site: u32,
 }
 
 impl Builder<'_> {
@@ -431,7 +434,10 @@ impl Builder<'_> {
         specs.iter().map(named).collect()
     }
 
-    fn sync(&mut self, op: &SyncOp, site: usize, merge_last: bool) {
+    /// The sync op of the next slot: a step unless it is `None`.
+    fn sync(&mut self, op: &SyncOp, merge_last: bool) {
+        let site = self.next_site;
+        self.next_site += 1;
         let (op, producers, collectors, all_post, posts, waited) = match op {
             SyncOp::None => return,
             SyncOp::Barrier => (SyncStep::Barrier, Vec::new(), Vec::new(), false, 0, 0),
@@ -466,7 +472,7 @@ impl Builder<'_> {
         };
         self.walk.push(Op::Sync(self.syncs.len() as u32));
         self.syncs.push(Site {
-            site: site as u32,
+            site,
             merge_last,
             op,
             producers,
@@ -477,44 +483,32 @@ impl Builder<'_> {
         });
     }
 
-    /// Lay out top-level items. `slot` is the canonical site id of the
-    /// first slot under `items`; every master-loop iteration reuses the
-    /// same static ids (the numbering is structural, mirroring
-    /// [`spmd_opt::sync_sites`]). Returns the id past the last slot.
-    fn top(&mut self, items: &[TopItem], mut slot: usize) -> usize {
+    /// Lay out top-level items.
+    fn top(&mut self, items: &[TopItem]) {
         for it in items {
             match it {
                 TopItem::SerialStmt(n) => {
                     let kernel = self.lower.kernel(*n, None);
                     self.walk.push(Op::Work(kernel));
                 }
-                TopItem::MasterLoop { node, body } => {
-                    self.seq_loop(*node, |b| {
-                        b.top(body, slot);
-                    });
-                    slot += slot_count_top(body);
-                }
+                TopItem::MasterLoop { node, body } => self.seq_loop(*node, |b| b.top(body)),
                 TopItem::Region(r) => {
                     self.walk.push(Op::Dispatch);
-                    let end_site = self.items(&r.items, slot);
-                    self.sync(&r.end, end_site, false);
-                    slot = end_site + 1;
+                    self.items(&r.items);
+                    self.sync(&r.end, false);
                 }
             }
         }
-        slot
     }
 
-    /// Lay out region items starting at canonical site id `slot`;
-    /// returns the id past the items' last slot.
-    fn items(&mut self, items: &[RItem], mut slot: usize) -> usize {
+    /// Lay out region items.
+    fn items(&mut self, items: &[RItem]) {
         for it in items {
             match it {
                 RItem::Phase(p) => {
                     let kernel = self.lower.kernel(p.node, Some(&p.kind));
                     self.walk.push(Op::Work(kernel));
-                    self.sync(&p.after, slot, false);
-                    slot += 1;
+                    self.sync(&p.after, false);
                 }
                 RItem::Seq {
                     node,
@@ -523,17 +517,14 @@ impl Builder<'_> {
                     merge_last,
                     after,
                 } => {
-                    let bottom_site = slot + slot_count_items(body);
                     self.seq_loop(*node, |b| {
-                        b.items(body, slot);
-                        b.sync(bottom, bottom_site, *merge_last);
+                        b.items(body);
+                        b.sync(bottom, *merge_last);
                     });
-                    self.sync(after, bottom_site + 1, false);
-                    slot = bottom_site + 2;
+                    self.sync(after, false);
                 }
             }
         }
-        slot
     }
 }
 

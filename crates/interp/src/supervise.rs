@@ -246,7 +246,7 @@ pub struct Supervised {
 /// entry checkpoint after every failed attempt, so a completed run
 /// leaves `mem` indistinguishable from a clean run, and a failed one
 /// leaves it at the region entry state.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments)] // The executor's inputs but the fabric, the retry policy, the replan hook.
 pub fn run_parallel_supervised(
     prog: &Arc<Program>,
     bind: &Arc<Bindings>,

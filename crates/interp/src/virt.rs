@@ -303,36 +303,11 @@ mod tests {
         let (prog, bind) = sweep(32, 5, 4);
         let mut plan = optimize(&prog, &bind);
         // Strip every non-barrier sync from the plan.
-        fn strip(items: &mut Vec<spmd_opt::RItem>) {
-            for it in items.iter_mut() {
-                match it {
-                    spmd_opt::RItem::Phase(p) => {
-                        if !p.after.is_barrier() {
-                            p.after = SyncOp::None;
-                        }
-                    }
-                    spmd_opt::RItem::Seq {
-                        body,
-                        bottom,
-                        after,
-                        ..
-                    } => {
-                        strip(body);
-                        if !bottom.is_barrier() {
-                            *bottom = SyncOp::None;
-                        }
-                        if !after.is_barrier() {
-                            *after = SyncOp::None;
-                        }
-                    }
-                }
+        spmd_opt::for_each_slot_mut(&mut plan, |s| {
+            if !s.op.is_barrier() {
+                *s.op = SyncOp::None;
             }
-        }
-        for item in plan.items.iter_mut() {
-            if let spmd_opt::TopItem::Region(r) = item {
-                strip(&mut r.items);
-            }
-        }
+        });
         let oracle = Mem::new(&prog, &bind);
         oracle.fill(ir::ArrayId(0), |s| (s[0] % 7) as f64);
         crate::run_sequential(&prog, &bind, &oracle);

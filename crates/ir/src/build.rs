@@ -145,8 +145,10 @@ pub struct ProgramBuilder {
 impl ProgramBuilder {
     /// Start a new program.
     pub fn new(name: impl Into<String>) -> Self {
-        let mut prog = Program::default();
-        prog.name = name.into();
+        let prog = Program {
+            name: name.into(),
+            ..Program::default()
+        };
         ProgramBuilder {
             prog,
             stack: vec![(None, Vec::new())],

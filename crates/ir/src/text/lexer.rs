@@ -161,7 +161,7 @@ impl<'a> Lexer<'a> {
                             && self
                                 .src
                                 .get(self.pos + 1)
-                                .map_or(false, |d| d.is_ascii_digit())
+                                .is_some_and(|d| d.is_ascii_digit())
                         {
                             is_float = true;
                             self.bump();
@@ -169,7 +169,7 @@ impl<'a> Lexer<'a> {
                             && self
                                 .src
                                 .get(self.pos + 1)
-                                .map_or(false, |d| d.is_ascii_digit() || *d == b'-' || *d == b'+')
+                                .is_some_and(|d| d.is_ascii_digit() || *d == b'-' || *d == b'+')
                         {
                             is_float = true;
                             self.bump();

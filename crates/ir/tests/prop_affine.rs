@@ -10,7 +10,7 @@ use std::hash::{Hash, Hasher};
 const NATOMS: usize = 4;
 
 fn atom(k: usize) -> AffAtom {
-    if k % 2 == 0 {
+    if k.is_multiple_of(2) {
         AffAtom::Loop(LoopId((k / 2) as u32))
     } else {
         AffAtom::Sym(SymId((k / 2) as u32))

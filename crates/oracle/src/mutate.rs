@@ -3,11 +3,12 @@
 //!
 //! A schedule's synchronization lives in four kinds of slot: a phase's
 //! `after`, a sequential loop's `bottom` and `after`, and a region's
-//! `end`. The mutator enumerates every non-`None` slot in a
-//! deterministic walk order and produces, for each, a copy of the plan
-//! with exactly that slot erased — and, for a wait set with collectors,
-//! a second copy in which nobody gathers. The teeth driver then checks each mutant two ways —
-//! statically with the race validator and dynamically with the
+//! `end`. The mutator enumerates every non-`None` slot in the canonical
+//! site walk (`spmd_opt::for_each_slot`, whose ids every other consumer
+//! shares) and produces, for each, a copy of the plan with exactly that
+//! slot erased — and, for a wait set with collectors, a second copy in
+//! which nobody gathers. The teeth driver then checks each mutant two
+//! ways — statically with the race validator and dynamically with the
 //! differential oracle under adversarial interleavings — so tests can
 //! assert that the validator is at least as sensitive as observed
 //! divergence, and that deleting any interior sync op is flagged.
@@ -17,7 +18,7 @@ use crate::validate::validate;
 use analysis::Bindings;
 use interp::ScheduleOrder;
 use ir::Program;
-use spmd_opt::{RItem, SpmdProgram, SyncOp, TopItem};
+use spmd_opt::{for_each_slot, set_site_op, site_op_mut, Slot, SlotKind, SpmdProgram, SyncOp};
 
 /// One deletable synchronization slot.
 #[derive(Clone, Debug)]
@@ -41,95 +42,40 @@ fn op_name(op: &SyncOp) -> &'static str {
     }
 }
 
-fn visit_items(
-    items: &mut [RItem],
-    k: &mut usize,
-    f: &mut impl FnMut(usize, bool, String, &mut SyncOp),
-) {
-    for it in items.iter_mut() {
-        match it {
-            RItem::Phase(p) => {
-                let d = format!("phase(node {}).after: {}", p.node.0, op_name(&p.after));
-                f(*k, false, d, &mut p.after);
-                *k += 1;
-            }
-            RItem::Seq {
-                node,
-                body,
-                bottom,
-                after,
-                ..
-            } => {
-                let n = node.0;
-                visit_items(body, k, f);
-                let d = format!("seq(node {n}).bottom: {}", op_name(bottom));
-                f(*k, false, d, bottom);
-                *k += 1;
-                let d = format!("seq(node {n}).after: {}", op_name(after));
-                f(*k, false, d, after);
-                *k += 1;
-            }
-        }
-    }
-}
-
-fn visit_top(
-    items: &mut [TopItem],
-    k: &mut usize,
-    f: &mut impl FnMut(usize, bool, String, &mut SyncOp),
-) {
-    for it in items.iter_mut() {
-        match it {
-            TopItem::SerialStmt(_) => {}
-            TopItem::MasterLoop { body, .. } => visit_top(body, k, f),
-            TopItem::Region(r) => {
-                visit_items(&mut r.items, k, f);
-                let d = format!("region.end: {}", op_name(&r.end));
-                f(*k, true, d, &mut r.end);
-                *k += 1;
-            }
-        }
-    }
+/// A slot's location and op as a mutant names them:
+/// `phase(node 5).after: neighbor`, `seq(node 2).bottom: barrier`,
+/// `region.end: barrier`.
+fn desc(s: &Slot<&SyncOp>) -> String {
+    let at = match (s.kind, s.node) {
+        (SlotKind::PhaseAfter, Some(n)) => format!("phase(node {}).after", n.0),
+        (SlotKind::LoopBottom, Some(n)) => format!("seq(node {}).bottom", n.0),
+        (SlotKind::LoopAfter, Some(n)) => format!("seq(node {}).after", n.0),
+        _ => "region.end".into(),
+    };
+    format!("{at}: {}", op_name(s.op))
 }
 
 /// Every non-`None` synchronization slot of a plan, in walk order.
 pub fn sites(plan: &SpmdProgram) -> Vec<MutationSite> {
-    let mut plan = plan.clone();
     let mut out = Vec::new();
-    let mut k = 0usize;
-    visit_top(
-        &mut plan.items,
-        &mut k,
-        &mut |index, region_end, desc, op| {
-            if op.is_some() {
-                out.push(MutationSite {
-                    index,
-                    region_end,
-                    desc,
-                });
-            }
-        },
-    );
-    out
-}
-
-/// A copy of the plan with `change` applied to the sync slot at walk
-/// position `index`.
-fn mutated(plan: &SpmdProgram, index: usize, mut change: impl FnMut(&mut SyncOp)) -> SpmdProgram {
-    let mut mutant = plan.clone();
-    let mut k = 0usize;
-    visit_top(&mut mutant.items, &mut k, &mut |i, _, _, op| {
-        if i == index {
-            change(op);
+    for_each_slot(plan, |s| {
+        if s.op.is_some() {
+            out.push(MutationSite {
+                index: s.id,
+                region_end: s.kind == SlotKind::RegionEnd,
+                desc: desc(&s),
+            });
         }
     });
-    mutant
+    out
 }
 
 /// A copy of the plan with the sync slot at walk position `index`
 /// erased to [`SyncOp::None`].
 pub fn delete(plan: &SpmdProgram, index: usize) -> SpmdProgram {
-    mutated(plan, index, |op| *op = SyncOp::None)
+    let mut mutant = plan.clone();
+    set_site_op(&mut mutant, index, SyncOp::None);
+    mutant
 }
 
 /// A copy of the plan whose point-to-point sync at walk position
@@ -137,14 +83,15 @@ pub fn delete(plan: &SpmdProgram, index: usize) -> SpmdProgram {
 /// stays, but nobody waits for everyone any more. `None` when the slot
 /// holds no collector.
 pub fn drop_collectors(plan: &SpmdProgram, index: usize) -> Option<SpmdProgram> {
-    let mut dropped = false;
-    let mutant = mutated(plan, index, |op| {
-        if let SyncOp::Cells { waits } = op {
-            dropped = !waits.collectors.is_empty();
-            waits.collectors.clear();
-        }
-    });
-    dropped.then_some(mutant)
+    let mut mutant = plan.clone();
+    let Some(SyncOp::Cells { waits }) = site_op_mut(&mut mutant, index) else {
+        return None;
+    };
+    if waits.collectors.is_empty() {
+        return None;
+    }
+    waits.collectors.clear();
+    Some(mutant)
 }
 
 /// The interior syncs of `plan` the placed syncs around them imply:

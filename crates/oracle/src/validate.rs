@@ -274,36 +274,11 @@ mod tests {
     fn stripping_neighbor_syncs_is_flagged() {
         let (prog, bind) = sweep();
         let mut plan = optimize(&prog, &bind);
-        fn strip(items: &mut Vec<spmd_opt::RItem>) {
-            for it in items.iter_mut() {
-                match it {
-                    spmd_opt::RItem::Phase(p) => {
-                        if !p.after.is_barrier() {
-                            p.after = SyncOp::None;
-                        }
-                    }
-                    spmd_opt::RItem::Seq {
-                        body,
-                        bottom,
-                        after,
-                        ..
-                    } => {
-                        strip(body);
-                        if !bottom.is_barrier() {
-                            *bottom = SyncOp::None;
-                        }
-                        if !after.is_barrier() {
-                            *after = SyncOp::None;
-                        }
-                    }
-                }
+        spmd_opt::for_each_slot_mut(&mut plan, |s| {
+            if !s.op.is_barrier() {
+                *s.op = SyncOp::None;
             }
-        }
-        for item in plan.items.iter_mut() {
-            if let spmd_opt::TopItem::Region(r) = item {
-                strip(&mut r.items);
-            }
-        }
+        });
         let r = validate(&prog, &bind, &plan);
         assert!(!r.is_race_free(), "stripped schedule must race");
     }

@@ -214,14 +214,12 @@ pub fn seed_for(name: &str) -> u64 {
 }
 
 /// Run `cases` generated inputs through `body` (used by [`proptest!`]).
-pub fn run_cases<V: std::fmt::Debug>(
+pub fn run_cases<V: std::fmt::Debug + std::panic::RefUnwindSafe>(
     test_name: &str,
     cases: u32,
     generate: impl Fn(&mut TestRng) -> V,
     body: impl Fn(&V) + std::panic::RefUnwindSafe,
-) where
-    V: std::panic::RefUnwindSafe,
-{
+) {
     let mut rng = TestRng::seed_from_u64(seed_for(test_name));
     for case in 0..cases {
         let input = generate(&mut rng);

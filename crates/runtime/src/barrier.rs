@@ -557,7 +557,6 @@ mod tests {
 
             // Episode 1 wedges: P0 arrives and times out; P1 is the
             // straggler that has not arrived yet.
-            let mut l0 = l0;
             assert!(b.wait_until(&mut l0, &wd, 7, 0).is_err());
             let epoch_before = b.epoch();
 

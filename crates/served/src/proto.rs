@@ -37,7 +37,7 @@ impl PlanKind {
     }
 
     /// Parse a wire name.
-    pub fn from_str(s: &str) -> Option<Self> {
+    pub fn from_wire(s: &str) -> Option<Self> {
         match s {
             "optimized" => Some(PlanKind::Optimized),
             "fork-join" => Some(PlanKind::ForkJoin),
@@ -107,7 +107,7 @@ impl ErrorCode {
     }
 
     /// Parse a wire name.
-    pub fn from_str(s: &str) -> Option<Self> {
+    pub fn from_wire(s: &str) -> Option<Self> {
         match s {
             "overloaded" => Some(ErrorCode::Overloaded),
             "deadline_exceeded" => Some(ErrorCode::DeadlineExceeded),
@@ -228,7 +228,7 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
             let plan = doc
                 .get("plan")
                 .and_then(Json::as_str)
-                .and_then(PlanKind::from_str)
+                .and_then(PlanKind::from_wire)
                 .ok_or("missing or unknown 'plan'")?;
             let mut binds = Vec::new();
             if let Some(arr) = doc.get("binds").and_then(Json::as_arr) {
@@ -305,7 +305,7 @@ pub fn decode_reply(line: &str) -> Result<Reply, String> {
         let code = doc
             .get("error")
             .and_then(Json::as_str)
-            .and_then(ErrorCode::from_str)
+            .and_then(ErrorCode::from_wire)
             .ok_or("error reply without a known code")?;
         return Ok(Reply::Error(ErrorReply {
             id: num(&doc, "id").unwrap_or(0),

@@ -192,6 +192,7 @@ impl Shard {
     }
 
     /// Admit a job, or report why not (the load-shedding signal).
+    #[allow(clippy::result_large_err)] // A refused job is handed back, as `try_push` hands it back.
     pub fn admit(&self, job: Job) -> Result<(), PushError<Job>> {
         let r = self.queue.try_push(job);
         if matches!(r, Err(PushError::Full(_))) {
@@ -203,11 +204,6 @@ impl Shard {
     /// Queue depth (for retry-after hints).
     pub fn backlog(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Admission capacity.
-    pub fn queue_capacity(&self) -> usize {
-        self.queue.capacity()
     }
 
     /// Restart the worker if its thread has died. Returns true when a

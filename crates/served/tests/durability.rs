@@ -107,11 +107,14 @@ fn missing_snapshot_cold_starts_silently() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A damage shape: its name and what it does to a snapshot file.
+type Damage = (&'static str, fn(&Path));
+
 /// The corruption matrix: each damage shape must produce a clean,
 /// reported cold start — never a panic, never a partial load.
 #[test]
 fn damaged_snapshots_cold_start_with_a_reported_reason() {
-    let damage: &[(&str, fn(&Path))] = &[
+    let damage: &[Damage] = &[
         ("truncated", |p| {
             let bytes = std::fs::read(p).unwrap();
             std::fs::write(p, &bytes[..bytes.len() / 2]).unwrap();

@@ -58,7 +58,7 @@ fn plan(built: &Built, nprocs: i64) -> SpmdProgram {
 fn waits(built: &Built, plan: &SpmdProgram, kind: Option<SlotKind>) -> Vec<analysis::WaitSet> {
     spmd_opt::sync_sites(&built.prog, plan)
         .iter()
-        .filter(|s| kind.map_or(true, |k| s.kind == k))
+        .filter(|s| kind.is_none_or(|k| s.kind == k))
         .filter_map(|s| s.op.waits().cloned())
         .collect()
 }

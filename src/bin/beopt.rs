@@ -108,7 +108,7 @@ fn usage() -> ! {
          \x20                    with verified results, even on a lower rung\n\
          \x20                    (--recover and --degrade are exclusive)\n\
          --max-attempts N    with --recover/--degrade: per-round retry budget\n\
-         \x20                    (default 9)\n\
+         \x20                    (at least 1, default 9)\n\
          --chaos-seed S      with --run + --deadline: perturb every sync event\n\
          \x20                    with seeded benign chaos\n\
          --chaos-drop S:P:V  with --run + --deadline: drop processor P's posts\n\
@@ -217,10 +217,24 @@ fn parse_args() -> Args {
         (args.chaos_drop.is_some(), "--chaos-drop"),
         (args.profile, "--profile"),
         (args.trace_out.is_some(), "--trace-out"),
+        (args.max_attempts.is_some(), "--max-attempts"),
     ];
     if let Some((_, flag)) = needs_run.iter().find(|(given, _)| *given && !args.run) {
         eprintln!("beopt: {flag} needs --run (it only applies to an execution)");
         std::process::exit(2);
+    }
+    match args.max_attempts {
+        Some(_) if !args.recover && !args.degrade => {
+            eprintln!(
+                "beopt: --max-attempts needs --recover or --degrade (it is their retry budget)"
+            );
+            std::process::exit(2);
+        }
+        Some(0) => {
+            eprintln!("beopt: --max-attempts 0: need at least one attempt");
+            std::process::exit(2);
+        }
+        _ => {}
     }
     args
 }
@@ -464,7 +478,7 @@ fn compile_and_run(args: &Args, report: &mut Option<RunReport>) -> ExitCode {
                 Some(Arc::new(ChaosInjector::with_config(
                     args.chaos_seed.unwrap_or(0),
                     ChaosConfig {
-                        drop: args.chaos_drop.clone(),
+                        drop: args.chaos_drop,
                         ..ChaosConfig::default()
                     },
                 )))
@@ -489,7 +503,6 @@ fn compile_and_run(args: &Args, report: &mut Option<RunReport>) -> ExitCode {
             deadline: deadline_ms.map(std::time::Duration::from_millis),
             chaos,
             profile: args.profile.then(ProfileOptions::default),
-            ..ObserveOptions::default()
         };
         // A supervised run's totals cover every attempt, where the
         // final outcome covers only the last.

@@ -214,8 +214,8 @@ fn virtual_trace_is_valid_chrome_trace_json() {
         .and_then(Json::as_arr)
         .expect("traceEvents array");
     let mut meta_tracks = Vec::new();
-    let mut last_ts = vec![0u64; 4];
-    let mut depth = vec![0i64; 4];
+    let mut last_ts = [0u64; 4];
+    let mut depth = [0i64; 4];
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
         let tid = ev.get("tid").and_then(Json::as_u64).expect("tid") as usize;
@@ -465,6 +465,7 @@ mod cli {
             &["--chaos-drop", "1:1:1"],
             &["--profile"],
             &["--trace-out", "t.json"],
+            &["--max-attempts", "3"],
         ] {
             let out = beopt(&[&["kernels/jacobi.be"][..], flag].concat());
             let stderr = String::from_utf8_lossy(&out.stderr);
@@ -473,6 +474,24 @@ mod cli {
             let want = format!("beopt: {} needs --run", flag[0]);
             assert!(stderr.starts_with(&want), "{flag:?}: {stderr}");
             assert!(out.stdout.is_empty(), "{flag:?}: printed before refusing");
+        }
+        // A retry budget needs a supervisor to spend it, and one attempt.
+        for (flags, want) in [
+            (
+                &["--run", "--max-attempts", "3"][..],
+                "beopt: --max-attempts needs --recover or --degrade",
+            ),
+            (
+                &["--run", "--recover", "--max-attempts", "0"],
+                "beopt: --max-attempts 0: need at least one attempt",
+            ),
+        ] {
+            let out = beopt(&[&["kernels/jacobi.be"][..], flags].concat());
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{flags:?}: {stderr}");
+            assert!(stderr.starts_with(want), "{flags:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{flags:?}: printed before refusing");
         }
         let out = beopt(&["kernels/jacobi.be", "--quiet", "--report", "-"]);
         assert!(out.status.success(), "{out:?}");

@@ -101,7 +101,7 @@ fn profiled_runs_account_for_every_event_on_every_kernel() {
                 let hist: u64 = sp.slack_hist.iter().sum();
                 assert_eq!(
                     hist,
-                    sp.episodes as u64 * 4,
+                    sp.episodes * 4,
                     "{kernel} {label}: s{}: slack histogram misses arrivals",
                     sp.site
                 );

@@ -4,8 +4,8 @@
 //!
 //! The unit tests in `runtime::recovery` and `interp::supervise` cover
 //! the ladder and the loop; these tests cover the tool-level promise —
-//! a *persistent* dropped sync post is absorbed by checkpoint rollback
-//! + demotion + retry, the recovered memory is exactly what the
+//! a *persistent* dropped sync post is absorbed by checkpoint rollback,
+//! demotion and retry, the recovered memory is exactly what the
 //! sequential oracle computes, and the CLI reports success (exit 0) for
 //! a recovered run but failure (nonzero) when recovery is off or the
 //! budget is exhausted. That every drop of every shipped kernel under

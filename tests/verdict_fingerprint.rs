@@ -30,7 +30,10 @@ use std::sync::Arc;
 const WIDTHS: [i64; 3] = [2, 8, 64];
 const GOLDEN: &str = "tests/golden/verdict_fingerprint.txt";
 
-fn compile_set() -> Vec<(String, Program, Vec<(SymId, i64)>)> {
+/// A program of the set: its name, its IR and its symbol values.
+type Input = (String, Program, Vec<(SymId, i64)>);
+
+fn compile_set() -> Vec<Input> {
     let mut set = Vec::new();
     for def in barrier_elim::suite::all() {
         let built = (def.build)(barrier_elim::suite::Scale::Small);
