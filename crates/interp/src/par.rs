@@ -15,17 +15,14 @@ use crate::kernel::Worker;
 use crate::mem::Mem;
 use analysis::Bindings;
 use ir::Program;
-use obs::{FailureCause, FailureReport, Span, SpanCat};
+use obs::{FailureReport, Span, SpanCat};
 use runtime::events::{self, EventKind, ProfileData, ProfileOptions, Profiler, NO_SITE};
-use runtime::fault::{SyncError, Watchdog, DISPATCH_SITE};
+use runtime::fault::{ProcEnd, SyncError, Watchdog, DISPATCH_SITE};
 use runtime::stats::{StatsSnapshot, SyncKind};
 use runtime::telemetry::{CellSnapshot, SiteSnapshot};
-use runtime::{
-    BarrierEpoch, CachePadded, CellBank, CentralBarrier, Counters, GuardedCells, Team, WaitEffort,
-};
+use runtime::{BarrierEpoch, CellBank, CentralBarrier, Counters, GuardedCells, Team, WaitEffort};
 use spmd_opt::SpmdProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -207,14 +204,11 @@ pub struct ParallelOutcome {
     /// The detected region failure, when a watchdog was armed
     /// ([`ObserveOptions::deadline`]) and the run timed out, was
     /// poisoned, or lost a worker to a panic. `None` means the region
-    /// completed; results in `mem` are only meaningful then.
+    /// completed; results in `mem` are only meaningful then. Its
+    /// headline names whichever fault was recorded first; its `ends`
+    /// hold *every* processor's, so the supervisor can demote all
+    /// implicated sites at once.
     pub failure: Option<FailureReport>,
-    /// Each processor's terminal [`SyncError`], in pid order (`None`
-    /// for processors that finished or panicked). Unlike the report's
-    /// headline — which only names whichever fault won the race to be
-    /// recorded first — this lists *every* faulting processor, so the
-    /// supervisor can demote all implicated sites at once.
-    pub proc_errors: Vec<Option<SyncError>>,
     /// Per-processor post deficit: how many posts the processor's
     /// traversal *claimed* (sync events at which everybody posts,
     /// passed) minus how many actually landed in its cell. A healthy
@@ -312,10 +306,11 @@ impl Tally {
 
 /// One worker's measurements of its own traversal — plain data the
 /// worker owns, handed over after the join and merged there into
-/// [`ParallelOutcome::stats`], `sites` and `spans`. The sync step is
-/// its only writer and feeds it from one clock pair per sync event
-/// (arrival, release), so the by-kind totals, the per-site cells and
-/// the profiler's `SyncRelease` all carry the same duration.
+/// [`ParallelOutcome::stats`], `sites`, `spans`, `failure` and
+/// `post_deficits`. The sync step is its only writer and feeds it from
+/// one clock pair per sync event (arrival, release), so the by-kind
+/// totals, the per-site cells and the profiler's `SyncRelease` all
+/// carry the same duration.
 #[derive(Default)]
 struct SyncRecorder {
     stats: StatsSnapshot,
@@ -326,6 +321,13 @@ struct SyncRecorder {
     spans: Vec<(Event, Instant, Instant)>,
     /// The walk's counts, when the worker walked it to the end.
     counts: Option<DynCounts>,
+    /// Posts the traversal claimed (see
+    /// [`ParallelOutcome::post_deficits`]).
+    claimed: u64,
+    /// How the traversal ended, and when: the instant orders the
+    /// faults of a run to pick its headline.
+    end: ProcEnd,
+    ended: Option<Instant>,
 }
 
 impl SyncRecorder {
@@ -362,18 +364,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
             .downcast_ref::<String>()
             .cloned()
             .unwrap_or_else(|| "non-string panic payload".to_string())
-    }
-}
-
-/// Record `e` as the region's primary failure unless a primary error
-/// is already there (a poison observation never displaces the fault
-/// that caused the poisoning).
-fn record_failure(slot: &Mutex<Option<SyncError>>, e: &SyncError) {
-    let mut s = slot.lock().unwrap();
-    match &*s {
-        None => *s = Some(e.clone()),
-        Some(prev) if !prev.is_primary() && e.is_primary() => *s = Some(e.clone()),
-        _ => {}
     }
 }
 
@@ -427,18 +417,6 @@ pub fn run_parallel_observed_on(
         0
     };
     let trace = opts.trace;
-    let failure_slot = Arc::new(Mutex::new(None::<SyncError>));
-    // Each worker publishes how many posts it has *claimed* (see
-    // `post_deficits`); compared against its cell after the join, this
-    // pins dropped posts on the pid that owed them. One cache line per
-    // pid: every posting event stores to it.
-    let claimed_posts: Arc<Vec<CachePadded<AtomicU64>>> = Arc::new(
-        (0..nprocs)
-            .map(|_| CachePadded::new(AtomicU64::new(0)))
-            .collect(),
-    );
-    let proc_state = Arc::new(Mutex::new(vec!["ok".to_string(); nprocs]));
-    let proc_errors = Arc::new(Mutex::new(vec![None::<SyncError>; nprocs]));
     // Where each worker leaves its recorder when its traversal ends —
     // completed, faulted or panicked.
     let recorders: Vec<_> = (0..nprocs).map(|_| SyncRecorder::default()).collect();
@@ -451,11 +429,7 @@ pub fn run_parallel_observed_on(
     let dispatch2 = Arc::clone(&fabric.dispatch);
     let watchdog2 = watchdog.clone();
     let chaos2 = opts.chaos.clone();
-    let failure2 = Arc::clone(&failure_slot);
-    let proc_state2 = Arc::clone(&proc_state);
-    let proc_errors2 = Arc::clone(&proc_errors);
     let recorders2 = Arc::clone(&recorders);
-    let claimed2 = Arc::clone(&claimed_posts);
     let profiler2 = fabric.profiler.clone();
 
     // Align the profile clock with this run's t0 — but only if no
@@ -487,7 +461,6 @@ pub fn run_parallel_observed_on(
         let mut traverse = |cur: &mut Cursor| -> Result<(), SyncError> {
             let mut worker = Worker::new(&sched2, &mem2, pid);
             let mut epoch = BarrierEpoch::default();
-            let mut claimed = 0u64;
             // Set by the first dropped post to the cell, for the rest of
             // the attempt: every point-to-point sync counts on the one
             // cell, so a later post would let the waiters of the dropped
@@ -566,7 +539,7 @@ pub fn run_parallel_observed_on(
                                 // because an earlier drop silenced the
                                 // cell, and a named one that is dropped.
                                 let mine = cur.posts(pid);
-                                claimed += if cur.all_post() {
+                                rec.claimed += if cur.all_post() {
                                     (dropped || !silenced) as u64
                                 } else if dropped || silenced {
                                     0
@@ -577,9 +550,6 @@ pub fn run_parallel_observed_on(
                                 if !silenced {
                                     (0..mine).for_each(|_| cells2.post(pid));
                                     tally.posts += mine;
-                                }
-                                if mine > 0 {
-                                    claimed2[pid].store(claimed, Ordering::Relaxed);
                                 }
                                 let r = cur.waits(pid).try_for_each(|(q, count)| {
                                     tally.waited(at.cell(&cells2, q, count, kind))
@@ -610,35 +580,36 @@ pub fn run_parallel_observed_on(
             Ok(())
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| traverse(&mut cur)));
-        rec.counts = matches!(outcome, Ok(Ok(()))).then(|| cur.counts());
-        recorders2.lock().unwrap()[pid] = rec;
+        rec.ended = Some(Instant::now());
         if let Some(p) = &profiler2 {
             let ok = matches!(outcome, Ok(Ok(()))) as u64;
             p.record(pid, EventKind::RegionEnd, NO_SITE, ok);
         }
-        match outcome {
-            Ok(Ok(())) => {}
+        // A fault poisons the region, so peers parked in guarded waits
+        // tear down instead of waiting out their own deadline.
+        let (end, payload) = match outcome {
+            Ok(Ok(())) => {
+                rec.counts = Some(cur.counts());
+                (ProcEnd::Finished, None)
+            }
             Ok(Err(e)) => {
-                // A sync fault: remember it, mark this processor, and
-                // poison the region so peers parked in guarded waits
-                // tear down instead of waiting out their own deadline.
-                proc_state2.lock().unwrap()[pid] = e.to_string();
-                proc_errors2.lock().unwrap()[pid] = Some(e.clone());
-                record_failure(&failure2, &e);
-                if e.is_primary() {
-                    if let Some(wd) = wd {
-                        wd.poison(e.to_string());
-                    }
+                if let Some(wd) = wd.filter(|_| e.is_primary()) {
+                    wd.poison(e.to_string());
                 }
+                (ProcEnd::Fault(e), None)
             }
             Err(payload) => {
                 let msg = panic_message(payload.as_ref());
-                proc_state2.lock().unwrap()[pid] = format!("panicked: {msg}");
                 if let Some(wd) = wd {
                     wd.poison(format!("P{pid} panicked: {msg}"));
                 }
-                std::panic::resume_unwind(payload);
+                (ProcEnd::Panicked(msg), Some(payload))
             }
+        };
+        rec.end = end;
+        recorders2.lock().unwrap()[pid] = rec;
+        if let Some(payload) = payload {
+            std::panic::resume_unwind(payload);
         }
     });
     let elapsed = t0.elapsed();
@@ -649,28 +620,24 @@ pub fn run_parallel_observed_on(
     for r in &recorders {
         stats.merge(&r.stats);
     }
-    let cause = match (&watchdog, team_result) {
+    // The processor heading the failure: the team's first panic, else
+    // the first primary fault recorded, else the first poison
+    // observation (one never displaces the fault that caused it).
+    let first = match team_result {
         // No watchdog: preserve `Team::run` semantics (a worker panic
         // propagates to the caller; it can no longer hang the join).
-        (None, Err(e)) => e.resume(),
-        (None, Ok(())) => None,
-        (Some(_), Err(e)) => Some(FailureCause::Panic {
-            pid: e.pid,
-            message: e.message(),
-        }),
-        (Some(wd), Ok(())) => match failure_slot.lock().unwrap().take() {
-            Some(e) => Some(FailureCause::from_sync_error(&e)),
-            // Belt and braces: a poisoned region with no recorded error
-            // still must not report success.
-            None => wd.is_poisoned().then(|| FailureCause::Panic {
-                pid: 0,
-                message: wd.poison_cause().unwrap_or_default(),
-            }),
-        },
+        Err(e) if watchdog.is_none() => e.resume(),
+        Err(e) => Some(e.pid),
+        Ok(()) => recorders
+            .iter()
+            .enumerate()
+            .filter_map(|(pid, r)| Some((!r.end.fault()?.is_primary(), r.ended, pid)))
+            .min()
+            .map(|(.., pid)| pid),
     };
     // Only surface the cells when the caller asked for them or the run
     // failed.
-    let sites: Vec<SiteSnapshot> = if opts.telemetry || cause.is_some() {
+    let sites: Vec<SiteSnapshot> = if opts.telemetry || first.is_some() {
         obs::site_metas(prog, plan)
             .into_iter()
             .map(|meta| {
@@ -682,21 +649,21 @@ pub fn run_parallel_observed_on(
     } else {
         Vec::new()
     };
-    let failure = cause.map(|cause| {
-        let site_label = match cause.site() {
+    let failure = first.map(|first| {
+        let mut f = FailureReport {
+            ends: recorders.iter().map(|r| r.end.clone()).collect(),
+            first,
+            site_label: String::new(),
+            sites: sites.clone(),
+        };
+        f.site_label = match f.site() {
             Some(DISPATCH_SITE) => "dispatch".to_string(),
             Some(site) => sites
                 .get(site)
-                .map(|s| s.meta.label.clone())
-                .unwrap_or_else(|| format!("s{site}")),
+                .map_or_else(|| format!("s{site}"), |s| s.meta.label.clone()),
             None => String::new(),
         };
-        FailureReport {
-            cause,
-            site_label,
-            per_proc: proc_state.lock().unwrap().clone(),
-            sites: sites.clone(),
-        }
+        f
     });
     let us_of = |t: Instant| t.duration_since(t0).as_micros() as u64;
     let mut spans = Vec::new();
@@ -713,7 +680,6 @@ pub fn run_parallel_observed_on(
         }
     }
 
-    let errors = proc_errors.lock().unwrap().clone();
     ParallelOutcome {
         stats,
         // Where no worker finished, a cursor of its own counts the walk.
@@ -725,14 +691,9 @@ pub fn run_parallel_observed_on(
         sites,
         spans,
         failure,
-        proc_errors: errors,
         // Workers have joined: claims and flag cells are both final.
-        post_deficits: (0..nprocs)
-            .map(|p| {
-                claimed_posts[p]
-                    .load(Ordering::Relaxed)
-                    .saturating_sub(fabric.cells.count(p))
-            })
+        post_deficits: (recorders.iter().enumerate())
+            .map(|(p, r)| r.claimed.saturating_sub(fabric.cells.count(p)))
             .collect(),
         // Workers have joined, so the single-writer rings are quiescent
         // and the merged snapshot is complete for every attempt so far.
@@ -973,18 +934,18 @@ mod tests {
         let failure = out
             .failure
             .expect("dropped barrier arrivals must be detected");
-        match &failure.cause {
-            FailureCause::Deadline {
+        match failure.cause() {
+            ProcEnd::Fault(SyncError::DeadlineExceeded {
                 pid,
                 kind,
                 expected,
                 observed,
                 ..
-            } => {
+            }) => {
                 // P0 never arrives, so a *waiter* times out seeing 3 of
                 // 4 arrivals at the first barrier it reaches.
                 assert_ne!(*pid, 0);
-                assert_eq!(kind, "barrier");
+                assert_eq!(*kind, SyncKind::Barrier);
                 assert_eq!(*expected, 4);
                 assert!(*observed < 4);
             }
@@ -992,9 +953,9 @@ mod tests {
         }
         assert!(!failure.site_label.is_empty());
         // The stuck processor itself finished its (post-free) traversal
-        // or died poisoned; everyone else reports an error.
-        assert_eq!(failure.per_proc.len(), 4);
-        assert!(failure.per_proc.iter().skip(1).all(|s| s != "ok"));
+        // or died poisoned; nobody else finished.
+        assert_eq!(failure.ends.len(), 4);
+        assert!(failure.ends[1..].iter().all(|e| *e != ProcEnd::Finished));
         // Telemetry rode along even though the caller didn't ask.
         assert!(!failure.sites.is_empty());
     }
@@ -1018,14 +979,11 @@ mod tests {
             },
         );
         let failure = out.failure.expect("a panicked worker is a failure");
-        match &failure.cause {
-            FailureCause::Panic { pid, message } => {
-                assert_eq!(*pid, 2);
-                assert!(message.contains("chaos-injected panic"));
-            }
+        assert_eq!(failure.first, 2);
+        match failure.cause() {
+            ProcEnd::Panicked(message) => assert!(message.contains("chaos-injected panic")),
             other => panic!("expected a panic cause, got {other:?}"),
         }
-        assert!(failure.per_proc[2].contains("panicked"));
         // The team survives for later (clean) regions.
         let mem2 = Arc::new(Mem::new(&prog, &bind));
         let out2 = run_parallel(&prog, &bind, &plan, &mem2, &team);
@@ -1054,7 +1012,8 @@ mod tests {
             },
         );
         let failure = out.failure.expect("a panicked worker is a failure");
-        assert!(matches!(failure.cause, FailureCause::Panic { pid: 2, .. }));
+        assert_eq!(failure.first, 2);
+        assert!(matches!(failure.cause(), ProcEnd::Panicked(_)));
         // Every barrier site of the time loop was passed twice by all
         // four processors before P2 panicked at its third arrival.
         let visited: Vec<_> = failure.sites.iter().filter(|s| s.total.ops > 0).collect();

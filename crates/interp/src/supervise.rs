@@ -61,7 +61,7 @@ use analysis::Bindings;
 use ir::Program;
 use obs::{Attempt, FaultReport, Round, Rung, SiteAction};
 use runtime::events::{EventKind, Profiler, NO_SITE};
-use runtime::fault::DISPATCH_SITE;
+use runtime::fault::{ProcEnd, SyncError, DISPATCH_SITE};
 use runtime::recovery::{FaultDisposition, Quarantine, RetryPolicy, STICKY_PID_K};
 use runtime::stats::StatsSnapshot;
 use runtime::Team;
@@ -140,7 +140,7 @@ impl SyncChaos for SiteMaskedChaos {
 ///    neighbor-chained plans, where the wedge cascades pid-to-pid and
 ///    the dead processor is as likely to be *waiting* (on a victim of
 ///    its own dropped posts) as it is to be ahead of the pack;
-/// 3. exactly one worker finished `"ok"` while at least one peer holds
+/// 3. exactly one worker finished while at least one peer holds
 ///    a primary sync fault — a silently-dead processor skips its own
 ///    waits and sails through while everyone else times out waiting
 ///    for its posts, so the lone survivor is the suspect;
@@ -157,59 +157,30 @@ impl SyncChaos for SiteMaskedChaos {
 /// survivors) returns `None`: the attempt breaks any sticky streak and
 /// is handled by the site ladder alone.
 fn infer_suspect(out: &ParallelOutcome) -> Option<usize> {
-    let failure = out.failure.as_ref()?;
-    let panicked: Vec<usize> = failure
-        .per_proc
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.starts_with("panicked"))
-        .map(|(p, _)| p)
-        .collect();
-    if panicked.len() == 1 {
-        return Some(panicked[0]);
-    }
+    let ends = &out.failure.as_ref()?.ends;
+    let pids = |pick: &dyn Fn(&ProcEnd) -> bool| -> Vec<usize> {
+        (0..ends.len()).filter(|&p| pick(&ends[p])).collect()
+    };
+    let panicked = pids(&|e| matches!(e, ProcEnd::Panicked(_)));
     if !panicked.is_empty() {
-        return None;
+        return (panicked.len() == 1).then(|| panicked[0]);
     }
-    let owing: Vec<usize> = out
-        .post_deficits
-        .iter()
-        .enumerate()
-        .filter(|(_, &d)| d > 0)
-        .map(|(p, _)| p)
+    let owing: Vec<usize> = (0..out.post_deficits.len())
+        .filter(|&p| out.post_deficits[p] > 0)
         .collect();
     if owing.len() == 1 {
         return Some(owing[0]);
     }
-    let finished: Vec<usize> = failure
-        .per_proc
-        .iter()
-        .enumerate()
-        .filter(|(_, s)| s.as_str() == "ok")
-        .map(|(p, _)| p)
-        .collect();
-    let primary_real = out
-        .proc_errors
-        .iter()
-        .flatten()
+    let finished = pids(&|e| *e == ProcEnd::Finished);
+    let faults = || ends.iter().filter_map(ProcEnd::fault);
+    let primary_real = faults()
         .filter(|e| e.is_primary() && e.site() != DISPATCH_SITE)
         .count();
     if finished.len() == 1 && primary_real >= 1 {
         return Some(finished[0]);
     }
-    let at_dispatch: Vec<usize> = out
-        .proc_errors
-        .iter()
-        .enumerate()
-        .filter(|(_, e)| e.as_ref().is_some_and(|e| e.site() == DISPATCH_SITE))
-        .map(|(p, _)| p)
-        .collect();
-    let at_real_site = out
-        .proc_errors
-        .iter()
-        .flatten()
-        .filter(|e| e.site() != DISPATCH_SITE)
-        .count();
+    let at_dispatch = pids(&|e| e.fault().is_some_and(|e| e.site() == DISPATCH_SITE));
+    let at_real_site = faults().filter(|e| e.site() != DISPATCH_SITE).count();
     if finished.is_empty() && at_dispatch.len() == 1 && at_real_site >= 1 {
         return Some(at_dispatch[0]);
     }
@@ -348,16 +319,14 @@ pub fn run_parallel_supervised(
                 round.attempts.push(attempt);
                 break out;
             }
-            // Every implicated site: the headline plus all primary
-            // per-processor faults (poison observations are victims,
-            // not causes; the dispatch sentinel is outside the walk).
-            let primaries = out.proc_errors.iter().flatten().filter(|e| e.is_primary());
-            let sites_hit: BTreeSet<usize> = failure
-                .cause
-                .site()
-                .into_iter()
-                .chain(primaries.map(|e| e.site()))
-                .filter(|&s| s != DISPATCH_SITE)
+            // Every implicated site: those of all primary per-processor
+            // faults, the headline's among them (poison observations are
+            // victims, not causes; the dispatch sentinel is outside the
+            // walk).
+            let sites_hit: BTreeSet<usize> = (failure.ends.iter())
+                .filter_map(ProcEnd::fault)
+                .filter(|e| e.is_primary() && e.site() != DISPATCH_SITE)
+                .map(SyncError::site)
                 .collect();
             for site in sites_hit {
                 let action = ledger.record_fault(site);
@@ -435,7 +404,6 @@ mod tests {
     use ir::build::*;
     use obs::{fault_json, render_fault, Json};
     use runtime::events::ProfileOptions;
-    use runtime::fault::SyncError;
     use spmd_opt::{fork_join, optimize};
     use std::time::Duration;
 
@@ -662,17 +630,16 @@ mod tests {
         let team = Team::new(4);
         let opts = guarded(Some(Arc::new(SilentKill { pid: 3 })));
         let mut out = crate::run_parallel_observed(&prog, &bind, &plan, &mem, &team, &opts);
-        assert!(out.failure.is_some());
-        let waiting_at: Vec<usize> = out
-            .proc_errors
-            .iter()
-            .map(|e| e.as_ref().expect("every wait failed").site())
+        let failure = out.failure.as_ref().expect("a dead pid is detected");
+        let waiting_at: Vec<usize> = (failure.ends.iter())
+            .map(|e| e.fault().expect("every wait failed").site())
             .collect();
         assert_eq!(waiting_at[3], DISPATCH_SITE);
         assert!(waiting_at[..3].iter().all(|&s| s != DISPATCH_SITE));
         for first in [0, 3] {
+            let ends = &mut out.failure.as_mut().unwrap().ends;
             for (pid, site) in waiting_at.iter().copied().enumerate() {
-                out.proc_errors[pid] = Some(if pid == first {
+                ends[pid] = ProcEnd::Fault(if pid == first {
                     SyncError::DeadlineExceeded {
                         site,
                         pid,

@@ -19,133 +19,81 @@
 
 use crate::json::Json;
 use crate::report::{render_site_table, sites_json, totals_json, SCHEMA_VERSION};
-use runtime::fault::{SyncError, DISPATCH_SITE};
+use runtime::fault::{ProcEnd, SyncError, DISPATCH_SITE};
 use runtime::recovery::FaultDisposition;
 use runtime::stats::StatsSnapshot;
 use runtime::telemetry::SiteSnapshot;
 
-/// Why the region died.
-#[derive(Clone, Debug, PartialEq)]
-pub enum FailureCause {
-    /// A guarded wait outlived the watchdog deadline.
-    Deadline {
-        /// Canonical sync-site id (`usize::MAX` = dispatch broadcast).
-        site: usize,
-        /// Processor that timed out first.
-        pid: usize,
-        /// Primitive kind ("barrier", "counter", "neighbor",
-        /// "pairwise", "dispatch").
-        kind: String,
-        /// Progress value the wait needed.
-        expected: u64,
-        /// Progress value last observed.
-        observed: u64,
-    },
-    /// A worker panicked inside the region.
-    Panic {
-        /// Processor that panicked.
-        pid: usize,
-        /// Panic message.
-        message: String,
-    },
-    /// A primitive was reset under an in-flight guarded wait.
-    StaleGeneration {
-        /// Site the stale waiter was blocked at.
-        site: usize,
-        /// Processor whose wait went stale.
-        pid: usize,
-    },
-}
-
-impl FailureCause {
-    /// Build the cause from a primitive-level [`SyncError`].
-    pub fn from_sync_error(e: &SyncError) -> FailureCause {
-        match e {
-            SyncError::DeadlineExceeded {
-                site,
-                pid,
-                kind,
-                expected,
-                observed,
-            } => FailureCause::Deadline {
-                site: *site,
-                pid: *pid,
-                kind: if *site == DISPATCH_SITE {
-                    "dispatch".to_string()
-                } else {
-                    kind.name().to_string()
-                },
-                expected: *expected,
-                observed: *observed,
-            },
-            // A poison observation is secondary; reports built from one
-            // (no primary error was captured) surface it as a panic-ish
-            // cause carrying the recorded reason.
-            SyncError::Poisoned { pid, cause, .. } => FailureCause::Panic {
-                pid: *pid,
-                message: cause.clone(),
-            },
-            SyncError::StaleGeneration { site, pid } => FailureCause::StaleGeneration {
-                site: *site,
-                pid: *pid,
-            },
-        }
-    }
-
-    /// The sync site the cause is attributed to, if any.
-    pub fn site(&self) -> Option<usize> {
-        match self {
-            FailureCause::Deadline { site, .. } | FailureCause::StaleGeneration { site, .. } => {
-                Some(*site)
-            }
-            FailureCause::Panic { .. } => None,
-        }
-    }
-}
-
 /// What one failed attempt saw.
 #[derive(Clone, Debug)]
 pub struct FailureReport {
-    /// The primary failure.
-    pub cause: FailureCause,
-    /// Label of the site the cause is attributed to (from the canonical
-    /// site walk; "dispatch" for the dispatch broadcast).
+    /// Every processor's end, in pid order.
+    pub ends: Vec<ProcEnd>,
+    /// The processor whose end heads the report: the first primary
+    /// fault recorded (a panic before any failed wait), else the first
+    /// poison observation. Its end is never [`ProcEnd::Finished`].
+    pub first: usize,
+    /// Label of the site the headline is attributed to (from the
+    /// canonical site walk; "dispatch" for the dispatch broadcast).
     pub site_label: String,
-    /// Every processor's terminal error, in pid order, as display
-    /// strings ("ok" for processors that finished their traversal).
-    pub per_proc: Vec<String>,
     /// Per-site wait telemetry at the moment of failure.
     pub sites: Vec<SiteSnapshot>,
 }
 
 impl FailureReport {
+    /// The end that heads the report.
+    pub fn cause(&self) -> &ProcEnd {
+        &self.ends[self.first]
+    }
+
+    /// The sync site the headline is attributed to: that of a primary
+    /// failed wait (a poison observation or a panic names none).
+    pub fn site(&self) -> Option<usize> {
+        self.cause()
+            .fault()
+            .filter(|e| e.is_primary())
+            .map(SyncError::site)
+    }
+
     /// Short one-line summary (what CLIs print on the FAIL line).
     pub fn headline(&self) -> String {
-        match &self.cause {
-            FailureCause::Deadline {
+        match self.cause() {
+            ProcEnd::Fault(SyncError::DeadlineExceeded {
                 site,
                 pid,
                 kind,
                 expected,
                 observed,
-            } => {
-                let where_ = if *site == DISPATCH_SITE {
-                    "dispatch".to_string()
+            }) => {
+                let (where_, kind) = if *site == DISPATCH_SITE {
+                    ("dispatch".to_string(), "dispatch")
                 } else {
-                    format!("s{site} ({})", self.site_label)
+                    (format!("s{site} ({})", self.site_label), kind.name())
                 };
                 format!(
                     "deadline exceeded at {where_} on P{pid}: {kind} wait needed {expected}, observed {observed}"
                 )
             }
-            FailureCause::Panic { pid, message } => {
-                format!("worker P{pid} panicked: {message}")
-            }
-            &FailureCause::StaleGeneration { site, pid } => {
-                let e = SyncError::StaleGeneration { site, pid };
+            ProcEnd::Fault(e @ SyncError::StaleGeneration { .. }) => {
                 format!("{e} ({})", self.site_label)
             }
+            // With no primary fault recorded, the poison a processor
+            // observed tells what killed the region.
+            ProcEnd::Fault(SyncError::Poisoned { pid, cause, .. }) => {
+                format!("worker P{pid} panicked: {cause}")
+            }
+            ProcEnd::Panicked(message) => format!("worker P{} panicked: {message}", self.first),
+            ProcEnd::Finished => format!("P{} finished", self.first),
         }
+    }
+}
+
+/// A processor's end as the documents write it.
+fn end_text(end: &ProcEnd) -> String {
+    match end {
+        ProcEnd::Finished => "ok".to_string(),
+        ProcEnd::Fault(e) => e.to_string(),
+        ProcEnd::Panicked(message) => format!("panicked: {message}"),
     }
 }
 
@@ -318,49 +266,53 @@ impl FaultReport {
     }
 }
 
-fn cause_json(c: &FailureCause) -> Json {
-    match c {
-        FailureCause::Deadline {
+fn cause_json(f: &FailureReport) -> Json {
+    let panic = |pid: usize, message: &str| {
+        Json::obj()
+            .set("kind", "panic")
+            .set("pid", pid)
+            .set("message", message)
+    };
+    match f.cause() {
+        ProcEnd::Fault(SyncError::DeadlineExceeded {
             site,
             pid,
             kind,
             expected,
             observed,
-        } => Json::obj()
-            .set("kind", "deadline-exceeded")
-            .set(
-                "site",
-                if *site == DISPATCH_SITE {
-                    Json::Str("dispatch".to_string())
-                } else {
-                    Json::Num(*site as f64)
-                },
-            )
-            .set("pid", *pid)
-            .set("sync", kind.as_str())
-            .set("expected", *expected)
-            .set("observed", *observed),
-        FailureCause::Panic { pid, message } => Json::obj()
-            .set("kind", "panic")
-            .set("pid", *pid)
-            .set("message", message.as_str()),
-        FailureCause::StaleGeneration { site, pid } => Json::obj()
+        }) => {
+            let (site, kind) = if *site == DISPATCH_SITE {
+                (Json::Str("dispatch".to_string()), "dispatch")
+            } else {
+                (Json::Num(*site as f64), kind.name())
+            };
+            Json::obj()
+                .set("kind", "deadline-exceeded")
+                .set("site", site)
+                .set("pid", *pid)
+                .set("sync", kind)
+                .set("expected", *expected)
+                .set("observed", *observed)
+        }
+        ProcEnd::Fault(SyncError::StaleGeneration { site, pid }) => Json::obj()
             .set("kind", "stale-generation")
             .set("site", *site)
             .set("pid", *pid),
+        ProcEnd::Fault(SyncError::Poisoned { pid, cause, .. }) => panic(*pid, cause),
+        ProcEnd::Panicked(message) => panic(f.first, message),
+        ProcEnd::Finished => Json::obj().set("kind", "finished").set("pid", f.first),
     }
 }
 
-/// An attempt's failure: cause, attribution, and the telemetry
-/// snapshot, whose `"sites"` are the run report's site rows.
+/// An attempt's failure: cause, attribution, every processor's end,
+/// and the telemetry snapshot, whose `"sites"` are the run report's
+/// site rows.
 fn failure_json(f: &FailureReport) -> Json {
+    let ends = f.ends.iter().map(|e| Json::Str(end_text(e)));
     Json::obj()
-        .set("cause", cause_json(&f.cause))
+        .set("cause", cause_json(f))
         .set("site_label", f.site_label.as_str())
-        .set(
-            "per_proc",
-            Json::Arr(f.per_proc.iter().map(|s| Json::Str(s.clone())).collect()),
-        )
+        .set("per_proc", Json::Arr(ends.collect()))
         .set("sites", sites_json(&f.sites))
 }
 
@@ -485,8 +437,8 @@ pub fn render_fault(r: &FaultReport) -> String {
         out.push_str("serial tail: completed sequentially from the checkpoint\n");
     }
     if let Some(f) = r.residual() {
-        for (pid, state) in f.per_proc.iter().enumerate() {
-            out.push_str(&format!("  P{pid}: {state}\n"));
+        for (pid, end) in f.ends.iter().enumerate() {
+            out.push_str(&format!("  P{pid}: {}\n", end_text(end)));
         }
         if !f.sites.is_empty() {
             out.push_str(&render_site_table(&f.sites));
@@ -505,16 +457,17 @@ mod tests {
     /// headline alike.
     #[test]
     fn dispatch_sentinel_renders_by_name() {
+        let gate = SyncError::DeadlineExceeded {
+            site: DISPATCH_SITE,
+            pid: 1,
+            kind: SyncKind::Counter,
+            expected: 3,
+            observed: 2,
+        };
         let f = FailureReport {
-            cause: FailureCause::from_sync_error(&SyncError::DeadlineExceeded {
-                site: DISPATCH_SITE,
-                pid: 1,
-                kind: SyncKind::Counter,
-                expected: 3,
-                observed: 2,
-            }),
+            ends: vec![ProcEnd::Finished, ProcEnd::Fault(gate)],
+            first: 1,
             site_label: "dispatch".to_string(),
-            per_proc: vec!["ok".to_string(); 2],
             sites: Vec::new(),
         };
         assert!(f.headline().contains("at dispatch on P1: dispatch wait"));

@@ -39,8 +39,7 @@ pub mod trace;
 
 pub use explain::{explain_json, producer_str, render_analysis_stats, render_decisions};
 pub use fault::{
-    fault_json, render_fault, Attempt, FailureCause, FailureReport, FaultReport, Round, Rung,
-    SiteAction,
+    fault_json, render_fault, Attempt, FailureReport, FaultReport, Round, Rung, SiteAction,
 };
 pub use json::{parse, Json};
 pub use profile::{

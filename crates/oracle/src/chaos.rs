@@ -378,7 +378,7 @@ impl Tooth {
                 match first.and_then(|a| a.first()?.failure.as_ref()) {
                     None => Some("never bit: its first attempt completed".to_string()),
                     Some(f) if !report_names_site(f, c.spec.site) => {
-                        Some(format!("was misattributed to {:?}", f.cause.site()))
+                        Some(format!("was misattributed to {:?}", f.site()))
                     }
                     _ if rung != Rung::Recovered => Some(format!(
                         "exhausted the retry budget ({} attempts)",
@@ -441,21 +441,11 @@ impl CampaignReport {
     }
 }
 
+/// Does any processor of the failure end on a wait at `site`?
 fn report_names_site(r: &FailureReport, site: usize) -> bool {
-    if r.cause.site() == Some(site) {
-        return true;
-    }
-    let at = format!("at s{site}");
-    r.per_proc.iter().any(|s| {
-        // Match "at s3 on…" / "at s3:…" but not "at s30".
-        s[..].match_indices(&at).any(|(k, _)| {
-            s[k + at.len()..]
-                .chars()
-                .next()
-                .map(|c| !c.is_ascii_digit())
-                .unwrap_or(true)
-        })
-    })
+    r.ends
+        .iter()
+        .any(|e| e.fault().is_some_and(|e| e.site() == site))
 }
 
 /// Run the chaos campaign for one program under the plan `family`
@@ -544,7 +534,9 @@ pub fn campaign(
 mod tests {
     use super::*;
     use crate::gen;
-    use obs::{Attempt, FailureCause, Round};
+    use obs::{Attempt, Round};
+    use runtime::fault::{ProcEnd, SyncError};
+    use runtime::stats::SyncKind;
 
     #[test]
     fn same_seed_same_schedule_different_seed_differs() {
@@ -580,7 +572,7 @@ mod tests {
 
     /// A run of `fault` that ended on `rung`; `first` is what its
     /// first attempt saw (`None`: it completed).
-    fn tooth(fault: Fault, rung: Rung, first: Option<FailureCause>) -> Tooth {
+    fn tooth(fault: Fault, rung: Rung, first: Option<SyncError>) -> Tooth {
         let attempt = |failure| Attempt {
             failure,
             suspect_pid: None,
@@ -588,11 +580,15 @@ mod tests {
             backoff_ms: 0,
             stats: Default::default(),
         };
-        let failure = first.map(|cause| FailureReport {
-            cause,
-            site_label: String::new(),
-            per_proc: vec!["ok".to_string(); 4],
-            sites: Vec::new(),
+        let failure = first.map(|e| {
+            let mut ends = vec![ProcEnd::Finished; 4];
+            ends[1] = ProcEnd::Fault(e);
+            FailureReport {
+                ends,
+                first: 1,
+                site_label: String::new(),
+                sites: Vec::new(),
+            }
         });
         let mut attempts = vec![attempt(failure)];
         if attempts[0].failure.is_some() && rung.completed() {
@@ -617,11 +613,11 @@ mod tests {
         }
     }
 
-    fn deadline_at(site: usize) -> Option<FailureCause> {
-        Some(FailureCause::Deadline {
+    fn deadline_at(site: usize) -> Option<SyncError> {
+        Some(SyncError::DeadlineExceeded {
             site,
             pid: 1,
-            kind: "counter".to_string(),
+            kind: SyncKind::Counter,
             expected: 1,
             observed: 0,
         })
@@ -667,16 +663,15 @@ mod tests {
             f,
             "dropped counter post at s3 (P0) was misattributed to Some(4)"
         );
-        // A stuck peer's terminal error naming the site is enough.
+        // A stuck peer's failed wait at the site is enough.
         let mut t = t;
-        let stuck = |t: &mut Tooth, state: &str| {
+        let stuck = |t: &mut Tooth, site: usize| {
             let first = t.report.rounds[0].attempts[0].failure.as_mut().unwrap();
-            first.per_proc[2] = state.to_string();
+            first.ends[2] = ProcEnd::Fault(SyncError::StaleGeneration { site, pid: 2 });
         };
-        stuck(&mut t, "deadline at s3: 0/1");
+        stuck(&mut t, 3);
         assert_eq!(t.failure(0.0), None);
-        // `at s3` does not match `at s30`.
-        stuck(&mut t, "deadline at s30: 0/1");
+        stuck(&mut t, 30);
         assert!(t.failure(0.0).is_some());
     }
 

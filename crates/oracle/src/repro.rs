@@ -98,16 +98,16 @@ mod tests {
 
     #[test]
     fn failure_reports_land_in_the_bundle() {
-        use obs::{FailureCause, FailureReport};
+        use obs::FailureReport;
+        use runtime::fault::ProcEnd;
         let g = crate::generate(9);
         let dir = std::env::temp_dir().join(format!("be-repro-fail-{}", std::process::id()));
+        let mut ends = vec![ProcEnd::Finished; 4];
+        ends[1] = ProcEnd::Panicked("example".to_string());
         let failure = FailureReport {
-            cause: FailureCause::Panic {
-                pid: 1,
-                message: "example".to_string(),
-            },
+            ends,
+            first: 1,
             site_label: String::new(),
-            per_proc: vec!["ok".to_string(); 4],
             sites: Vec::new(),
         };
         let stats = Default::default();

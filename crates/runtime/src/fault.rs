@@ -138,6 +138,28 @@ impl SyncError {
     }
 }
 
+/// How one processor's traversal of a region ended.
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
+pub enum ProcEnd {
+    /// It walked its whole schedule.
+    #[default]
+    Finished,
+    /// One of its guarded waits failed.
+    Fault(SyncError),
+    /// It panicked, with this message.
+    Panicked(String),
+}
+
+impl ProcEnd {
+    /// The failed wait, when the processor ended on one.
+    pub fn fault(&self) -> Option<&SyncError> {
+        match self {
+            ProcEnd::Fault(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
 impl std::fmt::Display for SyncError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let site_str = |s: usize| {

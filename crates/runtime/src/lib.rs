@@ -75,7 +75,7 @@ pub use cells::{CellBank, GuardedCells};
 pub use counter::Counters;
 pub use crossbeam::utils::CachePadded;
 pub use events::{EventKind, ProfileData, ProfileEvent, ProfileOptions, Profiler, NO_SITE};
-pub use fault::{SyncError, WaitPoll, Watchdog, DEADLINE_SAMPLE, DISPATCH_SITE};
+pub use fault::{ProcEnd, SyncError, WaitPoll, Watchdog, DEADLINE_SAMPLE, DISPATCH_SITE};
 
 /// The name [`CellBank`] had when neighbor post/wait was a bank of its
 /// own; `benchmark/src/prims.rs` imports it and is the only reason it

@@ -13,26 +13,17 @@
 //! only for a change that is *meant* to alter the documents.
 
 use barrier_elim::obs::{
-    fault_json, render_fault, Attempt, FailureCause, FailureReport, FaultReport, Round, Rung,
-    SiteAction,
+    fault_json, render_fault, Attempt, FailureReport, FaultReport, Round, Rung, SiteAction,
 };
-use barrier_elim::runtime::fault::{SyncError, DISPATCH_SITE};
+use barrier_elim::runtime::fault::{ProcEnd, SyncError, DISPATCH_SITE};
 use barrier_elim::runtime::stats::{StatsSnapshot, SyncKind};
 use barrier_elim::runtime::telemetry::{CellSnapshot, SiteMeta, SiteSnapshot};
 use barrier_elim::runtime::FaultDisposition;
 
 const GOLDEN: &str = "tests/golden/fault_documents.txt";
 
-/// How one processor's traversal ended.
-#[derive(Clone)]
-enum End {
-    Finished,
-    Fault(SyncError),
-    Panicked(String),
-}
-
-fn deadline(site: usize, pid: usize, kind: SyncKind, expected: u64, observed: u64) -> End {
-    End::Fault(SyncError::DeadlineExceeded {
+fn deadline(site: usize, pid: usize, kind: SyncKind, expected: u64, observed: u64) -> ProcEnd {
+    ProcEnd::Fault(SyncError::DeadlineExceeded {
         site,
         pid,
         kind,
@@ -41,50 +32,34 @@ fn deadline(site: usize, pid: usize, kind: SyncKind, expected: u64, observed: u6
     })
 }
 
-fn poisoned(site: usize, pid: usize, cause: &str) -> End {
-    End::Fault(SyncError::Poisoned {
+fn poisoned(site: usize, pid: usize, cause: &str) -> ProcEnd {
+    ProcEnd::Fault(SyncError::Poisoned {
         site,
         pid,
         cause: cause.to_string(),
     })
 }
 
-fn stale(site: usize, pid: usize) -> End {
-    End::Fault(SyncError::StaleGeneration { site, pid })
+fn stale(site: usize, pid: usize) -> ProcEnd {
+    ProcEnd::Fault(SyncError::StaleGeneration { site, pid })
 }
 
-fn panicked(message: &str) -> End {
-    End::Panicked(message.to_string())
+fn panicked(message: &str) -> ProcEnd {
+    ProcEnd::Panicked(message.to_string())
 }
 
-/// A failure headed by processor `first`'s end, as the executor
-/// reports it: `site_label` names the headline's site.
+/// A failure headed by processor `first`'s end: `site_label` names
+/// the headline's site.
 fn failure(
-    ends: Vec<End>,
+    ends: Vec<ProcEnd>,
     first: usize,
     site_label: &str,
     sites: Vec<SiteSnapshot>,
 ) -> FailureReport {
-    let cause = match &ends[first] {
-        End::Finished => unreachable!("a finished processor heads no failure"),
-        End::Fault(e) => FailureCause::from_sync_error(e),
-        End::Panicked(message) => FailureCause::Panic {
-            pid: first,
-            message: message.clone(),
-        },
-    };
-    let per_proc = ends
-        .iter()
-        .map(|end| match end {
-            End::Finished => "ok".to_string(),
-            End::Fault(e) => e.to_string(),
-            End::Panicked(message) => format!("panicked: {message}"),
-        })
-        .collect();
     FailureReport {
-        cause,
+        ends,
+        first,
         site_label: site_label.to_string(),
-        per_proc,
         sites,
     }
 }
@@ -184,7 +159,7 @@ fn reports() -> Vec<(&'static str, FaultReport)> {
     let mut first = attempt(
         Some(failure(
             vec![
-                End::Finished,
+                ProcEnd::Finished,
                 at_s1(),
                 poisoned(0, 2, poison_s1),
                 poisoned(1, 3, poison_s1),
@@ -199,7 +174,12 @@ fn reports() -> Vec<(&'static str, FaultReport)> {
     first.backoff_ms = 1;
     let mut second = attempt(
         Some(failure(
-            vec![End::Finished, stale(0, 1), End::Finished, End::Finished],
+            vec![
+                ProcEnd::Finished,
+                stale(0, 1),
+                ProcEnd::Finished,
+                ProcEnd::Finished,
+            ],
             1,
             "after i-loop",
             Vec::new(),

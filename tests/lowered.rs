@@ -14,7 +14,7 @@ use barrier_elim::interp::{
 };
 use barrier_elim::ir::build::*;
 use barrier_elim::ir::{ArrayId, Program, RedOp};
-use barrier_elim::obs::FailureCause;
+use barrier_elim::runtime::ProcEnd;
 use barrier_elim::runtime::Team;
 use barrier_elim::spmd_opt::{fork_join, optimize};
 use barrier_elim::suite::{self, Scale};
@@ -174,8 +174,12 @@ fn leaving_one_dimension_is_a_panic_failure_on_guarded_threads() {
             ..ObserveOptions::default()
         },
     );
-    match out.failure.expect("the overrun must fail the region").cause {
-        FailureCause::Panic { message, .. } => assert_eq!(message, OVERRUN),
+    match out
+        .failure
+        .expect("the overrun must fail the region")
+        .cause()
+    {
+        ProcEnd::Panicked(message) => assert_eq!(message, OVERRUN),
         other => panic!("expected a panic cause, got {other:?}"),
     }
     // Each processor stopped at the offending element of its first row:

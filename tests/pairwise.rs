@@ -25,7 +25,7 @@ use barrier_elim::interp::{
 use barrier_elim::ir::build::*;
 use barrier_elim::obs::{self, render_fault, CompileSection, Json, RunReport, RunSection, Rung};
 use barrier_elim::oracle::{self, droppable_posts, Fault};
-use barrier_elim::runtime::{RetryPolicy, Team};
+use barrier_elim::runtime::{ProcEnd, RetryPolicy, Team};
 use barrier_elim::spmd_opt::{fork_join, optimize, optimize_with, OptimizeOptions};
 use barrier_elim::suite::{self, Built, Scale};
 use proptest::prelude::*;
@@ -153,13 +153,12 @@ fn pairwise_posts_reach_the_report_totals() {
     assert_eq!(pairwise.get("posts").and_then(Json::as_u64), Some(posts));
 
     // A fault report's attempts carry the same totals.
+    let mut ends = vec![ProcEnd::Finished; 4];
+    ends[0] = ProcEnd::Panicked("injected".into());
     let failure = obs::FailureReport {
-        cause: obs::FailureCause::Panic {
-            pid: 0,
-            message: "injected".into(),
-        },
+        ends,
+        first: 0,
         site_label: String::new(),
-        per_proc: vec!["ok".into(); 4],
         sites: Vec::new(),
     };
     let fault = obs::FaultReport::detected(&prog.name, 4, 100.0, failure, out.stats);

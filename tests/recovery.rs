@@ -20,7 +20,7 @@ use barrier_elim::interp::{
 };
 use barrier_elim::ir::SymId;
 use barrier_elim::oracle::{self, droppable_posts, ChaosConfig, ChaosInjector, DropSpec, Fault};
-use barrier_elim::runtime::{RetryPolicy, SyncError, Team};
+use barrier_elim::runtime::{ProcEnd, RetryPolicy, SyncError, Team};
 use barrier_elim::spmd_opt::{optimize, sync_sites, SyncSite};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -163,12 +163,13 @@ fn a_fabric_reset_under_a_guarded_wait_is_stale_at_any_label() {
         };
         let mem = Arc::new(Mem::new(&prog, &bind));
         let out = run_parallel_observed_on(&prog, &bind, &plan, &mem, &team, &opts, &fabric);
+        let failure = out.failure.expect("the reset fails the run");
         assert_eq!(
-            out.proc_errors[waiter],
-            Some(SyncError::StaleGeneration { site, pid: waiter }),
-            "{}: {:?}",
+            failure.ends[waiter],
+            ProcEnd::Fault(SyncError::StaleGeneration { site, pid: waiter }),
+            "{}: {}",
             prog.name,
-            out.failure.map(|f| f.cause)
+            failure.headline()
         );
     }
 }

@@ -15,11 +15,11 @@ use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
 use barrier_elim::interp::{run_parallel_observed, ChaosAction, Mem, ObserveOptions, SyncChaos};
 use barrier_elim::ir::SymId;
-use barrier_elim::obs::{FailureCause, FailureReport};
+use barrier_elim::obs::FailureReport;
 use barrier_elim::oracle::{
     self, droppable_posts, injection_schedule, ChaosInjector, Fault, Tooth,
 };
-use barrier_elim::runtime::{RetryPolicy, Team};
+use barrier_elim::runtime::{ProcEnd, RetryPolicy, SyncError, Team};
 use barrier_elim::spmd_opt::optimize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,13 +96,13 @@ fn dropped_counter_increment_names_the_counter_site() {
     assert_eq!(tooth.report.widths, [4]);
     // Whoever won the race to the headline, the stalled consumers at
     // the counter site recorded it in the per-processor states.
-    if let FailureCause::Deadline {
+    if let ProcEnd::Fault(SyncError::DeadlineExceeded {
         site,
         pid,
         expected,
         observed,
         ..
-    } = &first.cause
+    }) = first.cause()
     {
         if *site == c.spec.site {
             assert_ne!(
@@ -199,15 +199,19 @@ fn poison_propagates_to_a_late_processor() {
         elapsed < Duration::from_secs(10),
         "teardown took {elapsed:?}"
     );
-    match &failure.cause {
-        FailureCause::Deadline { pid, .. } => {
+    match failure.cause() {
+        ProcEnd::Fault(SyncError::DeadlineExceeded { pid, .. }) => {
             assert_ne!(*pid, 3, "a waiter, not the staller, times out first")
         }
         other => panic!("expected a deadline cause, got {other:?}"),
     }
-    // Every processor terminated with a recorded state; nobody is
-    // still "ok" except possibly the stalled one that finished late.
-    assert_eq!(failure.per_proc.len(), 4);
-    let errored = failure.per_proc.iter().filter(|s| *s != "ok").count();
-    assert!(errored >= 3, "per_proc: {:?}", failure.per_proc);
+    // Every processor terminated with a recorded end; nobody finished
+    // except possibly the stalled one that finished late.
+    assert_eq!(failure.ends.len(), 4);
+    let errored = failure
+        .ends
+        .iter()
+        .filter(|e| **e != ProcEnd::Finished)
+        .count();
+    assert!(errored >= 3, "ends: {:?}", failure.ends);
 }
