@@ -894,6 +894,39 @@ pub struct ScalarAccess {
     pub is_write: bool,
 }
 
+/// Steps 1–2 of the access-pair analysis on the producer's form `x` and
+/// the consumer's `y` — the processors `p` and `q`, or step 0a's owner
+/// inputs: one crossing probe per direction (`y − x ≥ 1`, `x − y ≥ 1`),
+/// then, if either holds, one reach-violation probe per direction, the
+/// backward one only when the forward one fails. Loop-independent reach
+/// is `|y − x| ≤ 1` (one sync point); carried by a loop with
+/// per-iteration sync, `|y − x| ≤ i2 − i1` (the chain). The pair is
+/// decided when it does not cross or stays within reach; otherwise the
+/// facts name the directions of its crossings.
+fn neighbor_reach(ps: &PairSystem, x: &LinExpr, y: &LinExpr) -> PairFacts {
+    let beyond = |lo: &LinExpr, hi: &LinExpr, by: LinExpr| {
+        ps.feasible_with(|s| s.add_ge(hi.clone() - lo.clone() - by))
+    };
+    let fwd = beyond(x, y, LinExpr::constant(1));
+    let bwd = beyond(y, x, LinExpr::constant(1));
+    let by = match ps.carried_vars {
+        None => LinExpr::constant(2),
+        Some((i1, i2)) => LinExpr::var(i2) - LinExpr::var(i1) + LinExpr::constant(1),
+    };
+    let crossing = if !fwd && !bwd {
+        Err(CommOutcome::none())
+    } else if beyond(x, y, by.clone()) || beyond(y, x, by) {
+        Ok((fwd, bwd))
+    } else {
+        let dists = DistSet::neighbor(fwd, bwd);
+        Err(CommOutcome::waits(WaitSet::at_distances(dists)))
+    };
+    PairFacts {
+        crossing,
+        spectrum: None,
+    }
+}
+
 /// Step 0 of the access-pair analysis: do the two statements use the
 /// *same* owner function, with owner inputs the pair system proves equal?
 /// Then the processors are equal too, whatever the function's non-linear
@@ -1405,8 +1438,6 @@ impl<'p> CommQuery<'p> {
             crossing: Err(out),
             spectrum: None,
         };
-        let (p, q) = (ps.p, ps.q);
-
         // 0a. Symbolic block distributions (extents unbound): classify by
         //     the owner-input difference. Equal extents mean equal owner
         //     functions with some block size b >= 1; then
@@ -1435,43 +1466,12 @@ impl<'p> CommQuery<'p> {
             if e1 == e2 {
                 let d1 = ps.tr(&self.bind, sb1, Side::Producer);
                 let d2 = ps.tr(&self.bind, sb2, Side::Consumer);
-                let fwd = ps.feasible_with(|s| {
-                    s.add_ge(d2.clone() - d1.clone() - LinExpr::constant(1));
-                });
-                let bwd = ps.feasible_with(|s| {
-                    s.add_ge(d1.clone() - d2.clone() - LinExpr::constant(1));
-                });
-                if !fwd && !bwd {
-                    return decided(CommOutcome::none());
-                }
-                let viol = |dir_fwd: bool| -> bool {
-                    ps.feasible_with(|s| {
-                        let (hi, lo) = if dir_fwd {
-                            (d2.clone(), d1.clone())
-                        } else {
-                            (d1.clone(), d2.clone())
-                        };
-                        let mut e = hi - lo;
-                        match ps.carried_vars {
-                            None => e = e - LinExpr::constant(2),
-                            Some((i1, i2)) => {
-                                e = e
-                                    - (LinExpr::var(i2) - LinExpr::var(i1))
-                                    - LinExpr::constant(1);
-                            }
-                        }
-                        s.add_ge(e);
-                    })
-                };
-                if !viol(true) && !viol(false) {
-                    return decided(CommOutcome::waits(WaitSet::at_distances(
-                        DistSet::neighbor(fwd, bwd),
-                    )));
-                }
-                return decided(CommOutcome {
+                let beyond_reach = CommOutcome {
                     failed: Some(RULE_SYMBOLIC),
                     ..CommOutcome::general()
-                });
+                };
+                let crossing = neighbor_reach(ps, &d1, &d2).crossing;
+                return decided(crossing.err().unwrap_or(beyond_reach));
             }
             // Different extents: owner functions differ; fall through to
             // the (conservative) processor tests.
@@ -1486,44 +1486,9 @@ impl<'p> CommQuery<'p> {
             return decided(CommOutcome::none());
         }
 
-        // 1. Any cross-processor pair at all?
-        let fwd = ps
-            .feasible_with(|s| s.add_ge(LinExpr::var(q) - LinExpr::var(p) - LinExpr::constant(1)));
-        let bwd = ps
-            .feasible_with(|s| s.add_ge(LinExpr::var(p) - LinExpr::var(q) - LinExpr::constant(1)));
-        if !fwd && !bwd {
-            return decided(CommOutcome::none());
-        }
-
-        // 2. Within neighbor-sync reach? Loop-independent: |q-p| <= 1.
-        // Carried by a loop with per-iteration sync: |q-p| <= i2-i1.
-        let viol = |dir_fwd: bool| -> bool {
-            ps.feasible_with(|s| {
-                let (hi, lo) = if dir_fwd { (q, p) } else { (p, q) };
-                let mut e = LinExpr::var(hi) - LinExpr::var(lo);
-                match ps.carried_vars {
-                    None => {
-                        // |q-p| >= 2 violates a single sync point.
-                        e = e - LinExpr::constant(2);
-                    }
-                    Some((i1, i2)) => {
-                        // |q-p| >= (i2-i1) + 1 outruns the chain.
-                        e = e - (LinExpr::var(i2) - LinExpr::var(i1)) - LinExpr::constant(1);
-                    }
-                }
-                s.add_ge(e);
-            })
-        };
-        if !viol(true) && !viol(false) {
-            return decided(CommOutcome::waits(WaitSet::at_distances(
-                DistSet::neighbor(fwd, bwd),
-            )));
-        }
-
-        PairFacts {
-            crossing: Ok((fwd, bwd)),
-            spectrum: None,
-        }
+        // 1–2. Any cross-processor pair at all, and within neighbor-sync
+        //      reach?
+        neighbor_reach(ps, &LinExpr::var(ps.p), &LinExpr::var(ps.q))
     }
 
     /// The exact feasible processor-distance spectrum of a dependent
