@@ -19,7 +19,7 @@
 
 use crate::json::Json;
 use crate::report::{render_site_table, sites_json, totals_json, SCHEMA_VERSION};
-use runtime::fault::{ProcEnd, SyncError, DISPATCH_SITE};
+use runtime::fault::{wait_name, ProcEnd, SyncError, DISPATCH_SITE};
 use runtime::recovery::FaultDisposition;
 use runtime::stats::StatsSnapshot;
 use runtime::telemetry::SiteSnapshot;
@@ -65,11 +65,12 @@ impl FailureReport {
                 expected,
                 observed,
             }) => {
-                let (where_, kind) = if *site == DISPATCH_SITE {
-                    ("dispatch".to_string(), "dispatch")
+                let where_ = if *site == DISPATCH_SITE {
+                    "dispatch".to_string()
                 } else {
-                    (format!("s{site} ({})", self.site_label), kind.name())
+                    format!("s{site} ({})", self.site_label)
                 };
+                let kind = wait_name(*site, *kind);
                 format!(
                     "deadline exceeded at {where_} on P{pid}: {kind} wait needed {expected}, observed {observed}"
                 )
@@ -281,16 +282,16 @@ fn cause_json(f: &FailureReport) -> Json {
             expected,
             observed,
         }) => {
-            let (site, kind) = if *site == DISPATCH_SITE {
-                (Json::Str("dispatch".to_string()), "dispatch")
+            let at = if *site == DISPATCH_SITE {
+                Json::Str("dispatch".to_string())
             } else {
-                (Json::Num(*site as f64), kind.name())
+                Json::Num(*site as f64)
             };
             Json::obj()
                 .set("kind", "deadline-exceeded")
-                .set("site", site)
+                .set("site", at)
                 .set("pid", *pid)
-                .set("sync", kind)
+                .set("sync", wait_name(*site, *kind))
                 .set("expected", *expected)
                 .set("observed", *observed)
         }
@@ -453,8 +454,9 @@ mod tests {
     use runtime::stats::SyncKind;
 
     /// The dispatch broadcast sits outside the site walk: its cause
-    /// names it instead of a site number, in the document and the
-    /// headline alike.
+    /// names it instead of a site number, and its wait by the gate's
+    /// name though the gate waits through a counter — in the document,
+    /// the headline and the processor's end alike.
     #[test]
     fn dispatch_sentinel_renders_by_name() {
         let gate = SyncError::DeadlineExceeded {
@@ -475,5 +477,10 @@ mod tests {
         let cause = doc.get("cause").unwrap();
         assert_eq!(cause.get("site").unwrap().as_str(), Some("dispatch"));
         assert_eq!(cause.get("sync").unwrap().as_str(), Some("dispatch"));
+        let ends = doc.get("per_proc").unwrap().as_arr().unwrap();
+        assert_eq!(
+            ends[1].as_str(),
+            Some("deadline exceeded at dispatch on P1: dispatch wait needed 3, observed 2")
+        );
     }
 }

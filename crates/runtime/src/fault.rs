@@ -138,6 +138,16 @@ impl SyncError {
     }
 }
 
+/// How reports name a wait of `kind` at `site`: the dispatch gate by
+/// its own name, whatever primitive it waits through.
+pub fn wait_name(site: usize, kind: SyncKind) -> &'static str {
+    if site == DISPATCH_SITE {
+        "dispatch"
+    } else {
+        kind.name()
+    }
+}
+
 /// How one processor's traversal of a region ended.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum ProcEnd {
@@ -180,7 +190,7 @@ impl std::fmt::Display for SyncError {
                 f,
                 "deadline exceeded at {} on P{pid}: {} wait needed {expected}, observed {observed}",
                 site_str(*site),
-                kind.name()
+                wait_name(*site, *kind)
             ),
             SyncError::Poisoned { site, pid, cause } => write!(
                 f,
