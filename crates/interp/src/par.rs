@@ -147,12 +147,9 @@ pub enum ChaosAction {
     /// Leave the event alone.
     #[default]
     None,
-    /// Sleep before executing the event (perturbs arrival order).
+    /// Sleep before executing the event (perturbs arrival order; a
+    /// long sleep models a stalled thread).
     Delay(Duration),
-    /// Sleep — a long, thread-stall-sized interval. Semantically the
-    /// same as [`ChaosAction::Delay`]; kept distinct so injection
-    /// policies and logs can tell jitter from stalls.
-    Stall(Duration),
     /// Wake every guarded waiter parked on the watchdog without making
     /// any condition true (a correct waiter re-checks and re-parks).
     SpuriousWake,
@@ -498,9 +495,7 @@ pub fn run_parallel_observed_on(
                         if let Some(ch) = &chaos2 {
                             match ch.at_sync(site, pid, visit) {
                                 ChaosAction::None => {}
-                                ChaosAction::Delay(d) | ChaosAction::Stall(d) => {
-                                    std::thread::sleep(d)
-                                }
+                                ChaosAction::Delay(d) => std::thread::sleep(d),
                                 ChaosAction::SpuriousWake => {
                                     if let Some(wd) = wd {
                                         wd.spurious_wake();

@@ -139,7 +139,7 @@ impl SyncChaos for ChaosInjector {
                 1 + splitmix64(h) % c.max_delay_us.max(1),
             ))
         } else if draw < c.delay_permille + c.stall_permille {
-            ChaosAction::Stall(Duration::from_millis(c.stall_ms))
+            ChaosAction::Delay(Duration::from_millis(c.stall_ms))
         } else if draw < c.delay_permille + c.stall_permille + c.spurious_permille {
             ChaosAction::SpuriousWake
         } else {

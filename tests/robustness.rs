@@ -166,7 +166,7 @@ fn poison_propagates_to_a_late_processor() {
     impl SyncChaos for StallP3 {
         fn at_sync(&self, _site: usize, pid: usize, visit: u64) -> ChaosAction {
             if pid == 3 && visit == 0 {
-                ChaosAction::Stall(Duration::from_millis(600))
+                ChaosAction::Delay(Duration::from_millis(600))
             } else {
                 ChaosAction::None
             }
