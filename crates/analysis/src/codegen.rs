@@ -14,9 +14,10 @@
 //! indices), exactly what a code generator would emit as the processor's
 //! private loop header. The executor's hand-derived fast path
 //! (the `Split` shapes of `interp::kernel`) computes the same ranges
-//! arithmetically; the property tests in this module check the two
-//! agree, which is precisely the cross-validation the SUIF
-//! implementation relied on.
+//! arithmetically; a test there checks the two agree on every
+//! one-interval split of the suite kernels, which is precisely the
+//! cross-validation the SUIF implementation relied on. The tests in
+//! this module check the scan against the owner function itself.
 
 use crate::bindings::Bindings;
 use crate::partition::LoopPartition;

@@ -619,6 +619,41 @@ impl Code {
         o.dist.owner(self.eval(&o.sub, slots), nprocs)
     }
 
+    /// The iterations of `lo..=hi` processor `pid` of `nprocs` runs of
+    /// a loop divided as `split`, at the loop indices in `slots`, for
+    /// the shapes that give each processor one interval (`None` for the
+    /// others). Empty when its start passes its end.
+    #[inline]
+    fn interval(
+        &self,
+        split: Split,
+        (pid, nprocs): (i64, i64),
+        (lo, hi): (i64, i64),
+        slots: &[i64],
+    ) -> Option<(i64, i64)> {
+        match split {
+            Split::BlockIndex { plo, block } => Some((
+                (plo + pid * block).max(lo),
+                (plo + (pid + 1) * block - 1).min(hi),
+            )),
+            Split::BlockRange { a, rest, block } => {
+                let r = self.eval(&rest, slots);
+                // pid*block <= a*i + r <= pid*block + block - 1
+                let lo_own = (pid * block - r) as i128;
+                let hi_own = (pid * block + block - 1 - r) as i128;
+                let (ilo, ihi) = if a > 0 {
+                    (div_ceil(lo_own, a as i128), div_floor(hi_own, a as i128))
+                } else {
+                    (div_ceil(hi_own, a as i128), div_floor(lo_own, a as i128))
+                };
+                Some((ilo.max(lo as i128) as i64, ihi.min(hi as i128) as i64))
+            }
+            Split::Fixed(owner) if self.owner(&owner, slots, nprocs) == pid => Some((lo, hi)),
+            Split::Fixed(_) => Some((1, 0)),
+            _ => None,
+        }
+    }
+
     /// [`Leaf::carried`] of the innermost loop over `slot` whose body
     /// is `ops` and whose accesses are `accs`.
     ///
@@ -863,23 +898,11 @@ impl<'a> Worker<'a> {
             // here for `MasterAll`, and `PerStmt` statements test their
             // own owner.
             Split::MasterAll | Split::PerStmt => self.run_loop::<TRACE>(&l, o0 + 1, lo, 1, hi),
-            Split::BlockIndex { plo, block } => {
-                let a = (plo + pid * block).max(lo);
-                let b = (plo + (pid + 1) * block - 1).min(hi);
-                self.run_loop::<TRACE>(&l, o0 + 1, a, 1, b);
-            }
-            Split::BlockRange { a, rest, block } => {
-                let r = cx.eval(&rest, &self.slots);
-                // pid*block <= a*i + r <= pid*block + block - 1
-                let lo_own = (pid * block - r) as i128;
-                let hi_own = (pid * block + block - 1 - r) as i128;
-                let (ilo, ihi) = if a > 0 {
-                    (div_ceil(lo_own, a as i128), div_floor(hi_own, a as i128))
-                } else {
-                    (div_ceil(hi_own, a as i128), div_floor(lo_own, a as i128))
-                };
-                let (ilo, ihi) = (ilo.max(lo as i128), ihi.min(hi as i128));
-                self.run_loop::<TRACE>(&l, o0 + 1, ilo as i64, 1, ihi as i64);
+            Split::BlockIndex { .. } | Split::BlockRange { .. } | Split::Fixed(_) => {
+                let shares = cx.code.interval(split, (pid, p), (lo, hi), &self.slots);
+                if let Some((a, b)) = shares {
+                    self.run_loop::<TRACE>(&l, o0 + 1, a, 1, b);
+                }
             }
             Split::CyclicStride { a, rest } => {
                 // (a*i + r) mod P == pid  =>  i ≡ a*(pid - r) (mod P)
@@ -887,11 +910,6 @@ impl<'a> Worker<'a> {
                 let residue = (a * (pid - r)).rem_euclid(p);
                 let start = lo + (residue - lo).rem_euclid(p);
                 self.run_loop::<TRACE>(&l, o0 + 1, start, p, hi);
-            }
-            Split::Fixed(owner) => {
-                if cx.owner(&owner, &self.slots) == pid {
-                    self.run_loop::<TRACE>(&l, o0 + 1, lo, 1, hi);
-                }
             }
             Split::PerIter(owner) => {
                 for i in lo..=hi {
@@ -2210,5 +2228,61 @@ mod tests {
             let expect = if (1..31).contains(&k) { 5.0 } else { 0.0 };
             assert_eq!(mem.array(a).get(&[k]), expect, "element {k}");
         }
+    }
+
+    /// The executor's arithmetic and `analysis::ScannedBounds` — the
+    /// range a code generator reads off the owner polyhedron — agree on
+    /// every one-interval split of the suite: at every step a cursor
+    /// reaches, each processor runs exactly the scanned iterations.
+    #[test]
+    fn every_block_split_runs_its_scanned_bounds() {
+        // Steps checked per shape: index blocks, owner blocks, and
+        // block owners that do not depend on the loop.
+        let mut checked = [0usize; 3];
+        for def in suite::all() {
+            let built = (def.build)(suite::Scale::Test);
+            let prog = &built.prog;
+            for p in [2, 3, 8] {
+                let bind = built.bindings(p);
+                let sched = Schedule::new(prog, &bind, &optimize(prog, &bind));
+                let code = &sched.code;
+                let mut scans: Vec<Option<analysis::ScannedBounds>> =
+                    (0..code.kernels.len()).map(|_| None).collect();
+                let mut cur = sched.cursor();
+                while let Some(step) = cur.next() {
+                    let Event::Work { kernel } = step.event else {
+                        continue;
+                    };
+                    let k = &code.kernels[kernel as usize];
+                    let (shape, split) = match k.who {
+                        Who::Split(s @ Split::BlockIndex { .. }) => (0, s),
+                        Who::Split(s @ Split::BlockRange { .. }) => (1, s),
+                        Who::Split(s @ Split::Fixed(o)) if matches!(o.dist, OwnerMap::Block(_)) => {
+                            (2, s)
+                        }
+                        _ => continue,
+                    };
+                    let at = format!("{} P={p} kernel {kernel}", prog.name);
+                    let scan = scans[kernel as usize].get_or_insert_with(|| {
+                        let partition = analysis::loop_partition(prog, &bind, k.node);
+                        analysis::scan_owned_range(prog, &bind, k.node, &partition)
+                            .unwrap_or_else(|| panic!("{at}: the owner polyhedron does not scan"))
+                    });
+                    let Op::Loop(l) = code.ops[k.o0 as usize] else {
+                        unreachable!("a distributed phase is a loop")
+                    };
+                    let bounds = (code.eval(&l.lo, &cur.slots), code.eval(&l.hi, &cur.slots));
+                    let outer = |l: LoopId| Some(cur.slots[l.0 as usize]);
+                    let nonempty = |r: Option<(i64, i64)>| r.filter(|(a, b)| a <= b);
+                    for pid in 0..p {
+                        let runs = code.interval(split, (pid, p), bounds, &cur.slots);
+                        let scanned = scan.range(&bind, pid, &outer);
+                        assert_eq!(nonempty(runs), nonempty(scanned), "{at} P{pid}");
+                    }
+                    checked[shape] += 1;
+                }
+            }
+        }
+        assert!(checked.iter().all(|&n| n > 0), "{checked:?}");
     }
 }
