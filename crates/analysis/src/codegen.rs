@@ -1,5 +1,5 @@
 //! Per-processor loop bounds by *scanning the owner polyhedron*
-//! (Ancourt & Irigoin [2,3]) — the code-generation half of the paper's
+//! (Ancourt & Irigoin \[2,3\]) — the code-generation half of the paper's
 //! machinery.
 //!
 //! For a block-partitioned parallel loop the set of iterations processor

@@ -149,7 +149,7 @@ pub fn loop_is_replicated(prog: &Program, loop_node: NodeId) -> bool {
 
 /// Derive the partition of a parallel loop.
 ///
-/// Strategy (owner-computes, after [18]): scan the loop body for the
+/// Strategy (owner-computes, after \[18\]): scan the loop body for the
 /// first assignment to a distributed array; the written element's
 /// distributed-dimension subscript determines the owner function — even
 /// when it does not mention the parallel index (e.g. a `DOALL j` writing

@@ -66,7 +66,7 @@ pub mod utils {
         }
 
         /// Back off once: spin for `2^step` hint instructions while cheap,
-        /// yield the thread once past [`SPIN_LIMIT`].
+        /// yield the thread once past `SPIN_LIMIT`.
         pub fn snooze(&self) {
             let step = self.step.get();
             if step <= SPIN_LIMIT {

@@ -1,19 +1,19 @@
 //! Lowered phase kernels: what a processor executes for one work step.
 //!
 //! [`Schedule::new`] lowers every phase subtree of a plan once per
-//! `(program, bindings, plan)` into a [`Code`] table, and a
+//! `(program, bindings, plan)` into a `Code` table, and a
 //! per-processor [`Worker`] then runs kernels out of that table:
 //!
 //! * loop bounds, guards, owner subscripts and array subscripts are
-//!   integer linear forms ([`Lin`]) over a dense loop-slot array (slot
+//!   integer linear forms (`Lin`) over a dense loop-slot array (slot
 //!   = `LoopId`), with every symbolic constant folded into the constant
 //!   term;
 //! * an array access is a list of per-dimension `(extent, stride,
-//!   subscript)` triples taken from [`row_major_layout`], so its
+//!   subscript)` triples taken from `row_major_layout`, so its
 //!   address is `Σ stride·subscript` with the per-dimension bounds
 //!   check of [`ArrayStore`](crate::mem::ArrayStore) kept;
 //! * a right-hand side is a postfix program over a small value stack;
-//! * the owner-computes share of a distributed loop ([`Split`]) is
+//! * the owner-computes share of a distributed loop (`Split`) is
 //!   evaluated per step from precomputed coefficients.
 //!
 //! **Bounds contract.** Every access is checked per dimension before
@@ -32,7 +32,7 @@
 //! up to [`CHUNK`] iterations at once, every instruction filling or
 //! combining a column of values, before the next statement starts.
 //! How many iterations may be taken together is decided at lowering
-//! from the subscripts' linear forms ([`Code::carried`]): fewer than
+//! from the subscripts' linear forms (`Code::carried`): fewer than
 //! the smallest distance at which one iteration touches what another
 //! writes, and 1 — the original order — for whatever the forms do not
 //! decide. Guards, affine in the index, clip a statement's iteration

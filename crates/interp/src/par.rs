@@ -76,7 +76,7 @@ impl Waiter<'_> {
 /// The shared synchronization state of one execution (or one recovery
 /// session): the barrier, the per-processor cells every point-to-point
 /// sync posts to and waits on, and the dispatch gate. It measures
-/// nothing — each worker's [`SyncRecorder`] does.
+/// nothing — each worker's `SyncRecorder` does.
 ///
 /// [`run_parallel_observed`] builds a fresh fabric per call; the
 /// supervisor ([`crate::supervise`]) instead builds one fabric per team

@@ -24,7 +24,7 @@
 //!    fault *demotes* the site's optimized sync op to a full barrier
 //!    (`spmd_opt::demote_site` — the paper's conservative fork-join
 //!    placement), a second *quarantines* it, which additionally masks
-//!    injected dropped posts there ([`SiteMaskedChaos`]) so a
+//!    injected dropped posts there (`SiteMaskedChaos`) so a
 //!    deterministic injector cannot re-kill every retry, and a third
 //!    *isolates* the run (masks every injected drop — a fault that
 //!    survives quarantine is barrier aliasing from another site);

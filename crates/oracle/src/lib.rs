@@ -9,7 +9,7 @@
 //!   sequential interpreter, the fork-join schedule, and the optimized
 //!   schedule under adversarial virtual interleavings and (optionally)
 //!   real threads, diffing final memory and dynamic sync counts
-//!   ([`diff`]), and validate every schedule race-free ([`validate`]).
+//!   ([`diff`]), and validate every schedule race-free ([`mod@validate`]).
 //! * **Mutation testing** ([`mutate`]): delete single sync ops from
 //!   known-good schedules and prove the validator flags the hole —
 //!   including every hole the differential oracle can observe.

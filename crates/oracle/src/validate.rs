@@ -7,7 +7,7 @@
 //!
 //! 1. **Access collection.** A work step is executed per processor
 //!    against a scratch memory with a recording
-//!    [`TraceBuffer`](interp::TraceBuffer) attached, yielding the set
+//!    [`interp::TraceBuffer`] attached, yielding the set
 //!    of shared cells each `(step, pid)` touches. Subscripts and
 //!    guards are affine in loop indices and symbolic constants — never
 //!    data-dependent — so the access sets do not depend on the order

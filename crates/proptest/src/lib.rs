@@ -127,7 +127,7 @@ impl_tuple_strategy! {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait IntoSizeRange {
         /// Draw a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;
@@ -157,7 +157,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     pub struct VecStrategy<S, R> {
         element: S,
         size: R,

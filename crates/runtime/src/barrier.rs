@@ -155,7 +155,7 @@ impl CentralBarrier {
     }
 
     /// Re-arm the barrier for a fresh region attempt by jumping the
-    /// epoch [`RESET_STRIDE`] episodes forward with a zero count. A
+    /// epoch `RESET_STRIDE` episodes forward with a zero count. A
     /// failed episode leaves stragglers holding stale local stamps; the
     /// jump guarantees their late arrivals can never match the live
     /// word, so they resolve as stale no-ops instead of phantom

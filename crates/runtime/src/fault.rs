@@ -24,7 +24,7 @@
 //! The fault machinery stays off the per-poll fast path. A guarded
 //! wait's poll loop touches only the caller's condition atomics; the
 //! watchdog side-channel — one epoch-stamped status word
-//! ([`Watchdog::status`]-internal: poison bit plus a wake epoch) and
+//! (`Watchdog::status`, internal: poison bit plus a wake epoch) and
 //! one `Instant::now()` — is sampled only
 //!
 //! * on every park transition (the wait is already ≥ many OS quanta
