@@ -70,11 +70,6 @@ impl ScannedBounds {
         let (lo, hi) = self.bounds.range(&assign)?;
         Some((lo as i64, hi as i64))
     }
-
-    /// Number of lower/upper bound expressions (diagnostics).
-    pub fn shape(&self) -> (usize, usize) {
-        (self.bounds.lowers.len(), self.bounds.uppers.len())
-    }
 }
 
 /// Translate an IR affine expression, registering atoms as variables.

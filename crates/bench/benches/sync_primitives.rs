@@ -8,7 +8,7 @@
 //! times the scheduler, not the primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use runtime::events::{self, EventKind, ProfileOptions, Profiler};
+use runtime::events::{EventKind, ProfileOptions, Profiler};
 use runtime::{BarrierEpoch, CellBank, CentralBarrier, Team, TreeBarrier, Watchdog};
 use std::sync::Arc;
 use std::time::Duration;
@@ -56,7 +56,6 @@ fn bench_barriers(c: &mut Criterion) {
                 let bb = Arc::clone(&central);
                 let pr = Arc::clone(&profiler);
                 team.run(move |pid| {
-                    let _recorder = events::install(Arc::clone(&pr), pid);
                     let mut sense = BarrierEpoch::default();
                     for k in 0..ROUNDS {
                         let arrive = pr.now_ns();

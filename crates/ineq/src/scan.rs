@@ -9,7 +9,7 @@
 use crate::arith::{div_ceil, div_floor};
 use crate::linexpr::LinExpr;
 use crate::system::System;
-use crate::var::{VarId, VarTable};
+use crate::var::VarId;
 
 /// One bound of a loop variable: `expr / div` with `div > 0`.
 ///
@@ -114,36 +114,38 @@ pub fn bounds_of(sys: &System, v: VarId) -> VarBounds {
     }
 }
 
-/// Derive nested-loop bounds for `ordered` (outermost first): for the
-/// k-th variable, all variables ordered after it are projected away, so
-/// its bounds mention only earlier variables and the free symbolics.
-pub fn loop_nest_bounds(sys: &System, vt: &VarTable, ordered: &[VarId]) -> Vec<VarBounds> {
-    let mut out = Vec::with_capacity(ordered.len());
-    for (k, &v) in ordered.iter().enumerate() {
-        let mut proj = sys.clone();
-        for &inner in &ordered[k + 1..] {
-            proj = proj.eliminate(vt, inner);
-        }
-        // Also drop any stray variables that are neither v, outer loop
-        // vars, nor free symbolics mentioned by the original system.
-        let keep: Vec<VarId> = ordered[..=k].to_vec();
-        let stray: Vec<VarId> = proj
-            .vars()
-            .into_iter()
-            .filter(|x| !keep.contains(x) && ordered.contains(x))
-            .collect();
-        for s in stray {
-            proj = proj.eliminate(vt, s);
-        }
-        out.push(bounds_of(&proj, v));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::VarKind;
+    use crate::var::{VarKind, VarTable};
+
+    /// Derive nested-loop bounds for `ordered` (outermost first): for the
+    /// k-th variable, all variables ordered after it are projected away, so
+    /// its bounds mention only earlier variables and the free symbolics.
+    /// The tests' scanner: the analysis asks [`bounds_of`] one variable at
+    /// a time.
+    fn loop_nest_bounds(sys: &System, vt: &VarTable, ordered: &[VarId]) -> Vec<VarBounds> {
+        let mut out = Vec::with_capacity(ordered.len());
+        for (k, &v) in ordered.iter().enumerate() {
+            let mut proj = sys.clone();
+            for &inner in &ordered[k + 1..] {
+                proj = proj.eliminate(vt, inner);
+            }
+            // Also drop any stray variables that are neither v, outer loop
+            // vars, nor free symbolics mentioned by the original system.
+            let keep: Vec<VarId> = ordered[..=k].to_vec();
+            let stray: Vec<VarId> = proj
+                .vars()
+                .into_iter()
+                .filter(|x| !keep.contains(x) && ordered.contains(x))
+                .collect();
+            for s in stray {
+                proj = proj.eliminate(vt, s);
+            }
+            out.push(bounds_of(&proj, v));
+        }
+        out
+    }
 
     /// Enumerate every integer point of the polyhedron described by `sys`
     /// over `ordered` variables (outermost first), with `outer` providing

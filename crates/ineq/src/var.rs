@@ -100,6 +100,7 @@ impl VarTable {
     /// Variables sorted by scan order (symbolics first, array indices
     /// last); ties broken by registration order so results are
     /// deterministic.
+    #[cfg(test)]
     pub fn scan_order(&self) -> Vec<VarId> {
         let mut vs: Vec<VarId> = self.iter().collect();
         vs.sort_by_key(|v| (self.kind(*v).scan_rank(), v.0));

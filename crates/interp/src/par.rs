@@ -16,7 +16,7 @@ use crate::mem::Mem;
 use analysis::Bindings;
 use ir::Program;
 use obs::{FailureReport, Span, SpanCat};
-use runtime::events::{self, EventKind, ProfileData, ProfileOptions, Profiler, NO_SITE};
+use runtime::events::{EventKind, ProfileData, ProfileOptions, Profiler, NO_SITE};
 use runtime::fault::{ProcEnd, SyncError, Watchdog, DISPATCH_SITE};
 use runtime::stats::{StatsSnapshot, SyncKind};
 use runtime::telemetry::{CellSnapshot, SiteSnapshot};
@@ -30,32 +30,57 @@ use std::time::{Duration, Instant};
 /// (`site`), and how — an armed watchdog (`guard`: the cell bank
 /// under it, as the attempt sees it) selects each primitive's
 /// deadline-guarded wait, `None` its pure one. Either way the wait
-/// hands back its escalation effort for the worker's recorder.
+/// hands back its escalation effort for the worker's recorder, and
+/// with a `profiler` its escalations are marked first on the worker's
+/// own track — the only writer of escalation marks there is.
 #[derive(Clone, Copy)]
 struct Waiter<'a> {
     guard: Option<&'a GuardedCells<'a>>,
+    profiler: Option<&'a Profiler>,
     site: usize,
     pid: usize,
 }
 
 impl Waiter<'_> {
+    /// Pass a wait's result on, marking how far a completed wait
+    /// escalated (a failed one marks nothing, as it adds nothing to the
+    /// totals). The marks carry the wait's site — none for the dispatch
+    /// gate — and the time it ended, inside the step's arrive/release
+    /// interval.
+    fn done(self, r: Result<WaitEffort, SyncError>) -> Result<WaitEffort, SyncError> {
+        if let (Some(p), Ok(e)) = (self.profiler, &r) {
+            let site = if self.site == DISPATCH_SITE {
+                NO_SITE
+            } else {
+                self.site as u32
+            };
+            if e.yields > 0 {
+                p.record(self.pid, EventKind::EscalateYield, site, e.spins);
+            }
+            if e.parks > 0 {
+                p.record(self.pid, EventKind::EscalatePark, site, e.yields);
+            }
+        }
+        r
+    }
+
     fn barrier(
         self,
         b: &CentralBarrier,
         epoch: &mut BarrierEpoch,
     ) -> Result<WaitEffort, SyncError> {
-        match self.guard {
+        self.done(match self.guard {
             Some(g) => b.wait_until(epoch, g.watchdog(), self.site, self.pid),
             None => Ok(b.wait(epoch)),
-        }
+        })
     }
 
     /// The dispatch gate: the master's `v`-th arrival.
     fn gate(self, c: &Counters, v: u64) -> Result<WaitEffort, SyncError> {
-        match self.guard {
+        self.done(match self.guard {
             Some(g) => c.wait_ge_until(0, v, g.watchdog(), self.site, self.pid),
             None => Ok(c.wait_ge(0, v)),
-        }
+        })
     }
 
     /// Processor `other`'s `count`-th post, at a sync labelled `kind`.
@@ -66,10 +91,10 @@ impl Waiter<'_> {
         count: u64,
         kind: SyncKind,
     ) -> Result<WaitEffort, SyncError> {
-        match self.guard {
+        self.done(match self.guard {
             Some(cells) => cells.wait(other, count, kind, self.site, self.pid),
             None => Ok(c.wait(other as isize, count)),
-        }
+        })
     }
 }
 
@@ -251,7 +276,7 @@ pub struct ObserveOptions {
     /// design — always pair chaos with [`ObserveOptions::deadline`].
     pub chaos: Option<Arc<dyn SyncChaos>>,
     /// Record per-thread event rings (sync arrivals/releases, region
-    /// markers, escalation transitions, recovery marks) and return the
+    /// markers, each wait's escalation marks, recovery marks) and return the
     /// merged stream in [`ParallelOutcome::profile`]. Recording is
     /// lock-free and never blocks; ring overflow drops the oldest
     /// events and is counted in [`runtime::events::ProfileData`].
@@ -440,16 +465,19 @@ pub fn run_parallel_observed_on(
         let wd = watchdog2.as_deref();
         let guarded = wd.map(|wd| cells2.guarded(wd));
         let guard = guarded.as_ref();
-        // Ambient recorder: primitives deep in the runtime (spin
-        // escalation) emit onto this worker's track without knowing
-        // their site; the analyzer attributes them by enclosing
-        // arrive/release interval.
-        let _recorder = profiler2
-            .as_ref()
-            .map(|p| events::install(Arc::clone(p), pid));
-        if let Some(p) = &profiler2 {
+        // This worker writes track `pid` and nothing else does: region
+        // markers, arrive/release pairs and, through `Waiter::done`,
+        // the escalation marks of its own waits.
+        let profiler = profiler2.as_deref();
+        if let Some(p) = profiler {
             p.record(pid, EventKind::RegionBegin, NO_SITE, 0);
         }
+        let waiter = |site| Waiter {
+            guard,
+            profiler,
+            site,
+            pid,
+        };
         let mut rec = SyncRecorder {
             cells: vec![CellSnapshot::default(); n_cells],
             ..SyncRecorder::default()
@@ -474,9 +502,11 @@ pub fn run_parallel_observed_on(
                         if pid == 0 {
                             dispatch2.increment(0);
                         } else {
-                            let site = DISPATCH_SITE;
                             let passed = cur.counts().dispatches;
-                            Waiter { guard, site, pid }.gate(&dispatch2, passed)?;
+                            let at = waiter(DISPATCH_SITE);
+                            // No sync event of any kind: only the
+                            // escalation totals count the gate's wait.
+                            rec.stats.add_effort(at.gate(&dispatch2, passed)?);
                         }
                     }
                     Event::Sync { op, site } => {
@@ -485,7 +515,7 @@ pub fn run_parallel_observed_on(
                         // Chaos and the profiler share one per-site
                         // visit counter, so a SyncArrive's `arg` is the
                         // same episode index chaos schedules against.
-                        let visit = if chaos2.is_some() || profiler2.is_some() {
+                        let visit = if chaos2.is_some() || profiler.is_some() {
                             let v = site_visits[site];
                             site_visits[site] += 1;
                             v
@@ -507,11 +537,11 @@ pub fn run_parallel_observed_on(
                         // The event's one clock pair: arrival here (after
                         // any injected delay), release below.
                         let t_arrive = Instant::now();
-                        if let Some(p) = &profiler2 {
+                        if let Some(p) = profiler {
                             let t = p.ns_at(t_arrive);
                             p.record_at(pid, EventKind::SyncArrive, site as u32, visit, t);
                         }
-                        let at = Waiter { guard, site, pid };
+                        let at = waiter(site);
                         let mut tally = Tally::default();
                         let (kind, r) = match op {
                             SyncStep::Barrier => {
@@ -557,7 +587,7 @@ pub fn run_parallel_observed_on(
                         // at its site.
                         let t_release = Instant::now();
                         let ns = t_release.duration_since(t_arrive).as_nanos() as u64;
-                        if let Some(p) = &profiler2 {
+                        if let Some(p) = profiler {
                             let t = p.ns_at(t_release);
                             p.record_at(pid, EventKind::SyncRelease, site as u32, ns, t);
                         }
@@ -576,7 +606,7 @@ pub fn run_parallel_observed_on(
         };
         let outcome = catch_unwind(AssertUnwindSafe(|| traverse(&mut cur)));
         rec.ended = Some(Instant::now());
-        if let Some(p) = &profiler2 {
+        if let Some(p) = profiler {
             let ok = matches!(outcome, Ok(Ok(()))) as u64;
             p.record(pid, EventKind::RegionEnd, NO_SITE, ok);
         }
@@ -1024,10 +1054,64 @@ mod tests {
         assert_eq!(out.stats.barrier_wait_ns, in_cells);
     }
 
+    /// Holds P1 back about 20 ms at its first visit to one site, so
+    /// whoever waits for it there runs the whole escalation ladder.
+    struct LateP1At(usize);
+
+    impl SyncChaos for LateP1At {
+        fn at_sync(&self, site: usize, pid: usize, visit: u64) -> ChaosAction {
+            if (site, pid, visit) == (self.0, 1, 0) {
+                ChaosAction::Delay(Duration::from_millis(20))
+            } else {
+                ChaosAction::None
+            }
+        }
+    }
+
+    /// The escalation marks of a run against its totals: every mark on
+    /// a worker track lies inside one of that worker's arrive/release
+    /// intervals at the site it names (a dispatch-gate mark names none),
+    /// and a mark of each kind is present exactly when the totals
+    /// counted yields, or parks.
+    fn marks_match_totals(profile: &ProfileData, stats: &StatsSnapshot, nprocs: usize) {
+        // (track, site, arrival, release) of every visit.
+        let mut visits: Vec<(u16, u32, u64, Option<u64>)> = Vec::new();
+        for e in &profile.events {
+            match e.kind {
+                EventKind::SyncArrive => visits.push((e.track, e.site, e.t_ns, None)),
+                EventKind::SyncRelease => {
+                    let open = (visits.iter_mut().rev())
+                        .find(|v| (v.0, v.1, v.3) == (e.track, e.site, None))
+                        .expect("a release closes its own arrival");
+                    open.3 = Some(e.t_ns);
+                }
+                _ => {}
+            }
+        }
+        let marks = |kind| profile.events.iter().filter(move |e| e.kind == kind);
+        for e in marks(EventKind::EscalateYield).chain(marks(EventKind::EscalatePark)) {
+            assert!((e.track as usize) < nprocs, "{e:?}");
+            if e.site != NO_SITE {
+                assert!(
+                    visits.iter().any(|&(track, site, arrive, release)| {
+                        (track, site) == (e.track, e.site)
+                            && (arrive..=release.unwrap()).contains(&e.t_ns)
+                    }),
+                    "{e:?} outside its wait"
+                );
+            }
+        }
+        let yields = marks(EventKind::EscalateYield).count();
+        let parks = marks(EventKind::EscalatePark).count();
+        assert_eq!(stats.yield_rounds > 0, yields > 0, "{stats:?}");
+        assert_eq!(stats.parks > 0, parks > 0, "{stats:?}");
+    }
+
     /// One wait has one duration: the by-kind totals, the per-site
     /// cells and the profiler's `SyncRelease` events all come from the
     /// same clock pair, so they agree to the nanosecond — injected
-    /// chaos delays included in none of them.
+    /// chaos delays included in none of them. One wait has one effort
+    /// too: the escalation marks and the totals both read it.
     #[test]
     fn totals_sites_and_profile_agree_on_every_wait() {
         let team = Team::new(4);
@@ -1082,7 +1166,57 @@ mod tests {
                 .map(|e| e.arg)
                 .sum();
             assert_eq!(blocked, released, "{}", prog.name);
+            marks_match_totals(&profile, s, 4);
         }
+
+        // A peer late by 20 ms at one barrier: P0 waits there through
+        // the whole ladder, and its two marks say so at that site.
+        let (prog, bind) = sweep(48, 4, 4);
+        let plan = fork_join(&prog, &bind);
+        let sched = Schedule::new(&prog, &bind, &plan);
+        let mut cur = sched.cursor();
+        let site = std::iter::from_fn(|| cur.next())
+            .find_map(|step| match step.event {
+                Event::Sync { site, .. } => Some(site),
+                _ => None,
+            })
+            .expect("a fork-join plan synchronizes");
+        let mem = Arc::new(Mem::new(&prog, &bind));
+        let out = run_parallel_observed(
+            &prog,
+            &bind,
+            &plan,
+            &mem,
+            &team,
+            &ObserveOptions {
+                chaos: Some(Arc::new(LateP1At(site as usize))),
+                profile: Some(ProfileOptions::default()),
+                ..ObserveOptions::default()
+            },
+        );
+        assert!(out.ok());
+        let profile = out.profile.expect("profile requested");
+        marks_match_totals(&profile, &out.stats, 4);
+        let p0: Vec<_> = (profile.events.iter())
+            .filter(|e| e.track == 0 && e.site == site)
+            .map(|e| (e.kind, e.arg))
+            .collect();
+        let policy = runtime::SpinPolicy::auto();
+        // The first visit: arrival, both marks at the wait's end, release.
+        assert_eq!(p0[0], (EventKind::SyncArrive, 0));
+        assert_eq!(p0[1], (EventKind::EscalateYield, policy.spin_limit as u64));
+        assert_eq!(p0[2], (EventKind::EscalatePark, policy.yield_limit as u64));
+        assert_eq!(p0[3].0, EventKind::SyncRelease);
+        let at_site = |kind| {
+            (profile.events.iter())
+                .filter(|e| e.kind == kind && e.site == site)
+                .count() as u64
+        };
+        let report = obs::analyze(&profile, 4);
+        let counted = report.site(site as usize).expect("the site was visited");
+        assert_eq!(counted.yields, at_site(EventKind::EscalateYield));
+        assert_eq!(counted.parks, at_site(EventKind::EscalatePark));
+        assert!(counted.parks >= 1);
     }
 
     #[test]

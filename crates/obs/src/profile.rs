@@ -108,7 +108,8 @@ impl SiteProfile {
     }
 }
 
-/// Supervisor / ambient event totals of one profiled execution.
+/// Supervisor, escalation and compile event totals of one profiled
+/// execution.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProfileMarks {
     /// Write-set checkpoints captured.
@@ -117,7 +118,8 @@ pub struct ProfileMarks {
     pub rollbacks: u64,
     /// Retries launched after a failed attempt.
     pub retries: u64,
-    /// Spin→yield escalations (all, including outside sync waits).
+    /// Spin→yield escalations (all, including dispatch-gate waits,
+    /// which have no site).
     pub yields: u64,
     /// Yield→park escalations.
     pub parks: u64,
@@ -158,7 +160,7 @@ pub struct ProfileReport {
     pub sites: Vec<SiteProfile>,
     /// Per-processor region wall-clock (Σ RegionEnd − RegionBegin).
     pub region_ns_by_pid: Vec<u64>,
-    /// Supervisor and ambient totals.
+    /// Supervisor, escalation and compile totals.
     pub marks: ProfileMarks,
 }
 
@@ -188,11 +190,11 @@ pub fn analyze(data: &ProfileData, nprocs: usize) -> ProfileReport {
         }
     };
 
-    // Pass 1: escalation attribution, region spans, marks.
-    // Per-track state is enough: events within one track are in
-    // recording order after the (t_ns, track) merge sort, because each
-    // single-writer track's timestamps are monotone.
-    let mut open_site: Vec<Option<usize>> = vec![None; data.tracks.max(1)];
+    // Pass 1: region spans, marks, and escalations, each attributed to
+    // the site its mark carries. Per-track state is enough: events
+    // within one track are in recording order after the (t_ns, track)
+    // merge sort, because each single-writer track's timestamps are
+    // monotone.
     let mut region_begin: Vec<Option<u64>> = vec![None; data.tracks.max(1)];
     let mut region_ns_by_pid = vec![0u64; nprocs];
     let mut marks = ProfileMarks::default();
@@ -203,10 +205,9 @@ pub fn analyze(data: &ProfileData, nprocs: usize) -> ProfileReport {
         if e.epoch == u16::MAX {
             clamped_events += 1;
         }
-        let track = (e.track as usize).min(open_site.len() - 1);
+        let track = (e.track as usize).min(region_begin.len() - 1);
         match e.kind {
-            EventKind::SyncArrive => open_site[track] = Some(e.site as usize),
-            EventKind::SyncRelease => open_site[track] = None,
+            EventKind::SyncArrive | EventKind::SyncRelease => {}
             EventKind::RegionBegin => region_begin[track] = Some(e.t_ns),
             EventKind::RegionEnd => {
                 if let (Some(t0), true) = (region_begin[track].take(), track < nprocs) {
@@ -215,15 +216,15 @@ pub fn analyze(data: &ProfileData, nprocs: usize) -> ProfileReport {
             }
             EventKind::EscalateYield => {
                 marks.yields += 1;
-                if let Some(s) = open_site[track] {
-                    let k = site_ix(&mut sites, s);
+                if e.site != NO_SITE {
+                    let k = site_ix(&mut sites, e.site as usize);
                     sites[k].yields += 1;
                 }
             }
             EventKind::EscalatePark => {
                 marks.parks += 1;
-                if let Some(s) = open_site[track] {
-                    let k = site_ix(&mut sites, s);
+                if e.site != NO_SITE {
+                    let k = site_ix(&mut sites, e.site as usize);
                     sites[k].parks += 1;
                 }
             }
@@ -672,10 +673,11 @@ mod tests {
     fn escalations_attribute_to_the_enclosing_wait() {
         let evs = vec![
             ev(EventKind::SyncArrive, 2, 0, 0, 100),
-            ev(EventKind::EscalateYield, NO_SITE, 0, 64, 150),
-            ev(EventKind::EscalatePark, NO_SITE, 0, 256, 180),
+            ev(EventKind::EscalateYield, 2, 0, 64, 210),
+            ev(EventKind::EscalatePark, 2, 0, 256, 210),
             ev(EventKind::SyncRelease, 2, 0, 120, 220),
-            // Outside any wait: counted globally, not per-site.
+            // A dispatch-gate wait's mark has no site: counted in the
+            // totals, not per-site.
             ev(EventKind::EscalateYield, NO_SITE, 0, 4, 300),
         ];
         let data = ProfileData {

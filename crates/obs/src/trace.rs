@@ -536,7 +536,7 @@ mod tests {
         // Two procs, one episode at site 0: P0 first, P1 the straggler.
         p.record_at(0, EventKind::SyncArrive, 0, 0, 1_000);
         p.record_at(1, EventKind::SyncArrive, 0, 0, 9_000);
-        p.record_at(0, EventKind::EscalateYield, NO_SITE, 64, 5_000);
+        p.record_at(0, EventKind::EscalateYield, 0, 64, 9_000);
         p.record_at(0, EventKind::SyncRelease, 0, 8_000, 9_000);
         p.record_at(1, EventKind::SyncRelease, 0, 0, 9_000);
         // Supervisor mark + a compile-side FME span.

@@ -69,7 +69,6 @@ pub struct CentralBarrier {
     n: usize,
     /// Packed `(epoch << COUNT_BITS) | arrivals`.
     state: CachePadded<AtomicU64>,
-    policy: SpinPolicy,
 }
 
 impl CentralBarrier {
@@ -84,7 +83,6 @@ impl CentralBarrier {
         CentralBarrier {
             n,
             state: CachePadded::new(AtomicU64::new(0)),
-            policy: SpinPolicy::auto(),
         }
     }
 
@@ -145,7 +143,7 @@ impl CentralBarrier {
     /// immediately without contributing an arrival — the guarded
     /// variant reports this as [`SyncError::StaleGeneration`].
     pub fn wait(&self, local: &mut BarrierEpoch) -> WaitEffort {
-        let mut sw = SpinWait::new(self.policy);
+        let mut sw = SpinWait::new(SpinPolicy::auto());
         if let Arrival::Wait(e) = self.arrive(local) {
             while self.state.load(Ordering::Acquire) >> COUNT_BITS == e {
                 sw.snooze();
@@ -197,7 +195,7 @@ impl CentralBarrier {
                 pid,
                 SyncKind::Barrier,
                 self.n as u64,
-                self.policy,
+                SpinPolicy::auto(),
                 || {
                     let s = self.state.load(Ordering::Acquire);
                     if s >> COUNT_BITS != e {
@@ -229,7 +227,6 @@ pub struct TreeBarrier {
     // episode adds exactly `radix - 1` signals per flag, so the wait
     // target for episode `e` is `e * (radix - 1)`.
     flags: Vec<Vec<CachePadded<AtomicU64>>>,
-    policy: SpinPolicy,
 }
 
 impl TreeBarrier {
@@ -278,7 +275,6 @@ impl TreeBarrier {
             radix,
             rounds,
             flags,
-            policy: SpinPolicy::auto(),
         }
     }
 
@@ -319,7 +315,7 @@ impl TreeBarrier {
         let mut effort = WaitEffort::default();
         for r in 0..self.rounds {
             self.signal_round(r, pid);
-            let mut sw = SpinWait::new(self.policy);
+            let mut sw = SpinWait::new(SpinPolicy::auto());
             while self.flags[r][pid].load(Ordering::Acquire) < target {
                 sw.snooze();
             }
@@ -354,11 +350,12 @@ impl TreeBarrier {
     ) -> Result<WaitEffort, SyncError> {
         *epoch += 1;
         let target = (*epoch as u64) * (self.radix as u64 - 1);
+        let policy = SpinPolicy::auto();
         let mut effort = WaitEffort::default();
         for r in 0..self.rounds {
             self.signal_round(r, pid);
             let flag = &self.flags[r][pid];
-            effort += wd.guarded_wait(site, pid, SyncKind::Barrier, target, self.policy, || {
+            effort += wd.guarded_wait(site, pid, SyncKind::Barrier, target, policy, || {
                 let cur = flag.load(Ordering::Acquire);
                 if cur >= target {
                     WaitPoll::Ready

@@ -29,7 +29,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// Per-processor monotone post cells.
 pub struct CellBank {
     cells: Vec<CachePadded<AtomicU64>>,
-    policy: SpinPolicy,
     /// Bumped by every [`CellBank::reset`].
     generation: CachePadded<AtomicU64>,
     /// Unguarded waiters currently blocked on each cell;
@@ -46,7 +45,6 @@ impl CellBank {
             cells: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            policy: SpinPolicy::auto(),
             generation: CachePadded::new(AtomicU64::new(0)),
             waiting: (0..n)
                 .map(|_| CachePadded::new(AtomicUsize::new(0)))
@@ -69,7 +67,7 @@ impl CellBank {
     /// Out-of-range targets (off the ends of the processor line) are
     /// trivially satisfied. Returns the wait's escalation counts.
     pub fn wait(&self, other: isize, count: u64) -> WaitEffort {
-        let mut sw = SpinWait::new(self.policy);
+        let mut sw = SpinWait::new(SpinPolicy::auto());
         let Some(q) = usize::try_from(other)
             .ok()
             .filter(|&q| q < self.cells.len())
@@ -165,9 +163,8 @@ impl<'a> GuardedCells<'a> {
         site: usize,
         pid: usize,
     ) -> Result<WaitEffort, SyncError> {
-        let CellBank { cells, policy, .. } = self.bank;
-        let cell = &cells[other];
-        self.wd.guarded_wait(site, pid, kind, count, *policy, || {
+        let (cell, policy) = (&self.bank.cells[other], SpinPolicy::auto());
+        self.wd.guarded_wait(site, pid, kind, count, policy, || {
             if self.bank.generation() != self.generation {
                 return WaitPoll::Failed(SyncError::StaleGeneration { site, pid });
             }

@@ -16,7 +16,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// A bank of monotonically increasing synchronization counters.
 pub struct Counters {
     c: Vec<CachePadded<AtomicU64>>,
-    policy: SpinPolicy,
     /// Bumped by every [`Counters::reset`]; guarded waits capture it on
     /// entry and fail if it moves mid-wait (a reset raced the wait).
     generation: CachePadded<AtomicU64>,
@@ -49,7 +48,6 @@ impl Counters {
             c: (0..n)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
                 .collect(),
-            policy: SpinPolicy::auto(),
             generation: CachePadded::new(AtomicU64::new(0)),
             waiting: CachePadded::new(AtomicUsize::new(0)),
         }
@@ -75,7 +73,7 @@ impl Counters {
     /// (acquire ordering). Returns the wait's escalation counts.
     pub fn wait_ge(&self, id: usize, v: u64) -> WaitEffort {
         let _w = WaitingGuard::enter(&self.waiting);
-        let mut sw = SpinWait::new(self.policy);
+        let mut sw = SpinWait::new(SpinPolicy::auto());
         while self.c[id].load(Ordering::Acquire) < v {
             sw.snooze();
         }
@@ -98,7 +96,7 @@ impl Counters {
     ) -> Result<WaitEffort, SyncError> {
         let _w = WaitingGuard::enter(&self.waiting);
         let gen0 = self.generation.load(Ordering::Acquire);
-        wd.guarded_wait(site, pid, SyncKind::Counter, v, self.policy, || {
+        wd.guarded_wait(site, pid, SyncKind::Counter, v, SpinPolicy::auto(), || {
             if self.generation.load(Ordering::Acquire) != gen0 {
                 return WaitPoll::Failed(SyncError::StaleGeneration { site, pid });
             }

@@ -13,8 +13,13 @@
 //! long a run is.
 //!
 //! The single-writer contract: track `t` is written only by the thread
-//! that owns it (worker `pid` writes track `pid`; the recovery
-//! supervisor writes the extra track [`Profiler::supervisor_track`]).
+//! that owns it, and only through an explicit [`Profiler::record`] /
+//! [`Profiler::record_at`] call — there is no ambient recorder. Worker
+//! `pid`'s sync step writes track `pid`, escalation marks included (it
+//! reads them off the [`crate::WaitEffort`] each wait returns; the
+//! primitives themselves record nothing); the recovery supervisor
+//! writes the extra track [`Profiler::supervisor_track`]; a profiled
+//! compile's driver owns a profiler of its own and writes its track 0.
 //! Slots are stored as relaxed atomic words, so the API is sound from
 //! safe code unconditionally: a [`Profiler::snapshot`] that races an
 //! active writer is memory-safe, it can merely observe a torn event
@@ -27,13 +32,12 @@
 //! attempts, so the merged stream can separate the final attempt's
 //! episodes from the abandoned ones without clearing anything.
 
-use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Site value for events that have no canonical sync site (region
-/// markers, escalation transitions, supervisor marks, FME spans).
+/// markers, escalations of dispatch-gate waits, supervisor marks, FME
+/// spans).
 pub const NO_SITE: u32 = u32::MAX;
 
 /// What one [`ProfileEvent`] records.
@@ -56,11 +60,14 @@ pub enum EventKind {
     /// The supervisor launched a retry (`arg` = 1-based attempt number
     /// of the attempt that failed).
     Retry,
-    /// A blocked wait escalated from spinning to its first `yield_now`
-    /// (`arg` = spin rounds burned before the transition).
+    /// A completed wait escalated from spinning to `yield_now` (`arg` =
+    /// spin rounds burned before the transition). Stamped when the wait
+    /// ends — inside its site's arrive/release interval — and carrying
+    /// the wait's site ([`NO_SITE`] for the dispatch gate).
     EscalateYield,
-    /// A blocked wait escalated to its first bounded park (`arg` =
-    /// yield rounds burned before the transition).
+    /// A completed wait escalated to bounded parks (`arg` = yield
+    /// rounds burned before the transition). Stamped and sited like
+    /// [`EventKind::EscalateYield`].
     EscalatePark,
     /// One optimizer pair query served from warm memo/FME state
     /// (`arg` = query duration ns; recorded at query end, so the span
@@ -384,47 +391,10 @@ impl Profiler {
     }
 }
 
-thread_local! {
-    /// The recorder the current thread emits ambient events into
-    /// (escalation transitions from deep inside the primitives, FME
-    /// spans from the analysis hook). Installed by the executor per
-    /// worker, and by the driver around a profiled compile.
-    static CURRENT: RefCell<Option<(Arc<Profiler>, usize)>> = const { RefCell::new(None) };
-}
-
-/// RAII handle for a thread-local recorder installation; restores the
-/// previous recorder (usually none) on drop.
-pub struct RecorderGuard {
-    prev: Option<(Arc<Profiler>, usize)>,
-}
-
-impl Drop for RecorderGuard {
-    fn drop(&mut self) {
-        CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
-    }
-}
-
-/// Install `profiler`/`track` as the current thread's ambient recorder.
-pub fn install(profiler: Arc<Profiler>, track: usize) -> RecorderGuard {
-    CURRENT.with(|c| RecorderGuard {
-        prev: c.borrow_mut().replace((profiler, track)),
-    })
-}
-
-/// Emit an ambient event through the thread-local recorder; a no-op
-/// (one thread-local read) when no recorder is installed.
-#[inline]
-pub fn emit(kind: EventKind, site: u32, arg: u64) {
-    CURRENT.with(|c| {
-        if let Some((p, track)) = &*c.borrow() {
-            p.record(*track, kind, site, arg);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn capacity_rounds_up_to_a_power_of_two() {
@@ -506,22 +476,6 @@ mod tests {
             // are monotone per writer).
             assert!(mine.windows(2).all(|w| w[0] < w[1]));
         }
-    }
-
-    #[test]
-    fn ambient_recorder_installs_and_restores() {
-        let p = Arc::new(Profiler::new(2, ProfileOptions::default()));
-        emit(EventKind::EscalateYield, NO_SITE, 1); // no recorder: no-op
-        {
-            let _g = install(Arc::clone(&p), 1);
-            emit(EventKind::EscalateYield, NO_SITE, 7);
-        }
-        emit(EventKind::EscalatePark, NO_SITE, 2); // uninstalled again
-        let d = p.snapshot();
-        assert_eq!(d.events.len(), 1);
-        assert_eq!(d.events[0].kind, EventKind::EscalateYield);
-        assert_eq!(d.events[0].track, 1);
-        assert_eq!(d.events[0].arg, 7);
     }
 
     #[test]

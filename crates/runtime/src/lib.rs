@@ -19,14 +19,17 @@
 //!   increment ([`counter`]); the executor's region dispatch gate;
 //! * a persistent **worker team** that executes SPMD regions without
 //!   re-spawning threads ([`team`]);
-//! * **instrumentation** types — plain by-kind totals ([`stats`]) and
-//!   per-site cells ([`telemetry`]) the executor's per-worker recorder
-//!   fills in; the primitives themselves count and time nothing (a wait
-//!   returns its [`WaitEffort`]) — the source of the "barriers executed
-//!   at run time" numbers in the reproduction of Table 3;
-//! * a tunable **spin → `pause` → park escalation ladder** ([`spin`])
-//!   shared by every blocking wait, keeping the common case a
-//!   pure-atomic poll loop with no locks or clock reads;
+//! * **instrumentation** types — plain by-kind totals ([`stats`]),
+//!   per-site cells ([`telemetry`]) and single-writer event rings
+//!   ([`events`]) the executor's per-worker recorder fills in; the
+//!   primitives themselves count and time nothing and record no event
+//!   (a wait only returns its [`WaitEffort`], which the waiter turns
+//!   into both its totals and its escalation marks), so every ring
+//!   track has exactly one writer — the source of the "barriers
+//!   executed at run time" numbers in the reproduction of Table 3;
+//! * a **spin → `pause` → park escalation ladder** ([`spin`]) shared by
+//!   every blocking wait under one topology-aware policy, keeping the
+//!   common case a pure-atomic poll loop with no locks or clock reads;
 //! * **fault detection** ([`fault`]) — deadline-guarded variants of every
 //!   blocking wait with the watchdog sampled off the hot loop (poison
 //!   via one epoch-stamped atomic, deadline checked only on park

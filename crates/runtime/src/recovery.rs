@@ -115,14 +115,11 @@ impl FaultDisposition {
 }
 
 /// Per-round ledger of faulting canonical sync sites *and* processors:
-/// how often each site faulted, which sites are quarantined, and the
-/// per-pid fault history the sticky-fault classifier reads.
+/// how often each site faulted, and the suspect streak the
+/// sticky-fault classifier reads.
 #[derive(Clone, Debug, Default)]
 pub struct Quarantine {
     faults: BTreeMap<usize, u32>,
-    quarantined: Vec<usize>,
-    /// Total faults attributed to each processor.
-    pid_faults: BTreeMap<usize, u32>,
     /// The pid implicated by the most recent attempts and for how many
     /// consecutive attempts it has been the primary suspect.
     streak_pid: Option<usize>,
@@ -142,10 +139,7 @@ impl Quarantine {
         *n += 1;
         match *n {
             1 => FaultDisposition::Demote,
-            2 => {
-                self.quarantined.push(site);
-                FaultDisposition::Quarantine
-            }
+            2 => FaultDisposition::Quarantine,
             3 => FaultDisposition::Isolate,
             _ => FaultDisposition::Retry,
         }
@@ -160,7 +154,6 @@ impl Quarantine {
     pub fn record_attempt_suspect(&mut self, pid: Option<usize>) -> u32 {
         match pid {
             Some(p) => {
-                *self.pid_faults.entry(p).or_insert(0) += 1;
                 if self.streak_pid == Some(p) {
                     self.streak += 1;
                 } else {
@@ -175,11 +168,6 @@ impl Quarantine {
                 0
             }
         }
-    }
-
-    /// Sites placed under quarantine, in the order they escalated.
-    pub fn quarantined(&self) -> &[usize] {
-        &self.quarantined
     }
 }
 
@@ -208,16 +196,14 @@ mod tests {
     fn ladder_escalates_demote_quarantine_isolate_then_retry() {
         let mut q = Quarantine::new();
         assert_eq!(q.record_fault(3), FaultDisposition::Demote);
-        assert!(!q.quarantined().contains(&3));
         assert_eq!(q.record_fault(3), FaultDisposition::Quarantine);
-        assert!(q.quarantined().contains(&3));
+        // Independent ladders per site: a fresh site starts at the
+        // bottom while another is mid-ladder.
+        assert_eq!(q.record_fault(7), FaultDisposition::Demote);
         assert_eq!(q.record_fault(3), FaultDisposition::Isolate);
         assert_eq!(q.record_fault(3), FaultDisposition::Retry);
-        // Independent ladders per site.
-        assert_eq!(q.record_fault(7), FaultDisposition::Demote);
-        assert_eq!(q.quarantined(), &[3]);
-        let counts: Vec<_> = q.faults.iter().map(|(&s, &n)| (s, n)).collect();
-        assert_eq!(counts, vec![(3, 4), (7, 1)]);
+        assert_eq!(q.record_fault(3), FaultDisposition::Retry);
+        assert_eq!(q.record_fault(7), FaultDisposition::Quarantine);
     }
 
     #[test]
@@ -230,8 +216,9 @@ mod tests {
         // An unattributable attempt breaks any streak.
         assert_eq!(q.record_attempt_suspect(None), 0);
         assert_eq!(q.record_attempt_suspect(Some(0)), 1);
-        // Totals survive streak resets.
-        let counts: Vec<_> = q.pid_faults.iter().map(|(&p, &n)| (p, n)).collect();
-        assert_eq!(counts, vec![(0, 2), (2, 2)]);
+        assert_eq!(q.record_attempt_suspect(Some(0)), 2);
+        // Site faults do not touch the suspect streak.
+        assert_eq!(q.record_fault(5), FaultDisposition::Demote);
+        assert_eq!(q.record_attempt_suspect(Some(0)), 3);
     }
 }

@@ -9,17 +9,19 @@
 //! already many OS quanta long). The thresholds between the phases are
 //! the *park threshold* of the ghc-openmp journey and the spin/park
 //! policy knob of the 1024-core RISC-V barrier study: the right values
-//! depend on how the team maps onto the machine, so they live in a
-//! [`SpinPolicy`] value the caller can tune per primitive, with a
-//! topology-aware default ([`SpinPolicy::auto`]).
+//! depend on how the team maps onto the machine, so every primitive
+//! starts its waits under the topology-aware [`SpinPolicy::auto`]
+//! (only [`crate::Watchdog::guarded_wait`] takes a policy argument, so
+//! a test can force the full ladder with [`SpinPolicy::eager_park`]).
 //!
 //! [`SpinWait`] is the per-wait escalation state machine. Pure waits
 //! call [`SpinWait::snooze`] in their poll loop; the guarded wait in
 //! [`crate::fault`] instead asks [`SpinWait::advise`] which phase is
 //! next and performs the park itself (it must register with the
-//! watchdog so poison can wake it). Either way the phase transition
-//! counts are kept and returned as the wait's [`WaitEffort`], so the
-//! executor's totals can report how often waits escalated past
+//! watchdog so poison can wake it). Either way the ladder only counts:
+//! the counts come back as the wait's [`WaitEffort`], and the waiter —
+//! the executor's sync step — turns them into its totals and its
+//! escalation marks, so it can report how often waits escalated past
 //! spinning — the telemetry that tells a convoying schedule from a
 //! healthy one.
 
@@ -39,8 +41,8 @@ pub struct SpinPolicy {
 }
 
 /// Cores available to this process, probed once: the probe reads the
-/// affinity mask and cgroup quota (about 20 µs), which a run that builds
-/// several primitives would otherwise pay once per primitive.
+/// affinity mask and cgroup quota (about 20 µs), and every wait reads
+/// [`SpinPolicy::auto`] when it starts.
 pub(crate) fn host_cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| {
@@ -144,26 +146,9 @@ impl SpinWait {
             SpinPhase::Spin
         } else if self.effort.yields < self.policy.yield_limit as u64 {
             self.effort.yields += 1;
-            // Emit the escalation transition only when this wait first
-            // leaves the spin phase — the spin fast path stays free of
-            // thread-local reads.
-            if self.effort.yields == 1 {
-                crate::events::emit(
-                    crate::events::EventKind::EscalateYield,
-                    crate::events::NO_SITE,
-                    self.effort.spins,
-                );
-            }
             SpinPhase::Yield
         } else {
             self.effort.parks += 1;
-            if self.effort.parks == 1 {
-                crate::events::emit(
-                    crate::events::EventKind::EscalatePark,
-                    crate::events::NO_SITE,
-                    self.effort.yields,
-                );
-            }
             SpinPhase::Park
         }
     }
@@ -183,11 +168,6 @@ impl SpinWait {
     /// The escalation counts so far.
     pub fn effort(&self) -> WaitEffort {
         self.effort
-    }
-
-    /// The policy this ladder runs under.
-    pub fn policy(&self) -> SpinPolicy {
-        self.policy
     }
 }
 

@@ -141,6 +141,13 @@ impl StatsSnapshot {
         *w += waits;
         *total += ns;
         *max = (*max).max(ns);
+        self.add_effort(effort);
+    }
+
+    /// Fold one wait's escalation effort into the spin/yield/park
+    /// totals alone — how a wait that belongs to no sync kind (the
+    /// executor's dispatch gate) is counted.
+    pub fn add_effort(&mut self, effort: WaitEffort) {
         self.spin_rounds += effort.spins;
         self.yield_rounds += effort.yields;
         self.parks += effort.parks;

@@ -40,7 +40,7 @@ use barrier_elim::interp::{
 use barrier_elim::ir::Program;
 use barrier_elim::obs::{self, CompileSection, FaultReport, RunReport, RunSection, Rung};
 use barrier_elim::oracle::{ChaosConfig, ChaosInjector, DropSpec};
-use barrier_elim::runtime::events::{self, EventKind, ProfileData, ProfileOptions, Profiler};
+use barrier_elim::runtime::events::{EventKind, ProfileData, ProfileOptions, Profiler};
 use barrier_elim::runtime::{RetryPolicy, Team, NO_SITE};
 use barrier_elim::spmd_opt::{
     demote_sites, fork_join, optimize, optimize_explained, render_plan, OptimizeOptions, SyncOp,
@@ -356,29 +356,26 @@ fn compile_and_run(args: &Args, report: &mut Option<RunReport>) -> ExitCode {
     }
 
     let oo = OptimizeOptions::default();
-    // The ambient recorder is single-writer per track; the analysis runs
-    // on this thread, so the pair probe fires here and nowhere else.
+    // The compile profiler's one track is written by the pair probe
+    // alone, which fires on this thread: the analysis runs here.
     let compile_profiler = args
         .profile
         .then(|| Arc::new(Profiler::new(1, ProfileOptions::default())));
-    let guard = compile_profiler
-        .as_ref()
-        .map(|p| events::install(Arc::clone(p), 0));
-    if guard.is_some() {
-        barrier_elim::analysis::set_pair_probe(Some(Arc::new(|pr| {
+    if let Some(p) = &compile_profiler {
+        let p = Arc::clone(p);
+        barrier_elim::analysis::set_pair_probe(Some(Arc::new(move |pr| {
             let kind = if pr.memo_hit {
                 EventKind::FmeHit
             } else {
                 EventKind::FmeMiss
             };
-            events::emit(kind, NO_SITE, pr.elapsed_ns);
+            p.record(0, kind, NO_SITE, pr.elapsed_ns);
         })));
     }
     let (plan, log, stats) = optimize_explained(&prog, &bind, oo);
-    if guard.is_some() {
+    if compile_profiler.is_some() {
         barrier_elim::analysis::set_pair_probe(None);
     }
-    drop(guard);
     let compile_data: Option<ProfileData> = compile_profiler.as_ref().map(|p| p.snapshot());
     let base = fork_join(&prog, &bind);
 
