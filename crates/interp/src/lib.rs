@@ -70,7 +70,7 @@ pub use kernel::{Worker, CHUNK};
 pub use mem::Mem;
 pub use par::{
     run_parallel, run_parallel_observed, run_parallel_observed_on, ChaosAction, ObserveOptions,
-    ParallelOutcome, SyncChaos, SyncFabric,
+    ParallelOutcome, SyncChaos,
 };
 pub use supervise::{run_parallel_supervised, Replan, Supervised};
 pub use trace::{Access, AccessKind, Target, TraceBuffer};

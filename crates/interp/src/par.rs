@@ -20,7 +20,7 @@ use runtime::events::{EventKind, ProfileData, ProfileOptions, Profiler, NO_SITE}
 use runtime::fault::{ProcEnd, SyncError, Watchdog, DISPATCH_SITE};
 use runtime::stats::{StatsSnapshot, SyncKind};
 use runtime::telemetry::{CellSnapshot, SiteSnapshot};
-use runtime::{BarrierEpoch, CellBank, CentralBarrier, Counters, GuardedCells, Team, WaitEffort};
+use runtime::{BarrierEpoch, CellBank, CentralBarrier, GuardedCells, Team, WaitEffort};
 use spmd_opt::SpmdProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -75,14 +75,6 @@ impl Waiter<'_> {
         })
     }
 
-    /// The dispatch gate: the master's `v`-th arrival.
-    fn gate(self, c: &Counters, v: u64) -> Result<WaitEffort, SyncError> {
-        self.done(match self.guard {
-            Some(g) => c.wait_ge_until(0, v, g.watchdog(), self.site, self.pid),
-            None => Ok(c.wait_ge(0, v)),
-        })
-    }
-
     /// Processor `other`'s `count`-th post, at a sync labelled `kind`.
     fn cell(
         self,
@@ -98,71 +90,23 @@ impl Waiter<'_> {
     }
 }
 
-/// The shared synchronization state of one execution (or one recovery
-/// session): the barrier, the per-processor cells every point-to-point
-/// sync posts to and waits on, and the dispatch gate. It measures
-/// nothing — each worker's `SyncRecorder` does.
+/// The shared synchronization state of one attempt: the barrier, and
+/// the cells every point-to-point sync posts to and waits on, plus one
+/// more for the dispatch gate. It measures nothing — each worker's
+/// `SyncRecorder` does.
 ///
-/// [`run_parallel_observed`] builds a fresh fabric per call; the
-/// supervisor ([`crate::supervise`]) instead builds one fabric per team
-/// width, runs an attempt with [`run_parallel_observed_on`], and re-arms
-/// it with [`SyncFabric::reset`] between attempts — a failed attempt
-/// leaves barriers mid-episode and cells part-way through their post
-/// counts, so the reset restores every primitive to pristine (stamping
-/// a new generation on cells and gate; see `CellBank::reset`).
-pub struct SyncFabric {
-    barrier: Arc<CentralBarrier>,
-    cells: Arc<CellBank>,
-    dispatch: Arc<Counters>,
-    /// Event-ring profiler shared by every attempt run on this fabric
-    /// (`None` unless [`ObserveOptions::profile`] asked for one).
+/// A fabric lives for exactly one [`run_parallel_observed_on`] call and
+/// is never reset: a failed attempt leaves the barrier mid-episode and
+/// the cells part-way through their counts, and the retry gets a fresh
+/// fabric. `Team::try_run` joins every worker before it returns, so no
+/// waiter of one attempt outlives it.
+struct SyncFabric {
+    barrier: CentralBarrier,
+    /// Cell `pid` per processor; cell `nprocs` is the dispatch gate,
+    /// which P0 posts at every dispatch and no drop silences.
+    cells: CellBank,
+    /// Event-ring profiler shared by every attempt of a supervised run.
     profiler: Option<Arc<Profiler>>,
-}
-
-impl SyncFabric {
-    /// Attach an event-ring profiler: at least one track per worker plus
-    /// a supervisor track ([`Profiler::supervisor_track`]).
-    pub fn with_profiler(mut self, profiler: Arc<Profiler>) -> Self {
-        self.profiler = Some(profiler);
-        self
-    }
-
-    /// The attached profiler, if any.
-    pub fn profiler(&self) -> Option<&Arc<Profiler>> {
-        self.profiler.as_ref()
-    }
-
-    /// A fabric for a team of `nprocs`: a central barrier, the cells
-    /// and the gate, each escalating by the topology-aware
-    /// [`runtime::SpinPolicy::auto`], plus the profiler `opts` asks for.
-    pub fn new(opts: &ObserveOptions, nprocs: usize) -> Self {
-        let fabric = SyncFabric {
-            barrier: Arc::new(CentralBarrier::new(nprocs)),
-            cells: Arc::new(CellBank::new(nprocs)),
-            dispatch: Arc::new(Counters::new(1)),
-            profiler: None,
-        };
-        match opts.profile {
-            Some(po) => fabric.with_profiler(Arc::new(Profiler::new(nprocs + 1, po))),
-            None => fabric,
-        }
-    }
-
-    /// Re-arm every primitive for a fresh attempt. Only legal once all
-    /// workers of the previous attempt have been joined (the team run
-    /// returned): the barrier is zeroed, cells and gate are reset
-    /// (stamping a new generation, under which a guarded wait of the
-    /// old attempt fails instead of hanging).
-    pub fn reset(&self) {
-        self.barrier.reset();
-        self.cells.reset();
-        self.dispatch.reset();
-        // The profiler is *not* cleared: its rings span the whole
-        // supervised run, with each attempt stamped by the next epoch.
-        if let Some(p) = &self.profiler {
-            p.bump_epoch();
-        }
-    }
 }
 
 /// What a chaos injector may do to one sync event (see
@@ -243,9 +187,10 @@ pub struct ParallelOutcome {
     /// skipped only because an earlier drop silenced the cell.
     pub post_deficits: Vec<u64>,
     /// The merged profile-event stream (present iff
-    /// [`ObserveOptions::profile`] was set, or the caller's fabric
-    /// carried a profiler). Under the supervisor the stream spans
-    /// *every* attempt so far, epoch-stamped per attempt.
+    /// [`ObserveOptions::profile`] was set, or the caller handed
+    /// [`run_parallel_observed_on`] a profiler). Under the supervisor
+    /// the stream spans *every* attempt so far, epoch-stamped per
+    /// attempt.
     pub profile: Option<ProfileData>,
 }
 
@@ -400,15 +345,18 @@ pub fn run_parallel_observed(
     team: &Team,
     opts: &ObserveOptions,
 ) -> ParallelOutcome {
-    let fabric = SyncFabric::new(opts, team.nprocs());
-    run_parallel_observed_on(prog, bind, plan, mem, team, opts, &fabric)
+    let nprocs = team.nprocs();
+    let profiler = opts
+        .profile
+        .map(|po| Arc::new(Profiler::new(nprocs + 1, po)));
+    run_parallel_observed_on(prog, bind, plan, mem, team, opts, profiler)
 }
 
-/// As [`run_parallel_observed`], but on a caller-owned [`SyncFabric`]
-/// instead of a fresh one. The supervisor uses this to reuse one fabric
-/// across retry attempts (resetting it between them); the fabric must be
-/// sized for the team and must be pristine (fresh or
-/// [`SyncFabric::reset`]) on entry.
+/// One attempt: as [`run_parallel_observed`], but recording into
+/// `profiler` (at least one track per worker plus the supervisor's,
+/// [`Profiler::supervisor_track`]) instead of one `opts.profile` asks
+/// for. The supervisor runs every attempt through this, under its one
+/// profiler; each call builds its own fresh sync primitives.
 pub fn run_parallel_observed_on(
     prog: &Arc<Program>,
     bind: &Arc<Bindings>,
@@ -416,18 +364,19 @@ pub fn run_parallel_observed_on(
     mem: &Arc<Mem>,
     team: &Team,
     opts: &ObserveOptions,
-    fabric: &SyncFabric,
+    profiler: Option<Arc<Profiler>>,
 ) -> ParallelOutcome {
     let nprocs = team.nprocs();
     assert_eq!(
         nprocs as i64, bind.nprocs,
         "team size must match the bindings' processor count"
     );
-    assert_eq!(
-        fabric.cells.nprocs(),
-        nprocs,
-        "fabric built for another team size"
-    );
+    let fabric = Arc::new(SyncFabric {
+        barrier: CentralBarrier::new(nprocs),
+        cells: CellBank::new(nprocs + 1),
+        profiler,
+    });
+    let gate = nprocs;
     let sched = Arc::new(Schedule::new(prog, bind, plan));
     let watchdog = opts.deadline.map(|d| Arc::new(Watchdog::new(d)));
     // A guarded run keeps per-site cells even when the caller did not
@@ -446,13 +395,10 @@ pub fn run_parallel_observed_on(
 
     let mem2 = Arc::clone(mem);
     let sched2 = Arc::clone(&sched);
-    let barrier2 = Arc::clone(&fabric.barrier);
-    let cells2 = Arc::clone(&fabric.cells);
-    let dispatch2 = Arc::clone(&fabric.dispatch);
+    let fabric2 = Arc::clone(&fabric);
     let watchdog2 = watchdog.clone();
     let chaos2 = opts.chaos.clone();
     let recorders2 = Arc::clone(&recorders);
-    let profiler2 = fabric.profiler.clone();
 
     // Align the profile clock with this run's t0 — but only if no
     // attempt has written to the rings yet (a supervised run keeps one
@@ -463,12 +409,13 @@ pub fn run_parallel_observed_on(
     let t0 = Instant::now();
     let team_result = team.try_run(move |pid| {
         let wd = watchdog2.as_deref();
-        let guarded = wd.map(|wd| cells2.guarded(wd));
+        let (barrier, cells) = (&fabric2.barrier, &fabric2.cells);
+        let guarded = wd.map(|wd| cells.guarded(wd));
         let guard = guarded.as_ref();
         // This worker writes track `pid` and nothing else does: region
         // markers, arrive/release pairs and, through `Waiter::done`,
         // the escalation marks of its own waits.
-        let profiler = profiler2.as_deref();
+        let profiler = fabric2.profiler.as_deref();
         if let Some(p) = profiler {
             p.record(pid, EventKind::RegionBegin, NO_SITE, 0);
         }
@@ -500,13 +447,18 @@ pub fn run_parallel_observed_on(
                     Event::Work { kernel } => worker.exec_work(kernel, cur),
                     Event::Dispatch => {
                         if pid == 0 {
-                            dispatch2.increment(0);
+                            cells.post(gate);
                         } else {
                             let passed = cur.counts().dispatches;
                             let at = waiter(DISPATCH_SITE);
                             // No sync event of any kind: only the
                             // escalation totals count the gate's wait.
-                            rec.stats.add_effort(at.gate(&dispatch2, passed)?);
+                            rec.stats.add_effort(at.cell(
+                                cells,
+                                gate,
+                                passed,
+                                SyncKind::Counter,
+                            )?);
                         }
                     }
                     Event::Sync { op, site } => {
@@ -551,7 +503,7 @@ pub fn run_parallel_observed_on(
                                 let r = if dropped {
                                     Ok(())
                                 } else {
-                                    tally.waited(at.barrier(&barrier2, &mut epoch))
+                                    tally.waited(at.barrier(barrier, &mut epoch))
                                 };
                                 tally.posts += (pid == 0 && tally.waits == 1) as u64;
                                 (SyncKind::Barrier, r)
@@ -573,11 +525,11 @@ pub fn run_parallel_observed_on(
                                 };
                                 silenced |= dropped && mine > 0;
                                 if !silenced {
-                                    (0..mine).for_each(|_| cells2.post(pid));
+                                    (0..mine).for_each(|_| cells.post(pid));
                                     tally.posts += mine;
                                 }
                                 let r = cur.waits(pid).try_for_each(|(q, count)| {
-                                    tally.waited(at.cell(&cells2, q, count, kind))
+                                    tally.waited(at.cell(cells, q, count, kind))
                                 });
                                 (kind, r)
                             }

@@ -4,9 +4,8 @@
 //!
 //! [`run_parallel_supervised`] wraps the guarded executor
 //! ([`crate::par::run_parallel_observed_on`]) in one attempt loop that
-//! turns a detected region failure (deadline, stale generation, panic
-//! poison) into a bounded, observable retry instead of a terminal
-//! report:
+//! turns a detected region failure (deadline, panic poison) into a
+//! bounded, observable retry instead of a terminal report:
 //!
 //! 1. at entry the live-in memory is checkpointed once
 //!    ([`crate::checkpoint`]) — pre-images of exactly the schedule's
@@ -14,10 +13,13 @@
 //!    same union of iterations, so that one snapshot serves every
 //!    retry, every shrunk round, and the serial tail;
 //! 2. each failed attempt rolls memory back to the checkpoint — once —
-//!    re-arms the fabric ([`SyncFabric::reset`]: barriers re-zeroed,
-//!    cell and gate generations bumped; each attempt's workers measure
-//!    into fresh recorders, so attempts never conflate), sleeps a
-//!    deterministic exponential backoff, and re-executes;
+//!    sleeps a deterministic exponential backoff, and re-executes on
+//!    fresh sync primitives: a fabric lives for one attempt and is never
+//!    reset, and `Team::try_run` joins every worker before the next
+//!    attempt starts, so no waiter of the failed one survives into it.
+//!    Each attempt's workers measure into fresh recorders, and the one
+//!    profiler's epoch is bumped before each retry, so attempts never
+//!    conflate;
 //! 3. every *implicated* sync site (all primary per-processor faults,
 //!    not just whichever one won the race into the headline) climbs the
 //!    escalation ladder of [`runtime::recovery::Quarantine`]: the first
@@ -54,7 +56,7 @@
 use crate::checkpoint::Checkpoint;
 use crate::mem::Mem;
 use crate::par::{
-    run_parallel_observed_on, ChaosAction, ObserveOptions, ParallelOutcome, SyncChaos, SyncFabric,
+    run_parallel_observed_on, ChaosAction, ObserveOptions, ParallelOutcome, SyncChaos,
 };
 use crate::run_sequential;
 use analysis::Bindings;
@@ -217,7 +219,7 @@ pub struct Supervised {
 /// entry checkpoint after every failed attempt, so a completed run
 /// leaves `mem` indistinguishable from a clean run, and a failed one
 /// leaves it at the region entry state.
-#[allow(clippy::too_many_arguments)] // The executor's inputs but the fabric, the retry policy, the replan hook.
+#[allow(clippy::too_many_arguments)] // The executor's inputs, the retry policy, the replan hook.
 pub fn run_parallel_supervised(
     prog: &Arc<Program>,
     bind: &Arc<Bindings>,
@@ -242,6 +244,12 @@ pub fn run_parallel_supervised(
     let mark = |kind: EventKind, arg: u64| {
         if let Some(p) = &profiler {
             p.record(p.supervisor_track(), kind, NO_SITE, arg);
+        }
+    };
+    // Every attempt after the first is stamped by the next epoch.
+    let bump_epoch = || {
+        if let Some(p) = &profiler {
+            p.bump_epoch();
         }
     };
     let cells = checkpoint.elem_cells();
@@ -274,13 +282,7 @@ pub fn run_parallel_supervised(
             .map(|c| Arc::new(SiteMaskedChaos::new(Arc::clone(c))));
         let aopts = ObserveOptions {
             chaos: masked.clone().map(|m| m as Arc<dyn SyncChaos>),
-            profile: None,
             ..opts.clone()
-        };
-        let fabric = SyncFabric::new(&aopts, width);
-        let fabric = match &profiler {
-            Some(p) => fabric.with_profiler(Arc::clone(p)),
-            None => fabric,
         };
         let labels: Vec<String> = sync_sites(prog, &working)
             .into_iter()
@@ -289,8 +291,15 @@ pub fn run_parallel_supervised(
         let mut ledger = Quarantine::new();
         let mut round = Round::default();
         let out = loop {
-            let out =
-                run_parallel_observed_on(prog, &round_bind, &working, mem, team, &aopts, &fabric);
+            let out = run_parallel_observed_on(
+                prog,
+                &round_bind,
+                &working,
+                mem,
+                team,
+                &aopts,
+                profiler.clone(),
+            );
             total_stats.merge(&out.stats);
             let mut attempt = Attempt {
                 failure: out.failure.clone(),
@@ -350,7 +359,7 @@ pub fn run_parallel_supervised(
             attempt.backoff_ms = backoff.as_millis() as u64;
             round.attempts.push(attempt);
             mark(EventKind::Retry, n as u64);
-            fabric.reset();
+            bump_epoch();
             std::thread::sleep(backoff);
         };
         let lost = round.lost_pid;
@@ -372,9 +381,7 @@ pub fn run_parallel_supervised(
                 working = replan(prog, &nb);
                 round_bind = Arc::new(nb);
                 round_team = Some(Team::new(width - 1));
-                if let Some(p) = &profiler {
-                    p.bump_epoch();
-                }
+                bump_epoch();
                 continue;
             }
             // Unclassifiable fault, or nothing left to shrink: the
@@ -618,17 +625,38 @@ mod tests {
         }
     }
 
+    /// A dead core whose team is held back at its first barrier, past
+    /// the deadline, before arriving: the dead core's gate wait is the
+    /// only one that can time out.
+    struct GateParked {
+        pid: usize,
+        stall: Duration,
+    }
+
+    impl SyncChaos for GateParked {
+        fn at_sync(&self, _site: usize, pid: usize, visit: u64) -> ChaosAction {
+            match (pid == self.pid, visit) {
+                (true, _) => ChaosAction::Drop,
+                (false, 0) => ChaosAction::Delay(self.stall),
+                (false, _) => ChaosAction::None,
+            }
+        }
+    }
+
     /// A dead pid under a barrier-only plan is parked at the dispatch
-    /// gate while its team is wedged at a barrier, and the two
-    /// deadlines expire together: whichever wait reports the primary
-    /// fault, the gate-parked pid is the suspect.
+    /// gate while its team is wedged at a barrier. Here the gate's
+    /// deadline expires first, and the gate's wait reads as the
+    /// dispatch wait it is; but the two deadlines can expire together,
+    /// and whichever wait reports the primary fault, the gate-parked
+    /// pid is the suspect.
     #[test]
     fn the_gate_parked_pid_is_the_suspect_whoever_timed_out_first() {
         let (prog, bind) = sweep(32, 3, 4);
         let plan = fork_join(&prog, &bind);
         let mem = Arc::new(Mem::new(&prog, &bind));
         let team = Team::new(4);
-        let opts = guarded(Some(Arc::new(SilentKill { pid: 3 })));
+        let stall = Duration::from_millis(400);
+        let opts = guarded(Some(Arc::new(GateParked { pid: 3, stall })));
         let mut out = crate::run_parallel_observed(&prog, &bind, &plan, &mem, &team, &opts);
         let failure = out.failure.as_ref().expect("a dead pid is detected");
         let waiting_at: Vec<usize> = (failure.ends.iter())
@@ -636,6 +664,23 @@ mod tests {
             .collect();
         assert_eq!(waiting_at[3], DISPATCH_SITE);
         assert!(waiting_at[..3].iter().all(|&s| s != DISPATCH_SITE));
+        let gate = failure.ends[3].fault().unwrap();
+        assert!(
+            matches!(
+                gate,
+                SyncError::DeadlineExceeded {
+                    kind: runtime::stats::SyncKind::Counter,
+                    expected: 2,
+                    observed: 1,
+                    ..
+                }
+            ),
+            "{gate:?}"
+        );
+        let text = gate.to_string();
+        assert!(text.contains("at dispatch on P3: dispatch wait"), "{text}");
+        assert_eq!((failure.first, failure.site()), (3, Some(DISPATCH_SITE)));
+        assert!(failure.headline().contains("dispatch wait"));
         for first in [0, 3] {
             let ends = &mut out.failure.as_mut().unwrap().ends;
             for (pid, site) in waiting_at.iter().copied().enumerate() {
@@ -695,6 +740,58 @@ mod tests {
     /// Losing the top pid: two failed attempts with the same suspect
     /// classify it, and one shrink re-plans and completes — from the
     /// one entry checkpoint, rolled back once per failed attempt.
+    /// Drops P0's arrival at `site` once, in the first attempt only.
+    struct DropOnce {
+        site: usize,
+        fired: AtomicBool,
+    }
+
+    impl SyncChaos for DropOnce {
+        fn at_sync(&self, site: usize, pid: usize, _visit: u64) -> ChaosAction {
+            if site == self.site && pid == 0 && !self.fired.swap(true, Ordering::AcqRel) {
+                ChaosAction::Drop
+            } else {
+                ChaosAction::None
+            }
+        }
+    }
+
+    /// The first attempt dies with P1 parked mid-barrier (P0 dropped
+    /// its arrival at the region's closing barrier) and every neighbor
+    /// cell part-way through its counts. The retry runs on fresh sync
+    /// primitives, so it is a clean run of its plan: the same counts,
+    /// no post deficit, oracle-exact memory.
+    #[test]
+    fn a_retry_after_a_mid_barrier_failure_runs_as_a_clean_run() {
+        let (prog, bind) = sweep(32, 3, 4);
+        let sites = sync_sites(&prog, &optimize(&prog, &bind));
+        let closing = sites.last().expect("a closing barrier").id;
+        let chaos = Arc::new(DropOnce {
+            site: closing,
+            fired: AtomicBool::new(false),
+        });
+        let (s, mem, oracle) = supervise(optimize, Some(chaos), &fast_policy(), false);
+        check_document(&s, Rung::Recovered);
+        assert_eq!(mem.max_abs_diff(&oracle), 0.0, "bitwise oracle-exact");
+        let attempts = &s.report.rounds[0].attempts;
+        assert_eq!(attempts.len(), 2);
+        let first = attempts[0].failure.as_ref().expect("the drop bit");
+        assert_eq!(first.ends[1].fault().map(SyncError::site), Some(closing));
+        assert!(attempts[0].stats.neighbor_posts > 0, "cells were posted");
+
+        let plan = s.final_plan.as_ref().unwrap();
+        let (mem, _) = start(&prog, &bind);
+        let clean =
+            crate::run_parallel_observed(&prog, &bind, plan, &mem, &Team::new(4), &guarded(None));
+        assert!(clean.ok());
+        // Operations and completed waits, by kind: everything but times.
+        let counts =
+            |st: &StatsSnapshot| runtime::stats::SyncKind::ALL.map(|k| st.of_kind(k)[..2].to_vec());
+        assert_eq!(counts(&s.outcome.stats), counts(&clean.stats));
+        assert_eq!(s.outcome.post_deficits, clean.post_deficits);
+        assert_eq!(s.outcome.counts, clean.counts);
+    }
+
     #[test]
     fn shrunk_rung_classifies_the_dead_pid_and_replans_narrower() {
         let chaos: Arc<dyn SyncChaos> = Arc::new(SilentKill { pid: 3 });

@@ -75,9 +75,6 @@ impl FailureReport {
                     "deadline exceeded at {where_} on P{pid}: {kind} wait needed {expected}, observed {observed}"
                 )
             }
-            ProcEnd::Fault(e @ SyncError::StaleGeneration { .. }) => {
-                format!("{e} ({})", self.site_label)
-            }
             // With no primary fault recorded, the poison a processor
             // observed tells what killed the region.
             ProcEnd::Fault(SyncError::Poisoned { pid, cause, .. }) => {
@@ -295,10 +292,6 @@ fn cause_json(f: &FailureReport) -> Json {
                 .set("expected", *expected)
                 .set("observed", *observed)
         }
-        ProcEnd::Fault(SyncError::StaleGeneration { site, pid }) => Json::obj()
-            .set("kind", "stale-generation")
-            .set("site", *site)
-            .set("pid", *pid),
         ProcEnd::Fault(SyncError::Poisoned { pid, cause, .. }) => panic(*pid, cause),
         ProcEnd::Panicked(message) => panic(f.first, message),
         ProcEnd::Finished => Json::obj().set("kind", "finished").set("pid", f.first),

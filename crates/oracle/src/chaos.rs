@@ -313,7 +313,13 @@ impl SyncChaos for KillPidChaos {
         if pid == self.pid {
             match self.mode {
                 KillMode::Silent => return ChaosAction::Drop,
-                KillMode::Panic => panic!("injected: permanent processor fault on P{pid}"),
+                // An injected kill is expected: unwind without the
+                // panic hook, which would print it, carrying the same
+                // `String` payload `panic!` would, so reports read the
+                // same.
+                KillMode::Panic => std::panic::resume_unwind(Box::new(format!(
+                    "injected: permanent processor fault on P{pid}"
+                ))),
             }
         }
         ChaosAction::None
@@ -667,7 +673,11 @@ mod tests {
         let mut t = t;
         let stuck = |t: &mut Tooth, site: usize| {
             let first = t.report.rounds[0].attempts[0].failure.as_mut().unwrap();
-            first.ends[2] = ProcEnd::Fault(SyncError::StaleGeneration { site, pid: 2 });
+            first.ends[2] = ProcEnd::Fault(SyncError::Poisoned {
+                site,
+                pid: 2,
+                cause: String::new(),
+            });
         };
         stuck(&mut t, 3);
         assert_eq!(t.failure(0.0), None);

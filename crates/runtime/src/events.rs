@@ -28,9 +28,10 @@
 //! only while writers are quiescent (after the team run returned).
 //!
 //! Events are *epoch-stamped*: the recovery supervisor bumps
-//! [`Profiler::bump_epoch`] when it re-arms the fabric between retry
-//! attempts, so the merged stream can separate the final attempt's
-//! episodes from the abandoned ones without clearing anything.
+//! [`Profiler::bump_epoch`] before each retry attempt (each of which
+//! runs on fresh sync primitives, under the same profiler), so the
+//! merged stream can separate the final attempt's episodes from the
+//! abandoned ones without clearing anything.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -316,8 +317,8 @@ impl Profiler {
     /// Zero the clock at the current instant — but only when nothing
     /// was recorded yet. The executor calls this at its run `t0` so
     /// profile timestamps share the trace timeline's origin on the
-    /// first attempt, while a reused fabric (recovery retries) keeps
-    /// its monotonic clock.
+    /// first attempt, while the later attempts of a supervised run,
+    /// which share the profiler, keep its monotonic clock.
     pub fn rebase_if_unused(&self) {
         if self
             .rings

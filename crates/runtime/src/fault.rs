@@ -10,8 +10,9 @@
 //! * a [`Watchdog`] holds the team-wide wait deadline and the region's
 //!   poison state;
 //! * [`Watchdog::guarded_wait`] is the single escalating wait loop
-//!   (spin → yield → park under a [`SpinPolicy`]) every `*_until`
-//!   primitive variant delegates to, returning
+//!   (spin → yield → park under a [`SpinPolicy`]) every guarded wait
+//!   (`CentralBarrier::wait_until`, `GuardedCells::wait`) delegates to,
+//!   returning
 //!   [`SyncError::DeadlineExceeded`] with the sync site, processor, and
 //!   expected/observed progress instead of hanging;
 //! * [`Watchdog::poison`] marks the region failed (first cause wins)
@@ -100,34 +101,20 @@ pub enum SyncError {
         /// First poison cause, as recorded by [`Watchdog::poison`].
         cause: String,
     },
-    /// A primitive was reset out from under this waiter: the cell
-    /// bank's (or the dispatch gate's) generation moved mid-wait,
-    /// whatever the sync is labelled, or a barrier episode the waiter
-    /// belonged to was discarded by `CentralBarrier::reset`.
-    StaleGeneration {
-        /// Site the waiter was blocked at.
-        site: usize,
-        /// Processor whose wait went stale.
-        pid: usize,
-    },
 }
 
 impl SyncError {
     /// The sync site the error is attributed to.
     pub fn site(&self) -> usize {
         match self {
-            SyncError::DeadlineExceeded { site, .. }
-            | SyncError::Poisoned { site, .. }
-            | SyncError::StaleGeneration { site, .. } => *site,
+            SyncError::DeadlineExceeded { site, .. } | SyncError::Poisoned { site, .. } => *site,
         }
     }
 
     /// The processor the error occurred on.
     pub fn pid(&self) -> usize {
         match self {
-            SyncError::DeadlineExceeded { pid, .. }
-            | SyncError::Poisoned { pid, .. }
-            | SyncError::StaleGeneration { pid, .. } => *pid,
+            SyncError::DeadlineExceeded { pid, .. } | SyncError::Poisoned { pid, .. } => *pid,
         }
     }
 
@@ -197,9 +184,6 @@ impl std::fmt::Display for SyncError {
                 "region poisoned while P{pid} waited at {}: {cause}",
                 site_str(*site)
             ),
-            SyncError::StaleGeneration { site, pid } => {
-                write!(f, "sync reset under P{pid} waiting at {}", site_str(*site))
-            }
         }
     }
 }
@@ -212,8 +196,6 @@ pub enum WaitPoll {
     /// Still blocked; the payload is the progress value observed (for
     /// the eventual [`SyncError::DeadlineExceeded`]).
     Pending(u64),
-    /// The wait can never succeed (e.g. a stale counter generation).
-    Failed(SyncError),
 }
 
 /// Team-level deadline and poison state shared by every guarded wait
@@ -289,11 +271,11 @@ impl Watchdog {
         }
     }
 
-    /// The escalating guarded wait every `*_until` primitive delegates
-    /// to: poll `observe` under `policy`'s spin → yield → park ladder
-    /// until `Ready`, poison, a `Failed` poll, or the deadline. Returns
-    /// the wait's escalation counts on success so callers can feed
-    /// their stats.
+    /// The escalating guarded wait every guarded primitive wait
+    /// delegates to: poll `observe` under `policy`'s spin → yield →
+    /// park ladder until `Ready`, poison, or the deadline. Returns the
+    /// wait's escalation counts on success so callers can feed their
+    /// stats.
     ///
     /// Deadline and poison are checked on the sampled side-channel
     /// only (every park transition, else every [`DEADLINE_SAMPLE`]
@@ -309,19 +291,15 @@ impl Watchdog {
     ) -> Result<WaitEffort, SyncError> {
         // Fast path: a satisfied wait costs one poll — no clock read,
         // no status load, no allocation.
-        match observe() {
-            WaitPoll::Ready => return Ok(WaitEffort::default()),
-            WaitPoll::Failed(e) => return Err(e),
-            WaitPoll::Pending(_) => {}
+        if let WaitPoll::Ready = observe() {
+            return Ok(WaitEffort::default());
         }
         let deadline = Instant::now() + self.deadline;
         let mut sw = SpinWait::new(policy);
         let mut polls: u32 = 0;
         loop {
-            match observe() {
-                WaitPoll::Ready => return Ok(sw.effort()),
-                WaitPoll::Pending(_) => {}
-                WaitPoll::Failed(e) => return Err(e),
+            if let WaitPoll::Ready = observe() {
+                return Ok(sw.effort());
             }
             let phase = sw.advise();
             polls += 1;
@@ -339,10 +317,8 @@ impl Watchdog {
                 if t >= deadline {
                     // One final check: the condition may have become
                     // true between the poll above and here.
-                    let observed = match observe() {
-                        WaitPoll::Ready => return Ok(sw.effort()),
-                        WaitPoll::Pending(v) => v,
-                        WaitPoll::Failed(e) => return Err(e),
+                    let WaitPoll::Pending(observed) = observe() else {
+                        return Ok(sw.effort());
                     };
                     return Err(SyncError::DeadlineExceeded {
                         site,
@@ -528,42 +504,9 @@ mod tests {
         assert!(h.join().unwrap().is_ok());
     }
 
-    /// A reset under a guarded wait reads the same whatever primitive
-    /// raised it: a neighbor-labelled wait on the cell bank and a
-    /// barrier arrival from a discarded episode. The kind is named as
-    /// reports name it.
+    /// A deadline names the wait as reports name it.
     #[test]
-    fn stale_waits_read_the_same_at_any_primitive() {
-        use crate::barrier::{BarrierEpoch, CentralBarrier};
-        use crate::cells::CellBank;
-        let wd = Arc::new(Watchdog::new(Duration::from_secs(30)));
-        let bank = Arc::new(CellBank::new(2));
-        let started = Arc::new(std::sync::Barrier::new(2));
-        let waiter = {
-            let (wd, bank, started) = (Arc::clone(&wd), Arc::clone(&bank), Arc::clone(&started));
-            std::thread::spawn(move || {
-                let g = bank.guarded(&wd);
-                started.wait();
-                g.wait(1, 1, SyncKind::Neighbor, 3, 0)
-            })
-        };
-        started.wait();
-        bank.reset();
-        let cell = waiter.join().unwrap().unwrap_err();
-
-        // A completed episode stamps the next one; the reset discards it.
-        let barrier = CentralBarrier::new(1);
-        let mut stamp = BarrierEpoch::default();
-        barrier.wait(&mut stamp);
-        barrier.reset();
-        let arrival = barrier.wait_until(&mut stamp, &wd, 3, 0).unwrap_err();
-
-        for err in [&cell, &arrival] {
-            assert_eq!(*err, SyncError::StaleGeneration { site: 3, pid: 0 });
-            let text = err.to_string();
-            assert_eq!(text, "sync reset under P0 waiting at s3");
-            assert!(!text.contains("counter"), "{text}");
-        }
+    fn deadline_text_names_the_site_and_the_wait() {
         let deadline = SyncError::DeadlineExceeded {
             site: 3,
             pid: 0,

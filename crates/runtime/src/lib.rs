@@ -6,7 +6,7 @@
 //!
 //! * **barriers** — an epoch-stamped sense-reversing central barrier and
 //!   a k-ary dissemination tree barrier with configurable fan-in
-//!   ([`barrier`]);
+//!   ([`barrier`]; no executor runs the tree);
 //! * **post cells** — one monotone cell per processor under every
 //!   point-to-point synchronization ([`cells`]): a processor posts its
 //!   own cell and a waiter reads the cells of whoever it depends on. The
@@ -14,9 +14,10 @@
 //!   processors' (neighbor post/wait for stencils and pipelines), one
 //!   producer's (its counter: "producers increment, consumers wait for a
 //!   value"), a fixed distance away (pairwise wavefronts), everybody's
-//!   (a collector);
+//!   (a collector); the executor's region dispatch gate is one more
+//!   cell;
 //! * **counters** — a bank of shared event counters any processor may
-//!   increment ([`counter`]); the executor's region dispatch gate;
+//!   increment ([`counter`]), which no executor runs;
 //! * a persistent **worker team** that executes SPMD regions without
 //!   re-spawning threads ([`team`]);
 //! * **instrumentation** types — plain by-kind totals ([`stats`]),
@@ -41,6 +42,11 @@
 //!   exponential backoff, and per-site quarantine ledger the executor's
 //!   self-healing loop consults when a detected fault is retried instead
 //!   of reported terminally.
+//!
+//! No primitive is ever reset. A set of them lives for one attempt: a
+//! retry builds fresh ones, and [`Team::try_run`] joins every worker
+//! before the next attempt starts, so no waiter of an abandoned attempt
+//! can meet the new primitives.
 
 //! ```
 //! use runtime::{Team, Counters};

@@ -133,30 +133,24 @@ impl Team {
     where
         F: Fn(usize) + Send + Sync + 'static,
     {
-        self.run_arc(Arc::new(f));
-    }
-
-    /// As [`Team::run`] with a pre-wrapped job (avoids re-allocating when
-    /// dispatching the same region repeatedly).
-    pub fn run_arc(&self, job: Job) {
-        if let Err(e) = self.try_run_arc(job) {
+        if let Err(e) = self.try_run(f) {
             e.resume();
         }
     }
 
     /// Execute `f(pid)` on every worker; block until all finish or
     /// panic. Returns the first worker panic as a [`RegionError`].
+    ///
+    /// It returns only once every worker has returned or unwound from
+    /// `f`: no worker still waits on anything the region shared, so
+    /// the next region, or a retry of a failed one, starts with none of
+    /// them in flight.
     pub fn try_run<F>(&self, f: F) -> Result<(), RegionError>
     where
         F: Fn(usize) + Send + Sync + 'static,
     {
-        self.try_run_arc(Arc::new(f))
-    }
-
-    /// As [`Team::try_run`] with a pre-wrapped job.
-    pub fn try_run_arc(&self, job: Job) -> Result<(), RegionError> {
         let mut st = self.shared.m.lock();
-        st.job = Some(job);
+        st.job = Some(Arc::new(f));
         st.done = 0;
         st.panic = None;
         st.gen += 1;

@@ -1,5 +1,5 @@
 //! Stress tests for the synchronization primitives under oversubscription
-//! (more workers than cores) and rapid reuse.
+//! (more workers than cores) and rapid reuse of one team.
 
 use runtime::{BarrierEpoch, CellBank, CentralBarrier, Counters, Team, TreeBarrier};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -114,17 +114,21 @@ fn neighbor_flags_long_pipeline() {
 }
 
 #[test]
-fn counters_reset_between_regions() {
-    let c = Counters::new(3);
-    for _ in 0..10 {
-        c.increment(0);
-        c.increment(2);
+fn fresh_counters_per_region_count_from_zero() {
+    // No primitive is reset: each region builds its own bank.
+    let team = Team::new(3);
+    for round in 1..=10u64 {
+        let c = Arc::new(Counters::new(3));
+        let c2 = Arc::clone(&c);
+        team.run(move |pid| {
+            if pid == 0 {
+                for _ in 0..round {
+                    c2.increment(0);
+                }
+            } else {
+                c2.wait_ge(0, round);
+            }
+        });
+        assert_eq!((c.value(0), c.value(1)), (round, 0));
     }
-    assert_eq!(c.value(0), 10);
-    c.reset();
-    assert_eq!(c.value(0), 0);
-    assert_eq!(c.value(2), 0);
-    // Reusable after reset.
-    c.increment(1);
-    c.wait_ge(1, 1);
 }

@@ -1,8 +1,8 @@
 //! The rendered fault documents, byte for byte.
 //!
 //! Hand-built fault reports — every cause a failure can be headed by
-//! (a deadline at a site, a deadline at the dispatch gate, a stale
-//! generation, a poison observation with no primary fault, a panic),
+//! (a deadline at a site, a deadline at the dispatch gate, a poison
+//! observation with no primary fault, a panic),
 //! every way a processor can end, and every rung — go through
 //! `obs::fault_json` and `obs::render_fault`, and the concatenation is
 //! compared with `tests/golden/fault_documents.txt`. A change to how a
@@ -38,10 +38,6 @@ fn poisoned(site: usize, pid: usize, cause: &str) -> ProcEnd {
         pid,
         cause: cause.to_string(),
     })
-}
-
-fn stale(site: usize, pid: usize) -> ProcEnd {
-    ProcEnd::Fault(SyncError::StaleGeneration { site, pid })
 }
 
 fn panicked(message: &str) -> ProcEnd {
@@ -155,7 +151,7 @@ fn reports() -> Vec<(&'static str, FaultReport)> {
         }],
     );
 
-    // A deadline at a site, then a stale generation, then a clean run.
+    // A deadline at a site, then one at a barrier, then a clean run.
     let mut first = attempt(
         Some(failure(
             vec![
@@ -176,7 +172,7 @@ fn reports() -> Vec<(&'static str, FaultReport)> {
         Some(failure(
             vec![
                 ProcEnd::Finished,
-                stale(0, 1),
+                deadline(0, 1, SyncKind::Barrier, 4, 3),
                 ProcEnd::Finished,
                 ProcEnd::Finished,
             ],
@@ -298,7 +294,7 @@ fn reports() -> Vec<(&'static str, FaultReport)> {
                 poisoned(1, 0, poison_s1),
                 at_s1(),
                 panicked("index out of bounds"),
-                stale(0, 3),
+                deadline(0, 3, SyncKind::Barrier, 4, 3),
             ],
             1,
             "bottom of t",

@@ -329,14 +329,31 @@ mod hammer {
 // orders. A turnstile forces each episode's waiters to *enter* their blocking
 // call in a chosen permutation, so over many seeds every arrival interleaving
 // (first-arriver releases, last-arriver releases, producer-last, …) is
-// exercised. Any lost wakeup or stale-sense hang fails the run; the harness
-// also checks generation monotonicity across `Counters::reset`.
+// exercised. Any lost wakeup or stale-sense hang fails the run. Each seed
+// runs on fresh primitives, as each attempt of an execution does.
 // ---------------------------------------------------------------------------
 
 mod schedule_exploration {
     use barrier_elim::runtime::{BarrierEpoch, CentralBarrier, Counters, TreeBarrier};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::{Arc, Barrier as StdBarrier};
+    use std::sync::{Arc, Barrier as StdBarrier, Mutex};
+
+    /// The primitives one seed runs on.
+    struct Prims {
+        central: CentralBarrier,
+        tree: TreeBarrier,
+        counters: Counters,
+    }
+
+    impl Prims {
+        fn new(n: usize) -> Self {
+            Prims {
+                central: CentralBarrier::new(n),
+                tree: TreeBarrier::with_radix(n, 4),
+                counters: Counters::new(n),
+            }
+        }
+    }
 
     fn xorshift64(mut x: u64) -> u64 {
         x ^= x << 13;
@@ -378,21 +395,17 @@ mod schedule_exploration {
     fn randomized_arrival_orders_never_lose_a_wakeup() {
         let n = 4usize;
         let seeds = seed_count();
-        let central = Arc::new(CentralBarrier::new(n));
-        let tree = Arc::new(TreeBarrier::with_radix(n, 4));
-        let counters = Arc::new(Counters::new(n));
+        let prims = Arc::new(Mutex::new(Arc::new(Prims::new(n))));
         let turn = Arc::new(AtomicU64::new(0));
         let slots: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
         let data: Arc<Vec<AtomicU64>> = Arc::new((0..n).map(|_| AtomicU64::new(0)).collect());
         // Workers and the coordinator rendezvous here between seeds so
-        // the coordinator can reset the primitives safely.
+        // the coordinator can hand out fresh primitives safely.
         let fence = Arc::new(StdBarrier::new(n + 1));
 
         let workers: Vec<_> = (0..n)
             .map(|pid| {
-                let central = Arc::clone(&central);
-                let tree = Arc::clone(&tree);
-                let counters = Arc::clone(&counters);
+                let prims = Arc::clone(&prims);
                 let turn = Arc::clone(&turn);
                 let slots = Arc::clone(&slots);
                 let data = Arc::clone(&data);
@@ -400,8 +413,9 @@ mod schedule_exploration {
                 std::thread::spawn(move || {
                     for seed in 0..seeds {
                         fence.wait();
-                        // Fresh local stamps each seed: the coordinator
-                        // reset the barriers at the end of the last one.
+                        // Fresh primitives and local stamps each seed.
+                        let p = Arc::clone(&prims.lock().unwrap());
+                        let (central, tree, counters) = (&p.central, &p.tree, &p.counters);
                         let mut bl = BarrierEpoch::default();
                         let mut tl = 0usize;
                         let tag = seed + 1;
@@ -462,21 +476,14 @@ mod schedule_exploration {
             })
             .collect();
 
-        // Coordinator: reset between seeds and check generation
-        // monotonicity on `Counters::reset`.
+        // Coordinator: fresh primitives for every seed but the first.
         for seed in 0..seeds {
-            assert_eq!(
-                counters.generation(),
-                seed,
-                "generation must move by exactly 1 per reset"
-            );
+            if seed > 0 {
+                *prims.lock().unwrap() = Arc::new(Prims::new(n));
+            }
             fence.wait(); // release the workers into seed `seed`
             fence.wait(); // wait for them to finish it
-            central.reset();
-            tree.reset();
-            counters.reset();
         }
-        assert_eq!(counters.generation(), seeds);
         for w in workers {
             w.join().unwrap();
         }

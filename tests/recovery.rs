@@ -14,15 +14,11 @@
 
 use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
-use barrier_elim::interp::{
-    run_parallel_observed_on, run_parallel_supervised, run_sequential, ChaosAction, Mem,
-    ObserveOptions, SyncChaos, SyncFabric,
-};
+use barrier_elim::interp::{run_parallel_supervised, run_sequential, Mem, ObserveOptions};
 use barrier_elim::ir::SymId;
 use barrier_elim::oracle::{self, droppable_posts, ChaosConfig, ChaosInjector, DropSpec, Fault};
-use barrier_elim::runtime::{ProcEnd, RetryPolicy, SyncError, Team};
-use barrier_elim::spmd_opt::{optimize, sync_sites, SyncSite};
-use std::sync::atomic::{AtomicBool, Ordering};
+use barrier_elim::runtime::{RetryPolicy, Team};
+use barrier_elim::spmd_opt::optimize;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,101 +72,6 @@ fn reported_backoffs_follow_the_policy_exponential() {
                 c.kind
             );
         }
-    }
-}
-
-/// Resets the fabric from `resetter`'s side of a site's first visit,
-/// once `waiter` — which waits for `resetter`'s post there — has
-/// arrived too: the reset lands before the waiter's first poll or in
-/// the middle of its wait, under the stamp its attempt began with
-/// either way.
-struct ResetUnder {
-    fabric: Arc<SyncFabric>,
-    site: usize,
-    waiter: usize,
-    resetter: usize,
-    arrived: AtomicBool,
-}
-
-impl SyncChaos for ResetUnder {
-    fn at_sync(&self, site: usize, pid: usize, visit: u64) -> ChaosAction {
-        if site == self.site && visit == 0 {
-            if pid == self.waiter {
-                self.arrived.store(true, Ordering::Release);
-            }
-            if pid == self.resetter {
-                while !self.arrived.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-                self.fabric.reset();
-            }
-        }
-        ChaosAction::None
-    }
-}
-
-/// A fabric reset under a guarded wait is a `StaleGeneration` at the
-/// waiter whatever the sync is labelled — flags to the neighbor in
-/// `jacobi`, a gather at the master (which alone overwrites the scalar
-/// everybody read) — not a wait to the deadline for a count the zeroed
-/// cell never reaches.
-#[test]
-fn a_fabric_reset_under_a_guarded_wait_is_stale_at_any_label() {
-    use barrier_elim::ir::build::*;
-    let team = Team::new(2);
-    let gather = {
-        let mut pb = ProgramBuilder::new("scale");
-        let n = pb.sym("n");
-        let a = pb.array("A", &[sym(n)], dist_block());
-        let s = pb.scalar("s", 1.0);
-        let _t = pb.begin_seq("t", con(0), con(3));
-        pb.assign(svar(s), sca(s) * ex(0.5));
-        let j = pb.begin_par("j", con(0), sym(n) - 1);
-        pb.assign(elem(a, [idx(j)]), sca(s) + arr(a, [idx(j)]));
-        pb.end();
-        pb.end();
-        (Arc::new(pb.finish()), Arc::new(Bindings::new(2).set(n, 16)))
-    };
-    let flags: fn(&SyncSite) -> bool = |s| s.op.class().is_some_and(|c| c.as_str() == "neighbor");
-    let collector: fn(&SyncSite) -> bool =
-        |s| s.op.waits().is_some_and(|w| !w.collectors.is_empty());
-    // (program, the site, who waits there for whom).
-    let cases = [
-        (load("jacobi.be", &[("n", 48), ("tmax", 4)], 2), flags, 1, 0),
-        (gather, collector, 0, 1),
-    ];
-    for ((prog, bind), is_site, waiter, resetter) in cases {
-        let plan = optimize(&prog, &bind);
-        let site = sync_sites(&prog, &plan)
-            .into_iter()
-            .find(is_site)
-            .unwrap_or_else(|| panic!("{}: no such site", prog.name))
-            .id;
-        let base = ObserveOptions {
-            deadline: Some(Duration::from_secs(20)),
-            ..ObserveOptions::default()
-        };
-        let fabric = Arc::new(SyncFabric::new(&base, team.nprocs()));
-        let opts = ObserveOptions {
-            chaos: Some(Arc::new(ResetUnder {
-                fabric: Arc::clone(&fabric),
-                site,
-                waiter,
-                resetter,
-                arrived: AtomicBool::new(false),
-            })),
-            ..base
-        };
-        let mem = Arc::new(Mem::new(&prog, &bind));
-        let out = run_parallel_observed_on(&prog, &bind, &plan, &mem, &team, &opts, &fabric);
-        let failure = out.failure.expect("the reset fails the run");
-        assert_eq!(
-            failure.ends[waiter],
-            ProcEnd::Fault(SyncError::StaleGeneration { site, pid: waiter }),
-            "{}: {}",
-            prog.name,
-            failure.headline()
-        );
     }
 }
 
