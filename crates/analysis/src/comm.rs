@@ -47,12 +47,11 @@ use ir::{Affine, ArrayId, LhsRef, LoopId, LoopKind, NodeId, Program, RedOp, Scal
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
-/// One statement-pair query observation delivered to the installed
-/// probe (see [`set_pair_probe`]).
+/// One statement-pair query observation delivered to an analyzer's
+/// probe (see [`CommQuery::with_probe`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PairProbe {
     /// True when the pass's facts table answered every access pair of
@@ -60,46 +59,6 @@ pub struct PairProbe {
     pub memo_hit: bool,
     /// Wall time the query took, in nanoseconds.
     pub elapsed_ns: u64,
-}
-
-/// The hook a pair-query probe calls.
-pub type PairHook = Arc<dyn Fn(PairProbe) + Send + Sync>;
-
-static PROBE_ARMED: AtomicBool = AtomicBool::new(false);
-static PAIR_PROBE: RwLock<Option<PairHook>> = RwLock::new(None);
-
-/// Install (`Some`) or clear (`None`) the process-wide pair-query
-/// probe. This is the profiler's window into the analysis without
-/// `analysis` depending on any runtime crate: the driver forwards each
-/// observation onto its own event ring. Queries pay a single relaxed
-/// atomic load when no probe is installed. The probe fires on the thread
-/// that runs the analysis.
-pub fn set_pair_probe(hook: Option<PairHook>) {
-    // Order matters on both edges: arm only after the hook is in place,
-    // and disarm before it is removed, so `probe_fire` never reads None
-    // while armed.
-    if hook.is_none() {
-        PROBE_ARMED.store(false, Ordering::Release);
-    }
-    *PAIR_PROBE.write().unwrap() = hook;
-    if PAIR_PROBE.read().unwrap().is_some() {
-        PROBE_ARMED.store(true, Ordering::Release);
-    }
-}
-
-fn probe_start() -> Option<Instant> {
-    PROBE_ARMED.load(Ordering::Acquire).then(Instant::now)
-}
-
-fn probe_fire(t0: Option<Instant>, memo_hit: bool) {
-    if let Some(t0) = t0 {
-        if let Some(h) = PAIR_PROBE.read().unwrap().as_ref() {
-            h(PairProbe {
-                memo_hit,
-                elapsed_ns: t0.elapsed().as_nanos() as u64,
-            });
-        }
-    }
 }
 
 /// Tuning knob for the communication analysis.
@@ -1041,6 +1000,8 @@ pub struct CommQuery<'p> {
     scratch: Rc<RefCell<ProbeScratch>>,
     pair_hits: Cell<u64>,
     pair_misses: Cell<u64>,
+    /// Told of every statement-pair query, when set.
+    probe: Option<&'p dyn Fn(PairProbe)>,
 }
 
 impl<'p> CommQuery<'p> {
@@ -1076,6 +1037,19 @@ impl<'p> CommQuery<'p> {
             scratch: Rc::default(),
             pair_hits: Cell::new(0),
             pair_misses: Cell::new(0),
+            probe: None,
+        }
+    }
+
+    /// This analyzer, telling `probe` of every statement-pair query it
+    /// answers: whether the facts table answered it and how long it
+    /// took. This is the profiler's window into the analysis without
+    /// `analysis` depending on any runtime crate; the probe runs on the
+    /// thread that runs the analysis.
+    pub fn with_probe(self, probe: &'p dyn Fn(PairProbe)) -> Self {
+        CommQuery {
+            probe: Some(probe),
+            ..self
         }
     }
 
@@ -1117,12 +1091,18 @@ impl<'p> CommQuery<'p> {
         self.comm_stmts_at(s1, s2, (CommMode::LoopIndependent, entry))
     }
 
-    /// One statement-pair query, reported to the installed probe.
+    /// One statement-pair query, reported to the probe if there is one.
     fn comm_stmts_at(&self, s1: &StmtPath, s2: &StmtPath, at: (CommMode, &Entry)) -> CommOutcome {
-        let t0 = probe_start();
+        let Some(probe) = self.probe else {
+            return self.comm_stmts_fresh(s1, s2, at);
+        };
+        let t0 = Instant::now();
         let misses = self.pair_misses.get();
         let out = self.comm_stmts_fresh(s1, s2, at);
-        probe_fire(t0, self.pair_misses.get() == misses);
+        probe(PairProbe {
+            memo_hit: self.pair_misses.get() == misses,
+            elapsed_ns: t0.elapsed().as_nanos() as u64,
+        });
         out
     }
 

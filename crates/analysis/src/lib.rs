@@ -58,9 +58,9 @@ pub mod translate;
 pub use bindings::Bindings;
 pub use codegen::{scan_owned_range, ScannedBounds};
 pub use comm::{
-    set_pair_probe, AccessPair, AnalysisConfig, AnalysisStats, Anchor, Comm, CommMode, CommOutcome,
-    CommPattern, CommQuery, DepKind, DistSet, Entry, PairProbe, Pin, ProducerSpec, Storage,
-    WaitSet, MAX_PAIR_DIST, MAX_PAIR_FANIN,
+    AccessPair, AnalysisConfig, AnalysisStats, Anchor, Comm, CommMode, CommOutcome, CommPattern,
+    CommQuery, DepKind, DistSet, Entry, PairProbe, Pin, ProducerSpec, Storage, WaitSet,
+    MAX_PAIR_DIST, MAX_PAIR_FANIN,
 };
 pub use dep::{check_parallel_loops, loop_carries_dependence};
 pub use partition::{

@@ -7,7 +7,8 @@ use crate::sites::{
 };
 use analysis::{
     loop_is_replicated, loop_partition, AccessPair, AnalysisConfig, AnalysisStats, Anchor,
-    Bindings, Comm, CommMode, CommOutcome, CommPattern, CommQuery, Entry, Pin, ProducerSpec,
+    Bindings, Comm, CommMode, CommOutcome, CommPattern, CommQuery, Entry, PairProbe, Pin,
+    ProducerSpec,
 };
 use ir::{Affine, LhsRef, LoopKind, Node, NodeId, Program, StmtPath};
 use std::cell::OnceCell;
@@ -980,14 +981,14 @@ pub fn optimize(prog: &Program, bind: &Bindings) -> SpmdProgram {
 
 /// As [`optimize`] with explicit mechanism switches (for the ablations).
 pub fn optimize_with(prog: &Program, bind: &Bindings, opts: OptimizeOptions) -> SpmdProgram {
-    let (plan, _, _) = optimize_impl(prog, bind, opts, None);
+    let (plan, _, _) = optimize_impl(prog, bind, opts, None, None);
     plan
 }
 
 /// As [`optimize`] but also returning the greedy algorithm's decision
 /// log (one entry per sync slot examined — for reports and debugging).
 pub fn optimize_logged(prog: &Program, bind: &Bindings) -> (SpmdProgram, Vec<Decision>) {
-    let (plan, log, _) = optimize_impl(prog, bind, OptimizeOptions::default(), None);
+    let (plan, log, _) = optimize_impl(prog, bind, OptimizeOptions::default(), None, None);
     (plan, log)
 }
 
@@ -1004,7 +1005,19 @@ pub fn optimize_explained(
     bind: &Bindings,
     opts: OptimizeOptions,
 ) -> (SpmdProgram, Vec<Decision>, AnalysisStats) {
-    optimize_impl(prog, bind, opts, None)
+    optimize_impl(prog, bind, opts, None, None)
+}
+
+/// As [`optimize_explained`], telling `probe` of every statement-pair
+/// query the analysis answers ([`CommQuery::with_probe`]): the one
+/// window a profiler has into the compile.
+pub fn optimize_probed(
+    prog: &Program,
+    bind: &Bindings,
+    opts: OptimizeOptions,
+    probe: &dyn Fn(PairProbe),
+) -> (SpmdProgram, Vec<Decision>, AnalysisStats) {
+    optimize_impl(prog, bind, opts, None, Some(probe))
 }
 
 /// As [`optimize_explained`], but reusing a caller-owned FME memo so a
@@ -1019,23 +1032,28 @@ pub fn optimize_explained_shared(
     opts: OptimizeOptions,
     fme: &std::sync::Arc<ineq::FmeCache>,
 ) -> (SpmdProgram, Vec<Decision>, AnalysisStats) {
-    optimize_impl(prog, bind, opts, Some(fme.clone()))
+    optimize_impl(prog, bind, opts, Some(fme.clone()), None)
 }
 
-fn optimize_impl(
-    prog: &Program,
+fn optimize_impl<'p>(
+    prog: &'p Program,
     bind: &Bindings,
     opts: OptimizeOptions,
     fme: Option<std::sync::Arc<ineq::FmeCache>>,
+    probe: Option<&'p dyn Fn(PairProbe)>,
 ) -> (SpmdProgram, Vec<Decision>, AnalysisStats) {
     let fme = fme.or_else(|| {
         opts.analysis
             .cache
             .then(|| std::sync::Arc::new(ineq::FmeCache::new()))
     });
+    let query = CommQuery::with_fme_cache(prog, bind.clone(), opts.analysis, fme);
     let mut opt = Optimizer {
         prog,
-        query: CommQuery::with_fme_cache(prog, bind.clone(), opts.analysis, fme),
+        query: match probe {
+            Some(probe) => query.with_probe(probe),
+            None => query,
+        },
         next_slot: 0,
         next_region: 0,
         pending: Vec::new(),

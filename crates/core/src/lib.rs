@@ -56,7 +56,7 @@ pub mod sites;
 pub use analysis::{AnalysisConfig, AnalysisStats};
 pub use build::{
     fork_join, optimize, optimize_explained, optimize_explained_shared, optimize_logged,
-    optimize_with, pair_str, placed_str, Decision, OptimizeOptions,
+    optimize_probed, optimize_with, pair_str, placed_str, Decision, OptimizeOptions,
 };
 pub use plan::{
     demote_site, demote_sites, set_site_op, site_op_mut, Phase, PhaseKind, RItem, Region,

@@ -20,22 +20,22 @@ use runtime::events::{EventKind, ProfileData, ProfileOptions, Profiler, NO_SITE}
 use runtime::fault::{ProcEnd, SyncError, Watchdog, DISPATCH_SITE};
 use runtime::stats::{StatsSnapshot, SyncKind};
 use runtime::telemetry::{CellSnapshot, SiteSnapshot};
-use runtime::{BarrierEpoch, CellBank, CentralBarrier, GuardedCells, Team, WaitEffort};
+use runtime::{panic_message, BarrierEpoch, CellBank, CentralBarrier, Team, WaitEffort};
 use spmd_opt::SpmdProgram;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One blocking wait of the sync step: who waits (`pid`), where
-/// (`site`), and how — an armed watchdog (`guard`: the cell bank
-/// under it, as the attempt sees it) selects each primitive's
-/// deadline-guarded wait, `None` its pure one. Either way the wait
-/// hands back its escalation effort for the worker's recorder, and
-/// with a `profiler` its escalations are marked first on the worker's
-/// own track — the only writer of escalation marks there is.
+/// (`site`), and how — the attempt's armed watchdog (`wd`) selects
+/// each primitive's deadline-guarded wait, `None` its pure one. Either
+/// way the wait hands back its escalation effort for the worker's
+/// recorder, and with a `profiler` its escalations are marked first on
+/// the worker's own track — the only writer of escalation marks there
+/// is.
 #[derive(Clone, Copy)]
 struct Waiter<'a> {
-    guard: Option<&'a GuardedCells<'a>>,
+    wd: Option<&'a Watchdog>,
     profiler: Option<&'a Profiler>,
     site: usize,
     pid: usize,
@@ -69,8 +69,8 @@ impl Waiter<'_> {
         b: &CentralBarrier,
         epoch: &mut BarrierEpoch,
     ) -> Result<WaitEffort, SyncError> {
-        self.done(match self.guard {
-            Some(g) => b.wait_until(epoch, g.watchdog(), self.site, self.pid),
+        self.done(match self.wd {
+            Some(wd) => b.wait_until(epoch, wd, self.site, self.pid),
             None => Ok(b.wait(epoch)),
         })
     }
@@ -83,8 +83,8 @@ impl Waiter<'_> {
         count: u64,
         kind: SyncKind,
     ) -> Result<WaitEffort, SyncError> {
-        self.done(match self.guard {
-            Some(cells) => cells.wait(other, count, kind, self.site, self.pid),
+        self.done(match self.wd {
+            Some(wd) => c.wait_until(other, count, wd, kind, self.site, self.pid),
             None => Ok(c.wait(other as isize, count)),
         })
     }
@@ -322,18 +322,6 @@ pub(crate) fn span_of(prog: &Program, sched: &Schedule, ev: Event) -> (String, S
     }
 }
 
-/// The panic message, when the payload is a string.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "non-string panic payload".to_string())
-    }
-}
-
 /// As [`run_parallel`], optionally recording per-site telemetry and
 /// per-processor timeline spans, arming a deadline watchdog, and
 /// injecting chaos (see [`ObserveOptions`]).
@@ -410,8 +398,6 @@ pub fn run_parallel_observed_on(
     let team_result = team.try_run(move |pid| {
         let wd = watchdog2.as_deref();
         let (barrier, cells) = (&fabric2.barrier, &fabric2.cells);
-        let guarded = wd.map(|wd| cells.guarded(wd));
-        let guard = guarded.as_ref();
         // This worker writes track `pid` and nothing else does: region
         // markers, arrive/release pairs and, through `Waiter::done`,
         // the escalation marks of its own waits.
@@ -420,7 +406,7 @@ pub fn run_parallel_observed_on(
             p.record(pid, EventKind::RegionBegin, NO_SITE, 0);
         }
         let waiter = |site| Waiter {
-            guard,
+            wd,
             profiler,
             site,
             pid,
@@ -1153,11 +1139,13 @@ mod tests {
             .filter(|e| e.track == 0 && e.site == site)
             .map(|e| (e.kind, e.arg))
             .collect();
-        let policy = runtime::SpinPolicy::auto();
         // The first visit: arrival, both marks at the wait's end, release.
         assert_eq!(p0[0], (EventKind::SyncArrive, 0));
-        assert_eq!(p0[1], (EventKind::EscalateYield, policy.spin_limit as u64));
-        assert_eq!(p0[2], (EventKind::EscalatePark, policy.yield_limit as u64));
+        assert_eq!(
+            p0[1],
+            (EventKind::EscalateYield, runtime::spin::spin_limit())
+        );
+        assert_eq!(p0[2], (EventKind::EscalatePark, runtime::spin::YIELD_LIMIT));
         assert_eq!(p0[3].0, EventKind::SyncRelease);
         let at_site = |kind| {
             (profile.events.iter())

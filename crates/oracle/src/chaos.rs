@@ -61,61 +61,34 @@ pub struct DropSpec {
     pub from_visit: u64,
 }
 
-/// Injection rates and shapes. All probabilities are per-mille per
-/// sync event; the partition `delay | stall | spurious | nothing` is
-/// drawn from one hash, so the rates must sum to at most 1000.
-#[derive(Clone, Debug)]
-pub struct ChaosConfig {
-    /// Rate of short scheduling-jitter delays.
-    pub delay_permille: u64,
-    /// Rate of long (descheduled-thread-sized) stalls.
-    pub stall_permille: u64,
-    /// Rate of spurious wakeups of all parked guarded waiters.
-    pub spurious_permille: u64,
-    /// Upper bound on jitter delays, in microseconds.
-    pub max_delay_us: u64,
-    /// Length of a stall, in milliseconds.
-    pub stall_ms: u64,
-    /// Targeted dropped post, if any (the teeth).
-    pub drop: Option<DropSpec>,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            delay_permille: 120,
-            stall_permille: 10,
-            spurious_permille: 40,
-            max_delay_us: 200,
-            stall_ms: 2,
-            drop: None,
-        }
-    }
-}
+// Injection rates and shapes. Probabilities are per mille per sync
+// event; the partition `delay | stall | spurious | nothing` is drawn
+// from one hash, so the rates sum to at most 1000.
+/// Rate of short scheduling-jitter delays.
+const DELAY_PERMILLE: u64 = 120;
+/// Rate of long (descheduled-thread-sized) stalls.
+const STALL_PERMILLE: u64 = 10;
+/// Rate of spurious wakeups of all parked guarded waiters.
+const SPURIOUS_PERMILLE: u64 = 40;
+/// Upper bound on jitter delays, in microseconds.
+const MAX_DELAY_US: u64 = 200;
+/// Length of a stall, in milliseconds.
+const STALL_MS: u64 = 2;
+const _: () = assert!(DELAY_PERMILLE + STALL_PERMILLE + SPURIOUS_PERMILLE <= 1000);
 
 /// The deterministic injector handed to the executor via
-/// [`ObserveOptions::chaos`].
+/// [`ObserveOptions::chaos`]: benign faults at the module's fixed
+/// rates, plus an optional targeted drop.
 pub struct ChaosInjector {
     seed: u64,
-    cfg: ChaosConfig,
+    drop: Option<DropSpec>,
 }
 
 impl ChaosInjector {
-    /// Benign injector (default rates, no drop) for `seed`.
-    pub fn new(seed: u64) -> Self {
-        ChaosInjector {
-            seed,
-            cfg: ChaosConfig::default(),
-        }
-    }
-
-    /// Injector with explicit rates and/or a targeted drop.
-    pub fn with_config(seed: u64, cfg: ChaosConfig) -> Self {
-        assert!(
-            cfg.delay_permille + cfg.stall_permille + cfg.spurious_permille <= 1000,
-            "chaos rates exceed 1000 permille"
-        );
-        ChaosInjector { seed, cfg }
+    /// The injector for `seed`, with a targeted drop (the teeth) or
+    /// none (benign).
+    pub fn new(seed: u64, drop: Option<DropSpec>) -> Self {
+        ChaosInjector { seed, drop }
     }
 
     /// The seed the schedule is derived from.
@@ -126,21 +99,18 @@ impl ChaosInjector {
 
 impl SyncChaos for ChaosInjector {
     fn at_sync(&self, site: usize, pid: usize, visit: u64) -> ChaosAction {
-        if let Some(d) = self.cfg.drop {
+        if let Some(d) = self.drop {
             if site == d.site && pid == d.pid && visit >= d.from_visit {
                 return ChaosAction::Drop;
             }
         }
         let h = mix(self.seed, site, pid, visit);
         let draw = h % 1000;
-        let c = &self.cfg;
-        if draw < c.delay_permille {
-            ChaosAction::Delay(Duration::from_micros(
-                1 + splitmix64(h) % c.max_delay_us.max(1),
-            ))
-        } else if draw < c.delay_permille + c.stall_permille {
-            ChaosAction::Delay(Duration::from_millis(c.stall_ms))
-        } else if draw < c.delay_permille + c.stall_permille + c.spurious_permille {
+        if draw < DELAY_PERMILLE {
+            ChaosAction::Delay(Duration::from_micros(1 + splitmix64(h) % MAX_DELAY_US))
+        } else if draw < DELAY_PERMILLE + STALL_PERMILLE {
+            ChaosAction::Delay(Duration::from_millis(STALL_MS))
+        } else if draw < DELAY_PERMILLE + STALL_PERMILLE + SPURIOUS_PERMILLE {
             ChaosAction::SpuriousWake
         } else {
             ChaosAction::None
@@ -490,13 +460,7 @@ pub fn campaign(
     let silent = (0..nprocs).map(|pid| (pid, KillMode::Silent));
     let kills = silent.chain([(0, KillMode::Panic)]);
     let kills = kills.map(|(pid, mode)| Fault::Kill(KillPidChaos { pid, mode }));
-    let seeded = |drop| {
-        let cfg = ChaosConfig {
-            drop,
-            ..ChaosConfig::default()
-        };
-        Arc::new(ChaosInjector::with_config(seed, cfg)) as Arc<dyn SyncChaos>
-    };
+    let seeded = |drop| Arc::new(ChaosInjector::new(seed, drop)) as Arc<dyn SyncChaos>;
     let mut profile = None;
     let teeth = std::iter::once(Fault::Benign)
         .chain(drops)
@@ -546,9 +510,9 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule_different_seed_differs() {
-        let a = ChaosInjector::new(7);
-        let b = ChaosInjector::new(7);
-        let c = ChaosInjector::new(8);
+        let a = ChaosInjector::new(7, None);
+        let b = ChaosInjector::new(7, None);
+        let c = ChaosInjector::new(8, None);
         let sa = injection_schedule(&a, 6, 4, 32);
         let sb = injection_schedule(&b, 6, 4, 32);
         let sc = injection_schedule(&c, 6, 4, 32);
@@ -559,17 +523,12 @@ mod tests {
 
     #[test]
     fn drop_spec_overrides_the_draw() {
-        let inj = ChaosInjector::with_config(
-            3,
-            ChaosConfig {
-                drop: Some(DropSpec {
-                    site: 2,
-                    pid: 1,
-                    from_visit: 4,
-                }),
-                ..ChaosConfig::default()
-            },
-        );
+        let drop = DropSpec {
+            site: 2,
+            pid: 1,
+            from_visit: 4,
+        };
+        let inj = ChaosInjector::new(3, Some(drop));
         assert_eq!(inj.at_sync(2, 1, 4), ChaosAction::Drop);
         assert_eq!(inj.at_sync(2, 1, 9), ChaosAction::Drop);
         assert_ne!(inj.at_sync(2, 1, 3), ChaosAction::Drop);

@@ -189,7 +189,7 @@ pub fn check_program(
                     deadline: cfg.deadline,
                     chaos: cfg
                         .chaos_seed
-                        .map(|s| Arc::new(ChaosInjector::new(s)) as Arc<dyn SyncChaos>),
+                        .map(|s| Arc::new(ChaosInjector::new(s, None)) as Arc<dyn SyncChaos>),
                     ..ObserveOptions::default()
                 },
             );

@@ -26,8 +26,8 @@ pub mod service_chaos;
 pub mod validate;
 
 pub use chaos::{
-    campaign, droppable_posts, injection_schedule, CampaignReport, ChaosConfig, ChaosInjector,
-    DropCandidate, DropSpec, Fault, KillMode, KillPidChaos, Tooth,
+    campaign, droppable_posts, injection_schedule, CampaignReport, ChaosInjector, DropCandidate,
+    DropSpec, Fault, KillMode, KillPidChaos, Tooth,
 };
 pub use diff::{check_program, plan_diverges, CaseResult, DiffConfig};
 pub use gen::{generate, generate_shape, GenProgram, Shape};

@@ -10,7 +10,8 @@
 //! barrier study measures.
 //!
 //! Both barriers are pure-atomic on their fast path: a wait is a CAS
-//! or fetch-add plus a [`SpinWait`] poll loop, with no clock reads, no
+//! or fetch-add plus a poll loop up the crate's one spin → yield →
+//! park ladder ([`crate::spin`]), with no clock reads, no
 //! locks, and no watchdog traffic. [`CentralBarrier::wait_until`]
 //! layers the sampled watchdog of [`crate::fault`] on top for fault
 //! detection. Neither counts nor times anything: a wait returns its
@@ -25,7 +26,7 @@
 //! only, for the primitive latency rows that time it.
 
 use crate::fault::{SyncError, WaitPoll, Watchdog};
-use crate::spin::{SpinPolicy, SpinWait, WaitEffort};
+use crate::spin::{SpinWait, WaitEffort};
 use crate::stats::SyncKind;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,11 +71,6 @@ impl CentralBarrier {
         }
     }
 
-    /// Number of participating processors.
-    pub fn nprocs(&self) -> usize {
-        self.n
-    }
-
     /// The barrier's current episode epoch.
     #[cfg(test)]
     fn epoch(&self) -> u64 {
@@ -116,7 +112,7 @@ impl CentralBarrier {
     /// caller's thread-local episode stamp (start from `Default`, pass
     /// the same variable every time).
     pub fn wait(&self, local: &mut BarrierEpoch) -> WaitEffort {
-        let mut sw = SpinWait::new(SpinPolicy::auto());
+        let mut sw = SpinWait::new();
         if let Some(e) = self.arrive(local) {
             while self.state.load(Ordering::Acquire) >> COUNT_BITS == e {
                 sw.snooze();
@@ -143,21 +139,14 @@ impl CentralBarrier {
             // Progress is the arrival count: `expected` is full
             // attendance, `observed` how many had arrived (the epoch
             // advancing is the real exit condition).
-            Some(e) => wd.guarded_wait(
-                site,
-                pid,
-                SyncKind::Barrier,
-                self.n as u64,
-                SpinPolicy::auto(),
-                || {
-                    let s = self.state.load(Ordering::Acquire);
-                    if s >> COUNT_BITS != e {
-                        WaitPoll::Ready
-                    } else {
-                        WaitPoll::Pending(s & COUNT_MASK)
-                    }
-                },
-            ),
+            Some(e) => wd.guarded_wait(site, pid, SyncKind::Barrier, self.n as u64, || {
+                let s = self.state.load(Ordering::Acquire);
+                if s >> COUNT_BITS != e {
+                    WaitPoll::Ready
+                } else {
+                    WaitPoll::Pending(s & COUNT_MASK)
+                }
+            }),
         }
     }
 }
@@ -231,11 +220,6 @@ impl TreeBarrier {
         }
     }
 
-    /// Number of participating processors.
-    pub fn nprocs(&self) -> usize {
-        self.n
-    }
-
     /// The configured fan-in.
     #[cfg(test)]
     fn radix(&self) -> usize {
@@ -270,7 +254,7 @@ impl TreeBarrier {
         let mut effort = WaitEffort::default();
         for r in 0..self.rounds {
             self.signal_round(r, pid);
-            let mut sw = SpinWait::new(SpinPolicy::auto());
+            let mut sw = SpinWait::new();
             while self.flags[r][pid].load(Ordering::Acquire) < target {
                 sw.snooze();
             }

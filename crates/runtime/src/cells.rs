@@ -18,7 +18,7 @@
 //! can outlive the counts it waits for.
 
 use crate::fault::{SyncError, WaitPoll, Watchdog};
-use crate::spin::{SpinPolicy, SpinWait, WaitEffort};
+use crate::spin::{SpinWait, WaitEffort};
 use crate::stats::SyncKind;
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +48,7 @@ impl CellBank {
     /// Out-of-range targets (off the ends of the processor line) are
     /// trivially satisfied. Returns the wait's escalation counts.
     pub fn wait(&self, other: isize, count: u64) -> WaitEffort {
-        let mut sw = SpinWait::new(SpinPolicy::auto());
+        let mut sw = SpinWait::new();
         let Some(cell) = usize::try_from(other).ok().and_then(|q| self.cells.get(q)) else {
             return sw.effort();
         };
@@ -58,44 +58,21 @@ impl CellBank {
         sw.effort()
     }
 
-    /// The bank as one guarded attempt sees it: waits are bounded by
-    /// `wd`.
-    pub fn guarded<'a>(&'a self, wd: &'a Watchdog) -> GuardedCells<'a> {
-        GuardedCells { bank: self, wd }
-    }
-
-    /// Current post count of a processor's cell.
-    pub fn count(&self, pid: usize) -> u64 {
-        self.cells[pid].load(Ordering::Acquire)
-    }
-}
-
-/// A [`CellBank`] under one attempt's watchdog ([`CellBank::guarded`]).
-pub struct GuardedCells<'a> {
-    bank: &'a CellBank,
-    wd: &'a Watchdog,
-}
-
-impl<'a> GuardedCells<'a> {
-    /// The attempt's watchdog.
-    pub fn watchdog(&self) -> &'a Watchdog {
-        self.wd
-    }
-
-    /// As [`CellBank::wait`] on an in-range target, but guarded:
-    /// returns [`SyncError::DeadlineExceeded`] (attributed to `site` /
-    /// `pid`, as a wait of `kind`) instead of hanging when the target's
-    /// post never lands, and bails out on region poison.
-    pub fn wait(
+    /// As [`CellBank::wait`] on an in-range target, but guarded by
+    /// `wd`: returns [`SyncError::DeadlineExceeded`] (attributed to
+    /// `site` / `pid`, as a wait of `kind`) instead of hanging when the
+    /// target's post never lands, and bails out on region poison.
+    pub fn wait_until(
         &self,
         other: usize,
         count: u64,
+        wd: &Watchdog,
         kind: SyncKind,
         site: usize,
         pid: usize,
     ) -> Result<WaitEffort, SyncError> {
-        let (cell, policy) = (&self.bank.cells[other], SpinPolicy::auto());
-        self.wd.guarded_wait(site, pid, kind, count, policy, || {
+        let cell = &self.cells[other];
+        wd.guarded_wait(site, pid, kind, count, || {
             let cur = cell.load(Ordering::Acquire);
             if cur >= count {
                 WaitPoll::Ready
@@ -103,6 +80,11 @@ impl<'a> GuardedCells<'a> {
                 WaitPoll::Pending(cur)
             }
         })
+    }
+
+    /// Current post count of a processor's cell.
+    pub fn count(&self, pid: usize) -> u64 {
+        self.cells[pid].load(Ordering::Acquire)
     }
 }
 
@@ -168,13 +150,12 @@ mod tests {
         let wd = Watchdog::new(Duration::from_millis(40));
         let c = CellBank::new(3);
         c.post(1);
-        let g = c.guarded(&wd);
         let free = Ok(WaitEffort::default());
-        assert_eq!(g.wait(1, 1, SyncKind::Neighbor, 4, 0), free);
+        assert_eq!(c.wait_until(1, 1, &wd, SyncKind::Neighbor, 4, 0), free);
         // A never-posting target is a bounded failure, attributed to
         // the site and filed under the label of the sync.
         for kind in [SyncKind::Neighbor, SyncKind::Counter, SyncKind::Pairwise] {
-            let err = g.wait(2, 1, kind, 4, 1).unwrap_err();
+            let err = c.wait_until(2, 1, &wd, kind, 4, 1).unwrap_err();
             assert_eq!(
                 err,
                 SyncError::DeadlineExceeded {

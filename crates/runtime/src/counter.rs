@@ -13,7 +13,7 @@
 //! Like every primitive here it is never reset: a use that needs the
 //! counts at zero again builds a fresh bank.
 
-use crate::spin::{SpinPolicy, SpinWait, WaitEffort};
+use crate::spin::{SpinWait, WaitEffort};
 use crossbeam::utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,7 +41,7 @@ impl Counters {
     /// Consumer side: block until counter `id` reaches at least `v`
     /// (acquire ordering). Returns the wait's escalation counts.
     pub fn wait_ge(&self, id: usize, v: u64) -> WaitEffort {
-        let mut sw = SpinWait::new(SpinPolicy::auto());
+        let mut sw = SpinWait::new();
         while self.c[id].load(Ordering::Acquire) < v {
             sw.snooze();
         }

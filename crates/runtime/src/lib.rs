@@ -28,9 +28,10 @@
 //!   into both its totals and its escalation marks), so every ring
 //!   track has exactly one writer — the source of the "barriers
 //!   executed at run time" numbers in the reproduction of Table 3;
-//! * a **spin → `pause` → park escalation ladder** ([`spin`]) shared by
-//!   every blocking wait under one topology-aware policy, keeping the
-//!   common case a pure-atomic poll loop with no locks or clock reads;
+//! * one **spin → `pause` → park escalation ladder** ([`spin`]) under
+//!   every blocking wait, with fixed thresholds (the spin count follows
+//!   the host's core count), keeping the common case a pure-atomic poll
+//!   loop with no locks or clock reads;
 //! * **fault detection** ([`fault`]) — deadline-guarded variants of every
 //!   blocking wait with the watchdog sampled off the hot loop (poison
 //!   via one epoch-stamped atomic, deadline checked only on park
@@ -80,7 +81,7 @@ pub mod team;
 pub mod telemetry;
 
 pub use barrier::{BarrierEpoch, CentralBarrier, TreeBarrier};
-pub use cells::{CellBank, GuardedCells};
+pub use cells::CellBank;
 pub use counter::Counters;
 pub use crossbeam::utils::CachePadded;
 pub use events::{EventKind, ProfileData, ProfileEvent, ProfileOptions, Profiler, NO_SITE};
@@ -95,7 +96,7 @@ pub type NeighborFlags = CellBank;
 /// it is kept.
 pub type PairwiseCells = CellBank;
 pub use recovery::{FaultDisposition, Quarantine, RetryPolicy};
-pub use spin::{SpinPhase, SpinPolicy, SpinWait, WaitEffort};
+pub use spin::WaitEffort;
 pub use stats::{StatsSnapshot, SyncKind};
-pub use team::{RegionError, Team};
+pub use team::{panic_message, RegionError, Team};
 pub use telemetry::{CellSnapshot, SiteMeta, SiteSnapshot, WaitHistogram, HIST_BUCKETS};

@@ -17,7 +17,7 @@
 //! amortize one condvar round trip over their whole body, workers
 //! should sleep (not burn a core) between regions, and the blocking
 //! join is what lets a panicked worker wake the master unconditionally.
-//! The `SpinPolicy` escalation ladder applies to the per-episode waits
+//! The spin → yield → park ladder applies to the per-episode waits
 //! *inside* a region — barriers, counters, neighbor flags — where the
 //! round trip is hundreds of nanoseconds, not to the per-region
 //! dispatch, where it would be pure waste.
@@ -37,20 +37,20 @@ pub struct RegionError {
     pub payload: Box<dyn Any + Send>,
 }
 
-impl RegionError {
-    /// The panic message, when the payload is a string (the common
-    /// case for `panic!`/`assert!`).
-    pub fn message(&self) -> String {
-        if let Some(s) = self.payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else {
-            self.payload
-                .downcast_ref::<String>()
-                .cloned()
-                .unwrap_or_else(|| "non-string panic payload".to_string())
-        }
+/// A panic payload's message, when it is a string (the common case
+/// for `panic!`/`assert!`).
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".to_string())
     }
+}
 
+impl RegionError {
     /// Re-raise the worker's panic on the calling thread.
     pub fn resume(self) -> ! {
         resume_unwind(self.payload)
@@ -59,13 +59,14 @@ impl RegionError {
 
 impl std::fmt::Debug for RegionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker P{} panicked: {}", self.pid, self.message())
+        std::fmt::Display::fmt(self, f)
     }
 }
 
 impl std::fmt::Display for RegionError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker P{} panicked: {}", self.pid, self.message())
+        let msg = panic_message(&*self.payload);
+        write!(f, "worker P{} panicked: {msg}", self.pid)
     }
 }
 
@@ -291,7 +292,7 @@ mod tests {
             t0.elapsed()
         );
         assert_eq!(err.pid, 2);
-        assert_eq!(err.message(), "injected worker fault");
+        assert_eq!(panic_message(&*err.payload), "injected worker fault");
     }
 
     #[test]
@@ -327,6 +328,6 @@ mod tests {
         let team = Team::new(4);
         let err = team.try_run(|pid| panic!("P{pid} down")).unwrap_err();
         assert!(err.pid < 4);
-        assert!(err.message().starts_with('P'));
+        assert!(panic_message(&*err.payload).starts_with('P'));
     }
 }

@@ -39,11 +39,12 @@ use barrier_elim::interp::{
 };
 use barrier_elim::ir::Program;
 use barrier_elim::obs::{self, CompileSection, FaultReport, RunReport, RunSection, Rung};
-use barrier_elim::oracle::{ChaosConfig, ChaosInjector, DropSpec};
+use barrier_elim::oracle::{ChaosInjector, DropSpec};
 use barrier_elim::runtime::events::{EventKind, ProfileData, ProfileOptions, Profiler};
 use barrier_elim::runtime::{RetryPolicy, Team, NO_SITE};
 use barrier_elim::spmd_opt::{
-    demote_sites, fork_join, optimize, optimize_explained, render_plan, OptimizeOptions, SyncOp,
+    demote_sites, fork_join, optimize, optimize_explained, optimize_probed, render_plan,
+    OptimizeOptions, SyncOp,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -360,22 +361,18 @@ fn compile_and_run(args: &Args, report: &mut Option<RunReport>) -> ExitCode {
     // alone, which fires on this thread: the analysis runs here.
     let compile_profiler = args
         .profile
-        .then(|| Arc::new(Profiler::new(1, ProfileOptions::default())));
-    if let Some(p) = &compile_profiler {
-        let p = Arc::clone(p);
-        barrier_elim::analysis::set_pair_probe(Some(Arc::new(move |pr| {
+        .then(|| Profiler::new(1, ProfileOptions::default()));
+    let (plan, log, stats) = match &compile_profiler {
+        Some(p) => optimize_probed(&prog, &bind, oo, &|pr| {
             let kind = if pr.memo_hit {
                 EventKind::FmeHit
             } else {
                 EventKind::FmeMiss
             };
             p.record(0, kind, NO_SITE, pr.elapsed_ns);
-        })));
-    }
-    let (plan, log, stats) = optimize_explained(&prog, &bind, oo);
-    if compile_profiler.is_some() {
-        barrier_elim::analysis::set_pair_probe(None);
-    }
+        }),
+        None => optimize_explained(&prog, &bind, oo),
+    };
     let compile_data: Option<ProfileData> = compile_profiler.as_ref().map(|p| p.snapshot());
     let base = fork_join(&prog, &bind);
 
@@ -472,12 +469,9 @@ fn compile_and_run(args: &Args, report: &mut Option<RunReport>) -> ExitCode {
         let team = Team::new(nprocs);
         let chaos: Option<Arc<dyn SyncChaos>> =
             if args.chaos_seed.is_some() || args.chaos_drop.is_some() {
-                Some(Arc::new(ChaosInjector::with_config(
+                Some(Arc::new(ChaosInjector::new(
                     args.chaos_seed.unwrap_or(0),
-                    ChaosConfig {
-                        drop: args.chaos_drop,
-                        ..ChaosConfig::default()
-                    },
+                    args.chaos_drop,
                 )))
             } else {
                 None

@@ -15,7 +15,7 @@ use barrier_elim::interp::{
 };
 use barrier_elim::ir::{Program, SymId};
 use barrier_elim::obs::{self, CompileSection, Json, RunReport, RunSection, TraceBuilder};
-use barrier_elim::oracle::{droppable_posts, ChaosConfig, ChaosInjector};
+use barrier_elim::oracle::{droppable_posts, ChaosInjector};
 use barrier_elim::runtime::events::ProfileOptions;
 use barrier_elim::runtime::{RetryPolicy, Team};
 use barrier_elim::spmd_opt::{
@@ -369,14 +369,10 @@ fn run_reports_round_trip_and_share_the_fault_version() {
     // Supervised: the last droppable post of the plan, persistently
     // dropped, absorbed by the site ladder.
     let drop = droppable_posts(&prog, &bind, &plan).pop().unwrap().spec;
-    let chaos = ChaosConfig {
-        drop: Some(drop),
-        ..ChaosConfig::default()
-    };
     let guarded = ObserveOptions {
         telemetry: true,
         deadline: Some(Duration::from_millis(150)),
-        chaos: Some(Arc::new(ChaosInjector::with_config(7, chaos))),
+        chaos: Some(Arc::new(ChaosInjector::new(7, Some(drop)))),
         ..ObserveOptions::default()
     };
     let policy = RetryPolicy {

@@ -10,7 +10,7 @@ use barrier_elim::frontend;
 use barrier_elim::interp::{run_parallel_observed, run_parallel_supervised, Mem, ObserveOptions};
 use barrier_elim::ir::{Program, SymId};
 use barrier_elim::obs::{self, CompileSection, Json, RunReport, RunSection};
-use barrier_elim::oracle::{ChaosConfig, ChaosInjector, DropSpec};
+use barrier_elim::oracle::{ChaosInjector, DropSpec};
 use barrier_elim::runtime::events::ProfileOptions;
 use barrier_elim::runtime::{RetryPolicy, Team};
 use barrier_elim::spmd_opt::{
@@ -384,16 +384,13 @@ fn recovery_profile_spans_epochs_and_aggregates_stats_across_attempts() {
     let opts = ObserveOptions {
         telemetry: true,
         deadline: Some(Duration::from_millis(150)),
-        chaos: Some(Arc::new(ChaosInjector::with_config(
+        chaos: Some(Arc::new(ChaosInjector::new(
             7,
-            ChaosConfig {
-                drop: Some(DropSpec {
-                    site: 1,
-                    pid: 2,
-                    from_visit: 1,
-                }),
-                ..ChaosConfig::default()
-            },
+            Some(DropSpec {
+                site: 1,
+                pid: 2,
+                from_visit: 1,
+            }),
         ))),
         profile: Some(ProfileOptions::default()),
         ..ObserveOptions::default()

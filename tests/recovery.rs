@@ -16,7 +16,7 @@ use barrier_elim::analysis::Bindings;
 use barrier_elim::frontend;
 use barrier_elim::interp::{run_parallel_supervised, run_sequential, Mem, ObserveOptions};
 use barrier_elim::ir::SymId;
-use barrier_elim::oracle::{self, droppable_posts, ChaosConfig, ChaosInjector, DropSpec, Fault};
+use barrier_elim::oracle::{self, droppable_posts, ChaosInjector, DropSpec, Fault};
 use barrier_elim::runtime::{RetryPolicy, Team};
 use barrier_elim::spmd_opt::optimize;
 use std::sync::Arc;
@@ -196,13 +196,7 @@ mod prop {
             &team,
             &ObserveOptions {
                 deadline: Some(Duration::from_millis(120)),
-                chaos: Some(Arc::new(ChaosInjector::with_config(
-                    chaos_seed,
-                    ChaosConfig {
-                        drop: Some(cand.spec),
-                        ..ChaosConfig::default()
-                    },
-                ))),
+                chaos: Some(Arc::new(ChaosInjector::new(chaos_seed, Some(cand.spec)))),
                 ..ObserveOptions::default()
             },
             &fast_policy(),

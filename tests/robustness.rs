@@ -119,15 +119,15 @@ fn dropped_counter_increment_names_the_counter_site() {
 /// produce identical results.
 #[test]
 fn chaos_is_deterministic_per_seed() {
-    let a = ChaosInjector::new(123);
-    let b = ChaosInjector::new(123);
+    let a = ChaosInjector::new(123, None);
+    let b = ChaosInjector::new(123, None);
     assert_eq!(
         injection_schedule(&a, 8, 4, 64),
         injection_schedule(&b, 8, 4, 64)
     );
     assert_ne!(
         injection_schedule(&a, 8, 4, 64),
-        injection_schedule(&ChaosInjector::new(124), 8, 4, 64)
+        injection_schedule(&ChaosInjector::new(124, None), 8, 4, 64)
     );
 
     let (prog, bind) = load("jacobi.be", &[("n", 48), ("tmax", 4)], 4);
@@ -145,7 +145,7 @@ fn chaos_is_deterministic_per_seed() {
             &team,
             &ObserveOptions {
                 deadline: Some(Duration::from_secs(5)),
-                chaos: Some(Arc::new(ChaosInjector::new(99))),
+                chaos: Some(Arc::new(ChaosInjector::new(99, None))),
                 ..ObserveOptions::default()
             },
         );
