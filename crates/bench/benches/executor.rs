@@ -82,18 +82,26 @@ fn bench_oracle(c: &mut Criterion) {
     group.finish();
 }
 
-/// P0's share of every work step of copy_chain's optimized plan at
-/// P = 4, `tmax` = 250 — 1 001 work steps, its 1 000 syncs passed by —
-/// walked by a fresh cursor: at n = 8 two elements per step, so what
-/// shows is the fixed cost of a step; at n = 1024, 256 elements per
-/// step. Divide a sample by 1 001 for the time per work step, and the
-/// difference of the two by 254 × 1 001 for the time per element.
+/// P0's share of every work step of a fine-grain plan at P = 4,
+/// `tmax` = 250, walked by a fresh cursor with its syncs passed by.
+/// copy_chain's optimized plan has 1 001 work steps: at n = 8 two
+/// elements per step, so what shows is the fixed cost of a step; at
+/// n = 1024, 256 elements per step. Divide a sample by 1 001 for the
+/// time per work step, and the difference of the two by 254 × 1 001
+/// for the time per element. redblack at half = 8 (two elements, four
+/// accesses per step) and livermore7 at n = 16 (four elements, ten
+/// accesses in its first loop) each have 501 work steps.
 fn bench_work_steps(c: &mut Criterion) {
     let mut group = c.benchmark_group("work_steps");
-    for n in [8, 1024] {
-        let built = (suite::by_name("copy_chain").unwrap().build)(Scale::Small);
+    for (name, size, v) in [
+        ("copy_chain", "n", 8),
+        ("copy_chain", "n", 1024),
+        ("redblack", "half", 8),
+        ("livermore7", "n", 16),
+    ] {
+        let built = (suite::by_name(name).unwrap().build)(Scale::Small);
         let mut bind = built.bindings(4);
-        for (sym, v) in [("n", n), ("tmax", 250)] {
+        for (sym, v) in [(size, v), ("tmax", 250)] {
             let id = built.prog.syms.iter().position(|s| s.name == sym).unwrap();
             bind.bind(ir::SymId(id as u32), v);
         }
@@ -101,7 +109,9 @@ fn bench_work_steps(c: &mut Criterion) {
         let sched = Schedule::new(&built.prog, &bind, &plan);
         let mem = Mem::new(&built.prog, &bind);
         let mut worker = Worker::new(&sched, &mem, 0);
-        group.bench_function(format!("copy_chain_n{n}"), |b| b.iter(|| worker.exec_all()));
+        group.bench_function(format!("{name}_{size}{v}"), |b| {
+            b.iter(|| worker.exec_all())
+        });
     }
     group.finish();
 }

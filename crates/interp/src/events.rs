@@ -144,6 +144,13 @@ impl Schedule {
         }
     }
 
+    /// How many innermost loops the kernels hold, and how many of them
+    /// lowering proved in bounds wherever they run (their work steps
+    /// address with no bounds check).
+    pub fn proven_leaves(&self) -> (usize, usize) {
+        self.code.proven_leaves()
+    }
+
     /// A cursor at the start of the walk.
     pub fn cursor(&self) -> Cursor<'_> {
         Cursor {
@@ -417,9 +424,9 @@ impl Builder<'_> {
         let (lo, hi) = (self.lower.lin(&l.lo), self.lower.lin(&l.hi));
         let at = self.walk.len();
         self.walk.push(Op::Next);
-        self.lower.scope(l.id, true);
+        self.lower.enter(l.id, &lo, &hi);
         body(self);
-        self.lower.scope(l.id, false);
+        self.lower.leave(l.id);
         self.walk.push(Op::Next);
         let exit = self.walk.len() as u32;
         let slot = l.id.0;

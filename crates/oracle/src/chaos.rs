@@ -90,11 +90,6 @@ impl ChaosInjector {
     pub fn new(seed: u64, drop: Option<DropSpec>) -> Self {
         ChaosInjector { seed, drop }
     }
-
-    /// The seed the schedule is derived from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
 }
 
 impl SyncChaos for ChaosInjector {

@@ -223,11 +223,6 @@ impl Watchdog {
         }
     }
 
-    /// The per-wait deadline.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
-    }
-
     /// True once any processor poisoned the region.
     pub fn is_poisoned(&self) -> bool {
         self.status.load(Ordering::Acquire) & POISON_BIT != 0
